@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.batch_search import BatchChunkSearcher
+from repro.core.search import ChunkSearcher
 
 N_QUERIES = 64
 REPEATS = 3
@@ -67,8 +67,8 @@ def measure(index, queries, k, cost_model):
     seed-determined quantities (identical across reruns), the second the
     wall-clock measurements.
     """
-    unpruned = BatchChunkSearcher(index, cost_model=cost_model, prune=False)
-    pruned = BatchChunkSearcher(index, cost_model=cost_model, prune=True)
+    unpruned = ChunkSearcher(index, cost_model=cost_model, prune=False)
+    pruned = ChunkSearcher(index, cost_model=cost_model, prune=True)
 
     def run_single(searcher):
         results = []
@@ -128,7 +128,7 @@ def bench_pruned_scan(benchmark, data):
 
     deterministic, timing = measure(built.index, queries, k, model)
     benchmark.pedantic(
-        lambda: BatchChunkSearcher(built.index, cost_model=model).search_batch(
+        lambda: ChunkSearcher(built.index, cost_model=model).search_batch(
             queries, k=k
         ),
         rounds=1,

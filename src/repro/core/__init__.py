@@ -20,7 +20,6 @@ from .approx_rules import (
     PacApproximation,
     estimate_epsilon,
 )
-from .batch_search import BatchChunkSearcher, BatchSearchResult
 from .chunk import Chunk, ChunkMeta, ChunkSet
 from .chunk_index import ChunkIndex, build_chunk_index
 from .dataset import DEFAULT_DIMENSIONS, DescriptorCollection
@@ -43,6 +42,7 @@ from .neighbors import Neighbor, NeighborSet
 from .search import (
     RANK_BY_CENTROID,
     RANK_BY_LOWER_BOUND,
+    BatchSearchResult,
     ChunkSearcher,
     SearchResult,
 )
@@ -55,6 +55,10 @@ from .stop_rules import (
     TimeBudget,
 )
 from .trace import SearchTrace, TraceEvent
+
+#: The pre-merge name of the batch engine, kept for callers of the package
+#: exports: there is one engine, and this is it.
+BatchChunkSearcher = ChunkSearcher
 
 __all__ = [
     "BatchChunkSearcher",

@@ -33,7 +33,9 @@ Exactness is preserved, not approximated:
 Member distances are computed with the direct-form kernel
 (:func:`~repro.core.distance.squared_distances`), whose row results do not
 depend on which subset of rows is evaluated — the property that makes the
-lazily expanded keys bit-identical to a full sequential ranking pass.
+lazily expanded keys bit-identical to a full direct-form ranking pass
+(the searcher's own flat ranking uses the expanded-form kernel, equal to
+within an ulp).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class CentroidRouter:
     """Chunk centroids clustered into coarse groups for routed ranking.
 
     Build one per index (:meth:`build` / :meth:`from_index`) and pass it to
-    ``ChunkSearcher``/``BatchChunkSearcher``; every query then opens a
+    ``ChunkSearcher``; every query then opens a
     :class:`RouterStream` over the groups.  The router stores only
     geometry — group centers, members, and two per-group slack terms — and
     is immutable after construction, so one instance is safely shared by

@@ -1,4 +1,4 @@
-"""The approximate chunk-search algorithm (paper section 4.3).
+"""The approximate chunk-search algorithm (paper section 4.3) — one engine.
 
 For a query descriptor the searcher:
 
@@ -14,36 +14,75 @@ For a query descriptor the searcher:
    radius``, the reason radii are stored in the index) exceeds the current
    k-th distance, all true nearest neighbors have provably been found.
 
-Timing comes from a :class:`~repro.simio.pipeline.PipelineSimulator`
-(deterministic, calibrated to the paper's hardware) or a wall clock.
+The paper's whole methodology is workload-shaped — every figure and table
+comes from running hundreds of queries against the same chunk index — so
+the unit of execution is a *cohort* of queries (:meth:`ChunkSearcher.
+search_batch`); :meth:`ChunkSearcher.search` is a cohort of one.  A cohort
+shares host work, never a simulated timestamp:
+
+* **vectorized ranking** — chunk ranking for the whole ``(q, d)`` cohort is
+  one :func:`~repro.core.distance.pairwise_squared_distances` call plus a
+  batched lexsort;
+* **coalesced chunk reads** — within a cohort each chunk is fetched from
+  the store at most once (and its float32 descriptor matrix promoted to
+  float64 exactly once), then scanned against every query of the cohort
+  with one ``(q, n_chunk)`` kernel call.  A cohort of one retains nothing:
+  there is no other query to share with;
+* **per-query timing model** — every query owns its own timeline (the
+  :class:`~repro.simio.pipeline.PipelineSimulator` recurrence), so
+  simulated time is charged per query exactly as the paper measures it;
+* **parallel wall-clock mode** — ``workers > 1`` shards the cohort over a
+  thread pool (the distance kernels release the GIL), which changes only
+  how fast the host finishes, never the per-query results.
+
+Queries always run one after the other (query 0 to its stop, then query
+1, ...), so when the cost model carries a shared cache — whose simulated
+I/O charge depends on the global order of touches — the touch order is the
+one a loop of single-query calls would produce.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..faults.injector import FaultInjector
-from ..faults.plan import OK_OUTCOME
+from ..faults.plan import OK_OUTCOME, ChunkFaultOutcome
+from ..parallel import resolve_workers, run_parallel, shard
 from ..simio.calibration import PAPER_2005_COST_MODEL
-from ..simio.pipeline import CostModel
+from ..simio.pipeline import CostModel, PipelineSimulator
 from ..storage.errors import CorruptFileError
 from .chunk_index import ChunkIndex
-from .distance import squared_distances
+from .distance import pairwise_squared_distances
 from .neighbors import Neighbor, NeighborSet
-from .routing import CentroidRouter
+from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
 from .trace import SearchTrace, TraceEvent
 
-__all__ = ["ChunkSearcher", "SearchResult", "RANK_BY_CENTROID", "RANK_BY_LOWER_BOUND"]
+__all__ = [
+    "ChunkSearcher",
+    "SearchResult",
+    "BatchSearchResult",
+    "RANK_BY_CENTROID",
+    "RANK_BY_LOWER_BOUND",
+]
 
 #: Rank chunks by distance to the centroid (what the paper does).
 RANK_BY_CENTROID = "centroid"
 #: Rank chunks by the lower bound ``d(centroid) - radius`` (ablation).
 RANK_BY_LOWER_BOUND = "lower_bound"
+
+#: The prune-run fast path materializes ``TraceEvent`` instances from
+#: prebuilt value tuples; ``_make`` is the C-level tuple constructor, the
+#: cheapest way to build one (see the ``TraceEvent`` docstring for why
+#: the event type is a ``NamedTuple`` in the first place).
+_EVENT_MAKE = TraceEvent._make
+
+#: A chunk's promoted contents: ``(int64 ids, contiguous float64 vectors)``.
+_Payload = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclasses.dataclass
@@ -107,8 +146,185 @@ class SearchResult:
         return np.asarray([n.descriptor_id for n in self.neighbors], dtype=np.int64)
 
 
+@dataclasses.dataclass
+class BatchSearchResult:
+    """Per-query :class:`SearchResult` list plus batch-level conveniences.
+
+    ``results[i]`` is what ``ChunkSearcher.search(queries[i], ...)`` returns;
+    this wrapper only adds aggregate views, it never merges query outcomes.
+    """
+
+    results: List[SearchResult]
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __iter__(self) -> Iterator[SearchResult]:
+        return iter(self.results)
+
+    def __getitem__(self, i: int) -> SearchResult:
+        return self.results[i]
+
+    def neighbor_ids_matrix(self) -> np.ndarray:
+        """``(n_queries, k_found)`` int64 id matrix, padded with -1 for
+        queries that found fewer neighbors than the widest result."""
+        if not self.results:
+            return np.empty((0, 0), dtype=np.int64)
+        width = max(len(r.neighbors) for r in self.results)
+        out = np.full((len(self.results), width), -1, dtype=np.int64)
+        for row, result in enumerate(self.results):
+            ids = result.neighbor_ids()
+            out[row, : ids.shape[0]] = ids
+        return out
+
+    def stop_reasons(self) -> List[str]:
+        return [r.stop_reason for r in self.results]
+
+    def elapsed_s(self) -> np.ndarray:
+        """Simulated per-query elapsed seconds (float64; the paper's clock)."""
+        return np.asarray([r.elapsed_s for r in self.results], dtype=np.float64)
+
+    def traces(self) -> List[SearchTrace]:
+        return [r.trace for r in self.results]
+
+    @property
+    def total_chunks_read(self) -> int:
+        return int(sum(r.chunks_read for r in self.results))
+
+    @property
+    def total_chunks_pruned(self) -> int:
+        """Visited chunks the pruner excused from scanning, batch-wide."""
+        return int(sum(r.chunks_pruned for r in self.results))
+
+    @property
+    def mean_elapsed_s(self) -> float:
+        return float(self.elapsed_s().mean()) if self.results else 0.0
+
+
+class _QueryState:
+    """Mutable per-query execution state inside one cohort.
+
+    The timing state is three floats replicating the
+    :class:`~repro.simio.pipeline.PipelineSimulator` recurrence inline
+    (``prev_read``/``prev_proc``/``drained`` are ``R[i-1]``/``C[i-1]``/
+    ``C[i-2]``); ``simulator`` is only instantiated for shared-cache
+    cost models, whose per-chunk I/O charge is stateful.
+    """
+
+    __slots__ = (
+        "fault_key",
+        "query",
+        "k",
+        "order",
+        "suffix_list",
+        "lb_list",
+        "stream",
+        "n_ranks",
+        "simulator",
+        "prev_read",
+        "prev_proc",
+        "drained",
+        "trace",
+        "events",
+        "neighbors",
+        "n_found",
+        "kth",
+        "stop_rule",
+        "truth",
+        "matches",
+        "rank0",
+        "pruned",
+        "stop_reason",
+        "completed",
+        "degraded",
+        "done",
+    )
+
+    def __init__(
+        self,
+        fault_key: int,
+        query: np.ndarray,
+        k: int,
+        start_s: float,
+        stop_rule: StopRule,
+        truth: Optional[frozenset],
+        simulator: Optional[PipelineSimulator],
+        ranking: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]",
+        stream: Optional[RouterStream],
+    ):
+        self.fault_key = fault_key
+        self.query = query
+        self.k = k
+        if ranking is not None:
+            order, suffix_min, ranked_lb = ranking
+            # Plain Python lists: the execution loop touches one element
+            # per event, where numpy scalar extraction would dominate.
+            self.order = order.tolist()
+            self.suffix_list = suffix_min.tolist()
+            self.lb_list = ranked_lb.tolist()
+        else:
+            # Routed ranking: chunks arrive lazily from the stream; the
+            # per-rank arrays are never materialized.
+            self.order = []
+            self.suffix_list = []
+            self.lb_list = []
+        self.n_ranks = len(self.order)
+        self.stream = stream
+        self.simulator = simulator
+        self.prev_read = start_s
+        self.prev_proc = start_s
+        self.drained = start_s
+        self.trace = SearchTrace(start_elapsed_s=start_s)
+        self.events = self.trace.events
+        self.neighbors = NeighborSet(k)
+        # Mirrors of len(neighbors) / neighbors.kth_distance, refreshed
+        # only when an update admits candidates.
+        self.n_found = 0
+        self.kth = math.inf
+        self.stop_rule = stop_rule
+        self.truth = truth
+        # Match count after the latest chunk; valid whenever truth is set
+        # because an empty neighbor set holds zero true neighbors.
+        self.matches = 0 if truth is not None else -1
+        self.rank0 = 0
+        self.pruned = 0
+        self.stop_reason = "exhausted"
+        self.completed = False
+        self.degraded = False
+        self.done = False
+
+    def pull_next(self) -> "Tuple[int, float]":
+        """``(chunk_id, lower_bound)`` of the next chunk to visit.
+
+        Array mode reads the precomputed rank arrays (without consuming —
+        ``rank0`` advances when the event is applied); stream mode pops
+        the router stream, whose emission *is* the visit."""
+        if self.stream is None:
+            rank0 = self.rank0
+            return self.order[rank0], self.lb_list[rank0]
+        emitted = self.stream.next()
+        assert emitted is not None, "stream exhausted before state finished"
+        return emitted
+
+    def finish(self, stop_reason: str, completed: bool) -> None:
+        self.stop_reason = stop_reason
+        self.completed = completed
+        self.done = True
+
+    def to_result(self) -> SearchResult:
+        return SearchResult(
+            neighbors=self.neighbors.sorted(),
+            trace=self.trace,
+            stop_reason=self.stop_reason,
+            completed=self.completed,
+            degraded=self.degraded,
+            chunks_pruned=self.pruned,
+        )
+
+
 class ChunkSearcher:
-    """Executes ranked chunk scans over one :class:`ChunkIndex`."""
+    """Executes ranked chunk scans over one :class:`ChunkIndex`, one query
+    (:meth:`search`) or a whole cohort (:meth:`search_batch`) at a time."""
 
     def __init__(
         self,
@@ -142,11 +358,25 @@ class ChunkSearcher:
         self.rank_by = rank_by
         self.prune = bool(prune)
         self.router = router
-        # Cached per-index arrays used by every query.
         self._centroids = index.centroid_matrix()
         self._radii = index.radius_vector()
-        self._counts = index.descriptor_counts()
-        self._pages = index.page_counts()
+        self._centroid_sq_norms = index.centroid_sq_norm_vector()
+        # Per-chunk scalars as plain Python values: the execution loop
+        # touches these once per (query, chunk) event, where repeated
+        # numpy indexing and cost-model calls would dominate.
+        self._pages: List[int] = index.page_counts().tolist()
+        self._page_offsets = [meta.page_offset for meta in index.metas]
+        counts: List[int] = index.descriptor_counts().tolist()
+        # Searchers are built per snapshot and per shard partition, so the
+        # cost model is asked once per distinct size, not once per chunk.
+        io_s = {p: cost_model.disk.random_read_time_s(p) for p in set(self._pages)}
+        cpu_s = {n: cost_model.cpu.chunk_processing_time_s(n) for n in set(counts)}
+        # ``(io_s, cpu_s, n_descriptors)`` per chunk, read together by
+        # every event: one index plus an unpack beats three list lookups.
+        self._chunk_cost = [
+            (io_s[p], cpu_s[n], n) for p, n in zip(self._pages, counts)
+        ]
+        self._overlap = cost_model.overlap_io_cpu
 
     # -- ownership -----------------------------------------------------------
 
@@ -162,7 +392,7 @@ class ChunkSearcher:
 
     # -- ranking -------------------------------------------------------------
 
-    def rank_chunks(self, query: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    def rank_chunks(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rank all chunks for a query.
 
         Returns ``(order, suffix_min_lower_bound)`` where ``order[r]`` is
@@ -171,23 +401,44 @@ class ChunkSearcher:
         quantity the completion proof compares against the k-th distance
         after ``r`` chunks were read.
         """
-        order, suffix_min, _ = self._rank_arrays(query)
-        return order, suffix_min
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        orders, suffix_min = self.rank_chunks_batch(query)
+        return orders[0], suffix_min[0]
 
-    def _rank_arrays(
-        self, query: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(order, suffix_min, ranked_lower_bounds)`` for one query —
-        the full ranking plus the per-rank lower bounds the pruner tests
+    def rank_chunks_batch(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rank all chunks for every query in one shot.
+
+        Returns ``(orders, suffix_min_lower_bounds)``, both of shape
+        ``(n_queries, n_chunks)`` — row ``i`` is :meth:`rank_chunks` of
+        query ``i``: chunk ids in scan order and the running minimum lower
+        bound over the not-yet-scanned suffix (the completion-proof
+        threshold).
+        """
+        orders, suffix_min, _ = self._rank_full(queries)
+        return orders, suffix_min
+
+    def _rank_full(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(orders, suffix_min, ranked_lower_bounds)`` — the public
+        ranking plus the per-rank lower bounds the pruner compares
         against the k-th distance."""
-        centroid_d = np.sqrt(squared_distances(query, self._centroids))
-        lower_bounds = np.maximum(0.0, centroid_d - self._radii)
+        centroid_d = np.sqrt(
+            pairwise_squared_distances(
+                queries, self._centroids, points_sq_norms=self._centroid_sq_norms
+            )
+        )
+        lower_bounds = np.maximum(0.0, centroid_d - self._radii[np.newaxis, :])
         key = centroid_d if self.rank_by == RANK_BY_CENTROID else lower_bounds
-        order = np.lexsort((np.arange(key.shape[0]), key))
-        ranked_bounds = lower_bounds[order]
-        # suffix_min[r] = min lower bound over ranks >= r.
-        suffix_min = np.minimum.accumulate(ranked_bounds[::-1])[::-1]
-        return order, suffix_min, ranked_bounds
+        columns = np.broadcast_to(np.arange(key.shape[1]), key.shape)
+        # Batched lexsort: per row, ascending key with chunk-id tie-break.
+        orders = np.lexsort((columns, key), axis=-1)
+        ranked_bounds = np.take_along_axis(lower_bounds, orders, axis=1)
+        # suffix_min[:, r] = min lower bound over ranks >= r.
+        suffix_min = np.minimum.accumulate(ranked_bounds[:, ::-1], axis=1)[:, ::-1]
+        return orders, suffix_min, ranked_bounds
 
     # -- search ----------------------------------------------------------------
 
@@ -200,7 +451,7 @@ class ChunkSearcher:
         faults: Optional[FaultInjector] = None,
         query_index: int = 0,
     ) -> SearchResult:
-        """Run one query.
+        """Run one query: :meth:`search_batch` on a cohort of one.
 
         Parameters
         ----------
@@ -226,196 +477,499 @@ class ChunkSearcher:
         query_index:
             Stable identifier of this query within its workload — the
             fault plan's decision key, so runs reproduce independently
-            of execution order or engine.
+            of execution order or cohort.
         """
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if query.shape[0] != self.index.dimensions:
+        return self.search_batch(
+            np.asarray(query, dtype=np.float64).reshape(1, -1),
+            k=k,
+            stop_rule=stop_rule,
+            true_neighbor_ids=(
+                None if true_neighbor_ids is None else [true_neighbor_ids]
+            ),
+            faults=faults,
+            query_indices=[query_index],
+        ).results[0]
+
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        k: int = 30,
+        stop_rule: Optional[StopRule] = None,
+        true_neighbor_ids: Optional[Sequence[Optional[Sequence[int]]]] = None,
+        workers: int = 1,
+        faults: Optional[FaultInjector] = None,
+        query_indices: Optional[Sequence[int]] = None,
+    ) -> BatchSearchResult:
+        """Run every query of a cohort; ``results[i]`` is what
+        ``search(queries[i], ..., query_index=i)`` returns.
+
+        Parameters
+        ----------
+        queries:
+            ``(n_queries, d)`` batch (a single ``(d,)`` vector is promoted).
+        k:
+            Neighbors per query (the paper uses 30 throughout).
+        stop_rule:
+            Early-termination policy shared by all queries; defaults to
+            :class:`~repro.core.stop_rules.ExactCompletion`.  The shipped
+            rules are stateless, so one instance can serve the whole batch.
+        true_neighbor_ids:
+            Optional per-query ground-truth id lists (``None`` entries skip
+            match counting for that query), enabling the paper's
+            intermediate-quality trace columns.
+        workers:
+            Thread count for wall-clock parallelism; 1 (default) runs
+            in-thread.  Results and simulated times are identical at any
+            worker count.  Ignored (forced to 1) when the cost model
+            carries a shared cache, whose simulated state depends on
+            the global touch order.
+        faults:
+            Optional fault injector enabling degraded execution, exactly
+            as in :meth:`search`.  The fault plan is keyed by a query's
+            *position in this batch* unless ``query_indices`` says
+            otherwise, so faulted outcomes do not depend on cohort shape
+            or worker count.
+        query_indices:
+            Optional per-query fault-plan keys overriding the default
+            batch positions — the ``query_index`` argument of
+            :meth:`search`, batched.  A service running one query per
+            call passes the query's stable workload index here so its
+            fault draws match a whole-workload batch run.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim == 1:
+            queries = queries[np.newaxis, :]
+        if queries.ndim != 2:
+            raise ValueError(f"queries must be a (n, d) matrix, got {queries.shape}")
+        if queries.shape[0] == 0:
+            return BatchSearchResult(results=[])
+        if queries.shape[1] != self.index.dimensions:
             raise ValueError(
-                f"query has {query.shape[0]} dims, index has {self.index.dimensions}"
+                f"queries have {queries.shape[1]} dims, "
+                f"index has {self.index.dimensions}"
             )
-        if not np.all(np.isfinite(query)):
-            raise ValueError("query contains NaN or infinite components")
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("queries contain NaN or infinite components")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
+        n_queries = queries.shape[0]
+        if true_neighbor_ids is not None and len(true_neighbor_ids) != n_queries:
+            raise ValueError(
+                f"got {len(true_neighbor_ids)} ground-truth lists "
+                f"for {n_queries} queries"
+            )
+        if query_indices is not None and len(query_indices) != n_queries:
+            raise ValueError(
+                f"got {len(query_indices)} query indices for {n_queries} queries"
+            )
         stop_rule = stop_rule if stop_rule is not None else ExactCompletion()
-        truth = (
-            frozenset(int(i) for i in true_neighbor_ids)
-            if true_neighbor_ids is not None
-            else None
+
+        router = self.router
+        if router is None:
+            orders, suffix_mins, ranked_lbs = self._rank_full(queries)
+        # Both cache flavors make the simulated I/O charge of a chunk a
+        # function of the global touch order: each query then charges
+        # through its own PipelineSimulator, and threads are off.
+        shared_cache = (
+            self.cost_model.cache is not None
+            or self.cost_model.chunk_cache is not None
         )
-
-        stream = None
-        if self.router is not None:
-            stream = self.router.stream(query, self.rank_by)
-            order_list: List[int] = []
-            lb_list: List[float] = []
-            suffix_list: List[float] = []
-            n_ranks = self.index.n_chunks
-        else:
-            order, suffix_min, ranked_lb = self._rank_arrays(query)
-            order_list = order.tolist()
-            lb_list = ranked_lb.tolist()
-            suffix_list = suffix_min.tolist()
-            n_ranks = len(order_list)
-        simulator = self.cost_model.simulator()
-        start_s = simulator.start_query(self.index.n_chunks, self.index.index_bytes)
-        trace = SearchTrace(start_elapsed_s=start_s)
-        neighbors = NeighborSet(k)
-        chunk_cache = self.cost_model.chunk_cache
-        prune = self.prune
-
-        stop_reason = "exhausted"
-        completed = False
-        degraded = False
-        exhausted = True
-        chunks_pruned = 0
-        rank0 = 0
-        while True:
-            if stream is not None:
-                emitted = stream.next()
-                if emitted is None:
-                    break
-                chunk_id, lb = emitted
-            else:
-                if rank0 >= n_ranks:
-                    break
-                chunk_id = order_list[rank0]
-                lb = lb_list[rank0]
-            page_offset = self.index.metas[chunk_id].page_offset
-            # The pruning bound: a chunk whose lower bound strictly exceeds
-            # the current k-th distance cannot admit any candidate (ties
-            # must still be scanned — an equal-distance, smaller-id
-            # descriptor would enter the neighbor set).  kth is +inf until
-            # k neighbors are known, so pruning never fires early.
-            prunable = prune and lb > neighbors.kth_distance
-            ids = vectors = None
-            if faults is None:
-                outcome = OK_OUTCOME
-                if not prunable:
-                    payload = (
-                        chunk_cache.peek_payload(page_offset)
-                        if chunk_cache is not None
+        # The start-of-query charge (index read + ranking) is
+        # query-independent: start_query's arithmetic, once per batch.
+        start_s = self.cost_model.disk.sequential_read_time_s(
+            self.index.index_bytes
+        ) + self.cost_model.cpu.ranking_time_s(self.index.n_chunks)
+        states = []
+        for i in range(n_queries):
+            simulator = None
+            if shared_cache:
+                simulator = self.cost_model.simulator()
+                simulator.start_query(self.index.n_chunks, self.index.index_bytes)
+            truth_i = None
+            if true_neighbor_ids is not None and true_neighbor_ids[i] is not None:
+                truth_i = frozenset(int(x) for x in true_neighbor_ids[i])
+            states.append(
+                _QueryState(
+                    fault_key=int(query_indices[i]) if query_indices is not None else i,
+                    query=queries[i],
+                    k=k,
+                    start_s=start_s,
+                    stop_rule=stop_rule,
+                    truth=truth_i,
+                    simulator=simulator,
+                    ranking=(
+                        (orders[i], suffix_mins[i], ranked_lbs[i])
+                        if router is None
                         else None
-                    )
-                    if payload is not None:
-                        ids, vectors = payload  # type: ignore[misc]
-                    else:
-                        ids, vectors = self.index.read_chunk(chunk_id)
-            else:
-                # Degraded execution needs the chunk's *readability* even
-                # when pruning would skip the scan: the fault outcome (and
-                # therefore the timing and trace) depends on it.
-                payload = (
-                    chunk_cache.peek_payload(page_offset)
-                    if chunk_cache is not None
-                    else None
-                )
-                if payload is not None:
-                    ids, vectors = payload  # type: ignore[misc]
-                    readable = True
-                else:
-                    try:
-                        ids, vectors = self.index.read_chunk(chunk_id)
-                        readable = True
-                    except CorruptFileError:
-                        ids = vectors = None
-                        readable = False
-                outcome = faults.outcome(
-                    query_index,
-                    chunk_id,
-                    int(self._pages[chunk_id]),
-                    readable=readable,
-                )
-
-            if outcome.ok:
-                elapsed = simulator.process_chunk(
-                    int(self._pages[chunk_id]),
-                    int(self._counts[chunk_id]),
-                    page_offset=page_offset,
-                    extra_io_s=outcome.extra_io_s,
-                )
-                if chunk_cache is not None and ids is not None:
-                    # Share the promoted contents across queries; attach
-                    # only sticks while the chunk is simulated-resident.
-                    chunk_cache.attach(
-                        page_offset,
-                        (
-                            np.asarray(ids, dtype=np.int64),
-                            np.ascontiguousarray(vectors, dtype=np.float64),
-                        ),
-                    )
-                if prunable:
-                    chunks_pruned += 1
-                else:
-                    assert vectors is not None and ids is not None
-                    distances = np.sqrt(squared_distances(query, vectors))
-                    neighbors.update(distances, ids)
-            else:
-                # Degraded execution: every retry failed; the chunk is
-                # skipped, its attempts charged as pure I/O time.
-                elapsed = simulator.skip_chunk(outcome.extra_io_s)
-                degraded = True
-
-            matches = -1
-            if truth is not None:
-                matches = neighbors.true_match_count(truth)
-            trace.append(
-                TraceEvent(
-                    chunk_id=chunk_id,
-                    rank=rank0 + 1,
-                    elapsed_s=elapsed,
-                    n_descriptors=int(self._counts[chunk_id]),
-                    neighbors_found=len(neighbors),
-                    kth_distance=neighbors.kth_distance,
-                    true_matches=matches,
-                    skipped=not outcome.ok,
-                    fault=outcome.kind,
-                    retries=outcome.retries,
+                    ),
+                    stream=(
+                        router.stream(queries[i], self.rank_by)
+                        if router is not None
+                        else None
+                    ),
                 )
             )
 
-            if stream is not None:
-                remaining_lb = stream.exact_remaining_lb()
-            else:
-                remaining_lb = (
-                    float(suffix_list[rank0 + 1])
-                    if rank0 + 1 < n_ranks
-                    else math.inf
-                )
-            progress = SearchProgress(
-                chunks_read=rank0 + 1,
-                elapsed_s=elapsed,
-                neighbors_found=len(neighbors),
-                kth_distance=neighbors.kth_distance,
-                remaining_lower_bound=remaining_lb,
-            )
-            # Completion proof: k found and no remaining chunk can help.
-            # It still bounds the *remaining* chunks when some were
-            # skipped, so the scan stops either way — but a degraded run
-            # can never claim exactness (a skipped chunk may have held a
-            # true neighbor).
-            if neighbors.is_full and progress.completion_proven:
-                stop_reason = "completed" if not degraded else "proof-degraded"
-                completed = not degraded
-                exhausted = False
-                break
-            reason = stop_rule.check(progress)
-            if reason is not None:
-                stop_reason = reason
-                exhausted = False
-                break
-            rank0 += 1
-        if exhausted:
-            # All chunks read without the proof firing early: the result is
-            # nevertheless exact (there is nothing left to read) — unless
-            # skipped chunks left holes in the scan.
-            completed = not degraded
-
-        return SearchResult(
-            neighbors=neighbors.sorted(),
-            trace=trace,
-            stop_reason=stop_reason,
-            completed=completed,
-            degraded=degraded,
-            chunks_pruned=chunks_pruned,
+        n_workers = 1 if shared_cache else resolve_workers(workers, n_queries)
+        # Each shard is its own cohort (own content and row caches), so
+        # threads never contend on a dict; chunks hot in several shards
+        # are read once per shard, still far below once per query.
+        run_parallel(
+            lambda cohort: self._run(cohort, faults),
+            shard(states, n_workers),
+            workers=n_workers,
         )
+        return BatchSearchResult(results=[s.to_result() for s in states])
+
+    # -- execution internals -------------------------------------------------
+
+    def _load_chunk(
+        self, chunk_id: int, loaded: Optional[Dict[int, _Payload]]
+    ) -> _Payload:
+        """Chunk contents, promoted once: int64 ids, contiguous float64
+        vectors.  ``loaded`` is the cohort's content cache (``None`` for a
+        cohort of one, which has nobody to share with).  When the cost
+        model carries a simulated chunk cache, a payload attached by an
+        earlier query is reused — the cross-query warm path the cache
+        models — without touching the simulated state (charging happens
+        in the timing calls, never here)."""
+        payload = loaded.get(chunk_id) if loaded is not None else None
+        if payload is None:
+            sim_cache = self.cost_model.chunk_cache
+            if sim_cache is not None:
+                attached = sim_cache.peek_payload(self._page_offsets[chunk_id])
+                payload = attached  # type: ignore[assignment]
+            if payload is None:
+                ids, vectors = self.index.read_chunk(chunk_id)
+                payload = (
+                    np.asarray(ids, dtype=np.int64),
+                    np.ascontiguousarray(vectors, dtype=np.float64),
+                )
+            if loaded is not None:
+                loaded[chunk_id] = payload
+        return payload
+
+    def _try_load_chunk(
+        self,
+        chunk_id: int,
+        loaded: Optional[Dict[int, _Payload]],
+        failed: Set[int],
+    ) -> Optional[_Payload]:
+        """Degraded-mode chunk read: a *real* storage failure (e.g. a CRC
+        mismatch) marks the chunk failed for the whole cohort — one actual
+        read attempt per chunk, shared by every query — and returns None
+        so the caller folds it into the skip policy."""
+        if chunk_id in failed:
+            return None
+        try:
+            return self._load_chunk(chunk_id, loaded)
+        except CorruptFileError:
+            failed.add(chunk_id)
+            return None
+
+    # repro: exact
+    def _apply_chunk(
+        self,
+        state: _QueryState,
+        chunk_id: int,
+        outcome: ChunkFaultOutcome,
+        scan: "Optional[Tuple[np.ndarray, np.ndarray, float]]",
+    ) -> None:
+        """The chunk step: charge one chunk visit to one query's timeline,
+        fold its scan into the neighbor set, log the trace event, then run
+        the completion proof and stop rule (:meth:`_advance_state`).
+
+        ``outcome`` is the fault outcome of this access (``OK_OUTCOME``
+        when nothing is injected): its ``extra_io_s`` lands on the chunk's
+        I/O charge, its kind/retries on the trace event.  A failed outcome
+        is a *skip* — the attempts occupy the disk but no CPU work happens
+        and the neighbor set is untouched.
+
+        ``scan`` is ``(ids, squared-distance row, row minimum)``, or
+        ``None`` for a chunk that is not scanned: skipped, or *pruned* —
+        charged and logged exactly like a scanned chunk, but it provably
+        admits no candidate (its lower bound strictly exceeds the k-th
+        distance), so the store read, distance kernel and heap update
+        were skipped on the host.
+        """
+        ok = outcome.ok
+        extra_io_s = outcome.extra_io_s
+        io, cpu, count = self._chunk_cost[chunk_id]
+        if state.simulator is not None:
+            if ok:
+                elapsed = state.simulator.process_chunk(
+                    self._pages[chunk_id],
+                    count,
+                    page_offset=self._page_offsets[chunk_id],
+                    extra_io_s=extra_io_s,
+                )
+            else:
+                elapsed = state.simulator.skip_chunk(extra_io_s)
+        else:
+            # PipelineSimulator.process_chunk / skip_chunk inlined on
+            # three floats — same operations in the same order, so
+            # timestamps are bit-identical (R[i] = max(R[i-1], C[i-2]) +
+            # io; C[i] = max(R[i], C[i-1]) + cpu; serial without overlap).
+            # Adding a 0.0 charge is exact, which is what lets one
+            # expression serve clean reads, retried reads and skips.
+            if ok:
+                io += extra_io_s
+            else:
+                io, cpu = extra_io_s, 0.0
+            prev_proc = state.prev_proc
+            if self._overlap:
+                read_done = max(state.prev_read, state.drained) + io
+                elapsed = max(read_done, prev_proc) + cpu
+                state.prev_read = read_done
+            else:
+                elapsed = prev_proc + io + cpu
+            state.drained = prev_proc
+            state.prev_proc = elapsed
+        if not ok:
+            # _advance_state then resolves the proof to "proof-degraded"
+            # and exhaustion to completed=False.
+            state.degraded = True
+        elif scan is None:
+            state.pruned += 1
+        else:
+            ids, sq_distances, min_sq = scan
+            # The row is kept in *squared* space: sqrt is monotone and
+            # correctly rounded (IEEE 754; math.sqrt and np.sqrt agree),
+            # so sqrt(min(sq)) is bit-equal to min(sqrt(sq)) and the root
+            # of the whole row is only taken for chunks that pass this
+            # admission gate.  A chunk whose best candidate cannot beat
+            # the current k-th neighbor admits nothing; skip the heap walk.
+            if state.n_found < state.k or math.sqrt(min_sq) <= state.kth:
+                neighbors = state.neighbors
+                if neighbors.update(np.sqrt(sq_distances), ids):
+                    state.n_found = len(neighbors)
+                    state.kth = neighbors.kth_distance
+                    if state.truth is not None:
+                        state.matches = neighbors.true_match_count(state.truth)
+        next_rank = state.rank0 + 1
+        state.events.append(
+            TraceEvent(
+                chunk_id,
+                next_rank,
+                elapsed,
+                count,
+                state.n_found,
+                state.kth,
+                state.matches,
+                not ok,
+                outcome.kind,
+                outcome.retries,
+            )
+        )
+        self._advance_state(state, elapsed, next_rank)
+
+    def _advance_state(
+        self, state: _QueryState, elapsed: float, next_rank: int
+    ) -> None:
+        """The post-event tail: completion proof, stop rule, rank advance,
+        exhaustion."""
+        n_found = state.n_found
+        kth = state.kth
+        stream = state.stream
+        if stream is None:
+            remaining_lb = (
+                state.suffix_list[next_rank]
+                if next_rank < state.n_ranks
+                else math.inf
+            )
+            at_end = next_rank >= state.n_ranks
+        else:
+            remaining_lb = stream.exact_remaining_lb()
+            at_end = stream.exhausted
+        if n_found >= state.k and remaining_lb > kth:
+            # The completion proof (SearchProgress.completion_proven): k
+            # found and no remaining chunk can help.  It still bounds the
+            # *remaining* chunks when some were skipped, so the scan stops
+            # either way — but a degraded run can never claim exactness (a
+            # skipped chunk may have held a true neighbor).
+            if state.degraded:
+                state.finish("proof-degraded", False)
+            else:
+                state.finish("completed", True)
+            return
+        rule = state.stop_rule
+        # ExactCompletion never stops early; skip building the progress
+        # snapshot on the default path (a measurable per-event saving).
+        if type(rule) is not ExactCompletion:
+            reason = rule.check(
+                SearchProgress(
+                    chunks_read=next_rank,
+                    elapsed_s=elapsed,
+                    neighbors_found=n_found,
+                    kth_distance=kth,
+                    remaining_lower_bound=remaining_lb,
+                )
+            )
+            if reason is not None:
+                state.finish(reason, False)
+                return
+        state.rank0 = next_rank
+        if at_end:
+            # Every chunk read without the proof firing early: the result
+            # is nevertheless exact (there is nothing left to read) —
+            # unless skipped chunks left holes in the scan.
+            state.finish("exhausted", not state.degraded)
+
+    # repro: exact
+    def _prune_run(self, state: _QueryState) -> None:
+        """Consume the state's whole run of *consecutive* prunable chunks
+        in one tight loop — the fast path behind the pruned scan's
+        wall-clock win.
+
+        Only taken when nothing can interrupt the run: flat ranking (no
+        router stream), no fault injection, the inlined overlapped timing
+        recurrence (no stateful simulator), and the run-to-completion stop
+        rule.  Under those conditions the k-th distance is frozen for the
+        whole run (pruned chunks admit nothing), so the loop needs no
+        per-event checks at all:
+
+        * The neighbor set is full (a finite k-th distance is what let
+          the caller prune), so nothing downstream of the heap changes.
+        * The completion proof cannot fire mid-run.  The state entered
+          with ``suffix_min[rank0] <= kth`` (otherwise the previous
+          event's proof would have finished it), so a chunk with
+          ``lb <= kth`` lies ahead; the suffix minimum is non-decreasing
+          in rank, so it stays ``<= kth`` at every rank up to and
+          including that chunk — which is also where the loop condition
+          stops.  The same chunk bounds the run away from the end of the
+          ranking, so exhaustion is unreachable too.
+
+        Each event carries exactly the values :meth:`_apply_chunk` would
+        produce (same recurrence, same fields, ranks contiguous by
+        construction), so traces and timestamps are bit-identical to the
+        per-event path; events are built with the C-level tuple
+        constructor from a value tuple whose run-constant tail
+        (``n_found``/``kth``/``matches`` cannot move while every chunk is
+        pruned) is hoisted out of the loop.
+        """
+        order = state.order
+        lbs = state.lb_list
+        per_chunk = self._chunk_cost
+        append = state.events.append
+        kth = state.kth
+        # (neighbors_found, kth_distance, true_matches, skipped, fault,
+        # retries) — constant for the whole run.
+        tail = (state.n_found, kth, state.matches, False, "none", 0)
+        prev_read = state.prev_read
+        prev_proc = state.prev_proc
+        drained = state.drained
+        r = state.rank0
+        start = r
+        make = _EVENT_MAKE
+        while lbs[r] > kth:
+            cid = order[r]
+            io, cpu, count = per_chunk[cid]
+            read_done = (prev_read if prev_read >= drained else drained) + io
+            elapsed = (read_done if read_done >= prev_proc else prev_proc) + cpu
+            prev_read = read_done
+            drained = prev_proc
+            prev_proc = elapsed
+            r += 1
+            append(make((cid, r, elapsed, count) + tail))
+        state.prev_read = prev_read
+        state.prev_proc = prev_proc
+        state.drained = drained
+        state.pruned += r - start
+        state.rank0 = r
+
+    def _run(
+        self, states: List[_QueryState], faults: Optional[FaultInjector]
+    ) -> None:
+        """The driver loop: each query of the cohort runs to its stop in
+        turn — the touch order a shared simulated cache must see — pulling
+        chunks in rank order and applying each with :meth:`_apply_chunk`.
+
+        A cohort larger than one shares host work through two per-cohort
+        caches.  The first time any query demands a chunk, its contents
+        are loaded and its distances computed for the *whole* cohort in a
+        single kernel call against the stacked query matrix, and the rows
+        kept — each chunk costs one store read, one float64 promotion, and
+        one fixed-shape kernel call per cohort, however the per-query rank
+        orders interleave.  A query's row is its index in ``states``, so
+        dispensing a kept row is two list reads; rows computed for
+        already-finished (or later-pruning) queries are never consumed and
+        cost only BLAS throughput, far below the per-chunk bookkeeping
+        they save.  A cohort of one keeps neither: no later query could
+        consume them, and parking every scanned chunk's float64 payload
+        until the query ends is the whole collection for an exact search.
+
+        Degraded execution (``faults``) preserves the sharing: fault
+        decisions are keyed by ``(query key, chunk)``, never by call
+        order; a chunk whose *real* read fails is marked failed once for
+        the cohort.  It needs the chunk's *readability* even when pruning
+        would skip the scan: the fault outcome (and therefore the timing
+        and trace) depends on it.
+
+        Pruning composes with the sharing: a query arriving at a prunable
+        chunk never demands its distance row, so a chunk every remaining
+        query prunes is neither read nor scanned.
+
+        With a simulated chunk cache the promoted payload is attached
+        *after* the timing call that touched it (attach only sticks while
+        the chunk is simulated-resident), so later queries — in this
+        cohort or the next call — reuse the decoded contents."""
+        sim_cache = self.cost_model.chunk_cache
+        prune = self.prune
+        shared = len(states) > 1
+        loaded: Optional[Dict[int, _Payload]] = {} if shared else None
+        rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
+        failed: Set[int] = set()
+        query_matrix = np.stack([s.query for s in states])
+        for row, state in enumerate(states):
+            burst = (
+                prune
+                and faults is None
+                and state.stream is None
+                and state.simulator is None
+                and self._overlap
+                and type(state.stop_rule) is ExactCompletion
+            )
+            while not state.done:
+                chunk_id, lb = state.pull_next()
+                # The pruning bound: a chunk whose lower bound strictly
+                # exceeds the current k-th distance cannot admit any
+                # candidate (ties must still be scanned — an equal-distance,
+                # smaller-id descriptor would enter the neighbor set).  kth
+                # is +inf until k neighbors are known, so pruning never
+                # fires early.
+                prunable = prune and lb > state.kth
+                if prunable and burst:
+                    self._prune_run(state)
+                    continue
+                outcome = OK_OUTCOME
+                payload = None
+                if faults is not None:
+                    payload = self._try_load_chunk(chunk_id, loaded, failed)
+                    outcome = faults.outcome(
+                        state.fault_key,
+                        chunk_id,
+                        self._pages[chunk_id],
+                        readable=payload is not None,
+                    )
+                scan = None
+                if outcome.ok and not prunable:
+                    entry = rows.get(chunk_id)
+                    if entry is None:
+                        if payload is None:
+                            payload = self._load_chunk(chunk_id, loaded)
+                        d2 = pairwise_squared_distances(query_matrix, payload[1])
+                        # Row minima batched too: the per-query admission
+                        # gate then costs a list index, not a reduction.
+                        mins2 = (
+                            d2.min(axis=1).tolist()
+                            if d2.shape[1]
+                            else [math.inf] * len(states)
+                        )
+                        entry = (payload, d2, mins2)
+                        if shared:
+                            rows[chunk_id] = entry
+                    payload, d2, mins2 = entry
+                    scan = (payload[0], d2[row], mins2[row])
+                self._apply_chunk(state, chunk_id, outcome, scan)
+                if sim_cache is not None and payload is not None and outcome.ok:
+                    sim_cache.attach(self._page_offsets[chunk_id], payload)

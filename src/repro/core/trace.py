@@ -23,7 +23,7 @@ class TraceEvent(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass on purpose: a trace
     event is recorded for *every* visited chunk of every query, so its
-    construction sits on the hottest per-event path of both engines, and
+    construction sits on the hottest per-event path of the engine, and
     the C-level tuple constructor is several times cheaper than the
     guarded field-by-field ``__init__`` a frozen dataclass generates.
     The consuming API is unchanged: immutable, field access by name,

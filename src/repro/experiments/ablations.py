@@ -28,11 +28,10 @@ import numpy as np
 from ..chunking.hybrid import HybridChunker
 from ..chunking.outliers import apply_outlier_rows, norm_fraction_outliers
 from ..chunking.srtree_chunker import SRTreeChunker
-from ..core.batch_search import BatchChunkSearcher, BatchSearchResult
 from ..core.chunk_index import build_chunk_index
 from ..core.ground_truth import GroundTruthStore
 from ..core.metrics import completion_stats, curves_from_traces, precision_at_k
-from ..core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
+from ..core.search import RANK_BY_LOWER_BOUND, BatchSearchResult, ChunkSearcher
 from ..core.stop_rules import MaxChunks, StopRule, TimeBudget
 from ..simio.pipeline import CostModel
 from .data import ExperimentData
@@ -48,7 +47,7 @@ def _run_batch(
     cost_model: "CostModel | None" = None,
 ) -> BatchSearchResult:
     """One batched workload run — the shared engine call of the ablations."""
-    searcher = BatchChunkSearcher(
+    searcher = ChunkSearcher(
         index, cost_model=cost_model or data.scale.cost_model
     )
     truth_lists = (
@@ -84,7 +83,7 @@ def _completion_traces_with(
     built = data.built(family, size_class)
     truth = data.ground_truth(size_class, workload_name)
     workload = data.workloads[workload_name]
-    searcher = BatchChunkSearcher(
+    searcher = ChunkSearcher(
         built.index, cost_model=cost_model, rank_by=rank_by
     )
     batch = searcher.search_batch(

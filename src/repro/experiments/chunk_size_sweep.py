@@ -19,8 +19,8 @@ import os
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..chunking.srtree_chunker import SRTreeChunker
-from ..core.batch_search import BatchChunkSearcher
 from ..core.chunk_index import build_chunk_index
+from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
 from .checkpoint import SweepCheckpoint
 from .data import ExperimentData
@@ -52,7 +52,7 @@ def sweep_traces(
         index = build_chunk_index(
             chunking.retained, chunking.chunk_set, name=f"SR/leaf={leaf_capacity}"
         )
-        searcher = BatchChunkSearcher(index, cost_model=data.scale.cost_model)
+        searcher = ChunkSearcher(index, cost_model=data.scale.cost_model)
         truth = data.ground_truth("SMALL", workload_name)
         workload = data.workloads[workload_name]
         n_sweep = data.scale.n_queries_sweep

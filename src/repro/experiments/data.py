@@ -25,10 +25,10 @@ from typing import Dict, List, Tuple
 from ..chunking.bag import BagClusterer, estimate_mpi
 from ..chunking.base import ChunkingResult
 from ..chunking.srtree_chunker import SRTreeChunker
-from ..core.batch_search import BatchChunkSearcher
 from ..core.chunk_index import ChunkIndex, build_chunk_index
 from ..core.dataset import DescriptorCollection
 from ..core.ground_truth import GroundTruthStore
+from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
 from ..workloads.queries import Workload, dataset_queries, space_queries
 from ..workloads.synthetic import generate_collection
@@ -103,7 +103,7 @@ class ExperimentData:
             built = self.built(family, size_class)
             workload = self.workloads[workload_name]
             truth = self.ground_truth(size_class, workload_name)
-            searcher = BatchChunkSearcher(
+            searcher = ChunkSearcher(
                 built.index, cost_model=self.scale.cost_model
             )
             batch = searcher.search_batch(

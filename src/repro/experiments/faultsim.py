@@ -26,8 +26,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch_search import BatchChunkSearcher
 from ..core.metrics import precision_at_k, robustness_stats
+from ..core.search import ChunkSearcher
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from .checkpoint import SweepCheckpoint
@@ -92,7 +92,7 @@ def sweep(
     truth_lists: List[Optional[Sequence[int]]] = [
         truth.get(i) for i in range(len(workload))
     ]
-    searcher = BatchChunkSearcher(built.index, cost_model=data.scale.cost_model)
+    searcher = ChunkSearcher(built.index, cost_model=data.scale.cost_model)
 
     series: Dict[str, List[float]] = {name: [] for name in _SERIES_NAMES}
     for rate in rates:

@@ -42,13 +42,13 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..chunking.srtree_chunker import SRTreeChunker
-from ..core.batch_search import BatchChunkSearcher
 from ..core.chunk_index import ChunkIndex, build_chunk_index
 from ..core.dataset import DescriptorCollection
 from ..core.ground_truth import exact_knn_batch
 from ..core.ingest import StreamingChunkIndex, verify_streaming_index
 from ..core.metrics import precision_at_k
 from ..core.routing import CentroidRouter
+from ..core.search import ChunkSearcher
 from ..core.stop_rules import MaxChunks
 from ..faults.crash_plan import InjectedCrash, RecordingCrashPlan, seeded_crash_steps
 from ..simio.chunk_cache import LruChunkCache
@@ -352,7 +352,7 @@ def simulate(
         cost_model = dataclasses.replace(
             scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
         )
-        searcher = BatchChunkSearcher(
+        searcher = ChunkSearcher(
             searchable,
             cost_model=cost_model,
             prune=True,

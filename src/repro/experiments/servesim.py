@@ -25,7 +25,7 @@ import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch_search import BatchChunkSearcher
+from ..core.search import ChunkSearcher
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..service import QueryService, ServiceConfig
@@ -126,7 +126,7 @@ class ServesimResult:
 
 
 def _calibrate(
-    searcher: BatchChunkSearcher, data: ExperimentData, workload_name: str
+    searcher: ChunkSearcher, data: ExperimentData, workload_name: str
 ) -> float:
     """Mean exact (fault-free) completion seconds over the workload."""
     batch = searcher.search_batch(
@@ -190,12 +190,12 @@ def sweep(
         truth.get(i) for i in range(len(workload))
     ]
 
-    def fresh_searcher() -> "Tuple[BatchChunkSearcher, Optional[LruChunkCache]]":
+    def fresh_searcher() -> "Tuple[ChunkSearcher, Optional[LruChunkCache]]":
         """A searcher over the built index; with ``cache_mb`` set it gets
         its own chunk cache so each run's warm-up is self-contained."""
         if cache_mb is None:
             return (
-                BatchChunkSearcher(built.index, cost_model=data.scale.cost_model),
+                ChunkSearcher(built.index, cost_model=data.scale.cost_model),
                 None,
             )
         cache = LruChunkCache(
@@ -204,7 +204,7 @@ def sweep(
         cost_model = dataclasses.replace(
             data.scale.cost_model, chunk_cache=cache
         )
-        return BatchChunkSearcher(built.index, cost_model=cost_model), cache
+        return ChunkSearcher(built.index, cost_model=cost_model), cache
 
     searcher, _ = fresh_searcher()
 

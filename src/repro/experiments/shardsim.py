@@ -29,7 +29,7 @@ import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.batch_search import BatchChunkSearcher
+from ..core.search import ChunkSearcher
 from ..faults.shard_plan import ShardFaultPlan
 from ..service.sharding import (
     PLACEMENT_STRATEGIES,
@@ -209,7 +209,7 @@ def sweep(
 
     baseline = checkpoint.get("baseline") if checkpoint is not None else None
     if baseline is None:
-        searcher = BatchChunkSearcher(
+        searcher = ChunkSearcher(
             built.index, cost_model=data.scale.cost_model
         )
         baseline = searcher.search_batch(

@@ -23,9 +23,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.batch_search import BatchChunkSearcher
 from ..core.chunk_index import ChunkIndex
 from ..core.dataset import DescriptorCollection
+from ..core.search import ChunkSearcher
 from ..core.stop_rules import StopRule
 from ..simio.pipeline import CostModel
 
@@ -68,9 +68,9 @@ class MultiDescriptorSearcher:
             )
         self.collection = collection
         self._searcher = (
-            BatchChunkSearcher(index, cost_model=cost_model)
+            ChunkSearcher(index, cost_model=cost_model)
             if cost_model is not None
-            else BatchChunkSearcher(index)
+            else ChunkSearcher(index)
         )
         self._image_of_id: Dict[int, int] = {
             int(descriptor_id): int(image_id)

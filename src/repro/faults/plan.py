@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a *pure function* from ``(query_id, chunk_id,
 attempt)`` to a fault decision, derived from an explicit seed via
 :class:`numpy.random.SeedSequence`.  Nothing here depends on call order,
 wall-clock time, or process state, which is what makes fault-injection
-runs reproducible to the bit: the sequential searcher, the chunk-major
-batch engine, and a re-run tomorrow all see exactly the same faults for
+runs reproducible to the bit: a single query, the same query inside a
+cohort, and a re-run tomorrow all see exactly the same faults for
 the same ``(seed, query, chunk)`` triple.
 
 Fault taxonomy (mirroring what real chunk storage exhibits):
@@ -213,9 +213,8 @@ class FaultPlan:
         """``n`` uniforms in [0, 1) (float64) for one keyed decision site.
 
         The key is ``(seed, stream, a, b)``; results are independent of
-        call order and of every other key — the property that lets the
-        chunk-major batch engine reproduce the sequential searcher's
-        faults exactly.
+        call order and of every other key — the property that lets a
+        cohort of queries reproduce each single query's faults exactly.
         """
         ss = np.random.SeedSequence(entropy=(self.seed, stream, a, b))
         words = ss.generate_state(n, dtype=np.uint64)

@@ -1,8 +1,9 @@
 """Thread-pool execution helpers for wall-clock parallel workloads.
 
-The batch engine's deterministic *simulated* timing never depends on how
+The search engine's deterministic *simulated* timing never depends on how
 the host machine schedules work — each query is charged the paper-model
-cost by its own :class:`~repro.simio.pipeline.PipelineSimulator`.  Real
+cost on its own :class:`~repro.simio.pipeline.PipelineSimulator`
+timeline.  Real
 wall-clock runs, however, benefit from parallelism: the distance kernels
 are NumPy calls that release the GIL, so a plain thread pool scales chunk
 scans across cores without any serialization of the descriptor matrices.

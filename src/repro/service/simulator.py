@@ -3,7 +3,7 @@
 This module wires the four mechanisms — deadline propagation
 (:mod:`.deadline`), admission control (:mod:`.admission`), circuit
 breakers (:mod:`.breaker`) and adaptive degradation (:mod:`.controller`)
-— around one :class:`~repro.core.batch_search.BatchChunkSearcher` worker
+— around one :class:`~repro.core.search.ChunkSearcher` worker
 pool, fed by a seeded open-loop Poisson arrival stream.  Everything runs
 on the *simulated* clock: service durations come from the cost model
 (the paper's calibrated 2004 hardware), waits from the worker pool's
@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.batch_search import BatchChunkSearcher
 from ..core.metrics import (
     OUTCOME_DEADLINE,
     OUTCOME_DEGRADED,
@@ -52,7 +51,7 @@ from ..core.metrics import (
     precision_at_k,
     slo_stats,
 )
-from ..core.search import SearchResult
+from ..core.search import ChunkSearcher, SearchResult
 from ..faults.injector import FaultInjector
 from ..workloads.arrivals import poisson_arrival_times
 from ..simio.queueing import WorkerPool
@@ -148,7 +147,7 @@ class QueryService:
 
     def __init__(
         self,
-        searcher: BatchChunkSearcher,
+        searcher: ChunkSearcher,
         config: ServiceConfig,
         faults: Optional[FaultInjector] = None,
         true_neighbor_ids: Optional[Sequence[Optional[Sequence[int]]]] = None,

@@ -137,8 +137,8 @@ class LruChunkCache:
 
         Returns False (no-op) when the chunk is not resident, so payloads
         can never outlive their simulated residency.  The payload is
-        opaque to the cache; engines store the promoted ``(ids, vectors)``
-        pair so sequential and batch searchers share one representation.
+        opaque to the cache; the searcher stores the promoted ``(ids,
+        vectors)`` pair.
         """
         entry = self._entries.get(int(key))
         if entry is None:

@@ -24,11 +24,11 @@ import numpy as np
 
 from .chunking.base import Chunker
 from .chunking.srtree_chunker import SRTreeChunker
-from .core.batch_search import BatchChunkSearcher, BatchSearchResult
 from .core.chunk_index import ChunkIndex, build_chunk_index
 from .core.dataset import DescriptorCollection
 from .core.maintenance import ChunkIndexMaintainer
-from .core.search import ChunkSearcher, SearchResult
+from .core.routing import CentroidRouter
+from .core.search import BatchSearchResult, ChunkSearcher, SearchResult
 from .core.stop_rules import MaxChunks, StopRule
 from .extensions.multi_descriptor import ImageMatch, MultiDescriptorSearcher
 from .simio.calibration import PAPER_2005_COST_MODEL
@@ -78,6 +78,9 @@ class ImageRetrievalSystem:
         self._next_descriptor_id = 0
         self._index: Optional[ChunkIndex] = None
         self._dirty = False
+        # Built lazily, once per index generation (see _searcher).
+        self._cached_searcher: Optional[ChunkSearcher] = None
+        self._router: Optional[CentroidRouter] = None
 
     # -- state helpers ----------------------------------------------------------
 
@@ -111,7 +114,32 @@ class ImageRetrievalSystem:
             self._collection = DescriptorCollection(
                 vectors=all_vectors, ids=all_ids, image_ids=image_ids
             )
+            self._cached_searcher = None
+            self._router = None
             self._dirty = False
+
+    def _searcher(self, use_router: bool = False) -> ChunkSearcher:
+        """The descriptor searcher over the current index generation:
+        built once per :meth:`_refresh` (its router's k-means included),
+        and again only when ``prune`` or ``cost_model`` were reassigned."""
+        self._refresh()
+        if use_router and self._router is None:
+            self._router = CentroidRouter.from_index(self._index)
+        router = self._router if use_router else None
+        searcher = self._cached_searcher
+        if (
+            searcher is None
+            or searcher.router is not router
+            or searcher.prune != self.prune
+            or searcher.cost_model is not self.cost_model
+        ):
+            searcher = self._cached_searcher = ChunkSearcher(
+                self._index,
+                cost_model=self.cost_model,
+                prune=self.prune,
+                router=router,
+            )
+        return searcher
 
     # -- build ----------------------------------------------------------------------
 
@@ -155,11 +183,9 @@ class ImageRetrievalSystem:
     ) -> SearchResult:
         """Descriptor-level k-NN search."""
         self._require_built()
-        self._refresh()
-        searcher = ChunkSearcher(
-            self._index, cost_model=self.cost_model, prune=self.prune
+        return self._searcher().search(
+            query, k=k, stop_rule=self._stop_rule(exact)
         )
-        return searcher.search(query, k=k, stop_rule=self._stop_rule(exact))
 
     def find_similar_descriptors_batch(
         self,
@@ -171,8 +197,8 @@ class ImageRetrievalSystem:
     ) -> BatchSearchResult:
         """Descriptor-level k-NN for a whole query batch at once.
 
-        Runs the batch engine: chunk ranking is one vectorized pass over
-        the batch, each chunk is read at most once per batch, and
+        The batch runs as one cohort: chunk ranking is one vectorized pass
+        over the batch, each chunk is read at most once per batch, and
         ``workers > 1`` spreads the wall-clock work over a thread pool.
         ``use_router=True`` routes chunk ranking through coarse centroid
         groups (O(sqrt(C)) probes per query) instead of the full centroid
@@ -180,19 +206,7 @@ class ImageRetrievalSystem:
         :meth:`find_similar_descriptors` in every mode.
         """
         self._require_built()
-        self._refresh()
-        router = None
-        if use_router:
-            from .core.routing import CentroidRouter
-
-            router = CentroidRouter.from_index(self._index)
-        searcher = BatchChunkSearcher(
-            self._index,
-            cost_model=self.cost_model,
-            prune=self.prune,
-            router=router,
-        )
-        return searcher.search_batch(
+        return self._searcher(use_router).search_batch(
             queries, k=k, stop_rule=self._stop_rule(exact), workers=workers
         )
 

@@ -1,11 +1,13 @@
-"""Batch engine equivalence: batch search must be an optimization, never
-a semantic change.
+"""Cohort equivalence: sharing host work across a cohort must be an
+optimization, never a semantic change.
 
 The property under test: for every chunker in the zoo and every stop
-rule, ``BatchChunkSearcher.search_batch`` returns per-query neighbor
-ids, distances, stop reasons, trace lengths, and simulated elapsed
-times identical to running ``ChunkSearcher.search`` one query at a time
-— at any worker count, and with or without ground-truth match counting.
+rule, a cohort of N (``ChunkSearcher.search_batch``) returns per-query
+neighbor ids, distances, stop reasons, trace lengths, and simulated
+elapsed times identical to N cohorts of one (``ChunkSearcher.search``,
+one query at a time) — at any worker count, and with or without
+ground-truth match counting — and replays against the independent
+references (``replay_oracle.ReplayOracle``).
 """
 
 import dataclasses
@@ -17,13 +19,13 @@ from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.batch_search import BatchChunkSearcher, BatchSearchResult
 from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
-from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
+from repro.core.search import RANK_BY_LOWER_BOUND, BatchSearchResult, ChunkSearcher
 from repro.core.stop_rules import MaxChunks, TimeBudget
 from repro.simio.cache import LruPageCache
 from repro.simio.calibration import PAPER_2005_COST_MODEL
+from replay_oracle import ReplayOracle
 
 
 def make_index(collection, chunker):
@@ -47,16 +49,17 @@ CHUNKER_FACTORIES = {
 }
 
 
-def assert_equivalent(batch_result, sequential_results):
-    """Batch and per-query outcomes must agree on every observable.
+def assert_equivalent(batch_result, sequential_results, replay, queries):
+    """Cohort and per-query outcomes must agree on every observable, and
+    replay against the independent references.
 
     Ids, stop reasons, trace lengths, and simulated times are compared
-    exactly; distances to within one ulp (the batch engine's expanded-form
-    kernel and the sequential direct-form kernel round the same value
-    differently in the last bit).
+    exactly; distances to within one ulp (the BLAS kernel may round a
+    one-row and an N-row product differently in the last bit).
     """
-    assert len(batch_result) == len(sequential_results)
-    for got, want in zip(batch_result, sequential_results):
+    assert len(batch_result) == len(sequential_results) == len(queries)
+    for i, (got, want) in enumerate(zip(batch_result, sequential_results)):
+        replay.check(queries[i], got, query_index=i)
         np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
         np.testing.assert_allclose(
             [n.distance for n in got.neighbors],
@@ -99,10 +102,10 @@ class TestEquivalence:
             sequential.search(q, k=7, stop_rule=stop_rule_factory())
             for q in queries
         ]
-        batch = BatchChunkSearcher(index).search_batch(
+        batch = ChunkSearcher(index).search_batch(
             queries, k=7, stop_rule=stop_rule_factory()
         )
-        assert_equivalent(batch, wanted)
+        assert_equivalent(batch, wanted, ReplayOracle(index, k=7), queries)
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_ground_truth_columns_match(self, tiny_collection, chunker_name):
@@ -116,10 +119,10 @@ class TestEquivalence:
             sequential.search(q, k=5, true_neighbor_ids=t)
             for q, t in zip(queries, truth)
         ]
-        batch = BatchChunkSearcher(index).search_batch(
+        batch = ChunkSearcher(index).search_batch(
             queries, k=5, true_neighbor_ids=truth
         )
-        assert_equivalent(batch, wanted)
+        assert_equivalent(batch, wanted, ReplayOracle(index, k=5), queries)
         for result in batch:
             assert all(e.true_matches >= 0 for e in result.trace.events)
 
@@ -132,7 +135,7 @@ class TestEquivalence:
             exact_knn(tiny_collection, queries[2], 5),
             None,
         ]
-        batch = BatchChunkSearcher(index).search_batch(
+        batch = ChunkSearcher(index).search_batch(
             queries, k=5, true_neighbor_ids=truth
         )
         for i, result in enumerate(batch):
@@ -145,10 +148,12 @@ class TestEquivalence:
     def test_parallel_workers_identical(self, small_synthetic):
         index = make_index(small_synthetic, SRTreeChunker(leaf_capacity=64))
         queries = make_queries(16, small_synthetic.dimensions, seed=5)
-        searcher = BatchChunkSearcher(index)
+        searcher = ChunkSearcher(index)
         serial = searcher.search_batch(queries, k=10)
         threaded = searcher.search_batch(queries, k=10, workers=4)
-        assert_equivalent(threaded, serial.results)
+        assert_equivalent(
+            threaded, serial.results, ReplayOracle(index, k=10), queries
+        )
 
     def test_lower_bound_ranking_equivalent(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=6))
@@ -157,8 +162,9 @@ class TestEquivalence:
             ChunkSearcher(index, rank_by=RANK_BY_LOWER_BOUND).search(q, k=5)
             for q in queries
         ]
-        batch = BatchChunkSearcher(index, rank_by=RANK_BY_LOWER_BOUND)
-        assert_equivalent(batch.search_batch(queries, k=5), wanted)
+        batch = ChunkSearcher(index, rank_by=RANK_BY_LOWER_BOUND)
+        replay = ReplayOracle(index, k=5, rank_by=RANK_BY_LOWER_BOUND)
+        assert_equivalent(batch.search_batch(queries, k=5), wanted, replay, queries)
 
     def test_shared_page_cache_falls_back_to_sequential_order(
         self, tiny_collection
@@ -166,7 +172,7 @@ class TestEquivalence:
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
         # Two identical models, each with its own fresh cache: the batch
-        # engine must replay the per-query loop's exact page-touch order.
+        # cohort must replay the per-query loop's exact page-touch order.
         model_a = dataclasses.replace(
             PAPER_2005_COST_MODEL, cache=LruPageCache(capacity_pages=8)
         )
@@ -175,10 +181,16 @@ class TestEquivalence:
         )
         sequential = ChunkSearcher(index, cost_model=model_a)
         wanted = [sequential.search(q, k=5) for q in queries]
-        batch = BatchChunkSearcher(index, cost_model=model_b).search_batch(
+        batch = ChunkSearcher(index, cost_model=model_b).search_batch(
             queries, k=5, workers=4  # workers must be ignored here
         )
-        assert_equivalent(batch, wanted)
+        # A third equal model: the replay charges through its own cache,
+        # in query order, and must land on the same timestamps.
+        model_c = dataclasses.replace(
+            PAPER_2005_COST_MODEL, cache=LruPageCache(capacity_pages=8)
+        )
+        replay = ReplayOracle(index, k=5, cost_model=model_c)
+        assert_equivalent(batch, wanted, replay, queries)
         assert model_b.cache.hits == model_a.cache.hits
         assert model_b.cache.misses == model_a.cache.misses
 
@@ -188,7 +200,7 @@ class TestBatchRanking:
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=7))
         queries = make_queries(9, tiny_collection.dimensions, seed=3)
         sequential = ChunkSearcher(index)
-        batch = BatchChunkSearcher(index)
+        batch = ChunkSearcher(index)
         orders, suffix_mins = batch.rank_chunks_batch(queries)
         for i, query in enumerate(queries):
             want_order, want_suffix = sequential.rank_chunks(query)
@@ -202,7 +214,7 @@ class TestBatchSearchResult:
     def test_aggregate_views(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         queries = make_queries(5, tiny_collection.dimensions, seed=19)
-        batch = BatchChunkSearcher(index).search_batch(queries, k=4)
+        batch = ChunkSearcher(index).search_batch(queries, k=4)
         assert len(batch) == 5
         matrix = batch.neighbor_ids_matrix()
         assert matrix.shape == (5, 4)
@@ -222,7 +234,7 @@ class TestBatchSearchResult:
     def test_empty_batch(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         dims = tiny_collection.dimensions
-        batch = BatchChunkSearcher(index).search_batch(
+        batch = ChunkSearcher(index).search_batch(
             np.empty((0, dims)), k=4
         )
         assert len(batch) == 0
@@ -232,45 +244,45 @@ class TestBatchSearchResult:
     def test_single_vector_promoted(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         query = tiny_collection.vectors[0].astype(float)
-        batch = BatchChunkSearcher(index).search_batch(query, k=3)
+        batch = ChunkSearcher(index).search_batch(query, k=3)
         assert len(batch) == 1
         want = ChunkSearcher(index).search(query, k=3)
-        assert_equivalent(batch, [want])
+        assert_equivalent(batch, [want], ReplayOracle(index, k=3), [query])
 
 
 class TestValidation:
     def test_dimension_mismatch_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError, match="dims"):
-            BatchChunkSearcher(index).search_batch(np.zeros((2, 7)), k=3)
+            ChunkSearcher(index).search_batch(np.zeros((2, 7)), k=3)
 
     def test_nan_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         bad = np.zeros((2, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite"):
-            BatchChunkSearcher(index).search_batch(bad, k=3)
+            ChunkSearcher(index).search_batch(bad, k=3)
 
     def test_nonpositive_k_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError, match="k must be positive"):
-            BatchChunkSearcher(index).search_batch(np.zeros((1, 4)), k=0)
+            ChunkSearcher(index).search_batch(np.zeros((1, 4)), k=0)
 
     def test_truth_length_mismatch_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError, match="ground-truth"):
-            BatchChunkSearcher(index).search_batch(
+            ChunkSearcher(index).search_batch(
                 np.zeros((3, 4)), k=2, true_neighbor_ids=[None]
             )
 
     def test_bad_rank_rule_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError, match="ranking"):
-            BatchChunkSearcher(index, rank_by="bogus")
+            ChunkSearcher(index, rank_by="bogus")
 
     def test_negative_workers_rejected(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError):
-            BatchChunkSearcher(index).search_batch(
+            ChunkSearcher(index).search_batch(
                 np.zeros((2, 4)), k=2, workers=-2
             )

@@ -4,13 +4,14 @@ faults with the loss quantified in the trace.
 Contracts under test (the ISSUE's acceptance gates):
 
 * a zero-rate injector is *bit-identical* to running without one — ids,
-  stop reasons, and every simulated timestamp — for both the sequential
-  and the batch engine, over SR-tree and BAG indexes;
+  stop reasons, and every simulated timestamp — for a cohort of one and
+  a cohort of N, over SR-tree and BAG indexes;
 * at positive fault rates no query raises, every abandoned chunk appears
   in the trace as a skip, and exactness claims are withdrawn
   (``degraded`` implies ``not completed``);
-* the batch engine reproduces the sequential engine's faulted outcomes
-  exactly, at any worker count;
+* a cohort of N reproduces N cohorts of one's faulted outcomes exactly,
+  at any worker count, and both replay against the independent
+  references (``replay_oracle.ReplayOracle``);
 * real on-disk corruption (a flipped bit caught by the CRC layer) is
   skipped-and-continued when an injector is present, and propagates
   when not.
@@ -21,7 +22,6 @@ import pytest
 
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.chunk_index import CHUNK_FILE_NAME, ChunkIndex, build_chunk_index
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import MaxChunks
@@ -30,6 +30,7 @@ from repro.faults.plan import FAULT_NONE, FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.storage.errors import ChecksumError
 from repro.storage.pages import PageGeometry
+from replay_oracle import ReplayOracle
 
 CHUNKER_FACTORIES = {
     "srtree": lambda collection: SRTreeChunker(leaf_capacity=7),
@@ -56,8 +57,10 @@ def injector(rate, seed=42, **overrides):
     return FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
 
 
-def assert_results_identical(got, want):
-    """Every observable equal to the bit — no tolerances anywhere."""
+def assert_results_identical(got, want, replay, query, query_index=0):
+    """Every observable equal to the bit — no tolerances anywhere — and
+    replayable against the independent references."""
+    replay.check(query, got, query_index=query_index)
     np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
     assert [n.distance for n in got.neighbors] == [
         n.distance for n in want.neighbors
@@ -70,9 +73,10 @@ def assert_results_identical(got, want):
     assert got.trace.events == want.trace.events
 
 
-def assert_results_equivalent(got, want):
-    """Cross-engine comparison: exact except kth_distance (the batch
-    engine's one-time float64 promotion differs in the last ulp)."""
+def assert_results_equivalent(got, want, replay, query, query_index=0):
+    """Cross-cohort comparison: exact except kth_distance (BLAS may round
+    a one-row and an N-row product differently in the last ulp)."""
+    replay.check(query, got, query_index=query_index)
     np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
     assert got.stop_reason == want.stop_reason
     assert got.completed == want.completed
@@ -103,12 +107,13 @@ class TestZeroRateBitIdentity:
         index = make_index(tiny_collection, chunker_name)
         queries = make_queries(10, tiny_collection.dimensions)
         searcher = ChunkSearcher(index)
+        replay = ReplayOracle(index, k=7, faults=injector(0.0))
         for i, q in enumerate(queries):
             baseline = searcher.search(q, k=7)
             nulled = searcher.search(
                 q, k=7, faults=injector(0.0), query_index=i
             )
-            assert_results_identical(nulled, baseline)
+            assert_results_identical(nulled, baseline, replay, q, i)
             assert not nulled.degraded
             assert nulled.coverage_fraction == 1.0
             assert nulled.chunks_skipped == 0
@@ -119,11 +124,12 @@ class TestZeroRateBitIdentity:
     ):
         index = make_index(tiny_collection, chunker_name)
         queries = make_queries(10, tiny_collection.dimensions)
-        searcher = BatchChunkSearcher(index)
+        searcher = ChunkSearcher(index)
         baseline = searcher.search_batch(queries, k=7)
         nulled = searcher.search_batch(queries, k=7, faults=injector(0.0))
-        for got, want in zip(nulled, baseline):
-            assert_results_identical(got, want)
+        replay = ReplayOracle(index, k=7, faults=injector(0.0))
+        for i, (got, want) in enumerate(zip(nulled, baseline)):
+            assert_results_identical(got, want, replay, queries[i], i)
 
 
 class TestFaultedExecution:
@@ -224,12 +230,13 @@ class TestBatchEquivalenceUnderFaults:
             sequential.search(q, k=7, faults=faults, query_index=i)
             for i, q in enumerate(queries)
         ]
-        batch = BatchChunkSearcher(index).search_batch(
+        batch = ChunkSearcher(index).search_batch(
             queries, k=7, faults=faults
         )
         assert len(batch) == len(wanted)
-        for got, want in zip(batch, wanted):
-            assert_results_equivalent(got, want)
+        replay = ReplayOracle(index, k=7, faults=faults)
+        for i, (got, want) in enumerate(zip(batch, wanted)):
+            assert_results_equivalent(got, want, replay, queries[i], i)
 
     def test_workers_do_not_change_faulted_outcomes(self, small_synthetic):
         result = small_synthetic
@@ -238,11 +245,12 @@ class TestBatchEquivalenceUnderFaults:
         index = build_chunk_index(formed.retained, formed.chunk_set)
         queries = make_queries(16, result.dimensions, seed=5)
         faults = injector(0.25)
-        searcher = BatchChunkSearcher(index)
+        searcher = ChunkSearcher(index)
         serial = searcher.search_batch(queries, k=10, faults=faults)
         threaded = searcher.search_batch(queries, k=10, faults=faults, workers=4)
-        for got, want in zip(threaded, serial.results):
-            assert_results_identical(got, want)
+        replay = ReplayOracle(index, k=10, faults=faults)
+        for i, (got, want) in enumerate(zip(threaded, serial.results)):
+            assert_results_identical(got, want, replay, queries[i], i)
 
 
 class TestRealCorruption:
@@ -302,7 +310,7 @@ class TestRealCorruption:
     def test_batch_reads_damaged_chunk_once(self, tmp_path, tiny_collection):
         with self.make_damaged_index(tmp_path, tiny_collection) as loaded:
             queries = make_queries(6, tiny_collection.dimensions, seed=17)
-            batch = BatchChunkSearcher(loaded).search_batch(
+            batch = ChunkSearcher(loaded).search_batch(
                 queries, k=5, faults=injector(0.0)
             )
             for result in batch:
@@ -328,7 +336,7 @@ class TestSearcherOwnership:
         index.save(directory)
         loaded = ChunkIndex.load(directory, tiny_collection.dimensions)
         queries = make_queries(3, tiny_collection.dimensions)
-        with BatchChunkSearcher(loaded) as searcher:
+        with ChunkSearcher(loaded) as searcher:
             searcher.search_batch(queries, k=3)
         with pytest.raises(ValueError):
             loaded.read_chunk(0)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
@@ -28,6 +27,7 @@ from repro.core.ingest import (
     verify_streaming_index,
 )
 from repro.core.routing import CentroidRouter
+from repro.core.search import ChunkSearcher
 from repro.faults.crash_plan import (
     CrashAtStep,
     InjectedCrash,
@@ -109,7 +109,7 @@ def _search_all(index, queries, k=5):
         PAPER_2005_COST_MODEL,
         chunk_cache=LruChunkCache(capacity_bytes=1 << 20),
     )
-    searcher = BatchChunkSearcher(
+    searcher = ChunkSearcher(
         index,
         cost_model=model,
         prune=True,

@@ -5,14 +5,15 @@ The property under test (the ISSUE's acceptance gate): with pruning on,
 every observable of every query — neighbor ids and distances, stop
 reasons, completed/degraded flags, and every simulated trace timestamp —
 is *bit-identical* to the unpruned scan, on every chunker in the zoo,
-for both the sequential and the batch engine, with and without fault
+for a cohort of one and a cohort of N, with and without fault
 injection.  The only thing pruning may change is ``chunks_pruned`` (and
 how fast the host finishes).
 
 The router must likewise reproduce the flat ranking's scan order and
 completion-proof values exactly, and the simulated chunk cache must
 change timing only through its documented warm-hit charge — identically
-for both engines.
+for every cohort shape.  Every compared result also replays against the
+independent references (``replay_oracle.ReplayOracle``).
 """
 
 import dataclasses
@@ -24,7 +25,6 @@ from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.chunk_index import build_chunk_index
 from repro.core.routing import CentroidRouter
 from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
@@ -33,6 +33,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
+from replay_oracle import ReplayOracle
 
 CHUNKER_FACTORIES = {
     "srtree": lambda collection: SRTreeChunker(leaf_capacity=7),
@@ -61,8 +62,10 @@ def injector(rate, seed=42):
     return FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
 
 
-def assert_results_identical(got, want):
-    """Every observable equal to the bit — no tolerances anywhere."""
+def assert_results_identical(got, want, replay, query, query_index=0):
+    """Every observable equal to the bit — no tolerances anywhere — and
+    replayable against the independent references."""
+    replay.check(query, got, query_index=query_index)
     np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
     assert [n.distance for n in got.neighbors] == [
         n.distance for n in want.neighbors
@@ -75,16 +78,17 @@ def assert_results_identical(got, want):
     assert got.trace.events == want.trace.events
 
 
-def assert_batches_identical(got, want):
-    assert len(got) == len(want)
-    for got_result, want_result in zip(got, want):
-        assert_results_identical(got_result, want_result)
+def assert_batches_identical(got, want, replay, queries):
+    assert len(got) == len(want) == len(queries)
+    for i, (got_result, want_result) in enumerate(zip(got, want)):
+        assert_results_identical(got_result, want_result, replay, queries[i], i)
 
 
-def assert_results_equivalent(got, want):
-    """Cross-engine comparator: everything exact except kernel distances,
-    which the batch engine's expanded-form kernel and the sequential
-    direct-form kernel round differently in the last bit."""
+def assert_results_equivalent(got, want, replay, query, query_index=0):
+    """Cross-cohort comparator: everything exact except kernel distances,
+    which BLAS may round differently in the last bit for a one-row and an
+    N-row product."""
+    replay.check(query, got, query_index=query_index)
     np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
     np.testing.assert_allclose(
         [n.distance for n in got.neighbors],
@@ -122,19 +126,20 @@ class TestPrunedEquivalence:
         queries = make_queries(12, tiny_collection.dimensions)
         plain = ChunkSearcher(index, prune=False)
         pruned = ChunkSearcher(index, prune=True)
+        replay = ReplayOracle(index, k=7)
         for query in queries:
             want = plain.search(query, k=7)
             got = pruned.search(query, k=7)
-            assert_results_identical(got, want)
+            assert_results_identical(got, want, replay, query)
             assert want.chunks_pruned == 0
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_batch_engine(self, tiny_collection, chunker_name):
         index = make_index(tiny_collection, chunker_name)
         queries = make_queries(12, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index, prune=False).search_batch(queries, k=7)
-        got = BatchChunkSearcher(index, prune=True).search_batch(queries, k=7)
-        assert_batches_identical(got, want)
+        want = ChunkSearcher(index, prune=False).search_batch(queries, k=7)
+        got = ChunkSearcher(index, prune=True).search_batch(queries, k=7)
+        assert_batches_identical(got, want, ReplayOracle(index, k=7), queries)
         assert want.total_chunks_pruned == 0
 
     def test_pruning_actually_fires(self, tiny_collection):
@@ -142,7 +147,7 @@ class TestPrunedEquivalence:
         collection the triangle-inequality bound must exclude chunks."""
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(12, tiny_collection.dimensions)
-        batch = BatchChunkSearcher(index).search_batch(queries, k=7)
+        batch = ChunkSearcher(index).search_batch(queries, k=7)
         assert batch.total_chunks_pruned > 0
         sequential = ChunkSearcher(index)
         assert (
@@ -158,23 +163,25 @@ class TestPrunedEquivalence:
         queries = make_queries(8, tiny_collection.dimensions)
         plain = ChunkSearcher(index, prune=False)
         pruned = ChunkSearcher(index, prune=True)
+        replay = ReplayOracle(index, k=5, faults=injector(rate))
         for i, query in enumerate(queries):
             want = plain.search(query, k=5, faults=injector(rate), query_index=i)
             got = pruned.search(query, k=5, faults=injector(rate), query_index=i)
-            assert_results_identical(got, want)
+            assert_results_identical(got, want, replay, query, i)
 
     @pytest.mark.parametrize("chunker_name", ["srtree", "bag"])
     @pytest.mark.parametrize("rate", [0.0, 0.25])
     def test_batch_engine_under_faults(self, tiny_collection, chunker_name, rate):
         index = make_index(tiny_collection, chunker_name)
         queries = make_queries(8, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index, prune=False).search_batch(
+        want = ChunkSearcher(index, prune=False).search_batch(
             queries, k=5, faults=injector(rate)
         )
-        got = BatchChunkSearcher(index, prune=True).search_batch(
+        got = ChunkSearcher(index, prune=True).search_batch(
             queries, k=5, faults=injector(rate)
         )
-        assert_batches_identical(got, want)
+        replay = ReplayOracle(index, k=5, faults=injector(rate))
+        assert_batches_identical(got, want, replay, queries)
 
     @pytest.mark.parametrize(
         "stop_rule_factory",
@@ -184,28 +191,30 @@ class TestPrunedEquivalence:
     def test_early_stop_rules(self, tiny_collection, stop_rule_factory):
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(10, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index, prune=False).search_batch(
+        want = ChunkSearcher(index, prune=False).search_batch(
             queries, k=5, stop_rule=stop_rule_factory()
         )
-        got = BatchChunkSearcher(index, prune=True).search_batch(
+        got = ChunkSearcher(index, prune=True).search_batch(
             queries, k=5, stop_rule=stop_rule_factory()
         )
-        assert_batches_identical(got, want)
+        assert_batches_identical(got, want, ReplayOracle(index, k=5), queries)
 
     def test_parallel_workers_identical(self, small_synthetic):
         # Wider chunks for the session-scale collection.
         result = SRTreeChunker(leaf_capacity=64).form_chunks(small_synthetic)
         index = build_chunk_index(result.retained, result.chunk_set)
         queries = make_queries(16, small_synthetic.dimensions, seed=5)
-        searcher = BatchChunkSearcher(index)
+        searcher = ChunkSearcher(index)
         serial = searcher.search_batch(queries, k=10)
         threaded = searcher.search_batch(queries, k=10, workers=4)
-        assert_batches_identical(threaded, serial)
+        assert_batches_identical(
+            threaded, serial, ReplayOracle(index, k=10), queries
+        )
         assert serial.total_chunks_pruned == threaded.total_chunks_pruned
 
 
 class TestRouterEquivalence:
-    """Routed ranking == flat ranking, to the bit, for both engines."""
+    """Routed ranking == flat ranking, to the bit, for any cohort shape."""
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     @pytest.mark.parametrize("rank_by", ["centroid", RANK_BY_LOWER_BOUND])
@@ -215,66 +224,69 @@ class TestRouterEquivalence:
         queries = make_queries(10, tiny_collection.dimensions)
         flat = ChunkSearcher(index, rank_by=rank_by)
         routed = ChunkSearcher(index, rank_by=rank_by, router=router)
+        replay = ReplayOracle(index, k=6, rank_by=rank_by)
         for query in queries:
             assert_results_identical(
-                routed.search(query, k=6), flat.search(query, k=6)
+                routed.search(query, k=6), flat.search(query, k=6), replay, query
             )
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_batch_engine(self, tiny_collection, chunker_name):
-        """Batch + router must equal batch flat bit for bit: both rank by
-        the direct-form kernel, so routing changes nothing observable."""
+        """Cohort + router must equal cohort flat bit for bit: routing
+        changes nothing observable."""
         index = make_index(tiny_collection, chunker_name)
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index).search_batch(queries, k=6)
-        got = BatchChunkSearcher(index, router=router).search_batch(
+        want = ChunkSearcher(index).search_batch(queries, k=6)
+        got = ChunkSearcher(index, router=router).search_batch(
             queries, k=6
         )
-        assert_batches_identical(got, want)
+        assert_batches_identical(got, want, ReplayOracle(index, k=6), queries)
 
     def test_batch_engine_matches_sequential(self, tiny_collection):
-        """Cross-engine: batch + router vs sequential + router agree on
-        every observable (distances to within one ulp)."""
+        """Cross-cohort: a routed cohort of N vs N routed single queries
+        agree on every observable (distances to within one ulp)."""
         index = make_index(tiny_collection, "srtree")
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
         sequential = ChunkSearcher(index, router=router)
         want = [sequential.search(q, k=6) for q in queries]
-        got = BatchChunkSearcher(index, router=router).search_batch(
+        got = ChunkSearcher(index, router=router).search_batch(
             queries, k=6
         )
         assert len(got) == len(want)
-        for got_result, want_result in zip(got, want):
-            assert_results_equivalent(got_result, want_result)
+        replay = ReplayOracle(index, k=6)
+        for got_result, want_result, query in zip(got, want, queries):
+            assert_results_equivalent(got_result, want_result, replay, query)
 
     def test_router_under_faults(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
         router = CentroidRouter.from_index(index)
         queries = make_queries(8, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index).search_batch(
+        want = ChunkSearcher(index).search_batch(
             queries, k=5, faults=injector(0.25)
         )
-        got = BatchChunkSearcher(index, router=router).search_batch(
+        got = ChunkSearcher(index, router=router).search_batch(
             queries, k=5, faults=injector(0.25)
         )
-        assert_batches_identical(got, want)
+        replay = ReplayOracle(index, k=5, faults=injector(0.25))
+        assert_batches_identical(got, want, replay, queries)
 
     def test_router_with_early_stop(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
         router = CentroidRouter.from_index(index)
         queries = make_queries(8, tiny_collection.dimensions)
-        want = BatchChunkSearcher(index).search_batch(
+        want = ChunkSearcher(index).search_batch(
             queries, k=5, stop_rule=MaxChunks(2)
         )
-        got = BatchChunkSearcher(index, router=router).search_batch(
+        got = ChunkSearcher(index, router=router).search_batch(
             queries, k=5, stop_rule=MaxChunks(2)
         )
-        assert_batches_identical(got, want)
+        assert_batches_identical(got, want, ReplayOracle(index, k=5), queries)
 
 
 class TestChunkCacheEquivalence:
-    """The simulated chunk cache: engine-independent, deterministic."""
+    """The simulated chunk cache: cohort-independent, deterministic."""
 
     def _model(self, capacity_bytes=1 << 20):
         return dataclasses.replace(
@@ -289,12 +301,14 @@ class TestChunkCacheEquivalence:
         model_b = self._model()
         sequential = ChunkSearcher(index, cost_model=model_a)
         want = [sequential.search(q, k=5) for q in queries]
-        batch = BatchChunkSearcher(index, cost_model=model_b).search_batch(
+        batch = ChunkSearcher(index, cost_model=model_b).search_batch(
             queries, k=5, workers=4  # workers must be ignored here
         )
         assert len(batch) == len(want)
-        for got_result, want_result in zip(batch, want):
-            assert_results_equivalent(got_result, want_result)
+        # The replay charges through its own fresh cache, in query order.
+        replay = ReplayOracle(index, k=5, cost_model=self._model())
+        for got_result, want_result, query in zip(batch, want, queries):
+            assert_results_equivalent(got_result, want_result, replay, query)
         assert model_b.chunk_cache.hits == model_a.chunk_cache.hits
         assert model_b.chunk_cache.misses == model_a.chunk_cache.misses
         assert model_b.chunk_cache.hits > 0
@@ -307,18 +321,21 @@ class TestChunkCacheEquivalence:
             sequential.search(q, k=5, faults=injector(0.25), query_index=i)
             for i, q in enumerate(queries)
         ]
-        batch = BatchChunkSearcher(
+        batch = ChunkSearcher(
             index, cost_model=self._model()
         ).search_batch(queries, k=5, faults=injector(0.25))
         assert len(batch) == len(want)
-        for got_result, want_result in zip(batch, want):
-            assert_results_equivalent(got_result, want_result)
+        replay = ReplayOracle(
+            index, k=5, cost_model=self._model(), faults=injector(0.25)
+        )
+        for i, (got_result, want_result) in enumerate(zip(batch, want)):
+            assert_results_equivalent(got_result, want_result, replay, queries[i], i)
 
     def test_warm_batch_is_simulated_faster(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
         cold_model = self._model()
-        searcher = BatchChunkSearcher(index, cost_model=cold_model)
+        searcher = ChunkSearcher(index, cost_model=cold_model)
         cold = searcher.search_batch(queries, k=5)
         warm = searcher.search_batch(queries, k=5)
         # Identical results, cheaper timing: warm hits are charged at
@@ -332,22 +349,24 @@ class TestChunkCacheEquivalence:
     def test_determinism_across_fresh_caches(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
-        run_a = BatchChunkSearcher(index, cost_model=self._model()).search_batch(
+        run_a = ChunkSearcher(index, cost_model=self._model()).search_batch(
             queries, k=5
         )
-        run_b = BatchChunkSearcher(index, cost_model=self._model()).search_batch(
+        run_b = ChunkSearcher(index, cost_model=self._model()).search_batch(
             queries, k=5
         )
-        assert_batches_identical(run_a, run_b)
+        replay = ReplayOracle(index, k=5, cost_model=self._model())
+        assert_batches_identical(run_a, run_b, replay, queries)
 
     def test_cache_composes_with_router_and_pruning(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
-        want = BatchChunkSearcher(
+        want = ChunkSearcher(
             index, cost_model=self._model(), prune=False
         ).search_batch(queries, k=5)
-        got = BatchChunkSearcher(
+        got = ChunkSearcher(
             index, cost_model=self._model(), prune=True, router=router
         ).search_batch(queries, k=5)
-        assert_batches_identical(got, want)
+        replay = ReplayOracle(index, k=5, cost_model=self._model())
+        assert_batches_identical(got, want, replay, queries)

@@ -4,13 +4,17 @@ The load-bearing property: a run-to-completion search must return exactly
 the sequential scan's k-NN, for any chunking of the collection.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.chunk_index import build_chunk_index
+from repro.core.chunk_index import ChunkIndex, build_chunk_index
+from repro.core.dataset import DescriptorCollection
 from repro.core.ground_truth import exact_knn
 from repro.core.search import (
     RANK_BY_CENTROID,
@@ -190,3 +194,57 @@ class TestQueryValidation:
 
         with pytest.raises(ValueError, match="k must be positive"):
             ChunkSearcher(sr_index).search(np.zeros(4), k=0)
+
+
+class _CountingStore:
+    """Proxy for ``ChunkIndex.store`` that logs every chunk read."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reads = []
+
+    def __len__(self):
+        return len(self._inner)
+
+    def read_chunk(self, chunk_id):
+        self.reads.append(chunk_id)
+        return self._inner.read_chunk(chunk_id)
+
+    def close(self):
+        self._inner.close()
+
+
+class TestCohortOfOneRetainsNothing:
+    """A lone query has no later query to share a chunk's promoted
+    payload or distance row with, so neither may outlive the chunk step:
+    an exact search otherwise parks the whole scanned collection in
+    float64 until it ends."""
+
+    def test_exact_query_peak_memory_and_single_reads(self, tmp_path):
+        rng = np.random.default_rng(23)
+        vectors = rng.standard_normal((48_000, 24)).astype(np.float32)
+        index = make_index(
+            DescriptorCollection.from_vectors(vectors),
+            SRTreeChunker(leaf_capacity=192),
+        )
+        index.save(str(tmp_path))
+        with ChunkIndex.load(str(tmp_path), 24) as loaded:
+            store = _CountingStore(loaded.store)
+            searcher = ChunkSearcher(dataclasses.replace(loaded, store=store))
+            query = rng.standard_normal(24)
+            tracemalloc.start()
+            try:
+                result = searcher.search(query, k=30)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert result.completed
+        scanned = len(result.trace) - result.chunks_pruned
+        assert scanned >= 100  # the bound below must mean something
+        assert len(store.reads) == scanned
+        assert len(set(store.reads)) == scanned
+        largest_f64 = int(loaded.descriptor_counts().max()) * 24 * 8
+        # Transients of one chunk step (raw bytes, float32 decode, float64
+        # payload, distance rows) plus the trace and rank lists; retaining
+        # every scanned payload would be ``scanned`` times the chunk size.
+        assert peak <= 12 * largest_f64

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
+from repro.core.search import ChunkSearcher
 from repro.experiments import shardsim
 from repro.service.sharding import (
     ShardServiceConfig,
@@ -160,7 +160,7 @@ class TestPlacementBeatsRoundRobin:
         index = build_chunk_index(collection, chunk_set, name="skewed")
         queries = collection.vectors[::300][:20].astype(np.float64)
         mean_s = (
-            BatchChunkSearcher(index, cost_model=PAPER_2005_COST_MODEL)
+            ChunkSearcher(index, cost_model=PAPER_2005_COST_MODEL)
             .search_batch(queries, k=10)
             .mean_elapsed_s
         )

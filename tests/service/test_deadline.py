@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.chunking.round_robin import RoundRobinChunker
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.chunk_index import build_chunk_index
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import DeadlineBudget, FirstOf, MaxChunks
@@ -72,7 +71,7 @@ class TestEndToEnd:
                 )
                 for q in queries
             ]
-            batch = BatchChunkSearcher(index).search_batch(
+            batch = ChunkSearcher(index).search_batch(
                 queries,
                 k=3,
                 stop_rule=propagated_stop_rule(remaining, 0, index.n_chunks),

@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.batch_search import BatchChunkSearcher
 from repro.core.metrics import OUTCOME_SHED, REQUEST_OUTCOMES
+from repro.core.search import ChunkSearcher
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.service import QueryService, ServiceConfig
@@ -33,7 +33,7 @@ class ServiceHarness:
     def __init__(self, data):
         built = data.built("SR", "SMALL")
         self.k = data.scale.k
-        self.searcher = BatchChunkSearcher(
+        self.searcher = ChunkSearcher(
             built.index, cost_model=data.scale.cost_model
         )
         workload = data.workloads["DQ"].queries

@@ -77,6 +77,38 @@ class TestQueries:
         )
         assert matches[0].image_id == 5
 
+    def test_one_searcher_per_index_generation(self, system, image_collection):
+        """The searcher (and a router's k-means) is built once per index
+        generation, and again when ``prune``/``cost_model`` are reassigned
+        or maintenance publishes a new generation."""
+        queries = image_collection.vectors[:4].astype(float)
+        system.find_similar_descriptors(queries[0], k=5)
+        flat = system._searcher()
+        system.find_similar_descriptors_batch(queries, k=5)
+        assert system._searcher() is flat
+
+        routed = system.find_similar_descriptors_batch(queries, k=5, use_router=True)
+        router = system._searcher(use_router=True).router
+        assert router is not None
+        system.find_similar_descriptors_batch(queries, k=5, use_router=True)
+        assert system._searcher(use_router=True).router is router
+
+        system.prune = False
+        unpruned = system.find_similar_descriptors_batch(
+            queries, k=5, use_router=True
+        )
+        assert system._searcher(use_router=True).prune is False
+        assert system._searcher(use_router=True).router is router
+        assert unpruned.total_chunks_pruned == 0
+        assert unpruned.stop_reasons() == routed.stop_reasons()
+        np.testing.assert_array_equal(
+            unpruned.neighbor_ids_matrix(), routed.neighbor_ids_matrix()
+        )
+
+        system.add_image(99, image_collection.vectors[:3] + 0.01)
+        assert system._searcher().index is not flat.index
+        assert system._searcher(use_router=True).router is not router
+
 
 class TestLiveUpdates:
     def test_add_then_find(self, system):
