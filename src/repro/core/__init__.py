@@ -30,7 +30,12 @@ from .ingest import (
     StreamingChunkIndex,
     verify_streaming_index,
 )
-from .maintenance import ChunkIndexMaintainer, ChunkSnapshot, MaintenanceStats
+from .maintenance import (
+    ChunkIndexMaintainer,
+    ChunkSnapshot,
+    ChunkSummary,
+    MaintenanceStats,
+)
 from .metrics import (
     CompletionStats,
     QualityCurves,
@@ -69,6 +74,7 @@ __all__ = [
     "estimate_epsilon",
     "ChunkIndexMaintainer",
     "ChunkSnapshot",
+    "ChunkSummary",
     "MaintenanceStats",
     "StreamingChunkIndex",
     "RecoveryReport",

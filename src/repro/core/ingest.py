@@ -63,7 +63,7 @@ from ..storage.wal import (
     scan_wal,
     truncate_wal,
 )
-from .chunk import ChunkMeta, summarize_members
+from .chunk import ChunkMeta
 from .chunk_index import ChunkIndex
 from .distance import squared_distances
 from .maintenance import ChunkIndexMaintainer, ChunkSnapshot, MaintenanceStats
@@ -464,7 +464,7 @@ class StreamingChunkIndex:
         self._reached(f"{site_prefix}.chunks")
         maintainer.rebase()
         index_path = os.path.join(directory, _base_index_name(self.generation))
-        metas = _current_metas(maintainer)
+        metas = [summary.meta for summary in maintainer.summaries()]
         write_index_file(index_path, metas)
         self._charge_write(os.path.getsize(index_path))
         self._reached(f"{site_prefix}.index")
@@ -552,20 +552,19 @@ class StreamingChunkIndex:
     def _manifest_dict(self) -> Dict[str, Any]:
         maintainer = self.maintainer
         chunks: List[Dict[str, Any]] = []
-        for position in range(maintainer.n_chunks):
-            snap = maintainer.snapshot(position)
-            if snap.dirty:
+        for summary in maintainer.summaries():
+            if summary.dirty:
                 raise AssertionError("cannot publish a manifest over dirty chunks")
-            centroid, radius = summarize_members(snap.vectors)
+            meta = summary.meta
             chunks.append(
                 {
-                    "base_ref": snap.base_ref,
-                    "delta_file": snap.delta_file,
-                    "page_offset": snap.page_offset,
-                    "page_count": snap.page_count,
-                    "n_descriptors": len(snap.ids),
-                    "centroid": [float(c) for c in centroid],
-                    "radius": float(radius),
+                    "base_ref": summary.base_ref,
+                    "delta_file": summary.delta_file,
+                    "page_offset": meta.page_offset,
+                    "page_count": meta.page_count,
+                    "n_descriptors": meta.n_descriptors,
+                    "centroid": meta.centroid.tolist(),
+                    "radius": meta.radius,
                 }
             )
         stats = maintainer.stats
@@ -720,7 +719,7 @@ def _load_chunk_snapshots(
             )
             snaps.append(
                 ChunkSnapshot(
-                    ids=tuple(int(i) for i in ids),
+                    ids=tuple(ids.tolist()),
                     vectors=vectors,
                     origins=tuple(origins),
                     base_ref=base_ref,
@@ -788,26 +787,8 @@ def _reconstruct_chunk(
         [base_vectors[live_rows], segment.vectors], axis=0
     ).astype(np.float32, copy=False)
     _require(ids.size > 0, f"delta segment {delta_file!r} leaves the chunk empty")
-    origins = [int(r) for r in live_rows] + [-1] * int(segment.ids.size)
+    origins = live_rows.tolist() + [-1] * int(segment.ids.size)
     return ids, vectors, origins
-
-
-def _current_metas(maintainer: ChunkIndexMaintainer) -> List[ChunkMeta]:
-    metas: List[ChunkMeta] = []
-    for position in range(maintainer.n_chunks):
-        snap = maintainer.snapshot(position)
-        centroid, radius = summarize_members(snap.vectors)
-        metas.append(
-            ChunkMeta(
-                chunk_id=position,
-                centroid=centroid,
-                radius=radius,
-                n_descriptors=len(snap.ids),
-                page_offset=snap.page_offset,
-                page_count=snap.page_count,
-            )
-        )
-    return metas
 
 
 def _apply_op(maintainer: ChunkIndexMaintainer, op: WalOp) -> None:
@@ -944,21 +925,35 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
         summary["ok"] = False
         return summary
 
-    summaries_ok = True
+    maintainer: Optional[ChunkIndexMaintainer] = None
     details: List[str] = []
-    for position, (snap, raw) in enumerate(zip(snaps, manifest["chunks"])):
-        entry = cast(Dict[str, Any], raw)
-        centroid, radius = summarize_members(snap.vectors)
-        stored = np.asarray(entry["centroid"], dtype=np.float64)
-        if stored.shape != centroid.shape or not np.array_equal(stored, centroid):
-            summaries_ok = False
-            details.append(f"chunk {position}: stored centroid is not exact")
-        if float(entry["radius"]) != radius:
-            summaries_ok = False
-            details.append(f"chunk {position}: stored radius is not exact")
+    try:
+        maintainer = ChunkIndexMaintainer.restore(
+            dimensions=dimensions,
+            chunks=snaps,
+            next_page=int(manifest["next_page"]),
+            target_chunk_size=int(manifest["target_chunk_size"]),
+            split_factor=float(manifest["split_factor"]),
+            merge_fraction=float(manifest["merge_fraction"]),
+            geometry=geometry,
+            stats=_stats_from_manifest(manifest),
+        )
+        for chunk_summary, raw in zip(maintainer.summaries(), manifest["chunks"]):
+            entry = cast(Dict[str, Any], raw)
+            meta = chunk_summary.meta
+            stored = np.asarray(entry["centroid"], dtype=np.float64)
+            if stored.shape != meta.centroid.shape or not np.array_equal(
+                stored, meta.centroid
+            ):
+                details.append(f"chunk {meta.chunk_id}: stored centroid is not exact")
+            if float(entry["radius"]) != meta.radius:
+                details.append(f"chunk {meta.chunk_id}: stored radius is not exact")
+    except ValueError as error:
+        maintainer = None
+        details.append(f"checkpoint state does not restore: {error}")
     record(
         "summaries",
-        summaries_ok,
+        not details,
         "; ".join(details)
         if details
         else f"{len(snaps)} stored centroid/radius summaries recomputed exactly",
@@ -1018,47 +1013,36 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     except (CorruptFileError, OSError) as error:
         record("wal", False, str(error))
 
-    liveness_ok = False
-    if scan is not None:
+    if maintainer is None:
+        record("liveness", False, "skipped: checkpoint state did not restore")
+    elif scan is not None:
         try:
-            maintainer = ChunkIndexMaintainer.restore(
-                dimensions=dimensions,
-                chunks=snaps,
-                next_page=int(manifest["next_page"]),
-                target_chunk_size=int(manifest["target_chunk_size"]),
-                split_factor=float(manifest["split_factor"]),
-                merge_fraction=float(manifest["merge_fraction"]),
-                geometry=geometry,
-                stats=_stats_from_manifest(manifest),
-            )
             for batch in scan.batches:
                 for op in batch.ops:
                     _apply_op(maintainer, op)
             details = []
             seen = 0
-            for position in range(maintainer.n_chunks):
-                snap = maintainer.snapshot(position)
-                if not snap.ids:
-                    details.append(f"chunk {position}: empty chunk survived")
-                    continue
-                seen += len(snap.ids)
-                centroid, radius = summarize_members(snap.vectors)
+            # What a searcher would be handed: an empty chunk cannot be
+            # materialized and fails the check through ValueError.
+            index = maintainer.to_index()
+            for meta in index.metas:
+                ids, vectors = index.read_chunk(meta.chunk_id)
+                seen += int(ids.size)
                 worst = float(
-                    np.sqrt(squared_distances(centroid, snap.vectors).max())
+                    np.sqrt(squared_distances(meta.centroid, vectors).max())
                 )
-                if worst > radius:
+                if worst > meta.radius:
                     details.append(
-                        f"chunk {position}: member at distance {worst} exceeds "
-                        f"radius {radius}"
+                        f"chunk {meta.chunk_id}: member at distance {worst} "
+                        f"exceeds radius {meta.radius}"
                     )
             if seen != len(maintainer):
                 details.append(
                     f"id map holds {len(maintainer)} ids, chunks hold {seen}"
                 )
-            liveness_ok = not details
             record(
                 "liveness",
-                liveness_ok,
+                not details,
                 "; ".join(details)
                 if details
                 else (

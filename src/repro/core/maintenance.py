@@ -30,12 +30,20 @@ row order, and merged-in members are recorded as appends — which is
 exactly the tombstone-bitmap + append-segment shape the checkpoint
 writes, and what makes a recovered chunk's member order (hence its
 ``numpy.mean`` centroid) bit-identical to the uncrashed process.
+
+In memory each chunk's members are the leading rows of one growable
+C-contiguous float32 matrix edited in place (:class:`_MutableChunk`), so
+an operation costs one row write or one gap-closing move plus the exact
+float64 mean — never a re-stack of the chunk.  Internal readers take a
+prefix view; :meth:`ChunkIndexMaintainer.snapshot` and
+:meth:`ChunkIndexMaintainer.to_index` are the only places state leaves
+the maintainer, and both copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +53,12 @@ from .chunk import ChunkMeta, summarize_members
 from .chunk_index import ChunkIndex, InMemoryChunkStore
 from .distance import squared_distances
 
-__all__ = ["ChunkIndexMaintainer", "MaintenanceStats", "ChunkSnapshot"]
+__all__ = [
+    "ChunkIndexMaintainer",
+    "MaintenanceStats",
+    "ChunkSnapshot",
+    "ChunkSummary",
+]
 
 
 @dataclasses.dataclass
@@ -98,12 +111,34 @@ class ChunkSnapshot(NamedTuple):
     page_count: int
 
 
+class ChunkSummary(NamedTuple):
+    """One chunk's exact summary plus its checkpoint provenance.
+
+    Returned by :meth:`ChunkIndexMaintainer.summaries`, which reads the
+    members in place — nothing here aliases maintainer state.
+    """
+
+    meta: ChunkMeta
+    base_ref: int
+    delta_file: Optional[str]
+    dirty: bool
+
+
 class _MutableChunk:
-    """Mutable chunk state: parallel id/vector arrays plus page extent."""
+    """Mutable chunk state: id/origin lists beside one row buffer.
+
+    The members live in the first ``len(self)`` rows of a C-contiguous
+    ``(capacity, d)`` float32 buffer owned by this chunk.  Appends write
+    into spare capacity (doubling when it runs out), a removal closes the
+    gap in place so member order is kept, and a split replaces the buffer
+    by the fancy-indexed survivors.  :meth:`rows` is a *view*: it is only
+    valid until the next mutation, so anything that leaves the maintainer
+    takes :meth:`copy_rows` instead.
+    """
 
     __slots__ = (
         "ids",
-        "vectors",
+        "_buffer",
         "page_offset",
         "page_count",
         "base_ref",
@@ -115,7 +150,7 @@ class _MutableChunk:
     def __init__(
         self,
         ids: Sequence[int],
-        vectors: Sequence[np.ndarray],
+        vectors: np.ndarray,
         page_offset: int,
         page_count: int,
         base_ref: int = -1,
@@ -123,27 +158,72 @@ class _MutableChunk:
         dirty: bool = True,
         delta_file: Optional[str] = None,
     ):
-        self.ids: List[int] = list(int(i) for i in ids)
-        self.vectors: List[np.ndarray] = [
-            np.asarray(v, dtype=np.float32) for v in vectors
-        ]
+        self.ids: List[int] = np.asarray(ids, dtype=np.int64).tolist()
+        # Always a private copy: the buffer is written in place.
+        self._buffer = np.array(vectors, dtype=np.float32, order="C")
+        if self._buffer.ndim != 2 or self._buffer.shape[0] != len(self.ids):
+            raise ValueError("vectors must parallel ids")
         self.page_offset = int(page_offset)
         self.page_count = int(page_count)
         self.base_ref = int(base_ref)
         self.origins: List[int] = (
-            [int(o) for o in origins] if origins is not None else [-1] * len(self.ids)
+            np.asarray(origins, dtype=np.int64).tolist()
+            if origins is not None
+            else [-1] * len(self.ids)
         )
         if len(self.origins) != len(self.ids):
             raise ValueError("origins must parallel ids")
         self.dirty = bool(dirty)
         self.delta_file = delta_file
 
-    def matrix(self) -> np.ndarray:
-        """Pending vectors stacked into an ``(n, d)`` float32 matrix."""
-        return np.vstack([v[np.newaxis, :] for v in self.vectors])
-
     def __len__(self) -> int:
         return len(self.ids)
+
+    def rows(self) -> np.ndarray:
+        """Members as an ``(n, d)`` float32 prefix view of the buffer."""
+        return self._buffer[: len(self.ids)]
+
+    def copy_rows(self) -> np.ndarray:
+        """Members as a fresh ``(n, d)`` float32 matrix the caller owns."""
+        return self.rows().copy()
+
+    def centroid(self) -> np.ndarray:
+        """Exact float64 mean of the members, in member order."""
+        return self.rows().astype(np.float64).mean(axis=0)
+
+    def append(self, ids: Sequence[int], vectors: np.ndarray) -> None:
+        """Append members after the current ones (origin ``-1``)."""
+        start = len(self.ids)
+        end = start + len(ids)
+        if end > self._buffer.shape[0]:
+            self._grow(end)
+        self._buffer[start:end] = vectors
+        self.ids.extend(ids)
+        self.origins.extend([-1] * len(ids))
+
+    def _grow(self, needed: int) -> None:
+        """Reallocate to at least ``needed`` rows; doubling keeps ``N``
+        single appends at O(log N) reallocations."""
+        n = len(self.ids)
+        grown = np.empty(
+            (max(needed, 2 * self._buffer.shape[0]), self._buffer.shape[1]),
+            dtype=np.float32,
+        )
+        grown[:n] = self._buffer[:n]
+        self._buffer = grown
+
+    def remove(self, row: int) -> None:
+        """Remove one member in place; the rest keep their order."""
+        n = len(self.ids)
+        self._buffer[row : n - 1] = self._buffer[row + 1 : n]
+        del self.ids[row]
+        del self.origins[row]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the members at ``rows`` (increasing), in that order."""
+        self._buffer = self._buffer[rows]
+        self.ids = [self.ids[i] for i in rows]
+        self.origins = [self.origins[i] for i in rows]
 
 
 class ChunkIndexMaintainer:
@@ -230,10 +310,10 @@ class ChunkIndexMaintainer:
                 if descriptor_id in self._chunk_of_id:
                     raise ValueError(f"duplicate descriptor id {descriptor_id}")
                 self._chunk_of_id[descriptor_id] = position
-        # Cached summaries, recomputed lazily per dirty chunk.
-        self._centroids = np.stack(
-            [summarize_members(c.matrix())[0] for c in self._chunks]
-        )
+        if not all(len(chunk) for chunk in self._chunks):
+            raise ValueError("a chunk must contain at least one descriptor")
+        # Cached exact centroids, refreshed on every mutation.
+        self._centroids = np.stack([chunk.centroid() for chunk in self._chunks])
 
     @classmethod
     def restore(
@@ -258,7 +338,7 @@ class ChunkIndexMaintainer:
         mutable = [
             _MutableChunk(
                 snap.ids,
-                [row for row in np.asarray(snap.vectors, dtype=np.float32)],
+                snap.vectors,
                 snap.page_offset,
                 snap.page_count,
                 base_ref=snap.base_ref,
@@ -298,6 +378,10 @@ class ChunkIndexMaintainer:
     def __contains__(self, descriptor_id: int) -> bool:
         return int(descriptor_id) in self._chunk_of_id
 
+    def __iter__(self) -> Iterator[int]:
+        """Live descriptor ids, in no particular order."""
+        return iter(self._chunk_of_id)
+
     def _pages_needed(self, n_descriptors: int) -> int:
         return self.geometry.pages_for(n_descriptors * self._codec.record_bytes)
 
@@ -315,9 +399,7 @@ class ChunkIndexMaintainer:
         self._next_page += needed
 
     def _refresh_centroid(self, position: int) -> None:
-        self._centroids[position] = self._chunks[position].matrix().astype(
-            np.float64
-        ).mean(axis=0)
+        self._centroids[position] = self._chunks[position].centroid()
 
     # -- operations ----------------------------------------------------------------
 
@@ -334,9 +416,7 @@ class ChunkIndexMaintainer:
         d2 = squared_distances(vector.astype(np.float64), self._centroids)
         position = int(np.argmin(d2))
         chunk = self._chunks[position]
-        chunk.ids.append(descriptor_id)
-        chunk.vectors.append(vector)
-        chunk.origins.append(-1)
+        chunk.append([descriptor_id], vector)
         chunk.dirty = True
         self._chunk_of_id[descriptor_id] = position
         self._refresh_centroid(position)
@@ -354,10 +434,7 @@ class ChunkIndexMaintainer:
         if position is None:
             raise KeyError(f"descriptor id {descriptor_id} not in index")
         chunk = self._chunks[position]
-        row = chunk.ids.index(descriptor_id)
-        chunk.ids.pop(row)
-        chunk.vectors.pop(row)
-        chunk.origins.pop(row)
+        chunk.remove(chunk.ids.index(descriptor_id))
         chunk.dirty = True
         self.stats.deletes += 1
 
@@ -375,7 +452,7 @@ class ChunkIndexMaintainer:
         """2-means split of an oversized chunk; the halves reuse the old
         extent if they fit, else relocate."""
         chunk = self._chunks[position]
-        matrix = chunk.matrix().astype(np.float64)
+        matrix = chunk.rows().astype(np.float64)
         # Seed with the two most distant members of a sample.
         n = matrix.shape[0]
         centers = matrix[[0, int(np.argmax(squared_distances(matrix[0], matrix)))]]
@@ -402,23 +479,19 @@ class ChunkIndexMaintainer:
         # invariant trivially true for both halves.
         moved = _MutableChunk(
             [chunk.ids[i] for i in move_rows],
-            [chunk.vectors[i] for i in move_rows],
+            chunk.rows()[move_rows],
             page_offset=self._next_page,
             page_count=self._pages_needed(move_rows.size),
         )
         self._next_page += moved.page_count
-        chunk.ids = [chunk.ids[i] for i in keep_rows]
-        chunk.vectors = [chunk.vectors[i] for i in keep_rows]
-        chunk.origins = [chunk.origins[i] for i in keep_rows]
+        chunk.keep(keep_rows)
         chunk.dirty = True
 
         new_position = len(self._chunks)
         self._chunks.append(moved)
         for descriptor_id in moved.ids:
             self._chunk_of_id[descriptor_id] = new_position
-        self._centroids = np.vstack(
-            [self._centroids, moved.matrix().astype(np.float64).mean(axis=0)]
-        )
+        self._centroids = np.vstack([self._centroids, moved.centroid()])
         self._refresh_centroid(position)
         self._reextent(position)
         self.stats.splits += 1
@@ -438,12 +511,10 @@ class ChunkIndexMaintainer:
         d2[position] = np.inf
         other = int(np.argmin(d2))
         target = self._chunks[other]
-        target.ids.extend(chunk.ids)
-        target.vectors.extend(chunk.vectors)
         # Merged-in members count as appends of the surviving chunk:
         # their link to the dissolved chunk's base is severed, so the
         # surviving chunk's origin-prefix invariant is preserved.
-        target.origins.extend([-1] * len(chunk.ids))
+        target.append(chunk.ids, chunk.rows())
         target.dirty = True
         for descriptor_id in chunk.ids:
             self._chunk_of_id[descriptor_id] = other
@@ -451,9 +522,6 @@ class ChunkIndexMaintainer:
         self._reextent(other)
         self.stats.merges += 1
         # Drop AFTER rewiring so position shifts are applied consistently.
-        chunk.ids = []
-        chunk.vectors = []
-        chunk.origins = []
         self._drop_chunk(position)
 
     # -- checkpoint support ------------------------------------------------------
@@ -463,7 +531,7 @@ class ChunkIndexMaintainer:
         chunk = self._chunks[position]
         return ChunkSnapshot(
             ids=tuple(chunk.ids),
-            vectors=chunk.matrix(),
+            vectors=chunk.copy_rows(),
             origins=tuple(chunk.origins),
             base_ref=chunk.base_ref,
             delta_file=chunk.delta_file,
@@ -471,6 +539,28 @@ class ChunkIndexMaintainer:
             page_offset=chunk.page_offset,
             page_count=chunk.page_count,
         )
+
+    def summaries(self) -> List[ChunkSummary]:
+        """Exact summary and provenance of every chunk, by position.
+
+        Centroid and radius are recomputed from the members in place
+        (no member matrix is copied); ``meta.chunk_id`` is the position.
+        """
+        summaries: List[ChunkSummary] = []
+        for position, chunk in enumerate(self._chunks):
+            centroid, radius = summarize_members(chunk.rows())
+            meta = ChunkMeta(
+                chunk_id=position,
+                centroid=centroid,
+                radius=radius,
+                n_descriptors=len(chunk),
+                page_offset=chunk.page_offset,
+                page_count=chunk.page_count,
+            )
+            summaries.append(
+                ChunkSummary(meta, chunk.base_ref, chunk.delta_file, chunk.dirty)
+            )
+        return summaries
 
     def dirty_positions(self) -> List[int]:
         """Positions of chunks mutated since their last checkpoint."""
@@ -535,25 +625,14 @@ class ChunkIndexMaintainer:
         summaries at construction, so build a fresh searcher after each
         maintenance batch.
         """
-        metas: List[ChunkMeta] = []
-        contents: List[Tuple[np.ndarray, np.ndarray]] = []
-        for chunk_id, chunk in enumerate(self._chunks):
-            matrix = chunk.matrix()
-            centroid, radius = summarize_members(matrix)
-            metas.append(
-                ChunkMeta(
-                    chunk_id=chunk_id,
-                    centroid=centroid,
-                    radius=radius,
-                    n_descriptors=len(chunk),
-                    page_offset=chunk.page_offset,
-                    page_count=chunk.page_count,
-                )
-            )
-            contents.append((np.asarray(chunk.ids, dtype=np.int64), matrix))
         return ChunkIndex(
-            metas=metas,
-            store=InMemoryChunkStore(contents),
+            metas=[summary.meta for summary in self.summaries()],
+            store=InMemoryChunkStore(
+                [
+                    (np.asarray(chunk.ids, dtype=np.int64), chunk.copy_rows())
+                    for chunk in self._chunks
+                ]
+            ),
             dimensions=self.dimensions,
             name=name,
         )

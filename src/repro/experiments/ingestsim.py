@@ -146,18 +146,14 @@ def _build_base(
     return build_chunk_index(chunking.retained, chunking.chunk_set, name="ingestsim")
 
 
-def _live_collection(streaming: StreamingChunkIndex) -> DescriptorCollection:
-    """The current logical contents, in chunk order (ground-truth input)."""
-    ids: List[int] = []
-    blocks: List[np.ndarray] = []
-    for position in range(streaming.maintainer.n_chunks):
-        snap = streaming.maintainer.snapshot(position)
-        ids.extend(snap.ids)
-        blocks.append(snap.vectors)
+def _live_collection(index: ChunkIndex) -> DescriptorCollection:
+    """The index's logical contents, in chunk order (ground-truth input)."""
+    chunks = [index.read_chunk(chunk_id) for chunk_id in range(index.n_chunks)]
+    ids = np.concatenate([chunk_ids for chunk_ids, _ in chunks])
     return DescriptorCollection(
-        vectors=np.concatenate(blocks, axis=0),
-        ids=np.asarray(ids, dtype=np.int64),
-        image_ids=np.zeros(len(ids), dtype=np.int64),
+        vectors=np.concatenate([vectors for _, vectors in chunks], axis=0),
+        ids=ids,
+        image_ids=np.zeros(ids.size, dtype=np.int64),
     )
 
 
@@ -321,11 +317,7 @@ def simulate(
         assert driver.streaming is not None
         maintainer = driver.streaming.maintainer
         if n_deletes and len(maintainer) > n_deletes:
-            live_ids = sorted(
-                int(i)
-                for position in range(maintainer.n_chunks)
-                for i in maintainer.snapshot(position).ids
-            )
+            live_ids = sorted(maintainer)
             victims = delete_rng.choice(
                 len(live_ids), size=n_deletes, replace=False
             )
@@ -343,8 +335,8 @@ def simulate(
         # Queries against the current index: pruning + router + cache on,
         # budgeted scan, recall vs the live contents' exact ground truth.
         assert driver.streaming is not None
-        live = _live_collection(driver.streaming)
         searchable = driver.streaming.to_index()
+        live = _live_collection(searchable)
         query_rows = query_rng.choice(len(live), size=cfg.n_queries, replace=False)
         queries = live.vectors[np.sort(query_rows)].astype(np.float64)
         truth = exact_knn_batch(live, queries, scale.k)

@@ -6,9 +6,11 @@ import pytest
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
-from repro.core.maintenance import ChunkIndexMaintainer
+from repro.core.maintenance import ChunkIndexMaintainer, _MutableChunk
 from repro.core.dataset import DescriptorCollection
+from repro.core.ingest import StreamingChunkIndex
 from repro.core.search import ChunkSearcher
+from repro.storage.wal import delete_op, insert_op
 
 
 @pytest.fixture()
@@ -209,3 +211,139 @@ class TestCompaction:
         for meta in after.metas:
             assert meta.page_offset == offset
             offset += meta.page_count
+
+
+def _observe(searcher, queries):
+    """Everything a caller can see of a batch of exact searches."""
+    return [
+        (result.neighbor_ids().tolist(), [n.distance for n in result.neighbors])
+        for result in searcher.search_batch(queries, k=8)
+    ]
+
+
+class TestSnapshotsDoNotAlias:
+    """A chunk's members live in one buffer that later writes edit in
+    place, so whatever ``snapshot()`` / ``to_index()`` handed out earlier
+    must be a copy — the reader queries it while the writer keeps going."""
+
+    def test_earlier_snapshot_and_searcher_survive_later_writes(self, maintainer):
+        m, collection = maintainer
+        rng = np.random.default_rng(17)
+        # Leave spare capacity behind, so the writes below land in the
+        # very buffers the snapshots were taken from.
+        for i in range(8):
+            m.insert(30_000 + i, collection.vectors[i] + 0.01)
+
+        snaps = [m.snapshot(position) for position in range(m.n_chunks)]
+        index = m.to_index()
+        searcher = ChunkSearcher(index)
+        queries = rng.standard_normal((6, 4)) * 5.0
+        want_snaps = [(s.ids, s.vectors.copy(), s.origins) for s in snaps]
+        want_chunks = [
+            tuple(part.copy() for part in index.read_chunk(c))
+            for c in range(index.n_chunks)
+        ]
+        want_results = _observe(searcher, queries)
+
+        splits, merges = m.stats.splits, m.stats.merges
+        anchor = collection.vectors[0]
+        for i in range(int(m.split_factor * m.target_chunk_size) + 2):
+            m.insert(40_000 + i, anchor + 0.001 * (i + 1))
+        for descriptor_id in sorted(int(i) for i in collection.ids)[:-3]:
+            m.delete(descriptor_id)
+        for i in range(8):
+            m.delete(30_000 + i)
+        assert m.stats.splits > splits and m.stats.merges > merges
+
+        for snap, (ids, vectors, origins) in zip(snaps, want_snaps):
+            assert snap.ids == ids and snap.origins == origins
+            np.testing.assert_array_equal(snap.vectors, vectors)
+        for c, (ids, vectors) in enumerate(want_chunks):
+            got_ids, got_vectors = index.read_chunk(c)
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_vectors, vectors)
+        assert _observe(searcher, queries) == want_results
+
+    def test_restore_does_not_adopt_the_snapshot_matrix(self, maintainer):
+        m, _ = maintainer
+        snaps = [m.snapshot(position) for position in range(m.n_chunks)]
+        want = [snap.vectors.copy() for snap in snaps]
+        restored = ChunkIndexMaintainer.restore(
+            m.dimensions, snaps, m.next_page, m.target_chunk_size
+        )
+        for snap in snaps:
+            restored.delete(snap.ids[0])
+        for snap, vectors in zip(snaps, want):
+            np.testing.assert_array_equal(snap.vectors, vectors)
+
+
+class TestCostGuard:
+    """Counts, not clocks: a per-operation re-stack of a chunk's members
+    cannot come back without these failing."""
+
+    @staticmethod
+    def _count_grows_and_copies(monkeypatch):
+        grows, copies = [], []
+        real_grow, real_copy = _MutableChunk._grow, _MutableChunk.copy_rows
+
+        def counting_grow(chunk, needed):
+            grows.append((len(chunk), needed))
+            real_grow(chunk, needed)
+
+        def counting_copy(chunk):
+            copies.append(len(chunk))
+            return real_copy(chunk)
+
+        monkeypatch.setattr(_MutableChunk, "_grow", counting_grow)
+        monkeypatch.setattr(_MutableChunk, "copy_rows", counting_copy)
+        return grows, copies
+
+    def test_single_inserts_grow_logarithmically_and_never_copy(
+        self, tiny_collection, monkeypatch
+    ):
+        chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        n_inserts = 4000
+        m = ChunkIndexMaintainer(
+            index, target_chunk_size=n_inserts, merge_fraction=0.0
+        )
+        grows, copies = self._count_grows_and_copies(monkeypatch)
+        anchor = tiny_collection.vectors[0]
+        landed = {m.insert(50_000 + i, anchor + 1e-5 * i) for i in range(n_inserts)}
+        assert landed == {next(iter(landed))}, "inserts meant for one chunk"
+        assert m.stats.splits == 0
+        start = grows[0][0]
+        assert len(grows) <= int(np.ceil(np.log2((start + n_inserts) / start))) + 1
+        for i in range(0, n_inserts, 3):
+            m.delete(50_000 + i)
+        assert copies == []
+
+        m.to_index()
+        assert len(copies) == m.n_chunks
+
+    def test_apply_copies_nothing_and_checkpoint_copies_each_dirty_chunk_once(
+        self, tiny_collection, tmp_path, monkeypatch
+    ):
+        chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        with StreamingChunkIndex.create(str(tmp_path / "stream"), index) as streaming:
+            _, copies = self._count_grows_and_copies(monkeypatch)
+            rng = np.random.default_rng(23)
+            for batch in range(4):
+                ops = [
+                    insert_op(60_000 + 10 * batch + i, rng.standard_normal(4) * 5.0)
+                    for i in range(10)
+                ]
+                ops.append(delete_op(int(tiny_collection.ids[batch])))
+                streaming.apply(ops)
+            assert copies == []
+
+            n_dirty = len(streaming.maintainer.dirty_positions())
+            assert 0 < n_dirty
+            streaming.checkpoint()
+            assert len(copies) == n_dirty
+            # Nothing is dirty now: a manifest is published without
+            # copying a single member matrix.
+            del copies[:]
+            streaming.checkpoint()
+            assert copies == []
