@@ -23,6 +23,7 @@ Figures 1-7) and the ablations, printing each as fixed-width text.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict
 
@@ -81,6 +82,41 @@ EXPERIMENT_RUNNERS: Dict[str, Callable[[ExperimentData], object]] = {
 }
 
 
+def _add_sweep_arguments(
+    parser: argparse.ArgumentParser, family: str = "SR", size_class: str = "SMALL"
+) -> None:
+    """The flags every sweep subcommand (fault/serve/shardsim) takes."""
+    parser.add_argument("--scale", default="test")
+    parser.add_argument(
+        "--seed", type=int, default=faultsim.DEFAULT_SEED,
+        help="root seed (same seed => byte-identical report)",
+    )
+    parser.add_argument(
+        "--family", default=family, choices=("SR", "BAG"),
+        help="chunk-forming family the sweep runs over",
+    )
+    parser.add_argument(
+        "--size-class", default=size_class, choices=("SMALL", "MEDIUM", "LARGE")
+    )
+    parser.add_argument("--workload", default="DQ", choices=("DQ", "SQ"))
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="also write the sweep as a deterministic JSON report",
+    )
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="resume file: finished sweep points are skipped on rerun",
+    )
+
+
+def _write_json(payload: object, path: str) -> None:
+    """Write one deterministic JSON report (sorted keys, trailing newline)."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+    print(f"wrote JSON report to {path}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -111,10 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--format", default="csv", choices=("csv", "json"),
         help="export format when --export-dir is given",
-    )
-    experiment.add_argument(
-        "--plot", action="store_true",
-        help="also render figure results as ASCII charts",
     )
 
     collection = sub.add_parser(
@@ -211,29 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "faultsim",
         help="sweep storage fault rates; emit quality-vs-fault-rate curves",
     )
-    faultsim_p.add_argument("--scale", default="test")
-    faultsim_p.add_argument(
-        "--seed", type=int, default=faultsim.DEFAULT_SEED,
-        help="fault-plan root seed (same seed => same curve, bit for bit)",
-    )
+    _add_sweep_arguments(faultsim_p, size_class="MEDIUM")
     faultsim_p.add_argument(
         "--rates", default=None,
         help="comma-separated fault rates in [0, 0.5] (default: built-in sweep)",
-    )
-    faultsim_p.add_argument(
-        "--family", default="SR", choices=("SR", "BAG"),
-        help="chunk-forming family to degrade",
-    )
-    faultsim_p.add_argument("--size-class", default="MEDIUM",
-                            choices=("SMALL", "MEDIUM", "LARGE"))
-    faultsim_p.add_argument("--workload", default="DQ", choices=("DQ", "SQ"))
-    faultsim_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the sweep as a deterministic JSON report",
-    )
-    faultsim_p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="resume file: finished sweep points are skipped on rerun",
     )
 
     servesim_p = sub.add_parser(
@@ -243,11 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "service; emit SLO metrics per (fault rate, load) cell"
         ),
     )
-    servesim_p.add_argument("--scale", default="test")
-    servesim_p.add_argument(
-        "--seed", type=int, default=servesim.DEFAULT_SEED,
-        help="root seed (same seed => byte-identical report)",
-    )
+    _add_sweep_arguments(servesim_p)
     servesim_p.add_argument(
         "--loads", default=None,
         help=(
@@ -264,21 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulated searcher workers in the pool",
     )
     servesim_p.add_argument(
-        "--family", default="SR", choices=("SR", "BAG"),
-        help="chunk-forming family to serve",
-    )
-    servesim_p.add_argument("--size-class", default="SMALL",
-                            choices=("SMALL", "MEDIUM", "LARGE"))
-    servesim_p.add_argument("--workload", default="DQ", choices=("DQ", "SQ"))
-    servesim_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the grid as a deterministic JSON report",
-    )
-    servesim_p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="resume file: finished grid cells are skipped on rerun",
-    )
-    servesim_p.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
         help=(
             "share a simulated chunk cache of this capacity across the "
@@ -293,11 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "robustness metrics per (placement, shards, fault rate) cell"
         ),
     )
-    shardsim_p.add_argument("--scale", default="test")
-    shardsim_p.add_argument(
-        "--seed", type=int, default=servesim.DEFAULT_SEED,
-        help="root seed (same seed => byte-identical report)",
-    )
+    # BAG on purpose: its skewed chunks are where placement matters.
+    _add_sweep_arguments(shardsim_p, family="BAG")
     shardsim_p.add_argument(
         "--placements", default=None,
         help=(
@@ -334,21 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "hedge delay as a multiple of the expected per-shard "
             "sub-request time (0 disables hedging)"
         ),
-    )
-    shardsim_p.add_argument(
-        "--family", default="BAG", choices=("SR", "BAG"),
-        help="chunk-forming family to shard (BAG is skewed on purpose)",
-    )
-    shardsim_p.add_argument("--size-class", default="SMALL",
-                            choices=("SMALL", "MEDIUM", "LARGE"))
-    shardsim_p.add_argument("--workload", default="DQ", choices=("DQ", "SQ"))
-    shardsim_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the grid as a deterministic JSON report",
-    )
-    shardsim_p.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="resume file: finished grid cells are skipped on rerun",
     )
 
     ingestsim_p = sub.add_parser(
@@ -434,18 +410,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.experiment_id == "all"
         else [args.experiment_id]
     )
-    #: Paper axes: Figure 1 is log-y; Figures 6-7 are log-x.
-    log_axes = {"fig1": (False, True), "fig6": (True, False), "fig7": (True, False)}
     for experiment_id in ids:
         result = EXPERIMENT_RUNNERS[experiment_id](data)
         print(result.render())
         print()
-        if getattr(args, "plot", False) and hasattr(result, "series"):
-            from .experiments.ascii_plot import plot_figure
-
-            log_x, log_y = log_axes.get(experiment_id, (False, False))
-            print(plot_figure(result, log_x=log_x, log_y=log_y))
-            print()
         if args.export_dir:
             import os
 
@@ -672,50 +640,28 @@ def _cmd_image_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_faultsim(args: argparse.Namespace) -> int:
-    import json
-
     scale = get_scale(args.scale)
-    if args.rates is None:
-        rates = list(faultsim.DEFAULT_RATES)
-    else:
-        try:
-            rates = [float(token) for token in args.rates.split(",") if token.strip()]
-        except ValueError:
-            raise CliError(f"--rates must be comma-separated numbers, got {args.rates!r}")
-        if not rates:
-            raise CliError("--rates must name at least one fault rate")
-        if any(r < 0.0 or r > 0.5 for r in rates):
-            raise CliError("fault rates must lie in [0, 0.5]")
+    rates = _parse_grid(args.rates, "--rates", faultsim.DEFAULT_RATES, upper=0.5)
     data = prepare(scale)
-    result = faultsim.sweep(
-        data,
+    sweep_args = dict(
         family=args.family,
         size_class=args.size_class,
         workload_name=args.workload,
         rates=rates,
         seed=args.seed,
-        checkpoint_path=args.checkpoint,
     )
+    result = faultsim.sweep(data, checkpoint_path=args.checkpoint, **sweep_args)
     print(result.render())
     if args.json:
-        payload = faultsim.report(
-            data,
-            family=args.family,
-            size_class=args.size_class,
-            workload_name=args.workload,
-            rates=rates,
-            seed=args.seed,
-            figure=result,
-        )
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote JSON report to {args.json}")
+        _write_json(faultsim.report(data, figure=result, **sweep_args), args.json)
     return 0
 
 
-def _parse_grid(text, name, upper=None):
-    """Comma-separated floats from a CLI flag, with range checking."""
+def _parse_grid(text, name, default, upper=None):
+    """Comma-separated floats from a CLI flag, with range checking;
+    the built-in ``default`` grid when the flag was not given."""
+    if text is None:
+        return list(default)
     try:
         values = [float(token) for token in text.split(",") if token.strip()]
     except ValueError:
@@ -729,19 +675,13 @@ def _parse_grid(text, name, upper=None):
 
 
 def _cmd_servesim(args: argparse.Namespace) -> int:
-    import json
-
     scale = get_scale(args.scale)
-    if args.loads is None:
-        loads = list(servesim.DEFAULT_LOAD_FACTORS)
-    else:
-        loads = _parse_grid(args.loads, "--loads")
-        if any(not load > 0.0 for load in loads):
-            raise CliError("--loads values must be positive")
-    if args.fault_rates is None:
-        fault_rates = list(servesim.DEFAULT_FAULT_RATES)
-    else:
-        fault_rates = _parse_grid(args.fault_rates, "--fault-rates", upper=0.5)
+    loads = _parse_grid(args.loads, "--loads", servesim.DEFAULT_LOAD_FACTORS)
+    if any(not load > 0.0 for load in loads):
+        raise CliError("--loads values must be positive")
+    fault_rates = _parse_grid(
+        args.fault_rates, "--fault-rates", servesim.DEFAULT_FAULT_RATES, upper=0.5
+    )
     if args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     if args.cache_mb is not None and not args.cache_mb > 0.0:
@@ -761,16 +701,11 @@ def _cmd_servesim(args: argparse.Namespace) -> int:
     )
     print(result.render())
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.to_report(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote JSON report to {args.json}")
+        _write_json(result.to_report(), args.json)
     return 0
 
 
 def _cmd_shardsim(args: argparse.Namespace) -> int:
-    import json
-
     scale = get_scale(args.scale)
     if args.placements is None:
         placements = list(shardsim.DEFAULT_PLACEMENTS)
@@ -782,18 +717,17 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
         ]
         if not placements:
             raise CliError("--placements must name at least one strategy")
-    if args.shards is None:
-        shard_counts = list(shardsim.DEFAULT_SHARD_COUNTS)
-    else:
-        shard_counts = [
-            int(count) for count in _parse_grid(args.shards, "--shards")
-        ]
-        if any(count < 1 for count in shard_counts):
-            raise CliError("--shards values must be at least 1")
-    if args.fault_rates is None:
-        fault_rates = list(shardsim.DEFAULT_FAULT_RATES)
-    else:
-        fault_rates = _parse_grid(args.fault_rates, "--fault-rates", upper=0.5)
+    shard_counts = [
+        int(count)
+        for count in _parse_grid(
+            args.shards, "--shards", shardsim.DEFAULT_SHARD_COUNTS
+        )
+    ]
+    if any(count < 1 for count in shard_counts):
+        raise CliError("--shards values must be at least 1")
+    fault_rates = _parse_grid(
+        args.fault_rates, "--fault-rates", shardsim.DEFAULT_FAULT_RATES, upper=0.5
+    )
     if not args.load > 0.0:
         raise CliError(f"--load must be positive, got {args.load}")
     if args.replicas < 1:
@@ -807,36 +741,29 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
             f"--hedge-factor cannot be negative, got {args.hedge_factor}"
         )
     data = prepare(scale)
-    try:
-        result = shardsim.sweep(
-            data,
-            family=args.family,
-            size_class=args.size_class,
-            workload_name=args.workload,
-            placements=placements,
-            shard_counts=shard_counts,
-            fault_rates=fault_rates,
-            load_factor=args.load,
-            n_replicas=args.replicas,
-            workers_per_shard=args.workers_per_shard,
-            hedge_factor=args.hedge_factor,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = shardsim.sweep(
+        data,
+        family=args.family,
+        size_class=args.size_class,
+        workload_name=args.workload,
+        placements=placements,
+        shard_counts=shard_counts,
+        fault_rates=fault_rates,
+        load_factor=args.load,
+        n_replicas=args.replicas,
+        workers_per_shard=args.workers_per_shard,
+        hedge_factor=args.hedge_factor,
+        seed=args.seed,
+        checkpoint_path=args.checkpoint,
+    )
     print(result.render())
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.to_report(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote JSON report to {args.json}")
+        _write_json(result.to_report(), args.json)
     return 0
 
 
 def _cmd_ingestsim(args: argparse.Namespace) -> int:
     import dataclasses
-    import json
     import shutil
     import tempfile
 
@@ -909,10 +836,7 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
             )
             failed = not report["final_verify_ok"]
         if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(report, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-            print(f"wrote JSON report to {args.json}")
+            _write_json(report, args.json)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -922,8 +846,6 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_index(args: argparse.Namespace) -> int:
-    import json
-
     from .core.ingest import verify_streaming_index
 
     report = verify_streaming_index(args.directory)
@@ -937,10 +859,7 @@ def _cmd_verify_index(args: argparse.Namespace) -> int:
             f"replayed batches, {report['torn_bytes']} torn WAL bytes"
         )
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote JSON report to {args.json}")
+        _write_json(report, args.json)
     if not report["ok"]:
         raise CliError(f"index verification failed for {args.directory}")
     return 0

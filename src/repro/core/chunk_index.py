@@ -94,11 +94,6 @@ class OnDiskChunkStore:
     def __len__(self) -> int:
         return len(self._extents)
 
-    @property
-    def has_checksums(self) -> bool:
-        """True when the backing chunk file carries a CRC32 table (v2)."""
-        return self._reader.has_checksums
-
     def read_chunk(self, chunk_id: int) -> Tuple[np.ndarray, np.ndarray]:
         return self._reader.read_chunk(self._extents[chunk_id])
 

@@ -27,7 +27,7 @@ from .chunk_size_sweep import run_fig6, run_fig7
 from .config import DEFAULT_SCALE, SIZE_CLASSES, TEST_SCALE, ExperimentScale, get_scale
 from .data import BuiltIndex, ExperimentData, clear_cache, prepare
 from .quality_figures import run_fig2, run_fig3, run_fig4, run_fig5
-from .results import FigureResult, TableResult
+from .results import FigureResult, GridResult, TableResult
 
 __all__ = [
     "ablations",
@@ -56,5 +56,6 @@ __all__ = [
     "clear_cache",
     "prepare",
     "FigureResult",
+    "GridResult",
     "TableResult",
 ]

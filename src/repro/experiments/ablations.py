@@ -81,15 +81,13 @@ def _completion_traces_with(
 ):
     """Fresh completion traces under a non-default cost model or ranking."""
     built = data.built(family, size_class)
-    truth = data.ground_truth(size_class, workload_name)
-    workload = data.workloads[workload_name]
     searcher = ChunkSearcher(
         built.index, cost_model=cost_model, rank_by=rank_by
     )
     batch = searcher.search_batch(
-        workload.queries,
+        data.workloads[workload_name].queries,
         k=data.scale.k,
-        true_neighbor_ids=[truth.get(i) for i in range(len(workload))],
+        true_neighbor_ids=data.truth_lists(size_class, workload_name),
     )
     return batch.traces()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from ..storage.atomic import atomic_output
 
@@ -40,7 +40,11 @@ class SweepCheckpoint:
     Parameters
     ----------
     path:
-        Checkpoint file location (created on the first :meth:`put`).
+        Checkpoint file location (created on the first :meth:`put`), or
+        ``None`` for an in-memory checkpoint: nothing is read or
+        written, but values still take the same JSON round-trip, so a
+        sweep run without a resume file computes with exactly the
+        numbers a resumed one would read back.
     meta:
         JSON-serializable identity of the sweep — everything that
         determines its output (experiment name, scale, index, workload,
@@ -48,14 +52,14 @@ class SweepCheckpoint:
         ignored, not merged.
     """
 
-    def __init__(self, path: PathLike, meta: Dict[str, object]):
-        self.path = os.fspath(path)
+    def __init__(self, path: Optional[PathLike], meta: Dict[str, object]):
+        self.path = None if path is None else os.fspath(path)
         # Round-trip the meta through JSON so comparison happens in the
         # serialized domain (tuples become lists, ints stay ints).
         self.meta: Dict[str, object] = json.loads(json.dumps(meta, sort_keys=True))
         self._points: Dict[str, object] = {}
         self.resumed_points = 0
-        if os.path.exists(self.path):
+        if self.path is not None and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as stream:
                 stored = json.load(stream)
             if (
@@ -84,6 +88,8 @@ class SweepCheckpoint:
         would read back.
         """
         self._points[key] = json.loads(json.dumps(value))
+        if self.path is None:
+            return
         payload = {
             "format": _FORMAT,
             "meta": self.meta,
@@ -92,3 +98,10 @@ class SweepCheckpoint:
         encoded = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
         with atomic_output(self.path) as stream:
             stream.write(encoded)
+
+    def point(self, key: str, compute: Callable[[], object]) -> object:
+        """The value stored under ``key``, computing and storing it first
+        when absent — the one resume step every sweep driver takes."""
+        if key not in self._points:
+            self.put(key, compute())
+        return self._points[key]

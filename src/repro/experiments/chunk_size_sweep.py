@@ -53,13 +53,12 @@ def sweep_traces(
             chunking.retained, chunking.chunk_set, name=f"SR/leaf={leaf_capacity}"
         )
         searcher = ChunkSearcher(index, cost_model=data.scale.cost_model)
-        truth = data.ground_truth("SMALL", workload_name)
         workload = data.workloads[workload_name]
         n_sweep = data.scale.n_queries_sweep
         batch = searcher.search_batch(
             workload.queries[:n_sweep],
             k=data.scale.k,
-            true_neighbor_ids=[truth.get(i) for i in range(n_sweep)],
+            true_neighbor_ids=data.truth_lists("SMALL", workload_name)[:n_sweep],
         )
         cache[key] = batch.traces()
     return cache[key]
@@ -80,37 +79,33 @@ def _sweep_figure(
     def label(t: int) -> str:
         return "1 neighbor" if t == 1 else f"{t} neighbors"
 
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            meta={
-                "experiment": experiment_id,
-                "scale": data.scale.name,
-                "workload": workload_name,
-                "k": int(data.scale.k),
-                "n_queries_sweep": int(data.scale.n_queries_sweep),
-                "ladder": [int(leaf) for leaf in ladder],
-            },
-        )
+    checkpoint = SweepCheckpoint(
+        checkpoint_path,
+        meta={
+            "experiment": experiment_id,
+            "scale": data.scale.name,
+            "workload": workload_name,
+            "k": int(data.scale.k),
+            "n_queries_sweep": int(data.scale.n_queries_sweep),
+            "ladder": [int(leaf) for leaf in ladder],
+        },
+    )
+
+    def mean_times(leaf: int) -> Dict[str, float]:
+        # Build-index + run-workload: the expensive, resumable granule.
+        traces = sweep_traces(data, leaf, workload_name)
+        return {
+            label(target): sum(
+                trace.time_to_find(target) for trace in traces
+            ) / len(traces)
+            for target in targets
+        }
+
     series: Dict[str, List[float]] = {label(t): [] for t in targets}
     for leaf in ladder:
-        key = f"leaf={int(leaf)}"
-        point = checkpoint.get(key) if checkpoint is not None else None
-        if point is None:
-            # Build-index + run-workload: the expensive, resumable granule.
-            traces = sweep_traces(data, leaf, workload_name)
-            point = {
-                label(target): sum(
-                    trace.time_to_find(target) for trace in traces
-                ) / len(traces)
-                for target in targets
-            }
-            if checkpoint is not None:
-                checkpoint.put(key, point)
-                point = checkpoint.get(key)
+        point = checkpoint.point(f"leaf={int(leaf)}", lambda: mean_times(leaf))
         for target in targets:
-            series[label(target)].append(float(point[label(target)]))  # type: ignore[index,call-overload]
+            series[label(target)].append(float(point[label(target)]))  # type: ignore[index]
     return FigureResult(
         experiment_id=experiment_id,
         title=(

@@ -20,7 +20,7 @@ derives every metric from the per-chunk logs).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..chunking.bag import BagClusterer, estimate_mpi
 from ..chunking.base import ChunkingResult
@@ -86,6 +86,14 @@ class ExperimentData:
     def ground_truth(self, size_class: str, workload_name: str) -> GroundTruthStore:
         return self.ground_truths[(size_class, workload_name)]
 
+    def truth_lists(
+        self, size_class: str, workload_name: str
+    ) -> List[Optional[Sequence[int]]]:
+        """Per-query true-neighbor ids in workload order — the form the
+        search engine and both services take as ``true_neighbor_ids``."""
+        truth = self.ground_truth(size_class, workload_name)
+        return [truth.get(i) for i in range(len(self.workloads[workload_name]))]
+
     # -- traces ----------------------------------------------------------------
 
     def completion_traces(
@@ -101,15 +109,13 @@ class ExperimentData:
         key = (family, size_class, workload_name)
         if key not in self._trace_cache:
             built = self.built(family, size_class)
-            workload = self.workloads[workload_name]
-            truth = self.ground_truth(size_class, workload_name)
             searcher = ChunkSearcher(
                 built.index, cost_model=self.scale.cost_model
             )
             batch = searcher.search_batch(
-                workload.queries,
+                self.workloads[workload_name].queries,
                 k=self.scale.k,
-                true_neighbor_ids=[truth.get(i) for i in range(len(workload))],
+                true_neighbor_ids=self.truth_lists(size_class, workload_name),
             )
             self._trace_cache[key] = batch.traces()
         return self._trace_cache[key]

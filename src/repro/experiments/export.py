@@ -7,8 +7,8 @@ result flavors are supported:
 * :class:`~repro.experiments.results.TableResult` — one CSV/JSON table;
 * :class:`~repro.experiments.results.FigureResult` — long-form rows
   ``(x, series, value)`` so any plotting library can pivot them;
-* :class:`~repro.experiments.servesim.ServesimResult` — one row per
-  ``(fault rate, load)`` grid cell, or the full deterministic report.
+* :class:`~repro.experiments.results.GridResult` — one row per grid
+  cell, or the full deterministic report.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import io
 import json
 from typing import Union
 
-from .results import FigureResult, TableResult
-from .servesim import ServesimResult
+from .results import FigureResult, GridResult, TableResult
 
 __all__ = ["to_csv", "to_json", "write_result"]
 
-Result = Union[TableResult, FigureResult, ServesimResult]
+Result = Union[TableResult, FigureResult, GridResult]
 
 
 def _figure_rows(result: FigureResult):
@@ -42,7 +41,7 @@ def to_csv(result: Result) -> str:
     elif isinstance(result, FigureResult):
         writer.writerow([result.x_label, "series", "value"])
         writer.writerows(_figure_rows(result))
-    elif isinstance(result, ServesimResult):
+    elif isinstance(result, GridResult):
         headers = list(result.rows[0]) if result.rows else []
         writer.writerow(headers)
         writer.writerows([row[h] for h in headers] for row in result.rows)
@@ -70,7 +69,7 @@ def to_json(result: Result) -> str:
             "x_values": list(result.x_values),
             "series": {name: list(values) for name, values in result.series.items()},
         }
-    elif isinstance(result, ServesimResult):
+    elif isinstance(result, GridResult):
         payload = dict(result.to_report(), kind="service-grid")
     else:
         raise TypeError(f"cannot export {type(result).__name__}")

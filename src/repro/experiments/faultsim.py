@@ -53,6 +53,27 @@ _SERIES_NAMES = (
 )
 
 
+def _identity(
+    data: ExperimentData,
+    family: str,
+    size_class: str,
+    workload_name: str,
+    seed: int,
+) -> Dict[str, object]:
+    """What determines a sweep's curves: the checkpoint's validity key
+    and the report's self-description."""
+    return {
+        "experiment": "faultsim",
+        "scale": data.scale.name,
+        "family": family,
+        "size_class": size_class,
+        "workload": workload_name,
+        "seed": int(seed),
+        "k": int(data.scale.k),
+        "n_queries": len(data.workloads[workload_name]),
+    }
+
+
 def sweep(
     data: ExperimentData,
     family: str = "SR",
@@ -71,59 +92,44 @@ def sweep(
     """
     if not rates:
         raise ValueError("need at least one fault rate")
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            meta={
-                "experiment": "faultsim",
-                "scale": data.scale.name,
-                "family": family,
-                "size_class": size_class,
-                "workload": workload_name,
-                "seed": int(seed),
-                "k": int(data.scale.k),
-                "n_queries": len(data.workloads[workload_name]),
-            },
-        )
+    checkpoint = SweepCheckpoint(
+        checkpoint_path,
+        meta=_identity(data, family, size_class, workload_name, seed),
+    )
     built = data.built(family, size_class)
     workload = data.workloads[workload_name]
-    truth = data.ground_truth(size_class, workload_name)
-    truth_lists: List[Optional[Sequence[int]]] = [
-        truth.get(i) for i in range(len(workload))
-    ]
+    truth_lists = data.truth_lists(size_class, workload_name)
     searcher = ChunkSearcher(built.index, cost_model=data.scale.cost_model)
+
+    def run_rate(rate: float) -> Dict[str, float]:
+        plan = FaultPlan.balanced(rate, seed=seed)
+        faults = FaultInjector.from_cost_model(plan, data.scale.cost_model)
+        batch = searcher.search_batch(
+            workload.queries,
+            k=data.scale.k,
+            true_neighbor_ids=truth_lists,
+            faults=faults,
+        )
+        recalls = [
+            precision_at_k(result.neighbor_ids(), truth_ids)
+            for result, truth_ids in zip(batch, truth_lists)
+        ]
+        stats = robustness_stats(batch.traces())
+        return {
+            "recall": sum(recalls) / len(recalls),
+            "coverage": stats.mean_coverage,
+            "degraded_fraction": stats.degraded_fraction,
+            "chunks_skipped": stats.mean_chunks_skipped,
+            "elapsed_ms": stats.mean_elapsed_s * 1000.0,
+        }
 
     series: Dict[str, List[float]] = {name: [] for name in _SERIES_NAMES}
     for rate in rates:
-        key = f"rate={float(rate):g}"
-        point = checkpoint.get(key) if checkpoint is not None else None
-        if point is None:
-            plan = FaultPlan.balanced(float(rate), seed=seed)
-            faults = FaultInjector.from_cost_model(plan, data.scale.cost_model)
-            batch = searcher.search_batch(
-                workload.queries,
-                k=data.scale.k,
-                true_neighbor_ids=truth_lists,
-                faults=faults,
-            )
-            recalls = [
-                precision_at_k(result.neighbor_ids(), truth.get(i))
-                for i, result in enumerate(batch)
-            ]
-            stats = robustness_stats(batch.traces())
-            point = {
-                "recall": sum(recalls) / len(recalls),
-                "coverage": stats.mean_coverage,
-                "degraded_fraction": stats.degraded_fraction,
-                "chunks_skipped": stats.mean_chunks_skipped,
-                "elapsed_ms": stats.mean_elapsed_s * 1000.0,
-            }
-            if checkpoint is not None:
-                checkpoint.put(key, point)
-                point = checkpoint.get(key)  # the JSON round-tripped value
+        point = checkpoint.point(
+            f"rate={float(rate):g}", lambda: run_rate(float(rate))
+        )
         for name in _SERIES_NAMES:
-            series[name].append(float(point[name]))  # type: ignore[index,call-overload]
+            series[name].append(float(point[name]))  # type: ignore[index]
 
     return FigureResult(
         experiment_id="faultsim",
@@ -151,7 +157,6 @@ def report(
     rates: Sequence[float] = DEFAULT_RATES,
     seed: int = DEFAULT_SEED,
     figure: Optional[FigureResult] = None,
-    checkpoint_path: Optional[Union[str, os.PathLike]] = None,
 ) -> Dict[str, object]:
     """The sweep as a JSON-ready dict (the determinism-check artefact).
 
@@ -159,19 +164,9 @@ def report(
     (with matching arguments) instead of re-running the sweep.
     """
     if figure is None:
-        figure = sweep(
-            data, family, size_class, workload_name, rates, seed,
-            checkpoint_path=checkpoint_path,
-        )
+        figure = sweep(data, family, size_class, workload_name, rates, seed)
     return {
-        "experiment": "faultsim",
-        "scale": data.scale.name,
-        "family": family,
-        "size_class": size_class,
-        "workload": workload_name,
-        "seed": int(seed),
-        "k": int(data.scale.k),
-        "n_queries": len(data.workloads[workload_name]),
+        **_identity(data, family, size_class, workload_name, seed),
         "fault_rates": figure.x_values,
         "series": figure.series,
     }

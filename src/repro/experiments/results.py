@@ -7,7 +7,7 @@ from typing import Dict, List, Sequence
 
 from .report import format_series_block, format_table
 
-__all__ = ["FigureResult", "TableResult"]
+__all__ = ["FigureResult", "GridResult", "TableResult"]
 
 
 @dataclasses.dataclass
@@ -60,3 +60,39 @@ class TableResult:
             title=f"[{self.experiment_id}] {self.title}",
             precision=self.precision,
         )
+
+
+@dataclasses.dataclass
+class GridResult:
+    """A sweep grid as data: one row per cell (``servesim``, ``shardsim``).
+
+    ``rows[i]`` holds one grid cell: its coordinates plus its metrics.
+    ``columns`` maps each rendered table header to the row key it shows,
+    in table order.  ``meta`` pins the calibration every cell shares, so
+    a report is self-describing; ``footer`` is that calibration as the
+    line printed under the table.
+    """
+
+    experiment_id: str
+    title: str
+    meta: Dict[str, object]
+    rows: List[Dict[str, object]]
+    columns: Dict[str, str]
+    footer: str
+
+    def render(self) -> str:
+        table = format_table(
+            list(self.columns),
+            [[row[key] for key in self.columns.values()] for row in self.rows],
+            title=f"[{self.experiment_id}] {self.title}",
+            precision=3,
+        )
+        return f"{table}\n{self.footer}"
+
+    def to_report(self) -> Dict[str, object]:
+        """Deterministic JSON-ready dict (the CI smoke artefact)."""
+        return {
+            "experiment": self.experiment_id,
+            "meta": self.meta,
+            "rows": self.rows,
+        }

@@ -32,12 +32,12 @@ from ..service import QueryService, ServiceConfig
 from ..simio.chunk_cache import LruChunkCache
 from .checkpoint import SweepCheckpoint
 from .data import ExperimentData
-from .report import format_table
+from .results import GridResult
 
 __all__ = [
     "run",
     "sweep",
-    "ServesimResult",
+    "mean_exact_completion_s",
     "DEFAULT_LOAD_FACTORS",
     "DEFAULT_FAULT_RATES",
     "DEFAULT_SEED",
@@ -79,56 +79,11 @@ _COLUMNS = (
 )
 
 
-@dataclasses.dataclass
-class ServesimResult:
-    """The grid of service runs, as data.
-
-    ``rows[i]`` holds one ``(fault_rate, load_factor)`` cell: the cell
-    coordinates plus the :data:`_COLUMNS` metrics.  ``meta`` pins the
-    calibration (mean service time, capacity, deadline, target) shared
-    by every cell.
-    """
-
-    experiment_id: str
-    title: str
-    meta: Dict[str, object]
-    rows: List[Dict[str, object]]
-
-    def render(self) -> str:
-        headers = ["fault_rate", "load"] + list(_COLUMNS)
-        cells = [
-            [row["fault_rate"], row["load_factor"]]
-            + [row[column] for column in _COLUMNS]
-            for row in self.rows
-        ]
-        calibration = (
-            "calibration: mean exact completion "
-            f"{float(self.meta['mean_service_s']) * 1000.0:.2f} ms, "
-            f"capacity {float(self.meta['capacity_qps']):.2f} qps, "
-            f"deadline {float(self.meta['deadline_s']) * 1000.0:.2f} ms, "
-            f"p99 target {float(self.meta['target_p99_s']) * 1000.0:.2f} ms"
-        )
-        table = format_table(
-            headers,
-            cells,
-            title=f"[{self.experiment_id}] {self.title}",
-            precision=3,
-        )
-        return f"{table}\n{calibration}"
-
-    def to_report(self) -> Dict[str, object]:
-        """Deterministic JSON-ready dict (the CI smoke artefact)."""
-        return {
-            "experiment": self.experiment_id,
-            "meta": self.meta,
-            "rows": self.rows,
-        }
-
-
-def _calibrate(
+def mean_exact_completion_s(
     searcher: ChunkSearcher, data: ExperimentData, workload_name: str
 ) -> float:
-    """Mean exact (fault-free) completion seconds over the workload."""
+    """Mean exact (fault-free) completion seconds over the workload: the
+    calibration ``T`` this sweep and the sharded one scale everything by."""
     batch = searcher.search_batch(
         data.workloads[workload_name].queries, k=data.scale.k
     )
@@ -146,7 +101,7 @@ def sweep(
     n_workers: int = 4,
     checkpoint_path: Optional[Union[str, os.PathLike]] = None,
     cache_mb: Optional[float] = None,
-) -> ServesimResult:
+) -> GridResult:
     """Run the service grid; one cell per ``(fault rate, load factor)``.
 
     ``checkpoint_path`` enables point-by-point resume exactly as in the
@@ -166,29 +121,23 @@ def sweep(
         raise ValueError("load factors must be positive")
     if cache_mb is not None and not cache_mb > 0.0:
         raise ValueError("cache size must be positive megabytes (or None)")
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            meta={
-                "experiment": "servesim",
-                "scale": data.scale.name,
-                "family": family,
-                "size_class": size_class,
-                "workload": workload_name,
-                "seed": int(seed),
-                "k": int(data.scale.k),
-                "n_workers": int(n_workers),
-                "n_queries": len(data.workloads[workload_name]),
-                "cache_mb": float(cache_mb) if cache_mb is not None else None,
-            },
-        )
+    identity: Dict[str, object] = {
+        "scale": data.scale.name,
+        "family": family,
+        "size_class": size_class,
+        "workload": workload_name,
+        "seed": int(seed),
+        "k": int(data.scale.k),
+        "n_workers": int(n_workers),
+        "n_queries": len(data.workloads[workload_name]),
+        "cache_mb": float(cache_mb) if cache_mb is not None else None,
+    }
+    checkpoint = SweepCheckpoint(
+        checkpoint_path, meta={"experiment": "servesim", **identity}
+    )
     built = data.built(family, size_class)
     workload = data.workloads[workload_name]
-    truth = data.ground_truth(size_class, workload_name)
-    truth_lists: List[Optional[Sequence[int]]] = [
-        truth.get(i) for i in range(len(workload))
-    ]
+    truth_lists = data.truth_lists(size_class, workload_name)
 
     def fresh_searcher() -> "Tuple[ChunkSearcher, Optional[LruChunkCache]]":
         """A searcher over the built index; with ``cache_mb`` set it gets
@@ -208,106 +157,108 @@ def sweep(
 
     searcher, _ = fresh_searcher()
 
-    baseline = checkpoint.get("baseline") if checkpoint is not None else None
-    if baseline is None:
-        baseline = _calibrate(searcher, data, workload_name)
-        if checkpoint is not None:
-            checkpoint.put("baseline", baseline)
-            baseline = checkpoint.get("baseline")
-    mean_service_s = float(baseline)  # type: ignore[arg-type]
+    mean_service_s = float(
+        checkpoint.point(  # type: ignore[arg-type]
+            "baseline",
+            lambda: mean_exact_completion_s(searcher, data, workload_name),
+        )
+    )
     capacity_qps = n_workers / mean_service_s
     deadline_s = DEADLINE_FACTOR * mean_service_s
     target_p99_s = TARGET_FACTOR * mean_service_s
 
+    def run_cell(fault_rate: float, load: float) -> Dict[str, object]:
+        config = ServiceConfig(
+            n_workers=n_workers,
+            deadline_s=deadline_s,
+            target_p99_s=target_p99_s,
+            arrival_rate_qps=load * capacity_qps,
+            seed=seed,
+            k=data.scale.k,
+            initial_service_estimate_s=mean_service_s,
+            # Admit only what is predicted to finish within the
+            # *target*, not the deadline — aligning the admission
+            # horizon with the controller's goal.
+            shed_slack=TARGET_FACTOR / DEADLINE_FACTOR,
+        )
+        faults = None
+        if fault_rate > 0.0:
+            plan = FaultPlan.balanced(fault_rate, seed=seed)
+            faults = FaultInjector.from_cost_model(plan, data.scale.cost_model)
+        # A fresh cache per cell: the cell's result must be a pure
+        # function of its coordinates, not of which cells (or the
+        # calibration run) happened to execute before it — that is
+        # what keeps checkpoint resume byte-identical.
+        cell_searcher, cell_cache = (
+            (searcher, None) if cache_mb is None else fresh_searcher()
+        )
+        service = QueryService(
+            cell_searcher, config, faults=faults,
+            true_neighbor_ids=truth_lists,
+        )
+        result = service.run(workload.queries)
+        stats = result.stats
+        cell: Dict[str, object] = {
+            "fault_rate": fault_rate,
+            "load_factor": load,
+            "p50_ms": stats.p50_s * 1000.0,
+            "p95_ms": stats.p95_s * 1000.0,
+            "p99_ms": stats.p99_s * 1000.0,
+            "shed_fraction": stats.shed_fraction,
+            "deadline_fraction": stats.deadline_fraction,
+            "degraded_fraction": stats.degraded_fraction,
+            "ok_fraction": stats.ok_fraction,
+            "mean_recall": stats.mean_recall,
+            "final_budget": result.final_budget,
+            "breaker_opens": result.breaker_opens,
+            "breaker_half_opens": result.breaker_transitions["half_opened"],
+            "breaker_closes": result.breaker_transitions["closed"],
+            "utilization": result.utilization,
+        }
+        if cell_cache is not None:
+            cell["cache_hit_rate"] = cell_cache.hit_rate
+        return cell
+
     rows: List[Dict[str, object]] = []
     for fault_rate in fault_rates:
         for load in load_factors:
-            key = f"fault={float(fault_rate):g}/load={float(load):g}"
-            cell = checkpoint.get(key) if checkpoint is not None else None
-            if cell is None:
-                config = ServiceConfig(
-                    n_workers=n_workers,
-                    deadline_s=deadline_s,
-                    target_p99_s=target_p99_s,
-                    arrival_rate_qps=float(load) * capacity_qps,
-                    seed=seed,
-                    k=data.scale.k,
-                    initial_service_estimate_s=mean_service_s,
-                    # Admit only what is predicted to finish within the
-                    # *target*, not the deadline — aligning the admission
-                    # horizon with the controller's goal.
-                    shed_slack=TARGET_FACTOR / DEADLINE_FACTOR,
-                )
-                faults = None
-                if fault_rate > 0.0:
-                    plan = FaultPlan.balanced(float(fault_rate), seed=seed)
-                    faults = FaultInjector.from_cost_model(
-                        plan, data.scale.cost_model
-                    )
-                # A fresh cache per cell: the cell's result must be a pure
-                # function of its coordinates, not of which cells (or the
-                # calibration run) happened to execute before it — that is
-                # what keeps checkpoint resume byte-identical.
-                cell_searcher, cell_cache = (
-                    (searcher, None) if cache_mb is None else fresh_searcher()
-                )
-                service = QueryService(
-                    cell_searcher, config, faults=faults,
-                    true_neighbor_ids=truth_lists,
-                )
-                result = service.run(workload.queries)
-                stats = result.stats
-                cell = {
-                    "fault_rate": float(fault_rate),
-                    "load_factor": float(load),
-                    "p50_ms": stats.p50_s * 1000.0,
-                    "p95_ms": stats.p95_s * 1000.0,
-                    "p99_ms": stats.p99_s * 1000.0,
-                    "shed_fraction": stats.shed_fraction,
-                    "deadline_fraction": stats.deadline_fraction,
-                    "degraded_fraction": stats.degraded_fraction,
-                    "ok_fraction": stats.ok_fraction,
-                    "mean_recall": stats.mean_recall,
-                    "final_budget": result.final_budget,
-                    "breaker_opens": result.breaker_opens,
-                    "breaker_half_opens": result.breaker_transitions["half_opened"],
-                    "breaker_closes": result.breaker_transitions["closed"],
-                    "utilization": result.utilization,
-                }
-                if cell_cache is not None:
-                    cell["cache_hit_rate"] = cell_cache.hit_rate
-                if checkpoint is not None:
-                    checkpoint.put(key, cell)
-                    cell = checkpoint.get(key)
+            cell = checkpoint.point(
+                f"fault={float(fault_rate):g}/load={float(load):g}",
+                lambda: run_cell(float(fault_rate), float(load)),
+            )
             rows.append(dict(cell))  # type: ignore[call-overload]
 
-    return ServesimResult(
+    return GridResult(
         experiment_id="servesim",
         title=(
             f"Service SLOs vs load and fault rate — {family}/{size_class}, "
             f"{workload_name} workload, {n_workers} workers, seed {seed}"
         ),
         meta={
-            "scale": data.scale.name,
-            "family": family,
-            "size_class": size_class,
-            "workload": workload_name,
-            "seed": int(seed),
-            "k": int(data.scale.k),
-            "n_workers": int(n_workers),
-            "n_queries": len(workload),
+            **identity,
             "mean_service_s": mean_service_s,
             "capacity_qps": capacity_qps,
             "deadline_s": deadline_s,
             "target_p99_s": target_p99_s,
             "load_factors": [float(load) for load in load_factors],
             "fault_rates": [float(rate) for rate in fault_rates],
-            "cache_mb": float(cache_mb) if cache_mb is not None else None,
         },
         rows=rows,
+        columns={
+            "fault_rate": "fault_rate",
+            "load": "load_factor",
+            **{column: column for column in _COLUMNS},
+        },
+        footer=(
+            "calibration: mean exact completion "
+            f"{mean_service_s * 1000.0:.2f} ms, "
+            f"capacity {capacity_qps:.2f} qps, "
+            f"deadline {deadline_s * 1000.0:.2f} ms, "
+            f"p99 target {target_p99_s * 1000.0:.2f} ms"
+        ),
     )
 
 
-def run(data: ExperimentData) -> ServesimResult:
+def run(data: ExperimentData) -> GridResult:
     """Default grid (``repro experiment servesim``)."""
     return sweep(data)

@@ -17,10 +17,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["QueryRequest", "RequestRecord", "ServiceConfig"]
+from ..workloads.arrivals import poisson_arrival_times
+
+__all__ = [
+    "QueryRequest",
+    "RequestRecord",
+    "ServiceConfig",
+    "open_loop_requests",
+    "validate_traffic_and_breakers",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,6 +60,69 @@ class QueryRequest:
         return self.deadline_s - now
 
 
+def open_loop_requests(
+    queries: np.ndarray,
+    truth: Optional[Sequence[Optional[Sequence[int]]]],
+    arrival_rate_qps: float,
+    seed: int,
+    deadline_s: float,
+) -> List[QueryRequest]:
+    """The open-loop request stream both services run on.
+
+    ``queries`` is the ``(n, d)`` workload matrix; request ``i`` carries
+    query ``i``, arrives at the seeded Poisson schedule's ``times_s[i]``
+    and must be answered ``deadline_s`` later.  ``truth``, when given,
+    must hold one ground-truth entry per query.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[0] == 0:
+        raise ValueError(
+            f"queries must be a non-empty (n, d) matrix, got {queries.shape}"
+        )
+    if truth is not None and len(truth) != queries.shape[0]:
+        raise ValueError(
+            f"got {len(truth)} ground-truth lists "
+            f"for {queries.shape[0]} queries"
+        )
+    schedule = poisson_arrival_times(queries.shape[0], arrival_rate_qps, seed)
+    return [
+        QueryRequest(
+            index=i,
+            query=queries[i],
+            arrival_s=arrival,
+            deadline_s=arrival + deadline_s,
+        )
+        for i, arrival in enumerate(schedule.times_s.tolist())
+    ]
+
+
+def validate_traffic_and_breakers(
+    deadline_s: float,
+    arrival_rate_qps: float,
+    k: int,
+    breaker_window: int,
+    breaker_failure_threshold: int,
+    breaker_cooldown_s: float,
+    breaker_probe_successes: int,
+) -> None:
+    """The checks :class:`ServiceConfig` and the sharded service's config
+    share: deadline, arrival stream, ``k`` and the breaker state machine."""
+    if deadline_s <= 0 or math.isnan(deadline_s):
+        raise ValueError("deadline must be positive")
+    if not arrival_rate_qps > 0.0:
+        raise ValueError("arrival rate must be positive")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if breaker_window < 1 or breaker_failure_threshold < 1:
+        raise ValueError("breaker window/threshold must be positive")
+    if breaker_failure_threshold > breaker_window:
+        raise ValueError("breaker threshold cannot exceed its window")
+    if breaker_cooldown_s <= 0:
+        raise ValueError("breaker cooldown must be positive")
+    if breaker_probe_successes < 1:
+        raise ValueError("breaker probe successes must be positive")
+
+
 @dataclasses.dataclass(frozen=True)
 class RequestRecord:
     """Everything the service knows about one finished request.
@@ -67,15 +139,16 @@ class RequestRecord:
     outcome: str
     stop_reason: str
     arrival_s: float
-    start_s: float
-    finish_s: float
-    latency_s: float
-    wait_s: float
-    chunk_budget: int
-    chunks_read: int
-    chunks_skipped: int
-    breaker_skips: int
-    recall: float
+    # Everything below defaults to "nothing ran" — a shed request.
+    start_s: float = math.nan
+    finish_s: float = math.nan
+    latency_s: float = math.nan
+    wait_s: float = math.nan
+    chunk_budget: int = 0
+    chunks_read: int = 0
+    chunks_skipped: int = 0
+    breaker_skips: int = 0
+    recall: float = math.nan
     worker: int = -1
 
     @property
@@ -168,17 +241,20 @@ class ServiceConfig:
             raise ValueError("need at least one worker")
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be positive")
-        if self.deadline_s <= 0 or math.isnan(self.deadline_s):
-            raise ValueError("deadline must be positive")
+        validate_traffic_and_breakers(
+            deadline_s=self.deadline_s,
+            arrival_rate_qps=self.arrival_rate_qps,
+            k=self.k,
+            breaker_window=self.breaker_window,
+            breaker_failure_threshold=self.breaker_failure_threshold,
+            breaker_cooldown_s=self.breaker_cooldown_s,
+            breaker_probe_successes=self.breaker_probe_successes,
+        )
         if self.target_p99_s <= 0 or self.target_p99_s > self.deadline_s:
             raise ValueError(
                 "target p99 must be positive and not exceed the deadline "
                 f"(got target {self.target_p99_s}, deadline {self.deadline_s})"
             )
-        if not self.arrival_rate_qps > 0.0:
-            raise ValueError("arrival rate must be positive")
-        if self.k < 1:
-            raise ValueError("k must be positive")
         if self.initial_chunk_budget < 0:
             raise ValueError("initial chunk budget cannot be negative (0 = whole index)")
         if self.min_chunk_budget < 1:
@@ -193,14 +269,6 @@ class ServiceConfig:
             raise ValueError("headroom must lie in (0, 1]")
         if self.region_size < 1:
             raise ValueError("region size must be positive")
-        if self.breaker_window < 1 or self.breaker_failure_threshold < 1:
-            raise ValueError("breaker window/threshold must be positive")
-        if self.breaker_failure_threshold > self.breaker_window:
-            raise ValueError("breaker threshold cannot exceed its window")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker cooldown must be positive")
-        if self.breaker_probe_successes < 1:
-            raise ValueError("breaker probe successes must be positive")
         if not 0.0 < self.service_time_alpha <= 1.0:
             raise ValueError("service-time EWMA gain must lie in (0, 1]")
         if self.shed_slack <= 0:
@@ -211,7 +279,3 @@ class ServiceConfig:
             raise ValueError(
                 "initial service estimate cannot be negative (0 = deadline)"
             )
-
-    def replace(self, **overrides: object) -> "ServiceConfig":
-        """A copy with ``overrides`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]

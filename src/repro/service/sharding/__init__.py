@@ -13,10 +13,9 @@ honest per-query coverage fraction.
 * :mod:`~repro.service.sharding.placement` — chunk cost estimation,
   greedy/split/round-robin/random placement, replica rings, partition
   sub-index construction;
-* :mod:`~repro.service.sharding.nodes` — per-shard worker pools and
-  searchers;
 * :mod:`~repro.service.sharding.coordinator` — the deterministic
-  scatter-gather event loop with breakers, failover and hedging.
+  scatter-gather event loop over per-shard worker pools, with breakers,
+  failover and hedging.
 """
 
 from .config import (
@@ -27,7 +26,6 @@ from .config import (
     ShardServiceConfig,
 )
 from .coordinator import ShardedQueryService, ShardRunResult
-from .nodes import ShardNode, SubAssignment
 from .placement import (
     PLACEMENT_GREEDY,
     PLACEMENT_RANDOM,
@@ -52,8 +50,6 @@ __all__ = [
     "estimate_chunk_costs",
     "plan_placement",
     "build_partition_index",
-    "ShardNode",
-    "SubAssignment",
     "ShardServiceConfig",
     "ShardRequestRecord",
     "SHED_IN_FLIGHT",

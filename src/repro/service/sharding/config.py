@@ -15,6 +15,7 @@ import math
 from typing import List, Tuple
 
 from ...core.neighbors import Neighbor
+from ..request import validate_traffic_and_breakers
 
 __all__ = [
     "ShardServiceConfig",
@@ -88,32 +89,23 @@ class ShardServiceConfig:
     def __post_init__(self) -> None:
         if self.workers_per_shard < 1:
             raise ValueError("need at least one worker per shard")
-        if self.deadline_s <= 0 or math.isnan(self.deadline_s):
-            raise ValueError("deadline must be positive")
-        if not self.arrival_rate_qps > 0.0:
-            raise ValueError("arrival rate must be positive")
+        validate_traffic_and_breakers(
+            deadline_s=self.deadline_s,
+            arrival_rate_qps=self.arrival_rate_qps,
+            k=self.k,
+            breaker_window=self.breaker_window,
+            breaker_failure_threshold=self.breaker_failure_threshold,
+            breaker_cooldown_s=self.breaker_cooldown_s,
+            breaker_probe_successes=self.breaker_probe_successes,
+        )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.k < 1:
-            raise ValueError("k must be positive")
         if self.max_in_flight < 1:
             raise ValueError("in-flight limit must be positive")
         if self.hedge_delay_s < 0.0 or math.isnan(self.hedge_delay_s):
             raise ValueError("hedge delay cannot be negative (0 disables)")
         if not 0.0 <= self.quorum_coverage <= 1.0:
             raise ValueError("quorum coverage must lie in [0, 1]")
-        if self.breaker_window < 1 or self.breaker_failure_threshold < 1:
-            raise ValueError("breaker window/threshold must be positive")
-        if self.breaker_failure_threshold > self.breaker_window:
-            raise ValueError("breaker threshold cannot exceed its window")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker cooldown must be positive")
-        if self.breaker_probe_successes < 1:
-            raise ValueError("breaker probe successes must be positive")
-
-    def replace(self, **overrides: object) -> "ShardServiceConfig":
-        """A copy with ``overrides`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,17 +124,18 @@ class ShardRequestRecord:
     outcome: str
     stop_reason: str
     arrival_s: float
-    finish_s: float
-    latency_s: float
-    coverage_fraction: float
-    neighbors: Tuple[Neighbor, ...]
-    n_partitions: int
-    n_lost_partitions: int
-    n_failovers: int
-    n_hedges: int
-    n_hedge_wins: int
-    n_breaker_skips: int
-    recall: float
+    # Everything below defaults to "no scatter ran" — a shed query.
+    finish_s: float = math.nan
+    latency_s: float = math.nan
+    coverage_fraction: float = 0.0
+    neighbors: Tuple[Neighbor, ...] = ()
+    n_partitions: int = 0
+    n_lost_partitions: int = 0
+    n_failovers: int = 0
+    n_hedges: int = 0
+    n_hedge_wins: int = 0
+    n_breaker_skips: int = 0
+    recall: float = math.nan
 
     @property
     def served(self) -> bool:

@@ -2,9 +2,10 @@
 
 One coordinator fans each arriving query out to every partition of a
 :class:`~repro.service.sharding.placement.PlacementPlan`, executes the
-per-partition searches on simulated :class:`ShardNode` worker pools
-under the query's propagated deadline, and merges the per-shard top-k
-exactly.  The robustness core:
+per-partition searches on one simulated
+:class:`~repro.simio.queueing.WorkerPool` per shard under the query's
+propagated deadline, and merges the per-shard top-k exactly.  The
+robustness core:
 
 * **Per-shard circuit breakers** — one
   :class:`~repro.service.breaker.RegionBreaker` region per shard; a
@@ -38,6 +39,19 @@ lower bound is infinite, so a full neighbor set proves completion) and
 ``k`` neighbors.  Hence with no faults and hedging disabled the sharded
 answer is indistinguishable from the single-node searcher's.
 
+Event loop
+----------
+The same :class:`~repro.simio.queueing.EventQueue` as the single-node
+service, with a third event kind between its two: sub-request
+**completions**, then **timers** (hedge and deadline), then
+**arrivals**.  Unlike the single node's late-binding FIFO, the
+coordinator binds *early*: a sub-request is placed on its shard's worker
+timeline the moment it is dispatched (it starts when that worker frees
+up, FIFO per shard — Tavenard et al.'s variability argument applies per
+shard, and the scatter-gather tail is the max over these queues), its
+stop rule is fixed from the deadline remaining at that *estimated* start,
+and load is shed by ``max_in_flight``, not by queue length.
+
 Everything runs on the simulated clock; a run is a pure function of
 ``(index, placement, config, shard fault plan)``.
 """
@@ -45,7 +59,6 @@ Everything runs on the simulated clock; a run is a pure function of
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,10 +78,16 @@ from ...core.search import ChunkSearcher, SearchResult
 from ...faults.shard_plan import SHARD_OK, ShardFaultPlan
 from ...simio.calibration import PAPER_2005_COST_MODEL
 from ...simio.pipeline import CostModel
-from ...workloads.arrivals import poisson_arrival_times
+from ...simio.queueing import (
+    EVT_ARRIVAL,
+    EVT_COMPLETION,
+    EVT_TIMER,
+    EventQueue,
+    WorkerPool,
+)
 from ..breaker import BreakerBoard
 from ..deadline import propagated_stop_rule
-from ..request import QueryRequest
+from ..request import QueryRequest, open_loop_requests
 from ...core.chunk_index import ChunkIndex
 from .config import (
     SHED_IN_FLIGHT,
@@ -77,25 +96,21 @@ from .config import (
     ShardRequestRecord,
     ShardServiceConfig,
 )
-from .nodes import ShardNode, SubAssignment
 from .placement import Partition, PlacementPlan, build_partition_index
 
 __all__ = ["ShardedQueryService", "ShardRunResult"]
 
-# Event priorities: completions free capacity and resolve subtasks
-# before timers consult them; arrivals see a settled cluster.
-_EVT_COMPLETION = 0
-_EVT_TIMER = 1
-_EVT_ARRIVAL = 2
-
 
 @dataclasses.dataclass
 class _Attempt:
-    """One dispatched copy of a sub-request."""
+    """One dispatched copy of a sub-request, with the ``(worker, start,
+    finish)`` its shard's pool assigned it; ``result`` stays ``None``
+    for an attempt that fails (injected error or outage)."""
 
     shard_id: int
-    assignment: SubAssignment
-    failed: bool
+    worker: int
+    start_s: float
+    finish_s: float
     is_hedge: bool
     result: Optional[SearchResult] = None
     cancelled: bool = False
@@ -133,17 +148,13 @@ class _QueryState:
 
 
 @dataclasses.dataclass(frozen=True)
-class _SubCompletion:
+class _AttemptEvent:
+    """Names one attempt: its completion (``EVT_COMPLETION``) or the
+    hedge timer armed when it was dispatched (``EVT_TIMER``)."""
+
     query_index: int
     partition_id: int
-    token: int
-
-
-@dataclasses.dataclass(frozen=True)
-class _HedgeTimer:
-    query_index: int
-    partition_id: int
-    token: int
+    attempt_no: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +162,7 @@ class _DeadlineTimer:
     query_index: int
 
 
-_Payload = Union[QueryRequest, _SubCompletion, _HedgeTimer, _DeadlineTimer]
+_Payload = Union[QueryRequest, _AttemptEvent, _DeadlineTimer]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,24 +285,20 @@ class ShardedQueryService:
             )
             for partition in plan.partitions
         }
-        self.nodes: List[ShardNode] = [
-            ShardNode(shard, config.workers_per_shard)
-            for shard in range(plan.n_shards)
-        ]
         # One sub-index + searcher per partition, shared by its holders:
-        # replicas are bit-identical by construction, so simulating them
-        # as one object changes nothing observable.
-        self._searchers: Dict[int, ChunkSearcher] = {}
-        for partition in plan.partitions:
-            sub_index = build_partition_index(
-                index,
-                partition.chunk_ids,
-                name=f"{index.name}/p{partition.partition_id}",
+        # replicas are bit-identical by construction, so which holder
+        # executes a sub-request changes only the timing, never the answer.
+        self._searchers: Dict[int, ChunkSearcher] = {
+            partition.partition_id: ChunkSearcher(
+                build_partition_index(
+                    index,
+                    partition.chunk_ids,
+                    name=f"{index.name}/p{partition.partition_id}",
+                ),
+                cost_model=cost_model,
             )
-            searcher = ChunkSearcher(sub_index, cost_model=cost_model)
-            self._searchers[partition.partition_id] = searcher
-            for shard in partition.replicas:
-                self.nodes[shard].add_partition(partition.partition_id, searcher)
+            for partition in plan.partitions
+        }
 
     # -- per-request quality -------------------------------------------------
 
@@ -310,52 +317,30 @@ class ShardedQueryService:
 
     def run(self, queries: np.ndarray) -> ShardRunResult:
         """Simulate the whole open-loop run over ``queries``."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[0] == 0:
-            raise ValueError(
-                f"queries must be a non-empty (n, d) matrix, got {queries.shape}"
-            )
-        if self.truth is not None and len(self.truth) != queries.shape[0]:
-            raise ValueError(
-                f"got {len(self.truth)} ground-truth lists "
-                f"for {queries.shape[0]} queries"
-            )
         config = self.config
-        schedule = poisson_arrival_times(
-            queries.shape[0], config.arrival_rate_qps, config.seed
+        faults = self.faults
+        requests = open_loop_requests(
+            queries, self.truth, config.arrival_rate_qps, config.seed,
+            config.deadline_s,
         )
+        n_shards = self.plan.n_shards
         board = BreakerBoard(
-            n_chunks=self.plan.n_shards,
+            n_chunks=n_shards,
             region_size=1,
             window=config.breaker_window,
             failure_threshold=config.breaker_failure_threshold,
             cooldown_s=config.breaker_cooldown_s,
             probe_successes=config.breaker_probe_successes,
         )
-
-        events: List[Tuple[float, int, int]] = []
-        payloads: Dict[int, _Payload] = {}
-        seq = 0
-
-        def push(time_s: float, priority: int, payload: _Payload) -> int:
-            nonlocal seq
-            token = seq
-            heapq.heappush(events, (time_s, priority, token))
-            payloads[token] = payload
-            seq += 1
-            return token
-
+        pools = [WorkerPool(config.workers_per_shard) for _ in range(n_shards)]
+        # Sub-requests that completed successfully / failed, per shard.
+        shard_served = [0] * n_shards
+        shard_failed = [0] * n_shards
+        events: EventQueue[_Payload] = EventQueue()
         states: Dict[int, _QueryState] = {}
-        records: List[Optional[ShardRequestRecord]] = [None] * queries.shape[0]
+        records: List[Optional[ShardRequestRecord]] = [None] * len(requests)
         in_flight_queries = 0
         makespan = 0.0
-        totals = {
-            "failovers": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
-            "breaker_skips": 0,
-            "lost_partitions": 0,
-        }
         reclaimed_s = 0.0
 
         def dispatch_sub(
@@ -369,104 +354,81 @@ class ShardedQueryService:
                 subtask.next_target += 1
                 if not board.breakers[shard_id].allow(now):
                     state.n_breaker_skips += 1
-                    totals["breaker_skips"] += 1
                     continue
                 attempt_no = subtask.attempt_no
                 subtask.attempt_no += 1
-                node = self.nodes[shard_id]
-                start_est = node.earliest_start(now)
+                partition_id = subtask.partition.partition_id
+                pool = pools[shard_id]
+                start_est = pool.earliest_start(now)
                 sub_fault = (
-                    self.faults.sub_request(
-                        request.index,
-                        subtask.partition.partition_id,
-                        shard_id,
-                        attempt_no,
+                    faults.sub_request(
+                        request.index, partition_id, shard_id, attempt_no
                     )
-                    if self.faults is not None
+                    if faults is not None
                     else SHARD_OK
                 )
-                down = self.faults is not None and self.faults.shard_down(
-                    shard_id, start_est
-                )
                 result: Optional[SearchResult] = None
-                if down or sub_fault.failed:
-                    detect_s = (
-                        self.faults.error_detect_s
-                        if self.faults is not None
-                        else 0.0
-                    )
-                    assignment = node.occupy(now, detect_s)
-                    failed = True
+                if faults is not None and (
+                    faults.shard_down(shard_id, start_est) or sub_fault.failed
+                ):
+                    duration = faults.error_detect_s
                 else:
-                    searcher = self._searchers[subtask.partition.partition_id]
-                    rule = propagated_stop_rule(
-                        request.remaining_s(start_est),
-                        0,
-                        searcher.index.n_chunks,
-                    )
-                    result = node.execute(
-                        subtask.partition.partition_id,
+                    searcher = self._searchers[partition_id]
+                    result = searcher.search(
                         request.query,
-                        config.k,
-                        rule,
+                        k=config.k,
+                        stop_rule=propagated_stop_rule(
+                            request.remaining_s(start_est),
+                            0,
+                            searcher.index.n_chunks,
+                        ),
                         query_index=request.index,
                     )
                     duration = result.elapsed_s
-                    if sub_fault.straggler:
-                        duration *= self.faults.straggler_factor  # type: ignore[union-attr]
-                    assignment = node.occupy(now, duration)
-                    failed = False
-                token = push(
-                    assignment.finish_s,
-                    _EVT_COMPLETION,
-                    _SubCompletion(
-                        request.index,
-                        subtask.partition.partition_id,
-                        attempt_no,
-                    ),
-                )
+                    if faults is not None and sub_fault.straggler:
+                        duration *= faults.straggler_factor
+                worker, start, finish = pool.assign(now, duration)
+                event = _AttemptEvent(request.index, partition_id, attempt_no)
+                events.push(finish, EVT_COMPLETION, event)
                 subtask.in_flight[attempt_no] = _Attempt(
                     shard_id=shard_id,
-                    assignment=assignment,
-                    failed=failed,
+                    worker=worker,
+                    start_s=start,
+                    finish_s=finish,
                     is_hedge=is_hedge,
                     result=result,
                 )
-                del token
                 if (
                     config.hedge_delay_s > 0.0
                     and not is_hedge
                     and not subtask.hedged
                     and subtask.next_target < len(subtask.targets)
                 ):
-                    push(
-                        now + config.hedge_delay_s,
-                        _EVT_TIMER,
-                        _HedgeTimer(
-                            request.index,
-                            subtask.partition.partition_id,
-                            attempt_no,
-                        ),
-                    )
+                    events.push(now + config.hedge_delay_s, EVT_TIMER, event)
                 return True
             return False
 
-        def cancel_in_flight(state: _QueryState, now: float) -> None:
+        def cancel(attempt: _Attempt, now: float) -> None:
+            """Drop one in-flight attempt and give back the unconsumed
+            tail of its occupancy.  The pool declines (reclaims 0.0) when
+            the worker has since been handed further work —
+            already-scheduled work is never rewritten."""
             nonlocal reclaimed_s
-            for subtask in state.subtasks.values():
-                for attempt in subtask.in_flight.values():
-                    if attempt.cancelled:
-                        continue
-                    attempt.cancelled = True
-                    reclaimed_s += self.nodes[attempt.shard_id].reclaim(
-                        attempt.assignment, now
-                    )
+            if not attempt.cancelled:
+                attempt.cancelled = True
+                reclaimed_s += pools[attempt.shard_id].truncate(
+                    attempt.worker,
+                    max(now, attempt.start_s),
+                    expected_free_s=attempt.finish_s,
+                )
 
         def finalize(state: _QueryState, now: float, at_deadline: bool) -> None:
             nonlocal in_flight_queries, makespan
             state.done = True
             in_flight_queries -= 1
-            cancel_in_flight(state, now)
+            for subtask in state.subtasks.values():
+                for attempt in subtask.in_flight.values():
+                    cancel(attempt, now)
             request = state.request
             parts: List[Sequence[Neighbor]] = []
             covered = 0.0
@@ -487,7 +449,6 @@ class ShardedQueryService:
                         )
                 else:
                     lost += 1
-            totals["lost_partitions"] += lost
             merged = merge_neighbor_lists(parts, config.k)
             coverage = (
                 covered / self._total_descriptors
@@ -538,21 +499,12 @@ class ShardedQueryService:
             ):
                 finalize(state, now, at_deadline=False)
 
-        for i in range(queries.shape[0]):
-            arrival = float(schedule.times_s[i])
-            request = QueryRequest(
-                index=i,
-                query=queries[i],
-                arrival_s=arrival,
-                deadline_s=arrival + config.deadline_s,
-            )
-            push(arrival, _EVT_ARRIVAL, request)
+        for request in requests:
+            events.push(request.arrival_s, EVT_ARRIVAL, request)
 
         while events:
-            now, priority, token = heapq.heappop(events)
-            payload = payloads.pop(token)
-            if priority == _EVT_ARRIVAL:
-                assert isinstance(payload, QueryRequest)
+            now, priority, payload = events.pop()
+            if isinstance(payload, QueryRequest):
                 request = payload
                 if in_flight_queries >= config.max_in_flight:
                     records[request.index] = ShardRequestRecord(
@@ -560,17 +512,6 @@ class ShardedQueryService:
                         outcome=OUTCOME_SHED,
                         stop_reason=SHED_IN_FLIGHT,
                         arrival_s=request.arrival_s,
-                        finish_s=math.nan,
-                        latency_s=math.nan,
-                        coverage_fraction=0.0,
-                        neighbors=(),
-                        n_partitions=0,
-                        n_lost_partitions=0,
-                        n_failovers=0,
-                        n_hedges=0,
-                        n_hedge_wins=0,
-                        n_breaker_skips=0,
-                        recall=math.nan,
                     )
                     continue
                 in_flight_queries += 1
@@ -589,21 +530,20 @@ class ShardedQueryService:
                     subtask = state.subtasks[partition_id]
                     if not dispatch_sub(state, subtask, now, is_hedge=False):
                         subtask.lost = True
-                push(
-                    request.deadline_s, _EVT_TIMER, _DeadlineTimer(request.index)
+                events.push(
+                    request.deadline_s, EVT_TIMER, _DeadlineTimer(request.index)
                 )
                 maybe_finalize(state, now)
-            elif priority == _EVT_TIMER and isinstance(payload, _DeadlineTimer):
+            elif isinstance(payload, _DeadlineTimer):
                 state = states[payload.query_index]
                 if not state.done:
                     finalize(state, now, at_deadline=True)
-            elif priority == _EVT_TIMER:
-                assert isinstance(payload, _HedgeTimer)
+            elif priority == EVT_TIMER:
                 state = states[payload.query_index]
                 if state.done:
                     continue
                 subtask = state.subtasks[payload.partition_id]
-                attempt = subtask.in_flight.get(payload.token)
+                attempt = subtask.in_flight.get(payload.attempt_no)
                 if (
                     subtask.resolved
                     or subtask.hedged
@@ -614,43 +554,34 @@ class ShardedQueryService:
                 if dispatch_sub(state, subtask, now, is_hedge=True):
                     subtask.hedged = True
                     state.n_hedges += 1
-                    totals["hedges"] += 1
             else:
-                assert isinstance(payload, _SubCompletion)
                 state = states[payload.query_index]
                 subtask = state.subtasks[payload.partition_id]
-                attempt = subtask.in_flight.pop(payload.token)
+                attempt = subtask.in_flight.pop(payload.attempt_no)
                 if attempt.cancelled:
                     continue
-                node = self.nodes[attempt.shard_id]
-                if attempt.failed:
+                if attempt.result is None:
                     board.breakers[attempt.shard_id].record(False, now)
-                    node.n_failed += 1
+                    shard_failed[attempt.shard_id] += 1
                     if not subtask.resolved:
                         if dispatch_sub(state, subtask, now, is_hedge=False):
                             state.n_failovers += 1
-                            totals["failovers"] += 1
                         elif not subtask.in_flight:
                             subtask.lost = True
                     maybe_finalize(state, now)
                 else:
                     board.breakers[attempt.shard_id].record(True, now)
-                    node.n_served += 1
+                    shard_served[attempt.shard_id] += 1
                     if subtask.result is None:
                         subtask.result = attempt.result
                         if attempt.is_hedge:
                             state.n_hedge_wins += 1
-                            totals["hedge_wins"] += 1
                         for other in subtask.in_flight.values():
-                            if not other.cancelled:
-                                other.cancelled = True
-                                reclaimed_s += self.nodes[
-                                    other.shard_id
-                                ].reclaim(other.assignment, now)
+                            cancel(other, now)
                     maybe_finalize(state, now)
 
         done = [record for record in records if record is not None]
-        assert len(done) == queries.shape[0], "every request must be recorded"
+        assert len(done) == len(requests), "every request must be recorded"
         stats = slo_stats(
             [record.outcome for record in done],
             [record.latency_s for record in done],
@@ -667,12 +598,11 @@ class ShardedQueryService:
         # The horizon covers scheduled work that outlived the last
         # finalize (declined reclaims), keeping utilization within [0, 1].
         horizon = max(
-            makespan if makespan > 0.0 else float(schedule.span_s),
-            max(node.pool.free_times()[-1] for node in self.nodes),
+            makespan if makespan > 0.0 else requests[-1].arrival_s,
+            max(pool.free_times()[-1] for pool in pools),
         )
         mean_utilization = (
-            sum(node.pool.utilization(horizon) for node in self.nodes)
-            / len(self.nodes)
+            sum(pool.utilization(horizon) for pool in pools) / n_shards
             if horizon > 0.0
             else 0.0
         )
@@ -682,17 +612,17 @@ class ShardedQueryService:
             records=done,
             stats=stats,
             mean_coverage=mean_coverage,
-            n_failovers=totals["failovers"],
-            n_hedges=totals["hedges"],
-            n_hedge_wins=totals["hedge_wins"],
-            n_breaker_skips=totals["breaker_skips"],
-            n_lost_partitions=totals["lost_partitions"],
+            n_failovers=sum(record.n_failovers for record in done),
+            n_hedges=sum(record.n_hedges for record in done),
+            n_hedge_wins=sum(record.n_hedge_wins for record in done),
+            n_breaker_skips=sum(record.n_breaker_skips for record in done),
+            n_lost_partitions=sum(record.n_lost_partitions for record in done),
             reclaimed_s=reclaimed_s,
             breaker_opens=board.total_opens,
             breaker_state_counts=board.state_counts(),
             breaker_transitions=board.transition_counts(),
-            shard_served=[node.n_served for node in self.nodes],
-            shard_failed=[node.n_failed for node in self.nodes],
+            shard_served=shard_served,
+            shard_failed=shard_failed,
             makespan_s=horizon,
             mean_utilization=mean_utilization,
         )

@@ -14,10 +14,10 @@ breaker trip and budget adjustment bit for bit.
 
 Event loop
 ----------
-A binary heap of ``(time, priority, seq)`` events; completions sort
-before arrivals at equal timestamps (a freed worker is visible to work
-arriving "at the same instant"), and a monotone sequence number makes
-ordering total.  Two event kinds:
+Events pop from one :class:`~repro.simio.queueing.EventQueue` in
+``(time, priority, insertion)`` order; completions sort before arrivals
+at equal timestamps (a freed worker is visible to work arriving "at the
+same instant").  Two event kinds:
 
 * **arrival** — the admission controller decides shed-or-admit from the
   queue length and the pool's next-free times; admitted requests enter
@@ -27,18 +27,20 @@ ordering total.  Two event kinds:
   the record is written, and the freed worker pulls the next queued
   request.
 
-Dispatch happens only at event instants, and a dispatched request always
-starts *now* (an idle worker's ``free_time <= now``), which is what lets
-the service compute the search's stop rule — a function of the remaining
-deadline and the controller's current budget — at dispatch time.
+The queue is *late-binding*: a request waits in the FIFO with nothing
+decided, dispatch happens only at event instants, and a dispatched
+request always starts *now* (an idle worker's ``free_time <= now``).
+That is what lets the service fix the search's stop rule, chunk budget
+and breaker view at dispatch time, from the deadline actually remaining
+and the controller's current budget.  (The sharded coordinator binds
+*early* instead — see :mod:`repro.service.sharding.coordinator`.)
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,19 +55,22 @@ from ..core.metrics import (
 )
 from ..core.search import ChunkSearcher, SearchResult
 from ..faults.injector import FaultInjector
-from ..workloads.arrivals import poisson_arrival_times
-from ..simio.queueing import WorkerPool
+from ..simio.queueing import EVT_ARRIVAL, EVT_COMPLETION, EventQueue, WorkerPool
 from .admission import AdmissionController
 from .breaker import BREAKER_OPEN, BreakerBoard, BreakerGuardedInjector
 from .controller import AdaptiveBudgetController
 from .deadline import propagated_stop_rule
-from .request import QueryRequest, RequestRecord, ServiceConfig
+from .request import (
+    QueryRequest,
+    RequestRecord,
+    ServiceConfig,
+    open_loop_requests,
+)
 
 __all__ = ["QueryService", "ServiceRunResult"]
 
-# Completion events sort before arrivals at the same timestamp.
-_EVT_COMPLETION = 0
-_EVT_ARRIVAL = 1
+#: Completion payload: ``(request, result, start_s, worker, chunk_budget)``.
+_Completion = Tuple[QueryRequest, SearchResult, float, int, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,14 +182,14 @@ class QueryService:
             return math.nan
         return min(1.0, result.trace.descriptors_scanned / self._total_descriptors)
 
-    def _classify(self, stop_reason: str, result: SearchResult) -> str:
+    def _classify(self, result: SearchResult) -> str:
         """Map a finished search onto the request-outcome vocabulary.
 
         The deadline firing dominates (it is the SLO event), then
         provable exactness, then everything quality-reduced (budget
         trims, fault skips, breaker skips).
         """
-        if stop_reason.startswith("deadline("):
+        if result.stop_reason.startswith("deadline("):
             return OUTCOME_DEADLINE
         if result.completed:
             return OUTCOME_OK
@@ -223,19 +228,10 @@ class QueryService:
         carries query ``i`` and arrives at the seeded Poisson schedule's
         ``times_s[i]``.
         """
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[0] == 0:
-            raise ValueError(
-                f"queries must be a non-empty (n, d) matrix, got {queries.shape}"
-            )
-        if self.truth is not None and len(self.truth) != queries.shape[0]:
-            raise ValueError(
-                f"got {len(self.truth)} ground-truth lists "
-                f"for {queries.shape[0]} queries"
-            )
         config = self.config
-        schedule = poisson_arrival_times(
-            queries.shape[0], config.arrival_rate_qps, config.seed
+        requests = open_loop_requests(
+            queries, self.truth, config.arrival_rate_qps, config.seed,
+            config.deadline_s,
         )
         pool = WorkerPool(config.n_workers)
         admission = AdmissionController(
@@ -266,44 +262,29 @@ class QueryService:
             headroom=config.headroom,
         )
 
-        # (time, priority, seq) heap; payloads keyed by seq.  Completions
-        # (priority 0) beat arrivals (priority 1) at equal times.
-        events: List[Tuple[float, int, int]] = []
-        payloads: Dict[int, Any] = {}
-        seq = 0
+        events: EventQueue[Union[QueryRequest, _Completion]] = EventQueue()
+        for request in requests:
+            events.push(request.arrival_s, EVT_ARRIVAL, request)
         queue: List[QueryRequest] = []  # FIFO via pop(0); bounded, so cheap
-        records: List[Optional[RequestRecord]] = [None] * queries.shape[0]
+        records: List[Optional[RequestRecord]] = [None] * len(requests)
         breaker_skipped_chunks = 0
         makespan = 0.0
 
-        for i in range(queries.shape[0]):
-            arrival = float(schedule.times_s[i])
-            request = QueryRequest(
-                index=i,
-                query=queries[i],
-                arrival_s=arrival,
-                deadline_s=arrival + config.deadline_s,
-            )
-            heapq.heappush(events, (arrival, _EVT_ARRIVAL, seq))
-            payloads[seq] = request
-            seq += 1
-
         def dispatch(now: float) -> None:
-            nonlocal seq, breaker_skipped_chunks
             while queue and pool.idle_workers(now) > 0:
                 request = queue.pop(0)
                 chunk_budget = controller.budget
                 result = self._run_request(request, now, board, chunk_budget)
-                duration = result.elapsed_s
-                worker, start, finish = pool.assign(now, duration)
-                heapq.heappush(events, (finish, _EVT_COMPLETION, seq))
-                payloads[seq] = (request, result, start, worker, chunk_budget)
-                seq += 1
+                worker, start, finish = pool.assign(now, result.elapsed_s)
+                events.push(
+                    finish,
+                    EVT_COMPLETION,
+                    (request, result, start, worker, chunk_budget),
+                )
 
         while events:
-            now, priority, evt_seq = heapq.heappop(events)
-            payload = payloads.pop(evt_seq)
-            if priority == _EVT_ARRIVAL:
+            now, _, payload = events.pop()
+            if isinstance(payload, QueryRequest):
                 request = payload
                 admit, shed_reason = admission.decide(
                     request, now, pool.free_times(), len(queue)
@@ -314,15 +295,6 @@ class QueryService:
                         outcome=OUTCOME_SHED,
                         stop_reason=shed_reason,
                         arrival_s=request.arrival_s,
-                        start_s=math.nan,
-                        finish_s=math.nan,
-                        latency_s=math.nan,
-                        wait_s=math.nan,
-                        chunk_budget=0,
-                        chunks_read=0,
-                        chunks_skipped=0,
-                        breaker_skips=0,
-                        recall=math.nan,
                     )
                     continue
                 queue.append(request)
@@ -341,7 +313,7 @@ class QueryService:
                 breaker_skipped_chunks += breaker_skips
                 records[request.index] = RequestRecord(
                     index=request.index,
-                    outcome=self._classify(result.stop_reason, result),
+                    outcome=self._classify(result),
                     stop_reason=result.stop_reason,
                     arrival_s=request.arrival_s,
                     start_s=start,
@@ -358,13 +330,13 @@ class QueryService:
                 dispatch(now)
 
         done = [record for record in records if record is not None]
-        assert len(done) == queries.shape[0], "every request must be recorded"
+        assert len(done) == len(requests), "every request must be recorded"
         stats = slo_stats(
             [record.outcome for record in done],
             [record.latency_s for record in done],
             [record.recall for record in done],
         )
-        horizon = makespan if makespan > 0.0 else schedule.span_s
+        horizon = makespan if makespan > 0.0 else requests[-1].arrival_s
         return ServiceRunResult(
             config=config,
             records=done,

@@ -1,4 +1,8 @@
-"""Multi-server queueing timeline: worker assignment and wait accounting.
+"""Discrete-event substrate: the future-event list and the worker timeline.
+
+:class:`EventQueue` is the one event ordering both service simulators
+run on: a heap keyed ``(time, priority, insertion rank)``, so a run's
+event order is total and a pure function of what was pushed.
 
 The query service admits an open-loop arrival stream into a pool of
 identical workers.  :class:`WorkerPool` is the simulated-time substrate
@@ -18,9 +22,52 @@ not the mean — drives the tail.
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from typing import Generic, List, Tuple, TypeVar
 
-__all__ = ["WorkerPool"]
+__all__ = [
+    "EventQueue",
+    "EVT_COMPLETION",
+    "EVT_TIMER",
+    "EVT_ARRIVAL",
+    "WorkerPool",
+]
+
+#: Event priorities at equal timestamps: a completion frees capacity and
+#: resolves work before a timer consults it, and an arrival "at the same
+#: instant" sees the settled system.
+EVT_COMPLETION = 0
+EVT_TIMER = 1
+EVT_ARRIVAL = 2
+
+T = TypeVar("T")
+
+
+class EventQueue(Generic[T]):
+    """Future-event list ordered by ``(time, priority, insertion rank)``.
+
+    The insertion rank (the token :meth:`push` returns) is unique, so
+    the order is total — equal ``(time, priority)`` events pop in push
+    order — and the payload riding behind it is never compared.
+    """
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, T]] = []
+        self._pushed = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, time_s: float, priority: int, payload: T) -> int:
+        """Schedule ``payload`` at ``time_s``; returns its insertion rank."""
+        token = self._pushed
+        self._pushed += 1
+        heapq.heappush(self._heap, (time_s, priority, token, payload))
+        return token
+
+    def pop(self) -> Tuple[float, int, T]:
+        """Remove and return the next ``(time_s, priority, payload)``."""
+        time_s, priority, _, payload = heapq.heappop(self._heap)
+        return time_s, priority, payload
 
 
 class WorkerPool:

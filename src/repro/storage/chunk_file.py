@@ -11,23 +11,22 @@ the caller can fill in :class:`~repro.core.chunk.ChunkMeta`.  The reader
 fetches one chunk's pages and decodes the records, exactly the access the
 search algorithm performs per ranked chunk.
 
-Format versions
----------------
-*v1* (legacy): a headerless sequence of page-padded chunks.  Still fully
-readable; corruption inside a chunk's payload is *undetectable* in v1
-(only truncation is caught).
-
-*v2* (current): one header page, the same page-padded chunk sequence,
-then a CRC32 table::
+Format
+------
+One header page, the page-padded chunk sequence, then a CRC32 table::
 
     page 0          : header  (magic "EFF2CHNK", version, dims,
                                page_bytes, n_chunks, table_page)
-    pages 1..N      : chunk payloads, page-padded (extents stay *logical*
+    pages 1..N      : chunk payloads, page-padded (extents are *logical*
                       — ``ChunkExtent.page_offset`` is relative to the
-                      data region, so v1 and v2 extents are identical and
-                      the simulated I/O charges do not change)
+                      data region, so the simulated I/O charges are those
+                      of the paper's headerless layout)
     page table_page : CRC table (magic "EFF2CCRC", count, then one
                       ``(page_offset, crc32)`` entry per chunk)
+
+A file that does not open with the magic is rejected as corrupt: there
+is no headerless fallback, so a damaged header can never make the reader
+decode the data region from the wrong offset.
 
 The header is written with ``table_page = 0`` and patched on close, so a
 crash mid-write leaves a file the reader rejects as unfinalised instead
@@ -62,8 +61,10 @@ PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 CHUNK_MAGIC = b"EFF2CHNK"
 TABLE_MAGIC = b"EFF2CCRC"
-#: Current chunk-file format version (v1 is the legacy headerless form).
+#: The chunk-file format version (the only one read or written).
 CHUNK_VERSION = 2
+#: Physical page where the data region begins (page 0 is the header).
+_DATA_START_PAGE = 1
 
 #: Header: magic, version, dims, page_bytes, reserved, n_chunks, table_page.
 _HEADER = struct.Struct("<8sIIIIQQ")
@@ -80,7 +81,7 @@ class ChunkExtent(Tuple[int, int, int]):
     """``(page_offset, page_count, n_descriptors)`` for one written chunk.
 
     Page offsets are *logical* (relative to the start of the data
-    region), identical across format versions.
+    region).
     """
 
     __slots__ = ()
@@ -117,13 +118,9 @@ class ChunkFileWriter:
         target: PathOrFile,
         dimensions: int,
         geometry: Optional[PageGeometry] = None,
-        version: int = CHUNK_VERSION,
     ):
-        if version not in (1, CHUNK_VERSION):
-            raise ValueError(f"unsupported chunk file version {version}")
         self._geometry = geometry or PageGeometry()
         self._codec = RecordCodec(dimensions)
-        self._version = version
         self._owns_file = isinstance(target, (str, os.PathLike))
         if self._owns_file:
             self._final_path = os.fspath(target)  # type: ignore[arg-type]
@@ -139,26 +136,21 @@ class ChunkFileWriter:
         self._failed = False
         self._crcs: List[Tuple[int, int]] = []
         self.extents: List[ChunkExtent] = []
-        if self._version >= 2:
-            try:
-                self._write_header(n_chunks=0, table_page=0)
-            except Exception:
-                self._failed = True
-                self.close()
-                raise
+        try:
+            self._write_header(n_chunks=0, table_page=0)
+        except Exception:
+            self._failed = True
+            self.close()
+            raise
 
     @property
     def geometry(self) -> PageGeometry:
         return self._geometry
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def _write_header(self, n_chunks: int, table_page: int) -> None:
         header = _HEADER.pack(
             CHUNK_MAGIC,
-            self._version,
+            CHUNK_VERSION,
             self._codec.dimensions,
             self._geometry.page_bytes,
             0,
@@ -167,11 +159,6 @@ class ChunkFileWriter:
         )
         self._file.write(header)
         self._file.write(b"\x00" * (self._geometry.page_bytes - len(header)))
-
-    @property
-    def _data_start_page(self) -> int:
-        """Physical page where the data region begins (0 in v1, 1 in v2)."""
-        return 0 if self._version == 1 else 1
 
     def write_chunk(self, ids: np.ndarray, vectors: np.ndarray) -> ChunkExtent:
         """Append one chunk; returns its (logical) page extent."""
@@ -193,15 +180,14 @@ class ChunkFileWriter:
             raise
         pages = self._geometry.pages_for(len(payload))
         extent = ChunkExtent(self._next_page, pages, int(np.asarray(ids).shape[0]))
-        if self._version >= 2:
-            self._crcs.append((self._next_page, zlib.crc32(payload)))
+        self._crcs.append((self._next_page, zlib.crc32(payload)))
         self._next_page += pages
         self.extents.append(extent)
         return extent
 
     def _write_table(self) -> int:
         """Append the CRC table; returns its physical page number."""
-        table_page = self._data_start_page + self._next_page
+        table_page = _DATA_START_PAGE + self._next_page
         self._file.write(_TABLE_HEADER.pack(TABLE_MAGIC, len(self._crcs)))
         for page_offset, crc in self._crcs:
             self._file.write(_TABLE_ENTRY.pack(page_offset, crc))
@@ -230,10 +216,9 @@ class ChunkFileWriter:
             self._discard()
             return
         try:
-            if self._version >= 2:
-                table_page = self._write_table()
-                self._file.seek(self._base)
-                self._write_header(len(self._crcs), table_page)
+            table_page = self._write_table()
+            self._file.seek(self._base)
+            self._write_header(len(self._crcs), table_page)
             self._file.flush()
             if self._owns_file:
                 os.fsync(self._file.fileno())
@@ -258,11 +243,10 @@ class ChunkFileWriter:
 class ChunkFileReader:
     """Random-access reads of whole chunks from a chunk file.
 
-    The format version is auto-detected from the leading magic; v1
-    (headerless) files remain readable but carry no checksums, so only
-    truncation is detectable there.  For v2 files every chunk payload is
-    verified against its stored CRC32 (disable with
-    ``verify_checksums=False`` to measure raw read cost).
+    The header and checksum table are validated at open — anything
+    malformed raises :class:`~repro.storage.errors.CorruptFileError` —
+    and every chunk payload read is verified against its stored CRC32
+    (disable with ``verify_checksums=False`` to measure raw read cost).
     """
 
     def __init__(
@@ -279,27 +263,23 @@ class ChunkFileReader:
             open(source, "rb") if self._owns_file else source  # type: ignore[arg-type]
         )
         self.verify_checksums = bool(verify_checksums)
-        self._crcs: Optional[Dict[int, int]] = None
+        self._crcs: Dict[int, int] = {}
         try:
             self._base = self._file.tell()
-            self._version = self._detect_version()
+            self._read_header()
         except Exception:
             self.close()
             raise
 
-    def _detect_version(self) -> int:
-        lead = self._file.read(len(CHUNK_MAGIC))
-        if lead != CHUNK_MAGIC:
-            # Legacy headerless file: data starts at the base offset.
-            self._file.seek(self._base)
-            self._data_start_page = 0
-            return 1
-        rest = self._file.read(_HEADER.size - len(CHUNK_MAGIC))
-        if len(rest) != _HEADER.size - len(CHUNK_MAGIC):
+    def _read_header(self) -> None:
+        raw = self._file.read(_HEADER.size)
+        if len(raw) != _HEADER.size:
             raise CorruptFileError("chunk file too short for its header")
-        _, version, dims, page_bytes, _, n_chunks, table_page = _HEADER.unpack(
-            CHUNK_MAGIC + rest
+        magic, version, dims, page_bytes, _, n_chunks, table_page = (
+            _HEADER.unpack(raw)
         )
+        if magic != CHUNK_MAGIC:
+            raise CorruptFileError(f"bad chunk file magic {magic!r}")
         if version != CHUNK_VERSION:
             raise CorruptFileError(f"unsupported chunk file version {version}")
         if not 1 <= dims <= MAX_DIMENSIONS:
@@ -326,9 +306,7 @@ class ChunkFileReader:
             raise CorruptFileError(
                 f"chunk file header implies implausible size (n_chunks={n_chunks})"
             )
-        self._data_start_page = 1
         self._load_crc_table(int(table_page), int(n_chunks))
-        return CHUNK_VERSION
 
     def _load_crc_table(self, table_page: int, n_chunks: int) -> None:
         self._file.seek(self._base + self._geometry.byte_offset(table_page))
@@ -348,37 +326,25 @@ class ChunkFileReader:
         raw = self._file.read(count * _TABLE_ENTRY.size)
         if len(raw) != count * _TABLE_ENTRY.size:
             raise CorruptFileError("chunk file checksum table truncated")
-        crcs: Dict[int, int] = {}
         for i in range(count):
             page_offset, crc = _TABLE_ENTRY.unpack_from(raw, i * _TABLE_ENTRY.size)
-            crcs[page_offset] = crc
-        self._crcs = crcs
+            self._crcs[page_offset] = crc
 
     @property
     def geometry(self) -> PageGeometry:
         return self._geometry
-
-    @property
-    def version(self) -> int:
-        """Detected format version (1 legacy, 2 checksummed)."""
-        return self._version
-
-    @property
-    def has_checksums(self) -> bool:
-        """True when the file carries a per-chunk CRC32 table (v2)."""
-        return self._crcs is not None
 
     def read_chunk(self, extent: ChunkExtent) -> Tuple[np.ndarray, np.ndarray]:
         """Read one chunk's pages; returns ``(ids, vectors)``.
 
         Only the leading ``n_descriptors`` records are decoded — the page
         padding is read (it is transferred from disk either way) but
-        discarded.  On checksummed files the payload is verified first;
-        a mismatch raises :class:`~repro.storage.errors.ChecksumError`.
+        discarded.  The payload is verified first; a mismatch raises
+        :class:`~repro.storage.errors.ChecksumError`.
         """
         self._file.seek(
             self._base
-            + self._geometry.byte_offset(self._data_start_page + extent.page_offset)
+            + self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset)
         )
         raw = self._file.read(extent.page_count * self._geometry.page_bytes)
         needed = extent.n_descriptors * self._codec.record_bytes
@@ -388,7 +354,7 @@ class ChunkFileReader:
                 f"{extent.page_offset}, got {len(raw)}"
             )
         payload = raw[:needed]
-        if self._crcs is not None and self.verify_checksums:
+        if self.verify_checksums:
             stored = self._crcs.get(extent.page_offset)
             if stored is None:
                 raise CorruptFileError(

@@ -23,18 +23,16 @@ Entry (``8 * d + 8 + 8 + 4 + 4`` bytes each)::
     page_count  : uint32
     n_descriptors : uint32
 
-Version 2 appends one block after the entries::
+followed by one block after the entries::
 
     centroid_sq_norms : float64 x n_chunks
 
 the precomputed ``|centroid|^2`` terms the expanded-form distance kernel
-needs for batched chunk ranking.  The entry layout is unchanged, so a v1
-reader's per-query *ranking scan* (centroid + radius + location) covers
-exactly the entries region — which is why :func:`index_file_bytes`, the
-quantity the disk model charges at query start, deliberately excludes the
-norms tail: it is loaded once when the index is opened, not per query.
-Version 1 files remain readable; their norms are recomputed on load with
-the identical einsum formulation, so the values are bit-equal either way.
+needs for batched chunk ranking.  A query's *ranking scan* (centroid +
+radius + location) covers exactly the header and entries — which is why
+:func:`index_file_bytes`, the quantity the disk model charges at query
+start, deliberately excludes the norms tail: it is loaded once when the
+index is opened, not per query.
 """
 
 from __future__ import annotations
@@ -60,9 +58,8 @@ __all__ = [
 ]
 
 MAGIC = b"EFF2CIDX"
+#: The index-file format version (the only one read or written).
 VERSION = 2
-#: Every on-disk version this reader accepts.
-SUPPORTED_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<8sIIQ8s")
 #: Reject headers whose implied payload exceeds this (1 TiB) — guards
 #: against corrupted ``n_chunks``/``dims`` fields triggering huge reads.
@@ -86,9 +83,8 @@ def _entry_dtype(dimensions: int) -> np.dtype:
 def index_file_bytes(n_chunks: int, dimensions: int) -> int:
     """Size of the per-query ranking scan region (header + entries) — this
     is what the disk model charges for the sequential index read at the
-    start of every query.  The v2 norms tail is excluded on purpose: it is
-    read once at open time, never per query, so simulated query timings are
-    identical for v1 and v2 indexes."""
+    start of every query.  The norms tail is excluded on purpose: it is
+    read once at open time, never per query."""
     return _HEADER.size + n_chunks * _entry_dtype(dimensions).itemsize
 
 
@@ -97,7 +93,7 @@ def centroid_sq_norms(centroids: np.ndarray) -> np.ndarray:
     point-norm terms.
 
     This is the single formulation used everywhere norms are produced —
-    at index build, at v1 load, and inside
+    at index build and inside
     :func:`~repro.core.distance.pairwise_squared_distances` — so stored
     and recomputed norms are bit-equal.
     """
@@ -105,19 +101,11 @@ def centroid_sq_norms(centroids: np.ndarray) -> np.ndarray:
     return np.einsum("pd,pd->p", matrix, matrix)
 
 
-def write_index_file(
-    target: PathOrFile, metas: Sequence[ChunkMeta], version: int = VERSION
-) -> None:
-    """Serialize chunk metadata, preserving chunk order.
-
-    ``version`` selects the on-disk format: 2 (default) appends the
-    centroid-norms block; 1 writes the original layout (kept for
-    compatibility tests and tooling that must emit the paper's format).
-    """
+def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
+    """Serialize chunk metadata plus the centroid-norms block, preserving
+    chunk order."""
     if not metas:
         raise ValueError("cannot write an empty index file")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(f"cannot write index file version {version}")
     dimensions = metas[0].centroid.shape[0]
     entries = np.empty(len(metas), dtype=_entry_dtype(dimensions))
     for i, meta in enumerate(metas):
@@ -134,14 +122,12 @@ def write_index_file(
         entries[i]["page_count"] = meta.page_count
         entries[i]["n_descriptors"] = meta.n_descriptors
 
-    header = _HEADER.pack(MAGIC, version, dimensions, len(metas), b"\x00" * 8)
-    norms = b""
-    if version >= 2:
-        norms = (
-            centroid_sq_norms(np.stack([m.centroid for m in metas]))
-            .astype("<f8", copy=False)
-            .tobytes()
-        )
+    header = _HEADER.pack(MAGIC, VERSION, dimensions, len(metas), b"\x00" * 8)
+    norms = (
+        centroid_sq_norms(np.stack([m.centroid for m in metas]))
+        .astype("<f8", copy=False)
+        .tobytes()
+    )
     if isinstance(target, (str, os.PathLike)):
         # Path target: publish atomically (write-temp, fsync, rename) so
         # a crash mid-write never leaves a truncated index behind.
@@ -159,12 +145,7 @@ def write_index_file(
 def read_index_file_with_norms(
     source: PathOrFile,
 ) -> "tuple[List[ChunkMeta], np.ndarray]":
-    """Load chunk metadata plus the centroid-norms block, in chunk order.
-
-    A v1 file has no norms block; its norms are recomputed from the
-    centroids with the same formulation a v2 writer used, so callers see
-    identical values whichever version is on disk.
-    """
+    """Load chunk metadata plus the centroid-norms block, in chunk order."""
     owns = isinstance(source, (str, os.PathLike))
     stream: BinaryIO = open(source, "rb") if owns else source  # type: ignore[arg-type]
     try:
@@ -174,7 +155,7 @@ def read_index_file_with_norms(
         magic, version, dimensions, n_chunks, _ = _HEADER.unpack(raw_header)
         if magic != MAGIC:
             raise CorruptFileError(f"bad index file magic {magic!r}")
-        if version not in SUPPORTED_VERSIONS:
+        if version != VERSION:
             raise CorruptFileError(f"unsupported index file version {version}")
         # Bound dims before deriving the entry size from it, then bound the
         # implied payload — same discipline as the collection-file reader.
@@ -204,19 +185,14 @@ def read_index_file_with_norms(
             )
             for i in range(n_chunks)
         ]
-        if version >= 2:
-            raw_norms = stream.read(n_chunks * 8)
-            if len(raw_norms) != n_chunks * 8:
-                raise CorruptFileError("index file truncated (norms block)")
-            norms = np.frombuffer(raw_norms, dtype="<f8").astype(
-                np.float64, copy=True
-            )
-            if not bool(np.all(np.isfinite(norms))) or bool(np.any(norms < 0.0)):
-                raise CorruptFileError("index file norms block is corrupt")
-        elif n_chunks:
-            norms = centroid_sq_norms(np.stack([m.centroid for m in metas]))
-        else:
-            norms = np.empty(0, dtype=np.float64)
+        raw_norms = stream.read(n_chunks * 8)
+        if len(raw_norms) != n_chunks * 8:
+            raise CorruptFileError("index file truncated (norms block)")
+        norms = np.frombuffer(raw_norms, dtype="<f8").astype(
+            np.float64, copy=True
+        )
+        if not bool(np.all(np.isfinite(norms))) or bool(np.any(norms < 0.0)):
+            raise CorruptFileError("index file norms block is corrupt")
         return metas, norms
     finally:
         if owns:
@@ -224,6 +200,6 @@ def read_index_file_with_norms(
 
 
 def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
-    """Load chunk metadata back, in chunk order (any supported version)."""
+    """Load chunk metadata back, in chunk order."""
     metas, _ = read_index_file_with_norms(source)
     return metas

@@ -63,6 +63,39 @@ class TestSweepCheckpoint:
         assert path.read_text() == json.dumps(stored, sort_keys=True, indent=2)
 
 
+class TestPoint:
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_computes_once_per_key_and_round_trips(self, tmp_path, on_disk):
+        path = tmp_path / "c.json" if on_disk else None
+        ckpt = SweepCheckpoint(path, META)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"x": 0.1 + 0.2, "grid": (3, 4), "n": 7}
+
+        first = ckpt.point("p", compute)
+        # In memory or on disk, the caller continues with the serialized
+        # value: tuples are lists, floats bit-identical, ints still ints.
+        assert first == {"x": 0.1 + 0.2, "grid": [3, 4], "n": 7}
+        assert type(first["n"]) is int
+        assert ckpt.point("p", compute) == first
+        assert len(calls) == 1
+        ckpt.point("q", compute)
+        assert len(calls) == 2 and len(ckpt) == 2
+        if on_disk:
+            assert SweepCheckpoint(path, META).point("p", compute) == first
+            assert len(calls) == 2  # resumed, not recomputed
+
+    def test_in_memory_checkpoint_touches_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ckpt = SweepCheckpoint(None, META)
+        assert ckpt.path is None and ckpt.resumed_points == 0
+        ckpt.put("a", 1.0)
+        assert ckpt.get("a") == 1.0
+        assert list(tmp_path.iterdir()) == []
+
+
 RATES = (0.0, 0.2)
 SWEEP_ARGS = dict(family="SR", size_class="SMALL", workload_name="DQ", seed=7)
 

@@ -1,8 +1,70 @@
-"""Tests for the multi-server queueing timeline (WorkerPool)."""
+"""Tests for the discrete-event substrate (EventQueue, WorkerPool)."""
 
 import pytest
 
-from repro.simio.queueing import WorkerPool
+from repro.simio.queueing import (
+    EVT_ARRIVAL,
+    EVT_COMPLETION,
+    EVT_TIMER,
+    EventQueue,
+    WorkerPool,
+)
+
+
+def drain(events):
+    out = []
+    while events:
+        out.append(events.pop())
+    return out
+
+
+class TestEventQueue:
+    def test_total_order_time_then_priority_then_insertion(self):
+        events = EventQueue()
+        pushed = [
+            (2.0, EVT_COMPLETION, "late completion"),
+            (1.0, EVT_ARRIVAL, "first arrival"),
+            (1.0, EVT_ARRIVAL, "second arrival"),
+            (1.0, EVT_COMPLETION, "completion"),
+            (0.5, EVT_ARRIVAL, "early arrival"),
+        ]
+        for event in pushed:
+            events.push(*event)
+        assert len(events) == 5
+        assert drain(events) == [
+            (0.5, EVT_ARRIVAL, "early arrival"),
+            (1.0, EVT_COMPLETION, "completion"),
+            (1.0, EVT_ARRIVAL, "first arrival"),
+            (1.0, EVT_ARRIVAL, "second arrival"),
+            (2.0, EVT_COMPLETION, "late completion"),
+        ]
+        assert len(events) == 0 and not events
+
+    def test_completion_before_timer_before_arrival_at_equal_time(self):
+        events = EventQueue()
+        for priority in (EVT_ARRIVAL, EVT_TIMER, EVT_COMPLETION):
+            events.push(3.0, priority, priority)
+        assert [p for _, p, _ in drain(events)] == [
+            EVT_COMPLETION, EVT_TIMER, EVT_ARRIVAL
+        ]
+
+    def test_tokens_count_insertions_and_payloads_ride_along(self):
+        """Payloads are never compared (dicts are unorderable), even when
+        time and priority tie; each comes back with its own event."""
+        events = EventQueue()
+        payloads = [{"n": n} for n in range(4)]
+        tokens = [events.push(1.0, EVT_TIMER, p) for p in payloads]
+        assert tokens == [0, 1, 2, 3]
+        assert [p for _, _, p in drain(events)] == payloads
+        assert events.push(0.0, EVT_TIMER, None) == 4  # never reused
+
+    def test_interleaved_push_and_pop(self):
+        events = EventQueue()
+        events.push(1.0, EVT_ARRIVAL, "a")
+        events.push(5.0, EVT_ARRIVAL, "c")
+        assert events.pop() == (1.0, EVT_ARRIVAL, "a")
+        events.push(2.0, EVT_COMPLETION, "b")  # scheduled from a handler
+        assert [p for _, _, p in drain(events)] == ["b", "c"]
 
 
 class TestAssignment:

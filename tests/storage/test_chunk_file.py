@@ -38,21 +38,6 @@ class TestWriter:
         table_bytes = _TABLE_HEADER.size + 3 * _TABLE_ENTRY.size
         assert os.path.getsize(path) == 5 * 256 + table_bytes
 
-    def test_v1_extents_and_padding(self, tmp_path):
-        """Legacy v1 files stay headerless and fully page-padded."""
-        path = str(tmp_path / "chunks.dat")
-        geometry = PageGeometry(256)
-        with ChunkFileWriter(
-            path, dimensions=4, geometry=geometry, version=1
-        ) as writer:
-            e1 = writer.write_chunk(*chunk_data(10, 4))
-            e2 = writer.write_chunk(*chunk_data(20, 4))
-            e3 = writer.write_chunk(*chunk_data(1, 4))
-        assert (e1.page_offset, e2.page_offset, e3.page_offset) == (0, 1, 3)
-        import os
-
-        assert os.path.getsize(path) == 4 * 256  # fully padded, no header
-
     def test_write_after_close_rejected(self, tmp_path):
         writer = ChunkFileWriter(str(tmp_path / "x.dat"), dimensions=2)
         writer.close()
@@ -103,17 +88,6 @@ class TestRoundtrip:
             f.truncate(10)
         with pytest.raises(CorruptFileError, match="short"):
             ChunkFileReader(path, dimensions=2)
-
-    def test_truncated_v1_file_detected(self, tmp_path):
-        path = str(tmp_path / "chunks.dat")
-        with ChunkFileWriter(path, dimensions=2, version=1) as writer:
-            extent = writer.write_chunk(*chunk_data(4, 2))
-        # v1 has no header; truncation surfaces at read time.
-        with open(path, "r+b") as f:
-            f.truncate(10)
-        with ChunkFileReader(path, dimensions=2) as reader:
-            with pytest.raises(IOError, match="truncated"):
-                reader.read_chunk(extent)
 
     def test_geometry_mismatch_rejected(self, tmp_path):
         """The v2 header records the page size, so opening with the wrong

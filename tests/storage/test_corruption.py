@@ -23,6 +23,7 @@ from repro.storage.collection_file import (
 from repro.storage.errors import ChecksumError, CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
 from repro.storage.pages import PageGeometry
+from repro.storage.records import RecordCodec
 
 
 def chunk_data(n, dims, offset=0):
@@ -108,39 +109,28 @@ class TestChunkFileCorruption:
         with pytest.raises(CorruptFileError, match="table"):
             ChunkFileReader(path, dimensions=4, geometry=geometry)
 
-    def test_v1_file_readable_under_v2_reader(self, tmp_path):
-        """Round trip: files written by the legacy v1 writer stay fully
-        readable (headerless, no checksums) through the current reader."""
+    @pytest.mark.parametrize("byte", range(len(CHUNK_MAGIC)))
+    def test_magic_bit_flip_rejected_at_open(self, tmp_path, byte):
+        """A damaged magic must fail the open — never fall back to
+        decoding the data region from the wrong page offset."""
+        path = str(tmp_path / "chunks.dat")
+        _, geometry = write_v2(path)
+        for bit in range(8):
+            flip_bit(path, byte, bit)
+            with pytest.raises(CorruptFileError, match="magic"):
+                ChunkFileReader(path, dimensions=4, geometry=geometry)
+            flip_bit(path, byte, bit)  # restore
+
+    def test_headerless_file_rejected_at_open(self, tmp_path):
+        """Page-padded records with no header (the retired v1 layout)
+        are not a chunk file."""
         path = str(tmp_path / "chunks.dat")
         geometry = PageGeometry(256)
-        payloads = [chunk_data(n, 4, offset=n * 10) for n in (3, 12, 7)]
-        with ChunkFileWriter(
-            path, dimensions=4, geometry=geometry, version=1
-        ) as writer:
-            extents = [writer.write_chunk(i, v) for i, v in payloads]
-        with open(path, "rb") as f:
-            assert f.read(8) != CHUNK_MAGIC  # truly headerless
-        with ChunkFileReader(path, dimensions=4, geometry=geometry) as reader:
-            assert reader.version == 1
-            assert not reader.has_checksums
-            for (ids, vecs), extent in zip(payloads, extents):
-                out_ids, out_vecs = reader.read_chunk(extent)
-                np.testing.assert_array_equal(out_ids, ids)
-                np.testing.assert_array_equal(out_vecs, vecs)
-
-    def test_v1_and_v2_extents_identical(self, tmp_path):
-        """Extents are logical: the v2 header page must not shift them."""
-        geometry = PageGeometry(256)
-        extents = {}
-        for version in (1, 2):
-            path = str(tmp_path / f"chunks_v{version}.dat")
-            with ChunkFileWriter(
-                path, dimensions=4, geometry=geometry, version=version
-            ) as writer:
-                extents[version] = [
-                    writer.write_chunk(*chunk_data(n, 4)) for n in (10, 20, 5)
-                ]
-        assert extents[1] == extents[2]
+        payload = RecordCodec(4).encode(*chunk_data(10, 4))
+        with open(path, "wb") as f:
+            f.write(payload + b"\x00" * geometry.padding_for(len(payload)))
+        with pytest.raises(CorruptFileError, match="magic"):
+            ChunkFileReader(path, dimensions=4, geometry=geometry)
 
     def test_checksum_verification_can_be_disabled(self, tmp_path):
         path = str(tmp_path / "chunks.dat")

@@ -9,7 +9,6 @@ from repro.core.chunk import ChunkMeta
 from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import (
     MAGIC,
-    SUPPORTED_VERSIONS,
     VERSION,
     centroid_sq_norms,
     index_file_bytes,
@@ -72,14 +71,6 @@ class TestRoundtrip:
         # centroid-norms tail, read once at open time.
         assert os.path.getsize(path) == index_file_bytes(11, 24) + 11 * 8
 
-    def test_v1_size_matches_prediction(self, tmp_path):
-        import os
-
-        path = str(tmp_path / "chunks.idx")
-        metas = make_metas(11, dims=24)
-        write_index_file(path, metas, version=1)
-        assert os.path.getsize(path) == index_file_bytes(11, 24)
-
 
 class TestValidation:
     def test_empty_rejected(self, tmp_path):
@@ -119,7 +110,6 @@ class TestNormsBlock:
 
     def test_current_version_is_two(self):
         assert VERSION == 2
-        assert SUPPORTED_VERSIONS == (1, 2)
 
     def test_v2_roundtrip_returns_stored_norms(self, tmp_path):
         path = str(tmp_path / "v2.idx")
@@ -130,36 +120,16 @@ class TestNormsBlock:
         want = centroid_sq_norms(np.stack([m.centroid for m in metas]))
         np.testing.assert_array_equal(norms, want)  # bitwise, not approx
 
-    def test_v1_norms_recomputed_bit_equal(self, tmp_path):
-        v1 = str(tmp_path / "v1.idx")
-        v2 = str(tmp_path / "v2.idx")
-        metas = make_metas(9, dims=24)
-        write_index_file(v1, metas, version=1)
-        write_index_file(v2, metas, version=2)
-        _, norms_v1 = read_index_file_with_norms(v1)
-        _, norms_v2 = read_index_file_with_norms(v2)
-        np.testing.assert_array_equal(norms_v1, norms_v2)
-
-    def test_v1_file_still_readable(self, tmp_path):
-        path = str(tmp_path / "v1.idx")
-        metas = make_metas(5)
-        write_index_file(path, metas, version=1)
-        loaded = read_index_file(path)
-        assert [m.chunk_id for m in loaded] == [m.chunk_id for m in metas]
-
-    def test_unsupported_write_version_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            write_index_file(str(tmp_path / "x.idx"), make_metas(2), version=3)
-
     def test_unsupported_read_version_rejected(self):
         import struct
 
         stream = io.BytesIO()
         write_index_file(stream, make_metas(2))
         data = bytearray(stream.getvalue())
-        struct.pack_into("<I", data, 8, 7)  # header: <8sIIQ8s, version at 8
-        with pytest.raises(CorruptFileError, match="version"):
-            read_index_file(io.BytesIO(bytes(data)))
+        for version in (1, 7):  # the retired norms-less layout, and the future
+            struct.pack_into("<I", data, 8, version)  # <8sIIQ8s: version at 8
+            with pytest.raises(CorruptFileError, match="version"):
+                read_index_file(io.BytesIO(bytes(data)))
 
     def test_truncated_norms_block_rejected(self, tmp_path):
         path = str(tmp_path / "t.idx")
