@@ -18,9 +18,9 @@ enforces invariants no off-the-shelf linter knows about:
   algorithmic layers never import the application shell;
 * **SIM101-102** time-unit taint (whole-program): simulated seconds and
   host seconds must never be mixed or reach the wrong sink;
-* **EXA001-003** exactness contracts: ``# repro: exact`` code must not
-  reach approximate APIs without a waiver, and state mutated on the
-  ``run_parallel`` path must be owned.
+* **EXA001-002** exactness contracts: ``# repro: exact`` code must not
+  reach approximate APIs without a waiver, and contract comments must be
+  well-formed.
 
 Run it as ``repro lint`` or ``python -m repro.analysis``.  This package
 intentionally imports nothing from the rest of ``repro`` (enforced by

@@ -239,15 +239,13 @@ def _walk_in_order(body: List[ast.stmt]) -> List[ast.AST]:
 
 
 class CallGraph:
-    """All resolved call sites, indexed both ways."""
+    """All resolved call sites, indexed by caller."""
 
     def __init__(self, sites: List[CallSite]):
         self.sites = sites
         self.by_caller: Dict[str, List[CallSite]] = {}
-        self.by_callee: Dict[str, List[CallSite]] = {}
         for site in sites:
             self.by_caller.setdefault(site.caller, []).append(site)
-            self.by_callee.setdefault(site.callee, []).append(site)
 
     @classmethod
     def build(
@@ -287,9 +285,6 @@ class CallGraph:
 
     def calls_from(self, qualname: str) -> List[CallSite]:
         return self.by_caller.get(qualname, [])
-
-    def callers_of(self, dotted: str) -> List[CallSite]:
-        return self.by_callee.get(dotted, [])
 
 
 def _nested_def_spans(fn_node: ast.AST) -> List[ast.AST]:

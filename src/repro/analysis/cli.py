@@ -95,12 +95,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print per-phase and per-rule timings to stderr",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="cache parsed ASTs here, keyed on source hash (speeds reruns)",
-    )
 
 
 def _explain(rule_id: str) -> int:
@@ -180,7 +174,7 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"repro lint: error: not a directory: {root}", file=sys.stderr)
         return 2
 
-    result = lint_tree(root, rules=rules, cache_dir=args.cache_dir)
+    result = lint_tree(root, rules=rules)
     if args.profile:
         _print_profile(result)
 

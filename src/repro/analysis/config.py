@@ -55,10 +55,9 @@ FORBIDDEN_IMPORTS: Mapping[str, FrozenSet[str]] = {
     # may reach up into it.
     "service": _APP_SHELL | frozenset({"chunking", "srtree", "storage", "analysis"}),
     "workloads": frozenset({"service"}),
-    "parallel": frozenset({"service"}),
     "extensions": frozenset({"service"}),
     "system": frozenset({"service"}),
-    "analysis": _APP_SHELL | SIMULATED_LAYERS | frozenset({"workloads", "parallel"}),
+    "analysis": _APP_SHELL | SIMULATED_LAYERS | frozenset({"workloads"}),
 }
 
 #: Distance kernels with a float64 promotion contract: passing a literal

@@ -22,36 +22,17 @@ and the analyzer walks the call graph:
 * **EXA002** — a malformed contract comment: an unknown tag, or a def
   carrying both ``exact`` and ``approximate``.  Misspelled contracts
   silently enforce nothing, which is worse than none.
-* **EXA003** — concurrency ownership on the thread-sharded path: a
-  worker callable handed to :func:`repro.parallel.run_parallel` mutates
-  (subscript-stores into) a variable captured from the enclosing scope
-  without a ``# repro: owns(name)`` declaration.  Shards writing into a
-  shared numpy buffer without declared ownership is exactly the data
-  race the per-shard-cache design exists to rule out.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .callgraph import CallGraph, CallSite
 from .diagnostics import Diagnostic
 from .symbols import KNOWN_TAGS, SymbolTable
 
-__all__ = [
-    "check_contract_tags",
-    "check_exactness",
-    "check_parallel_ownership",
-    "RUN_PARALLEL",
-]
-
-RUN_PARALLEL = "repro.parallel.run_parallel"
-_OWNS_PREFIX = "owns("
-
-
-def _is_known_tag(tag: str) -> bool:
-    return tag in KNOWN_TAGS or (tag.startswith(_OWNS_PREFIX) and tag.endswith(")"))
+__all__ = ["check_contract_tags", "check_exactness"]
 
 
 def check_contract_tags(symbols: SymbolTable) -> List[Diagnostic]:
@@ -61,7 +42,7 @@ def check_contract_tags(symbols: SymbolTable) -> List[Diagnostic]:
         info = symbols.by_relpath[relpath]
         for line, tags in info.contracts.lines():
             for tag in tags:
-                if not _is_known_tag(tag):
+                if tag not in KNOWN_TAGS:
                     diagnostics.append(
                         Diagnostic(
                             path=relpath,
@@ -70,8 +51,7 @@ def check_contract_tags(symbols: SymbolTable) -> List[Diagnostic]:
                             rule="EXA002",
                             message=(
                                 f"unknown contract tag '# repro: {tag}'; valid "
-                                f"tags: exact, approximate, allow-approximate, "
-                                f"owns(name)"
+                                f"tags: exact, approximate, allow-approximate"
                             ),
                         )
                     )
@@ -160,127 +140,4 @@ def check_exactness(symbols: SymbolTable, graph: CallGraph) -> List[Diagnostic]:
                     ),
                 )
             )
-    return diagnostics
-
-
-# ---------------------------------------------------------------------------
-# EXA003 — run_parallel worker ownership
-# ---------------------------------------------------------------------------
-
-
-def _worker_node(site: CallSite, symbols: SymbolTable) -> Optional[ast.AST]:
-    """The worker callable's AST: a lambda argument, or a nested def in
-    the calling function with the referenced name."""
-    if not site.node.args:
-        return None
-    worker = site.node.args[0]
-    if isinstance(worker, ast.Lambda):
-        return worker
-    if isinstance(worker, ast.Name):
-        caller = symbols.functions.get(site.caller)
-        scope = caller.node if caller is not None else None
-        if scope is None:
-            info = symbols.modules.get(site.caller)
-            scope = info.tree if info is not None else None
-        if scope is not None:
-            for node in ast.walk(scope):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == worker.id
-                ):
-                    return node
-    return None
-
-
-def _local_names(worker: ast.AST) -> Set[str]:
-    """Names the worker owns by construction: parameters and anything it
-    assigns whole (not element-wise) inside its own body."""
-    names: Set[str] = set()
-    args = getattr(worker, "args", None)
-    if args is not None:
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            names.add(arg.arg)
-        if args.vararg:
-            names.add(args.vararg.arg)
-        if args.kwarg:
-            names.add(args.kwarg.arg)
-    body = worker.body if isinstance(worker.body, list) else [worker.body]
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.target
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name):
-                        names.add(name_node.id)
-            elif isinstance(node, ast.With):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        for name_node in ast.walk(item.optional_vars):
-                            if isinstance(name_node, ast.Name):
-                                names.add(name_node.id)
-    return names
-
-
-def check_parallel_ownership(
-    symbols: SymbolTable, graph: CallGraph
-) -> List[Diagnostic]:
-    """EXA003: captured-variable mutation inside run_parallel workers."""
-    diagnostics: List[Diagnostic] = []
-    for site in graph.callers_of(RUN_PARALLEL):
-        worker = _worker_node(site, symbols)
-        if worker is None:
-            continue
-        info = symbols.by_relpath.get(site.relpath)
-        owned: Set[str] = set()
-        if info is not None:
-            for line in (
-                site.node.lineno,
-                getattr(worker, "lineno", site.node.lineno),
-            ):
-                owned.update(info.contracts.owned_on(line))
-                owned.update(info.contracts.owned_on(line - 1))
-        local = _local_names(worker)
-        body = worker.body if isinstance(worker.body, list) else [worker.body]
-        seen: Set[Tuple[int, int, str]] = set()
-        for stmt in body:
-            for node in ast.walk(stmt):
-                target: Optional[ast.AST] = None
-                if isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    for t in targets:
-                        if isinstance(t, ast.Subscript):
-                            target = t
-                            break
-                if target is None:
-                    continue
-                base = target
-                while isinstance(base, (ast.Subscript, ast.Attribute)):
-                    base = base.value
-                if not isinstance(base, ast.Name):
-                    continue
-                name = base.id
-                if name in local or name in owned or name == "self":
-                    continue
-                key = (node.lineno, node.col_offset, name)
-                if key in seen:
-                    continue
-                seen.add(key)
-                diagnostics.append(
-                    Diagnostic(
-                        path=site.relpath,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule="EXA003",
-                        message=(
-                            f"run_parallel worker mutates captured '{name}' "
-                            f"without declared ownership; threads sharing a "
-                            f"buffer race unless a '# repro: owns({name})' "
-                            f"comment documents single-writer ownership"
-                        ),
-                    )
-                )
     return diagnostics

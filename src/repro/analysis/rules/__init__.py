@@ -20,7 +20,6 @@ from .layering import LayerBoundaryRule
 from .project_rules import (
     ContractTagRule,
     ExactnessContractRule,
-    ParallelOwnershipRule,
     SeedFanoutRule,
     SeedNonRootRule,
     TimeUnitMixRule,
@@ -55,7 +54,6 @@ RULE_CLASSES = (
     SeedFanoutRule,
     ExactnessContractRule,
     ContractTagRule,
-    ParallelOwnershipRule,
 )
 
 RULE_IDS: List[str] = [cls.id for cls in RULE_CLASSES]

@@ -21,7 +21,6 @@ __all__ = [
     "SeedFanoutRule",
     "ExactnessContractRule",
     "ContractTagRule",
-    "ParallelOwnershipRule",
 ]
 
 
@@ -142,31 +141,11 @@ class ContractTagRule(ProjectRule):
         "A misspelled contract ('# repro: exactt') parses as a comment and\n"
         "enforces nothing — strictly worse than no contract, because the\n"
         "reader believes the checker is watching.  Any '# repro:' tag\n"
-        "outside {exact, approximate, allow-approximate, owns(name)} is\n"
-        "flagged, as is a def marked both exact and approximate."
+        "outside {exact, approximate, allow-approximate} is flagged, as is\n"
+        "a def marked both exact and approximate."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
         from ..contracts import check_contract_tags
 
         yield from check_contract_tags(project.symbols)
-
-
-class ParallelOwnershipRule(ProjectRule):
-    id = "EXA003"
-    summary = "run_parallel worker mutates captured state without owns() declaration"
-    rationale = (
-        "The thread-sharded wall-clock path stays exact only because each\n"
-        "shard owns its writes: workers may mutate shared numpy buffers\n"
-        "solely where ownership is documented.  A worker closure that\n"
-        "subscript-assigns into a variable captured from the enclosing\n"
-        "scope is either racing other shards or relying on disjoint index\n"
-        "ranges the reader cannot see.  Declare single-writer ownership\n"
-        "with '# repro: owns(buffer)' on the worker or call line — the\n"
-        "comment is the documented-ownership contract the rule checks for."
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        from ..contracts import check_parallel_ownership
-
-        yield from check_parallel_ownership(project.symbols, project.callgraph)

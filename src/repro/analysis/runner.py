@@ -10,8 +10,7 @@ Entry points, from narrow to wide:
 
 A run has four phases, each timed for ``--profile``:
 
-1. **parse** — read every file, parse to AST (optionally through an
-   on-disk cache keyed on the source hash);
+1. **parse** — read every file, parse to AST;
 2. **symbols** — build the project :class:`SymbolTable` (defs, classes,
    contracts, the ``__init__`` re-export map);
 3. **callgraph** — attribute typing + resolved call edges;
@@ -25,10 +24,7 @@ imports nothing from the simulated layers, so it can lint a broken tree.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-import pickle
-import sys
 import time
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,10 +43,6 @@ __all__ = [
     "lint_tree",
     "package_root",
 ]
-
-#: Bump to invalidate every on-disk AST cache entry (format change).
-_CACHE_SCHEMA = 2
-
 
 class LintResult:
     """Diagnostics plus the bookkeeping the reports need."""
@@ -107,39 +99,6 @@ def _parse_one(
             rule="PARSE",
             message=f"syntax error: {exc.msg}",
         )
-
-
-def _parse_cached(
-    source: str, relpath: str, cache_dir: Optional[str]
-) -> Tuple[Optional[ast.Module], Optional[Diagnostic]]:
-    """Parse with an optional on-disk AST cache keyed on the source hash.
-
-    The key covers source bytes, the cache schema and the interpreter
-    version (AST pickles are not stable across minors).  Cache misses and
-    corrupt entries fall back to a plain parse and rewrite the entry.
-    """
-    if cache_dir is None:
-        return _parse_one(source, relpath)
-    digest = hashlib.sha256(
-        f"{_CACHE_SCHEMA}:{sys.version_info[:2]}:".encode() + source.encode()
-    ).hexdigest()
-    entry = os.path.join(cache_dir, f"{digest}.ast.pkl")
-    if os.path.exists(entry):
-        try:
-            with open(entry, "rb") as handle:
-                cached = pickle.load(handle)
-            if isinstance(cached, ast.Module):
-                return cached, None
-        except Exception:
-            pass  # corrupt/foreign entry: re-parse below
-    tree, parse_error = _parse_one(source, relpath)
-    if tree is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = entry + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(tree, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, entry)
-    return tree, parse_error
 
 
 def _run_rules(
@@ -200,7 +159,6 @@ def _lint_program(
     *,
     config: LintConfig,
     rules: Sequence[Rule],
-    cache_dir: Optional[str] = None,
 ) -> LintResult:
     """Shared core: parse → symbols+callgraph → rules, with timings."""
     timings: Dict[str, float] = {}
@@ -209,7 +167,7 @@ def _lint_program(
     parsed: List[Tuple[str, str, ast.Module]] = []
     parse_failures: List[Diagnostic] = []
     for relpath in sorted(sources):
-        tree, parse_error = _parse_cached(sources[relpath], relpath, cache_dir)
+        tree, parse_error = _parse_one(sources[relpath], relpath)
         if tree is not None:
             parsed.append((relpath, sources[relpath], tree))
         if parse_error is not None:
@@ -299,14 +257,11 @@ def lint_tree(
     *,
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache_dir: Optional[str] = None,
 ) -> LintResult:
     """Lint every ``.py`` file under ``root`` (a package directory).
 
     ``root`` is the directory of the package itself (e.g. ``src/repro``);
-    layers are resolved from paths relative to it.  ``cache_dir``, when
-    given, holds parsed-AST artifacts keyed on source hash so repeated
-    runs (and CI with a restored cache) skip re-parsing unchanged files.
+    layers are resolved from paths relative to it.
     """
     config = config or default_config()
     rules = list(rules) if rules is not None else all_rules()
@@ -315,7 +270,7 @@ def lint_tree(
         relpath = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as handle:
             sources[relpath] = handle.read()
-    return _lint_program(sources, config=config, rules=rules, cache_dir=cache_dir)
+    return _lint_program(sources, config=config, rules=rules)
 
 
 def package_root() -> str:

@@ -33,20 +33,17 @@ __all__ = [
     "parse_contracts",
 ]
 
-#: ``# repro: <tag>`` contract comment.  Tags with arguments (``owns``)
-#: keep their parenthesised payload.
-_CONTRACT = re.compile(r"#\s*repro:\s*([A-Za-z-]+(?:\([^)]*\))?)")
+#: ``# repro: <tag>`` contract comment.
+_CONTRACT = re.compile(r"#\s*repro:\s*([A-Za-z-]+)")
 
 #: Tags the analyzer understands; anything else is an EXA002 finding.
 KNOWN_TAGS = frozenset({"exact", "approximate", "allow-approximate"})
-_OWNS = re.compile(r"owns\(([A-Za-z0-9_,\s]*)\)")
 
 
 class ContractIndex:
     """Per-line ``# repro:`` annotations for one source file.
 
-    ``tags_on(line)`` returns the raw tags written on that line;
-    ``owned_on(line)`` the names declared via ``owns(a, b)``.  Unknown
+    ``tags_on(line)`` returns the raw tags written on that line.  Unknown
     tags are kept (the contract rule reports them) — only parsing, no
     judgement, happens here.
     """
@@ -56,16 +53,6 @@ class ContractIndex:
 
     def tags_on(self, line: int) -> Tuple[str, ...]:
         return self._by_line.get(line, ())
-
-    def owned_on(self, line: int) -> Tuple[str, ...]:
-        names: List[str] = []
-        for tag in self._by_line.get(line, ()):
-            match = _OWNS.fullmatch(tag)
-            if match:
-                names.extend(
-                    part.strip() for part in match.group(1).split(",") if part.strip()
-                )
-        return tuple(names)
 
     def lines(self) -> Iterator[Tuple[int, Tuple[str, ...]]]:
         for line in sorted(self._by_line):

@@ -190,10 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="approximation budget in chunks (0 = exact)",
     )
     batch.add_argument(
-        "--workers", type=int, default=1,
-        help="thread count for wall-clock parallelism (results unchanged)",
-    )
-    batch.add_argument(
         "--compare-sequential", action="store_true",
         help="also time the per-query loop and report the speedup",
     )
@@ -563,13 +559,12 @@ def _cmd_batch_search(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     batch = system.find_similar_descriptors_batch(
-        queries, k=args.k, exact=exact, workers=args.workers,
-        use_router=args.router,
+        queries, k=args.k, exact=exact, use_router=args.router
     )
     batch_wall_s = time.perf_counter() - start
 
     completed = sum(1 for r in batch if r.completed)
-    print(f"batch of {len(batch)} queries (k={args.k}, workers={args.workers}):")
+    print(f"batch of {len(batch)} queries (k={args.k}):")
     print(f"  chunks read:        {batch.total_chunks_read}")
     print(f"  chunks pruned:      {batch.total_chunks_pruned}")
     if chunk_cache is not None:

@@ -24,12 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
-from ..storage.index_file import (
-    centroid_sq_norms,
-    index_file_bytes,
-    read_index_file_with_norms,
-    write_index_file,
-)
+from ..storage.index_file import index_file_bytes, read_index_file, write_index_file
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
 from .chunk import ChunkMeta, ChunkSet
@@ -84,11 +79,8 @@ class OnDiskChunkStore:
         extents: Sequence[ChunkExtent],
         dimensions: int,
         geometry: Optional[PageGeometry] = None,
-        verify_checksums: bool = True,
     ):
-        self._reader = ChunkFileReader(
-            path, dimensions, geometry, verify_checksums=verify_checksums
-        )
+        self._reader = ChunkFileReader(path, dimensions, geometry)
         self._extents = list(extents)
 
     def __len__(self) -> int:
@@ -127,10 +119,6 @@ class ChunkIndex:
     store: object
     dimensions: int
     name: str = "chunk-index"
-    #: ``|centroid|^2`` per chunk, when loaded from a v2 index file (or
-    #: computed at build time); ``None`` falls back to recomputation in
-    #: :meth:`centroid_sq_norm_vector`.
-    centroid_sq_norms: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if not self.metas:
@@ -138,13 +126,6 @@ class ChunkIndex:
         if len(self.store) != len(self.metas):
             raise ValueError(
                 f"store has {len(self.store)} chunks but index has {len(self.metas)}"
-            )
-        if self.centroid_sq_norms is not None and len(
-            self.centroid_sq_norms
-        ) != len(self.metas):
-            raise ValueError(
-                f"got {len(self.centroid_sq_norms)} centroid norms for "
-                f"{len(self.metas)} chunks"
             )
 
     @property
@@ -163,18 +144,6 @@ class ChunkIndex:
     def centroid_matrix(self) -> np.ndarray:
         """``(n_chunks, d)`` float64 centroid matrix for vectorized ranking."""
         return np.stack([m.centroid for m in self.metas])
-
-    def centroid_sq_norm_vector(self) -> np.ndarray:
-        """``|centroid|^2`` per chunk (float64), the expanded-form distance
-        kernel's point-norm terms.
-
-        Served from the v2 index file's norms block when one was loaded;
-        recomputed otherwise with the identical formulation, so the values
-        are bit-equal either way.
-        """
-        if self.centroid_sq_norms is not None:
-            return self.centroid_sq_norms
-        return centroid_sq_norms(self.centroid_matrix())
 
     def radius_vector(self) -> np.ndarray:
         """Chunk radii in chunk order, dtype float64."""
@@ -235,30 +204,19 @@ class ChunkIndex:
         write_index_file(os.path.join(directory, INDEX_FILE_NAME), saved_metas)
 
     @classmethod
-    def load(
-        cls,
-        directory: str,
-        dimensions: int,
-        name: str = "",
-        verify_checksums: bool = True,
-    ) -> "ChunkIndex":
+    def load(cls, directory: str, dimensions: int, name: str = "") -> "ChunkIndex":
         """Open an on-disk chunk index previously written by :meth:`save`.
 
         The chunk-file reader is closed again if construction fails part
         way (e.g. a store/index chunk-count mismatch), so a failed load
         never leaks an open file handle.
         """
-        metas, norms = read_index_file_with_norms(
-            os.path.join(directory, INDEX_FILE_NAME)
-        )
+        metas = read_index_file(os.path.join(directory, INDEX_FILE_NAME))
         extents = [
             ChunkExtent(m.page_offset, m.page_count, m.n_descriptors) for m in metas
         ]
         store = OnDiskChunkStore(
-            os.path.join(directory, CHUNK_FILE_NAME),
-            extents,
-            dimensions,
-            verify_checksums=verify_checksums,
+            os.path.join(directory, CHUNK_FILE_NAME), extents, dimensions
         )
         try:
             return cls(
@@ -266,7 +224,6 @@ class ChunkIndex:
                 store=store,
                 dimensions=dimensions,
                 name=name or os.path.basename(os.path.normpath(directory)),
-                centroid_sq_norms=norms,
             )
         except BaseException:
             store.close()
@@ -312,5 +269,4 @@ def build_chunk_index(
         store=InMemoryChunkStore(contents),
         dimensions=collection.dimensions,
         name=name,
-        centroid_sq_norms=centroid_sq_norms(np.stack([m.centroid for m in metas])),
     )

@@ -166,21 +166,39 @@ class GroundTruthStore:
     def load(cls, path: str) -> "GroundTruthStore":
         if not os.path.exists(path) and os.path.exists(path + ".npz"):
             path = path + ".npz"
-        with np.load(path) as data:
-            missing = {"k", "indices", "ids"} - set(data.files)
-            if missing:
+        # The container is a zip of .npy members: damaged bytes surface from
+        # zipfile, zlib or numpy's header parser under half a dozen exception
+        # types, none of them ours, so this parse boundary converts them all.
+        with open(path, "rb") as stream:
+            try:
+                with np.load(stream) as data:
+                    missing = {"k", "indices", "ids"} - set(data.files)
+                    if missing:
+                        raise CorruptFileError(
+                            f"ground truth file {path!r} is missing arrays: "
+                            f"{sorted(missing)}"
+                        )
+                    k, indices, matrix = data["k"], data["indices"], data["ids"]
+            except CorruptFileError:
+                raise
+            except Exception as exc:
                 raise CorruptFileError(
-                    f"ground truth file {path!r} is missing arrays: "
-                    f"{sorted(missing)}"
-                )
-            store = cls(int(data["k"]))
-            indices = data["indices"]
-            matrix = data["ids"]
-            if indices.ndim != 1 or matrix.shape != (indices.shape[0], store.k):
-                raise CorruptFileError(
-                    f"ground truth file {path!r} has inconsistent shapes: "
-                    f"indices {indices.shape}, ids {matrix.shape}, k={store.k}"
-                )
-            for row, query_index in enumerate(indices):
-                store.put(int(query_index), matrix[row])
+                    f"ground truth file {path!r} is unreadable "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+        if (
+            any(a.dtype.kind not in "iu" for a in (k, indices, matrix))
+            or k.shape != ()
+            or int(k) < 1
+            or indices.ndim != 1
+            or matrix.shape != (indices.shape[0], int(k))
+        ):
+            raise CorruptFileError(
+                f"ground truth file {path!r} has inconsistent shapes: "
+                f"k {k.dtype}{k.shape}, indices {indices.dtype}{indices.shape}, "
+                f"ids {matrix.dtype}{matrix.shape}"
+            )
+        store = cls(int(k))
+        for row, query_index in enumerate(indices):
+            store.put(int(query_index), matrix[row])
         return store

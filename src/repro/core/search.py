@@ -28,12 +28,10 @@ shares host work, never a simulated timestamp:
   float64 exactly once), then scanned against every query of the cohort
   with one ``(q, n_chunk)`` kernel call.  A cohort of one retains nothing:
   there is no other query to share with;
-* **per-query timing model** — every query owns its own timeline (the
-  :class:`~repro.simio.pipeline.PipelineSimulator` recurrence), so
-  simulated time is charged per query exactly as the paper measures it;
-* **parallel wall-clock mode** — ``workers > 1`` shards the cohort over a
-  thread pool (the distance kernels release the GIL), which changes only
-  how fast the host finishes, never the per-query results.
+* **per-query timing model** — every query owns its own timeline (three
+  floats carrying the :class:`~repro.simio.pipeline.PipelineSimulator`
+  recurrence, the reference the tests replay it against), so simulated
+  time is charged per query exactly as the paper measures it.
 
 Queries always run one after the other (query 0 to its stop, then query
 1, ...), so when the cost model carries a shared cache — whose simulated
@@ -44,16 +42,18 @@ one a loop of single-query calls would produce.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..faults.injector import FaultInjector
 from ..faults.plan import OK_OUTCOME, ChunkFaultOutcome
-from ..parallel import resolve_workers, run_parallel, shard
+from ..simio.cache import cached_read_time_s
 from ..simio.calibration import PAPER_2005_COST_MODEL
-from ..simio.pipeline import CostModel, PipelineSimulator
+from ..simio.chunk_cache import chunk_read_time_s
+from ..simio.pipeline import CostModel
 from ..storage.errors import CorruptFileError
 from .chunk_index import ChunkIndex
 from .distance import pairwise_squared_distances
@@ -74,12 +74,6 @@ __all__ = [
 RANK_BY_CENTROID = "centroid"
 #: Rank chunks by the lower bound ``d(centroid) - radius`` (ablation).
 RANK_BY_LOWER_BOUND = "lower_bound"
-
-#: The prune-run fast path materializes ``TraceEvent`` instances from
-#: prebuilt value tuples; ``_make`` is the C-level tuple constructor, the
-#: cheapest way to build one (see the ``TraceEvent`` docstring for why
-#: the event type is a ``NamedTuple`` in the first place).
-_EVENT_MAKE = TraceEvent._make
 
 #: A chunk's promoted contents: ``(int64 ids, contiguous float64 vectors)``.
 _Payload = Tuple[np.ndarray, np.ndarray]
@@ -207,8 +201,7 @@ class _QueryState:
     The timing state is three floats replicating the
     :class:`~repro.simio.pipeline.PipelineSimulator` recurrence inline
     (``prev_read``/``prev_proc``/``drained`` are ``R[i-1]``/``C[i-1]``/
-    ``C[i-2]``); ``simulator`` is only instantiated for shared-cache
-    cost models, whose per-chunk I/O charge is stateful.
+    ``C[i-2]``).
     """
 
     __slots__ = (
@@ -220,7 +213,6 @@ class _QueryState:
         "lb_list",
         "stream",
         "n_ranks",
-        "simulator",
         "prev_read",
         "prev_proc",
         "drained",
@@ -248,7 +240,6 @@ class _QueryState:
         start_s: float,
         stop_rule: StopRule,
         truth: Optional[frozenset],
-        simulator: Optional[PipelineSimulator],
         ranking: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]",
         stream: Optional[RouterStream],
     ):
@@ -270,7 +261,6 @@ class _QueryState:
             self.lb_list = []
         self.n_ranks = len(self.order)
         self.stream = stream
-        self.simulator = simulator
         self.prev_read = start_s
         self.prev_proc = start_s
         self.drained = start_s
@@ -360,7 +350,11 @@ class ChunkSearcher:
         self.router = router
         self._centroids = index.centroid_matrix()
         self._radii = index.radius_vector()
-        self._centroid_sq_norms = index.centroid_sq_norm_vector()
+        # The expanded-form kernel's point-norm terms, in its own einsum
+        # formulation, so passing them changes no bit of the ranking.
+        self._centroid_sq_norms = np.einsum(
+            "pd,pd->p", self._centroids, self._centroids
+        )
         # Per-chunk scalars as plain Python values: the execution loop
         # touches these once per (query, chunk) event, where repeated
         # numpy indexing and cost-model calls would dominate.
@@ -377,6 +371,17 @@ class ChunkSearcher:
             (io_s[p], cpu_s[n], n) for p, n in zip(self._pages, counts)
         ]
         self._overlap = cost_model.overlap_io_cpu
+        # Both cache flavors make a chunk's I/O charge a function of the
+        # global touch order; ``None`` charges the precomputed cold read.
+        self._cached_io: "Optional[Callable[[int, int], Tuple[float, int]]]" = None
+        if cost_model.cache is not None:
+            self._cached_io = functools.partial(
+                cached_read_time_s, cost_model.disk, cost_model.cache
+            )
+        elif cost_model.chunk_cache is not None:
+            self._cached_io = functools.partial(
+                chunk_read_time_s, cost_model.disk, cost_model.chunk_cache
+            )
 
     # -- ownership -----------------------------------------------------------
 
@@ -496,7 +501,6 @@ class ChunkSearcher:
         k: int = 30,
         stop_rule: Optional[StopRule] = None,
         true_neighbor_ids: Optional[Sequence[Optional[Sequence[int]]]] = None,
-        workers: int = 1,
         faults: Optional[FaultInjector] = None,
         query_indices: Optional[Sequence[int]] = None,
     ) -> BatchSearchResult:
@@ -517,18 +521,11 @@ class ChunkSearcher:
             Optional per-query ground-truth id lists (``None`` entries skip
             match counting for that query), enabling the paper's
             intermediate-quality trace columns.
-        workers:
-            Thread count for wall-clock parallelism; 1 (default) runs
-            in-thread.  Results and simulated times are identical at any
-            worker count.  Ignored (forced to 1) when the cost model
-            carries a shared cache, whose simulated state depends on
-            the global touch order.
         faults:
             Optional fault injector enabling degraded execution, exactly
             as in :meth:`search`.  The fault plan is keyed by a query's
             *position in this batch* unless ``query_indices`` says
-            otherwise, so faulted outcomes do not depend on cohort shape
-            or worker count.
+            otherwise, so faulted outcomes do not depend on cohort shape.
         query_indices:
             Optional per-query fault-plan keys overriding the default
             batch positions — the ``query_index`` argument of
@@ -567,13 +564,6 @@ class ChunkSearcher:
         router = self.router
         if router is None:
             orders, suffix_mins, ranked_lbs = self._rank_full(queries)
-        # Both cache flavors make the simulated I/O charge of a chunk a
-        # function of the global touch order: each query then charges
-        # through its own PipelineSimulator, and threads are off.
-        shared_cache = (
-            self.cost_model.cache is not None
-            or self.cost_model.chunk_cache is not None
-        )
         # The start-of-query charge (index read + ranking) is
         # query-independent: start_query's arithmetic, once per batch.
         start_s = self.cost_model.disk.sequential_read_time_s(
@@ -581,10 +571,6 @@ class ChunkSearcher:
         ) + self.cost_model.cpu.ranking_time_s(self.index.n_chunks)
         states = []
         for i in range(n_queries):
-            simulator = None
-            if shared_cache:
-                simulator = self.cost_model.simulator()
-                simulator.start_query(self.index.n_chunks, self.index.index_bytes)
             truth_i = None
             if true_neighbor_ids is not None and true_neighbor_ids[i] is not None:
                 truth_i = frozenset(int(x) for x in true_neighbor_ids[i])
@@ -596,7 +582,6 @@ class ChunkSearcher:
                     start_s=start_s,
                     stop_rule=stop_rule,
                     truth=truth_i,
-                    simulator=simulator,
                     ranking=(
                         (orders[i], suffix_mins[i], ranked_lbs[i])
                         if router is None
@@ -610,15 +595,7 @@ class ChunkSearcher:
                 )
             )
 
-        n_workers = 1 if shared_cache else resolve_workers(workers, n_queries)
-        # Each shard is its own cohort (own content and row caches), so
-        # threads never contend on a dict; chunks hot in several shards
-        # are read once per shard, still far below once per query.
-        run_parallel(
-            lambda cohort: self._run(cohort, faults),
-            shard(states, n_workers),
-            workers=n_workers,
-        )
+        self._run(states, faults)
         return BatchSearchResult(results=[s.to_result() for s in states])
 
     # -- execution internals -------------------------------------------------
@@ -628,23 +605,14 @@ class ChunkSearcher:
     ) -> _Payload:
         """Chunk contents, promoted once: int64 ids, contiguous float64
         vectors.  ``loaded`` is the cohort's content cache (``None`` for a
-        cohort of one, which has nobody to share with).  When the cost
-        model carries a simulated chunk cache, a payload attached by an
-        earlier query is reused — the cross-query warm path the cache
-        models — without touching the simulated state (charging happens
-        in the timing calls, never here)."""
+        cohort of one, which has nobody to share with)."""
         payload = loaded.get(chunk_id) if loaded is not None else None
         if payload is None:
-            sim_cache = self.cost_model.chunk_cache
-            if sim_cache is not None:
-                attached = sim_cache.peek_payload(self._page_offsets[chunk_id])
-                payload = attached  # type: ignore[assignment]
-            if payload is None:
-                ids, vectors = self.index.read_chunk(chunk_id)
-                payload = (
-                    np.asarray(ids, dtype=np.int64),
-                    np.ascontiguousarray(vectors, dtype=np.float64),
-                )
+            ids, vectors = self.index.read_chunk(chunk_id)
+            payload = (
+                np.asarray(ids, dtype=np.int64),
+                np.ascontiguousarray(vectors, dtype=np.float64),
+            )
             if loaded is not None:
                 loaded[chunk_id] = payload
         return payload
@@ -693,38 +661,33 @@ class ChunkSearcher:
         were skipped on the host.
         """
         ok = outcome.ok
-        extra_io_s = outcome.extra_io_s
         io, cpu, count = self._chunk_cost[chunk_id]
-        if state.simulator is not None:
-            if ok:
-                elapsed = state.simulator.process_chunk(
-                    self._pages[chunk_id],
-                    count,
-                    page_offset=self._page_offsets[chunk_id],
-                    extra_io_s=extra_io_s,
-                )
-            else:
-                elapsed = state.simulator.skip_chunk(extra_io_s)
+        # PipelineSimulator.process_chunk / skip_chunk inlined on three
+        # floats — same operations in the same order, so timestamps are
+        # bit-identical (R[i] = max(R[i-1], C[i-2]) + io; C[i] =
+        # max(R[i], C[i-1]) + cpu; serial without overlap).  Adding a 0.0
+        # charge is exact, which is what lets one expression serve clean
+        # reads, retried reads and skips.
+        if ok:
+            if self._cached_io is not None:
+                # A cached cost model only changes where the I/O charge
+                # comes from: one touch per readable visit, in visit
+                # order.  A skipped chunk touches nothing.
+                io = self._cached_io(
+                    self._page_offsets[chunk_id], self._pages[chunk_id]
+                )[0]
+            io += outcome.extra_io_s
         else:
-            # PipelineSimulator.process_chunk / skip_chunk inlined on
-            # three floats — same operations in the same order, so
-            # timestamps are bit-identical (R[i] = max(R[i-1], C[i-2]) +
-            # io; C[i] = max(R[i], C[i-1]) + cpu; serial without overlap).
-            # Adding a 0.0 charge is exact, which is what lets one
-            # expression serve clean reads, retried reads and skips.
-            if ok:
-                io += extra_io_s
-            else:
-                io, cpu = extra_io_s, 0.0
-            prev_proc = state.prev_proc
-            if self._overlap:
-                read_done = max(state.prev_read, state.drained) + io
-                elapsed = max(read_done, prev_proc) + cpu
-                state.prev_read = read_done
-            else:
-                elapsed = prev_proc + io + cpu
-            state.drained = prev_proc
-            state.prev_proc = elapsed
+            io, cpu = outcome.extra_io_s, 0.0
+        prev_proc = state.prev_proc
+        if self._overlap:
+            read_done = max(state.prev_read, state.drained) + io
+            elapsed = max(read_done, prev_proc) + cpu
+            state.prev_read = read_done
+        else:
+            elapsed = prev_proc + io + cpu
+        state.drained = prev_proc
+        state.prev_proc = elapsed
         if not ok:
             # _advance_state then resolves the proof to "proof-degraded"
             # and exhaustion to completed=False.
@@ -815,68 +778,6 @@ class ChunkSearcher:
             # unless skipped chunks left holes in the scan.
             state.finish("exhausted", not state.degraded)
 
-    # repro: exact
-    def _prune_run(self, state: _QueryState) -> None:
-        """Consume the state's whole run of *consecutive* prunable chunks
-        in one tight loop — the fast path behind the pruned scan's
-        wall-clock win.
-
-        Only taken when nothing can interrupt the run: flat ranking (no
-        router stream), no fault injection, the inlined overlapped timing
-        recurrence (no stateful simulator), and the run-to-completion stop
-        rule.  Under those conditions the k-th distance is frozen for the
-        whole run (pruned chunks admit nothing), so the loop needs no
-        per-event checks at all:
-
-        * The neighbor set is full (a finite k-th distance is what let
-          the caller prune), so nothing downstream of the heap changes.
-        * The completion proof cannot fire mid-run.  The state entered
-          with ``suffix_min[rank0] <= kth`` (otherwise the previous
-          event's proof would have finished it), so a chunk with
-          ``lb <= kth`` lies ahead; the suffix minimum is non-decreasing
-          in rank, so it stays ``<= kth`` at every rank up to and
-          including that chunk — which is also where the loop condition
-          stops.  The same chunk bounds the run away from the end of the
-          ranking, so exhaustion is unreachable too.
-
-        Each event carries exactly the values :meth:`_apply_chunk` would
-        produce (same recurrence, same fields, ranks contiguous by
-        construction), so traces and timestamps are bit-identical to the
-        per-event path; events are built with the C-level tuple
-        constructor from a value tuple whose run-constant tail
-        (``n_found``/``kth``/``matches`` cannot move while every chunk is
-        pruned) is hoisted out of the loop.
-        """
-        order = state.order
-        lbs = state.lb_list
-        per_chunk = self._chunk_cost
-        append = state.events.append
-        kth = state.kth
-        # (neighbors_found, kth_distance, true_matches, skipped, fault,
-        # retries) — constant for the whole run.
-        tail = (state.n_found, kth, state.matches, False, "none", 0)
-        prev_read = state.prev_read
-        prev_proc = state.prev_proc
-        drained = state.drained
-        r = state.rank0
-        start = r
-        make = _EVENT_MAKE
-        while lbs[r] > kth:
-            cid = order[r]
-            io, cpu, count = per_chunk[cid]
-            read_done = (prev_read if prev_read >= drained else drained) + io
-            elapsed = (read_done if read_done >= prev_proc else prev_proc) + cpu
-            prev_read = read_done
-            drained = prev_proc
-            prev_proc = elapsed
-            r += 1
-            append(make((cid, r, elapsed, count) + tail))
-        state.prev_read = prev_read
-        state.prev_proc = prev_proc
-        state.drained = drained
-        state.pruned += r - start
-        state.rank0 = r
-
     def _run(
         self, states: List[_QueryState], faults: Optional[FaultInjector]
     ) -> None:
@@ -907,13 +808,7 @@ class ChunkSearcher:
 
         Pruning composes with the sharing: a query arriving at a prunable
         chunk never demands its distance row, so a chunk every remaining
-        query prunes is neither read nor scanned.
-
-        With a simulated chunk cache the promoted payload is attached
-        *after* the timing call that touched it (attach only sticks while
-        the chunk is simulated-resident), so later queries — in this
-        cohort or the next call — reuse the decoded contents."""
-        sim_cache = self.cost_model.chunk_cache
+        query prunes is neither read nor scanned."""
         prune = self.prune
         shared = len(states) > 1
         loaded: Optional[Dict[int, _Payload]] = {} if shared else None
@@ -921,14 +816,6 @@ class ChunkSearcher:
         failed: Set[int] = set()
         query_matrix = np.stack([s.query for s in states])
         for row, state in enumerate(states):
-            burst = (
-                prune
-                and faults is None
-                and state.stream is None
-                and state.simulator is None
-                and self._overlap
-                and type(state.stop_rule) is ExactCompletion
-            )
             while not state.done:
                 chunk_id, lb = state.pull_next()
                 # The pruning bound: a chunk whose lower bound strictly
@@ -938,9 +825,6 @@ class ChunkSearcher:
                 # is +inf until k neighbors are known, so pruning never
                 # fires early.
                 prunable = prune and lb > state.kth
-                if prunable and burst:
-                    self._prune_run(state)
-                    continue
                 outcome = OK_OUTCOME
                 payload = None
                 if faults is not None:
@@ -971,5 +855,3 @@ class ChunkSearcher:
                     payload, d2, mins2 = entry
                     scan = (payload[0], d2[row], mins2[row])
                 self._apply_chunk(state, chunk_id, outcome, scan)
-                if sim_cache is not None and payload is not None and outcome.ok:
-                    sim_cache.attach(self._page_offsets[chunk_id], payload)

@@ -384,11 +384,9 @@ def build_partition_index(
         next_page += meta.page_count
         ids, vectors = index.read_chunk(chunk_id)
         contents.append((ids, vectors))
-    norms = index.centroid_sq_norm_vector()[np.asarray(chunk_ids, dtype=np.int64)]
     return ChunkIndex(
         metas=metas,
         store=InMemoryChunkStore(contents),
         dimensions=index.dimensions,
         name=name or f"{index.name}/partition",
-        centroid_sq_norms=np.ascontiguousarray(norms, dtype=np.float64),
     )

@@ -22,15 +22,16 @@ two runs with the same seed and the same query order produce byte-identical
 reports.  ``seed`` does not randomize anything — it is recorded so a report
 can pin the workload that warmed the cache.
 
-Like every simulated-layer module, this file must never read the wall
-clock; host-side payload storage (:meth:`LruChunkCache.attach`) affects
-only how fast the host finishes, never a simulated timestamp.
+The cache is a pure model of simulated residency: it tracks which chunks
+would be in memory and what a read therefore costs, and holds no chunk
+contents.  Like every simulated-layer module, this file must never read
+the wall clock.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .disk_model import DiskModel
 
@@ -40,16 +41,6 @@ __all__ = ["LruChunkCache", "chunk_read_time_s", "DEFAULT_MEMCPY_BYTES_PER_S"]
 #: the paper's 2005-era hardware (DDR-333 streams faster, but the copy
 #: shares the bus with the scan itself).
 DEFAULT_MEMCPY_BYTES_PER_S = 1.0e9
-
-
-class _Entry:
-    """One resident chunk: its size and (optionally) its contents."""
-
-    __slots__ = ("nbytes", "payload")
-
-    def __init__(self, nbytes: int):
-        self.nbytes = nbytes
-        self.payload: Optional[object] = None
 
 
 class LruChunkCache:
@@ -86,7 +77,8 @@ class LruChunkCache:
         self.capacity_bytes = int(capacity_bytes)
         self.memcpy_bytes_per_s = float(memcpy_bytes_per_s)
         self.seed = int(seed)
-        self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
+        #: Resident chunk key -> its size in bytes, least recently used first.
+        self._entries: "OrderedDict[int, int]" = OrderedDict()
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -105,46 +97,25 @@ class LruChunkCache:
         recently used entries until the capacity holds again.
         """
         key = int(key)
-        entry = self._entries.get(key)
-        if entry is not None:
+        if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
             return True
         self.misses += 1
         if nbytes < 0:
             raise ValueError("chunk size cannot be negative")
-        entry = _Entry(int(nbytes))
-        self._entries[key] = entry
-        self.used_bytes += entry.nbytes
+        nbytes = int(nbytes)
+        self._entries[key] = nbytes
+        self.used_bytes += nbytes
         while self.used_bytes > self.capacity_bytes and self._entries:
-            victim_key, victim = self._entries.popitem(last=False)
-            self.used_bytes -= victim.nbytes
+            victim_key, victim_bytes = self._entries.popitem(last=False)
+            self.used_bytes -= victim_bytes
             self.evictions += 1
             if victim_key == key:
                 # The new chunk itself exceeded the capacity: charged as a
                 # miss, not retained.
                 break
         return False
-
-    def peek_payload(self, key: int) -> Optional[object]:
-        """Contents attached to a resident chunk, without touching LRU
-        state (``None`` when absent or never attached)."""
-        entry = self._entries.get(int(key))
-        return entry.payload if entry is not None else None
-
-    def attach(self, key: int, payload: object) -> bool:
-        """Attach host-side contents to a *resident* chunk.
-
-        Returns False (no-op) when the chunk is not resident, so payloads
-        can never outlive their simulated residency.  The payload is
-        opaque to the cache; the searcher stores the promoted ``(ids,
-        vectors)`` pair.
-        """
-        entry = self._entries.get(int(key))
-        if entry is None:
-            return False
-        entry.payload = payload
-        return True
 
     def clear(self) -> None:
         self._entries.clear()

@@ -45,7 +45,7 @@ from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError
+from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError, read_exact
 from .pages import PageGeometry
 from .records import RecordCodec
 
@@ -245,8 +245,9 @@ class ChunkFileReader:
 
     The header and checksum table are validated at open — anything
     malformed raises :class:`~repro.storage.errors.CorruptFileError` —
-    and every chunk payload read is verified against its stored CRC32
-    (disable with ``verify_checksums=False`` to measure raw read cost).
+    and every chunk payload read is verified against its stored CRC32.
+    Extents come from the (un-checksummed) index file, so each is bounded
+    against the data region before anything is sought or read.
     """
 
     def __init__(
@@ -254,7 +255,6 @@ class ChunkFileReader:
         source: PathOrFile,
         dimensions: int,
         geometry: Optional[PageGeometry] = None,
-        verify_checksums: bool = True,
     ):
         self._geometry = geometry or PageGeometry()
         self._codec = RecordCodec(dimensions)
@@ -262,7 +262,6 @@ class ChunkFileReader:
         self._file: BinaryIO = (
             open(source, "rb") if self._owns_file else source  # type: ignore[arg-type]
         )
-        self.verify_checksums = bool(verify_checksums)
         self._crcs: Dict[int, int] = {}
         try:
             self._base = self._file.tell()
@@ -307,13 +306,22 @@ class ChunkFileReader:
                 f"chunk file header implies implausible size (n_chunks={n_chunks})"
             )
         self._load_crc_table(int(table_page), int(n_chunks))
+        #: Pages between the header page and the CRC table.
+        self._data_pages = int(table_page) - _DATA_START_PAGE
 
     def _load_crc_table(self, table_page: int, n_chunks: int) -> None:
-        self._file.seek(self._base + self._geometry.byte_offset(table_page))
-        raw = self._file.read(_TABLE_HEADER.size)
-        if len(raw) != _TABLE_HEADER.size:
-            raise CorruptFileError("chunk file checksum table truncated")
-        magic, count = _TABLE_HEADER.unpack(raw)
+        # table_page is a raw u64: compare it with the real file size (via
+        # seek, which wrapped sources forward) before seeking to it.
+        table_at = self._base + self._geometry.byte_offset(table_page)
+        if table_at > self._file.seek(0, os.SEEK_END):
+            raise CorruptFileError(
+                f"chunk file checksum table page {table_page} lies beyond "
+                "the end of the file"
+            )
+        self._file.seek(table_at)
+        magic, count = _TABLE_HEADER.unpack(
+            read_exact(self._file, _TABLE_HEADER.size, "chunk file checksum table")
+        )
         if magic != TABLE_MAGIC:
             raise CorruptFileError(
                 f"bad chunk file checksum table magic {magic!r}"
@@ -323,9 +331,9 @@ class ChunkFileReader:
                 f"chunk file header claims {n_chunks} chunks but the "
                 f"checksum table holds {count}"
             )
-        raw = self._file.read(count * _TABLE_ENTRY.size)
-        if len(raw) != count * _TABLE_ENTRY.size:
-            raise CorruptFileError("chunk file checksum table truncated")
+        raw = read_exact(
+            self._file, count * _TABLE_ENTRY.size, "chunk file checksum table"
+        )
         for i in range(count):
             page_offset, crc = _TABLE_ENTRY.unpack_from(raw, i * _TABLE_ENTRY.size)
             self._crcs[page_offset] = crc
@@ -342,6 +350,11 @@ class ChunkFileReader:
         discarded.  The payload is verified first; a mismatch raises
         :class:`~repro.storage.errors.ChecksumError`.
         """
+        if extent.page_offset + extent.page_count > self._data_pages:
+            raise CorruptFileError(
+                f"chunk extent (page {extent.page_offset}, {extent.page_count} "
+                f"pages) lies outside the {self._data_pages}-page data region"
+            )
         self._file.seek(
             self._base
             + self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset)
@@ -354,18 +367,17 @@ class ChunkFileReader:
                 f"{extent.page_offset}, got {len(raw)}"
             )
         payload = raw[:needed]
-        if self.verify_checksums:
-            stored = self._crcs.get(extent.page_offset)
-            if stored is None:
-                raise CorruptFileError(
-                    f"no checksum entry for chunk at page {extent.page_offset}"
-                )
-            actual = zlib.crc32(payload)
-            if actual != stored:
-                raise ChecksumError(
-                    f"chunk at page {extent.page_offset} failed its CRC32 "
-                    f"check (stored {stored:#010x}, computed {actual:#010x})"
-                )
+        stored = self._crcs.get(extent.page_offset)
+        if stored is None:
+            raise CorruptFileError(
+                f"no checksum entry for chunk at page {extent.page_offset}"
+            )
+        actual = zlib.crc32(payload)
+        if actual != stored:
+            raise ChecksumError(
+                f"chunk at page {extent.page_offset} failed its CRC32 "
+                f"check (stored {stored:#010x}, computed {actual:#010x})"
+            )
         return self._codec.decode(payload)
 
     def close(self) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.dataset import DescriptorCollection
 from .atomic import atomic_output
-from .errors import MAX_DIMENSIONS, CorruptFileError
+from .errors import MAX_DIMENSIONS, CorruptFileError, read_exact
 from .records import RecordCodec
 
 __all__ = ["write_collection_file", "read_collection_file", "COLLECTION_MAGIC"]
@@ -96,13 +96,11 @@ def read_collection_file(source: PathOrFile) -> DescriptorCollection:
                 f"collection file header implies implausible size "
                 f"(count={count}, dims={dimensions})"
             )
-        payload = stream.read(count * codec.record_bytes)
-        if len(payload) != count * codec.record_bytes:
-            raise CorruptFileError("collection file truncated (records)")
+        payload = read_exact(
+            stream, count * codec.record_bytes, "collection file records"
+        )
         ids, vectors = codec.decode(payload)
-        raw_images = stream.read(count * 8)
-        if len(raw_images) != count * 8:
-            raise CorruptFileError("collection file truncated (image ids)")
+        raw_images = read_exact(stream, count * 8, "collection file image ids")
         image_ids = np.frombuffer(raw_images, dtype="<i8").astype(np.int64)
         return DescriptorCollection(vectors=vectors, ids=ids, image_ids=image_ids)
     finally:

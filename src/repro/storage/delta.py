@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .atomic import atomic_output
-from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError
+from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError, read_exact
 from .records import RecordCodec
 
 __all__ = [
@@ -149,12 +149,10 @@ def read_delta_segment(path: str, dimensions: int) -> DeltaSegment:
                 "delta segment header implies implausible size "
                 f"(base_rows={base_rows}, n_appended={n_appended})"
             )
-        bitmap = stream.read(bitmap_bytes)
-        if len(bitmap) != bitmap_bytes:
-            raise CorruptFileError("delta segment bitmap truncated")
-        records = stream.read(n_appended * codec.record_bytes)
-        if len(records) != n_appended * codec.record_bytes:
-            raise CorruptFileError("delta segment records truncated")
+        bitmap = read_exact(stream, bitmap_bytes, "delta segment bitmap")
+        records = read_exact(
+            stream, n_appended * codec.record_bytes, "delta segment records"
+        )
     actual = zlib.crc32(records, zlib.crc32(bitmap))
     if actual != crc:
         raise ChecksumError(

@@ -9,7 +9,10 @@ retry the read.
 
 from __future__ import annotations
 
-__all__ = ["CorruptFileError", "ChecksumError", "MAX_DIMENSIONS"]
+import os
+from typing import BinaryIO
+
+__all__ = ["CorruptFileError", "ChecksumError", "MAX_DIMENSIONS", "read_exact"]
 
 #: Upper bound accepted for the ``dims`` header field of any on-disk
 #: format.  The paper's descriptors are 24-d; anything above this is a
@@ -39,3 +42,22 @@ class ChecksumError(CorruptFileError):
     byte-level damage is caught by the checksum layer specifically, not
     by a lucky decode failure downstream.
     """
+
+
+def read_exact(stream: BinaryIO, nbytes: int, what: str) -> bytes:
+    """Read exactly ``nbytes`` or raise :class:`CorruptFileError`.
+
+    ``nbytes`` is derived from header fields, so it is bounded against
+    what the stream really holds *before* the read (``seek``/``tell``,
+    which wrapped sources such as ``FaultyFile`` forward): a damaged
+    count surfaces as truncation, never as a header-sized allocation.
+    """
+    here = stream.tell()
+    available = stream.seek(0, os.SEEK_END) - here
+    stream.seek(here)
+    raw = stream.read(nbytes) if nbytes <= available else b""
+    if len(raw) != nbytes:
+        raise CorruptFileError(
+            f"{what} truncated: wanted {nbytes} bytes, {available} remain"
+        )
+    return raw

@@ -23,16 +23,12 @@ Entry (``8 * d + 8 + 8 + 4 + 4`` bytes each)::
     page_count  : uint32
     n_descriptors : uint32
 
-followed by one block after the entries::
-
-    centroid_sq_norms : float64 x n_chunks
-
-the precomputed ``|centroid|^2`` terms the expanded-form distance kernel
-needs for batched chunk ranking.  A query's *ranking scan* (centroid +
-radius + location) covers exactly the header and entries — which is why
-:func:`index_file_bytes`, the quantity the disk model charges at query
-start, deliberately excludes the norms tail: it is loaded once when the
-index is opened, not per query.
+and nothing else: a query's *ranking scan* (centroid + radius + location)
+covers the whole file, which is what :func:`index_file_bytes` — the
+quantity the disk model charges at query start — measures.  Nothing
+derived is stored: the file carries no checksum, so every stored value is
+validated on read, and a value that can be recomputed from validated ones
+(the centroid norms the ranking kernel uses) is recomputed.
 """
 
 from __future__ import annotations
@@ -45,13 +41,11 @@ import numpy as np
 
 from ..core.chunk import ChunkMeta
 from .atomic import atomic_output
-from .errors import MAX_DIMENSIONS, CorruptFileError
+from .errors import MAX_DIMENSIONS, CorruptFileError, read_exact
 
 __all__ = [
     "write_index_file",
     "read_index_file",
-    "read_index_file_with_norms",
-    "centroid_sq_norms",
     "index_file_bytes",
     "MAGIC",
     "VERSION",
@@ -59,7 +53,7 @@ __all__ = [
 
 MAGIC = b"EFF2CIDX"
 #: The index-file format version (the only one read or written).
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<8sIIQ8s")
 #: Reject headers whose implied payload exceeds this (1 TiB) — guards
 #: against corrupted ``n_chunks``/``dims`` fields triggering huge reads.
@@ -81,29 +75,13 @@ def _entry_dtype(dimensions: int) -> np.dtype:
 
 
 def index_file_bytes(n_chunks: int, dimensions: int) -> int:
-    """Size of the per-query ranking scan region (header + entries) — this
-    is what the disk model charges for the sequential index read at the
-    start of every query.  The norms tail is excluded on purpose: it is
-    read once at open time, never per query."""
+    """Size of the index file (header + entries) — what the disk model
+    charges for the sequential index read at the start of every query."""
     return _HEADER.size + n_chunks * _entry_dtype(dimensions).itemsize
 
 
-def centroid_sq_norms(centroids: np.ndarray) -> np.ndarray:
-    """``|centroid|^2`` per chunk (float64), the expanded-form kernel's
-    point-norm terms.
-
-    This is the single formulation used everywhere norms are produced —
-    at index build and inside
-    :func:`~repro.core.distance.pairwise_squared_distances` — so stored
-    and recomputed norms are bit-equal.
-    """
-    matrix = np.ascontiguousarray(centroids, dtype=np.float64)
-    return np.einsum("pd,pd->p", matrix, matrix)
-
-
 def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
-    """Serialize chunk metadata plus the centroid-norms block, preserving
-    chunk order."""
+    """Serialize chunk metadata, preserving chunk order."""
     if not metas:
         raise ValueError("cannot write an empty index file")
     dimensions = metas[0].centroid.shape[0]
@@ -123,29 +101,27 @@ def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
         entries[i]["n_descriptors"] = meta.n_descriptors
 
     header = _HEADER.pack(MAGIC, VERSION, dimensions, len(metas), b"\x00" * 8)
-    norms = (
-        centroid_sq_norms(np.stack([m.centroid for m in metas]))
-        .astype("<f8", copy=False)
-        .tobytes()
-    )
     if isinstance(target, (str, os.PathLike)):
         # Path target: publish atomically (write-temp, fsync, rename) so
         # a crash mid-write never leaves a truncated index behind.
         with atomic_output(target) as stream:
             stream.write(header)
             stream.write(entries.tobytes())
-            stream.write(norms)
     else:
         target.write(header)
         target.write(entries.tobytes())
-        target.write(norms)
         target.flush()
 
 
-def read_index_file_with_norms(
-    source: PathOrFile,
-) -> "tuple[List[ChunkMeta], np.ndarray]":
-    """Load chunk metadata plus the centroid-norms block, in chunk order."""
+def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
+    """Load chunk metadata back, in chunk order.
+
+    Every entry is validated here — finite centroid and radius, ``radius
+    >= 0``, a non-empty chunk on a non-empty page extent — so damaged
+    bytes surface as :class:`CorruptFileError`, never as a ``ValueError``
+    out of :class:`ChunkMeta` or as a NaN the completion proof would
+    silently compare against.
+    """
     owns = isinstance(source, (str, os.PathLike))
     stream: BinaryIO = open(source, "rb") if owns else source  # type: ignore[arg-type]
     try:
@@ -170,11 +146,23 @@ def read_index_file_with_norms(
                 f"index file header implies implausible size "
                 f"(n_chunks={n_chunks}, dims={dimensions})"
             )
-        raw = stream.read(n_chunks * dtype.itemsize)
-        if len(raw) != n_chunks * dtype.itemsize:
-            raise CorruptFileError("index file truncated")
+        if n_chunks == 0:
+            raise CorruptFileError("index file holds no chunk entries")
+        raw = read_exact(stream, n_chunks * dtype.itemsize, "index file entries")
         entries = np.frombuffer(raw, dtype=dtype)
-        metas = [
+        valid = (
+            np.isfinite(entries["centroid"]).all(axis=1)
+            & np.isfinite(entries["radius"])
+            & (entries["radius"] >= 0.0)
+            & (entries["n_descriptors"] > 0)
+            & (entries["page_count"] > 0)
+        )
+        if not valid.all():
+            raise CorruptFileError(
+                f"index file entry {int(np.argmin(valid))} is corrupt "
+                "(non-finite centroid/radius, negative radius or empty extent)"
+            )
+        return [
             ChunkMeta(
                 chunk_id=i,
                 centroid=entries[i]["centroid"].copy(),
@@ -185,21 +173,6 @@ def read_index_file_with_norms(
             )
             for i in range(n_chunks)
         ]
-        raw_norms = stream.read(n_chunks * 8)
-        if len(raw_norms) != n_chunks * 8:
-            raise CorruptFileError("index file truncated (norms block)")
-        norms = np.frombuffer(raw_norms, dtype="<f8").astype(
-            np.float64, copy=True
-        )
-        if not bool(np.all(np.isfinite(norms))) or bool(np.any(norms < 0.0)):
-            raise CorruptFileError("index file norms block is corrupt")
-        return metas, norms
     finally:
         if owns:
             stream.close()
-
-
-def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
-    """Load chunk metadata back, in chunk order."""
-    metas, _ = read_index_file_with_norms(source)
-    return metas

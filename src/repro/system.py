@@ -192,14 +192,12 @@ class ImageRetrievalSystem:
         queries: np.ndarray,
         k: int = 10,
         exact: bool = False,
-        workers: int = 1,
         use_router: bool = False,
     ) -> BatchSearchResult:
         """Descriptor-level k-NN for a whole query batch at once.
 
         The batch runs as one cohort: chunk ranking is one vectorized pass
-        over the batch, each chunk is read at most once per batch, and
-        ``workers > 1`` spreads the wall-clock work over a thread pool.
+        over the batch and each chunk is read at most once per batch.
         ``use_router=True`` routes chunk ranking through coarse centroid
         groups (O(sqrt(C)) probes per query) instead of the full centroid
         scan.  Per-query results are identical to
@@ -207,7 +205,7 @@ class ImageRetrievalSystem:
         """
         self._require_built()
         return self._searcher(use_router).search_batch(
-            queries, k=k, stop_rule=self._stop_rule(exact), workers=workers
+            queries, k=k, stop_rule=self._stop_rule(exact)
         )
 
     def find_similar_images(

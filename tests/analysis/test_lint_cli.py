@@ -7,7 +7,6 @@ import shutil
 
 import pytest
 
-from repro.analysis import lint_tree
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.runner import package_root
 from repro.cli import main as repro_main
@@ -33,47 +32,72 @@ SEEDED_VIOLATIONS = {
     "LAY001": "from ..experiments import config as _cfg\n",
 }
 
+#: Everything appended to the one seeded copy: ``relpath -> rule ->
+#: snippet``.  ``core/search.py`` takes one violation per rule family; the
+#: chunk cache (simio) and the router (core) take the wall-clock and
+#: layering violations their own tests look for.
+SEEDS = {
+    "core/search.py": SEEDED_VIOLATIONS,
+    "simio/chunk_cache.py": {
+        "CLK001": "import time\n_T0 = time.time()\n",
+        "LAY001": "from ..core import search as _s\n",
+    },
+    "core/routing.py": {"CLK001": "import time\n_T0 = time.time()\n"},
+}
+
+
+def seeded_paths(rule):
+    """Files of the seeded copy that carry a ``rule`` violation."""
+    return {relpath for relpath, snippets in SEEDS.items() if rule in snippets}
+
+
+@pytest.fixture(scope="session")
+def seeded_tree(tmp_path_factory):
+    """A private copy of the real package tree with every snippet of
+    :data:`SEEDS` appended (the shipped tree itself is never touched)."""
+    target = str(tmp_path_factory.mktemp("seeded") / "repro")
+    shutil.copytree(package_root(), target)
+    for relpath, snippets in SEEDS.items():
+        with open(os.path.join(target, relpath), "a", encoding="utf-8") as handle:
+            handle.write("\n\n" + "".join(snippets.values()))
+    return target
+
+
+@pytest.fixture(scope="session")
+def seeded_lint(lint_once, seeded_tree):
+    return lint_once(seeded_tree)
+
 
 class TestShippedTreeIsClean:
-    def test_smoke_lint_tree(self):
-        result = lint_tree(package_root())
-        assert result.ok, "\n".join(d.format() for d in result)
-        assert result.checked_files > 50
+    def test_smoke_lint_tree(self, shipped_lint):
+        assert shipped_lint.ok, "\n".join(d.format() for d in shipped_lint)
+        assert shipped_lint.checked_files > 50
 
-    def test_smoke_repro_lint_exit_zero(self, capsys):
+    def test_smoke_repro_lint_exit_zero(self, cli_lints_once, capsys):
         assert repro_main(["lint"]) == 0
         assert "no violations" in capsys.readouterr().err
 
-    def test_smoke_module_entry_point(self, capsys):
+    def test_smoke_module_entry_point(self, cli_lints_once, capsys):
         assert analysis_main([]) == 0
 
 
 class TestSeededViolationsAreCaught:
-    @pytest.fixture()
-    def tree_copy(self, tmp_path):
-        """A private copy of the real package tree we can corrupt freely
-        (the shipped tree itself is never touched)."""
-        target = str(tmp_path / "repro")
-        shutil.copytree(package_root(), target)
-        return target
-
     @pytest.mark.parametrize("rule,snippet", sorted(SEEDED_VIOLATIONS.items()))
-    def test_seeded_core_violation_caught(self, tree_copy, rule, snippet):
-        victim = os.path.join(tree_copy, "core", "search.py")
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write("\n\n" + snippet)
-        result = lint_tree(tree_copy)
-        flagged = [d for d in result if d.rule == rule]
-        assert flagged, f"seeded {rule} violation was not caught"
-        assert all(d.path == "core/search.py" for d in flagged)
+    def test_seeded_core_violation_caught(
+        self, seeded_tree, seeded_lint, rule, snippet
+    ):
+        victim = os.path.join(seeded_tree, "core", "search.py")
+        with open(victim, "r", encoding="utf-8") as handle:
+            assert snippet in handle.read()
+        flagged = {d.path for d in seeded_lint if d.rule == rule}
+        assert "core/search.py" in flagged, f"seeded {rule} violation was not caught"
+        # Caught where it was seeded and nowhere else.
+        assert flagged == seeded_paths(rule)
 
     def test_seeding_all_violations_fails_cli_with_locations(
-        self, tree_copy, capsys
+        self, seeded_tree, cli_lints_once, capsys
     ):
-        victim = os.path.join(tree_copy, "core", "search.py")
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write("\n\n" + "".join(SEEDED_VIOLATIONS.values()))
-        assert repro_main(["lint", tree_copy]) == 1
+        assert repro_main(["lint", seeded_tree]) == 1
         out = capsys.readouterr().out
         # file:line diagnostics, one per seeded family.
         for rule in SEEDED_VIOLATIONS:
@@ -86,15 +110,8 @@ class TestNewModulesAreCovered:
     (simio) and the router (core) must be inside the lint walk, subject to
     the wall-clock and layering contracts like the modules around them."""
 
-    @pytest.fixture()
-    def tree_copy(self, tmp_path):
-        target = str(tmp_path / "repro")
-        shutil.copytree(package_root(), target)
-        return target
-
-    def test_new_modules_are_walked(self):
-        result = lint_tree(package_root())
-        assert result.ok
+    def test_new_modules_are_walked(self, shipped_lint):
+        assert shipped_lint.ok
         walked = {
             os.path.join(root, name)
             for root, _, names in os.walk(package_root())
@@ -103,37 +120,26 @@ class TestNewModulesAreCovered:
         assert any(p.endswith("simio/chunk_cache.py") for p in walked)
         assert any(p.endswith("core/routing.py") for p in walked)
 
-    def test_wall_clock_read_in_chunk_cache_caught(self, tree_copy):
-        victim = os.path.join(tree_copy, "simio", "chunk_cache.py")
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write("\n\nimport time\n_T0 = time.time()\n")
-        result = lint_tree(tree_copy)
-        flagged = [d for d in result if d.rule == "CLK001"]
-        assert flagged
-        assert all(d.path == "simio/chunk_cache.py" for d in flagged)
+    def test_wall_clock_read_in_chunk_cache_caught(self, seeded_lint):
+        flagged = {d.path for d in seeded_lint if d.rule == "CLK001"}
+        assert "simio/chunk_cache.py" in flagged
+        assert flagged == seeded_paths("CLK001")
 
-    def test_upward_import_in_chunk_cache_caught(self, tree_copy):
-        victim = os.path.join(tree_copy, "simio", "chunk_cache.py")
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write("\n\nfrom ..core import search as _s\n")
-        result = lint_tree(tree_copy)
+    def test_upward_import_in_chunk_cache_caught(self, seeded_lint):
         assert any(
             d.rule == "LAY001" and d.path == "simio/chunk_cache.py"
-            for d in result
+            for d in seeded_lint
         )
 
-    def test_wall_clock_read_in_router_caught(self, tree_copy):
-        victim = os.path.join(tree_copy, "core", "routing.py")
-        with open(victim, "a", encoding="utf-8") as handle:
-            handle.write("\n\nimport time\n_T0 = time.time()\n")
-        result = lint_tree(tree_copy)
+    def test_wall_clock_read_in_router_caught(self, seeded_lint):
         assert any(
-            d.rule == "CLK001" and d.path == "core/routing.py" for d in result
+            d.rule == "CLK001" and d.path == "core/routing.py"
+            for d in seeded_lint
         )
 
 
 class TestCliOptions:
-    def test_json_report(self, tmp_path, capsys):
+    def test_json_report(self, cli_lints_once, tmp_path, capsys):
         report_path = str(tmp_path / "lint.json")
         assert repro_main(["lint", "--format", "json", "--output", report_path]) == 0
         with open(report_path, "r", encoding="utf-8") as handle:

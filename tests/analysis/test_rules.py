@@ -129,10 +129,7 @@ def test_dur001_outside_storage_gated_on_durable_keywords():
     ]
 
 
-def test_dur001_shipped_tree_is_clean():
+def test_dur001_shipped_tree_is_clean(shipped_lint):
     """The real package must publish durable artifacts only through the
     sanctioned write sites."""
-    from repro.analysis.runner import lint_tree, package_root
-
-    result = lint_tree(package_root())
-    assert not [d for d in result.diagnostics if d.rule == "DUR001"]
+    assert not [d for d in shipped_lint.diagnostics if d.rule == "DUR001"]

@@ -145,16 +145,6 @@ class TestEquivalence:
                 for e in result.trace.events
             )
 
-    def test_parallel_workers_identical(self, small_synthetic):
-        index = make_index(small_synthetic, SRTreeChunker(leaf_capacity=64))
-        queries = make_queries(16, small_synthetic.dimensions, seed=5)
-        searcher = ChunkSearcher(index)
-        serial = searcher.search_batch(queries, k=10)
-        threaded = searcher.search_batch(queries, k=10, workers=4)
-        assert_equivalent(
-            threaded, serial.results, ReplayOracle(index, k=10), queries
-        )
-
     def test_lower_bound_ranking_equivalent(self, tiny_collection):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=6))
         queries = make_queries(8, tiny_collection.dimensions, seed=13)
@@ -181,9 +171,7 @@ class TestEquivalence:
         )
         sequential = ChunkSearcher(index, cost_model=model_a)
         wanted = [sequential.search(q, k=5) for q in queries]
-        batch = ChunkSearcher(index, cost_model=model_b).search_batch(
-            queries, k=5, workers=4  # workers must be ignored here
-        )
+        batch = ChunkSearcher(index, cost_model=model_b).search_batch(queries, k=5)
         # A third equal model: the replay charges through its own cache,
         # in query order, and must land on the same timestamps.
         model_c = dataclasses.replace(
@@ -279,10 +267,3 @@ class TestValidation:
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         with pytest.raises(ValueError, match="ranking"):
             ChunkSearcher(index, rank_by="bogus")
-
-    def test_negative_workers_rejected(self, tiny_collection):
-        index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
-        with pytest.raises(ValueError):
-            ChunkSearcher(index).search_batch(
-                np.zeros((2, 4)), k=2, workers=-2
-            )

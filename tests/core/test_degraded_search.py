@@ -238,20 +238,6 @@ class TestBatchEquivalenceUnderFaults:
         for i, (got, want) in enumerate(zip(batch, wanted)):
             assert_results_equivalent(got, want, replay, queries[i], i)
 
-    def test_workers_do_not_change_faulted_outcomes(self, small_synthetic):
-        result = small_synthetic
-        chunker = SRTreeChunker(leaf_capacity=64)
-        formed = chunker.form_chunks(result)
-        index = build_chunk_index(formed.retained, formed.chunk_set)
-        queries = make_queries(16, result.dimensions, seed=5)
-        faults = injector(0.25)
-        searcher = ChunkSearcher(index)
-        serial = searcher.search_batch(queries, k=10, faults=faults)
-        threaded = searcher.search_batch(queries, k=10, faults=faults, workers=4)
-        replay = ReplayOracle(index, k=10, faults=faults)
-        for i, (got, want) in enumerate(zip(threaded, serial.results)):
-            assert_results_identical(got, want, replay, queries[i], i)
-
 
 class TestRealCorruption:
     def make_damaged_index(self, tmp_path, tiny_collection):

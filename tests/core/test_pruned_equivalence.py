@@ -31,6 +31,7 @@ from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
 from repro.core.stop_rules import MaxChunks, TimeBudget
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.simio.cache import LruPageCache
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from replay_oracle import ReplayOracle
@@ -199,19 +200,6 @@ class TestPrunedEquivalence:
         )
         assert_batches_identical(got, want, ReplayOracle(index, k=5), queries)
 
-    def test_parallel_workers_identical(self, small_synthetic):
-        # Wider chunks for the session-scale collection.
-        result = SRTreeChunker(leaf_capacity=64).form_chunks(small_synthetic)
-        index = build_chunk_index(result.retained, result.chunk_set)
-        queries = make_queries(16, small_synthetic.dimensions, seed=5)
-        searcher = ChunkSearcher(index)
-        serial = searcher.search_batch(queries, k=10)
-        threaded = searcher.search_batch(queries, k=10, workers=4)
-        assert_batches_identical(
-            threaded, serial, ReplayOracle(index, k=10), queries
-        )
-        assert serial.total_chunks_pruned == threaded.total_chunks_pruned
-
 
 class TestRouterEquivalence:
     """Routed ranking == flat ranking, to the bit, for any cohort shape."""
@@ -301,9 +289,7 @@ class TestChunkCacheEquivalence:
         model_b = self._model()
         sequential = ChunkSearcher(index, cost_model=model_a)
         want = [sequential.search(q, k=5) for q in queries]
-        batch = ChunkSearcher(index, cost_model=model_b).search_batch(
-            queries, k=5, workers=4  # workers must be ignored here
-        )
+        batch = ChunkSearcher(index, cost_model=model_b).search_batch(queries, k=5)
         assert len(batch) == len(want)
         # The replay charges through its own fresh cache, in query order.
         replay = ReplayOracle(index, k=5, cost_model=self._model())
@@ -370,3 +356,72 @@ class TestChunkCacheEquivalence:
         ).search_batch(queries, k=5)
         replay = ReplayOracle(index, k=5, cost_model=self._model())
         assert_batches_identical(got, want, replay, queries)
+
+
+_PAGE = PAPER_2005_COST_MODEL.disk.page_bytes
+
+#: Three one-page chunks' worth of cache under a ~9-chunk index.
+SMALL_CACHES = {
+    "chunk-cache": lambda: {"chunk_cache": LruChunkCache(capacity_bytes=3 * _PAGE)},
+    "page-cache": lambda: {"cache": LruPageCache(capacity_pages=3)},
+}
+
+
+def _cache_of(model):
+    return model.chunk_cache if model.chunk_cache is not None else model.cache
+
+
+def _cache_state(model):
+    """Every counter the cache keeps (the page cache counts no evictions)
+    plus how much is resident."""
+    cache = _cache_of(model)
+    return (
+        cache.hits,
+        cache.misses,
+        getattr(cache, "evictions", None),
+        len(cache),
+    )
+
+
+class TestCachedCostModelsReplay:
+    """The engine charges a cache-carrying cost model through its own
+    inlined recurrence; ``PipelineSimulator``, driven by the replay oracle
+    over a *fresh equal* cache, is the independent reference.  The caches
+    are small, so evictions happen, and the fault plan yields retries (an
+    ok read that touches the cache after its failed attempts) as well as
+    skips (which must touch nothing)."""
+
+    @pytest.mark.parametrize("cohort", ["one", "several"])
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("flavor", sorted(SMALL_CACHES))
+    def test_timestamps_and_cache_counters_match_the_reference(
+        self, tiny_collection, flavor, faulted, cohort
+    ):
+        index = make_index(tiny_collection, "srtree")
+        queries = make_queries(10, tiny_collection.dimensions, seed=29)
+        model = dataclasses.replace(PAPER_2005_COST_MODEL, **SMALL_CACHES[flavor]())
+        reference = dataclasses.replace(
+            PAPER_2005_COST_MODEL, **SMALL_CACHES[flavor]()
+        )
+        faults = injector(0.35) if faulted else None
+        searcher = ChunkSearcher(index, cost_model=model)
+        if cohort == "one":
+            results = [
+                searcher.search(q, k=5, faults=faults, query_index=i)
+                for i, q in enumerate(queries)
+            ]
+        else:
+            results = searcher.search_batch(queries, k=5, faults=faults).results
+
+        # check() asserts every event's timestamp equal to the bit.
+        replay = ReplayOracle(index, k=5, cost_model=reference, faults=faults)
+        for i, (query, result) in enumerate(zip(queries, results)):
+            replay.check(query, result, query_index=i)
+        assert _cache_state(model) == _cache_state(reference)
+
+        events = [e for result in results for e in result.trace.events]
+        cache = _cache_of(model)
+        assert cache.hits > 0 and cache.misses > len(cache)  # it evicted
+        if faulted:
+            assert any(e.skipped for e in events)
+            assert any(e.retries and not e.skipped for e in events)

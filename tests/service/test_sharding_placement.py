@@ -202,13 +202,6 @@ class TestPartitionIndex:
         assert sub.metas[1].page_offset == sub.metas[0].page_count
         assert sub.metas[0].page_count == index.metas[2].page_count
 
-    def test_centroid_norms_subset(self, index):
-        sub = build_partition_index(index, [1])
-        np.testing.assert_allclose(
-            sub.centroid_sq_norm_vector(),
-            index.centroid_sq_norm_vector()[[1]],
-        )
-
     def test_empty_partition_rejected(self, index):
         with pytest.raises(ValueError, match="at least one chunk"):
             build_partition_index(index, [])

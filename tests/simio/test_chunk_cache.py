@@ -79,32 +79,6 @@ class TestLruSemantics:
         assert runs[0] == runs[1]
 
 
-class TestPayloads:
-    def test_attach_requires_residency(self):
-        cache = LruChunkCache(capacity_bytes=2 * PAGE)
-        assert cache.attach(0, "payload") is False  # never touched
-        cache.touch(0, PAGE)
-        assert cache.attach(0, "payload") is True
-        assert cache.peek_payload(0) == "payload"
-
-    def test_peek_does_not_touch_lru_state(self):
-        cache = LruChunkCache(capacity_bytes=2 * PAGE)
-        cache.touch(0, PAGE)
-        cache.touch(8, PAGE)
-        hits = cache.hits
-        cache.peek_payload(0)  # must NOT refresh 0
-        assert cache.hits == hits
-        cache.touch(16, PAGE)  # evicts 0, the true LRU entry
-        assert 0 not in cache
-
-    def test_payload_dies_with_eviction(self):
-        cache = LruChunkCache(capacity_bytes=PAGE)
-        cache.touch(0, PAGE)
-        cache.attach(0, "payload")
-        cache.touch(8, PAGE)  # evicts 0
-        assert cache.peek_payload(0) is None
-
-
 class TestValidation:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError, match="capacity"):

@@ -132,17 +132,6 @@ class TestChunkFileCorruption:
         with pytest.raises(CorruptFileError, match="magic"):
             ChunkFileReader(path, dimensions=4, geometry=geometry)
 
-    def test_checksum_verification_can_be_disabled(self, tmp_path):
-        path = str(tmp_path / "chunks.dat")
-        extents, geometry = write_v2(path, n_chunks=1)
-        flip_bit(path, 256 * 1 + 17)
-        reader = ChunkFileReader(
-            path, dimensions=4, geometry=geometry, verify_checksums=False
-        )
-        with reader:
-            ids, _ = reader.read_chunk(extents[0])  # damage passes through
-        assert ids.shape == (10,)
-
 
 class TestPoisonedWriter:
     def test_failed_write_poisons_and_discards(self, tmp_path):

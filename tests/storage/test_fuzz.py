@@ -89,3 +89,176 @@ class TestIndexFileFuzz:
             assert all(m.chunk_id == i for i, m in enumerate(metas))
         except (IOError, ValueError, OverflowError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# Seeded byte-level mutation of every reader
+# ---------------------------------------------------------------------------
+#
+# One valid artefact per reader, then a fixed-seed stream of mutations.  A
+# read of damaged bytes may succeed (the damage hit padding, or produced
+# coincidentally valid bytes) or raise CorruptFileError / ChecksumError —
+# nothing else: no ValueError out of a dataclass, no MemoryError from a
+# header-sized allocation, no zipfile or OS error from a seek.
+
+_MUTATION_TRIALS = 300
+_MUTATION_SEED = 2005
+
+#: Eight-byte values a splice drops in: the extremes of the integer and
+#: float fields the formats carry.  ``None`` draws eight random bytes.
+_SPLICE_VALUES = (
+    None,
+    b"\xff" * 8,
+    b"\x00" * 8,
+    (2**63 - 1).to_bytes(8, "little"),
+    (0xFFFFFFF0).to_bytes(4, "little") * 2,
+    np.float64(np.nan).tobytes(),
+    np.float64(np.inf).tobytes(),
+    np.float64(-1.0).tobytes(),
+)
+
+
+def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    """One of: bit flip, truncation, 8-byte splice, header-byte overwrite."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        position = int(rng.integers(len(data)))
+        flipped = data[position] ^ (1 << int(rng.integers(8)))
+        return data[:position] + bytes([flipped]) + data[position + 1 :]
+    if kind == 1:
+        return data[: int(rng.integers(len(data)))]
+    if kind == 2:
+        value = _SPLICE_VALUES[int(rng.integers(len(_SPLICE_VALUES)))]
+        if value is None:
+            value = rng.bytes(8)
+        position = int(rng.integers(max(1, len(data) - 8)))
+        return data[:position] + value + data[position + 8 :]
+    position = int(rng.integers(min(64, len(data))))
+    return data[:position] + rng.bytes(1) + data[position + 1 :]
+
+
+def _mutation_collection(rng: np.random.Generator):
+    from repro.core.dataset import DescriptorCollection
+
+    return DescriptorCollection.from_vectors(
+        rng.standard_normal((40, 5)).astype(np.float32)
+    )
+
+
+def _collection_artefact(directory, rng):
+    path = directory / "collection.dat"
+    write_collection_file(str(path), _mutation_collection(rng))
+    return [path], lambda: read_collection_file(str(path))
+
+
+def _index_artefact(directory, rng):
+    path = directory / "chunks.idx"
+    metas = [
+        ChunkMeta(
+            chunk_id=i,
+            centroid=rng.standard_normal(5),
+            radius=float(rng.random()),
+            n_descriptors=5,
+            page_offset=i,
+            page_count=1,
+        )
+        for i in range(6)
+    ]
+    write_index_file(str(path), metas)
+    return [path], lambda: read_index_file(str(path))
+
+
+def _chunk_file_artefact(directory, rng):
+    from repro.chunking.srtree_chunker import SRTreeChunker
+    from repro.core.chunk_index import (
+        CHUNK_FILE_NAME,
+        INDEX_FILE_NAME,
+        ChunkIndex,
+        build_chunk_index,
+    )
+
+    collection = _mutation_collection(rng)
+    chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
+    build_chunk_index(chunking.retained, chunking.chunk_set).save(str(directory))
+
+    def read():
+        with ChunkIndex.load(str(directory), collection.dimensions) as index:
+            for chunk_id in range(index.n_chunks):
+                index.read_chunk(chunk_id)
+
+    return [directory / CHUNK_FILE_NAME, directory / INDEX_FILE_NAME], read
+
+
+def _delta_artefact(directory, rng):
+    from repro.storage.delta import read_delta_segment, write_delta_segment
+
+    path = directory / "chunk.seg"
+    write_delta_segment(
+        str(path),
+        5,
+        base_ref=3,
+        live=rng.random(21) < 0.7,
+        ids=np.arange(100, 107),
+        vectors=rng.standard_normal((7, 5)).astype(np.float32),
+    )
+    return [path], lambda: read_delta_segment(str(path), 5)
+
+
+def _wal_artefact(directory, rng):
+    from repro.storage.wal import WalWriter, delete_op, insert_op, scan_wal
+
+    path = directory / "ingest.wal"
+    with WalWriter.create(str(path), dimensions=5) as writer:
+        for batch in range(4):
+            writer.append_batch(
+                [
+                    insert_op(10 * batch + i, rng.standard_normal(5).astype(np.float32))
+                    for i in range(3)
+                ]
+                + [delete_op(10 * batch)]
+            )
+    return [path], lambda: scan_wal(str(path))
+
+
+def _ground_truth_artefact(directory, rng):
+    from repro.core.ground_truth import GroundTruthStore
+
+    path = directory / "truth.npz"
+    store = GroundTruthStore(k=4)
+    for query in range(6):
+        store.put(query, rng.integers(0, 1000, size=4))
+    store.save(str(path))
+    return [path], lambda: GroundTruthStore.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "make_artefact",
+    [
+        _collection_artefact,
+        _index_artefact,
+        _chunk_file_artefact,
+        _delta_artefact,
+        _wal_artefact,
+        _ground_truth_artefact,
+    ],
+    ids=["collection", "index", "chunk-file", "delta-segment", "wal", "ground-truth"],
+)
+def test_mutated_bytes_raise_only_corrupt_file_error(tmp_path, make_artefact):
+    from repro.storage.errors import CorruptFileError
+
+    rng = np.random.default_rng(_MUTATION_SEED)
+    paths, read = make_artefact(tmp_path, rng)
+    pristine = [path.read_bytes() for path in paths]
+    read()  # the undamaged artefact reads back
+    escaped = {}
+    for trial in range(_MUTATION_TRIALS):
+        victim = trial % len(paths)
+        paths[victim].write_bytes(_mutate(pristine[victim], rng))
+        try:
+            read()
+        except CorruptFileError:  # ChecksumError is a subclass
+            pass
+        except Exception as exc:  # MemoryError included
+            escaped.setdefault(f"{type(exc).__name__}: {exc}"[:120], trial)
+        paths[victim].write_bytes(pristine[victim])
+    assert not escaped, f"{len(escaped)} kinds of non-corruption errors: {escaped}"

@@ -9,11 +9,8 @@ from repro.core.chunk import ChunkMeta
 from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import (
     MAGIC,
-    VERSION,
-    centroid_sq_norms,
     index_file_bytes,
     read_index_file,
-    read_index_file_with_norms,
     write_index_file,
 )
 
@@ -66,10 +63,8 @@ class TestRoundtrip:
         path = str(tmp_path / "chunks.idx")
         metas = make_metas(11, dims=24)
         write_index_file(path, metas)
-        # index_file_bytes is the per-query ranking-scan region (header +
-        # entries); a v2 file additionally carries the 8-byte-per-chunk
-        # centroid-norms tail, read once at open time.
-        assert os.path.getsize(path) == index_file_bytes(11, 24) + 11 * 8
+        # The whole file is the per-query ranking scan: header + entries.
+        assert os.path.getsize(path) == index_file_bytes(11, 24)
 
 
 class TestValidation:
@@ -106,19 +101,7 @@ class TestValidation:
 
 
 class TestNormsBlock:
-    """The v2 centroid-norms tail: stored == recomputed, bit for bit."""
-
-    def test_current_version_is_two(self):
-        assert VERSION == 2
-
-    def test_v2_roundtrip_returns_stored_norms(self, tmp_path):
-        path = str(tmp_path / "v2.idx")
-        metas = make_metas(9, dims=24)
-        write_index_file(path, metas)
-        loaded, norms = read_index_file_with_norms(path)
-        assert len(loaded) == 9
-        want = centroid_sq_norms(np.stack([m.centroid for m in metas]))
-        np.testing.assert_array_equal(norms, want)  # bitwise, not approx
+    """The v2 centroid-norms tail is retired: a v2 file is not read."""
 
     def test_unsupported_read_version_rejected(self):
         import struct
@@ -126,38 +109,37 @@ class TestNormsBlock:
         stream = io.BytesIO()
         write_index_file(stream, make_metas(2))
         data = bytearray(stream.getvalue())
-        for version in (1, 7):  # the retired norms-less layout, and the future
+        # 1: pre-checksum layout; 2: entries + centroid-norms tail; 7: future.
+        for version in (1, 2, 7):
             struct.pack_into("<I", data, 8, version)  # <8sIIQ8s: version at 8
             with pytest.raises(CorruptFileError, match="version"):
                 read_index_file(io.BytesIO(bytes(data)))
 
-    def test_truncated_norms_block_rejected(self, tmp_path):
-        path = str(tmp_path / "t.idx")
-        write_index_file(path, make_metas(5))
-        with open(path, "r+b") as f:
-            size = f.seek(0, 2)
-            f.truncate(size - 4)  # clips the norms tail, entries intact
-        with pytest.raises(CorruptFileError, match="norms block"):
-            read_index_file_with_norms(path)
 
-    def test_corrupt_norms_rejected(self, tmp_path):
-        path = str(tmp_path / "c.idx")
-        metas = make_metas(3, dims=4)
-        write_index_file(path, metas)
-        with open(path, "r+b") as f:
-            f.seek(-8, 2)  # last norm -> NaN
-            f.write(np.float64(np.nan).tobytes())
-        with pytest.raises(CorruptFileError, match="norms block is corrupt"):
-            read_index_file_with_norms(path)
-
-    def test_negative_norms_rejected(self, tmp_path):
-        path = str(tmp_path / "n.idx")
-        write_index_file(path, make_metas(3, dims=4))
-        with open(path, "r+b") as f:
-            f.seek(-8, 2)
-            f.write(np.float64(-1.0).tobytes())
-        with pytest.raises(CorruptFileError, match="norms block is corrupt"):
-            read_index_file_with_norms(path)
+class TestEntryValidation:
+    @pytest.mark.parametrize(
+        "field_offset,value",
+        [
+            (0, np.float64(np.nan).tobytes()),  # first centroid component
+            (4 * 8, np.float64(-0.25).tobytes()),  # radius: sign bit set
+            (4 * 8, np.float64(np.inf).tobytes()),  # radius: unbounded chunk
+            (4 * 8 + 16, (0).to_bytes(4, "little")),  # page_count
+            (4 * 8 + 20, (0).to_bytes(4, "little")),  # n_descriptors
+        ],
+        ids=["nan-centroid", "negative-radius", "inf-radius", "no-pages", "no-rows"],
+    )
+    def test_corrupt_entry_rejected(self, field_offset, value):
+        """The file has no checksum, so the reader validates every stored
+        value itself instead of leaving it to ``ChunkMeta`` (ValueError)
+        or to nobody (a NaN centroid poisons the completion proof)."""
+        stream = io.BytesIO()
+        write_index_file(stream, make_metas(3, dims=4))
+        data = bytearray(stream.getvalue())
+        entry_bytes = (index_file_bytes(3, 4) - index_file_bytes(0, 4)) // 3
+        at = index_file_bytes(0, 4) + entry_bytes + field_offset  # entry 1
+        data[at : at + len(value)] = value
+        with pytest.raises(CorruptFileError, match="entry 1 is corrupt"):
+            read_index_file(io.BytesIO(bytes(data)))
 
 
 class TestHeaderGuards:
