@@ -157,6 +157,7 @@ DURABLE_PATH_KEYWORDS: Tuple[str, ...] = (
     "segment",
     "manifest",
     "delta",
+    "pack",
 )
 
 #: Entropy-consuming constructors and the argument that receives the

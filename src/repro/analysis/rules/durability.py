@@ -1,7 +1,7 @@
 """DUR001 — durable writes go through the sanctioned paths.
 
 Every on-disk artifact the search depends on (collection, chunk and
-index files, WAL logs, delta segments, manifests) must be produced by
+index files, WAL logs, checkpoint packs, manifests) must be produced by
 one of the two crash-safe write sites: the write-temp/fsync/rename
 helper in :mod:`repro.storage.atomic` (and the chunk-file writer built
 on the same discipline) or the WAL writer's framed group commit.  A
@@ -62,7 +62,7 @@ class DurabilityRule(Rule):
         "reasons about what those sites guarantee — a file under its\n"
         "final name is complete, a WAL batch past its commit marker is\n"
         "whole.  A bare open(path, 'w') or os.replace against an index,\n"
-        "chunk, collection, segment, manifest or WAL path anywhere else\n"
+        "chunk, collection, pack, manifest or WAL path anywhere else\n"
         "can publish a torn file and silently break every one of those\n"
         "recovery invariants.  Inside the storage layer any direct write\n"
         "is flagged; elsewhere, writes whose path expressions mention a\n"

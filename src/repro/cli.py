@@ -43,6 +43,7 @@ from .experiments import (
 )
 from .experiments.config import get_scale
 from .experiments.data import ExperimentData, prepare
+from .experiments.report import format_table
 
 __all__ = ["main", "CliError", "EXPERIMENT_RUNNERS"]
 
@@ -791,39 +792,34 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
             report = ingestsim.crash_matrix(
                 scale, workdir, seed=args.seed, n_points=n_points
             )
-            print(
+            title = (
                 f"crash matrix: scale={report['scale']} seed={report['seed']} "
                 f"sites={report['n_sites']} tested={len(report['results'])}"
             )
-            for row in report["results"]:
-                verdict = "ok" if row["crashed"] and row["verify_ok"] else "FAIL"
-                print(
-                    f"  step {row['step']:3d}  {row['site']:<18s} "
-                    f"recovered {row['n_descriptors']:5d} descriptors  {verdict}"
-                )
+            rows = [
+                [r["step"], r["site"], r["n_descriptors"],
+                 "ok" if r["crashed"] and r["verify_ok"] else "FAIL"]
+                for r in report["results"]
+            ]
+            print(format_table(["step", "site", "recovered", "verdict"], rows, title))
             failed = not report["all_ok"]
             print(f"all recoveries consistent: {report['all_ok']}")
         else:
             report = ingestsim.simulate(
                 scale, workdir, seed=args.seed, config=config
             )
-            print(
+            title = (
                 f"ingestsim: scale={report['scale']} seed={report['seed']} "
                 f"k={report['k']} total={report['n_total']} "
                 f"base={report['base_size']}"
             )
-            header = (
-                f"{'step':>4s} {'frac':>6s} {'descr':>6s} {'chunks':>6s} "
-                f"{'recall':>7s} {'ms/query':>9s} {'io_s':>8s} {'recov':>5s}"
-            )
-            print(header)
-            for row in report["series"]:
-                print(
-                    f"{row['step']:4d} {row['fraction']:6.2f} "
-                    f"{row['n_descriptors']:6d} {row['n_chunks']:6d} "
-                    f"{row['recall']:7.4f} {row['elapsed_ms']:9.3f} "
-                    f"{row['ingest_io_s']:8.4f} {row['recoveries']:5d}"
-                )
+            columns = {  # header -> report key
+                "step": "step", "frac": "fraction", "descr": "n_descriptors",
+                "chunks": "n_chunks", "recall": "recall", "ms/query": "elapsed_ms",
+                "io_s": "ingest_io_s", "recov": "recoveries",
+            }
+            rows = [[r[key] for key in columns.values()] for r in report["series"]]
+            print(format_table(list(columns), rows, title, precision=4))
             print(
                 f"crashes injected {report['crashes_injected']}, "
                 f"unacked batches replayed {report['unacked_batches_replayed']}, "

@@ -34,6 +34,7 @@ from .maintenance import (
     ChunkIndexMaintainer,
     ChunkSnapshot,
     ChunkSummary,
+    DeltaRef,
     MaintenanceStats,
 )
 from .metrics import (
@@ -75,6 +76,7 @@ __all__ = [
     "ChunkIndexMaintainer",
     "ChunkSnapshot",
     "ChunkSummary",
+    "DeltaRef",
     "MaintenanceStats",
     "StreamingChunkIndex",
     "RecoveryReport",

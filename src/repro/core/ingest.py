@@ -11,12 +11,15 @@ form that survives a kill at any protocol boundary.  The directory holds
   CRC-checked and committed *before* it is applied in memory, so the
   return from :meth:`StreamingChunkIndex.apply` is the durability
   acknowledgement;
-* ``delta-<c>-<p>.seg`` — per-chunk tombstone-bitmap + append segments
-  (:mod:`repro.storage.delta`) published by the checkpoint compactor for
-  *dirty* chunks only;
+* ``delta-<c>.pack`` — one checkpoint pack per checkpoint
+  (:mod:`repro.storage.delta`): the tombstone bitmap + appended records
+  of every chunk that was *dirty* at checkpoint ``c``, one section each,
+  written as a single sequential file.  A chunk that stays clean keeps
+  pointing into the older pack, so a pack lives until its last
+  referenced section is superseded or the base is rebuilt;
 * ``MANIFEST.json`` — the atomically-replaced pointer that names the
-  base generation, the live WAL and each chunk's provenance, extent and
-  exact centroid/radius summary.
+  base generation, the live WAL, the live packs and each chunk's
+  provenance (pack + section), extent and exact centroid/radius summary.
 
 Every state transition follows the same discipline: write new files
 under new names, fsync, publish the manifest with
@@ -34,13 +37,15 @@ and the centroid router exactness-preserving across crashes.
 
 Simulated cost: every mutation and compaction is charged through the
 :class:`~repro.simio.disk_model.DiskModel` write path (sequential write
-plus one sync per durability barrier) and accumulated in
-``io_seconds``, so the ingest experiments report the same deterministic
-simulated time the query path uses.
+plus one sync per durability barrier — a checkpoint has four: pack,
+fresh WAL, manifest + directory — however many chunks are dirty) and
+accumulated in ``io_seconds``, so the ingest experiments report the same
+deterministic simulated time the query path uses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, cast
@@ -50,7 +55,7 @@ import numpy as np
 from ..simio.disk_model import DiskModel
 from ..storage.atomic import atomic_output, fsync_directory
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
-from ..storage.delta import read_delta_segment, write_delta_segment
+from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
 from ..storage.index_file import read_index_file, write_index_file
 from ..storage.pages import PageGeometry
@@ -66,7 +71,12 @@ from ..storage.wal import (
 from .chunk import ChunkMeta
 from .chunk_index import ChunkIndex
 from .distance import squared_distances
-from .maintenance import ChunkIndexMaintainer, ChunkSnapshot, MaintenanceStats
+from .maintenance import (
+    ChunkIndexMaintainer,
+    ChunkSnapshot,
+    DeltaRef,
+    MaintenanceStats,
+)
 
 __all__ = [
     "MANIFEST_NAME",
@@ -79,7 +89,7 @@ __all__ = [
 
 MANIFEST_NAME = "MANIFEST.json"
 FORMAT_NAME = "repro-streaming-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: File-name patterns owned by the streaming index (garbage collection
 #: only ever touches these).
@@ -98,8 +108,8 @@ def _wal_name(checkpoint: int) -> str:
     return f"wal-{checkpoint:06d}.log"
 
 
-def _delta_name(checkpoint: int, position: int) -> str:
-    return f"delta-{checkpoint:06d}-{position:05d}.seg"
+def _pack_name(checkpoint: int) -> str:
+    return f"delta-{checkpoint:06d}.pack"
 
 
 class RecoveryReport(NamedTuple):
@@ -113,7 +123,12 @@ class RecoveryReport(NamedTuple):
 
 
 class CheckpointReport(NamedTuple):
-    """What one checkpoint (compaction) pass wrote."""
+    """What one checkpoint (compaction) pass wrote.
+
+    ``segments_written`` counts the pack's sections (one per dirty chunk
+    that diverges from its base) and ``segment_bytes`` is the pack file's
+    size.
+    """
 
     checkpoint: int
     segments_written: int
@@ -366,12 +381,13 @@ class StreamingChunkIndex:
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint(self, defragment: bool = False) -> CheckpointReport:
-        """Persist dirty chunks as delta segments and rotate the WAL.
+        """Persist dirty chunks as one checkpoint pack and rotate the WAL.
 
         This is the background compactor's unit of work: only chunks
-        mutated since their last checkpoint are rewritten (as tombstone-
-        bitmap + append segments through the atomic publish path); clean
-        chunks keep their existing base extents or segments.  With
+        mutated since their last checkpoint are rewritten (each as a
+        tombstone-bitmap + appended-records section of a single pack
+        file, published by one atomic write); clean chunks keep their
+        existing base extents or their sections of earlier packs.  With
         ``defragment=True`` the logical extents are first compacted
         sequentially, reclaiming relocation holes.  Ends by publishing a
         new manifest and garbage-collecting superseded files.
@@ -385,33 +401,40 @@ class StreamingChunkIndex:
 
     def _checkpoint(self, defragment: bool) -> CheckpointReport:
         self._reached("compact.begin")
-        reclaimed = self.maintainer.compact() if defragment else 0
+        maintainer = self.maintainer
+        reclaimed = maintainer.compact() if defragment else 0
         checkpoint = self.checkpoint_seq + 1
-        segments = 0
-        segment_bytes = 0
-        for position in self.maintainer.dirty_positions():
-            snap = self.maintainer.snapshot(position)
-            delta_file: Optional[str]
-            if self._is_clean_base_chunk(snap):
-                delta_file = None
+        diverged: List[int] = []
+        for position in maintainer.dirty_positions():
+            if self._is_clean_base_chunk(*maintainer.provenance(position)):
+                maintainer.checkpointed(position, None)
             else:
-                delta_file = _delta_name(checkpoint, position)
-                n_bytes = self._write_segment(snap, delta_file)
-                segments += 1
-                segment_bytes += n_bytes
-                self._charge_write(n_bytes)
-                self._reached("compact.segment")
-            self.maintainer.checkpointed(position, delta_file)
+                diverged.append(position)
+        pack_bytes = 0
+        if diverged:
+            pack = _pack_name(checkpoint)
+            # One section per diverged chunk, snapshotted as the writer
+            # asks for it: the pack streams, it is never held whole.
+            pack_bytes = write_delta_pack(
+                os.path.join(self.directory, pack),
+                self.dimensions,
+                len(diverged),
+                (self._section(maintainer.snapshot(p)) for p in diverged),
+            )
+            self._charge_write(pack_bytes)
+            self._reached("compact.pack")
+            for section, position in enumerate(diverged):
+                maintainer.checkpointed(position, DeltaRef(pack, section))
         self._rotate_wal(checkpoint)
         self._reached("compact.wal")
         self.checkpoint_seq = checkpoint
-        self._publish_manifest()
+        manifest = self._publish_manifest()
         self._reached("compact.manifest")
-        self._gc()
+        _collect_garbage(self.directory, manifest)
         return CheckpointReport(
             checkpoint=checkpoint,
-            segments_written=segments,
-            segment_bytes=segment_bytes,
+            segments_written=len(diverged),
+            segment_bytes=pack_bytes,
             pages_reclaimed=reclaimed,
         )
 
@@ -471,9 +494,9 @@ class StreamingChunkIndex:
         self._base_counts = [m.n_descriptors for m in metas]
         self._rotate_wal(self.checkpoint_seq)
         self._reached(f"{site_prefix}.wal")
-        self._publish_manifest()
+        manifest = self._publish_manifest()
         self._reached(f"{site_prefix}.manifest")
-        self._gc()
+        _collect_garbage(self.directory, manifest)
 
     def _rotate_wal(self, checkpoint: int) -> None:
         """Close the live WAL and start a fresh one for ``checkpoint``.
@@ -492,16 +515,15 @@ class StreamingChunkIndex:
         )
         self._charge_write(self._wal.bytes_written)
 
-    def _is_clean_base_chunk(self, snap: ChunkSnapshot) -> bool:
+    def _is_clean_base_chunk(self, base_ref: int, origins: Tuple[int, ...]) -> bool:
         """True when the chunk's contents equal its base chunk exactly."""
-        if snap.base_ref < 0 or snap.base_ref >= len(self._base_counts):
+        if base_ref < 0 or base_ref >= len(self._base_counts):
             return False
-        base_rows = self._base_counts[snap.base_ref]
-        return len(snap.origins) == base_rows and snap.origins == tuple(
-            range(base_rows)
-        )
+        base_rows = self._base_counts[base_ref]
+        return len(origins) == base_rows and origins == tuple(range(base_rows))
 
-    def _write_segment(self, snap: ChunkSnapshot, delta_file: str) -> int:
+    def _section(self, snap: ChunkSnapshot) -> DeltaSection:
+        """One chunk's divergence from its base chunk, as a pack section."""
         base_ref = snap.base_ref
         live: Optional[np.ndarray] = None
         n_base = 0
@@ -528,38 +550,48 @@ class StreamingChunkIndex:
             mask[base_part] = True
             live = mask
             n_base = int(base_part.size)
-        appended_ids = np.asarray(snap.ids[n_base:], dtype=np.int64)
-        appended_vectors = snap.vectors[n_base:]
-        return write_delta_segment(
-            os.path.join(self.directory, delta_file),
-            self.dimensions,
+        return DeltaSection(
             base_ref,
             live,
-            appended_ids,
-            appended_vectors,
+            np.asarray(snap.ids[n_base:], dtype=np.int64),
+            snap.vectors[n_base:],
         )
 
-    def _publish_manifest(self) -> None:
+    def _publish_manifest(self) -> Dict[str, Any]:
+        """Flip the atomic pointer; returns what was published (for GC).
+
+        Compact JSON keeps ``json.dumps`` on its C encoder (``indent``
+        forces the pure-Python one); ``python -m json.tool`` pretty-prints
+        the file for a human.
+        """
         manifest = self._manifest_dict()
-        payload = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(
-            "ascii"
-        )
+        payload = (
+            json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("ascii")
         with atomic_output(os.path.join(self.directory, MANIFEST_NAME)) as stream:
             stream.write(payload)
         fsync_directory(self.directory)
         self._charge_write(len(payload))
+        return manifest
 
     def _manifest_dict(self) -> Dict[str, Any]:
         maintainer = self.maintainer
+        summaries = maintainer.summaries()
+        # Each live pack is named once; a chunk points at (pack index, section).
+        packs = sorted({s.delta.pack for s in summaries if s.delta is not None})
+        pack_index = {name: i for i, name in enumerate(packs)}
         chunks: List[Dict[str, Any]] = []
-        for summary in maintainer.summaries():
+        for summary in summaries:
             if summary.dirty:
                 raise AssertionError("cannot publish a manifest over dirty chunks")
             meta = summary.meta
+            delta = summary.delta
             chunks.append(
                 {
                     "base_ref": summary.base_ref,
-                    "delta_file": summary.delta_file,
+                    "delta": None
+                    if delta is None
+                    else [pack_index[delta.pack], delta.section],
                     "page_offset": meta.page_offset,
                     "page_count": meta.page_count,
                     "n_descriptors": meta.n_descriptors,
@@ -578,6 +610,7 @@ class StreamingChunkIndex:
             "base_chunk_file": _base_chunk_name(self.generation),
             "base_index_file": _base_index_name(self.generation),
             "wal_file": _wal_name(self.checkpoint_seq),
+            "packs": packs,
             "next_batch_seq": self._wal.next_batch_seq,
             "next_page": maintainer.next_page,
             "page_bytes": maintainer.geometry.page_bytes,
@@ -594,10 +627,6 @@ class StreamingChunkIndex:
             },
             "chunks": chunks,
         }
-
-    def _gc(self) -> int:
-        manifest = _read_manifest(self.directory)
-        return _collect_garbage(self.directory, manifest)
 
     def _charge_write(self, n_bytes: int) -> None:
         self.io_seconds += (
@@ -656,11 +685,15 @@ def _read_manifest(directory: str) -> Dict[str, Any]:
             isinstance(manifest.get(key), (int, float)),
             f"manifest field {key!r} must be numeric",
         )
-    for key in ("base_chunk_file", "base_index_file", "wal_file"):
-        value = manifest.get(key)
+    packs = manifest.get("packs")
+    _require(isinstance(packs, list), "manifest field 'packs' must be a list")
+    files = [
+        manifest.get(key) for key in ("base_chunk_file", "base_index_file", "wal_file")
+    ]
+    for value in files + cast(List[Any], packs):
         _require(
             isinstance(value, str) and os.path.basename(value) == value,
-            f"manifest field {key!r} must be a bare file name",
+            f"manifest file reference {value!r} must be a bare file name",
         )
         _require(
             os.path.exists(os.path.join(directory, str(value))),
@@ -692,25 +725,37 @@ def _load_chunk_snapshots(
     base_metas: Sequence[ChunkMeta],
     geometry: PageGeometry,
 ) -> List[ChunkSnapshot]:
-    """Reconstruct every chunk's checkpoint state from base + deltas."""
+    """Reconstruct every chunk's checkpoint state from base + packs.
+
+    Each referenced pack is opened once; a pack's sections were written
+    in chunk-position order and positions only ever shift together, so
+    walking the manifest's chunks reads every pack front to back.
+    """
     dimensions = int(manifest["dimensions"])
+    pack_names = cast(List[str], manifest["packs"])
     snaps: List[ChunkSnapshot] = []
     base_path = os.path.join(directory, str(manifest["base_chunk_file"]))
-    with ChunkFileReader(base_path, dimensions, geometry) as base_reader:
+    with contextlib.ExitStack() as stack:
+        base_reader = stack.enter_context(
+            ChunkFileReader(base_path, dimensions, geometry)
+        )
+        packs: Dict[str, DeltaPackReader] = {}
         for position, raw in enumerate(manifest["chunks"]):
             _require(
                 isinstance(raw, dict), f"manifest chunk {position} must be an object"
             )
             entry = cast(Dict[str, Any], raw)
             base_ref = int(entry["base_ref"])
-            delta_file = entry.get("delta_file")
-            _require(
-                delta_file is None or isinstance(delta_file, str),
-                f"manifest chunk {position} has a malformed delta_file",
-            )
+            delta = _delta_ref(entry.get("delta"), pack_names, position)
+            section: Optional[DeltaSection] = None
+            if delta is not None:
+                if delta.pack not in packs:
+                    packs[delta.pack] = stack.enter_context(
+                        DeltaPackReader(os.path.join(directory, delta.pack), dimensions)
+                    )
+                section = packs[delta.pack].read_section(delta.section)
             ids, vectors, origins = _reconstruct_chunk(
-                directory, base_reader, base_metas, dimensions, base_ref,
-                cast(Optional[str], delta_file), position,
+                base_reader, base_metas, base_ref, section, f"of chunk {position}"
             )
             _require(
                 len(ids) == int(entry["n_descriptors"]),
@@ -723,7 +768,7 @@ def _load_chunk_snapshots(
                     vectors=vectors,
                     origins=tuple(origins),
                     base_ref=base_ref,
-                    delta_file=cast(Optional[str], delta_file),
+                    delta=delta,
                     dirty=False,
                     page_offset=int(entry["page_offset"]),
                     page_count=int(entry["page_count"]),
@@ -732,62 +777,75 @@ def _load_chunk_snapshots(
     return snaps
 
 
+def _delta_ref(
+    raw: Any, pack_names: Sequence[str], position: int
+) -> Optional[DeltaRef]:
+    """A manifest chunk's ``[pack index, section]`` pair, validated."""
+    if raw is None:
+        return None
+    _require(
+        isinstance(raw, list)
+        and len(raw) == 2
+        and all(isinstance(v, int) for v in raw)
+        and 0 <= raw[0] < len(pack_names)
+        and raw[1] >= 0,
+        f"manifest chunk {position} has a malformed delta reference {raw!r}",
+    )
+    return DeltaRef(pack_names[raw[0]], raw[1])
+
+
 def _reconstruct_chunk(
-    directory: str,
     base_reader: ChunkFileReader,
     base_metas: Sequence[ChunkMeta],
-    dimensions: int,
     base_ref: int,
-    delta_file: Optional[str],
-    position: int,
+    section: Optional[DeltaSection],
+    where: str,
 ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """One chunk's ``(ids, vectors, origins)`` at checkpoint time.
 
     Member order is the durability contract: live base rows in base
     order, then appended records in insertion order.
     """
-    if delta_file is None:
+    if section is None:
         _require(
             0 <= base_ref < len(base_metas),
-            f"manifest chunk {position} has no delta and no valid base chunk",
+            f"manifest entry {where} has no delta and no valid base chunk",
         )
         meta = base_metas[base_ref]
         ids, vectors = base_reader.read_chunk(
             ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
         )
         return ids, vectors, list(range(len(ids)))
-    segment = read_delta_segment(os.path.join(directory, delta_file), dimensions)
     _require(
-        segment.base_ref == base_ref,
-        f"delta segment {delta_file!r} targets base chunk {segment.base_ref}, "
+        section.base_ref == base_ref,
+        f"delta section {where} targets base chunk {section.base_ref}, "
         f"manifest says {base_ref}",
     )
     if base_ref < 0:
-        _require(
-            segment.ids.size > 0, f"baseless delta segment {delta_file!r} is empty"
-        )
-        return segment.ids, segment.vectors, [-1] * int(segment.ids.size)
+        _require(section.ids.size > 0, f"baseless delta section {where} is empty")
+        return section.ids, section.vectors, [-1] * int(section.ids.size)
     _require(
-        0 <= base_ref < len(base_metas),
-        f"delta segment {delta_file!r} references base chunk {base_ref} "
+        base_ref < len(base_metas),
+        f"delta section {where} references base chunk {base_ref} "
         "outside the generation",
     )
     meta = base_metas[base_ref]
+    live = cast(np.ndarray, section.live)
     _require(
-        segment.live.size == meta.n_descriptors,
-        f"delta segment {delta_file!r} mask covers {segment.live.size} rows, "
+        live.size == meta.n_descriptors,
+        f"delta section {where} mask covers {live.size} rows, "
         f"base chunk holds {meta.n_descriptors}",
     )
     base_ids, base_vectors = base_reader.read_chunk(
         ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
     )
-    live_rows = np.flatnonzero(segment.live)
-    ids = np.concatenate([base_ids[live_rows], segment.ids])
+    live_rows = np.flatnonzero(live)
+    ids = np.concatenate([base_ids[live_rows], section.ids])
     vectors = np.concatenate(
-        [base_vectors[live_rows], segment.vectors], axis=0
+        [base_vectors[live_rows], section.vectors], axis=0
     ).astype(np.float32, copy=False)
-    _require(ids.size > 0, f"delta segment {delta_file!r} leaves the chunk empty")
-    origins = live_rows.tolist() + [-1] * int(segment.ids.size)
+    _require(ids.size > 0, f"delta section {where} leaves the chunk empty")
+    origins = live_rows.tolist() + [-1] * int(section.ids.size)
     return ids, vectors, origins
 
 
@@ -843,16 +901,18 @@ def _validate_batch(
 
 
 def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
-    """Remove owned files the manifest no longer references."""
+    """Remove owned files the manifest no longer references.
+
+    A pack stays while the manifest lists it, i.e. while any chunk still
+    points at one of its sections; the other sections of such a pack are
+    dead weight until the last pointer goes (or ``rebuild_base`` runs).
+    """
     keep = {
         str(manifest["base_chunk_file"]),
         str(manifest["base_index_file"]),
         str(manifest["wal_file"]),
+        *(str(pack) for pack in manifest["packs"]),
     }
-    for raw in manifest["chunks"]:
-        entry = cast(Dict[str, Any], raw)
-        if entry.get("delta_file"):
-            keep.add(str(entry["delta_file"]))
     removed = 0
     for file_name in sorted(os.listdir(directory)):
         if file_name in keep or file_name == MANIFEST_NAME:
@@ -870,7 +930,8 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     """Deep consistency check of a streaming-index directory (read-only).
 
     Validates, in dependency order: the manifest and its file references;
-    base file checksums; delta segment checksums and structure; exact
+    base file checksums; every referenced pack's section table and the
+    checksum and structure of each referenced section; exact
     centroid/radius recomputation against the stored summaries; extent
     bounds and non-overlap; WAL frame integrity and batch-sequence
     continuity; and, after replaying the committed log, global
@@ -916,8 +977,8 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
             "storage",
             True,
             f"{len(base_metas)} base chunks, "
-            f"{sum(1 for s in snaps if s.delta_file is not None)} delta segments, "
-            "all checksums verified",
+            f"{sum(1 for s in snaps if s.delta is not None)} delta sections "
+            f"in {len(manifest['packs'])} pack file(s), all checksums verified",
         )
     except (CorruptFileError, OSError) as error:
         record("storage", False, str(error))

@@ -27,7 +27,7 @@ inserted since).  Within a chunk the base-origin members always form a
 prefix in base-row order followed by the appended members in insertion
 order — inserts append, deletes remove in place, splits keep subsets in
 row order, and merged-in members are recorded as appends — which is
-exactly the tombstone-bitmap + append-segment shape the checkpoint
+exactly the tombstone-bitmap + appended-records shape the checkpoint
 writes, and what makes a recovered chunk's member order (hence its
 ``numpy.mean`` centroid) bit-identical to the uncrashed process.
 
@@ -56,6 +56,7 @@ from .distance import squared_distances
 __all__ = [
     "ChunkIndexMaintainer",
     "MaintenanceStats",
+    "DeltaRef",
     "ChunkSnapshot",
     "ChunkSummary",
 ]
@@ -71,6 +72,13 @@ class MaintenanceStats:
     merges: int = 0
     relocations: int = 0
     dead_pages: int = 0
+
+
+class DeltaRef(NamedTuple):
+    """Where a chunk's checkpointed delta lives: a section of a pack file."""
+
+    pack: str
+    section: int
 
 
 class ChunkSnapshot(NamedTuple):
@@ -92,9 +100,9 @@ class ChunkSnapshot(NamedTuple):
         since the base generation.
     base_ref:
         Base-generation chunk id this chunk descends from (``-1`` none).
-    delta_file:
-        Name of the delta segment currently representing this chunk's
-        divergence from base (``None`` when clean or never checkpointed).
+    delta:
+        The pack section currently representing this chunk's divergence
+        from base (``None`` when clean or never checkpointed).
     dirty:
         True when the chunk mutated since the last checkpoint.
     page_offset / page_count:
@@ -105,7 +113,7 @@ class ChunkSnapshot(NamedTuple):
     vectors: np.ndarray
     origins: Tuple[int, ...]
     base_ref: int
-    delta_file: Optional[str]
+    delta: Optional[DeltaRef]
     dirty: bool
     page_offset: int
     page_count: int
@@ -120,7 +128,7 @@ class ChunkSummary(NamedTuple):
 
     meta: ChunkMeta
     base_ref: int
-    delta_file: Optional[str]
+    delta: Optional[DeltaRef]
     dirty: bool
 
 
@@ -144,7 +152,7 @@ class _MutableChunk:
         "base_ref",
         "origins",
         "dirty",
-        "delta_file",
+        "delta",
     )
 
     def __init__(
@@ -156,7 +164,7 @@ class _MutableChunk:
         base_ref: int = -1,
         origins: Optional[Sequence[int]] = None,
         dirty: bool = True,
-        delta_file: Optional[str] = None,
+        delta: Optional[DeltaRef] = None,
     ):
         self.ids: List[int] = np.asarray(ids, dtype=np.int64).tolist()
         # Always a private copy: the buffer is written in place.
@@ -174,7 +182,7 @@ class _MutableChunk:
         if len(self.origins) != len(self.ids):
             raise ValueError("origins must parallel ids")
         self.dirty = bool(dirty)
-        self.delta_file = delta_file
+        self.delta = delta
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -344,7 +352,7 @@ class ChunkIndexMaintainer:
                 base_ref=snap.base_ref,
                 origins=snap.origins,
                 dirty=snap.dirty,
-                delta_file=snap.delta_file,
+                delta=snap.delta,
             )
             for snap in chunks
         ]
@@ -534,11 +542,17 @@ class ChunkIndexMaintainer:
             vectors=chunk.copy_rows(),
             origins=tuple(chunk.origins),
             base_ref=chunk.base_ref,
-            delta_file=chunk.delta_file,
+            delta=chunk.delta,
             dirty=chunk.dirty,
             page_offset=chunk.page_offset,
             page_count=chunk.page_count,
         )
+
+    def provenance(self, position: int) -> Tuple[int, Tuple[int, ...]]:
+        """``(base_ref, origins)`` of one chunk: :meth:`snapshot` minus
+        the rows, for deciding whether the chunk needs a delta at all."""
+        chunk = self._chunks[position]
+        return chunk.base_ref, tuple(chunk.origins)
 
     def summaries(self) -> List[ChunkSummary]:
         """Exact summary and provenance of every chunk, by position.
@@ -558,7 +572,7 @@ class ChunkIndexMaintainer:
                 page_count=chunk.page_count,
             )
             summaries.append(
-                ChunkSummary(meta, chunk.base_ref, chunk.delta_file, chunk.dirty)
+                ChunkSummary(meta, chunk.base_ref, chunk.delta, chunk.dirty)
             )
         return summaries
 
@@ -566,15 +580,15 @@ class ChunkIndexMaintainer:
         """Positions of chunks mutated since their last checkpoint."""
         return [i for i, chunk in enumerate(self._chunks) if chunk.dirty]
 
-    def checkpointed(self, position: int, delta_file: Optional[str]) -> None:
+    def checkpointed(self, position: int, delta: Optional[DeltaRef]) -> None:
         """Record that a checkpoint captured this chunk's current state.
 
-        ``delta_file`` names the segment now representing its divergence
+        ``delta`` names the pack section now representing its divergence
         from base (``None`` when the chunk is byte-identical to its base
-        chunk and needs no segment).
+        chunk and needs no section).
         """
         chunk = self._chunks[position]
-        chunk.delta_file = delta_file
+        chunk.delta = delta
         chunk.dirty = False
 
     def rebase(self) -> None:
@@ -582,13 +596,13 @@ class ChunkIndexMaintainer:
 
         Called after a full rebuild persisted every chunk: each chunk
         becomes a clean base chunk (``base_ref`` = its position, every
-        member a base row, no delta segment).
+        member a base row, no delta section).
         """
         for position, chunk in enumerate(self._chunks):
             chunk.base_ref = position
             chunk.origins = list(range(len(chunk)))
             chunk.dirty = False
-            chunk.delta_file = None
+            chunk.delta = None
 
     # -- export -----------------------------------------------------------------------
 

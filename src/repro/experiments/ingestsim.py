@@ -9,11 +9,11 @@ and at every step interleaves:
 
 * **mutation** — seeded WAL batches of inserts plus a fraction of
   deletes, each acknowledged only after its group commit;
-* **crashes** — optional seeded kills at WAL/segment/rename boundaries
+* **crashes** — optional seeded kills at WAL/pack/rename boundaries
   (:mod:`repro.faults.crash_plan`); every kill is followed by recovery,
   an inline ``verify-index`` deep check, and resubmission of exactly the
   batches that were never acknowledged;
-* **compaction** — periodic checkpoints (dirty-chunk delta segments +
+* **compaction** — periodic checkpoints (one pack of dirty-chunk deltas +
   WAL rotation) and one mid-run base rebuild, their simulated write cost
   charged through the same disk model as the queries;
 * **queries** — a budgeted batch search (pruning, centroid routing and

@@ -2,7 +2,7 @@
 
 The WAL writer, the checkpoint compactor and the base rebuild announce
 every protocol boundary — operation frames flushed, commit marker
-flushed, fsync done, each segment published, manifest renamed — by
+flushed, fsync done, the checkpoint pack published, manifest renamed — by
 calling ``plan.reached(site)`` with a stable site name.  A crash plan
 decides whether the "process" dies there, by raising
 :class:`InjectedCrash`; the test harness catches it, reopens the
@@ -18,7 +18,7 @@ for:
   crash matrix.
 * :class:`CrashAtStep` — dies at the N-th announced site, whatever its
   name; running it for every N in ``range(len(recording.sites))``
-  exercises a kill at *every* WAL/segment/rename boundary.
+  exercises a kill at *every* WAL/pack/rename boundary.
 
 :func:`seeded_crash_steps` draws a reproducible subset of step indices
 for CI-sized matrices, using the same

@@ -91,7 +91,7 @@ class DiskModel:
         The 2004-era disk writes at its sustained transfer rate once the
         head is positioned, so the model mirrors
         :meth:`sequential_read_time_s`.  Streaming-ingest mutations (WAL
-        appends, delta segments, base rebuilds, manifests) are charged
+        appends, checkpoint packs, base rebuilds, manifests) are charged
         through this path.
         """
         if n_bytes < 0:

@@ -26,7 +26,7 @@ from .collection_file import (
     read_collection_file,
     write_collection_file,
 )
-from .delta import DeltaSegment, read_delta_segment, write_delta_segment
+from .delta import DeltaPackReader, DeltaSection, write_delta_pack
 from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError
 from .index_file import index_file_bytes, read_index_file, write_index_file
 from .pages import DEFAULT_PAGE_BYTES, PageGeometry
@@ -51,9 +51,9 @@ __all__ = [
     "MAX_DIMENSIONS",
     "atomic_output",
     "fsync_directory",
-    "DeltaSegment",
-    "read_delta_segment",
-    "write_delta_segment",
+    "DeltaPackReader",
+    "DeltaSection",
+    "write_delta_pack",
     "WalOp",
     "WalBatch",
     "WalScan",

@@ -29,6 +29,7 @@ FIXTURES = {
     "dty002.py": "simio/dty002.py",
     "lay001.py": "core/lay001.py",
     "dur001.py": "storage/dur001.py",
+    "dur001_pack.py": "core/dur001_pack.py",
 }
 
 _EXPECT = re.compile(r"#\s*expect\s+([A-Z]{3}\d{3})")

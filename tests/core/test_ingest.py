@@ -1,7 +1,7 @@
 """Tests for the crash-safe streaming chunk index.
 
 The crash-matrix class is the acceptance gate: a simulated kill at
-*every* WAL/segment/rename boundary of a mixed workload must recover to
+*every* WAL/pack/rename boundary of a mixed workload must recover to
 a directory that passes the deep checker, and — after resubmitting the
 unacknowledged batches, exactly as a client driver would — end in a
 state whose searches are bit-identical to the uncrashed run and to a
@@ -11,7 +11,9 @@ and the chunk cache all enabled.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -30,11 +32,13 @@ from repro.core.routing import CentroidRouter
 from repro.core.search import ChunkSearcher
 from repro.faults.crash_plan import (
     CrashAtStep,
+    CrashPlan,
     InjectedCrash,
     RecordingCrashPlan,
 )
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
+from repro.storage.errors import CorruptFileError
 from repro.storage.wal import delete_op, insert_op
 
 
@@ -101,6 +105,11 @@ def populated(tiny_collection, tmp_path):
         _run_actions(index, _scenario_actions(rest_ids, rest_vectors))
         n_final = index.n_descriptors
     return directory, n_final
+
+
+def _manifest(directory):
+    with open(os.path.join(directory, MANIFEST_NAME)) as handle:
+        return json.load(handle)
 
 
 def _search_all(index, queries, k=5):
@@ -242,7 +251,7 @@ class TestCreateAndOpen:
 
     def test_garbage_files_removed_on_open(self, populated):
         directory, _ = populated
-        stray = os.path.join(directory, "delta-999999-00000.seg")
+        stray = os.path.join(directory, "delta-999999.pack")
         with open(stray, "wb") as handle:
             handle.write(b"junk")
         with StreamingChunkIndex.open(directory) as index:
@@ -318,14 +327,12 @@ class TestVerify:
     def test_corrupt_segment_fails_storage_check(self, populated):
         directory, _ = populated
         # The scenario ends with uncheckpointed deletes; checkpoint them
-        # so the directory holds delta segments to corrupt.
+        # so the directory holds a checkpoint pack to corrupt.
         with StreamingChunkIndex.open(directory) as index:
             index.checkpoint()
-        segments = sorted(
-            f for f in os.listdir(directory) if f.startswith("delta-")
-        )
-        assert segments, "checkpoint produced no delta segments"
-        target = os.path.join(directory, segments[0])
+        packs = sorted(f for f in os.listdir(directory) if f.startswith("delta-"))
+        assert packs, "checkpoint produced no pack"
+        target = os.path.join(directory, packs[0])
         size = os.path.getsize(target)
         with open(target, "r+b") as handle:
             handle.seek(size - 1)
@@ -334,16 +341,35 @@ class TestVerify:
             handle.write(bytes([byte[0] ^ 0xFF]))
         report = verify_streaming_index(directory)
         assert not report["ok"]
-        failed = [c["name"] for c in report["checks"] if not c["ok"]]
+        failed = {c["name"]: c["detail"] for c in report["checks"] if not c["ok"]}
         assert "storage" in failed
+        assert f"{packs[0]} section" in failed["storage"]  # names the section
 
-    def test_tampered_centroid_fails_summaries_check(self, populated):
-        import json
-
+    def test_parent_format_directory_is_rejected_whole(self, populated):
+        """A version-1 directory (per-chunk ``.seg`` files) is refused at
+        the manifest, before any chunk is read."""
         directory, _ = populated
         manifest_path = os.path.join(directory, MANIFEST_NAME)
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
+        manifest = _manifest(directory)
+        manifest["version"] = 1
+        del manifest["packs"]
+        for position, chunk in enumerate(manifest["chunks"]):
+            del chunk["delta"]
+            chunk["delta_file"] = f"delta-000009-{position:05d}.seg"
+        with open(manifest_path, "w") as handle:  # deliberate direct edit
+            json.dump(manifest, handle, indent=2)
+        with pytest.raises(CorruptFileError, match="unsupported manifest version 1"):
+            StreamingChunkIndex.open(directory)
+        report = verify_streaming_index(directory)
+        assert not report["ok"]
+        assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+            ("manifest", False)
+        ]
+
+    def test_tampered_centroid_fails_summaries_check(self, populated):
+        directory, _ = populated
+        manifest_path = os.path.join(directory, MANIFEST_NAME)
+        manifest = _manifest(directory)
         manifest["chunks"][0]["centroid"][0] += 0.5
         with open(manifest_path, "w") as handle:  # deliberate torn-style edit
             json.dump(manifest, handle)
@@ -352,11 +378,7 @@ class TestVerify:
 
     def test_torn_wal_tail_reported_not_repaired(self, populated):
         directory, _ = populated
-        import json
-
-        with open(os.path.join(directory, MANIFEST_NAME)) as handle:
-            wal_file = json.load(handle)["wal_file"]
-        wal_path = os.path.join(directory, wal_file)
+        wal_path = os.path.join(directory, _manifest(directory)["wal_file"])
         with open(wal_path, "ab") as handle:
             handle.write(b"\x01\x02\x03")
         before = os.path.getsize(wal_path)
@@ -364,6 +386,185 @@ class TestVerify:
         assert report["ok"], report  # torn tail alone is recoverable
         assert report["torn_bytes"] == 3
         assert os.path.getsize(wal_path) == before  # read-only checker
+
+
+def _fullest_chunks(index, n_chunks):
+    """Positions of the ``n_chunks`` fullest chunks: deleting a member of
+    one of these never shrinks it into a merge."""
+    maintainer = index.maintainer
+    sizes = [len(maintainer.snapshot(p).ids) for p in range(maintainer.n_chunks)]
+    return sorted(range(len(sizes)), key=lambda p: (-sizes[p], p))[:n_chunks]
+
+
+def _one_id_per_chunk(index, n_chunks):
+    return [
+        int(index.maintainer.snapshot(p).ids[-1])
+        for p in _fullest_chunks(index, n_chunks)
+    ]
+
+
+class _WriteSpy:
+    """Counts the durability-relevant calls made while it is active."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"fsync": 0, "replace": 0, "open_wb": 0}
+        real_fsync, real_replace, real_open = os.fsync, os.replace, builtins.open
+
+        def fsync(fd):
+            self.counts["fsync"] += 1
+            return real_fsync(fd)
+
+        def replace(src, dst, **kwargs):
+            self.counts["replace"] += 1
+            return real_replace(src, dst, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if mode == "wb":
+                self.counts["open_wb"] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(builtins, "open", spy_open)
+
+
+class TestCheckpointCost:
+    """A checkpoint costs four durability barriers however many chunks
+    are dirty: its cost scales with dirty bytes, not dirty-chunk count."""
+
+    @pytest.fixture()
+    def wide(self, small_synthetic, tmp_path):
+        chunking = SRTreeChunker(leaf_capacity=32).form_chunks(small_synthetic)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        assert index.n_chunks >= 33
+        directory = str(tmp_path / "wide")
+        with StreamingChunkIndex.create(
+            directory, index, disk=PAPER_2005_COST_MODEL.disk
+        ) as streaming:
+            yield directory, streaming
+
+    def _checkpoint_counts(self, streaming, n_dirty, monkeypatch):
+        streaming.apply([delete_op(i) for i in _one_id_per_chunk(streaming, n_dirty)])
+        assert len(streaming.maintainer.dirty_positions()) == n_dirty
+        with monkeypatch.context() as patch:
+            spy = _WriteSpy(patch)
+            report = streaming.checkpoint()
+        assert report.segments_written == n_dirty
+        return spy.counts
+
+    def test_barrier_count_does_not_depend_on_dirty_chunk_count(
+        self, wide, monkeypatch
+    ):
+        _, streaming = wide
+        few = self._checkpoint_counts(streaming, 3, monkeypatch)
+        many = self._checkpoint_counts(streaming, 30, monkeypatch)
+        assert few == many
+        # Pack, fresh WAL, manifest, directory; the pack and the manifest
+        # are the two renames; the WAL is created under its final name.
+        assert many == {"fsync": 4, "replace": 2, "open_wb": 3}
+
+    def test_simulated_charge_is_one_write_per_pack(self, wide):
+        directory, streaming = wide
+        disk = PAPER_2005_COST_MODEL.disk
+        streaming.apply([delete_op(i) for i in _one_id_per_chunk(streaming, 12)])
+        before = streaming.io_seconds
+        report = streaming.checkpoint()
+        manifest = _manifest(directory)
+        pack = os.path.join(directory, manifest["packs"][-1])
+        assert report.segments_written == 12
+        assert report.segment_bytes == os.path.getsize(pack)
+        expected = before
+        for n_bytes in (
+            report.segment_bytes,  # every section: one positioning, one sync
+            os.path.getsize(os.path.join(directory, manifest["wal_file"])),
+            os.path.getsize(os.path.join(directory, MANIFEST_NAME)),
+        ):
+            expected += disk.sequential_write_time_s(n_bytes) + disk.sync_time_s
+        assert streaming.io_seconds == expected
+
+
+class TestPackLifetime:
+    """A pack lives exactly as long as some chunk points into it."""
+
+    @staticmethod
+    def _packs_on_disk(directory):
+        return sorted(f for f in os.listdir(directory) if f.startswith("delta-"))
+
+    def test_mixed_dirty_lifetime(self, tiny_collection, tmp_path):
+        base, _, _ = _halves(tiny_collection)
+        directory = str(tmp_path / "stream")
+        with StreamingChunkIndex.create(directory, _base_index(base)) as index:
+            maintainer = index.maintainer
+
+            def member_of(position):
+                return int(maintainer.snapshot(position).ids[-1])
+
+            a, b = _fullest_chunks(index, 2)
+            # Two deletes each must not shrink either into a merge.
+            assert min(len(maintainer.snapshot(p).ids) for p in (a, b)) >= 5
+
+            # Checkpoint 1 dirties A and B: one pack, two sections.
+            index.apply([delete_op(member_of(a)), delete_op(member_of(b))])
+            assert index.checkpoint().segments_written == 2
+            first = _manifest(directory)
+            assert first["packs"] == ["delta-000001.pack"]
+            assert sorted(
+                c["delta"] for c in first["chunks"] if c["delta"] is not None
+            ) == [[0, 0], [0, 1]]
+
+            # Checkpoint 2 dirties only B: A keeps pointing into pack 1.
+            index.apply([delete_op(member_of(b))])
+            assert index.checkpoint().segments_written == 1
+            second = _manifest(directory)
+            both = ["delta-000001.pack", "delta-000002.pack"]
+            assert second["packs"] == both
+            assert self._packs_on_disk(directory) == both
+            assert second["chunks"][a]["delta"] == first["chunks"][a]["delta"]
+            assert second["chunks"][b]["delta"] == [1, 0]
+            assert verify_streaming_index(directory)["ok"]
+            with StreamingChunkIndex.open(directory) as reopened:
+                assert reopened.recovery.orphans_removed == 0
+                _assert_searches_identical(
+                    reopened.to_index(), index.to_index(), index.dimensions
+                )
+
+            # Checkpoint 3 dirties A: nothing points into pack 1 any more.
+            index.apply([delete_op(member_of(a))])
+            index.checkpoint()
+            later = ["delta-000002.pack", "delta-000003.pack"]
+            assert _manifest(directory)["packs"] == later
+            assert self._packs_on_disk(directory) == later
+            with StreamingChunkIndex.open(directory) as reopened:
+                _assert_searches_identical(
+                    reopened.to_index(), index.to_index(), index.dimensions
+                )
+
+            index.rebuild_base()
+            assert _manifest(directory)["packs"] == []
+            assert self._packs_on_disk(directory) == []
+            assert verify_streaming_index(directory)["ok"]
+
+    def test_checkpoint_with_nothing_dirty_writes_no_pack(self, populated):
+        directory, _ = populated
+        with StreamingChunkIndex.open(directory) as index:
+            index.checkpoint()
+            packs = self._packs_on_disk(directory)
+            report = index.checkpoint()
+            assert (report.segments_written, report.segment_bytes) == (0, 0)
+            assert self._packs_on_disk(directory) == packs
+
+
+class _CrashAtSite(CrashPlan):
+    """Dies the first time the named boundary is announced."""
+
+    def __init__(self, site):
+        super().__init__()
+        self.site = site
+
+    def reached(self, site):
+        super().reached(site)
+        if site == self.site:
+            raise InjectedCrash(site, self.steps_seen - 1)
 
 
 class TestCrashMatrix:
@@ -404,7 +605,16 @@ class TestCrashMatrix:
             tiny_collection, tmp_path
         )
         n_sites = len(recording.sites)
-        assert n_sites >= 20  # WAL x4 batches + checkpoint + rebuild sites
+        # 4 batches x 3 WAL sites, then 4 checkpoint and 4 rebuild sites —
+        # the checkpoint's count no longer depends on how many chunks it
+        # found dirty.
+        assert n_sites == 20
+        assert [s for s in recording.sites if s.startswith("compact.")] == [
+            "compact.begin",
+            "compact.pack",
+            "compact.wal",
+            "compact.manifest",
+        ]
         want_index = reference.to_index()
         dimensions = reference.dimensions
         reference.close()
@@ -441,6 +651,60 @@ class TestCrashMatrix:
             _assert_searches_identical(got_index, want_index, dimensions)
             recovered.close()
             assert verify_streaming_index(directory)["ok"]
+
+    @pytest.mark.parametrize("site", ["compact.pack", "compact.wal"])
+    def test_kill_between_pack_and_manifest_leaves_an_orphan_pack(
+        self, tiny_collection, tmp_path, site
+    ):
+        """The pack is renamed into place before the manifest that names
+        it: a kill in between leaves it unreferenced, the previous
+        manifest's pack still serves every chunk, and ``open`` collects
+        the orphan."""
+        base, rest_ids, rest_vectors = _halves(tiny_collection)
+        first = [insert_op(int(i), v) for i, v in zip(rest_ids[:10], rest_vectors)]
+        second = [
+            insert_op(int(i), v) for i, v in zip(rest_ids[10:20], rest_vectors[10:])
+        ] + [delete_op(int(rest_ids[0]))]
+
+        def run(directory, crash):
+            StreamingChunkIndex.create(directory, _base_index(base)).close()
+            with StreamingChunkIndex.open(directory) as index:
+                index.apply(first)
+                index.checkpoint()
+            index = StreamingChunkIndex.open(directory, crash=crash)
+            index.apply(second)
+            try:
+                index.checkpoint()
+            finally:
+                index.close()
+
+        reference_dir = str(tmp_path / "reference")
+        run(reference_dir, None)
+        directory = str(tmp_path / "crashed")
+        with pytest.raises(InjectedCrash):
+            run(directory, _CrashAtSite(site))
+
+        old, orphan = "delta-000001.pack", "delta-000002.pack"
+        assert {old, orphan} <= set(os.listdir(directory))
+        assert _manifest(directory)["packs"] == [old]
+        assert verify_streaming_index(directory)["ok"]  # read-only: orphan stays
+        assert orphan in os.listdir(directory)
+
+        with StreamingChunkIndex.open(directory) as recovered:
+            # The orphan pack, plus the fresh WAL once it exists.
+            assert recovered.recovery.orphans_removed == (
+                1 if site == "compact.pack" else 2
+            )
+            assert recovered.recovery.replayed_batches == 1
+            assert orphan not in os.listdir(directory)
+            assert old in os.listdir(directory)
+            recovered.checkpoint()  # the driver redoes the lost checkpoint
+            with StreamingChunkIndex.open(reference_dir) as reference:
+                _assert_searches_identical(
+                    recovered.to_index(), reference.to_index(), reference.dimensions
+                )
+        assert _manifest(directory) == _manifest(reference_dir)
+        assert verify_streaming_index(directory)["ok"]
 
     def test_recovered_state_matches_fresh_batch_build(self, populated):
         directory, _ = populated

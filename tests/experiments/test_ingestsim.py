@@ -105,6 +105,20 @@ class TestCrashMatrix:
             assert row["verify_ok"] is True
             assert 0 < row["n_descriptors"] <= report["uncrashed_n_descriptors"]
 
+    def test_every_boundary_recovers(self, scale, tmp_path):
+        report = ingestsim.crash_matrix(scale, str(tmp_path / "matrix"), seed=11)
+        assert report["all_ok"] is True
+        assert [row["site"] for row in report["results"]] == report["sites"]
+        # 3 batches x 3 WAL sites + 4 checkpoint sites + 4 rebuild sites,
+        # whatever number of chunks the checkpoint found dirty.
+        assert report["n_sites"] == 17
+        assert [s for s in report["sites"] if s.startswith("compact.")] == [
+            "compact.begin",
+            "compact.pack",
+            "compact.wal",
+            "compact.manifest",
+        ]
+
     def test_matrix_is_deterministic(self, scale, tmp_path):
         first = ingestsim.crash_matrix(
             scale, str(tmp_path / "a"), seed=11, n_points=3

@@ -190,18 +190,23 @@ def _chunk_file_artefact(directory, rng):
 
 
 def _delta_artefact(directory, rng):
-    from repro.storage.delta import read_delta_segment, write_delta_segment
+    from repro.storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 
-    path = directory / "chunk.seg"
-    write_delta_segment(
-        str(path),
-        5,
-        base_ref=3,
-        live=rng.random(21) < 0.7,
-        ids=np.arange(100, 107),
-        vectors=rng.standard_normal((7, 5)).astype(np.float32),
-    )
-    return [path], lambda: read_delta_segment(str(path), 5)
+    path = directory / "delta.pack"
+    vectors = rng.standard_normal((7, 5)).astype(np.float32)
+    sections = [
+        DeltaSection(3, rng.random(21) < 0.7, np.arange(100, 107), vectors),
+        DeltaSection(-1, None, np.arange(200, 204), vectors[:4]),
+        DeltaSection(0, rng.random(9) < 0.5, np.zeros(0, dtype=np.int64), vectors[:0]),
+    ]
+    write_delta_pack(str(path), 5, len(sections), iter(sections))
+
+    def read():
+        with DeltaPackReader(str(path), 5) as reader:
+            for number in range(len(reader)):
+                reader.read_section(number)
+
+    return [path], read
 
 
 def _wal_artefact(directory, rng):
@@ -241,7 +246,7 @@ def _ground_truth_artefact(directory, rng):
         _wal_artefact,
         _ground_truth_artefact,
     ],
-    ids=["collection", "index", "chunk-file", "delta-segment", "wal", "ground-truth"],
+    ids=["collection", "index", "chunk-file", "delta-pack", "wal", "ground-truth"],
 )
 def test_mutated_bytes_raise_only_corrupt_file_error(tmp_path, make_artefact):
     from repro.storage.errors import CorruptFileError
