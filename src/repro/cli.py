@@ -376,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-index",
         help=(
             "deep-check a streaming-index directory: checksums, extents, "
-            "exact centroids/radii, WAL continuity, liveness accounting"
+            "exact centroids/radii/rectangles, WAL continuity, liveness "
+            "accounting"
         ),
     )
     verify_p.add_argument("directory", help="streaming-index directory")

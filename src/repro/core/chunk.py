@@ -3,7 +3,9 @@
 A *chunk* is the unit of the paper's index architecture (section 4.2): a
 group of descriptors stored contiguously on disk, padded to full disk
 pages, and summarized in the index file by its centroid, its minimum
-bounding radius, and its location in the chunk file.
+bounding radius, and its location in the chunk file — plus, beyond the
+paper, the exact bounding rectangle of its members, which the host-side
+pruner intersects with the sphere (DESIGN §10, "The rectangle bound").
 
 Two layers are distinguished here:
 
@@ -11,9 +13,9 @@ Two layers are distinguished here:
   strategy: the member rows of the source collection plus the derived
   centroid/radius summary.
 * :class:`ChunkMeta` — the physical index entry: centroid, radius,
-  descriptor count, and page extent in the chunk file.  This is what the
-  search algorithm ranks and what :mod:`repro.storage.index_file`
-  serializes.
+  member rectangle, descriptor count, and page extent in the chunk file.
+  This is what the search algorithm ranks and what
+  :mod:`repro.storage.index_file` serializes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ import numpy as np
 from .dataset import DescriptorCollection
 from .distance import squared_distances
 
-__all__ = ["Chunk", "ChunkMeta", "ChunkSet", "summarize_members"]
+__all__ = [
+    "Chunk",
+    "ChunkMeta",
+    "ChunkSet",
+    "summarize_members",
+    "bounding_rectangle",
+]
 
 
 def summarize_members(vectors: np.ndarray) -> "tuple[np.ndarray, float]":
@@ -42,6 +50,26 @@ def summarize_members(vectors: np.ndarray) -> "tuple[np.ndarray, float]":
     centroid = vectors.mean(axis=0)
     radius = float(np.sqrt(squared_distances(centroid, vectors).max()))
     return centroid, radius
+
+
+def bounding_rectangle(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-dimension ``(lower, upper)`` of a member matrix, both float64.
+
+    Minimum and maximum involve no arithmetic, so the rectangle is *exact*
+    — every member lies inside it with no tolerance — and, members being
+    stored float32, each bound is itself float32-representable (the index
+    file keeps it in four bytes without widening it).  The reduction runs
+    over a contiguous transpose: row-wise ``min``/``max`` of a ``(d, n)``
+    matrix is several times cheaper than ``axis=0`` of the ``(n, d)`` one.
+    """
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[0] == 0:
+        raise ValueError("a chunk must contain at least one descriptor")
+    columns = np.ascontiguousarray(vectors.T)
+    return (
+        columns.min(axis=1).astype(np.float64),
+        columns.max(axis=1).astype(np.float64),
+    )
 
 
 @dataclasses.dataclass
@@ -100,19 +128,34 @@ class ChunkMeta:
     the entry, which by construction equals the position of the chunk in
     the chunk file ("the order of the entries in the index is identical to
     the order of the chunks in the chunk file").
+
+    ``lower``/``upper`` (float64, shape ``(d,)``) bound every member per
+    dimension — :func:`bounding_rectangle` of the members wherever a
+    summary is computed.  The completion proof never reads them; the
+    pruner does (:meth:`ChunkSearcher.rectangle_bounds
+    <repro.core.search.ChunkSearcher.rectangle_bounds>`).
     """
 
     chunk_id: int
     centroid: np.ndarray
     radius: float
+    lower: np.ndarray
+    upper: np.ndarray
     n_descriptors: int
     page_offset: int
     page_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "centroid", np.ascontiguousarray(self.centroid, dtype=np.float64)
-        )
+        for name in ("centroid", "lower", "upper"):
+            object.__setattr__(
+                self,
+                name,
+                np.ascontiguousarray(getattr(self, name), dtype=np.float64),
+            )
+        if not self.lower.shape == self.upper.shape == self.centroid.shape:
+            raise ValueError("rectangle and centroid must share one shape")
+        if not (self.lower <= self.upper).all():
+            raise ValueError("rectangle lower bound exceeds its upper bound")
         if self.n_descriptors <= 0:
             raise ValueError("a chunk holds at least one descriptor")
         if self.radius < 0:

@@ -27,7 +27,7 @@ from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
 from ..storage.index_file import index_file_bytes, read_index_file, write_index_file
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
-from .chunk import ChunkMeta, ChunkSet
+from .chunk import ChunkMeta, ChunkSet, bounding_rectangle
 from .dataset import DescriptorCollection
 
 __all__ = [
@@ -149,6 +149,14 @@ class ChunkIndex:
         """Chunk radii in chunk order, dtype float64."""
         return np.asarray([m.radius for m in self.metas], dtype=np.float64)
 
+    def rectangle_matrices(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` member rectangles, two ``(n_chunks, d)``
+        float64 matrices in chunk order."""
+        return (
+            np.stack([m.lower for m in self.metas]),
+            np.stack([m.upper for m in self.metas]),
+        )
+
     def descriptor_counts(self) -> np.ndarray:
         """Descriptors per chunk, dtype int64."""
         return np.asarray([m.n_descriptors for m in self.metas], dtype=np.int64)
@@ -190,13 +198,10 @@ class ChunkIndex:
             for chunk_id in range(self.n_chunks):
                 ids, vectors = self.read_chunk(chunk_id)
                 extent = writer.write_chunk(ids, vectors)
-                meta = self.metas[chunk_id]
                 saved_metas.append(
-                    ChunkMeta(
+                    dataclasses.replace(
+                        self.metas[chunk_id],
                         chunk_id=chunk_id,
-                        centroid=meta.centroid,
-                        radius=meta.radius,
-                        n_descriptors=meta.n_descriptors,
                         page_offset=extent.page_offset,
                         page_count=extent.page_count,
                     )
@@ -252,11 +257,14 @@ def build_chunk_index(
         vectors = collection.vectors[rows]
         payload_bytes = len(rows) * codec.record_bytes
         pages = geometry.pages_for(payload_bytes)
+        lower, upper = bounding_rectangle(vectors)
         metas.append(
             ChunkMeta(
                 chunk_id=chunk_id,
                 centroid=chunk.centroid,
                 radius=chunk.radius,
+                lower=lower,
+                upper=upper,
                 n_descriptors=len(rows),
                 page_offset=next_page,
                 page_count=pages,

@@ -31,9 +31,12 @@ checkpoint state, truncates the WAL's torn tail, replays the committed
 batches through the identical maintainer code path, and removes
 orphans.  Because member order round-trips exactly (live base rows in
 base order, then appends in insertion order), recovered centroids,
-radii, extents and the allocation frontier are bit-identical to the
-uncrashed process — which keeps the triangle-inequality pruning bound
-and the centroid router exactness-preserving across crashes.
+radii, rectangles, extents and the allocation frontier are bit-identical
+to the uncrashed process — which keeps the pruning bounds (sphere and
+rectangle) and the centroid router exactness-preserving across crashes.
+The manifest stores centroid and radius for verification only;
+rectangles, like every summary a search uses, are recomputed from the
+members.
 
 Simulated cost: every mutation and compaction is charged through the
 :class:`~repro.simio.disk_model.DiskModel` write path (sequential write
@@ -68,7 +71,7 @@ from ..storage.wal import (
     scan_wal,
     truncate_wal,
 )
-from .chunk import ChunkMeta
+from .chunk import ChunkMeta, bounding_rectangle
 from .chunk_index import ChunkIndex
 from .distance import squared_distances
 from .maintenance import (
@@ -932,12 +935,13 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     Validates, in dependency order: the manifest and its file references;
     base file checksums; every referenced pack's section table and the
     checksum and structure of each referenced section; exact
-    centroid/radius recomputation against the stored summaries; extent
+    centroid/radius recomputation against the stored summaries; the base
+    index's rectangle block against the base chunk contents; extent
     bounds and non-overlap; WAL frame integrity and batch-sequence
     continuity; and, after replaying the committed log, global
     tombstone/liveness accounting (unique ids, non-empty chunks, every
-    member inside its chunk's exact bounding radius — the invariant the
-    pruning bound's soundness rests on).
+    member inside its chunk's exact bounding radius and rectangle — the
+    invariants the pruning bounds' soundness rests on).
 
     Returns a JSON-ready report; ``report["ok"]`` is the verdict.  Never
     mutates the directory (torn WAL tails are reported, not truncated).
@@ -982,7 +986,7 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
         )
     except (CorruptFileError, OSError) as error:
         record("storage", False, str(error))
-    if snaps is None:
+    if snaps is None or base_metas is None:
         summary["ok"] = False
         return summary
 
@@ -1074,6 +1078,8 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     except (CorruptFileError, OSError) as error:
         record("wal", False, str(error))
 
+    rectangle_details: List[str] = []
+    live_members_checked = False
     if maintainer is None:
         record("liveness", False, "skipped: checkpoint state did not restore")
     elif scan is not None:
@@ -1097,6 +1103,11 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
                         f"chunk {meta.chunk_id}: member at distance {worst} "
                         f"exceeds radius {meta.radius}"
                     )
+                if np.any(vectors < meta.lower) or np.any(vectors > meta.upper):
+                    rectangle_details.append(
+                        f"chunk {meta.chunk_id}: member outside its rectangle"
+                    )
+            live_members_checked = True
             if seen != len(maintainer):
                 details.append(
                     f"id map holds {len(maintainer)} ids, chunks hold {seen}"
@@ -1121,6 +1132,41 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
             record("liveness", False, f"wal replay failed: {error}")
     else:
         record("liveness", False, "skipped: wal check failed")
+
+    # The base index's rectangle block against the base chunks it describes
+    # (live members were checked above, once the log was replayed).
+    try:
+        with ChunkFileReader(
+            os.path.join(directory, str(manifest["base_chunk_file"])),
+            dimensions,
+            geometry,
+        ) as base_reader:
+            for meta in base_metas:
+                _, vectors = base_reader.read_chunk(
+                    ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
+                )
+                lower, upper = bounding_rectangle(vectors)
+                if not (
+                    np.array_equal(lower, meta.lower)
+                    and np.array_equal(upper, meta.upper)
+                ):
+                    rectangle_details.append(
+                        f"base chunk {meta.chunk_id}: stored rectangle is not exact"
+                    )
+    except (CorruptFileError, OSError) as error:
+        rectangle_details.append(str(error))
+    record(
+        "rectangles",
+        not rectangle_details,
+        "; ".join(rectangle_details)
+        if rectangle_details
+        else f"{len(base_metas)} base rectangles recomputed exactly; "
+        + (
+            "every live member inside its chunk's rectangle"
+            if live_members_checked
+            else "live members not checked (liveness did not run)"
+        ),
+    )
 
     summary["ok"] = all(bool(check["ok"]) for check in checks)
     return summary

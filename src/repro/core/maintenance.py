@@ -5,8 +5,9 @@ The paper builds its chunk indexes offline and notes (section 7) a
 rebuilds stop being an option.  This module maintains a chunk index under
 inserts and deletes while preserving the invariants the search relies on:
 
-* every chunk's stored centroid is the exact mean and its radius the exact
-  minimum bounding radius of its current members (the completion proof is
+* every chunk's stored centroid is the exact mean, its radius the exact
+  minimum bounding radius and its rectangle the exact per-dimension extent
+  of its current members (the completion proof and the pruning bounds are
   unsound otherwise);
 * chunk payloads stay within their allocated page extents when possible —
   a chunk whose new payload still fits its pages is updated in place, one
@@ -49,7 +50,7 @@ import numpy as np
 
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
-from .chunk import ChunkMeta, summarize_members
+from .chunk import ChunkMeta, bounding_rectangle, summarize_members
 from .chunk_index import ChunkIndex, InMemoryChunkStore
 from .distance import squared_distances
 
@@ -557,16 +558,21 @@ class ChunkIndexMaintainer:
     def summaries(self) -> List[ChunkSummary]:
         """Exact summary and provenance of every chunk, by position.
 
-        Centroid and radius are recomputed from the members in place
-        (no member matrix is copied); ``meta.chunk_id`` is the position.
+        Centroid, radius and rectangle are recomputed from the members in
+        place (no per-chunk state to keep current, nothing to invalidate);
+        ``meta.chunk_id`` is the position.
         """
         summaries: List[ChunkSummary] = []
         for position, chunk in enumerate(self._chunks):
-            centroid, radius = summarize_members(chunk.rows())
+            rows = chunk.rows()
+            centroid, radius = summarize_members(rows)
+            lower, upper = bounding_rectangle(rows)
             meta = ChunkMeta(
                 chunk_id=position,
                 centroid=centroid,
                 radius=radius,
+                lower=lower,
+                upper=upper,
                 n_descriptors=len(chunk),
                 page_offset=chunk.page_offset,
                 page_count=chunk.page_count,

@@ -78,6 +78,14 @@ RANK_BY_LOWER_BOUND = "lower_bound"
 #: A chunk's promoted contents: ``(int64 ids, contiguous float64 vectors)``.
 _Payload = Tuple[np.ndarray, np.ndarray]
 
+#: Unit roundoff of float64 (``2**-53``), the ``u`` of the rectangle
+#: bound's slack (:meth:`ChunkSearcher.rectangle_bounds`).
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+#: Smallest normal float64: an absolute floor under that slack, dominating
+#: the (at most a few hundred times ``2**-1075``) error of products that
+#: underflow, where the relative-error model does not hold.
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 
 @dataclasses.dataclass
 class SearchResult:
@@ -102,8 +110,9 @@ class SearchResult:
         read retries (see ``trace.chunks_skipped`` for how many and
         ``coverage_fraction`` for the descriptor coverage that remains).
     chunks_pruned:
-        How many visited chunks the triangle-inequality pruner excused
-        from scanning (host-side work saved).  Pruning never changes the
+        How many visited chunks the pruner (sphere or member-rectangle
+        lower bound above the k-th distance) excused from scanning
+        (host-side work saved).  Pruning never changes the
         result: a pruned chunk is charged identical simulated time and
         logged with an identical trace event — it provably could not have
         altered the neighbor set, so only the wall-clock work (store read,
@@ -211,6 +220,7 @@ class _QueryState:
         "order",
         "suffix_list",
         "lb_list",
+        "rect_list",
         "stream",
         "n_ranks",
         "prev_read",
@@ -242,10 +252,16 @@ class _QueryState:
         truth: Optional[frozenset],
         ranking: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]",
         stream: Optional[RouterStream],
+        rect_bounds: Optional[np.ndarray],
     ):
         self.fault_key = fault_key
         self.query = query
         self.k = k
+        # Rectangle bound per chunk *id* (flat and routed ranking alike);
+        # never read when the searcher does not prune.
+        self.rect_list: List[float] = (
+            rect_bounds.tolist() if rect_bounds is not None else []
+        )
         if ranking is not None:
             order, suffix_min, ranked_lb = ranking
             # Plain Python lists: the execution loop touches one element
@@ -324,11 +340,13 @@ class ChunkSearcher:
         prune: bool = True,
         router: Optional[CentroidRouter] = None,
     ):
-        """``prune=True`` (default) activates the triangle-inequality chunk
-        pruner: a visited chunk whose lower bound strictly exceeds the
-        current k-th distance is charged and logged exactly as if scanned
-        (results, traces, and simulated timestamps are bit-identical) but
-        its store read and distance kernel are skipped on the host.
+        """``prune=True`` (default) activates the chunk pruner: a visited
+        chunk whose lower bound — the larger of the sphere's
+        ``d(centroid) - radius`` and the member rectangle's
+        (:meth:`rectangle_bounds`) — strictly exceeds the current k-th
+        distance is charged and logged exactly as if scanned (results,
+        traces, and simulated timestamps are bit-identical) but its store
+        read and distance kernel are skipped on the host.
 
         ``router`` optionally supplies a prebuilt
         :class:`~repro.core.routing.CentroidRouter`; chunk ranking then
@@ -355,6 +373,13 @@ class ChunkSearcher:
         self._centroid_sq_norms = np.einsum(
             "pd,pd->p", self._centroids, self._centroids
         )
+        self._rect_lower, self._rect_upper = index.rectangle_matrices()
+        # sum_j max(lower_j^2, upper_j^2) >= |p|^2 for every member p: the
+        # per-chunk term of the rectangle bound's slack.
+        self._rect_sq_norms = np.maximum(
+            np.square(self._rect_lower), np.square(self._rect_upper)
+        ).sum(axis=1)
+        self._rect_slack = 4.0 * (index.dimensions + 4) * _UNIT_ROUNDOFF
         # Per-chunk scalars as plain Python values: the execution loop
         # touches these once per (query, chunk) event, where repeated
         # numpy indexing and cost-model calls would dominate.
@@ -444,6 +469,67 @@ class ChunkSearcher:
         # suffix_min[:, r] = min lower bound over ranks >= r.
         suffix_min = np.minimum.accumulate(ranked_bounds[:, ::-1], axis=1)[:, ::-1]
         return orders, suffix_min, ranked_bounds
+
+    # repro: exact
+    def rectangle_bounds(self, queries: np.ndarray) -> np.ndarray:
+        """``(n_queries, n_chunks)`` float64 lower bounds on the *kernel*
+        distance from each query to any member of each chunk, from the
+        chunks' member rectangles.  Only the pruner reads them: the rank
+        key and the completion proof stay on the sphere.
+
+        With ``t_j = max(lower_j - q_j, q_j - upper_j, 0)`` the rectangle
+        distance ``R^2 = sum_j t_j^2`` satisfies ``R^2 <= |q - p|^2`` for
+        every member ``p``, but a scanned chunk is judged by the
+        expanded-form kernel (:func:`pairwise_squared_distances`), whose
+        value ``K`` differs from ``|q - p|^2`` by rounding.  So the bound
+        is ``sqrt(max(0, R^2 - c u (|q|^2 + N)))``, ``N = sum_j
+        max(lower_j^2, upper_j^2) >= |p|^2``, ``u = 2**-53``, ``c = 4 (d +
+        4)``, and it never exceeds ``sqrt(K)``.  Writing ``E = |q|^2 +
+        |p|^2 <= |q|^2 + N`` and dropping ``O(u^2)`` terms:
+
+        * *the kernel:* each of ``|q|^2``, ``|p|^2`` and ``q.p`` is a
+          ``d``-term sum of products, relative error ``d u`` of its
+          absolute-value sum whatever the summation order or FMA use, and
+          ``2 |q.p| <= 2 |q||p| <= E``: together ``2 d u E``.  The two
+          additions combining them round results of magnitude at most
+          ``2 E`` each: ``4 u E``.  Clamping at zero only raises ``K``.
+          Hence ``K >= |q - p|^2 - (2 d + 4) u E``.
+        * *the computed* ``R^2``: one subtraction, one square and ``d - 1``
+          additions per term, all of non-negative terms, overestimate it by
+          at most ``(d + 2) u R^2 <= 2 (d + 2) u E`` (``R^2 <= |q - p|^2 <=
+          2 E``).
+        * *the subtraction* of the slack rounds a result of at most ``2 E``:
+          ``2 u E``.
+
+        Sum: ``(4 d + 10) u E``.  ``c = 4 d + 16`` leaves ``6 u E`` for the
+        slack's own rounding (relative error ``(d + 3) u`` of itself); the
+        smallest normal number is subtracted on top, covering underflow.
+        ``sqrt`` is monotone and correctly rounded, so the root preserves
+        the inequality; the pruner's strict ``>`` against the k-th distance
+        then never excuses a chunk holding an admissible or tied descriptor.
+        A query inside a rectangle (a stored duplicate included) gets 0.
+
+        Queries are processed one at a time against one reused ``(n_chunks,
+        d)`` buffer: no ``(q, C, d)`` temporary is ever formed.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        lower, upper = self._rect_lower, self._rect_upper
+        out = np.empty((queries.shape[0], lower.shape[0]), dtype=np.float64)
+        gap = np.empty_like(lower)
+        query_sq_norms = np.einsum("qd,qd->q", queries, queries)
+        for row, query in enumerate(queries):
+            # gap = clip(query, lower, upper) - query: t_j up to sign.
+            np.maximum(lower, query, out=gap)
+            np.minimum(gap, upper, out=gap)
+            np.subtract(gap, query, out=gap)
+            bound = out[row]
+            np.einsum("cd,cd->c", gap, gap, out=bound)
+            bound -= (
+                self._rect_slack * (query_sq_norms[row] + self._rect_sq_norms)
+                + _SMALLEST_NORMAL
+            )
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
 
     # -- search ----------------------------------------------------------------
 
@@ -564,6 +650,7 @@ class ChunkSearcher:
         router = self.router
         if router is None:
             orders, suffix_mins, ranked_lbs = self._rank_full(queries)
+        rect_bounds = self.rectangle_bounds(queries) if self.prune else None
         # The start-of-query charge (index read + ranking) is
         # query-independent: start_query's arithmetic, once per batch.
         start_s = self.cost_model.disk.sequential_read_time_s(
@@ -592,6 +679,7 @@ class ChunkSearcher:
                         if router is not None
                         else None
                     ),
+                    rect_bounds=rect_bounds[i] if rect_bounds is not None else None,
                 )
             )
 
@@ -818,13 +906,14 @@ class ChunkSearcher:
         for row, state in enumerate(states):
             while not state.done:
                 chunk_id, lb = state.pull_next()
-                # The pruning bound: a chunk whose lower bound strictly
-                # exceeds the current k-th distance cannot admit any
-                # candidate (ties must still be scanned — an equal-distance,
-                # smaller-id descriptor would enter the neighbor set).  kth
-                # is +inf until k neighbors are known, so pruning never
-                # fires early.
-                prunable = prune and lb > state.kth
+                # The pruning bound: a chunk whose lower bound — the larger
+                # of sphere and rectangle — strictly exceeds the current
+                # k-th distance cannot admit any candidate (ties must still
+                # be scanned — an equal-distance, smaller-id descriptor
+                # would enter the neighbor set).  kth is +inf until k
+                # neighbors are known, so pruning never fires early.
+                kth = state.kth
+                prunable = prune and (lb > kth or state.rect_list[chunk_id] > kth)
                 outcome = OK_OUTCOME
                 payload = None
                 if faults is not None:

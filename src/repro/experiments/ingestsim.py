@@ -52,6 +52,7 @@ from ..core.search import ChunkSearcher
 from ..core.stop_rules import MaxChunks
 from ..faults.crash_plan import InjectedCrash, RecordingCrashPlan, seeded_crash_steps
 from ..simio.chunk_cache import LruChunkCache
+from ..simio.disk_model import DiskModel
 from ..workloads.synthetic import generate_collection
 from .config import ExperimentScale
 
@@ -160,9 +161,12 @@ def _live_collection(index: ChunkIndex) -> DescriptorCollection:
 class _IngestDriver:
     """Applies batches with ack tracking, recovery and resubmission."""
 
-    def __init__(self, directory: str, crash: Optional[_CrashSchedule]):
+    def __init__(
+        self, directory: str, crash: Optional[_CrashSchedule], disk: DiskModel
+    ):
         self.directory = directory
         self.crash = crash
+        self.disk = disk  # every reopen charges writes on the scale's disk
         self.streaming: Optional[StreamingChunkIndex] = None
         self.recoveries = 0
         self.replayed_unacked = 0
@@ -184,7 +188,9 @@ class _IngestDriver:
         report = verify_streaming_index(self.directory)
         if not report["ok"]:
             self.verifications_failed += 1
-        recovered = StreamingChunkIndex.open(self.directory, crash=self.crash)
+        recovered = StreamingChunkIndex.open(
+            self.directory, disk=self.disk, crash=self.crash
+        )
         self.streaming = recovered
         self._next_seq = recovered.last_batch_seq + 1
         # Resubmit exactly the batches never acknowledged: those whose
@@ -278,7 +284,7 @@ def simulate(
 
     os.makedirs(directory, exist_ok=True)
     index = _build_base(collection, base_rows, cfg.leaf_capacity)
-    driver = _IngestDriver(directory, crash)
+    driver = _IngestDriver(directory, crash, scale.cost_model.disk)
     driver.attach(
         StreamingChunkIndex.create(
             directory,

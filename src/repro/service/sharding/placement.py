@@ -372,14 +372,7 @@ def build_partition_index(
     for local_id, chunk_id in enumerate(chunk_ids):
         meta = index.metas[chunk_id]
         metas.append(
-            ChunkMeta(
-                chunk_id=local_id,
-                centroid=meta.centroid,
-                radius=meta.radius,
-                n_descriptors=meta.n_descriptors,
-                page_offset=next_page,
-                page_count=meta.page_count,
-            )
+            dataclasses.replace(meta, chunk_id=local_id, page_offset=next_page)
         )
         next_page += meta.page_count
         ids, vectors = index.read_chunk(chunk_id)

@@ -23,25 +23,43 @@ Entry (``8 * d + 8 + 8 + 4 + 4`` bytes each)::
     page_count  : uint32
     n_descriptors : uint32
 
-and nothing else: a query's *ranking scan* (centroid + radius + location)
-covers the whole file, which is what :func:`index_file_bytes` — the
-quantity the disk model charges at query start — measures.  Nothing
-derived is stored: the file carries no checksum, so every stored value is
-validated on read, and a value that can be recomputed from validated ones
-(the centroid norms the ranking kernel uses) is recomputed.
+Rectangle block (``2 * 4 * d`` bytes per chunk, then 4)::
+
+    lower : float32 x d   (one lower/upper pair per chunk,
+    upper : float32 x d    in entry order)
+    crc32 : uint32        of all the pairs above
+
+A query's *ranking scan* (centroid + radius + location) covers header and
+entries, which is what :func:`index_file_bytes` — the quantity the disk
+model charges at query start — measures.  The rectangle block behind them
+is host-side acceleration data the 2005 system never reads (the pruner
+uses it to skip scans whose simulated cost is charged regardless), so,
+like the chunk file's CRC table, it is not part of that charge.
+
+Nothing *recomputable from validated values* is stored: the entries carry
+no checksum, so every stored value is validated on read, and what follows
+from validated values (the centroid norms the ranking kernel uses) is
+recomputed.  A member rectangle cannot be recomputed without reading the
+chunk file, and a silently damaged one would let the pruner excuse a chunk
+that holds a true neighbour — so the block is checksummed (a flipped bit is
+:class:`ChecksumError`) and then cross-validated against the entries (a
+CRC-consistent block that contradicts them is :class:`CorruptFileError`).
+Member coordinates are float32, so four bytes hold each bound exactly; a
+bound that is not float32-representable is rounded *outward* on write.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, List, Sequence, Union
+import zlib
+from typing import BinaryIO, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.chunk import ChunkMeta
 from .atomic import atomic_output
-from .errors import MAX_DIMENSIONS, CorruptFileError, read_exact
+from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError, read_exact
 
 __all__ = [
     "write_index_file",
@@ -53,8 +71,9 @@ __all__ = [
 
 MAGIC = b"EFF2CIDX"
 #: The index-file format version (the only one read or written).
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<8sIIQ8s")
+_CRC = struct.Struct("<I")
 #: Reject headers whose implied payload exceeds this (1 TiB) — guards
 #: against corrupted ``n_chunks``/``dims`` fields triggering huge reads.
 _MAX_PAYLOAD_BYTES = 1 << 40
@@ -74,10 +93,34 @@ def _entry_dtype(dimensions: int) -> np.dtype:
     )
 
 
+def _rectangle_dtype(dimensions: int) -> np.dtype:
+    return np.dtype([("lower", "<f4", (dimensions,)), ("upper", "<f4", (dimensions,))])
+
+
 def index_file_bytes(n_chunks: int, dimensions: int) -> int:
-    """Size of the index file (header + entries) — what the disk model
-    charges for the sequential index read at the start of every query."""
+    """Size of the index file's ranking scan (header + entries) — what the
+    disk model charges for the sequential index read at the start of every
+    query.  The rectangle block behind the entries is not part of it."""
     return _HEADER.size + n_chunks * _entry_dtype(dimensions).itemsize
+
+
+def _round_outward(
+    lower: np.ndarray, upper: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` as float32 with ``lower`` rounded toward ``-inf``
+    and ``upper`` toward ``+inf``, so the float32 rectangle contains the
+    float64 one.  A bound beyond the float32 range on its outward side
+    becomes infinite."""
+    with np.errstate(over="ignore"):
+        lower32 = lower.astype(np.float32)
+        upper32 = upper.astype(np.float32)
+    lower32 = np.where(
+        lower32 > lower, np.nextafter(lower32, np.float32(-np.inf)), lower32
+    )
+    upper32 = np.where(
+        upper32 < upper, np.nextafter(upper32, np.float32(np.inf)), upper32
+    )
+    return lower32, upper32
 
 
 def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
@@ -86,6 +129,7 @@ def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
         raise ValueError("cannot write an empty index file")
     dimensions = metas[0].centroid.shape[0]
     entries = np.empty(len(metas), dtype=_entry_dtype(dimensions))
+    rectangles = np.empty(len(metas), dtype=_rectangle_dtype(dimensions))
     for i, meta in enumerate(metas):
         if meta.chunk_id != i:
             raise ValueError(
@@ -99,18 +143,63 @@ def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
         entries[i]["page_offset"] = meta.page_offset
         entries[i]["page_count"] = meta.page_count
         entries[i]["n_descriptors"] = meta.n_descriptors
+    rectangles["lower"], rectangles["upper"] = _round_outward(
+        np.stack([meta.lower for meta in metas]),
+        np.stack([meta.upper for meta in metas]),
+    )
+    consistent = _rectangles_consistent(entries, rectangles)
+    if not consistent.all():
+        raise ValueError(
+            f"chunk {int(np.argmin(consistent))}: rectangle contradicts the "
+            "centroid and radius it is stored with"
+        )
 
-    header = _HEADER.pack(MAGIC, VERSION, dimensions, len(metas), b"\x00" * 8)
+    block = rectangles.tobytes()
+    payload = b"".join(
+        (
+            _HEADER.pack(MAGIC, VERSION, dimensions, len(metas), b"\x00" * 8),
+            entries.tobytes(),
+            block,
+            _CRC.pack(zlib.crc32(block)),
+        )
+    )
     if isinstance(target, (str, os.PathLike)):
         # Path target: publish atomically (write-temp, fsync, rename) so
         # a crash mid-write never leaves a truncated index behind.
         with atomic_output(target) as stream:
-            stream.write(header)
-            stream.write(entries.tobytes())
+            stream.write(payload)
     else:
-        target.write(header)
-        target.write(entries.tobytes())
+        target.write(payload)
         target.flush()
+
+
+def _rectangles_consistent(entries: np.ndarray, rectangles: np.ndarray) -> np.ndarray:
+    """Per-chunk bool mask: the stored rectangle is one the stored centroid
+    and radius allow.
+
+    Finite with ``lower <= upper``; the centroid, a mean of members, lies
+    inside it; and it lies inside the sphere's bounding box, every member
+    being within ``radius`` of the centroid.  Each comparison carries the
+    rounding tolerance :meth:`Chunk.contains_all_members
+    <repro.core.chunk.Chunk.contains_all_members>` uses, and the box is
+    rounded outward exactly as the rectangle was.
+    """
+    centroid = entries["centroid"]
+    lower, upper = rectangles["lower"], rectangles["upper"]
+    with np.errstate(over="ignore"):  # a damaged radius may be ~1e308
+        reach = (entries["radius"] * (1 + 1e-9) + 1e-9)[:, np.newaxis]
+        box_lower, box_upper = _round_outward(centroid - reach, centroid + reach)
+    drift = np.abs(centroid) * 1e-9 + 1e-9
+    valid: np.ndarray = (
+        np.isfinite(lower)
+        & np.isfinite(upper)
+        & (lower <= upper)
+        & (lower <= centroid + drift)
+        & (upper >= centroid - drift)
+        & (lower >= box_lower)
+        & (upper <= box_upper)
+    ).all(axis=1)
+    return valid
 
 
 def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
@@ -120,7 +209,9 @@ def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
     >= 0``, a non-empty chunk on a non-empty page extent — so damaged
     bytes surface as :class:`CorruptFileError`, never as a ``ValueError``
     out of :class:`ChunkMeta` or as a NaN the completion proof would
-    silently compare against.
+    silently compare against.  The rectangle block is length-checked,
+    CRC-checked (:class:`ChecksumError`) and then cross-validated against
+    the entries (:func:`_rectangles_consistent`).
     """
     owns = isinstance(source, (str, os.PathLike))
     stream: BinaryIO = open(source, "rb") if owns else source  # type: ignore[arg-type]
@@ -162,16 +253,53 @@ def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
                 f"index file entry {int(np.argmin(valid))} is corrupt "
                 "(non-finite centroid/radius, negative radius or empty extent)"
             )
+        block = read_exact(
+            stream,
+            n_chunks * _rectangle_dtype(dimensions).itemsize,
+            "index file rectangle block",
+        )
+        (stored_crc,) = _CRC.unpack(
+            read_exact(stream, _CRC.size, "index file rectangle checksum")
+        )
+        actual_crc = zlib.crc32(block)
+        if actual_crc != stored_crc:
+            raise ChecksumError(
+                f"index file rectangle block failed its CRC32 check "
+                f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
+            )
+        rectangles = np.frombuffer(block, dtype=_rectangle_dtype(dimensions))
+        consistent = _rectangles_consistent(entries, rectangles)
+        if not consistent.all():
+            raise CorruptFileError(
+                f"index file entry {int(np.argmin(consistent))} has a corrupt "
+                "rectangle (non-finite, lower > upper, centroid outside it, or "
+                "outside the sphere's bounding box)"
+            )
+        # Columns out of the structured arrays once: per-entry field access
+        # on a record is several times dearer than indexing a plain array.
+        centroids = entries["centroid"].copy()
+        lower = rectangles["lower"].astype(np.float64)
+        upper = rectangles["upper"].astype(np.float64)
+        scalars = zip(
+            *(
+                entries[name].tolist()
+                for name in ("radius", "n_descriptors", "page_offset", "page_count")
+            )
+        )
         return [
             ChunkMeta(
                 chunk_id=i,
-                centroid=entries[i]["centroid"].copy(),
-                radius=float(entries[i]["radius"]),
-                n_descriptors=int(entries[i]["n_descriptors"]),
-                page_offset=int(entries[i]["page_offset"]),
-                page_count=int(entries[i]["page_count"]),
+                centroid=centroids[i],
+                radius=radius,
+                lower=lower[i],
+                upper=upper[i],
+                n_descriptors=n_descriptors,
+                page_offset=page_offset,
+                page_count=page_count,
             )
-            for i in range(n_chunks)
+            for i, (radius, n_descriptors, page_offset, page_count) in enumerate(
+                scalars
+            )
         ]
     finally:
         if owns:

@@ -30,6 +30,22 @@ def tiny_collection() -> DescriptorCollection:
     return DescriptorCollection.from_vectors(vectors)
 
 
+@pytest.fixture()
+def clutter_collection() -> DescriptorCollection:
+    """Eight tight 6-d patterns plus 10% uniform clutter, 240 descriptors.
+
+    A chunk that holds one clutter point has a bounding sphere reaching
+    across the space — its lower bound is 0 for most queries — while its
+    bounding rectangle stays a box between the pattern and that point.
+    """
+    rng = np.random.default_rng(19)
+    centers = rng.uniform(-4.0, 4.0, size=(8, 6))
+    patterns = [c + 0.05 * rng.standard_normal((27, 6)) for c in centers]
+    clutter = rng.uniform(-4.0, 4.0, size=(24, 6))
+    vectors = np.vstack(patterns + [clutter]).astype(np.float32)
+    return DescriptorCollection.from_vectors(vectors[rng.permutation(len(vectors))])
+
+
 @pytest.fixture(scope="session")
 def small_synthetic() -> DescriptorCollection:
     """A ~1.5k-descriptor 24-d synthetic collection (session cached)."""

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.chunk import Chunk, ChunkMeta, ChunkSet, summarize_members
+from repro.core.chunk import (
+    Chunk,
+    ChunkMeta,
+    ChunkSet,
+    bounding_rectangle,
+    summarize_members,
+)
 from repro.core.dataset import DescriptorCollection
 
 
@@ -41,6 +47,26 @@ class TestSummarize:
         assert np.isclose(dists.max(), radius)
 
 
+class TestBoundingRectangle:
+    def test_exact_extent_of_float32_members(self):
+        rng = np.random.default_rng(2)
+        vectors = rng.standard_normal((37, 5)).astype(np.float32)
+        lower, upper = bounding_rectangle(vectors[:30])  # a non-owning view
+        assert lower.dtype == upper.dtype == np.float64
+        # Bit for bit the axis-0 reduction, and float32-representable.
+        assert lower.tobytes() == vectors[:30].min(axis=0).astype(np.float64).tobytes()
+        assert upper.tobytes() == vectors[:30].max(axis=0).astype(np.float64).tobytes()
+        assert np.array_equal(lower, lower.astype(np.float32))
+
+    def test_single_member_is_a_point(self):
+        lower, upper = bounding_rectangle(np.array([[3.0, -4.0]], dtype=np.float32))
+        assert lower.tolist() == upper.tolist() == [3.0, -4.0]
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            bounding_rectangle(np.empty((0, 3), dtype=np.float32))
+
+
 class TestChunk:
     def test_from_rows(self, tiny_collection):
         chunk = Chunk.from_rows(tiny_collection, [0, 1, 2])
@@ -67,6 +93,10 @@ class TestChunkMeta:
             page_count=1,
         )
         defaults.update(kwargs)
+        # The sphere's bounding box: a rectangle any centroid/radius allows.
+        centroid = np.asarray(defaults["centroid"], dtype=np.float64)
+        defaults.setdefault("lower", centroid - abs(defaults["radius"]))
+        defaults.setdefault("upper", centroid + abs(defaults["radius"]))
         return ChunkMeta(**defaults)
 
     def test_min_distance_outside(self):
@@ -88,6 +118,12 @@ class TestChunkMeta:
             self.make(radius=-1.0)
         with pytest.raises(ValueError):
             self.make(page_count=0)
+        with pytest.raises(ValueError, match="lower bound exceeds"):
+            self.make(lower=np.array([0.0, 0.5, 0.0]), upper=np.array([1.0, 0.25, 1.0]))
+        with pytest.raises(ValueError, match="lower bound exceeds"):
+            self.make(lower=np.array([0.0, np.nan, 0.0]))
+        with pytest.raises(ValueError, match="share one shape"):
+            self.make(lower=np.zeros(2), upper=np.ones(2))
 
     def test_min_distance_lower_bounds_members(self, tiny_collection):
         """The chunk lower bound never exceeds the true nearest member

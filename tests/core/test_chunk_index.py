@@ -53,6 +53,12 @@ class TestBuild:
     def test_matrix_accessors(self, simple_index):
         assert simple_index.centroid_matrix().shape == (3, 4)
         assert simple_index.radius_vector().shape == (3,)
+        lower, upper = simple_index.rectangle_matrices()
+        assert lower.shape == upper.shape == (3, 4)
+        for chunk_id in range(3):
+            _, vectors = simple_index.read_chunk(chunk_id)
+            np.testing.assert_array_equal(lower[chunk_id], vectors.min(axis=0))
+            np.testing.assert_array_equal(upper[chunk_id], vectors.max(axis=0))
         assert list(simple_index.descriptor_counts()) == [20, 20, 20]
         assert simple_index.index_bytes > 0
 
@@ -84,6 +90,9 @@ class TestPersistence:
             meta_b = loaded.metas[chunk_id]
             np.testing.assert_allclose(meta_a.centroid, meta_b.centroid)
             assert meta_a.radius == pytest.approx(meta_b.radius)
+            # Member rectangles are float32-exact: stored without widening.
+            assert meta_a.lower.tobytes() == meta_b.lower.tobytes()
+            assert meta_a.upper.tobytes() == meta_b.upper.tobytes()
         loaded.close()
 
     def test_loaded_index_searchable(self, simple_index, tiny_collection, tmp_path):

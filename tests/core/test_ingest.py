@@ -39,6 +39,7 @@ from repro.faults.crash_plan import (
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import CorruptFileError
+from repro.storage.index_file import read_index_file, write_index_file
 from repro.storage.wal import delete_op, insert_op
 
 
@@ -128,7 +129,12 @@ def _search_all(index, queries, k=5):
 
 
 def _assert_searches_identical(got_index, want_index, dimensions):
-    """Every observable of every query equal to the bit."""
+    """Every chunk rectangle and every observable of every query equal to
+    the bit."""
+    assert got_index.n_chunks == want_index.n_chunks
+    for got_meta, want_meta in zip(got_index.metas, want_index.metas):
+        assert got_meta.lower.tobytes() == want_meta.lower.tobytes()
+        assert got_meta.upper.tobytes() == want_meta.upper.tobytes()
     rng = np.random.default_rng(97)
     queries = rng.standard_normal((8, dimensions)) * 4.0
     got_batch = _search_all(got_index, queries)
@@ -316,6 +322,7 @@ class TestVerify:
             "extents",
             "wal",
             "liveness",
+            "rectangles",
         }
 
     def test_missing_manifest_fails(self, tmp_path):
@@ -375,6 +382,23 @@ class TestVerify:
             json.dump(manifest, handle)
         report = verify_streaming_index(directory)
         assert not report["ok"]
+
+    def test_inexact_base_rectangle_fails_rectangles_check(self, populated):
+        """A correctly sealed base index whose rectangle is merely a valid
+        enclosure — not the members' exact extent — reads back, and only
+        the recomputation from the base chunk contents can object."""
+        directory, _ = populated
+        index_path = os.path.join(directory, _manifest(directory)["base_index_file"])
+        metas = read_index_file(index_path)
+        metas[2] = dataclasses.replace(metas[2], upper=metas[2].upper + 2.0**-10)
+        write_index_file(index_path, metas)
+        with StreamingChunkIndex.open(directory) as index:  # not a read error
+            assert index.n_descriptors > 0
+        report = verify_streaming_index(directory)
+        assert not report["ok"]
+        failed = {c["name"]: c["detail"] for c in report["checks"] if not c["ok"]}
+        assert list(failed) == ["rectangles"]
+        assert failed["rectangles"] == "base chunk 2: stored rectangle is not exact"
 
     def test_torn_wal_tail_reported_not_repaired(self, populated):
         directory, _ = populated

@@ -14,8 +14,9 @@ so the bound must hold (to float64 rounding) at every intermediate state.
 growable matrix edited in place; :class:`_RowListModel` is the plain
 list of row arrays that matrix replaced.  Driven through the same
 seeded operations, every chunk's matrix must equal the ``np.vstack`` of
-the model's rows, and its centroid that stack's float64 mean, bit for
-bit after every operation.
+the model's rows, its centroid that stack's float64 mean and its
+rectangle that stack's per-dimension minimum and maximum, bit for bit
+after every operation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _assert_bound_sound(maintainer, queries):
                 f"chunk {meta.chunk_id}: bound {bound} exceeds "
                 f"true distance {true.min()}"
             )
+            # The rectangle is exact: no member outside it, no tolerance.
+            assert np.all(vectors >= meta.lower) and np.all(vectors <= meta.upper)
 
 
 @st.composite
@@ -187,6 +190,10 @@ class _RowListModel:
             centroid = stack.astype(np.float64).mean(axis=0).tobytes()
             assert maintainer._centroids[position].tobytes() == centroid
             assert summaries[position].meta.centroid.tobytes() == centroid
+            lower = stack.min(axis=0).astype(np.float64).tobytes()
+            upper = stack.max(axis=0).astype(np.float64).tobytes()
+            assert summaries[position].meta.lower.tobytes() == lower
+            assert summaries[position].meta.upper.tobytes() == upper
 
 
 def _drive_against_row_lists(seed, split_factor, merge_fraction, n_ops):

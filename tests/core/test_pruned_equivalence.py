@@ -17,6 +17,7 @@ independent references (``replay_oracle.ReplayOracle``).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def make_index(collection, chunker_name):
 def make_queries(n, dims, seed=97):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, dims)) * 4.0
+
+
+def make_clutter_queries(collection, n, seed=31):
+    """Half dataset queries (a member, slightly perturbed: small k-th
+    distance), half uniform ones (large k-th distance)."""
+    rng = np.random.default_rng(seed)
+    dims = collection.dimensions
+    near = collection.vectors[rng.choice(len(collection), n // 2, replace=False)]
+    near = near.astype(np.float64) + 0.01 * rng.standard_normal((n // 2, dims))
+    return np.vstack([near, rng.uniform(-4.0, 4.0, size=(n - n // 2, dims))])
 
 
 def injector(rate, seed=42):
@@ -199,6 +210,70 @@ class TestPrunedEquivalence:
             queries, k=5, stop_rule=stop_rule_factory()
         )
         assert_batches_identical(got, want, ReplayOracle(index, k=5), queries)
+
+
+class TestRectangleBoundEquivalence:
+    """Tight patterns plus uniform clutter: most sphere bounds are 0, most
+    rectangle bounds are not, so nearly every prune here is the
+    rectangle's — through the whole configuration matrix, to the bit."""
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "chunk-cache"])
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("routed", [False, True], ids=["flat", "router"])
+    @pytest.mark.parametrize("cohort", ["one", "several"])
+    @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
+    def test_pruned_equals_unpruned(
+        self, clutter_collection, chunker_name, cohort, routed, faulted, cache
+    ):
+        index = make_index(clutter_collection, chunker_name)
+        queries = make_clutter_queries(clutter_collection, 8)
+        router = CentroidRouter.from_index(index) if routed else None
+
+        def model():
+            if not cache:
+                return PAPER_2005_COST_MODEL
+            return dataclasses.replace(
+                PAPER_2005_COST_MODEL,
+                chunk_cache=LruChunkCache(capacity_bytes=3 * _PAGE),
+            )
+
+        def faults():
+            return injector(0.25) if faulted else None
+
+        def run(prune):
+            searcher = ChunkSearcher(
+                index, cost_model=model(), prune=prune, router=router
+            )
+            if cohort == "several":
+                return searcher.search_batch(queries, k=5, faults=faults()).results
+            return [
+                searcher.search(query, k=5, faults=faults(), query_index=i)
+                for i, query in enumerate(queries)
+            ]
+
+        want, got = run(prune=False), run(prune=True)
+        replay = ReplayOracle(index, k=5, cost_model=model(), faults=faults())
+        assert_batches_identical(got, want, replay, queries)
+        assert sum(result.chunks_pruned for result in want) == 0
+
+    def test_rectangle_prunes_more_than_the_sphere(self, clutter_collection):
+        """The sphere-only count is replayed from the trace: pruning
+        changes no k-th distance, so ``d(centroid) - radius`` against the
+        k-th distance before each visit is what a sphere-only pruner
+        would have excused."""
+        # Leaves of 16 over 10% clutter: nearly every chunk holds a
+        # clutter point, as the benchmark's 1,000-descriptor leaves do.
+        chunking = SRTreeChunker(leaf_capacity=16).form_chunks(clutter_collection)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        queries = make_clutter_queries(clutter_collection, 16)
+        batch = ChunkSearcher(index).search_batch(queries, k=5)
+        sphere_only = 0
+        for query, result in zip(queries, batch):
+            kth = math.inf
+            for event in result.trace.events:
+                sphere_only += index.metas[event.chunk_id].min_distance(query) > kth
+                kth = event.kth_distance
+        assert batch.total_chunks_pruned > 2 * sphere_only > 0
 
 
 class TestRouterEquivalence:

@@ -1,0 +1,210 @@
+"""The rectangle bound is sound against the kernel that judges a scan.
+
+A pruned chunk is one whose members the expanded-form kernel
+(``pairwise_squared_distances``) would all have placed beyond the k-th
+distance.  So the property is not "bound <= true distance" but "bound <=
+sqrt of *that kernel's own value*, for every member" — including where the
+kernel is at its worst: coordinates offset by 1e3 (cancellation error of
+order 1e-9 in the squared distance), queries one ulp outside a face, and
+exact duplicates, where the kernel may return exactly 0.
+
+Both guards were checked by mutation: with ``_rect_slack = 0`` the first
+property fails (on the offset cases, and already at offset 0 for a query
+one ulp outside a face), and with the pruner's ``>`` made ``>=`` the
+second fails on the lattice cases (distance-0 ties).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.chunk import Chunk, ChunkSet
+from repro.core.chunk_index import build_chunk_index
+from repro.core.dataset import DescriptorCollection
+from repro.core.distance import pairwise_squared_distances
+from repro.core.search import ChunkSearcher
+
+
+def build(seed, dims, sizes, offset, scale, lattice):
+    """``(index, queries)``: a few small chunks and the queries that
+    stress their rectangles.
+
+    ``lattice`` draws small-integer coordinates: every kernel product and
+    sum is then exact, a duplicate's distance is exactly 0, and chunks
+    share members — the ties a non-strict pruner would lose.  Otherwise
+    the first member of every chunk is still a copy of chunk 0's, and row
+    1 of a chunk a copy of its row 0.
+    """
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for n in sizes:
+        if lattice:
+            members = offset + rng.integers(-2, 3, size=(n, dims))
+        else:
+            members = offset + scale * rng.standard_normal((n, dims))
+        members = members.astype(np.float32)
+        if chunks:
+            members[0] = chunks[0][0]
+        if n > 1 and rng.random() < 0.5:
+            members[1] = members[0]
+        chunks.append(members)
+    collection = DescriptorCollection.from_vectors(np.vstack(chunks))
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    chunk_set = ChunkSet(
+        collection,
+        [Chunk.from_rows(collection, range(a, b)) for a, b in zip(starts, starts[1:])],
+    )
+    index = build_chunk_index(collection, chunk_set)
+
+    queries = [offset + 2.0 * scale * rng.standard_normal((3, dims))]
+    for members in chunks:
+        members = members.astype(np.float64)
+        lower, upper = members.min(axis=0), members.max(axis=0)
+        on_face = members[np.argmin(members[:, 0])].copy()  # attains lower[0]
+        outside_face = on_face.copy()
+        outside_face[0] = np.nextafter(lower[0], -np.inf)
+        queries.append(
+            np.stack(
+                [
+                    members[0],  # an exact duplicate of a stored member
+                    lower,  # a corner
+                    upper,
+                    np.nextafter(lower, -np.inf),  # one ulp outside it, every dim
+                    np.nextafter(upper, np.inf),
+                    on_face,
+                    outside_face,  # one ulp outside one face
+                ]
+            )
+        )
+    return index, np.vstack(queries)
+
+
+@st.composite
+def cases(draw):
+    return dict(
+        seed=draw(st.integers(0, 2**16)),
+        dims=draw(st.integers(1, 24)),
+        sizes=draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)),
+        offset=draw(st.sampled_from([0.0, 1e3])),
+        scale=draw(st.sampled_from([1e-3, 1.0, 30.0])),
+        lattice=draw(st.booleans()),
+    )
+
+
+def kernel_distances(queries, index, chunk_id):
+    """``(n_queries, n_members)`` distances exactly as a scan computes
+    them: the expanded-form kernel on the float64-promoted chunk."""
+    _, vectors = index.read_chunk(chunk_id)
+    members = np.ascontiguousarray(vectors, dtype=np.float64)
+    return np.sqrt(pairwise_squared_distances(queries, members))
+
+
+def unslackened_bounds(index, queries):
+    """The rectangle distance in direct form, no slack: what the bound
+    would be if the kernel were exact."""
+    lower, upper = index.rectangle_matrices()
+    gap = np.maximum(lower[np.newaxis] - queries[:, np.newaxis], 0.0) + np.maximum(
+        queries[:, np.newaxis] - upper[np.newaxis], 0.0
+    )
+    return np.sqrt(np.einsum("qcd,qcd->qc", gap, gap))
+
+
+class TestRectangleBoundSoundness:
+    @given(cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bound_never_exceeds_the_kernel_distance_of_any_member(self, case):
+        index, queries = build(**case)
+        bounds = ChunkSearcher(index).rectangle_bounds(queries)
+        assert bounds.shape == (len(queries), index.n_chunks)
+        assert np.all(bounds >= 0.0)
+        for chunk_id in range(index.n_chunks):
+            # BLAS may round a one-row and an N-row product differently in
+            # the last bit: the bound must sit under both.
+            cohort = kernel_distances(queries, index, chunk_id).min(axis=1)
+            alone = np.asarray(
+                [
+                    kernel_distances(query[np.newaxis], index, chunk_id).min()
+                    for query in queries
+                ]
+            )
+            assert np.all(bounds[:, chunk_id] <= cohort), (chunk_id, case)
+            assert np.all(bounds[:, chunk_id] <= alone), (chunk_id, case)
+
+    def test_bounds_do_not_depend_on_the_cohort(self):
+        index, queries = build(3, 24, [5, 1, 9], 1e3, 1.0, False)
+        searcher = ChunkSearcher(index)
+        together = searcher.rectangle_bounds(queries)
+        for row, query in enumerate(queries):
+            alone = searcher.rectangle_bounds(query[np.newaxis])[0]
+            assert np.array_equal(alone, together[row])
+
+    def test_the_slack_is_load_bearing_and_small(self):
+        """The offset cases really are ones where the exact rectangle
+        distance *exceeds* what the kernel reports — without the slack the
+        pruner would be unsound there — and the slack costs nothing where
+        pruning happens: a bound of descriptor scale loses under 1e-9."""
+        violations = 0
+        for seed in range(20):
+            index, queries = build(seed, 24, [6, 6], 1e3, 1.0, False)
+            exact = unslackened_bounds(index, queries)
+            for chunk_id in range(index.n_chunks):
+                nearest = kernel_distances(queries, index, chunk_id).min(axis=1)
+                violations += int(np.sum(exact[:, chunk_id] > nearest))
+        assert violations > 0
+
+        index, queries = build(0, 24, [6, 6], 0.0, 1.0, False)
+        exact = unslackened_bounds(index, queries)
+        bounds = ChunkSearcher(index).rectangle_bounds(queries)
+        far = exact > 0.05
+        assert far.any()
+        assert np.all(bounds[far] <= exact[far])
+        assert np.all(bounds[far] >= exact[far] * (1 - 1e-9))
+
+    def test_a_query_inside_a_rectangle_gets_zero(self):
+        index, queries = build(1, 6, [7, 4], 0.0, 1.0, False)
+        lower, upper = index.rectangle_matrices()
+        inside = 0.5 * (lower + upper)  # one query per chunk, at its centre
+        bounds = ChunkSearcher(index).rectangle_bounds(inside)
+        assert np.all(np.diag(bounds) == 0.0)
+
+
+class TestStrictComparison:
+    @given(cases())
+    @settings(max_examples=100, deadline=None)
+    def test_ties_and_duplicates_are_never_pruned_away(self, case):
+        """Pruned == unpruned on exactly the queries above: a chunk whose
+        bound *equals* the k-th distance (0 == 0 for a duplicate held by
+        two chunks) may hold the smaller id and must be scanned.
+
+        The sphere is blinded (radii inflated), so every prune here is the
+        rectangle's.  It has to be: ``d(q, centroid) - radius`` carries no
+        rounding slack, and when the query duplicates a chunk's *farthest*
+        member — both members of a two-member chunk — it is 0 in exact
+        arithmetic and +-1e-20 in floating point, which this generator
+        hits (a defect older than the rectangle; ROADMAP item 6).
+        """
+        index, queries = build(**case)
+        index = dataclasses.replace(
+            index,
+            metas=[
+                dataclasses.replace(meta, radius=4.0 * meta.radius + 1.0)
+                for meta in index.metas
+            ],
+        )
+        for k in (1, 3):
+            want = ChunkSearcher(index, prune=False).search_batch(queries, k=k)
+            got = ChunkSearcher(index, prune=True).search_batch(queries, k=k)
+            for got_result, want_result in zip(got, want):
+                assert (
+                    got_result.neighbor_ids().tolist()
+                    == want_result.neighbor_ids().tolist()
+                ), case
+                assert [n.distance for n in got_result.neighbors] == [
+                    n.distance for n in want_result.neighbors
+                ]
+                assert got_result.stop_reason == want_result.stop_reason
+                assert got_result.trace.events == want_result.trace.events

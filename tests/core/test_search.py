@@ -248,3 +248,51 @@ class TestCohortOfOneRetainsNothing:
         # payload, distance rows) plus the trace and rank lists; retaining
         # every scanned payload would be ``scanned`` times the chunk size.
         assert peak <= 12 * largest_f64
+
+
+class TestRectanglesComeFromTheIndex:
+    """The pruner's rectangles are index data: opening an index and
+    building a searcher read no chunk, a query reads exactly the chunks it
+    scans, and how many that is on a fixed fixture is pinned — pruning
+    power cannot silently regress."""
+
+    def test_no_read_at_open_and_one_per_scanned_chunk(
+        self, clutter_collection, tmp_path, monkeypatch
+    ):
+        from repro.storage.chunk_file import ChunkFileReader
+
+        make_index(clutter_collection, SRTreeChunker(leaf_capacity=16)).save(
+            str(tmp_path)
+        )
+        reads = []
+        real_read = ChunkFileReader.read_chunk
+
+        def counting_read(reader, extent):
+            reads.append(extent.page_offset)
+            return real_read(reader, extent)
+
+        monkeypatch.setattr(ChunkFileReader, "read_chunk", counting_read)
+        rng = np.random.default_rng(31)
+        members = clutter_collection.vectors[rng.choice(240, 12, replace=False)]
+        near = members.astype(np.float64) + 0.01 * rng.standard_normal((12, 6))
+        queries = np.vstack([near, rng.uniform(-4.0, 4.0, size=(12, 6))])
+        with ChunkIndex.load(str(tmp_path), 6) as loaded:
+            searcher = ChunkSearcher(loaded)
+            assert reads == []
+            results = [searcher.search(query, k=5) for query in queries]
+        assert all(result.completed for result in results)
+        visits = sum(len(result.trace) for result in results)
+        pruned = sum(result.chunks_pruned for result in results)
+        assert len(reads) == visits - pruned
+        # A sphere-only pruner reads 162 of these 202 visits.
+        assert (visits, len(reads)) == (202, 106)
+
+    def test_unpruned_searcher_computes_no_rectangle_bound(
+        self, sr_index, monkeypatch
+    ):
+        def forbidden(self, queries):
+            raise AssertionError("prune=False must not pay for the bound")
+
+        monkeypatch.setattr(ChunkSearcher, "rectangle_bounds", forbidden)
+        result = ChunkSearcher(sr_index, prune=False).search(np.zeros(4), k=3)
+        assert result.completed and result.chunks_pruned == 0

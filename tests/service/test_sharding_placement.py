@@ -1,5 +1,7 @@
 """Tests for replicated chunk placement and partition sub-indexes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,13 @@ class TestPartitionIndex:
         assert sub.metas[0].page_offset == 0
         assert sub.metas[1].page_offset == sub.metas[0].page_count
         assert sub.metas[0].page_count == index.metas[2].page_count
+        # Everything else — summary, rectangle, counts — is the source's.
+        for local, source in zip(sub.metas, (index.metas[2], index.metas[0])):
+            for field in dataclasses.fields(source):
+                if field.name not in ("chunk_id", "page_offset"):
+                    np.testing.assert_array_equal(
+                        getattr(local, field.name), getattr(source, field.name)
+                    )
 
     def test_empty_partition_rejected(self, index):
         with pytest.raises(ValueError, match="at least one chunk"):

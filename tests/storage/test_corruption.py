@@ -219,11 +219,14 @@ class TestCollectionFileCorruption:
 
 def make_metas(n=4, dims=3):
     rng = np.random.default_rng(3)
+    centroids = rng.standard_normal((n, dims))
     return [
         ChunkMeta(
             chunk_id=i,
-            centroid=rng.standard_normal(dims),
+            centroid=centroids[i],
             radius=float(i + 1),
+            lower=centroids[i] - (i + 1),
+            upper=centroids[i] + (i + 1),
             n_descriptors=5,
             page_offset=i,
             page_count=1,

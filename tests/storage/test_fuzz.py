@@ -20,6 +20,27 @@ from repro.storage.collection_file import (
 from repro.storage.index_file import read_index_file, write_index_file
 
 
+def _index_metas(rng: np.random.Generator):
+    """Six hand-built entries, each with its sphere's box for a rectangle."""
+    metas = []
+    for i in range(6):
+        centroid = rng.standard_normal(5)
+        radius = float(rng.random())
+        metas.append(
+            ChunkMeta(
+                chunk_id=i,
+                centroid=centroid,
+                radius=radius,
+                lower=centroid - radius,
+                upper=centroid + radius,
+                n_descriptors=5,
+                page_offset=i,
+                page_count=1,
+            )
+        )
+    return metas
+
+
 def _corrupt(data: bytes, position: int, new_byte: int) -> bytes:
     position %= max(1, len(data))
     return data[:position] + bytes([new_byte]) + data[position + 1 :]
@@ -40,20 +61,8 @@ def collection_bytes():
 
 @pytest.fixture(scope="module")
 def index_bytes():
-    rng = np.random.default_rng(1)
-    metas = [
-        ChunkMeta(
-            chunk_id=i,
-            centroid=rng.standard_normal(5),
-            radius=float(rng.random()),
-            n_descriptors=5,
-            page_offset=i,
-            page_count=1,
-        )
-        for i in range(6)
-    ]
     stream = io.BytesIO()
-    write_index_file(stream, metas)
+    write_index_file(stream, _index_metas(np.random.default_rng(1)))
     return stream.getvalue()
 
 
@@ -153,18 +162,7 @@ def _collection_artefact(directory, rng):
 
 def _index_artefact(directory, rng):
     path = directory / "chunks.idx"
-    metas = [
-        ChunkMeta(
-            chunk_id=i,
-            centroid=rng.standard_normal(5),
-            radius=float(rng.random()),
-            n_descriptors=5,
-            page_offset=i,
-            page_count=1,
-        )
-        for i in range(6)
-    ]
-    write_index_file(str(path), metas)
+    write_index_file(str(path), _index_metas(rng))
     return [path], lambda: read_index_file(str(path))
 
 

@@ -58,6 +58,21 @@ class TestFileWorkflow:
         out = capsys.readouterr().out
         assert "query image 1" in out
 
+        # The same system with its index rewritten as the previous format
+        # (version 3: header + entries, no rectangle block) is refused
+        # whole, not read without its rectangles.
+        import struct
+
+        from repro.storage.index_file import index_file_bytes
+
+        index_path = tmp_path / "sys" / "chunks.idx"
+        data = bytearray(index_path.read_bytes())
+        _, _, dims, n_chunks, _ = struct.unpack_from("<8sIIQ8s", data, 0)
+        struct.pack_into("<I", data, 8, 3)
+        index_path.write_bytes(bytes(data[: index_file_bytes(n_chunks, dims)]))
+        assert main(["query", sysdir, coll, "--row", "3", "--k", "4"]) != 0
+        assert "unsupported index file version 3" in capsys.readouterr().err
+
     def test_query_row_out_of_range(self, tmp_path, capsys):
         from repro.cli import main
 
