@@ -13,12 +13,13 @@ which BAG's outliers were already removed, mirroring the paper's protocol.
 from __future__ import annotations
 
 import time
+from typing import List
 
 import numpy as np
 
-from ..core.chunk import Chunk, ChunkSet
+from ..core.chunk import Chunk, ChunkSet, summarize_members
 from ..core.dataset import DescriptorCollection
-from ..srtree.bulk_load import partition_rows_uniform
+from ..srtree.bulk_load import ordered_partition
 from .base import Chunker, ChunkingResult
 
 __all__ = ["SRTreeChunker"]
@@ -47,8 +48,18 @@ class SRTreeChunker(Chunker):
         # Build-time wall-clock measurement: feeds build_info only,
         # never the simulated query cost (hence the lint waiver).
         started = time.perf_counter()  # repro-lint: disable=CLK001
-        groups = partition_rows_uniform(collection.vectors, self.leaf_capacity)
-        chunks = [Chunk.from_rows(collection, rows) for rows in groups]
+        rows, bounds, ordered = ordered_partition(
+            collection.vectors, self.leaf_capacity
+        )
+        # The build leaves the vectors in chunk order, so a leaf's members
+        # are a contiguous slice — the values ``collection.vectors[rows]``
+        # would gather, in the same order, hence the same summary bits.
+        chunks: List[Chunk] = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            centroid, radius = summarize_members(ordered[lo:hi])
+            chunks.append(
+                Chunk(member_rows=rows[lo:hi], centroid=centroid, radius=radius)
+            )
         elapsed = time.perf_counter() - started  # repro-lint: disable=CLK001
         return ChunkingResult(
             original=collection,

@@ -21,6 +21,7 @@ Two layers are distinguished here:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -42,13 +43,20 @@ def summarize_members(vectors: np.ndarray) -> "tuple[np.ndarray, float]":
 
     The radius is the maximum Euclidean distance from the centroid to any
     member — the "minimum bounding radius" the paper stores per chunk so the
-    search can lower-bound the distance to a chunk's contents.
+    search can lower-bound the distance to a chunk's contents.  A NaN or
+    infinite member makes the radius non-finite, which is refused here:
+    every bound the search derives from such a summary would be void.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("a chunk must contain at least one descriptor")
     centroid = vectors.mean(axis=0)
     radius = float(np.sqrt(squared_distances(centroid, vectors).max()))
+    if not math.isfinite(radius):
+        raise ValueError(
+            "chunk members have a non-finite component "
+            f"(bounding radius {radius})"
+        )
     return centroid, radius
 
 

@@ -2,63 +2,179 @@
 
 Section 2: "We used the static build method, as it was much faster and
 guaranteed uniform leaf size.  Unfortunately, it requires the collection to
-fit in memory."
+fit in memory."  Here "fit in memory" means about 2.4 times the collection
+at its own precision while the build runs (two working matrices the rows
+ping-pong between, plus row ids and one sort's scratch — DESIGN §3,
+"Static build: passes and memory") and only the result afterwards.
 
 The builder is a sort-tile-recursive variant specialized for uniform
-leaves: a row set is recursively cut along its widest-variance dimension,
+leaves: a row set is repeatedly cut along its widest-variance dimension,
 with the cut position snapped to a multiple of the leaf capacity, until
 groups fit in one leaf.  Every leaf therefore holds exactly
 ``leaf_capacity`` descriptors except the single trailing remainder leaf —
 the "roundish chunks of uniform physical size" the paper describes.
 
+The rows are physically permuted as they are cut, so every node — and in
+the end every leaf — is a contiguous slice of one working matrix:
+:func:`ordered_partition` returns that matrix *in chunk order* next to the
+row permutation, and the chunker summarises leaves straight from it.
+
 Internal levels are assembled bottom-up by grouping consecutive nodes
-(which the recursive sort keeps spatially coherent), yielding a complete
+(which the sort order keeps spatially coherent), yielding a complete
 SR-tree whose exact NN search can cross-check the dynamic tree.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .node import SRNode
 from .tree import SRTree
 
-__all__ = ["partition_rows_uniform", "bulk_load"]
+__all__ = ["ordered_partition", "partition_rows_uniform", "bulk_load"]
+
+#: Size of the float64 staging block a node's variance is accumulated
+#: through (2,048 rows at d = 24).  Sized to stay L2-resident across the
+#: promote / subtract / square / reduce steps that reuse it; a constant of
+#: the machine class, not of the data, hence not a parameter.
+_BLOCK_BYTES = 384 * 1024
+
+
+def _column_sums(
+    node: np.ndarray, block: np.ndarray, mean: Optional[np.ndarray]
+) -> np.ndarray:
+    """Column sums of ``node`` promoted to float64, accumulated block-wise.
+
+    With ``mean`` given the summands are the squared deviations from it.
+    ``add.reduce(axis=0)`` over a C-contiguous matrix adds row after row
+    into the output, so carrying the running sum as row 0 of the next
+    block repeats exactly the additions of one reduction over all of
+    ``node`` — the result is bit-equal to it, whatever the block size.
+    """
+    total = np.empty(node.shape[1], dtype=np.float64)
+    step = block.shape[0] - 1
+    for start in range(0, node.shape[0], step):
+        rows = node[start : start + step]
+        staged = block[1 : rows.shape[0] + 1]
+        np.copyto(staged, rows)
+        if mean is not None:
+            np.subtract(staged, mean, out=staged)
+            np.multiply(staged, staged, out=staged)
+        if start == 0:
+            np.add.reduce(staged, axis=0, out=total)
+        else:
+            block[0] = total
+            np.add.reduce(block[: rows.shape[0] + 1], axis=0, out=total)
+    return total
+
+
+def _node_variance(node: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``node.astype(float64).var(axis=0)`` bit for bit, without the copy.
+
+    The operations are numpy's own (sum, divide, subtract, square, sum,
+    divide — all float64, in that order); only the traffic differs: two
+    reads of ``node`` through an L2-sized block instead of five passes
+    over full-size float64 temporaries.
+    """
+    count = node.shape[0]
+    mean = _column_sums(node, block, None)
+    np.true_divide(mean, count, out=mean)
+    variance = _column_sums(node, block, mean)
+    np.true_divide(variance, count, out=variance)
+    return variance
+
+
+def _refuse_non_finite(vectors: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first row with a NaN or infinity."""
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"descriptor row {int(bad[0])} has a non-finite component; "
+            "the static build orders rows by their coordinates and needs "
+            "all of them finite"
+        )
+
+
+def ordered_partition(
+    vectors: np.ndarray, leaf_capacity: int
+) -> Tuple[np.ndarray, List[int], np.ndarray]:
+    """Cut ``vectors`` into uniform leaves; return them physically ordered.
+
+    Returns ``(rows, bounds, ordered)``: leaf ``i`` holds the input rows
+    ``rows[bounds[i]:bounds[i + 1]]`` (dtype intp, in leaf order) and
+    ``ordered[bounds[i]:bounds[i + 1]]`` are those rows' vectors, i.e.
+    ``ordered`` equals ``vectors[rows]``.  ``ordered`` keeps float32 input
+    as float32 and holds anything else as float64; ``vectors`` itself is
+    only read.
+
+    Each node is a slice ``[lo, hi)`` of one of two working matrices.  It
+    is split on its dimension of largest variance by a stable sort of that
+    column, which writes the slice — reordered — into the *other* matrix,
+    where its two halves are the next nodes; a leaf that settles in the
+    spare matrix is copied home.  Nothing proportional to ``m * d`` is
+    allocated per node.
+    """
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.size == 0:
+        raise ValueError("need a non-empty (n, d) matrix")
+    if leaf_capacity < 1:
+        raise ValueError("leaf capacity must be at least 1")
+    # The variance is computed in float64 either way and float32 -> float64
+    # is exact, so a float32 working copy decides every split identically.
+    work_dtype = np.float32 if vectors.dtype == np.float32 else np.float64
+    home = np.array(vectors, dtype=work_dtype, order="C")
+    n, d = home.shape
+    matrices = (home, np.empty_like(home))
+    row_ids = (np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp))
+    block_rows = max(1, _BLOCK_BYTES // (8 * d))
+    block = np.empty((min(n, block_rows) + 1, d))  # row 0 carries the sum
+
+    bounds = [0]
+    stack = [(0, n, 0)]
+    while stack:
+        lo, hi, side = stack.pop()
+        size = hi - lo
+        if size <= leaf_capacity:
+            if side:
+                matrices[0][lo:hi] = matrices[1][lo:hi]
+                row_ids[0][lo:hi] = row_ids[1][lo:hi]
+            bounds.append(hi)
+            continue
+        node = matrices[side][lo:hi]
+        variance = _node_variance(node, block)
+        # The root sees every component, and a NaN or infinity anywhere
+        # makes its column's variance non-finite: the check is free.  It
+        # runs before the first reordering, so ``home`` is in input order.
+        if size == n and not np.isfinite(variance).all():
+            _refuse_non_finite(home)
+        axis = int(np.argmax(variance))
+        order = np.argsort(node[:, axis], kind="stable")
+        # mode="clip": the indices are a permutation, so no clipping ever
+        # happens, and unlike the default "raise" numpy does not buffer
+        # the whole output before copying it into ``out``.
+        np.take(node, order, axis=0, out=matrices[1 - side][lo:hi], mode="clip")
+        np.take(row_ids[side][lo:hi], order, out=row_ids[1 - side][lo:hi], mode="clip")
+        n_leaves = -(-size // leaf_capacity)  # leaves this node still needs
+        cut = lo + (n_leaves // 2) * leaf_capacity
+        # Right half first: the stack then yields leaves left to right.
+        stack.append((cut, hi, 1 - side))
+        stack.append((lo, cut, 1 - side))
+    return row_ids[0], bounds, home
 
 
 def partition_rows_uniform(vectors: np.ndarray, leaf_capacity: int) -> List[np.ndarray]:
     """Partition row indices into uniform, spatially coherent groups.
 
-    Recursively splits on the dimension of largest variance; the cut point
-    is the largest multiple of ``leaf_capacity`` at or below the median, so
-    the left half always carries whole leaves and exactly one group in the
-    whole partition may be smaller than ``leaf_capacity``.
+    Splits on the dimension of largest variance; the cut point is the
+    largest multiple of ``leaf_capacity`` at or below the median, so the
+    left half always carries whole leaves and exactly one group in the
+    whole partition may be smaller than ``leaf_capacity``.  The groups
+    (dtype intp) are consecutive slices of one row permutation.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValueError("need a non-empty (n, d) matrix")
-    if leaf_capacity < 1:
-        raise ValueError("leaf capacity must be at least 1")
-
-    groups: List[np.ndarray] = []
-
-    def recurse(rows: np.ndarray) -> None:
-        n = rows.shape[0]
-        if n <= leaf_capacity:
-            groups.append(rows)
-            return
-        axis = int(np.argmax(vectors[rows].var(axis=0)))
-        order = rows[np.argsort(vectors[rows, axis], kind="stable")]
-        n_leaves = -(-n // leaf_capacity)  # leaves this group still needs
-        left_leaves = n_leaves // 2
-        cut = left_leaves * leaf_capacity
-        recurse(order[:cut])
-        recurse(order[cut:])
-
-    recurse(np.arange(vectors.shape[0], dtype=np.intp))
-    return groups
+    rows, bounds, _ = ordered_partition(vectors, leaf_capacity)
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def bulk_load(

@@ -7,6 +7,7 @@ from repro.chunking.hybrid import HybridChunker
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
+from repro.core.chunk import Chunk
 from repro.core.dataset import DescriptorCollection
 
 
@@ -48,6 +49,34 @@ class TestSRTreeChunker:
         result = SRTreeChunker(leaf_capacity=8).form_chunks(tiny_collection)
         assert "build_seconds" in result.build_info
         assert result.build_info["leaf_capacity"] == 8.0
+
+    def test_summaries_equal_a_gather_of_the_member_rows(self, small_synthetic):
+        """The chunker summarises slices of the build's ordered matrix;
+        the numbers are those of ``Chunk.from_rows``, bit for bit."""
+        result = SRTreeChunker(leaf_capacity=50).form_chunks(small_synthetic)
+        assert len(result.chunk_set) > 20
+        for chunk in result.chunk_set:
+            assert chunk.member_rows.dtype == np.intp
+            gathered = Chunk.from_rows(small_synthetic, chunk.member_rows)
+            assert chunk.centroid.tobytes() == gathered.centroid.tobytes()
+            assert chunk.radius == gathered.radius
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("capacity", [20, 500])  # split root / single leaf
+    def test_non_finite_descriptor_refused(self, poison, capacity):
+        vectors = np.random.default_rng(1).standard_normal((200, 4)).astype(np.float32)
+        vectors[17, 2] = poison
+        collection = DescriptorCollection.from_vectors(vectors)
+        with pytest.raises(ValueError, match="non-finite"):
+            SRTreeChunker(capacity).form_chunks(collection)
+
+    def test_huge_finite_coordinates_build(self):
+        vectors = np.random.default_rng(2).standard_normal((200, 4)).astype(np.float32)
+        vectors[::3] *= np.float32(1e18)
+        result = SRTreeChunker(20).form_chunks(DescriptorCollection.from_vectors(vectors))
+        result.validate()
+        assert np.isfinite(result.chunk_set.radii()).all()
 
 
 class TestRoundRobin:

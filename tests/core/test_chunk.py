@@ -31,6 +31,23 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize_members(np.empty((0, 3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_refused(self, poison):
+        """Every chunker reaches this through ``Chunk.from_rows``."""
+        vectors = np.random.default_rng(4).standard_normal((12, 3)).astype(np.float32)
+        vectors[5, 1] = poison
+        collection = DescriptorCollection.from_vectors(vectors)
+        with pytest.raises(ValueError, match="non-finite"):
+            Chunk.from_rows(collection, np.arange(12))
+        # Rows that leave the bad one out are unaffected.
+        assert np.isfinite(Chunk.from_rows(collection, [0, 1, 2]).radius)
+
+    def test_huge_finite_members_accepted(self):
+        vectors = np.array([[1e18, -1e18], [3e18, 2e18]], dtype=np.float32)
+        centroid, radius = summarize_members(vectors)
+        assert np.isfinite(centroid).all() and np.isfinite(radius)
+
     @given(
         hnp.arrays(
             np.float64,

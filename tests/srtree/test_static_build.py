@@ -1,0 +1,287 @@
+"""The in-place static build against its recursive oracle, golden bytes,
+and its memory contract (ISSUE 20).
+
+Three independent defences of "every chunk byte-identical":
+
+* a differential property against ``reference_partition.py`` (the old
+  recursive routine, verbatim) — same member rows, *same order*;
+* sha256 digests recorded at the parent commit (``golden_build.json``,
+  also read by the ``build-smoke`` CI job), so bit-identity does not
+  depend on the oracle file staying honest;
+* ``tracemalloc`` guards: the build peaks at ≤ 2.6× the collection and
+  leaves nothing but its result behind, cyclic GC or not.
+"""
+
+import gc
+import hashlib
+import importlib
+import json
+import os
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_partition import reference_partition_rows_uniform
+from repro.chunking.srtree_chunker import SRTreeChunker
+from repro.cli import main
+from repro.core.chunk_index import build_chunk_index
+from repro.core.dataset import DescriptorCollection
+from repro.srtree.bulk_load import ordered_partition, partition_rows_uniform
+
+# ``repro.srtree.bulk_load`` the attribute is the function; this is the module.
+bulk_load_module = importlib.import_module("repro.srtree.bulk_load")
+
+with open(os.path.join(os.path.dirname(__file__), "golden_build.json")) as _handle:
+    GOLDEN = json.load(_handle)
+
+
+# -- differential oracle -------------------------------------------------------
+
+VALUE_FAMILIES = (
+    "normal", "lattice", "duplicates", "constant_columns", "signed_zero", "offset",
+)
+LAYOUTS = ("c", "fortran", "strided", "readonly")
+DTYPES = ("float32", "float64", "int64", "float16")
+
+
+def make_values(family, n, d, rng):
+    if family == "lattice":  # heavy ties in every column
+        return rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    if family == "duplicates":  # every row five times, shuffled
+        base = rng.standard_normal((n // 5 + 1, d))
+        return np.repeat(base, 5, axis=0)[rng.permutation(5 * len(base))[:n]]
+    if family == "constant_columns":
+        values = rng.standard_normal((n, d))
+        values[:, rng.random(d) < 0.5] = 1.5
+        return values
+    if family == "signed_zero":
+        return rng.choice(np.array([-0.0, 0.0, 1.0]), size=(n, d))
+    if family == "offset":  # variance small against the mean
+        return 1e3 + rng.standard_normal((n, d))
+    return rng.standard_normal((n, d))
+
+
+def lay_out(values, layout, dtype):
+    if dtype == "int64":
+        values = np.round(values * 4.0)
+    values = values.astype(dtype)
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "strided":  # every other row and column of a larger matrix
+        wide = np.zeros((2 * values.shape[0], 2 * values.shape[1]), dtype=values.dtype)
+        wide[::2, ::2] = values
+        return wide[::2, ::2]
+    if layout == "readonly":
+        values.setflags(write=False)
+    return values
+
+
+# Sizes where a cut or a block hand-over sits on an edge; ``k`` is 1..5.
+N_SHAPES = {
+    "within_leaf": lambda capacity, block_rows, k, rng: int(rng.integers(1, capacity + 1)),
+    "below_multiple": lambda capacity, block_rows, k, rng: k * capacity - 1,
+    "at_multiple": lambda capacity, block_rows, k, rng: k * capacity,
+    "above_multiple": lambda capacity, block_rows, k, rng: k * capacity + 1,
+    "below_block": lambda capacity, block_rows, k, rng: block_rows - 1,
+    "at_block": lambda capacity, block_rows, k, rng: block_rows,
+    "above_block": lambda capacity, block_rows, k, rng: block_rows + 1,
+    "twice_block": lambda capacity, block_rows, k, rng: 2 * block_rows,
+    "above_twice_block": lambda capacity, block_rows, k, rng: 2 * block_rows + 1,
+    "free": lambda capacity, block_rows, k, rng: int(rng.integers(2, 400)),
+}
+
+
+def assert_same_groups(got, expected):
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        assert mine.dtype == theirs.dtype == np.intp
+        assert np.array_equal(mine, theirs)
+
+
+class TestDifferentialOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(VALUE_FAMILIES),
+        layout=st.sampled_from(LAYOUTS),
+        dtype=st.sampled_from(DTYPES),
+        shape=st.sampled_from(sorted(N_SHAPES)),
+        d=st.integers(1, 6),
+        capacity=st.integers(1, 40),
+        block_rows=st.sampled_from((1, 2, 3, 7, 32)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_rows_in_the_same_order(
+        self, seed, family, layout, dtype, shape, d, capacity, block_rows
+    ):
+        rng = np.random.default_rng(seed)
+        n = max(1, N_SHAPES[shape](capacity, block_rows, int(rng.integers(1, 6)), rng))
+        vectors = lay_out(make_values(family, n, d, rng), layout, dtype)
+        before = vectors.tobytes()
+        # A tiny staging block puts the accumulator hand-over — where a
+        # blocked sum goes wrong — inside these small inputs.
+        with mock.patch.object(bulk_load_module, "_BLOCK_BYTES", 8 * d * block_rows):
+            rows, bounds, ordered = ordered_partition(vectors, capacity)
+            got = partition_rows_uniform(vectors, capacity)
+        assert_same_groups(got, reference_partition_rows_uniform(vectors, capacity))
+        assert vectors.tobytes() == before
+        # The ordered matrix is the gather the chunker no longer makes.
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert np.array_equal(rows, np.concatenate(got))
+        assert ordered.dtype == (np.float32 if dtype == "float32" else np.float64)
+        assert ordered.tobytes() == vectors[rows].astype(ordered.dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 5)])
+    def test_real_block_size_edges(self, dtype, blocks, extra):
+        """Node sizes around the shipped block size, at the paper's d."""
+        block_rows = bulk_load_module._BLOCK_BYTES // (8 * 24)
+        n = blocks * block_rows + extra
+        rng = np.random.default_rng(n)
+        # Coarse values: near-tied column variances, tied sort keys.
+        vectors = np.round(rng.standard_normal((n, 24)) * 2.0).astype(dtype)
+        assert_same_groups(
+            partition_rows_uniform(vectors, 700),
+            reference_partition_rows_uniform(vectors, 700),
+        )
+
+    def test_list_input(self):
+        nested = [[0.0, 3.0], [1.0, 1.0], [2.0, 5.0], [3.0, 2.0], [4.0, 4.0]]
+        assert_same_groups(
+            partition_rows_uniform(nested, 2),
+            reference_partition_rows_uniform(nested, 2),
+        )
+
+
+# -- golden bytes --------------------------------------------------------------
+
+
+def golden_vectors(n, seed):
+    """Clustered 24-d float32 rows with tied columns and exact duplicates."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-4.0, 4.0, size=(32, 24))
+    vectors = centers[rng.integers(32, size=n)] + 0.3 * rng.standard_normal((n, 24))
+    vectors[:, :4] = np.round(vectors[:, :4] * 8.0) / 8.0
+    vectors[n // 2 : n // 2 + n // 10] = vectors[: n // 10]
+    return vectors.astype(np.float32)
+
+
+def file_digests(directory):
+    digests = {}
+    for name in ("chunks.dat", "chunks.idx"):
+        with open(os.path.join(directory, name), "rb") as handle:
+            digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+class TestGoldenBytes:
+    """Digests recorded with the recursive build, before the rewrite."""
+
+    def test_index_files_of_a_seeded_collection(self, tmp_path):
+        collection = DescriptorCollection.from_vectors(golden_vectors(20_000, 2005))
+        result = SRTreeChunker(64).form_chunks(collection)
+        build_chunk_index(collection, result.chunk_set).save(str(tmp_path))
+        assert file_digests(str(tmp_path)) == GOLDEN["seeded_20k_sr64"]
+
+    def test_member_rows_of_a_larger_build(self):
+        digest = hashlib.sha256()
+        for rows in partition_rows_uniform(golden_vectors(60_000, 2006), 400):
+            digest.update(rows.astype("<i8").tobytes())
+        assert digest.hexdigest() == GOLDEN["seeded_60k_cap400_member_rows"]
+
+    def test_cli_build(self, tmp_path, capsys):
+        """The pair the ``build-smoke`` CI job checks, through the same CLI."""
+        collection, system = str(tmp_path / "col.bin"), str(tmp_path / "out")
+        assert main(["generate", collection, "--scale", "test"]) == 0
+        assert main(["build", collection, system, "--chunker", "sr", "--chunk-size", "64"]) == 0
+        capsys.readouterr()
+        assert file_digests(system) == GOLDEN["cli_test_scale_sr64"]
+
+
+# -- memory contract -----------------------------------------------------------
+
+
+def traced(build):
+    """``(peak, retained, result)`` of ``build()`` in traced bytes.
+
+    The cyclic collector is off: what is still traced afterwards is what
+    reference counting alone could not free.
+    """
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return peak - before, current - before, result
+
+
+class TestMemoryContract:
+    N, CAPACITY = 60_000, 400
+    SLACK = 64 * 1024
+
+    def vectors(self, dtype):
+        return np.random.default_rng(7).standard_normal((self.N, 24)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partition_peak_and_residue(self, dtype):
+        vectors = self.vectors(dtype)
+        row_array = self.N * np.dtype(np.intp).itemsize
+        peak, retained, groups = traced(
+            lambda: partition_rows_uniform(vectors, self.CAPACITY)
+        )
+        # Two working matrices, two id arrays, one sort's order and scratch.
+        assert peak <= 2.6 * vectors.nbytes + 4 * row_array
+        # Only the result survives the call: one row permutation and a
+        # view object per group — no working copy parked in a cycle.
+        assert retained <= row_array + 256 * len(groups) + self.SLACK
+
+    def test_form_chunks_peak_and_residue(self):
+        collection = DescriptorCollection.from_vectors(self.vectors(np.float32))
+        row_array = self.N * np.dtype(np.intp).itemsize
+        peak, retained, result = traced(
+            lambda: SRTreeChunker(self.CAPACITY).form_chunks(collection)
+        )
+        assert peak <= 2.6 * collection.vectors.nbytes + 4 * row_array
+        per_chunk = result.chunk_set[0].centroid.nbytes + 1024
+        assert retained <= row_array + per_chunk * len(result.chunk_set) + self.SLACK
+
+
+# -- non-finite input ----------------------------------------------------------
+
+
+class TestNonFiniteRefused:
+    # numpy warns about inf - inf on the way to the variance, as ``var`` does.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_offending_row_is_named(self, poison, dtype):
+        vectors = np.random.default_rng(1).standard_normal((200, 4)).astype(dtype)
+        vectors[90, 0] = poison
+        vectors[17, 2] = poison
+        with pytest.raises(ValueError, match=r"row 17\b.*non-finite"):
+            partition_rows_uniform(vectors, 20)
+
+    def test_huge_finite_coordinates_still_build(self):
+        vectors = np.random.default_rng(2).standard_normal((200, 4)).astype(np.float32)
+        vectors[::3] *= np.float32(1e18)
+        assert_same_groups(
+            partition_rows_uniform(vectors, 20),
+            reference_partition_rows_uniform(vectors, 20),
+        )
+
+    def test_variance_overflow_is_not_mistaken_for_bad_input(self):
+        """Finite float64 rows whose variance overflows split as before."""
+        vectors = np.random.default_rng(3).standard_normal((50, 3)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_groups(
+                partition_rows_uniform(vectors, 8),
+                reference_partition_rows_uniform(vectors, 8),
+            )
