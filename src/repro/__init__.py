@@ -64,7 +64,6 @@ from .core import (
 )
 from .simio import PAPER_2005_COST_MODEL, CostModel, CpuModel, DiskModel
 from .storage import delete_op, insert_op
-from .srtree import SRTree, bulk_load
 from .system import ImageRetrievalSystem
 from .workloads import (
     SyntheticImageConfig,
@@ -111,8 +110,6 @@ __all__ = [
     "CostModel",
     "CpuModel",
     "DiskModel",
-    "SRTree",
-    "bulk_load",
     "ImageRetrievalSystem",
     "SyntheticImageConfig",
     "Workload",

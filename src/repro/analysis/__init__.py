@@ -28,7 +28,6 @@ LAY001 on itself), so it can lint a tree whose simulated layers are
 broken.
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .config import LintConfig, default_config
 from .diagnostics import Diagnostic, render_json, render_text
 from .rules import RULE_IDS, all_rules, select_rules
@@ -40,7 +39,6 @@ from .runner import (
     lint_tree,
     package_root,
 )
-from .sarif import render_sarif
 
 __all__ = [
     "Diagnostic",
@@ -48,17 +46,13 @@ __all__ = [
     "LintResult",
     "RULE_IDS",
     "all_rules",
-    "apply_baseline",
     "default_config",
     "lint_file",
     "lint_source",
     "lint_sources",
     "lint_tree",
-    "load_baseline",
     "package_root",
     "render_json",
-    "render_sarif",
     "render_text",
     "select_rules",
-    "write_baseline",
 ]

@@ -4,7 +4,7 @@ Kept here (not in :mod:`repro.cli`) so the checker remains runnable as a
 standalone module on a tree whose other layers do not import, and so the
 two entry points share one definition of the flags.
 
-Exit codes: 0 clean (or all findings baselined), 1 new violations found,
+Exit codes: 0 if and only if there is no finding, 1 violations found,
 2 usage/environment error.
 """
 
@@ -15,16 +15,9 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .diagnostics import render_json, render_text, summarize
 from .rules import RULE_CLASSES, RULE_IDS, select_rules
 from .runner import LintResult, lint_tree, package_root
-from .sarif import render_sarif
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
 
@@ -50,12 +43,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="write the report to a file instead of stdout",
     )
     parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report (GitHub code scanning)",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         help=f"comma-separated rule ids to run (default: all of {','.join(RULE_IDS)})",
@@ -70,25 +57,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="RULE",
         help="print the full rationale for one rule id, then exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file of accepted findings (default: "
-            f"{DEFAULT_BASELINE_NAME} next to the linted tree, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the accepted baseline and exit 0",
     )
     parser.add_argument(
         "--profile",
@@ -111,26 +79,6 @@ def _explain(rule_id: str) -> int:
         file=sys.stderr,
     )
     return 2
-
-
-def _baseline_path(args: argparse.Namespace, root: str) -> str:
-    """Resolve the baseline file path for this run.
-
-    An explicit ``--baseline`` wins; otherwise the default name is looked
-    up next to the linted tree's parent (the repo layout keeps it at the
-    repo root, two levels above ``src/repro``) and finally in the CWD.
-    """
-    if args.baseline:
-        return args.baseline
-    candidates = [
-        os.path.join(root, DEFAULT_BASELINE_NAME),
-        os.path.join(os.path.dirname(os.path.dirname(root)), DEFAULT_BASELINE_NAME),
-        DEFAULT_BASELINE_NAME,
-    ]
-    for candidate in candidates:
-        if os.path.exists(candidate):
-            return candidate
-    return DEFAULT_BASELINE_NAME
 
 
 def _print_profile(result: LintResult) -> None:
@@ -178,26 +126,7 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.profile:
         _print_profile(result)
 
-    baseline_path = _baseline_path(args, root)
-    if args.write_baseline:
-        count = write_baseline(baseline_path, result.diagnostics)
-        print(
-            f"wrote baseline with {count} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
     diagnostics = result.diagnostics
-    suppressed = 0
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro lint: error: {exc}", file=sys.stderr)
-            return 2
-        if baseline:
-            diagnostics, suppressed = apply_baseline(diagnostics, baseline)
-
     if args.lint_format == "json":
         report = render_json(
             diagnostics,
@@ -212,14 +141,8 @@ def run_lint(args: argparse.Namespace) -> int:
             handle.write(report + "\n")
     elif report:
         print(report)
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            handle.write(render_sarif(diagnostics, rules) + "\n")
     if args.lint_format == "text":
-        summary = summarize(diagnostics, result.checked_files)
-        if suppressed:
-            summary += f" ({suppressed} baselined finding(s) suppressed)"
-        print(summary, file=sys.stderr)
+        print(summarize(diagnostics, result.checked_files), file=sys.stderr)
     return 0 if not diagnostics else 1
 
 

@@ -17,21 +17,16 @@ __all__ = ["LintConfig", "default_config", "PACKAGE_NAME"]
 #: Name of the package the default configuration describes.
 PACKAGE_NAME = "repro"
 
-#: Layers whose query-time costs are *simulated* (SimClock): wall-clock
-#: reads here would silently contaminate the paper's time-to-quality
-#: curves with hardware-dependent noise.
+#: Layers whose query-time costs are *simulated* (charged by the cost
+#: models): wall-clock reads here would silently contaminate the paper's
+#: time-to-quality curves with hardware-dependent noise.  The only
+#: sanctioned reads are individual *call sites* behind an inline
+#: ``# repro-lint: disable=CLK001`` (the chunker build timers, which
+#: measure build time only and never feed simulated cost), so any new
+#: wall-clock read in those files is still caught.
 SIMULATED_LAYERS: FrozenSet[str] = frozenset(
     {"core", "simio", "storage", "chunking", "srtree", "faults", "service"}
 )
-
-#: Files that may read the wall clock despite living in a simulated
-#: layer.  ``simio/clock.py`` defines :class:`~repro.simio.clock.WallClock`
-#: itself — the single sanctioned escape hatch used by benchmarks and
-#: simulation sanity checks.  Individual *call sites* (e.g. the chunker
-#: build timers, which measure build time only and never feed simulated
-#: cost) use inline ``# repro-lint: disable=CLK001`` suppressions instead,
-#: so any new wall-clock read in those files is still caught.
-WALL_CLOCK_ALLOWLIST: FrozenSet[str] = frozenset({"simio/clock.py"})
 
 #: The import DAG, expressed as forbidden edges: layer -> layers it must
 #: not import.  Algorithmic layers must not reach "up" into the
@@ -107,9 +102,7 @@ TIME_UNIT_SOURCES: Mapping[str, str] = {
     "time.perf_counter": "host",
     "time.process_time": "host",
     "time.thread_time": "host",
-    "repro.simio.clock.WallClock.now": "host",
-    # Simulated clock and the cost models that advance it.
-    "repro.simio.clock.SimulatedClock.now": "sim",
+    # The cost models that charge simulated time.
     "repro.simio.pipeline.PipelineSimulator.start_query": "sim",
     "repro.simio.pipeline.PipelineSimulator.process_chunk": "sim",
     "repro.simio.pipeline.PipelineSimulator.skip_chunk": "sim",
@@ -133,8 +126,6 @@ TIME_UNIT_SOURCES: Mapping[str, str] = {
 #: timestamp fed to ``time.sleep``).
 TIME_UNIT_SINKS: Mapping[str, str] = {
     "time.sleep": "host",
-    "repro.simio.clock.SimulatedClock.advance": "sim",
-    "repro.simio.clock.SimulatedClock.advance_to": "sim",
 }
 
 #: The only files that may write or rename durable on-disk artifacts
@@ -175,7 +166,6 @@ class LintConfig:
 
     package: str = PACKAGE_NAME
     simulated_layers: FrozenSet[str] = SIMULATED_LAYERS
-    wall_clock_allowlist: FrozenSet[str] = WALL_CLOCK_ALLOWLIST
     forbidden_imports: Mapping[str, FrozenSet[str]] = dataclasses.field(
         default_factory=lambda: dict(FORBIDDEN_IMPORTS)
     )

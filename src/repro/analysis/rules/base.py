@@ -87,7 +87,7 @@ class ProjectRule(Rule):
     The runner builds one :class:`~repro.analysis.project.ProjectContext`
     per lint run (symbol table, call graph, cached taint results) and
     calls ``check_project`` once; diagnostics are then routed through the
-    same suppression/baseline machinery as per-file findings.
+    same inline-suppression handling as per-file findings.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:  # pragma: no cover

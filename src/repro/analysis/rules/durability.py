@@ -66,7 +66,7 @@ class DurabilityRule(Rule):
         "can publish a torn file and silently break every one of those\n"
         "recovery invariants.  Inside the storage layer any direct write\n"
         "is flagged; elsewhere, writes whose path expressions mention a\n"
-        "durable artifact are.  Report/plot outputs (JSON exports, SARIF)\n"
+        "durable artifact are.  Report/plot outputs (JSON exports, figures)\n"
         "are not durable state and stay unflagged."
     )
 

@@ -50,16 +50,14 @@ class TimeUnitMixRule(ProjectRule):
 
 class WallClockSinkRule(ProjectRule):
     id = "SIM102"
-    summary = "simulated-seconds value reaches a wall-clock sink (or vice versa)"
+    summary = "simulated-seconds value reaches a wall-clock sink (time.sleep)"
     rationale = (
         "A simulated timestamp fed to time.sleep() stalls the process for\n"
-        "model-seconds; a wall-clock read fed to SimulatedClock.advance()\n"
-        "contaminates the deterministic timeline with hardware noise.  Both\n"
-        "directions silently break the property the paper's curves depend\n"
-        "on: simulated time is a pure function of the seed and the\n"
-        "workload.  The analyzer tracks units inter-procedurally and flags\n"
-        "arguments whose unit contradicts the sink's declared unit\n"
-        "(config.TIME_UNIT_SINKS)."
+        "model-seconds and ties the run's wall time to the cost model:\n"
+        "simulated time must stay a pure function of the seed and the\n"
+        "workload, never something the host waits out.  The analyzer\n"
+        "tracks units inter-procedurally and flags arguments whose unit\n"
+        "contradicts the sink's declared unit (config.TIME_UNIT_SINKS)."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:

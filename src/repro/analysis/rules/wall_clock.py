@@ -1,11 +1,10 @@
 """CLK001 — simulated-clock discipline.
 
-Layers that account cost through :class:`repro.simio.clock.SimulatedClock`
+Layers whose cost is charged by the :mod:`repro.simio` cost model
 (``core``, ``simio``, ``storage``, ``chunking``, ``srtree``) must never
 read the wall clock: a stray ``time.perf_counter()`` in a simulated path
 silently mixes hardware-dependent noise into the paper's deterministic
-time-to-quality curves.  Wall-clock reads are permitted only in the
-config allowlist (the ``WallClock`` implementation itself) or behind an
+time-to-quality curves.  Wall-clock reads are permitted only behind an
 explicit inline ``# repro-lint: disable=CLK001`` at a build/benchmark
 measurement site.
 """
@@ -46,24 +45,21 @@ class WallClockRule(Rule):
     id = "CLK001"
     summary = (
         "wall-clock read (time.time/perf_counter/datetime.now/...) in a "
-        "simulated-cost layer; use SimClock, or allowlist a build timer"
+        "simulated-cost layer; charge the cost model, or waive a build timer"
     )
     rationale = (
         "Query-time cost in core/simio/storage/chunking/srtree/faults/\n"
-        "service is *simulated*: disk and CPU models advance a\n"
-        "SimulatedClock, which is what makes the paper's time-to-quality\n"
-        "curves deterministic and hardware-independent.  One stray\n"
+        "service is *simulated*: the disk and CPU cost model charges every\n"
+        "chunk, which is what makes the paper's time-to-quality curves\n"
+        "deterministic and hardware-independent.  One stray\n"
         "time.perf_counter() in those layers mixes real hardware noise\n"
-        "into the curves without failing any test.  The WallClock\n"
-        "implementation itself (simio/clock.py) is allowlisted; build-time\n"
-        "measurement sites carry inline disable comments so new reads are\n"
-        "still caught."
+        "into the curves without failing any test.  No file is exempt;\n"
+        "build-time measurement sites carry inline disable comments so new\n"
+        "reads are still caught."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.layer not in ctx.config.simulated_layers:
-            return
-        if ctx.relpath in ctx.config.wall_clock_allowlist:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -74,5 +70,5 @@ class WallClockRule(Rule):
                     node,
                     self.id,
                     f"call to {target}() in simulated layer '{ctx.layer}'; "
-                    f"simulated paths must take time from SimulatedClock",
+                    f"simulated paths must take time from the cost model",
                 )

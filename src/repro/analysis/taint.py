@@ -15,7 +15,7 @@ through assignments, returns, call arguments, ``self.attr`` stores and
 dataclass constructor fields.  SIM101 fires when host and sim meet in an
 arithmetic/comparison/``min``/``max`` expression; SIM102 when a value of
 one unit reaches a sink declared for the other (a simulated timestamp
-into ``time.sleep``, a wall-clock read into ``SimulatedClock.advance``).
+into ``time.sleep``).
 
 **Seed provenance.**  Entropy must flow from root seeds, forked with
 ``SeedSequence.spawn`` — never from another generator's output stream,
@@ -631,8 +631,6 @@ class SeedProvenanceAnalysis:
             ):
                 return f"a draw from generator '{func.value.id}' ({func.attr}())"
             dotted, _ = resolver.callee_of(node)
-            if dotted is not None and (
-                dotted.startswith("time.") or dotted.endswith("WallClock.now")
-            ):
+            if dotted is not None and dotted.startswith("time."):
                 return f"the wall clock ({dotted}())"
         return None

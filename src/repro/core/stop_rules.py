@@ -44,7 +44,7 @@ class SearchProgress:
     chunks_read:
         Chunks processed so far (>= 1 when rules are consulted).
     elapsed_s:
-        Clock reading after the last chunk completed (simulated or wall).
+        Simulated seconds elapsed when the last chunk completed.
     neighbors_found:
         Current size of the neighbor set (== k once warm).
     kth_distance:

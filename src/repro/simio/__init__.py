@@ -13,15 +13,11 @@ hardware with a deterministic, calibrated cost model:
   I/O-CPU overlap timeline of a ranked chunk scan;
 * :mod:`~repro.simio.calibration` — parameters pinned to the paper's
   reported timings (Table 2 reproduces to within ~2 %).
-
-:mod:`~repro.simio.clock` also provides a wall clock so the same search
-code can be timed for real when desired.
 """
 
 from .cache import LruPageCache, cached_read_time_s
 from .calibration import PAPER_2005_COST_MODEL, verify_calibration
 from .chunk_cache import LruChunkCache, chunk_read_time_s
-from .clock import Clock, SimulatedClock, WallClock
 from .cpu_model import CpuModel
 from .disk_model import DiskModel
 from .pipeline import CostModel, PipelineSimulator
@@ -35,9 +31,6 @@ __all__ = [
     "chunk_read_time_s",
     "PAPER_2005_COST_MODEL",
     "verify_calibration",
-    "Clock",
-    "SimulatedClock",
-    "WallClock",
     "CpuModel",
     "DiskModel",
     "CostModel",

@@ -2,31 +2,18 @@
 
 The paper forms uniform-size chunks by bulk-building an SR-tree with a
 chosen leaf capacity and emitting one chunk per leaf, discarding the upper
-levels (section 2).  This package provides the full index structure:
-
-* :mod:`~repro.srtree.geometry` — bounding spheres and rectangles and
-  their distance bounds;
-* :mod:`~repro.srtree.node` — nodes summarizing subtrees with
-  centroid + sphere + rectangle;
-* :mod:`~repro.srtree.tree` — the dynamic tree (insert, variance split,
-  exact best-first k-NN search);
-* :mod:`~repro.srtree.bulk_load` — the static build with guaranteed
-  uniform leaf size that the paper's chunker relies on.
+levels (section 2).  That is all this package holds:
+:mod:`~repro.srtree.bulk_load`, the static variance-split partition with
+guaranteed uniform leaf size.  The leaf's bounding sphere and rectangle —
+what is left of the SR-tree's region geometry once the upper levels are
+gone — are computed by the chunker and stored in
+:class:`~repro.core.chunk.ChunkMeta`, where the search engine prunes on
+them.
 
 The leaf-to-chunk extraction lives with the other chunk-forming strategies
 in :mod:`repro.chunking.srtree_chunker`.
 """
 
-from .bulk_load import bulk_load, partition_rows_uniform
-from .geometry import Rect, Sphere
-from .node import SRNode
-from .tree import SRTree
+from .bulk_load import ordered_partition, partition_rows_uniform
 
-__all__ = [
-    "bulk_load",
-    "partition_rows_uniform",
-    "Rect",
-    "Sphere",
-    "SRNode",
-    "SRTree",
-]
+__all__ = ["ordered_partition", "partition_rows_uniform"]

@@ -19,9 +19,9 @@ the end every leaf — is a contiguous slice of one working matrix:
 :func:`ordered_partition` returns that matrix *in chunk order* next to the
 row permutation, and the chunker summarises leaves straight from it.
 
-Internal levels are assembled bottom-up by grouping consecutive nodes
-(which the sort order keeps spatially coherent), yielding a complete
-SR-tree whose exact NN search can cross-check the dynamic tree.
+No internal level is ever materialised: the paper discards the upper
+levels and keeps one chunk per leaf, whose sphere and rectangle live in
+:class:`~repro.core.chunk.ChunkMeta`.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .node import SRNode
-from .tree import SRTree
-
-__all__ = ["ordered_partition", "partition_rows_uniform", "bulk_load"]
+__all__ = ["ordered_partition", "partition_rows_uniform"]
 
 #: Size of the float64 staging block a node's variance is accumulated
 #: through (2,048 rows at d = 24).  Sized to stay L2-resident across the
@@ -176,49 +173,3 @@ def partition_rows_uniform(vectors: np.ndarray, leaf_capacity: int) -> List[np.n
     rows, bounds, _ = ordered_partition(vectors, leaf_capacity)
     return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-
-def bulk_load(
-    vectors: np.ndarray,
-    leaf_capacity: int,
-    internal_capacity: int = 16,
-) -> SRTree:
-    """Build a complete SR-tree statically from an in-memory matrix."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    tree = SRTree(
-        dimensions=vectors.shape[1],
-        leaf_capacity=leaf_capacity,
-        internal_capacity=internal_capacity,
-    )
-    # Install the backing matrix directly — the static build owns it.
-    tree._buffer = vectors.copy()
-    tree._size = vectors.shape[0]
-
-    groups = partition_rows_uniform(vectors, leaf_capacity)
-    level: List[SRNode] = []
-    for rows in groups:
-        leaf = SRNode(is_leaf=True, dimensions=vectors.shape[1])
-        leaf.rows = [int(r) for r in rows]
-        leaf.refresh_summary(tree.vectors)
-        level.append(leaf)
-
-    while len(level) > 1:
-        parents: List[SRNode] = []
-        for start in range(0, len(level), internal_capacity):
-            parent = SRNode(is_leaf=False, dimensions=vectors.shape[1])
-            parent.children = level[start : start + internal_capacity]
-            parent.refresh_summary(tree.vectors)
-            parents.append(parent)
-        # Avoid a lone single-child trailing parent: fold its child into
-        # the predecessor when the predecessor has room.
-        if (
-            len(parents) >= 2
-            and len(parents[-1].children) == 1
-            and len(parents[-2].children) < internal_capacity
-        ):
-            lone = parents.pop()
-            parents[-1].children.extend(lone.children)
-            parents[-1].refresh_summary(tree.vectors)
-        level = parents
-
-    tree.root = level[0]
-    return tree

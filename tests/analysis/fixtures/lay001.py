@@ -11,6 +11,6 @@ from repro.cli import main  # expect LAY001
 
 from repro.storage.pages import PageGeometry  # allowed: core -> storage
 from .distance import squared_distances  # allowed: within-layer relative
-from ..simio.clock import SimulatedClock  # allowed: core -> simio
+from ..simio.disk_model import DiskModel  # allowed: core -> simio
 
 from repro.extensions import vafile  # repro-lint: disable=LAY001

@@ -11,6 +11,13 @@ from repro.analysis.cli import main as analysis_main
 from repro.analysis.runner import package_root
 from repro.cli import main as repro_main
 
+_CLOCK_SEEDED = (
+    "import time as _time_r\n"
+    "import numpy as _np_r\n"
+    "def _clock_seeded():\n"
+    "    return _np_r.random.default_rng(int(_time_r.time()))\n"
+)
+
 #: One representative violation per rule family, as a snippet appended to
 #: a copy of a real core module.  Each must be caught by ``repro lint``.
 SEEDED_VIOLATIONS = {
@@ -30,6 +37,26 @@ SEEDED_VIOLATIONS = {
         "    return _np_a.zeros(3)\n"
     ),
     "LAY001": "from ..experiments import config as _cfg\n",
+    # The whole-program rules, each planted as a function the taint engine
+    # has to type through the real ``DiskModel`` / follow a real seed.
+    "SIM101": (
+        "import time as _time_m\n"
+        "from ..simio.disk_model import DiskModel as _DiskM\n"
+        "def _mixed_units():\n"
+        "    return _time_m.perf_counter() + _DiskM().sync_time_s()\n"
+    ),
+    "SIM102": (
+        "import time as _time_s\n"
+        "from ..simio.disk_model import DiskModel as _DiskS\n"
+        "def _sleep_simulated():\n"
+        "    _time_s.sleep(_DiskS().sync_time_s())\n"
+    ),
+    "RNG101": _CLOCK_SEEDED,
+    "RNG102": (
+        "import numpy as _np_f\n"
+        "def _fan_out(seed):\n"
+        "    return _np_f.random.default_rng(seed), _np_f.random.default_rng(seed)\n"
+    ),
 }
 
 #: Everything appended to the one seeded copy: ``relpath -> rule ->
@@ -43,6 +70,9 @@ SEEDS = {
         "LAY001": "from ..core import search as _s\n",
     },
     "core/routing.py": {"CLK001": "import time\n_T0 = time.time()\n"},
+    # Outside the simulated layers CLK001 does not apply: a clock-seeded
+    # generator there is RNG101's alone to catch.
+    "workloads/queries.py": {"RNG101": _CLOCK_SEEDED},
 }
 
 

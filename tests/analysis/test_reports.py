@@ -1,24 +1,11 @@
-"""Baseline ratchet, SARIF output, profiling, and the
-determinism/performance acceptance checks on the shipped tree."""
+"""Exit status, profiling, and the determinism/performance acceptance
+checks on the shipped tree."""
 
-import json
 import os
 import time
 
-import pytest
-
-from repro.analysis import (
-    apply_baseline,
-    lint_tree,
-    load_baseline,
-    render_json,
-    render_sarif,
-    write_baseline,
-)
-from repro.analysis.baseline import fingerprint
+from repro.analysis import lint_tree, render_json
 from repro.analysis.cli import main as analysis_main
-from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.rules import all_rules
 from repro.analysis.runner import package_root
 
 
@@ -39,88 +26,32 @@ DIRTY = {
 }
 
 
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        d = Diagnostic(path="core/bad.py", line=2, col=6, rule="CLK001", message="m")
-        path = str(tmp_path / "base.json")
-        assert write_baseline(path, [d]) == 1
-        loaded = load_baseline(path)
-        assert loaded == {fingerprint(d): 1}
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == {}
-
-    def test_malformed_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-    def test_apply_is_line_insensitive_but_count_sensitive(self):
-        old = Diagnostic(path="a.py", line=10, col=0, rule="CLK001", message="m")
-        moved = Diagnostic(path="a.py", line=99, col=0, rule="CLK001", message="m")
-        extra = Diagnostic(path="a.py", line=100, col=0, rule="CLK001", message="m")
-        baseline = {fingerprint(old): 1}
-        fresh, suppressed = apply_baseline([moved], baseline)
-        assert fresh == [] and suppressed == 1
-        # A second instance of the same finding exceeds the count: fails.
-        fresh, suppressed = apply_baseline([moved, extra], baseline)
-        assert len(fresh) == 1 and suppressed == 1
-
-    def test_cli_ratchet_flow(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY)
-        baseline = str(tmp_path / "b.json")
-        # Dirty tree fails without a baseline...
-        assert analysis_main([root, "--baseline", baseline]) == 1
-        capsys.readouterr()
-        # ...writing the baseline accepts the current findings...
-        assert analysis_main([root, "--baseline", baseline, "--write-baseline"]) == 0
-        assert analysis_main([root, "--baseline", baseline]) == 0
-        assert "baselined" in capsys.readouterr().err
-        # ...but a *new* finding still fails,
-        with open(os.path.join(root, "core", "bad.py"), "a", encoding="utf-8") as fh:
-            fh.write("_T1 = time.perf_counter()\n")
-        assert analysis_main([root, "--baseline", baseline]) == 1
-        # and --no-baseline reports everything.
-        capsys.readouterr()
-        assert analysis_main([root, "--baseline", baseline, "--no-baseline"]) == 1
-        assert "time.time" in capsys.readouterr().out
-
-    def test_shipped_tree_needs_no_baseline(self, shipped_lint):
-        # The acceptance criterion: src/repro lints clean with no
-        # baseline file at all.
-        assert not os.path.exists(
-            os.path.join(
-                os.path.dirname(os.path.dirname(package_root())),
-                ".repro-lint-baseline.json",
-            )
-        )
-        assert shipped_lint.ok
+#: An accepted-findings file in the ``path::rule::message`` fingerprint
+#: format of the ratchet ``repro lint`` once had: lying in the cwd, it turned
+#: the finding of the test below into exit 0.
+STRAY_BASELINE = """{
+  "schema_version": 1, "findings": 1, "fingerprints": {
+    "simio/disk_model.py::RNG002::module-level call random.random() uses the shared global RNG; use an explicitly seeded random.Random(seed) instance": 1
+  }
+}
+"""
 
 
-class TestSarif:
-    def test_shape_and_rule_metadata(self, tmp_path):
-        root = make_tree(tmp_path, DIRTY)
-        result = lint_tree(root)
-        payload = json.loads(render_sarif(result.diagnostics, all_rules()))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        assert "SIM101" in rule_ids and "EXA001" in rule_ids
-        (res,) = run["results"]
-        assert res["ruleId"] == "CLK001"
-        loc = res["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "core/bad.py"
-        assert loc["region"]["startLine"] == 2
-
-    def test_cli_writes_sarif(self, tmp_path, capsys):
-        root = make_tree(tmp_path, DIRTY)
-        sarif_path = str(tmp_path / "out.sarif")
-        assert analysis_main([root, "--no-baseline", "--sarif", sarif_path]) == 1
-        payload = json.loads(open(sarif_path, encoding="utf-8").read())
-        assert payload["runs"][0]["results"]
+def test_stray_baseline_file_cannot_silence_a_finding(tmp_path, monkeypatch, capsys):
+    """Exit 0 means no finding, whatever files lie around the tree."""
+    victim = os.path.join("simio", "disk_model.py")
+    with open(os.path.join(package_root(), victim), encoding="utf-8") as handle:
+        dirty = handle.read() + "\nimport random as _rand_v\n_C = _rand_v.random()\n"
+    root = make_tree(
+        tmp_path, {"__init__.py": "", "simio/__init__.py": "", victim: dirty}
+    )
+    stray = tmp_path / ".repro-lint-baseline.json"
+    stray.write_text(STRAY_BASELINE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert analysis_main([root]) == 1
+    captured = capsys.readouterr()
+    assert "simio/disk_model.py:" in captured.out and "RNG002" in captured.out
+    assert "suppressed" not in captured.err
 
 
 class TestProfiling:
@@ -133,7 +64,7 @@ class TestProfiling:
 
     def test_cli_profile_flag(self, tmp_path, capsys):
         root = make_tree(tmp_path, DIRTY)
-        analysis_main([root, "--no-baseline", "--profile"])
+        analysis_main([root, "--profile"])
         err = capsys.readouterr().err
         assert "phase timings:" in err and "callgraph" in err
 
@@ -161,8 +92,7 @@ class TestShippedTreeAcceptance:
         second = lint_tree(package_root())
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"full-tree analysis took {elapsed:.1f}s"
-        render = lambda r: (
-            render_json(r.diagnostics, checked_files=r.checked_files, rules=r.rules),
-            render_sarif(r.diagnostics, all_rules()),
+        render = lambda r: render_json(
+            r.diagnostics, checked_files=r.checked_files, rules=r.rules
         )
         assert render(first) == render(second)

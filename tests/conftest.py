@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.dataset import DescriptorCollection
 from repro.experiments.config import TEST_SCALE
 from repro.experiments.data import prepare
 from repro.workloads.synthetic import SyntheticImageConfig, generate_collection
+
+# Tier-1 draws the same examples every run and replays no stored ones, so a
+# failure is a regression and not luck.  ``--hypothesis-profile=explore``
+# goes looking instead: random draws, 25x the examples in the property files
+# that scale their budget by the profile's, and a blob that reproduces a
+# failure.  This file is imported before the flag is applied.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "explore", max_examples=25 * settings.default.max_examples, print_blob=True
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

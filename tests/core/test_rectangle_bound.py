@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,10 @@ from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
 from repro.core.distance import pairwise_squared_distances
 from repro.core.search import ChunkSearcher
+
+#: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
+#: (``tests/conftest.py``).
+EXAMPLES = settings().max_examples // settings.get_profile("tier1").max_examples
 
 
 def build(seed, dims, sizes, offset, scale, lattice):
@@ -115,7 +120,7 @@ def unslackened_bounds(index, queries):
 
 class TestRectangleBoundSoundness:
     @given(cases())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150 * EXAMPLES, deadline=None)
     def test_bound_never_exceeds_the_kernel_distance_of_any_member(self, case):
         index, queries = build(**case)
         bounds = ChunkSearcher(index).rectangle_bounds(queries)
@@ -174,7 +179,7 @@ class TestRectangleBoundSoundness:
 
 class TestStrictComparison:
     @given(cases())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100 * EXAMPLES, deadline=None)
     def test_ties_and_duplicates_are_never_pruned_away(self, case):
         """Pruned == unpruned on exactly the queries above: a chunk whose
         bound *equals* the k-th distance (0 == 0 for a duplicate held by
@@ -185,7 +190,7 @@ class TestStrictComparison:
         rounding slack, and when the query duplicates a chunk's *farthest*
         member — both members of a two-member chunk — it is 0 in exact
         arithmetic and +-1e-20 in floating point, which this generator
-        hits (a defect older than the rectangle; ROADMAP item 6).
+        hits (a defect older than the rectangle; ROADMAP item 1).
         """
         index, queries = build(**case)
         index = dataclasses.replace(
@@ -208,3 +213,19 @@ class TestStrictComparison:
                 ]
                 assert got_result.stop_reason == want_result.stop_reason
                 assert got_result.trace.events == want_result.trace.events
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_sphere_prune_loses_exact_tie(self):
+        """The defect the blinded sphere above hides, pinned where a
+        derandomized tier-1 still sees it: query 7 duplicates the farthest
+        member of a two-member chunk, the sphere bound comes out 1e-20
+        above the k-th distance 0 and the chunk holding the smaller id is
+        pruned.  The fix of item 1 deletes the marker."""
+        index, queries = build(
+            seed=2, dims=1, sizes=[2, 2, 1], offset=0.0, scale=0.001, lattice=False
+        )
+        want = ChunkSearcher(index, prune=False).search(queries[7], k=1)
+        got = ChunkSearcher(index, prune=True).search(queries[7], k=1)
+        assert want.completed and got.completed
+        assert want.neighbor_ids().tolist() == [0]
+        assert got.neighbor_ids().tolist() == want.neighbor_ids().tolist()

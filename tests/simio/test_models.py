@@ -1,8 +1,7 @@
-"""Tests for the disk and CPU cost models and the clocks."""
+"""Tests for the disk and CPU cost models."""
 
 import pytest
 
-from repro.simio.clock import SimulatedClock, WallClock
 from repro.simio.cpu_model import CpuModel
 from repro.simio.disk_model import DiskModel
 
@@ -67,32 +66,3 @@ class TestCpuModel:
         with pytest.raises(ValueError):
             CpuModel().ranking_time_s(-1)
 
-
-class TestClocks:
-    def test_simulated_clock_advances(self):
-        clock = SimulatedClock()
-        assert clock.now() == 0.0
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now() == 2.0
-
-    def test_simulated_clock_advance_to(self):
-        clock = SimulatedClock(start=1.0)
-        clock.advance_to(3.0)
-        assert clock.now() == 3.0
-        with pytest.raises(ValueError):
-            clock.advance_to(2.0)
-
-    def test_simulated_clock_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-0.1)
-        with pytest.raises(ValueError):
-            SimulatedClock(start=-1.0)
-
-    def test_wall_clock_moves_forward(self):
-        clock = WallClock()
-        a = clock.now()
-        clock.advance(100.0)  # no-op for wall clocks
-        b = clock.now()
-        assert b >= a
-        assert b < 1.0  # advancing simulated work did not jump wall time

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.srtree.bulk_load import bulk_load, partition_rows_uniform
-from repro.srtree.tree import SRTree
+from repro.srtree.bulk_load import partition_rows_uniform
 
 
 class TestPartition:
@@ -63,36 +62,3 @@ class TestPartition:
         assert all(1 <= s <= capacity for s in sizes)
         assert sum(1 for s in sizes if s < capacity) <= 1
 
-
-class TestBulkLoad:
-    def test_valid_structure(self, rng):
-        vectors = rng.standard_normal((500, 6))
-        tree = bulk_load(vectors, leaf_capacity=32, internal_capacity=5)
-        tree.validate()
-        assert len(tree) == 500
-
-    def test_search_exact(self, rng):
-        vectors = rng.standard_normal((400, 5))
-        tree = bulk_load(vectors, leaf_capacity=25)
-        query = rng.standard_normal(5)
-        got = [i for _, i in tree.nn_search(query, 9)]
-        d = np.linalg.norm(vectors - query, axis=1)
-        expected = sorted(range(400), key=lambda i: (d[i], i))[:9]
-        assert got == expected
-
-    def test_matches_dynamic_tree_results(self, rng):
-        """Static and dynamic builds must return identical k-NN."""
-        vectors = rng.standard_normal((200, 4))
-        static = bulk_load(vectors, leaf_capacity=16)
-        dynamic = SRTree(dimensions=4, leaf_capacity=16)
-        dynamic.extend(vectors)
-        query = rng.standard_normal(4)
-        assert [i for _, i in static.nn_search(query, 7)] == [
-            i for _, i in dynamic.nn_search(query, 7)
-        ]
-
-    def test_single_leaf_tree(self, rng):
-        vectors = rng.standard_normal((10, 3))
-        tree = bulk_load(vectors, leaf_capacity=64)
-        assert tree.height() == 1
-        tree.validate()

@@ -19,6 +19,10 @@ from repro.core.ground_truth import exact_knn
 from repro.core.maintenance import ChunkIndexMaintainer
 from repro.core.search import ChunkSearcher
 
+#: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
+#: (``tests/conftest.py``).
+EXAMPLES = settings().max_examples // settings.get_profile("tier1").max_examples
+
 
 @st.composite
 def collections(draw, max_points=60, max_dims=6):
@@ -40,7 +44,7 @@ class TestSearchExactnessProperty:
         st.integers(2, 16),
         st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40 * EXAMPLES, deadline=None)
     def test_completion_equals_scan(self, collection, k, granule, use_random):
         chunker = (
             RandomChunker(n_chunks=granule, seed=0)
@@ -58,7 +62,7 @@ class TestSearchExactnessProperty:
         np.testing.assert_array_equal(got.neighbor_ids(), expected)
 
     @given(collections(), st.integers(2, 12))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30 * EXAMPLES, deadline=None)
     def test_chunk_invariants_hold(self, collection, granule):
         result = SRTreeChunker(leaf_capacity=granule).form_chunks(collection)
         result.validate()
@@ -131,6 +135,6 @@ class MaintainerMachine(RuleBasedStateMachine):
 
 
 MaintainerMachine.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=12, deadline=None
+    max_examples=15 * EXAMPLES, stateful_step_count=12, deadline=None
 )
 TestMaintainerStateMachine = MaintainerMachine.TestCase
