@@ -5,6 +5,11 @@ performs exactly what section 4.2 describes: the descriptors are grouped by
 chunk into the chunk file (each chunk padded to full pages) and a parallel
 index file records each chunk's centroid, radius and location.
 
+A saved index carries a third file, the *code file*
+(:mod:`repro.storage.code_file`): per-descriptor cell numbers the pruner
+consults to reject a chunk without reading it.  It is optional — a directory
+without one, and every in-memory index, searches exactly as before.
+
 Two storage backends provide the chunk contents:
 
 * :class:`InMemoryChunkStore` — chunks held as arrays; used by the
@@ -17,14 +22,22 @@ Two storage backends provide the chunk contents:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import zlib
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
-from ..storage.index_file import index_file_bytes, read_index_file, write_index_file
+from ..storage.code_file import CodeFileReader, write_code_file
+from ..storage.index_file import (
+    index_file_bytes,
+    read_index_file,
+    round_outward,
+    write_index_file,
+)
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
 from .chunk import ChunkMeta, ChunkSet, bounding_rectangle
@@ -37,10 +50,18 @@ __all__ = [
     "build_chunk_index",
     "CHUNK_FILE_NAME",
     "INDEX_FILE_NAME",
+    "CODE_FILE_NAME",
 ]
 
 CHUNK_FILE_NAME = "chunks.dat"
 INDEX_FILE_NAME = "chunks.idx"
+CODE_FILE_NAME = "chunks.va"
+
+
+def _file_crc32(path: str) -> int:
+    """CRC32 of a whole file (what the code file binds the index file by)."""
+    with open(path, "rb") as stream:
+        return zlib.crc32(stream.read())
 
 
 class InMemoryChunkStore:
@@ -82,6 +103,8 @@ class OnDiskChunkStore:
     ):
         self._reader = ChunkFileReader(path, dimensions, geometry)
         self._extents = list(extents)
+        #: CRC32 of the chunk file's checksum table (code files bind to it).
+        self.table_crc = self._reader.table_crc
 
     def __len__(self) -> int:
         return len(self._extents)
@@ -113,20 +136,25 @@ class ChunkIndex:
         Descriptor dimensionality.
     name:
         Label used in experiment output (e.g. ``"BAG/SMALL"``).
+    codes:
+        The open code file of an index loaded from a directory that has
+        one, else ``None`` (an in-memory chunk has no read to skip).
     """
 
     metas: List[ChunkMeta]
     store: object
     dimensions: int
     name: str = "chunk-index"
+    codes: Optional[CodeFileReader] = None
 
     def __post_init__(self) -> None:
         if not self.metas:
             raise ValueError("a chunk index needs at least one chunk")
-        if len(self.store) != len(self.metas):
-            raise ValueError(
-                f"store has {len(self.store)} chunks but index has {len(self.metas)}"
-            )
+        for what, part in (("store", self.store), ("code file", self.codes)):
+            if part is not None and len(part) != len(self.metas):
+                raise ValueError(
+                    f"{what} has {len(part)} chunks but index has {len(self.metas)}"
+                )
 
     @property
     def n_chunks(self) -> int:
@@ -172,6 +200,8 @@ class ChunkIndex:
 
     def close(self) -> None:
         self.store.close()
+        if self.codes is not None:
+            self.codes.close()
 
     def __enter__(self) -> "ChunkIndex":
         return self
@@ -182,14 +212,24 @@ class ChunkIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write the two-file on-disk form into ``directory``.
+        """Write the on-disk form into ``directory``: chunk file, index
+        file, then the code file describing the two.
 
         The persisted layout is always *compacted*: chunks are written
         sequentially and the index entries carry the fresh extents.  An
         index that accumulated relocation holes through maintenance is
         therefore defragmented by a save/load round trip.
+
+        Each file is published atomically, the code file last and bound to
+        the other two by their checksums, and old codes are removed first:
+        a save that dies part way leaves a directory without codes or with
+        codes :meth:`load` refuses, never codes describing other chunks.
         """
         os.makedirs(directory, exist_ok=True)
+        codes_path = os.path.join(directory, CODE_FILE_NAME)
+        index_path = os.path.join(directory, INDEX_FILE_NAME)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(codes_path)
         geometry = PageGeometry()
         saved_metas: List[ChunkMeta] = []
         with ChunkFileWriter(
@@ -206,32 +246,55 @@ class ChunkIndex:
                         page_count=extent.page_count,
                     )
                 )
-        write_index_file(os.path.join(directory, INDEX_FILE_NAME), saved_metas)
+        write_index_file(index_path, saved_metas)
+        # The cells divide the rectangle as the index file stores it, which
+        # is the one a loaded index bounds with.
+        lower, upper = round_outward(*self.rectangle_matrices())
+        write_code_file(
+            codes_path,
+            self.dimensions,
+            self.n_chunks,
+            ((self.read_chunk(i)[1], lower[i], upper[i]) for i in range(self.n_chunks)),
+            writer.table_crc,
+            _file_crc32(index_path),
+        )
 
     @classmethod
     def load(cls, directory: str, dimensions: int, name: str = "") -> "ChunkIndex":
         """Open an on-disk chunk index previously written by :meth:`save`.
 
-        The chunk-file reader is closed again if construction fails part
-        way (e.g. a store/index chunk-count mismatch), so a failed load
+        The code file is opened when the directory has one, and refused
+        (:class:`~repro.storage.errors.CorruptFileError`) unless bound to
+        exactly this chunk file and index file.  Whatever was opened is
+        closed again if construction fails part way, so a failed load
         never leaks an open file handle.
         """
-        metas = read_index_file(os.path.join(directory, INDEX_FILE_NAME))
+        index_path = os.path.join(directory, INDEX_FILE_NAME)
+        codes_path = os.path.join(directory, CODE_FILE_NAME)
+        metas = read_index_file(index_path)
         extents = [
             ChunkExtent(m.page_offset, m.page_count, m.n_descriptors) for m in metas
         ]
         store = OnDiskChunkStore(
             os.path.join(directory, CHUNK_FILE_NAME), extents, dimensions
         )
+        codes = None
         try:
+            if os.path.exists(codes_path):
+                counts = [m.n_descriptors for m in metas]
+                binding = (store.table_crc, _file_crc32(index_path))
+                codes = CodeFileReader(codes_path, dimensions, counts, *binding)
             return cls(
                 metas=metas,
                 store=store,
                 dimensions=dimensions,
                 name=name or os.path.basename(os.path.normpath(directory)),
+                codes=codes,
             )
         except BaseException:
             store.close()
+            if codes is not None:
+                codes.close()
             raise
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "squared_distances",
     "euclidean_distances",
     "pairwise_squared_distances",
+    "cell_squared_gaps",
     "top_k_smallest",
     "nearest_index",
 ]
@@ -144,6 +145,25 @@ def pairwise_squared_distances(
         segment += p_sq[np.newaxis, :]
         np.maximum(segment, 0.0, out=segment)
     return out
+
+
+# repro: exact
+def cell_squared_gaps(query: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Per dimension, the squared gap from ``query`` to each cell of a
+    boundary table: ``(n_cells, d)`` float64.
+
+    ``boundaries`` is ``(n_cells + 1, d)``, non-decreasing down each column;
+    cell ``c`` of dimension ``j`` is ``[boundaries[c, j], boundaries[c + 1,
+    j]]`` and its entry ``max(boundaries[c, j] - q_j, q_j - boundaries[c + 1,
+    j], 0) ** 2`` — never more than ``(q_j - p_j) ** 2`` for a ``p_j`` in the
+    cell.  Summed along a descriptor's cell numbers: the VA-file's and the
+    chunk pruner's lower bound.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    boundaries = np.asarray(boundaries, dtype=np.float64)
+    gaps: np.ndarray = np.maximum(boundaries[:-1] - query, query - boundaries[1:])
+    np.maximum(gaps, 0.0, out=gaps)
+    return np.square(gaps, out=gaps)
 
 
 # repro: exact

@@ -54,9 +54,10 @@ from ..simio.cache import cached_read_time_s
 from ..simio.calibration import PAPER_2005_COST_MODEL
 from ..simio.chunk_cache import chunk_read_time_s
 from ..simio.pipeline import CostModel
+from ..storage.code_file import CELLS, cell_edges
 from ..storage.errors import CorruptFileError
 from .chunk_index import ChunkIndex
-from .distance import pairwise_squared_distances
+from .distance import cell_squared_gaps, pairwise_squared_distances
 from .neighbors import Neighbor, NeighborSet
 from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
@@ -85,6 +86,13 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 #: the (at most a few hundred times ``2**-1075``) error of products that
 #: underflow, where the relative-error model does not hold.
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+#: A chunk's codes are consulted only once the bounds the index already
+#: gives, ``max(sphere, rectangle)``, reach this fraction of the k-th
+#: distance, and only while the latest scan admitted nothing (the k-th
+#: distance is not falling).  Measured (DESIGN §10, "The code bound"): a
+#: consult costs ~0.45 of the read + scan it can save and excuses 51% of
+#: chunks at a ratio of 0.3-0.4, 76% at 0.4-0.5, 90%+ above.
+_CODE_GATE = 0.4
 
 
 @dataclasses.dataclass
@@ -231,6 +239,7 @@ class _QueryState:
         "neighbors",
         "n_found",
         "kth",
+        "settled",
         "stop_rule",
         "truth",
         "matches",
@@ -287,6 +296,9 @@ class _QueryState:
         # only when an update admits candidates.
         self.n_found = 0
         self.kth = math.inf
+        # True while the latest scanned chunk admitted nothing: the k-th
+        # distance has stopped falling, for now (the codes' second gate).
+        self.settled = False
         self.stop_rule = stop_rule
         self.truth = truth
         # Match count after the latest chunk; valid whenever truth is set
@@ -380,6 +392,10 @@ class ChunkSearcher:
             np.square(self._rect_lower), np.square(self._rect_upper)
         ).sum(axis=1)
         self._rect_slack = 4.0 * (index.dimensions + 4) * _UNIT_ROUNDOFF
+        # Where byte b's 256-entry table starts among code_bound's tables.
+        self._code_table_starts = (
+            np.arange((index.dimensions + 1) // 2) * CELLS * CELLS
+        )[:, np.newaxis]
         # Per-chunk scalars as plain Python values: the execution loop
         # touches these once per (query, chunk) event, where repeated
         # numpy indexing and cost-model calls would dominate.
@@ -524,12 +540,53 @@ class ChunkSearcher:
             np.subtract(gap, query, out=gap)
             bound = out[row]
             np.einsum("cd,cd->c", gap, gap, out=bound)
-            bound -= (
-                self._rect_slack * (query_sq_norms[row] + self._rect_sq_norms)
-                + _SMALLEST_NORMAL
-            )
+            bound -= self._kernel_slack(query_sq_norms[row], self._rect_sq_norms)
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
+
+    # repro: exact
+    def _kernel_slack(
+        self, query_sq_norm: float, member_sq_norms: "np.ndarray | float"
+    ) -> "np.ndarray | float":
+        """``c u (|q|^2 + N) + tiny``: what a squared rectangle distance —
+        to the member rectangle or to a member's cell — gives up before it
+        is compared with the kernel's value (:meth:`rectangle_bounds`)."""
+        return self._rect_slack * (query_sq_norm + member_sq_norms) + _SMALLEST_NORMAL
+
+    # repro: exact
+    def code_bound(self, query: np.ndarray, chunk_id: int) -> float:
+        """Lower bound on the *kernel* distance from ``query`` to any
+        member of chunk ``chunk_id``, from its cell codes (``index.codes``).
+
+        A member's cell is a rectangle that contains it (the code file's
+        invariant, under the very edges computed here), so the minimum over
+        the members of the squared rectangle distance to each one's cell
+        bounds ``|q - p|^2`` and :meth:`rectangle_bounds`' derivation
+        carries over term by term — same ``N``, ``d`` subtract-and-square
+        terms joined by ``d - 1`` additions of non-negative numbers, same
+        :meth:`_kernel_slack` (DESIGN §10, "The code bound").  Costs one
+        CRC-verified read of ``ceil(d / 2)`` bytes per member and a
+        256-entry table per byte: entry ``16 * hi + lo`` of table ``b`` is
+        the gap to cell ``lo`` of dimension ``2b`` plus that to cell ``hi``
+        of dimension ``2b + 1``.
+        """
+        codes = self.index.codes
+        assert codes is not None, "the index carries no code file"
+        query = np.asarray(query, dtype=np.float64)
+        block = codes.read_block(chunk_id)
+        gaps = cell_squared_gaps(
+            query, cell_edges(self._rect_lower[chunk_id], self._rect_upper[chunk_id])
+        ).T
+        if gaps.shape[0] % 2:  # the nibble an odd d pads: a gap of zero
+            gaps = np.concatenate([gaps, np.zeros_like(gaps[:1])])
+        tables = gaps[0::2, np.newaxis, :] + gaps[1::2, :, np.newaxis]
+        # One gather for all the bytes: row b looks up table b.
+        entries = block + self._code_table_starts
+        nearest = float(tables.ravel().take(entries).sum(axis=0).min())
+        nearest -= self._kernel_slack(
+            float(np.dot(query, query)), float(self._rect_sq_norms[chunk_id])
+        )
+        return math.sqrt(max(0.0, nearest))
 
     # -- search ----------------------------------------------------------------
 
@@ -692,8 +749,9 @@ class ChunkSearcher:
         self, chunk_id: int, loaded: Optional[Dict[int, _Payload]]
     ) -> _Payload:
         """Chunk contents, promoted once: int64 ids, contiguous float64
-        vectors.  ``loaded`` is the cohort's content cache (``None`` for a
-        cohort of one, which has nobody to share with)."""
+        vectors — the only copy an on-disk chunk's vectors get, the store
+        hands out views of the verified read.  ``loaded`` is the cohort's
+        content cache (``None`` for a cohort of one)."""
         payload = loaded.get(chunk_id) if loaded is not None else None
         if payload is None:
             ids, vectors = self.index.read_chunk(chunk_id)
@@ -790,9 +848,11 @@ class ChunkSearcher:
             # of the whole row is only taken for chunks that pass this
             # admission gate.  A chunk whose best candidate cannot beat
             # the current k-th neighbor admits nothing; skip the heap walk.
+            state.settled = True
             if state.n_found < state.k or math.sqrt(min_sq) <= state.kth:
                 neighbors = state.neighbors
                 if neighbors.update(np.sqrt(sq_distances), ids):
+                    state.settled = False
                     state.n_found = len(neighbors)
                     state.kth = neighbors.kth_distance
                     if state.truth is not None:
@@ -898,6 +958,7 @@ class ChunkSearcher:
         chunk never demands its distance row, so a chunk every remaining
         query prunes is neither read nor scanned."""
         prune = self.prune
+        coded = self.index.codes is not None
         shared = len(states) > 1
         loaded: Optional[Dict[int, _Payload]] = {} if shared else None
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
@@ -906,14 +967,24 @@ class ChunkSearcher:
         for row, state in enumerate(states):
             while not state.done:
                 chunk_id, lb = state.pull_next()
-                # The pruning bound: a chunk whose lower bound — the larger
-                # of sphere and rectangle — strictly exceeds the current
-                # k-th distance cannot admit any candidate (ties must still
-                # be scanned — an equal-distance, smaller-id descriptor
-                # would enter the neighbor set).  kth is +inf until k
-                # neighbors are known, so pruning never fires early.
+                # The pruning bound: a chunk whose lower bound — sphere,
+                # rectangle or (where the index has codes and the gates say
+                # a consult is worth it) the members' cells — strictly
+                # exceeds the current k-th distance cannot admit any
+                # candidate (ties must still be scanned — an equal-distance,
+                # smaller-id descriptor would enter the neighbor set).  kth
+                # is +inf until k neighbors are known: never fires early.
                 kth = state.kth
-                prunable = prune and (lb > kth or state.rect_list[chunk_id] > kth)
+                prunable = prune and (
+                    lb > kth
+                    or (rect := state.rect_list[chunk_id]) > kth
+                    or (
+                        coded
+                        and state.settled
+                        and max(lb, rect) >= _CODE_GATE * kth
+                        and self.code_bound(state.query, chunk_id) > kth
+                    )
+                )
                 outcome = OK_OUTCOME
                 payload = None
                 if faults is not None:

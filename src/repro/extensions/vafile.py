@@ -25,7 +25,7 @@ from typing import List
 import numpy as np
 
 from ..core.dataset import DescriptorCollection
-from ..core.distance import squared_distances
+from ..core.distance import cell_squared_gaps, squared_distances
 
 __all__ = ["VAFile"]
 
@@ -57,12 +57,12 @@ class VAFile:
         # Guard the outer marks so every value falls inside some cell.
         self._boundaries[0] -= 1e-9
         self._boundaries[-1] += 1e-9
-        self._signatures = np.empty((len(collection), d), dtype=np.int32)
+        # One row per dimension: a query sums its per-dimension cell gaps
+        # down the rows, in dimension order.
+        self._signatures = np.empty((d, len(collection)), dtype=np.int32)
         for dim in range(d):
-            self._signatures[:, dim] = (
-                np.searchsorted(
-                    self._boundaries[1:-1, dim], vectors[:, dim], side="right"
-                )
+            self._signatures[dim] = np.searchsorted(
+                self._boundaries[1:-1, dim], vectors[:, dim], side="right"
             )
 
     @property
@@ -71,20 +71,11 @@ class VAFile:
         return (self.bits * self.collection.dimensions + 7) // 8
 
     def _lower_bounds(self, query: np.ndarray) -> np.ndarray:
-        """Squared lower bound per descriptor from cell geometry."""
-        d = self.collection.dimensions
-        n_cells = 2**self.bits
-        per_dim = np.zeros((n_cells, d), dtype=np.float64)
-        lows = self._boundaries[:-1]  # (cells, d)
-        highs = self._boundaries[1:]
-        below = np.maximum(lows - query, 0.0)
-        above = np.maximum(query - highs, 0.0)
-        per_dim = np.maximum(below, above) ** 2
-        # Sum the per-dimension cell contributions along each signature.
-        bounds = np.zeros(len(self.collection), dtype=np.float64)
-        for dim in range(d):
-            bounds += per_dim[self._signatures[:, dim], dim]
-        return bounds
+        """Squared lower bound per descriptor from cell geometry (float64)."""
+        per_dim = cell_squared_gaps(query, self._boundaries)  # (cells, d)
+        dims = np.arange(self.collection.dimensions)[:, np.newaxis]
+        contributions: np.ndarray = per_dim[self._signatures, dims]  # (d, n)
+        return contributions.sum(axis=0)
 
     def search(
         self,

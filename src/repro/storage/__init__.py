@@ -9,6 +9,10 @@ Two files make up a chunk index:
   holding its centroid, minimum bounding radius, and page extent, in the
   same order as the chunk file.
 
+Beyond the paper a saved index carries a third, the **code file**
+(:mod:`repro.storage.code_file`): 4-bit cell numbers per descriptor and
+dimension, which let the pruner reject a chunk without reading it.
+
 :mod:`repro.storage.pages` defines the shared page geometry and
 :mod:`repro.storage.records` the paper's 100-byte descriptor record codec.
 """

@@ -135,6 +135,9 @@ class ChunkFileWriter:
         self._closed = False
         self._failed = False
         self._crcs: List[Tuple[int, int]] = []
+        #: CRC32 of the checksum table's entries, set at close (a code
+        #: file binds itself to it).
+        self.table_crc = 0
         self.extents: List[ChunkExtent] = []
         try:
             self._write_header(n_chunks=0, table_page=0)
@@ -188,9 +191,10 @@ class ChunkFileWriter:
     def _write_table(self) -> int:
         """Append the CRC table; returns its physical page number."""
         table_page = _DATA_START_PAGE + self._next_page
+        entries = b"".join(_TABLE_ENTRY.pack(*entry) for entry in self._crcs)
+        self.table_crc = zlib.crc32(entries)
         self._file.write(_TABLE_HEADER.pack(TABLE_MAGIC, len(self._crcs)))
-        for page_offset, crc in self._crcs:
-            self._file.write(_TABLE_ENTRY.pack(page_offset, crc))
+        self._file.write(entries)
         return table_page
 
     def _discard(self) -> None:
@@ -263,6 +267,7 @@ class ChunkFileReader:
             open(source, "rb") if self._owns_file else source  # type: ignore[arg-type]
         )
         self._crcs: Dict[int, int] = {}
+        self.table_crc = 0  # as ChunkFileWriter.table_crc
         try:
             self._base = self._file.tell()
             self._read_header()
@@ -334,6 +339,7 @@ class ChunkFileReader:
         raw = read_exact(
             self._file, count * _TABLE_ENTRY.size, "chunk file checksum table"
         )
+        self.table_crc = zlib.crc32(raw)
         for i in range(count):
             page_offset, crc = _TABLE_ENTRY.unpack_from(raw, i * _TABLE_ENTRY.size)
             self._crcs[page_offset] = crc

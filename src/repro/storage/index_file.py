@@ -65,6 +65,7 @@ __all__ = [
     "write_index_file",
     "read_index_file",
     "index_file_bytes",
+    "round_outward",
     "MAGIC",
     "VERSION",
 ]
@@ -104,7 +105,7 @@ def index_file_bytes(n_chunks: int, dimensions: int) -> int:
     return _HEADER.size + n_chunks * _entry_dtype(dimensions).itemsize
 
 
-def _round_outward(
+def round_outward(
     lower: np.ndarray, upper: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(lower, upper)`` as float32 with ``lower`` rounded toward ``-inf``
@@ -143,7 +144,7 @@ def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
         entries[i]["page_offset"] = meta.page_offset
         entries[i]["page_count"] = meta.page_count
         entries[i]["n_descriptors"] = meta.n_descriptors
-    rectangles["lower"], rectangles["upper"] = _round_outward(
+    rectangles["lower"], rectangles["upper"] = round_outward(
         np.stack([meta.lower for meta in metas]),
         np.stack([meta.upper for meta in metas]),
     )
@@ -188,7 +189,7 @@ def _rectangles_consistent(entries: np.ndarray, rectangles: np.ndarray) -> np.nd
     lower, upper = rectangles["lower"], rectangles["upper"]
     with np.errstate(over="ignore"):  # a damaged radius may be ~1e308
         reach = (entries["radius"] * (1 + 1e-9) + 1e-9)[:, np.newaxis]
-        box_lower, box_upper = _round_outward(centroid - reach, centroid + reach)
+        box_lower, box_upper = round_outward(centroid - reach, centroid + reach)
     drift = np.abs(centroid) * 1e-9 + 1e-9
     valid: np.ndarray = (
         np.isfinite(lower)

@@ -52,11 +52,14 @@ class RecordCodec:
         return records.tobytes()
 
     def decode(self, buffer: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        """Unpack a record buffer into ``(ids int64, vectors float32)``."""
+        """Unpack a record buffer into ``(ids int64, vectors float32)``.
+        ``vectors`` is a read-only *view* of ``buffer``, strided by the
+        record size: whoever needs it contiguous, promoted or writable
+        makes the one copy that takes it there."""
         if len(buffer) % self.record_bytes != 0:
             raise ValueError(
                 f"buffer of {len(buffer)} bytes is not a whole number of "
                 f"{self.record_bytes}-byte records"
             )
         records = np.frombuffer(buffer, dtype=self._dtype)
-        return records["id"].astype(np.int64), records["vector"].copy()
+        return records["id"].astype(np.int64), records["vector"]

@@ -109,3 +109,126 @@ class TestPersistence:
             result.neighbor_ids(), exact_knn(tiny_collection, query, 5)
         )
         loaded.close()
+
+
+class TestCodeFileBinding:
+    """A torn or stale save can never prune: codes are used only when they
+    are bound to exactly the chunk file and index file beside them."""
+
+    @staticmethod
+    def other_index(tiny_collection):
+        """Same shape as ``simple_index``, other members per chunk."""
+        groups = [range(0, 60, 3), range(1, 60, 3), range(2, 60, 3)]
+        chunk_set = ChunkSet(
+            tiny_collection, [Chunk.from_rows(tiny_collection, g) for g in groups]
+        )
+        return build_chunk_index(tiny_collection, chunk_set)
+
+    @staticmethod
+    def assert_answers_brute_force(index, collection):
+        from repro.core.ground_truth import exact_knn
+        from repro.core.search import ChunkSearcher
+
+        searcher = ChunkSearcher(index)
+        for row in (0, 7, 31, 59):
+            query = collection.vectors[row].astype(float) + 0.05
+            result = searcher.search(query, k=5)
+            assert result.completed
+            np.testing.assert_array_equal(
+                result.neighbor_ids(), exact_knn(collection, query, 5)
+            )
+
+    def test_saved_directory_has_bound_codes(self, simple_index, tiny_collection, tmp_path):
+        simple_index.save(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chunks.dat",
+            "chunks.idx",
+            "chunks.va",
+        ]
+        with ChunkIndex.load(str(tmp_path), 4) as loaded:
+            assert loaded.codes is not None and len(loaded.codes) == 3
+            self.assert_answers_brute_force(loaded, tiny_collection)
+
+    @pytest.mark.parametrize("replaced", ["chunks.dat", "chunks.idx", "both"])
+    def test_stale_codes_are_refused(self, simple_index, tiny_collection, tmp_path, replaced):
+        from repro.storage.errors import CorruptFileError
+
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        simple_index.save(str(ours))
+        self.other_index(tiny_collection).save(str(theirs))
+        for name in ("chunks.dat", "chunks.idx"):
+            if replaced in (name, "both"):
+                (ours / name).write_bytes((theirs / name).read_bytes())
+        with pytest.raises(CorruptFileError, match="stale or torn save"):
+            ChunkIndex.load(str(ours), 4)
+
+    def test_deleted_codes_load_and_search_as_before(
+        self, simple_index, tiny_collection, tmp_path
+    ):
+        simple_index.save(str(tmp_path))
+        (tmp_path / "chunks.va").unlink()
+        with ChunkIndex.load(str(tmp_path), 4) as loaded:
+            assert loaded.codes is None
+            self.assert_answers_brute_force(loaded, tiny_collection)
+
+    @pytest.mark.parametrize("over_existing", [False, True])
+    def test_save_killed_before_the_codes_are_published(
+        self, simple_index, tiny_collection, tmp_path, monkeypatch, over_existing
+    ):
+        import repro.core.chunk_index as module
+
+        if over_existing:
+            self.other_index(tiny_collection).save(str(tmp_path))
+
+        def killed(*args, **kwargs):
+            raise KeyboardInterrupt("killed before the code file")
+
+        monkeypatch.setattr(module, "write_code_file", killed)
+        with pytest.raises(KeyboardInterrupt):
+            simple_index.save(str(tmp_path))
+        monkeypatch.undo()
+        # The pair is the new one, whole; the old codes are gone, not stale.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.dat", "chunks.idx"]
+        with ChunkIndex.load(str(tmp_path), 4) as loaded:
+            assert loaded.codes is None
+            self.assert_answers_brute_force(loaded, tiny_collection)
+            for chunk_id in range(3):
+                np.testing.assert_array_equal(
+                    loaded.read_chunk(chunk_id)[0], simple_index.read_chunk(chunk_id)[0]
+                )
+
+    def test_save_killed_inside_the_code_file_leaves_no_codes(
+        self, simple_index, tmp_path, monkeypatch
+    ):
+        import repro.storage.code_file as code_file
+
+        real_encode = code_file.encode_cells
+        calls = []
+
+        def dying_encode(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt("killed mid code file")
+            return real_encode(*args)
+
+        monkeypatch.setattr(code_file, "encode_cells", dying_encode)
+        with pytest.raises(KeyboardInterrupt):
+            simple_index.save(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.dat", "chunks.idx"]
+
+    def test_a_failed_load_closes_what_it_opened(self, simple_index, tmp_path, monkeypatch):
+        """A refused code file must not leak the chunk-file handle."""
+        from repro.core.chunk_index import OnDiskChunkStore
+        from repro.storage.errors import CorruptFileError
+
+        simple_index.save(str(tmp_path))
+        with open(tmp_path / "chunks.va", "r+b") as f:
+            f.write(b"XXXX")
+        closed = []
+        real_close = OnDiskChunkStore.close
+        monkeypatch.setattr(
+            OnDiskChunkStore, "close", lambda store: (closed.append(1), real_close(store))
+        )
+        with pytest.raises(CorruptFileError, match="magic"):
+            ChunkIndex.load(str(tmp_path), 4)
+        assert closed == [1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.distance import (
+    cell_squared_gaps,
     euclidean_distances,
     nearest_index,
     pairwise_squared_distances,
@@ -221,3 +222,26 @@ class TestNearestIndex:
     def test_tie_lowest_index(self):
         points = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert nearest_index(np.array([0.0, 0.0]), points) == 0
+
+
+class TestCellSquaredGaps:
+    def test_gap_is_zero_inside_and_the_squared_distance_to_the_near_edge_outside(self):
+        boundaries = np.array([[0.0, -1.0], [1.0, 0.0], [3.0, 4.0]])
+        gaps = cell_squared_gaps(np.array([2.0, -3.0]), boundaries)
+        assert gaps.dtype == np.float64 and gaps.shape == (2, 2)
+        # dim 0: q = 2 is one past cell [0, 1] and inside cell [1, 3];
+        # dim 1: q = -3 is two short of [-1, 0] and three short of [0, 4].
+        assert gaps.tolist() == [[1.0, 4.0], [0.0, 9.0]]
+
+    def test_a_query_on_a_shared_edge_touches_both_cells(self):
+        boundaries = np.array([[0.0], [1.0], [2.0]])
+        assert cell_squared_gaps(np.array([1.0]), boundaries).tolist() == [[0.0], [0.0]]
+
+    def test_never_exceeds_the_squared_gap_to_a_point_of_the_cell(self):
+        rng = np.random.default_rng(11)
+        boundaries = np.sort(rng.standard_normal((9, 5)), axis=0)
+        query = 2.0 * rng.standard_normal(5)
+        gaps = cell_squared_gaps(query, boundaries)
+        for weight in (0.0, 0.3, 1.0):
+            inside = (1 - weight) * boundaries[:-1] + weight * boundaries[1:]
+            assert np.all(gaps <= (inside - query) ** 2 + 1e-15)

@@ -18,6 +18,7 @@ independent references (``replay_oracle.ReplayOracle``).
 
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.chunk_index import build_chunk_index
+from repro.core.chunk_index import ChunkIndex, build_chunk_index
+from repro.core.dataset import DescriptorCollection
 from repro.core.routing import CentroidRouter
 from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
-from repro.core.stop_rules import MaxChunks, TimeBudget
+from repro.core.stop_rules import ExactCompletion, MaxChunks, TimeBudget
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simio.cache import LruPageCache
@@ -274,6 +276,94 @@ class TestRectangleBoundEquivalence:
                 sphere_only += index.metas[event.chunk_id].min_distance(query) > kth
                 kth = event.kth_distance
         assert batch.total_chunks_pruned > 2 * sphere_only > 0
+
+
+@pytest.fixture(scope="module")
+def coded_and_plain(tmp_path_factory):
+    """One saved index opened twice — with its ``chunks.va`` and from a
+    copy of the directory without it — plus the queries: 24-d patterns
+    with 10% clutter in leaves of 40, the benchmark's shape in small."""
+    rng = np.random.default_rng(23)
+    centers = rng.uniform(0.0, 1.0, size=(12, 24))
+    patterns = centers[rng.integers(12, size=2160)] + 0.02 * rng.standard_normal(
+        (2160, 24)
+    )
+    vectors = np.vstack([patterns, rng.uniform(0.0, 1.0, size=(240, 24))])
+    collection = DescriptorCollection.from_vectors(
+        vectors[rng.permutation(len(vectors))].astype(np.float32)
+    )
+    chunking = SRTreeChunker(leaf_capacity=40).form_chunks(collection)
+    coded_dir = tmp_path_factory.mktemp("coded")
+    build_chunk_index(chunking.retained, chunking.chunk_set).save(str(coded_dir))
+    plain_dir = tmp_path_factory.mktemp("plain") / "index"
+    shutil.copytree(coded_dir, plain_dir)
+    (plain_dir / "chunks.va").unlink()
+    near = collection.vectors[rng.choice(len(collection), 8, replace=False)]
+    queries = np.vstack(
+        [
+            near.astype(np.float64) + 0.005 * rng.standard_normal((8, 24)),
+            rng.uniform(0.0, 1.0, size=(8, 24)),
+        ]
+    )
+    with ChunkIndex.load(str(coded_dir), 24) as coded:
+        with ChunkIndex.load(str(plain_dir), 24) as plain:
+            assert coded.codes is not None and plain.codes is None
+            yield coded, plain, queries
+
+
+class TestCodeBoundEquivalence:
+    """The code bound only ever turns a scan into a prune: with and
+    without ``chunks.va`` every observable but ``chunks_pruned`` is equal
+    to the bit."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize(
+        "stop_rule", [ExactCompletion(), MaxChunks(16)], ids=["exact", "16-chunks"]
+    )
+    @pytest.mark.parametrize("cohort", [1, 8])
+    def test_with_codes_equals_without(self, coded_and_plain, cohort, stop_rule, faulted):
+        coded, plain, queries = coded_and_plain
+
+        def run(index):
+            searcher = ChunkSearcher(index)
+            faults = injector(0.25) if faulted else None
+            results = []
+            for start in range(0, len(queries), cohort):
+                results.extend(
+                    searcher.search_batch(
+                        queries[start : start + cohort],
+                        k=10,
+                        stop_rule=stop_rule,
+                        faults=faults,
+                        query_indices=range(start, start + cohort),
+                    ).results
+                )
+            return results
+
+        want, got = run(plain), run(coded)
+        replay = ReplayOracle(
+            plain, k=10, faults=injector(0.25) if faulted else None
+        )
+        assert_batches_identical(got, want, replay, queries)
+        if isinstance(stop_rule, ExactCompletion):
+            assert all(r.completed or r.degraded for r in got)
+            # The suite tests something: the codes excuse chunks the
+            # sphere and the rectangle could not.
+            assert sum(r.chunks_pruned for r in got) > 1.2 * sum(
+                r.chunks_pruned for r in want
+            )
+        else:
+            assert all(len(r.trace) == 16 for r in got)
+
+    def test_unpruned_searcher_never_consults(self, coded_and_plain, monkeypatch):
+        coded, _, queries = coded_and_plain
+
+        def forbidden(self, query, chunk_id):
+            raise AssertionError("prune=False must not consult the codes")
+
+        monkeypatch.setattr(ChunkSearcher, "code_bound", forbidden)
+        batch = ChunkSearcher(coded, prune=False).search_batch(queries, k=10)
+        assert batch.total_chunks_pruned == 0
 
 
 class TestRouterEquivalence:

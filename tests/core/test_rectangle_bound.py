@@ -12,6 +12,15 @@ Both guards were checked by mutation: with ``_rect_slack = 0`` the first
 property fails (on the offset cases, and already at offset 0 for a query
 one ulp outside a face), and with the pruner's ``>`` made ``>=`` the
 second fails on the lattice cases (distance-0 ties).
+
+The *code bound* (``ChunkSearcher.code_bound``: the rectangle distance to
+each member's cell, minimised over the members) is held to the same
+property on the same cases — they bring zero-width dimensions (single
+members, duplicates), values on cell edges (the lattice) and queries equal
+to a stored point — plus its own invariant: every member lies in the
+closed cell its code names.  Mutations checked there: encoding against a
+rectangle one ulp too small is refused by the encoder; dropping the slack
+fails the property on the offset cases.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
 from repro.core.distance import pairwise_squared_distances
 from repro.core.search import ChunkSearcher
+from repro.storage.code_file import CELLS, cell_edges, encode_cells
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``).
@@ -177,6 +187,102 @@ class TestRectangleBoundSoundness:
         assert np.all(np.diag(bounds) == 0.0)
 
 
+class MemoryCodes:
+    """``ChunkIndex.codes`` without a file: the blocks ``ChunkIndex.save``
+    would write (the rectangles here are float32-exact, so the saved ones
+    are the same), handed out by chunk id."""
+
+    def __init__(self, index):
+        self.blocks = [
+            encode_cells(index.read_chunk(meta.chunk_id)[1], meta.lower, meta.upper)
+            for meta in index.metas
+        ]
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def read_block(self, chunk_id):
+        return self.blocks[chunk_id]
+
+    def close(self):
+        pass
+
+
+def with_codes(index):
+    return dataclasses.replace(index, codes=MemoryCodes(index))
+
+
+class TestCodeBoundSoundness:
+    @given(cases())
+    @settings(max_examples=150 * EXAMPLES, deadline=None)
+    def test_every_member_lies_in_its_stored_cell(self, case):
+        index, _ = build(**case)
+        index = with_codes(index)
+        for meta in index.metas:
+            block = index.codes.read_block(meta.chunk_id)
+            dims = index.dimensions
+            assert block.shape == ((dims + 1) // 2, meta.n_descriptors)
+            cells = np.empty((2 * block.shape[0], block.shape[1]), dtype=np.intp)
+            cells[0::2], cells[1::2] = block & 0x0F, block >> 4
+            assert not cells[dims:].any()
+            cells = cells[:dims]
+            edges = cell_edges(meta.lower, meta.upper)
+            assert edges.shape == (CELLS + 1, dims)
+            members = index.read_chunk(meta.chunk_id)[1].astype(np.float64).T
+            columns = np.arange(dims)[:, np.newaxis]
+            assert np.all(edges[cells, columns] <= members), case
+            assert np.all(members <= edges[cells + 1, columns]), case
+
+    @given(cases())
+    @settings(max_examples=150 * EXAMPLES, deadline=None)
+    def test_bound_never_exceeds_the_kernel_distance_of_any_member(self, case):
+        index, queries = build(**case)
+        searcher = ChunkSearcher(with_codes(index))
+        for chunk_id in range(index.n_chunks):
+            bounds = np.asarray(
+                [searcher.code_bound(query, chunk_id) for query in queries]
+            )
+            assert np.all(bounds >= 0.0)
+            # Under the N-row product of a cohort and the one-row product
+            # of a lone query alike, as for the rectangle.
+            cohort = kernel_distances(queries, index, chunk_id).min(axis=1)
+            alone = np.asarray(
+                [
+                    kernel_distances(query[np.newaxis], index, chunk_id).min()
+                    for query in queries
+                ]
+            )
+            assert np.all(bounds <= cohort), (chunk_id, case)
+            assert np.all(bounds <= alone), (chunk_id, case)
+
+    def test_the_cells_see_what_the_rectangle_cannot(self, clutter_collection):
+        """Where it matters the code bound is the larger one: a chunk that
+        is a tight pattern plus one far clutter point has a rectangle
+        reaching across the space and cells that do not."""
+        from repro.chunking.srtree_chunker import SRTreeChunker
+
+        chunking = SRTreeChunker(leaf_capacity=16).form_chunks(clutter_collection)
+        index = with_codes(build_chunk_index(chunking.retained, chunking.chunk_set))
+        searcher = ChunkSearcher(index)
+        queries = np.random.default_rng(7).uniform(-4.0, 4.0, size=(8, 6))
+        rectangle = searcher.rectangle_bounds(queries)
+        codes = np.asarray(
+            [
+                [searcher.code_bound(query, chunk_id) for chunk_id in range(index.n_chunks)]
+                for query in queries
+            ]
+        )
+        assert np.all(codes >= rectangle * (1 - 1e-9))
+        assert np.median(codes / np.maximum(rectangle, 1e-12)) > 1.15
+
+    def test_a_query_equal_to_a_member_gets_zero(self):
+        index, _ = build(5, 24, [6, 1, 9], 1e3, 1.0, False)
+        searcher = ChunkSearcher(with_codes(index))
+        for chunk_id in range(index.n_chunks):
+            for member in index.read_chunk(chunk_id)[1].astype(np.float64):
+                assert searcher.code_bound(member, chunk_id) == 0.0
+
+
 class TestStrictComparison:
     @given(cases())
     @settings(max_examples=100 * EXAMPLES, deadline=None)
@@ -192,6 +298,19 @@ class TestStrictComparison:
         arithmetic and +-1e-20 in floating point, which this generator
         hits (a defect older than the rectangle; ROADMAP item 1).
         """
+        self.assert_pruned_equals_unpruned(case, coded=False)
+
+    @given(cases())
+    @settings(max_examples=100 * EXAMPLES, deadline=None)
+    def test_ties_and_duplicates_survive_the_code_bound(self, case):
+        """The same with cell codes on the index: a member at distance 0
+        lies in a cell at distance 0, the code bound of its chunk is 0 and
+        ``0 > 0`` excuses nothing.  (With the consult's ``>`` made ``>=``
+        this fails on the lattice cases.)"""
+        self.assert_pruned_equals_unpruned(case, coded=True)
+
+    @staticmethod
+    def assert_pruned_equals_unpruned(case, coded):
         index, queries = build(**case)
         index = dataclasses.replace(
             index,
@@ -200,6 +319,8 @@ class TestStrictComparison:
                 for meta in index.metas
             ],
         )
+        if coded:
+            index = with_codes(index)
         for k in (1, 3):
             want = ChunkSearcher(index, prune=False).search_batch(queries, k=k)
             got = ChunkSearcher(index, prune=True).search_batch(queries, k=k)

@@ -43,6 +43,24 @@ class TestLowerBounds:
             )
             assert np.all(bounds <= true_d2 + 1e-9)
 
+    def test_bounds_equal_the_per_dimension_loop_to_the_bit(self, small_synthetic):
+        """``_lower_bounds`` was a Python loop over dimensions, one gather
+        and one ``+=`` each; the shared gap routine and one axis-0 sum
+        must produce the same floats (the related-work ablation's stdout
+        is compared byte for byte)."""
+        va = VAFile(small_synthetic, bits_per_dimension=4)
+        rng = np.random.default_rng(3)
+        for query in rng.standard_normal((5, small_synthetic.dimensions)):
+            lows, highs = va._boundaries[:-1], va._boundaries[1:]
+            per_dim = (
+                np.maximum(np.maximum(lows - query, 0.0), np.maximum(query - highs, 0.0))
+                ** 2
+            )
+            reference = np.zeros(len(small_synthetic))
+            for dim in range(small_synthetic.dimensions):
+                reference += per_dim[va._signatures[dim], dim]
+            assert va._lower_bounds(query).tobytes() == reference.tobytes()
+
     def test_own_cell_bound_zero(self, vafile, tiny_collection):
         query = tiny_collection.vectors[7].astype(float)
         bounds = vafile._lower_bounds(query)

@@ -257,3 +257,123 @@ class TestIndexFileCorruption:
             write_index_file(missing, make_metas())
         assert not os.path.exists(missing)
         assert not os.path.exists(missing + ".tmp")
+
+
+# -- the code file ------------------------------------------------------------
+
+_CODE_HEADER = struct.Struct("<8sIIQII")
+
+
+@pytest.fixture()
+def coded_directory(tmp_path, clutter_collection):
+    """A saved index over the clutter collection (6-d, leaves of 16): most
+    of an exact query's prunes there are the cell codes'."""
+    from repro.chunking.srtree_chunker import SRTreeChunker
+    from repro.core.chunk_index import build_chunk_index
+
+    chunking = SRTreeChunker(leaf_capacity=16).form_chunks(clutter_collection)
+    build_chunk_index(chunking.retained, chunking.chunk_set).save(str(tmp_path))
+    return tmp_path
+
+
+def rewrite_code_header(path, **fields):
+    names = ("magic", "version", "dims", "n_chunks", "table_crc", "index_crc")
+    with open(path, "r+b") as f:
+        header = dict(zip(names, _CODE_HEADER.unpack(f.read(_CODE_HEADER.size))))
+        header.update(fields)
+        f.seek(0)
+        f.write(_CODE_HEADER.pack(*(header[name] for name in names)))
+
+
+class TestCodeFileCorruption:
+    def load(self, directory):
+        from repro.core.chunk_index import ChunkIndex
+
+        return ChunkIndex.load(str(directory), 6)
+
+    def test_flipped_code_byte_fails_the_consult_never_answers(
+        self, coded_directory, monkeypatch
+    ):
+        from repro.core.search import ChunkSearcher
+
+        query = np.full(6, 3.5)
+        consulted = []
+        real_bound = ChunkSearcher.code_bound
+
+        def spying_bound(searcher, query, chunk_id):
+            consulted.append(chunk_id)
+            return real_bound(searcher, query, chunk_id)
+
+        monkeypatch.setattr(ChunkSearcher, "code_bound", spying_bound)
+        with self.load(coded_directory) as index:
+            assert ChunkSearcher(index).search(query, k=5).completed
+            victim = consulted[0]
+            counts = [meta.n_descriptors for meta in index.metas]
+        # One bit in the middle of the first block that query consults.
+        start = _CODE_HEADER.size + sum(3 * n + 4 for n in counts[:victim])
+        flip_bit(str(coded_directory / "chunks.va"), start + 3 * counts[victim] // 2, bit=5)
+        with self.load(coded_directory) as index:  # blocks are verified on read
+            for chunk_id in range(index.n_chunks):
+                if chunk_id != victim:
+                    index.codes.read_block(chunk_id)
+            with pytest.raises(ChecksumError, match=f"code block {victim} "):
+                index.codes.read_block(victim)
+            with pytest.raises(ChecksumError, match=f"code block {victim} "):
+                ChunkSearcher(index).search(query, k=5)
+
+    @pytest.mark.parametrize("delta", [-1, -40, 1])
+    def test_truncated_or_padded_file_rejected_at_load(self, coded_directory, delta):
+        path = coded_directory / "chunks.va"
+        data = path.read_bytes()
+        path.write_bytes(data[:delta] if delta < 0 else data + b"\x00" * delta)
+        with pytest.raises(CorruptFileError, match="truncated or padded"):
+            self.load(coded_directory)
+
+    def test_file_shorter_than_its_header(self, coded_directory):
+        (coded_directory / "chunks.va").write_bytes(b"EFF2CODE\x01")
+        with pytest.raises(CorruptFileError, match="header truncated"):
+            self.load(coded_directory)
+
+    def test_block_count_must_equal_the_chunk_count(self, coded_directory):
+        with self.load(coded_directory) as index:
+            n_chunks = index.n_chunks
+        rewrite_code_header(coded_directory / "chunks.va", n_chunks=n_chunks - 1)
+        with pytest.raises(CorruptFileError, match=f"holds {n_chunks - 1} blocks"):
+            self.load(coded_directory)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"magic": b"EFF2CODF"}, "magic"),
+            ({"version": 2}, "version 2"),
+            ({"dims": 7}, "7-d codes"),
+            ({"dims": 0}, "0-d codes"),
+        ],
+    )
+    def test_header_fields_are_validated(self, coded_directory, fields, message):
+        rewrite_code_header(coded_directory / "chunks.va", **fields)
+        with pytest.raises(CorruptFileError, match=message):
+            self.load(coded_directory)
+
+    def test_block_lengths_come_from_the_descriptor_counts(self, tmp_path):
+        """``ceil(d / 2) * n_descriptors + 4`` per block: other counts do
+        not add up to the file, and the same counts in another order do
+        but then put every CRC in the wrong place."""
+        from repro.storage.code_file import CodeFileReader, write_code_file
+
+        path = str(tmp_path / "chunks.va")
+        rng = np.random.default_rng(5)
+        counts = [9, 30, 1, 17]
+        chunks = [rng.standard_normal((n, 5)).astype(np.float32) for n in counts]
+        write_code_file(
+            path, 5, 4, ((v, v.min(axis=0), v.max(axis=0)) for v in chunks), 1, 2
+        )
+        assert os.path.getsize(path) == _CODE_HEADER.size + sum(3 * n + 4 for n in counts)
+        with CodeFileReader(path, 5, counts, 1, 2) as reader:
+            for chunk_id in range(4):
+                assert reader.read_block(chunk_id).shape == (3, counts[chunk_id])
+        with pytest.raises(CorruptFileError, match="truncated or padded"):
+            CodeFileReader(path, 5, [10, 30, 1, 17], 1, 2)
+        with CodeFileReader(path, 5, sorted(counts), 1, 2) as reader:
+            with pytest.raises(ChecksumError):
+                reader.read_block(0)

@@ -187,6 +187,27 @@ def _chunk_file_artefact(directory, rng):
     return [directory / CHUNK_FILE_NAME, directory / INDEX_FILE_NAME], read
 
 
+def _code_file_artefact(directory, rng):
+    """The code file of a saved index; reading it is loading the index
+    (header, binding and length checks) and consulting every block."""
+    from repro.chunking.srtree_chunker import SRTreeChunker
+    from repro.core.chunk_index import CODE_FILE_NAME, ChunkIndex, build_chunk_index
+    from repro.core.search import ChunkSearcher
+
+    collection = _mutation_collection(rng)
+    chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
+    build_chunk_index(chunking.retained, chunking.chunk_set).save(str(directory))
+    query = rng.standard_normal(collection.dimensions)
+
+    def read():
+        with ChunkIndex.load(str(directory), collection.dimensions) as index:
+            searcher = ChunkSearcher(index)
+            for chunk_id in range(index.n_chunks):
+                searcher.code_bound(query, chunk_id)
+
+    return [directory / CODE_FILE_NAME], read
+
+
 def _delta_artefact(directory, rng):
     from repro.storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 
@@ -240,11 +261,20 @@ def _ground_truth_artefact(directory, rng):
         _collection_artefact,
         _index_artefact,
         _chunk_file_artefact,
+        _code_file_artefact,
         _delta_artefact,
         _wal_artefact,
         _ground_truth_artefact,
     ],
-    ids=["collection", "index", "chunk-file", "delta-pack", "wal", "ground-truth"],
+    ids=[
+        "collection",
+        "index",
+        "chunk-file",
+        "code-file",
+        "delta-pack",
+        "wal",
+        "ground-truth",
+    ],
 )
 def test_mutated_bytes_raise_only_corrupt_file_error(tmp_path, make_artefact):
     from repro.storage.errors import CorruptFileError
