@@ -2,7 +2,7 @@
 
 The paper ran each query "once to each chunk-index in a round-robin
 fashion (to eliminate buffering effects)".  This quantifies the effect:
-warm repeated queries look dramatically faster through a page cache;
+warm repeated queries look dramatically faster through a buffer cache;
 clearing the cache between queries (the round-robin's effect) restores
 cold-measurement numbers.
 """

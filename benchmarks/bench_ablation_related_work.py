@@ -1,10 +1,9 @@
 """Ablation — related-work shootout (paper section 6).
 
-Chunk search, Medrank, approximate VA-file, P-Sphere trees, and DBIN on
-one collection/workload, reporting recall@10 vs descriptors scanned.
-Expected: the distance-free Medrank trails in recall; VA-file and DBIN
-reach high recall at the cost of broader scans; P-Sphere and the chunk
-search occupy the low-work middle ground.
+Chunk search and the approximate VA-file on one collection/workload,
+reporting recall@10 vs descriptors scanned.  Expected: at a matched scan
+budget the VA-file's per-descriptor bounds refine the right candidates,
+so its recall is at least the chunk search's.
 """
 
 from repro.experiments.ablations import run_related_work_shootout
@@ -15,6 +14,6 @@ def bench_ablation_related_work(run_once, data):
     rows = {row[0]: row for row in result.rows}
     for scheme, row in rows.items():
         assert 0.0 <= row[1] <= 1.0, scheme
-    # Distance-based schemes beat the projection-only Medrank.
-    assert rows["chunk-search(5)"][1] > rows["medrank"][1]
-    assert rows["va-file"][1] > rows["medrank"][1]
+    assert set(rows) == {"chunk-search(5)", "va-file"}
+    # Same scan budget, finer bounds.
+    assert rows["va-file"][1] >= rows["chunk-search(5)"][1]

@@ -18,6 +18,7 @@ Run with: ``python examples/copyright_search.py``
 import numpy as np
 
 from repro import (
+    ChunkSearcher,
     MaxChunks,
     SRTreeChunker,
     SyntheticImageConfig,
@@ -45,7 +46,11 @@ def main() -> None:
     )
     chunking = SRTreeChunker(leaf_capacity=128).form_chunks(collection)
     index = build_chunk_index(chunking.retained, chunking.chunk_set)
-    searcher = MultiDescriptorSearcher(index, chunking.retained)
+    retained = chunking.retained
+    searcher = MultiDescriptorSearcher(
+        ChunkSearcher(index),
+        dict(zip(retained.ids.tolist(), retained.image_ids.tolist())),
+    )
     print(
         f"indexed {len(collection)} descriptors from "
         f"{len(set(collection.image_ids.tolist()))} images "

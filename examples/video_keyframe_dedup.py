@@ -94,9 +94,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         target = os.path.join(workdir, "archive")
         system.save(target)
-        reopened = ImageRetrievalSystem.load(target)
-        assert reopened.n_images == system.n_images
-        print(f"persisted and reopened: {reopened.n_descriptors} descriptors intact")
+        # A reopened system searches its files in place and holds them open.
+        with ImageRetrievalSystem.load(target) as reopened:
+            assert reopened.n_images == system.n_images
+            print(
+                f"persisted and reopened: {reopened.n_descriptors} descriptors intact"
+            )
 
 
 if __name__ == "__main__":

@@ -108,7 +108,6 @@ TIME_UNIT_SOURCES: Mapping[str, str] = {
     "repro.simio.pipeline.PipelineSimulator.skip_chunk": "sim",
     "repro.simio.pipeline.PipelineSimulator.elapsed": "sim",
     "repro.simio.chunk_cache.chunk_read_time_s": "sim",
-    "repro.simio.cache.cached_read_time_s": "sim",
     "repro.simio.disk_model.DiskModel.positioning_time_s": "sim",
     "repro.simio.disk_model.DiskModel.transfer_time_s": "sim",
     "repro.simio.disk_model.DiskModel.random_read_time_s": "sim",

@@ -30,7 +30,7 @@ class ImportTable:
         import numpy as np               ->  {"np": "numpy"}
         from time import perf_counter    ->  {"perf_counter": "time.perf_counter"}
         from numpy import random as npr  ->  {"npr": "numpy.random"}
-        from ..simio import cache        ->  {"cache": "repro.simio.cache"}
+        from ..simio import queueing     ->  {"queueing": "repro.simio.queueing"}
 
     Names imported *through* a package ``__init__`` re-export resolve to
     the re-exporting package here (``repro.simio.LruChunkCache``); chase

@@ -44,6 +44,7 @@ from .experiments import (
 from .experiments.config import get_scale
 from .experiments.data import ExperimentData, prepare
 from .experiments.report import format_table
+from .storage.errors import CorruptFileError
 
 __all__ = ["main", "CliError", "EXPERIMENT_RUNNERS"]
 
@@ -195,24 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also time the per-query loop and report the speedup",
     )
     batch.add_argument(
-        "--no-prune", action="store_true",
-        help=(
-            "disable the triangle-inequality chunk pruner "
-            "(results are identical either way; this only adds host work)"
-        ),
-    )
-    batch.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
         help=(
             "enable the simulated cross-query chunk cache with this "
             "capacity; warm hits are charged at memory-copy cost"
-        ),
-    )
-    batch.add_argument(
-        "--router", action="store_true",
-        help=(
-            "rank chunks through coarse centroid groups (O(sqrt(C)) "
-            "probes per query) instead of the full centroid scan"
         ),
     )
 
@@ -514,13 +501,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
     collection = read_collection_file(args.collection)
     chunker = _make_chunker(args.chunker, args.chunk_size, collection)
-    system = ImageRetrievalSystem(chunker=chunker)
-    system.index_images(collection)
-    system.save(args.output)
-    print(
-        f"built {args.chunker} system over {system.n_descriptors} descriptors "
-        f"from {system.n_images} images -> {args.output}"
-    )
+    with ImageRetrievalSystem(chunker=chunker) as system:
+        system.index_images(collection)
+        system.save(args.output)
+        print(
+            f"built {args.chunker} system over {system.n_descriptors} descriptors "
+            f"from {system.n_images} images -> {args.output}"
+        )
     return 0
 
 
@@ -531,62 +518,56 @@ def _cmd_batch_search(args: argparse.Namespace) -> int:
     from .storage.collection_file import read_collection_file
     from .system import ImageRetrievalSystem
 
-    system = ImageRetrievalSystem.load(args.system)
     collection = read_collection_file(args.collection)
     if args.batch < 1:
         raise CliError(f"--batch must be at least 1, got {args.batch}")
     if len(collection) == 0:
         raise CliError(f"collection {args.collection} holds no descriptors")
-    if args.no_prune:
-        system.prune = False
-    chunk_cache = None
-    if args.cache_mb is not None:
-        if not args.cache_mb > 0.0:
-            raise CliError(f"--cache-mb must be positive, got {args.cache_mb}")
-        from .simio.chunk_cache import LruChunkCache
+    if args.cache_mb is not None and not args.cache_mb > 0.0:
+        raise CliError(f"--cache-mb must be positive, got {args.cache_mb}")
+    with ImageRetrievalSystem.load(args.system) as system:
+        chunk_cache = None
+        if args.cache_mb is not None:
+            from .simio.chunk_cache import LruChunkCache
 
-        chunk_cache = LruChunkCache(
-            capacity_bytes=int(args.cache_mb * (1 << 20))
-        )
-        system.cost_model = dataclasses.replace(
-            system.cost_model, chunk_cache=chunk_cache
-        )
-    n = min(args.batch, len(collection))
-    queries = collection.vectors[:n].astype(float)
-    if args.chunks > 0:
-        system.default_stop_chunks = args.chunks
-        exact = False
-    else:
-        exact = True
+            chunk_cache = LruChunkCache(
+                capacity_bytes=int(args.cache_mb * (1 << 20))
+            )
+            system.cost_model = dataclasses.replace(
+                system.cost_model, chunk_cache=chunk_cache
+            )
+        n = min(args.batch, len(collection))
+        queries = collection.vectors[:n].astype(float)
+        exact = args.chunks <= 0
+        if not exact:
+            system.default_stop_chunks = args.chunks
 
-    start = time.perf_counter()
-    batch = system.find_similar_descriptors_batch(
-        queries, k=args.k, exact=exact, use_router=args.router
-    )
-    batch_wall_s = time.perf_counter() - start
-
-    completed = sum(1 for r in batch if r.completed)
-    print(f"batch of {len(batch)} queries (k={args.k}):")
-    print(f"  chunks read:        {batch.total_chunks_read}")
-    print(f"  chunks pruned:      {batch.total_chunks_pruned}")
-    if chunk_cache is not None:
-        print(f"  cache hit rate:     {chunk_cache.hit_rate:.2%}")
-    print(f"  mean simulated:     {batch.mean_elapsed_s * 1000:.1f} ms/query")
-    print(f"  exact completions:  {completed}/{len(batch)}")
-    print(
-        f"  wall clock:         {batch_wall_s:.3f} s "
-        f"({len(batch) / batch_wall_s:.1f} queries/s)"
-    )
-    if args.compare_sequential:
         start = time.perf_counter()
-        for row in range(n):
-            system.find_similar_descriptors(queries[row], k=args.k, exact=exact)
-        sequential_wall_s = time.perf_counter() - start
+        batch = system.find_similar_descriptors_batch(queries, k=args.k, exact=exact)
+        batch_wall_s = time.perf_counter() - start
+
+        completed = sum(1 for r in batch if r.completed)
+        print(f"batch of {len(batch)} queries (k={args.k}):")
+        print(f"  chunks read:        {batch.total_chunks_read}")
+        print(f"  chunks pruned:      {batch.total_chunks_pruned}")
+        if chunk_cache is not None:
+            print(f"  cache hit rate:     {chunk_cache.hit_rate:.2%}")
+        print(f"  mean simulated:     {batch.mean_elapsed_s * 1000:.1f} ms/query")
+        print(f"  exact completions:  {completed}/{len(batch)}")
         print(
-            f"  sequential loop:    {sequential_wall_s:.3f} s "
-            f"({n / sequential_wall_s:.1f} queries/s)"
+            f"  wall clock:         {batch_wall_s:.3f} s "
+            f"({len(batch) / batch_wall_s:.1f} queries/s)"
         )
-        print(f"  batch speedup:      {sequential_wall_s / batch_wall_s:.2f}x")
+        if args.compare_sequential:
+            start = time.perf_counter()
+            for row in range(n):
+                system.find_similar_descriptors(queries[row], k=args.k, exact=exact)
+            sequential_wall_s = time.perf_counter() - start
+            print(
+                f"  sequential loop:    {sequential_wall_s:.3f} s "
+                f"({n / sequential_wall_s:.1f} queries/s)"
+            )
+            print(f"  batch speedup:      {sequential_wall_s / batch_wall_s:.2f}x")
     return 0
 
 
@@ -594,16 +575,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .storage.collection_file import read_collection_file
     from .system import ImageRetrievalSystem
 
-    system = ImageRetrievalSystem.load(args.system)
     collection = read_collection_file(args.collection)
     if not 0 <= args.row < len(collection):
         raise CliError(f"row {args.row} out of range (collection has {len(collection)})")
     query = collection.vectors[args.row].astype(float)
-    if args.chunks > 0:
-        system.default_stop_chunks = args.chunks
-        result = system.find_similar_descriptors(query, k=args.k)
-    else:
-        result = system.find_similar_descriptors(query, k=args.k, exact=True)
+    with ImageRetrievalSystem.load(args.system) as system:
+        exact = args.chunks <= 0
+        if not exact:
+            system.default_stop_chunks = args.chunks
+        result = system.find_similar_descriptors(query, k=args.k, exact=exact)
     print(
         f"query row {args.row}: {result.chunks_read} chunks, "
         f"{result.elapsed_s * 1000:.1f} ms simulated, exact={result.completed}"
@@ -619,14 +599,14 @@ def _cmd_image_query(args: argparse.Namespace) -> int:
     from .storage.collection_file import read_collection_file
     from .system import ImageRetrievalSystem
 
-    system = ImageRetrievalSystem.load(args.system)
     collection = read_collection_file(args.collection)
     rows = np.flatnonzero(collection.image_ids == args.image)
     if rows.size == 0:
         raise CliError(f"image {args.image} has no descriptors in {args.collection}")
-    matches = system.find_similar_images(
-        collection.vectors[rows].astype(float), top_images=args.top
-    )
+    with ImageRetrievalSystem.load(args.system) as system:
+        matches = system.find_similar_images(
+            collection.vectors[rows].astype(float), top_images=args.top
+        )
     print(f"query image {args.image} ({rows.size} descriptors):")
     for match in matches:
         print(
@@ -894,9 +874,12 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"repro: error: {message}", file=sys.stderr)
         return 2
+    except CorruptFileError as exc:
+        print(f"repro: error: CorruptFileError: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
-        # Missing or corrupt input files (CorruptFileError is an IOError),
-        # malformed arrays, and similar user-input failures.
+        # Missing input files, malformed arrays, and similar user-input
+        # failures.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

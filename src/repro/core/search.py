@@ -50,7 +50,6 @@ import numpy as np
 
 from ..faults.injector import FaultInjector
 from ..faults.plan import OK_OUTCOME, ChunkFaultOutcome
-from ..simio.cache import cached_read_time_s
 from ..simio.calibration import PAPER_2005_COST_MODEL
 from ..simio.chunk_cache import chunk_read_time_s
 from ..simio.pipeline import CostModel
@@ -412,14 +411,10 @@ class ChunkSearcher:
             (io_s[p], cpu_s[n], n) for p, n in zip(self._pages, counts)
         ]
         self._overlap = cost_model.overlap_io_cpu
-        # Both cache flavors make a chunk's I/O charge a function of the
+        # A chunk cache makes a chunk's I/O charge a function of the
         # global touch order; ``None`` charges the precomputed cold read.
-        self._cached_io: "Optional[Callable[[int, int], Tuple[float, int]]]" = None
-        if cost_model.cache is not None:
-            self._cached_io = functools.partial(
-                cached_read_time_s, cost_model.disk, cost_model.cache
-            )
-        elif cost_model.chunk_cache is not None:
+        self._cached_io: "Optional[Callable[[int, int], Tuple[float, bool]]]" = None
+        if cost_model.chunk_cache is not None:
             self._cached_io = functools.partial(
                 chunk_read_time_s, cost_model.disk, cost_model.chunk_cache
             )

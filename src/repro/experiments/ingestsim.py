@@ -47,7 +47,6 @@ from ..core.dataset import DescriptorCollection
 from ..core.ground_truth import exact_knn_batch
 from ..core.ingest import StreamingChunkIndex, verify_streaming_index
 from ..core.metrics import precision_at_k
-from ..core.routing import CentroidRouter
 from ..core.search import ChunkSearcher
 from ..core.stop_rules import MaxChunks
 from ..faults.crash_plan import InjectedCrash, RecordingCrashPlan, seeded_crash_steps
@@ -338,7 +337,7 @@ def simulate(
         elif step % cfg.compact_every == 0:
             driver.checkpoint(defragment=True)
 
-        # Queries against the current index: pruning + router + cache on,
+        # Queries against the current index: pruning + cache on,
         # budgeted scan, recall vs the live contents' exact ground truth.
         assert driver.streaming is not None
         searchable = driver.streaming.to_index()
@@ -350,12 +349,7 @@ def simulate(
         cost_model = dataclasses.replace(
             scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
         )
-        searcher = ChunkSearcher(
-            searchable,
-            cost_model=cost_model,
-            prune=True,
-            router=CentroidRouter.from_index(searchable),
-        )
+        searcher = ChunkSearcher(searchable, cost_model=cost_model)
         batch = searcher.search_batch(
             queries, k=scale.k, stop_rule=MaxChunks(budget)
         )

@@ -1,28 +1,15 @@
 """Extensions beyond the paper's core experiments.
 
-* :mod:`~repro.extensions.medrank` — Medrank rank aggregation (SIGMOD'03),
-  the I/O-optimal alternative the related-work section highlights;
 * :mod:`~repro.extensions.vafile` — the approximate VA-file scan
   (EDBT'00) with bounded refinement;
-* :mod:`~repro.extensions.psphere` — P-Sphere trees (VLDB'00): trading
-  replicated disk space for single-sphere search time;
-* :mod:`~repro.extensions.dbin` — DBIN (KDD'99): EM-clustered bins with a
-  probabilistic early abort;
 * :mod:`~repro.extensions.multi_descriptor` — the paper's stated future
   work: image-level retrieval by voting over per-descriptor searches.
 """
 
-from .dbin import DbinIndex, GaussianMixture
-from .medrank import MedrankIndex
-from .psphere import PSphereTree
 from .multi_descriptor import ImageMatch, MultiDescriptorSearcher
 from .vafile import VAFile
 
 __all__ = [
-    "DbinIndex",
-    "GaussianMixture",
-    "MedrankIndex",
-    "PSphereTree",
     "ImageMatch",
     "MultiDescriptorSearcher",
     "VAFile",

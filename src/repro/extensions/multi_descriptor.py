@@ -19,15 +19,12 @@ on, e.g. Schmid & Mohr 1997, Amsaleg & Gros 2001):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..core.chunk_index import ChunkIndex
-from ..core.dataset import DescriptorCollection
 from ..core.search import ChunkSearcher
 from ..core.stop_rules import StopRule
-from ..simio.pipeline import CostModel
 
 __all__ = ["ImageMatch", "MultiDescriptorSearcher"]
 
@@ -46,36 +43,17 @@ class MultiDescriptorSearcher:
 
     Parameters
     ----------
-    index:
-        A chunk index over the database descriptors.
-    collection:
-        The retained collection backing ``index`` (provides the
-        descriptor-to-image mapping).
-    cost_model:
-        Optional cost model override for the underlying chunk searches.
+    searcher:
+        The chunk searcher over the database descriptors.
+    image_of_id:
+        Descriptor id -> source image id, for every descriptor the
+        searcher can return (a returned id without an image is a
+        ``ValueError`` at vote time).
     """
 
-    def __init__(
-        self,
-        index: ChunkIndex,
-        collection: DescriptorCollection,
-        cost_model: Optional[CostModel] = None,
-    ):
-        if index.n_descriptors != len(collection):
-            raise ValueError(
-                "index and collection disagree on descriptor count "
-                f"({index.n_descriptors} != {len(collection)})"
-            )
-        self.collection = collection
-        self._searcher = (
-            ChunkSearcher(index, cost_model=cost_model)
-            if cost_model is not None
-            else ChunkSearcher(index)
-        )
-        self._image_of_id: Dict[int, int] = {
-            int(descriptor_id): int(image_id)
-            for descriptor_id, image_id in zip(collection.ids, collection.image_ids)
-        }
+    def __init__(self, searcher: ChunkSearcher, image_of_id: Mapping[int, int]):
+        self.searcher = searcher
+        self._image_of_id = image_of_id
 
     def search_image(
         self,
@@ -106,7 +84,7 @@ class MultiDescriptorSearcher:
         # A query image's descriptor set is a natural batch: one engine
         # call ranks chunks for all descriptors at once and reads each
         # chunk at most once for the whole image.
-        batch = self._searcher.search_batch(
+        batch = self.searcher.search_batch(
             query_descriptors, k=k_per_descriptor, stop_rule=stop_rule
         )
         votes: Dict[int, int] = {}
@@ -121,7 +99,11 @@ class MultiDescriptorSearcher:
                     and neighbor.distance > max_match_distance
                 ):
                     continue
-                image = self._image_of_id[neighbor.descriptor_id]
+                image = self._image_of_id.get(neighbor.descriptor_id)
+                if image is None:
+                    raise ValueError(
+                        f"descriptor id {neighbor.descriptor_id} has no image"
+                    )
                 if image in seen_images:
                     continue
                 seen_images.add(image)

@@ -257,7 +257,7 @@ class ShardedQueryService:
         faults: Optional[ShardFaultPlan] = None,
         true_neighbor_ids: Optional[Sequence[Optional[Sequence[int]]]] = None,
     ):
-        if cost_model.cache is not None or cost_model.chunk_cache is not None:
+        if cost_model.chunk_cache is not None:
             raise ValueError(
                 "sharded serving does not support shared caches: each "
                 "shard is a separate node with its own memory"

@@ -15,7 +15,6 @@ hardware with a deterministic, calibrated cost model:
   reported timings (Table 2 reproduces to within ~2 %).
 """
 
-from .cache import LruPageCache, cached_read_time_s
 from .calibration import PAPER_2005_COST_MODEL, verify_calibration
 from .chunk_cache import LruChunkCache, chunk_read_time_s
 from .cpu_model import CpuModel
@@ -25,8 +24,6 @@ from .queueing import WorkerPool
 
 __all__ = [
     "WorkerPool",
-    "LruPageCache",
-    "cached_read_time_s",
     "LruChunkCache",
     "chunk_read_time_s",
     "PAPER_2005_COST_MODEL",

@@ -1,20 +1,21 @@
 """Simulated cross-query chunk cache.
 
-The page cache in :mod:`repro.simio.cache` models the *operating system's*
-buffer cache at page granularity.  This module models the *application's*
-chunk cache: a retrieval service keeps recently read chunks — whole
-``(ids, vectors)`` payloads, not pages — in a bounded pool shared by every
-worker of its :class:`~repro.simio.queueing.WorkerPool`, so a chunk that is
-hot across the query stream is fetched from disk once and served from
-memory afterwards.
+The one simulated cache: a retrieval service keeps recently read chunks —
+whole ``(ids, vectors)`` payloads, not pages — in a bounded pool shared by
+every worker of its :class:`~repro.simio.queueing.WorkerPool`, so a chunk
+that is hot across the query stream is fetched from disk once and served
+from memory afterwards.  (An operating system's buffer cache is the same
+model with an unbounded pool and a free hit: chunk extents never overlap,
+so page granularity adds nothing —
+:func:`~repro.experiments.ablations.run_cache_ablation`.)
 
 Cost semantics (:func:`chunk_read_time_s`):
 
 * a **cold** read is charged the full random-read price of the chunk's
   page extent, exactly as an uncached read would be;
 * a **warm** hit is charged a memory-copy of the same bytes at
-  ``memcpy_bytes_per_s`` — orders of magnitude cheaper, never free, so
-  cached timings remain strictly ordered and comparable.
+  ``memcpy_bytes_per_s`` — orders of magnitude cheaper, never free at a
+  finite rate, so cached timings remain strictly ordered and comparable.
 
 The hit/miss sequence is a pure function of the touch order (bounded LRU,
 deterministic eviction), which preserves the PR-1–4 determinism contract:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from .cache import LruPageCache, cached_read_time_s
 from .chunk_cache import LruChunkCache, chunk_read_time_s
 from .cpu_model import CpuModel
 from .disk_model import DiskModel
@@ -50,30 +49,18 @@ class CostModel:
     ``overlap_io_cpu=True`` is the paper's assumed execution model;
     switching it off is the ablation `bench_ablation_overlap`.
 
-    ``cache``, when set, is a shared :class:`LruPageCache` through which
-    chunk reads are charged — cache state persists across queries, which
-    is the buffering effect the paper's round-robin protocol eliminates.
-    The model stays frozen; only the cache object carries state.
-
     ``chunk_cache``, when set, is a shared
     :class:`~repro.simio.chunk_cache.LruChunkCache` charging whole-chunk
     reads: cold reads at the full random-read price, warm hits at a
-    memory-copy rate.  It is mutually exclusive with ``cache`` — the two
-    model the same bytes at different granularities, and stacking them
-    would double-count hits.
+    memory-copy rate.  Cache state persists across queries — the buffering
+    effect the paper's round-robin protocol eliminates.  The model stays
+    frozen; only the cache object carries state.
     """
 
     disk: DiskModel = dataclasses.field(default_factory=DiskModel)
     cpu: CpuModel = dataclasses.field(default_factory=CpuModel)
     overlap_io_cpu: bool = True
-    cache: Optional[LruPageCache] = None
     chunk_cache: Optional[LruChunkCache] = None
-
-    def __post_init__(self) -> None:
-        if self.cache is not None and self.chunk_cache is not None:
-            raise ValueError(
-                "a cost model takes a page cache or a chunk cache, not both"
-            )
 
     def simulator(self) -> "PipelineSimulator":
         """A fresh per-query timeline simulator."""
@@ -121,8 +108,8 @@ class PipelineSimulator:
         """Schedule the next ranked chunk; returns its processing-completion
         timestamp (when its neighbors become visible).
 
-        ``page_offset`` only matters when the cost model carries a buffer
-        cache: reads are then charged through it per missing page.
+        ``page_offset`` only matters when the cost model carries a chunk
+        cache: it is the key the read is charged through.
 
         ``extra_io_s`` is added to the chunk's I/O charge — degraded
         execution uses it for failed read attempts, backoff delays and
@@ -132,11 +119,7 @@ class PipelineSimulator:
             raise RuntimeError("start_query must run before chunks are processed")
         if extra_io_s < 0.0:
             raise ValueError("extra I/O charge cannot be negative")
-        if self._model.cache is not None and page_offset is not None:
-            io, _ = cached_read_time_s(
-                self._model.disk, self._model.cache, page_offset, page_count
-            )
-        elif self._model.chunk_cache is not None and page_offset is not None:
+        if self._model.chunk_cache is not None and page_offset is not None:
             io, _ = chunk_read_time_s(
                 self._model.disk, self._model.chunk_cache, page_offset, page_count
             )

@@ -12,13 +12,21 @@ persistence — behind the interface an application would actually use:
 >>> system.find_similar_images(query_descriptors)      # online queries
 >>> system.add_image(image_id, new_descriptors)        # live updates
 >>> system.save(directory); ImageRetrievalSystem.load(directory)
+
+The system *holds* one :class:`~repro.core.chunk_index.ChunkIndex` — the
+one ``build_chunk_index`` or ``ChunkIndex.load`` returned — and searches it
+as it is: a loaded system reads its chunks from the files it was saved to
+(code file included) and keeps them open until
+:meth:`ImageRetrievalSystem.close`.  Only a live update copies anything:
+the first hands the index to a ``ChunkIndexMaintainer``, and every later
+generation is the maintainer's in-memory snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -27,17 +35,89 @@ from .chunking.srtree_chunker import SRTreeChunker
 from .core.chunk_index import ChunkIndex, build_chunk_index
 from .core.dataset import DescriptorCollection
 from .core.maintenance import ChunkIndexMaintainer
-from .core.routing import CentroidRouter
 from .core.search import BatchSearchResult, ChunkSearcher, SearchResult
 from .core.stop_rules import MaxChunks, StopRule
 from .extensions.multi_descriptor import ImageMatch, MultiDescriptorSearcher
 from .simio.calibration import PAPER_2005_COST_MODEL
 from .simio.pipeline import CostModel
+from .storage.atomic import atomic_output
+from .storage.errors import MAX_DIMENSIONS, CorruptFileError
 
 __all__ = ["ImageRetrievalSystem"]
 
 _META_FILE = "system.json"
 _MAPPING_FILE = "image_mapping.npz"
+_INDEX_NAME = "retrieval-system"
+
+
+class _ImageOfId(Mapping[int, int]):
+    """``descriptor id -> image id`` as two parallel int64 arrays sorted by
+    descriptor id: loading one is two array reads, not n dict inserts."""
+
+    def __init__(self, ids: np.ndarray, images: np.ndarray):
+        self.ids = ids
+        self.images = images
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, descriptor_id: int) -> int:
+        at = int(np.searchsorted(self.ids, descriptor_id))
+        if at == len(self) or self.ids[at] != descriptor_id:
+            raise KeyError(descriptor_id)
+        return int(self.images[at])
+
+
+def _read_meta(path: str) -> Tuple[int, int, Optional[int]]:
+    """``(dimensions, next_descriptor_id, default_stop_chunks)`` of a saved
+    system, or :class:`CorruptFileError` naming the file."""
+    with open(path, "rb") as stream:
+        try:
+            meta = json.loads(stream.read().decode("utf-8"))
+            dimensions = meta["dimensions"]
+            next_id = meta["next_descriptor_id"]
+            stop_chunks = meta["default_stop_chunks"]
+        except Exception as exc:
+            raise CorruptFileError(
+                f"system file {path!r} is unreadable ({type(exc).__name__}: {exc})"
+            ) from exc
+    if not (
+        type(dimensions) is int and 1 <= dimensions <= MAX_DIMENSIONS
+        and type(next_id) is int and 0 <= next_id <= np.iinfo(np.int64).max
+        and (stop_chunks is None or (type(stop_chunks) is int and stop_chunks >= 1))
+    ):
+        raise CorruptFileError(f"system file {path!r} has invalid fields: {meta}")
+    return dimensions, next_id, stop_chunks
+
+
+def _read_mapping(path: str) -> _ImageOfId:
+    """The saved ``descriptor id -> image id`` arrays, or
+    :class:`CorruptFileError` naming the file.  The container is a zip of
+    ``.npy`` members, so damage surfaces under zipfile's, zlib's and
+    numpy's exception types; this parse boundary converts them all."""
+    with open(path, "rb") as stream:
+        try:
+            with np.load(stream) as data:
+                ids, images = data["ids"], data["images"]
+        except Exception as exc:
+            raise CorruptFileError(
+                f"image mapping {path!r} is unreadable ({type(exc).__name__}: {exc})"
+            ) from exc
+    if (
+        ids.dtype != np.int64
+        or images.dtype != np.int64
+        or ids.ndim != 1
+        or images.shape != ids.shape
+        or not (ids[1:] > ids[:-1]).all()
+    ):
+        raise CorruptFileError(
+            f"image mapping {path!r} is inconsistent: ids {ids.dtype}{ids.shape}"
+            f" (must be strictly increasing), images {images.dtype}{images.shape}"
+        )
+    return _ImageOfId(ids, images)
 
 
 class ImageRetrievalSystem:
@@ -53,10 +133,9 @@ class ImageRetrievalSystem:
     default_stop_chunks:
         Default approximation budget (chunks per descriptor search) for
         image queries; ``None`` searches to exact completion.
-    prune:
-        Enable the triangle-inequality chunk pruner in the descriptor
-        searchers (results are identical either way; pruning only skips
-        provably fruitless host-side work).
+
+    A loaded system owns open files: :meth:`close` it, or use it as a
+    context manager.
     """
 
     def __init__(
@@ -64,29 +143,27 @@ class ImageRetrievalSystem:
         chunker: Optional[Chunker] = None,
         cost_model: CostModel = PAPER_2005_COST_MODEL,
         default_stop_chunks: Optional[int] = 4,
-        prune: bool = True,
     ):
         if default_stop_chunks is not None and default_stop_chunks < 1:
             raise ValueError("stop budget must be positive (or None for exact)")
         self._configured_chunker = chunker
         self.cost_model = cost_model
         self.default_stop_chunks = default_stop_chunks
-        self.prune = bool(prune)
-        self._collection: Optional[DescriptorCollection] = None
-        self._maintainer: Optional[ChunkIndexMaintainer] = None
-        self._image_of_id: Dict[int, int] = {}
-        self._next_descriptor_id = 0
+        # The current index generation; ``None`` before the first build and
+        # between a live update and the next query (see _image_searcher).
         self._index: Optional[ChunkIndex] = None
-        self._dirty = False
-        # Built lazily, once per index generation (see _searcher).
-        self._cached_searcher: Optional[ChunkSearcher] = None
-        self._router: Optional[CentroidRouter] = None
+        # Created from the index by the first live update.
+        self._maintainer: Optional[ChunkIndexMaintainer] = None
+        self._image_of_id = _ImageOfId(np.empty(0, np.int64), np.empty(0, np.int64))
+        self._next_descriptor_id = 0
+        # Built once per index generation (see _image_searcher).
+        self._cached_searcher: Optional[MultiDescriptorSearcher] = None
 
     # -- state helpers ----------------------------------------------------------
 
     @property
     def is_built(self) -> bool:
-        return self._maintainer is not None
+        return self._index is not None or self._maintainer is not None
 
     def _require_built(self) -> None:
         if not self.is_built:
@@ -97,49 +174,48 @@ class ImageRetrievalSystem:
         leaf = int(min(4096, max(16, 2 * np.sqrt(max(n_descriptors, 1)))))
         return SRTreeChunker(leaf_capacity=leaf)
 
-    def _refresh(self) -> None:
-        """Rebuild the searchable view after maintenance operations."""
-        if self._dirty or self._index is None:
-            self._index = self._maintainer.to_index(name="retrieval-system")
-            ids_parts, vec_parts = [], []
-            for chunk_id in range(self._index.n_chunks):
-                ids, vectors = self._index.read_chunk(chunk_id)
-                ids_parts.append(ids)
-                vec_parts.append(vectors)
-            all_ids = np.concatenate(ids_parts)
-            all_vectors = np.vstack(vec_parts)
-            image_ids = np.asarray(
-                [self._image_of_id[int(i)] for i in all_ids], dtype=np.int64
-            )
-            self._collection = DescriptorCollection(
-                vectors=all_vectors, ids=all_ids, image_ids=image_ids
-            )
-            self._cached_searcher = None
-            self._router = None
-            self._dirty = False
+    def _current_index(self) -> ChunkIndex:
+        """The index generation queries and :meth:`save` see: the one that
+        was built or loaded, or the maintainer's state after live updates."""
+        self._require_built()
+        if self._index is None:
+            self._index = self._maintainer.to_index(name=_INDEX_NAME)
+        return self._index
 
-    def _searcher(self, use_router: bool = False) -> ChunkSearcher:
-        """The descriptor searcher over the current index generation:
-        built once per :meth:`_refresh` (its router's k-means included),
-        and again only when ``prune`` or ``cost_model`` were reassigned."""
-        self._refresh()
-        if use_router and self._router is None:
-            self._router = CentroidRouter.from_index(self._index)
-        router = self._router if use_router else None
-        searcher = self._cached_searcher
-        if (
-            searcher is None
-            or searcher.router is not router
-            or searcher.prune != self.prune
-            or searcher.cost_model is not self.cost_model
-        ):
-            searcher = self._cached_searcher = ChunkSearcher(
-                self._index,
-                cost_model=self.cost_model,
-                prune=self.prune,
-                router=router,
+    def _image_searcher(self) -> MultiDescriptorSearcher:
+        """The searcher over the current index generation: built once per
+        generation, and again only when ``cost_model`` was reassigned."""
+        index = self._current_index()
+        cached = self._cached_searcher
+        if cached is None or cached.searcher.cost_model is not self.cost_model:
+            cached = self._cached_searcher = MultiDescriptorSearcher(
+                ChunkSearcher(index, cost_model=self.cost_model), self._image_of_id
             )
-        return searcher
+        return cached
+
+    def _begin_update(self) -> ChunkIndexMaintainer:
+        """The maintainer a live update edits.  The first update creates it
+        from the current index (which has not changed until then, so its
+        ``target_chunk_size`` is the build's); every update retires the
+        generation it supersedes."""
+        if self._maintainer is None:
+            self._maintainer = ChunkIndexMaintainer(self._current_index())
+        self.close()
+        return self._maintainer
+
+    def close(self) -> None:
+        """Release the current index generation and the files it holds
+        open.  A system that was never updated live is unbuilt afterwards;
+        one that was serves its next query from the maintainer's state."""
+        if self._index is not None:
+            self._index.close()
+        self._index = self._cached_searcher = None
+
+    def __enter__(self) -> "ImageRetrievalSystem":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- build ----------------------------------------------------------------------
 
@@ -149,29 +225,30 @@ class ImageRetrievalSystem:
             raise ValueError("cannot index an empty collection")
         chunker = self._configured_chunker or self._default_chunker(len(collection))
         result = chunker.form_chunks(collection)
-        index = build_chunk_index(
-            result.retained, result.chunk_set, name="retrieval-system"
+        order = np.argsort(result.retained.ids, kind="stable")
+        ids = result.retained.ids[order]
+        repeated = np.flatnonzero(ids[1:] == ids[:-1])
+        if repeated.size:
+            raise ValueError(f"duplicate descriptor id {int(ids[repeated[0]])}")
+        self.close()
+        self._maintainer = None
+        self._index = build_chunk_index(
+            result.retained, result.chunk_set, name=_INDEX_NAME
         )
-        self._maintainer = ChunkIndexMaintainer(index)
-        self._image_of_id = {
-            int(i): int(img)
-            for i, img in zip(result.retained.ids, result.retained.image_ids)
-        }
+        self._image_of_id = _ImageOfId(ids, result.retained.image_ids[order])
         self._next_descriptor_id = int(collection.ids.max()) + 1
-        self._dirty = True
-        self._refresh()
 
     # -- queries ----------------------------------------------------------------------
 
     @property
     def n_descriptors(self) -> int:
         self._require_built()
-        return len(self._maintainer)
+        return len(self._image_of_id)
 
     @property
     def n_images(self) -> int:
         self._require_built()
-        return len(set(self._image_of_id.values()))
+        return int(np.unique(self._image_of_id.images).size)
 
     def _stop_rule(self, exact: bool) -> Optional[StopRule]:
         if exact or self.default_stop_chunks is None:
@@ -182,29 +259,20 @@ class ImageRetrievalSystem:
         self, query: np.ndarray, k: int = 10, exact: bool = False
     ) -> SearchResult:
         """Descriptor-level k-NN search."""
-        self._require_built()
-        return self._searcher().search(
+        return self._image_searcher().searcher.search(
             query, k=k, stop_rule=self._stop_rule(exact)
         )
 
     def find_similar_descriptors_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        exact: bool = False,
-        use_router: bool = False,
+        self, queries: np.ndarray, k: int = 10, exact: bool = False
     ) -> BatchSearchResult:
         """Descriptor-level k-NN for a whole query batch at once.
 
         The batch runs as one cohort: chunk ranking is one vectorized pass
         over the batch and each chunk is read at most once per batch.
-        ``use_router=True`` routes chunk ranking through coarse centroid
-        groups (O(sqrt(C)) probes per query) instead of the full centroid
-        scan.  Per-query results are identical to
-        :meth:`find_similar_descriptors` in every mode.
+        Per-query results are identical to :meth:`find_similar_descriptors`.
         """
-        self._require_built()
-        return self._searcher(use_router).search_batch(
+        return self._image_searcher().searcher.search_batch(
             queries, k=k, stop_rule=self._stop_rule(exact)
         )
 
@@ -222,12 +290,7 @@ class ImageRetrievalSystem:
         :meth:`MultiDescriptorSearcher.search_image`) — required for
         duplicate detection rather than mere ranking.
         """
-        self._require_built()
-        self._refresh()
-        searcher = MultiDescriptorSearcher(
-            self._index, self._collection, cost_model=self.cost_model
-        )
-        return searcher.search_image(
+        return self._image_searcher().search_image(
             query_descriptors,
             k_per_descriptor=k_per_descriptor,
             top_images=top_images,
@@ -243,68 +306,79 @@ class ImageRetrievalSystem:
         descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float32))
         if descriptors.shape[0] == 0:
             raise ValueError("an image needs at least one descriptor")
-        for vector in descriptors:
-            descriptor_id = self._next_descriptor_id
-            self._next_descriptor_id += 1
-            self._maintainer.insert(descriptor_id, vector)
-            self._image_of_id[descriptor_id] = int(image_id)
-        self._dirty = True
-        return descriptors.shape[0]
+        maintainer = self._begin_update()
+        mapping = self._image_of_id
+        # Ids grow monotonically, so appending keeps the mapping sorted.
+        first, count = self._next_descriptor_id, descriptors.shape[0]
+        for offset, vector in enumerate(descriptors):
+            maintainer.insert(first + offset, vector)
+        mapping.ids = np.concatenate([mapping.ids, np.arange(first, first + count)])
+        mapping.images = np.concatenate(
+            [mapping.images, np.full(count, int(image_id), dtype=np.int64)]
+        )
+        self._next_descriptor_id = first + count
+        return count
 
     def remove_image(self, image_id: int) -> int:
         """Delete every descriptor of one image; returns how many."""
         self._require_built()
-        victims = [
-            descriptor_id
-            for descriptor_id, img in self._image_of_id.items()
-            if img == int(image_id)
-        ]
+        mapping = self._image_of_id
+        doomed = mapping.images == int(image_id)
+        victims = mapping.ids[doomed].tolist()
         if not victims:
             raise KeyError(f"image {image_id} not in the system")
+        maintainer = self._begin_update()
         for descriptor_id in victims:
-            self._maintainer.delete(descriptor_id)
-            del self._image_of_id[descriptor_id]
-        self._dirty = True
+            maintainer.delete(descriptor_id)
+        mapping.ids, mapping.images = mapping.ids[~doomed], mapping.images[~doomed]
         return len(victims)
 
     # -- persistence ----------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Persist the whole system: chunk files + mapping + config."""
-        self._require_built()
-        self._refresh()
+        """Persist the whole system: chunk files + mapping + config, each
+        published atomically (saving over the directory a system was loaded
+        from is safe: its open files keep the bytes they were opened on)."""
+        index = self._current_index()
         os.makedirs(directory, exist_ok=True)
-        self._index.save(directory)
-        ids = np.asarray(sorted(self._image_of_id), dtype=np.int64)
-        images = np.asarray(
-            [self._image_of_id[int(i)] for i in ids], dtype=np.int64
-        )
-        np.savez(os.path.join(directory, _MAPPING_FILE), ids=ids, images=images)
-        with open(os.path.join(directory, _META_FILE), "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "dimensions": self._index.dimensions,
-                    "next_descriptor_id": self._next_descriptor_id,
-                    "default_stop_chunks": self.default_stop_chunks,
-                },
-                f,
-            )
+        index.save(directory)
+        mapping = self._image_of_id
+        with atomic_output(os.path.join(directory, _MAPPING_FILE)) as stream:
+            np.savez(stream, ids=mapping.ids, images=mapping.images)
+        meta = {
+            "dimensions": index.dimensions,
+            "next_descriptor_id": self._next_descriptor_id,
+            "default_stop_chunks": self.default_stop_chunks,
+        }
+        with atomic_output(os.path.join(directory, _META_FILE)) as stream:
+            stream.write(json.dumps(meta).encode("utf-8"))
 
     @classmethod
     def load(cls, directory: str) -> "ImageRetrievalSystem":
-        """Reopen a system saved with :meth:`save`."""
-        with open(os.path.join(directory, _META_FILE), encoding="utf-8") as f:
-            meta = json.load(f)
-        index = ChunkIndex.load(directory, dimensions=int(meta["dimensions"]))
-        system = cls(default_stop_chunks=meta["default_stop_chunks"])
-        system._maintainer = ChunkIndexMaintainer(index)
-        with np.load(os.path.join(directory, _MAPPING_FILE)) as mapping:
-            system._image_of_id = {
-                int(i): int(img)
-                for i, img in zip(mapping["ids"], mapping["images"])
-            }
-        system._next_descriptor_id = int(meta["next_descriptor_id"])
-        index.close()
-        system._dirty = True
-        system._refresh()
+        """Reopen a system saved with :meth:`save`, searching the saved
+        files in place (no chunk is read here).
+
+        Damage to ``system.json`` or ``image_mapping.npz`` — malformed
+        bytes, a missing field, a wrong dtype or shape, a mapping that does
+        not cover the index's descriptors — raises
+        :class:`~repro.storage.errors.CorruptFileError` naming the file,
+        with nothing left open.
+        """
+        dimensions, next_id, stop_chunks = _read_meta(
+            os.path.join(directory, _META_FILE)
+        )
+        mapping_path = os.path.join(directory, _MAPPING_FILE)
+        mapping = _read_mapping(mapping_path)
+        index = ChunkIndex.load(directory, dimensions=dimensions, name=_INDEX_NAME)
+        if len(mapping) != index.n_descriptors or next_id <= mapping.ids[-1]:
+            index.close()
+            raise CorruptFileError(
+                f"image mapping {mapping_path!r} covers {len(mapping)} descriptors "
+                f"up to id {mapping.ids[-1:].tolist()}; the index holds "
+                f"{index.n_descriptors} and the next id is {next_id}"
+            )
+        system = cls(default_stop_chunks=stop_chunks)
+        system._index = index
+        system._image_of_id = mapping
+        system._next_descriptor_id = next_id
         return system

@@ -23,7 +23,7 @@ from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
 from repro.core.search import RANK_BY_LOWER_BOUND, BatchSearchResult, ChunkSearcher
 from repro.core.stop_rules import MaxChunks, TimeBudget
-from repro.simio.cache import LruPageCache
+from repro.simio.chunk_cache import LruChunkCache
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from replay_oracle import ReplayOracle
 
@@ -156,31 +156,31 @@ class TestEquivalence:
         replay = ReplayOracle(index, k=5, rank_by=RANK_BY_LOWER_BOUND)
         assert_equivalent(batch.search_batch(queries, k=5), wanted, replay, queries)
 
-    def test_shared_page_cache_falls_back_to_sequential_order(
+    def test_shared_chunk_cache_falls_back_to_sequential_order(
         self, tiny_collection
     ):
         index = make_index(tiny_collection, SRTreeChunker(leaf_capacity=8))
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
         # Two identical models, each with its own fresh cache: the batch
-        # cohort must replay the per-query loop's exact page-touch order.
-        model_a = dataclasses.replace(
-            PAPER_2005_COST_MODEL, cache=LruPageCache(capacity_pages=8)
-        )
-        model_b = dataclasses.replace(
-            PAPER_2005_COST_MODEL, cache=LruPageCache(capacity_pages=8)
+        # cohort must replay the per-query loop's exact chunk-touch order.
+        page = PAPER_2005_COST_MODEL.disk.page_bytes
+        model_a, model_b, model_c = (
+            dataclasses.replace(
+                PAPER_2005_COST_MODEL,
+                chunk_cache=LruChunkCache(capacity_bytes=3 * page),
+            )
+            for _ in range(3)
         )
         sequential = ChunkSearcher(index, cost_model=model_a)
         wanted = [sequential.search(q, k=5) for q in queries]
         batch = ChunkSearcher(index, cost_model=model_b).search_batch(queries, k=5)
-        # A third equal model: the replay charges through its own cache,
+        # The third equal model: the replay charges through its own cache,
         # in query order, and must land on the same timestamps.
-        model_c = dataclasses.replace(
-            PAPER_2005_COST_MODEL, cache=LruPageCache(capacity_pages=8)
-        )
         replay = ReplayOracle(index, k=5, cost_model=model_c)
         assert_equivalent(batch, wanted, replay, queries)
-        assert model_b.cache.hits == model_a.cache.hits
-        assert model_b.cache.misses == model_a.cache.misses
+        assert model_b.chunk_cache.hits == model_a.chunk_cache.hits > 0
+        assert model_b.chunk_cache.misses == model_a.chunk_cache.misses
+        assert model_b.chunk_cache.evictions == model_a.chunk_cache.evictions > 0
 
 
 class TestBatchRanking:

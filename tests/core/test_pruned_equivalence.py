@@ -34,7 +34,6 @@ from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
 from repro.core.stop_rules import ExactCompletion, MaxChunks, TimeBudget
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.simio.cache import LruPageCache
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from replay_oracle import ReplayOracle
@@ -525,27 +524,17 @@ class TestChunkCacheEquivalence:
 
 _PAGE = PAPER_2005_COST_MODEL.disk.page_bytes
 
-#: Three one-page chunks' worth of cache under a ~9-chunk index.
-SMALL_CACHES = {
-    "chunk-cache": lambda: {"chunk_cache": LruChunkCache(capacity_bytes=3 * _PAGE)},
-    "page-cache": lambda: {"cache": LruPageCache(capacity_pages=3)},
-}
-
-
-def _cache_of(model):
-    return model.chunk_cache if model.chunk_cache is not None else model.cache
+def _small_cache_model():
+    """Three one-page chunks' worth of cache under a ~9-chunk index."""
+    return dataclasses.replace(
+        PAPER_2005_COST_MODEL, chunk_cache=LruChunkCache(capacity_bytes=3 * _PAGE)
+    )
 
 
 def _cache_state(model):
-    """Every counter the cache keeps (the page cache counts no evictions)
-    plus how much is resident."""
-    cache = _cache_of(model)
-    return (
-        cache.hits,
-        cache.misses,
-        getattr(cache, "evictions", None),
-        len(cache),
-    )
+    """Every counter the cache keeps plus how much is resident."""
+    cache = model.chunk_cache
+    return (cache.hits, cache.misses, cache.evictions, len(cache))
 
 
 class TestCachedCostModelsReplay:
@@ -558,16 +547,12 @@ class TestCachedCostModelsReplay:
 
     @pytest.mark.parametrize("cohort", ["one", "several"])
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
-    @pytest.mark.parametrize("flavor", sorted(SMALL_CACHES))
     def test_timestamps_and_cache_counters_match_the_reference(
-        self, tiny_collection, flavor, faulted, cohort
+        self, tiny_collection, faulted, cohort
     ):
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
-        model = dataclasses.replace(PAPER_2005_COST_MODEL, **SMALL_CACHES[flavor]())
-        reference = dataclasses.replace(
-            PAPER_2005_COST_MODEL, **SMALL_CACHES[flavor]()
-        )
+        model, reference = _small_cache_model(), _small_cache_model()
         faults = injector(0.35) if faulted else None
         searcher = ChunkSearcher(index, cost_model=model)
         if cohort == "one":
@@ -585,7 +570,7 @@ class TestCachedCostModelsReplay:
         assert _cache_state(model) == _cache_state(reference)
 
         events = [e for result in results for e in result.trace.events]
-        cache = _cache_of(model)
+        cache = model.chunk_cache
         assert cache.hits > 0 and cache.misses > len(cache)  # it evicted
         if faulted:
             assert any(e.skipped for e in events)

@@ -88,7 +88,7 @@ class TestRelatedWorkShootout:
         from repro.experiments.ablations import run_related_work_shootout
 
         result = run_related_work_shootout(experiment_data)
-        assert len(result.rows) == 5
+        assert [row[0] for row in result.rows] == ["chunk-search(5)", "va-file"]
         for row in result.rows:
             assert 0.0 <= row[1] <= 1.0
 

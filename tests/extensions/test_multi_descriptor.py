@@ -6,6 +6,7 @@ import pytest
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
+from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import MaxChunks
 from repro.extensions.multi_descriptor import MultiDescriptorSearcher
 
@@ -28,11 +29,18 @@ def image_collection():
     )
 
 
+def make_searcher(indexed, mapped):
+    """A voting searcher over ``indexed`` whose mapping covers ``mapped``."""
+    chunking = SRTreeChunker(leaf_capacity=10).form_chunks(indexed)
+    index = build_chunk_index(chunking.retained, chunking.chunk_set)
+    return MultiDescriptorSearcher(
+        ChunkSearcher(index), dict(zip(mapped.ids.tolist(), mapped.image_ids.tolist()))
+    )
+
+
 @pytest.fixture()
 def searcher(image_collection):
-    chunking = SRTreeChunker(leaf_capacity=10).form_chunks(image_collection)
-    index = build_chunk_index(chunking.retained, chunking.chunk_set)
-    return MultiDescriptorSearcher(index, image_collection)
+    return make_searcher(image_collection, image_collection)
 
 
 class TestVoting:
@@ -75,11 +83,11 @@ class TestVoting:
             searcher.search_image(np.empty((0, 4)))
 
     def test_mismatched_index_rejected(self, image_collection):
-        chunking = SRTreeChunker(leaf_capacity=10).form_chunks(image_collection)
-        index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        smaller = image_collection.take(range(30))
-        with pytest.raises(ValueError, match="disagree"):
-            MultiDescriptorSearcher(index, smaller)
+        """Every returned descriptor id must have an image."""
+        searcher = make_searcher(image_collection, image_collection.take(range(30)))
+        query = image_collection.vectors[45].astype(float)
+        with pytest.raises(ValueError, match="has no image"):
+            searcher.search_image(query, k_per_descriptor=3)
 
 
 class TestVerifiedVoting:

@@ -1,78 +1,11 @@
-"""Tests for the simulated buffer cache."""
+"""Searching through the simulated cache (the model itself is tested in
+``test_chunk_cache.py``)."""
 
 import dataclasses
 
 import numpy as np
-import pytest
 
-from repro.simio.cache import LruPageCache, cached_read_time_s
-from repro.simio.disk_model import DiskModel
-from repro.simio.pipeline import CostModel
-
-
-class TestLruPageCache:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LruPageCache(0)
-
-    def test_hit_and_miss_accounting(self):
-        cache = LruPageCache(4)
-        assert not cache.touch(1)
-        assert cache.touch(1)
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
-    def test_lru_eviction(self):
-        cache = LruPageCache(2)
-        cache.touch(1)
-        cache.touch(2)
-        cache.touch(1)  # 1 is now most recent
-        cache.touch(3)  # evicts 2
-        assert 1 in cache
-        assert 2 not in cache
-        assert 3 in cache
-
-    def test_clear(self):
-        cache = LruPageCache(2)
-        cache.touch(1)
-        cache.clear()
-        assert len(cache) == 0
-        assert 1 not in cache
-
-
-class TestCachedReads:
-    @pytest.fixture()
-    def disk(self):
-        return DiskModel(
-            seek_time_s=0.01,
-            rotational_latency_s=0.0,
-            transfer_rate_bytes_per_s=1e6,
-            page_bytes=1000,
-        )
-
-    def test_cold_read_full_price(self, disk):
-        cache = LruPageCache(100)
-        seconds, missed = cached_read_time_s(disk, cache, 0, 5)
-        assert missed == 5
-        assert seconds == pytest.approx(0.01 + 0.005)
-
-    def test_warm_read_free(self, disk):
-        cache = LruPageCache(100)
-        cached_read_time_s(disk, cache, 0, 5)
-        seconds, missed = cached_read_time_s(disk, cache, 0, 5)
-        assert missed == 0
-        assert seconds == 0.0
-
-    def test_partial_hit(self, disk):
-        cache = LruPageCache(100)
-        cached_read_time_s(disk, cache, 0, 3)  # pages 0-2 cached
-        seconds, missed = cached_read_time_s(disk, cache, 0, 5)
-        assert missed == 2
-        assert seconds == pytest.approx(0.01 + 0.002)
-
-    def test_validation(self, disk):
-        with pytest.raises(ValueError):
-            cached_read_time_s(disk, LruPageCache(4), 0, 0)
+from repro.simio.chunk_cache import LruChunkCache
 
 
 class TestCachedSearch:
@@ -86,8 +19,8 @@ class TestCachedSearch:
 
         chunking = SRTreeChunker(leaf_capacity=8).form_chunks(tiny_collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        cache = LruPageCache(capacity_pages=10_000)
-        cached_model = dataclasses.replace(PAPER_2005_COST_MODEL, cache=cache)
+        cache = LruChunkCache(capacity_bytes=1 << 30)
+        cached_model = dataclasses.replace(PAPER_2005_COST_MODEL, chunk_cache=cache)
         searcher = ChunkSearcher(index, cost_model=cached_model)
         query = tiny_collection.vectors[0].astype(float)
 

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.simio.calibration import PAPER_2005_COST_MODEL
-from repro.simio.cache import LruPageCache
 from repro.simio.chunk_cache import (
     DEFAULT_MEMCPY_BYTES_PER_S,
     LruChunkCache,
@@ -94,10 +93,11 @@ class TestValidation:
             cache.touch(0, -1)
 
     def test_cost_model_rejects_both_caches(self):
-        with pytest.raises(ValueError, match="not both"):
+        """There is one simulated cache: a second one has no field to go in."""
+        with pytest.raises(TypeError, match="cache"):
             dataclasses.replace(
                 PAPER_2005_COST_MODEL,
-                cache=LruPageCache(capacity_pages=8),
+                cache=LruChunkCache(capacity_bytes=PAGE),
                 chunk_cache=LruChunkCache(capacity_bytes=PAGE),
             )
 

@@ -255,6 +255,21 @@ def _ground_truth_artefact(directory, rng):
     return [path], lambda: GroundTruthStore.load(str(path))
 
 
+def _system_artefact(directory, rng):
+    """A saved retrieval system's two sidecars; reading them is loading it."""
+    from repro.system import ImageRetrievalSystem
+
+    collection = _mutation_collection(rng)
+    with ImageRetrievalSystem() as system:
+        system.index_images(collection)
+        system.save(str(directory))
+
+    def read():
+        ImageRetrievalSystem.load(str(directory)).close()
+
+    return [directory / "system.json", directory / "image_mapping.npz"], read
+
+
 @pytest.mark.parametrize(
     "make_artefact",
     [
@@ -265,6 +280,7 @@ def _ground_truth_artefact(directory, rng):
         _delta_artefact,
         _wal_artefact,
         _ground_truth_artefact,
+        _system_artefact,
     ],
     ids=[
         "collection",
@@ -274,6 +290,7 @@ def _ground_truth_artefact(directory, rng):
         "delta-pack",
         "wal",
         "ground-truth",
+        "system",
     ],
 )
 def test_mutated_bytes_raise_only_corrupt_file_error(tmp_path, make_artefact):

@@ -73,6 +73,45 @@ class TestFileWorkflow:
         assert main(["query", sysdir, coll, "--row", "3", "--k", "4"]) != 0
         assert "unsupported index file version 3" in capsys.readouterr().err
 
+    def test_damaged_sidecars_are_corrupt_files(self, tmp_path, capsys):
+        """A damaged ``system.json`` / ``image_mapping.npz`` is exit 2 and a
+        ``CorruptFileError`` naming the file — no traceback, no bare key."""
+        import io
+
+        import numpy as np
+
+        coll = str(tmp_path / "c.dat")
+        sysdir = tmp_path / "s"
+        main(["generate", coll, "--scale", "test"])
+        main(["build", coll, str(sysdir)])
+        query = ["query", str(sysdir), coll, "--row", "3", "--k", "4"]
+        assert main(query) == 0
+        capsys.readouterr()
+
+        def missing_ids(data: bytes) -> bytes:
+            with np.load(io.BytesIO(data)) as mapping:
+                ids, images = mapping["ids"], mapping["images"]
+            short = io.BytesIO()
+            np.savez(short, ids=ids[:-3], images=images[:-3])
+            return short.getvalue()
+
+        damage = {
+            "image_mapping.npz": [lambda data: data[: len(data) // 2], missing_ids],
+            "system.json": [
+                lambda data: data[: len(data) // 2],
+                lambda data: data.replace(b'"dimensions"', b'"dimension"'),
+            ],
+        }
+        for name, mutations in damage.items():
+            pristine = (sysdir / name).read_bytes()
+            for mutate in mutations:
+                (sysdir / name).write_bytes(mutate(pristine))
+                assert main(query) == 2
+                err = capsys.readouterr().err
+                assert "repro: error: CorruptFileError" in err and name in err
+            (sysdir / name).write_bytes(pristine)
+        assert main(query) == 0
+
     def test_query_row_out_of_range(self, tmp_path, capsys):
         from repro.cli import main
 

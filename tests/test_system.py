@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.chunking.hybrid import HybridChunker
+from repro.core.chunk_index import ChunkIndex, OnDiskChunkStore
 from repro.core.dataset import DescriptorCollection
+from repro.core.maintenance import ChunkIndexMaintainer
+from repro.core.search import ChunkSearcher
 from repro.system import ImageRetrievalSystem
 
 
@@ -77,37 +80,34 @@ class TestQueries:
         )
         assert matches[0].image_id == 5
 
-    def test_one_searcher_per_index_generation(self, system, image_collection):
-        """The searcher (and a router's k-means) is built once per index
-        generation, and again when ``prune``/``cost_model`` are reassigned
-        or maintenance publishes a new generation."""
+    def test_one_searcher_per_index_generation(
+        self, system, image_collection, monkeypatch
+    ):
+        """One ``ChunkSearcher`` per index generation, whatever mix of
+        descriptor, batch and image queries runs against it; a live update
+        publishes the next generation and with it the next searcher."""
+        built = []
+        real_init = ChunkSearcher.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkSearcher, "__init__", counting_init)
         queries = image_collection.vectors[:4].astype(float)
-        system.find_similar_descriptors(queries[0], k=5)
-        flat = system._searcher()
-        system.find_similar_descriptors_batch(queries, k=5)
-        assert system._searcher() is flat
-
-        routed = system.find_similar_descriptors_batch(queries, k=5, use_router=True)
-        router = system._searcher(use_router=True).router
-        assert router is not None
-        system.find_similar_descriptors_batch(queries, k=5, use_router=True)
-        assert system._searcher(use_router=True).router is router
-
-        system.prune = False
-        unpruned = system.find_similar_descriptors_batch(
-            queries, k=5, use_router=True
-        )
-        assert system._searcher(use_router=True).prune is False
-        assert system._searcher(use_router=True).router is router
-        assert unpruned.total_chunks_pruned == 0
-        assert unpruned.stop_reasons() == routed.stop_reasons()
-        np.testing.assert_array_equal(
-            unpruned.neighbor_ids_matrix(), routed.neighbor_ids_matrix()
-        )
+        for _ in range(3):
+            system.find_similar_descriptors(queries[0], k=5)
+            system.find_similar_descriptors_batch(queries, k=5)
+            system.find_similar_images(queries)
+            system.find_similar_images(queries, max_match_distance=0.5)
+        assert len(built) == 1
 
         system.add_image(99, image_collection.vectors[:3] + 0.01)
-        assert system._searcher().index is not flat.index
-        assert system._searcher(use_router=True).router is not router
+        for _ in range(3):
+            system.find_similar_descriptors(queries[0], k=5)
+            system.find_similar_images(queries)
+        assert len(built) == 2
+        assert built[1].index is not built[0].index
 
 
 class TestLiveUpdates:
@@ -146,20 +146,20 @@ class TestPersistence:
         before = system.find_similar_images(query, exact=True)
 
         system.save(directory)
-        loaded = ImageRetrievalSystem.load(directory)
-        assert loaded.n_descriptors == system.n_descriptors
-        assert loaded.n_images == system.n_images
-        after = loaded.find_similar_images(query, exact=True)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            assert loaded.n_descriptors == system.n_descriptors
+            assert loaded.n_images == system.n_images
+            after = loaded.find_similar_images(query, exact=True)
         assert [m.image_id for m in before] == [m.image_id for m in after]
         assert [m.votes for m in before] == [m.votes for m in after]
 
     def test_load_then_update(self, system, tmp_path):
         directory = str(tmp_path / "retrieval2")
         system.save(directory)
-        loaded = ImageRetrievalSystem.load(directory)
-        rng = np.random.default_rng(1)
-        loaded.add_image(77, 50.0 + rng.standard_normal((5, 6)))
-        assert loaded.n_images == system.n_images + 1
+        with ImageRetrievalSystem.load(directory) as loaded:
+            rng = np.random.default_rng(1)
+            loaded.add_image(77, 50.0 + rng.standard_normal((5, 6)))
+            assert loaded.n_images == system.n_images + 1
 
 
 class TestMaintainedPersistence:
@@ -173,9 +173,142 @@ class TestMaintainedPersistence:
         system.remove_image(0)
         directory = str(tmp_path / "maintained")
         system.save(directory)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            assert loaded.n_descriptors == system.n_descriptors
+            offset = 0
+            for meta in loaded._index.metas:
+                assert meta.page_offset == offset
+                offset += meta.page_count
+
+
+def assert_same_answers(got, want, queries):
+    """Two systems answer every kind of query identically: ids, distances,
+    stop reasons, simulated time and every trace event; image matches with
+    and without verified voting."""
+    for exact in (False, True):
+        for query in queries:
+            a = got.find_similar_descriptors(query, k=5, exact=exact)
+            b = want.find_similar_descriptors(query, k=5, exact=exact)
+            assert a.neighbors == b.neighbors
+            assert a.stop_reason == b.stop_reason
+            assert a.elapsed_s == b.elapsed_s
+            assert a.trace.events == b.trace.events
+        a = got.find_similar_descriptors_batch(queries, k=5, exact=exact)
+        b = want.find_similar_descriptors_batch(queries, k=5, exact=exact)
+        assert a.stop_reasons() == b.stop_reasons()
+        for one, other in zip(a, b):
+            assert one.neighbors == other.neighbors
+            assert one.elapsed_s == other.elapsed_s
+            assert one.trace.events == other.trace.events
+        for cutoff in (None, 0.5):
+            assert got.find_similar_images(
+                queries, exact=exact, max_match_distance=cutoff
+            ) == want.find_similar_images(
+                queries, exact=exact, max_match_distance=cutoff
+            )
+
+
+class TestOneIndexLifecycle:
+    """The system searches the index it built or loaded: no load-time copy,
+    files left open, the maintainer created by the first live update."""
+
+    @pytest.fixture()
+    def queries(self, image_collection):
+        return image_collection.vectors[::23].astype(float) + 0.05
+
+    def test_load_reads_no_chunk_and_keeps_the_codes(
+        self, system, queries, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "saved")
+        system.save(directory)
+        reads = []
+        real_read = OnDiskChunkStore.read_chunk
+
+        def counting_read(self, chunk_id):
+            reads.append(chunk_id)
+            return real_read(self, chunk_id)
+
+        monkeypatch.setattr(OnDiskChunkStore, "read_chunk", counting_read)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            assert reads == []
+            assert isinstance(loaded._index.store, OnDiskChunkStore)
+            assert loaded._index.codes is not None
+            assert loaded._maintainer is None
+            loaded.find_similar_descriptors(queries[0], exact=True)
+            assert reads  # the query is served from the saved files
+
+    def test_loaded_system_answers_like_the_one_that_saved_it(
+        self, system, queries, tmp_path
+    ):
+        directory = str(tmp_path / "saved")
+        system.save(directory)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            assert loaded.n_descriptors == system.n_descriptors
+            assert loaded.n_images == system.n_images
+            assert_same_answers(loaded, system, queries)
+
+    def test_update_closes_the_loaded_files_and_saves_over_them(
+        self, system, queries, tmp_path
+    ):
+        directory = str(tmp_path / "saved")
+        system.save(directory)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            previous = loaded._index
+            loaded.add_image(99, queries[:3] + 0.01)
+            with pytest.raises(ValueError, match="closed"):
+                previous.read_chunk(0)
+            with pytest.raises(ValueError, match="closed"):
+                previous.codes.read_block(0)
+            loaded.save(directory)
+            with ImageRetrievalSystem.load(directory) as reloaded:
+                assert reloaded.n_images == system.n_images + 1
+                assert_same_answers(reloaded, loaded, queries)
+
+    def test_close_releases_the_files(self, system, queries, tmp_path):
+        directory = str(tmp_path / "saved")
+        system.save(directory)
         loaded = ImageRetrievalSystem.load(directory)
-        assert loaded.n_descriptors == system.n_descriptors
-        offset = 0
-        for meta in loaded._index.metas:
-            assert meta.page_offset == offset
-            offset += meta.page_count
+        index = loaded._index
+        loaded.close()
+        with pytest.raises(ValueError, match="closed"):
+            index.read_chunk(0)
+        with pytest.raises(RuntimeError, match="index images first"):
+            loaded.find_similar_descriptors(queries[0])
+
+    def test_updates_after_load_match_the_copying_lifecycle(
+        self, system, queries, tmp_path
+    ):
+        """load -> add_image -> remove_image -> save writes the bytes the
+        previous lifecycle did: maintainer over the loaded index from the
+        start, its snapshot saved (``test_save_after_maintenance_compacts``'
+        fixture)."""
+        directory = str(tmp_path / "saved")
+        system.save(directory)
+        rng = np.random.default_rng(8)
+        images = [20.0 + rng.standard_normal((30, 6)) for _ in range(3)]
+
+        with ChunkIndex.load(directory, 6) as index:
+            maintainer = ChunkIndexMaintainer(index)
+        next_id = system.n_descriptors
+        for image in images:
+            for vector in image.astype(np.float32):
+                maintainer.insert(next_id, vector)
+                next_id += 1
+        for descriptor_id in range(25):  # image 0
+            maintainer.delete(descriptor_id)
+        reference = str(tmp_path / "reference")
+        maintainer.to_index().save(reference)
+
+        updated = str(tmp_path / "updated")
+        with ImageRetrievalSystem.load(directory) as loaded:
+            for i, image in enumerate(images):
+                loaded.add_image(200 + i, image)
+            loaded.remove_image(0)
+            loaded.save(updated)
+            with ImageRetrievalSystem.load(updated) as reloaded:
+                assert reloaded.n_descriptors == 200 + 90 - 25
+                assert_same_answers(reloaded, loaded, queries)
+        for name in ("chunks.dat", "chunks.idx", "chunks.va"):
+            assert (tmp_path / "updated" / name).read_bytes() == (
+                tmp_path / "reference" / name
+            ).read_bytes(), name
