@@ -33,8 +33,6 @@ from .diagnostics import Diagnostic, render_json, render_text
 from .rules import RULE_IDS, all_rules, select_rules
 from .runner import (
     LintResult,
-    lint_file,
-    lint_source,
     lint_sources,
     lint_tree,
     package_root,
@@ -47,8 +45,6 @@ __all__ = [
     "RULE_IDS",
     "all_rules",
     "default_config",
-    "lint_file",
-    "lint_source",
     "lint_sources",
     "lint_tree",
     "package_root",

@@ -59,7 +59,7 @@ FORBIDDEN_IMPORTS: Mapping[str, FrozenSet[str]] = {
 #: float32 construction defeats the promotion and changes results at the
 #: ulp level, breaking bit-reproducibility.
 DTYPE_KERNELS: FrozenSet[str] = frozenset(
-    {"squared_distances", "pairwise_squared_distances", "euclidean_distances"}
+    {"squared_distances", "pairwise_squared_distances"}
 )
 
 #: Substrings that count as "declares its dtype" in a docstring or

@@ -1,7 +1,7 @@
 """Per-run whole-program state: symbol table, call graph, cached taints.
 
-Built once by the runner per ``lint_tree`` (or per ``lint_sources`` call
-in tests), then handed to every :class:`~repro.analysis.rules.base
+Built once by the runner per ``lint_sources`` call (``lint_tree`` makes
+one), then handed to every :class:`~repro.analysis.rules.base
 .ProjectRule`.  The two taint analyses are computed lazily and cached —
 SIM101 and SIM102 share one unit-inference fixed point, RNG101 and
 RNG102 share one provenance pass — so rule granularity stays fine

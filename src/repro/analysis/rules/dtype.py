@@ -9,9 +9,9 @@ precision has already been thrown away, changing results at the ulp level
 it hands back.
 
 * **DTY001** — a call to a distance kernel (``squared_distances``,
-  ``pairwise_squared_distances``, ``euclidean_distances``) whose argument
-  expression *constructs* a float32 array (``np.float32(...)``,
-  ``.astype(np.float32)``, ``dtype=np.float32``, ``dtype="float32"``).
+  ``pairwise_squared_distances``) whose argument expression *constructs*
+  a float32 array (``np.float32(...)``, ``.astype(np.float32)``,
+  ``dtype=np.float32``, ``dtype="float32"``).
   Passing stored float32 data through a variable is fine — the kernels
   promote; constructing float32 at the call site is always a bug.
 * **DTY002** — a public function annotated as returning an ndarray whose

@@ -1,12 +1,8 @@
 """The lint runner: parse a tree, build the program model, run rules.
 
-Entry points, from narrow to wide:
-
-* :func:`lint_source` — one in-memory module (unit tests, fixtures);
-* :func:`lint_sources` — several in-memory modules as one program
-  (fixtures for the inter-procedural rule families);
-* :func:`lint_file` — one file on disk;
-* :func:`lint_tree` — a whole package directory (what the CLI runs).
+Two entry points: :func:`lint_sources` lints in-memory modules as one
+program (test fixtures), and :func:`lint_tree` reads a whole package
+directory and hands it to :func:`lint_sources` (what the CLI runs).
 
 A run has four phases, each timed for ``--profile``:
 
@@ -37,9 +33,7 @@ from .suppressions import parse_suppressions
 
 __all__ = [
     "LintResult",
-    "lint_source",
     "lint_sources",
-    "lint_file",
     "lint_tree",
     "package_root",
 ]
@@ -154,13 +148,23 @@ def _run_rules(
     return diagnostics, rule_timings
 
 
-def _lint_program(
+def lint_sources(
     sources: Mapping[str, str],
     *,
-    config: LintConfig,
-    rules: Sequence[Rule],
+    config: Optional[LintConfig] = None,
+    rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
-    """Shared core: parse → symbols+callgraph → rules, with timings."""
+    """Lint in-memory modules as one program: parse → symbols+callgraph →
+    rules, with timings.
+
+    ``sources`` maps package-relative paths (which fix each module's
+    layer) to source text; the inter-procedural rules see imports/calls
+    between them.  A syntax error is itself reported as a diagnostic (rule
+    ``PARSE``) rather than raised — a tree that does not parse must fail
+    the lint gate, not crash it.
+    """
+    config = config or default_config()
+    rules = list(rules) if rules is not None else all_rules()
     timings: Dict[str, float] = {}
 
     started = time.perf_counter()
@@ -197,53 +201,6 @@ def _lint_program(
     )
 
 
-def lint_sources(
-    sources: Mapping[str, str],
-    *,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Diagnostic]:
-    """Lint several in-memory modules as one program.
-
-    ``sources`` maps package-relative paths to source text; the
-    inter-procedural rules see imports/calls between them.  This is the
-    fixture entry point for the SIM/RNG1xx/EXA families.
-    """
-    config = config or default_config()
-    rules = list(rules) if rules is not None else all_rules()
-    return _lint_program(sources, config=config, rules=rules).diagnostics
-
-
-def lint_source(
-    source: str,
-    relpath: str,
-    *,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Diagnostic]:
-    """Lint one module given as text; ``relpath`` fixes its layer.
-
-    A syntax error is itself reported as a diagnostic (rule ``PARSE``)
-    rather than raised — a tree that does not parse must fail the lint
-    gate, not crash it.  Whole-program rules run against the one-module
-    program (cross-module edges simply do not exist).
-    """
-    return lint_sources({relpath: source}, config=config, rules=rules)
-
-
-def lint_file(
-    path: str,
-    relpath: str,
-    *,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Diagnostic]:
-    """Lint one on-disk file; ``relpath`` is its package-relative path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, relpath, config=config, rules=rules)
-
-
 def _python_files(root: str) -> Iterable[str]:
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
@@ -263,14 +220,12 @@ def lint_tree(
     ``root`` is the directory of the package itself (e.g. ``src/repro``);
     layers are resolved from paths relative to it.
     """
-    config = config or default_config()
-    rules = list(rules) if rules is not None else all_rules()
     sources: Dict[str, str] = {}
     for path in _python_files(root):
         relpath = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as handle:
             sources[relpath] = handle.read()
-    return _lint_program(sources, config=config, rules=rules)
+    return lint_sources(sources, config=config, rules=rules)
 
 
 def package_root() -> str:

@@ -342,9 +342,6 @@ class SymbolTable:
     def class_of(self, dotted: str) -> Optional[ClassInfo]:
         return self.classes.get(self.canonical(dotted))
 
-    def module_of_function(self, fn: FunctionInfo) -> ModuleInfo:
-        return self.modules[fn.module]
-
     def sorted_functions(self) -> List[FunctionInfo]:
         """Deterministic iteration order for fixed-point passes."""
         return [self.functions[q] for q in sorted(self.functions)]

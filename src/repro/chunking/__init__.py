@@ -25,7 +25,6 @@ from .hybrid import HybridChunker
 from .outliers import (
     apply_outlier_rows,
     norm_fraction_outliers,
-    norm_threshold_outliers,
 )
 from .random_chunker import RandomChunker
 from .round_robin import RoundRobinChunker
@@ -43,7 +42,6 @@ __all__ = [
     "HybridChunker",
     "apply_outlier_rows",
     "norm_fraction_outliers",
-    "norm_threshold_outliers",
     "RandomChunker",
     "RoundRobinChunker",
     "SRTreeChunker",

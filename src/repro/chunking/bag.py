@@ -20,8 +20,9 @@ Algorithm (one *pass* = the paper's "step"):
    paper) of that average is destroyed, its descriptors re-entering as
    zero-radius singletons.
 4. When the cluster count falls below a user threshold the algorithm
-   stops; clusters that are still too small are destroyed and their
-   descriptors become **outliers**.
+   stops; clusters holding fewer than :data:`FINAL_OUTLIER_FRACTION` of
+   the average population are destroyed and their descriptors become
+   **outliers**.
 
 Fidelity notes
 --------------
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +52,11 @@ from ..core.chunk import Chunk, ChunkSet
 from ..core.dataset import DescriptorCollection
 from .base import Chunker, ChunkingResult
 
-__all__ = ["BagClusterer", "BagSnapshot", "estimate_mpi"]
+__all__ = ["BagClusterer", "BagSnapshot", "FINAL_OUTLIER_FRACTION", "estimate_mpi"]
+
+#: Final destruction threshold, as a fraction of the mean cluster
+#: population; descriptors of destroyed clusters become outliers.
+FINAL_OUTLIER_FRACTION = 0.2
 
 
 def estimate_mpi(
@@ -117,18 +122,10 @@ class BagClusterer(Chunker):
     destroy_fraction:
         Per-pass destruction threshold as a fraction of the mean cluster
         population (0.2 in the paper).
-    final_outlier_fraction:
-        Final destruction threshold; descriptors of destroyed clusters
-        become outliers.
     candidate_checks:
         How many nearest clusters are tested as merge partners per scan.
     max_passes:
         Safety bound on the pass loop.
-    partner_ranking:
-        How merge partners are ordered: ``"centroid"`` (default) ranks by
-        centroid distance, merging locally; ``"surface"`` ranks by
-        ``d(centroids) - radius`` which favors large inflated clusters and
-        produces much more aggressive absorption dynamics.
     """
 
     name = "BAG"
@@ -138,10 +135,8 @@ class BagClusterer(Chunker):
         mpi: float,
         target_clusters: int,
         destroy_fraction: float = 0.2,
-        final_outlier_fraction: float = 0.2,
         candidate_checks: int = 4,
         max_passes: int = 200,
-        partner_ranking: str = "centroid",
     ):
         if mpi <= 0:
             raise ValueError(f"MPI must be positive, got {mpi}")
@@ -149,19 +144,13 @@ class BagClusterer(Chunker):
             raise ValueError("target cluster count must be at least 1")
         if not 0.0 <= destroy_fraction < 1.0:
             raise ValueError("destroy_fraction must be in [0, 1)")
-        if not 0.0 <= final_outlier_fraction < 1.0:
-            raise ValueError("final_outlier_fraction must be in [0, 1)")
         if candidate_checks < 1:
             raise ValueError("candidate_checks must be at least 1")
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
-        if partner_ranking not in ("centroid", "surface"):
-            raise ValueError(f"unknown partner_ranking {partner_ranking!r}")
-        self.partner_ranking = partner_ranking
         self.mpi = float(mpi)
         self.target_clusters = int(target_clusters)
         self.destroy_fraction = float(destroy_fraction)
-        self.final_outlier_fraction = float(final_outlier_fraction)
         self.candidate_checks = int(candidate_checks)
         self.max_passes = int(max_passes)
 
@@ -251,7 +240,7 @@ class BagClusterer(Chunker):
         """
         sizes = np.asarray([rows.size for rows in snapshot.rows_per_cluster])
         mean_size = sizes.mean()
-        keep_cluster = sizes >= self.final_outlier_fraction * mean_size
+        keep_cluster = sizes >= FINAL_OUTLIER_FRACTION * mean_size
         if not keep_cluster.any():
             raise RuntimeError("final outlier removal destroyed every cluster")
 
@@ -319,25 +308,23 @@ class BagClusterer(Chunker):
             return clusters
 
         centroids = np.stack([c.centroid for c in clusters]).astype(np.float32)
-        radii = np.asarray([c.radius for c in clusters], dtype=np.float64)
         sizes = np.asarray([c.size for c in clusters], dtype=np.int64)
         alive = np.ones(m, dtype=bool)
         acted = np.zeros(m, dtype=bool)  # analyzed this pass (merged or incremented)
         live_count = m
-        candidates = self._surface_candidates(centroids, radii)
+        candidates = self._nearest_candidates(centroids)
 
         for i in range(m):
             if not alive[i] or acted[i]:
                 continue
             merged_into = None
-            for j in self._iter_partners(i, candidates[i], alive, centroids, radii):
+            for j in self._iter_partners(i, candidates[i], alive, centroids):
                 merged = self._try_merge(clusters[i], clusters[j], vectors)
                 if merged is not None:
                     merged_into = j
                     break
             if merged_into is None:
                 clusters[i].radius += self.mpi
-                radii[i] += self.mpi
                 acted[i] = True
                 continue
             # Store the merged cluster at the larger side's slot; it stays
@@ -348,7 +335,6 @@ class BagClusterer(Chunker):
             alive[drop] = False
             acted[keep] = True
             centroids[keep] = merged.centroid.astype(np.float32)
-            radii[keep] = merged.radius
             sizes[keep] = merged.size
             live_count -= 1
             if on_change is not None:
@@ -359,38 +345,24 @@ class BagClusterer(Chunker):
 
         return [clusters[i] for i in range(m) if alive[i]]
 
-    def _surface_candidates(
-        self, centroids: np.ndarray, radii: np.ndarray
-    ) -> np.ndarray:
-        """``(m, K)`` merge-candidate lists, best first.
-
-        With ``partner_ranking="centroid"`` candidates are the nearest
+    def _nearest_candidates(self, centroids: np.ndarray) -> np.ndarray:
+        """``(m, K)`` merge-candidate lists, best first: the nearest
         centroids — merges stay local, matching an exhaustive scan that
-        prefers the partner minimizing the merged radius.  With
-        ``"surface"`` the score is ``d(c_i, c_j) - r_j``: a partner with a
-        large (possibly MPI-inflated) radius tolerates a larger merged
-        radius, so absorption by big clusters is strongly favored.
-        """
+        prefers the partner minimizing the merged radius."""
         m = centroids.shape[0]
         k = min(self.candidate_checks, m - 1)
         out = np.empty((m, k), dtype=np.intp)
         block = max(1, int(2_000_000 // max(m, 1)))
         sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-        use_surface = self.partner_ranking == "surface"
-        radii32 = radii.astype(np.float32)
         for start in range(0, m, block):
             stop = min(start + block, m)
             cross = centroids[start:stop] @ centroids.T
             d2 = sq_norms[np.newaxis, :] - 2.0 * cross + sq_norms[start:stop, np.newaxis]
             np.maximum(d2, 0.0, out=d2)
-            if use_surface:
-                score = np.sqrt(d2) - radii32[np.newaxis, :]
-            else:
-                score = d2
             rows = np.arange(start, stop)
-            score[rows - start, rows] = np.inf
-            part = np.argpartition(score, k - 1, axis=1)[:, :k]
-            part_s = np.take_along_axis(score, part, axis=1)
+            d2[rows - start, rows] = np.inf
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            part_s = np.take_along_axis(d2, part, axis=1)
             order = np.argsort(part_s, axis=1, kind="stable")
             out[start:stop] = np.take_along_axis(part, order, axis=1)
         return out
@@ -401,10 +373,9 @@ class BagClusterer(Chunker):
         candidate_row: np.ndarray,
         alive: np.ndarray,
         centroids: np.ndarray,
-        radii: np.ndarray,
-    ):
+    ) -> Iterator[int]:
         """Yield partner candidates for cluster ``i``: the precomputed
-        surface-nearest ones first, then (if all were consumed by earlier
+        nearest ones first, then (if all were consumed by earlier
         merges) the current best recomputed fresh."""
         yielded = 0
         for j in candidate_row:
@@ -419,8 +390,6 @@ class BagClusterer(Chunker):
             return
         diffs = centroids[usable].astype(np.float64) - centroids[i].astype(np.float64)
         score = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        if self.partner_ranking == "surface":
-            score -= radii[usable]
         yield int(np.flatnonzero(usable)[int(np.argmin(score))])
 
     def _try_merge(

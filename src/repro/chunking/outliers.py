@@ -1,4 +1,4 @@
-"""Standalone outlier filters.
+"""Standalone outlier filter.
 
 The paper removes outliers with BAG itself (small final clusters), but
 notes an alternative it validated for the SR-tree path: "we tested another
@@ -6,9 +6,10 @@ simpler outlier removal scheme for the SR-tree, namely removing all
 descriptors with total length greater than a constant, and that method gave
 almost identical results" (section 5.2).
 
-Both filters return the row positions to discard; callers mask the
-collection before chunking.  The outlier-handling ablation benchmark
-compares the two schemes end to end.
+:func:`norm_fraction_outliers` is that scheme with the constant calibrated
+to a target fraction; it returns the row positions to discard and callers
+mask the collection before chunking.  The outlier-handling ablation
+benchmark compares it with BAG's own removal end to end.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ import numpy as np
 
 from ..core.dataset import DescriptorCollection
 
-__all__ = ["norm_threshold_outliers", "norm_fraction_outliers", "apply_outlier_rows"]
-
-
-def norm_threshold_outliers(
-    collection: DescriptorCollection, max_norm: float
-) -> np.ndarray:
-    """Rows whose descriptor norm exceeds ``max_norm`` (the paper's simple
-    scheme: "removing all descriptors with total length greater than a
-    constant").  Returns sorted row indices, dtype intp."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    return np.flatnonzero(collection.norms() > max_norm)
+__all__ = ["norm_fraction_outliers", "apply_outlier_rows"]
 
 
 def norm_fraction_outliers(

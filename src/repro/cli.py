@@ -192,10 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="approximation budget in chunks (0 = exact)",
     )
     batch.add_argument(
-        "--compare-sequential", action="store_true",
-        help="also time the per-query loop and report the speedup",
-    )
-    batch.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
         help=(
             "enable the simulated cross-query chunk cache with this "
@@ -558,16 +554,6 @@ def _cmd_batch_search(args: argparse.Namespace) -> int:
             f"  wall clock:         {batch_wall_s:.3f} s "
             f"({len(batch) / batch_wall_s:.1f} queries/s)"
         )
-        if args.compare_sequential:
-            start = time.perf_counter()
-            for row in range(n):
-                system.find_similar_descriptors(queries[row], k=args.k, exact=exact)
-            sequential_wall_s = time.perf_counter() - start
-            print(
-                f"  sequential loop:    {sequential_wall_s:.3f} s "
-                f"({n / sequential_wall_s:.1f} queries/s)"
-            )
-            print(f"  batch speedup:      {sequential_wall_s / batch_wall_s:.2f}x")
     return 0
 
 

@@ -18,7 +18,6 @@ from .approx_rules import (
     DistanceDistribution,
     EpsilonApproximation,
     PacApproximation,
-    estimate_epsilon,
 )
 from .chunk import Chunk, ChunkMeta, ChunkSet
 from .chunk_index import ChunkIndex, build_chunk_index
@@ -72,7 +71,6 @@ __all__ = [
     "DistanceDistribution",
     "EpsilonApproximation",
     "PacApproximation",
-    "estimate_epsilon",
     "ChunkIndexMaintainer",
     "ChunkSnapshot",
     "ChunkSummary",

@@ -13,10 +13,10 @@ budget":
   estimated probability that a remaining descriptor beats the relaxed
   bound falls below ``delta``.  The probability comes from a sampled
   distance distribution collected at index build time.
-* **VA-BND** (Weber & Böhm, EDBT 2000): the same relaxation with
-  ``epsilon`` *estimated empirically* by sampling database vectors rather
-  than set by the user; :func:`estimate_epsilon` implements that
-  estimator and feeds the rule.
+
+VA-BND (Weber & Böhm, EDBT 2000) uses the same relaxation with
+``epsilon`` estimated by sampling database vectors; no estimator is
+shipped here, so :class:`EpsilonApproximation` takes a user-set value.
 
 These integrate with the chunk search as ordinary
 :class:`~repro.core.stop_rules.StopRule` objects, consuming the
@@ -41,7 +41,6 @@ __all__ = [
     "EpsilonApproximation",
     "PacApproximation",
     "DistanceDistribution",
-    "estimate_epsilon",
 ]
 
 
@@ -206,38 +205,3 @@ class PacApproximation(StopRule):
             f"PacApproximation(epsilon={self.epsilon!r}, delta={self.delta!r}, "
             f"total={self.total_descriptors})"
         )
-
-
-# repro: approximate
-def estimate_epsilon(
-    collection: DescriptorCollection,
-    k: int,
-    n_query_samples: int = 20,
-    quantile: float = 0.9,
-    seed: int = 0,
-) -> float:
-    """VA-BND's empirical epsilon: sample database vectors as queries and
-    measure how much the k-th distance typically shrinks between an early
-    candidate set and the true answer.
-
-    Concretely: for sampled queries, compare the k-th distance among a
-    random 10 % candidate subset with the true k-th distance, and return
-    the ``quantile`` of the relative slack — a data-driven relaxation
-    factor such that stopping early rarely misses by more.
-    """
-    if len(collection) < 10 * k:
-        raise ValueError("collection too small to estimate epsilon")
-    rng = np.random.default_rng(seed)
-    n = len(collection)
-    slacks = []
-    for _ in range(n_query_samples):
-        query = collection.vectors[rng.integers(n)].astype(np.float64)
-        d = np.sqrt(squared_distances(query, collection.vectors))
-        true_kth = np.partition(d, k)[k]
-        subset = rng.choice(n, size=max(k + 1, n // 10), replace=False)
-        early_kth = np.partition(d[subset], k)[k]
-        if true_kth > 0:
-            slacks.append(early_kth / true_kth - 1.0)
-    if not slacks:
-        return 0.0
-    return float(max(0.0, np.quantile(slacks, quantile)))

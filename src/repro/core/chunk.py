@@ -241,10 +241,6 @@ class ChunkSet:
             return False
         return bool(np.array_equal(np.sort(seen), np.arange(len(self.collection))))
 
-    def covered_rows(self) -> np.ndarray:
-        """Sorted unique rows (dtype intp) covered by any chunk."""
-        return np.unique(np.concatenate([c.member_rows for c in self.chunks]))
-
     def validate(self) -> None:
         """Raise ``ValueError`` on any violated chunk invariant."""
         all_rows = np.concatenate([c.member_rows for c in self.chunks])

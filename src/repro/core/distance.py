@@ -4,11 +4,13 @@ All similarity in the reproduced paper is plain Euclidean distance in the
 24-dimensional descriptor space (paper section 4.1: "similarity between
 images is implemented as a nearest-neighbors search in a Euclidean space").
 
-The kernels here are the hot path of the whole system: both the sequential
-scan used for ground truth and the per-chunk scan of the approximate search
-funnel through :func:`euclidean_distances`.  They are written as blockwise
-NumPy so that collections far larger than the CPU cache can be scanned
-without materializing an ``n_queries x n_points`` matrix.
+Two kernels carry the hot path.  :func:`pairwise_squared_distances` (the
+expanded ``|q|^2 - 2 q.p + |p|^2`` form, one BLAS product per block) ranks
+chunks, scans every chunk the search reads and computes batched ground
+truth; :func:`squared_distances` (the direct ``(p - q)^2`` form) serves the
+one-query sequential scan and the chunk radii.  Both are blockwise NumPy,
+so collections far larger than the CPU cache are scanned without
+materializing an ``n_queries x n_points`` matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import numpy as np
 
 __all__ = [
     "squared_distances",
-    "euclidean_distances",
     "pairwise_squared_distances",
     "cell_squared_gaps",
     "top_k_smallest",
-    "nearest_index",
 ]
 
 #: Block size (rows of the point matrix) used by the blockwise kernels.  At
@@ -80,12 +80,6 @@ def squared_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
         diff = points[start:stop].astype(np.float64) - query
         np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
     return out
-
-
-# repro: exact
-def euclidean_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean distances from one query vector to many points (float64)."""
-    return np.sqrt(squared_distances(query, points))
 
 
 # repro: exact
@@ -186,9 +180,3 @@ def top_k_smallest(values: np.ndarray, k: int) -> np.ndarray:
     # not on the per-chunk hot path (NeighborSet is), so O(n log n) is fine.
     return np.argsort(values, kind="stable")[:k]
 
-
-# repro: exact
-def nearest_index(query: np.ndarray, points: np.ndarray) -> int:
-    """Index of the single nearest point to ``query`` (ties -> lowest index)."""
-    d = squared_distances(query, points)
-    return int(np.argmin(d))

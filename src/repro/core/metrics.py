@@ -252,11 +252,6 @@ class SloStats:
     mean_latency_s: float
     mean_recall: float
 
-    @property
-    def served_fraction(self) -> float:
-        """Complement of ``shed_fraction``."""
-        return self.n_served / self.n_requests if self.n_requests else 0.0
-
 
 def slo_stats(
     outcomes: Sequence[str],

@@ -181,12 +181,6 @@ class NeighborSet:
                 admitted += 1
         return admitted
 
-    # repro: exact
-    def merge(self, other: "NeighborSet") -> None:
-        """Fold another neighbor set into this one."""
-        for neighbor in other.sorted():
-            self.offer(neighbor.distance, neighbor.descriptor_id)
-
     # -- set-style helpers ----------------------------------------------------
 
     def id_set(self) -> set:

@@ -25,7 +25,7 @@ from . import (
 from .checkpoint import SweepCheckpoint
 from .chunk_size_sweep import run_fig6, run_fig7
 from .config import DEFAULT_SCALE, SIZE_CLASSES, TEST_SCALE, ExperimentScale, get_scale
-from .data import BuiltIndex, ExperimentData, clear_cache, prepare
+from .data import BuiltIndex, ExperimentData, prepare
 from .quality_figures import run_fig2, run_fig3, run_fig4, run_fig5
 from .results import FigureResult, GridResult, TableResult
 
@@ -53,7 +53,6 @@ __all__ = [
     "get_scale",
     "BuiltIndex",
     "ExperimentData",
-    "clear_cache",
     "prepare",
     "FigureResult",
     "GridResult",

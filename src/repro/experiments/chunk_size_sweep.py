@@ -23,6 +23,7 @@ from ..core.chunk_index import build_chunk_index
 from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
 from .checkpoint import SweepCheckpoint
+from .config import ExperimentScale
 from .data import ExperimentData
 from .results import FigureResult
 
@@ -32,7 +33,7 @@ __all__ = ["run_fig6", "run_fig7", "sweep_traces", "NEIGHBOR_TARGETS"]
 NEIGHBOR_TARGETS = (1, 10, 20, 25, 28, 30)
 
 #: Per-scale cache of sweep traces: {scale: {(leaf, workload): traces}}.
-_SWEEP_CACHE: Dict[str, Dict[Tuple[int, str], List[SearchTrace]]] = {}
+_SWEEP_CACHE: Dict[ExperimentScale, Dict[Tuple[int, str], List[SearchTrace]]] = {}
 
 
 def sweep_traces(
@@ -44,7 +45,7 @@ def sweep_traces(
     uses the 4,471,532 retained descriptors) and the first
     ``n_queries_sweep`` queries of the main workloads.
     """
-    cache = _SWEEP_CACHE.setdefault(data.scale.name, {})
+    cache = _SWEEP_CACHE.setdefault(data.scale, {})
     key = (leaf_capacity, workload_name)
     if key not in cache:
         retained = data.retained("SMALL")

@@ -89,8 +89,6 @@ class ExperimentScale:
     bag_threshold_fractions:
         BAG termination thresholds for (SMALL, MEDIUM, LARGE), as fractions
         of the collection size; descending chunk counts.
-    mpi_factor:
-        Factor handed to :func:`repro.chunking.estimate_mpi`.
     n_queries:
         Queries per workload (the paper uses 1,000).
     n_queries_sweep:
@@ -108,7 +106,6 @@ class ExperimentScale:
     name: str
     synthetic: SyntheticImageConfig
     bag_threshold_fractions: Tuple[float, float, float] = (0.11, 0.085, 0.065)
-    mpi_factor: float = 0.5
     n_queries: int = 150
     n_queries_sweep: int = 60
     k: int = 30

@@ -34,10 +34,13 @@ from ..workloads.queries import Workload, dataset_queries, space_queries
 from ..workloads.synthetic import generate_collection
 from .config import SIZE_CLASSES, ExperimentScale
 
-__all__ = ["BuiltIndex", "ExperimentData", "prepare", "clear_cache"]
+__all__ = ["BuiltIndex", "ExperimentData", "prepare"]
 
 #: The two chunk-forming families under comparison.
 FAMILIES = ("BAG", "SR")
+
+#: Factor handed to :func:`~repro.chunking.bag.estimate_mpi`.
+MPI_FACTOR = 0.5
 
 
 @dataclasses.dataclass
@@ -159,12 +162,16 @@ def _build_six_indexes(
 
 
 def prepare(scale: ExperimentScale) -> ExperimentData:
-    """Run the full data-preparation pipeline for one scale (cached)."""
-    if scale.name in _CACHE:
-        return _CACHE[scale.name]
+    """Run the full data-preparation pipeline for one scale (cached).
+
+    The cache is keyed by the whole frozen scale, so a
+    ``dataclasses.replace`` variant of a named scale is prepared afresh.
+    """
+    if scale in _CACHE:
+        return _CACHE[scale]
 
     collection = generate_collection(scale.synthetic)
-    mpi = estimate_mpi(collection, factor=scale.mpi_factor, seed=scale.synthetic.seed)
+    mpi = estimate_mpi(collection, factor=MPI_FACTOR, seed=scale.synthetic.seed)
     indexes = _build_six_indexes(scale, collection, mpi)
 
     workloads = {
@@ -188,13 +195,8 @@ def prepare(scale: ExperimentScale) -> ExperimentData:
         workloads=workloads,
         ground_truths=ground_truths,
     )
-    _CACHE[scale.name] = data
+    _CACHE[scale] = data
     return data
 
 
-_CACHE: Dict[str, ExperimentData] = {}
-
-
-def clear_cache() -> None:
-    """Drop all cached experiment data (tests use this for isolation)."""
-    _CACHE.clear()
+_CACHE: Dict[ExperimentScale, ExperimentData] = {}

@@ -71,6 +71,9 @@ _STREAM_DELETES = 12
 _STREAM_QUERIES = 13
 _STREAM_CRASH_SCHEDULE = 14
 
+#: MaxChunks budget of the interleaved queries, as a fraction of chunks.
+BUDGET_FRACTION = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class IngestSimConfig:
@@ -80,9 +83,7 @@ class IngestSimConfig:
     batch_ops: int = 24  #: operations per WAL batch (group-commit unit)
     delete_fraction: float = 0.15  #: deletes per step, as a fraction of inserts
     n_queries: int = 12  #: interleaved queries per step
-    budget_fraction: float = 0.5  #: MaxChunks budget as a fraction of chunks
     compact_every: int = 3  #: checkpoint (compaction) period, in steps
-    rebuild_step: Optional[int] = None  #: step of the base rebuild (None = midpoint)
     n_crashes: int = 0  #: seeded kills injected across the whole run
     leaf_capacity: int = 48  #: SR-tree leaf capacity of the base build
 
@@ -95,8 +96,6 @@ class IngestSimConfig:
             raise ValueError("delete fraction must lie in [0, 1)")
         if self.n_queries < 1:
             raise ValueError("need at least one query per step")
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ValueError("budget fraction must lie in (0, 1]")
         if self.compact_every < 1:
             raise ValueError("compaction period must be positive")
         if self.n_crashes < 0:
@@ -297,9 +296,7 @@ def simulate(
     from ..storage.wal import delete_op, insert_op
 
     next_id_offset = int(collection.ids.max()) + 1  # deleted-then-reborn ids stay unique
-    rebuild_step = (
-        cfg.rebuild_step if cfg.rebuild_step is not None else (cfg.steps + 1) // 2
-    )
+    rebuild_step = (cfg.steps + 1) // 2  # one base rebuild, at the midpoint
     per_step = -(-stream_rows.size // cfg.steps)
     rows_series: List[Dict[str, Any]] = []
     cursor = 0
@@ -345,7 +342,7 @@ def simulate(
         query_rows = query_rng.choice(len(live), size=cfg.n_queries, replace=False)
         queries = live.vectors[np.sort(query_rows)].astype(np.float64)
         truth = exact_knn_batch(live, queries, scale.k)
-        budget = max(1, int(round(cfg.budget_fraction * searchable.n_chunks)))
+        budget = max(1, int(round(BUDGET_FRACTION * searchable.n_chunks)))
         cost_model = dataclasses.replace(
             scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
         )
@@ -393,7 +390,7 @@ def simulate(
             "batch_ops": cfg.batch_ops,
             "delete_fraction": cfg.delete_fraction,
             "n_queries": cfg.n_queries,
-            "budget_fraction": cfg.budget_fraction,
+            "budget_fraction": BUDGET_FRACTION,
             "compact_every": cfg.compact_every,
             "rebuild_step": rebuild_step,
             "n_crashes": cfg.n_crashes,

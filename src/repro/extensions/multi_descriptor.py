@@ -65,8 +65,8 @@ class MultiDescriptorSearcher:
     ) -> List[ImageMatch]:
         """Rank database images against a query image's descriptor set.
 
-        Returns at most ``top_images`` matches ordered by (votes desc,
-        image id asc).
+        Returns at most ``top_images`` (at least 1) matches ordered by
+        (votes desc, image id asc).
 
         ``max_match_distance``, when given, makes voting *verified*: a
         retrieved descriptor only votes if its distance is within the
@@ -75,6 +75,8 @@ class MultiDescriptorSearcher:
         unrelated but popular images — fine for ranking, wrong for
         duplicate *detection*.
         """
+        if top_images < 1:
+            raise ValueError(f"top_images must be at least 1, got {top_images}")
         query_descriptors = np.asarray(query_descriptors, dtype=np.float64)
         if query_descriptors.ndim == 1:
             query_descriptors = query_descriptors[np.newaxis, :]

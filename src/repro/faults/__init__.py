@@ -21,7 +21,7 @@ from .crash_plan import (
     RecordingCrashPlan,
     seeded_crash_steps,
 )
-from .injector import FaultInjector, FaultyFile, InjectedFaultError
+from .injector import FaultInjector
 from .shard_plan import SHARD_OK, ShardFaultPlan, ShardSubFault
 from .plan import (
     FAILURE_KINDS,
@@ -46,8 +46,6 @@ __all__ = [
     "ShardSubFault",
     "SHARD_OK",
     "FaultInjector",
-    "FaultyFile",
-    "InjectedFaultError",
     "ChunkFaultOutcome",
     "OK_OUTCOME",
     "FAULT_NONE",

@@ -1,53 +1,26 @@
-"""Fault injection wrappers around the storage readers and the disk model.
+"""Fault injection bound to the disk model.
 
-Two injection surfaces, matching the two layers at which a production
-search system meets broken storage:
-
-* :class:`FaultInjector` — the *search-level* surface.  It binds a
-  :class:`~repro.faults.plan.FaultPlan` to a
-  :class:`~repro.simio.disk_model.DiskModel` so that each decision also
-  carries its simulated time charge (failed attempts pay the chunk's
-  uncached random-read cost; spikes pay ``spike_s``; backoff delays come
-  from the plan).  The searchers consult it per ``(query, chunk)`` and
-  the injected latency flows through the per-query
-  :class:`~repro.simio.pipeline.PipelineSimulator` timeline.
-
-* :class:`FaultyFile` — the *storage-level* surface.  A read-only
-  file wrapper that damages raw bytes per disk page (bit flips,
-  truncations, injected I/O errors), deterministically from the same
-  plan.  Wrapping a real chunk file with it exercises the on-disk
-  checksum path end to end: flipped bits must surface as
-  :class:`~repro.storage.errors.ChecksumError`, not as silently wrong
-  neighbors.
+:class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan` to a
+:class:`~repro.simio.disk_model.DiskModel` so that each decision also
+carries its simulated time charge (failed attempts pay the chunk's
+uncached random-read cost; spikes pay ``spike_s``; backoff delays come
+from the plan).  The searchers consult it per ``(query, chunk)`` and the
+injected latency flows through the per-query
+:class:`~repro.simio.pipeline.PipelineSimulator` timeline.  Real on-disk
+damage is not injected here: the chunk readers' checksums turn it into
+:class:`~repro.storage.errors.CorruptFileError`, which the searchers report
+through :meth:`FaultInjector.outcome` as ``readable=False``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import BinaryIO, Dict
+from typing import Dict
 
 from ..simio.disk_model import DiskModel
 from ..simio.pipeline import CostModel
-from ..storage.errors import CorruptFileError
-from ..storage.pages import DEFAULT_PAGE_BYTES
-from .plan import (
-    FAULT_CORRUPT,
-    FAULT_READ_ERROR,
-    FAULT_TRUNCATE,
-    ChunkFaultOutcome,
-    FaultPlan,
-)
+from .plan import ChunkFaultOutcome, FaultPlan
 
-__all__ = ["FaultInjector", "FaultyFile", "InjectedFaultError"]
-
-
-class InjectedFaultError(CorruptFileError):
-    """A fault injected by a :class:`FaultyFile` read.
-
-    Subclasses :class:`~repro.storage.errors.CorruptFileError` so the
-    degraded-execution retry/skip policy treats injected and real
-    storage failures identically.
-    """
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -99,76 +72,3 @@ class FaultInjector:
         return self.plan.chunk_outcome(
             query_id, chunk_id, self.attempt_io_s(page_count), readable=readable
         )
-
-
-class FaultyFile:
-    """Read-only binary-file wrapper injecting byte-level damage.
-
-    Every read is resolved page by page against the plan's per-page
-    draws: a ``read-error`` page raises :class:`InjectedFaultError`, a
-    ``corrupt`` page gets one deterministic bit flipped, a ``truncate``
-    page cuts the stream short at a deterministic offset.  Decisions are
-    keyed by absolute page number only, so the same file position always
-    fails the same way — a persistent-media model, as a real bad sector
-    behaves.
-
-    Intended use: ``ChunkFileReader(FaultyFile(open(path, "rb"), plan),
-    dims)`` in tests and fault drills; the reader's checksum layer must
-    convert silent bit flips into typed errors.
-    """
-
-    def __init__(
-        self,
-        raw: BinaryIO,
-        plan: FaultPlan,
-        page_bytes: int = DEFAULT_PAGE_BYTES,
-    ):
-        if page_bytes <= 0:
-            raise ValueError("page size must be positive")
-        self._raw = raw
-        self._plan = plan
-        self._page_bytes = int(page_bytes)
-
-    # -- BinaryIO surface (the subset the readers use) -----------------------
-
-    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
-        return self._raw.seek(offset, whence)
-
-    def tell(self) -> int:
-        return self._raw.tell()
-
-    def read(self, n: int = -1) -> bytes:
-        start = self._raw.tell()
-        data = self._raw.read(n)
-        if not data:
-            return data
-        out = bytearray(data)
-        first_page = start // self._page_bytes
-        last_page = (start + len(out) - 1) // self._page_bytes
-        for page in range(first_page, last_page + 1):
-            kind, detail = self._plan.page_fault(page)
-            page_start = max(0, page * self._page_bytes - start)
-            if kind == FAULT_READ_ERROR:
-                raise InjectedFaultError(
-                    f"injected read error at page {page} "
-                    f"(byte offset {page * self._page_bytes})"
-                )
-            if kind == FAULT_CORRUPT:
-                span = min(len(out) - page_start, self._page_bytes)
-                bit = detail % (span * 8)
-                out[page_start + bit // 8] ^= 1 << (bit % 8)
-            elif kind == FAULT_TRUNCATE:
-                span = min(len(out) - page_start, self._page_bytes)
-                cut = page_start + (detail % max(span, 1))
-                del out[cut:]
-                return bytes(out)
-        return bytes(out)
-
-    def close(self) -> None:
-        self._raw.close()
-
-    def __enter__(self) -> "FaultyFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

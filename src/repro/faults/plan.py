@@ -28,7 +28,7 @@ skipped chunk pays all ``max_retries + 1`` failed reads.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -61,10 +61,8 @@ FAILURE_KINDS = (FAULT_READ_ERROR, FAULT_CORRUPT, FAULT_TRUNCATE)
 #: Persistent kinds: drawn once, they fail every subsequent attempt.
 _PERSISTENT_KINDS = (FAULT_CORRUPT, FAULT_TRUNCATE)
 
-#: Stream tags keeping the per-(query, chunk) draws and the per-page byte
-#: draws (see :class:`~repro.faults.injector.FaultyFile`) independent.
+#: Stream tag of the per-(query, chunk) draws.
 _STREAM_CHUNK = 0
-_STREAM_PAGE = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,20 +232,6 @@ class FaultPlan:
         if u < edge:
             return FAULT_SPIKE
         return FAULT_NONE
-
-    # repro: exact
-    def page_fault(self, page: int) -> Tuple[str, int]:
-        """Byte-level decision for one disk page: ``(kind, detail)``.
-
-        ``detail`` is a deterministic auxiliary draw (bit position for
-        ``corrupt``, cut fraction in 1/65536ths for ``truncate``; 0
-        otherwise).  Used by the storage-level
-        :class:`~repro.faults.injector.FaultyFile` wrapper.
-        """
-        us = self.uniforms(_STREAM_PAGE, int(page), 0, 2)
-        kind = self._classify(float(us[0]))
-        detail = int(us[1] * 65536.0)
-        return kind, detail
 
     def backoff_delay_s(self, retry_index: int) -> float:
         """Backoff charged before 0-based retry ``retry_index``."""

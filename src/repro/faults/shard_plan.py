@@ -12,8 +12,8 @@ replays bit for bit.
 Fault taxonomy:
 
 * ``error`` — one sub-request (query x partition x shard x attempt)
-  fails fast: the shard detects the problem after ``error_detect_s`` of
-  occupancy and the coordinator fails over to the next replica.  Each
+  fails fast: the shard detects the problem after :data:`ERROR_DETECT_S`
+  of occupancy and the coordinator fails over to the next replica.  Each
   attempt re-draws independently, like transient chunk read errors.
 * ``straggler`` — the sub-request succeeds but its service time is
   multiplied by ``straggler_factor``; this is the tail the hedging
@@ -31,12 +31,16 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ShardSubFault", "ShardFaultPlan", "SHARD_OK"]
+__all__ = ["ShardSubFault", "ShardFaultPlan", "SHARD_OK", "ERROR_DETECT_S"]
 
 #: Stream tags keeping the per-sub-request draws and the per-shard
 #: outage-window draws independent of each other.
 _STREAM_SUB = 0
 _STREAM_OUTAGE = 1
+
+#: Simulated occupancy charged by one failed attempt (the time the shard
+#: needs to notice and report the failure).
+ERROR_DETECT_S = 0.005
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,9 +82,6 @@ class ShardFaultPlan:
         Per-attempt probability that a clean sub-request is stretched.
     straggler_factor:
         Service-time multiplier of a straggling sub-request (>= 1).
-    error_detect_s:
-        Simulated occupancy charged by one failed attempt (the time the
-        shard needs to notice and report the failure).
     outage_rate:
         Per-shard probability of one outage window within the horizon.
     outage_duration_s, horizon_s:
@@ -92,7 +93,6 @@ class ShardFaultPlan:
     error_rate: float = 0.0
     straggler_rate: float = 0.0
     straggler_factor: float = 4.0
-    error_detect_s: float = 0.005
     outage_rate: float = 0.0
     outage_duration_s: float = 0.0
     horizon_s: float = 0.0
@@ -110,8 +110,6 @@ class ShardFaultPlan:
             )
         if self.straggler_factor < 1.0:
             raise ValueError("straggler factor must be at least 1")
-        if self.error_detect_s < 0.0:
-            raise ValueError("error detection time cannot be negative")
         if self.outage_duration_s < 0.0 or self.horizon_s < 0.0:
             raise ValueError("outage duration and horizon cannot be negative")
         if self.outage_rate > 0.0 and (
@@ -196,7 +194,7 @@ class ShardFaultPlan:
         )
         if u < self.error_rate:
             return ShardSubFault(
-                failed=True, straggler=False, detect_s=self.error_detect_s
+                failed=True, straggler=False, detect_s=ERROR_DETECT_S
             )
         if u < self.error_rate + self.straggler_rate:
             return ShardSubFault(failed=False, straggler=True, detect_s=0.0)

@@ -29,12 +29,19 @@ from typing import List, Tuple
 
 from .request import QueryRequest
 
-__all__ = ["AdmissionController", "SHED_QUEUE_FULL", "SHED_PREDICTED_LATE"]
+__all__ = [
+    "AdmissionController",
+    "SERVICE_TIME_ALPHA",
+    "SHED_QUEUE_FULL",
+    "SHED_PREDICTED_LATE",
+]
 
 #: Shed reason: the bounded queue was at capacity.
 SHED_QUEUE_FULL = "queue-full"
 #: Shed reason: the wait estimate predicted a deadline miss.
 SHED_PREDICTED_LATE = "predicted-late"
+#: EWMA gain of the service-time estimate the query service runs with.
+SERVICE_TIME_ALPHA = 0.2
 
 
 class AdmissionController:
@@ -59,7 +66,7 @@ class AdmissionController:
         self,
         queue_capacity: int,
         initial_service_estimate_s: float,
-        alpha: float = 0.2,
+        alpha: float = SERVICE_TIME_ALPHA,
         shed_slack: float = 1.0,
     ):
         if queue_capacity < 1:

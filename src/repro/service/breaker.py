@@ -43,6 +43,8 @@ from ..faults.plan import FAILURE_KINDS, OK_OUTCOME, ChunkFaultOutcome
 __all__ = [
     "BREAKER_OPEN",
     "BREAKER_SKIP_OUTCOME",
+    "BREAKER_WINDOW",
+    "BREAKER_PROBE_SUCCESSES",
     "STATE_CLOSED",
     "STATE_OPEN",
     "STATE_HALF_OPEN",
@@ -61,6 +63,11 @@ BREAKER_OPEN = "breaker-open"
 BREAKER_SKIP_OUTCOME = ChunkFaultOutcome(
     ok=False, kind=BREAKER_OPEN, attempts=0, extra_io_s=0.0, spiked=False
 )
+
+#: Outcomes a closed breaker's rolling window holds, in both services.
+BREAKER_WINDOW = 16
+#: Consecutive half-open successes that close a breaker, in both services.
+BREAKER_PROBE_SUCCESSES = 2
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -163,10 +170,10 @@ class BreakerBoard:
         self,
         n_chunks: int,
         region_size: int,
-        window: int = 16,
+        window: int = BREAKER_WINDOW,
         failure_threshold: int = 4,
         cooldown_s: float = 1.0,
-        probe_successes: int = 2,
+        probe_successes: int = BREAKER_PROBE_SUCCESSES,
     ):
         if n_chunks < 1:
             raise ValueError("index must hold at least one chunk")

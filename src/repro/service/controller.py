@@ -31,7 +31,14 @@ from typing import Deque, List, Tuple
 
 from ..core.metrics import percentile
 
-__all__ = ["AdaptiveBudgetController"]
+__all__ = ["AdaptiveBudgetController", "INITIAL_CHUNK_BUDGET", "MIN_CHUNK_BUDGET"]
+
+#: The query service's starting budget: 0, the whole index — it starts
+#: from exact search and only degrades under pressure.
+INITIAL_CHUNK_BUDGET = 0
+#: The query service's floor: a chunk is the granule of the search, so
+#: one chunk is the worst legal answer.
+MIN_CHUNK_BUDGET = 1
 
 
 class AdaptiveBudgetController:

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..workloads.arrivals import poisson_arrival_times
+from .breaker import BREAKER_WINDOW
 
 __all__ = [
     "QueryRequest",
@@ -100,10 +101,8 @@ def validate_traffic_and_breakers(
     deadline_s: float,
     arrival_rate_qps: float,
     k: int,
-    breaker_window: int,
     breaker_failure_threshold: int,
     breaker_cooldown_s: float,
-    breaker_probe_successes: int,
 ) -> None:
     """The checks :class:`ServiceConfig` and the sharded service's config
     share: deadline, arrival stream, ``k`` and the breaker state machine."""
@@ -113,14 +112,12 @@ def validate_traffic_and_breakers(
         raise ValueError("arrival rate must be positive")
     if k < 1:
         raise ValueError("k must be positive")
-    if breaker_window < 1 or breaker_failure_threshold < 1:
+    if breaker_failure_threshold < 1:
         raise ValueError("breaker window/threshold must be positive")
-    if breaker_failure_threshold > breaker_window:
+    if breaker_failure_threshold > BREAKER_WINDOW:
         raise ValueError("breaker threshold cannot exceed its window")
     if breaker_cooldown_s <= 0:
         raise ValueError("breaker cooldown must be positive")
-    if breaker_probe_successes < 1:
-        raise ValueError("breaker probe successes must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,26 +177,18 @@ class ServiceConfig:
         Root seed of the arrival process.
     k:
         Neighbors per query.
-    initial_chunk_budget:
-        Starting per-query chunk budget (0 = the whole index, i.e. the
-        controller starts from exact search and only degrades under
-        pressure).
-    min_chunk_budget:
-        Floor the controller never shrinks below (>= 1: a chunk is the
-        granule of the search, so one chunk is the worst legal answer).
     adjust_every / latency_window / shrink_factor / grow_step / headroom:
         Controller cadence and gains; see
-        :class:`~repro.service.controller.AdaptiveBudgetController`.
+        :class:`~repro.service.controller.AdaptiveBudgetController` (the
+        budget starts at the whole index and never drops below one chunk).
     region_size:
         Chunks per circuit-breaker region.
-    breaker_window / breaker_failure_threshold / breaker_cooldown_s /
-    breaker_probe_successes:
+    breaker_failure_threshold / breaker_cooldown_s:
         Breaker state machine; see
-        :class:`~repro.service.breaker.BreakerBoard`.
-    service_time_alpha:
-        EWMA gain of the admission controller's service-time estimate.
+        :class:`~repro.service.breaker.BreakerBoard` (window and probe
+        count are that module's constants).
     initial_service_estimate_s:
-        Seed of that estimate (a calibration baseline such as the mean
+        Seed of the admission controller's service-time estimate (a calibration baseline such as the mean
         fault-free completion time); 0.0 falls back to ``deadline_s``,
         the pessimistic choice that sheds aggressively until real
         observations arrive.
@@ -218,8 +207,6 @@ class ServiceConfig:
     seed: int = 0
     k: int = 10
     # -- adaptive degradation controller
-    initial_chunk_budget: int = 0
-    min_chunk_budget: int = 1
     adjust_every: int = 8
     latency_window: int = 64
     shrink_factor: float = 0.7
@@ -227,12 +214,9 @@ class ServiceConfig:
     headroom: float = 0.6
     # -- circuit breakers
     region_size: int = 8
-    breaker_window: int = 16
     breaker_failure_threshold: int = 4
     breaker_cooldown_s: float = 1.0
-    breaker_probe_successes: int = 2
     # -- admission control
-    service_time_alpha: float = 0.2
     shed_slack: float = 1.0
     initial_service_estimate_s: float = 0.0
 
@@ -245,20 +229,14 @@ class ServiceConfig:
             deadline_s=self.deadline_s,
             arrival_rate_qps=self.arrival_rate_qps,
             k=self.k,
-            breaker_window=self.breaker_window,
             breaker_failure_threshold=self.breaker_failure_threshold,
             breaker_cooldown_s=self.breaker_cooldown_s,
-            breaker_probe_successes=self.breaker_probe_successes,
         )
         if self.target_p99_s <= 0 or self.target_p99_s > self.deadline_s:
             raise ValueError(
                 "target p99 must be positive and not exceed the deadline "
                 f"(got target {self.target_p99_s}, deadline {self.deadline_s})"
             )
-        if self.initial_chunk_budget < 0:
-            raise ValueError("initial chunk budget cannot be negative (0 = whole index)")
-        if self.min_chunk_budget < 1:
-            raise ValueError("minimum chunk budget must be at least 1")
         if self.adjust_every < 1 or self.latency_window < 1:
             raise ValueError("controller cadence parameters must be positive")
         if not 0.0 < self.shrink_factor < 1.0:
@@ -269,8 +247,6 @@ class ServiceConfig:
             raise ValueError("headroom must lie in (0, 1]")
         if self.region_size < 1:
             raise ValueError("region size must be positive")
-        if not 0.0 < self.service_time_alpha <= 1.0:
-            raise ValueError("service-time EWMA gain must lie in (0, 1]")
         if self.shed_slack <= 0:
             raise ValueError("shed slack must be positive")
         if self.initial_service_estimate_s < 0 or math.isnan(

@@ -65,11 +65,10 @@ class ShardServiceConfig:
         Minimum coverage fraction for a partial result to count as a
         quorum; below it the query is still answered (never an error
         page) but its stop reason says ``below-quorum``.
-    breaker_window / breaker_failure_threshold / breaker_cooldown_s /
-    breaker_probe_successes:
+    breaker_failure_threshold / breaker_cooldown_s:
         Per-shard circuit breakers (one region per shard), reusing the
         single-node :class:`~repro.service.breaker.RegionBreaker`
-        machinery.
+        machinery and its window / probe constants.
     """
 
     workers_per_shard: int = 1
@@ -81,10 +80,8 @@ class ShardServiceConfig:
     hedge_delay_s: float = 0.0
     quorum_coverage: float = 0.5
     # -- per-shard circuit breakers
-    breaker_window: int = 16
     breaker_failure_threshold: int = 4
     breaker_cooldown_s: float = 1.0
-    breaker_probe_successes: int = 2
 
     def __post_init__(self) -> None:
         if self.workers_per_shard < 1:
@@ -93,10 +90,8 @@ class ShardServiceConfig:
             deadline_s=self.deadline_s,
             arrival_rate_qps=self.arrival_rate_qps,
             k=self.k,
-            breaker_window=self.breaker_window,
             breaker_failure_threshold=self.breaker_failure_threshold,
             breaker_cooldown_s=self.breaker_cooldown_s,
-            breaker_probe_successes=self.breaker_probe_successes,
         )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

@@ -75,7 +75,7 @@ from ...core.metrics import (
 )
 from ...core.neighbors import Neighbor, merge_neighbor_lists
 from ...core.search import ChunkSearcher, SearchResult
-from ...faults.shard_plan import SHARD_OK, ShardFaultPlan
+from ...faults.shard_plan import ERROR_DETECT_S, SHARD_OK, ShardFaultPlan
 from ...simio.calibration import PAPER_2005_COST_MODEL
 from ...simio.pipeline import CostModel
 from ...simio.queueing import (
@@ -327,10 +327,8 @@ class ShardedQueryService:
         board = BreakerBoard(
             n_chunks=n_shards,
             region_size=1,
-            window=config.breaker_window,
             failure_threshold=config.breaker_failure_threshold,
             cooldown_s=config.breaker_cooldown_s,
-            probe_successes=config.breaker_probe_successes,
         )
         pools = [WorkerPool(config.workers_per_shard) for _ in range(n_shards)]
         # Sub-requests that completed successfully / failed, per shard.
@@ -371,7 +369,7 @@ class ShardedQueryService:
                 if faults is not None and (
                     faults.shard_down(shard_id, start_est) or sub_fault.failed
                 ):
-                    duration = faults.error_detect_s
+                    duration = ERROR_DETECT_S
                 else:
                     searcher = self._searchers[partition_id]
                     result = searcher.search(

@@ -58,7 +58,7 @@ from ..faults.injector import FaultInjector
 from ..simio.queueing import EVT_ARRIVAL, EVT_COMPLETION, EventQueue, WorkerPool
 from .admission import AdmissionController
 from .breaker import BREAKER_OPEN, BreakerBoard, BreakerGuardedInjector
-from .controller import AdaptiveBudgetController
+from .controller import INITIAL_CHUNK_BUDGET, MIN_CHUNK_BUDGET, AdaptiveBudgetController
 from .deadline import propagated_stop_rule
 from .request import (
     QueryRequest,
@@ -239,21 +239,18 @@ class QueryService:
             initial_service_estimate_s=(
                 config.initial_service_estimate_s or config.deadline_s
             ),
-            alpha=config.service_time_alpha,
             shed_slack=config.shed_slack,
         )
         board = BreakerBoard(
             n_chunks=self.n_chunks,
             region_size=config.region_size,
-            window=config.breaker_window,
             failure_threshold=config.breaker_failure_threshold,
             cooldown_s=config.breaker_cooldown_s,
-            probe_successes=config.breaker_probe_successes,
         )
         controller = AdaptiveBudgetController(
-            initial_budget=config.initial_chunk_budget,
+            initial_budget=INITIAL_CHUNK_BUDGET,
             n_chunks=self.n_chunks,
-            min_budget=config.min_chunk_budget,
+            min_budget=MIN_CHUNK_BUDGET,
             target_p99_s=config.target_p99_s,
             adjust_every=config.adjust_every,
             latency_window=config.latency_window,

@@ -14,6 +14,6 @@ The leaf-to-chunk extraction lives with the other chunk-forming strategies
 in :mod:`repro.chunking.srtree_chunker`.
 """
 
-from .bulk_load import ordered_partition, partition_rows_uniform
+from .bulk_load import ordered_partition
 
-__all__ = ["ordered_partition", "partition_rows_uniform"]
+__all__ = ["ordered_partition"]

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ordered_partition", "partition_rows_uniform"]
+__all__ = ["ordered_partition"]
 
 #: Size of the float64 staging block a node's variance is accumulated
 #: through (2,048 rows at d = 24).  Sized to stay L2-resident across the
@@ -159,17 +159,4 @@ def ordered_partition(
         stack.append((cut, hi, 1 - side))
         stack.append((lo, cut, 1 - side))
     return row_ids[0], bounds, home
-
-
-def partition_rows_uniform(vectors: np.ndarray, leaf_capacity: int) -> List[np.ndarray]:
-    """Partition row indices into uniform, spatially coherent groups.
-
-    Splits on the dimension of largest variance; the cut point is the
-    largest multiple of ``leaf_capacity`` at or below the median, so the
-    left half always carries whole leaves and exactly one group in the
-    whole partition may be smaller than ``leaf_capacity``.  The groups
-    (dtype intp) are consecutive slices of one row permutation.
-    """
-    rows, bounds, _ = ordered_partition(vectors, leaf_capacity)
-    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 

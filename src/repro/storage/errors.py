@@ -48,9 +48,9 @@ def read_exact(stream: BinaryIO, nbytes: int, what: str) -> bytes:
     """Read exactly ``nbytes`` or raise :class:`CorruptFileError`.
 
     ``nbytes`` is derived from header fields, so it is bounded against
-    what the stream really holds *before* the read (``seek``/``tell``,
-    which wrapped sources such as ``FaultyFile`` forward): a damaged
-    count surfaces as truncation, never as a header-sized allocation.
+    what the stream really holds *before* the read (``seek``/``tell``):
+    a damaged count surfaces as truncation, never as a header-sized
+    allocation.
     """
     here = stream.tell()
     available = stream.seek(0, os.SEEK_END) - here

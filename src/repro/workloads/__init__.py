@@ -12,7 +12,6 @@ from .queries import (
     DEFAULT_TRIM_FRACTION,
     Workload,
     dataset_queries,
-    round_robin_schedule,
     space_queries,
 )
 from .synthetic import SyntheticImageConfig, generate_collection
@@ -23,7 +22,6 @@ __all__ = [
     "DEFAULT_TRIM_FRACTION",
     "Workload",
     "dataset_queries",
-    "round_robin_schedule",
     "space_queries",
     "SyntheticImageConfig",
     "generate_collection",

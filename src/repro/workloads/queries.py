@@ -10,15 +10,14 @@ Two workloads model the two retrieval situations:
   match in the collection.
 
 The paper ran each query once against each chunk index in round-robin
-order to defeat buffering; our simulated disk has no buffer cache, so a
-simple per-index loop is equivalent, but :func:`round_robin_schedule`
-reproduces the interleaved order for wall-clock runs.
+order to defeat buffering; the simulated disk has no buffer cache, so a
+simple per-index loop is equivalent.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "Workload",
     "dataset_queries",
     "space_queries",
-    "round_robin_schedule",
     "DEFAULT_TRIM_FRACTION",
 ]
 
@@ -113,19 +111,3 @@ def space_queries(
         source_rows=np.full(n_queries, -1, dtype=np.int64),
     )
 
-
-def round_robin_schedule(
-    n_queries: int, index_names: Sequence[str]
-) -> List[Tuple[int, str]]:
-    """The paper's measurement order: "Each query in the workload was run
-    once to each chunk-index in a round-robin fashion (to eliminate
-    buffering effects)."
-
-    Returns ``(query_index, index_name)`` pairs: query 0 against every
-    index, then query 1 against every index, and so on.
-    """
-    if n_queries < 0:
-        raise ValueError("query count cannot be negative")
-    if not index_names:
-        raise ValueError("need at least one index")
-    return [(q, name) for q in range(n_queries) for name in index_names]

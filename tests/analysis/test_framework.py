@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import (
     Diagnostic,
     default_config,
-    lint_source,
+    lint_sources,
     render_json,
     render_text,
     select_rules,
@@ -43,7 +43,7 @@ class TestSuppressions:
             "# repro-lint: disable=CLK001\n"
             "t = time.time()\n"
         )
-        diagnostics = lint_source(source, "core/x.py")
+        diagnostics = lint_sources({"core/x.py": source})
         assert [d.rule for d in diagnostics] == ["CLK001"]
 
 
@@ -113,6 +113,6 @@ class TestReporting:
 
 class TestParseFailures:
     def test_syntax_error_is_a_diagnostic(self):
-        diagnostics = lint_source("def broken(:\n", "core/x.py")
-        assert [d.rule for d in diagnostics] == ["PARSE"]
-        assert "syntax error" in diagnostics[0].message
+        result = lint_sources({"core/x.py": "def broken(:\n"})
+        assert [d.rule for d in result] == ["PARSE"]
+        assert "syntax error" in result.diagnostics[0].message

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.analysis import lint_source
+from repro.analysis import lint_sources
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -55,36 +55,36 @@ def test_fixture_matches_markers(fixture, relpath):
     source = load_fixture(fixture)
     expected = expected_markers(source)
     assert expected, f"fixture {fixture} declares no expected violations"
-    found = {(d.line, d.rule) for d in lint_source(source, relpath)}
+    found = {(d.line, d.rule) for d in lint_sources({relpath: source})}
     assert found == expected
 
 
 def test_clk001_is_layer_scoped():
     """The same wall-clock fixture is clean outside the simulated layers."""
     source = load_fixture("clk001.py")
-    diagnostics = lint_source(source, "experiments/clk001.py")
+    diagnostics = lint_sources({"experiments/clk001.py": source})
     assert not [d for d in diagnostics if d.rule == "CLK001"]
 
 
 def test_lay001_simio_must_not_import_core():
     source = "from repro.core.search import ChunkSearcher\n"
-    diagnostics = lint_source(source, "simio/pipeline.py")
+    diagnostics = lint_sources({"simio/pipeline.py": source})
     assert [d.rule for d in diagnostics] == ["LAY001"]
     # The same import is fine from core itself.
-    assert lint_source(source, "core/search.py") == []
+    assert lint_sources({"core/search.py": source}).ok
 
 
 def test_lay001_relative_imports_resolved():
     # In core/, "from .. import system" reaches repro.system: forbidden.
-    diagnostics = lint_source("from .. import system\n", "core/search.py")
+    diagnostics = lint_sources({"core/search.py": "from .. import system\n"})
     assert [d.rule for d in diagnostics] == ["LAY001"]
     # "from . import chunk" stays inside core: allowed.
-    assert lint_source("from . import chunk\n", "core/search.py") == []
+    assert lint_sources({"core/search.py": "from . import chunk\n"}).ok
 
 
 def test_diagnostics_carry_location_and_message():
     source = "import time\nt = time.time()\n"
-    (diagnostic,) = lint_source(source, "storage/pages.py")
+    (diagnostic,) = lint_sources({"storage/pages.py": source})
     assert diagnostic.rule == "CLK001"
     assert diagnostic.path == "storage/pages.py"
     assert diagnostic.line == 2
@@ -101,25 +101,25 @@ def test_dur001_sanctioned_files_exempt():
         "    os.replace(tmp, path)\n"
     )
     for sanctioned in ("storage/atomic.py", "storage/chunk_file.py", "storage/wal.py"):
-        assert [d.rule for d in lint_source(source, sanctioned)] == []
-    assert "DUR001" in [d.rule for d in lint_source(source, "storage/delta.py")]
+        assert [d.rule for d in lint_sources({sanctioned: source})] == []
+    assert "DUR001" in [d.rule for d in lint_sources({"storage/delta.py": source})]
 
 
 def test_dur001_outside_storage_gated_on_durable_keywords():
     """Elsewhere only writes whose path expressions name a durable artifact."""
     flagged = "def save(index_path):\n    return open(index_path, 'w')\n"
-    diagnostics = lint_source(flagged, "experiments/exporter.py")
+    diagnostics = lint_sources({"experiments/exporter.py": flagged})
     assert [d.rule for d in diagnostics] == ["DUR001"]
 
     report = "def save(out):\n    return open(out, 'w')\n"
-    assert lint_source(report, "experiments/exporter.py") == []
+    assert lint_sources({"experiments/exporter.py": report}).ok
 
     rename = (
         "import os\n\n\ndef swap(tmp, manifest_path):\n"
         "    os.replace(tmp, manifest_path)\n"
     )
     assert "DUR001" in [
-        d.rule for d in lint_source(rename, "experiments/exporter.py")
+        d.rule for d in lint_sources({"experiments/exporter.py": rename})
     ]
 
 

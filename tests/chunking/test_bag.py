@@ -31,8 +31,6 @@ class TestParameters:
             BagClusterer(mpi=1.0, target_clusters=5, destroy_fraction=1.0)
         with pytest.raises(ValueError):
             BagClusterer(mpi=1.0, target_clusters=5, candidate_checks=0)
-        with pytest.raises(ValueError):
-            BagClusterer(mpi=1.0, target_clusters=5, partner_ranking="nope")
 
     def test_estimate_mpi_positive(self, three_blob_collection):
         mpi = estimate_mpi(three_blob_collection, sample_size=50)
@@ -111,14 +109,6 @@ class TestClustering:
         result = bag.form_chunks(small_synthetic)
         result.validate()
         assert result.n_chunks > 1
-
-    def test_surface_ranking_variant_runs(self, three_blob_collection):
-        bag = BagClusterer(
-            mpi=0.05, target_clusters=5, max_passes=400,
-            partner_ranking="surface",
-        )
-        result = bag.form_chunks(three_blob_collection)
-        result.validate()
 
 
 class TestOutlierRule:

@@ -1,4 +1,4 @@
-"""Tests for the standalone outlier filters."""
+"""Tests for the standalone outlier filter."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.chunking.outliers import (
     apply_outlier_rows,
     norm_fraction_outliers,
-    norm_threshold_outliers,
 )
 from repro.core.dataset import DescriptorCollection
 
@@ -16,19 +15,6 @@ def norm_ladder():
     """Five descriptors with norms 1..5."""
     vectors = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.float32)
     return DescriptorCollection.from_vectors(vectors)
-
-
-class TestNormThreshold:
-    def test_removes_above_constant(self, norm_ladder):
-        rows = norm_threshold_outliers(norm_ladder, max_norm=3.5)
-        assert list(rows) == [3, 4]
-
-    def test_no_outliers(self, norm_ladder):
-        assert norm_threshold_outliers(norm_ladder, max_norm=100.0).size == 0
-
-    def test_invalid_threshold(self, norm_ladder):
-        with pytest.raises(ValueError):
-            norm_threshold_outliers(norm_ladder, max_norm=0.0)
 
 
 class TestNormFraction:
@@ -53,9 +39,7 @@ class TestNormFraction:
         frac_rows = norm_fraction_outliers(small_synthetic, fraction=0.1)
         norms = small_synthetic.norms()
         implied_constant = norms[frac_rows].min()
-        thr_rows = norm_threshold_outliers(
-            small_synthetic, max_norm=implied_constant - 1e-12
-        )
+        thr_rows = np.flatnonzero(norms > implied_constant - 1e-12)
         # Threshold form may include norm ties; fraction rows are a subset.
         assert set(frac_rows.tolist()) <= set(thr_rows.tolist())
 

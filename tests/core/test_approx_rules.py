@@ -1,4 +1,4 @@
-"""Tests for the AC-NN / PAC-NN / VA-BND approximation rules."""
+"""Tests for the AC-NN / PAC-NN approximation rules."""
 
 import math
 
@@ -10,7 +10,6 @@ from repro.core.approx_rules import (
     DistanceDistribution,
     EpsilonApproximation,
     PacApproximation,
-    estimate_epsilon,
 )
 from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
@@ -130,18 +129,3 @@ class TestPacRule:
             PacApproximation(0.1, 1.5, dist, 10, 5.0)
         with pytest.raises(ValueError):
             PacApproximation(0.1, 0.1, dist, 0, 5.0)
-
-
-class TestEstimateEpsilon:
-    def test_non_negative_and_reasonable(self, small_synthetic):
-        epsilon = estimate_epsilon(small_synthetic, k=10, seed=2)
-        assert 0.0 <= epsilon < 50.0
-
-    def test_too_small_collection_rejected(self, tiny_collection):
-        with pytest.raises(ValueError):
-            estimate_epsilon(tiny_collection, k=30)
-
-    def test_deterministic(self, small_synthetic):
-        a = estimate_epsilon(small_synthetic, k=5, seed=3)
-        b = estimate_epsilon(small_synthetic, k=5, seed=3)
-        assert a == b

@@ -8,8 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.distance import (
     cell_squared_gaps,
-    euclidean_distances,
-    nearest_index,
     pairwise_squared_distances,
     squared_distances,
     top_k_smallest,
@@ -82,25 +80,6 @@ class TestSquaredDistances:
         assert np.all(d >= 0)
         assert d[0] == 0.0
         np.testing.assert_allclose(d, brute_force_sq(query, points), atol=1e-6)
-
-
-class TestEuclidean:
-    def test_is_sqrt_of_squared(self):
-        rng = np.random.default_rng(1)
-        points = rng.standard_normal((20, 6))
-        query = rng.standard_normal(6)
-        np.testing.assert_allclose(
-            euclidean_distances(query, points) ** 2,
-            squared_distances(query, points),
-        )
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(2)
-        a, b, c = rng.standard_normal((3, 10))
-        ab = euclidean_distances(a, b[np.newaxis])[0]
-        bc = euclidean_distances(b, c[np.newaxis])[0]
-        ac = euclidean_distances(a, c[np.newaxis])[0]
-        assert ac <= ab + bc + 1e-9
 
 
 class TestPairwise:
@@ -212,16 +191,6 @@ class TestTopK:
         idx = top_k_smallest(values, k)
         expected = sorted(range(len(values)), key=lambda i: (values[i], i))[:k]
         assert list(idx) == expected
-
-
-class TestNearestIndex:
-    def test_finds_nearest(self):
-        points = np.array([[0.0, 0.0], [1.0, 1.0], [0.1, 0.0]])
-        assert nearest_index(np.array([0.0, 0.05]), points) == 0
-
-    def test_tie_lowest_index(self):
-        points = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert nearest_index(np.array([0.0, 0.0]), points) == 0
 
 
 class TestCellSquaredGaps:

@@ -76,14 +76,6 @@ class TestNeighborSet:
         with pytest.raises(ValueError):
             NeighborSet(2).update(np.ones(3), np.arange(2))
 
-    def test_merge(self):
-        a = NeighborSet(3)
-        a.update(np.array([1.0, 5.0]), np.array([1, 2]))
-        b = NeighborSet(3)
-        b.update(np.array([2.0, 0.5]), np.array([3, 4]))
-        a.merge(b)
-        assert [n.descriptor_id for n in a.sorted()] == [4, 1, 3]
-
     def test_contains_and_id_set(self):
         ns = NeighborSet(2)
         ns.offer(1.0, 42)

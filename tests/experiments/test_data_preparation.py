@@ -1,10 +1,13 @@
 """Tests for the experiment data-preparation pipeline itself."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.experiments import data as data_module
 from repro.experiments.config import SIZE_CLASSES, TEST_SCALE
-from repro.experiments.data import clear_cache, prepare
+from repro.experiments.data import prepare
 
 
 class TestPrepare:
@@ -64,17 +67,13 @@ class TestPrepare:
 
 class TestCacheControl:
     def test_eviction_forces_deterministic_rebuild(self):
-        # Use an isolated scale name and evict only that entry, so the
-        # shared session fixture's cache survives this test.
-        import dataclasses
-
-        from repro.experiments import data as data_module
-
+        # Use an isolated scale and evict only that entry, so the shared
+        # session fixture's cache survives this test.
         scale = dataclasses.replace(TEST_SCALE, name="cache-control-test")
         try:
             first = prepare(scale)
             assert prepare(scale) is first
-            data_module._CACHE.pop(scale.name)
+            data_module._CACHE.pop(scale)
             second = prepare(scale)
             assert second is not first
             # Determinism: the rebuilt data is identical.
@@ -88,9 +87,20 @@ class TestCacheControl:
                 bag_first.outlier_rows, bag_second.outlier_rows
             )
         finally:
-            data_module._CACHE.pop(scale.name, None)
+            data_module._CACHE.pop(scale, None)
 
-    def test_clear_cache_api_exists(self):
-        # clear_cache is part of the public API; just ensure it is callable
-        # on an empty selection without touching live entries we rely on.
-        assert callable(clear_cache)
+    def test_derived_scale_is_not_served_the_named_scale(self, experiment_data):
+        """A ``dataclasses.replace`` variant keeps the name of the scale it
+        came from; the cache must key on every field, not the name."""
+        scale = dataclasses.replace(
+            TEST_SCALE, k=10, n_queries=40, n_queries_sweep=20
+        )
+        try:
+            derived = prepare(scale)
+            assert derived is not experiment_data
+            assert derived.scale == scale
+            assert len(derived.workloads["DQ"]) == 40
+            assert len(derived.ground_truth("SMALL", "DQ").get(0)) == 10
+            assert prepare(TEST_SCALE) is experiment_data
+        finally:
+            data_module._CACHE.pop(scale, None)

@@ -71,6 +71,14 @@ class TestVoting:
         )
         assert len(matches) <= 2
 
+    @pytest.mark.parametrize("top_images", [0, -1])
+    def test_top_images_must_be_positive(self, searcher, image_collection, top_images):
+        """A slice by a non-positive count would silently drop matches
+        (``[:-1]`` loses only the last one)."""
+        query = image_collection.vectors[:10].astype(float)
+        with pytest.raises(ValueError, match="top_images"):
+            searcher.search_image(query, k_per_descriptor=30, top_images=top_images)
+
     def test_stop_rule_passthrough(self, searcher, image_collection):
         query = image_collection.vectors[:5].astype(float)
         matches = searcher.search_image(

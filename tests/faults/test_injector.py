@@ -1,16 +1,8 @@
-"""Tests for the injection surfaces: FaultInjector and FaultyFile."""
+"""Tests for the search-level injection surface, FaultInjector."""
 
-import io
-
-import numpy as np
-import pytest
-
-from repro.faults.injector import FaultInjector, FaultyFile, InjectedFaultError
-from repro.faults.plan import FAULT_NONE, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
-from repro.storage.chunk_file import ChunkFileReader, ChunkFileWriter
-from repro.storage.errors import ChecksumError, CorruptFileError
-from repro.storage.pages import PageGeometry
 
 
 class TestFaultInjector:
@@ -50,73 +42,3 @@ class TestFaultInjector:
         outcome = injector.outcome(0, 0, 1, readable=False)
         assert not outcome.ok
         assert outcome.attempts == injector.plan.max_retries + 1
-
-
-def write_chunk_file(path, dims=4, n=20, page_bytes=256):
-    geometry = PageGeometry(page_bytes)
-    ids = np.arange(n)
-    vectors = np.arange(n * dims, dtype=np.float32).reshape(n, dims)
-    with ChunkFileWriter(path, dimensions=dims, geometry=geometry) as writer:
-        extent = writer.write_chunk(ids, vectors)
-    return extent, geometry, ids, vectors
-
-
-class TestFaultyFile:
-    def test_clean_plan_passes_bytes_through(self, tmp_path):
-        path = str(tmp_path / "chunks.dat")
-        extent, geometry, ids, vectors = write_chunk_file(path)
-        wrapped = FaultyFile(
-            open(path, "rb"), FaultPlan(seed=1), page_bytes=geometry.page_bytes
-        )
-        with ChunkFileReader(wrapped, dimensions=4, geometry=geometry) as r:
-            out_ids, out_vecs = r.read_chunk(extent)
-        np.testing.assert_array_equal(out_ids, ids)
-        np.testing.assert_array_equal(out_vecs, vectors)
-
-    def test_bit_flips_surface_as_checksum_errors(self, tmp_path):
-        """End-to-end: silent byte damage must become a typed error, not
-        silently wrong neighbors."""
-        path = str(tmp_path / "chunks.dat")
-        extent, geometry, _, _ = write_chunk_file(path, n=40)
-        plan = FaultPlan(seed=3, corrupt_rate=1.0)
-        raw = open(path, "rb")
-        # Header and CRC table are read unwrapped (they are metadata, the
-        # drill targets payload pages), so open the reader first, then
-        # swap in the faulty wrapper for the data read.
-        reader = ChunkFileReader(raw, dimensions=4, geometry=geometry)
-        reader._file = FaultyFile(raw, plan, page_bytes=geometry.page_bytes)
-        with pytest.raises(ChecksumError, match="CRC32"):
-            reader.read_chunk(extent)
-        raw.close()
-
-    def test_injected_read_errors_raise(self, tmp_path):
-        path = str(tmp_path / "chunks.dat")
-        write_chunk_file(path)
-        plan = FaultPlan(seed=3, read_error_rate=1.0)
-        with FaultyFile(open(path, "rb"), plan, page_bytes=256) as wrapped:
-            with pytest.raises(InjectedFaultError, match="injected read error"):
-                wrapped.read(64)
-        assert issubclass(InjectedFaultError, CorruptFileError)
-
-    def test_truncation_cuts_reads_short(self):
-        plan = FaultPlan(seed=3, truncate_rate=1.0)
-        data = bytes(range(256)) * 4
-        wrapped = FaultyFile(io.BytesIO(data), plan, page_bytes=256)
-        assert len(wrapped.read()) < len(data)
-
-    def test_damage_is_deterministic(self):
-        plan = FaultPlan.balanced(0.45, seed=7)
-        data = bytes(range(256)) * 16
-
-        def damaged():
-            wrapped = FaultyFile(io.BytesIO(data), plan, page_bytes=128)
-            try:
-                return wrapped.read()
-            except InjectedFaultError as exc:
-                return repr(exc)
-
-        assert damaged() == damaged()
-
-    def test_positive_page_size_required(self):
-        with pytest.raises(ValueError, match="page size"):
-            FaultyFile(io.BytesIO(b""), FaultPlan(seed=1), page_bytes=0)

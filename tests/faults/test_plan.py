@@ -104,12 +104,6 @@ class TestDeterminism:
         # Clean reads must dominate at rate 0.3.
         assert kinds.count(FAULT_NONE) > len(kinds) * 0.3
 
-    def test_page_faults_deterministic(self):
-        plan = FaultPlan.balanced(0.4, seed=6)
-        draws = [plan.page_fault(p) for p in range(200)]
-        assert draws == [plan.page_fault(p) for p in range(200)]
-        assert any(kind != FAULT_NONE for kind, _ in draws)
-
 
 class TestOutcomeAccounting:
     def test_backoff_is_exponential(self):

@@ -51,10 +51,9 @@ class TestOpenLoopRequests:
         ({"deadline_s": float("nan")}, "deadline"),
         ({"arrival_rate_qps": 0.0}, "arrival rate"),
         ({"k": 0}, "k must"),
-        ({"breaker_window": 0}, "window/threshold"),
+        ({"breaker_failure_threshold": 0}, "window/threshold"),
         ({"breaker_failure_threshold": 17}, "exceed its window"),
         ({"breaker_cooldown_s": 0.0}, "cooldown"),
-        ({"breaker_probe_successes": 0}, "probe"),
     ],
 )
 def test_both_configs_share_traffic_and_breaker_checks(config_cls, override, match):

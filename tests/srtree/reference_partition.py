@@ -1,6 +1,6 @@
 """The recursive static partition, kept verbatim as a differential oracle.
 
-This is ``repro.srtree.bulk_load.partition_rows_uniform`` exactly as it
+This is the static partition of ``repro.srtree.bulk_load`` exactly as it
 stood before the in-place rewrite (ISSUE 20): a float64 copy of the whole
 input, one fancy-index gather per node, ``ndarray.var`` for the split
 dimension and a stable ``argsort`` for the cut.  It is slow, peaks at six

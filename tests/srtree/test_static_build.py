@@ -30,7 +30,7 @@ from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.cli import main
 from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
-from repro.srtree.bulk_load import ordered_partition, partition_rows_uniform
+from repro.srtree.bulk_load import ordered_partition
 
 # ``repro.srtree.bulk_load`` the attribute is the function; this is the module.
 bulk_load_module = importlib.import_module("repro.srtree.bulk_load")
@@ -95,6 +95,12 @@ N_SHAPES = {
 }
 
 
+def leaf_groups(vectors, capacity):
+    """The member rows of each leaf, as the reference returns them."""
+    rows, bounds, _ = ordered_partition(vectors, capacity)
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def assert_same_groups(got, expected):
     assert len(got) == len(expected)
     for mine, theirs in zip(got, expected):
@@ -125,12 +131,11 @@ class TestDifferentialOracle:
         # blocked sum goes wrong — inside these small inputs.
         with mock.patch.object(bulk_load_module, "_BLOCK_BYTES", 8 * d * block_rows):
             rows, bounds, ordered = ordered_partition(vectors, capacity)
-            got = partition_rows_uniform(vectors, capacity)
+        got = [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert_same_groups(got, reference_partition_rows_uniform(vectors, capacity))
         assert vectors.tobytes() == before
         # The ordered matrix is the gather the chunker no longer makes.
         assert bounds[0] == 0 and bounds[-1] == n
-        assert np.array_equal(rows, np.concatenate(got))
         assert ordered.dtype == (np.float32 if dtype == "float32" else np.float64)
         assert ordered.tobytes() == vectors[rows].astype(ordered.dtype).tobytes()
 
@@ -144,14 +149,14 @@ class TestDifferentialOracle:
         # Coarse values: near-tied column variances, tied sort keys.
         vectors = np.round(rng.standard_normal((n, 24)) * 2.0).astype(dtype)
         assert_same_groups(
-            partition_rows_uniform(vectors, 700),
+            leaf_groups(vectors, 700),
             reference_partition_rows_uniform(vectors, 700),
         )
 
     def test_list_input(self):
         nested = [[0.0, 3.0], [1.0, 1.0], [2.0, 5.0], [3.0, 2.0], [4.0, 4.0]]
         assert_same_groups(
-            partition_rows_uniform(nested, 2),
+            leaf_groups(nested, 2),
             reference_partition_rows_uniform(nested, 2),
         )
 
@@ -188,7 +193,7 @@ class TestGoldenBytes:
 
     def test_member_rows_of_a_larger_build(self):
         digest = hashlib.sha256()
-        for rows in partition_rows_uniform(golden_vectors(60_000, 2006), 400):
+        for rows in leaf_groups(golden_vectors(60_000, 2006), 400):
             digest.update(rows.astype("<i8").tobytes())
         assert digest.hexdigest() == GOLDEN["seeded_60k_cap400_member_rows"]
 
@@ -235,7 +240,7 @@ class TestMemoryContract:
         vectors = self.vectors(dtype)
         row_array = self.N * np.dtype(np.intp).itemsize
         peak, retained, groups = traced(
-            lambda: partition_rows_uniform(vectors, self.CAPACITY)
+            lambda: leaf_groups(vectors, self.CAPACITY)
         )
         # Two working matrices, two id arrays, one sort's order and scratch.
         assert peak <= 2.6 * vectors.nbytes + 4 * row_array
@@ -267,13 +272,13 @@ class TestNonFiniteRefused:
         vectors[90, 0] = poison
         vectors[17, 2] = poison
         with pytest.raises(ValueError, match=r"row 17\b.*non-finite"):
-            partition_rows_uniform(vectors, 20)
+            leaf_groups(vectors, 20)
 
     def test_huge_finite_coordinates_still_build(self):
         vectors = np.random.default_rng(2).standard_normal((200, 4)).astype(np.float32)
         vectors[::3] *= np.float32(1e18)
         assert_same_groups(
-            partition_rows_uniform(vectors, 20),
+            leaf_groups(vectors, 20),
             reference_partition_rows_uniform(vectors, 20),
         )
 
@@ -282,6 +287,6 @@ class TestNonFiniteRefused:
         vectors = np.random.default_rng(3).standard_normal((50, 3)) * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             assert_same_groups(
-                partition_rows_uniform(vectors, 8),
+                leaf_groups(vectors, 8),
                 reference_partition_rows_uniform(vectors, 8),
             )

@@ -57,6 +57,8 @@ class TestFileWorkflow:
         assert main(["image-query", sysdir, coll, "--image", "1", "--top", "2"]) == 0
         out = capsys.readouterr().out
         assert "query image 1" in out
+        assert main(["image-query", sysdir, coll, "--image", "1", "--top", "-1"]) == 2
+        assert "top_images must be at least 1" in capsys.readouterr().err
 
         # The same system with its index rewritten as the previous format
         # (version 3: header + entries, no rectangle block) is refused

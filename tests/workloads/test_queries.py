@@ -6,7 +6,6 @@ import pytest
 from repro.workloads.queries import (
     Workload,
     dataset_queries,
-    round_robin_schedule,
     space_queries,
 )
 
@@ -79,17 +78,3 @@ class TestSpaceQueries:
         b = space_queries(tiny_collection, 5, seed=3)
         assert np.array_equal(a.queries, b.queries)
 
-
-class TestSchedule:
-    def test_round_robin_order(self):
-        schedule = round_robin_schedule(2, ["A", "B", "C"])
-        assert schedule == [
-            (0, "A"), (0, "B"), (0, "C"),
-            (1, "A"), (1, "B"), (1, "C"),
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            round_robin_schedule(-1, ["A"])
-        with pytest.raises(ValueError):
-            round_robin_schedule(1, [])
