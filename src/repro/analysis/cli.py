@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .diagnostics import render_json, render_text, summarize
 from .rules import RULE_CLASSES, RULE_IDS, select_rules
-from .runner import LintResult, lint_tree, package_root
+from .runner import lint_tree, package_root
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
 
@@ -58,11 +58,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="RULE",
         help="print the full rationale for one rule id, then exit",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-phase and per-rule timings to stderr",
-    )
 
 
 def _explain(rule_id: str) -> int:
@@ -79,22 +74,6 @@ def _explain(rule_id: str) -> int:
         file=sys.stderr,
     )
     return 2
-
-
-def _print_profile(result: LintResult) -> None:
-    total = sum(result.phase_timings.values())
-    print("phase timings:", file=sys.stderr)
-    for phase in ("parse", "symbols", "callgraph", "rules"):
-        seconds = result.phase_timings.get(phase, 0.0)
-        print(f"  {phase:<10} {seconds * 1000.0:8.1f} ms", file=sys.stderr)
-    print(f"  {'total':<10} {total * 1000.0:8.1f} ms", file=sys.stderr)
-    if result.rule_timings:
-        print("rule timings:", file=sys.stderr)
-        ordered = sorted(
-            result.rule_timings.items(), key=lambda item: (-item[1], item[0])
-        )
-        for rule_id, seconds in ordered:
-            print(f"  {rule_id:<10} {seconds * 1000.0:8.1f} ms", file=sys.stderr)
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -123,8 +102,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
 
     result = lint_tree(root, rules=rules)
-    if args.profile:
-        _print_profile(result)
 
     diagnostics = result.diagnostics
     if args.lint_format == "json":
@@ -150,7 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Standalone entry point (``python -m repro.analysis``)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="whole-program invariant checker for the repro package",
+        description="invariant checker for the repro package",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -1,20 +1,18 @@
-"""Configuration for the repro invariant linter.
+"""The repro invariant linter's contracts, as module constants.
 
-The defaults below *are* the repo's contracts — they encode which layers
+The constants below *are* the repo's contracts — they encode which layers
 carry simulated cost (and therefore must never read the wall clock),
 which import edges the architecture permits, and which kernels have
-dtype contracts.  Tests and the CLI use :func:`default_config`; unit
-tests construct narrower configs by hand.
+dtype contracts.  Rules read them directly; nothing overrides them.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
-__all__ = ["LintConfig", "default_config", "PACKAGE_NAME"]
+__all__ = ["PACKAGE_NAME", "layer_of"]
 
-#: Name of the package the default configuration describes.
+#: Name of the package the constants describe.
 PACKAGE_NAME = "repro"
 
 #: Layers whose query-time costs are *simulated* (charged by the cost
@@ -89,44 +87,6 @@ MODERN_NP_RANDOM: FrozenSet[str] = frozenset(
 #: instantiating an explicitly seeded ``random.Random(seed)`` is fine.
 SEEDED_STDLIB_RANDOM: FrozenSet[str] = frozenset({"Random", "SystemRandom"})
 
-#: Time-unit taint roots: canonical dotted names whose float results carry
-#: a unit.  ``host`` is wall-clock seconds (hardware-dependent), ``sim``
-#: is simulated seconds (deterministic, advanced by the cost models).
-#: The whole-program analyzer propagates these units through calls,
-#: returns, parameters and stored attributes; everything else starts
-#: unitless.
-TIME_UNIT_SOURCES: Mapping[str, str] = {
-    # Wall clock — the only place host-seconds may legitimately originate.
-    "time.time": "host",
-    "time.monotonic": "host",
-    "time.perf_counter": "host",
-    "time.process_time": "host",
-    "time.thread_time": "host",
-    # The cost models that charge simulated time.
-    "repro.simio.pipeline.PipelineSimulator.start_query": "sim",
-    "repro.simio.pipeline.PipelineSimulator.process_chunk": "sim",
-    "repro.simio.pipeline.PipelineSimulator.skip_chunk": "sim",
-    "repro.simio.pipeline.PipelineSimulator.elapsed": "sim",
-    "repro.simio.chunk_cache.chunk_read_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.positioning_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.transfer_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.random_read_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.sequential_read_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.sequential_write_time_s": "sim",
-    "repro.simio.disk_model.DiskModel.sync_time_s": "sim",
-    "repro.simio.cpu_model.CpuModel.chunk_processing_time_s": "sim",
-    "repro.simio.cpu_model.CpuModel.ranking_time_s": "sim",
-    "repro.faults.plan.FaultPlan.backoff_delay_s": "sim",
-}
-
-#: Time-unit sinks: canonical dotted callables whose first non-self
-#: argument must carry the stated unit.  Passing the *other* real unit is
-#: the cross-layer plumbing bug SIM102 exists for (e.g. a simulated
-#: timestamp fed to ``time.sleep``).
-TIME_UNIT_SINKS: Mapping[str, str] = {
-    "time.sleep": "host",
-}
-
 #: The only files that may write or rename durable on-disk artifacts
 #: directly.  ``storage/atomic.py`` owns write-temp/fsync/rename,
 #: ``storage/chunk_file.py`` layers CRC tables on the same discipline,
@@ -159,45 +119,15 @@ SEED_SLOTS: Mapping[str, Tuple[int, str]] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class LintConfig:
-    """Everything a rule needs to know about the repo's invariants."""
+def layer_of(relpath: str) -> str:
+    """Layer name for a package-relative posix path.
 
-    package: str = PACKAGE_NAME
-    simulated_layers: FrozenSet[str] = SIMULATED_LAYERS
-    forbidden_imports: Mapping[str, FrozenSet[str]] = dataclasses.field(
-        default_factory=lambda: dict(FORBIDDEN_IMPORTS)
-    )
-    dtype_kernels: FrozenSet[str] = DTYPE_KERNELS
-    dtype_words: Tuple[str, ...] = DTYPE_WORDS
-    modern_np_random: FrozenSet[str] = MODERN_NP_RANDOM
-    seeded_stdlib_random: FrozenSet[str] = SEEDED_STDLIB_RANDOM
-    time_unit_sources: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: dict(TIME_UNIT_SOURCES)
-    )
-    time_unit_sinks: Mapping[str, str] = dataclasses.field(
-        default_factory=lambda: dict(TIME_UNIT_SINKS)
-    )
-    seed_slots: Mapping[str, Tuple[int, str]] = dataclasses.field(
-        default_factory=lambda: dict(SEED_SLOTS)
-    )
-    durable_write_sanctioned: FrozenSet[str] = DURABLE_WRITE_SANCTIONED
-    durable_path_keywords: Tuple[str, ...] = DURABLE_PATH_KEYWORDS
-
-    def layer_of(self, relpath: str) -> str:
-        """Layer name for a package-relative posix path.
-
-        Subpackage files take the subpackage name (``core/search.py`` ->
-        ``core``); top-level modules take their stem (``system.py`` ->
-        ``system``).
-        """
-        parts = relpath.split("/")
-        if len(parts) == 1:
-            name = parts[0]
-            return name[:-3] if name.endswith(".py") else name
-        return parts[0]
-
-
-def default_config() -> LintConfig:
-    """The shipped configuration (module-level constants above)."""
-    return LintConfig()
+    Subpackage files take the subpackage name (``core/search.py`` ->
+    ``core``); top-level modules take their stem (``system.py`` ->
+    ``system``).
+    """
+    parts = relpath.split("/")
+    if len(parts) == 1:
+        name = parts[0]
+        return name[:-3] if name.endswith(".py") else name
+    return parts[0]

@@ -1,11 +1,10 @@
-"""Import-name resolution primitives shared by file rules and the
-whole-program analyzer.
+"""Import-name resolution primitives shared by the rules and the runner.
 
-This lives outside the ``rules`` package on purpose: the symbol table
-and call graph need :class:`ImportTable` without importing the rule
-registry (which imports *them* — the project rules are built on top of
-the symbol table).  ``rules.base`` re-exports everything here, so rule
-code keeps its historical import paths.
+The runner builds one :class:`ImportTable` per file and derives the
+tree's ``__init__`` re-export map from the tables of the package
+``__init__`` files; rules resolve call targets through the table and
+chase re-exports with :func:`canonicalize`.  ``rules.base`` re-exports
+the names rules use.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class ImportTable:
     Names imported *through* a package ``__init__`` re-export resolve to
     the re-exporting package here (``repro.simio.LruChunkCache``); chase
     them to the defining module with :func:`canonicalize` and the
-    project re-export map.
+    tree's re-export map.
     """
 
     def __init__(self, module: ast.Module, module_package: str):
@@ -51,25 +50,28 @@ class ImportTable:
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.bindings[local] = target
             elif isinstance(node, ast.ImportFrom):
-                base = self._resolve_from_base(node)
+                base = self.from_module(node)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
                     self.bindings[local] = f"{base}.{alias.name}" if base else alias.name
 
-    def _resolve_from_base(self, node: ast.ImportFrom) -> str:
+    def from_module(self, node: ast.ImportFrom) -> Optional[str]:
+        """Dotted module a ``from`` import reads, or ``None`` when a
+        relative import climbs above the top-level package."""
         if node.level == 0:
-            return node.module or ""
+            return node.module or None
         # Relative import: walk ``level`` packages up from the module's
         # package, then append the explicit module path (if any).
         parts = self._module_package.split(".") if self._module_package else []
-        if node.level - 1 > 0:
-            parts = parts[: -(node.level - 1)] if node.level - 1 <= len(parts) else []
-        base = ".".join(parts)
+        up = node.level - 1
+        if up > len(parts):
+            return None
+        parts = parts[: len(parts) - up]
         if node.module:
-            base = f"{base}.{node.module}" if base else node.module
-        return base
+            parts.extend(node.module.split("."))
+        return ".".join(parts) or None
 
     def resolve(self, name: str) -> Optional[str]:
         """Dotted import path bound to ``name``, or ``None``."""
@@ -83,7 +85,7 @@ def canonicalize(dotted: str, reexports: Dict[str, str]) -> str:
     when both ``repro/__init__.py`` and ``repro/simio/__init__.py``
     re-export it.  Longest-prefix chasing handles attribute chains that
     pass through a re-exported symbol.  With an empty map this is the
-    identity — per-file linting without a project keeps old behaviour.
+    identity, which is what a lint of one file alone gets.
 
     Each mapping is applied at most once per resolution.  That both
     bounds the loop and is the right semantics: re-applying a key whose

@@ -1,36 +1,31 @@
 """Rule registry for ``repro lint``.
 
-Two kinds of rules: per-file rules (CLK/RNG00x/DTY/LAY — one parsed
-module at a time) and whole-program rules (SIM/RNG1xx/EXA — symbol
-table + call graph, built once per run).  :func:`all_rules` returns
-fresh instances of both; the runner dispatches on the kind.
-:data:`RULE_IDS` is the stable id list used by ``--rules`` validation
-and the JSON report.
+Every rule is per-file: it sees one parsed module at a time through a
+:class:`FileContext`.  :func:`all_rules` returns fresh instances in
+registry order; :data:`RULE_IDS` is the stable id list used by
+``--rules`` validation and the JSON report.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .base import FileContext, ImportTable, ProjectRule, Rule, resolve_call_target
-from .determinism import LegacyNumpyRandomRule, StdlibRandomRule, UnseededRngRule
+from .base import FileContext, ImportTable, Rule, resolve_call_target
+from .determinism import (
+    LegacyNumpyRandomRule,
+    SeedFanoutRule,
+    SeedNonRootRule,
+    StdlibRandomRule,
+    UnseededRngRule,
+)
 from .dtype import ArrayDtypeDeclarationRule, Float32IntoKernelRule
 from .durability import DurabilityRule
 from .layering import LayerBoundaryRule
-from .project_rules import (
-    ContractTagRule,
-    ExactnessContractRule,
-    SeedFanoutRule,
-    SeedNonRootRule,
-    TimeUnitMixRule,
-    WallClockSinkRule,
-)
 from .wall_clock import WallClockRule
 
 __all__ = [
     "FileContext",
     "ImportTable",
-    "ProjectRule",
     "Rule",
     "resolve_call_target",
     "all_rules",
@@ -44,16 +39,12 @@ RULE_CLASSES = (
     LegacyNumpyRandomRule,
     StdlibRandomRule,
     UnseededRngRule,
+    SeedNonRootRule,
+    SeedFanoutRule,
     Float32IntoKernelRule,
     ArrayDtypeDeclarationRule,
     DurabilityRule,
     LayerBoundaryRule,
-    TimeUnitMixRule,
-    WallClockSinkRule,
-    SeedNonRootRule,
-    SeedFanoutRule,
-    ExactnessContractRule,
-    ContractTagRule,
 )
 
 RULE_IDS: List[str] = [cls.id for cls in RULE_CLASSES]

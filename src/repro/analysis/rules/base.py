@@ -4,32 +4,25 @@ Every rule is a small class with a stable ``id``, a one-line ``summary``
 and a ``check`` method that yields :class:`Diagnostic` objects for one
 parsed module.  Rules never see raw files — the runner hands them a
 :class:`FileContext` carrying the parsed AST, the package-relative path,
-the resolved layer and an :class:`ImportTable` for name resolution.
-
-Whole-program rules subclass :class:`ProjectRule` instead and receive
-the project context (symbol table + call graph) from the runner; their
-``check`` is never called.
+the resolved layer and an :class:`ImportTable` for name resolution.  The
+tree is walked, and every call target resolved, once per file
+(:attr:`FileContext.nodes`, :attr:`FileContext.calls`).
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterator
+import functools
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..config import LintConfig
 from ..diagnostics import Diagnostic
 from ..imports import ImportTable, canonicalize, resolve_call_target
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..project import ProjectContext
 
 __all__ = [
     "FileContext",
     "ImportTable",
-    "ProjectRule",
     "Rule",
-    "canonicalize",
     "resolve_call_target",
 ]
 
@@ -40,13 +33,26 @@ class FileContext:
 
     relpath: str  #: package-relative posix path, e.g. "core/search.py"
     layer: str  #: resolved layer name, e.g. "core"
-    module_package: str  #: dotted package of the module, e.g. "repro.core"
     tree: ast.Module
     imports: ImportTable
-    config: LintConfig
-    #: project-wide ``__init__`` re-export map (empty for standalone
-    #: single-file lints); lets LAY001 see through re-exported symbols.
+    #: the tree's ``__init__`` re-export map (empty for a single-file
+    #: lint); lets LAY001 see through re-exported symbols.
     reexports: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+    @functools.cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree: one walk, shared by all rules."""
+        return list(ast.walk(self.tree))
+
+    @functools.cached_property
+    def calls(self) -> List[Tuple[ast.Call, Optional[str]]]:
+        """Every call with its resolved dotted target (``None`` when the
+        target is rooted in a local name)."""
+        return [
+            (node, resolve_call_target(node.func, self.imports))
+            for node in self.nodes
+            if isinstance(node, ast.Call)
+        ]
 
     def canonical(self, dotted: str) -> str:
         return canonicalize(dotted, self.reexports)
@@ -79,19 +85,3 @@ class Rule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Rule {self.id}: {self.summary}>"
-
-
-class ProjectRule(Rule):
-    """A rule that needs the whole program, not one file.
-
-    The runner builds one :class:`~repro.analysis.project.ProjectContext`
-    per lint run (symbol table, call graph, cached taint results) and
-    calls ``check_project`` once; diagnostics are then routed through the
-    same inline-suppression handling as per-file findings.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:  # pragma: no cover
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Diagnostic]:
-        raise NotImplementedError

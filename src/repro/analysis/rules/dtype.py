@@ -23,8 +23,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Union
 
+from ..config import DTYPE_KERNELS, DTYPE_WORDS
 from ..diagnostics import Diagnostic
-from .base import FileContext, Rule, resolve_call_target
+from .base import FileContext, Rule
 
 __all__ = ["Float32IntoKernelRule", "ArrayDtypeDeclarationRule"]
 
@@ -56,12 +57,9 @@ class Float32IntoKernelRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        kernels = ctx.config.dtype_kernels
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _kernel_name(node, ctx)
-            if name is None or name not in kernels:
+        for node, target in ctx.calls:
+            name = _kernel_name(node, target)
+            if name is None or name not in DTYPE_KERNELS:
                 continue
             arguments: List[ast.AST] = list(node.args) + [
                 kw.value for kw in node.keywords
@@ -79,7 +77,7 @@ class Float32IntoKernelRule(Rule):
                     break
 
 
-def _kernel_name(node: ast.Call, ctx: FileContext) -> Optional[str]:
+def _kernel_name(node: ast.Call, target: Optional[str]) -> Optional[str]:
     """Unqualified kernel name of the call target, if determinable.
 
     Resolves through the import table first so aliased imports
@@ -87,7 +85,6 @@ def _kernel_name(node: ast.Call, ctx: FileContext) -> Optional[str]:
     recognized; falls back to the syntactic name.
     """
     func = node.func
-    target = resolve_call_target(func, ctx.imports)
     if target is not None:
         return target.rsplit(".", 1)[-1]
     if isinstance(func, ast.Name):
@@ -109,7 +106,7 @@ class ArrayDtypeDeclarationRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name.startswith("_"):
@@ -119,7 +116,7 @@ class ArrayDtypeDeclarationRule(Rule):
                 continue
             docstring = ast.get_docstring(node) or ""
             haystack = docstring.lower()
-            if any(word in haystack for word in ctx.config.dtype_words):
+            if any(word in haystack for word in DTYPE_WORDS):
                 continue
             yield ctx.diagnostic(
                 node,

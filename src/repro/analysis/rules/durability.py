@@ -15,8 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..config import DURABLE_PATH_KEYWORDS, DURABLE_WRITE_SANCTIONED
 from ..diagnostics import Diagnostic
-from .base import FileContext, Rule, resolve_call_target
+from .base import FileContext, Rule
 
 __all__ = ["DurabilityRule"]
 
@@ -71,16 +72,14 @@ class DurabilityRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.relpath in ctx.config.durable_write_sanctioned:
+        if ctx.relpath in DURABLE_WRITE_SANCTIONED:
             return
         in_storage = ctx.layer == "storage"
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            description = self._write_description(node, ctx)
+        for node, target in ctx.calls:
+            description = _write_description(node, target)
             if description is None:
                 continue
-            if not in_storage and not self._touches_durable_path(node, ctx):
+            if not in_storage and not _touches_durable_path(node):
                 continue
             yield ctx.diagnostic(
                 node,
@@ -89,36 +88,25 @@ class DurabilityRule(Rule):
                 "storage.atomic or the WAL writer",
             )
 
-    def _write_description(
-        self, node: ast.Call, ctx: FileContext
-    ) -> Optional[str]:
-        """A human-readable label when ``node`` performs a file write."""
-        target = resolve_call_target(node.func, ctx.imports)
-        if target in _RENAME_CALLS:
-            return f"direct {target}() over a final name"
-        if target == "open" or (
-            isinstance(node.func, ast.Name) and node.func.id == "open"
-        ):
-            mode = _open_write_mode(node)
-            if mode is not None:
-                return f"direct open(..., {mode!r})"
-            return None
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _PATH_WRITE_METHODS
-        ):
-            return f"direct .{node.func.attr}()"
-        return None
 
-    def _touches_durable_path(self, node: ast.Call, ctx: FileContext) -> bool:
-        """True when any argument expression names a durable artifact."""
-        pieces = [ast.unparse(arg) for arg in node.args]
-        pieces.extend(
-            ast.unparse(keyword.value) for keyword in node.keywords
-        )
-        if isinstance(node.func, ast.Attribute):
-            pieces.append(ast.unparse(node.func.value))
-        text = " ".join(pieces).lower()
-        return any(
-            keyword in text for keyword in ctx.config.durable_path_keywords
-        )
+def _write_description(node: ast.Call, target: Optional[str]) -> Optional[str]:
+    """A human-readable label when ``node`` (resolved to ``target``)
+    performs a file write."""
+    if target in _RENAME_CALLS:
+        return f"direct {target}() over a final name"
+    if target == "open" or (isinstance(node.func, ast.Name) and node.func.id == "open"):
+        mode = _open_write_mode(node)
+        return None if mode is None else f"direct open(..., {mode!r})"
+    if isinstance(node.func, ast.Attribute) and node.func.attr in _PATH_WRITE_METHODS:
+        return f"direct .{node.func.attr}()"
+    return None
+
+
+def _touches_durable_path(node: ast.Call) -> bool:
+    """True when any argument expression names a durable artifact."""
+    pieces = [ast.unparse(arg) for arg in node.args]
+    pieces.extend(ast.unparse(keyword.value) for keyword in node.keywords)
+    if isinstance(node.func, ast.Attribute):
+        pieces.append(ast.unparse(node.func.value))
+    text = " ".join(pieces).lower()
+    return any(keyword in text for keyword in DURABLE_PATH_KEYWORDS)

@@ -11,8 +11,9 @@ a ball of mud that blocks future refactors.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
+from ..config import FORBIDDEN_IMPORTS, PACKAGE_NAME
 from ..diagnostics import Diagnostic
 from .base import FileContext, Rule
 
@@ -28,18 +29,18 @@ class LayerBoundaryRule(Rule):
         "(experiments, extensions, system, cli), and simio must not know\n"
         "about core so the cost models stay reusable.  One convenience\n"
         "import turns the DAG into a ball of mud that blocks the scaling\n"
-        "refactors the ROADMAP plans.  In whole-program runs the check\n"
-        "resolves names re-exported through package __init__ files to\n"
-        "their defining module, so a shell symbol re-exported at top level\n"
-        "no longer slips through."
+        "refactors the ROADMAP plans.  When a whole tree is linted the\n"
+        "check resolves names re-exported through package __init__ files\n"
+        "to their defining module, so a shell symbol re-exported at top\n"
+        "level does not slip through."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        forbidden = ctx.config.forbidden_imports.get(ctx.layer)
+        forbidden = FORBIDDEN_IMPORTS.get(ctx.layer)
         if not forbidden:
             return
         for node, target in _imported_modules(ctx):
-            layer = _layer_of_module(target, ctx.config.package)
+            layer = _layer_of_module(target, PACKAGE_NAME)
             if layer is not None and layer in forbidden:
                 yield ctx.diagnostic(
                     node,
@@ -57,38 +58,23 @@ def _imported_modules(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
     be a module, not an attribute — the pessimistic reading is correct
     for boundary checking).
     """
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, ctx.canonical(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(node, ctx.module_package)
+            base = ctx.imports.from_module(node)
             if base is None:
                 continue
             if not node.names or node.names[0].name == "*":
                 yield node, ctx.canonical(base)
                 continue
             for alias in node.names:
-                # Canonicalize through the project re-export map: a name
+                # Canonicalize through the tree's re-export map: a name
                 # imported "from .. import x" may be defined modules away
                 # (re-exported by an __init__), and the boundary check
                 # must see the *defining* layer.
-                dotted = f"{base}.{alias.name}" if base else alias.name
-                yield node, ctx.canonical(dotted)
-
-
-def _resolve_relative(node: ast.ImportFrom, module_package: str) -> Optional[str]:
-    if node.level == 0:
-        return node.module or None
-    parts: List[str] = module_package.split(".") if module_package else []
-    up = node.level - 1
-    if up > len(parts):
-        return None
-    if up:
-        parts = parts[:-up]
-    if node.module:
-        parts.extend(node.module.split("."))
-    return ".".join(parts) if parts else None
+                yield node, ctx.canonical(f"{base}.{alias.name}")
 
 
 def _layer_of_module(dotted: str, package: str) -> Optional[str]:

@@ -1,25 +1,27 @@
 """CLK001 — simulated-clock discipline.
 
 Layers whose cost is charged by the :mod:`repro.simio` cost model
-(``core``, ``simio``, ``storage``, ``chunking``, ``srtree``) must never
-read the wall clock: a stray ``time.perf_counter()`` in a simulated path
-silently mixes hardware-dependent noise into the paper's deterministic
-time-to-quality curves.  Wall-clock reads are permitted only behind an
+(``core``, ``simio``, ``storage``, ``chunking``, ``srtree``, ``faults``,
+``service``) must never touch the wall clock: a stray
+``time.perf_counter()`` in a simulated path silently mixes
+hardware-dependent noise into the paper's deterministic time-to-quality
+curves, and a ``time.sleep()`` makes the host wait out time the cost
+model only simulates.  Wall-clock calls are permitted only behind an
 explicit inline ``# repro-lint: disable=CLK001`` at a build/benchmark
 measurement site.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import FrozenSet, Iterator
 
+from ..config import SIMULATED_LAYERS
 from ..diagnostics import Diagnostic
-from .base import FileContext, Rule, resolve_call_target
+from .base import FileContext, Rule
 
 __all__ = ["WallClockRule"]
 
-#: Fully-resolved call targets that read the wall clock.
+#: Fully-resolved call targets that read, or wait on, the wall clock.
 WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
     {
         "time.time",
@@ -37,6 +39,7 @@ WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
+        "time.sleep",
     }
 )
 
@@ -44,8 +47,8 @@ WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
 class WallClockRule(Rule):
     id = "CLK001"
     summary = (
-        "wall-clock read (time.time/perf_counter/datetime.now/...) in a "
-        "simulated-cost layer; charge the cost model, or waive a build timer"
+        "wall-clock call (time.time/perf_counter/datetime.now/sleep/...) in "
+        "a simulated-cost layer; charge the cost model, or waive a build timer"
     )
     rationale = (
         "Query-time cost in core/simio/storage/chunking/srtree/faults/\n"
@@ -53,18 +56,17 @@ class WallClockRule(Rule):
         "chunk, which is what makes the paper's time-to-quality curves\n"
         "deterministic and hardware-independent.  One stray\n"
         "time.perf_counter() in those layers mixes real hardware noise\n"
-        "into the curves without failing any test.  No file is exempt;\n"
-        "build-time measurement sites carry inline disable comments so new\n"
-        "reads are still caught."
+        "into the curves without failing any test, and host seconds can\n"
+        "only be mixed with simulated seconds (or a simulated duration\n"
+        "slept out with time.sleep()) where such a call exists.  No file is\n"
+        "exempt; build-time measurement sites carry inline disable comments\n"
+        "so new calls are still caught."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.layer not in ctx.config.simulated_layers:
+        if ctx.layer not in SIMULATED_LAYERS:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, ctx.imports)
+        for node, target in ctx.calls:
             if target in WALL_CLOCK_CALLS:
                 yield ctx.diagnostic(
                     node,

@@ -54,6 +54,8 @@ def parse_suppressions(source: str) -> SuppressionIndex:
     were seen before the error still apply.
     """
     by_line: Dict[int, FrozenSet[str]] = {}
+    if "repro-lint" not in source:  # no directive: skip tokenizing
+        return SuppressionIndex(by_line)
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:

@@ -60,7 +60,6 @@ class EpsilonApproximation(StopRule):
         self.epsilon = float(epsilon)
         self.k = int(k)
 
-    # repro: approximate
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.neighbors_found < self.k:
             return None
@@ -185,7 +184,6 @@ class PacApproximation(StopRule):
             mean_chunk_size=float(counts.mean()),
         )
 
-    # repro: approximate
     def check(self, progress: SearchProgress) -> Optional[str]:
         if math.isinf(progress.kth_distance):
             return None

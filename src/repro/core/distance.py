@@ -39,7 +39,6 @@ def _as_matrix(vectors: np.ndarray) -> np.ndarray:
     return arr
 
 
-# repro: exact
 def squared_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from one query vector to many points.
 
@@ -82,7 +81,6 @@ def squared_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-# repro: exact
 def pairwise_squared_distances(
     queries: np.ndarray,
     points: np.ndarray,
@@ -141,7 +139,6 @@ def pairwise_squared_distances(
     return out
 
 
-# repro: exact
 def cell_squared_gaps(query: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Per dimension, the squared gap from ``query`` to each cell of a
     boundary table: ``(n_cells, d)`` float64.
@@ -160,7 +157,6 @@ def cell_squared_gaps(query: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     return np.square(gaps, out=gaps)
 
 
-# repro: exact
 def top_k_smallest(values: np.ndarray, k: int) -> np.ndarray:
     """Indices (dtype intp) of the ``k`` smallest values, sorted
     ascending by value.

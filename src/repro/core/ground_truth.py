@@ -30,7 +30,6 @@ from .distance import (
 __all__ = ["exact_knn", "exact_knn_batch", "GroundTruthStore"]
 
 
-# repro: exact
 def exact_knn(
     collection: DescriptorCollection,
     query: np.ndarray,
@@ -66,7 +65,6 @@ def exact_knn(
     return best_ids
 
 
-# repro: exact
 def exact_knn_batch(
     collection: DescriptorCollection,
     queries: np.ndarray,

@@ -44,7 +44,6 @@ class Neighbor(Tuple[float, int]):
         return f"Neighbor(distance={self[0]:.6g}, id={self[1]})"
 
 
-# repro: exact
 def merge_neighbor_lists(
     lists: Sequence[Sequence[Neighbor]], k: int
 ) -> List[Neighbor]:
@@ -133,7 +132,6 @@ class NeighborSet:
             return True
         return distance == worst_d and -descriptor_id > worst_neg_id
 
-    # repro: exact
     def offer(self, distance: float, descriptor_id: int) -> bool:
         """Offer one candidate; returns True if it entered the set."""
         distance = float(distance)
@@ -147,7 +145,6 @@ class NeighborSet:
             heapq.heappush(self._heap, entry)
         return True
 
-    # repro: exact
     def update(self, distances: np.ndarray, descriptor_ids: np.ndarray) -> int:
         """Bulk-offer a chunk's worth of candidates; returns how many entered.
 

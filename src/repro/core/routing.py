@@ -276,7 +276,6 @@ class RouterStream:
             heapq.heappop(self._group_heap)
             self._expand(top[1])
 
-    # repro: exact
     def exact_remaining_lb(self) -> float:
         """Exact minimum lower bound over every unemitted chunk.
 

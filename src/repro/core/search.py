@@ -481,7 +481,6 @@ class ChunkSearcher:
         suffix_min = np.minimum.accumulate(ranked_bounds[:, ::-1], axis=1)[:, ::-1]
         return orders, suffix_min, ranked_bounds
 
-    # repro: exact
     def rectangle_bounds(self, queries: np.ndarray) -> np.ndarray:
         """``(n_queries, n_chunks)`` float64 lower bounds on the *kernel*
         distance from each query to any member of each chunk, from the
@@ -539,7 +538,6 @@ class ChunkSearcher:
         np.maximum(out, 0.0, out=out)
         return np.sqrt(out, out=out)
 
-    # repro: exact
     def _kernel_slack(
         self, query_sq_norm: float, member_sq_norms: "np.ndarray | float"
     ) -> "np.ndarray | float":
@@ -548,7 +546,6 @@ class ChunkSearcher:
         is compared with the kernel's value (:meth:`rectangle_bounds`)."""
         return self._rect_slack * (query_sq_norm + member_sq_norms) + _SMALLEST_NORMAL
 
-    # repro: exact
     def code_bound(self, query: np.ndarray, chunk_id: int) -> float:
         """Lower bound on the *kernel* distance from ``query`` to any
         member of chunk ``chunk_id``, from its cell codes (``index.codes``).
@@ -776,7 +773,6 @@ class ChunkSearcher:
             failed.add(chunk_id)
             return None
 
-    # repro: exact
     def _apply_chunk(
         self,
         state: _QueryState,

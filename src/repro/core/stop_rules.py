@@ -86,7 +86,6 @@ class ExactCompletion(StopRule):
     choice at call sites.
     """
 
-    # repro: exact
     def check(self, progress: SearchProgress) -> Optional[str]:
         return None
 
@@ -103,7 +102,6 @@ class MaxChunks(StopRule):
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
         self.n_chunks = int(n_chunks)
 
-    # repro: approximate
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.chunks_read >= self.n_chunks:
             return f"max-chunks({self.n_chunks})"
@@ -126,7 +124,6 @@ class TimeBudget(StopRule):
             raise ValueError(f"budget must be positive, got {budget_s}")
         self.budget_s = float(budget_s)
 
-    # repro: approximate
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.elapsed_s >= self.budget_s:
             return f"time-budget({self.budget_s:g}s)"
@@ -164,7 +161,6 @@ class DeadlineBudget(StopRule):
             )
         self.remaining_s = float(remaining_s)
 
-    # repro: approximate
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.elapsed_s >= self.remaining_s:
             return f"deadline({self.remaining_s:g}s)"

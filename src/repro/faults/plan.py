@@ -206,7 +206,6 @@ class FaultPlan:
 
     # -- deterministic draws -------------------------------------------------
 
-    # repro: exact
     def uniforms(self, stream: int, a: int, b: int, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1) (float64) for one keyed decision site.
 
@@ -241,7 +240,6 @@ class FaultPlan:
 
     # -- the degraded-execution contract -------------------------------------
 
-    # repro: exact
     def chunk_outcome(
         self,
         query_id: int,

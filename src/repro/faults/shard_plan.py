@@ -161,7 +161,6 @@ class ShardFaultPlan:
 
     # -- deterministic draws -------------------------------------------------
 
-    # repro: exact
     def _uniforms(self, stream: int, key: Tuple[int, ...], n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1) for one keyed decision site; the key
         is ``(seed, stream, *key)`` so draws are independent of call
@@ -170,7 +169,6 @@ class ShardFaultPlan:
         words = ss.generate_state(n, dtype=np.uint64)
         return np.asarray(words, dtype=np.float64) * 2.0**-64
 
-    # repro: exact
     def sub_request(
         self, query_index: int, partition_id: int, shard_id: int, attempt: int
     ) -> ShardSubFault:
@@ -200,7 +198,6 @@ class ShardFaultPlan:
             return ShardSubFault(failed=False, straggler=True, detect_s=0.0)
         return SHARD_OK
 
-    # repro: exact
     def outage_window(self, shard_id: int) -> Optional[Tuple[float, float]]:
         """The shard's outage window ``(start_s, end_s)``, or ``None``.
 
@@ -219,7 +216,6 @@ class ShardFaultPlan:
         start = float(us[1]) * span
         return (start, start + self.outage_duration_s)
 
-    # repro: exact
     def shard_down(self, shard_id: int, now: float) -> bool:
         """True when ``shard_id`` is inside its outage window at ``now``."""
         window = self.outage_window(shard_id)

@@ -7,14 +7,14 @@ quality, and safe at every setting (any prefix of the ranked chunk scan
 is a valid answer).  The controller turns that knob from measured tail
 latency:
 
-* every ``adjust_every`` completions, compute p99 over the last
-  ``latency_window`` served latencies (nearest-rank, via
+* every :data:`ADJUST_EVERY` completions, compute p99 over the last
+  :data:`LATENCY_WINDOW` served latencies (nearest-rank, via
   :func:`repro.core.metrics.percentile` — deterministic);
 * **p99 above target** -> shrink the budget multiplicatively
-  (``budget * shrink_factor``, at least one chunk, never below
-  ``min_budget``) — overload needs a fast retreat;
-* **p99 below ``headroom * target``** -> grow additively by
-  ``grow_step`` — recovery should be cautious, or the loop oscillates;
+  (``budget * SHRINK_FACTOR``, never below ``min_budget``) — overload
+  needs a fast retreat;
+* **p99 below ``HEADROOM * target``** -> grow additively by
+  :data:`GROW_STEP` — recovery should be cautious, or the loop oscillates;
 * otherwise hold.
 
 Multiplicative decrease / additive increase is the classic stable choice
@@ -31,7 +31,16 @@ from typing import Deque, List, Tuple
 
 from ..core.metrics import percentile
 
-__all__ = ["AdaptiveBudgetController", "INITIAL_CHUNK_BUDGET", "MIN_CHUNK_BUDGET"]
+__all__ = [
+    "ADJUST_EVERY",
+    "AdaptiveBudgetController",
+    "GROW_STEP",
+    "HEADROOM",
+    "INITIAL_CHUNK_BUDGET",
+    "LATENCY_WINDOW",
+    "MIN_CHUNK_BUDGET",
+    "SHRINK_FACTOR",
+]
 
 #: The query service's starting budget: 0, the whole index — it starts
 #: from exact search and only degrades under pressure.
@@ -39,6 +48,18 @@ INITIAL_CHUNK_BUDGET = 0
 #: The query service's floor: a chunk is the granule of the search, so
 #: one chunk is the worst legal answer.
 MIN_CHUNK_BUDGET = 1
+#: Completions between control decisions.
+ADJUST_EVERY = 8
+#: Served latencies the p99 is computed over.
+LATENCY_WINDOW = 64
+#: Multiplicative decrease.  ``int(b * 0.7) <= b - 1`` for every budget
+#: ``b >= 1``, so a shrink always drops at least one chunk.
+SHRINK_FACTOR = 0.7
+#: Additive increase (chunks) per grow decision.
+GROW_STEP = 1
+#: Grow only while ``p99 <= HEADROOM * target`` — the dead band between
+#: ``HEADROOM * target`` and ``target`` prevents hunting.
+HEADROOM = 0.6
 
 
 class AdaptiveBudgetController:
@@ -56,17 +77,8 @@ class AdaptiveBudgetController:
         Floor; one chunk is the smallest legal search.
     target_p99_s:
         The latency the loop steers p99 toward.
-    adjust_every:
-        Completions between control decisions.
-    latency_window:
-        Served latencies the p99 is computed over.
-    shrink_factor:
-        Multiplicative decrease in (0, 1).
-    grow_step:
-        Additive increase (chunks) per grow decision.
-    headroom:
-        Grow only while ``p99 <= headroom * target`` — the dead band
-        between ``headroom * target`` and ``target`` prevents hunting.
+
+    Cadence and gains are the module constants above.
     """
 
     def __init__(
@@ -75,11 +87,6 @@ class AdaptiveBudgetController:
         n_chunks: int,
         min_budget: int,
         target_p99_s: float,
-        adjust_every: int,
-        latency_window: int,
-        shrink_factor: float,
-        grow_step: int,
-        headroom: float,
     ):
         if n_chunks < 1:
             raise ValueError("index must hold at least one chunk")
@@ -91,24 +98,12 @@ class AdaptiveBudgetController:
             raise ValueError("minimum budget must lie in [1, n_chunks]")
         if target_p99_s <= 0.0:
             raise ValueError("target p99 must be positive")
-        if adjust_every < 1 or latency_window < 1:
-            raise ValueError("cadence parameters must be positive")
-        if not 0.0 < shrink_factor < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
-        if grow_step < 1:
-            raise ValueError("grow step must be positive")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must lie in (0, 1]")
         self.n_chunks = int(n_chunks)
         self.min_budget = int(min_budget)
         self.target_p99_s = float(target_p99_s)
-        self.adjust_every = int(adjust_every)
-        self.shrink_factor = float(shrink_factor)
-        self.grow_step = int(grow_step)
-        self.headroom = float(headroom)
         # 0 means "whole index"; internally track the effective budget.
         self._budget = self.n_chunks if initial_budget == 0 else int(initial_budget)
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._since_adjust = 0
         self.n_completed = 0
         self.n_shrinks = 0
@@ -134,7 +129,7 @@ class AdaptiveBudgetController:
         self._latencies.append(float(latency_s))
         self.n_completed += 1
         self._since_adjust += 1
-        if self._since_adjust >= self.adjust_every:
+        if self._since_adjust >= ADJUST_EVERY:
             self._since_adjust = 0
             self._adjust()
 
@@ -144,19 +139,17 @@ class AdaptiveBudgetController:
             return math.nan
         return percentile(list(self._latencies), 0.99)
 
-    # repro: approximate
     def _adjust(self) -> None:
         p99 = self.window_p99_s()
         if p99 != p99:  # NaN: nothing served yet
             return
         before = self._budget
         if p99 > self.target_p99_s:
-            shrunk = int(self._budget * self.shrink_factor)
-            self._budget = max(self.min_budget, min(self._budget - 1, shrunk))
+            self._budget = max(self.min_budget, int(self._budget * SHRINK_FACTOR))
             if self._budget != before:
                 self.n_shrinks += 1
-        elif p99 <= self.headroom * self.target_p99_s:
-            self._budget = min(self.n_chunks, self._budget + self.grow_step)
+        elif p99 <= HEADROOM * self.target_p99_s:
+            self._budget = min(self.n_chunks, self._budget + GROW_STEP)
             if self._budget != before:
                 self.n_grows += 1
         if self._budget != before:

@@ -32,7 +32,6 @@ __all__ = ["EXPIRED_BUDGET_S", "propagated_stop_rule"]
 EXPIRED_BUDGET_S = 1e-9
 
 
-# repro: approximate
 def propagated_stop_rule(
     remaining_s: float, chunk_budget: int, n_chunks: int
 ) -> StopRule:

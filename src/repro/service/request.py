@@ -170,17 +170,15 @@ class ServiceConfig:
     target_p99_s:
         Latency the adaptive controller steers p99 towards; must not
         exceed ``deadline_s`` (the deadline is the hard envelope, the
-        target is where the controller tries to sit below it).
+        target is where the controller tries to sit below it).  The
+        controller's cadence and gains are constants of
+        :mod:`repro.service.controller`.
     arrival_rate_qps:
         Open-loop Poisson arrival rate.
     seed:
         Root seed of the arrival process.
     k:
         Neighbors per query.
-    adjust_every / latency_window / shrink_factor / grow_step / headroom:
-        Controller cadence and gains; see
-        :class:`~repro.service.controller.AdaptiveBudgetController` (the
-        budget starts at the whole index and never drops below one chunk).
     region_size:
         Chunks per circuit-breaker region.
     breaker_failure_threshold / breaker_cooldown_s:
@@ -206,12 +204,6 @@ class ServiceConfig:
     arrival_rate_qps: float = 50.0
     seed: int = 0
     k: int = 10
-    # -- adaptive degradation controller
-    adjust_every: int = 8
-    latency_window: int = 64
-    shrink_factor: float = 0.7
-    grow_step: int = 1
-    headroom: float = 0.6
     # -- circuit breakers
     region_size: int = 8
     breaker_failure_threshold: int = 4
@@ -237,14 +229,6 @@ class ServiceConfig:
                 "target p99 must be positive and not exceed the deadline "
                 f"(got target {self.target_p99_s}, deadline {self.deadline_s})"
             )
-        if self.adjust_every < 1 or self.latency_window < 1:
-            raise ValueError("controller cadence parameters must be positive")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
-        if self.grow_step < 1:
-            raise ValueError("grow step must be positive")
-        if not 0.0 < self.headroom <= 1.0:
-            raise ValueError("headroom must lie in (0, 1]")
         if self.region_size < 1:
             raise ValueError("region size must be positive")
         if self.shed_slack <= 0:

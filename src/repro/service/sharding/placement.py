@@ -189,7 +189,6 @@ class PlacementPlan:
         }
 
 
-# repro: approximate
 def estimate_chunk_costs(index: ChunkIndex, cost_model: CostModel) -> np.ndarray:
     """Estimated scan seconds per chunk as a float64 vector of shape
     ``(n_chunks,)`` under the calibrated cost model.
@@ -223,7 +222,6 @@ def _replicas_for(primary: int, n_shards: int, n_replicas: int) -> Tuple[int, ..
     return tuple((primary + offset) % n_shards for offset in range(n_replicas))
 
 
-# repro: approximate
 def plan_placement(
     costs: Union[Sequence[float], np.ndarray],
     n_shards: int,

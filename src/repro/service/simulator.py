@@ -252,11 +252,6 @@ class QueryService:
             n_chunks=self.n_chunks,
             min_budget=MIN_CHUNK_BUDGET,
             target_p99_s=config.target_p99_s,
-            adjust_every=config.adjust_every,
-            latency_window=config.latency_window,
-            shrink_factor=config.shrink_factor,
-            grow_step=config.grow_step,
-            headroom=config.headroom,
         )
 
         events: EventQueue[Union[QueryRequest, _Completion]] = EventQueue()

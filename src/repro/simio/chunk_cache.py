@@ -142,7 +142,6 @@ class LruChunkCache:
         }
 
 
-# repro: exact
 def chunk_read_time_s(
     disk: DiskModel,
     cache: LruChunkCache,

@@ -64,7 +64,6 @@ _CRC = struct.Struct("<I")
 _STEPS = np.arange(CELLS + 1, dtype=np.float64)[:, np.newaxis] / CELLS
 
 
-# repro: exact
 def cell_edges(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """``(CELLS + 1, d)`` float64 cell boundaries of one chunk: row ``c``
     is where cell ``c`` begins and cell ``c - 1`` ends, per dimension.
@@ -83,7 +82,6 @@ def cell_edges(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return edges
 
 
-# repro: exact
 def encode_cells(vectors: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Packed cell numbers of one chunk: uint8, ``(ceil(d / 2), n)``.
 

@@ -1,8 +1,8 @@
 """One whole-tree lint per tree per session.
 
-Linting the shipped package takes seconds, and some twenty tests assert
-something about the result.  The tree does not change while the suite
-runs, so each ``(tree, rule selection)`` is linted once and every
+Each lint of the shipped package parses a hundred files, and some twenty
+tests assert something about the result.  The tree does not change while
+the suite runs, so each ``(tree, rule selection)`` is linted once and every
 consumer — direct ``lint_tree`` callers and both CLI entry points — reads
 the memoised :class:`LintResult`.
 """
@@ -34,8 +34,8 @@ def lint_once():
 @pytest.fixture()
 def cli_lints_once(lint_once, monkeypatch):
     """Route the tree run of ``repro lint`` / ``python -m repro.analysis``
-    through the memo; argument handling, baseline, rendering and exit
-    codes still run for real."""
+    through the memo; argument handling, rendering and exit codes still
+    run for real."""
     monkeypatch.setattr("repro.analysis.cli.lint_tree", lint_once)
 
 

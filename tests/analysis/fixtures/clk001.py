@@ -26,9 +26,9 @@ def negative_simulated_clock(clock):
     return clock.now()
 
 
-def negative_sleep_is_not_a_read():
-    # time.sleep does not *read* the clock; only reads corrupt cost curves.
-    time.sleep(0)
+def violation_sleep(simulated_s):
+    # Waiting out simulated seconds on the host ties wall time to the model.
+    time.sleep(simulated_s)  # expect CLK001
 
 
 def suppressed_build_timer():

@@ -6,12 +6,12 @@ import pytest
 
 from repro.analysis import (
     Diagnostic,
-    default_config,
     lint_sources,
     render_json,
     render_text,
     select_rules,
 )
+from repro.analysis.config import layer_of
 from repro.analysis.rules import RULE_IDS, ImportTable
 from repro.analysis.suppressions import parse_suppressions
 
@@ -72,10 +72,9 @@ class TestImportTable:
 
 class TestConfig:
     def test_layer_of(self):
-        config = default_config()
-        assert config.layer_of("core/search.py") == "core"
-        assert config.layer_of("system.py") == "system"
-        assert config.layer_of("analysis/rules/base.py") == "analysis"
+        assert layer_of("core/search.py") == "core"
+        assert layer_of("system.py") == "system"
+        assert layer_of("analysis/rules/base.py") == "analysis"
 
     def test_select_rules(self):
         assert [r.id for r in select_rules(["CLK001", "LAY001"])] == [

@@ -25,6 +25,8 @@ FIXTURES = {
     "rng001.py": "extensions/rng001.py",
     "rng002.py": "experiments/rng002.py",
     "rng003.py": "chunking/rng003.py",
+    "rng101.py": "workloads/rng101.py",
+    "rng102.py": "faults/rng102.py",
     "dty001.py": "core/dty001.py",
     "dty002.py": "simio/dty002.py",
     "lay001.py": "core/lay001.py",

@@ -32,10 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
 from repro.core.distance import pairwise_squared_distances
+from repro.core.ground_truth import exact_knn
 from repro.core.search import ChunkSearcher
 from repro.storage.code_file import CELLS, cell_edges, encode_cells
 
@@ -350,3 +352,26 @@ class TestStrictComparison:
         assert want.completed and got.completed
         assert want.neighbor_ids().tolist() == [0]
         assert got.neighbor_ids().tolist() == want.neighbor_ids().tolist()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_completion_proof_loses_exact_tie(self):
+        """The completion proof's half of the same defect, which needs no
+        pruning: eleven copies of one point over SR leaves of eight.  Id 0
+        is the farthest member of chunk 0, so that chunk's sphere bound
+        ``d(q, centroid) - radius`` equals the k-th distance in exact
+        arithmetic; in floating point it comes out 3.5e-16 above it, the
+        proof ``remaining_lb > kth`` fires after chunks 1 and 2, and ids
+        [1, 2, 3] are returned ``completed`` where brute force says
+        [0, 1, 2].  Pruning on or off, the answer is the same."""
+        base = np.random.default_rng(48866).standard_normal((22, 1))
+        base *= 0.6912147301050365
+        base[:11] = base[0]
+        collection = DescriptorCollection.from_vectors(base.astype(np.float32))
+        chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        query = np.random.default_rng(1).standard_normal(1)
+        want = exact_knn(collection, query, 3).tolist()
+        for prune in (False, True):
+            got = ChunkSearcher(index, prune=prune).search(query, k=3)
+            assert got.completed
+            assert got.neighbor_ids().tolist() == want

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from repro.service.controller import AdaptiveBudgetController
+from repro.service.controller import (
+    ADJUST_EVERY,
+    GROW_STEP,
+    HEADROOM,
+    LATENCY_WINDOW,
+    SHRINK_FACTOR,
+    AdaptiveBudgetController,
+)
 
 
 def controller(**overrides):
@@ -13,11 +20,6 @@ def controller(**overrides):
         n_chunks=100,
         min_budget=1,
         target_p99_s=1.0,
-        adjust_every=4,
-        latency_window=16,
-        shrink_factor=0.5,
-        grow_step=2,
-        headroom=0.6,
     )
     defaults.update(overrides)
     return AdaptiveBudgetController(**defaults)
@@ -47,22 +49,22 @@ class TestBudgetSemantics:
 class TestShrink:
     def test_high_p99_shrinks_multiplicatively(self):
         ctl = controller()
-        feed(ctl, 2.0, 4)  # p99 = 2.0 > target 1.0
-        assert ctl.effective_budget == max(1, min(99, int(100 * 0.5)))
-        assert ctl.effective_budget == 50
+        feed(ctl, 2.0, ADJUST_EVERY)  # p99 = 2.0 > target 1.0
+        assert ctl.effective_budget == int(100 * SHRINK_FACTOR) == 70
         assert ctl.n_shrinks == 1
-        assert ctl.history[-1] == (4, 50)
+        assert ctl.history[-1] == (ADJUST_EVERY, 70)
 
     def test_shrink_always_drops_at_least_one_chunk(self):
-        # At budget 2 with factor 0.9, int(2 * 0.9) == 1 < 2 - 1... use a
-        # factor where the multiplicative step would round to a no-op.
-        ctl = controller(initial_budget=10, shrink_factor=0.99)
-        feed(ctl, 2.0, 4)
-        assert ctl.effective_budget == 9  # min(10 - 1, int(9.9)) = 9
+        # The multiplicative step never rounds to a no-op, at any budget.
+        for budget in range(2, 101):
+            ctl = controller(initial_budget=budget)
+            feed(ctl, 2.0, ADJUST_EVERY)
+            assert ctl.effective_budget <= budget - 1
+            assert ctl.n_shrinks == 1
 
     def test_shrink_respects_floor(self):
         ctl = controller(initial_budget=2, min_budget=2)
-        feed(ctl, 2.0, 8)
+        feed(ctl, 2.0, 2 * ADJUST_EVERY)
         assert ctl.effective_budget == 2
         assert ctl.n_shrinks == 0  # clamped: never moved, never counted
 
@@ -76,46 +78,49 @@ class TestShrink:
 class TestGrowAndDeadBand:
     def test_low_p99_grows_additively(self):
         ctl = controller(initial_budget=30)
-        feed(ctl, 0.1, 4)  # p99 = 0.1 <= 0.6 * 1.0
-        assert ctl.effective_budget == 32
+        feed(ctl, 0.1, ADJUST_EVERY)  # p99 = 0.1 <= HEADROOM * 1.0
+        assert ctl.effective_budget == 30 + GROW_STEP
         assert ctl.n_grows == 1
 
     def test_dead_band_holds(self):
-        # Between headroom * target (0.6) and target (1.0): no change.
+        # Between HEADROOM * target and target: no change.
         ctl = controller(initial_budget=30)
-        feed(ctl, 0.8, 16)
+        feed(ctl, (HEADROOM + 1.0) / 2, 2 * LATENCY_WINDOW)
         assert ctl.effective_budget == 30
         assert ctl.n_shrinks == 0 and ctl.n_grows == 0
         assert ctl.history == [(0, 30)]
 
     def test_growth_caps_at_whole_index(self):
-        ctl = controller(initial_budget=99, grow_step=5)
-        feed(ctl, 0.1, 4)
+        ctl = controller(initial_budget=100 - GROW_STEP)
+        feed(ctl, 0.1, 2 * ADJUST_EVERY)
         assert ctl.effective_budget == 100
         assert ctl.budget == 0  # reported as unbounded again
+        assert ctl.n_grows == 1  # the second decision had no room to grow
 
     def test_recovery_after_overload(self):
-        # A window no longer than the cadence, so each decision sees only
-        # post-recovery latencies once the load drops.
-        ctl = controller(latency_window=4)
-        feed(ctl, 2.0, 8)
-        shrunk = ctl.effective_budget
-        assert shrunk == 25  # 100 -> 50 -> 25
-        feed(ctl, 0.1, 8)
-        assert ctl.effective_budget == 29  # 25 -> 27 -> 29
-        assert ctl.n_shrinks == 2 and ctl.n_grows == 2
+        ctl = controller()
+        feed(ctl, 2.0, 2 * ADJUST_EVERY)
+        assert ctl.effective_budget == 49  # 100 -> 70 -> 49
+        # Until the overload ages out of the window, p99 still sees it and
+        # the budget keeps shrinking; then every decision grows it.
+        feed(ctl, 0.1, LATENCY_WINDOW)
+        assert ctl.n_grows == 1
+        low = ctl.effective_budget
+        feed(ctl, 0.1, 2 * ADJUST_EVERY)
+        assert ctl.effective_budget == low + 2 * GROW_STEP
+        assert ctl.n_grows == 3
 
 
 class TestObservation:
     def test_adjusts_only_every_nth_completion(self):
-        ctl = controller(adjust_every=4)
-        feed(ctl, 2.0, 3)
+        ctl = controller()
+        feed(ctl, 2.0, ADJUST_EVERY - 1)
         assert ctl.effective_budget == 100  # not yet
         ctl.observe(2.0)
-        assert ctl.effective_budget == 50
+        assert ctl.effective_budget == 70
 
     def test_window_p99_nearest_rank(self):
-        ctl = controller(latency_window=8)
+        ctl = controller()
         for latency in (0.1, 0.2, 0.3):
             ctl.observe(latency)
         assert ctl.window_p99_s() == 0.3
@@ -138,13 +143,6 @@ class TestValidation:
             dict(min_budget=0),
             dict(min_budget=101),
             dict(target_p99_s=0.0),
-            dict(adjust_every=0),
-            dict(latency_window=0),
-            dict(shrink_factor=0.0),
-            dict(shrink_factor=1.0),
-            dict(grow_step=0),
-            dict(headroom=0.0),
-            dict(headroom=1.5),
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

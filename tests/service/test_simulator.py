@@ -56,8 +56,6 @@ class ServiceHarness:
             k=self.k,
             initial_service_estimate_s=self.mean_service_s,
             shed_slack=0.75,
-            adjust_every=4,
-            latency_window=32,
         )
         settings.update(overrides)
         return ServiceConfig(**settings)
