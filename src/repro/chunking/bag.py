@@ -16,7 +16,7 @@ Algorithm (one *pass* = the paper's "step"):
    that does not merge has its radius incremented by MPI (its radius
    becomes non-minimal).  Each cluster takes exactly one action per pass.
 3. At the end of each pass the average cluster population is computed and
-   every cluster holding fewer than ``destroy_fraction`` (20 % in the
+   every cluster holding fewer than :data:`DESTROY_FRACTION` (20 % in the
    paper) of that average is destroyed, its descriptors re-entering as
    zero-radius singletons.
 4. When the cluster count falls below a user threshold the algorithm
@@ -29,7 +29,7 @@ Fidelity notes
 * The original "examines all existing clusters every time a cluster is
   checked" — an O(m) scan per cluster per pass that made the paper's run
   take ~12 days on 5M descriptors.  We keep the same merge semantics but
-  search merge partners among the ``candidate_checks`` nearest centroids
+  search merge partners among the :data:`CANDIDATE_CHECKS` nearest centroids
   (computed in one vectorized pass, refreshed lazily when candidates were
   consumed by earlier merges).  The nearest feasible partner is the one an
   exhaustive scan would overwhelmingly select, since the merged radius
@@ -52,16 +52,30 @@ from ..core.chunk import Chunk, ChunkSet
 from ..core.dataset import DescriptorCollection
 from .base import Chunker, ChunkingResult
 
-__all__ = ["BagClusterer", "BagSnapshot", "FINAL_OUTLIER_FRACTION", "estimate_mpi"]
+__all__ = [
+    "BagClusterer",
+    "BagSnapshot",
+    "CANDIDATE_CHECKS",
+    "DESTROY_FRACTION",
+    "FINAL_OUTLIER_FRACTION",
+    "MPI_SAMPLE_SIZE",
+    "estimate_mpi",
+]
 
 #: Final destruction threshold, as a fraction of the mean cluster
 #: population; descriptors of destroyed clusters become outliers.
 FINAL_OUTLIER_FRACTION = 0.2
+#: Per-pass destruction threshold, as a fraction of the mean cluster
+#: population (0.2 in the paper).
+DESTROY_FRACTION = 0.2
+#: How many nearest clusters are tested as merge partners per scan.
+CANDIDATE_CHECKS = 4
+#: Descriptors :func:`estimate_mpi` samples (capped at the collection size).
+MPI_SAMPLE_SIZE = 2000
 
 
 def estimate_mpi(
     collection: DescriptorCollection,
-    sample_size: int = 2000,
     factor: float = 0.5,
     seed: int = 0,
 ) -> float:
@@ -75,7 +89,7 @@ def estimate_mpi(
     if n < 2:
         raise ValueError("need at least two descriptors to estimate MPI")
     rng = np.random.default_rng(seed)
-    take = min(sample_size, n)
+    take = min(MPI_SAMPLE_SIZE, n)
     rows = rng.choice(n, size=take, replace=False)
     sample = collection.vectors[rows].astype(np.float64)
     diffs = sample[:, np.newaxis, :] - sample[np.newaxis, :, :]
@@ -119,11 +133,6 @@ class BagClusterer(Chunker):
         :func:`estimate_mpi`).
     target_clusters:
         Terminate once the cluster count falls to or below this.
-    destroy_fraction:
-        Per-pass destruction threshold as a fraction of the mean cluster
-        population (0.2 in the paper).
-    candidate_checks:
-        How many nearest clusters are tested as merge partners per scan.
     max_passes:
         Safety bound on the pass loop.
     """
@@ -134,24 +143,16 @@ class BagClusterer(Chunker):
         self,
         mpi: float,
         target_clusters: int,
-        destroy_fraction: float = 0.2,
-        candidate_checks: int = 4,
         max_passes: int = 200,
     ):
         if mpi <= 0:
             raise ValueError(f"MPI must be positive, got {mpi}")
         if target_clusters < 1:
             raise ValueError("target cluster count must be at least 1")
-        if not 0.0 <= destroy_fraction < 1.0:
-            raise ValueError("destroy_fraction must be in [0, 1)")
-        if candidate_checks < 1:
-            raise ValueError("candidate_checks must be at least 1")
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
         self.mpi = float(mpi)
         self.target_clusters = int(target_clusters)
-        self.destroy_fraction = float(destroy_fraction)
-        self.candidate_checks = int(candidate_checks)
         self.max_passes = int(max_passes)
 
     # -- public API -----------------------------------------------------------
@@ -218,7 +219,7 @@ class BagClusterer(Chunker):
                 break
             # Destruction re-creates singletons and can push the count back
             # above a threshold already crossed; check again afterwards.
-            clusters = self._destroy_small(clusters, vectors, self.destroy_fraction)
+            clusters = self._destroy_small(clusters, vectors, DESTROY_FRACTION)
             capture(len(clusters), lambda: clusters)
 
         if pending:
@@ -350,7 +351,7 @@ class BagClusterer(Chunker):
         centroids — merges stay local, matching an exhaustive scan that
         prefers the partner minimizing the merged radius."""
         m = centroids.shape[0]
-        k = min(self.candidate_checks, m - 1)
+        k = min(CANDIDATE_CHECKS, m - 1)
         out = np.empty((m, k), dtype=np.intp)
         block = max(1, int(2_000_000 // max(m, 1)))
         sq_norms = np.einsum("ij,ij->i", centroids, centroids)

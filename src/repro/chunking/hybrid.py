@@ -23,7 +23,13 @@ from ..core.chunk import Chunk, ChunkSet
 from ..core.dataset import DescriptorCollection
 from .base import Chunker, ChunkingResult
 
-__all__ = ["HybridChunker"]
+__all__ = ["HybridChunker", "LLOYD_ITERATIONS", "MAX_SIZE_FACTOR"]
+
+#: Hard cap on a chunk's size as a multiple of the target (the "uniform
+#: size first" guarantee).
+MAX_SIZE_FACTOR = 1.25
+#: K-means refinement iterations before balancing.
+LLOYD_ITERATIONS = 8
 
 
 class HybridChunker(Chunker):
@@ -33,34 +39,18 @@ class HybridChunker(Chunker):
     ----------
     target_chunk_size:
         Desired descriptors per chunk; the chunk count is derived as
-        ``ceil(n / target_chunk_size)``.
-    max_size_factor:
-        Hard cap on a chunk's size as a multiple of the target (the
-        "uniform size first" guarantee).
-    lloyd_iterations:
-        K-means refinement iterations before balancing.
+        ``ceil(n / target_chunk_size)``; no chunk exceeds
+        :data:`MAX_SIZE_FACTOR` times it.
     seed:
         Seed for the k-means++-style center initialization.
     """
 
     name = "HYB"
 
-    def __init__(
-        self,
-        target_chunk_size: int,
-        max_size_factor: float = 1.25,
-        lloyd_iterations: int = 8,
-        seed: int = 0,
-    ):
+    def __init__(self, target_chunk_size: int, seed: int = 0):
         if target_chunk_size < 1:
             raise ValueError("target chunk size must be positive")
-        if max_size_factor < 1.0:
-            raise ValueError("max_size_factor must be at least 1")
-        if lloyd_iterations < 0:
-            raise ValueError("lloyd_iterations cannot be negative")
         self.target_chunk_size = int(target_chunk_size)
-        self.max_size_factor = float(max_size_factor)
-        self.lloyd_iterations = int(lloyd_iterations)
         self.seed = int(seed)
 
     # -- k-means machinery ------------------------------------------------------
@@ -102,7 +92,7 @@ class HybridChunker(Chunker):
         """Move points out of over-cap clusters into their next-best
         under-cap cluster, farthest-from-centroid points first."""
         k = centers.shape[0]
-        cap = int(np.ceil(self.target_chunk_size * self.max_size_factor))
+        cap = int(np.ceil(self.target_chunk_size * MAX_SIZE_FACTOR))
         counts = np.bincount(assignment, minlength=k)
         c_norms = np.einsum("ij,ij->i", centers, centers)
         assignment = assignment.copy()
@@ -136,7 +126,7 @@ class HybridChunker(Chunker):
 
         centers = self._init_centers(vectors, k, rng)
         assignment = self._assign(vectors, centers)
-        for _ in range(self.lloyd_iterations):
+        for _ in range(LLOYD_ITERATIONS):
             for c in range(k):
                 members = assignment == c
                 if members.any():
@@ -161,6 +151,6 @@ class HybridChunker(Chunker):
             build_info={
                 "build_seconds": elapsed,
                 "k": float(k),
-                "max_size_factor": self.max_size_factor,
+                "max_size_factor": MAX_SIZE_FACTOR,
             },
         )

@@ -23,7 +23,10 @@ from ..core.chunk import Chunk, ChunkSet
 from ..core.dataset import DescriptorCollection
 from .base import Chunker, ChunkingResult
 
-__all__ = ["TsvqChunker"]
+__all__ = ["TsvqChunker", "LLOYD_ITERATIONS"]
+
+#: 2-means refinement iterations per split.
+LLOYD_ITERATIONS = 6
 
 
 class TsvqChunker(Chunker):
@@ -33,26 +36,16 @@ class TsvqChunker(Chunker):
     ----------
     max_chunk_size:
         A leaf stops splitting once its population is at most this.
-    lloyd_iterations:
-        2-means refinement iterations per split.
     seed:
         Seed for split initialization.
     """
 
     name = "TSVQ"
 
-    def __init__(
-        self,
-        max_chunk_size: int,
-        lloyd_iterations: int = 6,
-        seed: int = 0,
-    ):
+    def __init__(self, max_chunk_size: int, seed: int = 0):
         if max_chunk_size < 1:
             raise ValueError("max chunk size must be positive")
-        if lloyd_iterations < 1:
-            raise ValueError("need at least one Lloyd iteration")
         self.max_chunk_size = int(max_chunk_size)
-        self.lloyd_iterations = int(lloyd_iterations)
         self.seed = int(seed)
 
     def _split_two_means(
@@ -72,7 +65,7 @@ class TsvqChunker(Chunker):
         centers = np.stack([sample_points[i], sample_points[j]]).astype(np.float64)
 
         assignment = np.zeros(rows.size, dtype=np.intp)
-        for _ in range(self.lloyd_iterations):
+        for _ in range(LLOYD_ITERATIONS):
             d_left = np.einsum(
                 "id,id->i", points - centers[0], points - centers[0]
             )

@@ -324,20 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="growth steps from the 10%% base to the full collection",
     )
     ingestsim_p.add_argument(
-        "--batch-ops", type=int, default=None,
-        help="operations per WAL batch (one group commit each)",
-    )
-    ingestsim_p.add_argument(
-        "--delete-fraction", type=float, default=None,
-        help="deletes per step as a fraction of that step's inserts",
-    )
-    ingestsim_p.add_argument(
         "--crashes", type=int, default=None,
         help="seeded kills injected at protocol boundaries across the run",
-    )
-    ingestsim_p.add_argument(
-        "--compact-every", type=int, default=None,
-        help="checkpoint (compaction) period, in growth steps",
     )
     ingestsim_p.add_argument(
         "--crash-matrix", type=int, default=None, metavar="N",
@@ -606,17 +594,18 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_grid(args.rates, "--rates", faultsim.DEFAULT_RATES, upper=0.5)
     data = prepare(scale)
-    sweep_args = dict(
+    result = faultsim.sweep(
+        data,
         family=args.family,
         size_class=args.size_class,
         workload_name=args.workload,
         rates=rates,
         seed=args.seed,
+        checkpoint_path=args.checkpoint,
     )
-    result = faultsim.sweep(data, checkpoint_path=args.checkpoint, **sweep_args)
     print(result.render())
     if args.json:
-        _write_json(faultsim.report(data, figure=result, **sweep_args), args.json)
+        _write_json(result.to_report(), args.json)
     return 0
 
 
@@ -734,14 +723,8 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
     overrides = {}
     if args.steps is not None:
         overrides["steps"] = args.steps
-    if args.batch_ops is not None:
-        overrides["batch_ops"] = args.batch_ops
-    if args.delete_fraction is not None:
-        overrides["delete_fraction"] = args.delete_fraction
     if args.crashes is not None:
         overrides["n_crashes"] = args.crashes
-    if args.compact_every is not None:
-        overrides["compact_every"] = args.compact_every
     try:
         config = dataclasses.replace(ingestsim.IngestSimConfig(), **overrides)
     except ValueError as exc:

@@ -41,7 +41,14 @@ __all__ = [
     "EpsilonApproximation",
     "PacApproximation",
     "DistanceDistribution",
+    "N_QUERY_SAMPLES",
+    "N_POINT_SAMPLES",
 ]
+
+#: Random queries and points :meth:`DistanceDistribution.sample` pairs up
+#: (each capped at the collection size).
+N_QUERY_SAMPLES = 50
+N_POINT_SAMPLES = 200
 
 
 class EpsilonApproximation(StopRule):
@@ -93,22 +100,19 @@ class DistanceDistribution:
 
     @classmethod
     def sample(
-        cls,
-        collection: DescriptorCollection,
-        n_query_samples: int = 50,
-        n_point_samples: int = 200,
-        seed: int = 0,
+        cls, collection: DescriptorCollection, seed: int = 0
     ) -> "DistanceDistribution":
-        """Estimate the distribution from random query/point pairs."""
+        """Estimate the distribution from :data:`N_QUERY_SAMPLES` random
+        queries times :data:`N_POINT_SAMPLES` random points."""
         if len(collection) < 2:
             raise ValueError("need at least two descriptors to sample distances")
         rng = np.random.default_rng(seed)
         n = len(collection)
         queries = collection.vectors[
-            rng.choice(n, size=min(n_query_samples, n), replace=False)
+            rng.choice(n, size=min(N_QUERY_SAMPLES, n), replace=False)
         ].astype(np.float64)
         points = collection.vectors[
-            rng.choice(n, size=min(n_point_samples, n), replace=False)
+            rng.choice(n, size=min(N_POINT_SAMPLES, n), replace=False)
         ]
         distances = []
         for query in queries:

@@ -171,21 +171,6 @@ class ChunkMeta:
         if self.page_offset < 0 or self.page_count <= 0:
             raise ValueError("invalid page extent")
 
-    def min_distance(self, query: np.ndarray) -> float:
-        """Lower bound on the distance from ``query`` to any member.
-
-        ``max(0, d(query, centroid) - radius)`` — this is "the rationale for
-        storing the radii of chunks together with their centroids"
-        (section 4.3): it proves when no unread chunk can improve the
-        current k-th neighbor.
-        """
-        d = float(np.sqrt(squared_distances(query, self.centroid)[0]))
-        return max(0.0, d - self.radius)
-
-    def centroid_distance(self, query: np.ndarray) -> float:
-        """Distance from ``query`` to the chunk centroid (the ranking key)."""
-        return float(np.sqrt(squared_distances(query, self.centroid)[0]))
-
 
 class ChunkSet:
     """An ordered list of logical chunks over one collection.
@@ -227,10 +212,6 @@ class ChunkSet:
         """Sizes (int64) of the ``n`` largest chunks, descending (Figure 1)."""
         sizes = np.sort(self.sizes())[::-1]
         return sizes[:n]
-
-    def radii(self) -> np.ndarray:
-        """Minimum bounding radius of every chunk, dtype float64."""
-        return np.asarray([c.radius for c in self.chunks], dtype=np.float64)
 
     # -- invariants ---------------------------------------------------------
 

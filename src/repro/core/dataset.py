@@ -14,7 +14,7 @@ library: a ``(n, d)`` float32 matrix plus parallel id arrays.  The on-disk
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,28 +68,6 @@ class DescriptorCollection:
             )
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: np.ndarray,
-        ids: Optional[np.ndarray] = None,
-        image_ids: Optional[np.ndarray] = None,
-    ) -> "DescriptorCollection":
-        """Build a collection, defaulting ids to row numbers.
-
-        When ``image_ids`` is omitted every descriptor is assigned to a
-        distinct synthetic image; tests and small examples use this.
-        """
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim == 1:
-            vectors = vectors[np.newaxis, :]
-        n = vectors.shape[0]
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        if image_ids is None:
-            image_ids = np.asarray(ids, dtype=np.int64).copy()
-        return cls(vectors=vectors, ids=ids, image_ids=image_ids)
 
     @classmethod
     def empty(cls, dimensions: int = DEFAULT_DIMENSIONS) -> "DescriptorCollection":
@@ -149,30 +127,6 @@ class DescriptorCollection:
             vectors=self.vectors[keep],
             ids=self.ids[keep],
             image_ids=self.image_ids[keep],
-        )
-
-    def rows_for_ids(self, wanted_ids: Sequence[int]) -> np.ndarray:
-        """Row positions (dtype intp) of the given descriptor ids,
-        order preserved.
-
-        Raises ``KeyError`` if any id is absent.
-        """
-        lookup = {int(i): row for row, i in enumerate(self.ids)}
-        try:
-            return np.asarray([lookup[int(i)] for i in wanted_ids], dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"descriptor id {exc.args[0]} not in collection") from exc
-
-    def concat(self, other: "DescriptorCollection") -> "DescriptorCollection":
-        """Concatenate two collections (ids are not deduplicated)."""
-        if other.dimensions != self.dimensions:
-            raise ValueError(
-                f"cannot concat {other.dimensions}-d onto {self.dimensions}-d"
-            )
-        return DescriptorCollection(
-            vectors=np.vstack([self.vectors, other.vectors]),
-            ids=np.concatenate([self.ids, other.ids]),
-            image_ids=np.concatenate([self.image_ids, other.image_ids]),
         )
 
     # -- statistics -------------------------------------------------------

@@ -26,7 +26,7 @@ __all__ = [
 
 #: Block size (rows of the point matrix) used by the blockwise kernels.  At
 #: 24 float32 dimensions a 65536-row block is ~6 MB, comfortably in L3.
-DEFAULT_BLOCK_ROWS = 65536
+BLOCK_ROWS = 65536
 
 
 def _as_matrix(vectors: np.ndarray) -> np.ndarray:
@@ -70,12 +70,12 @@ def squared_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
             f"dimension mismatch: query has {query.shape[0]} dims, "
             f"points have {points.shape[1]}"
         )
-    if points.dtype == np.float64 or points.shape[0] <= DEFAULT_BLOCK_ROWS:
+    if points.dtype == np.float64 or points.shape[0] <= BLOCK_ROWS:
         diff = points.astype(np.float64, copy=False) - query
         return np.einsum("ij,ij->i", diff, diff)
     out = np.empty(points.shape[0], dtype=np.float64)
-    for start in range(0, points.shape[0], DEFAULT_BLOCK_ROWS):
-        stop = min(start + DEFAULT_BLOCK_ROWS, points.shape[0])
+    for start in range(0, points.shape[0], BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, points.shape[0])
         diff = points[start:stop].astype(np.float64) - query
         np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
     return out
@@ -84,17 +84,16 @@ def squared_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
 def pairwise_squared_distances(
     queries: np.ndarray,
     points: np.ndarray,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
     points_sq_norms: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Full ``(n_queries, n_points)`` float64 matrix of squared distances.
 
-    Computed blockwise over ``points`` to bound temporary memory, using the
-    dot-product expansion ``|q|^2 - 2 q.p + |p|^2`` (clamped at zero) so
-    each block is one BLAS matmul.  This is the hot kernel of batched chunk
-    ranking and batched chunk scans; it agrees with the direct form to
-    ~1e-9 on descriptor-scale data but is not bit-identical to
-    :func:`squared_distances` on near-duplicate pairs.
+    Computed in blocks of :data:`BLOCK_ROWS` points to bound temporary
+    memory, using the dot-product expansion ``|q|^2 - 2 q.p + |p|^2``
+    (clamped at zero) so each block is one BLAS matmul.  This is the hot
+    kernel of batched chunk ranking and batched chunk scans; it agrees
+    with the direct form to ~1e-9 on descriptor-scale data but is not
+    bit-identical to :func:`squared_distances` on near-duplicate pairs.
 
     ``points_sq_norms`` optionally supplies the precomputed ``|p|^2`` terms
     (shape ``(n_points,)``, float64) — e.g. the per-chunk centroid norms a
@@ -103,8 +102,6 @@ def pairwise_squared_distances(
     for the result to be unchanged (norms computed that way once and stored
     are bit-identical to recomputing them here).
     """
-    if block_rows <= 0:
-        raise ValueError(f"block_rows must be positive, got {block_rows}")
     queries = _as_matrix(queries).astype(np.float64, copy=False)
     points = _as_matrix(points)
     if queries.shape[1] != points.shape[1]:
@@ -123,8 +120,8 @@ def pairwise_squared_distances(
     # of the 3-D broadcast temporary.  Cancellation can drive near-duplicate
     # pairs a few ulps below zero, so the result is clamped at zero.
     q_sq = np.einsum("qd,qd->q", queries, queries)
-    for start in range(0, n_p, block_rows):
-        stop = min(start + block_rows, n_p)
+    for start in range(0, n_p, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_p)
         block = points[start:stop].astype(np.float64, copy=False)
         if points_sq_norms is None:
             p_sq = np.einsum("pd,pd->p", block, block)

@@ -21,7 +21,7 @@ from ..storage.atomic import atomic_output
 from ..storage.errors import CorruptFileError
 from .dataset import DescriptorCollection
 from .distance import (
-    DEFAULT_BLOCK_ROWS,
+    BLOCK_ROWS,
     pairwise_squared_distances,
     squared_distances,
     top_k_smallest,
@@ -34,12 +34,13 @@ def exact_knn(
     collection: DescriptorCollection,
     query: np.ndarray,
     k: int,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """Ids (int64) of the exact ``k`` nearest descriptors, best first.
 
-    Scans the collection blockwise; exact, deterministic (ties broken by
-    ascending id as in :func:`~repro.core.distance.top_k_smallest`).
+    Scans the collection in blocks of
+    :data:`~repro.core.distance.BLOCK_ROWS` rows; exact, deterministic
+    (ties broken by ascending id as in
+    :func:`~repro.core.distance.top_k_smallest`).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -50,8 +51,8 @@ def exact_knn(
 
     best_d = np.empty(0, dtype=np.float64)
     best_ids = np.empty(0, dtype=np.int64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         d = squared_distances(query, collection.vectors[start:stop])
         ids = collection.ids[start:stop]
         merged_d = np.concatenate([best_d, d])
@@ -69,7 +70,6 @@ def exact_knn_batch(
     collection: DescriptorCollection,
     queries: np.ndarray,
     k: int,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> np.ndarray:
     """Exact k-NN ids for a batch of queries; shape ``(n_queries, k)``, int64.
 
@@ -92,8 +92,8 @@ def exact_knn_batch(
 
     best_d = np.empty((n_q, 0), dtype=np.float64)
     best_ids = np.empty((n_q, 0), dtype=np.int64)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         d = pairwise_squared_distances(queries, collection.vectors[start:stop])
         ids = np.broadcast_to(collection.ids[start:stop], d.shape)
         merged_d = np.concatenate([best_d, d], axis=1)

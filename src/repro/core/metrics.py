@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,17 +70,6 @@ class QualityCurves:
     chunks_read: np.ndarray
     elapsed_s: np.ndarray
     n_queries: int
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Row dicts, one per N, for table rendering."""
-        return [
-            {
-                "neighbors": int(self.neighbors_axis[j]),
-                "chunks_read": float(self.chunks_read[j]),
-                "elapsed_s": float(self.elapsed_s[j]),
-            }
-            for j in range(self.neighbors_axis.shape[0])
-        ]
 
 
 def curves_from_traces(traces: Sequence[SearchTrace], k: int) -> QualityCurves:

@@ -175,21 +175,6 @@ class BatchSearchResult:
     def __getitem__(self, i: int) -> SearchResult:
         return self.results[i]
 
-    def neighbor_ids_matrix(self) -> np.ndarray:
-        """``(n_queries, k_found)`` int64 id matrix, padded with -1 for
-        queries that found fewer neighbors than the widest result."""
-        if not self.results:
-            return np.empty((0, 0), dtype=np.int64)
-        width = max(len(r.neighbors) for r in self.results)
-        out = np.full((len(self.results), width), -1, dtype=np.int64)
-        for row, result in enumerate(self.results):
-            ids = result.neighbor_ids()
-            out[row, : ids.shape[0]] = ids
-        return out
-
-    def stop_reasons(self) -> List[str]:
-        return [r.stop_reason for r in self.results]
-
     def elapsed_s(self) -> np.ndarray:
         """Simulated per-query elapsed seconds (float64; the paper's clock)."""
         return np.asarray([r.elapsed_s for r in self.results], dtype=np.float64)
@@ -884,8 +869,8 @@ class ChunkSearcher:
             remaining_lb = stream.exact_remaining_lb()
             at_end = stream.exhausted
         if n_found >= state.k and remaining_lb > kth:
-            # The completion proof (SearchProgress.completion_proven): k
-            # found and no remaining chunk can help.  It still bounds the
+            # The completion proof: k found and no remaining chunk can
+            # help.  It still bounds the
             # *remaining* chunks when some were skipped, so the scan stops
             # either way — but a degraded run can never claim exactness (a
             # skipped chunk may have held a true neighbor).

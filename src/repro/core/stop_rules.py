@@ -61,11 +61,6 @@ class SearchProgress:
     kth_distance: float
     remaining_lower_bound: float
 
-    @property
-    def completion_proven(self) -> bool:
-        """True when no unread chunk can improve the k-th neighbor."""
-        return self.remaining_lower_bound > self.kth_distance
-
 
 class StopRule:
     """Base class; subclasses override :meth:`check`."""

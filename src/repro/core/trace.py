@@ -13,8 +13,6 @@ import dataclasses
 import math
 from typing import List, NamedTuple
 
-import numpy as np
-
 __all__ = ["TraceEvent", "SearchTrace"]
 
 
@@ -119,14 +117,6 @@ class SearchTrace:
             if event.true_matches >= n_neighbors:
                 return event.elapsed_s
         return math.inf
-
-    def matches_curve(self) -> np.ndarray:
-        """``true_matches`` after each chunk, as an int64 array."""
-        return np.asarray([e.true_matches for e in self.events], dtype=np.int64)
-
-    def elapsed_curve(self) -> np.ndarray:
-        """Completion timestamp of each chunk, dtype float64."""
-        return np.asarray([e.elapsed_s for e in self.events], dtype=np.float64)
 
     @property
     def final_elapsed_s(self) -> float:

@@ -478,7 +478,7 @@ def run_related_work_shootout(data: ExperimentData) -> TableResult:
     chunk_budget = 5
     target_size = max(2, int(round(built.chunking.mean_chunk_size)))
 
-    vafile = VAFile(retained, bits_per_dimension=4)
+    vafile = VAFile(retained)
     va_budget = chunk_budget * target_size
 
     def recall(ids, i):

@@ -160,7 +160,6 @@ DEFAULT_SCALE = ExperimentScale(
         pattern_popularity_exponent=0.9,
         pattern_std=0.05,
         pattern_scale_range=(-1.1, 0.0),
-        clutter_fraction=0.04,
         halo_fraction=0.13,
         seed=42,
     ),
@@ -180,7 +179,6 @@ TEST_SCALE = ExperimentScale(
         pattern_popularity_exponent=0.9,
         pattern_std=0.05,
         pattern_scale_range=(-1.1, 0.0),
-        clutter_fraction=0.04,
         halo_fraction=0.10,
         seed=7,
     ),

@@ -34,7 +34,7 @@ from .checkpoint import SweepCheckpoint
 from .data import ExperimentData
 from .results import FigureResult
 
-__all__ = ["run", "sweep", "report", "DEFAULT_RATES", "DEFAULT_SEED"]
+__all__ = ["run", "sweep", "DEFAULT_RATES", "DEFAULT_SEED"]
 
 #: Fault rates swept by default (per-(query, chunk) failure probability;
 #: spikes occur at the same rate — see ``FaultPlan.balanced``).
@@ -53,27 +53,6 @@ _SERIES_NAMES = (
 )
 
 
-def _identity(
-    data: ExperimentData,
-    family: str,
-    size_class: str,
-    workload_name: str,
-    seed: int,
-) -> Dict[str, object]:
-    """What determines a sweep's curves: the checkpoint's validity key
-    and the report's self-description."""
-    return {
-        "experiment": "faultsim",
-        "scale": data.scale.name,
-        "family": family,
-        "size_class": size_class,
-        "workload": workload_name,
-        "seed": int(seed),
-        "k": int(data.scale.k),
-        "n_queries": len(data.workloads[workload_name]),
-    }
-
-
 def sweep(
     data: ExperimentData,
     family: str = "SR",
@@ -83,7 +62,8 @@ def sweep(
     seed: int = DEFAULT_SEED,
     checkpoint_path: Optional[Union[str, os.PathLike]] = None,
 ) -> FigureResult:
-    """Run the exact search under each fault rate; returns the curves.
+    """Run the exact search under each fault rate; returns the curves,
+    whose ``to_report()`` is the determinism-check artefact.
 
     ``checkpoint_path`` enables point-by-point resume: each completed
     rate is published atomically, and a rerun with the same arguments
@@ -92,9 +72,19 @@ def sweep(
     """
     if not rates:
         raise ValueError("need at least one fault rate")
+    # What determines the curves: the checkpoint's validity key and the
+    # start of the report's self-description.
+    identity: Dict[str, object] = {
+        "scale": data.scale.name,
+        "family": family,
+        "size_class": size_class,
+        "workload": workload_name,
+        "seed": int(seed),
+        "k": int(data.scale.k),
+        "n_queries": len(data.workloads[workload_name]),
+    }
     checkpoint = SweepCheckpoint(
-        checkpoint_path,
-        meta=_identity(data, family, size_class, workload_name, seed),
+        checkpoint_path, meta={"experiment": "faultsim", **identity}
     )
     built = data.built(family, size_class)
     workload = data.workloads[workload_name]
@@ -131,6 +121,7 @@ def sweep(
         for name in _SERIES_NAMES:
             series[name].append(float(point[name]))  # type: ignore[index]
 
+    x_values = [float(r) for r in rates]
     return FigureResult(
         experiment_id="faultsim",
         title=(
@@ -138,9 +129,10 @@ def sweep(
             f"{workload_name} workload, seed {seed}"
         ),
         x_label="fault_rate",
-        x_values=[float(r) for r in rates],
+        x_values=x_values,
         series=series,
         precision=4,
+        meta={**identity, "fault_rates": x_values},
     )
 
 
@@ -148,25 +140,3 @@ def run(data: ExperimentData) -> FigureResult:
     """Default sweep (``repro experiment faultsim``)."""
     return sweep(data)
 
-
-def report(
-    data: ExperimentData,
-    family: str = "SR",
-    size_class: str = "MEDIUM",
-    workload_name: str = "DQ",
-    rates: Sequence[float] = DEFAULT_RATES,
-    seed: int = DEFAULT_SEED,
-    figure: Optional[FigureResult] = None,
-) -> Dict[str, object]:
-    """The sweep as a JSON-ready dict (the determinism-check artefact).
-
-    Pass ``figure`` to wrap an already-computed :func:`sweep` result
-    (with matching arguments) instead of re-running the sweep.
-    """
-    if figure is None:
-        figure = sweep(data, family, size_class, workload_name, rates, seed)
-    return {
-        **_identity(data, family, size_class, workload_name, seed),
-        "fault_rates": figure.x_values,
-        "series": figure.series,
-    }

@@ -16,10 +16,9 @@ and at every step interleaves:
 * **compaction** — periodic checkpoints (one pack of dirty-chunk deltas +
   WAL rotation) and one mid-run base rebuild, their simulated write cost
   charged through the same disk model as the queries;
-* **queries** — a budgeted batch search (pruning, centroid routing and
-  the LRU chunk cache all enabled) measured for recall against the exact
-  ground truth of the *current* live contents and for simulated elapsed
-  time.
+* **queries** — a budgeted batch search (pruning and the LRU chunk cache
+  enabled) measured for recall against the exact ground truth of the
+  *current* live contents and for simulated elapsed time.
 
 Everything is a pure function of ``(scale, seed, knobs)``: two runs with
 the same arguments emit byte-identical JSON reports (the working
@@ -27,9 +26,10 @@ directory never appears in the report), which the CI smoke job asserts.
 
 :func:`crash_matrix` is the acceptance drill: it records every protocol
 boundary the scenario crosses, then re-runs the scenario killing the
-writer at each (or a seeded subset), recovering, deep-verifying, and
-checking that searches on the recovered index are bit-identical to a
-fresh batch build of the same logical contents.
+writer at each (or a seeded subset), deep-verifies the directory the kill
+left (:func:`~repro.core.ingest.verify_streaming_index`), and reports how
+many descriptors the recovered index holds beside the uncrashed run's
+count.
 """
 
 from __future__ import annotations
@@ -73,31 +73,30 @@ _STREAM_CRASH_SCHEDULE = 14
 
 #: MaxChunks budget of the interleaved queries, as a fraction of chunks.
 BUDGET_FRACTION = 0.5
+#: Operations per WAL batch (the group-commit unit).
+BATCH_OPS = 24
+#: Deletes per step, as a fraction of that step's inserts.
+DELETE_FRACTION = 0.15
+#: Checkpoint (compaction) period, in steps.
+COMPACT_EVERY = 3
 
 
 @dataclasses.dataclass(frozen=True)
 class IngestSimConfig:
-    """Knobs of one watch-mode run (all seeded, all in the report)."""
+    """Knobs of one watch-mode run; the report's ``config`` lists them
+    beside :data:`BATCH_OPS`, :data:`DELETE_FRACTION` and
+    :data:`COMPACT_EVERY`."""
 
     steps: int = 9  #: growth steps from the 10% base to 100%
-    batch_ops: int = 24  #: operations per WAL batch (group-commit unit)
-    delete_fraction: float = 0.15  #: deletes per step, as a fraction of inserts
     n_queries: int = 12  #: interleaved queries per step
-    compact_every: int = 3  #: checkpoint (compaction) period, in steps
     n_crashes: int = 0  #: seeded kills injected across the whole run
     leaf_capacity: int = 48  #: SR-tree leaf capacity of the base build
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("need at least one growth step")
-        if self.batch_ops < 1:
-            raise ValueError("a batch needs at least one operation")
-        if not 0.0 <= self.delete_fraction < 1.0:
-            raise ValueError("delete fraction must lie in [0, 1)")
         if self.n_queries < 1:
             raise ValueError("need at least one query per step")
-        if self.compact_every < 1:
-            raise ValueError("compaction period must be positive")
         if self.n_crashes < 0:
             raise ValueError("crash count cannot be negative")
         if self.leaf_capacity < 2:
@@ -265,7 +264,7 @@ def simulate(
         # Boundary budget: three WAL sites per batch plus compaction and
         # rebuild sites; kills land in the earlier ~2/3 of that span so
         # each is followed by real work that exercises the recovery.
-        n_batches = -(-stream_rows.size // cfg.batch_ops)
+        n_batches = -(-stream_rows.size // BATCH_OPS)
         horizon = max(1, (3 * n_batches * 2) // 3)
         crash = _CrashSchedule(
             seeded_crash_steps(
@@ -310,12 +309,12 @@ def simulate(
             ops.append(
                 insert_op(int(collection.ids[row]), collection.vectors[row])
             )
-            if len(ops) >= cfg.batch_ops:
+            if len(ops) >= BATCH_OPS:
                 driver.apply(ops)
                 ops = []
         if ops:
             driver.apply(ops)
-        n_deletes = int(cfg.delete_fraction * step_rows.size)
+        n_deletes = int(DELETE_FRACTION * step_rows.size)
         assert driver.streaming is not None
         maintainer = driver.streaming.maintainer
         if n_deletes and len(maintainer) > n_deletes:
@@ -326,12 +325,12 @@ def simulate(
             delete_batch = [
                 delete_op(live_ids[int(v)]) for v in np.sort(victims)
             ]
-            for start in range(0, len(delete_batch), cfg.batch_ops):
-                driver.apply(delete_batch[start : start + cfg.batch_ops])
+            for start in range(0, len(delete_batch), BATCH_OPS):
+                driver.apply(delete_batch[start : start + BATCH_OPS])
         # Maintenance: periodic compaction, one mid-run base rebuild.
         if step == rebuild_step:
             driver.rebuild()
-        elif step % cfg.compact_every == 0:
+        elif step % COMPACT_EVERY == 0:
             driver.checkpoint(defragment=True)
 
         # Queries against the current index: pruning + cache on,
@@ -387,11 +386,11 @@ def simulate(
         "dimensions": dimensions,
         "config": {
             "steps": cfg.steps,
-            "batch_ops": cfg.batch_ops,
-            "delete_fraction": cfg.delete_fraction,
+            "batch_ops": BATCH_OPS,
+            "delete_fraction": DELETE_FRACTION,
             "n_queries": cfg.n_queries,
             "budget_fraction": BUDGET_FRACTION,
-            "compact_every": cfg.compact_every,
+            "compact_every": COMPACT_EVERY,
             "rebuild_step": rebuild_step,
             "n_crashes": cfg.n_crashes,
             "leaf_capacity": cfg.leaf_capacity,

@@ -15,7 +15,9 @@ class FigureResult:
     """A figure as data: shared x values plus one named series per curve.
 
     ``render()`` prints the figure as a fixed-width block with one column
-    per series — the same numbers the paper plots.
+    per series — the same numbers the paper plots.  ``meta`` is what
+    ``to_report()`` writes before the series: the run's self-description,
+    x values included under the key the report names them by.
     """
 
     experiment_id: str
@@ -24,6 +26,7 @@ class FigureResult:
     x_values: List
     series: Dict[str, List[float]]
     precision: int = 3
+    meta: Dict[str, object] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name, values in self.series.items():
@@ -41,6 +44,10 @@ class FigureResult:
             title=f"[{self.experiment_id}] {self.title}",
             precision=self.precision,
         )
+
+    def to_report(self) -> Dict[str, object]:
+        """Deterministic JSON-ready dict (the CI smoke artefact)."""
+        return {"experiment": self.experiment_id, **self.meta, "series": self.series}
 
 
 @dataclasses.dataclass

@@ -6,8 +6,8 @@ search "after having accessed an arbitrary, predetermined and fixed number
 of chunks"; the underlying structure is the vector-approximation file
 (Weber, Schek, Blott, VLDB 1998):
 
-* every dimension is quantized into ``2**bits`` cells with equi-populated
-  boundaries;
+* every dimension is quantized into ``2**BITS_PER_DIMENSION`` cells with
+  equi-populated boundaries;
 * each descriptor is approximated by its cell signature;
 * a query scans all signatures, computing per-descriptor lower bounds on
   the true distance, then refines the most promising candidates with exact
@@ -27,7 +27,11 @@ import numpy as np
 from ..core.dataset import DescriptorCollection
 from ..core.distance import cell_squared_gaps, squared_distances
 
-__all__ = ["VAFile"]
+__all__ = ["VAFile", "BITS_PER_DIMENSION"]
+
+#: Signature resolution: ``2**BITS_PER_DIMENSION`` quantization cells per
+#: dimension.
+BITS_PER_DIMENSION = 4
 
 
 class VAFile:
@@ -37,18 +41,13 @@ class VAFile:
     ----------
     collection:
         Descriptors to index.
-    bits_per_dimension:
-        Signature resolution; 2**bits quantization cells per dimension.
     """
 
-    def __init__(self, collection: DescriptorCollection, bits_per_dimension: int = 4):
+    def __init__(self, collection: DescriptorCollection):
         if len(collection) == 0:
             raise ValueError("cannot index an empty collection")
-        if not 1 <= bits_per_dimension <= 16:
-            raise ValueError("bits_per_dimension must be in [1, 16]")
         self.collection = collection
-        self.bits = int(bits_per_dimension)
-        n_cells = 2**self.bits
+        n_cells = 2**BITS_PER_DIMENSION
         vectors = collection.vectors.astype(np.float64)
         d = collection.dimensions
         # Equi-populated cell boundaries per dimension: n_cells+1 marks.
@@ -64,11 +63,6 @@ class VAFile:
             self._signatures[dim] = np.searchsorted(
                 self._boundaries[1:-1, dim], vectors[:, dim], side="right"
             )
-
-    @property
-    def signature_bytes(self) -> int:
-        """Approximation size per descriptor (the VA-file's I/O saving)."""
-        return (self.bits * self.collection.dimensions + 7) // 8
 
     def _lower_bounds(self, query: np.ndarray) -> np.ndarray:
         """Squared lower bound per descriptor from cell geometry (float64)."""

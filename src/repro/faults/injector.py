@@ -3,7 +3,7 @@
 :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan` to a
 :class:`~repro.simio.disk_model.DiskModel` so that each decision also
 carries its simulated time charge (failed attempts pay the chunk's
-uncached random-read cost; spikes pay ``spike_s``; backoff delays come
+uncached random-read cost; spikes pay ``SPIKE_S``; backoff delays come
 from the plan).  The searchers consult it per ``(query, chunk)`` and the
 injected latency flows through the per-query
 :class:`~repro.simio.pipeline.PipelineSimulator` timeline.  Real on-disk

@@ -14,7 +14,7 @@ Fault taxonomy (mirroring what real chunk storage exhibits):
   succeeds (the per-attempt decision is independent).
 * ``corrupt`` / ``truncate`` — persistent media damage; once drawn for a
   ``(query, chunk)`` the chunk stays unreadable for every retry.
-* ``latency-spike`` — the read succeeds but costs ``spike_s`` extra
+* ``latency-spike`` — the read succeeds but costs :data:`SPIKE_S` extra
   simulated seconds (the tail-latency case of Tavenard et al.: a slow
   chunk, like a broken one, must cost bounded time).
 
@@ -22,13 +22,12 @@ Timing semantics (what degraded execution charges to the simulated
 clock) are encoded in :meth:`FaultPlan.chunk_outcome`: every failed
 attempt pays the chunk's read cost plus an exponential backoff delay;
 a successful retry pays the preceding failures plus the normal read; a
-skipped chunk pays all ``max_retries + 1`` failed reads.
+skipped chunk pays all ``MAX_RETRIES + 1`` failed reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 import numpy as np
 
@@ -39,6 +38,10 @@ __all__ = [
     "FAULT_CORRUPT",
     "FAULT_TRUNCATE",
     "FAILURE_KINDS",
+    "SPIKE_S",
+    "MAX_RETRIES",
+    "BACKOFF_S",
+    "BACKOFF_MULTIPLIER",
     "ChunkFaultOutcome",
     "OK_OUTCOME",
     "FaultPlan",
@@ -46,7 +49,7 @@ __all__ = [
 
 #: No fault: the read behaves normally.
 FAULT_NONE = "none"
-#: The read succeeds but takes ``spike_s`` extra simulated seconds.
+#: The read succeeds but takes :data:`SPIKE_S` extra simulated seconds.
 FAULT_SPIKE = "latency-spike"
 #: Transient read failure; retries re-draw independently.
 FAULT_READ_ERROR = "read-error"
@@ -60,6 +63,16 @@ FAILURE_KINDS = (FAULT_READ_ERROR, FAULT_CORRUPT, FAULT_TRUNCATE)
 
 #: Persistent kinds: drawn once, they fail every subsequent attempt.
 _PERSISTENT_KINDS = (FAULT_CORRUPT, FAULT_TRUNCATE)
+
+#: Extra simulated seconds charged by one latency spike.
+SPIKE_S = 0.050
+#: Failed attempts are retried up to this many times before the chunk is
+#: skipped.
+MAX_RETRIES = 2
+#: Exponential backoff: the delay charged before 0-based retry ``r`` is
+#: ``BACKOFF_S * BACKOFF_MULTIPLIER ** r``.
+BACKOFF_S = 0.010
+BACKOFF_MULTIPLIER = 2.0
 
 #: Stream tag of the per-(query, chunk) draws.
 _STREAM_CHUNK = 0
@@ -79,7 +92,7 @@ class ChunkFaultOutcome:
         ``latency-spike``/``none`` for clean reads).
     attempts:
         Total read attempts consumed (``1`` for a clean first read, up
-        to ``max_retries + 1``).
+        to ``MAX_RETRIES + 1``).
     extra_io_s:
         Simulated seconds to charge *in addition to* the normal read on
         success (failed attempts, backoff delays, spike latency); on a
@@ -100,11 +113,6 @@ class ChunkFaultOutcome:
         """Attempts beyond the first (0 when no read was ever attempted,
         e.g. a chunk skipped by an open circuit breaker)."""
         return max(0, self.attempts - 1)
-
-    @property
-    def faulted(self) -> bool:
-        """True when any fault (failure or spike) touched this access."""
-        return self.kind != FAULT_NONE
 
 
 #: The clean outcome shared by every un-faulted access (also the fast
@@ -127,14 +135,10 @@ class FaultPlan:
         Per-(query, chunk) probabilities of each failure kind.
     spike_rate:
         Probability that an otherwise-clean read carries a latency spike.
-    spike_s:
-        Extra simulated seconds charged by one spike.
-    max_retries:
-        Failed attempts are retried up to this many times before the
-        chunk is skipped.
-    backoff_s, backoff_multiplier:
-        Exponential backoff: the delay charged before retry ``r``
-        (0-based) is ``backoff_s * backoff_multiplier ** r``.
+
+    The spike's cost, the retry budget and the backoff ladder are the
+    module's constants :data:`SPIKE_S`, :data:`MAX_RETRIES`,
+    :data:`BACKOFF_S` and :data:`BACKOFF_MULTIPLIER`.
     """
 
     seed: int = 0
@@ -142,10 +146,6 @@ class FaultPlan:
     corrupt_rate: float = 0.0
     truncate_rate: float = 0.0
     spike_rate: float = 0.0
-    spike_s: float = 0.050
-    max_retries: int = 2
-    backoff_s: float = 0.010
-    backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -163,12 +163,6 @@ class FaultPlan:
                 "failure rates plus spike rate must not exceed 1 "
                 f"(got {self.failure_rate + self.spike_rate:g})"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if self.spike_s < 0.0 or self.backoff_s < 0.0:
-            raise ValueError("delays cannot be negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff multiplier must be at least 1")
 
     # -- derived properties --------------------------------------------------
 
@@ -183,7 +177,7 @@ class FaultPlan:
         return self.failure_rate == 0.0 and self.spike_rate == 0.0
 
     @classmethod
-    def balanced(cls, rate: float, seed: int, **overrides: Any) -> "FaultPlan":
+    def balanced(cls, rate: float, seed: int) -> "FaultPlan":
         """A plan splitting ``rate`` evenly across the three failure
         kinds, with spikes occurring at the same ``rate``.
 
@@ -201,7 +195,6 @@ class FaultPlan:
             corrupt_rate=rate / 3.0,
             truncate_rate=rate / 3.0,
             spike_rate=rate,
-            **overrides,
         )
 
     # -- deterministic draws -------------------------------------------------
@@ -236,7 +229,7 @@ class FaultPlan:
         """Backoff charged before 0-based retry ``retry_index``."""
         if retry_index < 0:
             raise ValueError("retry index cannot be negative")
-        return self.backoff_s * self.backoff_multiplier**retry_index
+        return BACKOFF_S * BACKOFF_MULTIPLIER**retry_index
 
     # -- the degraded-execution contract -------------------------------------
 
@@ -264,7 +257,7 @@ class FaultPlan:
         """
         if attempt_io_s < 0.0:
             raise ValueError("attempt cost cannot be negative")
-        budget = self.max_retries + 1
+        budget = MAX_RETRIES + 1
         if not readable:
             extra = budget * attempt_io_s
             for retry in range(budget - 1):
@@ -297,7 +290,7 @@ class FaultPlan:
                 continue
             spiked = drawn == FAULT_SPIKE
             if spiked:
-                extra += self.spike_s
+                extra += SPIKE_S
                 if kind == FAULT_NONE:
                     kind = FAULT_SPIKE
             return ChunkFaultOutcome(

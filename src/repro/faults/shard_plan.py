@@ -16,7 +16,7 @@ Fault taxonomy:
   of occupancy and the coordinator fails over to the next replica.  Each
   attempt re-draws independently, like transient chunk read errors.
 * ``straggler`` — the sub-request succeeds but its service time is
-  multiplied by ``straggler_factor``; this is the tail the hedging
+  multiplied by :data:`STRAGGLER_FACTOR`; this is the tail the hedging
   policy exists to cut (Dean & Barroso's "tail at scale" case, and the
   response-time variability of Tavenard/Amsaleg/Jegou at node scale).
 * ``outage`` — a shard is down for one contiguous window of the run's
@@ -27,11 +27,17 @@ Fault taxonomy:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ShardSubFault", "ShardFaultPlan", "SHARD_OK", "ERROR_DETECT_S"]
+__all__ = [
+    "ShardSubFault",
+    "ShardFaultPlan",
+    "SHARD_OK",
+    "ERROR_DETECT_S",
+    "STRAGGLER_FACTOR",
+]
 
 #: Stream tags keeping the per-sub-request draws and the per-shard
 #: outage-window draws independent of each other.
@@ -42,6 +48,9 @@ _STREAM_OUTAGE = 1
 #: needs to notice and report the failure).
 ERROR_DETECT_S = 0.005
 
+#: Service-time multiplier of a straggling sub-request.
+STRAGGLER_FACTOR = 4.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ShardSubFault:
@@ -50,17 +59,13 @@ class ShardSubFault:
     ``failed`` means the attempt errors out after ``detect_s`` of
     simulated occupancy (fail fast; the coordinator fails over);
     ``straggler`` means the attempt succeeds but its service time is
-    stretched by the plan's ``straggler_factor``.  The two are mutually
+    stretched by :data:`STRAGGLER_FACTOR`.  The two are mutually
     exclusive — a draw classifies into error, straggler, or clean.
     """
 
     failed: bool
     straggler: bool
     detect_s: float
-
-    @property
-    def clean(self) -> bool:
-        return not self.failed and not self.straggler
 
 
 #: Shared clean outcome (also the fast path for null plans).
@@ -79,9 +84,8 @@ class ShardFaultPlan:
     error_rate:
         Per-attempt probability that a sub-request fails fast.
     straggler_rate:
-        Per-attempt probability that a clean sub-request is stretched.
-    straggler_factor:
-        Service-time multiplier of a straggling sub-request (>= 1).
+        Per-attempt probability that a clean sub-request is stretched
+        (by :data:`STRAGGLER_FACTOR`).
     outage_rate:
         Per-shard probability of one outage window within the horizon.
     outage_duration_s, horizon_s:
@@ -92,7 +96,6 @@ class ShardFaultPlan:
     seed: int = 0
     error_rate: float = 0.0
     straggler_rate: float = 0.0
-    straggler_factor: float = 4.0
     outage_rate: float = 0.0
     outage_duration_s: float = 0.0
     horizon_s: float = 0.0
@@ -108,9 +111,7 @@ class ShardFaultPlan:
                 "error rate plus straggler rate must not exceed 1 "
                 f"(got {self.error_rate + self.straggler_rate:g})"
             )
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler factor must be at least 1")
-        if self.outage_duration_s < 0.0 or self.horizon_s < 0.0:
+        if not (self.outage_duration_s >= 0.0 and self.horizon_s >= 0.0):
             raise ValueError("outage duration and horizon cannot be negative")
         if self.outage_rate > 0.0 and (
             self.outage_duration_s <= 0.0 or self.horizon_s <= 0.0
@@ -132,9 +133,7 @@ class ShardFaultPlan:
         )
 
     @classmethod
-    def balanced(
-        cls, rate: float, seed: int, horizon_s: float, **overrides: Any
-    ) -> "ShardFaultPlan":
+    def balanced(cls, rate: float, seed: int, horizon_s: float) -> "ShardFaultPlan":
         """A plan exercising all three modes from one knob: errors and
         stragglers each at ``rate``, outages at ``rate`` per shard with
         windows spanning a tenth of the horizon.
@@ -147,7 +146,7 @@ class ShardFaultPlan:
                 f"balanced rate must lie in [0, 0.5], got {rate!r} "
                 "(errors and stragglers each occur at this rate)"
             )
-        if horizon_s <= 0.0:
+        if not horizon_s > 0.0:
             raise ValueError("horizon must be positive")
         return cls(
             seed=seed,
@@ -156,7 +155,6 @@ class ShardFaultPlan:
             outage_rate=rate,
             outage_duration_s=0.1 * horizon_s,
             horizon_s=horizon_s,
-            **overrides,
         )
 
     # -- deterministic draws -------------------------------------------------

@@ -31,6 +31,7 @@ from .request import QueryRequest
 
 __all__ = [
     "AdmissionController",
+    "QUEUE_CAPACITY",
     "SERVICE_TIME_ALPHA",
     "SHED_QUEUE_FULL",
     "SHED_PREDICTED_LATE",
@@ -40,7 +41,10 @@ __all__ = [
 SHED_QUEUE_FULL = "queue-full"
 #: Shed reason: the wait estimate predicted a deadline miss.
 SHED_PREDICTED_LATE = "predicted-late"
-#: EWMA gain of the service-time estimate the query service runs with.
+#: Bound on requests waiting (excluding those being served).
+QUEUE_CAPACITY = 32
+#: EWMA gain of the service-time estimate:
+#: ``estimate += SERVICE_TIME_ALPHA * (observed - estimate)``.
 SERVICE_TIME_ALPHA = 0.2
 
 
@@ -49,37 +53,21 @@ class AdmissionController:
 
     Parameters
     ----------
-    queue_capacity:
-        Bound on requests waiting (excluding those being served).
     initial_service_estimate_s:
         Seed value of the EWMA service-time estimate, used until real
         observations arrive (a calibration baseline, e.g. the mean
         fault-free completion time).
-    alpha:
-        EWMA gain in (0, 1]: ``estimate += alpha * (observed - estimate)``.
     shed_slack:
         Multiplier on the relative deadline: admit while the predicted
         completion is within ``arrival + shed_slack * deadline``.
     """
 
-    def __init__(
-        self,
-        queue_capacity: int,
-        initial_service_estimate_s: float,
-        alpha: float = SERVICE_TIME_ALPHA,
-        shed_slack: float = 1.0,
-    ):
-        if queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
-        if initial_service_estimate_s <= 0.0:
+    def __init__(self, initial_service_estimate_s: float, shed_slack: float = 1.0):
+        if not initial_service_estimate_s > 0.0:
             raise ValueError("initial service estimate must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("EWMA gain must lie in (0, 1]")
-        if shed_slack <= 0.0:
+        if not shed_slack > 0.0:
             raise ValueError("shed slack must be positive")
-        self.queue_capacity = int(queue_capacity)
         self.service_estimate_s = float(initial_service_estimate_s)
-        self.alpha = float(alpha)
         self.shed_slack = float(shed_slack)
         self.n_shed_full = 0
         self.n_shed_late = 0
@@ -120,7 +108,7 @@ class AdmissionController:
         ``shed_reason`` is ``""`` when admitted, else one of
         :data:`SHED_QUEUE_FULL` / :data:`SHED_PREDICTED_LATE`.
         """
-        if queue_len >= self.queue_capacity:
+        if queue_len >= QUEUE_CAPACITY:
             self.n_shed_full += 1
             return False, SHED_QUEUE_FULL
         start = self.predicted_start_s(now, free_times, queue_len)
@@ -139,11 +127,6 @@ class AdmissionController:
         """Fold one observed service duration into the EWMA estimate."""
         if service_s < 0.0:
             raise ValueError("service time cannot be negative")
-        self.service_estimate_s += self.alpha * (
+        self.service_estimate_s += SERVICE_TIME_ALPHA * (
             service_s - self.service_estimate_s
         )
-
-    @property
-    def n_shed(self) -> int:
-        """Total requests shed by this controller."""
-        return self.n_shed_full + self.n_shed_late

@@ -1,7 +1,7 @@
 """Per-chunk-region circuit breakers over the fault injector.
 
 Degraded execution (PR 3) pays for every broken chunk *individually*:
-``max_retries + 1`` failed reads plus exponential backoff, per query,
+``MAX_RETRIES + 1`` failed reads plus exponential backoff, per query,
 per chunk.  When damage is regional — a bad platter zone, a sick shard —
 that price is paid over and over by every request that ranks a chunk
 from the region.  A circuit breaker converts the repeated price into a
@@ -11,13 +11,16 @@ chunks outright, charging zero I/O instead of a full retry ladder.
 
 State machine (classic three-state, on the simulated clock):
 
-* **closed** — accesses flow through; outcomes land in a rolling window;
-  ``failure_threshold`` failures within the window trip the breaker.
+* **closed** — accesses flow through; outcomes land in a rolling window
+  of :data:`BREAKER_WINDOW`; :data:`BREAKER_FAILURE_THRESHOLD` failures
+  within the window trip the breaker.
 * **open** — every access to the region is skipped (no retries, no I/O
-  charge) until ``cooldown_s`` of simulated time has passed.
+  charge) until :data:`BREAKER_COOLDOWN_S` of simulated time has passed.
 * **half-open** — after the cooldown the region is probed: accesses flow
   through again; a single failure re-opens (and restarts the cooldown),
-  ``probe_successes`` consecutive successes close it.
+  :data:`BREAKER_PROBE_SUCCESSES` consecutive successes close it.
+
+The four are constants shared by both services.
 
 Decisions are made at request *start* (a request sees the breaker state
 as of its start time) and observations are folded in at request
@@ -44,6 +47,8 @@ __all__ = [
     "BREAKER_OPEN",
     "BREAKER_SKIP_OUTCOME",
     "BREAKER_WINDOW",
+    "BREAKER_FAILURE_THRESHOLD",
+    "BREAKER_COOLDOWN_S",
     "BREAKER_PROBE_SUCCESSES",
     "STATE_CLOSED",
     "STATE_OPEN",
@@ -66,6 +71,10 @@ BREAKER_SKIP_OUTCOME = ChunkFaultOutcome(
 
 #: Outcomes a closed breaker's rolling window holds, in both services.
 BREAKER_WINDOW = 16
+#: Failures within the window that trip a closed breaker.
+BREAKER_FAILURE_THRESHOLD = 4
+#: Simulated seconds an open breaker waits before probing.
+BREAKER_COOLDOWN_S = 1.0
 #: Consecutive half-open successes that close a breaker, in both services.
 BREAKER_PROBE_SUCCESSES = 2
 
@@ -75,27 +84,10 @@ STATE_HALF_OPEN = "half-open"
 
 
 class RegionBreaker:
-    """Breaker state machine for one chunk region."""
+    """Breaker state machine for one chunk region (the module's
+    ``BREAKER_*`` constants)."""
 
-    def __init__(
-        self,
-        window: int,
-        failure_threshold: int,
-        cooldown_s: float,
-        probe_successes: int,
-    ):
-        if window < 1 or failure_threshold < 1:
-            raise ValueError("window and threshold must be positive")
-        if failure_threshold > window:
-            raise ValueError("threshold cannot exceed the window")
-        if cooldown_s <= 0.0:
-            raise ValueError("cooldown must be positive")
-        if probe_successes < 1:
-            raise ValueError("probe successes must be positive")
-        self.window = int(window)
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown_s = float(cooldown_s)
-        self.probe_successes = int(probe_successes)
+    def __init__(self) -> None:
         self.state = STATE_CLOSED
         self.opened_at_s = 0.0
         #: Transition counters: closed/half-open -> open trips,
@@ -105,7 +97,7 @@ class RegionBreaker:
         self.open_count = 0
         self.half_open_count = 0
         self.close_count = 0
-        self._outcomes: Deque[bool] = deque(maxlen=window)
+        self._outcomes: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
         self._window_failures = 0
         self._probe_ok = 0
 
@@ -115,7 +107,7 @@ class RegionBreaker:
         """May the region be accessed at ``now``?  Advances open ->
         half-open once the cooldown has elapsed."""
         if self.state == STATE_OPEN:
-            if now >= self.opened_at_s + self.cooldown_s:
+            if now >= self.opened_at_s + BREAKER_COOLDOWN_S:
                 self.state = STATE_HALF_OPEN
                 self.half_open_count += 1
                 self._probe_ok = 0
@@ -136,7 +128,7 @@ class RegionBreaker:
                 self._trip(now)
             else:
                 self._probe_ok += 1
-                if self._probe_ok >= self.probe_successes:
+                if self._probe_ok >= BREAKER_PROBE_SUCCESSES:
                     self._close()
             return
         if len(self._outcomes) == self._outcomes.maxlen and not self._outcomes[0]:
@@ -144,7 +136,7 @@ class RegionBreaker:
         self._outcomes.append(ok)
         if not ok:
             self._window_failures += 1
-            if self._window_failures >= self.failure_threshold:
+            if self._window_failures >= BREAKER_FAILURE_THRESHOLD:
                 self._trip(now)
 
     def _trip(self, now: float) -> None:
@@ -166,15 +158,7 @@ class RegionBreaker:
 class BreakerBoard:
     """All region breakers of one index, plus the chunk -> region map."""
 
-    def __init__(
-        self,
-        n_chunks: int,
-        region_size: int,
-        window: int = BREAKER_WINDOW,
-        failure_threshold: int = 4,
-        cooldown_s: float = 1.0,
-        probe_successes: int = BREAKER_PROBE_SUCCESSES,
-    ):
+    def __init__(self, n_chunks: int, region_size: int):
         if n_chunks < 1:
             raise ValueError("index must hold at least one chunk")
         if region_size < 1:
@@ -183,8 +167,7 @@ class BreakerBoard:
         self.region_size = int(region_size)
         self.n_regions = (n_chunks + region_size - 1) // region_size
         self.breakers: List[RegionBreaker] = [
-            RegionBreaker(window, failure_threshold, cooldown_s, probe_successes)
-            for _ in range(self.n_regions)
+            RegionBreaker() for _ in range(self.n_regions)
         ]
 
     def region_of(self, chunk_id: int) -> int:

@@ -117,11 +117,6 @@ class AdaptiveBudgetController:
         """Current chunk budget (0 = unbounded: the whole index)."""
         return 0 if self._budget >= self.n_chunks else self._budget
 
-    @property
-    def effective_budget(self) -> int:
-        """Current budget in chunks (``n_chunks`` when unbounded)."""
-        return self._budget
-
     def observe(self, latency_s: float) -> None:
         """Fold one served request's latency in; maybe adjust the budget."""
         if latency_s < 0.0:

@@ -22,14 +22,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..workloads.arrivals import poisson_arrival_times
-from .breaker import BREAKER_WINDOW
 
 __all__ = [
     "QueryRequest",
     "RequestRecord",
     "ServiceConfig",
     "open_loop_requests",
-    "validate_traffic_and_breakers",
+    "validate_traffic",
 ]
 
 
@@ -97,27 +96,15 @@ def open_loop_requests(
     ]
 
 
-def validate_traffic_and_breakers(
-    deadline_s: float,
-    arrival_rate_qps: float,
-    k: int,
-    breaker_failure_threshold: int,
-    breaker_cooldown_s: float,
-) -> None:
+def validate_traffic(deadline_s: float, arrival_rate_qps: float, k: int) -> None:
     """The checks :class:`ServiceConfig` and the sharded service's config
-    share: deadline, arrival stream, ``k`` and the breaker state machine."""
-    if deadline_s <= 0 or math.isnan(deadline_s):
+    share: deadline, arrival stream and ``k``."""
+    if not deadline_s > 0.0:
         raise ValueError("deadline must be positive")
     if not arrival_rate_qps > 0.0:
         raise ValueError("arrival rate must be positive")
     if k < 1:
         raise ValueError("k must be positive")
-    if breaker_failure_threshold < 1:
-        raise ValueError("breaker window/threshold must be positive")
-    if breaker_failure_threshold > BREAKER_WINDOW:
-        raise ValueError("breaker threshold cannot exceed its window")
-    if breaker_cooldown_s <= 0:
-        raise ValueError("breaker cooldown must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,8 +150,6 @@ class ServiceConfig:
     n_workers:
         Parallel searcher workers (simulated; results are engine- and
         thread-count independent).
-    queue_capacity:
-        Admission queue bound; arrivals beyond it are shed outright.
     deadline_s:
         Relative deadline each request carries.
     target_p99_s:
@@ -179,12 +164,6 @@ class ServiceConfig:
         Root seed of the arrival process.
     k:
         Neighbors per query.
-    region_size:
-        Chunks per circuit-breaker region.
-    breaker_failure_threshold / breaker_cooldown_s:
-        Breaker state machine; see
-        :class:`~repro.service.breaker.BreakerBoard` (window and probe
-        count are that module's constants).
     initial_service_estimate_s:
         Seed of the admission controller's service-time estimate (a calibration baseline such as the mean
         fault-free completion time); 0.0 falls back to ``deadline_s``,
@@ -195,19 +174,19 @@ class ServiceConfig:
         ``arrival + shed_slack * deadline_s``; 1.0 sheds exactly at the
         predicted deadline miss, larger values shed later (more
         optimistic admission).
+
+    The admission queue's bound is
+    :data:`~repro.service.admission.QUEUE_CAPACITY`; the circuit breakers'
+    region size is :data:`~repro.service.simulator.REGION_SIZE` and their
+    state machine the constants of :mod:`repro.service.breaker`.
     """
 
     n_workers: int = 4
-    queue_capacity: int = 32
     deadline_s: float = 0.5
     target_p99_s: float = 0.45
     arrival_rate_qps: float = 50.0
     seed: int = 0
     k: int = 10
-    # -- circuit breakers
-    region_size: int = 8
-    breaker_failure_threshold: int = 4
-    breaker_cooldown_s: float = 1.0
     # -- admission control
     shed_slack: float = 1.0
     initial_service_estimate_s: float = 0.0
@@ -215,27 +194,15 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be positive")
-        validate_traffic_and_breakers(
-            deadline_s=self.deadline_s,
-            arrival_rate_qps=self.arrival_rate_qps,
-            k=self.k,
-            breaker_failure_threshold=self.breaker_failure_threshold,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-        )
-        if self.target_p99_s <= 0 or self.target_p99_s > self.deadline_s:
+        validate_traffic(self.deadline_s, self.arrival_rate_qps, self.k)
+        if not 0.0 < self.target_p99_s <= self.deadline_s:
             raise ValueError(
                 "target p99 must be positive and not exceed the deadline "
                 f"(got target {self.target_p99_s}, deadline {self.deadline_s})"
             )
-        if self.region_size < 1:
-            raise ValueError("region size must be positive")
-        if self.shed_slack <= 0:
+        if not self.shed_slack > 0.0:
             raise ValueError("shed slack must be positive")
-        if self.initial_service_estimate_s < 0 or math.isnan(
-            self.initial_service_estimate_s
-        ):
+        if not self.initial_service_estimate_s >= 0.0:
             raise ValueError(
                 "initial service estimate cannot be negative (0 = deadline)"
             )

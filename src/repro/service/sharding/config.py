@@ -15,7 +15,7 @@ import math
 from typing import List, Tuple
 
 from ...core.neighbors import Neighbor
-from ..request import validate_traffic_and_breakers
+from ..request import validate_traffic
 
 __all__ = [
     "ShardServiceConfig",
@@ -52,23 +52,18 @@ class ShardServiceConfig:
         single-node service).
     k:
         Neighbors per query.
-    max_in_flight:
-        Admission bound: a query arriving while this many are already
-        in flight is shed outright (the coordinator's analogue of the
-        single-node bounded queue).
     hedge_delay_s:
         Seconds after dispatching a sub-request before a hedged
         duplicate is sent to the next replica (0 disables hedging).
         First answer wins; the loser's remaining worker occupancy is
         reclaimed.
-    quorum_coverage:
-        Minimum coverage fraction for a partial result to count as a
-        quorum; below it the query is still answered (never an error
-        page) but its stop reason says ``below-quorum``.
-    breaker_failure_threshold / breaker_cooldown_s:
-        Per-shard circuit breakers (one region per shard), reusing the
-        single-node :class:`~repro.service.breaker.RegionBreaker`
-        machinery and its window / probe constants.
+
+    The admission bound and the quorum are the coordinator's constants
+    :data:`~repro.service.sharding.coordinator.MAX_IN_FLIGHT` and
+    :data:`~repro.service.sharding.coordinator.QUORUM_COVERAGE`; the
+    per-shard circuit breakers (one region per shard) reuse the
+    single-node :class:`~repro.service.breaker.RegionBreaker` and its
+    constants.
     """
 
     workers_per_shard: int = 1
@@ -76,31 +71,16 @@ class ShardServiceConfig:
     arrival_rate_qps: float = 50.0
     seed: int = 0
     k: int = 10
-    max_in_flight: int = 64
     hedge_delay_s: float = 0.0
-    quorum_coverage: float = 0.5
-    # -- per-shard circuit breakers
-    breaker_failure_threshold: int = 4
-    breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers_per_shard < 1:
             raise ValueError("need at least one worker per shard")
-        validate_traffic_and_breakers(
-            deadline_s=self.deadline_s,
-            arrival_rate_qps=self.arrival_rate_qps,
-            k=self.k,
-            breaker_failure_threshold=self.breaker_failure_threshold,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-        )
+        validate_traffic(self.deadline_s, self.arrival_rate_qps, self.k)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.max_in_flight < 1:
-            raise ValueError("in-flight limit must be positive")
-        if self.hedge_delay_s < 0.0 or math.isnan(self.hedge_delay_s):
+        if not self.hedge_delay_s >= 0.0:
             raise ValueError("hedge delay cannot be negative (0 disables)")
-        if not 0.0 <= self.quorum_coverage <= 1.0:
-            raise ValueError("quorum coverage must lie in [0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -50,7 +50,7 @@ timeline the moment it is dispatched (it starts when that worker frees
 up, FIFO per shard — Tavenard et al.'s variability argument applies per
 shard, and the scatter-gather tail is the max over these queues), its
 stop rule is fixed from the deadline remaining at that *estimated* start,
-and load is shed by ``max_in_flight``, not by queue length.
+and load is shed by :data:`MAX_IN_FLIGHT`, not by queue length.
 
 Everything runs on the simulated clock; a run is a pure function of
 ``(index, placement, config, shard fault plan)``.
@@ -75,7 +75,12 @@ from ...core.metrics import (
 )
 from ...core.neighbors import Neighbor, merge_neighbor_lists
 from ...core.search import ChunkSearcher, SearchResult
-from ...faults.shard_plan import ERROR_DETECT_S, SHARD_OK, ShardFaultPlan
+from ...faults.shard_plan import (
+    ERROR_DETECT_S,
+    SHARD_OK,
+    STRAGGLER_FACTOR,
+    ShardFaultPlan,
+)
 from ...simio.calibration import PAPER_2005_COST_MODEL
 from ...simio.pipeline import CostModel
 from ...simio.queueing import (
@@ -98,7 +103,22 @@ from .config import (
 )
 from .placement import Partition, PlacementPlan, build_partition_index
 
-__all__ = ["ShardedQueryService", "ShardRunResult"]
+__all__ = [
+    "ShardedQueryService",
+    "ShardRunResult",
+    "MAX_IN_FLIGHT",
+    "QUORUM_COVERAGE",
+]
+
+#: Admission bound: a query arriving while this many are already in flight
+#: is shed outright (the coordinator's analogue of the single-node bounded
+#: queue).
+MAX_IN_FLIGHT = 64
+
+#: Minimum coverage fraction for a partial result to count as a quorum;
+#: below it the query is still answered (never an error page) but its stop
+#: reason says ``below-quorum``.
+QUORUM_COVERAGE = 0.5
 
 
 @dataclasses.dataclass
@@ -324,12 +344,7 @@ class ShardedQueryService:
             config.deadline_s,
         )
         n_shards = self.plan.n_shards
-        board = BreakerBoard(
-            n_chunks=n_shards,
-            region_size=1,
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-        )
+        board = BreakerBoard(n_chunks=n_shards, region_size=1)
         pools = [WorkerPool(config.workers_per_shard) for _ in range(n_shards)]
         # Sub-requests that completed successfully / failed, per shard.
         shard_served = [0] * n_shards
@@ -384,7 +399,7 @@ class ShardedQueryService:
                     )
                     duration = result.elapsed_s
                     if faults is not None and sub_fault.straggler:
-                        duration *= faults.straggler_factor
+                        duration *= STRAGGLER_FACTOR
                 worker, start, finish = pool.assign(now, duration)
                 event = _AttemptEvent(request.index, partition_id, attempt_no)
                 events.push(finish, EVT_COMPLETION, event)
@@ -464,7 +479,7 @@ class ShardedQueryService:
                 )
             else:
                 outcome = OUTCOME_DEGRADED
-                if coverage < config.quorum_coverage:
+                if coverage < QUORUM_COVERAGE:
                     stop_reason = f"below-quorum(coverage={coverage:.6g})"
                 elif lost:
                     stop_reason = f"shard-lost(coverage={coverage:.6g})"
@@ -504,7 +519,7 @@ class ShardedQueryService:
             now, priority, payload = events.pop()
             if isinstance(payload, QueryRequest):
                 request = payload
-                if in_flight_queries >= config.max_in_flight:
+                if in_flight_queries >= MAX_IN_FLIGHT:
                     records[request.index] = ShardRequestRecord(
                         index=request.index,
                         outcome=OUTCOME_SHED,

@@ -67,7 +67,11 @@ from .request import (
     open_loop_requests,
 )
 
-__all__ = ["QueryService", "ServiceRunResult"]
+__all__ = ["QueryService", "ServiceRunResult", "REGION_SIZE"]
+
+#: Chunks per circuit-breaker region (the sharded service breaks per shard
+#: instead).
+REGION_SIZE = 8
 
 #: Completion payload: ``(request, result, start_s, worker, chunk_budget)``.
 _Completion = Tuple[QueryRequest, SearchResult, float, int, int]
@@ -235,18 +239,12 @@ class QueryService:
         )
         pool = WorkerPool(config.n_workers)
         admission = AdmissionController(
-            queue_capacity=config.queue_capacity,
             initial_service_estimate_s=(
                 config.initial_service_estimate_s or config.deadline_s
             ),
             shed_slack=config.shed_slack,
         )
-        board = BreakerBoard(
-            n_chunks=self.n_chunks,
-            region_size=config.region_size,
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-        )
+        board = BreakerBoard(n_chunks=self.n_chunks, region_size=REGION_SIZE)
         controller = AdaptiveBudgetController(
             initial_budget=INITIAL_CHUNK_BUDGET,
             n_chunks=self.n_chunks,

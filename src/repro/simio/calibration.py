@@ -64,13 +64,14 @@ def _pages_for(n_bytes: int, page_bytes: int) -> int:
     return -(-n_bytes // page_bytes)
 
 
-def verify_calibration(model: CostModel = PAPER_2005_COST_MODEL) -> Dict[str, float]:
-    """Recompute the paper's anchor observations under ``model``.
+def verify_calibration() -> Dict[str, float]:
+    """Recompute the paper's anchor observations under
+    :data:`PAPER_2005_COST_MODEL`.
 
     Returns the predicted values keyed by observation name; the test suite
     asserts each against the paper's figure with a tolerance.
     """
-    disk, cpu = model.disk, model.cpu
+    disk, cpu = PAPER_2005_COST_MODEL.disk, PAPER_2005_COST_MODEL.cpu
     predictions: Dict[str, float] = {}
 
     # 1. One typical SR-tree chunk read+process (paper: "about 10 ms").

@@ -79,10 +79,6 @@ class PipelineSimulator:
         self._proc_done: List[float] = []
         self._start_time = 0.0
 
-    @property
-    def model(self) -> CostModel:
-        return self._model
-
     def start_query(self, n_chunks: int, index_bytes: int) -> float:
         """Account for the index read + global ranking; returns the
         timestamp at which the first chunk read may begin.
@@ -170,10 +166,6 @@ class PipelineSimulator:
         self._read_done.append(read_done)
         self._proc_done.append(proc_done)
         return proc_done
-
-    @property
-    def chunks_processed(self) -> int:
-        return len(self._proc_done)
 
     @property
     def elapsed(self) -> float:

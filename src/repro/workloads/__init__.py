@@ -9,7 +9,7 @@ SQ (space-query) workloads over any collection.
 
 from .arrivals import ArrivalSchedule, poisson_arrival_times
 from .queries import (
-    DEFAULT_TRIM_FRACTION,
+    TRIM_FRACTION,
     Workload,
     dataset_queries,
     space_queries,
@@ -19,7 +19,7 @@ from .synthetic import SyntheticImageConfig, generate_collection
 __all__ = [
     "ArrivalSchedule",
     "poisson_arrival_times",
-    "DEFAULT_TRIM_FRACTION",
+    "TRIM_FRACTION",
     "Workload",
     "dataset_queries",
     "space_queries",

@@ -45,11 +45,6 @@ class ArrivalSchedule:
     def __len__(self) -> int:
         return int(self.times_s.shape[0])
 
-    @property
-    def span_s(self) -> float:
-        """Time of the last arrival (0.0 for an empty schedule)."""
-        return float(self.times_s[-1]) if len(self) else 0.0
-
 
 def poisson_arrival_times(
     n_requests: int, rate_qps: float, seed: int

@@ -27,11 +27,11 @@ __all__ = [
     "Workload",
     "dataset_queries",
     "space_queries",
-    "DEFAULT_TRIM_FRACTION",
+    "TRIM_FRACTION",
 ]
 
 #: The paper discards the top and bottom 5 % per dimension for SQ.
-DEFAULT_TRIM_FRACTION = 0.05
+TRIM_FRACTION = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,13 +94,13 @@ def space_queries(
     collection: DescriptorCollection,
     n_queries: int,
     seed: int = 0,
-    trim_fraction: float = DEFAULT_TRIM_FRACTION,
     name: str = "SQ",
 ) -> Workload:
-    """The SQ workload: uniform draws from trimmed per-dimension ranges."""
+    """The SQ workload: uniform draws from per-dimension ranges trimmed by
+    :data:`TRIM_FRACTION`."""
     if n_queries < 1:
         raise ValueError("need at least one query")
-    ranges = collection.dimension_ranges(trim_fraction)
+    ranges = collection.dimension_ranges(TRIM_FRACTION)
     rng = np.random.default_rng(seed)
     queries = rng.uniform(
         ranges[:, 0], ranges[:, 1], size=(n_queries, collection.dimensions)

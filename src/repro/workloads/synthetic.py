@@ -29,7 +29,11 @@ import numpy as np
 
 from ..core.dataset import DEFAULT_DIMENSIONS, DescriptorCollection
 
-__all__ = ["SyntheticImageConfig", "generate_collection"]
+__all__ = ["SyntheticImageConfig", "generate_collection", "CLUTTER_FRACTION"]
+
+#: Fraction of descriptors that are uniform background clutter
+#: (textureless or unique regions far from every pattern).
+CLUTTER_FRACTION = 0.04
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,9 +62,6 @@ class SyntheticImageConfig:
         and its parent; wider/lower ranges give denser multi-scale
         structure (patterns that nearly overlap through patterns a unit
         apart).
-    clutter_fraction:
-        Fraction of descriptors that are uniform background clutter
-        (textureless or unique regions far from every pattern).
     halo_fraction:
         Fraction of descriptors that are *halo* clutter: displaced from a
         random pattern center by a log-uniform offset.  Halo descriptors
@@ -81,7 +82,6 @@ class SyntheticImageConfig:
     patterns_per_image: int = 4
     pattern_std: float = 0.02
     pattern_scale_range: Tuple[float, float] = (-0.8, 0.0)
-    clutter_fraction: float = 0.04
     halo_fraction: float = 0.08
     dimensions: int = DEFAULT_DIMENSIONS
     seed: int = 0
@@ -91,12 +91,11 @@ class SyntheticImageConfig:
             raise ValueError("need at least one image and one descriptor per image")
         if self.n_patterns < 1 or self.patterns_per_image < 1:
             raise ValueError("need at least one pattern")
-        if not 0.0 <= self.clutter_fraction < 1.0:
-            raise ValueError("clutter_fraction must be in [0, 1)")
-        if not 0.0 <= self.halo_fraction < 1.0:
-            raise ValueError("halo_fraction must be in [0, 1)")
-        if self.clutter_fraction + self.halo_fraction >= 1.0:
-            raise ValueError("clutter + halo fractions must stay below 1")
+        if not 0.0 <= self.halo_fraction < 1.0 - CLUTTER_FRACTION:
+            raise ValueError(
+                f"halo_fraction must be in [0, {1.0 - CLUTTER_FRACTION:g}) "
+                "(clutter + halo fractions must stay below 1)"
+            )
         if self.pattern_std <= 0:
             raise ValueError("pattern_std must be positive")
         if len(self.pattern_scale_range) != 2 or (
@@ -176,9 +175,9 @@ def generate_collection(config: SyntheticImageConfig) -> DescriptorCollection:
         points = pattern_centers[chosen] + noise
 
         kind = rng.random(n_desc)
-        clutter = kind < config.clutter_fraction
+        clutter = kind < CLUTTER_FRACTION
         halo = (~clutter) & (
-            kind < config.clutter_fraction + config.halo_fraction
+            kind < CLUTTER_FRACTION + config.halo_fraction
         )
         n_clutter = int(clutter.sum())
         if n_clutter:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.chunking import bag as bag_module
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.core.dataset import DescriptorCollection
+from descriptors import from_vectors
 
 
 @pytest.fixture()
@@ -18,7 +20,7 @@ def three_blob_collection():
     ]
     outliers = np.array([[50.0, 50.0], [-50.0, 40.0]])
     vectors = np.vstack(blobs + [outliers]).astype(np.float32)
-    return DescriptorCollection.from_vectors(vectors)
+    return from_vectors(vectors)
 
 
 class TestParameters:
@@ -27,26 +29,22 @@ class TestParameters:
             BagClusterer(mpi=0.0, target_clusters=5)
         with pytest.raises(ValueError):
             BagClusterer(mpi=1.0, target_clusters=0)
-        with pytest.raises(ValueError):
-            BagClusterer(mpi=1.0, target_clusters=5, destroy_fraction=1.0)
-        with pytest.raises(ValueError):
-            BagClusterer(mpi=1.0, target_clusters=5, candidate_checks=0)
 
     def test_estimate_mpi_positive(self, three_blob_collection):
-        mpi = estimate_mpi(three_blob_collection, sample_size=50)
+        mpi = estimate_mpi(three_blob_collection)
         assert mpi > 0
 
     def test_estimate_mpi_scales_with_data(self, three_blob_collection):
-        scaled = DescriptorCollection.from_vectors(
+        scaled = from_vectors(
             three_blob_collection.vectors * 10.0
         )
-        a = estimate_mpi(three_blob_collection, sample_size=50)
-        b = estimate_mpi(scaled, sample_size=50)
+        a = estimate_mpi(three_blob_collection)
+        b = estimate_mpi(scaled)
         assert b == pytest.approx(10 * a, rel=0.05)
 
     def test_estimate_mpi_needs_two_points(self):
         with pytest.raises(ValueError):
-            estimate_mpi(DescriptorCollection.from_vectors(np.ones((1, 2))))
+            estimate_mpi(from_vectors(np.ones((1, 2))))
 
 
 class TestClustering:
@@ -101,10 +99,13 @@ class TestClustering:
         assert a.n_chunks == b.n_chunks
         assert np.array_equal(a.outlier_rows, b.outlier_rows)
 
-    def test_merge_rule_respected_in_finalized_chunks(self, small_synthetic):
+    def test_merge_rule_respected_in_finalized_chunks(
+        self, small_synthetic, monkeypatch
+    ):
         """Merged chunks carry exact minimum bounding radii: every member
         is inside the radius (ChunkSet.validate checks this)."""
-        mpi = estimate_mpi(small_synthetic, sample_size=300)
+        monkeypatch.setattr(bag_module, "MPI_SAMPLE_SIZE", 300)
+        mpi = estimate_mpi(small_synthetic)
         bag = BagClusterer(mpi=mpi, target_clusters=200, max_passes=400)
         result = bag.form_chunks(small_synthetic)
         result.validate()
@@ -118,7 +119,7 @@ class TestOutlierRule:
         rng = np.random.default_rng(4)
         blob = 0.05 * rng.standard_normal((60, 2))
         isolated = np.array([[30.0, 0.0], [0.0, 30.0], [-30.0, 0.0]])
-        col = DescriptorCollection.from_vectors(
+        col = from_vectors(
             np.vstack([blob, isolated]).astype(np.float32)
         )
         bag = BagClusterer(mpi=0.05, target_clusters=6, max_passes=400)
@@ -129,7 +130,7 @@ class TestOutlierRule:
     def test_no_outliers_when_everything_merges(self):
         rng = np.random.default_rng(5)
         blob = 0.01 * rng.standard_normal((40, 2))
-        col = DescriptorCollection.from_vectors(blob.astype(np.float32))
+        col = from_vectors(blob.astype(np.float32))
         bag = BagClusterer(mpi=0.05, target_clusters=2, max_passes=400)
         result = bag.form_chunks(col)
         assert result.n_outliers == 0

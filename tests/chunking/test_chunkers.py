@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.chunking.hybrid import HybridChunker
+from repro.chunking.hybrid import MAX_SIZE_FACTOR, HybridChunker
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk import Chunk
 from repro.core.dataset import DescriptorCollection
+from descriptors import from_vectors, radii
 
 
 class TestSRTreeChunker:
@@ -33,7 +34,7 @@ class TestSRTreeChunker:
         chunks of the same size — the whole point of the strategy."""
         sr = SRTreeChunker(leaf_capacity=20).form_chunks(tiny_collection)
         rr = RoundRobinChunker(n_chunks=3).form_chunks(tiny_collection)
-        assert sr.chunk_set.radii().mean() < 0.5 * rr.chunk_set.radii().mean()
+        assert radii(sr.chunk_set).mean() < 0.5 * radii(rr.chunk_set).mean()
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -67,16 +68,16 @@ class TestSRTreeChunker:
     def test_non_finite_descriptor_refused(self, poison, capacity):
         vectors = np.random.default_rng(1).standard_normal((200, 4)).astype(np.float32)
         vectors[17, 2] = poison
-        collection = DescriptorCollection.from_vectors(vectors)
+        collection = from_vectors(vectors)
         with pytest.raises(ValueError, match="non-finite"):
             SRTreeChunker(capacity).form_chunks(collection)
 
     def test_huge_finite_coordinates_build(self):
         vectors = np.random.default_rng(2).standard_normal((200, 4)).astype(np.float32)
         vectors[::3] *= np.float32(1e18)
-        result = SRTreeChunker(20).form_chunks(DescriptorCollection.from_vectors(vectors))
+        result = SRTreeChunker(20).form_chunks(from_vectors(vectors))
         result.validate()
-        assert np.isfinite(result.chunk_set.radii()).all()
+        assert np.isfinite(radii(result.chunk_set)).all()
 
 
 class TestRoundRobin:
@@ -93,7 +94,7 @@ class TestRoundRobin:
             assert all(int(r) % 4 == c for r in chunk.member_rows)
 
     def test_more_chunks_than_descriptors(self):
-        col = DescriptorCollection.from_vectors(np.ones((3, 2)))
+        col = from_vectors(np.ones((3, 2)))
         result = RoundRobinChunker(n_chunks=10).form_chunks(col)
         assert len(result.chunk_set) == 3
 
@@ -126,10 +127,10 @@ class TestRandomChunker:
 
 class TestHybridChunker:
     def test_size_cap_enforced(self, small_synthetic):
-        chunker = HybridChunker(target_chunk_size=100, max_size_factor=1.25)
+        chunker = HybridChunker(target_chunk_size=100)
         result = chunker.form_chunks(small_synthetic)
         result.validate()
-        cap = int(np.ceil(100 * 1.25))
+        cap = int(np.ceil(100 * MAX_SIZE_FACTOR))
         assert result.chunk_set.sizes().max() <= cap
 
     def test_partition(self, small_synthetic):
@@ -141,13 +142,11 @@ class TestHybridChunker:
         rnd = RandomChunker(n_chunks=hyb.n_chunks, seed=0).form_chunks(
             small_synthetic
         )
-        assert hyb.chunk_set.radii().mean() < rnd.chunk_set.radii().mean()
+        assert radii(hyb.chunk_set).mean() < radii(rnd.chunk_set).mean()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HybridChunker(target_chunk_size=0)
-        with pytest.raises(ValueError):
-            HybridChunker(target_chunk_size=10, max_size_factor=0.5)
 
     def test_tiny_collection(self, tiny_collection):
         result = HybridChunker(target_chunk_size=25, seed=3).form_chunks(

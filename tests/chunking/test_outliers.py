@@ -7,14 +7,14 @@ from repro.chunking.outliers import (
     apply_outlier_rows,
     norm_fraction_outliers,
 )
-from repro.core.dataset import DescriptorCollection
+from descriptors import from_vectors
 
 
 @pytest.fixture()
 def norm_ladder():
     """Five descriptors with norms 1..5."""
     vectors = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(np.float32)
-    return DescriptorCollection.from_vectors(vectors)
+    return from_vectors(vectors)
 
 
 class TestNormFraction:

@@ -7,14 +7,13 @@ from repro.chunking.clindex import ClindexChunker
 from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.tsvq import TsvqChunker
 from repro.core.dataset import DescriptorCollection
+from descriptors import from_vectors, radii
 
 
 class TestTsvq:
     def test_validation(self):
         with pytest.raises(ValueError):
             TsvqChunker(max_chunk_size=0)
-        with pytest.raises(ValueError):
-            TsvqChunker(max_chunk_size=10, lloyd_iterations=0)
 
     def test_size_bound_respected(self, small_synthetic):
         result = TsvqChunker(max_chunk_size=100, seed=1).form_chunks(
@@ -41,7 +40,7 @@ class TestTsvq:
     def test_duplicate_points_split(self):
         """Degenerate data (all identical) must still terminate via the
         median fallback split."""
-        col = DescriptorCollection.from_vectors(np.ones((40, 3)))
+        col = from_vectors(np.ones((40, 3)))
         result = TsvqChunker(max_chunk_size=8, seed=0).form_chunks(col)
         result.validate()
         assert result.chunk_set.sizes().max() <= 8
@@ -51,7 +50,7 @@ class TestTsvq:
         rand = RandomChunker(n_chunks=tsvq.n_chunks, seed=0).form_chunks(
             small_synthetic
         )
-        assert tsvq.chunk_set.radii().mean() < rand.chunk_set.radii().mean()
+        assert radii(tsvq.chunk_set).mean() < radii(rand.chunk_set).mean()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.core.dataset import DescriptorCollection
 from repro.experiments.config import TEST_SCALE
 from repro.experiments.data import prepare
 from repro.workloads.synthetic import SyntheticImageConfig, generate_collection
+from descriptors import from_vectors
 
 # Tier-1 draws the same examples every run and replays no stored ones, so a
 # failure is a regression and not luck.  ``--hypothesis-profile=explore``
@@ -39,7 +40,7 @@ def tiny_collection() -> DescriptorCollection:
         centers[c] + 0.2 * rng.standard_normal((20, 4)) for c in range(3)
     ]
     vectors = np.vstack(parts).astype(np.float32)
-    return DescriptorCollection.from_vectors(vectors)
+    return from_vectors(vectors)
 
 
 @pytest.fixture()
@@ -55,7 +56,7 @@ def clutter_collection() -> DescriptorCollection:
     patterns = [c + 0.05 * rng.standard_normal((27, 6)) for c in centers]
     clutter = rng.uniform(-4.0, 4.0, size=(24, 6))
     vectors = np.vstack(patterns + [clutter]).astype(np.float32)
-    return DescriptorCollection.from_vectors(vectors[rng.permutation(len(vectors))])
+    return from_vectors(vectors[rng.permutation(len(vectors))])
 
 
 @pytest.fixture(scope="session")

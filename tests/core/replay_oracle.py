@@ -10,12 +10,12 @@ references the engine does not own — direct-form ``squared_distances``,
 import numpy as np
 import pytest
 
-from repro.core.dataset import DescriptorCollection
 from repro.core.distance import squared_distances
 from repro.core.ground_truth import exact_knn
 from repro.core.neighbors import NeighborSet
 from repro.core.search import RANK_BY_CENTROID
 from repro.simio.calibration import PAPER_2005_COST_MODEL
+from descriptors import from_vectors
 
 
 class ReplayOracle:
@@ -33,7 +33,7 @@ class ReplayOracle:
         self.cost_model, self.faults = cost_model, faults
         self.centroids, self.radii = index.centroid_matrix(), index.radius_vector()
         chunks = [index.read_chunk(c) for c in range(index.n_chunks)]
-        self.collection = DescriptorCollection.from_vectors(
+        self.collection = from_vectors(
             np.vstack([v for _, v in chunks]), ids=np.concatenate([i for i, _ in chunks])
         )
 

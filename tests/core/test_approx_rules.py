@@ -68,10 +68,9 @@ class TestEpsilonRule:
                 query, k=5, stop_rule=EpsilonApproximation(epsilon, 5)
             )
             got_kth = result.neighbors[-1].distance
-            truth = exact_knn(tiny_collection, query, 5)
-            rows = tiny_collection.rows_for_ids(truth)
+            truth = exact_knn(tiny_collection, query, 5)  # ids are row numbers
             true_kth = np.linalg.norm(
-                tiny_collection.vectors[rows[-1]].astype(float) - query
+                tiny_collection.vectors[truth[-1]].astype(float) - query
             )
             assert got_kth <= (1 + epsilon) * true_kth + 1e-9
 

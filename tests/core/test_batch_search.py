@@ -41,7 +41,7 @@ def make_queries(n, dims, seed=97):
 CHUNKER_FACTORIES = {
     "srtree": lambda collection: SRTreeChunker(leaf_capacity=7),
     "bag": lambda collection: BagClusterer(
-        mpi=estimate_mpi(collection, sample_size=50, seed=3),
+        mpi=estimate_mpi(collection, seed=3),
         target_clusters=5,
     ),
     "random": lambda collection: RandomChunker(n_chunks=6, seed=3),
@@ -204,11 +204,6 @@ class TestBatchSearchResult:
         queries = make_queries(5, tiny_collection.dimensions, seed=19)
         batch = ChunkSearcher(index).search_batch(queries, k=4)
         assert len(batch) == 5
-        matrix = batch.neighbor_ids_matrix()
-        assert matrix.shape == (5, 4)
-        for row, result in zip(matrix, batch):
-            np.testing.assert_array_equal(row[row >= 0], result.neighbor_ids())
-        assert batch.stop_reasons() == [r.stop_reason for r in batch.results]
         assert batch.elapsed_s().shape == (5,)
         assert batch.total_chunks_read == sum(
             r.chunks_read for r in batch.results
@@ -226,7 +221,6 @@ class TestBatchSearchResult:
             np.empty((0, dims)), k=4
         )
         assert len(batch) == 0
-        assert batch.neighbor_ids_matrix().shape == (0, 0)
         assert batch.mean_elapsed_s == 0.0
 
     def test_single_vector_promoted(self, tiny_collection):

@@ -13,7 +13,7 @@ from repro.core.chunk import (
     bounding_rectangle,
     summarize_members,
 )
-from repro.core.dataset import DescriptorCollection
+from descriptors import from_vectors
 
 
 class TestSummarize:
@@ -37,7 +37,7 @@ class TestSummarize:
         """Every chunker reaches this through ``Chunk.from_rows``."""
         vectors = np.random.default_rng(4).standard_normal((12, 3)).astype(np.float32)
         vectors[5, 1] = poison
-        collection = DescriptorCollection.from_vectors(vectors)
+        collection = from_vectors(vectors)
         with pytest.raises(ValueError, match="non-finite"):
             Chunk.from_rows(collection, np.arange(12))
         # Rows that leave the bad one out are unaffected.
@@ -116,18 +116,6 @@ class TestChunkMeta:
         defaults.setdefault("upper", centroid + abs(defaults["radius"]))
         return ChunkMeta(**defaults)
 
-    def test_min_distance_outside(self):
-        meta = self.make(centroid=np.array([0.0, 0.0, 0.0]), radius=1.0)
-        assert meta.min_distance(np.array([3.0, 0.0, 0.0])) == pytest.approx(2.0)
-
-    def test_min_distance_inside_is_zero(self):
-        meta = self.make(radius=5.0)
-        assert meta.min_distance(np.array([1.0, 0.0, 0.0])) == 0.0
-
-    def test_centroid_distance(self):
-        meta = self.make()
-        assert meta.centroid_distance(np.array([0.0, 4.0, 3.0])) == pytest.approx(5.0)
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             self.make(n_descriptors=0)
@@ -141,23 +129,6 @@ class TestChunkMeta:
             self.make(lower=np.array([0.0, np.nan, 0.0]))
         with pytest.raises(ValueError, match="share one shape"):
             self.make(lower=np.zeros(2), upper=np.ones(2))
-
-    def test_min_distance_lower_bounds_members(self, tiny_collection):
-        """The chunk lower bound never exceeds the true nearest member
-        distance — the property the completion proof relies on."""
-        chunk = Chunk.from_rows(tiny_collection, list(range(20)))
-        meta = self.make(
-            centroid=chunk.centroid, radius=chunk.radius, n_descriptors=20
-        )
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            query = rng.standard_normal(4) * 5
-            true_min = np.min(
-                np.linalg.norm(
-                    tiny_collection.vectors[:20].astype(float) - query, axis=1
-                )
-            )
-            assert meta.min_distance(query) <= true_min + 1e-9
 
 
 class TestChunkSet:

@@ -7,18 +7,19 @@ from repro.core.dataset import (
     DESCRIPTOR_RECORD_BYTES,
     DescriptorCollection,
 )
+from descriptors import from_vectors
 
 
 class TestConstruction:
     def test_from_vectors_defaults(self):
-        col = DescriptorCollection.from_vectors(np.ones((4, 3)))
+        col = from_vectors(np.ones((4, 3)))
         assert len(col) == 4
         assert col.dimensions == 3
         assert list(col.ids) == [0, 1, 2, 3]
         assert list(col.image_ids) == [0, 1, 2, 3]
 
     def test_single_vector_promoted(self):
-        col = DescriptorCollection.from_vectors(np.ones(5))
+        col = from_vectors(np.ones(5))
         assert len(col) == 1
         assert col.dimensions == 5
 
@@ -28,7 +29,7 @@ class TestConstruction:
         assert col.dimensions == 24
 
     def test_dtype_coercion(self):
-        col = DescriptorCollection.from_vectors(np.ones((2, 2), dtype=np.float64))
+        col = from_vectors(np.ones((2, 2), dtype=np.float64))
         assert col.vectors.dtype == np.float32
         assert col.ids.dtype == np.int64
 
@@ -60,7 +61,7 @@ class TestRecordLayout:
         assert DESCRIPTOR_RECORD_BYTES == 100
 
     def test_storage_bytes(self):
-        col = DescriptorCollection.from_vectors(np.ones((10, 24)))
+        col = from_vectors(np.ones((10, 24)))
         assert col.storage_bytes == 1000
 
 
@@ -81,24 +82,6 @@ class TestSelection:
         with pytest.raises(ValueError, match="mask shape"):
             tiny_collection.mask(np.ones(3, dtype=bool))
 
-    def test_rows_for_ids(self, tiny_collection):
-        sub = tiny_collection.take([7, 2, 9])
-        rows = sub.rows_for_ids([2, 9])
-        assert list(rows) == [1, 2]
-
-    def test_rows_for_missing_id(self, tiny_collection):
-        with pytest.raises(KeyError, match="9999"):
-            tiny_collection.rows_for_ids([9999])
-
-    def test_concat(self, tiny_collection):
-        both = tiny_collection.concat(tiny_collection)
-        assert len(both) == 2 * len(tiny_collection)
-
-    def test_concat_dim_mismatch(self, tiny_collection):
-        other = DescriptorCollection.from_vectors(np.ones((2, 7)))
-        with pytest.raises(ValueError, match="concat"):
-            tiny_collection.concat(other)
-
     def test_equality(self, tiny_collection):
         assert tiny_collection == tiny_collection.take(
             np.arange(len(tiny_collection))
@@ -108,7 +91,7 @@ class TestSelection:
 
 class TestStatistics:
     def test_centroid(self):
-        col = DescriptorCollection.from_vectors(
+        col = from_vectors(
             np.array([[0.0, 0.0], [2.0, 4.0]])
         )
         np.testing.assert_allclose(col.centroid(), [1.0, 2.0])
@@ -118,11 +101,11 @@ class TestStatistics:
             DescriptorCollection.empty(3).centroid()
 
     def test_norms(self):
-        col = DescriptorCollection.from_vectors(np.array([[3.0, 4.0]]))
+        col = from_vectors(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(col.norms(), [5.0])
 
     def test_dimension_ranges_untrimmed(self):
-        col = DescriptorCollection.from_vectors(
+        col = from_vectors(
             np.array([[0.0, 10.0], [1.0, 20.0], [2.0, 30.0]])
         )
         ranges = col.dimension_ranges()

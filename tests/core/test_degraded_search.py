@@ -35,7 +35,7 @@ from replay_oracle import ReplayOracle
 CHUNKER_FACTORIES = {
     "srtree": lambda collection: SRTreeChunker(leaf_capacity=7),
     "bag": lambda collection: BagClusterer(
-        mpi=estimate_mpi(collection, sample_size=50, seed=3),
+        mpi=estimate_mpi(collection, seed=3),
         target_clusters=5,
     ),
 }
@@ -52,8 +52,8 @@ def make_queries(n, dims, seed=97):
     return rng.standard_normal((n, dims)) * 4.0
 
 
-def injector(rate, seed=42, **overrides):
-    plan = FaultPlan.balanced(rate, seed=seed, **overrides)
+def injector(rate, seed=42):
+    plan = FaultPlan.balanced(rate, seed=seed)
     return FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
 
 
@@ -190,7 +190,7 @@ class TestFaultedExecution:
         index = make_index(tiny_collection, "srtree")
         queries = make_queries(8, tiny_collection.dimensions, seed=7)
         searcher = ChunkSearcher(index)
-        plan = FaultPlan(seed=9, spike_rate=0.5, spike_s=0.05)
+        plan = FaultPlan(seed=9, spike_rate=0.5)
         faults = FaultInjector(plan, PAPER_2005_COST_MODEL.disk)
         slowed = 0
         for i, q in enumerate(queries):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import distance
 from repro.core.distance import (
     cell_squared_gaps,
     pairwise_squared_distances,
@@ -52,14 +53,14 @@ class TestSquaredDistances:
         assert d[0] == pytest.approx(5.0)
 
     def test_float32_blockwise_path_bit_identical(self):
-        """Above DEFAULT_BLOCK_ROWS the float32 input takes the blockwise
+        """Above BLOCK_ROWS the float32 input takes the blockwise
         promotion path; every row's reduction is independent of the
         blocking, so the result must be bit-identical to promoting the
         whole matrix up front."""
-        from repro.core.distance import DEFAULT_BLOCK_ROWS
+        from repro.core.distance import BLOCK_ROWS
 
         rng = np.random.default_rng(12)
-        n = DEFAULT_BLOCK_ROWS + 1000  # spills into a second block
+        n = BLOCK_ROWS + 1000  # spills into a second block
         points = rng.standard_normal((n, 4)).astype(np.float32)
         query = rng.standard_normal(4).astype(np.float32)
         blocked = squared_distances(query, points)
@@ -92,27 +93,21 @@ class TestPairwise:
         for i, q in enumerate(queries):
             np.testing.assert_allclose(full[i], squared_distances(q, points))
 
-    def test_blocking_does_not_change_result(self):
+    def test_blocking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(4)
         queries = rng.standard_normal((3, 4))
         points = rng.standard_normal((25, 4))
+        whole = pairwise_squared_distances(queries, points)
+        monkeypatch.setattr(distance, "BLOCK_ROWS", 7)
         np.testing.assert_allclose(
-            pairwise_squared_distances(queries, points, block_rows=7),
-            pairwise_squared_distances(queries, points, block_rows=1000),
+            pairwise_squared_distances(queries, points), whole
         )
 
     def test_mismatch_raises(self):
         with pytest.raises(ValueError):
             pairwise_squared_distances(np.zeros((2, 3)), np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("block_rows", [0, -1])
-    def test_nonpositive_block_rows_rejected(self, block_rows):
-        with pytest.raises(ValueError, match="block_rows must be positive"):
-            pairwise_squared_distances(
-                np.zeros((2, 3)), np.zeros((4, 3)), block_rows=block_rows
-            )
-
-    def test_supplied_norms_bit_identical(self):
+    def test_supplied_norms_bit_identical(self, monkeypatch):
         """Precomputed |p|^2 terms (the v2 index's stored norms) must give
         the same matrix, bit for bit, as recomputing them in the kernel —
         the property that lets stored norms feed chunk ranking."""
@@ -121,10 +116,11 @@ class TestPairwise:
         points = rng.standard_normal((21, 8)).astype(np.float32)
         promoted = points.astype(np.float64)
         norms = np.einsum("pd,pd->p", promoted, promoted)
+        monkeypatch.setattr(distance, "BLOCK_ROWS", 7)
         with_norms = pairwise_squared_distances(
-            queries, points, block_rows=7, points_sq_norms=norms
+            queries, points, points_sq_norms=norms
         )
-        without = pairwise_squared_distances(queries, points, block_rows=7)
+        without = pairwise_squared_distances(queries, points)
         np.testing.assert_array_equal(with_norms, without)
 
     def test_wrong_norms_length_rejected(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import ground_truth
 from repro.core.dataset import DescriptorCollection
 from repro.core.ground_truth import GroundTruthStore, exact_knn, exact_knn_batch
 
@@ -13,11 +14,11 @@ class TestExactKnn:
         ids = exact_knn(tiny_collection, query, 3)
         assert ids[0] == 7
 
-    def test_blockwise_equals_monolithic(self, tiny_collection):
+    def test_blockwise_equals_monolithic(self, tiny_collection, monkeypatch):
         query = tiny_collection.vectors[3].astype(float)
-        a = exact_knn(tiny_collection, query, 10, block_rows=7)
-        b = exact_knn(tiny_collection, query, 10, block_rows=10_000)
-        np.testing.assert_array_equal(a, b)
+        whole = exact_knn(tiny_collection, query, 10)
+        monkeypatch.setattr(ground_truth, "BLOCK_ROWS", 7)
+        np.testing.assert_array_equal(exact_knn(tiny_collection, query, 10), whole)
 
     def test_respects_custom_ids(self):
         col = DescriptorCollection(
@@ -38,10 +39,9 @@ class TestExactKnn:
 
     def test_ordering_by_distance(self, tiny_collection):
         query = np.zeros(4)
-        ids = exact_knn(tiny_collection, query, 20)
-        rows = tiny_collection.rows_for_ids(ids)
+        ids = exact_knn(tiny_collection, query, 20)  # ids are row numbers
         dists = np.linalg.norm(
-            tiny_collection.vectors[rows].astype(float) - query, axis=1
+            tiny_collection.vectors[ids].astype(float) - query, axis=1
         )
         assert np.all(np.diff(dists) >= -1e-12)
 

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
-from repro.core.dataset import DescriptorCollection
 from repro.core.distance import squared_distances
 from repro.core.maintenance import ChunkIndexMaintainer
+from descriptors import from_vectors, sphere_lower_bound
 
 
 def _assert_bound_sound(maintainer, queries):
@@ -40,7 +40,7 @@ def _assert_bound_sound(maintainer, queries):
             ids, vectors = index.store.read_chunk(meta.chunk_id)
             assert ids.size == meta.n_descriptors
             true = np.sqrt(squared_distances(query, vectors))
-            bound = meta.min_distance(query)
+            bound = sphere_lower_bound(meta, query)
             # The centroid is the float64 mean of the live members and
             # the radius their exact maximum distance, so the triangle
             # inequality makes the bound sound up to float64 rounding
@@ -71,7 +71,7 @@ class TestPruningBoundSoundness:
     def test_bound_never_exceeds_true_distance(self, workload):
         seed, n_base, dims, leaf, n_ops, spread = workload
         rng = np.random.default_rng(seed)
-        base = DescriptorCollection.from_vectors(
+        base = from_vectors(
             (rng.standard_normal((n_base, dims)) * spread).astype(np.float32)
         )
         chunking = SRTreeChunker(leaf_capacity=leaf).form_chunks(base)
@@ -116,7 +116,7 @@ class TestPruningBoundSoundness:
     def test_bound_sound_after_forced_splits_and_merges(self, seed):
         """Deterministically drive both split and merge paths."""
         rng = np.random.default_rng(seed)
-        base = DescriptorCollection.from_vectors(
+        base = from_vectors(
             (rng.standard_normal((24, 4)) * 2.0).astype(np.float32)
         )
         chunking = SRTreeChunker(leaf_capacity=6).form_chunks(base)
@@ -205,7 +205,7 @@ def _drive_against_row_lists(seed, split_factor, merge_fraction, n_ops):
     """
     rng = np.random.default_rng(seed)
     dims = 5
-    base = DescriptorCollection.from_vectors(
+    base = from_vectors(
         (rng.standard_normal((36, dims)) * 3.0).astype(np.float32)
     )
     chunking = SRTreeChunker(leaf_capacity=6).form_chunks(base)

@@ -76,12 +76,6 @@ class TestCurves:
         with pytest.raises(ValueError):
             curves_from_traces([], k=2)
 
-    def test_as_rows(self):
-        t = make_trace(0.0, [(0.1, 2)])
-        rows = curves_from_traces([t], k=2).as_rows()
-        assert rows[0]["neighbors"] == 0
-        assert rows[2]["chunks_read"] == 1.0
-
     def test_curves_monotone(self):
         t = make_trace(0.0, [(0.1, 0), (0.2, 1), (0.3, 3)])
         curves = curves_from_traces([t], k=3)

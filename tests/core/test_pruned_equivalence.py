@@ -28,7 +28,6 @@ from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import ChunkIndex, build_chunk_index
-from repro.core.dataset import DescriptorCollection
 from repro.core.routing import CentroidRouter
 from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
 from repro.core.stop_rules import ExactCompletion, MaxChunks, TimeBudget
@@ -37,11 +36,12 @@ from repro.faults.plan import FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from replay_oracle import ReplayOracle
+from descriptors import from_vectors, sphere_lower_bound
 
 CHUNKER_FACTORIES = {
     "srtree": lambda collection: SRTreeChunker(leaf_capacity=7),
     "bag": lambda collection: BagClusterer(
-        mpi=estimate_mpi(collection, sample_size=50, seed=3),
+        mpi=estimate_mpi(collection, seed=3),
         target_clusters=5,
     ),
     "random": lambda collection: RandomChunker(n_chunks=6, seed=3),
@@ -272,7 +272,8 @@ class TestRectangleBoundEquivalence:
         for query, result in zip(queries, batch):
             kth = math.inf
             for event in result.trace.events:
-                sphere_only += index.metas[event.chunk_id].min_distance(query) > kth
+                meta = index.metas[event.chunk_id]
+                sphere_only += sphere_lower_bound(meta, query) > kth
                 kth = event.kth_distance
         assert batch.total_chunks_pruned > 2 * sphere_only > 0
 
@@ -288,7 +289,7 @@ def coded_and_plain(tmp_path_factory):
         (2160, 24)
     )
     vectors = np.vstack([patterns, rng.uniform(0.0, 1.0, size=(240, 24))])
-    collection = DescriptorCollection.from_vectors(
+    collection = from_vectors(
         vectors[rng.permutation(len(vectors))].astype(np.float32)
     )
     chunking = SRTreeChunker(leaf_capacity=40).form_chunks(collection)

@@ -35,11 +35,11 @@ from hypothesis import strategies as st
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
-from repro.core.dataset import DescriptorCollection
 from repro.core.distance import pairwise_squared_distances
 from repro.core.ground_truth import exact_knn
 from repro.core.search import ChunkSearcher
 from repro.storage.code_file import CELLS, cell_edges, encode_cells
+from descriptors import from_vectors
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``).
@@ -69,7 +69,7 @@ def build(seed, dims, sizes, offset, scale, lattice):
         if n > 1 and rng.random() < 0.5:
             members[1] = members[0]
         chunks.append(members)
-    collection = DescriptorCollection.from_vectors(np.vstack(chunks))
+    collection = from_vectors(np.vstack(chunks))
     starts = np.concatenate([[0], np.cumsum(sizes)])
     chunk_set = ChunkSet(
         collection,
@@ -366,7 +366,7 @@ class TestStrictComparison:
         base = np.random.default_rng(48866).standard_normal((22, 1))
         base *= 0.6912147301050365
         base[:11] = base[0]
-        collection = DescriptorCollection.from_vectors(base.astype(np.float32))
+        collection = from_vectors(base.astype(np.float32))
         chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
         query = np.random.default_rng(1).standard_normal(1)

@@ -14,7 +14,6 @@ from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import ChunkIndex, build_chunk_index
-from repro.core.dataset import DescriptorCollection
 from repro.core.ground_truth import exact_knn
 from repro.core.search import (
     RANK_BY_CENTROID,
@@ -22,6 +21,7 @@ from repro.core.search import (
     ChunkSearcher,
 )
 from repro.core.stop_rules import MaxChunks, TimeBudget
+from descriptors import from_vectors, sphere_lower_bound
 
 
 def make_index(collection, chunker):
@@ -92,7 +92,7 @@ class TestRanking:
         query = tiny_collection.vectors[30].astype(float)
         order, suffix_min = searcher.rank_chunks(query)
         bounds = np.array(
-            [sr_index.metas[c].min_distance(query) for c in order]
+            [sphere_lower_bound(sr_index.metas[c], query) for c in order]
         )
         for r in range(len(order)):
             assert suffix_min[r] == pytest.approx(bounds[r:].min())
@@ -224,7 +224,7 @@ class TestCohortOfOneRetainsNothing:
         rng = np.random.default_rng(23)
         vectors = rng.standard_normal((48_000, 24)).astype(np.float32)
         index = make_index(
-            DescriptorCollection.from_vectors(vectors),
+            from_vectors(vectors),
             SRTreeChunker(leaf_capacity=192),
         )
         index.save(str(tmp_path))
@@ -323,7 +323,7 @@ class TestCodesSkipReads:
         vectors = centers[rng.integers(32, size=n)] + 0.3 * rng.standard_normal((n, 24))
         vectors[:, :4] = np.round(vectors[:, :4] * 8.0) / 8.0
         vectors[n // 2 : n // 2 + n // 10] = vectors[: n // 10]
-        collection = DescriptorCollection.from_vectors(vectors.astype(np.float32))
+        collection = from_vectors(vectors.astype(np.float32))
         directory = tmp_path_factory.mktemp("golden")
         make_index(collection, SRTreeChunker(leaf_capacity=64)).save(str(directory))
         members = collection.vectors[rng.choice(n, 32, replace=False)].astype(np.float64)
@@ -419,7 +419,7 @@ class TestCodesSkipReads:
             (21_600, 24)
         )
         vectors = np.vstack([patterns, rng.uniform(0.0, 1.0, size=(2_400, 24))])
-        collection = DescriptorCollection.from_vectors(
+        collection = from_vectors(
             vectors[rng.permutation(24_000)].astype(np.float32)
         )
         make_index(collection, SRTreeChunker(leaf_capacity=400)).save(str(tmp_path))

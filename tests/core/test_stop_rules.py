@@ -1,7 +1,5 @@
 """Tests for stop rules."""
 
-import math
-
 import pytest
 
 from repro.core.stop_rules import (
@@ -24,22 +22,6 @@ def progress(**kwargs):
     )
     defaults.update(kwargs)
     return SearchProgress(**defaults)
-
-
-class TestSearchProgress:
-    def test_completion_proven(self):
-        assert progress(remaining_lower_bound=2.0, kth_distance=1.0).completion_proven
-        assert not progress(
-            remaining_lower_bound=0.5, kth_distance=1.0
-        ).completion_proven
-
-    def test_infinite_kth_never_proven(self):
-        p = progress(kth_distance=math.inf, remaining_lower_bound=10.0)
-        assert not p.completion_proven
-
-    def test_no_remaining_chunks_proves(self):
-        p = progress(remaining_lower_bound=math.inf, kth_distance=5.0)
-        assert p.completion_proven
 
 
 class TestExactCompletion:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.trace import SearchTrace, TraceEvent
@@ -67,10 +66,6 @@ class TestCurves:
             t.chunks_to_find(1)
         with pytest.raises(ValueError, match="ground-truth"):
             t.time_to_find(1)
-
-    def test_matches_and_elapsed_curves(self, trace):
-        np.testing.assert_array_equal(trace.matches_curve(), [2, 2, 5])
-        np.testing.assert_allclose(trace.elapsed_curve(), [0.10, 0.20, 0.35])
 
 
 class TestSummaries:

@@ -47,15 +47,8 @@ class TestSweep:
         )
         assert again.series == figure.series
 
-    def test_report_wraps_figure(self, experiment_data, figure):
-        payload = faultsim.report(
-            experiment_data,
-            family="SR",
-            size_class="SMALL",
-            rates=(0.0, 0.3),
-            seed=7,
-            figure=figure,
-        )
+    def test_report_wraps_figure(self, figure):
+        payload = figure.to_report()
         assert payload["experiment"] == "faultsim"
         assert payload["fault_rates"] == [0.0, 0.3]
         assert payload["series"] == figure.series

@@ -12,11 +12,16 @@ from repro.experiments.config import get_scale
 
 SMALL = ingestsim.IngestSimConfig(
     steps=3,
-    batch_ops=16,
     n_queries=4,
     n_crashes=1,
     leaf_capacity=32,
 )
+
+
+@pytest.fixture(autouse=True)
+def small_batches(monkeypatch):
+    """Smaller WAL batches than the CLI's, so a short run has many."""
+    monkeypatch.setattr(ingestsim, "BATCH_OPS", 16)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +75,7 @@ class TestSimulate:
 
     def test_crash_free_run_has_no_recoveries(self, scale, tmp_path):
         quiet = ingestsim.IngestSimConfig(
-            steps=2, batch_ops=16, n_queries=2, n_crashes=0, leaf_capacity=32
+            steps=2, n_queries=2, n_crashes=0, leaf_capacity=32
         )
         report = ingestsim.simulate(
             scale, str(tmp_path / "run"), seed=5, config=quiet
@@ -84,10 +89,6 @@ class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             ingestsim.IngestSimConfig(steps=0)
-        with pytest.raises(ValueError):
-            ingestsim.IngestSimConfig(batch_ops=0)
-        with pytest.raises(ValueError):
-            ingestsim.IngestSimConfig(delete_fraction=1.5)
         with pytest.raises(ValueError):
             ingestsim.IngestSimConfig(n_crashes=-1)
 

@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.ground_truth import exact_knn
+from repro.extensions import vafile as vafile_module
 from repro.extensions.vafile import VAFile
 
 
 @pytest.fixture()
-def vafile(tiny_collection):
-    return VAFile(tiny_collection, bits_per_dimension=6)
+def vafile(tiny_collection, monkeypatch):
+    monkeypatch.setattr(vafile_module, "BITS_PER_DIMENSION", 6)
+    return VAFile(tiny_collection)
 
 
 class TestConstruction:
-    def test_validation(self, tiny_collection):
+    def test_validation(self):
         from repro.core.dataset import DescriptorCollection
 
         with pytest.raises(ValueError):
             VAFile(DescriptorCollection.empty(4))
-        with pytest.raises(ValueError):
-            VAFile(tiny_collection, bits_per_dimension=0)
-        with pytest.raises(ValueError):
-            VAFile(tiny_collection, bits_per_dimension=17)
-
-    def test_signature_bytes(self, tiny_collection):
-        va = VAFile(tiny_collection, bits_per_dimension=4)
-        assert va.signature_bytes == 2  # 4 bits x 4 dims = 16 bits
 
     def test_signatures_in_range(self, vafile):
         assert vafile._signatures.min() >= 0
@@ -48,7 +42,7 @@ class TestLowerBounds:
         and one ``+=`` each; the shared gap routine and one axis-0 sum
         must produce the same floats (the related-work ablation's stdout
         is compared byte for byte)."""
-        va = VAFile(small_synthetic, bits_per_dimension=4)
+        va = VAFile(small_synthetic)
         rng = np.random.default_rng(3)
         for query in rng.standard_normal((5, small_synthetic.dimensions)):
             lows, highs = va._boundaries[:-1], va._boundaries[1:]
@@ -99,9 +93,12 @@ class TestSearch:
         with pytest.raises(ValueError):
             vafile.search(np.zeros(3), k=1)
 
-    def test_coarse_signatures_still_exact_in_exact_mode(self, tiny_collection):
+    def test_coarse_signatures_still_exact_in_exact_mode(
+        self, tiny_collection, monkeypatch
+    ):
         """Even 1-bit signatures give valid lower bounds, so exact mode
         stays exact (just refines more)."""
-        va = VAFile(tiny_collection, bits_per_dimension=1)
+        monkeypatch.setattr(vafile_module, "BITS_PER_DIMENSION", 1)
+        va = VAFile(tiny_collection)
         query = tiny_collection.vectors[3].astype(float)
         assert va.search(query, k=4) == exact_knn(tiny_collection, query, 4).tolist()

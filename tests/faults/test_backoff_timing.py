@@ -14,6 +14,7 @@ import pytest
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.search import ChunkSearcher
+from repro.faults import plan as plan_module
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FAULT_CORRUPT,
@@ -32,7 +33,7 @@ def skip_charge(plan, attempt_io_s):
     """The exact price of an exhausted-retry skip, accumulated in the
     implementation's order: each failed attempt pays the read, then the
     backoff when a retry follows."""
-    budget = plan.max_retries + 1
+    budget = plan_module.MAX_RETRIES + 1
     extra = 0.0
     for attempt in range(budget):
         extra += attempt_io_s
@@ -43,7 +44,8 @@ def skip_charge(plan, attempt_io_s):
 
 class TestBackoffLadder:
     def test_backoff_is_exactly_geometric(self):
-        plan = FaultPlan(seed=1, backoff_s=0.01, backoff_multiplier=2.0)
+        assert (plan_module.BACKOFF_S, plan_module.BACKOFF_MULTIPLIER) == (0.01, 2.0)
+        plan = FaultPlan(seed=1)
         assert plan.backoff_delay_s(0) == 0.01
         assert plan.backoff_delay_s(1) == 0.02
         assert plan.backoff_delay_s(2) == 0.04
@@ -63,9 +65,10 @@ class TestSkipCharges:
     )
     @pytest.mark.parametrize("max_retries", [0, 1, 2, 4])
     def test_exhausted_retries_charge_every_attempt(
-        self, kind, rates, max_retries
+        self, kind, rates, max_retries, monkeypatch
     ):
-        plan = FaultPlan(seed=3, max_retries=max_retries, **rates)
+        monkeypatch.setattr(plan_module, "MAX_RETRIES", max_retries)
+        plan = FaultPlan(seed=3, **rates)
         outcome = plan.chunk_outcome(0, 0, IO_S)
         assert not outcome.ok
         assert outcome.kind == kind
@@ -75,10 +78,11 @@ class TestSkipCharges:
         assert outcome.extra_io_s == skip_charge(plan, IO_S)
 
     @pytest.mark.parametrize("max_retries", [0, 2])
-    def test_unreadable_chunk_charges_the_full_ladder(self, max_retries):
+    def test_unreadable_chunk_charges_the_full_ladder(self, max_retries, monkeypatch):
         # A real storage failure (readable=False) is persistent damage:
         # budget * io, then the backoffs, in the implementation's order.
-        plan = FaultPlan(seed=3, max_retries=max_retries)
+        monkeypatch.setattr(plan_module, "MAX_RETRIES", max_retries)
+        plan = FaultPlan(seed=3)
         outcome = plan.chunk_outcome(0, 0, IO_S, readable=False)
         budget = max_retries + 1
         expected = budget * IO_S
@@ -91,8 +95,9 @@ class TestSkipCharges:
 
 
 class TestSuccessCharges:
-    def test_spike_charges_exactly_spike_seconds(self):
-        plan = FaultPlan(seed=3, spike_rate=1.0, spike_s=0.123)
+    def test_spike_charges_exactly_spike_seconds(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "SPIKE_S", 0.123)
+        plan = FaultPlan(seed=3, spike_rate=1.0)
         outcome = plan.chunk_outcome(0, 0, IO_S)
         assert outcome.ok and outcome.spiked
         assert outcome.kind == FAULT_SPIKE
@@ -102,7 +107,7 @@ class TestSuccessCharges:
     def find_key_with_failure_prefix(self, plan, rate, n_failures):
         """First (query=0, chunk) whose draws fail exactly ``n_failures``
         times and then succeed cleanly — deterministic, so the test is."""
-        budget = plan.max_retries + 1
+        budget = plan_module.MAX_RETRIES + 1
         assert n_failures < budget
         for chunk in range(10_000):
             us = plan.uniforms(0, 0, chunk, budget)  # stream 0 = chunk stream
@@ -114,10 +119,11 @@ class TestSuccessCharges:
 
     @pytest.mark.parametrize("n_failures", [1, 2])
     def test_transient_success_pays_failed_attempts_plus_backoff(
-        self, n_failures
+        self, n_failures, monkeypatch
     ):
         rate = 0.4
-        plan = FaultPlan(seed=11, read_error_rate=rate, max_retries=3)
+        monkeypatch.setattr(plan_module, "MAX_RETRIES", 3)
+        plan = FaultPlan(seed=11, read_error_rate=rate)
         chunk = self.find_key_with_failure_prefix(plan, rate, n_failures)
         outcome = plan.chunk_outcome(0, chunk, IO_S)
         expected = 0.0
@@ -148,7 +154,7 @@ class TestEndToEndTiming:
             cpu=PAPER_2005_COST_MODEL.cpu,
             overlap_io_cpu=False,
         )
-        plan = FaultPlan(seed=5, read_error_rate=1.0, max_retries=2)
+        plan = FaultPlan(seed=5, read_error_rate=1.0)
         injector = FaultInjector.from_cost_model(plan, model)
         searcher = ChunkSearcher(index, cost_model=model)
         result = searcher.search(
@@ -161,7 +167,7 @@ class TestEndToEndTiming:
                 int(searcher._pages[event.chunk_id])
             )
             assert event.skipped and event.fault == FAULT_READ_ERROR
-            assert event.retries == plan.max_retries
+            assert event.retries == plan_module.MAX_RETRIES
             expected += skip_charge(plan, attempt_io)
             assert event.elapsed_s == expected
         assert result.elapsed_s == expected

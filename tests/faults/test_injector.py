@@ -1,7 +1,7 @@
 """Tests for the search-level injection surface, FaultInjector."""
 
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import MAX_RETRIES, FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 
 
@@ -41,4 +41,4 @@ class TestFaultInjector:
         )
         outcome = injector.outcome(0, 0, 1, readable=False)
         assert not outcome.ok
-        assert outcome.attempts == injector.plan.max_retries + 1
+        assert outcome.attempts == MAX_RETRIES + 1

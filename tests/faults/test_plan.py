@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults import plan as plan_module
 from repro.faults.plan import (
     FAILURE_KINDS,
     FAULT_CORRUPT,
@@ -31,20 +32,6 @@ class TestValidation:
     def test_rates_must_fit_in_unit_interval(self):
         with pytest.raises(ValueError, match="exceed 1"):
             FaultPlan(read_error_rate=0.5, corrupt_rate=0.4, spike_rate=0.3)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            FaultPlan(max_retries=-1)
-
-    def test_negative_delays_rejected(self):
-        with pytest.raises(ValueError, match="delays"):
-            FaultPlan(spike_s=-0.1)
-        with pytest.raises(ValueError, match="delays"):
-            FaultPlan(backoff_s=-0.1)
-
-    def test_sub_unit_backoff_multiplier_rejected(self):
-        with pytest.raises(ValueError, match="multiplier"):
-            FaultPlan(backoff_multiplier=0.5)
 
     def test_balanced_rate_bounds(self):
         with pytest.raises(ValueError, match="0.5"):
@@ -107,7 +94,7 @@ class TestDeterminism:
 
 class TestOutcomeAccounting:
     def test_backoff_is_exponential(self):
-        plan = FaultPlan(backoff_s=0.01, backoff_multiplier=2.0)
+        plan = FaultPlan()
         assert plan.backoff_delay_s(0) == pytest.approx(0.01)
         assert plan.backoff_delay_s(1) == pytest.approx(0.02)
         assert plan.backoff_delay_s(2) == pytest.approx(0.04)
@@ -115,8 +102,7 @@ class TestOutcomeAccounting:
             plan.backoff_delay_s(-1)
 
     def test_unreadable_chunk_charges_all_attempts(self):
-        plan = FaultPlan(seed=1, max_retries=2, backoff_s=0.01,
-                         backoff_multiplier=2.0)
+        plan = FaultPlan(seed=1)
         outcome = plan.chunk_outcome(0, 0, attempt_io_s=0.1, readable=False)
         assert not outcome.ok
         assert outcome.kind == FAULT_CORRUPT
@@ -128,22 +114,23 @@ class TestOutcomeAccounting:
     def test_persistent_fault_exhausts_retries(self):
         # With corrupt_rate=1 every attempt fails and the first drawn
         # kind persists.
-        plan = FaultPlan(seed=2, corrupt_rate=1.0, max_retries=2,
-                         backoff_s=0.01, backoff_multiplier=2.0)
+        plan = FaultPlan(seed=2, corrupt_rate=1.0)
         outcome = plan.chunk_outcome(3, 4, attempt_io_s=0.1)
         assert not outcome.ok
         assert outcome.kind == FAULT_CORRUPT
         assert outcome.attempts == 3
         assert outcome.extra_io_s == pytest.approx(0.3 + 0.01 + 0.02)
 
-    def test_truncate_is_persistent_too(self):
-        plan = FaultPlan(seed=2, truncate_rate=1.0, max_retries=1)
+    def test_truncate_is_persistent_too(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "MAX_RETRIES", 1)
+        plan = FaultPlan(seed=2, truncate_rate=1.0)
         outcome = plan.chunk_outcome(0, 0, attempt_io_s=0.05)
         assert not outcome.ok and outcome.kind == FAULT_TRUNCATE
         assert outcome.attempts == 2
 
-    def test_spike_charges_spike_latency_only(self):
-        plan = FaultPlan(seed=4, spike_rate=1.0, spike_s=0.07)
+    def test_spike_charges_spike_latency_only(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "SPIKE_S", 0.07)
+        plan = FaultPlan(seed=4, spike_rate=1.0)
         outcome = plan.chunk_outcome(1, 2, attempt_io_s=0.1)
         assert outcome.ok and outcome.spiked
         assert outcome.kind == FAULT_SPIKE
@@ -154,8 +141,7 @@ class TestOutcomeAccounting:
         # read_error_rate=0.5: over many keys some outcomes must be
         # successful retries (ok, attempts > 1) charging the failed
         # attempt plus backoff.
-        plan = FaultPlan(seed=8, read_error_rate=0.5, max_retries=2,
-                         backoff_s=0.01, backoff_multiplier=2.0)
+        plan = FaultPlan(seed=8, read_error_rate=0.5)
         retried = [
             o
             for q in range(30)

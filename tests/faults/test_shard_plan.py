@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import SHARD_OK, ShardFaultPlan, ShardSubFault
+from repro.faults import SHARD_OK, ShardFaultPlan
 
 
 class TestValidation:
@@ -15,10 +15,6 @@ class TestValidation:
     def test_combined_rate_cannot_exceed_one(self):
         with pytest.raises(ValueError, match="exceed"):
             ShardFaultPlan(error_rate=0.6, straggler_rate=0.6)
-
-    def test_straggler_factor_at_least_one(self):
-        with pytest.raises(ValueError, match="factor"):
-            ShardFaultPlan(straggler_factor=0.5)
 
     def test_outage_needs_duration_and_horizon(self):
         with pytest.raises(ValueError, match="outage"):
@@ -67,7 +63,7 @@ class TestDraws:
     def test_null_plan_is_always_clean(self):
         plan = ShardFaultPlan()
         assert plan.sub_request(1, 2, 3, 0) == SHARD_OK
-        assert SHARD_OK.clean
+        assert not (SHARD_OK.failed or SHARD_OK.straggler)
 
     def test_outage_window_lies_in_horizon(self):
         plan = ShardFaultPlan(
@@ -85,7 +81,3 @@ class TestDraws:
         plan = ShardFaultPlan(seed=4)
         assert plan.outage_window(0) is None
         assert not plan.shard_down(0, 1.0)
-
-    def test_clean_property(self):
-        assert not ShardSubFault(True, False, 0.01).clean
-        assert not ShardSubFault(False, True, 0.0).clean

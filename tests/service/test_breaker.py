@@ -10,6 +10,7 @@ from repro.faults.plan import (
     OK_OUTCOME,
     FaultPlan,
 )
+from repro.service import breaker as breaker_module
 from repro.service.breaker import (
     BREAKER_OPEN,
     BREAKER_SKIP_OUTCOME,
@@ -23,10 +24,13 @@ from repro.service.breaker import (
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 
 
-def breaker(**overrides):
-    defaults = dict(window=4, failure_threshold=2, cooldown_s=1.0, probe_successes=2)
-    defaults.update(overrides)
-    return RegionBreaker(**defaults)
+@pytest.fixture(autouse=True)
+def small_window(monkeypatch):
+    """The state machine at a window of 4 and a threshold of 2, with the
+    shipped 1 s cooldown and two probes; a test that needs other values
+    patches them too."""
+    monkeypatch.setattr(breaker_module, "BREAKER_WINDOW", 4)
+    monkeypatch.setattr(breaker_module, "BREAKER_FAILURE_THRESHOLD", 2)
 
 
 def event(chunk_id, *, skipped=False, fault="none", rank=1):
@@ -44,7 +48,7 @@ def event(chunk_id, *, skipped=False, fault="none", rank=1):
 
 class TestRegionBreaker:
     def test_trips_at_threshold(self):
-        b = breaker()
+        b = RegionBreaker()
         b.record(False, 0.0)
         assert b.state == STATE_CLOSED
         b.record(False, 0.1)
@@ -53,7 +57,7 @@ class TestRegionBreaker:
         assert b.open_count == 1
 
     def test_open_blocks_until_cooldown(self):
-        b = breaker(cooldown_s=1.0)
+        b = RegionBreaker()
         b.record(False, 0.0)
         b.record(False, 0.0)
         assert not b.allow(0.5)
@@ -62,7 +66,7 @@ class TestRegionBreaker:
         assert b.state == STATE_HALF_OPEN
 
     def test_half_open_failure_retrips(self):
-        b = breaker(cooldown_s=1.0)
+        b = RegionBreaker()
         b.record(False, 0.0)
         b.record(False, 0.0)
         assert b.allow(1.5)
@@ -72,7 +76,7 @@ class TestRegionBreaker:
         assert b.open_count == 2
 
     def test_half_open_probes_close(self):
-        b = breaker(cooldown_s=1.0, probe_successes=2)
+        b = RegionBreaker()
         b.record(False, 0.0)
         b.record(False, 0.0)
         assert b.allow(1.0)
@@ -82,8 +86,9 @@ class TestRegionBreaker:
         assert b.state == STATE_CLOSED
         assert b.allow(1.3)
 
-    def test_rolling_window_forgets_old_failures(self):
-        b = breaker(window=3, failure_threshold=2)
+    def test_rolling_window_forgets_old_failures(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_WINDOW", 3)
+        b = RegionBreaker()
         b.record(False, 0.0)
         b.record(True, 0.1)
         b.record(True, 0.2)
@@ -91,28 +96,15 @@ class TestRegionBreaker:
         b.record(False, 0.4)
         assert b.state == STATE_CLOSED
 
-    def test_observations_while_open_are_stale(self):
-        b = breaker(cooldown_s=10.0)
+    def test_observations_while_open_are_stale(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_COOLDOWN_S", 10.0)
+        b = RegionBreaker()
         b.record(False, 0.0)
         b.record(False, 0.0)
         b.record(True, 0.5)  # a pre-trip request completing late
         b.record(False, 0.6)
         assert b.state == STATE_OPEN
         assert b.open_count == 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(window=0),
-            dict(failure_threshold=0),
-            dict(window=2, failure_threshold=3),
-            dict(cooldown_s=0.0),
-            dict(probe_successes=0),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            breaker(**kwargs)
 
 
 class TestBreakerBoard:
@@ -129,9 +121,7 @@ class TestBreakerBoard:
             board.region_of(-1)
 
     def test_observe_trace_trips_a_region(self):
-        board = BreakerBoard(
-            n_chunks=8, region_size=4, window=4, failure_threshold=2
-        )
+        board = BreakerBoard(n_chunks=8, region_size=4)
         events = [
             event(0, skipped=True, fault=FAULT_READ_ERROR, rank=1),
             event(1, skipped=True, fault=FAULT_CORRUPT, rank=2),
@@ -145,9 +135,7 @@ class TestBreakerBoard:
         assert counts[STATE_CLOSED] == 1
 
     def test_breaker_skips_are_not_observations(self):
-        board = BreakerBoard(
-            n_chunks=4, region_size=4, window=4, failure_threshold=2
-        )
+        board = BreakerBoard(n_chunks=4, region_size=4)
         board.observe_trace(
             [
                 event(0, skipped=True, fault=BREAKER_OPEN, rank=1),
@@ -159,9 +147,7 @@ class TestBreakerBoard:
         assert board.total_opens == 0
 
     def test_retried_success_counts_as_success(self):
-        board = BreakerBoard(
-            n_chunks=4, region_size=4, window=4, failure_threshold=2
-        )
+        board = BreakerBoard(n_chunks=4, region_size=4)
         # A processed (not skipped) chunk that saw a transient fault is a
         # delivery, not a failure.
         board.observe_trace(
@@ -225,8 +211,9 @@ class TestBreakerGuardedInjector:
 
 
 class TestTransitionCounts:
-    def test_full_cycle_is_counted(self):
-        b = breaker(failure_threshold=2, cooldown_s=1.0, probe_successes=1)
+    def test_full_cycle_is_counted(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_PROBE_SUCCESSES", 1)
+        b = RegionBreaker()
         b.record(False, now=0.0)
         b.record(False, now=0.1)          # closed -> open
         assert (b.open_count, b.half_open_count, b.close_count) == (1, 0, 0)
@@ -235,19 +222,18 @@ class TestTransitionCounts:
         b.record(True, now=1.3)           # half-open -> closed
         assert (b.open_count, b.half_open_count, b.close_count) == (1, 1, 1)
 
-    def test_failed_probe_reopens_without_closing(self):
-        b = breaker(failure_threshold=2, cooldown_s=1.0, probe_successes=1)
+    def test_failed_probe_reopens_without_closing(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_PROBE_SUCCESSES", 1)
+        b = RegionBreaker()
         b.record(False, now=0.0)
         b.record(False, now=0.1)
         assert b.allow(now=1.2)
         b.record(False, now=1.3)          # half-open -> open again
         assert (b.open_count, b.half_open_count, b.close_count) == (2, 1, 0)
 
-    def test_board_aggregates_transitions(self):
-        board = BreakerBoard(
-            n_chunks=8, region_size=4, window=4,
-            failure_threshold=2, cooldown_s=1.0, probe_successes=1,
-        )
+    def test_board_aggregates_transitions(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "BREAKER_PROBE_SUCCESSES", 1)
+        board = BreakerBoard(n_chunks=8, region_size=4)
         for _ in range(2):
             board.breakers[0].record(False, now=0.0)
         assert board.transition_counts() == {

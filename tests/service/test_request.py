@@ -1,8 +1,13 @@
 """Tests for the request stream and config checks both services share."""
 
+import dataclasses
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from repro.faults import ShardFaultPlan
 from repro.service import ServiceConfig, ShardServiceConfig
 from repro.service.request import open_loop_requests
 from repro.workloads.arrivals import poisson_arrival_times
@@ -51,12 +56,35 @@ class TestOpenLoopRequests:
         ({"deadline_s": float("nan")}, "deadline"),
         ({"arrival_rate_qps": 0.0}, "arrival rate"),
         ({"k": 0}, "k must"),
-        ({"breaker_failure_threshold": 0}, "window/threshold"),
-        ({"breaker_failure_threshold": 17}, "exceed its window"),
-        ({"breaker_cooldown_s": 0.0}, "cooldown"),
     ],
 )
 def test_both_configs_share_traffic_and_breaker_checks(config_cls, override, match):
     config_cls()  # the defaults are valid
     with pytest.raises(ValueError, match=match):
         config_cls(**override)
+
+
+def _nan_cases():
+    """Every float field the two service configs and the shard fault plan
+    keep, set to NaN, plus the balanced plan's horizon."""
+    for cls in (ServiceConfig, ShardServiceConfig, ShardFaultPlan):
+        for field in dataclasses.fields(cls):
+            if field.type == "float":
+                yield pytest.param(
+                    functools.partial(cls, **{field.name: math.nan}),
+                    id=f"{cls.__name__}.{field.name}",
+                )
+    yield pytest.param(
+        functools.partial(ShardFaultPlan.balanced, 0.1, seed=1, horizon_s=math.nan),
+        id="ShardFaultPlan.balanced.horizon_s",
+    )
+
+
+@pytest.mark.parametrize("build", _nan_cases())
+def test_nan_is_rejected_by_every_float_field(build):
+    """A NaN compares false both ways, so a range check written as
+    ``x <= 0`` lets it through: a NaN p99 target freezes the budget
+    controller, a NaN shed slack never sheds, a NaN horizon ends every
+    outage window at NaN."""
+    with pytest.raises(ValueError):
+        build()

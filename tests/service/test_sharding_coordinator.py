@@ -25,15 +25,26 @@ from repro.core.metrics import (
 )
 from repro.core.search import ChunkSearcher
 from repro.faults import ShardFaultPlan
+from repro.service import breaker
 from repro.service.sharding import (
     PLACEMENT_STRATEGIES,
     ShardServiceConfig,
     ShardedQueryService,
+    coordinator,
     estimate_chunk_costs,
     plan_placement,
 )
 
 SEED = 2005
+
+
+@pytest.fixture(autouse=True, scope="module")
+def roomy_admission():
+    """No query of these runs is shed by the in-flight bound unless a test
+    lowers it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator, "MAX_IN_FLIGHT", 1024)
+        yield
 
 
 class ShardHarness:
@@ -68,7 +79,6 @@ class ShardHarness:
             arrival_rate_qps=1.0,
             seed=SEED,
             k=self.k,
-            max_in_flight=1024,
         )
         settings.update(overrides)
         return ShardServiceConfig(**settings)
@@ -148,11 +158,10 @@ class TestExactEquivalence:
                     ("shard-lost", "below-quorum")
                 )
 
-    def test_hedging_preserves_exactness(self, harness):
+    def test_hedging_preserves_exactness(self, harness, monkeypatch):
+        monkeypatch.setattr(coordinator, "STRAGGLER_FACTOR", 20.0)
         plan = harness.plan(n_shards=4, n_replicas=2)
-        faults = ShardFaultPlan(
-            seed=3, straggler_rate=0.3, straggler_factor=20.0
-        )
+        faults = ShardFaultPlan(seed=3, straggler_rate=0.3)
         config = harness.config(arrival_rate_qps=0.5, hedge_delay_s=0.3)
         result = harness.run(plan, config=config, faults=faults)
         assert result.n_hedges > 0
@@ -186,15 +195,15 @@ class TestDegradation:
             assert record.neighbors == ()
             assert record.recall == 0.0
 
-    def test_deadline_partials_are_honest(self, harness):
+    def test_deadline_partials_are_honest(self, harness, monkeypatch):
         """A deadline shorter than the work: deadline outcomes with
         coverage in [0, 1), plus sheds once in-flight saturates."""
+        monkeypatch.setattr(coordinator, "MAX_IN_FLIGHT", 4)
         plan = harness.plan(n_shards=2, n_replicas=1)
         config = harness.config(
             workers_per_shard=1,
             deadline_s=0.1,
             arrival_rate_qps=50.0,
-            max_in_flight=4,
         )
         result = harness.run(plan, config=config)
         outcomes = {record.outcome for record in result.records}
@@ -209,15 +218,13 @@ class TestDegradation:
                 assert math.isnan(record.latency_s)
                 assert record.stop_reason == "in-flight-limit"
 
-    def test_quorum_threshold_names_thin_answers(self, harness):
+    def test_quorum_threshold_names_thin_answers(self, harness, monkeypatch):
         plan = harness.plan(n_shards=4, n_replicas=1)
         faults = ShardFaultPlan(seed=SEED, error_rate=0.6)
-        strict = harness.run(
-            plan, config=harness.config(quorum_coverage=1.0), faults=faults
-        )
-        lenient = harness.run(
-            plan, config=harness.config(quorum_coverage=0.0), faults=faults
-        )
+        monkeypatch.setattr(coordinator, "QUORUM_COVERAGE", 1.0)
+        strict = harness.run(plan, faults=faults)
+        monkeypatch.setattr(coordinator, "QUORUM_COVERAGE", 0.0)
+        lenient = harness.run(plan, faults=faults)
         # Identical merged answers; only the labelling moves.
         for a, b in zip(strict.records, lenient.records):
             assert a.neighbors == b.neighbors
@@ -230,11 +237,10 @@ class TestDegradation:
 
 
 class TestHedging:
-    def test_hedges_cut_straggler_latency(self, harness):
+    def test_hedges_cut_straggler_latency(self, harness, monkeypatch):
+        monkeypatch.setattr(coordinator, "STRAGGLER_FACTOR", 20.0)
         plan = harness.plan(n_shards=4, n_replicas=2)
-        faults = ShardFaultPlan(
-            seed=3, straggler_rate=0.3, straggler_factor=20.0
-        )
+        faults = ShardFaultPlan(seed=3, straggler_rate=0.3)
         base = dict(arrival_rate_qps=0.5)
         queries = np.tile(harness.queries, (4, 1))
         off = harness.run(
@@ -275,14 +281,12 @@ class TestBreakers:
         faults = ShardFaultPlan(
             seed=11, outage_rate=1.0, outage_duration_s=1.5, horizon_s=8.0
         )
-        config = harness.config(
-            deadline_s=1.0,
-            arrival_rate_qps=10.0,
-            breaker_cooldown_s=0.3,
-            breaker_failure_threshold=3,
-        )
+        config = harness.config(deadline_s=1.0, arrival_rate_qps=10.0)
         queries = np.tile(harness.queries, (4, 1))
-        return harness.run(plan, config=config, faults=faults, queries=queries)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(breaker, "BREAKER_COOLDOWN_S", 0.3)
+            patch.setattr(breaker, "BREAKER_FAILURE_THRESHOLD", 3)
+            return harness.run(plan, config=config, faults=faults, queries=queries)
 
     def test_outage_trips_and_recovers_breakers(self, outage_run):
         transitions = outage_run.breaker_transitions

@@ -9,7 +9,7 @@ from repro.simio.calibration import PAPER_2005_COST_MODEL, verify_calibration
 
 @pytest.fixture(scope="module")
 def predictions():
-    return verify_calibration(PAPER_2005_COST_MODEL)
+    return verify_calibration()
 
 
 class TestAnchors:

@@ -129,7 +129,6 @@ class TestDegradedTimeline:
         assert t1 == pytest.approx(0.030)
         t2 = sim.process_chunk(1, 10)
         assert t2 == pytest.approx(0.030 + 0.010 + 0.010)
-        assert sim.chunks_processed == 2
 
     def test_skip_in_overlap_mode_occupies_read_stage(self):
         """Under overlap, the failed reads serialize with other reads but
@@ -179,4 +178,3 @@ class TestProtocol:
         before = sim.elapsed
         sim.process_chunk(1, 5)
         assert sim.elapsed > before
-        assert sim.chunks_processed == 1

@@ -29,8 +29,8 @@ from reference_partition import reference_partition_rows_uniform
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.cli import main
 from repro.core.chunk_index import build_chunk_index
-from repro.core.dataset import DescriptorCollection
 from repro.srtree.bulk_load import ordered_partition
+from descriptors import from_vectors
 
 # ``repro.srtree.bulk_load`` the attribute is the function; this is the module.
 bulk_load_module = importlib.import_module("repro.srtree.bulk_load")
@@ -186,7 +186,7 @@ class TestGoldenBytes:
     """Digests recorded with the recursive build, before the rewrite."""
 
     def test_index_files_of_a_seeded_collection(self, tmp_path):
-        collection = DescriptorCollection.from_vectors(golden_vectors(20_000, 2005))
+        collection = from_vectors(golden_vectors(20_000, 2005))
         result = SRTreeChunker(64).form_chunks(collection)
         build_chunk_index(collection, result.chunk_set).save(str(tmp_path))
         assert file_digests(str(tmp_path)) == GOLDEN["seeded_20k_sr64"]
@@ -249,7 +249,7 @@ class TestMemoryContract:
         assert retained <= row_array + 256 * len(groups) + self.SLACK
 
     def test_form_chunks_peak_and_residue(self):
-        collection = DescriptorCollection.from_vectors(self.vectors(np.float32))
+        collection = from_vectors(self.vectors(np.float32))
         row_array = self.N * np.dtype(np.intp).itemsize
         peak, retained, result = traced(
             lambda: SRTreeChunker(self.CAPACITY).form_chunks(collection)

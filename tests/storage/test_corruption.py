@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.chunk import ChunkMeta
-from repro.core.dataset import DescriptorCollection
 from repro.storage.atomic import atomic_output
 from repro.storage.chunk_file import (
     CHUNK_MAGIC,
@@ -24,6 +23,7 @@ from repro.storage.errors import ChecksumError, CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
 from repro.storage.pages import PageGeometry
 from repro.storage.records import RecordCodec
+from descriptors import from_vectors
 
 
 def chunk_data(n, dims, offset=0):
@@ -190,7 +190,7 @@ class TestAtomicOutput:
 def make_collection(n=30, dims=4):
     rng = np.random.default_rng(7)
     vectors = rng.standard_normal((n, dims)).astype(np.float32)
-    return DescriptorCollection.from_vectors(vectors)
+    return from_vectors(vectors)
 
 
 class TestCollectionFileCorruption:

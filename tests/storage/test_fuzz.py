@@ -18,6 +18,7 @@ from repro.storage.collection_file import (
     write_collection_file,
 )
 from repro.storage.index_file import read_index_file, write_index_file
+from descriptors import from_vectors
 
 
 def _index_metas(rng: np.random.Generator):
@@ -48,12 +49,8 @@ def _corrupt(data: bytes, position: int, new_byte: int) -> bytes:
 
 @pytest.fixture(scope="module")
 def collection_bytes():
-    from repro.core.dataset import DescriptorCollection
-
     rng = np.random.default_rng(0)
-    collection = DescriptorCollection.from_vectors(
-        rng.standard_normal((30, 5)).astype(np.float32)
-    )
+    collection = from_vectors(rng.standard_normal((30, 5)).astype(np.float32))
     stream = io.BytesIO()
     write_collection_file(stream, collection)
     return stream.getvalue()
@@ -147,11 +144,7 @@ def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
 
 
 def _mutation_collection(rng: np.random.Generator):
-    from repro.core.dataset import DescriptorCollection
-
-    return DescriptorCollection.from_vectors(
-        rng.standard_normal((40, 5)).astype(np.float32)
-    )
+    return from_vectors(rng.standard_normal((40, 5)).astype(np.float32))
 
 
 def _collection_artefact(directory, rng):

@@ -1,22 +1,53 @@
-"""Census: every top-level definition in ``src/repro`` has a caller outside
-``tests/``.
+"""Census: every definition, option and public method in ``src/repro`` has a
+caller outside ``tests/``.
 
-A module-level ``def`` or ``class`` is *live* when some code in ``src/``,
-``benchmarks/`` or ``examples/`` names it — an ``ast.Name`` id or an
-``ast.Attribute`` attr equal to its name.  Strings, comments, ``__all__``
-and the import statement itself do not count, so a re-export keeps nothing
-alive.  A definition only ``tests/`` reach is an island: delete it, or
-list it in :data:`ALLOWED` with the reason it stays.
+Three questions, all answered by name over the code of ``src/``,
+``benchmarks/`` and ``examples/`` (:data:`CODE_DIRS`); tests never count.
 
-The check is by name, not by resolved binding: any same-named variable or
-attribute anywhere keeps a definition alive, so it can miss an island; and
-a definition reached only through a string (``getattr``, a name registry)
-is flagged until code names it or :data:`ALLOWED` lists it.
+* **Definitions.**  A module-level ``def`` or ``class`` is *live* when some
+  code names it — an ``ast.Name`` id or an ``ast.Attribute`` attr equal to
+  its name.  Strings, comments, ``__all__`` and the import statement itself
+  do not count, so a re-export keeps nothing alive.
+* **Options.**  An option is a defaulted parameter of a public module-level
+  function, public method or public-class ``__init__``, or a defaulted field
+  of a public ``@dataclass`` (a field whose ``default_factory`` is an empty
+  ``list``/``dict``/``set`` is per-instance state, not an option).  It is
+  *set* when code passes it a value that is neither the default's source
+  text nor a same-named forward (``cfg.<name>`` or ``m["<name>"]``,
+  optionally wrapped in one call such as ``int(...)``; ``self.<name>`` and
+  ``args.<name>`` count as setting).  The value may arrive as a keyword of
+  that name in any call, as that positional argument of a same-named
+  callee, or through a store into ``x["<name>"]`` (how the CLI fills its
+  override dicts).  An option no code sets is a constant in disguise: make
+  it one.
+* **Methods.**  A public method or property of a public module-level class
+  is *live* when some code names it as an ``ast.Attribute`` attr.
+
+Each question has its allowlist (:data:`ALLOWED`, :data:`OPTIONS_ALLOWED`,
+:data:`METHODS_ALLOWED`), dotted name -> the reason the entry stays; an
+entry that names nothing, or names something code reaches after all, fails.
+
+The check is by name, not by resolved binding: any same-named variable,
+attribute or keyword anywhere keeps a definition, method or option alive,
+so it can miss one; and one reached only through a string (``getattr``, a
+name registry) is flagged until code names it or an allowlist lists it.
 """
 
 import ast
+import functools
 import pathlib
-from typing import Dict, List, Mapping, Set
+from collections import defaultdict
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import pytest
 
@@ -33,59 +64,355 @@ ALLOWED: Dict[str, str] = {
     ),
 }
 
+_PAPER_MACHINE = (
+    "the paper's 2004 machine (DESIGN §2), checked against its anchor "
+    "observations by verify_calibration"
+)
+_PAGE_SIZE = (
+    "every chunk-file header and manifest records the page size, and "
+    "readers use the stored value"
+)
+
+#: Dotted option (``module.function.param``, ``module.Class.method.param``,
+#: ``module.Class.__init__.param`` or ``module.Class.field``) -> why an
+#: option no shipped code sets stays an option.  Tests reach a value other
+#: than the default by monkeypatching a module constant, never an option.
+OPTIONS_ALLOWED: Dict[str, str] = {
+    "repro.core.search.ChunkSearcher.__init__.prune": (
+        "the unpruned scan is the tests' reference path (README, "
+        "'Pruned scan path')"
+    ),
+    "repro.analysis.cli.main.argv": "a CLI entry point's argument vector",
+    "repro.cli.main.argv": "a CLI entry point's argument vector",
+    "repro.storage.pages.PageGeometry.__init__.page_bytes": _PAGE_SIZE,
+    "repro.simio.disk_model.DiskModel.page_bytes": _PAGE_SIZE,
+    "repro.simio.disk_model.DiskModel.rotational_latency_s": _PAPER_MACHINE,
+    "repro.simio.disk_model.DiskModel.transfer_rate_bytes_per_s": _PAPER_MACHINE,
+    "repro.simio.cpu_model.CpuModel.chunk_overhead_s": _PAPER_MACHINE,
+    "repro.simio.cpu_model.CpuModel.ranking_time_per_chunk_s": _PAPER_MACHINE,
+}
+
+#: Dotted method -> why a method no shipped code names stays.
+METHODS_ALLOWED: Dict[str, str] = {
+    "repro.system.ImageRetrievalSystem.remove_image": (
+        "user API documented by README and DESIGN §3, the inverse of add_image"
+    ),
+    "repro.simio.pipeline.PipelineSimulator.skip_chunk": (
+        "the reference recurrence tests/core/replay_oracle.py replays"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=len(CODE_DIRS))
+def _parsed(
+    root: pathlib.Path, directory: str
+) -> Tuple[Tuple[pathlib.Path, ast.Module], ...]:
+    """Every ``*.py`` under ``root/directory``, parsed once per tree."""
+    return tuple(
+        (path, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((root / directory).rglob("*.py"))
+    )
+
+
+def _modules(root: pathlib.Path) -> Iterator[Tuple[str, str, ast.Module]]:
+    """``(module, relative path, tree)`` of every file of ``src/repro``."""
+    src = root / "src"
+    for path, tree in _parsed(root, "src"):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[0] != "repro":
+            continue
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        yield module, path.relative_to(root).as_posix(), tree
+
+
+def _code(root: pathlib.Path) -> Iterator[ast.AST]:
+    """Every node of the code of :data:`CODE_DIRS`."""
+    for directory in CODE_DIRS:
+        for _, tree in _parsed(root, directory):
+            yield from ast.walk(tree)
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _public_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            yield node
+
+
+def _decorated(node: ast.AST, name: str) -> bool:
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == name:
+            return True
+    return False
+
+
+def _callee(func: ast.expr) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+# -- definitions ------------------------------------------------------------
+
 
 def definitions(root: pathlib.Path) -> Dict[str, str]:
     """Dotted name -> ``path:line`` of every module-level def/class under
     ``root/src/repro``, in file and line order."""
-    src = root / "src"
     found: Dict[str, str] = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, where, tree in _modules(root):
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                where = f"{path.relative_to(root).as_posix()}:{node.lineno}"
-                found[f"{module}.{node.name}"] = where
+                found[f"{module}.{node.name}"] = f"{where}:{node.lineno}"
     return found
 
 
 def referenced_names(root: pathlib.Path) -> Set[str]:
     """Every ``Name`` id and ``Attribute`` attr in the code of
     :data:`CODE_DIRS`."""
-    names: Set[str] = set()
-    for directory in CODE_DIRS:
-        for path in (root / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in _code(root)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
 
 
-def census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
-    """One line per problem: an island not in ``allowed``, an ``allowed``
-    entry that code references, an ``allowed`` entry that names nothing."""
-    defined = definitions(root)
-    names = referenced_names(root)
-
-    def live(dotted: str) -> bool:
-        return dotted.rsplit(".", 1)[1] in names
-
+def _audit(
+    found: Mapping[str, str],
+    live: Callable[[str], bool],
+    allowed: Mapping[str, str],
+    table: str,
+    kind: str,
+    verb: str,
+    fix: str,
+) -> List[str]:
+    """One line per problem: an entry of ``found`` (dotted name ->
+    ``path:line``) that is not ``live`` and not in ``allowed``, an
+    ``allowed`` entry that is live, an ``allowed`` entry that names
+    nothing."""
     problems = [
-        f"{where}: {dotted} is referenced by no code in "
-        f"{'/, '.join(CODE_DIRS)}/ (delete it, or add it to ALLOWED with a reason)"
-        for dotted, where in defined.items()
+        f"{where}: {dotted} is {verb} by no code in {'/, '.join(CODE_DIRS)}/ "
+        f"({fix}, or add it to {table} with a reason)"
+        for dotted, where in found.items()
         if not live(dotted) and dotted not in allowed
     ]
     for dotted in sorted(allowed):
-        if dotted not in defined:
-            problems.append(f"ALLOWED entry {dotted} names no definition")
+        if dotted not in found:
+            problems.append(f"{table} entry {dotted} names no {kind}")
         elif live(dotted):
             problems.append(
-                f"{defined[dotted]}: ALLOWED entry {dotted} is referenced; drop the entry"
+                f"{found[dotted]}: {table} entry {dotted} is {verb}; drop the entry"
             )
     return problems
+
+
+def census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
+    """The definition census's problems (see :func:`_audit`)."""
+    names = referenced_names(root)
+    return _audit(
+        definitions(root),
+        lambda dotted: dotted.rsplit(".", 1)[1] in names,
+        allowed,
+        "ALLOWED",
+        "definition",
+        "referenced",
+        "delete it",
+    )
+
+
+# -- options ----------------------------------------------------------------
+
+
+class Option(NamedTuple):
+    where: str
+    #: The parameter or field name a keyword or ``x["<name>"]`` store uses.
+    name: str
+    #: The default's source text.
+    default: str
+    #: The name a call of the owner uses: the function's, the method's, or
+    #: the class's for ``__init__`` and dataclass fields.
+    callee: str
+    #: Index among the positional arguments a call passes (``self`` and
+    #: ``cls`` excluded); None for a keyword-only option.
+    position: Optional[int]
+
+
+def _signature(
+    fn: ast.FunctionDef, skip_first: bool
+) -> Iterator[Tuple[ast.arg, ast.expr, Optional[int]]]:
+    positional = fn.args.posonlyargs + fn.args.args
+    defaults = fn.args.defaults
+    first_default = len(positional) - len(defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg, defaults[index - first_default], index - skip_first
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg, default, None
+
+
+#: ``default_factory`` values that make a field per-instance state.
+_CONTAINERS = ("list", "dict", "set")
+
+
+def _fields(cls: ast.ClassDef) -> Iterator[Tuple[ast.AnnAssign, ast.expr, int]]:
+    """``(statement, default, position)`` of each defaulted init field."""
+    position = 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        default = stmt.value
+        if isinstance(default, ast.Call) and _callee(default.func) == "field":
+            keywords = {kw.arg: kw.value for kw in default.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            default = keywords.get("default", keywords.get("default_factory"))
+            if isinstance(default, ast.Name) and default.id in _CONTAINERS:
+                default = None
+        if default is not None:
+            yield stmt, default, position
+        position += 1
+
+
+def options(root: pathlib.Path) -> Dict[str, Option]:
+    """Dotted option -> :class:`Option`, in file and line order."""
+    found: Dict[str, Option] = {}
+
+    def add(dotted, where, node, default, callee, position):
+        found[dotted] = Option(
+            f"{where}:{node.lineno}", dotted.rsplit(".", 1)[1],
+            ast.unparse(default), callee, position,
+        )
+
+    for module, where, tree in _modules(root):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                for arg, default, position in _signature(node, False):
+                    add(f"{module}.{node.name}.{arg.arg}", where, arg, default,
+                        node.name, position)
+        for cls in _public_classes(tree):
+            prefix = f"{module}.{cls.name}"
+            if _decorated(cls, "dataclass"):
+                for stmt, default, position in _fields(cls):
+                    add(f"{prefix}.{stmt.target.id}", where, stmt, default,
+                        cls.name, position)
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if not (_public(fn.name) or fn.name == "__init__"):
+                    continue
+                callee = cls.name if fn.name == "__init__" else fn.name
+                skip_first = not _decorated(fn, "staticmethod")
+                for arg, default, position in _signature(fn, skip_first):
+                    add(f"{prefix}.{fn.name}.{arg.arg}", where, arg, default,
+                        callee, position)
+    return found
+
+
+def _forward(value: ast.expr, name: str) -> bool:
+    """``cfg.<name>`` or ``m["<name>"]``, optionally wrapped in one call."""
+    if isinstance(value, ast.Call) and len(value.args) == 1 and not value.keywords:
+        value = value.args[0]
+    if isinstance(value, ast.Attribute):
+        owner = value.value
+        return value.attr == name and not (
+            isinstance(owner, ast.Name) and owner.id in ("self", "args")
+        )
+    if isinstance(value, ast.Subscript):
+        key = value.slice
+        return isinstance(key, ast.Constant) and key.value == name
+    return False
+
+
+def passed_values(
+    root: pathlib.Path,
+) -> Tuple[Dict[str, List[ast.expr]], Dict[Tuple[str, int], List[ast.expr]]]:
+    """Every value the code of :data:`CODE_DIRS` passes: by keyword or
+    ``x["<name>"]`` store (name -> values), and by position of a named
+    callee (``(callee, index)`` -> values)."""
+    by_name: Dict[str, List[ast.expr]] = defaultdict(list)
+    by_position: Dict[Tuple[str, int], List[ast.expr]] = defaultdict(list)
+    for node in _code(root):
+        if isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    by_name[keyword.arg].append(keyword.value)
+            callee = _callee(node.func)
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                by_position[(callee, index)].append(arg)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    key = target.slice
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        by_name[key.value].append(node.value)
+    return by_name, by_position
+
+
+def option_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
+    """The option census's problems (see :func:`_audit`)."""
+    found = options(root)
+    by_name, by_position = passed_values(root)
+
+    def live(dotted: str) -> bool:
+        option = found[dotted]
+        values = list(by_name.get(option.name, ()))
+        if option.position is not None:
+            values += by_position.get((option.callee, option.position), ())
+        return any(
+            ast.unparse(value) != option.default and not _forward(value, option.name)
+            for value in values
+        )
+
+    return _audit(
+        {dotted: option.where for dotted, option in found.items()},
+        live,
+        allowed,
+        "OPTIONS_ALLOWED",
+        "option",
+        "set",
+        "make it a constant at its default",
+    )
+
+
+# -- methods ----------------------------------------------------------------
+
+
+def methods(root: pathlib.Path) -> Dict[str, str]:
+    """Dotted name -> ``path:line`` of every public method or property of a
+    public module-level class under ``root/src/repro``."""
+    found: Dict[str, str] = {}
+    for module, where, tree in _modules(root):
+        for cls in _public_classes(tree):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and _public(fn.name):
+                    found[f"{module}.{cls.name}.{fn.name}"] = f"{where}:{fn.lineno}"
+    return found
+
+
+def method_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
+    """The method census's problems (see :func:`_audit`)."""
+    attrs = {node.attr for node in _code(root) if isinstance(node, ast.Attribute)}
+    return _audit(
+        methods(root),
+        lambda dotted: dotted.rsplit(".", 1)[1] in attrs,
+        allowed,
+        "METHODS_ALLOWED",
+        "method",
+        "called",
+        "delete it",
+    )
 
 
 def test_every_definition_has_a_caller_outside_tests():
@@ -93,12 +420,30 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not problems, "\n".join(problems)
 
 
+def test_every_option_is_set_outside_tests():
+    problems = option_census(ROOT, OPTIONS_ALLOWED)
+    assert not problems, "\n".join(problems)
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    problems = method_census(ROOT, METHODS_ALLOWED)
+    assert not problems, "\n".join(problems)
+
+
+def _plant(root: pathlib.Path, files: Mapping[str, str]) -> pathlib.Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
 class TestTheCensusBites:
     """The check itself, on a planted miniature tree."""
 
     @pytest.fixture()
     def tree(self, tmp_path):
-        files = {
+        return _plant(tmp_path, {
             "src/repro/__init__.py": "",
             "src/repro/kernels.py": (
                 "def used():\n    return 1\n\n\n"
@@ -108,12 +453,7 @@ class TestTheCensusBites:
             "src/repro/pkg/__init__.py": "def exported():\n    return 3\n",
             "benchmarks/bench.py": "from repro.kernels import island, used\n\nused()\n",
             "examples/demo.py": "import repro.pkg\n\nrepro.pkg.exported()\n",
-        }
-        for name, text in files.items():
-            path = tmp_path / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        return tmp_path
+        })
 
     def test_an_island_is_named_with_its_file_and_line(self, tree):
         """Importing ``island`` is not calling it; ``Helper`` has no
@@ -139,4 +479,147 @@ class TestTheCensusBites:
             "ALLOWED entry repro.kernels.gone names no definition",
             "src/repro/kernels.py:1: ALLOWED entry repro.kernels.used is "
             "referenced; drop the entry",
+        ]
+
+
+class TestTheOptionCensusBites:
+    """The option census on a planted tree: each way of setting an option,
+    and each way of merely seeming to."""
+
+    FLAGGED = [
+        "src/repro/knobs.py:7: repro.knobs.Config.depth",
+        "src/repro/knobs.py:16: repro.knobs.Engine.__init__.height",
+        "src/repro/knobs.py:19: repro.knobs.Engine.step.count",
+    ]
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        return _plant(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/knobs.py": (
+                "import dataclasses\n"
+                "\n"
+                "\n"
+                "@dataclasses.dataclass\n"
+                "class Config:\n"
+                "    size: int = 4\n"
+                "    depth: int = 2\n"
+                "    cache: dict = dataclasses.field(default_factory=dict)\n"
+                "\n"
+                "\n"
+                "def run(config, limit=10, *, mode='fast'):\n"
+                "    return limit\n"
+                "\n"
+                "\n"
+                "class Engine:\n"
+                "    def __init__(self, width=8, height=3):\n"
+                "        self.width = width\n"
+                "\n"
+                "    def step(self, count=1, scale=1.0):\n"
+                "        return count * scale\n"
+                "\n"
+                "\n"
+                "def _private(flag=False):\n"
+                "    return flag\n"
+            ),
+            # size: a keyword; limit: run's second positional; width:
+            # Engine's first positional after self; scale: a CLI flag;
+            # mode: a store into an override dict.  height gets only its
+            # default's text, count only a (wrapped) same-named forward.
+            "benchmarks/bench.py": (
+                "from repro.knobs import Config, Engine, run\n"
+                "\n"
+                "run(Config(size=8), 20)\n"
+                "engine = Engine(16, height=3)\n"
+                "engine.step(count=int(config.count), scale=args.scale)\n"
+                "overrides = {}\n"
+                "overrides['mode'] = 'slow'\n"
+            ),
+            "tests/test_knobs.py": (
+                "from repro.knobs import Config, Engine\n"
+                "\n"
+                "Config(depth=5)\n"
+                "Engine(height=4).step(2)\n"
+            ),
+        })
+
+    def test_an_option_only_tests_set_is_named_with_its_file_and_line(self, tree):
+        problems = option_census(tree, {})
+        assert [line.split(" is set by")[0] for line in problems] == self.FLAGGED
+        assert "make it a constant at its default" in problems[0]
+
+    def test_allowed_options_pass(self, tree):
+        allowed = {line.split(": ")[1]: "why" for line in self.FLAGGED}
+        assert option_census(tree, allowed) == []
+
+    def test_a_stale_allowed_option_fails(self, tree):
+        allowed = {line.split(": ")[1]: "why" for line in self.FLAGGED}
+        allowed["repro.knobs.Config.size"] = "set after all"
+        allowed["repro.knobs.Config.gone"] = "deleted since"
+        assert option_census(tree, allowed) == [
+            "OPTIONS_ALLOWED entry repro.knobs.Config.gone names no option",
+            "src/repro/knobs.py:6: OPTIONS_ALLOWED entry repro.knobs.Config.size "
+            "is set; drop the entry",
+        ]
+
+
+class TestTheMethodCensusBites:
+    """The method census on a planted tree: only an attribute of that name
+    in shipped code keeps a public method alive."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        return _plant(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/shapes.py": (
+                "class Shape:\n"
+                "    def area(self):\n"
+                "        return 1\n"
+                "\n"
+                "    def scale(self, factor):\n"
+                "        return factor\n"
+                "\n"
+                "    @property\n"
+                "    def name(self):\n"
+                "        return 'shape'\n"
+                "\n"
+                "    def _private(self):\n"
+                "        return 0\n"
+                "\n"
+                "\n"
+                "class _Hidden:\n"
+                "    def method(self):\n"
+                "        return 0\n"
+            ),
+            # A bare name ``scale`` is not a call of the method.
+            "benchmarks/bench.py": (
+                "from repro.shapes import Shape\n"
+                "\n"
+                "scale = 3\n"
+                "print(Shape().area(), Shape().name)\n"
+            ),
+            "tests/test_shapes.py": (
+                "from repro.shapes import Shape\n\nShape().scale(2)\n"
+            ),
+        })
+
+    def test_a_method_only_tests_call_is_named_with_its_file_and_line(self, tree):
+        problems = method_census(tree, {})
+        assert [line.split(" is called by")[0] for line in problems] == [
+            "src/repro/shapes.py:5: repro.shapes.Shape.scale",
+        ]
+
+    def test_an_allowed_method_passes(self, tree):
+        assert method_census(tree, {"repro.shapes.Shape.scale": "why"}) == []
+
+    def test_a_stale_allowed_method_fails(self, tree):
+        allowed = {
+            "repro.shapes.Shape.scale": "why",
+            "repro.shapes.Shape.area": "called after all",
+            "repro.shapes.Shape.gone": "deleted since",
+        }
+        assert method_census(tree, allowed) == [
+            "src/repro/shapes.py:2: METHODS_ALLOWED entry repro.shapes.Shape.area "
+            "is called; drop the entry",
+            "METHODS_ALLOWED entry repro.shapes.Shape.gone names no method",
         ]

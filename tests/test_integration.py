@@ -9,6 +9,7 @@ hold regardless of strategy.
 import numpy as np
 import pytest
 
+from repro.chunking import bag
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.hybrid import HybridChunker
 from repro.chunking.random_chunker import RandomChunker
@@ -23,7 +24,9 @@ from repro.workloads.queries import dataset_queries, space_queries
 
 @pytest.fixture(scope="module")
 def chunkers(small_synthetic):
-    mpi = estimate_mpi(small_synthetic, sample_size=400)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bag, "MPI_SAMPLE_SIZE", 400)
+        mpi = estimate_mpi(small_synthetic)
     return {
         "SR": SRTreeChunker(leaf_capacity=48),
         "BAG": BagClusterer(mpi=mpi, target_clusters=120, max_passes=400),

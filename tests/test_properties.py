@@ -18,6 +18,7 @@ from repro.core.dataset import DescriptorCollection
 from repro.core.ground_truth import exact_knn
 from repro.core.maintenance import ChunkIndexMaintainer
 from repro.core.search import ChunkSearcher
+from descriptors import from_vectors
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``).
@@ -34,7 +35,7 @@ def collections(draw, max_points=60, max_dims=6):
     base = rng.standard_normal((n, d)) * draw(st.floats(0.01, 10.0))
     if draw(st.booleans()):
         base[: n // 2] = base[0]  # duplicates
-    return DescriptorCollection.from_vectors(base.astype(np.float32))
+    return from_vectors(base.astype(np.float32))
 
 
 class TestSearchExactnessProperty:
@@ -82,7 +83,7 @@ class MaintainerMachine(RuleBasedStateMachine):
     @initialize()
     def build(self):
         vectors = self.rng.standard_normal((20, 3)).astype(np.float32) * 2
-        collection = DescriptorCollection.from_vectors(vectors)
+        collection = from_vectors(vectors)
         chunking = SRTreeChunker(leaf_capacity=6).form_chunks(collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
         self.maintainer = ChunkIndexMaintainer(index)

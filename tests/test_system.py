@@ -195,8 +195,8 @@ def assert_same_answers(got, want, queries):
             assert a.trace.events == b.trace.events
         a = got.find_similar_descriptors_batch(queries, k=5, exact=exact)
         b = want.find_similar_descriptors_batch(queries, k=5, exact=exact)
-        assert a.stop_reasons() == b.stop_reasons()
         for one, other in zip(a, b):
+            assert one.stop_reason == other.stop_reason
             assert one.neighbors == other.neighbors
             assert one.elapsed_s == other.elapsed_s
             assert one.trace.events == other.trace.events

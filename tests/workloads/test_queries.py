@@ -55,7 +55,7 @@ class TestDatasetQueries:
 
 class TestSpaceQueries:
     def test_within_trimmed_ranges(self, tiny_collection):
-        w = space_queries(tiny_collection, 50, seed=0, trim_fraction=0.05)
+        w = space_queries(tiny_collection, 50, seed=0)
         assert w.name == "SQ"
         ranges = tiny_collection.dimension_ranges(0.05)
         assert np.all(w.queries >= ranges[:, 0] - 1e-12)

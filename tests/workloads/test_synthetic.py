@@ -11,9 +11,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticImageConfig(n_images=0)
         with pytest.raises(ValueError):
-            SyntheticImageConfig(clutter_fraction=1.0)
-        with pytest.raises(ValueError):
-            SyntheticImageConfig(clutter_fraction=0.6, halo_fraction=0.5)
+            SyntheticImageConfig(halo_fraction=0.96)
         with pytest.raises(ValueError):
             SyntheticImageConfig(pattern_std=0.0)
         with pytest.raises(ValueError):
