@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Dict
 
@@ -609,17 +610,21 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text, name, default, upper=None):
-    """Comma-separated floats from a CLI flag, with range checking;
-    the built-in ``default`` grid when the flag was not given."""
+def _parse_grid(text, name, default, upper=None, integral=False):
+    """Comma-separated finite floats (integers when ``integral``) from a
+    CLI flag, with range checking; the built-in ``default`` grid when the
+    flag was not given."""
     if text is None:
         return list(default)
+    kind, parse = ("integers", int) if integral else ("numbers", float)
     try:
-        values = [float(token) for token in text.split(",") if token.strip()]
+        values = [parse(token) for token in text.split(",") if token.strip()]
     except ValueError:
-        raise CliError(f"{name} must be comma-separated numbers, got {text!r}")
+        raise CliError(f"{name} must be comma-separated {kind}, got {text!r}")
     if not values:
         raise CliError(f"{name} must name at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"{name} values must be finite, got {text!r}")
     if any(v < 0.0 or (upper is not None and v > upper) for v in values):
         bound = f"[0, {upper}]" if upper is not None else "non-negative"
         raise CliError(f"{name} values must lie in {bound}")
@@ -669,12 +674,9 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
         ]
         if not placements:
             raise CliError("--placements must name at least one strategy")
-    shard_counts = [
-        int(count)
-        for count in _parse_grid(
-            args.shards, "--shards", shardsim.DEFAULT_SHARD_COUNTS
-        )
-    ]
+    shard_counts = _parse_grid(
+        args.shards, "--shards", shardsim.DEFAULT_SHARD_COUNTS, integral=True
+    )
     if any(count < 1 for count in shard_counts):
         raise CliError("--shards values must be at least 1")
     fault_rates = _parse_grid(
@@ -688,9 +690,10 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
         raise CliError(
             f"--workers-per-shard must be at least 1, got {args.workers_per_shard}"
         )
-    if args.hedge_factor < 0.0:
+    if not 0.0 <= args.hedge_factor < math.inf:
         raise CliError(
-            f"--hedge-factor cannot be negative, got {args.hedge_factor}"
+            f"--hedge-factor must be finite and non-negative, "
+            f"got {args.hedge_factor}"
         )
     data = prepare(scale)
     result = shardsim.sweep(

@@ -155,6 +155,37 @@ class SearchResult:
         """Descriptor ids of the result neighbors, best first (int64)."""
         return np.asarray([n.descriptor_id for n in self.neighbors], dtype=np.int64)
 
+    def holds_under_deadline(self, budget_s: float) -> bool:
+        """True when repeating this search — same searcher, query, ``k``,
+        faults and query index — under ``DeadlineBudget(budget_s)`` would
+        return this very result, so it need not be run again.
+
+        Nothing but the stop rule decides *when* a scan stops: which chunk
+        comes next, its charge and its neighbor-set update depend only on
+        the events before it.  So the repeat logs the same events until
+        the first one at which :meth:`ChunkSearcher._advance_state` stops
+        it, and that method tests, at every event and in this order, the
+        completion proof, then the stop rule (the budget fires at
+        ``elapsed_s >= budget_s``), then exhaustion.  Elapsed time never
+        decreases along a trace, so one comparison stands for all the
+        events before it:
+
+        * ``"completed"``: the proof first fired at the last event, ahead
+          of the rule; the repeat ends the same iff no *earlier* event
+          reached the budget.
+        * ``"exhausted"``: the rule is tested before exhaustion, so the
+          last event must stay under the budget too — at or above it the
+          repeat ends ``deadline(...)`` with ``completed=False``.
+        * any other reason was a stop rule's, which names its own budget:
+          search again.
+        """
+        events = self.trace.events
+        if self.stop_reason == "completed":
+            return len(events) < 2 or events[-2].elapsed_s < budget_s
+        if self.stop_reason == "exhausted":
+            return self.trace.final_elapsed_s < budget_s
+        return False
+
 
 @dataclasses.dataclass
 class BatchSearchResult:

@@ -52,6 +52,17 @@ shard, and the scatter-gather tail is the max over these queues), its
 stop rule is fixed from the deadline remaining at that *estimated* start,
 and load is shed by :data:`MAX_IN_FLIGHT`, not by queue length.
 
+One search per sub-task
+-----------------------
+A hedge or failover re-runs the same ``(query, partition)`` scan under
+a new deadline budget, and a budget can only cut a scan at an event
+whose elapsed time reaches it.  When the first search's answer is one no
+such cut could have ended earlier
+(:meth:`~repro.core.search.SearchResult.holds_under_deadline`), the
+later attempt reuses it instead of searching.  Its simulated duration
+and answer are the ones a fresh search would produce, so records and
+reports do not move; only host work is saved.
+
 Everything runs on the simulated clock; a run is a pure function of
 ``(index, placement, config, shard fault plan)``.
 """
@@ -75,6 +86,7 @@ from ...core.metrics import (
 )
 from ...core.neighbors import Neighbor, merge_neighbor_lists
 from ...core.search import ChunkSearcher, SearchResult
+from ...core.stop_rules import DeadlineBudget
 from ...faults.shard_plan import (
     ERROR_DETECT_S,
     SHARD_OK,
@@ -138,13 +150,16 @@ class _Attempt:
 
 @dataclasses.dataclass
 class _SubTask:
-    """One query's work on one partition."""
+    """One query's work on one partition.  ``searched`` is the first
+    search any attempt ran, reused by later attempts it holds for;
+    ``result`` is the answer that won."""
 
     partition: Partition
     targets: Tuple[int, ...]
     next_target: int = 0
     attempt_no: int = 0
     in_flight: Dict[int, _Attempt] = dataclasses.field(default_factory=dict)
+    searched: Optional[SearchResult] = None
     result: Optional[SearchResult] = None
     lost: bool = False
     hedged: bool = False
@@ -387,16 +402,27 @@ class ShardedQueryService:
                     duration = ERROR_DETECT_S
                 else:
                     searcher = self._searchers[partition_id]
-                    result = searcher.search(
-                        request.query,
-                        k=config.k,
-                        stop_rule=propagated_stop_rule(
-                            request.remaining_s(start_est),
-                            0,
-                            searcher.index.n_chunks,
-                        ),
-                        query_index=request.index,
+                    rule = propagated_stop_rule(
+                        request.remaining_s(start_est),
+                        0,
+                        searcher.index.n_chunks,
                     )
+                    kept = subtask.searched
+                    if (
+                        kept is not None
+                        and isinstance(rule, DeadlineBudget)
+                        and kept.holds_under_deadline(rule.remaining_s)
+                    ):
+                        result = kept
+                    else:
+                        result = searcher.search(
+                            request.query,
+                            k=config.k,
+                            stop_rule=rule,
+                            query_index=request.index,
+                        )
+                        if kept is None:
+                            subtask.searched = result
                     duration = result.elapsed_s
                     if faults is not None and sub_fault.straggler:
                         duration *= STRAGGLER_FACTOR

@@ -20,7 +20,7 @@ from repro.core.search import (
     RANK_BY_LOWER_BOUND,
     ChunkSearcher,
 )
-from repro.core.stop_rules import MaxChunks, TimeBudget
+from repro.core.stop_rules import DeadlineBudget, MaxChunks, TimeBudget
 from descriptors import from_vectors, sphere_lower_bound
 
 
@@ -131,6 +131,58 @@ class TestStopRules:
         result = searcher.search(query, k=1, stop_rule=MaxChunks(10_000))
         assert result.completed
         assert result.stop_reason == "completed"
+
+
+class TestHoldsUnderDeadline:
+    """The order ``SearchResult.holds_under_deadline`` relies on: at every
+    event the completion proof, then the stop rule, then exhaustion."""
+
+    def test_exhausted_scan_is_cut_at_its_final_elapsed(
+        self, sr_index, tiny_collection
+    ):
+        searcher = ChunkSearcher(sr_index)
+        query = tiny_collection.vectors[0].astype(float)
+        k = len(tiny_collection) + 1  # more than the index holds
+        full = searcher.search(query, k=k)
+        assert full.stop_reason == "exhausted" and full.completed
+        final = full.elapsed_s
+        cut = searcher.search(query, k=k, stop_rule=DeadlineBudget(final))
+        assert cut.stop_reason == f"deadline({final:g}s)"
+        assert not cut.completed
+        assert not full.holds_under_deadline(final)
+        above = float(np.nextafter(final, np.inf))
+        assert full.holds_under_deadline(above)
+        again = searcher.search(query, k=k, stop_rule=DeadlineBudget(above))
+        assert again.stop_reason == "exhausted" and again.completed
+        assert again.neighbors == full.neighbors
+        assert again.trace.events == full.trace.events
+
+    def test_completed_scan_survives_a_budget_at_its_final_elapsed(
+        self, sr_index, tiny_collection
+    ):
+        searcher = ChunkSearcher(sr_index)
+        query = tiny_collection.vectors[0].astype(float)
+        full = searcher.search(query, k=30)
+        assert full.stop_reason == "completed" and len(full.trace) >= 2
+        final = full.elapsed_s
+        again = searcher.search(query, k=30, stop_rule=DeadlineBudget(final))
+        assert again.stop_reason == "completed" and again.completed
+        assert again.neighbors == full.neighbors
+        assert full.holds_under_deadline(final)
+        # A budget the event before the last reaches cuts the scan there.
+        before_last = full.trace.events[-2].elapsed_s
+        assert not full.holds_under_deadline(before_last)
+        cut = searcher.search(query, k=30, stop_rule=DeadlineBudget(before_last))
+        assert cut.stop_reason == f"deadline({before_last:g}s)"
+        assert len(cut.trace) == len(full.trace) - 1
+
+    def test_a_deadline_cut_result_never_holds(self, sr_index, tiny_collection):
+        searcher = ChunkSearcher(sr_index)
+        query = tiny_collection.vectors[0].astype(float)
+        start = searcher.search(query, k=30).trace.start_elapsed_s
+        cut = searcher.search(query, k=30, stop_rule=DeadlineBudget(start + 1e-9))
+        assert cut.stop_reason.startswith("deadline(")
+        assert not cut.holds_under_deadline(1e9)
 
 
 class TestTraceRecording:

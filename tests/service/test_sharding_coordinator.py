@@ -23,7 +23,7 @@ from repro.core.metrics import (
     OUTCOME_OK,
     OUTCOME_SHED,
 )
-from repro.core.search import ChunkSearcher
+from repro.core.search import ChunkSearcher, SearchResult
 from repro.faults import ShardFaultPlan
 from repro.service import breaker
 from repro.service.sharding import (
@@ -270,6 +270,86 @@ class TestHedging:
         result = harness.run(plan, config=config)
         assert result.n_hedges == 0
         assert_bit_identical(result.records, harness.reference)
+
+
+class TestOneSearchPerSubTask:
+    """A hedge or failover reuses its partition's first answer when
+    ``SearchResult.holds_under_deadline`` says its budget cannot cut it.
+    Differential: the same run with the predicate forced to ``False``
+    (every attempt searches) must match byte for byte."""
+
+    SCENARIOS = {
+        # (ShardFaultPlan arguments, config overrides, STRAGGLER_FACTOR or
+        # None for the shipped one)
+        "hedge-storm": (
+            dict(seed=3, straggler_rate=0.3),
+            dict(arrival_rate_qps=0.5, hedge_delay_s=0.3),
+            20.0,
+        ),
+        "failovers": (dict(seed=SEED, error_rate=0.35), {}, None),
+        "tight-deadline": (
+            dict(seed=SEED, error_rate=0.2),
+            dict(
+                workers_per_shard=1,
+                deadline_s=0.3,
+                arrival_rate_qps=5.0,
+                hedge_delay_s=0.02,
+            ),
+            None,
+        ),
+    }
+
+    @staticmethod
+    def run(harness, scenario, reuse):
+        """``(result, every search's result, every verdict the coordinator
+        asked for)``; ``reuse=False`` forces the search-again branch."""
+        fault_args, overrides, straggler_factor = scenario
+        search = ChunkSearcher.search
+        holds = SearchResult.holds_under_deadline
+        searched, verdicts = [], []
+
+        def counted_search(self, *args, **kwargs):
+            searched.append(search(self, *args, **kwargs))
+            return searched[-1]
+
+        def spied_holds(self, budget_s):
+            verdicts.append(reuse and holds(self, budget_s))
+            return verdicts[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ChunkSearcher, "search", counted_search)
+            patch.setattr(SearchResult, "holds_under_deadline", spied_holds)
+            if straggler_factor is not None:
+                patch.setattr(coordinator, "STRAGGLER_FACTOR", straggler_factor)
+            result = harness.run(
+                harness.plan(n_shards=4, n_replicas=2),
+                config=harness.config(**overrides),
+                faults=ShardFaultPlan(**fault_args),
+            )
+        return result, searched, verdicts
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_reuse_changes_no_byte(self, harness, name):
+        scenario = self.SCENARIOS[name]
+        shipped, searched, verdicts = self.run(harness, scenario, reuse=True)
+        always, searched_always, _ = self.run(harness, scenario, reuse=False)
+        assert json.dumps(shipped.to_report(), sort_keys=True) == json.dumps(
+            always.to_report(), sort_keys=True
+        )
+        # repr, not ==: a NaN field never equals itself.
+        assert repr(shipped.records) == repr(always.records)
+        if name == "hedge-storm":
+            assert shipped.n_hedges > 0
+            # Searching every attempt is one search per attempt with a result.
+            assert len(searched) < len(searched_always)
+        elif name == "failovers":
+            assert shipped.n_failovers > 0
+        else:
+            assert any(
+                r.stop_reason.startswith("deadline(") for r in searched
+            )
+            # Both branches ran: some kept answers held, some did not.
+            assert {True, False} <= set(verdicts)
 
 
 class TestBreakers:

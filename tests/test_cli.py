@@ -43,6 +43,35 @@ class TestExperimentCommand:
         assert "unknown scale" in capsys.readouterr().err
 
 
+class TestSweepGrids:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("faultsim", "--rates", "nan"),
+            ("servesim", "--fault-rates", "nan"),
+            ("servesim", "--loads", "inf"),
+            ("shardsim", "--fault-rates", "nan"),
+            ("shardsim", "--shards", "nan"),
+            ("shardsim", "--shards", "inf"),
+            ("shardsim", "--shards", "2.7"),
+            ("shardsim", "--hedge-factor", "nan"),
+            ("shardsim", "--hedge-factor", "inf"),
+        ],
+    )
+    def test_non_finite_or_fractional_values_rejected(
+        self, command, flag, value, capsys, monkeypatch
+    ):
+        """Refused before any sweep runs, as a usage error naming the flag."""
+        import repro.cli
+
+        def no_sweep(scale):
+            raise AssertionError(f"{command} {flag} {value} reached the sweep")
+
+        monkeypatch.setattr(repro.cli, "prepare", no_sweep)
+        assert main([command, flag, value, "--scale", "test"]) == 2
+        assert f"repro: error: {flag}" in capsys.readouterr().err
+
+
 class TestFileWorkflow:
     def test_generate_build_query_image_query(self, tmp_path, capsys):
         from repro.cli import main
