@@ -88,12 +88,11 @@ MODERN_NP_RANDOM: FrozenSet[str] = frozenset(
 SEEDED_STDLIB_RANDOM: FrozenSet[str] = frozenset({"Random", "SystemRandom"})
 
 #: The only files that may write or rename durable on-disk artifacts
-#: directly.  ``storage/atomic.py`` owns write-temp/fsync/rename,
-#: ``storage/chunk_file.py`` layers CRC tables on the same discipline,
-#: and ``storage/wal.py`` owns the framed group commit.  Everything else
-#: must publish through them (DUR001).
+#: directly.  ``storage/atomic.py`` owns write-temp/fsync/rename and
+#: ``storage/wal.py`` owns the framed group commit.  Everything else —
+#: every other file format included — must publish through them (DUR001).
 DURABLE_WRITE_SANCTIONED: FrozenSet[str] = frozenset(
-    {"storage/atomic.py", "storage/chunk_file.py", "storage/wal.py"}
+    {"storage/atomic.py", "storage/wal.py"}
 )
 
 #: Path-expression substrings that mark a write target as a durable

@@ -3,8 +3,8 @@
 Every on-disk artifact the search depends on (collection, chunk and
 index files, WAL logs, checkpoint packs, manifests) must be produced by
 one of the two crash-safe write sites: the write-temp/fsync/rename
-helper in :mod:`repro.storage.atomic` (and the chunk-file writer built
-on the same discipline) or the WAL writer's framed group commit.  A
+helper in :mod:`repro.storage.atomic` or the WAL writer's framed group
+commit.  A
 bare ``open(path, "w")`` or ``os.replace`` anywhere else can leave a
 torn file under a final name — a durability hole no test notices until
 a crash lands in exactly the wrong window.
@@ -56,10 +56,10 @@ class DurabilityRule(Rule):
         "storage.atomic or the WAL writer; use the crash-safe write sites"
     )
     rationale = (
-        "Crash safety in this repo is a property of exactly three write\n"
-        "sites: storage/atomic.py (write-temp, fsync, atomic rename),\n"
-        "storage/chunk_file.py (the same discipline plus CRC tables) and\n"
-        "storage/wal.py (framed, checksummed group commit).  Recovery\n"
+        "Crash safety in this repo is a property of exactly two write\n"
+        "sites: storage/atomic.py (write-temp, fsync, atomic rename) and\n"
+        "storage/wal.py (framed, checksummed group commit); every file\n"
+        "format, the chunk file included, publishes through them.  Recovery\n"
         "reasons about what those sites guarantee — a file under its\n"
         "final name is complete, a WAL batch past its commit marker is\n"
         "whole.  A bare open(path, 'w') or os.replace against an index,\n"

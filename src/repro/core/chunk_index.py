@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
+from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
 from ..storage.code_file import CodeFileReader, write_code_file
 from ..storage.index_file import (
     index_file_bytes,
@@ -230,22 +230,21 @@ class ChunkIndex:
         index_path = os.path.join(directory, INDEX_FILE_NAME)
         with contextlib.suppress(FileNotFoundError):
             os.unlink(codes_path)
-        geometry = PageGeometry()
-        saved_metas: List[ChunkMeta] = []
-        with ChunkFileWriter(
-            os.path.join(directory, CHUNK_FILE_NAME), self.dimensions, geometry
-        ) as writer:
-            for chunk_id in range(self.n_chunks):
-                ids, vectors = self.read_chunk(chunk_id)
-                extent = writer.write_chunk(ids, vectors)
-                saved_metas.append(
-                    dataclasses.replace(
-                        self.metas[chunk_id],
-                        chunk_id=chunk_id,
-                        page_offset=extent.page_offset,
-                        page_count=extent.page_count,
-                    )
-                )
+        extents, table_crc = write_chunk_file(
+            os.path.join(directory, CHUNK_FILE_NAME),
+            self.dimensions,
+            (self.read_chunk(chunk_id) for chunk_id in range(self.n_chunks)),
+            PageGeometry(),
+        )
+        saved_metas = [
+            dataclasses.replace(
+                meta,
+                chunk_id=chunk_id,
+                page_offset=extent.page_offset,
+                page_count=extent.page_count,
+            )
+            for chunk_id, (meta, extent) in enumerate(zip(self.metas, extents))
+        ]
         write_index_file(index_path, saved_metas)
         # The cells divide the rectangle as the index file stores it, which
         # is the one a loaded index bounds with.
@@ -255,7 +254,7 @@ class ChunkIndex:
             self.dimensions,
             self.n_chunks,
             ((self.read_chunk(i)[1], lower[i], upper[i]) for i in range(self.n_chunks)),
-            writer.table_crc,
+            table_crc,
             _file_crc32(index_path),
         )
 

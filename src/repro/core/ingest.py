@@ -25,15 +25,18 @@ Every state transition follows the same discipline: write new files
 under new names, fsync, publish the manifest with
 :func:`repro.storage.atomic.atomic_output`, then garbage-collect what
 the new manifest no longer references.  A crash anywhere leaves either
-the old manifest (whose files are all still present) or the new one —
-recovery in :meth:`StreamingChunkIndex.open` reconstructs the
-checkpoint state, truncates the WAL's torn tail, replays the committed
-batches through the identical maintainer code path, and removes
-orphans.  Because member order round-trips exactly (live base rows in
-base order, then appends in insertion order), recovered centroids,
-radii, rectangles, extents and the allocation frontier are bit-identical
-to the uncrashed process — which keeps the pruning bounds (sphere and
-rectangle) and the centroid router exactness-preserving across crashes.
+the old manifest (whose files are all still present) or the new one.
+Recovery (:meth:`StreamingChunkIndex.open`) is one read-only loader —
+the same one :func:`verify_streaming_index` runs, so a directory that
+verifies always opens — which validates the manifest, reconstructs the
+checkpoint state and replays the committed batches through the
+identical maintainer code path, followed by the repairs: truncate the
+WAL's torn tail, remove orphans, resume the log.  Because member order
+round-trips exactly (live base rows in base order, then appends in
+insertion order), recovered centroids, radii, rectangles, extents and
+the allocation frontier are bit-identical to the uncrashed process —
+which keeps the pruning bounds (sphere and rectangle) and the centroid
+router exactness-preserving across crashes.
 The manifest stores centroid and radius for verification only;
 rectangles, like every summary a search uses, are recomputed from the
 members.
@@ -49,24 +52,37 @@ deterministic simulated time the query path uses.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, cast
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 
 from ..simio.disk_model import DiskModel
 from ..storage.atomic import atomic_output, fsync_directory
-from ..storage.chunk_file import ChunkExtent, ChunkFileReader, ChunkFileWriter
+from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
 from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
 from ..storage.index_file import read_index_file, write_index_file
 from ..storage.pages import PageGeometry
+from ..storage.records import RecordCodec
 from ..storage.wal import (
     OP_DELETE,
     OP_INSERT,
     CrashHook,
     WalOp,
+    WalScan,
     WalWriter,
     scan_wal,
     truncate_wal,
@@ -75,6 +91,8 @@ from .chunk import ChunkMeta, bounding_rectangle
 from .chunk_index import ChunkIndex
 from .distance import squared_distances
 from .maintenance import (
+    MERGE_FRACTION,
+    SPLIT_FACTOR,
     ChunkIndexMaintainer,
     ChunkSnapshot,
     DeltaRef,
@@ -192,8 +210,6 @@ class StreamingChunkIndex:
         directory: str,
         index: ChunkIndex,
         target_chunk_size: Optional[int] = None,
-        split_factor: float = 2.0,
-        merge_fraction: float = 0.2,
         geometry: Optional[PageGeometry] = None,
         disk: Optional[DiskModel] = None,
         crash: Optional[CrashHook] = None,
@@ -208,8 +224,6 @@ class StreamingChunkIndex:
         maintainer = ChunkIndexMaintainer(
             index,
             target_chunk_size=target_chunk_size,
-            split_factor=split_factor,
-            merge_fraction=merge_fraction,
             geometry=geometry,
         )
         self = cls(
@@ -245,69 +259,36 @@ class StreamingChunkIndex:
     ) -> "StreamingChunkIndex":
         """Recover a streaming index from its directory.
 
-        Reconstructs the checkpoint state from the manifest, truncates
-        the WAL's uncommitted suffix, replays every committed batch, and
-        garbage-collects files the manifest no longer references.  The
-        resulting in-memory state is bit-identical to the process that
-        wrote the log.
+        Runs the read-only loader :func:`verify_streaming_index` also runs
+        — manifest, checkpoint state from base + packs, every committed
+        batch replayed — so any damage raises :class:`CorruptFileError`
+        before a byte is written.  Then repairs: truncates the WAL's
+        uncommitted suffix, garbage-collects files the manifest no longer
+        references and resumes the log.  The resulting in-memory state is
+        bit-identical to the process that wrote the log.
         """
-        manifest = _read_manifest(directory)
-        dimensions = int(manifest["dimensions"])
-        geometry = PageGeometry(page_bytes=int(manifest["page_bytes"]))
-        base_metas = read_index_file(
-            os.path.join(directory, str(manifest["base_index_file"]))
-        )
-        snaps = _load_chunk_snapshots(directory, manifest, base_metas, geometry)
-        maintainer = ChunkIndexMaintainer.restore(
-            dimensions=dimensions,
-            chunks=snaps,
-            next_page=int(manifest["next_page"]),
-            target_chunk_size=int(manifest["target_chunk_size"]),
-            split_factor=float(manifest["split_factor"]),
-            merge_fraction=float(manifest["merge_fraction"]),
-            geometry=geometry,
-            stats=_stats_from_manifest(manifest),
-        )
-
-        wal_path = os.path.join(directory, str(manifest["wal_file"]))
-        scan = scan_wal(wal_path)
-        _require(
-            scan.dimensions == dimensions,
-            "wal dimensionality does not match the manifest",
-        )
-        _require(
-            scan.tag == int(manifest["checkpoint"]),
-            "wal checkpoint tag does not match the manifest",
-        )
+        loaded = _Loaded()
+        for _ in _load(directory, loaded):
+            pass
+        manifest, scan = loaded.manifest, loaded.scan
+        wal_path = os.path.join(directory, manifest["wal_file"])
         torn = truncate_wal(wal_path, scan)
-        expected_seq = int(manifest["next_batch_seq"])
-        replayed_ops = 0
-        for batch in scan.batches:
-            _require(
-                batch.batch_seq == expected_seq,
-                f"wal batch sequence gap: expected {expected_seq}, "
-                f"found {batch.batch_seq}",
-            )
-            expected_seq += 1
-            for op in batch.ops:
-                _apply_op(maintainer, op)
-            replayed_ops += len(batch.ops)
         orphans = _collect_garbage(directory, manifest)
         writer = WalWriter.resume(wal_path, scan, crash=crash)
-        writer.next_batch_seq = expected_seq
+        writer.next_batch_seq = manifest["next_batch_seq"] + len(scan.batches)
         return cls(
             directory=directory,
-            name=str(manifest["name"]),
-            maintainer=maintainer,
+            name=manifest["name"],
+            maintainer=loaded.maintainer,
             wal=writer,
-            generation=int(manifest["generation"]),
-            checkpoint_seq=int(manifest["checkpoint"]),
-            base_counts=[m.n_descriptors for m in base_metas],
+            generation=manifest["generation"],
+            checkpoint_seq=manifest["checkpoint"],
+            base_counts=[m.n_descriptors for m in loaded.base_metas],
             disk=disk or DiskModel(),
             crash=crash,
             recovery=RecoveryReport(
                 replayed_batches=len(scan.batches),
-                replayed_ops=replayed_ops,
+                replayed_ops=sum(len(batch.ops) for batch in scan.batches),
                 torn_bytes=torn,
                 discarded_ops=scan.discarded_ops,
                 orphans_removed=orphans,
@@ -471,21 +452,19 @@ class StreamingChunkIndex:
         maintainer.compact()
         directory = self.directory
         chunk_path = os.path.join(directory, _base_chunk_name(self.generation))
-        with ChunkFileWriter(
-            chunk_path, maintainer.dimensions, maintainer.geometry
-        ) as writer:
+        compacted: List[Tuple[int, int]] = []
+
+        def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
             for position in range(maintainer.n_chunks):
                 snap = maintainer.snapshot(position)
-                extent = writer.write_chunk(
-                    np.asarray(snap.ids, dtype=np.int64), snap.vectors
-                )
-                if (extent.page_offset, extent.page_count) != (
-                    snap.page_offset,
-                    snap.page_count,
-                ):
-                    raise AssertionError(
-                        "compacted extents must match the sequential writer"
-                    )
+                compacted.append((snap.page_offset, snap.page_count))
+                yield np.asarray(snap.ids, dtype=np.int64), snap.vectors
+
+        extents, _ = write_chunk_file(
+            chunk_path, maintainer.dimensions, chunks(), maintainer.geometry
+        )
+        if [(e.page_offset, e.page_count) for e in extents] != compacted:
+            raise AssertionError("compacted extents must match the sequential writer")
         self._charge_write(os.path.getsize(chunk_path))
         self._reached(f"{site_prefix}.chunks")
         maintainer.rebase()
@@ -602,7 +581,6 @@ class StreamingChunkIndex:
                     "radius": meta.radius,
                 }
             )
-        stats = maintainer.stats
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -618,16 +596,9 @@ class StreamingChunkIndex:
             "next_page": maintainer.next_page,
             "page_bytes": maintainer.geometry.page_bytes,
             "target_chunk_size": maintainer.target_chunk_size,
-            "split_factor": maintainer.split_factor,
-            "merge_fraction": maintainer.merge_fraction,
-            "stats": {
-                "inserts": stats.inserts,
-                "deletes": stats.deletes,
-                "splits": stats.splits,
-                "merges": stats.merges,
-                "relocations": stats.relocations,
-                "dead_pages": stats.dead_pages,
-            },
+            "split_factor": SPLIT_FACTOR,
+            "merge_fraction": MERGE_FRACTION,
+            "stats": dataclasses.asdict(maintainer.stats),
             "chunks": chunks,
         }
 
@@ -650,10 +621,29 @@ class StreamingChunkIndex:
         self.close()
 
 
-# -- shared loading helpers ------------------------------------------------------
+# -- the loader ----------------------------------------------------------------
+
+#: Integer manifest fields and the least value each may hold.
+_MANIFEST_INTS = {
+    "dimensions": 1,
+    "generation": 0,
+    "checkpoint": 0,
+    "next_batch_seq": 0,
+    "next_page": 0,
+    "page_bytes": 1,
+    "target_chunk_size": 1,
+}
+#: Integer fields of a manifest chunk entry and the least value each may hold.
+_CHUNK_INTS = {"base_ref": -1, "page_offset": 0, "page_count": 1, "n_descriptors": 1}
+_STATS_FIELDS = sorted(field.name for field in dataclasses.fields(MaintenanceStats))
+
+
+def _is_int(value: Any, least: int) -> bool:
+    return type(value) is int and value >= least
 
 
 def _read_manifest(directory: str) -> Dict[str, Any]:
+    """The manifest, every field checked for presence, type and range."""
     path = os.path.join(directory, MANIFEST_NAME)
     try:
         with open(path, "r", encoding="ascii") as handle:
@@ -671,55 +661,175 @@ def _read_manifest(directory: str) -> Dict[str, Any]:
         manifest.get("version") == FORMAT_VERSION,
         f"unsupported manifest version {manifest.get('version')!r}",
     )
-    for key in (
-        "dimensions",
-        "generation",
-        "checkpoint",
-        "next_batch_seq",
-        "next_page",
-        "page_bytes",
-        "target_chunk_size",
+    _require(
+        isinstance(manifest.get("name"), str), "manifest field 'name' must be a string"
+    )
+    for key, least in _MANIFEST_INTS.items():
+        _require(
+            _is_int(manifest.get(key), least),
+            f"manifest field {key!r} must be an int >= {least}",
+        )
+    for key, constant in (
+        ("split_factor", SPLIT_FACTOR),
+        ("merge_fraction", MERGE_FRACTION),
     ):
         _require(
-            isinstance(manifest.get(key), int), f"manifest field {key!r} must be int"
+            manifest.get(key) == constant, f"manifest field {key!r} must be {constant}"
         )
-    for key in ("split_factor", "merge_fraction"):
-        _require(
-            isinstance(manifest.get(key), (int, float)),
-            f"manifest field {key!r} must be numeric",
-        )
+    stats = manifest.get("stats")
+    _require(
+        isinstance(stats, dict)
+        and sorted(stats) == _STATS_FIELDS
+        and all(_is_int(count, 0) for count in stats.values()),
+        f"manifest stats must be the ints >= 0 {_STATS_FIELDS}",
+    )
     packs = manifest.get("packs")
     _require(isinstance(packs, list), "manifest field 'packs' must be a list")
     files = [
         manifest.get(key) for key in ("base_chunk_file", "base_index_file", "wal_file")
     ]
-    for value in files + cast(List[Any], packs):
+    for value in files + packs:
         _require(
             isinstance(value, str) and os.path.basename(value) == value,
             f"manifest file reference {value!r} must be a bare file name",
         )
         _require(
-            os.path.exists(os.path.join(directory, str(value))),
+            os.path.exists(os.path.join(directory, value)),
             f"manifest references missing file {value!r}",
         )
+    chunks = manifest.get("chunks")
     _require(
-        isinstance(manifest.get("chunks"), list) and bool(manifest["chunks"]),
+        isinstance(chunks, list) and bool(chunks),
         "manifest must list at least one chunk",
     )
+    for position, entry in enumerate(chunks):
+        where = f"manifest chunk {position}"
+        _require(isinstance(entry, dict), f"{where} must be an object")
+        for key, least in _CHUNK_INTS.items():
+            _require(
+                _is_int(entry.get(key), least),
+                f"{where} field {key!r} must be an int >= {least}",
+            )
+        delta = entry.get("delta", "missing")
+        _require(
+            delta is None
+            or isinstance(delta, list)
+            and len(delta) == 2
+            and _is_int(delta[0], 0)
+            and delta[0] < len(packs)
+            and _is_int(delta[1], 0),
+            f"{where} has a malformed delta reference {delta!r}",
+        )
+        centroid = entry.get("centroid")
+        _require(
+            isinstance(centroid, list)
+            and len(centroid) == manifest["dimensions"]
+            and all(type(value) is float for value in centroid)
+            and type(entry.get("radius")) is float,
+            f"{where} needs a float centroid of {manifest['dimensions']} "
+            "components and a float radius",
+        )
     return cast(Dict[str, Any], manifest)
 
 
-def _stats_from_manifest(manifest: Dict[str, Any]) -> MaintenanceStats:
-    raw = manifest.get("stats") or {}
-    _require(isinstance(raw, dict), "manifest stats must be an object")
-    return MaintenanceStats(
-        inserts=int(raw.get("inserts", 0)),
-        deletes=int(raw.get("deletes", 0)),
-        splits=int(raw.get("splits", 0)),
-        merges=int(raw.get("merges", 0)),
-        relocations=int(raw.get("relocations", 0)),
-        dead_pages=int(raw.get("dead_pages", 0)),
-    )
+class _Loaded:
+    """What :func:`_load` has read so far; ``stage`` names the stage running."""
+
+    stage: str
+    manifest: Dict[str, Any]
+    base_metas: List[ChunkMeta]
+    snaps: List[ChunkSnapshot]
+    maintainer: ChunkIndexMaintainer
+    scan: WalScan
+
+
+def _load(directory: str, loaded: _Loaded) -> Iterator[str]:
+    """Read and validate everything a recovery needs; writes nothing.
+
+    The one loader of a streaming directory, one stage per ``next()``.
+    Each stage fills ``loaded`` and yields a one-line account of itself:
+
+    * ``manifest`` — every field present, typed and in range, every
+      referenced file present (:func:`_read_manifest`);
+    * ``storage`` — the base index, then each chunk's checkpoint state
+      rebuilt from the base chunk file and its pack section, every read
+      CRC-checked and every count matched to the manifest;
+    * ``summaries`` — the maintainer restored from that state;
+    * ``wal`` — the log scanned, its dimensionality, checkpoint tag and
+      batch sequence matched to the manifest;
+    * ``liveness`` — every committed batch replayed in memory.
+
+    Anything malformed raises :class:`CorruptFileError` and nothing else:
+    a ``KeyError``, ``TypeError`` or ``ValueError`` out of parsing, the
+    restore or the replay is raised as one.
+    """
+    try:
+        loaded.stage = "manifest"
+        manifest = loaded.manifest = _read_manifest(directory)
+        yield (
+            f"generation {manifest['generation']}, checkpoint "
+            f"{manifest['checkpoint']}, {len(manifest['chunks'])} chunks"
+        )
+
+        loaded.stage = "storage"
+        geometry = PageGeometry(page_bytes=manifest["page_bytes"])
+        base_metas = loaded.base_metas = read_index_file(
+            os.path.join(directory, manifest["base_index_file"])
+        )
+        snaps = loaded.snaps = _load_chunk_snapshots(
+            directory, manifest, base_metas, geometry
+        )
+        yield (
+            f"{len(base_metas)} base chunks, "
+            f"{sum(1 for s in snaps if s.delta is not None)} delta sections "
+            f"in {len(manifest['packs'])} pack file(s), all checksums verified"
+        )
+
+        loaded.stage = "summaries"
+        maintainer = loaded.maintainer = ChunkIndexMaintainer.restore(
+            dimensions=manifest["dimensions"],
+            chunks=snaps,
+            next_page=manifest["next_page"],
+            target_chunk_size=manifest["target_chunk_size"],
+            geometry=geometry,
+            stats=MaintenanceStats(**manifest["stats"]),
+        )
+        yield f"{len(snaps)} chunks restored"
+
+        loaded.stage = "wal"
+        scan = loaded.scan = scan_wal(os.path.join(directory, manifest["wal_file"]))
+        _require(
+            scan.dimensions == manifest["dimensions"],
+            "wal dimensionality does not match the manifest",
+        )
+        _require(
+            scan.tag == manifest["checkpoint"],
+            "wal checkpoint tag does not match the manifest",
+        )
+        for expected, batch in enumerate(scan.batches, manifest["next_batch_seq"]):
+            _require(
+                batch.batch_seq == expected,
+                f"wal batch sequence gap: expected {expected}, "
+                f"found {batch.batch_seq}",
+            )
+        yield (
+            f"{len(scan.batches)} committed batches, "
+            f"{scan.torn_bytes} torn tail bytes "
+            f"({scan.discarded_ops} uncommitted ops to discard)"
+        )
+
+        loaded.stage = "liveness"
+        for batch in scan.batches:
+            for op in batch.ops:
+                _apply_op(maintainer, op)
+        yield (
+            f"{len(maintainer)} live descriptors in {maintainer.n_chunks} "
+            f"chunks after replaying {len(scan.batches)} batches"
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise CorruptFileError(
+            f"{loaded.stage} does not load: {type(error).__name__}: {error}"
+        ) from error
 
 
 def _load_chunk_snapshots(
@@ -734,34 +844,31 @@ def _load_chunk_snapshots(
     in chunk-position order and positions only ever shift together, so
     walking the manifest's chunks reads every pack front to back.
     """
-    dimensions = int(manifest["dimensions"])
-    pack_names = cast(List[str], manifest["packs"])
+    dimensions = manifest["dimensions"]
     snaps: List[ChunkSnapshot] = []
-    base_path = os.path.join(directory, str(manifest["base_chunk_file"]))
+    base_path = os.path.join(directory, manifest["base_chunk_file"])
     with contextlib.ExitStack() as stack:
         base_reader = stack.enter_context(
             ChunkFileReader(base_path, dimensions, geometry)
         )
         packs: Dict[str, DeltaPackReader] = {}
-        for position, raw in enumerate(manifest["chunks"]):
-            _require(
-                isinstance(raw, dict), f"manifest chunk {position} must be an object"
-            )
-            entry = cast(Dict[str, Any], raw)
-            base_ref = int(entry["base_ref"])
-            delta = _delta_ref(entry.get("delta"), pack_names, position)
+        for position, entry in enumerate(manifest["chunks"]):
+            base_ref = entry["base_ref"]
+            delta: Optional[DeltaRef] = None
             section: Optional[DeltaSection] = None
-            if delta is not None:
+            if entry["delta"] is not None:
+                pack, number = entry["delta"]
+                delta = DeltaRef(manifest["packs"][pack], number)
                 if delta.pack not in packs:
                     packs[delta.pack] = stack.enter_context(
                         DeltaPackReader(os.path.join(directory, delta.pack), dimensions)
                     )
-                section = packs[delta.pack].read_section(delta.section)
+                section = packs[delta.pack].read_section(number)
             ids, vectors, origins = _reconstruct_chunk(
                 base_reader, base_metas, base_ref, section, f"of chunk {position}"
             )
             _require(
-                len(ids) == int(entry["n_descriptors"]),
+                len(ids) == entry["n_descriptors"],
                 f"manifest chunk {position} claims {entry['n_descriptors']} "
                 f"descriptors, reconstruction found {len(ids)}",
             )
@@ -773,28 +880,11 @@ def _load_chunk_snapshots(
                     base_ref=base_ref,
                     delta=delta,
                     dirty=False,
-                    page_offset=int(entry["page_offset"]),
-                    page_count=int(entry["page_count"]),
+                    page_offset=entry["page_offset"],
+                    page_count=entry["page_count"],
                 )
             )
     return snaps
-
-
-def _delta_ref(
-    raw: Any, pack_names: Sequence[str], position: int
-) -> Optional[DeltaRef]:
-    """A manifest chunk's ``[pack index, section]`` pair, validated."""
-    if raw is None:
-        return None
-    _require(
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(v, int) for v in raw)
-        and 0 <= raw[0] < len(pack_names)
-        and raw[1] >= 0,
-        f"manifest chunk {position} has a malformed delta reference {raw!r}",
-    )
-    return DeltaRef(pack_names[raw[0]], raw[1])
 
 
 def _reconstruct_chunk(
@@ -833,7 +923,7 @@ def _reconstruct_chunk(
         "outside the generation",
     )
     meta = base_metas[base_ref]
-    live = cast(np.ndarray, section.live)
+    live = np.asarray(section.live)
     _require(
         live.size == meta.n_descriptors,
         f"delta section {where} mask covers {live.size} rows, "
@@ -911,10 +1001,10 @@ def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
     dead weight until the last pointer goes (or ``rebuild_base`` runs).
     """
     keep = {
-        str(manifest["base_chunk_file"]),
-        str(manifest["base_index_file"]),
-        str(manifest["wal_file"]),
-        *(str(pack) for pack in manifest["packs"]),
+        manifest["base_chunk_file"],
+        manifest["base_index_file"],
+        manifest["wal_file"],
+        *manifest["packs"],
     }
     removed = 0
     for file_name in sorted(os.listdir(directory)):
@@ -932,107 +1022,91 @@ def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
 def verify_streaming_index(directory: str) -> Dict[str, Any]:
     """Deep consistency check of a streaming-index directory (read-only).
 
-    Validates, in dependency order: the manifest and its file references;
-    base file checksums; every referenced pack's section table and the
-    checksum and structure of each referenced section; exact
-    centroid/radius recomputation against the stored summaries; the base
-    index's rectangle block against the base chunk contents; extent
-    bounds and non-overlap; WAL frame integrity and batch-sequence
-    continuity; and, after replaying the committed log, global
-    tombstone/liveness accounting (unique ids, non-empty chunks, every
-    member inside its chunk's exact bounding radius and rectangle — the
-    invariants the pruning bounds' soundness rests on).
+    Runs the loader :meth:`StreamingChunkIndex.open` runs, one stage per
+    check (``manifest``, ``storage``, ``summaries``, ``wal``,
+    ``liveness``), and adds the exactness checks recovery does not need:
+    every stored centroid/radius summary equal to the recomputed one
+    (``summaries``); extents sized, disjoint and behind the allocation
+    frontier (``extents``); every live member inside its chunk's exact
+    radius (``liveness``) and rectangle, and the base index's rectangle
+    block equal to the base chunk contents' (``rectangles``) — the
+    invariants the pruning bounds' soundness rests on.  The report ends at
+    the first stage that does not load, so ``report["ok"]`` implies that
+    ``open`` succeeds.
 
     Returns a JSON-ready report; ``report["ok"]`` is the verdict.  Never
-    mutates the directory (torn WAL tails are reported, not truncated).
+    raises for a damaged directory and never mutates it (torn WAL tails
+    are reported, not truncated).
     """
     checks: List[Dict[str, Any]] = []
     summary: Dict[str, Any] = {"format": FORMAT_NAME, "checks": checks}
 
-    def record(name: str, ok: bool, detail: str) -> bool:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        return ok
-
-    manifest: Optional[Dict[str, Any]] = None
-    try:
-        manifest = _read_manifest(directory)
-        record(
-            "manifest",
-            True,
-            f"generation {manifest['generation']}, checkpoint "
-            f"{manifest['checkpoint']}, {len(manifest['chunks'])} chunks",
+    def record(name: str, problems: List[str], detail: str) -> None:
+        checks.append(
+            {"name": name, "ok": not problems, "detail": "; ".join(problems) or detail}
         )
-    except (CorruptFileError, OSError) as error:
-        record("manifest", False, str(error))
-    if manifest is None:
+
+    loaded = _Loaded()
+    stages = _load(directory, loaded)
+    try:
+        record("manifest", [], next(stages))
+        record("storage", [], next(stages))
+        detail = next(stages)
+        record(
+            "summaries",
+            _inexact_summaries(loaded),
+            f"{detail}; every stored centroid/radius summary recomputed exactly",
+        )
+        record("extents", _extent_problems(loaded), "extents disjoint and sized")
+        record("wal", [], next(stages))
+        detail = next(stages)
+        outside_radius, outside_rectangle = _stray_members(loaded.maintainer)
+        record(
+            "liveness",
+            outside_radius,
+            f"{detail}; every member inside its chunk's exact radius",
+        )
+    except OSError as error:  # CorruptFileError included
+        record(loaded.stage, [str(error)], "")
         summary["ok"] = False
         return summary
-
-    dimensions = int(manifest["dimensions"])
-    geometry = PageGeometry(page_bytes=int(manifest["page_bytes"]))
-    snaps: Optional[List[ChunkSnapshot]] = None
-    base_metas: Optional[List[ChunkMeta]] = None
-    try:
-        base_metas = read_index_file(
-            os.path.join(directory, str(manifest["base_index_file"]))
-        )
-        snaps = _load_chunk_snapshots(directory, manifest, base_metas, geometry)
-        record(
-            "storage",
-            True,
-            f"{len(base_metas)} base chunks, "
-            f"{sum(1 for s in snaps if s.delta is not None)} delta sections "
-            f"in {len(manifest['packs'])} pack file(s), all checksums verified",
-        )
-    except (CorruptFileError, OSError) as error:
-        record("storage", False, str(error))
-    if snaps is None or base_metas is None:
-        summary["ok"] = False
-        return summary
-
-    maintainer: Optional[ChunkIndexMaintainer] = None
-    details: List[str] = []
-    try:
-        maintainer = ChunkIndexMaintainer.restore(
-            dimensions=dimensions,
-            chunks=snaps,
-            next_page=int(manifest["next_page"]),
-            target_chunk_size=int(manifest["target_chunk_size"]),
-            split_factor=float(manifest["split_factor"]),
-            merge_fraction=float(manifest["merge_fraction"]),
-            geometry=geometry,
-            stats=_stats_from_manifest(manifest),
-        )
-        for chunk_summary, raw in zip(maintainer.summaries(), manifest["chunks"]):
-            entry = cast(Dict[str, Any], raw)
-            meta = chunk_summary.meta
-            stored = np.asarray(entry["centroid"], dtype=np.float64)
-            if stored.shape != meta.centroid.shape or not np.array_equal(
-                stored, meta.centroid
-            ):
-                details.append(f"chunk {meta.chunk_id}: stored centroid is not exact")
-            if float(entry["radius"]) != meta.radius:
-                details.append(f"chunk {meta.chunk_id}: stored radius is not exact")
-    except ValueError as error:
-        maintainer = None
-        details.append(f"checkpoint state does not restore: {error}")
     record(
-        "summaries",
-        not details,
-        "; ".join(details)
-        if details
-        else f"{len(snaps)} stored centroid/radius summaries recomputed exactly",
+        "rectangles",
+        _base_rectangle_problems(directory, loaded) + outside_rectangle,
+        f"{len(loaded.base_metas)} base rectangles recomputed exactly; "
+        "every live member inside its chunk's rectangle",
     )
+    summary["ok"] = all(check["ok"] for check in checks)
+    summary["n_descriptors"] = len(loaded.maintainer)
+    summary["n_chunks"] = loaded.maintainer.n_chunks
+    summary["replayed_batches"] = len(loaded.scan.batches)
+    summary["torn_bytes"] = loaded.scan.torn_bytes
+    return summary
 
-    extents_ok = True
-    details = []
-    codec_bytes = np.dtype([("id", "<i4"), ("vector", "<f4", (dimensions,))]).itemsize
+
+def _inexact_summaries(loaded: _Loaded) -> List[str]:
+    """Chunks whose stored centroid or radius is not the recomputed one."""
+    problems: List[str] = []
+    for chunk, entry in zip(loaded.maintainer.summaries(), loaded.manifest["chunks"]):
+        meta = chunk.meta
+        if entry["centroid"] != meta.centroid.tolist():
+            problems.append(f"chunk {meta.chunk_id}: stored centroid is not exact")
+        if entry["radius"] != meta.radius:
+            problems.append(f"chunk {meta.chunk_id}: stored radius is not exact")
+    return problems
+
+
+def _extent_problems(loaded: _Loaded) -> List[str]:
+    """Checkpointed extents too small for their records, overlapping, or
+    past the allocation frontier."""
+    maintainer = loaded.maintainer
+    record_bytes = RecordCodec(maintainer.dimensions).record_bytes
+    problems: List[str] = []
     spans: List[Tuple[int, int, int]] = []
-    for position, snap in enumerate(snaps):
-        needed = geometry.pages_for(len(snap.ids) * codec_bytes)
+    for position, snap in enumerate(loaded.snaps):
+        needed = maintainer.geometry.pages_for(len(snap.ids) * record_bytes)
         if snap.page_count < needed:
-            extents_ok = False
-            details.append(
+            problems.append(
                 f"chunk {position}: extent of {snap.page_count} pages cannot "
                 f"hold {len(snap.ids)} records"
             )
@@ -1040,108 +1114,46 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     spans.sort()
     for (_, prev_end, prev_pos), (start, _, pos) in zip(spans, spans[1:]):
         if start < prev_end:
-            extents_ok = False
-            details.append(f"chunks {prev_pos} and {pos}: extents overlap")
-    if spans and spans[-1][1] > int(manifest["next_page"]):
-        extents_ok = False
-        details.append("allocation frontier is behind the last extent")
-    record(
-        "extents",
-        extents_ok,
-        "; ".join(details) if details else "extents disjoint and sized",
-    )
+            problems.append(f"chunks {prev_pos} and {pos}: extents overlap")
+    if spans and spans[-1][1] > loaded.manifest["next_page"]:
+        problems.append("allocation frontier is behind the last extent")
+    return problems
 
-    scan = None
-    try:
-        scan = scan_wal(os.path.join(directory, str(manifest["wal_file"])))
-        wal_ok = scan.dimensions == dimensions and scan.tag == int(
-            manifest["checkpoint"]
-        )
-        seqs = [batch.batch_seq for batch in scan.batches]
-        expected = list(
-            range(
-                int(manifest["next_batch_seq"]),
-                int(manifest["next_batch_seq"]) + len(seqs),
+
+def _stray_members(maintainer: ChunkIndexMaintainer) -> Tuple[List[str], List[str]]:
+    """Live members outside their chunk's exact radius (and an id map that
+    disagrees with the chunks), and live members outside its rectangle."""
+    outside_radius: List[str] = []
+    outside_rectangle: List[str] = []
+    seen = 0
+    for position, chunk in enumerate(maintainer.summaries()):
+        meta = chunk.meta
+        vectors = maintainer.snapshot(position).vectors
+        seen += len(vectors)
+        worst = float(np.sqrt(squared_distances(meta.centroid, vectors).max()))
+        if worst > meta.radius:
+            outside_radius.append(
+                f"chunk {position}: member at distance {worst} exceeds radius "
+                f"{meta.radius}"
             )
-        )
-        if seqs != expected:
-            wal_ok = False
-        record(
-            "wal",
-            wal_ok,
-            f"{len(scan.batches)} committed batches, "
-            f"{scan.torn_bytes} torn tail bytes "
-            f"({scan.discarded_ops} uncommitted ops to discard)",
-        )
-        if not wal_ok:
-            scan = None
-    except (CorruptFileError, OSError) as error:
-        record("wal", False, str(error))
+        if np.any(vectors < meta.lower) or np.any(vectors > meta.upper):
+            outside_rectangle.append(f"chunk {position}: member outside its rectangle")
+    if seen != len(maintainer):
+        outside_radius.append(f"id map holds {len(maintainer)} ids, chunks hold {seen}")
+    return outside_radius, outside_rectangle
 
-    rectangle_details: List[str] = []
-    live_members_checked = False
-    if maintainer is None:
-        record("liveness", False, "skipped: checkpoint state did not restore")
-    elif scan is not None:
-        try:
-            for batch in scan.batches:
-                for op in batch.ops:
-                    _apply_op(maintainer, op)
-            details = []
-            seen = 0
-            # What a searcher would be handed: an empty chunk cannot be
-            # materialized and fails the check through ValueError.
-            index = maintainer.to_index()
-            for meta in index.metas:
-                ids, vectors = index.read_chunk(meta.chunk_id)
-                seen += int(ids.size)
-                worst = float(
-                    np.sqrt(squared_distances(meta.centroid, vectors).max())
-                )
-                if worst > meta.radius:
-                    details.append(
-                        f"chunk {meta.chunk_id}: member at distance {worst} "
-                        f"exceeds radius {meta.radius}"
-                    )
-                if np.any(vectors < meta.lower) or np.any(vectors > meta.upper):
-                    rectangle_details.append(
-                        f"chunk {meta.chunk_id}: member outside its rectangle"
-                    )
-            live_members_checked = True
-            if seen != len(maintainer):
-                details.append(
-                    f"id map holds {len(maintainer)} ids, chunks hold {seen}"
-                )
-            record(
-                "liveness",
-                not details,
-                "; ".join(details)
-                if details
-                else (
-                    f"{len(maintainer)} live descriptors in "
-                    f"{maintainer.n_chunks} chunks after replaying "
-                    f"{len(scan.batches)} batches; every member inside its "
-                    "chunk's exact radius"
-                ),
-            )
-            summary["n_descriptors"] = len(maintainer)
-            summary["n_chunks"] = maintainer.n_chunks
-            summary["replayed_batches"] = len(scan.batches)
-            summary["torn_bytes"] = scan.torn_bytes
-        except (CorruptFileError, KeyError, ValueError) as error:
-            record("liveness", False, f"wal replay failed: {error}")
-    else:
-        record("liveness", False, "skipped: wal check failed")
 
-    # The base index's rectangle block against the base chunks it describes
-    # (live members were checked above, once the log was replayed).
+def _base_rectangle_problems(directory: str, loaded: _Loaded) -> List[str]:
+    """Base chunks whose stored rectangle is not their members' exact one."""
+    manifest = loaded.manifest
+    problems: List[str] = []
     try:
         with ChunkFileReader(
-            os.path.join(directory, str(manifest["base_chunk_file"])),
-            dimensions,
-            geometry,
+            os.path.join(directory, manifest["base_chunk_file"]),
+            manifest["dimensions"],
+            loaded.maintainer.geometry,
         ) as base_reader:
-            for meta in base_metas:
+            for meta in loaded.base_metas:
                 _, vectors = base_reader.read_chunk(
                     ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
                 )
@@ -1150,23 +1162,9 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
                     np.array_equal(lower, meta.lower)
                     and np.array_equal(upper, meta.upper)
                 ):
-                    rectangle_details.append(
+                    problems.append(
                         f"base chunk {meta.chunk_id}: stored rectangle is not exact"
                     )
-    except (CorruptFileError, OSError) as error:
-        rectangle_details.append(str(error))
-    record(
-        "rectangles",
-        not rectangle_details,
-        "; ".join(rectangle_details)
-        if rectangle_details
-        else f"{len(base_metas)} base rectangles recomputed exactly; "
-        + (
-            "every live member inside its chunk's rectangle"
-            if live_members_checked
-            else "live members not checked (liveness did not run)"
-        ),
-    )
-
-    summary["ok"] = all(bool(check["ok"]) for check in checks)
-    return summary
+    except OSError as error:  # CorruptFileError included
+        problems.append(str(error))
+    return problems

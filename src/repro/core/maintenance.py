@@ -13,9 +13,10 @@ inserts and deletes while preserving the invariants the search relies on:
   a chunk whose new payload still fits its pages is updated in place, one
   that outgrows them is *relocated* to fresh pages at the end of the file
   (the classic slotted-file strategy), leaving a hole;
-* chunks that grow beyond ``split_factor`` times the target size are split
-  by a 2-means pass, and chunks that shrink below ``merge_fraction`` of it
-  are merged into the chunk with the nearest centroid.
+* chunks that grow beyond :data:`SPLIT_FACTOR` times the target size are
+  split by a 2-means pass, and chunks that shrink below
+  :data:`MERGE_FRACTION` of it are merged into the chunk with the nearest
+  centroid.
 
 The maintainer tracks fragmentation (dead pages left by relocations) so
 callers can decide when a compaction/rebuild pays off.
@@ -60,7 +61,15 @@ __all__ = [
     "DeltaRef",
     "ChunkSnapshot",
     "ChunkSummary",
+    "SPLIT_FACTOR",
+    "MERGE_FRACTION",
 ]
+
+#: A chunk splits once it holds more than ``SPLIT_FACTOR * target`` members.
+SPLIT_FACTOR = 2.0
+#: A chunk merges away once it holds fewer than ``MERGE_FRACTION * target``
+#: members (and more than one chunk remains).
+MERGE_FRACTION = 0.2
 
 
 @dataclasses.dataclass
@@ -244,21 +253,15 @@ class ChunkIndexMaintainer:
         The starting index; its contents are copied, the original is not
         mutated.
     target_chunk_size:
-        Size around which split/merge thresholds are set; defaults to the
+        Size around which split/merge thresholds are set
+        (:data:`SPLIT_FACTOR`, :data:`MERGE_FRACTION`); defaults to the
         index's current mean chunk size.
-    split_factor:
-        A chunk splits once it exceeds ``split_factor * target``.
-    merge_fraction:
-        A chunk merges away once it falls below ``merge_fraction * target``
-        (and more than one chunk remains).
     """
 
     def __init__(
         self,
         index: ChunkIndex,
         target_chunk_size: Optional[int] = None,
-        split_factor: float = 2.0,
-        merge_fraction: float = 0.2,
         geometry: Optional[PageGeometry] = None,
     ):
         counts = index.descriptor_counts()
@@ -281,8 +284,6 @@ class ChunkIndexMaintainer:
             chunks=chunks,
             next_page=next_page,
             target_chunk_size=target,
-            split_factor=split_factor,
-            merge_fraction=merge_fraction,
             geometry=geometry,
             stats=MaintenanceStats(),
         )
@@ -293,23 +294,15 @@ class ChunkIndexMaintainer:
         chunks: List[_MutableChunk],
         next_page: int,
         target_chunk_size: int,
-        split_factor: float,
-        merge_fraction: float,
         geometry: Optional[PageGeometry],
         stats: MaintenanceStats,
     ) -> None:
-        if split_factor <= 1.0:
-            raise ValueError("split_factor must exceed 1")
-        if not 0.0 <= merge_fraction < 1.0:
-            raise ValueError("merge_fraction must be in [0, 1)")
         if target_chunk_size < 1:
             raise ValueError("target chunk size must be positive")
         self.dimensions = int(dimensions)
         self.geometry = geometry or PageGeometry()
         self._codec = RecordCodec(self.dimensions)
         self.target_chunk_size = int(target_chunk_size)
-        self.split_factor = float(split_factor)
-        self.merge_fraction = float(merge_fraction)
         self.stats = stats
         self._chunks = chunks
         self._next_page = int(next_page)
@@ -331,8 +324,6 @@ class ChunkIndexMaintainer:
         chunks: Sequence[ChunkSnapshot],
         next_page: int,
         target_chunk_size: int,
-        split_factor: float = 2.0,
-        merge_fraction: float = 0.2,
         geometry: Optional[PageGeometry] = None,
         stats: Optional[MaintenanceStats] = None,
     ) -> "ChunkIndexMaintainer":
@@ -363,8 +354,6 @@ class ChunkIndexMaintainer:
             chunks=mutable,
             next_page=next_page,
             target_chunk_size=target_chunk_size,
-            split_factor=split_factor,
-            merge_fraction=merge_fraction,
             geometry=geometry,
             stats=stats if stats is not None else MaintenanceStats(),
         )
@@ -432,7 +421,7 @@ class ChunkIndexMaintainer:
         self._reextent(position)
         self.stats.inserts += 1
 
-        if len(chunk) > self.split_factor * self.target_chunk_size:
+        if len(chunk) > SPLIT_FACTOR * self.target_chunk_size:
             self._split(position)
         return position
 
@@ -452,7 +441,7 @@ class ChunkIndexMaintainer:
             return
         self._refresh_centroid(position)
         if (
-            len(chunk) < self.merge_fraction * self.target_chunk_size
+            len(chunk) < MERGE_FRACTION * self.target_chunk_size
             and self.n_chunks > 1
         ):
             self._merge_away(position)

@@ -97,18 +97,16 @@ class CentroidRouter:
         cls,
         centroids: np.ndarray,
         radii: np.ndarray,
-        n_groups: Optional[int] = None,
         seed: int = 0,
         iterations: int = 8,
     ) -> "CentroidRouter":
         """Cluster chunk centroids with a small deterministic k-means.
 
-        ``n_groups`` defaults to ``ceil(sqrt(C))`` — the probe count that
-        balances the group scan against expected expansions.  The whole
-        build is a pure function of ``(centroids, radii, n_groups, seed,
-        iterations)``: seeded center initialization, argmin assignment
-        (ties to the lowest group id), and empty clusters keeping their
-        previous center.
+        There are ``ceil(sqrt(C))`` groups — the probe count that balances
+        the group scan against expected expansions.  The whole build is a
+        pure function of ``(centroids, radii, seed, iterations)``: seeded
+        center initialization, argmin assignment (ties to the lowest group
+        id), and empty clusters keeping their previous center.
         """
         centroids = np.ascontiguousarray(centroids, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64).reshape(-1)
@@ -121,9 +119,7 @@ class CentroidRouter:
         if iterations < 1:
             raise ValueError("k-means needs at least one iteration")
         n_chunks = centroids.shape[0]
-        if n_groups is None:
-            n_groups = int(math.ceil(math.sqrt(n_chunks)))
-        n_groups = max(1, min(int(n_groups), n_chunks))
+        n_groups = int(math.ceil(math.sqrt(n_chunks)))
 
         rng = np.random.default_rng(seed)
         picks = np.sort(rng.choice(n_chunks, size=n_groups, replace=False))
@@ -165,7 +161,6 @@ class CentroidRouter:
     def from_index(
         cls,
         index: "object",
-        n_groups: Optional[int] = None,
         seed: int = 0,
         iterations: int = 8,
     ) -> "CentroidRouter":
@@ -173,7 +168,6 @@ class CentroidRouter:
         return cls.build(
             index.centroid_matrix(),  # type: ignore[attr-defined]
             index.radius_vector(),  # type: ignore[attr-defined]
-            n_groups=n_groups,
             seed=seed,
             iterations=iterations,
         )

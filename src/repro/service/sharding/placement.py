@@ -13,7 +13,7 @@ remedy at chunk granularity:
   to the currently lightest shard.  The classic 4/3-approximation of
   minimum makespan, and deterministic.
 * ``split`` — greedy packing plus *cluster splitting*: chunks whose
-  estimated cost exceeds ``split_factor`` times the ideal shard load
+  estimated cost exceeds :data:`SPLIT_FACTOR` times the ideal shard load
   become singleton partitions replicated on extra shards, and queries
   rotate across the holders.  An oversized cluster cannot be balanced
   by placement alone (it exceeds a whole shard's fair share), so the
@@ -47,6 +47,7 @@ __all__ = [
     "PLACEMENT_ROUND_ROBIN",
     "PLACEMENT_RANDOM",
     "PLACEMENT_STRATEGIES",
+    "SPLIT_FACTOR",
     "Partition",
     "PlacementPlan",
     "estimate_chunk_costs",
@@ -66,6 +67,10 @@ PLACEMENT_STRATEGIES = (
     PLACEMENT_ROUND_ROBIN,
     PLACEMENT_RANDOM,
 )
+
+#: ``split`` isolates a chunk costing more than this many times the ideal
+#: shard load (total cost / shards).
+SPLIT_FACTOR = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,7 +233,6 @@ def plan_placement(
     n_replicas: int = 1,
     strategy: str = PLACEMENT_GREEDY,
     seed: int = 0,
-    split_factor: float = 2.0,
 ) -> PlacementPlan:
     """Partition chunks across ``n_shards`` with ``n_replicas`` copies.
 
@@ -242,14 +246,12 @@ def plan_placement(
         replicas of one partition live on *distinct* shards, so more
         copies than shards is a configuration error, not a silent clamp.
     strategy:
-        One of :data:`PLACEMENT_STRATEGIES`.
+        One of :data:`PLACEMENT_STRATEGIES`.  ``split`` isolates a chunk
+        costing more than :data:`SPLIT_FACTOR` times the ideal shard load
+        into a rotating singleton partition held by ``min(2 * n_replicas,
+        n_shards)`` shards.
     seed:
         Root seed of the ``random`` strategy (ignored otherwise).
-    split_factor:
-        ``split`` only: a chunk costing more than ``split_factor`` times
-        the ideal shard load (total cost / shards) is isolated into a
-        rotating singleton partition held by ``min(2 * n_replicas,
-        n_shards)`` shards.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
@@ -265,8 +267,6 @@ def plan_placement(
             f"unknown placement strategy {strategy!r}; "
             f"choose from {PLACEMENT_STRATEGIES}"
         )
-    if split_factor <= 1.0:
-        raise ValueError(f"split factor must exceed 1, got {split_factor}")
     cost_arr = np.asarray(costs, dtype=np.float64)
     if cost_arr.ndim != 1 or cost_arr.shape[0] == 0:
         raise ValueError("need a non-empty 1-d cost vector")
@@ -302,7 +302,7 @@ def plan_placement(
         assign_greedy(range(n_chunks))
     else:  # PLACEMENT_SPLIT
         ideal = float(cost_arr.sum()) / n_shards
-        threshold = split_factor * ideal
+        threshold = SPLIT_FACTOR * ideal
         oversized = [
             c for c in range(n_chunks) if float(cost_arr[c]) > threshold
         ]

@@ -23,7 +23,7 @@ from .chunk_file import (
     CHUNK_VERSION,
     ChunkExtent,
     ChunkFileReader,
-    ChunkFileWriter,
+    write_chunk_file,
 )
 from .collection_file import (
     COLLECTION_MAGIC,
@@ -70,7 +70,7 @@ __all__ = [
     "read_collection_file",
     "write_collection_file",
     "ChunkFileReader",
-    "ChunkFileWriter",
+    "write_chunk_file",
     "index_file_bytes",
     "read_index_file",
     "write_index_file",

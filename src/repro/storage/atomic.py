@@ -6,7 +6,11 @@ a writer must never leave a half-written file under the final name.  The
 ``<path>.tmp``; on clean exit the file is flushed, fsynced and renamed
 over the target with :func:`os.replace` (atomic on POSIX); on error the
 temporary is unlinked and any pre-existing file at the target survives
-untouched.
+untouched.  Every published file goes through it (collection, chunk,
+index, code and ground-truth files, checkpoint packs, the streaming
+manifest, a saved system's sidecars); the write-ahead log, appended in
+place under its own framing (:mod:`repro.storage.wal`), is the only
+other durable-write site.
 """
 
 from __future__ import annotations

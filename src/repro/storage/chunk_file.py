@@ -6,10 +6,11 @@ specific chunk-forming strategy.  All the descriptors belonging to one
 chunk are stored together on disk and the chunks are stored sequentially.
 The chunks are padded to occupy full disk pages."
 
-The writer streams chunks in order, returning the page extent of each so
-the caller can fill in :class:`~repro.core.chunk.ChunkMeta`.  The reader
-fetches one chunk's pages and decodes the records, exactly the access the
-search algorithm performs per ranked chunk.
+:func:`write_chunk_file` streams chunks in order, returning the page
+extent of each so the caller can fill in
+:class:`~repro.core.chunk.ChunkMeta`.  The reader fetches one chunk's
+pages and decodes the records, exactly the access the search algorithm
+performs per ranked chunk.
 
 Format
 ------
@@ -28,36 +29,34 @@ A file that does not open with the magic is rejected as corrupt: there
 is no headerless fallback, so a damaged header can never make the reader
 decode the data region from the wrong offset.
 
-The header is written with ``table_page = 0`` and patched on close, so a
-crash mid-write leaves a file the reader rejects as unfinalised instead
-of one that silently decodes garbage.  Writers that own their path write
-to ``<path>.tmp`` and publish with an atomic fsync + rename; an aborted
-or failed write never replaces an existing good file.
+The header is written with ``table_page = 0`` and patched last, so a file
+cut short mid-write is one the reader rejects as unfinalised instead of one
+that silently decodes garbage.  The file is published through
+:func:`repro.storage.atomic.atomic_output` (write-temp, fsync, rename): an
+aborted or failed write never replaces an existing good file.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import zlib
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from .atomic import atomic_output
 from .errors import MAX_DIMENSIONS, ChecksumError, CorruptFileError, read_exact
 from .pages import PageGeometry
 from .records import RecordCodec
 
 __all__ = [
-    "ChunkFileWriter",
+    "write_chunk_file",
     "ChunkFileReader",
     "ChunkExtent",
     "CHUNK_MAGIC",
     "CHUNK_VERSION",
 ]
-
-PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 CHUNK_MAGIC = b"EFF2CHNK"
 TABLE_MAGIC = b"EFF2CCRC"
@@ -102,146 +101,61 @@ class ChunkExtent(Tuple[int, int, int]):
         return self[2]
 
 
-class ChunkFileWriter:
-    """Sequentially writes chunks, padding each to a page boundary.
+def _header_page(
+    dimensions: int, geometry: PageGeometry, n_chunks: int, table_page: int
+) -> bytes:
+    header = _HEADER.pack(
+        CHUNK_MAGIC,
+        CHUNK_VERSION,
+        dimensions,
+        geometry.page_bytes,
+        0,
+        n_chunks,
+        table_page,
+    )
+    return header + bytes(geometry.page_bytes - len(header))
 
-    Writing to a path is crash-safe: bytes land in ``<path>.tmp`` and the
-    final name appears only after a flush + fsync + atomic rename in
-    :meth:`close`.  A writer whose previous write raised is *poisoned* —
-    further ``write_chunk`` calls are rejected and closing discards the
-    temporary file — so a partially written chunk file can never
-    masquerade as a complete one.
+
+def write_chunk_file(
+    path: str,
+    dimensions: int,
+    chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
+    geometry: PageGeometry,
+) -> Tuple[List[ChunkExtent], int]:
+    """Atomically publish a chunk file; returns ``(extents, table_crc)``.
+
+    ``chunks`` yields each chunk's ``(ids, vectors)`` in file order and is
+    consumed lazily, one chunk in memory at a time.  ``extents`` holds each
+    chunk's logical page extent; ``table_crc`` is the CRC32 of the checksum
+    table's entries (a code file binds itself to it).  The bytes go through
+    :func:`~repro.storage.atomic.atomic_output`: if anything raises —
+    ``chunks`` included — the file at ``path`` is left as it was.
     """
-
-    def __init__(
-        self,
-        target: PathOrFile,
-        dimensions: int,
-        geometry: Optional[PageGeometry] = None,
-    ):
-        self._geometry = geometry or PageGeometry()
-        self._codec = RecordCodec(dimensions)
-        self._owns_file = isinstance(target, (str, os.PathLike))
-        if self._owns_file:
-            self._final_path = os.fspath(target)  # type: ignore[arg-type]
-            self._tmp_path: Optional[str] = self._final_path + ".tmp"
-            self._file: BinaryIO = open(self._tmp_path, "wb")
-        else:
-            self._final_path = ""
-            self._tmp_path = None
-            self._file = target  # type: ignore[assignment]
-        self._base = 0 if self._owns_file else self._file.tell()
-        self._next_page = 0
-        self._closed = False
-        self._failed = False
-        self._crcs: List[Tuple[int, int]] = []
-        #: CRC32 of the checksum table's entries, set at close (a code
-        #: file binds itself to it).
-        self.table_crc = 0
-        self.extents: List[ChunkExtent] = []
-        try:
-            self._write_header(n_chunks=0, table_page=0)
-        except Exception:
-            self._failed = True
-            self.close()
-            raise
-
-    @property
-    def geometry(self) -> PageGeometry:
-        return self._geometry
-
-    def _write_header(self, n_chunks: int, table_page: int) -> None:
-        header = _HEADER.pack(
-            CHUNK_MAGIC,
-            CHUNK_VERSION,
-            self._codec.dimensions,
-            self._geometry.page_bytes,
-            0,
-            n_chunks,
-            table_page,
-        )
-        self._file.write(header)
-        self._file.write(b"\x00" * (self._geometry.page_bytes - len(header)))
-
-    def write_chunk(self, ids: np.ndarray, vectors: np.ndarray) -> ChunkExtent:
-        """Append one chunk; returns its (logical) page extent."""
-        if self._closed:
-            raise ValueError("writer is closed")
-        if self._failed:
-            raise ValueError(
-                "writer is poisoned: a previous write failed, the file is "
-                "incomplete and will be discarded on close"
+    codec = RecordCodec(dimensions)
+    extents: List[ChunkExtent] = []
+    table = bytearray()
+    next_page = 0
+    with atomic_output(path) as stream:
+        stream.write(_header_page(dimensions, geometry, 0, 0))
+        for ids, vectors in chunks:
+            payload = codec.encode(ids, vectors)
+            stream.write(payload)
+            stream.write(bytes(geometry.padding_for(len(payload))))
+            pages = geometry.pages_for(len(payload))
+            extents.append(
+                ChunkExtent(next_page, pages, len(payload) // codec.record_bytes)
             )
-        try:
-            payload = self._codec.encode(ids, vectors)
-            padding = self._geometry.padding_for(len(payload))
-            self._file.write(payload)
-            if padding:
-                self._file.write(b"\x00" * padding)
-        except Exception:
-            self._failed = True
-            raise
-        pages = self._geometry.pages_for(len(payload))
-        extent = ChunkExtent(self._next_page, pages, int(np.asarray(ids).shape[0]))
-        self._crcs.append((self._next_page, zlib.crc32(payload)))
-        self._next_page += pages
-        self.extents.append(extent)
-        return extent
-
-    def _write_table(self) -> int:
-        """Append the CRC table; returns its physical page number."""
-        table_page = _DATA_START_PAGE + self._next_page
-        entries = b"".join(_TABLE_ENTRY.pack(*entry) for entry in self._crcs)
-        self.table_crc = zlib.crc32(entries)
-        self._file.write(_TABLE_HEADER.pack(TABLE_MAGIC, len(self._crcs)))
-        self._file.write(entries)
-        return table_page
-
-    def _discard(self) -> None:
-        """Close and remove the temporary file after a failure."""
-        try:
-            if self._owns_file:
-                self._file.close()
-        finally:
-            if self._tmp_path is not None and os.path.exists(self._tmp_path):
-                os.unlink(self._tmp_path)
-
-    def close(self) -> None:
-        """Finalise the file (CRC table + header patch), fsync owned
-        files, and atomically publish path targets.
-
-        A poisoned writer (or one whose ``with`` block raised) discards
-        its temporary file instead: the target path is left untouched.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._failed:
-            self._discard()
-            return
-        try:
-            table_page = self._write_table()
-            self._file.seek(self._base)
-            self._write_header(len(self._crcs), table_page)
-            self._file.flush()
-            if self._owns_file:
-                os.fsync(self._file.fileno())
-                self._file.close()
-                assert self._tmp_path is not None
-                os.replace(self._tmp_path, self._final_path)
-        except Exception:
-            self._failed = True
-            self._discard()
-            raise
-
-    def __enter__(self) -> "ChunkFileWriter":
-        return self
-
-    def __exit__(self, exc_type, *exc_info) -> None:
-        if exc_type is not None:
-            # The with-block failed: never publish a partial file.
-            self._failed = True
-        self.close()
+            table += _TABLE_ENTRY.pack(next_page, zlib.crc32(payload))
+            next_page += pages
+        stream.write(_TABLE_HEADER.pack(TABLE_MAGIC, len(extents)))
+        stream.write(table)
+        stream.seek(0)
+        stream.write(
+            _header_page(
+                dimensions, geometry, len(extents), _DATA_START_PAGE + next_page
+            )
+        )
+    return extents, zlib.crc32(table)
 
 
 class ChunkFileReader:
@@ -256,20 +170,18 @@ class ChunkFileReader:
 
     def __init__(
         self,
-        source: PathOrFile,
+        path: str,
         dimensions: int,
         geometry: Optional[PageGeometry] = None,
     ):
         self._geometry = geometry or PageGeometry()
         self._codec = RecordCodec(dimensions)
-        self._owns_file = isinstance(source, (str, os.PathLike))
-        self._file: BinaryIO = (
-            open(source, "rb") if self._owns_file else source  # type: ignore[arg-type]
-        )
+        self._file: BinaryIO = open(path, "rb")
         self._crcs: Dict[int, int] = {}
-        self.table_crc = 0  # as ChunkFileWriter.table_crc
+        #: CRC32 of the checksum table's entries (as ``write_chunk_file``
+        #: returns it).
+        self.table_crc = 0
         try:
-            self._base = self._file.tell()
             self._read_header()
         except Exception:
             self.close()
@@ -315,9 +227,9 @@ class ChunkFileReader:
         self._data_pages = int(table_page) - _DATA_START_PAGE
 
     def _load_crc_table(self, table_page: int, n_chunks: int) -> None:
-        # table_page is a raw u64: compare it with the real file size (via
-        # seek, which wrapped sources forward) before seeking to it.
-        table_at = self._base + self._geometry.byte_offset(table_page)
+        # table_page is a raw u64: compare it with the real file size
+        # before seeking to it.
+        table_at = self._geometry.byte_offset(table_page)
         if table_at > self._file.seek(0, os.SEEK_END):
             raise CorruptFileError(
                 f"chunk file checksum table page {table_page} lies beyond "
@@ -344,10 +256,6 @@ class ChunkFileReader:
             page_offset, crc = _TABLE_ENTRY.unpack_from(raw, i * _TABLE_ENTRY.size)
             self._crcs[page_offset] = crc
 
-    @property
-    def geometry(self) -> PageGeometry:
-        return self._geometry
-
     def read_chunk(self, extent: ChunkExtent) -> Tuple[np.ndarray, np.ndarray]:
         """Read one chunk's pages; returns ``(ids, vectors)``.
 
@@ -362,8 +270,7 @@ class ChunkFileReader:
                 f"pages) lies outside the {self._data_pages}-page data region"
             )
         self._file.seek(
-            self._base
-            + self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset)
+            self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset)
         )
         raw = self._file.read(extent.page_count * self._geometry.page_bytes)
         needed = extent.n_descriptors * self._codec.record_bytes
@@ -387,8 +294,7 @@ class ChunkFileReader:
         return self._codec.decode(payload)
 
     def close(self) -> None:
-        if self._owns_file:
-            self._file.close()
+        self._file.close()
 
     def __enter__(self) -> "ChunkFileReader":
         return self

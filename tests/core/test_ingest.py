@@ -412,6 +412,42 @@ class TestVerify:
         assert os.path.getsize(wal_path) == before  # read-only checker
 
 
+#: One damaged field of a fresh directory's manifest per case.
+MANIFEST_DAMAGE = {
+    "chunk-without-base_ref": lambda m: m["chunks"][0].pop("base_ref"),
+    "chunk-base_ref-x": lambda m: m["chunks"][0].update(base_ref="x"),
+    "chunk-without-n_descriptors": lambda m: m["chunks"][0].pop("n_descriptors"),
+    "negative-page_offset": lambda m: m["chunks"][0].update(page_offset=-1),
+    "without-name": lambda m: m.pop("name"),
+    "stats-inserts-abc": lambda m: m["stats"].update(inserts="abc"),
+    "split_factor-0.5": lambda m: m.update(split_factor=0.5),
+    "delta-past-the-packs": lambda m: m["chunks"][0].update(delta=[len(m["packs"]), 0]),
+}
+
+
+class TestDamagedManifest:
+    """``open`` and ``verify`` run one loader, so they agree on damage."""
+
+    @pytest.mark.parametrize(
+        "damage", MANIFEST_DAMAGE.values(), ids=MANIFEST_DAMAGE.keys()
+    )
+    def test_open_raises_corrupt_file_error_and_verify_fails(
+        self, tiny_collection, tmp_path, damage
+    ):
+        base, _, _ = _halves(tiny_collection)
+        directory = str(tmp_path / "stream")
+        StreamingChunkIndex.create(directory, _base_index(base)).close()
+        manifest = _manifest(directory)
+        damage(manifest)
+        with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
+            json.dump(manifest, handle)  # deliberate direct edit
+        with pytest.raises(CorruptFileError):
+            StreamingChunkIndex.open(directory)
+        report = verify_streaming_index(directory)
+        assert not report["ok"]
+        assert not report["checks"][-1]["ok"]
+
+
 def _fullest_chunks(index, n_chunks):
     """Positions of the ``n_chunks`` fullest chunks: deleting a member of
     one of these never shrinks it into a merge."""

@@ -6,7 +6,8 @@ import pytest
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
-from repro.core.maintenance import ChunkIndexMaintainer, _MutableChunk
+from repro.core import maintenance
+from repro.core.maintenance import SPLIT_FACTOR, ChunkIndexMaintainer, _MutableChunk
 from repro.core.dataset import DescriptorCollection
 from repro.core.ingest import StreamingChunkIndex
 from repro.core.search import ChunkSearcher
@@ -45,10 +46,8 @@ class TestConstruction:
         m, _ = maintainer
         from repro.chunking.srtree_chunker import SRTreeChunker
 
-        with pytest.raises(ValueError):
-            ChunkIndexMaintainer(m.to_index(), split_factor=1.0)
-        with pytest.raises(ValueError):
-            ChunkIndexMaintainer(m.to_index(), merge_fraction=1.0)
+        with pytest.raises(ValueError, match="target chunk size"):
+            ChunkIndexMaintainer(m.to_index(), target_chunk_size=0)
 
 
 class TestInsert:
@@ -78,7 +77,7 @@ class TestInsert:
         target = m.target_chunk_size
         before = m.n_chunks
         # Pour many descriptors into one spot to force a split.
-        for i in range(int(m.split_factor * target) + 2):
+        for i in range(int(SPLIT_FACTOR * target) + 2):
             m.insert(2000 + i, collection.vectors[0] + 0.001 * i)
         assert m.stats.splits >= 1
         assert m.n_chunks > before
@@ -152,14 +151,13 @@ class TestDelete:
 
 
 class TestStorageAccounting:
-    def test_relocation_tracked(self, tiny_collection):
+    def test_relocation_tracked(self, tiny_collection, monkeypatch):
         # A high split threshold lets one chunk's payload outgrow its
         # 8 KiB page (an 8-byte-per-value record layout fits 81 records).
+        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", 3.0)
         chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        m = ChunkIndexMaintainer(
-            index, target_chunk_size=300, split_factor=3.0
-        )
+        m = ChunkIndexMaintainer(index, target_chunk_size=300)
         # 4-d records are 20 bytes, so one 8 KiB page holds 409; growing a
         # chunk past that must relocate it.
         for i in range(450):
@@ -183,10 +181,11 @@ class TestStorageAccounting:
 
 
 class TestCompaction:
-    def test_compact_reclaims_dead_pages(self, tiny_collection):
+    def test_compact_reclaims_dead_pages(self, tiny_collection, monkeypatch):
+        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", 3.0)
         chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        m = ChunkIndexMaintainer(index, target_chunk_size=300, split_factor=3.0)
+        m = ChunkIndexMaintainer(index, target_chunk_size=300)
         for i in range(450):
             m.insert(9000 + i, tiny_collection.vectors[0] + 0.0001 * i)
         assert m.fragmentation > 0
@@ -247,7 +246,7 @@ class TestSnapshotsDoNotAlias:
 
         splits, merges = m.stats.splits, m.stats.merges
         anchor = collection.vectors[0]
-        for i in range(int(m.split_factor * m.target_chunk_size) + 2):
+        for i in range(int(SPLIT_FACTOR * m.target_chunk_size) + 2):
             m.insert(40_000 + i, anchor + 0.001 * (i + 1))
         for descriptor_id in sorted(int(i) for i in collection.ids)[:-3]:
             m.delete(descriptor_id)
@@ -304,9 +303,8 @@ class TestCostGuard:
         chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
         n_inserts = 4000
-        m = ChunkIndexMaintainer(
-            index, target_chunk_size=n_inserts, merge_fraction=0.0
-        )
+        monkeypatch.setattr(maintenance, "MERGE_FRACTION", 0.0)
+        m = ChunkIndexMaintainer(index, target_chunk_size=n_inserts)
         grows, copies = self._count_grows_and_copies(monkeypatch)
         anchor = tiny_collection.vectors[0]
         landed = {m.insert(50_000 + i, anchor + 1e-5 * i) for i in range(n_inserts)}

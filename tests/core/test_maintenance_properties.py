@@ -22,13 +22,15 @@ after every operation.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.distance import squared_distances
-from repro.core.maintenance import ChunkIndexMaintainer
+from repro.core import maintenance
+from repro.core.maintenance import SPLIT_FACTOR, ChunkIndexMaintainer
 from descriptors import from_vectors, sphere_lower_bound
 
 
@@ -125,7 +127,7 @@ class TestPruningBoundSoundness:
         queries = rng.standard_normal((4, 4)) * 4.0
 
         target = maintainer.target_chunk_size
-        n_burst = int(maintainer.split_factor * target) + 2
+        n_burst = int(SPLIT_FACTOR * target) + 2
         anchor = base.vectors[0]
         for i in range(n_burst):
             maintainer.insert(20_000 + i, anchor + 0.001 * (i + 1))
@@ -203,16 +205,20 @@ def _drive_against_row_lists(seed, split_factor, merge_fraction, n_ops):
     insert landed in, which ids a split moved, which chunk absorbed a
     merge); every row and every ordering is its own.  Returns what fired.
     """
-    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maintenance, "SPLIT_FACTOR", split_factor)
+        patch.setattr(maintenance, "MERGE_FRACTION", merge_fraction)
+        return _drive(np.random.default_rng(seed), n_ops)
+
+
+def _drive(rng, n_ops):
     dims = 5
     base = from_vectors(
         (rng.standard_normal((36, dims)) * 3.0).astype(np.float32)
     )
     chunking = SRTreeChunker(leaf_capacity=6).form_chunks(base)
     index = build_chunk_index(chunking.retained, chunking.chunk_set)
-    maintainer = ChunkIndexMaintainer(
-        index, split_factor=split_factor, merge_fraction=merge_fraction
-    )
+    maintainer = ChunkIndexMaintainer(index)
     model = _RowListModel(index)
     model.assert_matches(maintainer)
     initial_largest = max(len(members) for members in model.chunks)

@@ -84,18 +84,16 @@ class TestBuild:
             np.testing.assert_array_equal(ids_a, ids_b)
 
     def test_single_group_degenerate_case(self, tiny_collection):
-        index = make_index(tiny_collection)
-        router = CentroidRouter.from_index(index, n_groups=1)
+        """A one-chunk index routes through ``ceil(sqrt(1)) = 1`` group,
+        whose stream is that chunk."""
+        index = make_index(tiny_collection, leaf_capacity=len(tiny_collection))
+        assert index.n_chunks == 1
+        router = CentroidRouter.from_index(index)
         assert router.n_groups == 1
         query = make_queries(1, tiny_collection.dimensions)[0]
         order, _ = ChunkSearcher(index).rank_chunks(query)
         ids, _ = drain(router.stream(query))
-        assert ids == order.tolist()
-
-    def test_group_count_capped_at_chunks(self, tiny_collection):
-        index = make_index(tiny_collection)
-        router = CentroidRouter.from_index(index, n_groups=10 * index.n_chunks)
-        assert router.n_groups == index.n_chunks
+        assert ids == order.tolist() == [0]
 
     def test_rejects_bad_centroid_shape(self):
         with pytest.raises(ValueError, match="centroid matrix"):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
+from repro.service.sharding import placement
 from repro.service.sharding import (
     PLACEMENT_STRATEGIES,
     Partition,
@@ -49,10 +50,6 @@ class TestValidation:
             plan_placement([1.0, float("nan")], n_shards=2)
         with pytest.raises(ValueError, match="non-empty"):
             plan_placement([], n_shards=2)
-
-    def test_split_factor_must_exceed_one(self):
-        with pytest.raises(ValueError, match="split factor"):
-            plan_placement([1.0], n_shards=1, strategy="split", split_factor=1.0)
 
     def test_partition_invariants(self):
         with pytest.raises(ValueError, match="at least one chunk"):
@@ -117,9 +114,7 @@ class TestStrategies:
 
     def test_split_isolates_oversized_chunks(self):
         costs = [40.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        plan = plan_placement(
-            costs, n_shards=4, n_replicas=1, strategy="split", split_factor=2.0
-        )
+        plan = plan_placement(costs, n_shards=4, n_replicas=1, strategy="split")
         assert plan.n_split == 1
         split = [p for p in plan.partitions if p.rotate]
         (giant,) = split
@@ -133,10 +128,9 @@ class TestStrategies:
         greedy = plan_placement(costs, n_shards=4, strategy="greedy")
         assert plan.imbalance < greedy.imbalance
 
-    def test_split_without_oversized_chunks_matches_greedy_bins(self):
-        plan = plan_placement(
-            self.COSTS, n_shards=3, strategy="split", split_factor=1000.0
-        )
+    def test_split_without_oversized_chunks_matches_greedy_bins(self, monkeypatch):
+        monkeypatch.setattr(placement, "SPLIT_FACTOR", 1000.0)
+        plan = plan_placement(self.COSTS, n_shards=3, strategy="split")
         greedy = plan_placement(self.COSTS, n_shards=3, strategy="greedy")
         assert plan.n_split == 0
         assert [p.chunk_ids for p in plan.partitions] == [

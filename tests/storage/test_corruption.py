@@ -1,7 +1,6 @@
 """Corruption coverage: bit flips, truncations, crash remnants, and the
-atomic-write / poisoned-writer machinery across all three file formats."""
+atomic-write machinery across all three file formats."""
 
-import io
 import os
 import struct
 
@@ -10,11 +9,7 @@ import pytest
 
 from repro.core.chunk import ChunkMeta
 from repro.storage.atomic import atomic_output
-from repro.storage.chunk_file import (
-    CHUNK_MAGIC,
-    ChunkFileReader,
-    ChunkFileWriter,
-)
+from repro.storage.chunk_file import CHUNK_MAGIC, ChunkFileReader, write_chunk_file
 from repro.storage.collection_file import (
     read_collection_file,
     write_collection_file,
@@ -34,10 +29,8 @@ def chunk_data(n, dims, offset=0):
 
 def write_v2(path, n_chunks=3, dims=4, page_bytes=256):
     geometry = PageGeometry(page_bytes)
-    extents = []
-    with ChunkFileWriter(path, dimensions=dims, geometry=geometry) as writer:
-        for i in range(n_chunks):
-            extents.append(writer.write_chunk(*chunk_data(10, dims, i * 100)))
+    chunks = (chunk_data(10, dims, i * 100) for i in range(n_chunks))
+    extents, _ = write_chunk_file(path, dims, chunks, geometry)
     return extents, geometry
 
 
@@ -85,16 +78,14 @@ class TestChunkFileCorruption:
             ChunkFileReader(path, dimensions=4, geometry=geometry)
 
     def test_unfinalized_file_rejected(self, tmp_path):
-        """A crash between header write and close leaves table_page=0;
-        the reader must refuse rather than decode garbage."""
+        """The header is written with table_page=0 and patched last; a file
+        whose header was never patched must be refused rather than decoded."""
         path = str(tmp_path / "chunks.dat")
-        geometry = PageGeometry(256)
-        stream = io.BytesIO()
-        writer = ChunkFileWriter(stream, dimensions=4, geometry=geometry)
-        writer.write_chunk(*chunk_data(10, 4))
-        # Simulate the crash: persist the bytes without close().
-        with open(path, "wb") as f:
-            f.write(stream.getvalue())
+        _, geometry = write_v2(path, n_chunks=1)
+        # table_page is the last uint64 of the header.
+        with open(path, "r+b") as f:
+            f.seek(struct.calcsize("<8sIIIIQ"))
+            f.write(struct.pack("<Q", 0))
         with pytest.raises(CorruptFileError, match="finalized"):
             ChunkFileReader(path, dimensions=4, geometry=geometry)
 
@@ -133,40 +124,25 @@ class TestChunkFileCorruption:
             ChunkFileReader(path, dimensions=4, geometry=geometry)
 
 
-class TestPoisonedWriter:
-    def test_failed_write_poisons_and_discards(self, tmp_path):
+class TestAbortedWrite:
+    def test_raising_iterator_keeps_previous_file(self, tmp_path):
+        """A write whose chunk iterator raises part way publishes nothing:
+        the file already at the path is unchanged byte for byte and no
+        ``.tmp`` file is left behind."""
         path = str(tmp_path / "chunks.dat")
-        writer = ChunkFileWriter(path, dimensions=4)
-        writer.write_chunk(*chunk_data(4, 4))
-        with pytest.raises(ValueError):
-            writer.write_chunk(np.arange(3), np.zeros((4, 4), np.float32))
-        with pytest.raises(ValueError, match="poisoned"):
-            writer.write_chunk(*chunk_data(4, 4))
-        writer.close()
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+        _, geometry = write_v2(path)
+        with open(path, "rb") as f:
+            before = f.read()
 
-    def test_with_block_exception_discards_tmp(self, tmp_path):
-        path = str(tmp_path / "chunks.dat")
-        with pytest.raises(RuntimeError):
-            with ChunkFileWriter(path, dimensions=4) as writer:
-                writer.write_chunk(*chunk_data(4, 4))
-                raise RuntimeError("boom")
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+        def chunks():
+            yield chunk_data(2, 4)
+            raise RuntimeError("boom")
 
-    def test_failed_rewrite_preserves_existing_file(self, tmp_path):
-        """An aborted write must never clobber a good file already at the
-        target path."""
-        path = str(tmp_path / "chunks.dat")
-        extents, geometry = write_v2(path, n_chunks=1)
-        with pytest.raises(RuntimeError):
-            with ChunkFileWriter(path, dimensions=4, geometry=geometry) as w:
-                w.write_chunk(*chunk_data(2, 4))
-                raise RuntimeError("boom")
-        with ChunkFileReader(path, dimensions=4, geometry=geometry) as reader:
-            ids, _ = reader.read_chunk(extents[0])
-        np.testing.assert_array_equal(ids, np.arange(10))
+        with pytest.raises(RuntimeError, match="boom"):
+            write_chunk_file(path, 4, chunks(), geometry)
+        with open(path, "rb") as f:
+            assert f.read() == before
+        assert not os.path.exists(path + ".tmp")
 
 
 class TestAtomicOutput:

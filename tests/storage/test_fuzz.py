@@ -6,6 +6,7 @@ bytes) — never as unhandled crashes or silent wrong shapes.
 """
 
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -263,6 +264,46 @@ def _system_artefact(directory, rng):
     return [directory / "system.json", directory / "image_mapping.npz"], read
 
 
+def _manifest_artefact(directory, rng):
+    """A streaming index's manifest (a checkpoint pack and replayable WAL
+    batches beside it); reading it is ``StreamingChunkIndex.open`` on a
+    copy, after ``verify_streaming_index`` — which must not raise, and must
+    not report ok for a directory ``open`` refuses."""
+    from repro.chunking.srtree_chunker import SRTreeChunker
+    from repro.core.chunk_index import build_chunk_index
+    from repro.core.ingest import (
+        MANIFEST_NAME,
+        StreamingChunkIndex,
+        verify_streaming_index,
+    )
+    from repro.storage.errors import CorruptFileError
+    from repro.storage.wal import delete_op, insert_op
+
+    collection = _mutation_collection(rng)
+    chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
+    stream = directory / "stream"
+    index = build_chunk_index(chunking.retained, chunking.chunk_set)
+    with StreamingChunkIndex.create(str(stream), index) as streaming:
+        arrivals = rng.standard_normal((6, 5)).astype(np.float32)
+        streaming.apply([insert_op(100 + i, v) for i, v in enumerate(arrivals[:3])])
+        streaming.apply([delete_op(int(collection.ids[0]))])
+        streaming.checkpoint()
+        streaming.apply([insert_op(200 + i, v) for i, v in enumerate(arrivals[3:])])
+
+    def read():
+        report = verify_streaming_index(str(stream))
+        copy = directory / "copy"
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(stream, copy)  # open repairs what it recovers
+        try:
+            StreamingChunkIndex.open(str(copy)).close()
+        except CorruptFileError:
+            assert not report["ok"], "verify passed a directory open refuses"
+            raise
+
+    return [stream / MANIFEST_NAME], read
+
+
 @pytest.mark.parametrize(
     "make_artefact",
     [
@@ -274,6 +315,7 @@ def _system_artefact(directory, rng):
         _wal_artefact,
         _ground_truth_artefact,
         _system_artefact,
+        _manifest_artefact,
     ],
     ids=[
         "collection",
@@ -284,6 +326,7 @@ def _system_artefact(directory, rng):
         "wal",
         "ground-truth",
         "system",
+        "manifest",
     ],
 )
 def test_mutated_bytes_raise_only_corrupt_file_error(tmp_path, make_artefact):

@@ -13,7 +13,8 @@ Three questions, all answered by name over the code of ``src/``,
   of a public ``@dataclass`` (a field whose ``default_factory`` is an empty
   ``list``/``dict``/``set`` is per-instance state, not an option).  It is
   *set* when code passes it a value that is neither the default's source
-  text nor a same-named forward (``cfg.<name>`` or ``m["<name>"]``,
+  text nor a same-named forward (``cfg.<name>``, ``m["<name>"]`` or, inside
+  a function with a parameter ``<name>``, that parameter — ``f(x=x)``;
   optionally wrapped in one call such as ``int(...)``; ``self.<name>`` and
   ``args.<name>`` count as setting).  The value may arrive as a keyword of
   that name in any call, as that positional argument of a same-named
@@ -40,6 +41,7 @@ from collections import defaultdict
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -72,6 +74,10 @@ _PAGE_SIZE = (
     "every chunk-file header and manifest records the page size, and "
     "readers use the stored value"
 )
+_MANIFEST_STATS = (
+    "a counter every streaming manifest records; recovery restores it "
+    "with MaintenanceStats(**manifest['stats'])"
+)
 
 #: Dotted option (``module.function.param``, ``module.Class.method.param``,
 #: ``module.Class.__init__.param`` or ``module.Class.field``) -> why an
@@ -86,6 +92,12 @@ OPTIONS_ALLOWED: Dict[str, str] = {
     "repro.cli.main.argv": "a CLI entry point's argument vector",
     "repro.storage.pages.PageGeometry.__init__.page_bytes": _PAGE_SIZE,
     "repro.simio.disk_model.DiskModel.page_bytes": _PAGE_SIZE,
+    **{
+        f"repro.core.maintenance.MaintenanceStats.{counter}": _MANIFEST_STATS
+        for counter in (
+            "inserts", "deletes", "splits", "merges", "relocations", "dead_pages"
+        )
+    },
     "repro.simio.disk_model.DiskModel.rotational_latency_s": _PAPER_MACHINE,
     "repro.simio.disk_model.DiskModel.transfer_rate_bytes_per_s": _PAPER_MACHINE,
     "repro.simio.cpu_model.CpuModel.chunk_overhead_s": _PAPER_MACHINE,
@@ -317,10 +329,13 @@ def options(root: pathlib.Path) -> Dict[str, Option]:
     return found
 
 
-def _forward(value: ast.expr, name: str) -> bool:
-    """``cfg.<name>`` or ``m["<name>"]``, optionally wrapped in one call."""
+def _forward(value: ast.expr, name: str, params: FrozenSet[str]) -> bool:
+    """``cfg.<name>``, ``m["<name>"]`` or the enclosing function's own
+    parameter ``<name>`` (``params``), optionally wrapped in one call."""
     if isinstance(value, ast.Call) and len(value.args) == 1 and not value.keywords:
         value = value.args[0]
+    if isinstance(value, ast.Name):
+        return value.id == name and name in params
     if isinstance(value, ast.Attribute):
         owner = value.value
         return value.attr == name and not (
@@ -332,31 +347,59 @@ def _forward(value: ast.expr, name: str) -> bool:
     return False
 
 
+#: A passed value and the parameter names of the function passing it.
+Passed = Tuple[ast.expr, FrozenSet[str]]
+
+
+def _parameters(arguments: ast.arguments) -> FrozenSet[str]:
+    every = (
+        *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+        arguments.vararg, arguments.kwarg,
+    )
+    return frozenset(arg.arg for arg in every if arg is not None)
+
+
+def _scoped_code(root: pathlib.Path) -> Iterator[Tuple[ast.AST, FrozenSet[str]]]:
+    """Every node of the code of :data:`CODE_DIRS` with the parameter names
+    of its innermost enclosing function (empty at module level)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for directory in CODE_DIRS:
+        for _, tree in _parsed(root, directory):
+            stack: List[Tuple[ast.AST, FrozenSet[str]]] = [(tree, frozenset())]
+            while stack:
+                node, params = stack.pop()
+                yield node, params
+                if isinstance(node, functions):
+                    params = _parameters(node.args)
+                stack.extend((child, params) for child in ast.iter_child_nodes(node))
+
+
 def passed_values(
     root: pathlib.Path,
-) -> Tuple[Dict[str, List[ast.expr]], Dict[Tuple[str, int], List[ast.expr]]]:
+) -> Tuple[Dict[str, List[Passed]], Dict[Tuple[str, int], List[Passed]]]:
     """Every value the code of :data:`CODE_DIRS` passes: by keyword or
     ``x["<name>"]`` store (name -> values), and by position of a named
-    callee (``(callee, index)`` -> values)."""
-    by_name: Dict[str, List[ast.expr]] = defaultdict(list)
-    by_position: Dict[Tuple[str, int], List[ast.expr]] = defaultdict(list)
-    for node in _code(root):
+    callee (``(callee, index)`` -> values); each value comes with the
+    parameters of the function that passes it."""
+    by_name: Dict[str, List[Passed]] = defaultdict(list)
+    by_position: Dict[Tuple[str, int], List[Passed]] = defaultdict(list)
+    for node, params in _scoped_code(root):
         if isinstance(node, ast.Call):
             for keyword in node.keywords:
                 if keyword.arg is not None:
-                    by_name[keyword.arg].append(keyword.value)
+                    by_name[keyword.arg].append((keyword.value, params))
             callee = _callee(node.func)
             for index, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
                     break
-                by_position[(callee, index)].append(arg)
+                by_position[(callee, index)].append((arg, params))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Subscript):
                     key = target.slice
                     if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        by_name[key.value].append(node.value)
+                        by_name[key.value].append((node.value, params))
     return by_name, by_position
 
 
@@ -371,8 +414,9 @@ def option_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
         if option.position is not None:
             values += by_position.get((option.callee, option.position), ())
         return any(
-            ast.unparse(value) != option.default and not _forward(value, option.name)
-            for value in values
+            ast.unparse(value) != option.default
+            and not _forward(value, option.name, params)
+            for value, params in values
         )
 
     return _audit(
@@ -487,6 +531,7 @@ class TestTheOptionCensusBites:
     and each way of merely seeming to."""
 
     FLAGGED = [
+        "src/repro/knobs.py:27: repro.knobs.wrap.width",
         "src/repro/knobs.py:7: repro.knobs.Config.depth",
         "src/repro/knobs.py:16: repro.knobs.Engine.__init__.height",
         "src/repro/knobs.py:19: repro.knobs.Engine.step.count",
@@ -521,19 +566,27 @@ class TestTheOptionCensusBites:
                 "\n"
                 "def _private(flag=False):\n"
                 "    return flag\n"
+                "\n"
+                "\n"
+                "def wrap(width=8, limit=10):\n"
+                "    return run(None, limit=int(limit)), Engine(width=width)\n"
             ),
             # size: a keyword; limit: run's second positional; width:
             # Engine's first positional after self; scale: a CLI flag;
-            # mode: a store into an override dict.  height gets only its
-            # default's text, count only a (wrapped) same-named forward.
+            # mode: a store into an override dict; wrap's limit: a module
+            # variable that happens to share the name.  height gets only
+            # its default's text, count only a (wrapped) same-named
+            # forward, and wrap's width only wrap's own forward of it.
             "benchmarks/bench.py": (
-                "from repro.knobs import Config, Engine, run\n"
+                "from repro.knobs import Config, Engine, run, wrap\n"
                 "\n"
                 "run(Config(size=8), 20)\n"
                 "engine = Engine(16, height=3)\n"
                 "engine.step(count=int(config.count), scale=args.scale)\n"
                 "overrides = {}\n"
                 "overrides['mode'] = 'slow'\n"
+                "limit = 5\n"
+                "wrap(limit=limit)\n"
             ),
             "tests/test_knobs.py": (
                 "from repro.knobs import Config, Engine\n"

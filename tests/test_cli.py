@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import shutil
+
 import pytest
 
 from repro.cli import EXPERIMENT_RUNNERS, main
@@ -202,26 +206,40 @@ class TestIngestSimCommand:
 
 
 class TestVerifyIndexCommand:
-    def test_verify_after_ingest(self, tmp_path, capsys):
-        workdir = str(tmp_path / "stream")
-        assert (
-            main(
-                [
-                    "ingestsim",
-                    "--scale",
-                    "test",
-                    "--steps",
-                    "2",
-                    "--workdir",
-                    workdir,
-                ]
-            )
-            == 0
-        )
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        """The streaming directory a short ``ingestsim`` run leaves behind."""
+        workdir = str(tmp_path_factory.mktemp("ingest") / "stream")
+        argv = ["ingestsim", "--scale", "test", "--steps", "2", "--workdir", workdir]
+        assert main(argv) == 0
+        return workdir
+
+    def test_verify_after_ingest(self, workdir, capsys):
         capsys.readouterr()
         assert main(["verify-index", workdir]) == 0
         out = capsys.readouterr().out
         assert "index ok" in out
+
+    def test_damaged_manifest_prints_its_checks_and_fails(
+        self, workdir, tmp_path, capsys
+    ):
+        """A chunk entry without ``base_ref``: a check line with FAIL and
+        exit 2, not a bare ``KeyError`` message."""
+        damaged = str(tmp_path / "damaged")
+        shutil.copytree(workdir, damaged)
+        path = os.path.join(damaged, "MANIFEST.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        del manifest["chunks"][0]["base_ref"]
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        assert main(["verify-index", damaged]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("manifest   FAIL ")
+        assert "'base_ref'" in captured.out
+        assert "verification failed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_missing_directory_fails(self, tmp_path, capsys):
         assert main(["verify-index", str(tmp_path / "nope")]) == 2
