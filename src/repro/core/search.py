@@ -75,6 +75,9 @@ RANK_BY_CENTROID = "centroid"
 #: Rank chunks by the lower bound ``d(centroid) - radius`` (ablation).
 RANK_BY_LOWER_BOUND = "lower_bound"
 
+#: A chunk as the store hands it out: ``(ids, vectors)``, views of the
+#: verified read for an on-disk chunk.
+_Read = Tuple[np.ndarray, np.ndarray]
 #: A chunk's promoted contents: ``(int64 ids, contiguous float64 vectors)``.
 _Payload = Tuple[np.ndarray, np.ndarray]
 
@@ -753,41 +756,31 @@ class ChunkSearcher:
 
     # -- execution internals -------------------------------------------------
 
-    def _load_chunk(
-        self, chunk_id: int, loaded: Optional[Dict[int, _Payload]]
-    ) -> _Payload:
-        """Chunk contents, promoted once: int64 ids, contiguous float64
-        vectors — the only copy an on-disk chunk's vectors get, the store
-        hands out views of the verified read.  ``loaded`` is the cohort's
-        content cache (``None`` for a cohort of one)."""
-        payload = loaded.get(chunk_id) if loaded is not None else None
-        if payload is None:
-            ids, vectors = self.index.read_chunk(chunk_id)
-            payload = (
-                np.asarray(ids, dtype=np.int64),
-                np.ascontiguousarray(vectors, dtype=np.float64),
-            )
-            if loaded is not None:
-                loaded[chunk_id] = payload
-        return payload
-
-    def _try_load_chunk(
+    def _probe_chunk(
         self,
         chunk_id: int,
-        loaded: Optional[Dict[int, _Payload]],
+        reads: Optional[Dict[int, _Read]],
         failed: Set[int],
-    ) -> Optional[_Payload]:
-        """Degraded-mode chunk read: a *real* storage failure (e.g. a CRC
-        mismatch) marks the chunk failed for the whole cohort — one actual
-        read attempt per chunk, shared by every query — and returns None
-        so the caller folds it into the skip policy."""
+    ) -> Optional[_Read]:
+        """Degraded-mode readability probe: the chunk read and verified,
+        not promoted — a visit that prunes it only needs to know the read
+        succeeds.  ``reads`` keeps the cohort's reads (``None`` for a
+        cohort of one), so each chunk is read once however many queries
+        visit it; a *real* storage failure (e.g. a CRC mismatch) marks the
+        chunk failed for the whole cohort and returns None, which the
+        caller folds into the skip policy."""
         if chunk_id in failed:
             return None
-        try:
-            return self._load_chunk(chunk_id, loaded)
-        except CorruptFileError:
-            failed.add(chunk_id)
-            return None
+        chunk = reads.get(chunk_id) if reads is not None else None
+        if chunk is None:
+            try:
+                chunk = self.index.read_chunk(chunk_id)
+            except CorruptFileError:
+                failed.add(chunk_id)
+                return None
+            if reads is not None:
+                reads[chunk_id] = chunk
+        return chunk
 
     def _apply_chunk(
         self,
@@ -942,7 +935,7 @@ class ChunkSearcher:
 
         A cohort larger than one shares host work through two per-cohort
         caches.  The first time any query demands a chunk, its contents
-        are loaded and its distances computed for the *whole* cohort in a
+        are read and its distances computed for the *whole* cohort in a
         single kernel call against the stacked query matrix, and the rows
         kept — each chunk costs one store read, one float64 promotion, and
         one fixed-shape kernel call per cohort, however the per-query rank
@@ -959,7 +952,9 @@ class ChunkSearcher:
         order; a chunk whose *real* read fails is marked failed once for
         the cohort.  It needs the chunk's *readability* even when pruning
         would skip the scan: the fault outcome (and therefore the timing
-        and trace) depends on it.
+        and trace) depends on it.  So every visit is probed — read and
+        CRC-verified once per cohort (:meth:`_probe_chunk`) — but only a
+        scan promotes: the promotion is the scan's, as without faults.
 
         Pruning composes with the sharing: a query arriving at a prunable
         chunk never demands its distance row, so a chunk every remaining
@@ -967,7 +962,7 @@ class ChunkSearcher:
         prune = self.prune
         coded = self.index.codes is not None
         shared = len(states) > 1
-        loaded: Optional[Dict[int, _Payload]] = {} if shared else None
+        reads: Optional[Dict[int, _Read]] = {} if shared else None
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
         failed: Set[int] = set()
         query_matrix = np.stack([s.query for s in states])
@@ -993,21 +988,30 @@ class ChunkSearcher:
                     )
                 )
                 outcome = OK_OUTCOME
-                payload = None
+                chunk = None
                 if faults is not None:
-                    payload = self._try_load_chunk(chunk_id, loaded, failed)
+                    chunk = self._probe_chunk(chunk_id, reads, failed)
                     outcome = faults.outcome(
                         state.fault_key,
                         chunk_id,
                         self._pages[chunk_id],
-                        readable=payload is not None,
+                        readable=chunk is not None,
                     )
                 scan = None
                 if outcome.ok and not prunable:
                     entry = rows.get(chunk_id)
                     if entry is None:
-                        if payload is None:
-                            payload = self._load_chunk(chunk_id, loaded)
+                        ids, vectors = (
+                            chunk if chunk is not None
+                            else self.index.read_chunk(chunk_id)
+                        )
+                        # The float64 promotion: the only copy an on-disk
+                        # chunk's vectors get (the store hands out views of
+                        # the verified read).
+                        payload = (
+                            np.asarray(ids, dtype=np.int64),
+                            np.ascontiguousarray(vectors, dtype=np.float64),
+                        )
                         d2 = pairwise_squared_distances(query_matrix, payload[1])
                         # Row minima batched too: the per-query admission
                         # gate then costs a list index, not a reduction.
@@ -1016,6 +1020,10 @@ class ChunkSearcher:
                             if d2.shape[1]
                             else [math.inf] * len(states)
                         )
+                        # The kept entry holds the payload although only
+                        # its ids are read again: dropping each promoted
+                        # copy right after its kernel call measured slower
+                        # on a large exact batch (allocator churn).
                         entry = (payload, d2, mins2)
                         if shared:
                             rows[chunk_id] = entry

@@ -1,12 +1,13 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is a *pure function* from ``(query_id, chunk_id,
-attempt)`` to a fault decision, derived from an explicit seed via
-:class:`numpy.random.SeedSequence`.  Nothing here depends on call order,
-wall-clock time, or process state, which is what makes fault-injection
-runs reproducible to the bit: a single query, the same query inside a
-cohort, and a re-run tomorrow all see exactly the same faults for
-the same ``(seed, query, chunk)`` triple.
+attempt)`` to a fault decision, derived from an explicit seed by
+:func:`~repro.faults.draws.keyed_uniforms` (bit-identical to
+:class:`numpy.random.SeedSequence` over the same key).  Nothing here
+depends on call order, wall-clock time, or process state, which is what
+makes fault-injection runs reproducible to the bit: a single query, the
+same query inside a cohort, and a re-run tomorrow all see exactly the
+same faults for the same ``(seed, query, chunk)`` triple.
 
 Fault taxonomy (mirroring what real chunk storage exhibits):
 
@@ -30,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+
+from .draws import keyed_uniforms
 
 __all__ = [
     "FAULT_NONE",
@@ -206,11 +209,17 @@ class FaultPlan:
         call order and of every other key — the property that lets a
         cohort of queries reproduce each single query's faults exactly.
         """
-        ss = np.random.SeedSequence(entropy=(self.seed, stream, a, b))
-        words = ss.generate_state(n, dtype=np.uint64)
-        return np.asarray(words, dtype=np.float64) * 2.0**-64
+        return keyed_uniforms((self.seed, stream, a), b, b + 1, n)[0]
 
-    def _classify(self, u: float) -> str:
+    def chunk_draws(self, query_id: int, start: int, stop: int) -> np.ndarray:
+        """``(stop - start, MAX_RETRIES + 1)`` float64: row ``i`` is what
+        :meth:`chunk_outcome` draws for ``(query_id, start + i)``, all
+        rows in one vectorised call."""
+        return keyed_uniforms(
+            (self.seed, _STREAM_CHUNK, query_id), start, stop, MAX_RETRIES + 1
+        )
+
+    def _kind(self, u: float) -> str:
         edge = self.read_error_rate
         if u < edge:
             return FAULT_READ_ERROR
@@ -271,12 +280,21 @@ class FaultPlan:
             )
         if self.is_null:
             return OK_OUTCOME
-        us = self.uniforms(_STREAM_CHUNK, int(query_id), int(chunk_id), budget)
+        return self.classify(
+            self.uniforms(_STREAM_CHUNK, int(query_id), int(chunk_id), budget),
+            attempt_io_s,
+        )
+
+    def classify(self, draws: np.ndarray, attempt_io_s: float) -> ChunkFaultOutcome:
+        """The outcome of one readable access from its row of draws (one
+        uniform per attempt; see :meth:`chunk_draws`)."""
+        us = draws.tolist()
+        budget = len(us)
         extra = 0.0
         kind = FAULT_NONE
         persistent = False
         for attempt in range(budget):
-            drawn = kind if persistent else self._classify(float(us[attempt]))
+            drawn = kind if persistent else self._kind(us[attempt])
             if drawn in _PERSISTENT_KINDS:
                 persistent = True
             if kind == FAULT_NONE and drawn in FAILURE_KINDS:

@@ -22,14 +22,18 @@ Fault taxonomy:
 * ``outage`` — a shard is down for one contiguous window of the run's
   horizon; every sub-request dispatched to it during the window fails
   fast.  Windows are drawn once per shard from the seed.
+
+Draws come from :func:`~repro.faults.draws.keyed_uniforms`, bit-identical
+to :class:`numpy.random.SeedSequence` over the key ``(seed, stream,
+*coordinates)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
+from .draws import keyed_uniforms
 
 __all__ = [
     "ShardSubFault",
@@ -99,6 +103,10 @@ class ShardFaultPlan:
     outage_rate: float = 0.0
     outage_duration_s: float = 0.0
     horizon_s: float = 0.0
+    # Each shard's outage window, drawn on its first use.
+    _windows: Dict[int, Optional[Tuple[float, float]]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -159,13 +167,13 @@ class ShardFaultPlan:
 
     # -- deterministic draws -------------------------------------------------
 
-    def _uniforms(self, stream: int, key: Tuple[int, ...], n: int) -> np.ndarray:
+    def _uniforms(self, stream: int, key: Tuple[int, ...], n: int) -> Tuple[float, ...]:
         """``n`` uniforms in [0, 1) for one keyed decision site; the key
         is ``(seed, stream, *key)`` so draws are independent of call
         order and of every other site."""
-        ss = np.random.SeedSequence(entropy=(self.seed, stream) + key)
-        words = ss.generate_state(n, dtype=np.uint64)
-        return np.asarray(words, dtype=np.float64) * 2.0**-64
+        last = key[-1]
+        draws = keyed_uniforms((self.seed, stream) + key[:-1], last, last + 1, n)
+        return tuple(draws[0].tolist())
 
     def sub_request(
         self, query_index: int, partition_id: int, shard_id: int, attempt: int
@@ -181,12 +189,10 @@ class ShardFaultPlan:
             raise ValueError("decision coordinates must be non-negative")
         if self.error_rate == 0.0 and self.straggler_rate == 0.0:
             return SHARD_OK
-        u = float(
-            self._uniforms(
-                _STREAM_SUB,
-                (int(query_index), int(partition_id), int(shard_id), int(attempt)),
-                1,
-            )[0]
+        (u,) = self._uniforms(
+            _STREAM_SUB,
+            (int(query_index), int(partition_id), int(shard_id), int(attempt)),
+            1,
         )
         if u < self.error_rate:
             return ShardSubFault(
@@ -199,20 +205,23 @@ class ShardFaultPlan:
     def outage_window(self, shard_id: int) -> Optional[Tuple[float, float]]:
         """The shard's outage window ``(start_s, end_s)``, or ``None``.
 
-        At most one window per shard, drawn once from the seed: whether
-        the shard has an outage at all (``outage_rate``), and where in
-        ``[0, horizon_s - outage_duration_s]`` it starts.
+        At most one window per shard, drawn once per plan from the seed:
+        whether the shard has an outage at all (``outage_rate``), and
+        where in ``[0, horizon_s - outage_duration_s]`` it starts.
         """
         if shard_id < 0:
             raise ValueError("shard id must be non-negative")
         if self.outage_rate == 0.0:
             return None
-        us = self._uniforms(_STREAM_OUTAGE, (int(shard_id),), 2)
-        if float(us[0]) >= self.outage_rate:
-            return None
-        span = max(0.0, self.horizon_s - self.outage_duration_s)
-        start = float(us[1]) * span
-        return (start, start + self.outage_duration_s)
+        if shard_id not in self._windows:
+            hit, where = self._uniforms(_STREAM_OUTAGE, (int(shard_id),), 2)
+            window = None
+            if hit < self.outage_rate:
+                span = max(0.0, self.horizon_s - self.outage_duration_s)
+                start = where * span
+                window = (start, start + self.outage_duration_s)
+            self._windows[shard_id] = window
+        return self._windows[shard_id]
 
     def shard_down(self, shard_id: int, now: float) -> bool:
         """True when ``shard_id`` is inside its outage window at ``now``."""

@@ -14,8 +14,13 @@ Contracts under test (the ISSUE's acceptance gates):
   references (``replay_oracle.ReplayOracle``);
 * real on-disk corruption (a flipped bit caught by the CRC layer) is
   skipped-and-continued when an injector is present, and propagates
-  when not.
+  when not;
+* under an injector every visited chunk is read and CRC-verified once,
+  pruned or not, but only a scanned chunk is promoted to float64.
 """
+
+import collections
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import CHUNK_FILE_NAME, ChunkIndex, build_chunk_index
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import MaxChunks
+from repro.storage import chunk_file
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_NONE, FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
@@ -303,6 +309,121 @@ class TestRealCorruption:
                 assert all(
                     e.skipped for e in result.trace.events if e.chunk_id == 0
                 )
+
+
+class TestReadableButNotPromoted:
+    """The degraded path must know whether a visited chunk is readable (the
+    fault outcome, and so the timing, depends on it), which takes a read and
+    its CRC check; it takes no float64 copy unless the chunk is scanned."""
+
+    def save(self, tmp_path, collection):
+        result = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
+        index = build_chunk_index(result.retained, result.chunk_set)
+        directory = str(tmp_path / "index")
+        index.save(directory)
+        return directory
+
+    def instrument(self, monkeypatch):
+        """Count chunk reads per page offset, CRC checks, float32 -> float64
+        promotions, and the engine's scanned / pruned visits."""
+        seen = types.SimpleNamespace(
+            reads=collections.Counter(), crcs=0, promotions=0,
+            scanned=set(), pruned=set(),
+        )
+        read_chunk = chunk_file.ChunkFileReader.read_chunk
+        crc32 = chunk_file.zlib.crc32
+
+        def counting_read(reader, extent):
+            seen.reads[extent.page_offset] += 1
+            return read_chunk(reader, extent)
+
+        def counting_crc(data, *value):
+            seen.crcs += 1
+            return crc32(data, *value)
+
+        promote = np.ascontiguousarray
+
+        def counting_promote(a, dtype=None, **kwargs):
+            if dtype is np.float64 and np.asarray(a).dtype == np.float32:
+                seen.promotions += 1
+            return promote(a, dtype=dtype, **kwargs)
+
+        apply_chunk = ChunkSearcher._apply_chunk
+
+        def recording_apply(searcher, state, chunk_id, outcome, scan):
+            if outcome.ok:
+                (seen.pruned if scan is None else seen.scanned).add(chunk_id)
+            return apply_chunk(searcher, state, chunk_id, outcome, scan)
+
+        monkeypatch.setattr(chunk_file.ChunkFileReader, "read_chunk", counting_read)
+        monkeypatch.setattr(
+            chunk_file, "zlib", types.SimpleNamespace(crc32=counting_crc)
+        )
+        monkeypatch.setattr(np, "ascontiguousarray", counting_promote)
+        monkeypatch.setattr(ChunkSearcher, "_apply_chunk", recording_apply)
+        return seen
+
+    def test_single_query_reads_every_visit_promotes_every_scan(
+        self, tmp_path, clutter_collection, monkeypatch
+    ):
+        directory = self.save(tmp_path, clutter_collection)
+        queries = make_queries(6, clutter_collection.dimensions, seed=5) / 4.0
+        with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
+            searcher = ChunkSearcher(loaded)
+            saw_pruned = False
+            for i, q in enumerate(queries):
+                seen = self.instrument(monkeypatch)
+                result = searcher.search(q, k=3, faults=injector(0.0), query_index=i)
+                monkeypatch.undo()
+                visited = len(result.trace)
+                scanned = visited - result.chunks_pruned - result.chunks_skipped
+                assert result.chunks_skipped == 0
+                assert sorted(seen.reads.values()) == [1] * visited
+                assert seen.crcs == visited
+                assert seen.promotions == scanned == len(seen.scanned)
+                saw_pruned |= result.chunks_pruned > 0
+            assert saw_pruned
+
+    def test_cohort_reads_once_and_promotes_once_per_scanned_chunk(
+        self, tmp_path, clutter_collection, monkeypatch
+    ):
+        directory = self.save(tmp_path, clutter_collection)
+        queries = make_queries(8, clutter_collection.dimensions, seed=5) / 4.0
+        with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
+            searcher = ChunkSearcher(loaded)
+            seen = self.instrument(monkeypatch)
+            batch = searcher.search_batch(queries, k=3, faults=injector(0.0))
+            monkeypatch.undo()
+            visited = {e.chunk_id for r in batch for e in r.trace.events}
+            assert set(seen.reads.values()) == {1}
+            assert len(seen.reads) == seen.crcs == len(visited)
+            assert seen.pruned - seen.scanned
+            assert seen.promotions == len(seen.scanned)
+
+    def test_damage_in_a_pruned_chunk_is_still_a_corrupt_skip(
+        self, tmp_path, clutter_collection, monkeypatch
+    ):
+        directory = self.save(tmp_path, clutter_collection)
+        query = make_queries(1, clutter_collection.dimensions, seed=5)[0] / 4.0
+        with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
+            seen = self.instrument(monkeypatch)
+            clean = ChunkSearcher(loaded).search(query, k=3, faults=injector(0.0))
+            monkeypatch.undo()
+            victim = min(seen.pruned)
+            meta = loaded.metas[victim]
+        # Flip a byte of the victim's first descriptor record.
+        offset = PageGeometry().page_bytes * (1 + meta.page_offset) + 5
+        with open(f"{directory}/{CHUNK_FILE_NAME}", "r+b") as f:
+            f.seek(offset)
+            value = f.read(1)[0]
+            f.seek(offset)
+            f.write(bytes([value ^ 0x10]))
+        with ChunkIndex.load(directory, clutter_collection.dimensions) as damaged:
+            result = ChunkSearcher(damaged).search(query, k=3, faults=injector(0.0))
+        [event] = [e for e in result.trace.events if e.chunk_id == victim]
+        assert event.skipped and event.fault == "corrupt"
+        assert result.degraded and not result.completed
+        assert clean.completed and not clean.degraded
 
 
 class TestSearcherOwnership:

@@ -1,5 +1,7 @@
 """Tests for the search-level injection surface, FaultInjector."""
 
+import pytest
+
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import MAX_RETRIES, FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
@@ -42,3 +44,31 @@ class TestFaultInjector:
         outcome = injector.outcome(0, 0, 1, readable=False)
         assert not outcome.ok
         assert outcome.attempts == MAX_RETRIES + 1
+
+    def test_interleaved_keys_answer_like_the_plan(self):
+        """The injector holds one query's table of draws: a key from another
+        query draws a new table, a larger chunk id grows it, and every
+        answer stays the plan's own."""
+        plan = FaultPlan.balanced(0.45, seed=7)
+        injector = FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
+        io_s = injector.attempt_io_s(3)
+        keys = [(0, 5), (1, 5), (0, 7), (0, 900), (0, 3), (1, 901), (2, 0), (0, 5)]
+        for query, chunk in keys:
+            assert injector.outcome(query, chunk, 3) == plan.chunk_outcome(
+                query, chunk, io_s
+            )
+        # A table that grew is the table drawn whole.
+        for chunk in range(0, 1200, 37):
+            assert injector.outcome(0, chunk, 3) == plan.chunk_outcome(0, chunk, io_s)
+
+    def test_negative_keys_raise_value_error(self):
+        injector = FaultInjector.from_cost_model(
+            FaultPlan.balanced(0.2, seed=1), PAPER_2005_COST_MODEL
+        )
+        with pytest.raises(ValueError):
+            injector.outcome(-1, 0, 1)
+        with pytest.raises(ValueError):
+            injector.outcome(0, -1, 1)
+        assert injector.outcome(0, 0, 1) == injector.plan.chunk_outcome(
+            0, 0, injector.attempt_io_s(1)
+        )
