@@ -22,6 +22,7 @@ __all__ = [
     "pairwise_squared_distances",
     "cell_squared_gaps",
     "top_k_smallest",
+    "kth_smallest",
 ]
 
 #: Block size (rows of the point matrix) used by the blockwise kernels.  At
@@ -159,7 +160,8 @@ def top_k_smallest(values: np.ndarray, k: int) -> np.ndarray:
     ascending by value.
 
     Ties are broken by index (stable), which keeps ground-truth neighbor
-    lists deterministic across runs.
+    lists deterministic across runs: the result is exactly the first ``k``
+    of ``np.argsort(values, kind="stable")``, NaN last.
     """
     values = np.asarray(values)
     if k <= 0:
@@ -167,9 +169,22 @@ def top_k_smallest(values: np.ndarray, k: int) -> np.ndarray:
     n = values.shape[0]
     if k >= n:
         return np.argsort(values, kind="stable")
-    # argpartition would be O(n), but its choice among values tied with the
-    # k-th is arbitrary, breaking index-order determinism on ties; the
-    # stable full sort guarantees (value, index) order.  This function is
-    # not on the per-chunk hot path (NeighborSet is), so O(n log n) is fine.
-    return np.argsort(values, kind="stable")[:k]
+    candidates = np.flatnonzero(~(values > kth_smallest(values, k)))
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+
+
+def kth_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-th smallest value along the last axis, kept as an axis of
+    length one (so ``values > kth_smallest(values, k)`` broadcasts per row);
+    dtype that of ``values``.
+
+    The threshold of an exact top-``k``: the first ``k`` of the stable
+    (value, position) order all lie in ``~(values > t)`` — every tie at
+    ``t`` and any NaN included (``np.partition`` sorts NaN last, and
+    nothing compares greater than NaN) — so a stable sort of those
+    candidates alone, kept in their original order, begins with the same
+    ``k``.  ``argpartition`` alone would be O(n) too, but its choice among
+    ties at the ``k``-th value is arbitrary.
+    """
+    return np.partition(values, k - 1, axis=-1)[..., k - 1 : k]
 

@@ -22,6 +22,7 @@ from ..storage.errors import CorruptFileError
 from .dataset import DescriptorCollection
 from .distance import (
     BLOCK_ROWS,
+    kth_smallest,
     pairwise_squared_distances,
     squared_distances,
     top_k_smallest,
@@ -75,9 +76,13 @@ def exact_knn_batch(
 
     The whole batch shares each blockwise pass over the collection: one
     :func:`~repro.core.distance.pairwise_squared_distances` kernel call per
-    block instead of ``n_queries`` scalar scans, with the running top-k
-    merged by a batched lexsort.  Ties break by ascending id, matching
-    :func:`exact_knn`.  Requires ``k <= len(collection)``.
+    block instead of ``n_queries`` scalar scans.  The running top-k is
+    merged per block by selecting, in every row, the candidates not above
+    the row's k-th distance (:func:`~repro.core.distance.kth_smallest`)
+    and lexsorting only those on (row, distance, id) — the first k of each
+    row are those a full lexsort of the row would give.  Ties break by
+    ascending id, matching :func:`exact_knn`.  Requires
+    ``k <= len(collection)``.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -98,11 +103,15 @@ def exact_knn_batch(
         ids = np.broadcast_to(collection.ids[start:stop], d.shape)
         merged_d = np.concatenate([best_d, d], axis=1)
         merged_ids = np.concatenate([best_ids, ids], axis=1)
-        keep = np.lexsort((merged_ids, merged_d), axis=-1)[
-            :, : min(k, merged_d.shape[1])
-        ]
-        best_d = np.take_along_axis(merged_d, keep, axis=1)
-        best_ids = np.take_along_axis(merged_ids, keep, axis=1)
+        kept = min(k, merged_d.shape[1])
+        # Row-major, so each row's candidates stay in column order and
+        # occupy one run; every row has at least ``kept`` of them.
+        rows, cols = np.nonzero(~(merged_d > kth_smallest(merged_d, kept)))
+        cand_d, cand_ids = merged_d[rows, cols], merged_ids[rows, cols]
+        order = np.lexsort((cand_ids, cand_d, rows))
+        run_starts = np.searchsorted(rows, np.arange(n_q))
+        keep = order[run_starts[:, np.newaxis] + np.arange(kept)]
+        best_d, best_ids = cand_d[keep], cand_ids[keep]
     return best_ids
 
 

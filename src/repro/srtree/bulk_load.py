@@ -2,10 +2,10 @@
 
 Section 2: "We used the static build method, as it was much faster and
 guaranteed uniform leaf size.  Unfortunately, it requires the collection to
-fit in memory."  Here "fit in memory" means about 2.4 times the collection
-at its own precision while the build runs (two working matrices the rows
-ping-pong between, plus row ids and one sort's scratch — DESIGN §3,
-"Static build: passes and memory") and only the result afterwards.
+fit in memory."  Here "fit in memory" means about 2.4 times the float32
+collection while the build runs (two working matrices the rows ping-pong
+between, plus row ids and the packed sort words — DESIGN §3, "Static
+build: passes and memory") and only the result afterwards.
 
 The builder is a sort-tile-recursive variant specialized for uniform
 leaves: a row set is repeatedly cut along its widest-variance dimension,
@@ -37,6 +37,10 @@ __all__ = ["ordered_partition"]
 #: promote / subtract / square / reduce steps that reuse it; a constant of
 #: the machine class, not of the data, hence not a parameter.
 _BLOCK_BYTES = 384 * 1024
+
+#: Most rows one build takes: a row's position must fit the low 32 bits of
+#: its packed sort word (:func:`_stable_order`).
+_MAX_ROWS = 2**32 - 1
 
 
 def _column_sums(
@@ -83,6 +87,36 @@ def _node_variance(node: np.ndarray, block: np.ndarray) -> np.ndarray:
     return variance
 
 
+def _stable_order(
+    column: np.ndarray, words: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """``np.argsort(column, kind="stable")`` of a finite float32 column.
+
+    Each row becomes one uint64 word, ``(key << 32) | position``, where
+    ``key`` is the float's bit pattern mapped to an unsigned integer of the
+    same order: ``-0.0`` is first canonicalised to ``+0.0`` (they compare
+    equal, so they must tie), then a negative float has every bit flipped
+    and a non-negative one only its sign bit.  The words are unique, so
+    any sort of them — here numpy's unstable one, in place in ``words`` —
+    yields the one order of (value, position): the stable argsort's.  The
+    low 32 bits of each sorted word are then the order, returned as an
+    int64 view of ``words`` (valid until the next call).
+    """
+    size = column.shape[0]
+    words = words[:size]
+    key = np.add(column, np.float32(0.0))  # a contiguous copy; -0.0 -> +0.0
+    flip = key.view(np.int32) >> 31  # all ones for a negative float
+    flip |= np.int32(-(2**31))  # ... and the sign bit for every float
+    bits = key.view(np.uint32)
+    bits ^= flip.view(np.uint32)
+    np.copyto(words, bits)
+    words <<= np.uint64(32)
+    words |= positions[:size]
+    words.sort()
+    words &= np.uint64(0xFFFFFFFF)
+    return words.view(np.int64)
+
+
 def _refuse_non_finite(vectors: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first row with a NaN or infinity."""
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
@@ -102,9 +136,10 @@ def ordered_partition(
     Returns ``(rows, bounds, ordered)``: leaf ``i`` holds the input rows
     ``rows[bounds[i]:bounds[i + 1]]`` (dtype intp, in leaf order) and
     ``ordered[bounds[i]:bounds[i + 1]]`` are those rows' vectors, i.e.
-    ``ordered`` equals ``vectors[rows]``.  ``ordered`` keeps float32 input
-    as float32 and holds anything else as float64; ``vectors`` itself is
-    only read.
+    ``ordered`` equals ``vectors[rows]``.  ``vectors`` must be float32 —
+    the dtype :class:`~repro.core.dataset.DescriptorCollection` holds —
+    and is only read; any other dtype is a ``TypeError``, and more than
+    ``2**32 - 1`` rows a ``ValueError``.
 
     Each node is a slice ``[lo, hi)`` of one of two working matrices.  It
     is split on its dimension of largest variance by a stable sort of that
@@ -114,17 +149,26 @@ def ordered_partition(
     allocated per node.
     """
     vectors = np.asarray(vectors)
+    if vectors.dtype != np.float32:
+        raise TypeError(
+            f"the static build needs float32 vectors, got {vectors.dtype}; "
+            "convert with astype(np.float32)"
+        )
     if vectors.ndim != 2 or vectors.size == 0:
         raise ValueError("need a non-empty (n, d) matrix")
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be at least 1")
-    # The variance is computed in float64 either way and float32 -> float64
-    # is exact, so a float32 working copy decides every split identically.
-    work_dtype = np.float32 if vectors.dtype == np.float32 else np.float64
-    home = np.array(vectors, dtype=work_dtype, order="C")
+    if vectors.shape[0] > _MAX_ROWS:
+        raise ValueError(
+            f"{vectors.shape[0]} rows exceed the static build's limit of "
+            f"{_MAX_ROWS} (a row position must fit in 32 bits)"
+        )
+    home = np.array(vectors, order="C")
     n, d = home.shape
     matrices = (home, np.empty_like(home))
     row_ids = (np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp))
+    words = np.empty(n, dtype=np.uint64)
+    positions = np.arange(n, dtype=np.uint64)
     block_rows = max(1, _BLOCK_BYTES // (8 * d))
     block = np.empty((min(n, block_rows) + 1, d))  # row 0 carries the sum
 
@@ -147,7 +191,7 @@ def ordered_partition(
         if size == n and not np.isfinite(variance).all():
             _refuse_non_finite(home)
         axis = int(np.argmax(variance))
-        order = np.argsort(node[:, axis], kind="stable")
+        order = _stable_order(node[:, axis], words, positions)
         # mode="clip": the indices are a permutation, so no clipping ever
         # happens, and unlike the default "raise" numpy does not buffer
         # the whole output before copying it into ``out``.

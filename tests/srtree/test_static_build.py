@@ -4,7 +4,9 @@ and its memory contract (ISSUE 20).
 Three independent defences of "every chunk byte-identical":
 
 * a differential property against ``reference_partition.py`` (the old
-  recursive routine, verbatim) — same member rows, *same order*;
+  recursive routine, verbatim) — same member rows, *same order* — and,
+  beneath it, a property that the packed-word sort returns the stable
+  argsort's permutation on the keys where bit patterns mislead;
 * sha256 digests recorded at the parent commit (``golden_build.json``,
   also read by the ``build-smoke`` CI job), so bit-identity does not
   depend on the oracle file staying honest;
@@ -45,6 +47,8 @@ VALUE_FAMILIES = (
     "normal", "lattice", "duplicates", "constant_columns", "signed_zero", "offset",
 )
 LAYOUTS = ("c", "fortran", "strided", "readonly")
+# The precision the values are drawn at; the build always sees them as
+# float32, so float16 and int64 only add rounding and ties.
 DTYPES = ("float32", "float64", "int64", "float16")
 
 
@@ -68,7 +72,7 @@ def make_values(family, n, d, rng):
 def lay_out(values, layout, dtype):
     if dtype == "int64":
         values = np.round(values * 4.0)
-    values = values.astype(dtype)
+    values = values.astype(dtype).astype(np.float32)
     if layout == "fortran":
         return np.asfortranarray(values)
     if layout == "strided":  # every other row and column of a larger matrix
@@ -119,7 +123,7 @@ class TestDifferentialOracle:
         capacity=st.integers(1, 40),
         block_rows=st.sampled_from((1, 2, 3, 7, 32)),
     )
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)
     def test_same_rows_in_the_same_order(
         self, seed, family, layout, dtype, shape, d, capacity, block_rows
     ):
@@ -136,29 +140,70 @@ class TestDifferentialOracle:
         assert vectors.tobytes() == before
         # The ordered matrix is the gather the chunker no longer makes.
         assert bounds[0] == 0 and bounds[-1] == n
-        assert ordered.dtype == (np.float32 if dtype == "float32" else np.float64)
-        assert ordered.tobytes() == vectors[rows].astype(ordered.dtype).tobytes()
+        assert ordered.dtype == np.float32
+        assert ordered.tobytes() == vectors[rows].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 5)])
     def test_real_block_size_edges(self, dtype, blocks, extra):
-        """Node sizes around the shipped block size, at the paper's d."""
+        """Node sizes around the shipped block size, at the paper's d.
+
+        A float64 caller converts explicitly; the oracle reads its
+        float64 matrix, which holds the same (float32-exact) values.
+        """
         block_rows = bulk_load_module._BLOCK_BYTES // (8 * 24)
         n = blocks * block_rows + extra
         rng = np.random.default_rng(n)
         # Coarse values: near-tied column variances, tied sort keys.
         vectors = np.round(rng.standard_normal((n, 24)) * 2.0).astype(dtype)
         assert_same_groups(
-            leaf_groups(vectors, 700),
+            leaf_groups(vectors.astype(np.float32), 700),
             reference_partition_rows_uniform(vectors, 700),
         )
 
     def test_list_input(self):
+        """A hand-written list, converted explicitly (the build takes float32 only)."""
         nested = [[0.0, 3.0], [1.0, 1.0], [2.0, 5.0], [3.0, 2.0], [4.0, 4.0]]
         assert_same_groups(
-            leaf_groups(nested, 2),
+            leaf_groups(np.array(nested, dtype=np.float32), 2),
             reference_partition_rows_uniform(nested, 2),
         )
+
+
+# -- packed sort words ---------------------------------------------------------
+
+F32 = np.finfo(np.float32)
+# Keys where a bit-pattern order can go wrong: both zeros, subnormals of
+# both signs, the normal/subnormal edge, and both ends of the range.
+EDGE_KEYS = (
+    -0.0, 0.0, float(F32.smallest_subnormal), -float(F32.smallest_subnormal),
+    3 * float(F32.smallest_subnormal), -float(F32.smallest_subnormal) * 7,
+    float(F32.tiny), -float(F32.tiny), float(F32.max), -float(F32.max), 1.0, -1.0,
+)
+any_finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+KEY_COLUMNS = st.one_of(
+    st.lists(st.sampled_from((-0.0, 0.0)), min_size=1, max_size=200),
+    st.lists(st.sampled_from(EDGE_KEYS), min_size=1, max_size=200),
+    st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=200),  # tiny lattice
+    st.builds(lambda value, n: [value] * n, any_finite_f32, st.integers(1, 200)),
+    st.lists(st.one_of(st.sampled_from(EDGE_KEYS), any_finite_f32), min_size=1, max_size=200),
+)
+
+
+class TestPackedOrder:
+    @given(keys=KEY_COLUMNS, width=st.integers(1, 3), spare=st.integers(0, 3))
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
+    def test_packed_order_is_the_stable_argsort(self, keys, width, spare):
+        # The split column is a strided view of a node, and the word buffers
+        # are the root's, longer than any node below it.
+        node = np.zeros((len(keys), width), dtype=np.float32)
+        node[:, -1] = keys
+        before = node.tobytes()
+        words = np.empty(len(keys) + spare, dtype=np.uint64)
+        positions = np.arange(len(keys) + spare, dtype=np.uint64)
+        got = bulk_load_module._stable_order(node[:, -1], words, positions)
+        assert np.array_equal(got, np.argsort(node[:, -1], kind="stable"))
+        assert node.tobytes() == before  # -0.0 is canonicalised in a copy
 
 
 # -- golden bytes --------------------------------------------------------------
@@ -235,14 +280,16 @@ class TestMemoryContract:
     def vectors(self, dtype):
         return np.random.default_rng(7).standard_normal((self.N, 24)).astype(dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # float32 only: the build refuses every other dtype.
+    @pytest.mark.parametrize("dtype", [np.float32])
     def test_partition_peak_and_residue(self, dtype):
         vectors = self.vectors(dtype)
         row_array = self.N * np.dtype(np.intp).itemsize
         peak, retained, groups = traced(
             lambda: leaf_groups(vectors, self.CAPACITY)
         )
-        # Two working matrices, two id arrays, one sort's order and scratch.
+        # Two working matrices, two id arrays, the packed sort words, their
+        # positions and one node's key and sign-mask columns.
         assert peak <= 2.6 * vectors.nbytes + 4 * row_array
         # Only the result survives the call: one row permutation and a
         # view object per group — no working copy parked in a cycle.
@@ -268,25 +315,18 @@ class TestNonFiniteRefused:
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_first_offending_row_is_named(self, poison, dtype):
+        """Poison survives a float64 caller's explicit conversion."""
         vectors = np.random.default_rng(1).standard_normal((200, 4)).astype(dtype)
         vectors[90, 0] = poison
         vectors[17, 2] = poison
         with pytest.raises(ValueError, match=r"row 17\b.*non-finite"):
-            leaf_groups(vectors, 20)
+            leaf_groups(vectors.astype(np.float32), 20)
 
     def test_huge_finite_coordinates_still_build(self):
         vectors = np.random.default_rng(2).standard_normal((200, 4)).astype(np.float32)
         vectors[::3] *= np.float32(1e18)
+        vectors[[4, 5], 1] = (F32.max, -F32.max)
         assert_same_groups(
             leaf_groups(vectors, 20),
             reference_partition_rows_uniform(vectors, 20),
         )
-
-    def test_variance_overflow_is_not_mistaken_for_bad_input(self):
-        """Finite float64 rows whose variance overflows split as before."""
-        vectors = np.random.default_rng(3).standard_normal((50, 3)) * 1e200
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_same_groups(
-                leaf_groups(vectors, 8),
-                reference_partition_rows_uniform(vectors, 8),
-            )
