@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from ..faults.injector import FaultInjector
-from ..faults.plan import OK_OUTCOME, ChunkFaultOutcome
+from ..faults.plan import OK_OUTCOME
 from ..simio.calibration import PAPER_2005_COST_MODEL
 from ..simio.chunk_cache import chunk_read_time_s
 from ..simio.pipeline import CostModel
@@ -60,7 +60,7 @@ from .distance import cell_squared_gaps, pairwise_squared_distances
 from .neighbors import Neighbor, NeighborSet
 from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
-from .trace import SearchTrace, TraceEvent
+from .trace import SearchTrace
 
 __all__ = [
     "ChunkSearcher",
@@ -166,9 +166,9 @@ class SearchResult:
         Nothing but the stop rule decides *when* a scan stops: which chunk
         comes next, its charge and its neighbor-set update depend only on
         the events before it.  So the repeat logs the same events until
-        the first one at which :meth:`ChunkSearcher._advance_state` stops
-        it, and that method tests, at every event and in this order, the
-        completion proof, then the stop rule (the budget fires at
+        the first one at which the chunk loop (:meth:`ChunkSearcher._run`)
+        stops it, and that loop tests, at every event and in this order,
+        the completion proof, then the stop rule (the budget fires at
         ``elapsed_s >= budget_s``), then exhaustion.  Elapsed time never
         decreases along a trace, so one comparison stands for all the
         events before it:
@@ -182,9 +182,9 @@ class SearchResult:
         * any other reason was a stop rule's, which names its own budget:
           search again.
         """
-        events = self.trace.events
+        elapsed = self.trace.elapsed
         if self.stop_reason == "completed":
-            return len(events) < 2 or events[-2].elapsed_s < budget_s
+            return len(elapsed) < 2 or elapsed[-2] < budget_s
         if self.stop_reason == "exhausted":
             return self.trace.final_elapsed_s < budget_s
         return False
@@ -231,51 +231,23 @@ class BatchSearchResult:
 
 
 class _QueryState:
-    """Mutable per-query execution state inside one cohort.
-
-    The timing state is three floats replicating the
-    :class:`~repro.simio.pipeline.PipelineSimulator` recurrence inline
-    (``prev_read``/``prev_proc``/``drained`` are ``R[i-1]``/``C[i-1]``/
-    ``C[i-2]``).
-    """
+    """The inputs of one query of a cohort."""
 
     __slots__ = (
         "fault_key",
         "query",
-        "k",
+        "truth",
         "order",
         "suffix_list",
         "lb_list",
         "rect_list",
         "stream",
-        "n_ranks",
-        "prev_read",
-        "prev_proc",
-        "drained",
-        "trace",
-        "events",
-        "neighbors",
-        "n_found",
-        "kth",
-        "settled",
-        "stop_rule",
-        "truth",
-        "matches",
-        "rank0",
-        "pruned",
-        "stop_reason",
-        "completed",
-        "degraded",
-        "done",
     )
 
     def __init__(
         self,
         fault_key: int,
         query: np.ndarray,
-        k: int,
-        start_s: float,
-        stop_rule: StopRule,
         truth: Optional[frozenset],
         ranking: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]",
         stream: Optional[RouterStream],
@@ -283,7 +255,7 @@ class _QueryState:
     ):
         self.fault_key = fault_key
         self.query = query
-        self.k = k
+        self.truth = truth
         # Rectangle bound per chunk *id* (flat and routed ranking alike);
         # never read when the searcher does not prune.
         self.rect_list: List[float] = (
@@ -302,60 +274,7 @@ class _QueryState:
             self.order = []
             self.suffix_list = []
             self.lb_list = []
-        self.n_ranks = len(self.order)
         self.stream = stream
-        self.prev_read = start_s
-        self.prev_proc = start_s
-        self.drained = start_s
-        self.trace = SearchTrace(start_elapsed_s=start_s)
-        self.events = self.trace.events
-        self.neighbors = NeighborSet(k)
-        # Mirrors of len(neighbors) / neighbors.kth_distance, refreshed
-        # only when an update admits candidates.
-        self.n_found = 0
-        self.kth = math.inf
-        # True while the latest scanned chunk admitted nothing: the k-th
-        # distance has stopped falling, for now (the codes' second gate).
-        self.settled = False
-        self.stop_rule = stop_rule
-        self.truth = truth
-        # Match count after the latest chunk; valid whenever truth is set
-        # because an empty neighbor set holds zero true neighbors.
-        self.matches = 0 if truth is not None else -1
-        self.rank0 = 0
-        self.pruned = 0
-        self.stop_reason = "exhausted"
-        self.completed = False
-        self.degraded = False
-        self.done = False
-
-    def pull_next(self) -> "Tuple[int, float]":
-        """``(chunk_id, lower_bound)`` of the next chunk to visit.
-
-        Array mode reads the precomputed rank arrays (without consuming —
-        ``rank0`` advances when the event is applied); stream mode pops
-        the router stream, whose emission *is* the visit."""
-        if self.stream is None:
-            rank0 = self.rank0
-            return self.order[rank0], self.lb_list[rank0]
-        emitted = self.stream.next()
-        assert emitted is not None, "stream exhausted before state finished"
-        return emitted
-
-    def finish(self, stop_reason: str, completed: bool) -> None:
-        self.stop_reason = stop_reason
-        self.completed = completed
-        self.done = True
-
-    def to_result(self) -> SearchResult:
-        return SearchResult(
-            neighbors=self.neighbors.sorted(),
-            trace=self.trace,
-            stop_reason=self.stop_reason,
-            completed=self.completed,
-            degraded=self.degraded,
-            chunks_pruned=self.pruned,
-        )
 
 
 class ChunkSearcher:
@@ -733,9 +652,6 @@ class ChunkSearcher:
                 _QueryState(
                     fault_key=int(query_indices[i]) if query_indices is not None else i,
                     query=queries[i],
-                    k=k,
-                    start_s=start_s,
-                    stop_rule=stop_rule,
                     truth=truth_i,
                     ranking=(
                         (orders[i], suffix_mins[i], ranked_lbs[i])
@@ -751,8 +667,9 @@ class ChunkSearcher:
                 )
             )
 
-        self._run(states, faults)
-        return BatchSearchResult(results=[s.to_result() for s in states])
+        return BatchSearchResult(
+            results=self._run(states, k, start_s, stop_rule, faults)
+        )
 
     # -- execution internals -------------------------------------------------
 
@@ -782,156 +699,39 @@ class ChunkSearcher:
                 reads[chunk_id] = chunk
         return chunk
 
-    def _apply_chunk(
-        self,
-        state: _QueryState,
-        chunk_id: int,
-        outcome: ChunkFaultOutcome,
-        scan: "Optional[Tuple[np.ndarray, np.ndarray, float]]",
-    ) -> None:
-        """The chunk step: charge one chunk visit to one query's timeline,
-        fold its scan into the neighbor set, log the trace event, then run
-        the completion proof and stop rule (:meth:`_advance_state`).
-
-        ``outcome`` is the fault outcome of this access (``OK_OUTCOME``
-        when nothing is injected): its ``extra_io_s`` lands on the chunk's
-        I/O charge, its kind/retries on the trace event.  A failed outcome
-        is a *skip* — the attempts occupy the disk but no CPU work happens
-        and the neighbor set is untouched.
-
-        ``scan`` is ``(ids, squared-distance row, row minimum)``, or
-        ``None`` for a chunk that is not scanned: skipped, or *pruned* —
-        charged and logged exactly like a scanned chunk, but it provably
-        admits no candidate (its lower bound strictly exceeds the k-th
-        distance), so the store read, distance kernel and heap update
-        were skipped on the host.
-        """
-        ok = outcome.ok
-        io, cpu, count = self._chunk_cost[chunk_id]
-        # PipelineSimulator.process_chunk / skip_chunk inlined on three
-        # floats — same operations in the same order, so timestamps are
-        # bit-identical (R[i] = max(R[i-1], C[i-2]) + io; C[i] =
-        # max(R[i], C[i-1]) + cpu; serial without overlap).  Adding a 0.0
-        # charge is exact, which is what lets one expression serve clean
-        # reads, retried reads and skips.
-        if ok:
-            if self._cached_io is not None:
-                # A cached cost model only changes where the I/O charge
-                # comes from: one touch per readable visit, in visit
-                # order.  A skipped chunk touches nothing.
-                io = self._cached_io(
-                    self._page_offsets[chunk_id], self._pages[chunk_id]
-                )[0]
-            io += outcome.extra_io_s
-        else:
-            io, cpu = outcome.extra_io_s, 0.0
-        prev_proc = state.prev_proc
-        if self._overlap:
-            read_done = max(state.prev_read, state.drained) + io
-            elapsed = max(read_done, prev_proc) + cpu
-            state.prev_read = read_done
-        else:
-            elapsed = prev_proc + io + cpu
-        state.drained = prev_proc
-        state.prev_proc = elapsed
-        if not ok:
-            # _advance_state then resolves the proof to "proof-degraded"
-            # and exhaustion to completed=False.
-            state.degraded = True
-        elif scan is None:
-            state.pruned += 1
-        else:
-            ids, sq_distances, min_sq = scan
-            # The row is kept in *squared* space: sqrt is monotone and
-            # correctly rounded (IEEE 754; math.sqrt and np.sqrt agree),
-            # so sqrt(min(sq)) is bit-equal to min(sqrt(sq)) and the root
-            # of the whole row is only taken for chunks that pass this
-            # admission gate.  A chunk whose best candidate cannot beat
-            # the current k-th neighbor admits nothing; skip the heap walk.
-            state.settled = True
-            if state.n_found < state.k or math.sqrt(min_sq) <= state.kth:
-                neighbors = state.neighbors
-                if neighbors.update(np.sqrt(sq_distances), ids):
-                    state.settled = False
-                    state.n_found = len(neighbors)
-                    state.kth = neighbors.kth_distance
-                    if state.truth is not None:
-                        state.matches = neighbors.true_match_count(state.truth)
-        next_rank = state.rank0 + 1
-        state.events.append(
-            TraceEvent(
-                chunk_id,
-                next_rank,
-                elapsed,
-                count,
-                state.n_found,
-                state.kth,
-                state.matches,
-                not ok,
-                outcome.kind,
-                outcome.retries,
-            )
-        )
-        self._advance_state(state, elapsed, next_rank)
-
-    def _advance_state(
-        self, state: _QueryState, elapsed: float, next_rank: int
-    ) -> None:
-        """The post-event tail: completion proof, stop rule, rank advance,
-        exhaustion."""
-        n_found = state.n_found
-        kth = state.kth
-        stream = state.stream
-        if stream is None:
-            remaining_lb = (
-                state.suffix_list[next_rank]
-                if next_rank < state.n_ranks
-                else math.inf
-            )
-            at_end = next_rank >= state.n_ranks
-        else:
-            remaining_lb = stream.exact_remaining_lb()
-            at_end = stream.exhausted
-        if n_found >= state.k and remaining_lb > kth:
-            # The completion proof: k found and no remaining chunk can
-            # help.  It still bounds the
-            # *remaining* chunks when some were skipped, so the scan stops
-            # either way — but a degraded run can never claim exactness (a
-            # skipped chunk may have held a true neighbor).
-            if state.degraded:
-                state.finish("proof-degraded", False)
-            else:
-                state.finish("completed", True)
-            return
-        rule = state.stop_rule
-        # ExactCompletion never stops early; skip building the progress
-        # snapshot on the default path (a measurable per-event saving).
-        if type(rule) is not ExactCompletion:
-            reason = rule.check(
-                SearchProgress(
-                    chunks_read=next_rank,
-                    elapsed_s=elapsed,
-                    neighbors_found=n_found,
-                    kth_distance=kth,
-                    remaining_lower_bound=remaining_lb,
-                )
-            )
-            if reason is not None:
-                state.finish(reason, False)
-                return
-        state.rank0 = next_rank
-        if at_end:
-            # Every chunk read without the proof firing early: the result
-            # is nevertheless exact (there is nothing left to read) —
-            # unless skipped chunks left holes in the scan.
-            state.finish("exhausted", not state.degraded)
-
     def _run(
-        self, states: List[_QueryState], faults: Optional[FaultInjector]
-    ) -> None:
-        """The driver loop: each query of the cohort runs to its stop in
-        turn — the touch order a shared simulated cache must see — pulling
-        chunks in rank order and applying each with :meth:`_apply_chunk`.
+        self,
+        states: List[_QueryState],
+        k: int,
+        start_s: float,
+        stop_rule: StopRule,
+        faults: Optional[FaultInjector],
+    ) -> List[SearchResult]:
+        """The chunk loop: each query of the cohort runs to its stop in turn
+        — the touch order a shared simulated cache must see — visiting
+        chunks in rank order.  One visit is one pass of the loop body:
+
+        1. *prune test* — a chunk whose lower bound (sphere, rectangle or,
+           where the index has codes and the gates say a consult is worth
+           it, the members' cells) strictly exceeds the k-th distance
+           cannot admit a candidate;
+        2. *fault outcome* (``faults`` only) — the chunk's readability is
+           probed and the injector resolves the access.  A failed outcome
+           is a *skip*: the attempts occupy the disk, no CPU work happens
+           and the neighbor set is untouched;
+        3. *charge* — the chunk's I/O (cold, from the chunk cache, plus the
+           outcome's ``extra_io_s``) and CPU time on the query's timeline;
+        4. *scan* — unless skipped or pruned, the chunk's distance row is
+           folded into the neighbor set.  A pruned chunk is charged and
+           logged exactly like a scanned one: only the host work is saved;
+        5. *log* — one entry in each column of the query's trace;
+        6. *stop* — the completion proof, then the stop rule, then
+           exhaustion.
+
+        The per-visit state is locals: the neighbor-set mirrors ``n_found``
+        / ``kth`` / ``matches``, ``settled``, the three floats carrying the
+        :class:`~repro.simio.pipeline.PipelineSimulator` recurrence and the
+        rank.
 
         A cohort larger than one shares host work through two per-cohort
         caches.  The first time any query demands a chunk, its contents
@@ -966,39 +766,92 @@ class ChunkSearcher:
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
         failed: Set[int] = set()
         query_matrix = np.stack([s.query for s in states])
+        chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
+        cached_io = self._cached_io
+        # ExactCompletion never stops early: no progress snapshot for it.
+        check = None if type(stop_rule) is ExactCompletion else stop_rule.check
+        outcome, ok, chunk = OK_OUTCOME, True, None
+        results = []
         for row, state in enumerate(states):
-            while not state.done:
-                chunk_id, lb = state.pull_next()
-                # The pruning bound: a chunk whose lower bound — sphere,
-                # rectangle or (where the index has codes and the gates say
-                # a consult is worth it) the members' cells — strictly
-                # exceeds the current k-th distance cannot admit any
-                # candidate (ties must still be scanned — an equal-distance,
-                # smaller-id descriptor would enter the neighbor set).  kth
-                # is +inf until k neighbors are known: never fires early.
-                kth = state.kth
+            query, truth, stream = state.query, state.truth, state.stream
+            order, lbs, suffix = state.order, state.lb_list, state.suffix_list
+            rects, n_ranks = state.rect_list, len(state.order)
+            neighbors = NeighborSet(k)
+            trace = SearchTrace(start_s)
+            log_chunk, log_elapsed = trace.chunk_ids.append, trace.elapsed.append
+            log_count = trace.n_descriptors.append
+            log_found = trace.neighbors_found.append
+            log_kth = trace.kth_distance.append
+            log_matches = trace.true_matches.append
+            # R[i-1], C[i-1], C[i-2] of the pipeline recurrence.
+            prev_read = prev_proc = drained = start_s
+            # Mirrors of len(neighbors) / neighbors.kth_distance, refreshed
+            # only when an update admits candidates.
+            n_found, kth = 0, math.inf
+            # True while the latest scanned chunk admitted nothing: the k-th
+            # distance has stopped falling, for now (the codes' second gate).
+            settled = False
+            # Valid whenever truth is set: an empty set holds no true neighbor.
+            matches = 0 if truth is not None else -1
+            rank = pruned = 0
+            degraded = False
+            while True:
+                if stream is None:
+                    chunk_id, lb = order[rank], lbs[rank]
+                else:
+                    # The router stream's emission *is* the visit.
+                    emitted = stream.next()
+                    assert emitted is not None, "stream exhausted before the stop"
+                    chunk_id, lb = emitted
+                # Ties must still be scanned — an equal-distance, smaller-id
+                # descriptor would enter the neighbor set.  kth is +inf
+                # until k neighbors are known: never fires early.
                 prunable = prune and (
                     lb > kth
-                    or (rect := state.rect_list[chunk_id]) > kth
+                    or (rect := rects[chunk_id]) > kth
                     or (
                         coded
-                        and state.settled
+                        and settled
                         and max(lb, rect) >= _CODE_GATE * kth
-                        and self.code_bound(state.query, chunk_id) > kth
+                        and self.code_bound(query, chunk_id) > kth
                     )
                 )
-                outcome = OK_OUTCOME
-                chunk = None
+                io, cpu, count = chunk_cost[chunk_id]
                 if faults is not None:
                     chunk = self._probe_chunk(chunk_id, reads, failed)
                     outcome = faults.outcome(
                         state.fault_key,
                         chunk_id,
-                        self._pages[chunk_id],
+                        pages[chunk_id],
                         readable=chunk is not None,
                     )
-                scan = None
-                if outcome.ok and not prunable:
+                    ok = outcome.ok
+                # PipelineSimulator.process_chunk / skip_chunk on three
+                # floats — same operations in the same order (a conditional
+                # is max), so timestamps are bit-identical: R[i] =
+                # max(R[i-1], C[i-2]) + io; C[i] = max(R[i], C[i-1]) + cpu;
+                # serial without overlap.  Adding a 0.0 charge is exact.
+                if ok:
+                    if cached_io is not None:
+                        # One touch per readable visit, in visit order; a
+                        # skipped chunk touches nothing.
+                        io = cached_io(self._page_offsets[chunk_id], pages[chunk_id])[0]
+                    io += outcome.extra_io_s
+                else:
+                    io, cpu = outcome.extra_io_s, 0.0
+                if overlap:
+                    prev_read = (drained if drained > prev_read else prev_read) + io
+                    elapsed = (prev_proc if prev_proc > prev_read else prev_read) + cpu
+                else:
+                    elapsed = prev_proc + io + cpu
+                drained, prev_proc = prev_proc, elapsed
+                if not ok:
+                    # The proof then resolves to "proof-degraded" and
+                    # exhaustion to completed=False.
+                    degraded = True
+                elif prunable:
+                    pruned += 1
+                else:
                     entry = rows.get(chunk_id)
                     if entry is None:
                         ids, vectors = (
@@ -1027,6 +880,72 @@ class ChunkSearcher:
                         entry = (payload, d2, mins2)
                         if shared:
                             rows[chunk_id] = entry
-                    payload, d2, mins2 = entry
-                    scan = (payload[0], d2[row], mins2[row])
-                self._apply_chunk(state, chunk_id, outcome, scan)
+                    # The row stays in *squared* space: sqrt is monotone and
+                    # correctly rounded (IEEE 754; math.sqrt and np.sqrt
+                    # agree), so sqrt(min(sq)) is bit-equal to min(sqrt(sq))
+                    # and the root of the whole row is only taken for chunks
+                    # that pass this admission gate.  A chunk whose best
+                    # candidate cannot beat the k-th neighbor admits
+                    # nothing; skip the heap walk.
+                    settled = True
+                    if n_found < k or math.sqrt(entry[2][row]) <= kth:
+                        if neighbors.update(np.sqrt(entry[1][row]), entry[0][0]):
+                            settled = False
+                            n_found = len(neighbors)
+                            kth = neighbors.kth_distance
+                            if truth is not None:
+                                matches = neighbors.true_match_count(truth)
+                if outcome is not OK_OUTCOME:
+                    trace.faults[rank] = (not ok, outcome.kind, outcome.retries)
+                log_chunk(chunk_id)
+                log_elapsed(elapsed)
+                log_count(count)
+                log_found(n_found)
+                log_kth(kth)
+                log_matches(matches)
+                rank += 1
+                if stream is None:
+                    at_end = rank >= n_ranks
+                    remaining_lb = math.inf if at_end else suffix[rank]
+                else:
+                    remaining_lb = stream.exact_remaining_lb()
+                    at_end = stream.exhausted
+                if n_found >= k and remaining_lb > kth:
+                    # The completion proof: k found and no remaining chunk
+                    # can help.  It still bounds the remaining chunks when
+                    # some were skipped, so the scan stops either way — but
+                    # a degraded run can never claim exactness (a skipped
+                    # chunk may have held a true neighbor).
+                    reason = "proof-degraded" if degraded else "completed"
+                    completed = not degraded
+                    break
+                if check is not None:
+                    ruled = check(
+                        SearchProgress(
+                            chunks_read=rank,
+                            elapsed_s=elapsed,
+                            neighbors_found=n_found,
+                            kth_distance=kth,
+                            remaining_lower_bound=remaining_lb,
+                        )
+                    )
+                    if ruled is not None:
+                        reason, completed = ruled, False
+                        break
+                if at_end:
+                    # Every chunk read without the proof firing early: the
+                    # result is nevertheless exact (nothing is left to
+                    # read) — unless skipped chunks left holes in the scan.
+                    reason, completed = "exhausted", not degraded
+                    break
+            results.append(
+                SearchResult(
+                    neighbors=neighbors.sorted(),
+                    trace=trace,
+                    stop_reason=reason,
+                    completed=completed,
+                    degraded=degraded,
+                    chunks_pruned=pruned,
+                )
+            )
+        return results

@@ -3,29 +3,28 @@
 The paper logs its quality and time metrics "after the processing of every
 chunk" (section 5.4), always running queries to conclusion so that the
 quality of intermediate results can be measured afterwards.  A
-:class:`SearchTrace` is that log for one query: one :class:`TraceEvent` per
-processed chunk, plus the fixed query-start cost (index read + ranking).
+:class:`SearchTrace` is that log for one query: one entry per visited
+chunk, plus the fixed query-start cost (index read + ranking).
+
+An exact query visits almost every chunk and scans few of them, so the log
+is kept in columns — one plain list per quantity, appended to by the
+engine's chunk loop — and the rarely-set fault fields only for the visits
+that have them.  The summaries read the columns directly;
+:attr:`SearchTrace.events` builds the row view, a list of
+:class:`TraceEvent`, the first time it is read.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["TraceEvent", "SearchTrace"]
 
 
 class TraceEvent(NamedTuple):
-    """State right after one chunk finished processing.
-
-    A ``NamedTuple`` rather than a frozen dataclass on purpose: a trace
-    event is recorded for *every* visited chunk of every query, so its
-    construction sits on the hottest per-event path of the engine, and
-    the C-level tuple constructor is several times cheaper than the
-    guarded field-by-field ``__init__`` a frozen dataclass generates.
-    The consuming API is unchanged: immutable, field access by name,
-    value equality, and keyword construction all behave identically.
+    """State right after one chunk finished processing: one row of a
+    :class:`SearchTrace`.
 
     Attributes
     ----------
@@ -68,24 +67,105 @@ class TraceEvent(NamedTuple):
     retries: int = 0
 
 
-@dataclasses.dataclass
-class SearchTrace:
-    """Complete per-chunk log of one query's execution."""
+#: ``(skipped, fault, retries)`` of a clean visit: never stored.
+_CLEAN = (False, "none", 0)
 
-    start_elapsed_s: float
-    events: List[TraceEvent] = dataclasses.field(default_factory=list)
+
+class SearchTrace:
+    """Complete per-chunk log of one query's execution.
+
+    Visit ``i`` (rank ``i + 1``) is entry ``i`` of every column;
+    ``faults[i]`` holds its ``(skipped, fault, retries)`` when they are not
+    those of a clean read.  Two traces are equal when their start costs
+    and their :attr:`events` are.
+    """
+
+    __slots__ = (
+        "start_elapsed_s",
+        "chunk_ids",
+        "elapsed",
+        "n_descriptors",
+        "neighbors_found",
+        "kth_distance",
+        "true_matches",
+        "faults",
+        "_events",
+    )
+
+    def __init__(self, start_elapsed_s: float):
+        self.start_elapsed_s = start_elapsed_s
+        self.chunk_ids: List[int] = []
+        self.elapsed: List[float] = []
+        self.n_descriptors: List[int] = []
+        self.neighbors_found: List[int] = []
+        self.kth_distance: List[float] = []
+        self.true_matches: List[int] = []
+        self.faults: Dict[int, Tuple[bool, str, int]] = {}
+        self._events: Optional[List[TraceEvent]] = None
 
     def append(self, event: TraceEvent) -> None:
-        if self.events and event.rank != self.events[-1].rank + 1:
-            raise ValueError("trace events must arrive in rank order")
-        if not self.events and event.rank != 1:
-            raise ValueError("first trace event must have rank 1")
-        self.events.append(event)
+        if event.rank != len(self.chunk_ids) + 1:
+            raise ValueError(
+                "first trace event must have rank 1"
+                if not self.chunk_ids
+                else "trace events must arrive in rank order"
+            )
+        mark = (event.skipped, event.fault, event.retries)
+        if mark != _CLEAN:
+            self.faults[len(self.chunk_ids)] = mark
+        self.chunk_ids.append(event.chunk_id)
+        self.elapsed.append(event.elapsed_s)
+        self.n_descriptors.append(event.n_descriptors)
+        self.neighbors_found.append(event.neighbors_found)
+        self.kth_distance.append(event.kth_distance)
+        self.true_matches.append(event.true_matches)
+        self._events = None
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """One :class:`TraceEvent` per visit, in rank order (built once)."""
+        if self._events is None:
+            faults = self.faults
+            self._events = [
+                TraceEvent(*row, *faults.get(position, _CLEAN))
+                for position, row in enumerate(
+                    zip(
+                        self.chunk_ids,
+                        range(1, len(self.chunk_ids) + 1),
+                        self.elapsed,
+                        self.n_descriptors,
+                        self.neighbors_found,
+                        self.kth_distance,
+                        self.true_matches,
+                    )
+                )
+            ]
+        return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.chunk_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchTrace):
+            return NotImplemented
+        return (
+            self.start_elapsed_s == other.start_elapsed_s
+            and self.events == other.events
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     # -- quality-over-cost curves (feed figures 2-5) -----------------------
+
+    def _first_with(self, n_neighbors: int) -> Optional[int]:
+        """Position of the first visit holding ``n_neighbors`` true
+        neighbors, or ``None``; raises without ground truth."""
+        for position, matches in enumerate(self.true_matches):
+            if matches < 0:
+                raise ValueError("trace has no ground-truth match counts")
+            if matches >= n_neighbors:
+                return position
+        return None
 
     def chunks_to_find(self, n_neighbors: int) -> float:
         """Chunks read until ``n_neighbors`` true neighbors were present.
@@ -96,12 +176,8 @@ class SearchTrace:
         """
         if n_neighbors <= 0:
             return 0.0
-        for event in self.events:
-            if event.true_matches < 0:
-                raise ValueError("trace has no ground-truth match counts")
-            if event.true_matches >= n_neighbors:
-                return float(event.rank)
-        return math.inf
+        position = self._first_with(n_neighbors)
+        return math.inf if position is None else float(position + 1)
 
     def time_to_find(self, n_neighbors: int) -> float:
         """Elapsed seconds until ``n_neighbors`` true neighbors were present.
@@ -111,36 +187,36 @@ class SearchTrace:
         """
         if n_neighbors <= 0:
             return self.start_elapsed_s
-        for event in self.events:
-            if event.true_matches < 0:
-                raise ValueError("trace has no ground-truth match counts")
-            if event.true_matches >= n_neighbors:
-                return event.elapsed_s
-        return math.inf
+        position = self._first_with(n_neighbors)
+        return math.inf if position is None else self.elapsed[position]
 
     @property
     def final_elapsed_s(self) -> float:
         """Clock reading when the query finished."""
-        return self.events[-1].elapsed_s if self.events else self.start_elapsed_s
+        return self.elapsed[-1] if self.elapsed else self.start_elapsed_s
+
+    def _skipped_positions(self) -> List[int]:
+        return [p for p, (skipped, _, _) in self.faults.items() if skipped]
 
     @property
     def chunks_read(self) -> int:
         """Chunks whose descriptors were actually scanned (skips excluded)."""
-        return sum(1 for e in self.events if not e.skipped)
+        return len(self.chunk_ids) - self.chunks_skipped
 
     @property
     def chunks_skipped(self) -> int:
         """Chunks abandoned after exhausting read retries."""
-        return sum(1 for e in self.events if e.skipped)
+        return len(self._skipped_positions())
 
     @property
     def descriptors_scanned(self) -> int:
-        return int(sum(e.n_descriptors for e in self.events if not e.skipped))
+        return sum(self.n_descriptors) - self.descriptors_skipped
 
     @property
     def descriptors_skipped(self) -> int:
         """Descriptors lost to skipped chunks (never scanned)."""
-        return int(sum(e.n_descriptors for e in self.events if e.skipped))
+        counts = self.n_descriptors
+        return sum(counts[p] for p in self._skipped_positions())
 
     @property
     def coverage_fraction(self) -> float:
@@ -150,11 +226,10 @@ class SearchTrace:
         miss true neighbors that lived in the skipped chunks, which is
         why a degraded search never claims exact completion.
         """
-        scanned = self.descriptors_scanned
-        total = scanned + self.descriptors_skipped
-        return scanned / total if total else 1.0
+        total = sum(self.n_descriptors)
+        return (total - self.descriptors_skipped) / total if total else 1.0
 
     @property
     def total_retries(self) -> int:
         """Read attempts beyond the first, summed over all chunk accesses."""
-        return int(sum(e.retries for e in self.events))
+        return sum(retries for _, _, retries in self.faults.values())

@@ -37,9 +37,9 @@ spent.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence
+from typing import Deque, Dict, FrozenSet, List, Optional
 
-from ..core.trace import TraceEvent
+from ..core.trace import SearchTrace
 from ..faults.injector import FaultInjector
 from ..faults.plan import FAILURE_KINDS, OK_OUTCOME, ChunkFaultOutcome
 
@@ -185,19 +185,25 @@ class BreakerBoard:
             if not breaker.allow(now)
         )
 
-    def observe_trace(self, events: Sequence[TraceEvent], now: float) -> None:
-        """Fold one finished request's trace events into the breakers.
+    def observe_trace(self, trace: SearchTrace, now: float) -> None:
+        """Fold one finished request's trace into the breakers.
 
-        A skipped event with an injected failure kind counts as a region
-        failure; a processed event counts as a success (retried-then-
+        A skipped visit with an injected failure kind counts as a region
+        failure; a processed visit counts as a success (retried-then-
         successful reads still delivered the chunk).  Breaker-caused
         skips are the board's own output and are ignored.
         """
-        for event in events:
-            if event.fault == BREAKER_OPEN:
+        faults = trace.faults
+        for position, chunk_id in enumerate(trace.chunk_ids):
+            mark = faults.get(position)
+            if mark is None:
+                ok = True
+            elif mark[1] == BREAKER_OPEN:
                 continue
-            ok = not (event.skipped and event.fault in FAILURE_KINDS)
-            self.breakers[self.region_of(event.chunk_id)].record(ok, now)
+            else:
+                skipped, fault, _ = mark
+                ok = not (skipped and fault in FAILURE_KINDS)
+            self.breakers[self.region_of(chunk_id)].record(ok, now)
 
     # -- reporting -----------------------------------------------------------
 

@@ -293,12 +293,13 @@ class QueryService:
                 request, result, start, worker, chunk_budget = payload
                 makespan = max(makespan, now)
                 duration = now - start
-                board.observe_trace(result.trace.events, now)
+                board.observe_trace(result.trace, now)
                 admission.observe_service_time(duration)
                 latency = now - request.arrival_s
                 controller.observe(latency)
                 breaker_skips = sum(
-                    1 for e in result.trace.events if e.fault == BREAKER_OPEN
+                    1 for _, fault, _ in result.trace.faults.values()
+                    if fault == BREAKER_OPEN
                 )
                 breaker_skipped_chunks += breaker_skips
                 records[request.index] = RequestRecord(

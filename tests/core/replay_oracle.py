@@ -5,6 +5,8 @@ it with itself.  This oracle does not: it walks a finished trace with the
 references the engine does not own — direct-form ``squared_distances``,
 ``NeighborSet``, ``PipelineSimulator``, the ``FaultPlan`` and brute-force
 ``exact_knn`` — and does no ranking, pruning or stop logic of its own.
+Given the query's ground truth it also recounts, after every chunk, how
+many true neighbors the replayed set holds.
 """
 
 import numpy as np
@@ -37,8 +39,10 @@ class ReplayOracle:
             np.vstack([v for _, v in chunks]), ids=np.concatenate([i for i, _ in chunks])
         )
 
-    def check(self, query, result, query_index=0):
+    def check(self, query, result, query_index=0, truth=None):
+        """``truth``: the ground-truth ids the search was given, if any."""
         index, events = self.index, result.trace.events
+        truth = None if truth is None else {int(i) for i in truth}
         centroid_d = np.sqrt(squared_distances(query, self.centroids))
         bounds = np.maximum(0.0, centroid_d - self.radii)
         key = centroid_d if self.rank_by == RANK_BY_CENTROID else bounds
@@ -74,6 +78,9 @@ class ReplayOracle:
             assert event.n_descriptors == meta.n_descriptors
             assert event.neighbors_found == len(neighbors)
             assert event.kth_distance == pytest.approx(neighbors.kth_distance, rel=1e-12)
+            assert event.true_matches == (
+                -1 if truth is None else len(truth & neighbors.id_set())
+            )
         replayed = [n.descriptor_id for n in neighbors.sorted()]
         assert result.neighbor_ids().tolist() == replayed
         assert result.degraded == any(e.skipped for e in events)

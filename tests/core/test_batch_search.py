@@ -49,9 +49,10 @@ CHUNKER_FACTORIES = {
 }
 
 
-def assert_equivalent(batch_result, sequential_results, replay, queries):
+def assert_equivalent(batch_result, sequential_results, replay, queries, truth=None):
     """Cohort and per-query outcomes must agree on every observable, and
-    replay against the independent references.
+    replay against the independent references (``truth``: the per-query
+    ground truth the searches were given).
 
     Ids, stop reasons, trace lengths, and simulated times are compared
     exactly; distances to within one ulp (the BLAS kernel may round a
@@ -59,7 +60,9 @@ def assert_equivalent(batch_result, sequential_results, replay, queries):
     """
     assert len(batch_result) == len(sequential_results) == len(queries)
     for i, (got, want) in enumerate(zip(batch_result, sequential_results)):
-        replay.check(queries[i], got, query_index=i)
+        replay.check(
+            queries[i], got, query_index=i, truth=None if truth is None else truth[i]
+        )
         np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
         np.testing.assert_allclose(
             [n.distance for n in got.neighbors],
@@ -122,7 +125,7 @@ class TestEquivalence:
         batch = ChunkSearcher(index).search_batch(
             queries, k=5, true_neighbor_ids=truth
         )
-        assert_equivalent(batch, wanted, ReplayOracle(index, k=5), queries)
+        assert_equivalent(batch, wanted, ReplayOracle(index, k=5), queries, truth)
         for result in batch:
             assert all(e.true_matches >= 0 for e in result.trace.events)
 

@@ -28,6 +28,7 @@ import pytest
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import CHUNK_FILE_NAME, ChunkIndex, build_chunk_index
+from repro.core.ground_truth import exact_knn
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import MaxChunks
 from repro.storage import chunk_file
@@ -79,10 +80,10 @@ def assert_results_identical(got, want, replay, query, query_index=0):
     assert got.trace.events == want.trace.events
 
 
-def assert_results_equivalent(got, want, replay, query, query_index=0):
+def assert_results_equivalent(got, want, replay, query, query_index=0, truth=None):
     """Cross-cohort comparison: exact except kth_distance (BLAS may round
     a one-row and an N-row product differently in the last ulp)."""
-    replay.check(query, got, query_index=query_index)
+    replay.check(query, got, query_index=query_index, truth=truth)
     np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
     assert got.stop_reason == want.stop_reason
     assert got.completed == want.completed
@@ -102,6 +103,7 @@ def assert_results_equivalent(got, want, replay, query, query_index=0):
         )
         assert g.n_descriptors == w.n_descriptors
         assert g.neighbors_found == w.neighbors_found
+        assert g.true_matches == w.true_matches
         assert g.kth_distance == pytest.approx(w.kth_distance, rel=1e-12)
 
 
@@ -230,19 +232,22 @@ class TestBatchEquivalenceUnderFaults:
     ):
         index = make_index(tiny_collection, chunker_name)
         queries = make_queries(12, tiny_collection.dimensions, seed=11)
+        truth = [exact_knn(tiny_collection, q, 7) for q in queries]
         faults = injector(rate)
         sequential = ChunkSearcher(index)
         wanted = [
-            sequential.search(q, k=7, faults=faults, query_index=i)
+            sequential.search(
+                q, k=7, true_neighbor_ids=truth[i], faults=faults, query_index=i
+            )
             for i, q in enumerate(queries)
         ]
         batch = ChunkSearcher(index).search_batch(
-            queries, k=7, faults=faults
+            queries, k=7, true_neighbor_ids=truth, faults=faults
         )
         assert len(batch) == len(wanted)
         replay = ReplayOracle(index, k=7, faults=faults)
         for i, (got, want) in enumerate(zip(batch, wanted)):
-            assert_results_equivalent(got, want, replay, queries[i], i)
+            assert_results_equivalent(got, want, replay, queries[i], i, truth[i])
 
 
 class TestRealCorruption:
@@ -323,19 +328,25 @@ class TestReadableButNotPromoted:
         index.save(directory)
         return directory
 
-    def instrument(self, monkeypatch):
-        """Count chunk reads per page offset, CRC checks, float32 -> float64
-        promotions, and the engine's scanned / pruned visits."""
+    def instrument(self, monkeypatch, index):
+        """Count chunk reads per page offset, CRC checks and float32 ->
+        float64 promotions, and name the chunks whose vectors were promoted
+        (scanned), by the read that handed them out."""
         seen = types.SimpleNamespace(
-            reads=collections.Counter(), crcs=0, promotions=0,
-            scanned=set(), pruned=set(),
+            reads=collections.Counter(), crcs=0, promotions=0, scanned=set(),
+            read_by=[],
         )
+        chunk_at = {meta.page_offset: c for c, meta in enumerate(index.metas)}
         read_chunk = chunk_file.ChunkFileReader.read_chunk
-        crc32 = chunk_file.zlib.crc32
 
         def counting_read(reader, extent):
             seen.reads[extent.page_offset] += 1
-            return read_chunk(reader, extent)
+            ids, vectors = read_chunk(reader, extent)
+            # Kept alive beside its chunk id, so an identity is never reused.
+            seen.read_by.append((chunk_at[extent.page_offset], vectors))
+            return ids, vectors
+
+        crc32 = chunk_file.zlib.crc32
 
         def counting_crc(data, *value):
             seen.crcs += 1
@@ -346,22 +357,23 @@ class TestReadableButNotPromoted:
         def counting_promote(a, dtype=None, **kwargs):
             if dtype is np.float64 and np.asarray(a).dtype == np.float32:
                 seen.promotions += 1
+                seen.scanned.update(c for c, v in seen.read_by if v is a)
             return promote(a, dtype=dtype, **kwargs)
-
-        apply_chunk = ChunkSearcher._apply_chunk
-
-        def recording_apply(searcher, state, chunk_id, outcome, scan):
-            if outcome.ok:
-                (seen.pruned if scan is None else seen.scanned).add(chunk_id)
-            return apply_chunk(searcher, state, chunk_id, outcome, scan)
 
         monkeypatch.setattr(chunk_file.ChunkFileReader, "read_chunk", counting_read)
         monkeypatch.setattr(
             chunk_file, "zlib", types.SimpleNamespace(crc32=counting_crc)
         )
         monkeypatch.setattr(np, "ascontiguousarray", counting_promote)
-        monkeypatch.setattr(ChunkSearcher, "_apply_chunk", recording_apply)
         return seen
+
+    @staticmethod
+    def pruned(results, seen):
+        """Chunks visited and readable but never scanned."""
+        visited = {
+            e.chunk_id for r in results for e in r.trace.events if not e.skipped
+        }
+        return visited - seen.scanned
 
     def test_single_query_reads_every_visit_promotes_every_scan(
         self, tmp_path, clutter_collection, monkeypatch
@@ -372,7 +384,7 @@ class TestReadableButNotPromoted:
             searcher = ChunkSearcher(loaded)
             saw_pruned = False
             for i, q in enumerate(queries):
-                seen = self.instrument(monkeypatch)
+                seen = self.instrument(monkeypatch, loaded)
                 result = searcher.search(q, k=3, faults=injector(0.0), query_index=i)
                 monkeypatch.undo()
                 visited = len(result.trace)
@@ -391,13 +403,13 @@ class TestReadableButNotPromoted:
         queries = make_queries(8, clutter_collection.dimensions, seed=5) / 4.0
         with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
             searcher = ChunkSearcher(loaded)
-            seen = self.instrument(monkeypatch)
+            seen = self.instrument(monkeypatch, loaded)
             batch = searcher.search_batch(queries, k=3, faults=injector(0.0))
             monkeypatch.undo()
             visited = {e.chunk_id for r in batch for e in r.trace.events}
             assert set(seen.reads.values()) == {1}
             assert len(seen.reads) == seen.crcs == len(visited)
-            assert seen.pruned - seen.scanned
+            assert self.pruned(batch, seen)
             assert seen.promotions == len(seen.scanned)
 
     def test_damage_in_a_pruned_chunk_is_still_a_corrupt_skip(
@@ -406,10 +418,10 @@ class TestReadableButNotPromoted:
         directory = self.save(tmp_path, clutter_collection)
         query = make_queries(1, clutter_collection.dimensions, seed=5)[0] / 4.0
         with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
-            seen = self.instrument(monkeypatch)
+            seen = self.instrument(monkeypatch, loaded)
             clean = ChunkSearcher(loaded).search(query, k=3, faults=injector(0.0))
             monkeypatch.undo()
-            victim = min(seen.pruned)
+            victim = min(self.pruned([clean], seen))
             meta = loaded.metas[victim]
         # Flip a byte of the victim's first descriptor record.
         offset = PageGeometry().page_bytes * (1 + meta.page_offset) + 5

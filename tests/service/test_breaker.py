@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trace import TraceEvent
+from repro.core.trace import SearchTrace, TraceEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FAULT_CORRUPT,
@@ -44,6 +44,13 @@ def event(chunk_id, *, skipped=False, fault="none", rank=1):
         skipped=skipped,
         fault=fault,
     )
+
+
+def trace_of(*events):
+    trace = SearchTrace(start_elapsed_s=0.0)
+    for e in events:
+        trace.append(e)
+    return trace
 
 
 class TestRegionBreaker:
@@ -122,12 +129,12 @@ class TestBreakerBoard:
 
     def test_observe_trace_trips_a_region(self):
         board = BreakerBoard(n_chunks=8, region_size=4)
-        events = [
+        trace = trace_of(
             event(0, skipped=True, fault=FAULT_READ_ERROR, rank=1),
             event(1, skipped=True, fault=FAULT_CORRUPT, rank=2),
             event(4, rank=3),
-        ]
-        board.observe_trace(events, now=1.0)
+        )
+        board.observe_trace(trace, now=1.0)
         assert board.blocked_regions(1.0) == frozenset({0})
         assert board.total_opens == 1
         counts = board.state_counts()
@@ -137,10 +144,10 @@ class TestBreakerBoard:
     def test_breaker_skips_are_not_observations(self):
         board = BreakerBoard(n_chunks=4, region_size=4)
         board.observe_trace(
-            [
+            trace_of(
                 event(0, skipped=True, fault=BREAKER_OPEN, rank=1),
                 event(1, skipped=True, fault=BREAKER_OPEN, rank=2),
-            ],
+            ),
             now=0.0,
         )
         assert board.blocked_regions(0.0) == frozenset()
@@ -151,10 +158,10 @@ class TestBreakerBoard:
         # A processed (not skipped) chunk that saw a transient fault is a
         # delivery, not a failure.
         board.observe_trace(
-            [
+            trace_of(
                 event(0, skipped=False, fault=FAULT_READ_ERROR, rank=1),
                 event(1, skipped=False, fault=FAULT_READ_ERROR, rank=2),
-            ],
+            ),
             now=0.0,
         )
         assert board.blocked_regions(0.0) == frozenset()
