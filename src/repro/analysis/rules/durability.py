@@ -1,13 +1,14 @@
-"""DUR001 — durable writes go through the sanctioned paths.
+"""DUR001 — durable operations go through the sanctioned paths.
 
 Every on-disk artifact the search depends on (collection, chunk and
 index files, WAL logs, checkpoint packs, manifests) must be produced by
 one of the two crash-safe write sites: the write-temp/fsync/rename
 helper in :mod:`repro.storage.atomic` or the WAL writer's framed group
-commit.  A
-bare ``open(path, "w")`` or ``os.replace`` anywhere else can leave a
-torn file under a final name — a durability hole no test notices until
-a crash lands in exactly the wrong window.
+commit.  A bare ``open(path, "w")`` or ``os.replace`` anywhere else can
+leave a torn file under a final name — a durability hole no test notices
+until a crash lands in exactly the wrong window.  An unlink, truncate or
+fsync elsewhere is a durable operation the crash-state recorder behind
+those two sites never sees, so those are flagged too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ __all__ = ["DurabilityRule"]
 
 #: Fully-resolved call targets that rename over a final name.
 _RENAME_CALLS = frozenset({"os.replace", "os.rename"})
+
+#: Fully-resolved call targets that remove, cut or sync a file.
+_OTHER_DURABLE_CALLS = frozenset({"os.unlink", "os.remove", "os.truncate", "os.fsync"})
 
 #: Method names that write a whole file through a path object.
 _PATH_WRITE_METHODS = frozenset({"write_bytes", "write_text"})
@@ -52,8 +56,9 @@ def _open_write_mode(node: ast.Call) -> Optional[str]:
 class DurabilityRule(Rule):
     id = "DUR001"
     summary = (
-        "direct write/rename to a collection/index/chunk/WAL path outside "
-        "storage.atomic or the WAL writer; use the crash-safe write sites"
+        "direct write/rename/unlink/truncate/fsync of a collection/index/"
+        "chunk/WAL path outside storage.atomic or the WAL writer; use the "
+        "crash-safe write sites"
     )
     rationale = (
         "Crash safety in this repo is a property of exactly two write\n"
@@ -65,10 +70,12 @@ class DurabilityRule(Rule):
         "whole.  A bare open(path, 'w') or os.replace against an index,\n"
         "chunk, collection, pack, manifest or WAL path anywhere else\n"
         "can publish a torn file and silently break every one of those\n"
-        "recovery invariants.  Inside the storage layer any direct write\n"
-        "is flagged; elsewhere, writes whose path expressions mention a\n"
-        "durable artifact are.  Report/plot outputs (JSON exports, figures)\n"
-        "are not durable state and stay unflagged."
+        "recovery invariants; an unlink, truncate or fsync there is a\n"
+        "durable operation the crash-state recorder never sees.  Inside\n"
+        "the storage layer any direct one is flagged; elsewhere, those\n"
+        "whose path expressions mention a durable artifact are.  Report/plot\n"
+        "outputs (JSON exports, figures) are not durable state and stay\n"
+        "unflagged."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -94,6 +101,10 @@ def _write_description(node: ast.Call, target: Optional[str]) -> Optional[str]:
     performs a file write."""
     if target in _RENAME_CALLS:
         return f"direct {target}() over a final name"
+    if target in _OTHER_DURABLE_CALLS:
+        return f"direct {target}()"
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "truncate":
+        return "direct .truncate()"
     if target == "open" or (isinstance(node.func, ast.Name) and node.func.id == "open"):
         mode = _open_write_mode(node)
         return None if mode is None else f"direct open(..., {mode!r})"

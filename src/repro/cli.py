@@ -326,13 +326,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ingestsim_p.add_argument(
         "--crashes", type=int, default=None,
-        help="seeded kills injected at protocol boundaries across the run",
+        help=(
+            "seeded kills after durable operations across the run, each "
+            "leaving a seeded crash state"
+        ),
     )
     ingestsim_p.add_argument(
         "--crash-matrix", type=int, default=None, metavar="N",
         help=(
-            "instead of watch mode: kill the writer at N seeded protocol "
-            "boundaries (0 = every boundary), recover and deep-verify each"
+            "instead of watch mode: record one run, check N seeded crash "
+            "states the persistence model allows (0 = all), recovering and "
+            "deep-verifying each"
         ),
     )
     ingestsim_p.add_argument(
@@ -741,20 +745,25 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
                 raise CliError(
                     f"--crash-matrix cannot be negative, got {args.crash_matrix}"
                 )
-            n_points = args.crash_matrix or None  # 0 = every boundary
+            n_points = args.crash_matrix or None  # 0 = every enumerated state
             report = ingestsim.crash_matrix(
                 scale, workdir, seed=args.seed, n_points=n_points
             )
             title = (
                 f"crash matrix: scale={report['scale']} seed={report['seed']} "
-                f"sites={report['n_sites']} tested={len(report['results'])}"
+                f"ops={report['n_ops']} states={report['n_states']} "
+                f"tested={len(report['results'])}"
             )
-            rows = [
-                [r["step"], r["site"], r["n_descriptors"],
-                 "ok" if r["crashed"] and r["verify_ok"] else "FAIL"]
-                for r in report["results"]
-            ]
-            print(format_table(["step", "site", "recovered", "verdict"], rows, title))
+            rows, failures = [], []
+            for r in report["results"]:
+                ok = r["verify_ok"] and r["open_ok"] and r["live_ok"]
+                rows.append([r["state"], r["position"], r["n_descriptors"],
+                             "ok" if ok else "FAIL"])
+                if not ok:
+                    failures.append(f"FAIL state {r['state']}: {r['description']}")
+            print(format_table(["state", "position", "recovered", "verdict"], rows, title))
+            for line in failures:
+                print(line)
             failed = not report["all_ok"]
             print(f"all recoveries consistent: {report['all_ok']}")
         else:

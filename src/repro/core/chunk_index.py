@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..storage.atomic import remove_file
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
 from ..storage.code_file import CodeFileReader, write_code_file
 from ..storage.index_file import (
@@ -229,7 +230,7 @@ class ChunkIndex:
         codes_path = os.path.join(directory, CODE_FILE_NAME)
         index_path = os.path.join(directory, INDEX_FILE_NAME)
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(codes_path)
+            remove_file(codes_path)
         extents, table_crc = write_chunk_file(
             os.path.join(directory, CHUNK_FILE_NAME),
             self.dimensions,

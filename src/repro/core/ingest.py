@@ -2,7 +2,7 @@
 
 :class:`StreamingChunkIndex` extends the in-memory
 :class:`~repro.core.maintenance.ChunkIndexMaintainer` with an on-disk
-form that survives a kill at any protocol boundary.  The directory holds
+form that survives a crash at any point.  The directory holds
 
 * ``base-<g>.dat`` / ``base-<g>.idx`` — the last full base generation,
   written with the standard checksummed v2 chunk/index writers;
@@ -70,7 +70,7 @@ from typing import (
 import numpy as np
 
 from ..simio.disk_model import DiskModel
-from ..storage.atomic import atomic_output, fsync_directory
+from ..storage.atomic import atomic_output, fsync_directory, remove_file
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
 from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
@@ -80,7 +80,6 @@ from ..storage.records import RecordCodec
 from ..storage.wal import (
     OP_DELETE,
     OP_INSERT,
-    CrashHook,
     WalOp,
     WalScan,
     WalWriter,
@@ -183,7 +182,6 @@ class StreamingChunkIndex:
         checkpoint_seq: int,
         base_counts: List[int],
         disk: DiskModel,
-        crash: Optional[CrashHook],
         recovery: Optional[RecoveryReport],
     ):
         self.directory = directory
@@ -194,7 +192,6 @@ class StreamingChunkIndex:
         self.checkpoint_seq = int(checkpoint_seq)
         self._base_counts = base_counts
         self._disk = disk
-        self._crash = crash
         #: Recovery findings when this instance came from :meth:`open`.
         self.recovery = recovery
         #: Simulated seconds of ingest/compaction I/O charged so far.
@@ -212,7 +209,6 @@ class StreamingChunkIndex:
         target_chunk_size: Optional[int] = None,
         geometry: Optional[PageGeometry] = None,
         disk: Optional[DiskModel] = None,
-        crash: Optional[CrashHook] = None,
         name: str = "",
     ) -> "StreamingChunkIndex":
         """Persist ``index`` as generation 0 of a new streaming directory."""
@@ -234,17 +230,15 @@ class StreamingChunkIndex:
                 os.path.join(directory, _wal_name(0)),
                 maintainer.dimensions,
                 tag=0,
-                crash=crash,
             ),
             generation=0,
             checkpoint_seq=0,
             base_counts=[],
             disk=disk or DiskModel(),
-            crash=crash,
             recovery=None,
         )
         try:
-            self._persist_base(site_prefix="create")
+            self._persist_base()
         except BaseException:
             self._poisoned = True
             raise
@@ -252,10 +246,7 @@ class StreamingChunkIndex:
 
     @classmethod
     def open(
-        cls,
-        directory: str,
-        disk: Optional[DiskModel] = None,
-        crash: Optional[CrashHook] = None,
+        cls, directory: str, disk: Optional[DiskModel] = None
     ) -> "StreamingChunkIndex":
         """Recover a streaming index from its directory.
 
@@ -274,7 +265,7 @@ class StreamingChunkIndex:
         wal_path = os.path.join(directory, manifest["wal_file"])
         torn = truncate_wal(wal_path, scan)
         orphans = _collect_garbage(directory, manifest)
-        writer = WalWriter.resume(wal_path, scan, crash=crash)
+        writer = WalWriter.resume(wal_path, scan)
         writer.next_batch_seq = manifest["next_batch_seq"] + len(scan.batches)
         return cls(
             directory=directory,
@@ -285,7 +276,6 @@ class StreamingChunkIndex:
             checkpoint_seq=manifest["checkpoint"],
             base_counts=[m.n_descriptors for m in loaded.base_metas],
             disk=disk or DiskModel(),
-            crash=crash,
             recovery=RecoveryReport(
                 replayed_batches=len(scan.batches),
                 replayed_ops=sum(len(batch.ops) for batch in scan.batches),
@@ -332,10 +322,6 @@ class StreamingChunkIndex:
                 "streaming index is poisoned by an earlier failure; "
                 "reopen the directory to recover"
             )
-
-    def _reached(self, site: str) -> None:
-        if self._crash is not None:
-            self._crash.reached(site)
 
     def apply(self, ops: Sequence[WalOp]) -> int:
         """Durably apply one batch of inserts/deletes; returns its sequence.
@@ -384,7 +370,6 @@ class StreamingChunkIndex:
             raise
 
     def _checkpoint(self, defragment: bool) -> CheckpointReport:
-        self._reached("compact.begin")
         maintainer = self.maintainer
         reclaimed = maintainer.compact() if defragment else 0
         checkpoint = self.checkpoint_seq + 1
@@ -406,14 +391,11 @@ class StreamingChunkIndex:
                 (self._section(maintainer.snapshot(p)) for p in diverged),
             )
             self._charge_write(pack_bytes)
-            self._reached("compact.pack")
             for section, position in enumerate(diverged):
                 maintainer.checkpointed(position, DeltaRef(pack, section))
         self._rotate_wal(checkpoint)
-        self._reached("compact.wal")
         self.checkpoint_seq = checkpoint
         manifest = self._publish_manifest()
-        self._reached("compact.manifest")
         _collect_garbage(self.directory, manifest)
         return CheckpointReport(
             checkpoint=checkpoint,
@@ -435,13 +417,13 @@ class StreamingChunkIndex:
         try:
             self.generation += 1
             self.checkpoint_seq += 1
-            self._persist_base(site_prefix="rebuild")
+            self._persist_base()
         except BaseException:
             self._poisoned = True
             raise
         return self.generation
 
-    def _persist_base(self, site_prefix: str) -> None:
+    def _persist_base(self) -> None:
         """Shared by :meth:`create` and :meth:`rebuild_base`.
 
         Order matters for crash safety: chunk file, index file, fresh
@@ -466,18 +448,14 @@ class StreamingChunkIndex:
         if [(e.page_offset, e.page_count) for e in extents] != compacted:
             raise AssertionError("compacted extents must match the sequential writer")
         self._charge_write(os.path.getsize(chunk_path))
-        self._reached(f"{site_prefix}.chunks")
         maintainer.rebase()
         index_path = os.path.join(directory, _base_index_name(self.generation))
         metas = [summary.meta for summary in maintainer.summaries()]
         write_index_file(index_path, metas)
         self._charge_write(os.path.getsize(index_path))
-        self._reached(f"{site_prefix}.index")
         self._base_counts = [m.n_descriptors for m in metas]
         self._rotate_wal(self.checkpoint_seq)
-        self._reached(f"{site_prefix}.wal")
         manifest = self._publish_manifest()
-        self._reached(f"{site_prefix}.manifest")
         _collect_garbage(self.directory, manifest)
 
     def _rotate_wal(self, checkpoint: int) -> None:
@@ -493,7 +471,6 @@ class StreamingChunkIndex:
             self.dimensions,
             tag=checkpoint,
             next_batch_seq=next_seq,
-            crash=self._crash,
         )
         self._charge_write(self._wal.bytes_written)
 
@@ -1011,7 +988,7 @@ def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
         if file_name in keep or file_name == MANIFEST_NAME:
             continue
         if file_name.startswith(_OWNED_PREFIXES) or file_name.endswith(".tmp"):
-            os.unlink(os.path.join(directory, file_name))
+            remove_file(os.path.join(directory, file_name))
             removed += 1
     return removed
 

@@ -9,10 +9,10 @@ and at every step interleaves:
 
 * **mutation** — seeded WAL batches of inserts plus a fraction of
   deletes, each acknowledged only after its group commit;
-* **crashes** — optional seeded kills at WAL/pack/rename boundaries
-  (:mod:`repro.faults.crash_plan`); every kill is followed by recovery,
-  an inline ``verify-index`` deep check, and resubmission of exactly the
-  batches that were never acknowledged;
+* **crashes** — optional seeded kills after durable operations, each
+  leaving a seeded crash state (:mod:`repro.faults.crash_states`) that is
+  recovered, deep-checked and resubmitted exactly the batches that were
+  never acknowledged;
 * **compaction** — periodic checkpoints (one pack of dirty-chunk deltas +
   WAL rotation) and one mid-run base rebuild, their simulated write cost
   charged through the same disk model as the queries;
@@ -24,20 +24,20 @@ Everything is a pure function of ``(scale, seed, knobs)``: two runs with
 the same arguments emit byte-identical JSON reports (the working
 directory never appears in the report), which the CI smoke job asserts.
 
-:func:`crash_matrix` is the acceptance drill: it records every protocol
-boundary the scenario crosses, then re-runs the scenario killing the
-writer at each (or a seeded subset), deep-verifies the directory the kill
-left (:func:`~repro.core.ingest.verify_streaming_index`), and reports how
-many descriptors the recovered index holds beside the uncrashed run's
-count.
+:func:`crash_matrix` is the acceptance drill: every crash state one
+recorded run of a small scenario may leave must verify, open and hold
+exactly the acknowledged work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import shutil
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+)
 
 import numpy as np
 
@@ -49,9 +49,16 @@ from ..core.ingest import StreamingChunkIndex, verify_streaming_index
 from ..core.metrics import precision_at_k
 from ..core.search import ChunkSearcher
 from ..core.stop_rules import MaxChunks
-from ..faults.crash_plan import InjectedCrash, RecordingCrashPlan, seeded_crash_steps
+from ..faults.crash_states import (
+    STATES_PER_INTERVAL,
+    InjectedCrash,
+    Recording,
+    record,
+    seeded_crash_steps,
+)
 from ..simio.chunk_cache import LruChunkCache
 from ..simio.disk_model import DiskModel
+from ..storage.wal import OP_INSERT, WalOp, delete_op, insert_op
 from ..workloads.synthetic import generate_collection
 from .config import ExperimentScale
 
@@ -103,29 +110,6 @@ class IngestSimConfig:
             raise ValueError("leaf capacity must be at least 2")
 
 
-class _CrashSchedule:
-    """Crash at a fixed set of global boundary indices, once each.
-
-    Unlike :class:`~repro.faults.crash_plan.CrashAtStep` the counter
-    survives recovery — the same schedule object is handed back to the
-    reopened index, so a run with N scheduled kills crashes exactly N
-    times at deterministic boundaries.
-    """
-
-    def __init__(self, steps: Sequence[int]):
-        self.remaining: Set[int] = set(int(s) for s in steps)
-        self.counter = 0
-        self.crashes: List[Tuple[int, str]] = []
-
-    def reached(self, site: str) -> None:
-        step = self.counter
-        self.counter += 1
-        if step in self.remaining:
-            self.remaining.discard(step)
-            self.crashes.append((step, site))
-            raise InjectedCrash(site, step)
-
-
 def _subcollection(
     collection: DescriptorCollection, rows: np.ndarray
 ) -> DescriptorCollection:
@@ -155,14 +139,27 @@ def _live_collection(index: ChunkIndex) -> DescriptorCollection:
     )
 
 
+def _fold(live: Set[int], ops: Iterable[WalOp]) -> Set[int]:
+    """The live ids ``ops`` leave of ``live``."""
+    live = set(live)
+    for op in ops:
+        (live.add if op.kind == OP_INSERT else live.discard)(op.descriptor_id)
+    return live
+
+
 class _IngestDriver:
-    """Applies batches with ack tracking, recovery and resubmission."""
+    """Applies batches with ack tracking, crashes, recovery and resubmission.
+
+    With crash positions left the run is recorded up to the next one;
+    there a seeded crash state replaces the directory, and recovery starts
+    the next recording from it.
+    """
 
     def __init__(
-        self, directory: str, crash: Optional[_CrashSchedule], disk: DiskModel
+        self, directory: str, positions: Sequence[int], seed: int, disk: DiskModel
     ):
         self.directory = directory
-        self.crash = crash
+        self.seed = seed
         self.disk = disk  # every reopen charges writes on the scale's disk
         self.streaming: Optional[StreamingChunkIndex] = None
         self.recoveries = 0
@@ -171,23 +168,51 @@ class _IngestDriver:
         self.io_seconds = 0.0
         self._pending: List[Tuple[int, Sequence[Any]]] = []  # (seq, ops) not acked
         self._next_seq = 0
+        self._positions = list(positions)  # in the log of the whole run
+        self._logged = 0  # operations of the finished recordings
+        self._installed = contextlib.ExitStack()
+        self._recording: Optional[Recording] = None
+        self._record()
+
+    def _record(self) -> None:
+        self._installed.close()
+        self._recording = None
+        if self._positions:
+            stop_at = self._positions[0] - self._logged
+            self._recording = self._installed.enter_context(
+                record(self.directory, stop_at)
+            )
 
     def attach(self, streaming: StreamingChunkIndex) -> None:
         self.streaming = streaming
         self._next_seq = streaming.last_batch_seq + 1
 
-    def _recover(self) -> None:
-        """Reopen after a crash, deep-verify, resubmit unacknowledged work."""
+    def _recover(self, in_flight: Optional[Sequence[Any]]) -> None:
+        """Leave a seeded crash state, reopen and deep-verify it, check it
+        holds the acknowledged batches (plus at most ``in_flight``, whole)
+        and resubmit the unacknowledged work."""
         assert self.streaming is not None
+        acked = set(self.streaming.maintainer)  # memory stops at the last ack
+        allowed = [acked] + ([] if in_flight is None else [_fold(acked, in_flight)])
         self.streaming.close()
         self.io_seconds += self.streaming.io_seconds
         self.recoveries += 1
-        report = verify_streaming_index(self.directory)
-        if not report["ok"]:
+        recovered = None
+        while recovered is None:  # the recovery may crash too
+            crashed = self._recording
+            assert crashed is not None and crashed.stop_at is not None
+            self._logged += crashed.stop_at
+            self._positions.pop(0)
+            shutil.rmtree(self.directory)
+            os.makedirs(self.directory)
+            state = crashed.seeded_state(crashed.stop_at, self.seed)
+            crashed.materialise(state, self.directory)
+            self._record()
+            report = verify_streaming_index(self.directory)
+            with contextlib.suppress(InjectedCrash):
+                recovered = StreamingChunkIndex.open(self.directory, disk=self.disk)
+        if not report["ok"] or set(recovered.maintainer) not in allowed:
             self.verifications_failed += 1
-        recovered = StreamingChunkIndex.open(
-            self.directory, disk=self.disk, crash=self.crash
-        )
         self.streaming = recovered
         self._next_seq = recovered.last_batch_seq + 1
         # Resubmit exactly the batches never acknowledged: those whose
@@ -200,33 +225,35 @@ class _IngestDriver:
         for ops in to_resubmit:
             self.apply(ops)
 
-    def apply(self, ops: Sequence[Any]) -> None:
-        assert self.streaming is not None
-        self._pending.append((self._next_seq, ops))
+    def _run(self, action: Callable[[], Any], in_flight: Any) -> bool:
+        """Run ``action``; on a crash recover instead and return False."""
         try:
-            self.streaming.apply(ops)
+            action()
         except InjectedCrash:
-            self._recover()
-            return
-        self._next_seq += 1
-        self._pending.pop()
+            self._recover(in_flight)
+            return False
+        return True
 
-    def checkpoint(self, defragment: bool = False) -> None:
-        assert self.streaming is not None
-        try:
-            self.streaming.checkpoint(defragment=defragment)
-        except InjectedCrash:
-            self._recover()
+    def apply(self, ops: Sequence[Any]) -> None:
+        streaming = self.streaming
+        assert streaming is not None
+        self._pending.append((self._next_seq, ops))
+        if self._run(lambda: streaming.apply(ops), ops):
+            self._next_seq += 1
+            self._pending.pop()
+
+    def checkpoint(self) -> None:
+        streaming = self.streaming
+        assert streaming is not None
+        self._run(lambda: streaming.checkpoint(defragment=True), None)
 
     def rebuild(self) -> None:
         assert self.streaming is not None
-        try:
-            self.streaming.rebuild_base()
-        except InjectedCrash:
-            self._recover()
+        self._run(self.streaming.rebuild_base, None)
 
     def close(self) -> float:
         assert self.streaming is not None
+        self._installed.close()
         self.io_seconds += self.streaming.io_seconds
         self.streaming.close()
         return self.io_seconds
@@ -259,18 +286,17 @@ def simulate(
     base_rows = np.sort(arrival[:base_size])
     stream_rows = arrival[base_size:]
 
-    crash: Optional[_CrashSchedule] = None
-    if cfg.n_crashes:
-        # Boundary budget: three WAL sites per batch plus compaction and
-        # rebuild sites; kills land in the earlier ~2/3 of that span so
-        # each is followed by real work that exercises the recovery.
-        n_batches = -(-stream_rows.size // BATCH_OPS)
-        horizon = max(1, (3 * n_batches * 2) // 3)
-        crash = _CrashSchedule(
-            seeded_crash_steps(
-                int(seed) * 1000 + _STREAM_CRASH_SCHEDULE, horizon, cfg.n_crashes
-            )
+    # Kills land after seeded durable operations in the earlier ~2/3 of a
+    # span of three per batch (two writes and an fsync), so each is
+    # followed by real work that exercises the recovery.
+    n_batches = -(-stream_rows.size // BATCH_OPS)
+    horizon = max(1, (3 * n_batches * 2) // 3)
+    positions = [
+        1 + step
+        for step in seeded_crash_steps(
+            int(seed) * 1000 + _STREAM_CRASH_SCHEDULE, horizon, cfg.n_crashes
         )
+    ]
 
     delete_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), _STREAM_DELETES)))
@@ -281,20 +307,12 @@ def simulate(
 
     os.makedirs(directory, exist_ok=True)
     index = _build_base(collection, base_rows, cfg.leaf_capacity)
-    driver = _IngestDriver(directory, crash, scale.cost_model.disk)
-    driver.attach(
-        StreamingChunkIndex.create(
-            directory,
-            index,
-            disk=scale.cost_model.disk,
-            crash=crash,
-            name="ingestsim",
-        )
+    streaming = StreamingChunkIndex.create(
+        directory, index, disk=scale.cost_model.disk, name="ingestsim"
     )
+    driver = _IngestDriver(directory, positions, int(seed), scale.cost_model.disk)
+    driver.attach(streaming)
 
-    from ..storage.wal import delete_op, insert_op
-
-    next_id_offset = int(collection.ids.max()) + 1  # deleted-then-reborn ids stay unique
     rebuild_step = (cfg.steps + 1) // 2  # one base rebuild, at the midpoint
     per_step = -(-stream_rows.size // cfg.steps)
     rows_series: List[Dict[str, Any]] = []
@@ -331,7 +349,7 @@ def simulate(
         if step == rebuild_step:
             driver.rebuild()
         elif step % COMPACT_EVERY == 0:
-            driver.checkpoint(defragment=True)
+            driver.checkpoint()
 
         # Queries against the current index: pruning + cache on,
         # budgeted scan, recall vs the live contents' exact ground truth.
@@ -406,46 +424,51 @@ def simulate(
     }
 
 
+
+
+class _Batch(NamedTuple):
+    """A matrix batch: the log's length at ``apply`` and at its ack."""
+
+    start: int
+    ack: int
+    ops: List[WalOp]
+
+
 def _matrix_scenario(
-    collection: DescriptorCollection,
-    directory: str,
-    crash: Optional[Any],
-    leaf_capacity: int,
-    seed: int,
-) -> StreamingChunkIndex:
-    """The fixed small workload every crash-matrix run repeats.
+    collection: DescriptorCollection, directory: str, leaf_capacity: int, seed: int
+) -> Tuple[Recording, Set[int], List[_Batch]]:
+    """The crash matrix's recorded run, with the live ids it starts from.
 
-    Creation runs crash-free (an unfinished creation has acknowledged
+    Creation runs unrecorded (an unfinished creation has acknowledged
     nothing — there is nothing to recover); the mutation protocol —
-    batches, a compaction checkpoint, a base rebuild, more batches —
-    runs under the plan.
+    batches, a compaction checkpoint, a base rebuild, more batches — runs
+    under the recording.
     """
-    from ..storage.wal import delete_op, insert_op
-
     n = len(collection)
-    base_rows = np.arange(n // 2)
-    index = _build_base(collection, base_rows, leaf_capacity)
+    index = _build_base(collection, np.arange(n // 2), leaf_capacity)
     StreamingChunkIndex.create(directory, index, name="crash-matrix").close()
-
-    streaming = StreamingChunkIndex.open(directory, crash=crash)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), _STREAM_ORDER)))
     )
-    extra = np.arange(n // 2, n)
-    thirds = np.array_split(extra, 3)
     victims = rng.choice(n // 2, size=3, replace=False)
-    for i, block in enumerate(thirds):
-        ops: List[Any] = [
-            insert_op(int(collection.ids[row]), collection.vectors[row])
-            for row in block
-        ]
-        ops.append(delete_op(int(collection.ids[int(victims[i])])))
-        streaming.apply(ops)
-        if i == 0:
-            streaming.checkpoint(defragment=True)
-        elif i == 1:
-            streaming.rebuild_base()
-    return streaming
+    batches: List[_Batch] = []
+    with record(directory, None) as recording:
+        with StreamingChunkIndex.open(directory) as streaming:
+            start_live = set(streaming.maintainer)
+            for i, block in enumerate(np.array_split(np.arange(n // 2, n), 3)):
+                ops = [
+                    insert_op(int(collection.ids[row]), collection.vectors[row])
+                    for row in block
+                ]
+                ops.append(delete_op(int(collection.ids[int(victims[i])])))
+                start = len(recording.ops)
+                streaming.apply(ops)
+                batches.append(_Batch(start, len(recording.ops), ops))
+                if i == 0:
+                    streaming.checkpoint(defragment=True)
+                elif i == 1:
+                    streaming.rebuild_base()
+    return recording, start_live, batches
 
 
 def crash_matrix(
@@ -455,67 +478,64 @@ def crash_matrix(
     n_points: Optional[int] = None,
     leaf_capacity: int = 24,
 ) -> Dict[str, Any]:
-    """Kill the writer at every protocol boundary; verify every recovery.
+    """Check the crash states of one recorded run (``n_points`` seeded
+    ones, or all that :data:`STATES_PER_INTERVAL` lets through).
 
-    A recording pass enumerates the boundaries the scenario crosses;
-    each selected boundary (all of them, or a seeded ``n_points`` subset)
-    then gets its own run that crashes there, recovers, and must pass the
-    deep verifier with no acknowledged work lost.  Returns a JSON-ready
-    report whose ``all_ok`` is the verdict.
+    Each is materialised into its own directory and must deep-verify,
+    open, and hold every acknowledged batch plus at most the one in
+    flight, whole.  Returns a JSON-ready report; ``all_ok`` is the verdict.
     """
-    from ..faults.crash_plan import CrashAtStep
-
     collection = generate_collection(
         dataclasses.replace(scale.synthetic, n_images=max(2, scale.synthetic.n_images // 8))
     )
     os.makedirs(directory, exist_ok=True)
-
     recording_dir = os.path.join(directory, "recording")
-    recording = RecordingCrashPlan()
-    _matrix_scenario(collection, recording_dir, recording, leaf_capacity, seed).close()
+    recording, start_live, batches = _matrix_scenario(
+        collection, recording_dir, leaf_capacity, seed
+    )
     reference = verify_streaming_index(recording_dir)
-    reference_count = int(reference.get("n_descriptors", -1))
     shutil.rmtree(recording_dir)
 
-    n_sites = len(recording.sites)
-    selected = (
-        tuple(range(n_sites))
-        if n_points is None
-        else seeded_crash_steps(seed, n_sites, n_points)
-    )
+    states = recording.enumerate_states(STATES_PER_INTERVAL, seed)
+    selected = seeded_crash_steps(seed, len(states), n_points or len(states))
     results: List[Dict[str, Any]] = []
-    for step in selected:
-        run_dir = os.path.join(directory, f"crash-{step:04d}")
-        crashed = False
-        try:
-            _matrix_scenario(
-                collection, run_dir, CrashAtStep(step), leaf_capacity, seed
-            ).close()
-        except InjectedCrash:
-            crashed = True
-        report = verify_streaming_index(run_dir)
-        recovered = StreamingChunkIndex.open(run_dir)
-        n_after = recovered.n_descriptors
-        recovered.close()
-        shutil.rmtree(run_dir)
+    for number in selected:
+        state = states[number]
+        state_dir = os.path.join(directory, f"state-{number:05d}")
+        os.makedirs(state_dir)
+        recording.materialise(state, state_dir)
+        verify_ok = bool(verify_streaming_index(state_dir)["ok"])
+        live = None
+        with contextlib.suppress(OSError):  # CorruptFileError included
+            with StreamingChunkIndex.open(state_dir) as recovered:
+                live = set(recovered.maintainer)
+        shutil.rmtree(state_dir)
+        acked = [op for b in batches if b.ack <= state.position for op in b.ops]
+        allowed = [_fold(start_live, acked)]
+        in_flight = [b.ops for b in batches if b.start <= state.position < b.ack]
+        allowed += [_fold(allowed[0], ops) for ops in in_flight]
         results.append(
             {
-                "step": int(step),
-                "site": recording.sites[step],
-                "crashed": crashed,
-                "verify_ok": bool(report["ok"]),
-                "n_descriptors": int(n_after),
+                "state": int(number),
+                "position": state.position,
+                "description": recording.describe(state),
+                "verify_ok": verify_ok,
+                "open_ok": live is not None,
+                "live_ok": live in allowed,
+                "n_descriptors": -1 if live is None else len(live),
             }
         )
-    all_ok = all(r["crashed"] and r["verify_ok"] for r in results)
+    all_ok = all(r["verify_ok"] and r["open_ok"] and r["live_ok"] for r in results)
     return {
         "experiment": "ingestsim-crash-matrix",
         "scale": scale.name,
         "seed": int(seed),
-        "n_sites": n_sites,
-        "sites": list(recording.sites),
-        "selected_steps": [int(s) for s in selected],
-        "uncrashed_n_descriptors": reference_count,
+        "n_ops": len(recording.ops),
+        "n_crash_points": len(recording.crash_points()),
+        "states_per_interval": STATES_PER_INTERVAL,
+        "n_states": len(states),
+        "selected_states": [int(s) for s in selected],
+        "uncrashed_n_descriptors": int(reference.get("n_descriptors", -1)),
         "uncrashed_verify_ok": bool(reference["ok"]),
         "results": results,
         "all_ok": bool(all_ok and reference["ok"]),

@@ -14,13 +14,7 @@ quality-vs-fault-rate curve, regardless of execution engine or thread
 count.
 """
 
-from .crash_plan import (
-    CrashAtStep,
-    CrashPlan,
-    InjectedCrash,
-    RecordingCrashPlan,
-    seeded_crash_steps,
-)
+from .crash_states import CrashState, InjectedCrash, Recording, record, seeded_crash_steps
 from .injector import FaultInjector
 from .shard_plan import SHARD_OK, ShardFaultPlan, ShardSubFault
 from .plan import (
@@ -36,9 +30,9 @@ from .plan import (
 )
 
 __all__ = [
-    "CrashPlan",
-    "RecordingCrashPlan",
-    "CrashAtStep",
+    "Recording",
+    "record",
+    "CrashState",
     "InjectedCrash",
     "seeded_crash_steps",
     "FaultPlan",

@@ -1,4 +1,4 @@
-"""Crash-safe file publication: write-temp, fsync, atomic rename.
+"""Crash-safe file publication, and the seam every durable operation passes.
 
 All on-disk formats in this package share the same durability contract:
 a writer must never leave a half-written file under the final name.  The
@@ -11,17 +11,98 @@ index, code and ground-truth files, checkpoint packs, the streaming
 manifest, a saved system's sidecars); the write-ahead log, appended in
 place under its own framing (:mod:`repro.storage.wal`), is the only
 other durable-write site.
+
+Both perform every create, write, fsync, truncate, rename, unlink and
+directory fsync through the primitives below.  While :func:`recording`
+runs, each also hands a :class:`DurableOp` to the recorder, in program
+order (:mod:`repro.faults.crash_states` enumerates crash states from
+that log); otherwise it costs one ``None`` check.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import BinaryIO, Iterator, Union
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Optional, Union
 
-__all__ = ["atomic_output", "fsync_directory"]
+__all__ = [
+    "DurableOp",
+    "recording",
+    "atomic_output",
+    "fsync_directory",
+    "remove_file",
+]
 
 PathLike = Union[str, os.PathLike]
+
+
+class DurableOp(NamedTuple):
+    """``kind`` (``create``, ``write``, ``fsync``, ``truncate``, ``rename``,
+    ``unlink`` or ``fsync_dir``) applied to ``path``; ``arg`` is a write's
+    ``(offset, bytes)``, a truncate's size or a rename's destination."""
+
+    kind: str
+    path: str
+    arg: Any
+
+
+#: The recorder :func:`recording` installed, or ``None``.
+_recorder: Optional[Callable[[DurableOp], None]] = None
+
+
+@contextlib.contextmanager
+def recording(recorder: Callable[[DurableOp], None]) -> Iterator[None]:
+    """Hand every durable operation of the block, once it succeeded, to
+    ``recorder`` (which may raise to simulate a kill there)."""
+    global _recorder
+    if _recorder is not None:
+        raise RuntimeError("a durable-operation recorder is already installed")
+    _recorder = recorder
+    try:
+        yield
+    finally:
+        _recorder = None
+
+
+def create_file(path: str) -> BinaryIO:
+    """Open ``path`` for writing from empty."""
+    stream = open(path, "wb")
+    if _recorder is not None:
+        _recorder(DurableOp("create", path, None))
+    return stream
+
+
+def write_file(stream: BinaryIO, path: str, data: bytes) -> None:
+    """Write ``data`` at the stream's position, flushed to the OS."""
+    stream.write(data)
+    stream.flush()
+    if _recorder is not None:
+        _recorder(DurableOp("write", path, (stream.tell() - len(data), bytes(data))))
+
+
+def fsync_file(stream: BinaryIO, path: str) -> None:
+    os.fsync(stream.fileno())
+    if _recorder is not None:
+        _recorder(DurableOp("fsync", path, None))
+
+
+def truncate_file(stream: BinaryIO, path: str, size: int) -> None:
+    stream.truncate(size)
+    if _recorder is not None:
+        _recorder(DurableOp("truncate", path, size))
+
+
+def replace_file(source: str, destination: str) -> None:
+    os.replace(source, destination)
+    if _recorder is not None:
+        _recorder(DurableOp("rename", source, destination))
+
+
+def remove_file(path: str) -> None:
+    """Unlink ``path`` (:class:`FileNotFoundError` when it is missing)."""
+    os.unlink(path)
+    if _recorder is not None:
+        _recorder(DurableOp("unlink", path, None))
 
 
 @contextlib.contextmanager
@@ -29,17 +110,20 @@ def atomic_output(path: PathLike) -> Iterator[BinaryIO]:
     """Yield a binary stream that atomically replaces ``path`` on success."""
     final_path = os.fspath(path)
     tmp_path = final_path + ".tmp"
-    stream = open(tmp_path, "wb")
+    stream = create_file(tmp_path)
     try:
         yield stream
         stream.flush()
-        os.fsync(stream.fileno())
+        if _recorder is not None:  # the writer may seek: log the bytes it left
+            with open(tmp_path, "rb") as written:
+                _recorder(DurableOp("write", tmp_path, (0, written.read())))
+        fsync_file(stream, tmp_path)
         stream.close()
-        os.replace(tmp_path, final_path)
+        replace_file(tmp_path, final_path)
     except BaseException:
         stream.close()
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_path)
+            remove_file(tmp_path)
         raise
 
 
@@ -49,7 +133,8 @@ def fsync_directory(path: PathLike) -> None:
     ``os.replace`` makes the rename atomic but not necessarily durable —
     the directory entry itself must reach the disk.  Best effort: some
     platforms/filesystems refuse to fsync a directory handle, which is
-    tolerated (the rename is still atomic, merely not yet durable).
+    tolerated (the rename is still atomic, merely not yet durable, and
+    nothing is recorded).
     """
     try:
         fd = os.open(os.fspath(path), os.O_RDONLY)
@@ -58,6 +143,8 @@ def fsync_directory(path: PathLike) -> None:
     try:
         os.fsync(fd)
     except OSError:
-        pass
+        return
     finally:
         os.close(fd)
+    if _recorder is not None:
+        _recorder(DurableOp("fsync_dir", os.fspath(path), None))

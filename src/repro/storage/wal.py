@@ -30,8 +30,10 @@ reported by :func:`scan_wal` and truncated away by the recovery path
 before the log is appended to again.
 
 This module is one of the two sanctioned durable-write sites (the other
-is :mod:`repro.storage.atomic`); the DUR001 lint rule flags direct
-writes to index/chunk/WAL paths anywhere else.
+is :mod:`repro.storage.atomic`, whose primitives it writes, fsyncs and
+truncates through, so a recorded run logs every one of its operations);
+the DUR001 lint rule flags direct writes to index/chunk/WAL paths
+anywhere else.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import BinaryIO, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import BinaryIO, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .atomic import create_file, fsync_file, truncate_file, write_file
 from .errors import MAX_DIMENSIONS, CorruptFileError
 
 __all__ = [
@@ -54,7 +57,6 @@ __all__ = [
     "WalBatch",
     "WalScan",
     "WalWriter",
-    "CrashHook",
     "insert_op",
     "delete_op",
     "scan_wal",
@@ -80,18 +82,6 @@ _TYPE_COMMIT = 3
 _INSERT_PREFIX = struct.Struct("<Bq")
 _DELETE_BODY = struct.Struct("<Bq")
 _COMMIT_BODY = struct.Struct("<BQI")
-
-
-class CrashHook(Protocol):
-    """Structural type for seeded crash-point plans.
-
-    Defined structurally so the storage layer never imports the faults
-    package: any object with ``reached(site)`` (e.g.
-    :class:`repro.faults.crash_plan.CrashPlan`) fits.
-    """
-
-    def reached(self, site: str) -> None:
-        """Called at a named protocol boundary; may raise to simulate a kill."""
 
 
 class WalOp(NamedTuple):
@@ -179,22 +169,10 @@ class WalWriter:
     Use :meth:`create` for a fresh log and :meth:`resume` to continue an
     existing one after a :func:`scan_wal` pass (recovery truncates the
     torn tail first, so appends always start at the recovery point).
-
-    ``crash`` is an optional seeded crash plan; the writer announces the
-    protocol boundaries ``wal.batch.frames`` (operation frames flushed,
-    no commit marker yet), ``wal.batch.commit`` (commit marker flushed,
-    not yet fsynced) and ``wal.batch.synced`` (fsync done, ack about to
-    be returned) so a crash-point matrix can kill it at each.
     """
 
     def __init__(
-        self,
-        file: BinaryIO,
-        path: str,
-        dimensions: int,
-        tag: int,
-        next_batch_seq: int,
-        crash: Optional[CrashHook] = None,
+        self, file: BinaryIO, path: str, dimensions: int, tag: int, next_batch_seq: int
     ):
         if not 1 <= dimensions <= MAX_DIMENSIONS:
             raise ValueError(f"implausible dimensionality {dimensions}")
@@ -203,7 +181,6 @@ class WalWriter:
         self.dimensions = int(dimensions)
         self.tag = int(tag)
         self.next_batch_seq = int(next_batch_seq)
-        self._crash = crash
         #: Total bytes appended through this writer (header included for
         #: :meth:`create`); the ingest layer charges these to the
         #: simulated disk model.
@@ -211,36 +188,24 @@ class WalWriter:
 
     @classmethod
     def create(
-        cls,
-        path: str,
-        dimensions: int,
-        tag: int = 0,
-        next_batch_seq: int = 0,
-        crash: Optional[CrashHook] = None,
+        cls, path: str, dimensions: int, tag: int = 0, next_batch_seq: int = 0
     ) -> "WalWriter":
         """Create a fresh (empty) log: header only, fsynced."""
         if not 1 <= dimensions <= MAX_DIMENSIONS:
             raise ValueError(f"implausible dimensionality {dimensions}")
-        file = open(path, "wb")
+        file = create_file(path)
         try:
-            header = _HEADER.pack(WAL_MAGIC, WAL_VERSION, dimensions, tag)
-            file.write(header)
-            file.flush()
-            os.fsync(file.fileno())
+            write_file(file, path, _HEADER.pack(WAL_MAGIC, WAL_VERSION, dimensions, tag))
+            fsync_file(file, path)
         except BaseException:
             file.close()
             raise
-        writer = cls(file, path, dimensions, tag, next_batch_seq, crash)
+        writer = cls(file, path, dimensions, tag, next_batch_seq)
         writer.bytes_written = _HEADER.size
         return writer
 
     @classmethod
-    def resume(
-        cls,
-        path: str,
-        scan: WalScan,
-        crash: Optional[CrashHook] = None,
-    ) -> "WalWriter":
+    def resume(cls, path: str, scan: WalScan) -> "WalWriter":
         """Continue an existing log at its recovery point.
 
         The file must already be truncated to ``scan.valid_bytes`` (see
@@ -251,20 +216,8 @@ class WalWriter:
             raise ValueError(
                 "log must be truncated to its recovery point before resuming"
             )
-        file = open(path, "ab")
-        next_seq = scan.batches[-1].batch_seq + 1 if scan.batches else None
-        return cls(
-            file,
-            path,
-            scan.dimensions,
-            scan.tag,
-            next_seq if next_seq is not None else 0,
-            crash,
-        )
-
-    def _reached(self, site: str) -> None:
-        if self._crash is not None:
-            self._crash.reached(site)
+        next_seq = scan.batches[-1].batch_seq + 1 if scan.batches else 0
+        return cls(open(path, "ab"), path, scan.dimensions, scan.tag, next_seq)
 
     def append_batch(self, ops: Sequence[WalOp]) -> int:
         """Durably append one batch; returns its sequence number.
@@ -278,15 +231,10 @@ class WalWriter:
             raise ValueError("a wal batch needs at least one operation")
         seq = self.next_batch_seq
         frames = b"".join(_frame(_encode_op(op, self.dimensions)) for op in ops)
-        self._file.write(frames)
-        self._file.flush()
-        self._reached("wal.batch.frames")
+        write_file(self._file, self._path, frames)
         commit = _frame(_COMMIT_BODY.pack(_TYPE_COMMIT, seq, len(ops)))
-        self._file.write(commit)
-        self._file.flush()
-        self._reached("wal.batch.commit")
-        os.fsync(self._file.fileno())
-        self._reached("wal.batch.synced")
+        write_file(self._file, self._path, commit)
+        fsync_file(self._file, self._path)
         self.bytes_written += len(frames) + len(commit)
         self.next_batch_seq = seq + 1
         return seq
@@ -334,46 +282,36 @@ def scan_wal(path: str) -> WalScan:
     limit = _max_payload(dimensions)
     batches: List[WalBatch] = []
     pending: List[WalOp] = []
-    discarded_in_tail = 0
     pos = 0
     valid_bytes = _HEADER.size
-    while True:
-        if pos + _FRAME.size > len(data):
-            break
+    while pos + _FRAME.size <= len(data):
         crc, length = _FRAME.unpack_from(data, pos)
-        if not 1 <= length <= limit:
+        end = pos + _FRAME.size + length
+        if not 1 <= length <= limit or end > len(data):
             break
-        start = pos + _FRAME.size
-        end = start + length
-        if end > len(data):
-            break
-        payload = data[start:end]
+        payload = data[pos + _FRAME.size : end]
         if zlib.crc32(payload) != crc:
             break
         op = _decode_payload(payload, dimensions)
-        if op is None:
-            break
         if isinstance(op, WalOp):
             pending.append(op)
+        elif op is None or op[1] != len(pending):
+            # A malformed payload, or a commit marker that does not seal
+            # exactly the pending frames (it cannot belong to a consistent
+            # batch): the whole region from the batch start is torn.
+            break
         else:
-            seq, count = op
-            if count != len(pending):
-                # A commit marker that does not seal exactly the pending
-                # frames cannot belong to a consistent batch; treat the
-                # whole region from the batch start as torn.
-                break
-            batches.append(WalBatch(seq, tuple(pending)))
+            batches.append(WalBatch(op[0], tuple(pending)))
             pending = []
             valid_bytes = _HEADER.size + end
         pos = end
-    discarded_in_tail = len(pending)
     return WalScan(
         dimensions=dimensions,
         tag=int(tag),
         batches=tuple(batches),
         valid_bytes=valid_bytes,
         total_bytes=_HEADER.size + len(data),
-        discarded_ops=discarded_in_tail,
+        discarded_ops=len(pending),
     )
 
 
@@ -413,7 +351,6 @@ def truncate_wal(path: str, scan: WalScan) -> int:
     if torn <= 0:
         return 0
     with open(path, "r+b") as stream:
-        stream.truncate(scan.valid_bytes)
-        stream.flush()
-        os.fsync(stream.fileno())
+        truncate_file(stream, path, scan.valid_bytes)
+        fsync_file(stream, path)
     return torn

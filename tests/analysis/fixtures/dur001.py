@@ -37,6 +37,26 @@ def violation_write_text(path):
     Path(path).write_text("data")  # expect DUR001
 
 
+def violation_unlink(path):
+    os.unlink(path)  # expect DUR001
+
+
+def violation_remove(path):
+    os.remove(path)  # expect DUR001
+
+
+def violation_os_truncate(path):
+    os.truncate(path, 0)  # expect DUR001
+
+
+def violation_stream_truncate(handle):
+    handle.truncate(0)  # expect DUR001
+
+
+def violation_fsync(handle):
+    os.fsync(handle.fileno())  # expect DUR001
+
+
 def ok_read_binary(path):
     with open(path, "rb") as handle:
         return handle.read()

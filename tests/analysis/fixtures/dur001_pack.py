@@ -1,6 +1,6 @@
 """DUR001 fixture — linted as ``core/dur001_pack.py`` (outside the storage
-layer, where only writes whose path expressions name a durable artifact
-are flagged): a checkpoint pack is one.
+layer, where only durable operations whose path expressions name a
+durable artifact are flagged): a checkpoint pack and a manifest are.
 
 Never imported at runtime; the linter parses it as text.
 """
@@ -22,6 +22,30 @@ def violation_pack_name_in_path(directory, payload):
 
 def violation_rename_over_pack(tmp, directory, checkpoint):
     os.replace(tmp, _pack_name(directory, checkpoint))  # expect DUR001
+
+
+def violation_unlink_manifest(manifest_path):
+    os.unlink(manifest_path)  # expect DUR001
+
+
+def violation_remove_pack(directory, checkpoint):
+    os.remove(_pack_name(directory, checkpoint))  # expect DUR001
+
+
+def violation_truncate_wal(wal_path, size):
+    os.truncate(wal_path, size)  # expect DUR001
+
+
+def violation_truncate_wal_stream(wal_stream, size):
+    wal_stream.truncate(size)  # expect DUR001
+
+
+def violation_fsync_manifest(manifest_stream):
+    os.fsync(manifest_stream.fileno())  # expect DUR001
+
+
+def ok_remove_report(out):
+    os.unlink(out)
 
 
 def ok_published_atomically(pack_path, payload):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import (
@@ -9,8 +10,15 @@ from repro.core.chunk_index import (
     InMemoryChunkStore,
     build_chunk_index,
 )
+from repro.faults.crash_states import STATES_PER_INTERVAL, record
+from repro.storage.errors import CorruptFileError
 from repro.storage.pages import PageGeometry
 from repro.storage.records import RecordCodec
+
+#: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
+#: (``tests/conftest.py``), where the torn-save check takes every state.
+EXAMPLES = settings().max_examples // settings.get_profile("tier1").max_examples
+STATE_CAP = STATES_PER_INTERVAL if EXAMPLES == 1 else None
 
 
 @pytest.fixture()
@@ -151,8 +159,6 @@ class TestCodeFileBinding:
 
     @pytest.mark.parametrize("replaced", ["chunks.dat", "chunks.idx", "both"])
     def test_stale_codes_are_refused(self, simple_index, tiny_collection, tmp_path, replaced):
-        from repro.storage.errors import CorruptFileError
-
         ours, theirs = tmp_path / "ours", tmp_path / "theirs"
         simple_index.save(str(ours))
         self.other_index(tiny_collection).save(str(theirs))
@@ -216,10 +222,40 @@ class TestCodeFileBinding:
             simple_index.save(str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.dat", "chunks.idx"]
 
+    def test_every_crash_state_of_a_save_leaves_no_codes_or_its_own(
+        self, simple_index, tiny_collection, tmp_path
+    ):
+        """A save over an existing directory that dies part way leaves a
+        directory without codes or with codes that are refused, never codes
+        describing other chunks: checked on every crash state the
+        persistence model allows for the save."""
+        directory = tmp_path / "saved"
+        self.other_index(tiny_collection).save(str(directory))
+        with record(str(directory), None) as recording:
+            simple_index.save(str(directory))
+        outcomes = set()
+        for number, state in enumerate(recording.enumerate_states(STATE_CAP, seed=0)):
+            target = tmp_path / f"state-{number:05d}"
+            target.mkdir()
+            recording.materialise(state, str(target))
+            if not (target / "chunks.va").exists():
+                outcomes.add("no codes")
+                continue
+            try:
+                loaded = ChunkIndex.load(str(target), 4)
+            except CorruptFileError:
+                outcomes.add("refused")
+                continue
+            with loaded:
+                loaded.save(str(tmp_path / "resaved"))
+            resaved = (tmp_path / "resaved" / "chunks.va").read_bytes()
+            assert (target / "chunks.va").read_bytes() == resaved, recording.describe(state)
+            outcomes.add("its own codes")
+        assert outcomes >= {"no codes", "its own codes"}
+
     def test_a_failed_load_closes_what_it_opened(self, simple_index, tmp_path, monkeypatch):
         """A refused code file must not leak the chunk-file handle."""
         from repro.core.chunk_index import OnDiskChunkStore
-        from repro.storage.errors import CorruptFileError
 
         simple_index.save(str(tmp_path))
         with open(tmp_path / "chunks.va", "r+b") as f:

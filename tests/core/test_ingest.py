@@ -1,23 +1,27 @@
 """Tests for the crash-safe streaming chunk index.
 
-The crash-matrix class is the acceptance gate: a simulated kill at
-*every* WAL/pack/rename boundary of a mixed workload must recover to
-a directory that passes the deep checker, and — after resubmitting the
-unacknowledged batches, exactly as a client driver would — end in a
-state whose searches are bit-identical to the uncrashed run and to a
-fresh batch build of the same logical contents, with pruning, routing
-and the chunk cache all enabled.
+The crash-matrix class is the acceptance gate: every crash state the
+persistence model allows for one recorded run of a mixed workload
+(``repro.faults.crash_states``; capped per barrier interval under tier-1,
+all of them under ``--hypothesis-profile=explore``) must pass the deep
+checker, open, and hold every acknowledged batch plus at most the one in
+flight, whole.  After resubmitting the unacknowledged batches, exactly as
+a client driver would, one state per crash point is driven to the end of
+the workload, whose searches must be bit-identical to the uncrashed run
+and to a fresh batch build of the same logical contents, with pruning,
+routing and the chunk cache all enabled.
 """
 
 from __future__ import annotations
 
-import builtins
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk import Chunk, ChunkSet
@@ -30,17 +34,17 @@ from repro.core.ingest import (
 )
 from repro.core.routing import CentroidRouter
 from repro.core.search import ChunkSearcher
-from repro.faults.crash_plan import (
-    CrashAtStep,
-    CrashPlan,
-    InjectedCrash,
-    RecordingCrashPlan,
-)
+from repro.faults.crash_states import STATES_PER_INTERVAL, InjectedCrash, record
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
-from repro.storage.wal import delete_op, insert_op
+from repro.storage.wal import OP_INSERT, delete_op, insert_op
+
+#: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
+#: (``tests/conftest.py``), where the crash matrix takes every state.
+EXAMPLES = settings().max_examples // settings.get_profile("tier1").max_examples
+STATE_CAP = STATES_PER_INTERVAL if EXAMPLES == 1 else None
 
 
 def _halves(collection):
@@ -292,9 +296,10 @@ class TestValidation:
         base, rest_ids, rest_vectors = _halves(tiny_collection)
         directory = str(tmp_path / "stream")
         StreamingChunkIndex.create(directory, _base_index(base)).close()
-        index = StreamingChunkIndex.open(directory, crash=CrashAtStep(0))
-        with pytest.raises(InjectedCrash):
-            index.apply([insert_op(int(rest_ids[0]), rest_vectors[0])])
+        index = StreamingChunkIndex.open(directory)
+        with record(directory, 1):  # killed once the frames reach the OS
+            with pytest.raises(InjectedCrash):
+                index.apply([insert_op(int(rest_ids[0]), rest_vectors[0])])
         with pytest.raises(ValueError, match="poisoned"):
             index.apply([insert_op(int(rest_ids[1]), rest_vectors[1])])
         index.close()
@@ -463,31 +468,6 @@ def _one_id_per_chunk(index, n_chunks):
     ]
 
 
-class _WriteSpy:
-    """Counts the durability-relevant calls made while it is active."""
-
-    def __init__(self, monkeypatch):
-        self.counts = {"fsync": 0, "replace": 0, "open_wb": 0}
-        real_fsync, real_replace, real_open = os.fsync, os.replace, builtins.open
-
-        def fsync(fd):
-            self.counts["fsync"] += 1
-            return real_fsync(fd)
-
-        def replace(src, dst, **kwargs):
-            self.counts["replace"] += 1
-            return real_replace(src, dst, **kwargs)
-
-        def spy_open(file, mode="r", *args, **kwargs):
-            if mode == "wb":
-                self.counts["open_wb"] += 1
-            return real_open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(builtins, "open", spy_open)
-
-
 class TestCheckpointCost:
     """A checkpoint costs four durability barriers however many chunks
     are dirty: its cost scales with dirty bytes, not dirty-chunk count."""
@@ -503,25 +483,43 @@ class TestCheckpointCost:
         ) as streaming:
             yield directory, streaming
 
-    def _checkpoint_counts(self, streaming, n_dirty, monkeypatch):
+    def _checkpoint_log(self, directory, streaming, n_dirty):
+        """The checkpoint's durable operations, numbers in names elided;
+        its garbage collection (what it supersedes varies) left out."""
         streaming.apply([delete_op(i) for i in _one_id_per_chunk(streaming, n_dirty)])
         assert len(streaming.maintainer.dirty_positions()) == n_dirty
-        with monkeypatch.context() as patch:
-            spy = _WriteSpy(patch)
+        with record(directory, None) as recording:
             report = streaming.checkpoint()
         assert report.segments_written == n_dirty
-        return spy.counts
+        return [
+            (op.kind, re.sub(r"\d+", "N", os.path.basename(op.path)))
+            for op in recording.ops
+            if op.kind != "unlink"
+        ]
 
-    def test_barrier_count_does_not_depend_on_dirty_chunk_count(
-        self, wide, monkeypatch
-    ):
-        _, streaming = wide
-        few = self._checkpoint_counts(streaming, 3, monkeypatch)
-        many = self._checkpoint_counts(streaming, 30, monkeypatch)
+    def test_barrier_count_does_not_depend_on_dirty_chunk_count(self, wide):
+        directory, streaming = wide
+        few = self._checkpoint_log(directory, streaming, 3)
+        many = self._checkpoint_log(directory, streaming, 30)
         assert few == many
-        # Pack, fresh WAL, manifest, directory; the pack and the manifest
-        # are the two renames; the WAL is created under its final name.
-        assert many == {"fsync": 4, "replace": 2, "open_wb": 3}
+        # Pack, fresh WAL, manifest, directory: four barriers; the pack and
+        # the manifest are the two renames; the WAL is created under its
+        # final name.
+        assert [op for op in many if op[0] in ("fsync", "fsync_dir")] == [
+            ("fsync", "delta-N.pack.tmp"),
+            ("fsync", "wal-N.log"),
+            ("fsync", "MANIFEST.json.tmp"),
+            ("fsync_dir", "wide"),
+        ]
+        assert [op for op in many if op[0] == "rename"] == [
+            ("rename", "delta-N.pack.tmp"),
+            ("rename", "MANIFEST.json.tmp"),
+        ]
+        assert [op for op in many if op[0] == "create"] == [
+            ("create", "delta-N.pack.tmp"),
+            ("create", "wal-N.log"),
+            ("create", "MANIFEST.json.tmp"),
+        ]
 
     def test_simulated_charge_is_one_write_per_pack(self, wide):
         directory, streaming = wide
@@ -614,31 +612,58 @@ class TestPackLifetime:
             assert self._packs_on_disk(directory) == packs
 
 
-class _CrashAtSite(CrashPlan):
-    """Dies the first time the named boundary is announced."""
+def _fold(live, ops):
+    live = set(live)
+    for op in ops:
+        if op.kind == OP_INSERT:
+            live.add(op.descriptor_id)
+        else:
+            live.discard(op.descriptor_id)
+    return live
 
-    def __init__(self, site):
-        super().__init__()
-        self.site = site
 
-    def reached(self, site):
-        super().reached(site)
-        if site == self.site:
-            raise InjectedCrash(site, self.steps_seen - 1)
+def _recovery_problem(directory, allowed):
+    """Why a crash state fails the three checks, or ``None``: it must
+    verify, open, and hold one of the ``allowed`` live sets."""
+    report = verify_streaming_index(directory)
+    if not report["ok"]:
+        return "verify: " + "; ".join(
+            f"{c['name']} {c['detail']}" for c in report["checks"] if not c["ok"]
+        )
+    try:
+        with StreamingChunkIndex.open(directory) as index:
+            live = set(index.maintainer)
+    except CorruptFileError as error:
+        return f"open: {error}"
+    if live not in allowed:
+        return (
+            f"{len(live)} live ids, the acknowledged batches allow "
+            f"{sorted(len(a) for a in allowed)}"
+        )
+    return None
 
 
 class TestCrashMatrix:
-    """Kill the writer at every protocol boundary; recover; compare."""
+    """Every crash state of one recorded run; recover; compare."""
 
     def _reference(self, tiny_collection, tmp_path):
+        """The uncrashed run, recorded, with the log length at which each
+        action started and ended and each batch's ``(start, ack, seq, ops)``."""
         base, rest_ids, rest_vectors = _halves(tiny_collection)
         actions = _scenario_actions(rest_ids, rest_vectors)
         ref_dir = str(tmp_path / "reference")
         StreamingChunkIndex.create(ref_dir, _base_index(base)).close()
-        recording = RecordingCrashPlan()
-        reference = StreamingChunkIndex.open(ref_dir, crash=recording)
-        _run_actions(reference, actions)
-        return base, actions, reference, recording
+        ends, batches = [], []
+        with record(ref_dir, None) as recording:
+            reference = StreamingChunkIndex.open(ref_dir)
+            start_live = set(reference.maintainer)
+            for i, action in enumerate(actions):
+                start = len(recording.ops)
+                seq = _run_actions(reference, actions[i : i + 1])
+                if action[0] == "apply":
+                    batches.append((start, len(recording.ops), seq, action[1]))
+                ends.append(len(recording.ops))
+        return base, actions, reference, recording, start_live, ends, batches
 
     def _recover_and_finish(self, directory, actions, pos, acked):
         """Reopen after a crash and drive the scenario to completion.
@@ -648,7 +673,7 @@ class TestCrashMatrix:
         the remaining actions.
         """
         recovered = StreamingChunkIndex.open(directory)
-        kind, payload = actions[pos]
+        kind, payload = actions[pos] if pos < len(actions) else ("done", None)
         if kind == "apply" and recovered.last_batch_seq == acked:
             recovered.apply(payload)  # the crashed batch was lost: resubmit
         elif kind == "checkpoint":
@@ -661,58 +686,48 @@ class TestCrashMatrix:
     def test_every_crash_point_recovers_bit_identically(
         self, tiny_collection, tmp_path
     ):
-        base, actions, reference, recording = self._reference(
+        _, actions, reference, recording, start_live, ends, batches = self._reference(
             tiny_collection, tmp_path
         )
-        n_sites = len(recording.sites)
-        # 4 batches x 3 WAL sites, then 4 checkpoint and 4 rebuild sites —
-        # the checkpoint's count no longer depends on how many chunks it
-        # found dirty.
-        assert n_sites == 20
-        assert [s for s in recording.sites if s.startswith("compact.")] == [
-            "compact.begin",
-            "compact.pack",
-            "compact.wal",
-            "compact.manifest",
-        ]
         want_index = reference.to_index()
         dimensions = reference.dimensions
         reference.close()
 
-        for step in range(n_sites):
-            directory = str(tmp_path / f"crash-{step:03d}")
-            StreamingChunkIndex.create(directory, _base_index(base)).close()
-            index = StreamingChunkIndex.open(
-                directory, crash=CrashAtStep(step)
-            )
-            acked = index.last_batch_seq
-            crash_pos = None
-            try:
-                for pos, (kind, payload) in enumerate(actions):
-                    if kind == "apply":
-                        acked = index.apply(payload)
-                    elif kind == "checkpoint":
-                        index.checkpoint(defragment=True)
-                    else:
-                        index.rebuild_base()
-            except InjectedCrash:
-                crash_pos = pos
-            index.close()
-            assert crash_pos is not None, f"step {step} never fired"
+        failures, finished = [], set()
+        for number, state in enumerate(recording.enumerate_states(STATE_CAP, seed=0)):
+            directory = str(tmp_path / f"state-{number:05d}")
+            os.makedirs(directory)
+            recording.materialise(state, directory)
+            acked = [b for b in batches if b[1] <= state.position]
+            live = _fold(start_live, [op for b in acked for op in b[3]])
+            allowed = [live] + [
+                _fold(live, b[3]) for b in batches if b[0] <= state.position < b[1]
+            ]
+            problem = _recovery_problem(directory, allowed)
+            if problem is not None:
+                failures.append(f"{recording.describe(state)}: {problem}")
+            elif state.position not in finished:
+                # One state per crash point: the one that lost the most.
+                finished.add(state.position)
+                pos = sum(1 for end in ends if end <= state.position)
+                recovered = self._recover_and_finish(
+                    directory, actions, pos, acked[-1][2] if acked else -1
+                )
+                _assert_searches_identical(recovered.to_index(), want_index, dimensions)
+                recovered.close()
+                assert verify_streaming_index(directory)["ok"]
+        assert not failures, "crash states that do not recover:\n" + "\n".join(failures)
+        # 4 batches and the checkpoint's 4 and the rebuild's 5 barriers.
+        assert len(finished) == 4 + 4 + 5 + 1
 
-            # The directory must verify clean before anything touches it.
-            report = verify_streaming_index(directory)
-            assert report["ok"], (step, recording.sites[step], report)
+    #: Where the kill lands in the second checkpoint: just after the pack's
+    #: rename, and just after the fresh WAL's fsync.
+    KILLS = {
+        "compact.pack": lambda op: op.kind == "rename" and op.arg.endswith(".pack"),
+        "compact.wal": lambda op: op.kind == "fsync" and op.path.endswith(".log"),
+    }
 
-            recovered = self._recover_and_finish(
-                directory, actions, crash_pos, acked
-            )
-            got_index = recovered.to_index()
-            _assert_searches_identical(got_index, want_index, dimensions)
-            recovered.close()
-            assert verify_streaming_index(directory)["ok"]
-
-    @pytest.mark.parametrize("site", ["compact.pack", "compact.wal"])
+    @pytest.mark.parametrize("site", sorted(KILLS))
     def test_kill_between_pack_and_manifest_leaves_an_orphan_pack(
         self, tiny_collection, tmp_path, site
     ):
@@ -726,23 +741,26 @@ class TestCrashMatrix:
             insert_op(int(i), v) for i, v in zip(rest_ids[10:20], rest_vectors[10:])
         ] + [delete_op(int(rest_ids[0]))]
 
-        def run(directory, crash):
+        def run(directory, stop_at):
             StreamingChunkIndex.create(directory, _base_index(base)).close()
             with StreamingChunkIndex.open(directory) as index:
                 index.apply(first)
                 index.checkpoint()
-            index = StreamingChunkIndex.open(directory, crash=crash)
+            index = StreamingChunkIndex.open(directory)
             index.apply(second)
-            try:
-                index.checkpoint()
-            finally:
-                index.close()
+            with record(directory, stop_at) as recording:
+                try:
+                    index.checkpoint()
+                finally:
+                    index.close()
+            return recording
 
         reference_dir = str(tmp_path / "reference")
-        run(reference_dir, None)
+        ops = run(reference_dir, None).ops
+        kill = 1 + next(i for i, op in enumerate(ops) if self.KILLS[site](op))
         directory = str(tmp_path / "crashed")
         with pytest.raises(InjectedCrash):
-            run(directory, _CrashAtSite(site))
+            run(directory, kill)
 
         old, orphan = "delta-000001.pack", "delta-000002.pack"
         assert {old, orphan} <= set(os.listdir(directory))

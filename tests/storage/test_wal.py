@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.faults.crash_plan import CrashAtStep, InjectedCrash, RecordingCrashPlan
+from repro.faults.crash_states import InjectedCrash, record
 from repro.storage.errors import CorruptFileError
 from repro.storage.wal import (
     WalWriter,
@@ -222,39 +222,49 @@ class TestResume:
 
 
 class TestCrashSites:
-    def test_sites_announced_in_protocol_order(self, tmp_path):
+    #: A fresh log's create, header write and fsync, then a batch's frames.
+    FRAMES_WRITTEN = 4
+
+    def test_append_logs_frames_commit_and_one_fsync(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        plan = RecordingCrashPlan()
-        with WalWriter.create(path, DIMS, crash=plan) as writer:
-            writer.append_batch([insert_op(1, _vec(1))])
-        assert plan.sites == [
-            "wal.batch.frames",
-            "wal.batch.commit",
-            "wal.batch.synced",
+        with record(str(tmp_path), None) as recording:
+            with WalWriter.create(path, DIMS) as writer:
+                writer.append_batch([insert_op(1, _vec(1)), delete_op(1)])
+        assert [op.kind for op in recording.ops] == [
+            "create", "write", "fsync", "write", "write", "fsync"
         ]
 
     def test_crash_before_commit_loses_batch(self, tmp_path):
         path = str(tmp_path / "wal.log")
-        writer = WalWriter.create(path, DIMS, crash=CrashAtStep(0))
-        with pytest.raises(InjectedCrash) as info:
-            writer.append_batch([insert_op(1, _vec(1))])
+        with record(str(tmp_path), self.FRAMES_WRITTEN):
+            writer = WalWriter.create(path, DIMS)
+            with pytest.raises(InjectedCrash):
+                writer.append_batch([insert_op(1, _vec(1))])
         writer.close()
-        assert info.value.site == "wal.batch.frames"
         scan = scan_wal(path)
         assert scan.batches == ()
         assert scan.discarded_ops == 1
 
     def test_crash_after_commit_keeps_batch_unacknowledged(self, tmp_path):
-        # The commit marker hit the OS before the "kill": recovery finds
-        # a fully applied batch that was never acknowledged — the
-        # allowed "unacknowledged but whole" outcome, never a hybrid.
+        # The commit marker reached the OS before the kill, not the disk:
+        # every state the disk may hold recovers the batch whole or not at
+        # all — the allowed "unacknowledged" outcomes, never a hybrid.  No
+        # directory fsync made the log's creation durable: it may be gone.
         path = str(tmp_path / "wal.log")
-        writer = WalWriter.create(path, DIMS, crash=CrashAtStep(1))
-        with pytest.raises(InjectedCrash) as info:
-            writer.append_batch([insert_op(1, _vec(1)), delete_op(9)])
+        with record(str(tmp_path), self.FRAMES_WRITTEN + 1) as recording:
+            writer = WalWriter.create(path, DIMS)
+            with pytest.raises(InjectedCrash):
+                writer.append_batch([insert_op(1, _vec(1)), delete_op(9)])
         writer.close()
-        assert info.value.site == "wal.batch.commit"
-        scan = scan_wal(path)
-        assert len(scan.batches) == 1
-        assert len(scan.batches[0].ops) == 2
-        assert scan.torn_bytes == 0
+        assert len(scan_wal(path).batches[0].ops) == 2  # the page cache holds it
+        outcomes = set()
+        for state in recording.states_at(len(recording.ops), None, seed=0):
+            target = tmp_path / f"state-{state.index}"
+            target.mkdir()
+            recording.materialise(state, str(target))
+            if not (target / "wal.log").exists():
+                outcomes.add(None)
+                continue
+            batches = scan_wal(str(target / "wal.log")).batches
+            outcomes.add(tuple(len(batch.ops) for batch in batches))
+        assert outcomes == {None, (), (2,)}

@@ -9,8 +9,14 @@
   "PR 17 (ISSUE 21)" on — when the cap was set — holds at most
   :data:`ENTRY_CAP` characters.  Measurements and history beyond that
   belong in the commit and the benchmark's files.
+* Every ``repro.*`` name DESIGN.md and README.md give is a module, or an
+  attribute reachable from one, and every ``repro`` subcommand they show
+  is one the CLI has: a module or command that is deleted or renamed
+  takes its mentions with it.
 """
 
+import argparse
+import importlib
 import pathlib
 import re
 from typing import List, Tuple
@@ -24,6 +30,11 @@ DOCS = ("DESIGN.md", "README.md")
 
 #: "ROADMAP item", also across a line break.
 ROADMAP_ITEM = re.compile(r"ROADMAP\s+item", re.IGNORECASE)
+
+#: A dotted name under the package.
+REPRO_NAME = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+#: A CLI invocation: ``repro <command>`` in a code span or opening a line.
+REPRO_COMMAND = re.compile(r"(?:`|^[ \t]*)repro ([a-z][a-z0-9-]*)", re.MULTILINE)
 
 #: Longest CHANGES.md entry, in characters.
 ENTRY_CAP = 2500
@@ -74,3 +85,57 @@ def test_an_overlong_entry_is_caught():
     assert long_entries(planted) == [("PR 99 (ISSUE 99)", ENTRY_CAP + 18)]
     # Entries before the cap was set are not held to it.
     assert long_entries("PR 9 (ISSUE 13): " + "y" * 9000 + "\n" + changes) == []
+
+
+def _resolves(dotted: str) -> bool:
+    """True when the longest importable prefix of ``dotted`` has the rest
+    as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(found, attribute):
+                return False
+            found = getattr(found, attribute)
+        return True
+    return False
+
+
+def stale_names(text: str) -> List[str]:
+    """The ``repro.*`` names and ``repro`` subcommands ``text`` gives that
+    do not exist, sorted."""
+    from repro.cli import _build_parser
+
+    (commands,) = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    stale = [name for name in set(REPRO_NAME.findall(text)) if not _resolves(name)]
+    stale += [
+        f"repro {command}"
+        for command in set(REPRO_COMMAND.findall(text))
+        if command not in commands
+    ]
+    return sorted(stale)
+
+
+@pytest.mark.parametrize("name", DOCS)
+def test_named_modules_and_commands_exist(name):
+    assert stale_names((ROOT / name).read_text(encoding="utf-8")) == []
+
+
+def test_a_planted_stale_name_is_caught():
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    planted = design + (
+        "Crash plans live in `repro.faults.crash_plan` (`CrashAtStep`), "
+        "drills in `repro.core.ingest.CrashPlan`; run `repro crashsim`.\n"
+    )
+    assert stale_names(planted) == [
+        "repro crashsim",
+        "repro.core.ingest.CrashPlan",
+        "repro.faults.crash_plan",
+    ]
