@@ -754,16 +754,13 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
                 f"ops={report['n_ops']} states={report['n_states']} "
                 f"tested={len(report['results'])}"
             )
-            rows, failures = [], []
-            for r in report["results"]:
-                ok = r["verify_ok"] and r["open_ok"] and r["live_ok"]
-                rows.append([r["state"], r["position"], r["n_descriptors"],
-                             "ok" if ok else "FAIL"])
-                if not ok:
-                    failures.append(f"FAIL state {r['state']}: {r['description']}")
+            results = report["results"]
+            rows = [[r["state"], r["position"], r["n_descriptors"],
+                     "ok" if r["problem"] is None else "FAIL"] for r in results]
             print(format_table(["state", "position", "recovered", "verdict"], rows, title))
-            for line in failures:
-                print(line)
+            for r in results:
+                if r["problem"] is not None:
+                    print(f"FAIL state {r['state']}: {r['description']}: {r['problem']}")
             failed = not report["all_ok"]
             print(f"all recoveries consistent: {report['all_ok']}")
         else:

@@ -58,6 +58,7 @@ from ..faults.crash_states import (
 )
 from ..simio.chunk_cache import LruChunkCache
 from ..simio.disk_model import DiskModel
+from ..storage.errors import CorruptFileError
 from ..storage.wal import OP_INSERT, WalOp, delete_op, insert_op
 from ..workloads.synthetic import generate_collection
 from .config import ExperimentScale
@@ -66,6 +67,7 @@ __all__ = [
     "DEFAULT_SEED",
     "IngestSimConfig",
     "simulate",
+    "open_crash_state",
     "crash_matrix",
 ]
 
@@ -147,12 +149,44 @@ def _fold(live: Set[int], ops: Iterable[WalOp]) -> Set[int]:
     return live
 
 
+def open_crash_state(
+    directory: str,
+    acked: Set[int],
+    in_flight: Optional[Sequence[WalOp]],
+    disk: Optional[DiskModel] = None,
+) -> Tuple[Optional[StreamingChunkIndex], Optional[str]]:
+    """Recover the crash state in ``directory`` under the three checks.
+
+    It must deep-verify, open, and hold the ``acked`` live ids, or those
+    with the whole ``in_flight`` batch applied.  Returns the recovered
+    index (``None`` when it does not open) and why a check failed
+    (``None`` when none did).
+    """
+    report = verify_streaming_index(directory)
+    problem = None if report["ok"] else "verify: " + "; ".join(
+        f"{c['name']} {c['detail']}" for c in report["checks"] if not c["ok"]
+    )
+    try:
+        recovered = StreamingChunkIndex.open(directory, disk=disk)
+    except CorruptFileError as error:
+        return None, f"open: {error}"
+    allowed = [acked] + ([] if in_flight is None else [_fold(acked, in_flight)])
+    live = set(recovered.maintainer)
+    if problem is None and live not in allowed:
+        problem = (
+            f"{len(live)} live ids, the acknowledged batches allow "
+            f"{sorted(len(ids) for ids in allowed)}"
+        )
+    return recovered, problem
+
+
 class _IngestDriver:
     """Applies batches with ack tracking, crashes, recovery and resubmission.
 
     With crash positions left the run is recorded up to the next one;
     there a seeded crash state replaces the directory, and recovery starts
-    the next recording from it.
+    the next recording from it.  Leaving the ``with`` block uninstalls the
+    recorder and closes the index, however the run ends.
     """
 
     def __init__(
@@ -162,7 +196,7 @@ class _IngestDriver:
         self.seed = seed
         self.disk = disk  # every reopen charges writes on the scale's disk
         self.streaming: Optional[StreamingChunkIndex] = None
-        self.recoveries = 0
+        self.crashes = 0
         self.replayed_unacked = 0
         self.verifications_failed = 0
         self.io_seconds = 0.0
@@ -193,14 +227,12 @@ class _IngestDriver:
         and resubmit the unacknowledged work."""
         assert self.streaming is not None
         acked = set(self.streaming.maintainer)  # memory stops at the last ack
-        allowed = [acked] + ([] if in_flight is None else [_fold(acked, in_flight)])
         self.streaming.close()
         self.io_seconds += self.streaming.io_seconds
-        self.recoveries += 1
-        recovered = None
-        while recovered is None:  # the recovery may crash too
+        while True:  # the recovery may crash too
             crashed = self._recording
             assert crashed is not None and crashed.stop_at is not None
+            self.crashes += 1
             self._logged += crashed.stop_at
             self._positions.pop(0)
             shutil.rmtree(self.directory)
@@ -208,10 +240,14 @@ class _IngestDriver:
             state = crashed.seeded_state(crashed.stop_at, self.seed)
             crashed.materialise(state, self.directory)
             self._record()
-            report = verify_streaming_index(self.directory)
             with contextlib.suppress(InjectedCrash):
-                recovered = StreamingChunkIndex.open(self.directory, disk=self.disk)
-        if not report["ok"] or set(recovered.maintainer) not in allowed:
+                recovered, problem = open_crash_state(
+                    self.directory, acked, in_flight, self.disk
+                )
+                break
+        if recovered is None:
+            raise CorruptFileError(f"crash state does not open: {problem}")
+        if problem is not None:
             self.verifications_failed += 1
         self.streaming = recovered
         self._next_seq = recovered.last_batch_seq + 1
@@ -251,12 +287,13 @@ class _IngestDriver:
         assert self.streaming is not None
         self._run(self.streaming.rebuild_base, None)
 
-    def close(self) -> float:
-        assert self.streaming is not None
+    def __enter__(self) -> "_IngestDriver":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
         self._installed.close()
-        self.io_seconds += self.streaming.io_seconds
-        self.streaming.close()
-        return self.io_seconds
+        if self.streaming is not None:
+            self.streaming.close()
 
 
 def simulate(
@@ -310,91 +347,94 @@ def simulate(
     streaming = StreamingChunkIndex.create(
         directory, index, disk=scale.cost_model.disk, name="ingestsim"
     )
-    driver = _IngestDriver(directory, positions, int(seed), scale.cost_model.disk)
-    driver.attach(streaming)
+    with _IngestDriver(
+        directory, positions, int(seed), scale.cost_model.disk
+    ) as driver:
+        driver.attach(streaming)
 
-    rebuild_step = (cfg.steps + 1) // 2  # one base rebuild, at the midpoint
-    per_step = -(-stream_rows.size // cfg.steps)
-    rows_series: List[Dict[str, Any]] = []
-    cursor = 0
-    for step in range(1, cfg.steps + 1):
-        step_rows = stream_rows[cursor : cursor + per_step]
-        cursor += step_rows.size
-        # Mutations: inserts in seeded arrival order, with a seeded
-        # fraction of deletes of currently-live ids mixed in per batch.
-        ops: List[Any] = []
-        for row in step_rows:
-            ops.append(
-                insert_op(int(collection.ids[row]), collection.vectors[row])
-            )
-            if len(ops) >= BATCH_OPS:
+        rebuild_step = (cfg.steps + 1) // 2  # one base rebuild, at the midpoint
+        per_step = -(-stream_rows.size // cfg.steps)
+        rows_series: List[Dict[str, Any]] = []
+        cursor = 0
+        for step in range(1, cfg.steps + 1):
+            step_rows = stream_rows[cursor : cursor + per_step]
+            cursor += step_rows.size
+            # Mutations: inserts in seeded arrival order, with a seeded
+            # fraction of deletes of currently-live ids mixed in per batch.
+            ops: List[Any] = []
+            for row in step_rows:
+                ops.append(
+                    insert_op(int(collection.ids[row]), collection.vectors[row])
+                )
+                if len(ops) >= BATCH_OPS:
+                    driver.apply(ops)
+                    ops = []
+            if ops:
                 driver.apply(ops)
-                ops = []
-        if ops:
-            driver.apply(ops)
-        n_deletes = int(DELETE_FRACTION * step_rows.size)
-        assert driver.streaming is not None
-        maintainer = driver.streaming.maintainer
-        if n_deletes and len(maintainer) > n_deletes:
-            live_ids = sorted(maintainer)
-            victims = delete_rng.choice(
-                len(live_ids), size=n_deletes, replace=False
+            n_deletes = int(DELETE_FRACTION * step_rows.size)
+            assert driver.streaming is not None
+            maintainer = driver.streaming.maintainer
+            if n_deletes and len(maintainer) > n_deletes:
+                live_ids = sorted(maintainer)
+                victims = delete_rng.choice(
+                    len(live_ids), size=n_deletes, replace=False
+                )
+                delete_batch = [
+                    delete_op(live_ids[int(v)]) for v in np.sort(victims)
+                ]
+                for start in range(0, len(delete_batch), BATCH_OPS):
+                    driver.apply(delete_batch[start : start + BATCH_OPS])
+            # Maintenance: periodic compaction, one mid-run base rebuild.
+            if step == rebuild_step:
+                driver.rebuild()
+            elif step % COMPACT_EVERY == 0:
+                driver.checkpoint()
+
+            # Queries against the current index: pruning + cache on,
+            # budgeted scan, recall vs the live contents' exact ground truth.
+            assert driver.streaming is not None
+            searchable = driver.streaming.to_index()
+            live = _live_collection(searchable)
+            query_rows = query_rng.choice(len(live), size=cfg.n_queries, replace=False)
+            queries = live.vectors[np.sort(query_rows)].astype(np.float64)
+            truth = exact_knn_batch(live, queries, scale.k)
+            budget = max(1, int(round(BUDGET_FRACTION * searchable.n_chunks)))
+            cost_model = dataclasses.replace(
+                scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
             )
-            delete_batch = [
-                delete_op(live_ids[int(v)]) for v in np.sort(victims)
+            searcher = ChunkSearcher(searchable, cost_model=cost_model)
+            batch = searcher.search_batch(
+                queries, k=scale.k, stop_rule=MaxChunks(budget)
+            )
+            recalls = [
+                precision_at_k(result.neighbor_ids(), truth[i])
+                for i, result in enumerate(batch)
             ]
-            for start in range(0, len(delete_batch), BATCH_OPS):
-                driver.apply(delete_batch[start : start + BATCH_OPS])
-        # Maintenance: periodic compaction, one mid-run base rebuild.
-        if step == rebuild_step:
-            driver.rebuild()
-        elif step % COMPACT_EVERY == 0:
-            driver.checkpoint()
+            stats = maintainer.stats
+            rows_series.append(
+                {
+                    "step": step,
+                    "fraction": round((base_size + cursor) / n_total, 4),
+                    "n_descriptors": len(maintainer),
+                    "n_chunks": maintainer.n_chunks,
+                    "recall": round(sum(recalls) / len(recalls), 4),
+                    "elapsed_ms": round(
+                        1000.0 * sum(r.elapsed_s for r in batch) / len(batch), 4
+                    ),
+                    "ingest_io_s": round(
+                        driver.io_seconds + driver.streaming.io_seconds, 4
+                    ),
+                    "budget_chunks": budget,
+                    "inserts": stats.inserts,
+                    "deletes": stats.deletes,
+                    "splits": stats.splits,
+                    "merges": stats.merges,
+                    "recoveries": driver.crashes,
+                }
+            )
 
-        # Queries against the current index: pruning + cache on,
-        # budgeted scan, recall vs the live contents' exact ground truth.
         assert driver.streaming is not None
-        searchable = driver.streaming.to_index()
-        live = _live_collection(searchable)
-        query_rows = query_rng.choice(len(live), size=cfg.n_queries, replace=False)
-        queries = live.vectors[np.sort(query_rows)].astype(np.float64)
-        truth = exact_knn_batch(live, queries, scale.k)
-        budget = max(1, int(round(BUDGET_FRACTION * searchable.n_chunks)))
-        cost_model = dataclasses.replace(
-            scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
-        )
-        searcher = ChunkSearcher(searchable, cost_model=cost_model)
-        batch = searcher.search_batch(
-            queries, k=scale.k, stop_rule=MaxChunks(budget)
-        )
-        recalls = [
-            precision_at_k(result.neighbor_ids(), truth[i])
-            for i, result in enumerate(batch)
-        ]
-        stats = maintainer.stats
-        rows_series.append(
-            {
-                "step": step,
-                "fraction": round((base_size + cursor) / n_total, 4),
-                "n_descriptors": len(maintainer),
-                "n_chunks": maintainer.n_chunks,
-                "recall": round(sum(recalls) / len(recalls), 4),
-                "elapsed_ms": round(
-                    1000.0 * sum(r.elapsed_s for r in batch) / len(batch), 4
-                ),
-                "ingest_io_s": round(
-                    driver.io_seconds + driver.streaming.io_seconds, 4
-                ),
-                "budget_chunks": budget,
-                "inserts": stats.inserts,
-                "deletes": stats.deletes,
-                "splits": stats.splits,
-                "merges": stats.merges,
-                "recoveries": driver.recoveries,
-            }
-        )
-
-    total_io = driver.close()
+        total_io = driver.io_seconds + driver.streaming.io_seconds
     final_verify = verify_streaming_index(directory)
     return {
         "experiment": "ingestsim",
@@ -415,15 +455,13 @@ def simulate(
         },
         "n_total": n_total,
         "base_size": int(base_size),
-        "crashes_injected": driver.recoveries,
+        "crashes_injected": driver.crashes,
         "unacked_batches_replayed": driver.replayed_unacked,
         "verifications_failed": driver.verifications_failed,
         "final_verify_ok": bool(final_verify["ok"]),
         "total_ingest_io_s": round(total_io, 4),
         "series": rows_series,
     }
-
-
 
 
 class _Batch(NamedTuple):
@@ -504,28 +542,26 @@ def crash_matrix(
         state_dir = os.path.join(directory, f"state-{number:05d}")
         os.makedirs(state_dir)
         recording.materialise(state, state_dir)
-        verify_ok = bool(verify_streaming_index(state_dir)["ok"])
-        live = None
-        with contextlib.suppress(OSError):  # CorruptFileError included
-            with StreamingChunkIndex.open(state_dir) as recovered:
-                live = set(recovered.maintainer)
-        shutil.rmtree(state_dir)
         acked = [op for b in batches if b.ack <= state.position for op in b.ops]
-        allowed = [_fold(start_live, acked)]
-        in_flight = [b.ops for b in batches if b.start <= state.position < b.ack]
-        allowed += [_fold(allowed[0], ops) for ops in in_flight]
+        in_flight = next(
+            (b.ops for b in batches if b.start <= state.position < b.ack), None
+        )
+        recovered, problem = open_crash_state(
+            state_dir, _fold(start_live, acked), in_flight
+        )
+        if recovered is not None:
+            recovered.close()
+        shutil.rmtree(state_dir)
         results.append(
             {
                 "state": int(number),
                 "position": state.position,
                 "description": recording.describe(state),
-                "verify_ok": verify_ok,
-                "open_ok": live is not None,
-                "live_ok": live in allowed,
-                "n_descriptors": -1 if live is None else len(live),
+                "problem": problem,
+                "n_descriptors": -1 if recovered is None else recovered.n_descriptors,
             }
         )
-    all_ok = all(r["verify_ok"] and r["open_ok"] and r["live_ok"] for r in results)
+    all_ok = all(r["problem"] is None for r in results)
     return {
         "experiment": "ingestsim-crash-matrix",
         "scale": scale.name,

@@ -292,11 +292,19 @@ def record(directory: str, stop_at: Optional[int]) -> Iterator[Recording]:
 
 
 def seeded_crash_steps(seed: int, n_steps: int, n_points: int) -> Tuple[int, ...]:
-    """A reproducible, sorted subset of ``range(n_steps)`` (all of it when
-    ``n_points >= n_steps``): the CI matrix and a rerun pick the same."""
+    """A reproducible, sorted subset of crash-step indices.
+
+    Pure function of ``(seed, n_steps, n_points)``: the CI crash-recovery
+    matrix and a local rerun pick exactly the same kill points.  When
+    ``n_points >= n_steps`` every step is returned.
+    """
+    if n_steps <= 0:
+        return ()
+    if n_points >= n_steps:
+        return tuple(range(n_steps))
+    if n_points <= 0:
+        return ()
     entropy = np.random.SeedSequence(entropy=(int(seed), _STREAM_CRASH, int(n_steps)))
-    size = min(max(0, n_points), max(0, n_steps))
-    chosen = np.random.Generator(np.random.PCG64(entropy)).choice(
-        max(0, n_steps), size=size, replace=False
-    )
+    rng = np.random.Generator(np.random.PCG64(entropy))
+    chosen = rng.choice(n_steps, size=n_points, replace=False)
     return tuple(int(step) for step in np.sort(chosen))

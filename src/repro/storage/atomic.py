@@ -16,7 +16,7 @@ Both perform every create, write, fsync, truncate, rename, unlink and
 directory fsync through the primitives below.  While :func:`recording`
 runs, each also hands a :class:`DurableOp` to the recorder, in program
 order (:mod:`repro.faults.crash_states` enumerates crash states from
-that log); otherwise it costs one ``None`` check.
+that log); otherwise it costs one ``None`` check in :func:`_log`.
 """
 
 from __future__ import annotations
@@ -64,11 +64,16 @@ def recording(recorder: Callable[[DurableOp], None]) -> Iterator[None]:
         _recorder = None
 
 
+def _log(kind: str, path: str, arg: Any) -> None:
+    """Hand one operation that succeeded to the recorder, if any."""
+    if _recorder is not None:
+        _recorder(DurableOp(kind, path, arg))
+
+
 def create_file(path: str) -> BinaryIO:
     """Open ``path`` for writing from empty."""
     stream = open(path, "wb")
-    if _recorder is not None:
-        _recorder(DurableOp("create", path, None))
+    _log("create", path, None)
     return stream
 
 
@@ -76,33 +81,29 @@ def write_file(stream: BinaryIO, path: str, data: bytes) -> None:
     """Write ``data`` at the stream's position, flushed to the OS."""
     stream.write(data)
     stream.flush()
-    if _recorder is not None:
-        _recorder(DurableOp("write", path, (stream.tell() - len(data), bytes(data))))
+    if _recorder is not None:  # only a recording pays for the offset and copy
+        _log("write", path, (stream.tell() - len(data), bytes(data)))
 
 
 def fsync_file(stream: BinaryIO, path: str) -> None:
     os.fsync(stream.fileno())
-    if _recorder is not None:
-        _recorder(DurableOp("fsync", path, None))
+    _log("fsync", path, None)
 
 
 def truncate_file(stream: BinaryIO, path: str, size: int) -> None:
     stream.truncate(size)
-    if _recorder is not None:
-        _recorder(DurableOp("truncate", path, size))
+    _log("truncate", path, size)
 
 
 def replace_file(source: str, destination: str) -> None:
     os.replace(source, destination)
-    if _recorder is not None:
-        _recorder(DurableOp("rename", source, destination))
+    _log("rename", source, destination)
 
 
 def remove_file(path: str) -> None:
     """Unlink ``path`` (:class:`FileNotFoundError` when it is missing)."""
     os.unlink(path)
-    if _recorder is not None:
-        _recorder(DurableOp("unlink", path, None))
+    _log("unlink", path, None)
 
 
 @contextlib.contextmanager
@@ -116,7 +117,7 @@ def atomic_output(path: PathLike) -> Iterator[BinaryIO]:
         stream.flush()
         if _recorder is not None:  # the writer may seek: log the bytes it left
             with open(tmp_path, "rb") as written:
-                _recorder(DurableOp("write", tmp_path, (0, written.read())))
+                _log("write", tmp_path, (0, written.read()))
         fsync_file(stream, tmp_path)
         stream.close()
         replace_file(tmp_path, final_path)
@@ -146,5 +147,4 @@ def fsync_directory(path: PathLike) -> None:
         return
     finally:
         os.close(fd)
-    if _recorder is not None:
-        _recorder(DurableOp("fsync_dir", os.fspath(path), None))
+    _log("fsync_dir", os.fspath(path), None)

@@ -216,8 +216,15 @@ class WalWriter:
             raise ValueError(
                 "log must be truncated to its recovery point before resuming"
             )
-        next_seq = scan.batches[-1].batch_seq + 1 if scan.batches else 0
-        return cls(open(path, "ab"), path, scan.dimensions, scan.tag, next_seq)
+        file = open(path, "ab")
+        next_seq = scan.batches[-1].batch_seq + 1 if scan.batches else None
+        return cls(
+            file,
+            path,
+            scan.dimensions,
+            scan.tag,
+            next_seq if next_seq is not None else 0,
+        )
 
     def append_batch(self, ops: Sequence[WalOp]) -> int:
         """Durably append one batch; returns its sequence number.
@@ -282,36 +289,46 @@ def scan_wal(path: str) -> WalScan:
     limit = _max_payload(dimensions)
     batches: List[WalBatch] = []
     pending: List[WalOp] = []
+    discarded_in_tail = 0
     pos = 0
     valid_bytes = _HEADER.size
-    while pos + _FRAME.size <= len(data):
-        crc, length = _FRAME.unpack_from(data, pos)
-        end = pos + _FRAME.size + length
-        if not 1 <= length <= limit or end > len(data):
+    while True:
+        if pos + _FRAME.size > len(data):
             break
-        payload = data[pos + _FRAME.size : end]
+        crc, length = _FRAME.unpack_from(data, pos)
+        if not 1 <= length <= limit:
+            break
+        start = pos + _FRAME.size
+        end = start + length
+        if end > len(data):
+            break
+        payload = data[start:end]
         if zlib.crc32(payload) != crc:
             break
         op = _decode_payload(payload, dimensions)
+        if op is None:
+            break
         if isinstance(op, WalOp):
             pending.append(op)
-        elif op is None or op[1] != len(pending):
-            # A malformed payload, or a commit marker that does not seal
-            # exactly the pending frames (it cannot belong to a consistent
-            # batch): the whole region from the batch start is torn.
-            break
         else:
-            batches.append(WalBatch(op[0], tuple(pending)))
+            seq, count = op
+            if count != len(pending):
+                # A commit marker that does not seal exactly the pending
+                # frames cannot belong to a consistent batch; treat the
+                # whole region from the batch start as torn.
+                break
+            batches.append(WalBatch(seq, tuple(pending)))
             pending = []
             valid_bytes = _HEADER.size + end
         pos = end
+    discarded_in_tail = len(pending)
     return WalScan(
         dimensions=dimensions,
         tag=int(tag),
         batches=tuple(batches),
         valid_bytes=valid_bytes,
         total_bytes=_HEADER.size + len(data),
-        discarded_ops=len(pending),
+        discarded_ops=discarded_in_tail,
     )
 
 

@@ -6,10 +6,11 @@ persistence model allows for one recorded run of a mixed workload
 all of them under ``--hypothesis-profile=explore``) must pass the deep
 checker, open, and hold every acknowledged batch plus at most the one in
 flight, whole.  After resubmitting the unacknowledged batches, exactly as
-a client driver would, one state per crash point is driven to the end of
-the workload, whose searches must be bit-identical to the uncrashed run
-and to a fresh batch build of the same logical contents, with pruning,
-routing and the chunk cache all enabled.
+a client driver would, both extreme states of each crash point (nothing
+un-fsynced kept, all of it kept) are driven to the end of the workload,
+whose searches must be bit-identical to the uncrashed run and to a fresh
+batch build of the same logical contents, with pruning, routing and the
+chunk cache all enabled.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from repro.core.ingest import (
 )
 from repro.core.routing import CentroidRouter
 from repro.core.search import ChunkSearcher
+from repro.experiments.ingestsim import _fold, open_crash_state
 from repro.faults.crash_states import STATES_PER_INTERVAL, InjectedCrash, record
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
-from repro.storage.wal import OP_INSERT, delete_op, insert_op
+from repro.storage.wal import delete_op, insert_op
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``), where the crash matrix takes every state.
@@ -132,29 +134,31 @@ def _search_all(index, queries, k=5):
     return searcher.search_batch(queries, k=k)
 
 
+def _observables(index, dimensions):
+    """Every chunk rectangle's bytes and every observable of every query of
+    a fixed batch."""
+    rng = np.random.default_rng(97)
+    queries = rng.standard_normal((8, dimensions)) * 4.0
+    rectangles = [(m.lower.tobytes(), m.upper.tobytes()) for m in index.metas]
+    return rectangles, [
+        (
+            got.neighbor_ids().tolist(),
+            [n.distance for n in got.neighbors],
+            got.stop_reason,
+            got.completed,
+            got.degraded,
+            got.elapsed_s,
+            got.trace.start_elapsed_s,
+            got.trace.events,
+        )
+        for got in _search_all(index, queries)
+    ]
+
+
 def _assert_searches_identical(got_index, want_index, dimensions):
     """Every chunk rectangle and every observable of every query equal to
     the bit."""
-    assert got_index.n_chunks == want_index.n_chunks
-    for got_meta, want_meta in zip(got_index.metas, want_index.metas):
-        assert got_meta.lower.tobytes() == want_meta.lower.tobytes()
-        assert got_meta.upper.tobytes() == want_meta.upper.tobytes()
-    rng = np.random.default_rng(97)
-    queries = rng.standard_normal((8, dimensions)) * 4.0
-    got_batch = _search_all(got_index, queries)
-    want_batch = _search_all(want_index, queries)
-    assert len(got_batch) == len(want_batch)
-    for got, want in zip(got_batch, want_batch):
-        np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
-        assert [n.distance for n in got.neighbors] == [
-            n.distance for n in want.neighbors
-        ]
-        assert got.stop_reason == want.stop_reason
-        assert got.completed == want.completed
-        assert got.degraded == want.degraded
-        assert got.elapsed_s == want.elapsed_s
-        assert got.trace.start_elapsed_s == want.trace.start_elapsed_s
-        assert got.trace.events == want.trace.events
+    assert _observables(got_index, dimensions) == _observables(want_index, dimensions)
 
 
 def _fresh_batch_build(streaming):
@@ -612,43 +616,12 @@ class TestPackLifetime:
             assert self._packs_on_disk(directory) == packs
 
 
-def _fold(live, ops):
-    live = set(live)
-    for op in ops:
-        if op.kind == OP_INSERT:
-            live.add(op.descriptor_id)
-        else:
-            live.discard(op.descriptor_id)
-    return live
-
-
-def _recovery_problem(directory, allowed):
-    """Why a crash state fails the three checks, or ``None``: it must
-    verify, open, and hold one of the ``allowed`` live sets."""
-    report = verify_streaming_index(directory)
-    if not report["ok"]:
-        return "verify: " + "; ".join(
-            f"{c['name']} {c['detail']}" for c in report["checks"] if not c["ok"]
-        )
-    try:
-        with StreamingChunkIndex.open(directory) as index:
-            live = set(index.maintainer)
-    except CorruptFileError as error:
-        return f"open: {error}"
-    if live not in allowed:
-        return (
-            f"{len(live)} live ids, the acknowledged batches allow "
-            f"{sorted(len(a) for a in allowed)}"
-        )
-    return None
-
-
 class TestCrashMatrix:
     """Every crash state of one recorded run; recover; compare."""
 
     def _reference(self, tiny_collection, tmp_path):
         """The uncrashed run, recorded, with the log length at which each
-        action started and ended and each batch's ``(start, ack, seq, ops)``."""
+        action ended and each batch's ``(start, ack, seq, ops)``."""
         base, rest_ids, rest_vectors = _halves(tiny_collection)
         actions = _scenario_actions(rest_ids, rest_vectors)
         ref_dir = str(tmp_path / "reference")
@@ -665,23 +638,24 @@ class TestCrashMatrix:
                 ends.append(len(recording.ops))
         return base, actions, reference, recording, start_live, ends, batches
 
-    def _recover_and_finish(self, directory, actions, pos, acked):
-        """Reopen after a crash and drive the scenario to completion.
+    def _recover_and_finish(self, recovered, actions, pos, acked):
+        """Drive the scenario to completion after a crash; returns whether
+        the crashed batch was resubmitted.
 
         Exactly what a client driver does: resubmit the batch whose ack
         never arrived — unless recovery shows it committed — then run
         the remaining actions.
         """
-        recovered = StreamingChunkIndex.open(directory)
         kind, payload = actions[pos] if pos < len(actions) else ("done", None)
-        if kind == "apply" and recovered.last_batch_seq == acked:
-            recovered.apply(payload)  # the crashed batch was lost: resubmit
+        resubmitted = kind == "apply" and recovered.last_batch_seq == acked
+        if resubmitted:
+            recovered.apply(payload)  # the crashed batch was lost
         elif kind == "checkpoint":
             recovered.checkpoint(defragment=True)
         elif kind == "rebuild":
             recovered.rebuild_base()
         _run_actions(recovered, actions, start=pos + 1)
-        return recovered
+        return resubmitted
 
     def test_every_crash_point_recovers_bit_identically(
         self, tiny_collection, tmp_path
@@ -689,36 +663,53 @@ class TestCrashMatrix:
         _, actions, reference, recording, start_live, ends, batches = self._reference(
             tiny_collection, tmp_path
         )
-        want_index = reference.to_index()
         dimensions = reference.dimensions
+        want = _observables(reference.to_index(), dimensions)
         reference.close()
 
-        failures, finished = [], set()
-        for number, state in enumerate(recording.enumerate_states(STATE_CAP, seed=0)):
+        states = recording.enumerate_states(STATE_CAP, seed=0)
+        # Both extremes of each crash point are finished: the first state
+        # there loses everything un-fsynced, the last keeps all of it.
+        by_position = {}
+        for number, state in enumerate(states):
+            by_position.setdefault(state.position, []).append(number)
+        extremes = {n for group in by_position.values() for n in (group[0], group[-1])}
+        failures, finished, replayed_not_resubmitted = [], [], 0
+        for number, state in enumerate(states):
             directory = str(tmp_path / f"state-{number:05d}")
             os.makedirs(directory)
             recording.materialise(state, directory)
             acked = [b for b in batches if b[1] <= state.position]
-            live = _fold(start_live, [op for b in acked for op in b[3]])
-            allowed = [live] + [
-                _fold(live, b[3]) for b in batches if b[0] <= state.position < b[1]
-            ]
-            problem = _recovery_problem(directory, allowed)
+            in_flight = next(
+                (b[3] for b in batches if b[0] <= state.position < b[1]), None
+            )
+            recovered, problem = open_crash_state(
+                directory,
+                _fold(start_live, [op for b in acked for op in b[3]]),
+                in_flight,
+            )
             if problem is not None:
                 failures.append(f"{recording.describe(state)}: {problem}")
-            elif state.position not in finished:
-                # One state per crash point: the one that lost the most.
-                finished.add(state.position)
+            elif number in extremes:
+                finished.append(state.position)
                 pos = sum(1 for end in ends if end <= state.position)
-                recovered = self._recover_and_finish(
-                    directory, actions, pos, acked[-1][2] if acked else -1
+                resubmitted = self._recover_and_finish(
+                    recovered, actions, pos, acked[-1][2] if acked else -1
                 )
-                _assert_searches_identical(recovered.to_index(), want_index, dimensions)
-                recovered.close()
+                replayed_not_resubmitted += in_flight is not None and not resubmitted
+                assert _observables(recovered.to_index(), dimensions) == want
                 assert verify_streaming_index(directory)["ok"]
+            if recovered is not None:
+                recovered.close()
         assert not failures, "crash states that do not recover:\n" + "\n".join(failures)
-        # 4 batches and the checkpoint's 4 and the rebuild's 5 barriers.
-        assert len(finished) == 4 + 4 + 5 + 1
+        # 4 batches and the checkpoint's 4 and the rebuild's 5 barriers,
+        # and the end of the log.
+        assert len(by_position) == 4 + 4 + 5 + 1
+        assert len(finished) == len(extremes)
+        # A batch whose commit marker survived, unacknowledged, was replayed
+        # by recovery and must not have been resubmitted (before each of the
+        # four WAL fsyncs, the state that keeps everything).
+        assert replayed_not_resubmitted == 4
 
     #: Where the kill lands in the second checkpoint: just after the pack's
     #: rename, and just after the fresh WAL's fsync.

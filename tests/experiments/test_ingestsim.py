@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import ingestsim
 from repro.experiments.config import get_scale
+from repro.storage import atomic
 
 
 SMALL = ingestsim.IngestSimConfig(
@@ -84,6 +85,19 @@ class TestSimulate:
         assert report["unacked_batches_replayed"] == 0
         assert all(row["recoveries"] == 0 for row in report["series"])
 
+    def test_a_failing_run_uninstalls_the_recorder(self, scale, tmp_path, monkeypatch):
+        installed = []
+
+        def fail(*args):
+            installed.append(atomic._recorder is not None)
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(ingestsim, "insert_op", fail)  # the first mutation
+        with pytest.raises(RuntimeError, match="planted failure"):
+            ingestsim.simulate(scale, str(tmp_path / "run"), seed=71, config=SMALL)
+        assert installed == [True]  # the run failed while recording
+        assert atomic._recorder is None
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
@@ -107,7 +121,7 @@ class TestCrashMatrix:
         assert len(report["results"]) == 4
         assert report["uncrashed_verify_ok"] is True
         for row in report["results"]:
-            assert row["verify_ok"] and row["open_ok"] and row["live_ok"]
+            assert row["problem"] is None
             assert 0 < row["n_descriptors"] <= report["uncrashed_n_descriptors"]
 
     def test_every_boundary_recovers(self, scale, tmp_path):
