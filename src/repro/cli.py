@@ -351,9 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser(
         "verify-index",
         help=(
-            "deep-check a streaming-index directory: checksums, extents, "
-            "exact centroids/radii/rectangles, WAL continuity, liveness "
-            "accounting"
+            "deep-check a streaming-index directory: checksums, exact "
+            "centroids/radii/rectangles, WAL continuity, liveness accounting"
         ),
     )
     verify_p.add_argument("directory", help="streaming-index directory")

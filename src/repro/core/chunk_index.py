@@ -216,10 +216,11 @@ class ChunkIndex:
         """Write the on-disk form into ``directory``: chunk file, index
         file, then the code file describing the two.
 
-        The persisted layout is always *compacted*: chunks are written
-        sequentially and the index entries carry the fresh extents.  An
-        index that accumulated relocation holes through maintenance is
-        therefore defragmented by a save/load round trip.
+        Chunks are written contiguously, each padded to whole pages, and
+        the index entries carry the writer's extents — the layout every
+        index in memory already has (:func:`build_chunk_index`, a
+        maintained index's summaries), so a save/load round trip charges
+        the same pages.
 
         Each file is published atomically, the code file last and bound to
         the other two by their checksums, and old codes are removed first:
@@ -302,14 +303,13 @@ def build_chunk_index(
     collection: DescriptorCollection,
     chunk_set: ChunkSet,
     name: str = "chunk-index",
-    geometry: Optional[PageGeometry] = None,
 ) -> ChunkIndex:
     """Assemble an in-memory :class:`ChunkIndex` from logical chunks.
 
     Page extents are laid out exactly as the on-disk writer would place
     them, so simulated I/O costs match what a real chunk file would incur.
     """
-    geometry = geometry or PageGeometry()
+    geometry = PageGeometry()
     codec = RecordCodec(collection.dimensions)
     metas: List[ChunkMeta] = []
     contents: List[Tuple[np.ndarray, np.ndarray]] = []

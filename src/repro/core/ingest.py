@@ -19,7 +19,10 @@ form that survives a crash at any point.  The directory holds
   referenced section is superseded or the base is rebuilt;
 * ``MANIFEST.json`` — the atomically-replaced pointer that names the
   base generation, the live WAL, the live packs and each chunk's
-  provenance (pack + section), extent and exact centroid/radius summary.
+  provenance (pack + section) and exact centroid/radius summary.  No
+  page extent is recorded: a chunk's extent is derived from the chunks
+  (payload pages, contiguous in position order), the layout a base
+  rebuild writes.
 
 Every state transition follows the same discipline: write new files
 under new names, fsync, publish the manifest with
@@ -33,15 +36,15 @@ checkpoint state and replays the committed batches through the
 identical maintainer code path, followed by the repairs: truncate the
 WAL's torn tail, remove orphans, resume the log.  Because member order
 round-trips exactly (live base rows in base order, then appends in
-insertion order), recovered centroids, radii, rectangles, extents and
-the allocation frontier are bit-identical to the uncrashed process —
-which keeps the pruning bounds (sphere and rectangle) and the centroid
-router exactness-preserving across crashes.
+insertion order), recovered centroids, radii, rectangles and extents are
+bit-identical to the uncrashed process — which keeps the pruning bounds
+(sphere and rectangle) and the centroid router exactness-preserving
+across crashes.
 The manifest stores centroid and radius for verification only;
 rectangles, like every summary a search uses, are recomputed from the
 members.
 
-Simulated cost: every mutation and compaction is charged through the
+Simulated cost: every mutation and checkpoint is charged through the
 :class:`~repro.simio.disk_model.DiskModel` write path (sequential write
 plus one sync per durability barrier — a checkpoint has four: pack,
 fresh WAL, manifest + directory — however many chunks are dirty) and
@@ -76,7 +79,6 @@ from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
 from ..storage.index_file import read_index_file, write_index_file
 from ..storage.pages import PageGeometry
-from ..storage.records import RecordCodec
 from ..storage.wal import (
     OP_DELETE,
     OP_INSERT,
@@ -109,7 +111,7 @@ __all__ = [
 
 MANIFEST_NAME = "MANIFEST.json"
 FORMAT_NAME = "repro-streaming-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: File-name patterns owned by the streaming index (garbage collection
 #: only ever touches these).
@@ -143,7 +145,7 @@ class RecoveryReport(NamedTuple):
 
 
 class CheckpointReport(NamedTuple):
-    """What one checkpoint (compaction) pass wrote.
+    """What one checkpoint pass wrote.
 
     ``segments_written`` counts the pack's sections (one per dirty chunk
     that diverges from its base) and ``segment_bytes`` is the pack file's
@@ -153,7 +155,6 @@ class CheckpointReport(NamedTuple):
     checkpoint: int
     segments_written: int
     segment_bytes: int
-    pages_reclaimed: int
 
 
 def _require(condition: bool, message: str) -> None:
@@ -194,7 +195,7 @@ class StreamingChunkIndex:
         self._disk = disk
         #: Recovery findings when this instance came from :meth:`open`.
         self.recovery = recovery
-        #: Simulated seconds of ingest/compaction I/O charged so far.
+        #: Simulated seconds of ingest/checkpoint I/O charged so far.
         self.io_seconds = 0.0
         self._poisoned = False
         self._closed = False
@@ -206,8 +207,6 @@ class StreamingChunkIndex:
         cls,
         directory: str,
         index: ChunkIndex,
-        target_chunk_size: Optional[int] = None,
-        geometry: Optional[PageGeometry] = None,
         disk: Optional[DiskModel] = None,
         name: str = "",
     ) -> "StreamingChunkIndex":
@@ -217,11 +216,7 @@ class StreamingChunkIndex:
             raise ValueError(
                 f"directory {directory!r} already holds a streaming index"
             )
-        maintainer = ChunkIndexMaintainer(
-            index,
-            target_chunk_size=target_chunk_size,
-            geometry=geometry,
-        )
+        maintainer = ChunkIndexMaintainer(index)
         self = cls(
             directory=directory,
             name=name or index.name,
@@ -350,28 +345,25 @@ class StreamingChunkIndex:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def checkpoint(self, defragment: bool = False) -> CheckpointReport:
+    def checkpoint(self) -> CheckpointReport:
         """Persist dirty chunks as one checkpoint pack and rotate the WAL.
 
         This is the background compactor's unit of work: only chunks
         mutated since their last checkpoint are rewritten (each as a
         tombstone-bitmap + appended-records section of a single pack
-        file, published by one atomic write); clean chunks keep their
-        existing base extents or their sections of earlier packs.  With
-        ``defragment=True`` the logical extents are first compacted
-        sequentially, reclaiming relocation holes.  Ends by publishing a
+        file, published by one atomic write); clean chunks keep their base
+        chunks or their sections of earlier packs.  Ends by publishing a
         new manifest and garbage-collecting superseded files.
         """
         self._guard()
         try:
-            return self._checkpoint(defragment)
+            return self._checkpoint()
         except BaseException:
             self._poisoned = True
             raise
 
-    def _checkpoint(self, defragment: bool) -> CheckpointReport:
+    def _checkpoint(self) -> CheckpointReport:
         maintainer = self.maintainer
-        reclaimed = maintainer.compact() if defragment else 0
         checkpoint = self.checkpoint_seq + 1
         diverged: List[int] = []
         for position in maintainer.dirty_positions():
@@ -401,17 +393,15 @@ class StreamingChunkIndex:
             checkpoint=checkpoint,
             segments_written=len(diverged),
             segment_bytes=pack_bytes,
-            pages_reclaimed=reclaimed,
         )
 
     def rebuild_base(self) -> int:
         """Fold the whole state into a fresh base generation.
 
-        Writes new checksummed base chunk/index files (compacted,
-        sequential extents), declares every chunk a clean base chunk, and
-        rotates the WAL — the full-rebuild alternative the compactor
-        escalates to when fragmentation makes delta chains poor value.
-        Returns the new generation number.
+        Writes new checksummed base chunk/index files, declares every
+        chunk a clean base chunk, and rotates the WAL — the full-rebuild
+        alternative to a checkpoint once the live packs hold more dead
+        sections than they are worth.  Returns the new generation number.
         """
         self._guard()
         try:
@@ -431,26 +421,23 @@ class StreamingChunkIndex:
         manifest lands, the previous manifest's files are all intact.
         """
         maintainer = self.maintainer
-        maintainer.compact()
         directory = self.directory
         chunk_path = os.path.join(directory, _base_chunk_name(self.generation))
-        compacted: List[Tuple[int, int]] = []
-
-        def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-            for position in range(maintainer.n_chunks):
-                snap = maintainer.snapshot(position)
-                compacted.append((snap.page_offset, snap.page_count))
-                yield np.asarray(snap.ids, dtype=np.int64), snap.vectors
-
+        snaps = map(maintainer.snapshot, range(maintainer.n_chunks))
         extents, _ = write_chunk_file(
-            chunk_path, maintainer.dimensions, chunks(), maintainer.geometry
+            chunk_path,
+            maintainer.dimensions,
+            ((np.asarray(snap.ids, dtype=np.int64), snap.vectors) for snap in snaps),
+            maintainer.geometry,
         )
-        if [(e.page_offset, e.page_count) for e in extents] != compacted:
-            raise AssertionError("compacted extents must match the sequential writer")
         self._charge_write(os.path.getsize(chunk_path))
         maintainer.rebase()
         index_path = os.path.join(directory, _base_index_name(self.generation))
         metas = [summary.meta for summary in maintainer.summaries()]
+        if [(e.page_offset, e.page_count) for e in extents] != [
+            (m.page_offset, m.page_count) for m in metas
+        ]:
+            raise AssertionError("the chunk file's extents must be the maintainer's")
         write_index_file(index_path, metas)
         self._charge_write(os.path.getsize(index_path))
         self._base_counts = [m.n_descriptors for m in metas]
@@ -551,8 +538,6 @@ class StreamingChunkIndex:
                     "delta": None
                     if delta is None
                     else [pack_index[delta.pack], delta.section],
-                    "page_offset": meta.page_offset,
-                    "page_count": meta.page_count,
                     "n_descriptors": meta.n_descriptors,
                     "centroid": meta.centroid.tolist(),
                     "radius": meta.radius,
@@ -570,7 +555,6 @@ class StreamingChunkIndex:
             "wal_file": _wal_name(self.checkpoint_seq),
             "packs": packs,
             "next_batch_seq": self._wal.next_batch_seq,
-            "next_page": maintainer.next_page,
             "page_bytes": maintainer.geometry.page_bytes,
             "target_chunk_size": maintainer.target_chunk_size,
             "split_factor": SPLIT_FACTOR,
@@ -606,12 +590,11 @@ _MANIFEST_INTS = {
     "generation": 0,
     "checkpoint": 0,
     "next_batch_seq": 0,
-    "next_page": 0,
     "page_bytes": 1,
     "target_chunk_size": 1,
 }
 #: Integer fields of a manifest chunk entry and the least value each may hold.
-_CHUNK_INTS = {"base_ref": -1, "page_offset": 0, "page_count": 1, "n_descriptors": 1}
+_CHUNK_INTS = {"base_ref": -1, "n_descriptors": 1}
 _STATS_FIELDS = sorted(field.name for field in dataclasses.fields(MaintenanceStats))
 
 
@@ -715,7 +698,6 @@ class _Loaded:
     stage: str
     manifest: Dict[str, Any]
     base_metas: List[ChunkMeta]
-    snaps: List[ChunkSnapshot]
     maintainer: ChunkIndexMaintainer
     scan: WalScan
 
@@ -753,9 +735,7 @@ def _load(directory: str, loaded: _Loaded) -> Iterator[str]:
         base_metas = loaded.base_metas = read_index_file(
             os.path.join(directory, manifest["base_index_file"])
         )
-        snaps = loaded.snaps = _load_chunk_snapshots(
-            directory, manifest, base_metas, geometry
-        )
+        snaps = _load_chunk_snapshots(directory, manifest, base_metas, geometry)
         yield (
             f"{len(base_metas)} base chunks, "
             f"{sum(1 for s in snaps if s.delta is not None)} delta sections "
@@ -766,7 +746,6 @@ def _load(directory: str, loaded: _Loaded) -> Iterator[str]:
         maintainer = loaded.maintainer = ChunkIndexMaintainer.restore(
             dimensions=manifest["dimensions"],
             chunks=snaps,
-            next_page=manifest["next_page"],
             target_chunk_size=manifest["target_chunk_size"],
             geometry=geometry,
             stats=MaintenanceStats(**manifest["stats"]),
@@ -857,8 +836,6 @@ def _load_chunk_snapshots(
                     base_ref=base_ref,
                     delta=delta,
                     dirty=False,
-                    page_offset=entry["page_offset"],
-                    page_count=entry["page_count"],
                 )
             )
     return snaps
@@ -1003,8 +980,7 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     check (``manifest``, ``storage``, ``summaries``, ``wal``,
     ``liveness``), and adds the exactness checks recovery does not need:
     every stored centroid/radius summary equal to the recomputed one
-    (``summaries``); extents sized, disjoint and behind the allocation
-    frontier (``extents``); every live member inside its chunk's exact
+    (``summaries``); every live member inside its chunk's exact
     radius (``liveness``) and rectangle, and the base index's rectangle
     block equal to the base chunk contents' (``rectangles``) — the
     invariants the pruning bounds' soundness rests on.  The report ends at
@@ -1034,7 +1010,6 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
             _inexact_summaries(loaded),
             f"{detail}; every stored centroid/radius summary recomputed exactly",
         )
-        record("extents", _extent_problems(loaded), "extents disjoint and sized")
         record("wal", [], next(stages))
         detail = next(stages)
         outside_radius, outside_rectangle = _stray_members(loaded.maintainer)
@@ -1070,30 +1045,6 @@ def _inexact_summaries(loaded: _Loaded) -> List[str]:
             problems.append(f"chunk {meta.chunk_id}: stored centroid is not exact")
         if entry["radius"] != meta.radius:
             problems.append(f"chunk {meta.chunk_id}: stored radius is not exact")
-    return problems
-
-
-def _extent_problems(loaded: _Loaded) -> List[str]:
-    """Checkpointed extents too small for their records, overlapping, or
-    past the allocation frontier."""
-    maintainer = loaded.maintainer
-    record_bytes = RecordCodec(maintainer.dimensions).record_bytes
-    problems: List[str] = []
-    spans: List[Tuple[int, int, int]] = []
-    for position, snap in enumerate(loaded.snaps):
-        needed = maintainer.geometry.pages_for(len(snap.ids) * record_bytes)
-        if snap.page_count < needed:
-            problems.append(
-                f"chunk {position}: extent of {snap.page_count} pages cannot "
-                f"hold {len(snap.ids)} records"
-            )
-        spans.append((snap.page_offset, snap.page_offset + snap.page_count, position))
-    spans.sort()
-    for (_, prev_end, prev_pos), (start, _, pos) in zip(spans, spans[1:]):
-        if start < prev_end:
-            problems.append(f"chunks {prev_pos} and {pos}: extents overlap")
-    if spans and spans[-1][1] > loaded.manifest["next_page"]:
-        problems.append("allocation frontier is behind the last extent")
     return problems
 
 

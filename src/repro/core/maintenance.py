@@ -9,17 +9,16 @@ inserts and deletes while preserving the invariants the search relies on:
   minimum bounding radius and its rectangle the exact per-dimension extent
   of its current members (the completion proof and the pruning bounds are
   unsound otherwise);
-* chunk payloads stay within their allocated page extents when possible —
-  a chunk whose new payload still fits its pages is updated in place, one
-  that outgrows them is *relocated* to fresh pages at the end of the file
-  (the classic slotted-file strategy), leaving a hole;
 * chunks that grow beyond :data:`SPLIT_FACTOR` times the target size are
   split by a 2-means pass, and chunks that shrink below
   :data:`MERGE_FRACTION` of it are merged into the chunk with the nearest
   centroid.
 
-The maintainer tracks fragmentation (dead pages left by relocations) so
-callers can decide when a compaction/rebuild pays off.
+A chunk's page extent is not state: like every writer of a chunk file
+(the paper's section 4.2), :meth:`ChunkIndexMaintainer.summaries` lays
+the chunks out contiguously in position order, each padded to whole
+pages, so the extents a maintained index is charged are the ones it is
+saved with.
 
 For the durable streaming index (:mod:`repro.core.ingest`) each chunk
 additionally carries its *provenance* relative to the last persisted base
@@ -80,8 +79,6 @@ class MaintenanceStats:
     deletes: int = 0
     splits: int = 0
     merges: int = 0
-    relocations: int = 0
-    dead_pages: int = 0
 
 
 class DeltaRef(NamedTuple):
@@ -115,8 +112,6 @@ class ChunkSnapshot(NamedTuple):
         from base (``None`` when clean or never checkpointed).
     dirty:
         True when the chunk mutated since the last checkpoint.
-    page_offset / page_count:
-        The chunk's logical page extent.
     """
 
     ids: Tuple[int, ...]
@@ -125,8 +120,6 @@ class ChunkSnapshot(NamedTuple):
     base_ref: int
     delta: Optional[DeltaRef]
     dirty: bool
-    page_offset: int
-    page_count: int
 
 
 class ChunkSummary(NamedTuple):
@@ -154,23 +147,12 @@ class _MutableChunk:
     takes :meth:`copy_rows` instead.
     """
 
-    __slots__ = (
-        "ids",
-        "_buffer",
-        "page_offset",
-        "page_count",
-        "base_ref",
-        "origins",
-        "dirty",
-        "delta",
-    )
+    __slots__ = ("ids", "_buffer", "base_ref", "origins", "dirty", "delta")
 
     def __init__(
         self,
         ids: Sequence[int],
         vectors: np.ndarray,
-        page_offset: int,
-        page_count: int,
         base_ref: int = -1,
         origins: Optional[Sequence[int]] = None,
         dirty: bool = True,
@@ -181,8 +163,6 @@ class _MutableChunk:
         self._buffer = np.array(vectors, dtype=np.float32, order="C")
         if self._buffer.ndim != 2 or self._buffer.shape[0] != len(self.ids):
             raise ValueError("vectors must parallel ids")
-        self.page_offset = int(page_offset)
-        self.page_count = int(page_count)
         self.base_ref = int(base_ref)
         self.origins: List[int] = (
             np.asarray(origins, dtype=np.int64).tolist()
@@ -251,40 +231,22 @@ class ChunkIndexMaintainer:
     ----------
     index:
         The starting index; its contents are copied, the original is not
-        mutated.
-    target_chunk_size:
-        Size around which split/merge thresholds are set
-        (:data:`SPLIT_FACTOR`, :data:`MERGE_FRACTION`); defaults to the
-        index's current mean chunk size.
+        mutated.  Its mean chunk size is the target around which the
+        split/merge thresholds are set (:data:`SPLIT_FACTOR`,
+        :data:`MERGE_FRACTION`), and chunks are laid out in the default
+        :class:`~repro.storage.pages.PageGeometry`.
     """
 
-    def __init__(
-        self,
-        index: ChunkIndex,
-        target_chunk_size: Optional[int] = None,
-        geometry: Optional[PageGeometry] = None,
-    ):
-        counts = index.descriptor_counts()
-        target = int(
-            target_chunk_size
-            if target_chunk_size is not None
-            else max(1, round(float(counts.mean())))
-        )
-        chunks: List[_MutableChunk] = []
-        next_page = 0
-        for chunk_id in range(index.n_chunks):
-            ids, vectors = index.read_chunk(chunk_id)
-            meta = index.metas[chunk_id]
-            chunks.append(
-                _MutableChunk(ids, vectors, meta.page_offset, meta.page_count)
-            )
-            next_page = max(next_page, meta.page_offset + meta.page_count)
+    def __init__(self, index: ChunkIndex):
+        chunks = [
+            _MutableChunk(*index.read_chunk(chunk_id))
+            for chunk_id in range(index.n_chunks)
+        ]
         self._setup(
             dimensions=index.dimensions,
             chunks=chunks,
-            next_page=next_page,
-            target_chunk_size=target,
-            geometry=geometry,
+            target_chunk_size=max(1, round(float(index.descriptor_counts().mean()))),
+            geometry=None,
             stats=MaintenanceStats(),
         )
 
@@ -292,7 +254,6 @@ class ChunkIndexMaintainer:
         self,
         dimensions: int,
         chunks: List[_MutableChunk],
-        next_page: int,
         target_chunk_size: int,
         geometry: Optional[PageGeometry],
         stats: MaintenanceStats,
@@ -305,7 +266,6 @@ class ChunkIndexMaintainer:
         self.target_chunk_size = int(target_chunk_size)
         self.stats = stats
         self._chunks = chunks
-        self._next_page = int(next_page)
         self._chunk_of_id: Dict[int, int] = {}
         for position, chunk in enumerate(self._chunks):
             for descriptor_id in chunk.ids:
@@ -322,25 +282,21 @@ class ChunkIndexMaintainer:
         cls,
         dimensions: int,
         chunks: Sequence[ChunkSnapshot],
-        next_page: int,
         target_chunk_size: int,
         geometry: Optional[PageGeometry] = None,
         stats: Optional[MaintenanceStats] = None,
     ) -> "ChunkIndexMaintainer":
         """Rebuild a maintainer from externalized chunk state.
 
-        This is the recovery entry point: chunk contents, member order,
-        provenance, page extents and the allocation frontier are restored
-        exactly, so subsequent operations (WAL replay included) take the
-        same code path — and produce bit-identical state — as the process
-        that wrote the checkpoint.
+        This is the recovery entry point: chunk contents, member order and
+        provenance are restored exactly, so subsequent operations (WAL
+        replay included) take the same code path — and produce
+        bit-identical state — as the process that wrote the checkpoint.
         """
         mutable = [
             _MutableChunk(
                 snap.ids,
                 snap.vectors,
-                snap.page_offset,
-                snap.page_count,
                 base_ref=snap.base_ref,
                 origins=snap.origins,
                 dirty=snap.dirty,
@@ -352,7 +308,6 @@ class ChunkIndexMaintainer:
         self._setup(
             dimensions=dimensions,
             chunks=mutable,
-            next_page=next_page,
             target_chunk_size=target_chunk_size,
             geometry=geometry,
             stats=stats if stats is not None else MaintenanceStats(),
@@ -368,33 +323,12 @@ class ChunkIndexMaintainer:
     def n_chunks(self) -> int:
         return len(self._chunks)
 
-    @property
-    def next_page(self) -> int:
-        """The page-allocation frontier (first never-allocated page)."""
-        return self._next_page
-
     def __contains__(self, descriptor_id: int) -> bool:
         return int(descriptor_id) in self._chunk_of_id
 
     def __iter__(self) -> Iterator[int]:
         """Live descriptor ids, in no particular order."""
         return iter(self._chunk_of_id)
-
-    def _pages_needed(self, n_descriptors: int) -> int:
-        return self.geometry.pages_for(n_descriptors * self._codec.record_bytes)
-
-    def _reextent(self, position: int) -> None:
-        """Keep the chunk in place if it fits; otherwise relocate it to
-        fresh pages at the end of the file."""
-        chunk = self._chunks[position]
-        needed = self._pages_needed(len(chunk))
-        if needed <= chunk.page_count:
-            return
-        self.stats.relocations += 1
-        self.stats.dead_pages += chunk.page_count
-        chunk.page_offset = self._next_page
-        chunk.page_count = needed
-        self._next_page += needed
 
     def _refresh_centroid(self, position: int) -> None:
         self._centroids[position] = self._chunks[position].centroid()
@@ -418,7 +352,6 @@ class ChunkIndexMaintainer:
         chunk.dirty = True
         self._chunk_of_id[descriptor_id] = position
         self._refresh_centroid(position)
-        self._reextent(position)
         self.stats.inserts += 1
 
         if len(chunk) > SPLIT_FACTOR * self.target_chunk_size:
@@ -447,8 +380,8 @@ class ChunkIndexMaintainer:
             self._merge_away(position)
 
     def _split(self, position: int) -> None:
-        """2-means split of an oversized chunk; the halves reuse the old
-        extent if they fit, else relocate."""
+        """2-means split of an oversized chunk; the moved half becomes the
+        last chunk."""
         chunk = self._chunks[position]
         matrix = chunk.rows().astype(np.float64)
         # Seed with the two most distant members of a sample.
@@ -476,12 +409,8 @@ class ChunkIndexMaintainer:
         # appends of a new (baseless) chunk, keeping the origin-prefix
         # invariant trivially true for both halves.
         moved = _MutableChunk(
-            [chunk.ids[i] for i in move_rows],
-            chunk.rows()[move_rows],
-            page_offset=self._next_page,
-            page_count=self._pages_needed(move_rows.size),
+            [chunk.ids[i] for i in move_rows], chunk.rows()[move_rows]
         )
-        self._next_page += moved.page_count
         chunk.keep(keep_rows)
         chunk.dirty = True
 
@@ -491,11 +420,9 @@ class ChunkIndexMaintainer:
             self._chunk_of_id[descriptor_id] = new_position
         self._centroids = np.vstack([self._centroids, moved.centroid()])
         self._refresh_centroid(position)
-        self._reextent(position)
         self.stats.splits += 1
 
     def _drop_chunk(self, position: int) -> None:
-        self.stats.dead_pages += self._chunks[position].page_count
         self._chunks.pop(position)
         self._centroids = np.delete(self._centroids, position, axis=0)
         for descriptor_id, chunk_position in self._chunk_of_id.items():
@@ -517,7 +444,6 @@ class ChunkIndexMaintainer:
         for descriptor_id in chunk.ids:
             self._chunk_of_id[descriptor_id] = other
         self._refresh_centroid(other)
-        self._reextent(other)
         self.stats.merges += 1
         # Drop AFTER rewiring so position shifts are applied consistently.
         self._drop_chunk(position)
@@ -534,8 +460,6 @@ class ChunkIndexMaintainer:
             base_ref=chunk.base_ref,
             delta=chunk.delta,
             dirty=chunk.dirty,
-            page_offset=chunk.page_offset,
-            page_count=chunk.page_count,
         )
 
     def provenance(self, position: int) -> Tuple[int, Tuple[int, ...]]:
@@ -549,9 +473,11 @@ class ChunkIndexMaintainer:
 
         Centroid, radius and rectangle are recomputed from the members in
         place (no per-chunk state to keep current, nothing to invalidate);
-        ``meta.chunk_id`` is the position.
+        ``meta.chunk_id`` is the position.  Extents are the chunk file's
+        layout: payload pages, contiguous in position order.
         """
         summaries: List[ChunkSummary] = []
+        page_offset = 0
         for position, chunk in enumerate(self._chunks):
             rows = chunk.rows()
             centroid, radius = summarize_members(rows)
@@ -563,9 +489,12 @@ class ChunkIndexMaintainer:
                 lower=lower,
                 upper=upper,
                 n_descriptors=len(chunk),
-                page_offset=chunk.page_offset,
-                page_count=chunk.page_count,
+                page_offset=page_offset,
+                page_count=self.geometry.pages_for(
+                    len(chunk) * self._codec.record_bytes
+                ),
             )
+            page_offset += meta.page_count
             summaries.append(
                 ChunkSummary(meta, chunk.base_ref, chunk.delta, chunk.dirty)
             )
@@ -600,32 +529,6 @@ class ChunkIndexMaintainer:
             chunk.delta = None
 
     # -- export -----------------------------------------------------------------------
-
-    @property
-    def fragmentation(self) -> float:
-        """Dead pages as a fraction of the file's page span."""
-        if self._next_page == 0:
-            return 0.0
-        return self.stats.dead_pages / self._next_page
-
-    def compact(self) -> int:
-        """Rewrite all chunk extents sequentially, reclaiming dead pages.
-
-        The on-disk equivalent is a single sequential rewrite of the chunk
-        file (cheap relative to the random I/O the holes would cost).
-        Returns the number of pages reclaimed.  Only extents move — chunk
-        *contents* are untouched, so clean chunks stay clean (the manifest
-        records the new extents at the next checkpoint).
-        """
-        before = self._next_page
-        next_page = 0
-        for chunk in self._chunks:
-            chunk.page_offset = next_page
-            chunk.page_count = self._pages_needed(len(chunk))
-            next_page += chunk.page_count
-        self._next_page = next_page
-        self.stats.dead_pages = 0
-        return before - next_page
 
     def to_index(self, name: str = "maintained") -> ChunkIndex:
         """Materialize the current state as a searchable :class:`ChunkIndex`.

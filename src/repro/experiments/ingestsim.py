@@ -279,9 +279,8 @@ class _IngestDriver:
             self._pending.pop()
 
     def checkpoint(self) -> None:
-        streaming = self.streaming
-        assert streaming is not None
-        self._run(lambda: streaming.checkpoint(defragment=True), None)
+        assert self.streaming is not None
+        self._run(self.streaming.checkpoint, None)
 
     def rebuild(self) -> None:
         assert self.streaming is not None
@@ -503,7 +502,7 @@ def _matrix_scenario(
                 streaming.apply(ops)
                 batches.append(_Batch(start, len(recording.ops), ops))
                 if i == 0:
-                    streaming.checkpoint(defragment=True)
+                    streaming.checkpoint()
                 elif i == 1:
                     streaming.rebuild_base()
     return recording, start_live, batches

@@ -33,6 +33,7 @@ from repro.core.ingest import (
     StreamingChunkIndex,
     verify_streaming_index,
 )
+from repro.core.maintenance import SPLIT_FACTOR
 from repro.core.routing import CentroidRouter
 from repro.core.search import ChunkSearcher
 from repro.experiments.ingestsim import _fold, open_crash_state
@@ -41,7 +42,11 @@ from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
+from repro.storage.pages import PageGeometry
+from repro.storage.records import RecordCodec
 from repro.storage.wal import delete_op, insert_op
+
+from descriptors import from_vectors
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``), where the crash matrix takes every state.
@@ -97,7 +102,7 @@ def _run_actions(index, actions, start=0):
         if kind == "apply":
             acked = index.apply(payload)
         elif kind == "checkpoint":
-            index.checkpoint(defragment=True)
+            index.checkpoint()
         else:
             index.rebuild_base()
     return acked
@@ -328,7 +333,6 @@ class TestVerify:
             "manifest",
             "storage",
             "summaries",
-            "extents",
             "wal",
             "liveness",
             "rectangles",
@@ -362,25 +366,39 @@ class TestVerify:
         assert f"{packs[0]} section" in failed["storage"]  # names the section
 
     def test_parent_format_directory_is_rejected_whole(self, populated):
-        """A version-1 directory (per-chunk ``.seg`` files) is refused at
+        """A version-1 directory (per-chunk ``.seg`` files) and a version-2
+        one (recorded page extents and allocation frontier) are refused at
         the manifest, before any chunk is read."""
         directory, _ = populated
         manifest_path = os.path.join(directory, MANIFEST_NAME)
-        manifest = _manifest(directory)
-        manifest["version"] = 1
-        del manifest["packs"]
-        for position, chunk in enumerate(manifest["chunks"]):
-            del chunk["delta"]
-            chunk["delta_file"] = f"delta-000009-{position:05d}.seg"
-        with open(manifest_path, "w") as handle:  # deliberate direct edit
-            json.dump(manifest, handle, indent=2)
-        with pytest.raises(CorruptFileError, match="unsupported manifest version 1"):
-            StreamingChunkIndex.open(directory)
-        report = verify_streaming_index(directory)
-        assert not report["ok"]
-        assert [(c["name"], c["ok"]) for c in report["checks"]] == [
-            ("manifest", False)
-        ]
+        current = _manifest(directory)
+
+        def version_1(manifest):
+            del manifest["packs"]
+            for position, chunk in enumerate(manifest["chunks"]):
+                del chunk["delta"]
+                chunk["delta_file"] = f"delta-000009-{position:05d}.seg"
+
+        def version_2(manifest):
+            manifest["next_page"] = len(manifest["chunks"])
+            for position, chunk in enumerate(manifest["chunks"]):
+                chunk["page_offset"], chunk["page_count"] = position, 1
+
+        for version, downgrade in ((1, version_1), (2, version_2)):
+            manifest = json.loads(json.dumps(current))
+            manifest["version"] = version
+            downgrade(manifest)
+            with open(manifest_path, "w") as handle:  # deliberate direct edit
+                json.dump(manifest, handle, indent=2)
+            with pytest.raises(
+                CorruptFileError, match=f"unsupported manifest version {version}"
+            ):
+                StreamingChunkIndex.open(directory)
+            report = verify_streaming_index(directory)
+            assert not report["ok"]
+            assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+                ("manifest", False)
+            ]
 
     def test_tampered_centroid_fails_summaries_check(self, populated):
         directory, _ = populated
@@ -426,7 +444,7 @@ MANIFEST_DAMAGE = {
     "chunk-without-base_ref": lambda m: m["chunks"][0].pop("base_ref"),
     "chunk-base_ref-x": lambda m: m["chunks"][0].update(base_ref="x"),
     "chunk-without-n_descriptors": lambda m: m["chunks"][0].pop("n_descriptors"),
-    "negative-page_offset": lambda m: m["chunks"][0].update(page_offset=-1),
+    "chunk-n_descriptors-0": lambda m: m["chunks"][0].update(n_descriptors=0),
     "without-name": lambda m: m.pop("name"),
     "stats-inserts-abc": lambda m: m["stats"].update(inserts="abc"),
     "split_factor-0.5": lambda m: m.update(split_factor=0.5),
@@ -545,6 +563,46 @@ class TestCheckpointCost:
         assert streaming.io_seconds == expected
 
 
+class TestExtentsAreDerived:
+    """A chunk's extent is its payload pages, the chunks contiguous in
+    position order: what a base rebuild writes, whatever the chunk went
+    through before."""
+
+    def test_rebuild_base_after_a_page_round_trip_changes_no_observable(
+        self, tmp_path
+    ):
+        dimensions = 64
+        rng = np.random.default_rng(41)
+        centers = rng.uniform(-4.0, 4.0, size=(6, dimensions))
+        collection = from_vectors(
+            np.vstack(
+                [c + 0.3 * rng.standard_normal((40, dimensions)) for c in centers]
+            )
+        )
+        chunking = SRTreeChunker(leaf_capacity=30).form_chunks(collection)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        per_page = PageGeometry().page_bytes // RecordCodec(dimensions).record_bytes
+        with StreamingChunkIndex.create(str(tmp_path / "stream"), index) as streaming:
+            maintainer = streaming.maintainer
+            position = _fullest_chunks(streaming, 1)[0]
+            members = maintainer.snapshot(position).vectors
+            assert len(members) <= per_page  # one page
+            assert per_page + 1 <= SPLIT_FACTOR * maintainer.target_chunk_size
+            centroid = members.astype(np.float64).mean(axis=0)
+            n_extra = per_page + 1 - len(members)
+            noise = 1e-3 * rng.standard_normal((n_extra, dimensions))
+            extra = [insert_op(50_000 + i, centroid + v) for i, v in enumerate(noise)]
+            streaming.apply(extra)
+            grown = streaming.to_index().metas[position]
+            assert (grown.n_descriptors, grown.page_count) == (per_page + 1, 2)
+            streaming.apply([delete_op(op.descriptor_id) for op in extra])
+            assert len(maintainer.snapshot(position).ids) == len(members)
+
+            before = _observables(streaming.to_index(), dimensions)
+            streaming.rebuild_base()
+            assert _observables(streaming.to_index(), dimensions) == before
+
+
 class TestPackLifetime:
     """A pack lives exactly as long as some chunk points into it."""
 
@@ -651,7 +709,7 @@ class TestCrashMatrix:
         if resubmitted:
             recovered.apply(payload)  # the crashed batch was lost
         elif kind == "checkpoint":
-            recovered.checkpoint(defragment=True)
+            recovered.checkpoint()
         elif kind == "rebuild":
             recovered.rebuild_base()
         _run_actions(recovered, actions, start=pos + 1)

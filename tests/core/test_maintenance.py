@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.chunk_index import build_chunk_index
+from repro.core.chunk_index import ChunkIndex, build_chunk_index
 from repro.core.ground_truth import exact_knn
 from repro.core import maintenance
 from repro.core.maintenance import SPLIT_FACTOR, ChunkIndexMaintainer, _MutableChunk
@@ -41,13 +41,13 @@ class TestConstruction:
         m, collection = maintainer
         assert len(m) == len(collection)
         assert m.n_chunks > 1
+        assert m.target_chunk_size == round(len(collection) / m.n_chunks)
 
     def test_validation(self, maintainer):
         m, _ = maintainer
-        from repro.chunking.srtree_chunker import SRTreeChunker
-
+        snaps = [m.snapshot(position) for position in range(m.n_chunks)]
         with pytest.raises(ValueError, match="target chunk size"):
-            ChunkIndexMaintainer(m.to_index(), target_chunk_size=0)
+            ChunkIndexMaintainer.restore(m.dimensions, snaps, target_chunk_size=0)
 
 
 class TestInsert:
@@ -151,20 +151,38 @@ class TestDelete:
 
 
 class TestStorageAccounting:
-    def test_relocation_tracked(self, tiny_collection, monkeypatch):
-        # A high split threshold lets one chunk's payload outgrow its
-        # 8 KiB page (an 8-byte-per-value record layout fits 81 records).
-        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", 3.0)
+    def test_extents_are_the_chunk_file_layout(
+        self, tiny_collection, tmp_path, monkeypatch
+    ):
+        """A chunk grown past a page and shrunk back is charged its payload
+        pages, the chunks laid out contiguously in position order: the
+        extents ``save`` writes and ``load`` reads back."""
+        # No split, so one chunk's payload outgrows its 8 KiB page: 4-d
+        # records are 20 bytes, 409 to a page.
+        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", float("inf"))
         chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
-        index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        m = ChunkIndexMaintainer(index, target_chunk_size=300)
-        # 4-d records are 20 bytes, so one 8 KiB page holds 409; growing a
-        # chunk past that must relocate it.
+        m = ChunkIndexMaintainer(
+            build_chunk_index(chunking.retained, chunking.chunk_set)
+        )
+
+        def extents(index):
+            return [(meta.page_offset, meta.page_count) for meta in index.metas]
+
+        def saved_extents(index):
+            index.save(str(tmp_path))
+            with ChunkIndex.load(str(tmp_path), index.dimensions) as loaded:
+                return extents(loaded)
+
+        built = extents(m.to_index())
         for i in range(450):
             m.insert(9000 + i, tiny_collection.vectors[0] + 0.0001 * i)
-        assert m.stats.relocations >= 1
-        assert m.stats.dead_pages >= 1
-        assert 0.0 <= m.fragmentation < 1.0
+        grown = m.to_index()
+        assert max(grown.page_counts()) == 2
+        assert extents(grown) == saved_extents(grown)
+        for i in range(450):
+            m.delete(9000 + i)
+        shrunk = m.to_index()
+        assert extents(shrunk) == built == saved_extents(shrunk)
 
     def test_extents_never_overlap(self, maintainer):
         m, collection = maintainer
@@ -178,38 +196,6 @@ class TestStorageAccounting:
         )
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert start >= end
-
-
-class TestCompaction:
-    def test_compact_reclaims_dead_pages(self, tiny_collection, monkeypatch):
-        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", 3.0)
-        chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
-        index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        m = ChunkIndexMaintainer(index, target_chunk_size=300)
-        for i in range(450):
-            m.insert(9000 + i, tiny_collection.vectors[0] + 0.0001 * i)
-        assert m.fragmentation > 0
-        reclaimed = m.compact()
-        assert reclaimed > 0
-        assert m.fragmentation == 0.0
-
-    def test_compact_preserves_contents_and_layout(self, maintainer):
-        m, collection = maintainer
-        rng = np.random.default_rng(3)
-        for i in range(60):
-            m.insert(12000 + i, rng.standard_normal(4).astype(np.float32) * 4)
-        before = m.to_index()
-        query = collection.vectors[0].astype(float)
-        expected = ChunkSearcher(before).search(query, k=8).neighbor_ids()
-        m.compact()
-        after = m.to_index()
-        got = ChunkSearcher(after).search(query, k=8).neighbor_ids()
-        np.testing.assert_array_equal(got, expected)
-        # Extents are now dense: offsets are the running page sum.
-        offset = 0
-        for meta in after.metas:
-            assert meta.page_offset == offset
-            offset += meta.page_count
 
 
 def _observe(searcher, queries):
@@ -268,7 +254,7 @@ class TestSnapshotsDoNotAlias:
         snaps = [m.snapshot(position) for position in range(m.n_chunks)]
         want = [snap.vectors.copy() for snap in snaps]
         restored = ChunkIndexMaintainer.restore(
-            m.dimensions, snaps, m.next_page, m.target_chunk_size
+            m.dimensions, snaps, m.target_chunk_size
         )
         for snap in snaps:
             restored.delete(snap.ids[0])
@@ -303,8 +289,9 @@ class TestCostGuard:
         chunking = SRTreeChunker(leaf_capacity=12).form_chunks(tiny_collection)
         index = build_chunk_index(chunking.retained, chunking.chunk_set)
         n_inserts = 4000
+        monkeypatch.setattr(maintenance, "SPLIT_FACTOR", float("inf"))
         monkeypatch.setattr(maintenance, "MERGE_FRACTION", 0.0)
-        m = ChunkIndexMaintainer(index, target_chunk_size=n_inserts)
+        m = ChunkIndexMaintainer(index)
         grows, copies = self._count_grows_and_copies(monkeypatch)
         anchor = tiny_collection.vectors[0]
         landed = {m.insert(50_000 + i, anchor + 1e-5 * i) for i in range(n_inserts)}

@@ -93,7 +93,7 @@ class TestPruningBoundSoundness:
                 live.discard(victim)
             else:
                 # Clustered inserts (near an existing member) force
-                # splits; uniform ones exercise relocation.
+                # splits; uniform ones land anywhere.
                 if live and rng.random() < 0.7:
                     anchor = maintainer.to_index()
                     ids, vectors = anchor.store.read_chunk(0)

@@ -6,6 +6,7 @@ bytes) — never as unhandled crashes or silent wrong shapes.
 """
 
 import io
+import json
 import shutil
 
 import numpy as np
@@ -289,6 +290,14 @@ def _manifest_artefact(directory, rng):
         streaming.apply([delete_op(int(collection.ids[0]))])
         streaming.checkpoint()
         streaming.apply([insert_op(200 + i, v) for i, v in enumerate(arrivals[3:])])
+    # The version-3 fields are what the mutations land in: no page extent
+    # and no allocation frontier is recorded.
+    manifest = json.loads((stream / MANIFEST_NAME).read_text())
+    assert manifest["version"] == 3 and "next_page" not in manifest
+    assert {tuple(sorted(chunk)) for chunk in manifest["chunks"]} == {
+        ("base_ref", "centroid", "delta", "n_descriptors", "radius")
+    }
+    assert any(chunk["delta"] is not None for chunk in manifest["chunks"])
 
     def read():
         report = verify_streaming_index(str(stream))

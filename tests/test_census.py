@@ -94,9 +94,7 @@ OPTIONS_ALLOWED: Dict[str, str] = {
     "repro.simio.disk_model.DiskModel.page_bytes": _PAGE_SIZE,
     **{
         f"repro.core.maintenance.MaintenanceStats.{counter}": _MANIFEST_STATS
-        for counter in (
-            "inserts", "deletes", "splits", "merges", "relocations", "dead_pages"
-        )
+        for counter in ("inserts", "deletes", "splits", "merges")
     },
     "repro.simio.disk_model.DiskModel.rotational_latency_s": _PAPER_MACHINE,
     "repro.simio.disk_model.DiskModel.transfer_rate_bytes_per_s": _PAPER_MACHINE,

@@ -107,10 +107,6 @@ class MaintainerMachine(RuleBasedStateMachine):
         self.maintainer.delete(victim)
         del self.model[victim]
 
-    @rule()
-    def compact(self):
-        self.maintainer.compact()
-
     @invariant()
     def search_matches_model(self):
         if self.maintainer is None or len(self.model) < 2:

@@ -8,6 +8,8 @@ from repro.core.chunk_index import ChunkIndex, OnDiskChunkStore
 from repro.core.dataset import DescriptorCollection
 from repro.core.maintenance import ChunkIndexMaintainer
 from repro.core.search import ChunkSearcher
+from repro.storage.pages import PageGeometry
+from repro.storage.records import RecordCodec
 from repro.system import ImageRetrievalSystem
 
 
@@ -208,6 +210,34 @@ def assert_same_answers(got, want, queries):
             )
 
 
+def paged_system_after_a_page_round_trip():
+    """A 64-d system whose chunks span pages, one of them grown past a page
+    boundary with ``add_image`` and shrunk back with ``remove_image``; and
+    queries that read that chunk."""
+    rng = np.random.default_rng(64)
+    centers = rng.uniform(0, 10, size=(20, 64))
+    collection = DescriptorCollection(
+        vectors=np.vstack(
+            [c + 0.5 * rng.standard_normal((50, 64)) for c in centers]
+        ).astype(np.float32),
+        ids=np.arange(1000),
+        image_ids=np.repeat(np.arange(20), 50),
+    )
+    system = ImageRetrievalSystem(default_stop_chunks=4)
+    system.index_images(collection)
+    two_pages = 2 * PageGeometry().page_bytes // RecordCodec(64).record_bytes
+    chunk = max(
+        (m for m in system._current_index().metas if m.page_count == 2),
+        key=lambda m: m.n_descriptors,
+    )
+    n_extra = two_pages + 1 - chunk.n_descriptors
+    system.add_image(99, chunk.centroid + 1e-3 * rng.standard_normal((n_extra, 64)))
+    assert system._current_index().metas[chunk.chunk_id].page_count == 3
+    system.remove_image(99)
+    queries = np.vstack([chunk.centroid, collection.vectors[::150] + 0.05])
+    return system, queries
+
+
 class TestOneIndexLifecycle:
     """The system searches the index it built or loaded: no load-time copy,
     files left open, the maintainer created by the first live update."""
@@ -240,12 +270,16 @@ class TestOneIndexLifecycle:
     def test_loaded_system_answers_like_the_one_that_saved_it(
         self, system, queries, tmp_path
     ):
-        directory = str(tmp_path / "saved")
-        system.save(directory)
-        with ImageRetrievalSystem.load(directory) as loaded:
-            assert loaded.n_descriptors == system.n_descriptors
-            assert loaded.n_images == system.n_images
-            assert_same_answers(loaded, system, queries)
+        """Built, and updated across a page boundary and back: the pages a
+        chunk is charged do not change across ``save`` + ``load``."""
+        paged = paged_system_after_a_page_round_trip()
+        for number, (saved, asked) in enumerate([(system, queries), paged]):
+            directory = str(tmp_path / f"saved-{number}")
+            saved.save(directory)
+            with ImageRetrievalSystem.load(directory) as loaded:
+                assert loaded.n_descriptors == saved.n_descriptors
+                assert loaded.n_images == saved.n_images
+                assert_same_answers(loaded, saved, asked)
 
     def test_update_closes_the_loaded_files_and_saves_over_them(
         self, system, queries, tmp_path
