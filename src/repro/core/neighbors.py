@@ -8,14 +8,15 @@ neighbors" while scanning chunks and needs two operations on it:
   completion test (stop when the minimum distance to the next chunk exceeds
   the distance to the k-th neighbor).
 
-:class:`NeighborSet` implements this as a bounded max-heap keyed on
-distance, with deterministic tie-breaking on descriptor id so that
-intermediate-result precision measurements are reproducible.
+:class:`NeighborSet` keeps the neighbors as two arrays sorted by distance
+with deterministic tie-breaking on descriptor id, so that
+intermediate-result precision measurements are reproducible, and merges a
+chunk in with a few whole-array operations instead of one candidate at a
+time.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import AbstractSet, List, Sequence, Tuple
 
@@ -44,6 +45,10 @@ class Neighbor(Tuple[float, int]):
         return f"Neighbor(distance={self[0]:.6g}, id={self[1]})"
 
 
+def _as_neighbors(distances: np.ndarray, ids: np.ndarray) -> List[Neighbor]:
+    return [Neighbor(d, i) for d, i in zip(distances.tolist(), ids.tolist())]
+
+
 def merge_neighbor_lists(
     lists: Sequence[Sequence[Neighbor]], k: int
 ) -> List[Neighbor]:
@@ -63,44 +68,38 @@ def merge_neighbor_lists(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    best: "dict[int, Neighbor]" = {}
-    for part in lists:
-        for neighbor in part:
-            entry = Neighbor(neighbor[0], neighbor[1])
-            held = best.get(entry.descriptor_id)
-            if held is None or entry < held:
-                best[entry.descriptor_id] = entry
-    return sorted(best.values())[:k]
+    entries = [neighbor for part in lists for neighbor in part]
+    distances = np.array([n[0] for n in entries], dtype=np.float64)
+    ids = np.array([n[1] for n in entries], dtype=np.int64)
+    order = np.lexsort((ids, distances))
+    # An id's best entry is its first in (distance, id) order.
+    _, first = np.unique(ids[order], return_index=True)
+    order = order[np.sort(first)[:k]]
+    return _as_neighbors(distances[order], ids[order])
 
 
 class NeighborSet:
     """The k best neighbors seen so far.
 
-    Maintains a max-heap of at most ``k`` entries so that the worst current
-    neighbor can be evicted in O(log k) when a better candidate arrives.
-    Candidates that tie the current worst on distance are admitted only if
-    their id is smaller, matching the deterministic ordering used by
-    :func:`repro.core.distance.top_k_smallest` for ground truth.
+    Two arrays of at most ``k`` entries, distances (float64) and ids
+    (int64), sorted by (distance, id) — the deterministic ordering used by
+    :func:`repro.core.distance.top_k_smallest` for ground truth.  After
+    each :meth:`update` they hold the top k of held ∪ candidates under
+    that order, so a candidate that ties the k-th distance enters only
+    with a smaller id.
     """
 
     def __init__(self, k: int):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
-        # Heap entries are (-distance, -id): Python's min-heap then pops the
-        # largest distance first, with larger ids evicted before smaller
-        # ones on distance ties.
-        self._heap: List[Tuple[float, int]] = []
+        self._distances = np.empty(0, dtype=np.float64)
+        self._ids = np.empty(0, dtype=np.int64)
 
     # -- inspection ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        """True once k neighbors have been collected."""
-        return len(self._heap) >= self.k
+        return self._ids.shape[0]
 
     @property
     def kth_distance(self) -> float:
@@ -109,48 +108,30 @@ class NeighborSet:
         Infinite while the set is not yet full, so every candidate is
         admitted during warm-up and the completion test never fires early.
         """
-        if not self.is_full:
+        if self._ids.shape[0] < self.k:
             return math.inf
-        return -self._heap[0][0]
+        return float(self._distances[-1])
 
     def ids(self) -> np.ndarray:
         """Descriptor ids (int64) of the current neighbors, best first."""
-        return np.asarray([n.descriptor_id for n in self.sorted()], dtype=np.int64)
+        return self._ids.copy()
 
     def sorted(self) -> List[Neighbor]:
         """Current neighbors ordered by (distance, id), best first."""
-        items = sorted((-d, -i) for d, i in self._heap)
-        return [Neighbor(d, i) for d, i in items]
+        return _as_neighbors(self._distances, self._ids)
 
     # -- updates ------------------------------------------------------------
 
-    def _admits(self, distance: float, descriptor_id: int) -> bool:
-        if not self.is_full:
-            return True
-        worst_d, worst_neg_id = -self._heap[0][0], self._heap[0][1]
-        if distance < worst_d:
-            return True
-        return distance == worst_d and -descriptor_id > worst_neg_id
-
-    def offer(self, distance: float, descriptor_id: int) -> bool:
-        """Offer one candidate; returns True if it entered the set."""
-        distance = float(distance)
-        descriptor_id = int(descriptor_id)
-        if not self._admits(distance, descriptor_id):
-            return False
-        entry = (-distance, -descriptor_id)
-        if self.is_full:
-            heapq.heapreplace(self._heap, entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        return True
-
     def update(self, distances: np.ndarray, descriptor_ids: np.ndarray) -> int:
-        """Bulk-offer a chunk's worth of candidates; returns how many entered.
+        """Merge a chunk's worth of candidates in; returns how many entered.
 
-        This is the per-chunk hot path: it first filters candidates against
-        the current k-th distance with one vectorized comparison, then walks
-        only the survivors through the heap.
+        The per-chunk hot path, one vectorised merge: the candidates that
+        can still enter (at or below the k-th distance; while the set is
+        not full, at or below the k-th smallest candidate) are sorted
+        together with the held entries once and cut to k.  The count is
+        the number of new entries kept.  The sort is stable with the held
+        entries first, so a candidate equal to a held entry in distance
+        and id never displaces it.
         """
         distances = np.asarray(distances, dtype=np.float64)
         descriptor_ids = np.asarray(descriptor_ids, dtype=np.int64)
@@ -158,43 +139,42 @@ class NeighborSet:
             raise ValueError(
                 f"distances shape {distances.shape} != ids shape {descriptor_ids.shape}"
             )
-        threshold = self.kth_distance
-        if math.isinf(threshold):
-            candidates = np.arange(distances.shape[0])
+        k, held = self.k, self._ids.shape[0]
+        if held == k:
+            keep = distances <= self._distances[-1]
+        elif distances.shape[0] > k:
+            # ``~(d > t)``, not ``d <= t``: a NaN reaches the sort too, which
+            # places it last, as a full sort would.
+            keep = ~(distances > np.partition(distances, k - 1)[k - 1])
         else:
-            candidates = np.nonzero(distances <= threshold)[0]
-        if candidates.size == 0:
+            keep = None
+        if keep is not None:
+            distances, descriptor_ids = distances[keep], descriptor_ids[keep]
+        if not distances.shape[0]:
             return 0
-        # Process best-first so the threshold tightens as fast as possible.
-        order = candidates[
-            np.lexsort((descriptor_ids[candidates], distances[candidates]))
-        ]
-        admitted = 0
-        for row in order:
-            d = float(distances[row])
-            if d > self.kth_distance:
-                break  # sorted ascending: nothing later can enter
-            if self.offer(d, int(descriptor_ids[row])):
-                admitted += 1
-        return admitted
+        merged_distances = np.concatenate((self._distances, distances))
+        merged_ids = np.concatenate((self._ids, descriptor_ids))
+        order = np.lexsort((merged_ids, merged_distances))[:k]
+        self._distances, self._ids = merged_distances[order], merged_ids[order]
+        return int(np.count_nonzero(order >= held))
 
     # -- set-style helpers ----------------------------------------------------
 
     def id_set(self) -> set:
         """Current neighbor ids as a Python set (for precision counting)."""
-        return {-i for _, i in self._heap}
+        return set(self._ids.tolist())
 
     def true_match_count(self, truth: AbstractSet[int]) -> int:
         """How many current neighbor ids appear in ``truth`` (a set).
 
         One C-level set intersection instead of a Python-level membership
-        loop — this runs after every chunk of every query when ground truth
-        is attached, for both the sequential and the batch search paths.
+        loop — this runs after every admitting chunk of every query when
+        ground truth is attached.
         """
         return len(self.id_set() & truth)
 
     def __contains__(self, descriptor_id: int) -> bool:
-        return -int(descriptor_id) in {i for _, i in self._heap}
+        return int(descriptor_id) in self.id_set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborSet(k={self.k}, size={len(self)}, kth={self.kth_distance:.6g})"

@@ -22,7 +22,7 @@ shares host work, never a simulated timestamp:
 
 * **vectorized ranking** — chunk ranking for the whole ``(q, d)`` cohort is
   one :func:`~repro.core.distance.pairwise_squared_distances` call plus a
-  batched lexsort;
+  batched stable argsort;
 * **coalesced chunk reads** — within a cohort each chunk is fetched from
   the store at most once (and its float32 descriptor matrix promoted to
   float64 exactly once), then scanned against every query of the cohort
@@ -126,7 +126,7 @@ class SearchResult:
         result: a pruned chunk is charged identical simulated time and
         logged with an identical trace event — it provably could not have
         altered the neighbor set, so only the wall-clock work (store read,
-        distance kernel, heap update) is skipped.
+        distance kernel, neighbor-set update) is skipped.
     """
 
     neighbors: List[Neighbor]
@@ -411,9 +411,8 @@ class ChunkSearcher:
         )
         lower_bounds = np.maximum(0.0, centroid_d - self._radii[np.newaxis, :])
         key = centroid_d if self.rank_by == RANK_BY_CENTROID else lower_bounds
-        columns = np.broadcast_to(np.arange(key.shape[1]), key.shape)
-        # Batched lexsort: per row, ascending key with chunk-id tie-break.
-        orders = np.lexsort((columns, key), axis=-1)
+        # Per row, ascending key; a stable sort breaks ties by chunk id.
+        orders = np.argsort(key, axis=-1, kind="stable")
         ranked_bounds = np.take_along_axis(lower_bounds, orders, axis=1)
         # suffix_min[:, r] = min lower bound over ranks >= r.
         suffix_min = np.minimum.accumulate(ranked_bounds[:, ::-1], axis=1)[:, ::-1]
@@ -886,7 +885,7 @@ class ChunkSearcher:
                     # and the root of the whole row is only taken for chunks
                     # that pass this admission gate.  A chunk whose best
                     # candidate cannot beat the k-th neighbor admits
-                    # nothing; skip the heap walk.
+                    # nothing; skip the merge.
                     settled = True
                     if n_found < k or math.sqrt(entry[2][row]) <= kth:
                         if neighbors.update(np.sqrt(entry[1][row]), entry[0][0]):

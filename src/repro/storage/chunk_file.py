@@ -269,17 +269,19 @@ class ChunkFileReader:
                 f"chunk extent (page {extent.page_offset}, {extent.page_count} "
                 f"pages) lies outside the {self._data_pages}-page data region"
             )
-        self._file.seek(
-            self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset)
+        raw = os.pread(
+            self._file.fileno(),
+            extent.page_count * self._geometry.page_bytes,
+            self._geometry.byte_offset(_DATA_START_PAGE + extent.page_offset),
         )
-        raw = self._file.read(extent.page_count * self._geometry.page_bytes)
         needed = extent.n_descriptors * self._codec.record_bytes
         if len(raw) < needed:
             raise CorruptFileError(
                 f"chunk file truncated: wanted {needed} bytes at page "
                 f"{extent.page_offset}, got {len(raw)}"
             )
-        payload = raw[:needed]
+        # A view, not a copy: the CRC and the decode read the bytes in place.
+        payload = memoryview(raw)[:needed]
         stored = self._crcs.get(extent.page_offset)
         if stored is None:
             raise CorruptFileError(

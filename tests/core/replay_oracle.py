@@ -3,7 +3,8 @@
 There is one search engine, so "cohort of N == N cohorts of one" compares
 it with itself.  This oracle does not: it walks a finished trace with the
 references the engine does not own — direct-form ``squared_distances``,
-``NeighborSet``, ``PipelineSimulator``, the ``FaultPlan`` and brute-force
+the heap ``NeighborSet`` of ``reference_neighbors.py`` (not the shipped
+sorted-array set), ``PipelineSimulator``, the ``FaultPlan`` and brute-force
 ``exact_knn`` — and does no ranking, pruning or stop logic of its own.
 Given the query's ground truth it also recounts, after every chunk, how
 many true neighbors the replayed set holds.
@@ -12,9 +13,9 @@ many true neighbors the replayed set holds.
 import numpy as np
 import pytest
 
+from reference_neighbors import NeighborSet
 from repro.core.distance import squared_distances
 from repro.core.ground_truth import exact_knn
-from repro.core.neighbors import NeighborSet
 from repro.core.search import RANK_BY_CENTROID
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from descriptors import from_vectors
