@@ -2,14 +2,17 @@
 
 The other examples keep chunk contents in memory (their I/O cost comes
 from the simulated disk).  This example writes the real files —
-``chunks.dat`` (descriptors grouped by chunk, padded to 8 KiB pages) and
-``chunks.idx`` (centroid + radius + location per chunk) — reopens them,
+one generation of the saved layout: ``base-<g>.dat`` (descriptors grouped
+by chunk, padded to 8 KiB pages), ``base-<g>.idx`` (centroid + radius +
+location per chunk), the code file ``base-<g>.va``, an empty WAL and the
+``MANIFEST.json`` whose atomic replacement commits them — reopens them,
 and verifies searches against ground truth, also comparing the simulated
 timing to a wall-clock measurement of the same scan.
 
 Run with: ``python examples/persistent_index.py``
 """
 
+import json
 import os
 import tempfile
 import time
@@ -37,11 +40,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         directory = os.path.join(workdir, "descriptor_index")
         index.save(directory)
-        chunk_file = os.path.join(directory, "chunks.dat")
-        index_file = os.path.join(directory, "chunks.idx")
-        print(f"chunk file: {os.path.getsize(chunk_file):>9} bytes "
-              f"({index.n_chunks} chunks, 8 KiB pages)")
-        print(f"index file: {os.path.getsize(index_file):>9} bytes")
+        with open(os.path.join(directory, "MANIFEST.json")) as manifest:
+            generation = json.load(manifest)["generation"]
+        print(f"saved generation {generation}:")
+        for name in sorted(os.listdir(directory)):
+            size = os.path.getsize(os.path.join(directory, name))
+            print(f"  {name:<16} {size:>9} bytes")
+        print(f"({index.n_chunks} chunks, 8 KiB pages)")
 
         loaded = ChunkIndex.load(directory, dimensions=collection.dimensions)
         searcher = ChunkSearcher(loaded)

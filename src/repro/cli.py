@@ -13,7 +13,7 @@ Usage::
     repro shardsim [--shards 2,4,8]          # sharded scatter-gather sweep
     repro ingestsim [--crashes 3]            # streaming ingest under crashes
     repro ingestsim --crash-matrix 0         # kill/recover at every boundary
-    repro verify-index DIR                   # deep-check a streaming index
+    repro verify-index DIR                   # deep-check a saved or streaming index
     repro lint [PATH]                        # AST-based invariant checker
 
 The experiment subcommand regenerates the paper artefacts (Tables 1-2,
@@ -351,11 +351,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser(
         "verify-index",
         help=(
-            "deep-check a streaming-index directory: checksums, exact "
-            "centroids/radii/rectangles, WAL continuity, liveness accounting"
+            "deep-check a saved or streaming index directory: checksums, "
+            "exact centroids/radii/rectangles, WAL continuity, liveness accounting"
         ),
     )
-    verify_p.add_argument("directory", help="streaming-index directory")
+    verify_p.add_argument("directory", help="saved or streaming index directory")
     verify_p.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the check report as JSON to PATH",

@@ -5,10 +5,11 @@ performs exactly what section 4.2 describes: the descriptors are grouped by
 chunk into the chunk file (each chunk padded to full pages) and a parallel
 index file records each chunk's centroid, radius and location.
 
-A saved index carries a third file, the *code file*
-(:mod:`repro.storage.code_file`): per-descriptor cell numbers the pruner
-consults to reject a chunk without reading it.  It is optional — a directory
-without one, and every in-memory index, searches exactly as before.
+A saved index (one generation of :mod:`repro.core.ingest`'s layout)
+carries a third file, the *code file* (:mod:`repro.storage.code_file`):
+per-descriptor cell numbers the pruner consults to reject a chunk without
+reading it.  It is optional — a directory without one, and every in-memory
+index, searches exactly as before.
 
 Two storage backends provide the chunk contents:
 
@@ -22,23 +23,15 @@ Two storage backends provide the chunk contents:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
-import zlib
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..storage.atomic import remove_file
-from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
-from ..storage.code_file import CodeFileReader, write_code_file
-from ..storage.index_file import (
-    index_file_bytes,
-    read_index_file,
-    round_outward,
-    write_index_file,
-)
+from ..storage.chunk_file import ChunkExtent, ChunkFileReader
+from ..storage.code_file import CodeFileReader
+from ..storage.index_file import index_file_bytes
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
 from .chunk import ChunkMeta, ChunkSet, bounding_rectangle
@@ -49,20 +42,7 @@ __all__ = [
     "InMemoryChunkStore",
     "OnDiskChunkStore",
     "build_chunk_index",
-    "CHUNK_FILE_NAME",
-    "INDEX_FILE_NAME",
-    "CODE_FILE_NAME",
 ]
-
-CHUNK_FILE_NAME = "chunks.dat"
-INDEX_FILE_NAME = "chunks.idx"
-CODE_FILE_NAME = "chunks.va"
-
-
-def _file_crc32(path: str) -> int:
-    """CRC32 of a whole file (what the code file binds the index file by)."""
-    with open(path, "rb") as stream:
-        return zlib.crc32(stream.read())
 
 
 class InMemoryChunkStore:
@@ -84,12 +64,6 @@ class InMemoryChunkStore:
 
     def close(self) -> None:
         """Nothing to release for the in-memory store."""
-
-    def __enter__(self) -> "InMemoryChunkStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class OnDiskChunkStore:
@@ -115,12 +89,6 @@ class OnDiskChunkStore:
 
     def close(self) -> None:
         self._reader.close()
-
-    def __enter__(self) -> "OnDiskChunkStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 @dataclasses.dataclass
@@ -213,90 +181,26 @@ class ChunkIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write the on-disk form into ``directory``: chunk file, index
-        file, then the code file describing the two.
+        """Save as a new generation of ``directory`` (``ingest.save_generation``).
+        A crash anywhere leaves a directory that loads as the old index or the
+        new one or is refused (``CorruptFileError``), never one that loads and
+        then fails."""
+        from .ingest import save_generation  # ingest builds on this module
 
-        Chunks are written contiguously, each padded to whole pages, and
-        the index entries carry the writer's extents — the layout every
-        index in memory already has (:func:`build_chunk_index`, a
-        maintained index's summaries), so a save/load round trip charges
-        the same pages.
-
-        Each file is published atomically, the code file last and bound to
-        the other two by their checksums, and old codes are removed first:
-        a save that dies part way leaves a directory without codes or with
-        codes :meth:`load` refuses, never codes describing other chunks.
-        """
-        os.makedirs(directory, exist_ok=True)
-        codes_path = os.path.join(directory, CODE_FILE_NAME)
-        index_path = os.path.join(directory, INDEX_FILE_NAME)
-        with contextlib.suppress(FileNotFoundError):
-            remove_file(codes_path)
-        extents, table_crc = write_chunk_file(
-            os.path.join(directory, CHUNK_FILE_NAME),
-            self.dimensions,
-            (self.read_chunk(chunk_id) for chunk_id in range(self.n_chunks)),
-            PageGeometry(),
-        )
-        saved_metas = [
-            dataclasses.replace(
-                meta,
-                chunk_id=chunk_id,
-                page_offset=extent.page_offset,
-                page_count=extent.page_count,
-            )
-            for chunk_id, (meta, extent) in enumerate(zip(self.metas, extents))
-        ]
-        write_index_file(index_path, saved_metas)
-        # The cells divide the rectangle as the index file stores it, which
-        # is the one a loaded index bounds with.
-        lower, upper = round_outward(*self.rectangle_matrices())
-        write_code_file(
-            codes_path,
-            self.dimensions,
-            self.n_chunks,
-            ((self.read_chunk(i)[1], lower[i], upper[i]) for i in range(self.n_chunks)),
-            table_crc,
-            _file_crc32(index_path),
-        )
+        save_generation(self, directory, None)
 
     @classmethod
     def load(cls, directory: str, dimensions: int, name: str = "") -> "ChunkIndex":
-        """Open an on-disk chunk index previously written by :meth:`save`.
+        """Open the index :meth:`save` committed in ``directory`` in place
+        (:func:`repro.core.ingest.open_generation`)."""
+        from .ingest import open_generation  # ingest builds on this module
 
-        The code file is opened when the directory has one, and refused
-        (:class:`~repro.storage.errors.CorruptFileError`) unless bound to
-        exactly this chunk file and index file.  Whatever was opened is
-        closed again if construction fails part way, so a failed load
-        never leaks an open file handle.
-        """
-        index_path = os.path.join(directory, INDEX_FILE_NAME)
-        codes_path = os.path.join(directory, CODE_FILE_NAME)
-        metas = read_index_file(index_path)
-        extents = [
-            ChunkExtent(m.page_offset, m.page_count, m.n_descriptors) for m in metas
-        ]
-        store = OnDiskChunkStore(
-            os.path.join(directory, CHUNK_FILE_NAME), extents, dimensions
-        )
-        codes = None
-        try:
-            if os.path.exists(codes_path):
-                counts = [m.n_descriptors for m in metas]
-                binding = (store.table_crc, _file_crc32(index_path))
-                codes = CodeFileReader(codes_path, dimensions, counts, *binding)
-            return cls(
-                metas=metas,
-                store=store,
-                dimensions=dimensions,
-                name=name or os.path.basename(os.path.normpath(directory)),
-                codes=codes,
-            )
-        except BaseException:
-            store.close()
-            if codes is not None:
-                codes.close()
-            raise
+        path = os.path.normpath(directory)
+        index, _ = open_generation(directory, name or os.path.basename(path))
+        if index.dimensions != dimensions:
+            index.close()
+            raise ValueError(f"{directory!r} holds {index.dimensions}-d descriptors")
+        return index
 
 
 def build_chunk_index(

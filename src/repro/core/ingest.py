@@ -24,8 +24,11 @@ form that survives a crash at any point.  The directory holds
   (payload pages, contiguous in position order), the layout a base
   rebuild writes.
 
-Every state transition follows the same discipline: write new files
-under new names, fsync, publish the manifest with
+A saved index (:func:`save_generation`) is a generation with an empty WAL,
+no packs, a code file ``base-<g>.va`` and a saved system's ``base-<g>.sys``.
+
+Every state transition, a save included, follows the same discipline:
+write new files under new names, fsync, publish the manifest with
 :func:`repro.storage.atomic.atomic_output`, then garbage-collect what
 the new manifest no longer references.  A crash anywhere leaves either
 the old manifest (whose files are all still present) or the new one.
@@ -58,8 +61,11 @@ import contextlib
 import dataclasses
 import json
 import os
+import zlib
 from typing import (
     Any,
+    BinaryIO,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -75,9 +81,10 @@ import numpy as np
 from ..simio.disk_model import DiskModel
 from ..storage.atomic import atomic_output, fsync_directory, remove_file
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
+from ..storage.code_file import CodeFileReader, write_code_file
 from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
-from ..storage.index_file import read_index_file, write_index_file
+from ..storage.index_file import read_index_file, round_outward, write_index_file
 from ..storage.pages import PageGeometry
 from ..storage.wal import (
     OP_DELETE,
@@ -89,15 +96,17 @@ from ..storage.wal import (
     truncate_wal,
 )
 from .chunk import ChunkMeta, bounding_rectangle
-from .chunk_index import ChunkIndex
+from .chunk_index import ChunkIndex, OnDiskChunkStore
 from .distance import squared_distances
 from .maintenance import (
     MERGE_FRACTION,
     SPLIT_FACTOR,
     ChunkIndexMaintainer,
     ChunkSnapshot,
+    ChunkSummary,
     DeltaRef,
     MaintenanceStats,
+    mean_chunk_size,
 )
 
 __all__ = [
@@ -106,6 +115,8 @@ __all__ = [
     "RecoveryReport",
     "CheckpointReport",
     "StreamingChunkIndex",
+    "open_generation",
+    "save_generation",
     "verify_streaming_index",
 ]
 
@@ -118,12 +129,9 @@ FORMAT_VERSION = 3
 _OWNED_PREFIXES = ("base-", "wal-", "delta-")
 
 
-def _base_chunk_name(generation: int) -> str:
-    return f"base-{generation:06d}.dat"
-
-
-def _base_index_name(generation: int) -> str:
-    return f"base-{generation:06d}.idx"
+def _generation_file(generation: int, kind: str) -> str:
+    """A generation's ``dat``/``idx`` base file, ``va`` code file or ``sys``."""
+    return f"base-{generation:06d}.{kind}"
 
 
 def _wal_name(checkpoint: int) -> str:
@@ -387,8 +395,7 @@ class StreamingChunkIndex:
                 maintainer.checkpointed(position, DeltaRef(pack, section))
         self._rotate_wal(checkpoint)
         self.checkpoint_seq = checkpoint
-        manifest = self._publish_manifest()
-        _collect_garbage(self.directory, manifest)
+        self._publish_manifest()
         return CheckpointReport(
             checkpoint=checkpoint,
             segments_written=len(diverged),
@@ -417,12 +424,12 @@ class StreamingChunkIndex:
         """Shared by :meth:`create` and :meth:`rebuild_base`.
 
         Order matters for crash safety: chunk file, index file, fresh
-        WAL, manifest (the atomic pointer flip), then GC.  Until the
-        manifest lands, the previous manifest's files are all intact.
+        WAL, then the commit (:func:`_commit`).  Until the manifest lands,
+        the previous manifest's files are all intact.
         """
         maintainer = self.maintainer
         directory = self.directory
-        chunk_path = os.path.join(directory, _base_chunk_name(self.generation))
+        chunk_path = os.path.join(directory, _generation_file(self.generation, "dat"))
         snaps = map(maintainer.snapshot, range(maintainer.n_chunks))
         extents, _ = write_chunk_file(
             chunk_path,
@@ -432,7 +439,7 @@ class StreamingChunkIndex:
         )
         self._charge_write(os.path.getsize(chunk_path))
         maintainer.rebase()
-        index_path = os.path.join(directory, _base_index_name(self.generation))
+        index_path = os.path.join(directory, _generation_file(self.generation, "idx"))
         metas = [summary.meta for summary in maintainer.summaries()]
         if [(e.page_offset, e.page_count) for e in extents] != [
             (m.page_offset, m.page_count) for m in metas
@@ -442,8 +449,7 @@ class StreamingChunkIndex:
         self._charge_write(os.path.getsize(index_path))
         self._base_counts = [m.n_descriptors for m in metas]
         self._rotate_wal(self.checkpoint_seq)
-        manifest = self._publish_manifest()
-        _collect_garbage(self.directory, manifest)
+        self._publish_manifest()
 
     def _rotate_wal(self, checkpoint: int) -> None:
         """Close the live WAL and start a fresh one for ``checkpoint``.
@@ -503,65 +509,24 @@ class StreamingChunkIndex:
             snap.vectors[n_base:],
         )
 
-    def _publish_manifest(self) -> Dict[str, Any]:
-        """Flip the atomic pointer; returns what was published (for GC).
-
-        Compact JSON keeps ``json.dumps`` on its C encoder (``indent``
-        forces the pure-Python one); ``python -m json.tool`` pretty-prints
-        the file for a human.
-        """
-        manifest = self._manifest_dict()
-        payload = (
-            json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("ascii")
-        with atomic_output(os.path.join(self.directory, MANIFEST_NAME)) as stream:
-            stream.write(payload)
-        fsync_directory(self.directory)
-        self._charge_write(len(payload))
-        return manifest
-
-    def _manifest_dict(self) -> Dict[str, Any]:
+    def _publish_manifest(self) -> None:
+        """Commit the current state (:func:`_commit`) and charge it."""
         maintainer = self.maintainer
         summaries = maintainer.summaries()
-        # Each live pack is named once; a chunk points at (pack index, section).
-        packs = sorted({s.delta.pack for s in summaries if s.delta is not None})
-        pack_index = {name: i for i, name in enumerate(packs)}
-        chunks: List[Dict[str, Any]] = []
-        for summary in summaries:
-            if summary.dirty:
-                raise AssertionError("cannot publish a manifest over dirty chunks")
-            meta = summary.meta
-            delta = summary.delta
-            chunks.append(
-                {
-                    "base_ref": summary.base_ref,
-                    "delta": None
-                    if delta is None
-                    else [pack_index[delta.pack], delta.section],
-                    "n_descriptors": meta.n_descriptors,
-                    "centroid": meta.centroid.tolist(),
-                    "radius": meta.radius,
-                }
-            )
-        return {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "name": self.name,
-            "dimensions": self.dimensions,
-            "generation": self.generation,
-            "checkpoint": self.checkpoint_seq,
-            "base_chunk_file": _base_chunk_name(self.generation),
-            "base_index_file": _base_index_name(self.generation),
-            "wal_file": _wal_name(self.checkpoint_seq),
-            "packs": packs,
-            "next_batch_seq": self._wal.next_batch_seq,
-            "page_bytes": maintainer.geometry.page_bytes,
-            "target_chunk_size": maintainer.target_chunk_size,
-            "split_factor": SPLIT_FACTOR,
-            "merge_fraction": MERGE_FRACTION,
-            "stats": dataclasses.asdict(maintainer.stats),
-            "chunks": chunks,
-        }
+        if any(summary.dirty for summary in summaries):
+            raise AssertionError("cannot publish a manifest over dirty chunks")
+        manifest = _manifest(
+            self.generation,
+            self.checkpoint_seq,
+            summaries,
+            name=self.name,
+            dimensions=self.dimensions,
+            page_bytes=maintainer.geometry.page_bytes,
+            target_chunk_size=maintainer.target_chunk_size,
+            next_batch_seq=self._wal.next_batch_seq,
+            stats=dataclasses.asdict(maintainer.stats),
+        )
+        self._charge_write(_commit(self.directory, manifest))
 
     def _charge_write(self, n_bytes: int) -> None:
         self.io_seconds += (
@@ -580,6 +545,169 @@ class StreamingChunkIndex:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+# -- the commit point ------------------------------------------------------------
+
+
+def _manifest(
+    generation: int, checkpoint: int, summaries: Sequence[ChunkSummary], **fields: Any
+) -> Dict[str, Any]:
+    """The manifest: ``fields`` are name, dimensions, page size, target size,
+    next batch sequence and maintenance stats."""
+    # Each live pack is named once; a chunk points at (pack index, section).
+    packs = sorted({s.delta.pack for s in summaries if s.delta is not None})
+    pack_index = {name: i for i, name in enumerate(packs)}
+    chunks = [
+        {
+            "base_ref": summary.base_ref,
+            "delta": None
+            if summary.delta is None
+            else [pack_index[summary.delta.pack], summary.delta.section],
+            "n_descriptors": summary.meta.n_descriptors,
+            "centroid": summary.meta.centroid.tolist(),
+            "radius": summary.meta.radius,
+        }
+        for summary in summaries
+    ]
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "generation": generation,
+        "checkpoint": checkpoint,
+        "base_chunk_file": _generation_file(generation, "dat"),
+        "base_index_file": _generation_file(generation, "idx"),
+        "wal_file": _wal_name(checkpoint),
+        "packs": packs,
+        "split_factor": SPLIT_FACTOR,
+        "merge_fraction": MERGE_FRACTION,
+        "chunks": chunks,
+        **fields,
+    }
+
+
+def _commit(directory: str, manifest: Dict[str, Any]) -> int:
+    """The commit point: publish ``manifest`` (atomic replace, directory
+    fsync), then remove what it no longer references; returns its size.
+    Compact JSON keeps ``json.dumps`` on its C encoder (``indent`` forces
+    the pure-Python one); ``python -m json.tool`` pretty-prints the file."""
+    payload = (
+        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode("ascii")
+    with atomic_output(os.path.join(directory, MANIFEST_NAME)) as stream:
+        stream.write(payload)
+    fsync_directory(directory)
+    _collect_garbage(directory, manifest)
+    return len(payload)
+
+
+def _file_crc32(path: str) -> int:
+    """CRC32 of a whole file (what the code file binds the index file by)."""
+    with open(path, "rb") as stream:
+        return zlib.crc32(stream.read())
+
+
+def save_generation(
+    index: ChunkIndex,
+    directory: str,
+    write_system: Optional[Callable[[BinaryIO], None]],
+) -> None:
+    """Save ``index`` as a new generation of ``directory``, numbered above
+    every generation and checkpoint there: chunk file, index file, the code
+    file bound to both, ``write_system``'s output and an empty WAL under
+    fresh names, then the manifest flip (:func:`_commit`)."""
+    os.makedirs(directory, exist_ok=True)
+    names = [name for name in os.listdir(directory) if name.startswith(_OWNED_PREFIXES)]
+    numbers = [name.split("-")[1].split(".")[0] for name in names]
+    generation = max((int(n) for n in numbers if n.isdigit()), default=-1) + 1
+
+    def path(kind: str) -> str:
+        return os.path.join(directory, _generation_file(generation, kind))
+
+    extents, table_crc = write_chunk_file(
+        path("dat"),
+        index.dimensions,
+        (index.read_chunk(chunk_id) for chunk_id in range(index.n_chunks)),
+        PageGeometry(),
+    )
+    write_index_file(
+        path("idx"),
+        [
+            dataclasses.replace(
+                meta, chunk_id=i, page_offset=e.page_offset, page_count=e.page_count
+            )
+            for i, (meta, e) in enumerate(zip(index.metas, extents))
+        ],
+    )
+    # The cells divide the rectangle as the index file stores it, which
+    # is the one a loaded index bounds with.
+    lower, upper = round_outward(*index.rectangle_matrices())
+    write_code_file(
+        path("va"),
+        index.dimensions,
+        index.n_chunks,
+        ((index.read_chunk(i)[1], lower[i], upper[i]) for i in range(index.n_chunks)),
+        table_crc,
+        _file_crc32(path("idx")),
+    )
+    if write_system is not None:
+        with atomic_output(path("sys")) as stream:
+            write_system(stream)
+    wal_path = os.path.join(directory, _wal_name(generation))
+    WalWriter.create(wal_path, index.dimensions, tag=generation).close()
+    manifest = _manifest(
+        generation,
+        generation,
+        [ChunkSummary(meta, i, None, False) for i, meta in enumerate(index.metas)],
+        name=index.name,
+        dimensions=index.dimensions,
+        page_bytes=PageGeometry().page_bytes,
+        target_chunk_size=mean_chunk_size(index),
+        next_batch_seq=0,
+        stats=dataclasses.asdict(MaintenanceStats()),
+    )
+    _commit(directory, manifest)
+
+
+def open_generation(directory: str, name: str) -> Tuple[ChunkIndex, str]:
+    """The index of the generation ``directory``'s manifest names, opened
+    in place (no chunk read; codes bound to its base files), and the path
+    of its saved system.  Packs or committed WAL batches are refused:
+    :meth:`StreamingChunkIndex.open` replays them."""
+    manifest = _read_manifest(directory)
+    generation, dimensions = manifest["generation"], manifest["dimensions"]
+    _require(
+        not manifest["packs"]
+        and not scan_wal(os.path.join(directory, manifest["wal_file"])).batches,
+        f"{directory!r} holds checkpointed or logged changes; "
+        "open it with StreamingChunkIndex.open",
+    )
+    index_path = os.path.join(directory, manifest["base_index_file"])
+    metas = read_index_file(index_path)
+    _require(
+        [(c["base_ref"], c["delta"], c["n_descriptors"]) for c in manifest["chunks"]]
+        == [(i, None, meta.n_descriptors) for i, meta in enumerate(metas)]
+        and metas[0].centroid.shape == (dimensions,),
+        f"the manifest of {directory!r} does not describe its base index file",
+    )
+    store = OnDiskChunkStore(
+        os.path.join(directory, manifest["base_chunk_file"]),
+        [ChunkExtent(m.page_offset, m.page_count, m.n_descriptors) for m in metas],
+        dimensions,
+        PageGeometry(page_bytes=manifest["page_bytes"]),
+    )
+    codes: Optional[CodeFileReader] = None
+    codes_path = os.path.join(directory, _generation_file(generation, "va"))
+    try:
+        if os.path.exists(codes_path):
+            counts = [meta.n_descriptors for meta in metas]
+            binding = (store.table_crc, _file_crc32(index_path))
+            codes = CodeFileReader(codes_path, dimensions, counts, *binding)
+    except BaseException:
+        store.close()
+        raise
+    index = ChunkIndex(metas, store, dimensions, name, codes)
+    return index, os.path.join(directory, _generation_file(generation, "sys"))
 
 
 # -- the loader ----------------------------------------------------------------
@@ -609,9 +737,9 @@ def _read_manifest(directory: str) -> Dict[str, Any]:
         with open(path, "r", encoding="ascii") as handle:
             manifest = json.load(handle)
     except FileNotFoundError:
-        raise CorruptFileError(f"no streaming-index manifest in {directory!r}")
+        raise CorruptFileError(f"no index manifest ({MANIFEST_NAME}) in {directory!r}")
     except (OSError, ValueError) as error:
-        raise CorruptFileError(f"unreadable streaming-index manifest: {error}")
+        raise CorruptFileError(f"unreadable index manifest: {error}")
     _require(isinstance(manifest, dict), "manifest must be a JSON object")
     _require(
         manifest.get("format") == FORMAT_NAME,
@@ -948,7 +1076,8 @@ def _validate_batch(
 
 
 def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
-    """Remove owned files the manifest no longer references.
+    """Remove owned files the manifest no longer references (a
+    generation's code file and saved system go with its base files).
 
     A pack stays while the manifest lists it, i.e. while any chunk still
     points at one of its sections; the other sections of such a pack are
@@ -959,6 +1088,7 @@ def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
         manifest["base_index_file"],
         manifest["wal_file"],
         *manifest["packs"],
+        *(_generation_file(manifest["generation"], kind) for kind in ("va", "sys")),
     }
     removed = 0
     for file_name in sorted(os.listdir(directory)):
@@ -974,7 +1104,7 @@ def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
 
 
 def verify_streaming_index(directory: str) -> Dict[str, Any]:
-    """Deep consistency check of a streaming-index directory (read-only).
+    """Deep consistency check of a streaming or saved index directory (read-only).
 
     Runs the loader :meth:`StreamingChunkIndex.open` runs, one stage per
     check (``manifest``, ``storage``, ``summaries``, ``wal``,

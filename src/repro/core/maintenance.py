@@ -62,6 +62,7 @@ __all__ = [
     "ChunkSummary",
     "SPLIT_FACTOR",
     "MERGE_FRACTION",
+    "mean_chunk_size",
 ]
 
 #: A chunk splits once it holds more than ``SPLIT_FACTOR * target`` members.
@@ -69,6 +70,11 @@ SPLIT_FACTOR = 2.0
 #: A chunk merges away once it holds fewer than ``MERGE_FRACTION * target``
 #: members (and more than one chunk remains).
 MERGE_FRACTION = 0.2
+
+
+def mean_chunk_size(index: ChunkIndex) -> int:
+    """A maintainer's first target size: ``index``'s mean chunk size."""
+    return max(1, round(float(index.descriptor_counts().mean())))
 
 
 @dataclasses.dataclass
@@ -245,7 +251,7 @@ class ChunkIndexMaintainer:
         self._setup(
             dimensions=index.dimensions,
             chunks=chunks,
-            target_chunk_size=max(1, round(float(index.descriptor_counts().mean()))),
+            target_chunk_size=mean_chunk_size(index),
             geometry=None,
             stats=MaintenanceStats(),
         )

@@ -7,8 +7,8 @@ a writer must never leave a half-written file under the final name.  The
 over the target with :func:`os.replace` (atomic on POSIX); on error the
 temporary is unlinked and any pre-existing file at the target survives
 untouched.  Every published file goes through it (collection, chunk,
-index, code and ground-truth files, checkpoint packs, the streaming
-manifest, a saved system's sidecars); the write-ahead log, appended in
+index, code and ground-truth files, checkpoint packs, the manifest, a
+saved system's file); the write-ahead log, appended in
 place under its own framing (:mod:`repro.storage.wal`), is the only
 other durable-write site.
 

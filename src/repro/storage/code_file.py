@@ -1,6 +1,6 @@
 """The code file: one 4-bit cell number per descriptor and dimension.
 
-Beyond the paper: a sidecar of the chunk file (``chunks.va``) that lets the
+Beyond the paper: a sidecar of the chunk file (``base-<g>.va``) that lets the
 pruner reject a chunk without reading it.  Per dimension, a chunk's own
 member rectangle (``ChunkMeta.lower/upper``) is cut into :data:`CELLS` equal
 slices and every stored value is replaced by the number of the slice it lies

@@ -24,29 +24,26 @@ generation is the maintainer's in-memory snapshot.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import BinaryIO, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
+from numpy.lib.format import read_array
 
 from .chunking.base import Chunker
 from .chunking.srtree_chunker import SRTreeChunker
 from .core.chunk_index import ChunkIndex, build_chunk_index
 from .core.dataset import DescriptorCollection
+from .core.ingest import open_generation, save_generation
 from .core.maintenance import ChunkIndexMaintainer
 from .core.search import BatchSearchResult, ChunkSearcher, SearchResult
 from .core.stop_rules import MaxChunks, StopRule
 from .extensions.multi_descriptor import ImageMatch, MultiDescriptorSearcher
 from .simio.calibration import PAPER_2005_COST_MODEL
 from .simio.pipeline import CostModel
-from .storage.atomic import atomic_output
-from .storage.errors import MAX_DIMENSIONS, CorruptFileError
+from .storage.errors import CorruptFileError
 
 __all__ = ["ImageRetrievalSystem"]
 
-_META_FILE = "system.json"
-_MAPPING_FILE = "image_mapping.npz"
 _INDEX_NAME = "retrieval-system"
 
 
@@ -71,53 +68,32 @@ class _ImageOfId(Mapping[int, int]):
         return int(self.images[at])
 
 
-def _read_meta(path: str) -> Tuple[int, int, Optional[int]]:
-    """``(dimensions, next_descriptor_id, default_stop_chunks)`` of a saved
-    system, or :class:`CorruptFileError` naming the file."""
-    with open(path, "rb") as stream:
-        try:
-            meta = json.loads(stream.read().decode("utf-8"))
-            dimensions = meta["dimensions"]
-            next_id = meta["next_descriptor_id"]
-            stop_chunks = meta["default_stop_chunks"]
-        except Exception as exc:
-            raise CorruptFileError(
-                f"system file {path!r} is unreadable ({type(exc).__name__}: {exc})"
-            ) from exc
-    if not (
-        type(dimensions) is int and 1 <= dimensions <= MAX_DIMENSIONS
-        and type(next_id) is int and 0 <= next_id <= np.iinfo(np.int64).max
-        and (stop_chunks is None or (type(stop_chunks) is int and stop_chunks >= 1))
-    ):
-        raise CorruptFileError(f"system file {path!r} has invalid fields: {meta}")
-    return dimensions, next_id, stop_chunks
-
-
-def _read_mapping(path: str) -> _ImageOfId:
-    """The saved ``descriptor id -> image id`` arrays, or
-    :class:`CorruptFileError` naming the file.  The container is a zip of
-    ``.npy`` members, so damage surfaces under zipfile's, zlib's and
-    numpy's exception types; this parse boundary converts them all."""
-    with open(path, "rb") as stream:
-        try:
-            with np.load(stream) as data:
-                ids, images = data["ids"], data["images"]
-        except Exception as exc:
-            raise CorruptFileError(
-                f"image mapping {path!r} is unreadable ({type(exc).__name__}: {exc})"
-            ) from exc
-    if (
-        ids.dtype != np.int64
-        or images.dtype != np.int64
-        or ids.ndim != 1
-        or images.shape != ids.shape
-        or not (ids[1:] > ids[:-1]).all()
+def _read_system_file(path: str, n_descriptors: int) -> Tuple[_ImageOfId, int, int]:
+    """``(id -> image, next id, stop budget)`` from a system file — three
+    ``.npy`` arrays: ``[next id, stop budget (0: exact)]``, ids, images."""
+    try:
+        with open(path, "rb") as stream:
+            counters, ids, images = (read_array(stream) for _ in range(3))
+            padded = stream.read(1)
+    except Exception as exc:  # numpy's and the stream's exception types
+        raise CorruptFileError(
+            f"system file {path!r} is unreadable ({type(exc).__name__}: {exc})"
+        ) from exc
+    if padded or not (
+        counters.dtype == ids.dtype == images.dtype == np.int64
+        and counters.shape == (2,)
+        and images.shape == ids.shape == (n_descriptors,)
+        and (ids[1:] > ids[:-1]).all()
+        and (ids[-1:] < counters[0]).all()
+        and counters[1] >= 0
     ):
         raise CorruptFileError(
-            f"image mapping {path!r} is inconsistent: ids {ids.dtype}{ids.shape}"
-            f" (must be strictly increasing), images {images.dtype}{images.shape}"
+            f"system file {path!r} does not map the index's {n_descriptors} "
+            f"descriptors: counters {counters.dtype}{counters.shape}, ids "
+            f"{ids.dtype}{ids.shape}, images {images.dtype}{images.shape}"
         )
-    return _ImageOfId(ids, images)
+    next_id, stop_chunks = counters.tolist()
+    return _ImageOfId(ids, images), next_id, stop_chunks
 
 
 class ImageRetrievalSystem:
@@ -336,48 +312,30 @@ class ImageRetrievalSystem:
     # -- persistence ----------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Persist the whole system: chunk files + mapping + config, each
-        published atomically (saving over the directory a system was loaded
-        from is safe: its open files keep the bytes they were opened on)."""
-        index = self._current_index()
-        os.makedirs(directory, exist_ok=True)
-        index.save(directory)
+        """Persist index and system file (mapping, counters) as a generation
+        of ``directory`` with :meth:`ChunkIndex.save`'s guarantee — over the
+        directory it was loaded from too: open files keep their bytes."""
         mapping = self._image_of_id
-        with atomic_output(os.path.join(directory, _MAPPING_FILE)) as stream:
-            np.savez(stream, ids=mapping.ids, images=mapping.images)
-        meta = {
-            "dimensions": index.dimensions,
-            "next_descriptor_id": self._next_descriptor_id,
-            "default_stop_chunks": self.default_stop_chunks,
-        }
-        with atomic_output(os.path.join(directory, _META_FILE)) as stream:
-            stream.write(json.dumps(meta).encode("utf-8"))
+        counters = [self._next_descriptor_id, self.default_stop_chunks or 0]
+
+        def write_system(stream: BinaryIO) -> None:
+            for array in (np.int64(counters), mapping.ids, mapping.images):
+                np.save(stream, array, allow_pickle=False)
+
+        save_generation(self._current_index(), directory, write_system)
 
     @classmethod
     def load(cls, directory: str) -> "ImageRetrievalSystem":
-        """Reopen a system saved with :meth:`save`, searching the saved
-        files in place (no chunk is read here).
-
-        Damage to ``system.json`` or ``image_mapping.npz`` — malformed
-        bytes, a missing field, a wrong dtype or shape, a mapping that does
-        not cover the index's descriptors — raises
-        :class:`~repro.storage.errors.CorruptFileError` naming the file,
-        with nothing left open.
-        """
-        dimensions, next_id, stop_chunks = _read_meta(
-            os.path.join(directory, _META_FILE)
-        )
-        mapping_path = os.path.join(directory, _MAPPING_FILE)
-        mapping = _read_mapping(mapping_path)
-        index = ChunkIndex.load(directory, dimensions=dimensions, name=_INDEX_NAME)
-        if len(mapping) != index.n_descriptors or next_id <= mapping.ids[-1]:
+        """Reopen the system :meth:`save` committed in ``directory``,
+        searching its files in place (no chunk is read here); damage is a
+        :class:`~repro.storage.errors.CorruptFileError` naming the file."""
+        index, path = open_generation(directory, _INDEX_NAME)
+        try:
+            mapping, next_id, stop_chunks = _read_system_file(path, index.n_descriptors)
+        except BaseException:
             index.close()
-            raise CorruptFileError(
-                f"image mapping {mapping_path!r} covers {len(mapping)} descriptors "
-                f"up to id {mapping.ids[-1:].tolist()}; the index holds "
-                f"{index.n_descriptors} and the next id is {next_id}"
-            )
-        system = cls(default_stop_chunks=stop_chunks)
+            raise
+        system = cls(default_stop_chunks=stop_chunks or None)
         system._index = index
         system._image_of_id = mapping
         system._next_descriptor_id = next_id

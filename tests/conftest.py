@@ -44,6 +44,22 @@ def tiny_collection() -> DescriptorCollection:
 
 
 @pytest.fixture()
+def image_collection() -> DescriptorCollection:
+    """Eight images of 25 descriptors each around their own 6-d center."""
+    rng = np.random.default_rng(12)
+    centers = rng.uniform(0, 10, size=(8, 6))
+    parts, image_ids = [], []
+    for image, center in enumerate(centers):
+        parts.append(center + 0.2 * rng.standard_normal((25, 6)))
+        image_ids.extend([image] * 25)
+    return DescriptorCollection(
+        vectors=np.vstack(parts).astype(np.float32),
+        ids=np.arange(200),
+        image_ids=np.asarray(image_ids),
+    )
+
+
+@pytest.fixture()
 def clutter_collection() -> DescriptorCollection:
     """Eight tight 6-d patterns plus 10% uniform clutter, 240 descriptors.
 

@@ -1,5 +1,7 @@
 """Tests for chunk-index building, access, and persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,13 +12,15 @@ from repro.core.chunk_index import (
     InMemoryChunkStore,
     build_chunk_index,
 )
+from repro.core.ingest import MANIFEST_NAME, verify_streaming_index
 from repro.faults.crash_states import STATES_PER_INTERVAL, record
 from repro.storage.errors import CorruptFileError
 from repro.storage.pages import PageGeometry
 from repro.storage.records import RecordCodec
+from repro.system import ImageRetrievalSystem
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
-#: (``tests/conftest.py``), where the torn-save check takes every state.
+#: (``tests/conftest.py``), where the crash-state check takes every state.
 EXAMPLES = settings().max_examples // settings.get_profile("tier1").max_examples
 STATE_CAP = STATES_PER_INTERVAL if EXAMPLES == 1 else None
 
@@ -119,9 +123,62 @@ class TestPersistence:
         loaded.close()
 
 
+class TestOneLayout:
+    """A saved index is a generation of the streaming-index format: an
+    empty WAL, no packs, committed by the manifest flip."""
+
+    def test_saving_over_a_directory_publishes_a_higher_generation(
+        self, simple_index, tmp_path
+    ):
+        simple_index.save(str(tmp_path))
+        (tmp_path / "wal-000004.log").write_bytes(b"an orphan")
+        simple_index.save(str(tmp_path))
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["generation"] == manifest["checkpoint"] == 5
+        assert manifest["packs"] == [] and manifest["next_batch_seq"] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_NAME,
+            "base-000005.dat",
+            "base-000005.idx",
+            "base-000005.va",
+            "wal-000005.log",
+        ]
+        assert verify_streaming_index(str(tmp_path))["ok"]
+
+    def test_a_directory_without_a_manifest_is_refused_whole(self, simple_index, tmp_path):
+        simple_index.save(str(tmp_path))
+        for path in tmp_path.iterdir():
+            path.rename(tmp_path / path.name.replace("base-000000", "chunks"))
+        (tmp_path / MANIFEST_NAME).unlink()
+        with pytest.raises(CorruptFileError, match="no index manifest"):
+            ChunkIndex.load(str(tmp_path), 4)
+
+    @pytest.mark.parametrize("change", ["logged", "checkpointed"])
+    def test_streamed_changes_point_at_the_streaming_open(
+        self, simple_index, tiny_collection, tmp_path, change
+    ):
+        from repro.core.ingest import StreamingChunkIndex
+        from repro.storage.wal import delete_op
+
+        simple_index.save(str(tmp_path))
+        with StreamingChunkIndex.open(str(tmp_path)) as streaming:
+            streaming.apply([delete_op(int(tiny_collection.ids[0]))])
+            if change == "checkpointed":
+                streaming.checkpoint()
+        with pytest.raises(CorruptFileError, match="StreamingChunkIndex.open"):
+            ChunkIndex.load(str(tmp_path), 4)
+        with StreamingChunkIndex.open(str(tmp_path)) as streaming:
+            assert streaming.n_descriptors == 59
+
+    def test_other_dimensions_are_a_caller_error(self, simple_index, tmp_path):
+        simple_index.save(str(tmp_path))
+        with pytest.raises(ValueError, match="holds 4-d descriptors"):
+            ChunkIndex.load(str(tmp_path), 5)
+
+
 class TestCodeFileBinding:
-    """A torn or stale save can never prune: codes are used only when they
-    are bound to exactly the chunk file and index file beside them."""
+    """Stale codes can never prune: codes are used only when they are
+    bound to exactly the chunk file and index file beside them."""
 
     @staticmethod
     def other_index(tiny_collection):
@@ -149,21 +206,24 @@ class TestCodeFileBinding:
     def test_saved_directory_has_bound_codes(self, simple_index, tiny_collection, tmp_path):
         simple_index.save(str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "chunks.dat",
-            "chunks.idx",
-            "chunks.va",
+            "MANIFEST.json",
+            "base-000000.dat",
+            "base-000000.idx",
+            "base-000000.va",
+            "wal-000000.log",
         ]
         with ChunkIndex.load(str(tmp_path), 4) as loaded:
             assert loaded.codes is not None and len(loaded.codes) == 3
             self.assert_answers_brute_force(loaded, tiny_collection)
 
-    @pytest.mark.parametrize("replaced", ["chunks.dat", "chunks.idx", "both"])
+    @pytest.mark.parametrize("replaced", ["dat", "idx", "both"])
     def test_stale_codes_are_refused(self, simple_index, tiny_collection, tmp_path, replaced):
         ours, theirs = tmp_path / "ours", tmp_path / "theirs"
         simple_index.save(str(ours))
         self.other_index(tiny_collection).save(str(theirs))
-        for name in ("chunks.dat", "chunks.idx"):
-            if replaced in (name, "both"):
+        for kind in ("dat", "idx"):
+            if replaced in (kind, "both"):
+                name = f"base-000000.{kind}"
                 (ours / name).write_bytes((theirs / name).read_bytes())
         with pytest.raises(CorruptFileError, match="stale or torn save"):
             ChunkIndex.load(str(ours), 4)
@@ -172,93 +232,17 @@ class TestCodeFileBinding:
         self, simple_index, tiny_collection, tmp_path
     ):
         simple_index.save(str(tmp_path))
-        (tmp_path / "chunks.va").unlink()
+        (tmp_path / "base-000000.va").unlink()
         with ChunkIndex.load(str(tmp_path), 4) as loaded:
             assert loaded.codes is None
             self.assert_answers_brute_force(loaded, tiny_collection)
-
-    @pytest.mark.parametrize("over_existing", [False, True])
-    def test_save_killed_before_the_codes_are_published(
-        self, simple_index, tiny_collection, tmp_path, monkeypatch, over_existing
-    ):
-        import repro.core.chunk_index as module
-
-        if over_existing:
-            self.other_index(tiny_collection).save(str(tmp_path))
-
-        def killed(*args, **kwargs):
-            raise KeyboardInterrupt("killed before the code file")
-
-        monkeypatch.setattr(module, "write_code_file", killed)
-        with pytest.raises(KeyboardInterrupt):
-            simple_index.save(str(tmp_path))
-        monkeypatch.undo()
-        # The pair is the new one, whole; the old codes are gone, not stale.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.dat", "chunks.idx"]
-        with ChunkIndex.load(str(tmp_path), 4) as loaded:
-            assert loaded.codes is None
-            self.assert_answers_brute_force(loaded, tiny_collection)
-            for chunk_id in range(3):
-                np.testing.assert_array_equal(
-                    loaded.read_chunk(chunk_id)[0], simple_index.read_chunk(chunk_id)[0]
-                )
-
-    def test_save_killed_inside_the_code_file_leaves_no_codes(
-        self, simple_index, tmp_path, monkeypatch
-    ):
-        import repro.storage.code_file as code_file
-
-        real_encode = code_file.encode_cells
-        calls = []
-
-        def dying_encode(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise KeyboardInterrupt("killed mid code file")
-            return real_encode(*args)
-
-        monkeypatch.setattr(code_file, "encode_cells", dying_encode)
-        with pytest.raises(KeyboardInterrupt):
-            simple_index.save(str(tmp_path))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.dat", "chunks.idx"]
-
-    def test_every_crash_state_of_a_save_leaves_no_codes_or_its_own(
-        self, simple_index, tiny_collection, tmp_path
-    ):
-        """A save over an existing directory that dies part way leaves a
-        directory without codes or with codes that are refused, never codes
-        describing other chunks: checked on every crash state the
-        persistence model allows for the save."""
-        directory = tmp_path / "saved"
-        self.other_index(tiny_collection).save(str(directory))
-        with record(str(directory), None) as recording:
-            simple_index.save(str(directory))
-        outcomes = set()
-        for number, state in enumerate(recording.enumerate_states(STATE_CAP, seed=0)):
-            target = tmp_path / f"state-{number:05d}"
-            target.mkdir()
-            recording.materialise(state, str(target))
-            if not (target / "chunks.va").exists():
-                outcomes.add("no codes")
-                continue
-            try:
-                loaded = ChunkIndex.load(str(target), 4)
-            except CorruptFileError:
-                outcomes.add("refused")
-                continue
-            with loaded:
-                loaded.save(str(tmp_path / "resaved"))
-            resaved = (tmp_path / "resaved" / "chunks.va").read_bytes()
-            assert (target / "chunks.va").read_bytes() == resaved, recording.describe(state)
-            outcomes.add("its own codes")
-        assert outcomes >= {"no codes", "its own codes"}
 
     def test_a_failed_load_closes_what_it_opened(self, simple_index, tmp_path, monkeypatch):
         """A refused code file must not leak the chunk-file handle."""
         from repro.core.chunk_index import OnDiskChunkStore
 
         simple_index.save(str(tmp_path))
-        with open(tmp_path / "chunks.va", "r+b") as f:
+        with open(tmp_path / "base-000000.va", "r+b") as f:
             f.write(b"XXXX")
         closed = []
         real_close = OnDiskChunkStore.close
@@ -268,3 +252,76 @@ class TestCodeFileBinding:
         with pytest.raises(CorruptFileError, match="magic"):
             ChunkIndex.load(str(tmp_path), 4)
         assert closed == [1]
+
+
+class TestCrashStates:
+    """Every crash state of a save opens as the old directory or the new
+    one and answers bit-identically to it, or is refused with
+    ``CorruptFileError``: no state loads and then fails."""
+
+    @staticmethod
+    def answers(system, queries):
+        """Descriptor ids and image votes, read while ``system`` is open."""
+        with system:
+            batch = system.find_similar_descriptors_batch(queries, k=5)
+            return (
+                [result.neighbor_ids().tolist() for result in batch],
+                [system.find_similar_images(queries[i : i + 5]) for i in (0, 5)],
+            )
+
+    @staticmethod
+    def save_updated_system(directory, image_collection):
+        """A system saved over its own directory after a live update."""
+        with ImageRetrievalSystem(default_stop_chunks=4) as system:
+            system.index_images(image_collection)
+            system.save(str(directory))
+        rng = np.random.default_rng(3)
+        with ImageRetrievalSystem.load(str(directory)) as loaded:
+            loaded.add_image(8, 5.0 + rng.standard_normal((25, 6)))
+            loaded.remove_image(0)
+            yield
+            loaded.save(str(directory))
+
+    @staticmethod
+    def build_over_another_build(directory, image_collection):
+        """``repro build`` into a directory that holds another build."""
+        from repro.cli import main
+        from repro.storage.collection_file import write_collection_file
+
+        collection = directory.parent / "collection.dat"
+        write_collection_file(str(collection), image_collection)
+        assert main(["build", str(collection), str(directory), "--chunk-size", "64"]) == 0
+        yield
+        assert main(["build", str(collection), str(directory), "--chunk-size", "16"]) == 0
+
+    @pytest.mark.parametrize(
+        "scenario", ["save_updated_system", "build_over_another_build"]
+    )
+    def test_every_crash_state_opens_as_old_or_new_or_is_refused(
+        self, image_collection, tmp_path, scenario
+    ):
+        directory = tmp_path / "saved"
+        queries = image_collection.vectors[::20].astype(np.float64) + 0.05
+        steps = getattr(self, scenario)(directory, image_collection)
+        next(steps)
+        old = self.answers(ImageRetrievalSystem.load(str(directory)), queries)
+        with record(str(directory), None) as recording:
+            next(steps, None)
+        new = self.answers(ImageRetrievalSystem.load(str(directory)), queries)
+        assert old != new
+        outcomes = {}
+        for number, state in enumerate(recording.enumerate_states(STATE_CAP, seed=0)):
+            target = tmp_path / f"state-{number:05d}"
+            target.mkdir()
+            recording.materialise(state, str(target))
+            try:
+                system = ImageRetrievalSystem.load(str(target))
+            except CorruptFileError:
+                outcomes.setdefault("refused", recording.describe(state))
+                continue
+            # Queries run outside the try: a state that loads and then
+            # fails (a ChecksumError mid-search) fails the test.
+            got = self.answers(system, queries)
+            assert got in (old, new), recording.describe(state)
+            outcomes.setdefault("old" if got == old else "new", recording.describe(state))
+        assert {"old", "new"} <= set(outcomes), outcomes

@@ -27,7 +27,7 @@ import pytest
 
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.chunk_index import CHUNK_FILE_NAME, ChunkIndex, build_chunk_index
+from repro.core.chunk_index import ChunkIndex, build_chunk_index
 from repro.core.ground_truth import exact_knn
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import MaxChunks
@@ -256,7 +256,7 @@ class TestRealCorruption:
         index = make_index(tiny_collection, "srtree")
         directory = str(tmp_path / "index")
         index.save(directory)
-        path = f"{directory}/{CHUNK_FILE_NAME}"
+        path = f"{directory}/base-000000.dat"
         page_bytes = PageGeometry().page_bytes
         offset = page_bytes * (1 + index.metas[0].page_offset) + 5
         with open(path, "r+b") as f:
@@ -425,7 +425,7 @@ class TestReadableButNotPromoted:
             meta = loaded.metas[victim]
         # Flip a byte of the victim's first descriptor record.
         offset = PageGeometry().page_bytes * (1 + meta.page_offset) + 5
-        with open(f"{directory}/{CHUNK_FILE_NAME}", "r+b") as f:
+        with open(f"{directory}/base-000000.dat", "r+b") as f:
             f.seek(offset)
             value = f.read(1)[0]
             f.seek(offset)

@@ -280,7 +280,7 @@ class TestRectangleBoundEquivalence:
 
 @pytest.fixture(scope="module")
 def coded_and_plain(tmp_path_factory):
-    """One saved index opened twice — with its ``chunks.va`` and from a
+    """One saved index opened twice — with its code file and from a
     copy of the directory without it — plus the queries: 24-d patterns
     with 10% clutter in leaves of 40, the benchmark's shape in small."""
     rng = np.random.default_rng(23)
@@ -297,7 +297,7 @@ def coded_and_plain(tmp_path_factory):
     build_chunk_index(chunking.retained, chunking.chunk_set).save(str(coded_dir))
     plain_dir = tmp_path_factory.mktemp("plain") / "index"
     shutil.copytree(coded_dir, plain_dir)
-    (plain_dir / "chunks.va").unlink()
+    (plain_dir / "base-000000.va").unlink()
     near = collection.vectors[rng.choice(len(collection), 8, replace=False)]
     queries = np.vstack(
         [
@@ -313,7 +313,7 @@ def coded_and_plain(tmp_path_factory):
 
 class TestCodeBoundEquivalence:
     """The code bound only ever turns a scan into a prune: with and
-    without ``chunks.va`` every observable but ``chunks_pruned`` is equal
+    without the code file every observable but ``chunks_pruned`` is equal
     to the bit."""
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])

@@ -221,7 +221,7 @@ def golden_vectors(n, seed):
 
 def file_digests(directory):
     digests = {}
-    for name in ("chunks.dat", "chunks.idx"):
+    for name in ("base-000000.dat", "base-000000.idx"):
         with open(os.path.join(directory, name), "rb") as handle:
             digests[name] = hashlib.sha256(handle.read()).hexdigest()
     return digests

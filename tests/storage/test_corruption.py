@@ -287,7 +287,7 @@ class TestCodeFileCorruption:
             counts = [meta.n_descriptors for meta in index.metas]
         # One bit in the middle of the first block that query consults.
         start = _CODE_HEADER.size + sum(3 * n + 4 for n in counts[:victim])
-        flip_bit(str(coded_directory / "chunks.va"), start + 3 * counts[victim] // 2, bit=5)
+        flip_bit(str(coded_directory / "base-000000.va"), start + 3 * counts[victim] // 2, bit=5)
         with self.load(coded_directory) as index:  # blocks are verified on read
             for chunk_id in range(index.n_chunks):
                 if chunk_id != victim:
@@ -299,21 +299,21 @@ class TestCodeFileCorruption:
 
     @pytest.mark.parametrize("delta", [-1, -40, 1])
     def test_truncated_or_padded_file_rejected_at_load(self, coded_directory, delta):
-        path = coded_directory / "chunks.va"
+        path = coded_directory / "base-000000.va"
         data = path.read_bytes()
         path.write_bytes(data[:delta] if delta < 0 else data + b"\x00" * delta)
         with pytest.raises(CorruptFileError, match="truncated or padded"):
             self.load(coded_directory)
 
     def test_file_shorter_than_its_header(self, coded_directory):
-        (coded_directory / "chunks.va").write_bytes(b"EFF2CODE\x01")
+        (coded_directory / "base-000000.va").write_bytes(b"EFF2CODE\x01")
         with pytest.raises(CorruptFileError, match="header truncated"):
             self.load(coded_directory)
 
     def test_block_count_must_equal_the_chunk_count(self, coded_directory):
         with self.load(coded_directory) as index:
             n_chunks = index.n_chunks
-        rewrite_code_header(coded_directory / "chunks.va", n_chunks=n_chunks - 1)
+        rewrite_code_header(coded_directory / "base-000000.va", n_chunks=n_chunks - 1)
         with pytest.raises(CorruptFileError, match=f"holds {n_chunks - 1} blocks"):
             self.load(coded_directory)
 
@@ -327,7 +327,7 @@ class TestCodeFileCorruption:
         ],
     )
     def test_header_fields_are_validated(self, coded_directory, fields, message):
-        rewrite_code_header(coded_directory / "chunks.va", **fields)
+        rewrite_code_header(coded_directory / "base-000000.va", **fields)
         with pytest.raises(CorruptFileError, match=message):
             self.load(coded_directory)
 

@@ -163,12 +163,7 @@ def _index_artefact(directory, rng):
 
 def _chunk_file_artefact(directory, rng):
     from repro.chunking.srtree_chunker import SRTreeChunker
-    from repro.core.chunk_index import (
-        CHUNK_FILE_NAME,
-        INDEX_FILE_NAME,
-        ChunkIndex,
-        build_chunk_index,
-    )
+    from repro.core.chunk_index import ChunkIndex, build_chunk_index
 
     collection = _mutation_collection(rng)
     chunking = SRTreeChunker(leaf_capacity=8).form_chunks(collection)
@@ -179,14 +174,14 @@ def _chunk_file_artefact(directory, rng):
             for chunk_id in range(index.n_chunks):
                 index.read_chunk(chunk_id)
 
-    return [directory / CHUNK_FILE_NAME, directory / INDEX_FILE_NAME], read
+    return [directory / "base-000000.dat", directory / "base-000000.idx"], read
 
 
 def _code_file_artefact(directory, rng):
     """The code file of a saved index; reading it is loading the index
     (header, binding and length checks) and consulting every block."""
     from repro.chunking.srtree_chunker import SRTreeChunker
-    from repro.core.chunk_index import CODE_FILE_NAME, ChunkIndex, build_chunk_index
+    from repro.core.chunk_index import ChunkIndex, build_chunk_index
     from repro.core.search import ChunkSearcher
 
     collection = _mutation_collection(rng)
@@ -200,7 +195,7 @@ def _code_file_artefact(directory, rng):
             for chunk_id in range(index.n_chunks):
                 searcher.code_bound(query, chunk_id)
 
-    return [directory / CODE_FILE_NAME], read
+    return [directory / "base-000000.va"], read
 
 
 def _delta_artefact(directory, rng):
@@ -250,19 +245,42 @@ def _ground_truth_artefact(directory, rng):
     return [path], lambda: GroundTruthStore.load(str(path))
 
 
-def _system_artefact(directory, rng):
-    """A saved retrieval system's two sidecars; reading them is loading it."""
+def _saved_system(directory, rng):
+    """A retrieval system saved into ``directory`` and a query for it."""
     from repro.system import ImageRetrievalSystem
 
     collection = _mutation_collection(rng)
     with ImageRetrievalSystem() as system:
         system.index_images(collection)
         system.save(str(directory))
+    return rng.standard_normal(collection.dimensions)
+
+
+def _system_artefact(directory, rng):
+    """A saved retrieval system's system file; reading it is loading it."""
+    from repro.system import ImageRetrievalSystem
+
+    _saved_system(directory, rng)
 
     def read():
         ImageRetrievalSystem.load(str(directory)).close()
 
-    return [directory / "system.json", directory / "image_mapping.npz"], read
+    return [directory / "base-000000.sys"], read
+
+
+def _saved_manifest_artefact(directory, rng):
+    """A saved retrieval system's manifest; reading it is loading the
+    system and answering one exact query."""
+    from repro.core.ingest import MANIFEST_NAME
+    from repro.system import ImageRetrievalSystem
+
+    query = _saved_system(directory, rng)
+
+    def read():
+        with ImageRetrievalSystem.load(str(directory)) as system:
+            system.find_similar_descriptors(query, exact=True)
+
+    return [directory / MANIFEST_NAME], read
 
 
 def _manifest_artefact(directory, rng):
@@ -324,6 +342,7 @@ def _manifest_artefact(directory, rng):
         _wal_artefact,
         _ground_truth_artefact,
         _system_artefact,
+        _saved_manifest_artefact,
         _manifest_artefact,
     ],
     ids=[
@@ -335,6 +354,7 @@ def _manifest_artefact(directory, rng):
         "wal",
         "ground-truth",
         "system",
+        "saved-manifest",
         "manifest",
     ],
 )

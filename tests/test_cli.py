@@ -100,7 +100,7 @@ class TestFileWorkflow:
 
         from repro.storage.index_file import index_file_bytes
 
-        index_path = tmp_path / "sys" / "chunks.idx"
+        index_path = tmp_path / "sys" / "base-000000.idx"
         data = bytearray(index_path.read_bytes())
         _, _, dims, n_chunks, _ = struct.unpack_from("<8sIIQ8s", data, 0)
         struct.pack_into("<I", data, 8, 3)
@@ -109,11 +109,13 @@ class TestFileWorkflow:
         assert "unsupported index file version 3" in capsys.readouterr().err
 
     def test_damaged_sidecars_are_corrupt_files(self, tmp_path, capsys):
-        """A damaged ``system.json`` / ``image_mapping.npz`` is exit 2 and a
-        ``CorruptFileError`` naming the file — no traceback, no bare key."""
+        """A damaged system file (mapping and counters beside the index)
+        is exit 2 and a ``CorruptFileError`` naming the file — no
+        traceback, no bare key."""
         import io
 
         import numpy as np
+        from numpy.lib.format import read_array
 
         coll = str(tmp_path / "c.dat")
         sysdir = tmp_path / "s"
@@ -123,29 +125,58 @@ class TestFileWorkflow:
         assert main(query) == 0
         capsys.readouterr()
 
-        def missing_ids(data: bytes) -> bytes:
-            with np.load(io.BytesIO(data)) as mapping:
-                ids, images = mapping["ids"], mapping["images"]
-            short = io.BytesIO()
-            np.savez(short, ids=ids[:-3], images=images[:-3])
-            return short.getvalue()
+        def edited(edit):
+            def mutate(data: bytes) -> bytes:
+                stream = io.BytesIO(data)
+                counters, ids, images = (read_array(stream) for _ in range(3))
+                rewritten = io.BytesIO()
+                for array in edit(counters, ids, images):
+                    np.save(rewritten, array)
+                return rewritten.getvalue()
 
-        damage = {
-            "image_mapping.npz": [lambda data: data[: len(data) // 2], missing_ids],
-            "system.json": [
-                lambda data: data[: len(data) // 2],
-                lambda data: data.replace(b'"dimensions"', b'"dimension"'),
-            ],
-        }
-        for name, mutations in damage.items():
-            pristine = (sysdir / name).read_bytes()
-            for mutate in mutations:
-                (sysdir / name).write_bytes(mutate(pristine))
-                assert main(query) == 2
-                err = capsys.readouterr().err
-                assert "repro: error: CorruptFileError" in err and name in err
-            (sysdir / name).write_bytes(pristine)
+            return mutate
+
+        path = sysdir / "base-000000.sys"
+        pristine = path.read_bytes()
+        for mutate in [
+            lambda data: data[: len(data) // 2],
+            lambda data: data + b"\0",
+            edited(lambda counters, ids, images: (counters, ids[:-3], images[:-3])),
+            edited(lambda counters, ids, images: (counters[:1], ids, images)),
+            edited(lambda counters, ids, images: (counters * 0, ids, images)),
+            edited(lambda counters, ids, images: (counters, ids, images.astype(float))),
+        ]:
+            path.write_bytes(mutate(pristine))
+            assert main(query) == 2
+            err = capsys.readouterr().err
+            assert "repro: error: CorruptFileError: system file" in err
+            assert "base-000000.sys" in err
+        path.write_bytes(pristine)
         assert main(query) == 0
+
+    def test_a_directory_in_the_fixed_name_layout_is_refused(self, tmp_path, capsys):
+        """Files named ``chunks.*`` and no manifest: exit 2, nothing read."""
+        coll = str(tmp_path / "c.dat")
+        sysdir = tmp_path / "s"
+        main(["generate", coll, "--scale", "test"])
+        main(["build", coll, str(sysdir)])
+        for kind in ("dat", "idx", "va"):
+            (sysdir / f"base-000000.{kind}").rename(sysdir / f"chunks.{kind}")
+        (sysdir / "MANIFEST.json").unlink()
+        capsys.readouterr()
+        assert main(["query", str(sysdir), coll, "--row", "3"]) == 2
+        assert "repro: error: CorruptFileError: no index manifest" in (
+            capsys.readouterr().err
+        )
+
+    def test_verify_index_checks_build_output(self, tmp_path, capsys):
+        coll = str(tmp_path / "c.dat")
+        sysdir = str(tmp_path / "s")
+        main(["generate", coll, "--scale", "test"])
+        main(["build", coll, sysdir, "--chunker", "bag", "--chunk-size", "64"])
+        capsys.readouterr()
+        assert main(["verify-index", sysdir]) == 0
+        assert "index ok" in capsys.readouterr().out
 
     def test_query_row_out_of_range(self, tmp_path, capsys):
         from repro.cli import main

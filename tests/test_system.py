@@ -14,21 +14,6 @@ from repro.system import ImageRetrievalSystem
 
 
 @pytest.fixture()
-def image_collection():
-    rng = np.random.default_rng(12)
-    centers = rng.uniform(0, 10, size=(8, 6))
-    parts, image_ids = [], []
-    for image, center in enumerate(centers):
-        parts.append(center + 0.2 * rng.standard_normal((25, 6)))
-        image_ids.extend([image] * 25)
-    return DescriptorCollection(
-        vectors=np.vstack(parts).astype(np.float32),
-        ids=np.arange(200),
-        image_ids=np.asarray(image_ids),
-    )
-
-
-@pytest.fixture()
 def system(image_collection):
     s = ImageRetrievalSystem(default_stop_chunks=4)
     s.index_images(image_collection)
@@ -342,7 +327,7 @@ class TestOneIndexLifecycle:
             with ImageRetrievalSystem.load(updated) as reloaded:
                 assert reloaded.n_descriptors == 200 + 90 - 25
                 assert_same_answers(reloaded, loaded, queries)
-        for name in ("chunks.dat", "chunks.idx", "chunks.va"):
+        for name in ("base-000000.dat", "base-000000.idx", "base-000000.va"):
             assert (tmp_path / "updated" / name).read_bytes() == (
                 tmp_path / "reference" / name
             ).read_bytes(), name
