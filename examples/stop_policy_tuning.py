@@ -1,13 +1,9 @@
 """Tuning the approximation policy: every stop rule on one dial.
 
 The paper's stop rules (chunk count, time budget, exact completion) bound
-*effort*; the related-work rules implemented in
-:mod:`repro.core.approx_rules` bound *error*:
-
-* ``EpsilonApproximation`` (AC-NN): guarantee the k-th neighbor within a
-  (1 + epsilon) factor of the truth;
-* ``PacApproximation`` (PAC-NN): the same, probably — with confidence
-  1 - delta estimated from a sampled distance distribution.
+*effort*; the related-work rule in :mod:`repro.core.approx_rules` bounds
+*error*: ``EpsilonApproximation`` (AC-NN) guarantees the k-th neighbor
+within a (1 + epsilon) factor of the truth.
 
 This example sweeps all of them over one DQ workload and prints the
 resulting (time, precision@30) frontier, so a user can pick a policy by
@@ -23,7 +19,6 @@ from repro import (
     EpsilonApproximation,
     ExactCompletion,
     MaxChunks,
-    PacApproximation,
     SRTreeChunker,
     SyntheticImageConfig,
     TimeBudget,
@@ -64,12 +59,6 @@ def main() -> None:
         "epsilon 0.05": EpsilonApproximation(0.05, K),
         "epsilon 0.20": EpsilonApproximation(0.20, K),
         "epsilon 0.50": EpsilonApproximation(0.50, K),
-        "PAC(0.2, 0.05)": PacApproximation.for_index(
-            index, collection, epsilon=0.2, delta=0.05
-        ),
-        "PAC(0.2, 0.20)": PacApproximation.for_index(
-            index, collection, epsilon=0.2, delta=0.20
-        ),
     }
 
     header = f"{'policy':20} {'mean chunks':>12} {'mean time ms':>13} {'precision@30':>13}"
@@ -89,10 +78,10 @@ def main() -> None:
 
     print(
         "\nFixed-effort rules (chunks/time) trade precision directly for"
-        "\nspeed.  The error-bounded rules keep their guarantee: epsilon"
-        "\nsaves little here because uniform SR chunks have wide radii"
-        "\n(loose lower bounds), while PAC trims the completion tail by"
-        "\naccepting a small probability of a miss."
+        "\nspeed.  The error-bounded epsilon rule keeps its guarantee but"
+        "\nsaves little here: uniform SR chunks have wide radii (loose lower"
+        "\nbounds), so even epsilon 0.50 stops only a few chunks before the"
+        "\nexact completion proof."
     )
 
 

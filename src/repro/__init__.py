@@ -35,7 +35,6 @@ from .chunking import (
     Chunker,
     ChunkingResult,
     HybridChunker,
-    RandomChunker,
     RoundRobinChunker,
     SRTreeChunker,
     estimate_mpi,
@@ -46,7 +45,6 @@ from .core import (
     ChunkIndex,
     ChunkIndexMaintainer,
     EpsilonApproximation,
-    PacApproximation,
     ChunkSearcher,
     DescriptorCollection,
     ExactCompletion,
@@ -82,14 +80,12 @@ __all__ = [
     "Chunker",
     "ChunkingResult",
     "HybridChunker",
-    "RandomChunker",
     "RoundRobinChunker",
     "SRTreeChunker",
     "estimate_mpi",
     "ChunkIndex",
     "ChunkIndexMaintainer",
     "EpsilonApproximation",
-    "PacApproximation",
     "ChunkSearcher",
     "DescriptorCollection",
     "ExactCompletion",

@@ -9,9 +9,8 @@ The paper compares two extremes of the quality-vs-time design space:
 
 Baselines and the paper's concluding proposal round out the space:
 
-* :class:`~repro.chunking.round_robin.RoundRobinChunker` and
-  :class:`~repro.chunking.random_chunker.RandomChunker` — uniform size with
-  zero locality (section 1.1's strawman);
+* :class:`~repro.chunking.round_robin.RoundRobinChunker` — uniform size
+  with zero locality (section 1.1's strawman);
 * :class:`~repro.chunking.hybrid.HybridChunker` — balanced k-means: size
   first, dissimilarity second (section 7's recommendation);
 * :mod:`~repro.chunking.outliers` — the standalone norm-threshold outlier
@@ -19,14 +18,12 @@ Baselines and the paper's concluding proposal round out the space:
 """
 
 from .bag import BagClusterer, BagSnapshot, estimate_mpi
-from .clindex import ClindexChunker
 from .base import Chunker, ChunkingResult
 from .hybrid import HybridChunker
 from .outliers import (
     apply_outlier_rows,
     norm_fraction_outliers,
 )
-from .random_chunker import RandomChunker
 from .round_robin import RoundRobinChunker
 from .srtree_chunker import SRTreeChunker
 from .tsvq import TsvqChunker
@@ -35,14 +32,12 @@ __all__ = [
     "BagClusterer",
     "BagSnapshot",
     "estimate_mpi",
-    "ClindexChunker",
     "TsvqChunker",
     "Chunker",
     "ChunkingResult",
     "HybridChunker",
     "apply_outlier_rows",
     "norm_fraction_outliers",
-    "RandomChunker",
     "RoundRobinChunker",
     "SRTreeChunker",
 ]

@@ -8,8 +8,9 @@ a balancing step that reassigns points from over-full clusters to their
 next-best under-full cluster, so every chunk ends within a bounded factor
 of the target size.
 
-This is the forward-looking strategy the paper's results argue for, and the
-`bench_ablation_hybrid` benchmark pits it against both extremes.
+This is the forward-looking strategy the paper's results argue for; its
+``HYB`` row in the chunker-comparison ablation (``ablation_chunker_zoo``)
+pits it against both extremes.
 """
 
 from __future__ import annotations

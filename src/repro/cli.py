@@ -73,10 +73,8 @@ EXPERIMENT_RUNNERS: Dict[str, Callable[[ExperimentData], object]] = {
     "ablation_ranking": ablations.run_ranking_ablation,
     "ablation_stoprule": ablations.run_stop_rule_ablation,
     "ablation_outliers": ablations.run_outlier_ablation,
-    "ablation_hybrid": ablations.run_hybrid_ablation,
     "ablation_cache": ablations.run_cache_ablation,
     "ablation_chunker_zoo": ablations.run_chunker_zoo,
-    "ablation_related_work": ablations.run_related_work_shootout,
     "ablation_approx_rules": ablations.run_approx_rules_ablation,
     "lessons_summary": ablations.run_lessons_summary,
     "faultsim": faultsim.run,

@@ -14,11 +14,7 @@ This package implements the paper's primary machinery:
   :mod:`~repro.core.trace`).
 """
 
-from .approx_rules import (
-    DistanceDistribution,
-    EpsilonApproximation,
-    PacApproximation,
-)
+from .approx_rules import EpsilonApproximation
 from .chunk import Chunk, ChunkMeta, ChunkSet
 from .chunk_index import ChunkIndex, build_chunk_index
 from .dataset import DEFAULT_DIMENSIONS, DescriptorCollection
@@ -68,9 +64,7 @@ BatchChunkSearcher = ChunkSearcher
 __all__ = [
     "BatchChunkSearcher",
     "BatchSearchResult",
-    "DistanceDistribution",
     "EpsilonApproximation",
-    "PacApproximation",
     "ChunkIndexMaintainer",
     "ChunkSnapshot",
     "ChunkSummary",

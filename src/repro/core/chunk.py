@@ -201,9 +201,6 @@ class ChunkSet:
         """Descriptor count of every chunk, dtype int64."""
         return np.asarray([len(c) for c in self.chunks], dtype=np.int64)
 
-    def total_descriptors(self) -> int:
-        return int(self.sizes().sum())
-
     def average_size(self) -> float:
         """Average descriptors per chunk (Table 1's "Descriptors per Chunk")."""
         return float(self.sizes().mean())

@@ -1,7 +1,8 @@
 """Ablations over the design choices the paper calls out.
 
 These are not paper figures; they probe the assumptions behind the paper's
-conclusions (DESIGN.md section 5):
+conclusions.  DESIGN.md section 4b names the paper statement each one
+tests.  Among them:
 
 * :func:`run_overlap_ablation` — the uniform-chunks argument assumes I/O
   and CPU overlap; how much of SR's advantage survives a serial execution
@@ -14,8 +15,9 @@ conclusions (DESIGN.md section 5):
   precision@30 under matched budgets.
 * :func:`run_outlier_ablation` — BAG outlier removal vs the paper's
   norm-threshold alternative ("almost identical results").
-* :func:`run_hybrid_ablation` — the conclusion's proposal (uniform size
-  first, dissimilarity second) against both extremes.
+* :func:`run_chunker_zoo` — the conclusion's proposal (hybrid: uniform
+  size first, dissimilarity second) against both extremes, TSVQ and the
+  round-robin strawman.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ __all__ = [
     "run_ranking_ablation",
     "run_stop_rule_ablation",
     "run_outlier_ablation",
-    "run_hybrid_ablation",
     "run_cache_ablation",
     "run_chunker_zoo",
-    "run_related_work_shootout",
     "run_approx_rules_ablation",
     "run_lessons_summary",
 ]
@@ -278,52 +278,6 @@ def run_outlier_ablation(data: ExperimentData) -> TableResult:
     )
 
 
-def run_hybrid_ablation(data: ExperimentData) -> TableResult:
-    """The paper's proposed hybrid (balanced k-means) vs both extremes.
-
-    All three indexes cover the MEDIUM retained collection with the same
-    target chunk size; compared on chunks and time to 25 of 30 neighbors
-    (DQ) plus completion time.
-    """
-    bag_medium = data.built("BAG", "MEDIUM")
-    retained = bag_medium.chunking.retained
-    target_size = max(2, int(round(bag_medium.chunking.mean_chunk_size)))
-    workload = data.workloads["DQ"]
-    truth = data.ground_truth("MEDIUM", "DQ")
-    target = min(25, data.scale.k)
-
-    contenders = {
-        "BAG/MEDIUM": None,  # reuse prepared index
-        "SR/MEDIUM": None,
-        "HYB/MEDIUM": HybridChunker(target_chunk_size=target_size, seed=9),
-    }
-    rows = []
-    for label, chunker in contenders.items():
-        if chunker is None:
-            family = label.split("/")[0]
-            traces = data.completion_traces(family, "MEDIUM", "DQ")
-        else:
-            chunking = chunker.form_chunks(retained)
-            index = build_chunk_index(chunking.retained, chunking.chunk_set, name=label)
-            traces = _run_batch(index, data, workload.queries, truth=truth).traces()
-        curves = curves_from_traces(traces, data.scale.k)
-        rows.append(
-            [
-                label,
-                round(float(curves.chunks_read[target]), 2),
-                round(float(curves.elapsed_s[target]), 4),
-                round(float(completion_stats(traces).mean_elapsed_s), 4),
-            ]
-        )
-    return TableResult(
-        experiment_id="ablation_hybrid",
-        title="Hybrid chunker vs the two extremes (MEDIUM class, DQ)",
-        headers=["Index", "chunks(25nn)", "t(25nn) s", "completion s"],
-        rows=rows,
-        precision=4,
-    )
-
-
 def run_cache_ablation(data: ExperimentData) -> TableResult:
     """Buffer-cache effects: the paper's round-robin protocol, quantified.
 
@@ -389,13 +343,12 @@ def run_cache_ablation(data: ExperimentData) -> TableResult:
 def run_chunker_zoo(data: ExperimentData) -> TableResult:
     """Every chunk-forming strategy in the library on one playing field.
 
-    Covers the paper's two contenders plus the related-work strategies
-    (TSVQ, CF/Clindex), the proposal (hybrid) and the strawmen
-    (round-robin, random), all over the MEDIUM retained collection at the
-    MEDIUM target chunk size; DQ workload, run to completion.
+    Covers the paper's two contenders, the related-work TSVQ, the
+    conclusion's proposal (hybrid: uniform size first, dissimilarity
+    second) and section 1.1's round-robin strawman, all over the MEDIUM
+    retained collection at the MEDIUM target chunk size; DQ workload, run
+    to completion.
     """
-    from ..chunking.clindex import ClindexChunker
-    from ..chunking.random_chunker import RandomChunker
     from ..chunking.round_robin import RoundRobinChunker
     from ..chunking.tsvq import TsvqChunker
 
@@ -411,10 +364,8 @@ def run_chunker_zoo(data: ExperimentData) -> TableResult:
         "BAG": None,
         "SR": None,
         "TSVQ": TsvqChunker(max_chunk_size=target_size, seed=4),
-        "CF": ClindexChunker(max_chunk_size=target_size),
         "HYB": HybridChunker(target_chunk_size=target_size, seed=4),
         "RR": RoundRobinChunker(n_chunks=n_chunks),
-        "RAND": RandomChunker(n_chunks=n_chunks, seed=4),
     }
     rows = []
     for name, chunker in contenders.items():
@@ -450,85 +401,18 @@ def run_chunker_zoo(data: ExperimentData) -> TableResult:
     )
 
 
-def run_related_work_shootout(data: ExperimentData) -> TableResult:
-    """The approximate VA-file against the chunk search.
-
-    Of the approximate-NN approaches the paper's section 6 surveys, the one
-    that shares engine code (its cell bound is the code bound's), run on
-    the MEDIUM retained collection with the DQ workload at k=10:
-
-    * chunk search with a 5-chunk budget (the paper's paradigm),
-    * approximate VA-file (bounded refinement) at the same scan budget.
-
-    Columns report average recall@10 against exact ground truth plus the
-    descriptors each scheme scans.
-    """
-    from ..extensions.vafile import VAFile
-
-    retained = data.built("BAG", "MEDIUM").chunking.retained
-    workload = data.workloads["DQ"]
-    k = 10
-    n_queries = min(len(workload), 40)
-    truth = GroundTruthStore.compute(
-        retained, workload.queries[:n_queries], k
-    )
-
-    built = data.built("SR", "MEDIUM")
-    searcher = ChunkSearcher(built.index, cost_model=data.scale.cost_model)
-    chunk_budget = 5
-    target_size = max(2, int(round(built.chunking.mean_chunk_size)))
-
-    vafile = VAFile(retained)
-    va_budget = chunk_budget * target_size
-
-    def recall(ids, i):
-        return precision_at_k(ids, truth.get(i))
-
-    rows = []
-    scores = {"chunk-search(5)": [], "va-file": []}
-    work = {"chunk-search(5)": [], "va-file": []}
-    for i in range(n_queries):
-        query = workload.queries[i]
-        result = searcher.search(query, k=k, stop_rule=MaxChunks(chunk_budget))
-        scores["chunk-search(5)"].append(recall(result.neighbor_ids(), i))
-        work["chunk-search(5)"].append(result.trace.descriptors_scanned)
-
-        scores["va-file"].append(
-            recall(vafile.search(query, k=k, refine_candidates=va_budget), i)
-        )
-        work["va-file"].append(va_budget)
-
-    for name in scores:
-        rows.append(
-            [
-                name,
-                round(float(np.mean(scores[name])), 3),
-                round(float(np.mean(work[name]))),
-            ]
-        )
-    return TableResult(
-        experiment_id="ablation_related_work",
-        title=f"Related-work shootout (MEDIUM retained, DQ, k={k})",
-        headers=["Scheme", "recall@10", "avg descriptors scanned"],
-        rows=rows,
-        precision=3,
-    )
-
-
 def run_approx_rules_ablation(data: ExperimentData) -> TableResult:
-    """Error-bounded stop rules (AC-NN / PAC-NN) vs fixed-effort rules.
+    """The error-bounded AC-NN stop rule vs fixed-effort rules.
 
     All rules run on the BAG/MEDIUM index (tight radii make the epsilon
     relaxation bite) over the DQ workload, reporting mean chunks, mean
     simulated time and precision@k.  Expected: epsilon trades a bounded,
-    small precision loss for completion-time savings; PAC saves more by
-    accepting a small miss probability.
+    small precision loss for completion-time savings.
     """
-    from ..core.approx_rules import EpsilonApproximation, PacApproximation
+    from ..core.approx_rules import EpsilonApproximation
     from ..core.stop_rules import ExactCompletion
 
     built = data.built("BAG", "MEDIUM")
-    retained = built.chunking.retained
     truth = data.ground_truth("MEDIUM", "DQ")
     workload = data.workloads["DQ"]
     k = data.scale.k
@@ -537,12 +421,6 @@ def run_approx_rules_ablation(data: ExperimentData) -> TableResult:
         "exact": ExactCompletion(),
         "epsilon=0.1": EpsilonApproximation(0.1, k),
         "epsilon=0.5": EpsilonApproximation(0.5, k),
-        "PAC(0.2,0.05)": PacApproximation.for_index(
-            built.index, retained, epsilon=0.2, delta=0.05
-        ),
-        "PAC(0.2,0.25)": PacApproximation.for_index(
-            built.index, retained, epsilon=0.2, delta=0.25
-        ),
         "max-chunks(10)": MaxChunks(10),
     }
     rows = []

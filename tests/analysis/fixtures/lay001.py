@@ -13,4 +13,4 @@ from repro.storage.pages import PageGeometry  # allowed: core -> storage
 from .distance import squared_distances  # allowed: within-layer relative
 from ..simio.disk_model import DiskModel  # allowed: core -> simio
 
-from repro.extensions import vafile  # repro-lint: disable=LAY001
+from repro.extensions import multi_descriptor  # repro-lint: disable=LAY001

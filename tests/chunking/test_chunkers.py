@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.chunking.hybrid import MAX_SIZE_FACTOR, HybridChunker
-from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk import Chunk
@@ -103,28 +102,6 @@ class TestRoundRobin:
             RoundRobinChunker(n_chunks=0)
 
 
-class TestRandomChunker:
-    def test_partition_and_balance(self, tiny_collection):
-        result = RandomChunker(n_chunks=5, seed=1).form_chunks(tiny_collection)
-        result.validate()
-        sizes = result.chunk_set.sizes()
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_seed_determinism(self, tiny_collection):
-        a = RandomChunker(n_chunks=5, seed=1).form_chunks(tiny_collection)
-        b = RandomChunker(n_chunks=5, seed=1).form_chunks(tiny_collection)
-        for ca, cb in zip(a.chunk_set, b.chunk_set):
-            assert np.array_equal(ca.member_rows, cb.member_rows)
-
-    def test_different_seeds_differ(self, tiny_collection):
-        a = RandomChunker(n_chunks=5, seed=1).form_chunks(tiny_collection)
-        b = RandomChunker(n_chunks=5, seed=2).form_chunks(tiny_collection)
-        assert any(
-            not np.array_equal(ca.member_rows, cb.member_rows)
-            for ca, cb in zip(a.chunk_set, b.chunk_set)
-        )
-
-
 class TestHybridChunker:
     def test_size_cap_enforced(self, small_synthetic):
         chunker = HybridChunker(target_chunk_size=100)
@@ -139,10 +116,8 @@ class TestHybridChunker:
 
     def test_locality_beats_random(self, small_synthetic):
         hyb = HybridChunker(target_chunk_size=100).form_chunks(small_synthetic)
-        rnd = RandomChunker(n_chunks=hyb.n_chunks, seed=0).form_chunks(
-            small_synthetic
-        )
-        assert radii(hyb.chunk_set).mean() < radii(rnd.chunk_set).mean()
+        rr = RoundRobinChunker(n_chunks=hyb.n_chunks).form_chunks(small_synthetic)
+        assert radii(hyb.chunk_set).mean() < radii(rr.chunk_set).mean()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,4 +128,4 @@ class TestHybridChunker:
             tiny_collection
         )
         result.validate()
-        assert result.chunk_set.total_descriptors() == len(tiny_collection)
+        assert result.chunk_set.sizes().sum() == len(tiny_collection)

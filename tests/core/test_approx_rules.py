@@ -1,4 +1,4 @@
-"""Tests for the AC-NN / PAC-NN approximation rules."""
+"""Tests for the AC-NN approximation rule."""
 
 import math
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core.approx_rules import (
-    DistanceDistribution,
-    EpsilonApproximation,
-    PacApproximation,
-)
+from repro.core.approx_rules import EpsilonApproximation
 from repro.core.chunk_index import build_chunk_index
 from repro.core.ground_truth import exact_knn
 from repro.core.search import ChunkSearcher
@@ -73,58 +69,3 @@ class TestEpsilonRule:
                 tiny_collection.vectors[truth[-1]].astype(float) - query
             )
             assert got_kth <= (1 + epsilon) * true_kth + 1e-9
-
-
-class TestDistanceDistribution:
-    def test_cdf_monotone_and_bounded(self, tiny_collection):
-        dist = DistanceDistribution.sample(tiny_collection, seed=1)
-        xs = np.linspace(0, 30, 50)
-        values = [dist.cdf(x) for x in xs]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert all(a <= b for a, b in zip(values, values[1:]))
-        assert dist.cdf(-1.0) == 0.0
-        assert dist.cdf(1e9) == 1.0
-
-    def test_probability_any_within(self):
-        dist = DistanceDistribution(np.array([1.0, 2.0, 3.0, 4.0]))
-        # cdf(2.5) = 0.5; for 2 descriptors: 1 - 0.25 = 0.75.
-        assert dist.probability_any_within(2.5, 2) == pytest.approx(0.75)
-        assert dist.probability_any_within(2.5, 0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DistanceDistribution(np.array([]))
-        with pytest.raises(ValueError):
-            DistanceDistribution(np.array([-1.0]))
-        with pytest.raises(ValueError):
-            DistanceDistribution(np.array([np.inf]))
-
-
-class TestPacRule:
-    def test_for_index_constructor(self, tiny_collection):
-        chunking = SRTreeChunker(leaf_capacity=10).form_chunks(tiny_collection)
-        index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        rule = PacApproximation.for_index(index, tiny_collection)
-        assert rule.total_descriptors == len(tiny_collection)
-
-    def test_stops_before_exact(self, tiny_collection):
-        """A permissive PAC rule reads no more chunks than exact search."""
-        chunking = SRTreeChunker(leaf_capacity=6).form_chunks(tiny_collection)
-        index = build_chunk_index(chunking.retained, chunking.chunk_set)
-        searcher = ChunkSearcher(index)
-        rule = PacApproximation.for_index(
-            index, tiny_collection, epsilon=0.5, delta=0.3
-        )
-        query = tiny_collection.vectors[0].astype(float)
-        exact = searcher.search(query, k=5)
-        pac = searcher.search(query, k=5, stop_rule=rule)
-        assert pac.chunks_read <= exact.chunks_read
-
-    def test_validation(self, tiny_collection):
-        dist = DistanceDistribution(np.array([1.0]))
-        with pytest.raises(ValueError):
-            PacApproximation(-1, 0.1, dist, 10, 5.0)
-        with pytest.raises(ValueError):
-            PacApproximation(0.1, 1.5, dist, 10, 5.0)
-        with pytest.raises(ValueError):
-            PacApproximation(0.1, 0.1, dist, 0, 5.0)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.chunking.bag import BagClusterer, estimate_mpi
-from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
@@ -44,7 +43,6 @@ CHUNKER_FACTORIES = {
         mpi=estimate_mpi(collection, seed=3),
         target_clusters=5,
     ),
-    "random": lambda collection: RandomChunker(n_chunks=6, seed=3),
     "round-robin": lambda collection: RoundRobinChunker(n_chunks=9),
 }
 

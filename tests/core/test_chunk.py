@@ -150,7 +150,6 @@ class TestChunkSet:
         cs = self.make_set(tiny_collection, [range(0, 10), range(10, 60)])
         assert list(cs.sizes()) == [10, 50]
         assert cs.average_size() == 30.0
-        assert cs.total_descriptors() == 60
 
     def test_largest_sizes(self, tiny_collection):
         cs = self.make_set(

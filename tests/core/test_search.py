@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.chunking.random_chunker import RandomChunker
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import ChunkIndex, build_chunk_index
@@ -40,9 +39,8 @@ class TestExactness:
         [
             SRTreeChunker(leaf_capacity=7),
             RoundRobinChunker(n_chunks=9),
-            RandomChunker(n_chunks=5, seed=3),
         ],
-        ids=["srtree", "round-robin", "random"],
+        ids=["srtree", "round-robin"],
     )
     def test_completion_matches_sequential_scan(self, tiny_collection, chunker):
         index = make_index(tiny_collection, chunker)

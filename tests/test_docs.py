@@ -13,13 +13,17 @@
   attribute reachable from one, and every ``repro`` subcommand they show
   is one the CLI has: a module or command that is deleted or renamed
   takes its mentions with it.
+* Every ablation and the lesson summary the CLI registers has exactly one
+  row in DESIGN.md section 4b's table, naming the question it answers and
+  the paper statement it tests, and that table has no other row: an
+  experiment beyond the paper says why it is there.
 """
 
 import argparse
 import importlib
 import pathlib
 import re
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -35,6 +39,9 @@ ROADMAP_ITEM = re.compile(r"ROADMAP\s+item", re.IGNORECASE)
 REPRO_NAME = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: A CLI invocation: ``repro <command>`` in a code span or opening a line.
 REPRO_COMMAND = re.compile(r"(?:`|^[ \t]*)repro ([a-z][a-z0-9-]*)", re.MULTILINE)
+
+#: The DESIGN.md heading of the table of experiments beyond the paper.
+EXPERIMENTS_HEADING = "## 4b. "
 
 #: Longest CHANGES.md entry, in characters.
 ENTRY_CAP = 2500
@@ -138,4 +145,68 @@ def test_a_planted_stale_name_is_caught():
         "repro crashsim",
         "repro.core.ingest.CrashPlan",
         "repro.faults.crash_plan",
+    ]
+
+
+def statement_rows(design: str) -> Dict[str, List[Tuple[str, str]]]:
+    """Experiment id -> the ``(question, paper statement)`` of each of its
+    rows in DESIGN.md's section 4b table."""
+    section = design.split(EXPERIMENTS_HEADING, 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+    question = header.index("Question")
+    statement = header.index("Paper statement")
+    rows: Dict[str, List[Tuple[str, str]]] = {}
+    for line in lines[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.setdefault(cells[0].strip("`"), []).append(
+            (cells[question], cells[statement])
+        )
+    return rows
+
+
+def unstated_experiments(design: str) -> List[str]:
+    """One line per ablation or lesson summary of the CLI's registry that
+    lacks exactly one section 4b row with a question and a paper
+    statement, and per row that names no such experiment; sorted."""
+    from repro.cli import EXPERIMENT_RUNNERS
+
+    registered = {
+        name
+        for name in EXPERIMENT_RUNNERS
+        if name.startswith("ablation_") or name == "lessons_summary"
+    }
+    rows = statement_rows(design)
+    problems = []
+    for name in sorted(registered | set(rows)):
+        found = rows.get(name, [])
+        if name not in registered:
+            problems.append(f"{name}: a row for no registered experiment")
+        elif len(found) != 1:
+            problems.append(f"{name}: {len(found)} rows")
+        elif not all(found[0]):
+            problems.append(f"{name}: no question or no paper statement")
+    return problems
+
+
+def test_every_ablation_names_the_statement_it_tests():
+    assert unstated_experiments((ROOT / "DESIGN.md").read_text(encoding="utf-8")) == []
+
+
+def test_an_unstated_ablation_is_caught():
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    row = next(
+        line for line in design.splitlines() if line.startswith("| `ablation_cache` |")
+    )
+    cells = row.split("|")
+    cells[3] = " "  # the paper statement
+    planted = design.replace(row, "|".join(cells)).replace(
+        "| `lessons_summary` |", "| `ablation_gone` | Q | S | - | - |\n| `lessons_summary` |"
+    )
+    planted = planted.replace("| `ablation_overlap` |", "| `ablation_ranking` |", 1)
+    assert unstated_experiments(planted) == [
+        "ablation_cache: no question or no paper statement",
+        "ablation_gone: a row for no registered experiment",
+        "ablation_overlap: 0 rows",
+        "ablation_ranking: 2 rows",
     ]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.chunking.random_chunker import RandomChunker
+from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.dataset import DescriptorCollection
@@ -46,10 +46,10 @@ class TestSearchExactnessProperty:
         st.booleans(),
     )
     @settings(max_examples=40 * EXAMPLES, deadline=None)
-    def test_completion_equals_scan(self, collection, k, granule, use_random):
+    def test_completion_equals_scan(self, collection, k, granule, use_round_robin):
         chunker = (
-            RandomChunker(n_chunks=granule, seed=0)
-            if use_random
+            RoundRobinChunker(n_chunks=granule)
+            if use_round_robin
             else SRTreeChunker(leaf_capacity=granule)
         )
         result = chunker.form_chunks(collection)
