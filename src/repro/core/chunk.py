@@ -34,6 +34,7 @@ __all__ = [
     "ChunkMeta",
     "ChunkSet",
     "summarize_members",
+    "bounding_radius",
     "bounding_rectangle",
 ]
 
@@ -44,20 +45,27 @@ def summarize_members(vectors: np.ndarray) -> "tuple[np.ndarray, float]":
     The radius is the maximum Euclidean distance from the centroid to any
     member — the "minimum bounding radius" the paper stores per chunk so the
     search can lower-bound the distance to a chunk's contents.  A NaN or
-    infinite member makes the radius non-finite, which is refused here:
-    every bound the search derives from such a summary would be void.
+    infinite member makes the radius non-finite, which
+    :func:`bounding_radius` refuses.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("a chunk must contain at least one descriptor")
     centroid = vectors.mean(axis=0)
+    return centroid, bounding_radius(centroid, vectors)
+
+
+def bounding_radius(centroid: np.ndarray, vectors: np.ndarray) -> float:
+    """Maximum Euclidean distance from ``centroid`` to any row of
+    ``vectors`` (float32 rows are promoted exactly), refused when it is
+    not finite: every bound the search derives from it would be void."""
     radius = float(np.sqrt(squared_distances(centroid, vectors).max()))
     if not math.isfinite(radius):
         raise ValueError(
             "chunk members have a non-finite component "
             f"(bounding radius {radius})"
         )
-    return centroid, radius
+    return radius
 
 
 def bounding_rectangle(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

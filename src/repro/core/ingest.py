@@ -81,7 +81,7 @@ import numpy as np
 from ..simio.disk_model import DiskModel
 from ..storage.atomic import atomic_output, fsync_directory, remove_file
 from ..storage.chunk_file import ChunkExtent, ChunkFileReader, write_chunk_file
-from ..storage.code_file import CodeFileReader, write_code_file
+from ..storage.code_file import CodeFileReader, encode_cells, write_code_file
 from ..storage.delta import DeltaPackReader, DeltaSection, write_delta_pack
 from ..storage.errors import CorruptFileError
 from ..storage.index_file import read_index_file, round_outward, write_index_file
@@ -95,7 +95,7 @@ from ..storage.wal import (
     scan_wal,
     truncate_wal,
 )
-from .chunk import ChunkMeta, bounding_rectangle
+from .chunk import ChunkMeta, bounding_rectangle, summarize_members
 from .chunk_index import ChunkIndex, OnDiskChunkStore
 from .distance import squared_distances
 from .maintenance import (
@@ -1109,11 +1109,15 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     Runs the loader :meth:`StreamingChunkIndex.open` runs, one stage per
     check (``manifest``, ``storage``, ``summaries``, ``wal``,
     ``liveness``), and adds the exactness checks recovery does not need:
-    every stored centroid/radius summary equal to the recomputed one
-    (``summaries``); every live member inside its chunk's exact
-    radius (``liveness``) and rectangle, and the base index's rectangle
-    block equal to the base chunk contents' (``rectangles``) — the
-    invariants the pruning bounds' soundness rests on.  The report ends at
+    every stored centroid/radius summary equal to the one recomputed from
+    the member rows (``summaries``); every live member inside its chunk's
+    exact radius (``liveness``) and rectangle, and the base index's
+    rectangle block equal to the base chunk contents' (``rectangles``) —
+    the invariants the pruning bounds' soundness rests on; and, when the
+    generation has a code file, its header bound to the base files and
+    every block, CRC-checked, equal to the cell codes of its base chunk
+    under the index file's rectangle (``codes``; an absent code file is
+    reported, not failed: searches run without one).  The report ends at
     the first stage that does not load, so ``report["ok"]`` implies that
     ``open`` succeeds.
 
@@ -1158,6 +1162,7 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
         f"{len(loaded.base_metas)} base rectangles recomputed exactly; "
         "every live member inside its chunk's rectangle",
     )
+    record("codes", *_code_file_problems(directory, loaded))
     summary["ok"] = all(check["ok"] for check in checks)
     summary["n_descriptors"] = len(loaded.maintainer)
     summary["n_chunks"] = loaded.maintainer.n_chunks
@@ -1167,14 +1172,17 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
 
 
 def _inexact_summaries(loaded: _Loaded) -> List[str]:
-    """Chunks whose stored centroid or radius is not the recomputed one."""
+    """Chunks whose stored centroid or radius is not the one recomputed
+    from the member rows (not the maintainer's running sums, which would
+    check themselves)."""
     problems: List[str] = []
-    for chunk, entry in zip(loaded.maintainer.summaries(), loaded.manifest["chunks"]):
-        meta = chunk.meta
-        if entry["centroid"] != meta.centroid.tolist():
-            problems.append(f"chunk {meta.chunk_id}: stored centroid is not exact")
-        if entry["radius"] != meta.radius:
-            problems.append(f"chunk {meta.chunk_id}: stored radius is not exact")
+    for position, entry in enumerate(loaded.manifest["chunks"]):
+        rows = loaded.maintainer.snapshot(position).vectors
+        centroid, radius = summarize_members(rows)
+        if entry["centroid"] != centroid.tolist():
+            problems.append(f"chunk {position}: stored centroid is not exact")
+        if entry["radius"] != radius:
+            problems.append(f"chunk {position}: stored radius is not exact")
     return problems
 
 
@@ -1226,3 +1234,46 @@ def _base_rectangle_problems(directory: str, loaded: _Loaded) -> List[str]:
     except OSError as error:  # CorruptFileError included
         problems.append(str(error))
     return problems
+
+
+def _code_file_problems(directory: str, loaded: _Loaded) -> Tuple[List[str], str]:
+    """The generation's code file opened as a search opens it (header bound
+    to the base files), and every block, CRC-checked, compared with what
+    :func:`save_generation` writes for its base chunk; the problems and the
+    check's detail line.  No code file is no problem: searches run without."""
+    manifest = loaded.manifest
+    name = _generation_file(manifest["generation"], "va")
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        return [], f"no code file {name} (searches run without one)"
+    metas = loaded.base_metas
+    problems: List[str] = []
+    try:
+        with ChunkFileReader(
+            os.path.join(directory, manifest["base_chunk_file"]),
+            manifest["dimensions"],
+            loaded.maintainer.geometry,
+        ) as base_reader, CodeFileReader(
+            path,
+            manifest["dimensions"],
+            [meta.n_descriptors for meta in metas],
+            base_reader.table_crc,
+            _file_crc32(os.path.join(directory, manifest["base_index_file"])),
+        ) as codes:
+            for meta in metas:
+                _, vectors = base_reader.read_chunk(
+                    ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
+                )
+                expected = encode_cells(vectors, meta.lower, meta.upper)
+                if not np.array_equal(codes.read_block(meta.chunk_id), expected):
+                    problems.append(
+                        f"{name}: code block {meta.chunk_id} is not its chunk's "
+                        "cell codes"
+                    )
+    # CorruptFileError included; ValueError: a member outside its rectangle.
+    except (OSError, ValueError) as error:
+        problems.append(f"{name}: {error}")
+    return problems, (
+        f"{name}: {len(metas)} blocks bound to the base files and equal to "
+        "their chunks' cell codes"
+    )

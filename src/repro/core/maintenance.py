@@ -30,13 +30,18 @@ order — inserts append, deletes remove in place, splits keep subsets in
 row order, and merged-in members are recorded as appends — which is
 exactly the tombstone-bitmap + appended-records shape the checkpoint
 writes, and what makes a recovered chunk's member order (hence its
-``numpy.mean`` centroid) bit-identical to the uncrashed process.
+centroid, a float64 sum in member order) bit-identical to the uncrashed
+process.
 
 In memory each chunk's members are the leading rows of one growable
-C-contiguous float32 matrix edited in place (:class:`_MutableChunk`), so
-an operation costs one row write or one gap-closing move plus the exact
-float64 mean — never a re-stack of the chunk.  Internal readers take a
-prefix view; :meth:`ChunkIndexMaintainer.snapshot` and
+C-contiguous float32 matrix edited in place (:class:`_MutableChunk`),
+beside the float64 column sum of those rows, kept current by the three
+methods that edit the matrix.  An insert costs one row write and one
+d-vector addition (the exact mean is that sum over the member count); a
+delete or a split costs one gap-closing move or subset copy plus a
+re-sum of the chunk, a merge one block copy plus one addition per merged
+row — never a re-stack.  Internal readers
+take a prefix view; :meth:`ChunkIndexMaintainer.snapshot` and
 :meth:`ChunkIndexMaintainer.to_index` are the only places state leaves
 the maintainer, and both copy.
 """
@@ -50,7 +55,7 @@ import numpy as np
 
 from ..storage.pages import PageGeometry
 from ..storage.records import RecordCodec
-from .chunk import ChunkMeta, bounding_rectangle, summarize_members
+from .chunk import ChunkMeta, bounding_radius, bounding_rectangle
 from .chunk_index import ChunkIndex, InMemoryChunkStore
 from .distance import squared_distances
 
@@ -142,7 +147,8 @@ class ChunkSummary(NamedTuple):
 
 
 class _MutableChunk:
-    """Mutable chunk state: id/origin lists beside one row buffer.
+    """Mutable chunk state: id/origin lists beside one row buffer and its
+    running column sum.
 
     The members live in the first ``len(self)`` rows of a C-contiguous
     ``(capacity, d)`` float32 buffer owned by this chunk.  Appends write
@@ -151,9 +157,21 @@ class _MutableChunk:
     by the fancy-indexed survivors.  :meth:`rows` is a *view*: it is only
     valid until the next mutation, so anything that leaves the maintainer
     takes :meth:`copy_rows` instead.
+
+    ``_sum`` is the float64 sum of the member rows, added in member
+    order: :meth:`append` adds each new row to it, while :meth:`remove`
+    and :meth:`keep` re-sum the survivors (subtracting a row would not
+    undo its addition exactly).  With two or more dimensions that is the
+    sequence of additions numpy's axis-0 reduction of the promoted matrix
+    performs; with one, numpy sums pairwise, so :meth:`append` re-sums
+    too.  Either way :meth:`centroid` equals
+    ``rows().astype(float64).mean(axis=0)`` bit for bit.  ``position`` is the chunk's index in its maintainer's
+    chunk list.
     """
 
-    __slots__ = ("ids", "_buffer", "base_ref", "origins", "dirty", "delta")
+    __slots__ = (
+        "ids", "_buffer", "_sum", "base_ref", "origins", "dirty", "delta", "position"
+    )
 
     def __init__(
         self,
@@ -169,6 +187,7 @@ class _MutableChunk:
         self._buffer = np.array(vectors, dtype=np.float32, order="C")
         if self._buffer.ndim != 2 or self._buffer.shape[0] != len(self.ids):
             raise ValueError("vectors must parallel ids")
+        self._resum()
         self.base_ref = int(base_ref)
         self.origins: List[int] = (
             np.asarray(origins, dtype=np.int64).tolist()
@@ -179,6 +198,7 @@ class _MutableChunk:
             raise ValueError("origins must parallel ids")
         self.dirty = bool(dirty)
         self.delta = delta
+        self.position = -1
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -192,8 +212,13 @@ class _MutableChunk:
         return self.rows().copy()
 
     def centroid(self) -> np.ndarray:
-        """Exact float64 mean of the members, in member order."""
-        return self.rows().astype(np.float64).mean(axis=0)
+        """Exact float64 mean of the members, in member order (a new
+        array)."""
+        return self._sum / len(self.ids)
+
+    def _resum(self) -> None:
+        """Sum the members afresh: numpy's axis-0 reduction itself."""
+        self._sum = np.add.reduce(self.rows().astype(np.float64), axis=0)
 
     def append(self, ids: Sequence[int], vectors: np.ndarray) -> None:
         """Append members after the current ones (origin ``-1``)."""
@@ -204,6 +229,12 @@ class _MutableChunk:
         self._buffer[start:end] = vectors
         self.ids.extend(ids)
         self.origins.extend([-1] * len(ids))
+        if self._sum.shape[0] == 1:
+            # numpy sums an (n, 1) matrix pairwise, not row after row.
+            self._resum()
+            return
+        for row in self._buffer[start:end]:
+            self._sum += row
 
     def _grow(self, needed: int) -> None:
         """Reallocate to at least ``needed`` rows; doubling keeps ``N``
@@ -222,12 +253,14 @@ class _MutableChunk:
         self._buffer[row : n - 1] = self._buffer[row + 1 : n]
         del self.ids[row]
         del self.origins[row]
+        self._resum()
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the members at ``rows`` (increasing), in that order."""
         self._buffer = self._buffer[rows]
         self.ids = [self.ids[i] for i in rows]
         self.origins = [self.origins[i] for i in rows]
+        self._resum()
 
 
 class ChunkIndexMaintainer:
@@ -272,15 +305,18 @@ class ChunkIndexMaintainer:
         self.target_chunk_size = int(target_chunk_size)
         self.stats = stats
         self._chunks = chunks
-        self._chunk_of_id: Dict[int, int] = {}
+        # Each live id's chunk: a merge or a drop rewires only the ids it
+        # moves, and renumbers the chunks' positions, never the whole map.
+        self._chunk_of_id: Dict[int, _MutableChunk] = {}
         for position, chunk in enumerate(self._chunks):
+            chunk.position = position
             for descriptor_id in chunk.ids:
                 if descriptor_id in self._chunk_of_id:
                     raise ValueError(f"duplicate descriptor id {descriptor_id}")
-                self._chunk_of_id[descriptor_id] = position
+                self._chunk_of_id[descriptor_id] = chunk
         if not all(len(chunk) for chunk in self._chunks):
             raise ValueError("a chunk must contain at least one descriptor")
-        # Cached exact centroids, refreshed on every mutation.
+        # The chunks' exact centroids, refreshed on every mutation.
         self._centroids = np.stack([chunk.centroid() for chunk in self._chunks])
 
     @classmethod
@@ -356,7 +392,7 @@ class ChunkIndexMaintainer:
         chunk = self._chunks[position]
         chunk.append([descriptor_id], vector)
         chunk.dirty = True
-        self._chunk_of_id[descriptor_id] = position
+        self._chunk_of_id[descriptor_id] = chunk
         self._refresh_centroid(position)
         self.stats.inserts += 1
 
@@ -367,10 +403,10 @@ class ChunkIndexMaintainer:
     def delete(self, descriptor_id: int) -> None:
         """Remove one descriptor; small survivors merge into a neighbor."""
         descriptor_id = int(descriptor_id)
-        position = self._chunk_of_id.pop(descriptor_id, None)
-        if position is None:
+        chunk = self._chunk_of_id.pop(descriptor_id, None)
+        if chunk is None:
             raise KeyError(f"descriptor id {descriptor_id} not in index")
-        chunk = self._chunks[position]
+        position = chunk.position
         chunk.remove(chunk.ids.index(descriptor_id))
         chunk.dirty = True
         self.stats.deletes += 1
@@ -420,10 +456,10 @@ class ChunkIndexMaintainer:
         chunk.keep(keep_rows)
         chunk.dirty = True
 
-        new_position = len(self._chunks)
+        moved.position = len(self._chunks)
         self._chunks.append(moved)
         for descriptor_id in moved.ids:
-            self._chunk_of_id[descriptor_id] = new_position
+            self._chunk_of_id[descriptor_id] = moved
         self._centroids = np.vstack([self._centroids, moved.centroid()])
         self._refresh_centroid(position)
         self.stats.splits += 1
@@ -431,9 +467,8 @@ class ChunkIndexMaintainer:
     def _drop_chunk(self, position: int) -> None:
         self._chunks.pop(position)
         self._centroids = np.delete(self._centroids, position, axis=0)
-        for descriptor_id, chunk_position in self._chunk_of_id.items():
-            if chunk_position > position:
-                self._chunk_of_id[descriptor_id] = chunk_position - 1
+        for later in self._chunks[position:]:
+            later.position -= 1
 
     def _merge_away(self, position: int) -> None:
         """Fold an undersized chunk into the nearest other chunk."""
@@ -448,10 +483,9 @@ class ChunkIndexMaintainer:
         target.append(chunk.ids, chunk.rows())
         target.dirty = True
         for descriptor_id in chunk.ids:
-            self._chunk_of_id[descriptor_id] = other
+            self._chunk_of_id[descriptor_id] = target
         self._refresh_centroid(other)
         self.stats.merges += 1
-        # Drop AFTER rewiring so position shifts are applied consistently.
         self._drop_chunk(position)
 
     # -- checkpoint support ------------------------------------------------------
@@ -477,21 +511,22 @@ class ChunkIndexMaintainer:
     def summaries(self) -> List[ChunkSummary]:
         """Exact summary and provenance of every chunk, by position.
 
-        Centroid, radius and rectangle are recomputed from the members in
-        place (no per-chunk state to keep current, nothing to invalidate);
-        ``meta.chunk_id`` is the position.  Extents are the chunk file's
-        layout: payload pages, contiguous in position order.
+        The centroid is the chunk's maintained one; radius and rectangle
+        are computed from the members in place (no state to keep current,
+        nothing to invalidate).  ``meta.chunk_id`` is the position.
+        Extents are the chunk file's layout: payload pages, contiguous in
+        position order.
         """
         summaries: List[ChunkSummary] = []
         page_offset = 0
         for position, chunk in enumerate(self._chunks):
             rows = chunk.rows()
-            centroid, radius = summarize_members(rows)
+            centroid = chunk.centroid()
             lower, upper = bounding_rectangle(rows)
             meta = ChunkMeta(
                 chunk_id=position,
                 centroid=centroid,
-                radius=radius,
+                radius=bounding_radius(centroid, rows),
                 lower=lower,
                 upper=upper,
                 n_descriptors=len(chunk),

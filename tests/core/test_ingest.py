@@ -336,7 +336,10 @@ class TestVerify:
             "wal",
             "liveness",
             "rectangles",
+            "codes",
         }
+        codes = next(c for c in report["checks"] if c["name"] == "codes")
+        assert codes["detail"].startswith("no code file base-")
 
     def test_missing_manifest_fails(self, tmp_path):
         report = verify_streaming_index(str(tmp_path / "empty"))

@@ -11,12 +11,15 @@ can break it — the summaries are recomputed exactly on every mutation,
 so the bound must hold (to float64 rounding) at every intermediate state.
 
 **The row buffer is a row list.**  Each chunk keeps its members in one
-growable matrix edited in place; :class:`_RowListModel` is the plain
-list of row arrays that matrix replaced.  Driven through the same
-seeded operations, every chunk's matrix must equal the ``np.vstack`` of
-the model's rows, its centroid that stack's float64 mean and its
-rectangle that stack's per-dimension minimum and maximum, bit for bit
-after every operation.
+growable matrix edited in place, beside a running float64 column sum;
+:class:`_RowListModel` is the plain list of row arrays that matrix
+replaced.  Driven through the same seeded operations, every chunk's
+matrix must equal the ``np.vstack`` of the model's rows, its centroid
+that stack's float64 mean and its rectangle that stack's per-dimension
+minimum and maximum, bit for bit after every operation — and a
+maintainer restored from the chunks' snapshots (recovery's path, which
+sums each chunk afresh) must hold the same centroid bytes as the live
+one, whose sums were carried through every insert.
 """
 
 from __future__ import annotations
@@ -196,26 +199,42 @@ class _RowListModel:
             upper = stack.max(axis=0).astype(np.float64).tobytes()
             assert summaries[position].meta.lower.tobytes() == lower
             assert summaries[position].meta.upper.tobytes() == upper
+        restored = ChunkIndexMaintainer.restore(
+            maintainer.dimensions,
+            [maintainer.snapshot(p) for p in range(maintainer.n_chunks)],
+            maintainer.target_chunk_size,
+        )
+        assert restored._centroids.tobytes() == maintainer._centroids.tobytes()
 
 
-def _drive_against_row_lists(seed, split_factor, merge_fraction, n_ops):
+def _drive_against_row_lists(
+    seed, split_factor, merge_fraction, n_ops, dims, binades=0
+):
     """Seeded inserts/deletes checked against the model after every one.
 
     The model takes only *decisions* from the maintainer (which chunk an
     insert landed in, which ids a split moved, which chunk absorbed a
     merge); every row and every ordering is its own.  Returns what fired.
+
+    ``binades > 0`` scales each base row and each scattered insert by
+    ``2 ** j`` for ``j`` uniform in ``[-binades, binades]``.  A float64 sum
+    of float32 rows of similar magnitude is exact, so without that spread
+    the order of the additions could not show in a centroid's bytes.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maintenance, "SPLIT_FACTOR", split_factor)
         patch.setattr(maintenance, "MERGE_FRACTION", merge_fraction)
-        return _drive(np.random.default_rng(seed), n_ops)
+        return _drive(np.random.default_rng(seed), n_ops, dims, binades)
 
 
-def _drive(rng, n_ops):
-    dims = 5
-    base = from_vectors(
-        (rng.standard_normal((36, dims)) * 3.0).astype(np.float32)
-    )
+def _drive(rng, n_ops, dims, binades):
+    def scattered(shape):
+        rows = rng.standard_normal(shape) * 3.0
+        if binades:
+            rows *= 2.0 ** rng.integers(-binades, binades + 1, (*shape[:-1], 1))
+        return rows.astype(np.float32)
+
+    base = from_vectors(scattered((36, dims)))
     chunking = SRTreeChunker(leaf_capacity=6).form_chunks(base)
     index = build_chunk_index(chunking.retained, chunking.chunk_set)
     maintainer = ChunkIndexMaintainer(index)
@@ -274,7 +293,7 @@ def _drive(rng, n_ops):
                 anchor = model.chunks[0][0][1]
                 vector = anchor + rng.standard_normal(dims).astype(np.float32) * 0.01
             else:
-                vector = (rng.standard_normal(dims) * 3.0).astype(np.float32)
+                vector = scattered((dims,))
             insert(next_id, vector)
             next_id += 1
         largest = max(len(members) for members in model.chunks)
@@ -290,20 +309,83 @@ class TestRowBufferEqualsRowList:
         st.sampled_from([2.0, 4.0]),
         st.sampled_from([0.0, 0.2, 0.5]),
         st.integers(10, 120),
+        st.sampled_from([1, 2, 5, 24]),
+        st.sampled_from([0, 40]),
     )
     @settings(max_examples=25, deadline=None)
     def test_matrix_and_centroid_bit_identical_after_every_op(
-        self, seed, split_factor, merge_fraction, n_ops
+        self, seed, split_factor, merge_fraction, n_ops, dims, binades
     ):
-        _drive_against_row_lists(seed, split_factor, merge_fraction, n_ops)
+        _drive_against_row_lists(
+            seed, split_factor, merge_fraction, n_ops, dims, binades
+        )
 
     def test_every_structural_path_is_exercised(self):
         """Fixed seeds, so the coverage the property test relies on —
         splits, merges, drops and growth well past the initial
         capacity — is itself asserted rather than hoped for."""
-        merging = _drive_against_row_lists(2005, 4.0, 0.5, 200)
+        merging = _drive_against_row_lists(2005, 4.0, 0.5, 200, dims=5)
         assert merging["splits"] >= 1 and merging["merges"] >= 1
         assert merging["largest_growth"] > 2.0
-        dropping = _drive_against_row_lists(2006, 2.0, 0.0, 200)
+        dropping = _drive_against_row_lists(2006, 2.0, 0.0, 200, dims=5)
         assert dropping["splits"] >= 1 and dropping["drops"] >= 1
         assert dropping["merges"] == 0
+
+    @pytest.mark.parametrize("dims", [1, 2, 24])
+    def test_rows_of_every_magnitude_show_the_order_of_additions(self, dims):
+        """Rows spread over 80 binades make float64 sums round, so a sum
+        taken in another order than numpy's (row after row, but pairwise
+        at one dimension) shows in a centroid's bytes."""
+        fired = _drive_against_row_lists(2007, 4.0, 0.5, 150, dims, binades=40)
+        assert fired["merges"] >= 1
+
+    def test_a_chunk_grown_past_4096_members_keeps_its_sum_exact(self):
+        """Over four thousand one-row additions to one running sum, with
+        deletes from the same chunk re-summing it now and then.  After
+        every operation the chunk's running-sum centroid is numpy's mean
+        of a plain matrix of its members, bit for bit; every 50 the
+        centroid restored from its snapshot is too, and every 500 the
+        whole row-list model is compared."""
+        rng = np.random.default_rng(4096)
+        dims = 24
+        base = from_vectors(
+            (rng.standard_normal((36, dims)) * 3.0).astype(np.float32)
+        )
+        chunking = SRTreeChunker(leaf_capacity=6).form_chunks(base)
+        index = build_chunk_index(chunking.retained, chunking.chunk_set)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(maintenance, "SPLIT_FACTOR", float("inf"))
+            patch.setattr(maintenance, "MERGE_FRACTION", 0.0)
+            maintainer = ChunkIndexMaintainer(index)
+            model = _RowListModel(index)
+            anchor = model.chunks[0][0][1]
+            first = np.vstack([row for _, row in model.chunks[0]])
+            grown = np.empty((len(first) + 4200, dims), dtype=np.float32)
+            grown[: len(first)] = first
+            n = len(first)
+            for step, descriptor_id in enumerate(range(10_000, 14_200)):
+                vector = anchor + (rng.standard_normal(dims) * 0.01).astype(
+                    np.float32
+                )
+                assert maintainer.insert(descriptor_id, vector) == 0
+                model.insert(0, descriptor_id, vector)
+                grown[n] = vector
+                n += 1
+                if step % 97 == 96:
+                    row = int(rng.integers(n))
+                    victim = model.ids(0)[row]
+                    model.delete(victim)
+                    maintainer.delete(victim)
+                    grown[row : n - 1] = grown[row + 1 : n].copy()
+                    n -= 1
+                mean = grown[:n].astype(np.float64).mean(axis=0).tobytes()
+                assert maintainer._centroids[0].tobytes() == mean
+                if step % 50 == 0:
+                    restored = ChunkIndexMaintainer.restore(
+                        dims, [maintainer.snapshot(0)], maintainer.target_chunk_size
+                    )
+                    assert restored._centroids[0].tobytes() == mean
+                if step % 500 == 0:
+                    model.assert_matches(maintainer)
+            model.assert_matches(maintainer)
+        assert n > 4096

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import struct
+import zlib
 
 import pytest
 
 from repro.cli import EXPERIMENT_RUNNERS, main
+from repro.core.ingest import verify_streaming_index
 
 
 class TestListAndDemo:
@@ -198,6 +201,83 @@ class TestFileWorkflow:
             assert main(
                 ["build", coll, sysdir, "--chunker", chunker, "--chunk-size", "64"]
             ) == 0
+
+
+class TestVerifyIndexReadsTheCodeFile:
+    """``verify-index`` opens the code file as a search would (header bound
+    to the base files, every block CRC-checked) and re-encodes every block
+    from its base chunk, so damage there fails verification instead of a
+    later search."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("built")
+        sysdir = str(root / "s")
+        main(["generate", str(root / "c.dat"), "--scale", "test"])
+        main(["build", str(root / "c.dat"), sysdir, "--chunk-size", "64"])
+        return sysdir
+
+    @staticmethod
+    def damaged_copy(built, tmp_path, damage):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(built, damaged)
+        path = damaged / "base-000000.va"
+        raw = bytearray(path.read_bytes())
+        damage(raw, json.loads((damaged / "MANIFEST.json").read_text()))
+        path.write_bytes(raw)
+        return str(damaged)
+
+    @staticmethod
+    def flip_block_byte(raw, manifest):
+        raw[32 + 5] ^= 0x10  # the 32-byte header, then block 0's codes
+
+    @staticmethod
+    def flip_header_byte(raw, manifest):
+        raw[28] ^= 0x01  # the index file's binding CRC
+
+    @staticmethod
+    def recode_block_byte(raw, manifest):
+        """Another cell number in block 0, under a CRC that matches it."""
+        end = 32 + 12 * manifest["chunks"][0]["n_descriptors"]  # 24-d: 12 rows
+        raw[32] ^= 0x01
+        raw[end : end + 4] = struct.pack("<I", zlib.crc32(raw[32:end]))
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            ("flip_block_byte", "code block 0 failed its CRC32 check"),
+            ("flip_header_byte", "stale or torn save"),
+            ("recode_block_byte", "code block 0 is not its chunk's cell codes"),
+        ],
+        ids=["block", "header", "recoded"],
+    )
+    def test_damage_fails_the_codes_check_naming_the_file(
+        self, built, tmp_path, capsys, damage, reason
+    ):
+        damaged = self.damaged_copy(built, tmp_path, getattr(self, damage))
+        report = verify_streaming_index(damaged)
+        assert not report["ok"]
+        failed = {c["name"]: c["detail"] for c in report["checks"] if not c["ok"]}
+        assert list(failed) == ["codes"]
+        assert failed["codes"].startswith("base-000000.va: ")
+        assert reason in failed["codes"]
+        capsys.readouterr()
+        assert main(["verify-index", damaged]) == 2
+        captured = capsys.readouterr()
+        assert "\ncodes      FAIL base-000000.va: " in captured.out
+        assert "verification failed" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_an_absent_code_file_is_reported_not_failed(self, built, tmp_path, capsys):
+        directory = tmp_path / "without"
+        shutil.copytree(built, directory)
+        (directory / "base-000000.va").unlink()
+        report = verify_streaming_index(str(directory))
+        assert report["ok"]
+        codes = next(c for c in report["checks"] if c["name"] == "codes")
+        assert codes["detail"].startswith("no code file base-000000.va")
+        capsys.readouterr()
+        assert main(["verify-index", str(directory)]) == 0
 
 
 class TestIngestSimCommand:
