@@ -794,8 +794,10 @@ def _cmd_ingestsim(args: argparse.Namespace) -> int:
 
 def _cmd_verify_index(args: argparse.Namespace) -> int:
     from .core.ingest import verify_streaming_index
+    from .system import verify_system_file
 
     report = verify_streaming_index(args.directory)
+    verify_system_file(args.directory, report)
     for check in report["checks"]:
         verdict = "ok" if check["ok"] else "FAIL"
         print(f"{check['name']:<10s} {verdict:<4s} {check['detail']}")

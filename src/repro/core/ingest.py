@@ -127,6 +127,9 @@ FORMAT_VERSION = 3
 #: File-name patterns owned by the streaming index (garbage collection
 #: only ever touches these).
 _OWNED_PREFIXES = ("base-", "wal-", "delta-")
+#: Compact JSON keeps the encoder in C (``indent`` forces the pure-Python
+#: one); ``python -m json.tool`` pretty-prints the file.
+_MANIFEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _generation_file(generation: int, kind: str) -> str:
@@ -554,11 +557,12 @@ def _manifest(
     generation: int, checkpoint: int, summaries: Sequence[ChunkSummary], **fields: Any
 ) -> Dict[str, Any]:
     """The manifest: ``fields`` are name, dimensions, page size, target size,
-    next batch sequence and maintenance stats."""
+    next batch sequence and maintenance stats.  Its ``chunks`` is a
+    generator: :func:`_commit` builds and encodes one entry at a time."""
     # Each live pack is named once; a chunk points at (pack index, section).
     packs = sorted({s.delta.pack for s in summaries if s.delta is not None})
     pack_index = {name: i for i, name in enumerate(packs)}
-    chunks = [
+    chunks = (
         {
             "base_ref": summary.base_ref,
             "delta": None
@@ -569,7 +573,7 @@ def _manifest(
             "radius": summary.meta.radius,
         }
         for summary in summaries
-    ]
+    )
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -589,11 +593,17 @@ def _manifest(
 def _commit(directory: str, manifest: Dict[str, Any]) -> int:
     """The commit point: publish ``manifest`` (atomic replace, directory
     fsync), then remove what it no longer references; returns its size.
-    Compact JSON keeps ``json.dumps`` on its C encoder (``indent`` forces
-    the pure-Python one); ``python -m json.tool`` pretty-prints the file."""
-    payload = (
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("ascii")
+    The chunk entries are encoded one at a time, as :func:`_manifest`'s
+    generator builds them, into the bytes one encoding of the whole
+    manifest gives: a few hundred float lists alive at once would leave
+    their allocator pages behind in the process."""
+    entries = ",".join(_MANIFEST_JSON.encode(entry) for entry in manifest["chunks"])
+    # JSON escapes every quote inside a string, so the one unescaped
+    # '"chunks":[]' is the field's own.
+    text = _MANIFEST_JSON.encode({**manifest, "chunks": []}).replace(
+        '"chunks":[]', f'"chunks":[{entries}]', 1
+    )
+    payload = (text + "\n").encode("ascii")
     with atomic_output(os.path.join(directory, MANIFEST_NAME)) as stream:
         stream.write(payload)
     fsync_directory(directory)
@@ -682,11 +692,15 @@ def open_generation(directory: str, name: str) -> Tuple[ChunkIndex, str]:
         f"{directory!r} holds checkpointed or logged changes; "
         "open it with StreamingChunkIndex.open",
     )
+    # The parsed entries go before the index file is read, so their float
+    # lists do not pin allocator pages under the index's objects.
+    described = [
+        (c["base_ref"], c["delta"], c["n_descriptors"]) for c in manifest.pop("chunks")
+    ]
     index_path = os.path.join(directory, manifest["base_index_file"])
     metas = read_index_file(index_path)
     _require(
-        [(c["base_ref"], c["delta"], c["n_descriptors"]) for c in manifest["chunks"]]
-        == [(i, None, meta.n_descriptors) for i, meta in enumerate(metas)]
+        described == [(i, None, meta.n_descriptors) for i, meta in enumerate(metas)]
         and metas[0].centroid.shape == (dimensions,),
         f"the manifest of {directory!r} does not describe its base index file",
     )
@@ -1123,7 +1137,9 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
 
     Returns a JSON-ready report; ``report["ok"]`` is the verdict.  Never
     raises for a damaged directory and never mutates it (torn WAL tails
-    are reported, not truncated).
+    are reported, not truncated).  A report that got past loading names
+    the generation's system file (``system_file``), which only
+    :func:`repro.system.verify_system_file` can check.
     """
     checks: List[Dict[str, Any]] = []
     summary: Dict[str, Any] = {"format": FORMAT_NAME, "checks": checks}
@@ -1168,6 +1184,7 @@ def verify_streaming_index(directory: str) -> Dict[str, Any]:
     summary["n_chunks"] = loaded.maintainer.n_chunks
     summary["replayed_batches"] = len(loaded.scan.batches)
     summary["torn_bytes"] = loaded.scan.torn_bytes
+    summary["system_file"] = _generation_file(loaded.manifest["generation"], "sys")
     return summary
 
 

@@ -22,10 +22,20 @@ row permutation, and the chunker summarises leaves straight from it.
 No internal level is ever materialised: the paper discards the upper
 levels and keeps one chunk per leaf, whose sphere and rectangle live in
 :class:`~repro.core.chunk.ChunkMeta`.
+
+The calling thread cuts the top of the tree until there is one subtree
+per usable CPU; then all subtrees are cut at once, in threads, because a
+node's work is a few large numpy calls (copy, reduce, sort, take) that
+release the GIL.  A node reads and writes only its own rows, and the
+tree's shape depends only on the row count and the leaf capacity, so the
+result — and every file byte built from it — is the same at any CPU
+count.  With one usable CPU no thread starts.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -88,7 +98,11 @@ def _node_variance(node: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _stable_order(
-    column: np.ndarray, words: np.ndarray, positions: np.ndarray
+    column: np.ndarray,
+    words: np.ndarray,
+    key: np.ndarray,
+    flip: np.ndarray,
+    positions: np.ndarray,
 ) -> np.ndarray:
     """``np.argsort(column, kind="stable")`` of a finite float32 column.
 
@@ -101,11 +115,15 @@ def _stable_order(
     yields the one order of (value, position): the stable argsort's.  The
     low 32 bits of each sorted word are then the order, returned as an
     int64 view of ``words`` (valid until the next call).
+
+    ``words`` (uint64), ``key`` (float32) and ``flip`` (int32) are scratch
+    the caller owns and ``positions`` holds ``0, 1, ...``; of each, only
+    the first ``len(column)`` entries are used.
     """
     size = column.shape[0]
-    words = words[:size]
-    key = np.add(column, np.float32(0.0))  # a contiguous copy; -0.0 -> +0.0
-    flip = key.view(np.int32) >> 31  # all ones for a negative float
+    words, key, flip = words[:size], key[:size], flip[:size]
+    np.add(column, np.float32(0.0), out=key)  # a contiguous copy; -0.0 -> +0.0
+    np.right_shift(key.view(np.int32), 31, out=flip)  # all ones if negative
     flip |= np.int32(-(2**31))  # ... and the sign bit for every float
     bits = key.view(np.uint32)
     bits ^= flip.view(np.uint32)
@@ -128,6 +146,88 @@ def _refuse_non_finite(vectors: np.ndarray) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Tree:
+    """The build's working state: two matrices the rows ping-pong between,
+    their row ids, and the sort scratch — every array ``n`` rows long and
+    sliced by a node at its own ``[lo, hi)``, so nodes of disjoint subtrees
+    never touch the same bytes.  Allocated whole, by the calling thread,
+    before any node is cut."""
+
+    def __init__(self, home: np.ndarray, leaf_capacity: int):
+        n = home.shape[0]
+        self.leaf_capacity = leaf_capacity
+        self.matrices = (home, np.empty_like(home))
+        self.row_ids = (np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp))
+        self.words = np.empty(n, dtype=np.uint64)
+        self.key = np.empty(n, dtype=np.float32)
+        self.flip = np.empty(n, dtype=np.int32)
+        self.positions = np.arange(n, dtype=np.uint64)
+
+    def block(self, size: int) -> np.ndarray:
+        """A float64 staging block for the variance of nodes of at most
+        ``size`` rows; row 0 carries the running sum."""
+        d = self.matrices[0].shape[1]
+        return np.empty((min(size, max(1, _BLOCK_BYTES // (8 * d))) + 1, d))
+
+    def split(self, lo: int, hi: int, side: int, block: np.ndarray) -> int:
+        """Reorder node ``[lo, hi)`` of ``matrices[side]`` into the other
+        matrix, sorted on its widest-variance column; return the cut."""
+        node = self.matrices[side][lo:hi]
+        variance = _node_variance(node, block)
+        # The root sees every component, and a NaN or infinity anywhere
+        # makes its column's variance non-finite: the check is free.  It
+        # runs before the first reordering, so ``home`` is in input order.
+        home = self.matrices[0]
+        if hi - lo == home.shape[0] and not np.isfinite(variance).all():
+            _refuse_non_finite(home)
+        axis = int(np.argmax(variance))
+        order = _stable_order(
+            node[:, axis],
+            self.words[lo:hi],
+            self.key[lo:hi],
+            self.flip[lo:hi],
+            self.positions,
+        )
+        # mode="clip": the indices are a permutation, so no clipping ever
+        # happens, and unlike the default "raise" numpy does not buffer
+        # the whole output before copying it into ``out``.
+        other = 1 - side
+        np.take(node, order, axis=0, out=self.matrices[other][lo:hi], mode="clip")
+        ids = self.row_ids
+        np.take(ids[side][lo:hi], order, out=ids[other][lo:hi], mode="clip")
+        # The cut is a multiple of the leaf capacity from the node's start.
+        n_leaves = -(-(hi - lo) // self.leaf_capacity)  # leaves it still needs
+        return lo + (n_leaves // 2) * self.leaf_capacity
+
+    def cut_subtree(self, lo: int, hi: int, side: int, block: np.ndarray) -> List[int]:
+        """Cut node ``[lo, hi)`` of ``matrices[side]`` down to its leaves,
+        depth first, each copied home; return their ends, left to right."""
+        ends: List[int] = []
+        stack = [(lo, hi, side)]
+        while stack:
+            lo, hi, side = stack.pop()
+            if hi - lo <= self.leaf_capacity:
+                if side:
+                    self.matrices[0][lo:hi] = self.matrices[1][lo:hi]
+                    self.row_ids[0][lo:hi] = self.row_ids[1][lo:hi]
+                ends.append(hi)
+                continue
+            cut = self.split(lo, hi, side, block)
+            # Right half first: the stack then yields leaves left to right.
+            stack.append((cut, hi, 1 - side))
+            stack.append((lo, cut, 1 - side))
+        return ends
+
+
 def ordered_partition(
     vectors: np.ndarray, leaf_capacity: int
 ) -> Tuple[np.ndarray, List[int], np.ndarray]:
@@ -147,6 +247,13 @@ def ordered_partition(
     where its two halves are the next nodes; a leaf that settles in the
     spare matrix is copied home.  Nothing proportional to ``m * d`` is
     allocated per node.
+
+    The calling thread splits the widest node until there is one subtree
+    per usable CPU; the subtrees are then cut at once, one of them by the
+    caller, and a worker's exception is raised here once all have ended.
+    With one usable CPU no thread starts.  Every node runs the same
+    operations on the same values whoever cuts it, and writes only its own
+    rows, so the result does not depend on the CPU count.
     """
     vectors = np.asarray(vectors)
     if vectors.dtype != np.float32:
@@ -164,43 +271,36 @@ def ordered_partition(
             f"{_MAX_ROWS} (a row position must fit in 32 bits)"
         )
     home = np.array(vectors, order="C")
-    n, d = home.shape
-    matrices = (home, np.empty_like(home))
-    row_ids = (np.arange(n, dtype=np.intp), np.empty(n, dtype=np.intp))
-    words = np.empty(n, dtype=np.uint64)
-    positions = np.arange(n, dtype=np.uint64)
-    block_rows = max(1, _BLOCK_BYTES // (8 * d))
-    block = np.empty((min(n, block_rows) + 1, d))  # row 0 carries the sum
+    tree = _Tree(home, leaf_capacity)
+    top = tree.block(home.shape[0])
 
-    bounds = [0]
-    stack = [(0, n, 0)]
-    while stack:
-        lo, hi, side = stack.pop()
-        size = hi - lo
-        if size <= leaf_capacity:
-            if side:
-                matrices[0][lo:hi] = matrices[1][lo:hi]
-                row_ids[0][lo:hi] = row_ids[1][lo:hi]
-            bounds.append(hi)
-            continue
-        node = matrices[side][lo:hi]
-        variance = _node_variance(node, block)
-        # The root sees every component, and a NaN or infinity anywhere
-        # makes its column's variance non-finite: the check is free.  It
-        # runs before the first reordering, so ``home`` is in input order.
-        if size == n and not np.isfinite(variance).all():
-            _refuse_non_finite(home)
-        axis = int(np.argmax(variance))
-        order = _stable_order(node[:, axis], words, positions)
-        # mode="clip": the indices are a permutation, so no clipping ever
-        # happens, and unlike the default "raise" numpy does not buffer
-        # the whole output before copying it into ``out``.
-        np.take(node, order, axis=0, out=matrices[1 - side][lo:hi], mode="clip")
-        np.take(row_ids[side][lo:hi], order, out=row_ids[1 - side][lo:hi], mode="clip")
-        n_leaves = -(-size // leaf_capacity)  # leaves this node still needs
-        cut = lo + (n_leaves // 2) * leaf_capacity
-        # Right half first: the stack then yields leaves left to right.
-        stack.append((cut, hi, 1 - side))
-        stack.append((lo, cut, 1 - side))
-    return row_ids[0], bounds, home
+    subtrees = [(0, home.shape[0], 0)]
+    cpus = _usable_cpus()
+    while len(subtrees) < cpus:
+        sizes = [hi - lo for lo, hi, _ in subtrees]
+        widest = sizes.index(max(sizes))
+        lo, hi, side = subtrees[widest]
+        if hi - lo <= leaf_capacity:
+            break
+        middle = tree.split(lo, hi, side, top)
+        subtrees[widest : widest + 1] = [(lo, middle, 1 - side), (middle, hi, 1 - side)]
 
+    blocks = [top] + [tree.block(hi - lo) for lo, hi, _ in subtrees[1:]]
+    ends: List[List[int]] = [[] for _ in subtrees]
+    errors: List[BaseException] = []
+
+    def cut(i: int) -> None:
+        try:
+            ends[i] = tree.cut_subtree(*subtrees[i], blocks[i])
+        except BaseException as error:  # raised below, once every worker ended
+            errors.append(error)
+
+    workers = [threading.Thread(target=cut, args=(i,)) for i in range(1, len(subtrees))]
+    for worker in workers:
+        worker.start()
+    cut(0)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return tree.row_ids[0], [0] + [end for subtree in ends for end in subtree], home

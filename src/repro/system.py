@@ -24,7 +24,8 @@ generation is the maintainer's in-memory snapshot.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Iterator, List, Mapping, Optional, Tuple
+import os
+from typing import Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.lib.format import read_array
@@ -42,7 +43,7 @@ from .simio.calibration import PAPER_2005_COST_MODEL
 from .simio.pipeline import CostModel
 from .storage.errors import CorruptFileError
 
-__all__ = ["ImageRetrievalSystem"]
+__all__ = ["ImageRetrievalSystem", "verify_system_file"]
 
 _INDEX_NAME = "retrieval-system"
 
@@ -94,6 +95,34 @@ def _read_system_file(path: str, n_descriptors: int) -> Tuple[_ImageOfId, int, i
         )
     next_id, stop_chunks = counters.tolist()
     return _ImageOfId(ids, images), next_id, stop_chunks
+
+
+def verify_system_file(directory: str, report: Dict[str, Any]) -> None:
+    """Append the ``system`` check to ``report``, the
+    :func:`~repro.core.ingest.verify_streaming_index` report of
+    ``directory``: the generation's system file read exactly as
+    :meth:`ImageRetrievalSystem.load` reads it, against the index's
+    descriptor count.  A report that ended at a stage that did not load
+    gets no check; an absent file (a plain ``ChunkIndex.save``, a
+    streaming index) is reported, not failed."""
+    if "system_file" not in report:
+        return
+    name = report["system_file"]
+    path = os.path.join(directory, name)
+    problems: List[str] = []
+    if not os.path.exists(path):
+        detail = f"no system file {name} (an index saved without a system)"
+    else:
+        count = report["n_descriptors"]
+        detail = f"{name}: maps the index's {count} descriptors to images"
+        try:
+            _read_system_file(path, count)
+        except CorruptFileError as error:
+            problems.append(str(error))
+    report["checks"].append(
+        {"name": "system", "ok": not problems, "detail": "; ".join(problems) or detail}
+    )
+    report["ok"] = report["ok"] and not problems
 
 
 class ImageRetrievalSystem:

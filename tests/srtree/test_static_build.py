@@ -1,5 +1,5 @@
 """The in-place static build against its recursive oracle, golden bytes,
-and its memory contract (ISSUE 20).
+its memory contract, and its subtree schedule.
 
 Three independent defences of "every chunk byte-identical":
 
@@ -12,6 +12,10 @@ Three independent defences of "every chunk byte-identical":
   depend on the oracle file staying honest;
 * ``tracemalloc`` guards: the build peaks at ≤ 2.6× the collection and
   leaves nothing but its result behind, cyclic GC or not.
+
+All three hold at every usable-CPU count: the CPU probe is patched to
+1–4, and ``TestSubtreeSchedule`` checks that the bytes, the workers
+started and the fate of a worker's exception follow the schedule.
 """
 
 import gc
@@ -19,6 +23,9 @@ import hashlib
 import importlib
 import json
 import os
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +43,16 @@ from descriptors import from_vectors
 
 # ``repro.srtree.bulk_load`` the attribute is the function; this is the module.
 bulk_load_module = importlib.import_module("repro.srtree.bulk_load")
+
+# The usable-CPU counts every schedule test builds at; the build starts one
+# worker per subtree beyond the caller's.
+CPU_COUNTS = (1, 2, 3, 4)
+
+
+def at_cpus(cpus):
+    """Patch the build's CPU probe to report ``cpus`` usable CPUs."""
+    return mock.patch.object(bulk_load_module, "_usable_cpus", lambda: cpus)
+
 
 with open(os.path.join(os.path.dirname(__file__), "golden_build.json")) as _handle:
     GOLDEN = json.load(_handle)
@@ -194,14 +211,19 @@ class TestPackedOrder:
     @given(keys=KEY_COLUMNS, width=st.integers(1, 3), spare=st.integers(0, 3))
     @settings(max_examples=3 * settings.default.max_examples, deadline=None)
     def test_packed_order_is_the_stable_argsort(self, keys, width, spare):
-        # The split column is a strided view of a node, and the word buffers
-        # are the root's, longer than any node below it.
+        # The split column is a strided view of a node, and the scratch
+        # columns may be longer than it, as the root's positions are.
         node = np.zeros((len(keys), width), dtype=np.float32)
         node[:, -1] = keys
         before = node.tobytes()
-        words = np.empty(len(keys) + spare, dtype=np.uint64)
-        positions = np.arange(len(keys) + spare, dtype=np.uint64)
-        got = bulk_load_module._stable_order(node[:, -1], words, positions)
+        size = len(keys) + spare
+        got = bulk_load_module._stable_order(
+            node[:, -1],
+            np.empty(size, dtype=np.uint64),
+            np.empty(size, dtype=np.float32),
+            np.empty(size, dtype=np.int32),
+            np.arange(size, dtype=np.uint64),
+        )
         assert np.array_equal(got, np.argsort(node[:, -1], kind="stable"))
         assert node.tobytes() == before  # -0.0 is canonicalised in a copy
 
@@ -232,9 +254,12 @@ class TestGoldenBytes:
 
     def test_index_files_of_a_seeded_collection(self, tmp_path):
         collection = from_vectors(golden_vectors(20_000, 2005))
-        result = SRTreeChunker(64).form_chunks(collection)
-        build_chunk_index(collection, result.chunk_set).save(str(tmp_path))
-        assert file_digests(str(tmp_path)) == GOLDEN["seeded_20k_sr64"]
+        for cpus in CPU_COUNTS:
+            with at_cpus(cpus):
+                result = SRTreeChunker(64).form_chunks(collection)
+            directory = str(tmp_path / f"{cpus}-cpus")
+            build_chunk_index(collection, result.chunk_set).save(directory)
+            assert file_digests(directory) == GOLDEN["seeded_20k_sr64"], cpus
 
     def test_member_rows_of_a_larger_build(self):
         digest = hashlib.sha256()
@@ -274,8 +299,17 @@ def traced(build):
 
 
 class TestMemoryContract:
+    """At one usable CPU here; :class:`TestMemoryContractAtTwoCpus` holds
+    a second subtree's staging block and a worker thread to the same bound."""
+
     N, CAPACITY = 60_000, 400
     SLACK = 64 * 1024
+    CPUS = 1
+
+    @pytest.fixture(autouse=True)
+    def cpus(self):
+        with at_cpus(self.CPUS):
+            yield
 
     def vectors(self, dtype):
         return np.random.default_rng(7).standard_normal((self.N, 24)).astype(dtype)
@@ -304,6 +338,93 @@ class TestMemoryContract:
         assert peak <= 2.6 * collection.vectors.nbytes + 4 * row_array
         per_chunk = result.chunk_set[0].centroid.nbytes + 1024
         assert retained <= row_array + per_chunk * len(result.chunk_set) + self.SLACK
+
+
+class TestMemoryContractAtTwoCpus(TestMemoryContract):
+    CPUS = 2
+
+
+# -- the subtree schedule --------------------------------------------------------
+
+CAPACITY = 16
+N_AROUND_CAPACITY = {
+    "cap": CAPACITY,
+    "cap+1": CAPACITY + 1,
+    "2cap+1": 2 * CAPACITY + 1,
+    "7cap+3": 7 * CAPACITY + 3,  # four subtrees of unequal sizes at four CPUs
+}
+
+
+def rows_and_cuts_of(vectors, cpus):
+    with at_cpus(cpus):
+        rows, bounds, ordered = ordered_partition(vectors, CAPACITY)
+    return rows.tobytes(), bounds, ordered.tobytes()
+
+
+class TestSubtreeSchedule:
+    @pytest.fixture(autouse=True)
+    def frequent_thread_switches(self):
+        """More workers than this host has cores, switching often."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("d", [1, 24])
+    @pytest.mark.parametrize("n", sorted(N_AROUND_CAPACITY))
+    @pytest.mark.parametrize("family", VALUE_FAMILIES)
+    def test_every_cpu_count_returns_the_same_bytes(self, family, n, d):
+        rng = np.random.default_rng(len(family) * 100 + N_AROUND_CAPACITY[n] + d)
+        vectors = make_values(family, N_AROUND_CAPACITY[n], d, rng).astype(np.float32)
+        builds = [rows_and_cuts_of(vectors, cpus) for cpus in CPU_COUNTS]
+        assert all(build == builds[0] for build in builds[1:])
+        rows, bounds, ordered = builds[0]
+        rows = np.frombuffer(rows, dtype=np.intp)
+        assert ordered == vectors[rows].tobytes()
+        got = [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert_same_groups(got, reference_partition_rows_uniform(vectors, CAPACITY))
+
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_one_cpu_starts_no_thread(self, cpus):
+        """One usable CPU runs every node inline; ``k`` start ``k - 1`` workers."""
+        vectors = np.random.default_rng(3).standard_normal((40 * CAPACITY, 3))
+        start = threading.Thread.start
+        started = []
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        with mock.patch.object(threading.Thread, "start", spy):
+            rows_and_cuts_of(vectors.astype(np.float32), cpus)
+        assert len(started) == cpus - 1
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_error_in_a_subtree_reaches_the_caller_after_every_join(self, where):
+        vectors = np.random.default_rng(4).standard_normal((40 * CAPACITY, 3))
+        caller = threading.current_thread()
+        split = bulk_load_module._Tree.split
+        finished = []
+
+        def failing_split(tree, lo, hi, side, block):
+            in_worker = threading.current_thread() is not caller
+            # The caller cuts the top of the tree before any worker starts.
+            if hi - lo < len(vectors) // 2 and in_worker == (where == "worker"):
+                raise MemoryError(f"cutting [{lo}, {hi})")
+            if in_worker:  # still busy when the caller fails: it must wait
+                time.sleep(0.005)
+            cut = split(tree, lo, hi, side, block)
+            finished.append(threading.current_thread())
+            return cut
+
+        before = set(threading.enumerate())
+        with mock.patch.object(bulk_load_module._Tree, "split", failing_split):
+            with pytest.raises(MemoryError, match="cutting"):
+                rows_and_cuts_of(vectors.astype(np.float32), 4)
+        assert set(threading.enumerate()) == before
+        assert any(thread is not caller for thread in finished) == (where == "caller")
 
 
 # -- non-finite input ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import struct
 import zlib
 
 import pytest
+from numpy.lib import format as npy
 
 from repro.cli import EXPERIMENT_RUNNERS, main
 from repro.core.ingest import verify_streaming_index
@@ -203,19 +205,21 @@ class TestFileWorkflow:
             ) == 0
 
 
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A ``repro build`` directory: base, code and system files."""
+    root = tmp_path_factory.mktemp("built")
+    sysdir = str(root / "s")
+    main(["generate", str(root / "c.dat"), "--scale", "test"])
+    main(["build", str(root / "c.dat"), sysdir, "--chunk-size", "64"])
+    return sysdir
+
+
 class TestVerifyIndexReadsTheCodeFile:
     """``verify-index`` opens the code file as a search would (header bound
     to the base files, every block CRC-checked) and re-encodes every block
     from its base chunk, so damage there fails verification instead of a
     later search."""
-
-    @pytest.fixture(scope="class")
-    def built(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("built")
-        sysdir = str(root / "s")
-        main(["generate", str(root / "c.dat"), "--scale", "test"])
-        main(["build", str(root / "c.dat"), sysdir, "--chunk-size", "64"])
-        return sysdir
 
     @staticmethod
     def damaged_copy(built, tmp_path, damage):
@@ -278,6 +282,60 @@ class TestVerifyIndexReadsTheCodeFile:
         assert codes["detail"].startswith("no code file base-000000.va")
         capsys.readouterr()
         assert main(["verify-index", str(directory)]) == 0
+
+
+class TestVerifyIndexReadsTheSystemFile:
+    """``verify-index`` reads a saved system's ``base-<g>.sys`` as
+    ``ImageRetrievalSystem.load`` does, so damage there fails verification
+    instead of the next load."""
+
+    @staticmethod
+    def flip_id_byte(raw):
+        """The top byte of descriptor id 100 (the second ``.npy`` array)."""
+        stream = io.BytesIO(bytes(raw))
+        npy.read_array(stream)  # the counters
+        npy.read_magic(stream)  # the ids' header, format 1.0 as np.save writes it
+        npy.read_array_header_1_0(stream)
+        raw[stream.tell() + 8 * 100 + 7] ^= 0x40
+
+    @staticmethod
+    def truncate(raw):
+        del raw[len(raw) - 9 :]
+
+    @pytest.mark.parametrize("damage", ["flip_id_byte", "truncate"])
+    def test_damage_fails_the_system_check(self, built, tmp_path, capsys, damage):
+        damaged = tmp_path / "damaged"
+        shutil.copytree(built, damaged)
+        path = damaged / "base-000000.sys"
+        raw = bytearray(path.read_bytes())
+        getattr(self, damage)(raw)
+        path.write_bytes(raw)
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        assert main(["verify-index", str(damaged), "--json", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert "\nsystem     FAIL system file " in captured.out
+        assert "verification failed" in captured.err
+        assert "Traceback" not in captured.err
+        report = json.loads(report_path.read_text())
+        assert report["ok"] is False
+        failed = [check["name"] for check in report["checks"] if not check["ok"]]
+        assert failed == ["system"]
+
+    def test_an_intact_system_file_passes(self, built, capsys):
+        capsys.readouterr()
+        assert main(["verify-index", built]) == 0
+        out = capsys.readouterr().out
+        assert "\nsystem     ok   base-000000.sys: maps the index's " in out
+
+    def test_an_absent_system_file_is_reported_not_failed(self, built, tmp_path, capsys):
+        directory = tmp_path / "without"
+        shutil.copytree(built, directory)
+        (directory / "base-000000.sys").unlink()
+        capsys.readouterr()
+        assert main(["verify-index", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "\nsystem     ok   no system file base-000000.sys" in out
 
 
 class TestIngestSimCommand:
