@@ -1,4 +1,4 @@
-"""Ablation — I/O-CPU overlap on vs off (DESIGN.md section 4b).
+"""Ablation — I/O-CPU overlap on vs off (DESIGN.md section 9).
 
 The paper's uniform-chunks argument rests on overlapping I/O with CPU;
 this re-times the MEDIUM indexes with a strictly serial execution model.

@@ -5,7 +5,7 @@ group of descriptors stored contiguously on disk, padded to full disk
 pages, and summarized in the index file by its centroid, its minimum
 bounding radius, and its location in the chunk file — plus, beyond the
 paper, the exact bounding rectangle of its members, which the host-side
-pruner intersects with the sphere (DESIGN §10, "The rectangle bound").
+pruner intersects with the sphere (DESIGN §5, "The rectangle bound").
 
 Two layers are distinguished here:
 

@@ -91,7 +91,7 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 #: A chunk's codes are consulted only once the bounds the index already
 #: gives, ``max(sphere, rectangle)``, reach this fraction of the k-th
 #: distance, and only while the latest scan admitted nothing (the k-th
-#: distance is not falling).  Measured (DESIGN §10, "The code bound"): a
+#: distance is not falling).  Measured (DESIGN §5, "The code bound"): a
 #: consult costs ~0.45 of the read + scan it can save and excuses 51% of
 #: chunks at a ratio of 0.3-0.4, 76% at 0.4-0.5, 90%+ above.
 _CODE_GATE = 0.4
@@ -493,7 +493,7 @@ class ChunkSearcher:
         bounds ``|q - p|^2`` and :meth:`rectangle_bounds`' derivation
         carries over term by term — same ``N``, ``d`` subtract-and-square
         terms joined by ``d - 1`` additions of non-negative numbers, same
-        :meth:`_kernel_slack` (DESIGN §10, "The code bound").  Costs one
+        :meth:`_kernel_slack` (DESIGN §5, "The code bound").  Costs one
         CRC-verified read of ``ceil(d / 2)`` bytes per member and a
         256-entry table per byte: entry ``16 * hi + lo`` of table ``b`` is
         the gap to cell ``lo`` of dimension ``2b`` plus that to cell ``hi``
@@ -825,7 +825,7 @@ class ChunkSearcher:
                         readable=chunk is not None,
                     )
                     ok = outcome.ok
-                # PipelineSimulator.process_chunk / skip_chunk on three
+                # The pipeline recurrence (a skip has cpu = 0) on three
                 # floats — same operations in the same order (a conditional
                 # is max), so timestamps are bit-identical: R[i] =
                 # max(R[i-1], C[i-2]) + io; C[i] = max(R[i], C[i-1]) + cpu;

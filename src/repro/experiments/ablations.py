@@ -1,7 +1,7 @@
 """Ablations over the design choices the paper calls out.
 
 These are not paper figures; they probe the assumptions behind the paper's
-conclusions.  DESIGN.md section 4b names the paper statement each one
+conclusions.  DESIGN.md section 9 names the paper statement each one
 tests.  Among them:
 
 * :func:`run_overlap_ablation` — the uniform-chunks argument assumes I/O

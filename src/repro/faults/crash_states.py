@@ -1,4 +1,4 @@
-"""Crash states from a persistence model of one recorded run (DESIGN §12).
+"""Crash states from a persistence model of one recorded run (DESIGN §8).
 
 :func:`record` snapshots a directory and logs, in program order, every
 durable operation :mod:`repro.storage.atomic` and :mod:`repro.storage.wal`

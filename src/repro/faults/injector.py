@@ -5,9 +5,9 @@
 carries its simulated time charge (failed attempts pay the chunk's
 uncached random-read cost; spikes pay ``SPIKE_S``; backoff delays come
 from the plan).  The searchers consult it per ``(query, chunk)`` and the
-injected latency flows through the per-query
-:class:`~repro.simio.pipeline.PipelineSimulator` timeline.  Real on-disk
-damage is not injected here: the chunk readers' checksums turn it into
+injected latency flows through the per-query pipeline recurrence
+(:mod:`~repro.simio.pipeline`).  Real on-disk damage is not injected here:
+the chunk readers' checksums turn it into
 :class:`~repro.storage.errors.CorruptFileError`, which the searchers report
 through :meth:`FaultInjector.outcome` as ``readable=False``.
 

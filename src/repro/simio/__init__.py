@@ -9,8 +9,8 @@ hardware with a deterministic, calibrated cost model:
   transfer costs;
 * :class:`~repro.simio.cpu_model.CpuModel` — per-distance and per-chunk CPU
   costs;
-* :class:`~repro.simio.pipeline.PipelineSimulator` — the double-buffered
-  I/O-CPU overlap timeline of a ranked chunk scan;
+* :class:`~repro.simio.pipeline.CostModel` — both models plus the
+  double-buffered I/O-CPU overlap policy of a ranked chunk scan;
 * :mod:`~repro.simio.calibration` — parameters pinned to the paper's
   reported timings (Table 2 reproduces to within ~2 %).
 """
@@ -19,7 +19,7 @@ from .calibration import PAPER_2005_COST_MODEL, verify_calibration
 from .chunk_cache import LruChunkCache, chunk_read_time_s
 from .cpu_model import CpuModel
 from .disk_model import DiskModel
-from .pipeline import CostModel, PipelineSimulator
+from .pipeline import CostModel
 from .queueing import WorkerPool
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "CpuModel",
     "DiskModel",
     "CostModel",
-    "PipelineSimulator",
 ]

@@ -25,6 +25,11 @@ With overlap disabled the timeline is strictly serial::
 
     C[i] = C[i-1] + io[i] + cpu[i]
 
+A chunk abandoned after failed reads runs the same recurrence with
+``cpu[i] = 0`` and ``io[i]`` its failed attempts plus backoff.  The search
+engine carries the recurrence inline; this class replays it over a
+finished trace.
+
 A single chunk's results become visible only at ``C[i]`` — "a single chunk
 is the natural granule of the search algorithm" — which is exactly why one
 huge BAG chunk stalls quality delivery in Figure 4.
@@ -135,34 +140,6 @@ class PipelineSimulator:
             prev_proc = self._proc_done[i - 1] if i >= 1 else self._start_time
             read_done = prev_proc + io
             proc_done = read_done + cpu
-        self._read_done.append(read_done)
-        self._proc_done.append(proc_done)
-        return proc_done
-
-    def skip_chunk(self, io_s: float) -> float:
-        """Schedule a chunk that was *abandoned* after failed read attempts.
-
-        The chunk occupies the disk for ``io_s`` simulated seconds (every
-        failed attempt plus backoff — the full price computed by the
-        fault plan) but contributes no CPU work: nothing was decoded, so
-        there is nothing to scan.  Returns the timestamp at which the
-        search moves on.
-        """
-        if not self._started:
-            raise RuntimeError("start_query must run before chunks are processed")
-        if io_s < 0.0:
-            raise ValueError("skip I/O charge cannot be negative")
-        i = len(self._proc_done)
-        if self._model.overlap_io_cpu:
-            prev_read = self._read_done[i - 1] if i >= 1 else self._start_time
-            drained = self._proc_done[i - 2] if i >= 2 else self._start_time
-            read_done = max(prev_read, drained) + io_s
-            prev_proc = self._proc_done[i - 1] if i >= 1 else self._start_time
-            proc_done = max(read_done, prev_proc)
-        else:
-            prev_proc = self._proc_done[i - 1] if i >= 1 else self._start_time
-            read_done = prev_proc + io_s
-            proc_done = read_done
         self._read_done.append(read_done)
         self._proc_done.append(proc_done)
         return proc_done

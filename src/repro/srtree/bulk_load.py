@@ -4,7 +4,7 @@ Section 2: "We used the static build method, as it was much faster and
 guaranteed uniform leaf size.  Unfortunately, it requires the collection to
 fit in memory."  Here "fit in memory" means about 2.4 times the float32
 collection while the build runs (two working matrices the rows ping-pong
-between, plus row ids and the packed sort words — DESIGN §3, "Static
+between, plus row ids and the packed sort words — DESIGN §4, "Static
 build: passes and memory") and only the result afterwards.
 
 The builder is a sort-tile-recursive variant specialized for uniform

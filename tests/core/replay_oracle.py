@@ -4,8 +4,9 @@ There is one search engine, so "cohort of N == N cohorts of one" compares
 it with itself.  This oracle does not: it walks a finished trace with the
 references the engine does not own — direct-form ``squared_distances``,
 the heap ``NeighborSet`` of ``reference_neighbors.py`` (not the shipped
-sorted-array set), ``PipelineSimulator``, the ``FaultPlan`` and brute-force
-``exact_knn`` — and does no ranking, pruning or stop logic of its own.
+sorted-array set), the ``PipelineSimulator`` of ``reference_pipeline.py``,
+the ``FaultPlan`` and brute-force ``exact_knn`` — and does no ranking,
+pruning or stop logic of its own.
 Given the query's ground truth it also recounts, after every chunk, how
 many true neighbors the replayed set holds.
 """
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from reference_neighbors import NeighborSet
+from reference_pipeline import PipelineSimulator
 from repro.core.distance import squared_distances
 from repro.core.ground_truth import exact_knn
 from repro.core.search import RANK_BY_CENTROID
@@ -51,7 +53,7 @@ class ReplayOracle:
         assert [e.chunk_id for e in events] == order[: len(events)].tolist()
         assert [e.rank for e in events] == list(range(1, len(events) + 1))
 
-        simulator = self.cost_model.simulator()
+        simulator = PipelineSimulator(self.cost_model)
         assert result.trace.start_elapsed_s == simulator.start_query(
             index.n_chunks, index.index_bytes
         )

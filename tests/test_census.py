@@ -105,10 +105,7 @@ OPTIONS_ALLOWED: Dict[str, str] = {
 #: Dotted method -> why a method no shipped code names stays.
 METHODS_ALLOWED: Dict[str, str] = {
     "repro.system.ImageRetrievalSystem.remove_image": (
-        "user API documented by README and DESIGN §3, the inverse of add_image"
-    ),
-    "repro.simio.pipeline.PipelineSimulator.skip_chunk": (
-        "the reference recurrence tests/core/replay_oracle.py replays"
+        "user API documented by README and DESIGN §6, the inverse of add_image"
     ),
 }
 
