@@ -8,8 +8,10 @@ The library implements the paper's full system from scratch:
   descriptors (:mod:`repro.core`),
 * the two chunk-forming strategies under study — SR-tree leaves
   (:mod:`repro.srtree`, :class:`repro.chunking.SRTreeChunker`) and the BAG
-  clustering algorithm (:class:`repro.chunking.BagClusterer`) — plus
-  baselines and the paper's proposed hybrid,
+  clustering algorithm (:class:`repro.chunking.BagClusterer`) — plus the
+  round-robin baseline and a size cap on BAG's clusters
+  (:func:`repro.chunking.cap_chunk_sizes`), the paper's proposed middle
+  ground,
 * the two-file on-disk chunk index (:mod:`repro.storage`),
 * a calibrated simulated disk/CPU substrate reproducing the paper's 2005
   hardware timings (:mod:`repro.simio`),
@@ -34,9 +36,9 @@ from .chunking import (
     BagClusterer,
     Chunker,
     ChunkingResult,
-    HybridChunker,
     RoundRobinChunker,
     SRTreeChunker,
+    cap_chunk_sizes,
     estimate_mpi,
 )
 from .core import (
@@ -79,9 +81,9 @@ __all__ = [
     "BatchSearchResult",
     "Chunker",
     "ChunkingResult",
-    "HybridChunker",
     "RoundRobinChunker",
     "SRTreeChunker",
+    "cap_chunk_sizes",
     "estimate_mpi",
     "ChunkIndex",
     "ChunkIndexMaintainer",

@@ -3,8 +3,8 @@
 Section 1.1: "by distributing descriptors to chunks in a round-robin
 manner, chunks of uniform size are obtained, but the quality will suffer."
 Descriptor ``i`` goes to chunk ``i mod n_chunks``: perfectly uniform sizes,
-no spatial coherence at all.  It is the strawman row of the
-chunker-comparison ablation (``ablation_chunker_zoo``).
+no spatial coherence at all.  It is the strawman row of the size-cap
+ablation (``ablation_size_cap``).
 """
 
 from __future__ import annotations

@@ -8,12 +8,19 @@ The chunker bulk-builds an SR-tree with the requested leaf capacity and
 emits one chunk per leaf.  It never discards outliers ("this approach does
 not handle outliers naturally"); the experiments run it on collections from
 which BAG's outliers were already removed, mirroring the paper's protocol.
+
+:func:`cap_chunk_sizes` applies the same leaves to another chunker's
+result: every chunk over a size cap is cut into the fewest leaves that fit
+— the paper's section 7 proposal ("uniform chunk size as the first
+priority", then the smallest intra-chunk dissimilarity) as one dial between
+BAG and SR.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,7 +29,26 @@ from ..core.dataset import DescriptorCollection
 from ..srtree.bulk_load import ordered_partition
 from .base import Chunker, ChunkingResult
 
-__all__ = ["SRTreeChunker"]
+__all__ = ["SRTreeChunker", "cap_chunk_sizes"]
+
+
+def _leaf_chunks(
+    rows: np.ndarray, bounds: Sequence[int], ordered: np.ndarray
+) -> List[Chunk]:
+    """One chunk per leaf of an :func:`ordered_partition`, whose member
+    rows are ``rows[lo:hi]``.
+
+    The build leaves the vectors in chunk order, so a leaf's members are a
+    contiguous slice of ``ordered`` — the values a gather by row would
+    give, in the same order, hence the same summary bits.
+    """
+    chunks: List[Chunk] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        centroid, radius = summarize_members(ordered[lo:hi])
+        chunks.append(
+            Chunk(member_rows=rows[lo:hi], centroid=centroid, radius=radius)
+        )
+    return chunks
 
 
 class SRTreeChunker(Chunker):
@@ -48,18 +74,9 @@ class SRTreeChunker(Chunker):
         # Build-time wall-clock measurement: feeds build_info only,
         # never the simulated query cost (hence the lint waiver).
         started = time.perf_counter()  # repro-lint: disable=CLK001
-        rows, bounds, ordered = ordered_partition(
-            collection.vectors, self.leaf_capacity
+        chunks = _leaf_chunks(
+            *ordered_partition(collection.vectors, self.leaf_capacity)
         )
-        # The build leaves the vectors in chunk order, so a leaf's members
-        # are a contiguous slice — the values ``collection.vectors[rows]``
-        # would gather, in the same order, hence the same summary bits.
-        chunks: List[Chunk] = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            centroid, radius = summarize_members(ordered[lo:hi])
-            chunks.append(
-                Chunk(member_rows=rows[lo:hi], centroid=centroid, radius=radius)
-            )
         elapsed = time.perf_counter() - started  # repro-lint: disable=CLK001
         return ChunkingResult(
             original=collection,
@@ -71,3 +88,40 @@ class SRTreeChunker(Chunker):
                 "leaf_capacity": float(self.leaf_capacity),
             },
         )
+
+
+def cap_chunk_sizes(result: ChunkingResult, s: float) -> ChunkingResult:
+    """Cut every chunk of ``result`` larger than ``s`` times its mean size.
+
+    With ``cap = floor(s * mean chunk size)``, a chunk of ``m > cap``
+    members is cut into the fewest static-build leaves that fit:
+    ``p = ceil(m / cap)`` pieces, from :func:`ordered_partition` over its
+    members at leaf capacity ``ceil(m / p)`` (``p - 1`` full leaves and one
+    remainder, each at most ``cap``), which take its place in order.  Every
+    other chunk passes through as the same object, so ``s = inf`` gives
+    ``result``'s chunks unchanged.  Outliers and the retained collection
+    are ``result``'s.
+    """
+    if not s >= 1.0:
+        raise ValueError(f"the size cap factor must be at least 1, got {s}")
+    retained = result.retained
+    limit = s * result.mean_chunk_size
+    chunks: List[Chunk] = []
+    for chunk in result.chunk_set:
+        m = len(chunk)
+        if m <= limit:
+            chunks.append(chunk)
+            continue
+        pieces = math.ceil(m / math.floor(limit))
+        members = chunk.member_rows
+        rows, bounds, ordered = ordered_partition(
+            retained.vectors[members], math.ceil(m / pieces)
+        )
+        chunks.extend(_leaf_chunks(members[rows], bounds, ordered))
+    return ChunkingResult(
+        original=result.original,
+        retained=retained,
+        chunk_set=ChunkSet(retained, chunks),
+        outlier_rows=result.outlier_rows,
+        build_info=dict(result.build_info),
+    )

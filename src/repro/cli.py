@@ -74,7 +74,7 @@ EXPERIMENT_RUNNERS: Dict[str, Callable[[ExperimentData], object]] = {
     "ablation_stoprule": ablations.run_stop_rule_ablation,
     "ablation_outliers": ablations.run_outlier_ablation,
     "ablation_cache": ablations.run_cache_ablation,
-    "ablation_chunker_zoo": ablations.run_chunker_zoo,
+    "ablation_size_cap": ablations.run_size_cap_ablation,
     "ablation_approx_rules": ablations.run_approx_rules_ablation,
     "lessons_summary": ablations.run_lessons_summary,
     "faultsim": faultsim.run,
@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("collection", help="descriptor collection file")
     build.add_argument("output", help="directory for the built system")
     build.add_argument(
-        "--chunker", default="sr", choices=("sr", "bag", "hybrid", "tsvq"),
+        "--chunker", default="sr", choices=("sr", "bag"),
     )
     build.add_argument(
         "--chunk-size", type=int, default=0,
@@ -461,18 +461,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _make_chunker(name: str, chunk_size: int, collection):
     from .chunking.bag import BagClusterer, estimate_mpi
-    from .chunking.hybrid import HybridChunker
     from .chunking.srtree_chunker import SRTreeChunker
-    from .chunking.tsvq import TsvqChunker
 
     if chunk_size <= 0:
         chunk_size = int(min(4096, max(16, 2 * len(collection) ** 0.5)))
     if name == "sr":
         return SRTreeChunker(leaf_capacity=chunk_size)
-    if name == "hybrid":
-        return HybridChunker(target_chunk_size=chunk_size)
-    if name == "tsvq":
-        return TsvqChunker(max_chunk_size=chunk_size)
     mpi = estimate_mpi(collection)
     return BagClusterer(
         mpi=mpi,

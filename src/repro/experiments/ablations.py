@@ -15,9 +15,9 @@ tests.  Among them:
   precision@30 under matched budgets.
 * :func:`run_outlier_ablation` — BAG outlier removal vs the paper's
   norm-threshold alternative ("almost identical results").
-* :func:`run_chunker_zoo` — the conclusion's proposal (hybrid: uniform
-  size first, dissimilarity second) against both extremes, TSVQ and the
-  round-robin strawman.
+* :func:`run_size_cap_ablation` — the conclusion's proposal (uniform
+  size first, dissimilarity second) as one dial between both extremes:
+  BAG's clusters cut to at most ``s`` times the mean size.
 """
 
 from __future__ import annotations
@@ -28,12 +28,16 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..chunking.hybrid import HybridChunker
 from ..chunking.outliers import apply_outlier_rows, norm_fraction_outliers
-from ..chunking.srtree_chunker import SRTreeChunker
+from ..chunking.srtree_chunker import SRTreeChunker, cap_chunk_sizes
 from ..core.chunk_index import build_chunk_index
 from ..core.ground_truth import GroundTruthStore
-from ..core.metrics import completion_stats, curves_from_traces, precision_at_k
+from ..core.metrics import (
+    completion_stats,
+    curves_from_traces,
+    percentiles,
+    precision_at_k,
+)
 from ..core.search import RANK_BY_LOWER_BOUND, BatchSearchResult, ChunkSearcher
 from ..core.stop_rules import MaxChunks, StopRule, TimeBudget
 from ..simio.chunk_cache import LruChunkCache
@@ -67,7 +71,7 @@ __all__ = [
     "run_stop_rule_ablation",
     "run_outlier_ablation",
     "run_cache_ablation",
-    "run_chunker_zoo",
+    "run_size_cap_ablation",
     "run_approx_rules_ablation",
     "run_lessons_summary",
 ]
@@ -340,61 +344,76 @@ def run_cache_ablation(data: ExperimentData) -> TableResult:
     )
 
 
-def run_chunker_zoo(data: ExperimentData) -> TableResult:
-    """Every chunk-forming strategy in the library on one playing field.
+#: The size-cap dial's points, most skewed first; ``inf`` is BAG itself.
+SIZE_CAPS = (math.inf, 8.0, 4.0, 2.0, 1.5, 1.0)
 
-    Covers the paper's two contenders, the related-work TSVQ, the
-    conclusion's proposal (hybrid: uniform size first, dissimilarity
-    second) and section 1.1's round-robin strawman, all over the MEDIUM
-    retained collection at the MEDIUM target chunk size; DQ workload, run
-    to completion.
+
+def run_size_cap_ablation(data: ExperimentData) -> TableResult:
+    """BAG's clusters under a size cap: the paper's axis as one dial.
+
+    Section 7: "we should use a clustering algorithm which keeps uniform
+    chunk size as the first priority, but attempts to achieve the smallest
+    possible intra-chunk dissimilarity."  Per size class and workload, run
+    to completion over the class's retained collection: BAG and SR (the
+    prepared indexes), BAG's clusters cut by
+    :func:`~repro.chunking.srtree_chunker.cap_chunk_sizes` at every
+    :data:`SIZE_CAPS` factor ``s`` (``s = inf`` must reproduce the BAG
+    row), and section 1.1's round-robin strawman at SR's chunk size.
+    Besides the means, the per-query completion percentiles show the
+    response-time variability that balanced chunks are said to cut.
     """
     from ..chunking.round_robin import RoundRobinChunker
-    from ..chunking.tsvq import TsvqChunker
+    from .config import SIZE_CLASSES
 
-    bag_medium = data.built("BAG", "MEDIUM")
-    retained = bag_medium.chunking.retained
-    target_size = max(2, int(round(bag_medium.chunking.mean_chunk_size)))
-    n_chunks = max(1, len(retained) // target_size)
-    workload = data.workloads["DQ"]
-    truth = data.ground_truth("MEDIUM", "DQ")
-    target = min(25, data.scale.k)
-
-    contenders = {
-        "BAG": None,
-        "SR": None,
-        "TSVQ": TsvqChunker(max_chunk_size=target_size, seed=4),
-        "HYB": HybridChunker(target_chunk_size=target_size, seed=4),
-        "RR": RoundRobinChunker(n_chunks=n_chunks),
-    }
+    k = data.scale.k
+    target = min(25, k)
     rows = []
-    for name, chunker in contenders.items():
-        if chunker is None:
-            traces = data.completion_traces(name, "MEDIUM", "DQ")
-            built = data.built(name, "MEDIUM")
-            n, mean_size = built.index.n_chunks, built.chunking.mean_chunk_size
-        else:
-            chunking = chunker.form_chunks(retained)
-            index = build_chunk_index(chunking.retained, chunking.chunk_set, name=name)
-            n, mean_size = index.n_chunks, chunking.mean_chunk_size
-            traces = _run_batch(index, data, workload.queries, truth=truth).traces()
-        curves = curves_from_traces(traces, data.scale.k)
-        rows.append(
-            [
-                name,
-                n,
-                round(mean_size),
-                round(float(curves.chunks_read[target]), 2),
-                round(float(curves.elapsed_s[target]), 4),
-                round(float(completion_stats(traces).mean_elapsed_s), 4),
-            ]
-        )
+    for size_class in SIZE_CLASSES:
+        bag = data.built("BAG", size_class).chunking
+        leaf = max(2, int(round(bag.mean_chunk_size)))
+        built = {f"s={s:g}": cap_chunk_sizes(bag, s) for s in SIZE_CAPS}
+        built["RR"] = RoundRobinChunker(
+            n_chunks=max(1, len(bag.retained) // leaf)
+        ).form_chunks(bag.retained)
+        indexes = {
+            name: build_chunk_index(chunking.retained, chunking.chunk_set, name=name)
+            for name, chunking in built.items()
+        }
+        for workload_name in ("DQ", "SQ"):
+            queries = data.workloads[workload_name].queries
+            truth = data.ground_truth(size_class, workload_name)
+            for name in ("BAG", *built, "SR"):
+                if name in built:
+                    sizes = built[name].chunk_set.sizes()
+                    batch = _run_batch(indexes[name], data, queries, truth=truth)
+                    traces = batch.traces()
+                else:
+                    sizes = data.built(name, size_class).chunking.chunk_set.sizes()
+                    traces = data.completion_traces(name, size_class, workload_name)
+                curves = curves_from_traces(traces, k)
+                completions = [trace.final_elapsed_s for trace in traces]
+                spread = percentiles(completions, (0.5, 0.95, 0.99, 1.0))
+                rows.append(
+                    [
+                        size_class,
+                        workload_name,
+                        name,
+                        sizes.size,
+                        round(float(sizes.max() / sizes.mean()), 2),
+                        round(float(sizes.std() / sizes.mean()), 2),
+                        round(float(curves.chunks_read[target]), 2),
+                        round(float(curves.elapsed_s[target]), 4),
+                        round(float(np.mean(completions)), 4),
+                        *(round(value, 4) for value in spread),
+                    ]
+                )
     return TableResult(
-        experiment_id="ablation_chunker_zoo",
-        title="All chunk-forming strategies (MEDIUM class, DQ)",
+        experiment_id="ablation_size_cap",
+        title="BAG's clusters under a size cap s x the class mean (run to completion)",
         headers=[
-            "Chunker", "chunks", "avg size",
+            "Class", "Workload", "Chunker", "chunks", "max/mean", "CV",
             "chunks(25nn)", "t(25nn) s", "completion s",
+            "p50 s", "p95 s", "p99 s", "max s",
         ],
         rows=rows,
         precision=4,

@@ -1,10 +1,14 @@
 """Tests for the BAG clustering algorithm."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from repro.chunking import bag as bag_module
 from repro.chunking.bag import BagClusterer, estimate_mpi
+from repro.chunking.srtree_chunker import cap_chunk_sizes
 from repro.core.dataset import DescriptorCollection
 from descriptors import from_vectors
 
@@ -135,3 +139,50 @@ class TestOutlierRule:
         result = bag.form_chunks(col)
         assert result.n_outliers == 0
         assert result.n_retained == 40
+
+
+#: sha256 of BAG's membership at the ``test`` scale, per size class: the
+#: clusters (each one's size, then its member rows in the retained
+#: collection, both little-endian int64, in chunk order) and the sorted
+#: outlier rows of the original collection.  A rewrite of BAG must keep
+#: them or re-baseline them once, on purpose.
+GOLDEN_BAG = {
+    "SMALL": (
+        "fdd879a2be2d7419064406cb2a5c624ab2cbbaca047869f5acae2de3b0fa319d",
+        "68d71b1f9caa71be935a3170277109f66ea082a5c4ceda02f32e210ef4fb870c",
+    ),
+    "MEDIUM": (
+        "8437cec6e7057234d3050a639e136a7ed6ba62fc2f5738c0ecbbae0e5ad3cf52",
+        "a2226a94093842cb1fa510b69abbbcd2bfcb389967df53d9081bd6ae3937cdd9",
+    ),
+    "LARGE": (
+        "516ab5d353e951365f1c70ab5e024160842acf1c32ede4c2dba5653248ef4607",
+        "a48c5f74ebf8bba591045c9f973dc0a8cf9732c469374c16c04f9e83bae6d8c4",
+    ),
+}
+
+
+def membership_digests(result):
+    """``(clusters, outliers)`` digests of a chunking, as in :data:`GOLDEN_BAG`."""
+    clusters = hashlib.sha256()
+    for chunk in result.chunk_set:
+        clusters.update(np.asarray([len(chunk)], dtype="<i8").tobytes())
+        clusters.update(chunk.member_rows.astype("<i8").tobytes())
+    outliers = hashlib.sha256(result.outlier_rows.astype("<i8").tobytes())
+    return clusters.hexdigest(), outliers.hexdigest()
+
+
+@pytest.mark.parametrize("size_class", sorted(GOLDEN_BAG))
+class TestGoldenMembership:
+    def test_bag_matches_its_digests(self, experiment_data, size_class):
+        bag = experiment_data.built("BAG", size_class).chunking
+        assert membership_digests(bag) == GOLDEN_BAG[size_class]
+
+    def test_an_uncapped_dial_is_bag(self, experiment_data, size_class):
+        """``s = inf`` hands back BAG's own chunks, so its digests too."""
+        bag = experiment_data.built("BAG", size_class).chunking
+        capped = cap_chunk_sizes(bag, math.inf)
+        assert membership_digests(capped) == GOLDEN_BAG[size_class]
+        assert capped.n_chunks == bag.n_chunks
+        assert all(a is b for a, b in zip(capped.chunk_set, bag.chunk_set))
+        assert capped.retained is bag.retained

@@ -57,26 +57,42 @@ class TestCacheAblation:
         )
 
 
-class TestChunkerZoo:
+class TestSizeCap:
+    LABELS = ["BAG", "s=inf", "s=8", "s=4", "s=2", "s=1.5", "s=1", "RR", "SR"]
+
     @pytest.fixture(scope="class")
-    def rows(self, experiment_data):
-        from repro.experiments.ablations import run_chunker_zoo
+    def cells(self, experiment_data):
+        """Rows by (class, workload), in table order, without those keys."""
+        from repro.experiments.ablations import run_size_cap_ablation
 
-        return run_chunker_zoo(experiment_data).rows
+        cells = {}
+        for row in run_size_cap_ablation(experiment_data).rows:
+            cells.setdefault((row[0], row[1]), []).append(row[2:])
+        return cells
 
-    def test_all_strategies_present(self, rows):
-        assert [row[0] for row in rows] == ["BAG", "SR", "TSVQ", "HYB", "RR"]
+    def test_all_rows_present(self, cells):
+        assert sorted(cells) == sorted(
+            (c, w) for c in ("SMALL", "MEDIUM", "LARGE") for w in ("DQ", "SQ")
+        )
+        for rows in cells.values():
+            assert [row[0] for row in rows] == self.LABELS
 
-    def test_locality_beats_strawmen(self, rows):
-        by_name = {row[0]: row for row in rows}
-        for name in ("BAG", "SR", "TSVQ", "HYB"):
-            assert by_name[name][3] < by_name["RR"][3]
+    def test_uncapped_dial_is_bag(self, cells):
+        for rows in cells.values():
+            by_name = {row[0]: row for row in rows}
+            assert by_name["s=inf"][1:] == by_name["BAG"][1:]
 
-    def test_hybrid_completes_close_to_sr(self, rows):
-        """The conclusion's proposal: uniform size first keeps completion
-        at worst close to SR's."""
-        completion = {row[0]: row[5] for row in rows}
-        assert completion["HYB"] <= completion["SR"] * 1.5
+    def test_chunk_counts_do_not_fall_as_s_falls(self, cells):
+        for rows in cells.values():
+            counts = [row[1] for row in rows if row[0].startswith("s=")]
+            assert counts == sorted(counts)
+
+    def test_locality_beats_strawmen(self, cells):
+        for rows in cells.values():
+            by_name = {row[0]: row for row in rows}
+            for name in self.LABELS:
+                if name != "RR":
+                    assert by_name[name][4] < by_name["RR"][4]
 
 
 class TestLessonsSummary:

@@ -193,17 +193,6 @@ class TestFileWorkflow:
         assert main(["query", sysdir, coll, "--row", "99999999"]) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_build_with_each_chunker(self, tmp_path):
-        from repro.cli import main
-
-        coll = str(tmp_path / "c2.dat")
-        main(["generate", coll, "--scale", "test"])
-        for chunker in ("hybrid", "tsvq"):
-            sysdir = str(tmp_path / f"sys-{chunker}")
-            assert main(
-                ["build", coll, sysdir, "--chunker", chunker, "--chunk-size", "64"]
-            ) == 0
-
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):

@@ -26,7 +26,7 @@
   every such constant of ``storage/`` and ``core/ingest.py`` is in the
   table.
 * Every "DESIGN §N" / "DESIGN.md section N" citation in the code, the
-  README and CI names a DESIGN.md section, and a quoted title right after
+  README, EXPERIMENTS.md and CI names a DESIGN.md section, and a quoted title right after
   it (``DESIGN §5, "The code bound"``) names that section or one of its
   subsections.
 """
@@ -75,7 +75,8 @@ DESIGN_CITATION = re.compile(
 #: Where citations are looked for: directories (every .py, .md and .yml file
 #: under them) and single files, relative to the repository root.
 CITING = (
-    "src", "tests", "benchmarks", "examples", "README.md", ".github/workflows/ci.yml"
+    "src", "tests", "benchmarks", "examples", "README.md", "EXPERIMENTS.md",
+    ".github/workflows/ci.yml",
 )
 
 #: Longest CHANGES.md entry, in characters.

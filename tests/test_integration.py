@@ -1,9 +1,9 @@
 """Cross-module integration tests.
 
 These exercise the whole pipeline the way a user would: generate data,
-form chunks with every strategy, build and persist indexes, search under
-different stop rules, and measure quality — asserting the invariants that
-hold regardless of strategy.
+form chunks with every strategy (and BAG's under a size cap), build and
+persist indexes, search under different stop rules, and measure quality —
+asserting the invariants that hold regardless of strategy.
 """
 
 import numpy as np
@@ -11,9 +11,8 @@ import pytest
 
 from repro.chunking import bag
 from repro.chunking.bag import BagClusterer, estimate_mpi
-from repro.chunking.hybrid import HybridChunker
 from repro.chunking.round_robin import RoundRobinChunker
-from repro.chunking.srtree_chunker import SRTreeChunker
+from repro.chunking.srtree_chunker import SRTreeChunker, cap_chunk_sizes
 from repro.core.chunk_index import ChunkIndex, build_chunk_index
 from repro.core.ground_truth import GroundTruthStore, exact_knn
 from repro.core.metrics import precision_at_k
@@ -31,7 +30,6 @@ def chunkers(small_synthetic):
         "SR": SRTreeChunker(leaf_capacity=48),
         "BAG": BagClusterer(mpi=mpi, target_clusters=120, max_passes=400),
         "RR": RoundRobinChunker(n_chunks=32),
-        "HYB": HybridChunker(target_chunk_size=48, seed=0),
     }
 
 
@@ -45,6 +43,11 @@ def built_indexes(small_synthetic, chunkers):
             result,
             build_chunk_index(result.retained, result.chunk_set, name=name),
         )
+    capped = cap_chunk_sizes(built["BAG"][0], 2.0)
+    capped.validate()
+    built["BAG s=2"] = (
+        capped, build_chunk_index(capped.retained, capped.chunk_set, name="BAG s=2")
+    )
     return built
 
 
@@ -81,7 +84,7 @@ class TestEveryStrategyIsSearchable:
             assert np.mean(precision_large) >= np.mean(precision_small), name
 
     def test_locality_aware_beats_random_per_chunk(self, built_indexes):
-        """SR and HYB must deliver better precision after one chunk than
+        """SR and capped BAG must deliver better precision after one chunk than
         round-robin chunks, which are random as far as locality goes — the
         premise of the whole paper."""
         rng = np.random.default_rng(2)
@@ -99,7 +102,7 @@ class TestEveryStrategyIsSearchable:
 
         strawman_score = one_chunk_precision("RR")
         assert one_chunk_precision("SR") > strawman_score
-        assert one_chunk_precision("HYB") > strawman_score
+        assert one_chunk_precision("BAG s=2") > strawman_score
 
 
 class TestPersistenceRoundtrip:

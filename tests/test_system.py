@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.chunking.hybrid import HybridChunker
+from repro.chunking.round_robin import RoundRobinChunker
 from repro.core.chunk_index import ChunkIndex, OnDiskChunkStore
 from repro.core.dataset import DescriptorCollection
 from repro.core.maintenance import ChunkIndexMaintainer
@@ -37,7 +37,7 @@ class TestBuild:
             ImageRetrievalSystem().index_images(DescriptorCollection.empty(6))
 
     def test_custom_chunker(self, image_collection):
-        s = ImageRetrievalSystem(chunker=HybridChunker(target_chunk_size=30))
+        s = ImageRetrievalSystem(chunker=RoundRobinChunker(n_chunks=7))
         s.index_images(image_collection)
         assert s.n_descriptors == len(image_collection)
 
