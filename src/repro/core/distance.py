@@ -10,7 +10,9 @@ chunks, scans every chunk the search reads and computes batched ground
 truth; :func:`squared_distances` (the direct ``(p - q)^2`` form) serves the
 one-query sequential scan and the chunk radii.  Both are blockwise NumPy,
 so collections far larger than the CPU cache are scanned without
-materializing an ``n_queries x n_points`` matrix.
+materializing an ``n_queries x n_points`` matrix.  :func:`squared_norms`
+computes the expanded form's norm terms exactly as the kernel does, so a
+caller that keeps them and passes them back changes no bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = [
     "squared_distances",
     "pairwise_squared_distances",
+    "squared_norms",
     "cell_squared_gaps",
     "top_k_smallest",
     "kth_smallest",
@@ -86,6 +89,7 @@ def pairwise_squared_distances(
     queries: np.ndarray,
     points: np.ndarray,
     points_sq_norms: "np.ndarray | None" = None,
+    queries_sq_norms: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Full ``(n_queries, n_points)`` float64 matrix of squared distances.
 
@@ -96,12 +100,13 @@ def pairwise_squared_distances(
     with the direct form to ~1e-9 on descriptor-scale data but is not
     bit-identical to :func:`squared_distances` on near-duplicate pairs.
 
-    ``points_sq_norms`` optionally supplies the precomputed ``|p|^2`` terms
-    (shape ``(n_points,)``, float64) — e.g. the per-chunk centroid norms a
-    v2 index file stores — skipping their recomputation.  They must equal
-    ``einsum("pd,pd->p", points, points)`` on the float64-promoted points
-    for the result to be unchanged (norms computed that way once and stored
-    are bit-identical to recomputing them here).
+    ``points_sq_norms`` (shape ``(n_points,)``) and ``queries_sq_norms``
+    (shape ``(n_queries,)``) optionally supply the ``|p|^2`` and ``|q|^2``
+    terms, skipping their recomputation — e.g. the centroid norms a
+    searcher computes once at construction, a resident chunk's memoized
+    member norms, or a cohort's query norms shared by every call.  The
+    result is unchanged, bit for bit, when they are :func:`squared_norms`
+    of the same rows.
     """
     queries = _as_matrix(queries).astype(np.float64, copy=False)
     points = _as_matrix(points)
@@ -110,22 +115,26 @@ def pairwise_squared_distances(
             f"dimension mismatch: queries have {queries.shape[1]} dims, "
             f"points have {points.shape[1]}"
         )
-    if points_sq_norms is not None and points_sq_norms.shape[0] != points.shape[0]:
-        raise ValueError(
-            f"got {points_sq_norms.shape[0]} point norms "
-            f"for {points.shape[0]} points"
-        )
+    for norms, rows, what in (
+        (points_sq_norms, points, "point"),
+        (queries_sq_norms, queries, "query"),
+    ):
+        if norms is not None and norms.shape != (rows.shape[0],):
+            raise ValueError(
+                f"got {what} norms of shape {norms.shape} "
+                f"for {rows.shape[0]} {what} rows"
+            )
     n_q, n_p = queries.shape[0], points.shape[0]
     out = np.empty((n_q, n_p), dtype=np.float64)
     # |q - p|^2 = |q|^2 - 2 q.p + |p|^2: one BLAS matmul per block instead
     # of the 3-D broadcast temporary.  Cancellation can drive near-duplicate
     # pairs a few ulps below zero, so the result is clamped at zero.
-    q_sq = np.einsum("qd,qd->q", queries, queries)
+    q_sq = squared_norms(queries) if queries_sq_norms is None else queries_sq_norms
     for start in range(0, n_p, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n_p)
         block = points[start:stop].astype(np.float64, copy=False)
         if points_sq_norms is None:
-            p_sq = np.einsum("pd,pd->p", block, block)
+            p_sq = squared_norms(block)
         else:
             p_sq = points_sq_norms[start:stop]
         segment = out[:, start:stop]
@@ -134,6 +143,23 @@ def pairwise_squared_distances(
         segment += q_sq[:, np.newaxis]
         segment += p_sq[np.newaxis, :]
         np.maximum(segment, 0.0, out=segment)
+    return out
+
+
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """``|p|^2`` of every row, float64: the terms
+    :func:`pairwise_squared_distances` computes when none are supplied, bit
+    for bit — ``einsum("pd,pd->p")`` over the float64-promoted rows, one
+    block of :data:`BLOCK_ROWS` rows at a time (each row's sum is its own,
+    so the blocking changes no bit)."""
+    points = _as_matrix(points)
+    if points.shape[0] <= BLOCK_ROWS:
+        block = points.astype(np.float64, copy=False)
+        return np.einsum("pd,pd->p", block, block)
+    out = np.empty(points.shape[0], dtype=np.float64)
+    for start in range(0, points.shape[0], BLOCK_ROWS):
+        block = points[start : start + BLOCK_ROWS].astype(np.float64, copy=False)
+        out[start : start + BLOCK_ROWS] = np.einsum("pd,pd->p", block, block)
     return out
 
 

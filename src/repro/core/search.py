@@ -28,6 +28,11 @@ shares host work, never a simulated timestamp:
   float64 exactly once), then scanned against every query of the cohort
   with one ``(q, n_chunk)`` kernel call.  A cohort of one retains nothing:
   there is no other query to share with;
+* **shared norms** — the queries' ``|q|^2`` terms are computed once per
+  cohort for the ranking and every scan, and an in-memory store keeps each
+  chunk's ``|p|^2`` terms across cohorts and searchers
+  (:meth:`~repro.core.chunk_index.InMemoryChunkStore.member_sq_norms`), so
+  a resident chunk's scan is one BLAS product;
 * **per-query timing model** — every query owns its own timeline (three
   floats carrying the :class:`~repro.simio.pipeline.PipelineSimulator`
   recurrence, the reference the tests replay it against), so simulated
@@ -55,8 +60,8 @@ from ..simio.chunk_cache import chunk_read_time_s
 from ..simio.pipeline import CostModel
 from ..storage.code_file import CELLS, cell_edges
 from ..storage.errors import CorruptFileError
-from .chunk_index import ChunkIndex
-from .distance import cell_squared_gaps, pairwise_squared_distances
+from .chunk_index import ChunkIndex, InMemoryChunkStore
+from .distance import cell_squared_gaps, pairwise_squared_distances, squared_norms
 from .neighbors import Neighbor, NeighborSet
 from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
@@ -317,10 +322,14 @@ class ChunkSearcher:
         self.router = router
         self._centroids = index.centroid_matrix()
         self._radii = index.radius_vector()
-        # The expanded-form kernel's point-norm terms, in its own einsum
+        # The expanded-form kernel's point-norm terms, in its own
         # formulation, so passing them changes no bit of the ranking.
-        self._centroid_sq_norms = np.einsum(
-            "pd,pd->p", self._centroids, self._centroids
+        self._centroid_sq_norms = squared_norms(self._centroids)
+        # Member norms kept across scans: only a store that holds its chunks
+        # in memory keeps them (DESIGN §5); any other store, or a proxy of
+        # one, has its members' norms recomputed by every scan.
+        self._store_norms: Optional[InMemoryChunkStore] = (
+            index.store if isinstance(index.store, InMemoryChunkStore) else None
         )
         self._rect_lower, self._rect_upper = index.rectangle_matrices()
         # sum_j max(lower_j^2, upper_j^2) >= |p|^2 for every member p: the
@@ -395,18 +404,19 @@ class ChunkSearcher:
         bound over the not-yet-scanned suffix (the completion-proof
         threshold).
         """
-        orders, suffix_min, _ = self._rank_full(queries)
+        orders, suffix_min, _ = self._rank_full(queries, None)
         return orders, suffix_min
 
     def _rank_full(
-        self, queries: np.ndarray
+        self, queries: np.ndarray, query_sq_norms: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(orders, suffix_min, ranked_lower_bounds)`` — the public
         ranking plus the per-rank lower bounds the pruner compares
-        against the k-th distance."""
+        against the k-th distance; ``query_sq_norms`` as the kernel takes
+        it."""
         centroid_d = np.sqrt(
             pairwise_squared_distances(
-                queries, self._centroids, points_sq_norms=self._centroid_sq_norms
+                queries, self._centroids, self._centroid_sq_norms, query_sq_norms
             )
         )
         lower_bounds = np.maximum(0.0, centroid_d - self._radii[np.newaxis, :])
@@ -463,7 +473,7 @@ class ChunkSearcher:
         lower, upper = self._rect_lower, self._rect_upper
         out = np.empty((queries.shape[0], lower.shape[0]), dtype=np.float64)
         gap = np.empty_like(lower)
-        query_sq_norms = np.einsum("qd,qd->q", queries, queries)
+        query_sq_norms = squared_norms(queries)
         for row, query in enumerate(queries):
             # gap = clip(query, lower, upper) - query: t_j up to sign.
             np.maximum(lower, query, out=gap)
@@ -633,9 +643,13 @@ class ChunkSearcher:
             )
         stop_rule = stop_rule if stop_rule is not None else ExactCompletion()
 
+        # One memory layout for every consumer of the rows and their norms
+        # (einsum's summation order depends on it).
+        queries = np.ascontiguousarray(queries)
+        query_sq_norms = squared_norms(queries)
         router = self.router
         if router is None:
-            orders, suffix_mins, ranked_lbs = self._rank_full(queries)
+            orders, suffix_mins, ranked_lbs = self._rank_full(queries, query_sq_norms)
         rect_bounds = self.rectangle_bounds(queries) if self.prune else None
         # The start-of-query charge (index read + ranking) is
         # query-independent: start_query's arithmetic, once per batch.
@@ -667,7 +681,9 @@ class ChunkSearcher:
             )
 
         return BatchSearchResult(
-            results=self._run(states, k, start_s, stop_rule, faults)
+            results=self._run(
+                states, queries, query_sq_norms, k, start_s, stop_rule, faults
+            )
         )
 
     # -- execution internals -------------------------------------------------
@@ -701,6 +717,8 @@ class ChunkSearcher:
     def _run(
         self,
         states: List[_QueryState],
+        queries: np.ndarray,
+        query_sq_norms: np.ndarray,
         k: int,
         start_s: float,
         stop_rule: StopRule,
@@ -735,10 +753,12 @@ class ChunkSearcher:
         A cohort larger than one shares host work through two per-cohort
         caches.  The first time any query demands a chunk, its contents
         are read and its distances computed for the *whole* cohort in a
-        single kernel call against the stacked query matrix, and the rows
+        single kernel call against the cohort's query matrix, and the rows
         kept — each chunk costs one store read, one float64 promotion, and
         one fixed-shape kernel call per cohort, however the per-query rank
-        orders interleave.  A query's row is its index in ``states``, so
+        orders interleave.  Every kernel call takes the cohort's query
+        norms, and an in-memory store's member norms, instead of computing
+        them.  A query's row is its index in ``states``, so
         dispensing a kept row is two list reads; rows computed for
         already-finished (or later-pruning) queries are never consumed and
         cost only BLAS throughput, far below the per-chunk bookkeeping
@@ -764,7 +784,7 @@ class ChunkSearcher:
         reads: Optional[Dict[int, _Read]] = {} if shared else None
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
         failed: Set[int] = set()
-        query_matrix = np.stack([s.query for s in states])
+        store_norms = self._store_norms
         chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
         cached_io = self._cached_io
         # ExactCompletion never stops early: no progress snapshot for it.
@@ -864,7 +884,14 @@ class ChunkSearcher:
                             np.asarray(ids, dtype=np.int64),
                             np.ascontiguousarray(vectors, dtype=np.float64),
                         )
-                        d2 = pairwise_squared_distances(query_matrix, payload[1])
+                        d2 = pairwise_squared_distances(
+                            queries,
+                            payload[1],
+                            None
+                            if store_norms is None
+                            else store_norms.member_sq_norms(chunk_id, payload[1]),
+                            query_sq_norms,
+                        )
                         # Row minima batched too: the per-query admission
                         # gate then costs a list index, not a reduction.
                         mins2 = (

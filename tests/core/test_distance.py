@@ -11,6 +11,7 @@ from repro.core.distance import (
     cell_squared_gaps,
     pairwise_squared_distances,
     squared_distances,
+    squared_norms,
     top_k_smallest,
 )
 
@@ -108,17 +109,22 @@ class TestPairwise:
             pairwise_squared_distances(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_supplied_norms_bit_identical(self, monkeypatch):
-        """Precomputed |p|^2 terms (the v2 index's stored norms) must give
-        the same matrix, bit for bit, as recomputing them in the kernel —
-        the property that lets stored norms feed chunk ranking."""
+        """Precomputed |p|^2 and |q|^2 terms (a searcher's centroid norms,
+        a resident chunk's kept member norms, a cohort's query norms) must
+        give the same matrix, bit for bit, as recomputing them in the
+        kernel — the property that lets them be computed once."""
         rng = np.random.default_rng(13)
         queries = rng.standard_normal((6, 8))
         points = rng.standard_normal((21, 8)).astype(np.float32)
         promoted = points.astype(np.float64)
         norms = np.einsum("pd,pd->p", promoted, promoted)
         monkeypatch.setattr(distance, "BLOCK_ROWS", 7)
+        np.testing.assert_array_equal(squared_norms(points), norms)
         with_norms = pairwise_squared_distances(
-            queries, points, points_sq_norms=norms
+            queries,
+            points,
+            points_sq_norms=norms,
+            queries_sq_norms=np.einsum("qd,qd->q", queries, queries),
         )
         without = pairwise_squared_distances(queries, points)
         np.testing.assert_array_equal(with_norms, without)
@@ -127,6 +133,13 @@ class TestPairwise:
         with pytest.raises(ValueError, match="point norms"):
             pairwise_squared_distances(
                 np.zeros((2, 3)), np.zeros((4, 3)), points_sq_norms=np.zeros(3)
+            )
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), ()])
+    def test_wrong_query_norms_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="query norms"):
+            pairwise_squared_distances(
+                np.zeros((2, 3)), np.zeros((4, 3)), queries_sq_norms=np.zeros(shape)
             )
 
     def test_expanded_form_agrees_with_direct_form(self):
