@@ -12,7 +12,9 @@ one-query sequential scan and the chunk radii.  Both are blockwise NumPy,
 so collections far larger than the CPU cache are scanned without
 materializing an ``n_queries x n_points`` matrix.  :func:`squared_norms`
 computes the expanded form's norm terms exactly as the kernel does, so a
-caller that keeps them and passes them back changes no bit.
+caller that keeps them and passes them back changes no bit.  The expanded
+form's body, :func:`expanded_squared_distances`, checks nothing: the
+searcher, which holds float64 rows and their norms, calls it directly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 __all__ = [
     "squared_distances",
     "pairwise_squared_distances",
+    "expanded_squared_distances",
     "squared_norms",
     "cell_squared_gaps",
     "top_k_smallest",
@@ -107,6 +110,10 @@ def pairwise_squared_distances(
     member norms, or a cohort's query norms shared by every call.  The
     result is unchanged, bit for bit, when they are :func:`squared_norms`
     of the same rows.
+
+    This is shape checks and the queries' float64 promotion around
+    :func:`expanded_squared_distances`, which callers that already hold
+    float64 rows and their norms call directly.
     """
     queries = _as_matrix(queries).astype(np.float64, copy=False)
     points = _as_matrix(points)
@@ -124,14 +131,29 @@ def pairwise_squared_distances(
                 f"got {what} norms of shape {norms.shape} "
                 f"for {rows.shape[0]} {what} rows"
             )
-    n_q, n_p = queries.shape[0], points.shape[0]
-    out = np.empty((n_q, n_p), dtype=np.float64)
+    return expanded_squared_distances(queries, points, queries_sq_norms, points_sq_norms)
+
+
+def expanded_squared_distances(
+    queries: np.ndarray,
+    points: np.ndarray,
+    queries_sq_norms: "np.ndarray | None",
+    points_sq_norms: "np.ndarray | None",
+) -> np.ndarray:
+    """The body of :func:`pairwise_squared_distances`, unchecked: float64
+    ``(n_queries, d)`` queries, ``(n_points, d)`` points of a float dtype
+    (each block promoted to float64 as the product reads it) and their
+    norm vectors, either computed here with :func:`squared_norms` when
+    ``None`` (the points' one block at a time); returns the ``(n_queries,
+    n_points)`` float64 matrix, bit for bit what the checked entry returns
+    for the same arguments."""
+    out = np.empty((queries.shape[0], points.shape[0]), dtype=np.float64)
     # |q - p|^2 = |q|^2 - 2 q.p + |p|^2: one BLAS matmul per block instead
     # of the 3-D broadcast temporary.  Cancellation can drive near-duplicate
     # pairs a few ulps below zero, so the result is clamped at zero.
     q_sq = squared_norms(queries) if queries_sq_norms is None else queries_sq_norms
-    for start in range(0, n_p, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n_p)
+    for start in range(0, points.shape[0], BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
         block = points[start:stop].astype(np.float64, copy=False)
         if points_sq_norms is None:
             p_sq = squared_norms(block)

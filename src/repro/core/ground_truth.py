@@ -25,6 +25,7 @@ from .distance import (
     kth_smallest,
     pairwise_squared_distances,
     squared_distances,
+    squared_norms,
     top_k_smallest,
 )
 
@@ -95,11 +96,15 @@ def exact_knn_batch(
     if n_q == 0:
         return np.empty((0, k), dtype=np.int64)
 
+    # The queries' |q|^2 terms, shared by every block's kernel call.
+    queries_sq_norms = squared_norms(queries)
     best_d = np.empty((n_q, 0), dtype=np.float64)
     best_ids = np.empty((n_q, 0), dtype=np.int64)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        d = pairwise_squared_distances(queries, collection.vectors[start:stop])
+        d = pairwise_squared_distances(
+            queries, collection.vectors[start:stop], queries_sq_norms=queries_sq_norms
+        )
         ids = np.broadcast_to(collection.ids[start:stop], d.shape)
         merged_d = np.concatenate([best_d, d], axis=1)
         merged_ids = np.concatenate([best_ids, ids], axis=1)

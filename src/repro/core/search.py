@@ -21,7 +21,7 @@ search_batch`); :meth:`ChunkSearcher.search` is a cohort of one.  A cohort
 shares host work, never a simulated timestamp:
 
 * **vectorized ranking** — chunk ranking for the whole ``(q, d)`` cohort is
-  one :func:`~repro.core.distance.pairwise_squared_distances` call plus a
+  one :func:`~repro.core.distance.expanded_squared_distances` call plus a
   batched stable argsort;
 * **coalesced chunk reads** — within a cohort each chunk is fetched from
   the store at most once (and its float32 descriptor matrix promoted to
@@ -61,7 +61,12 @@ from ..simio.pipeline import CostModel
 from ..storage.code_file import CELLS, cell_edges
 from ..storage.errors import CorruptFileError
 from .chunk_index import ChunkIndex, InMemoryChunkStore
-from .distance import cell_squared_gaps, pairwise_squared_distances, squared_norms
+from .distance import (
+    cell_squared_gaps,
+    expanded_squared_distances,
+    pairwise_squared_distances,
+    squared_norms,
+)
 from .neighbors import Neighbor, NeighborSet
 from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
@@ -358,6 +363,11 @@ class ChunkSearcher:
             (io_s[p], cpu_s[n], n) for p, n in zip(self._pages, counts)
         ]
         self._overlap = cost_model.overlap_io_cpu
+        # The start-of-query charge (index read + ranking) is the same for
+        # every query: start_query's arithmetic, once per searcher.
+        self._start_s = cost_model.disk.sequential_read_time_s(
+            index.index_bytes
+        ) + cost_model.cpu.ranking_time_s(index.n_chunks)
         # A chunk cache makes a chunk's I/O charge a function of the
         # global touch order; ``None`` charges the precomputed cold read.
         self._cached_io: "Optional[Callable[[int, int], Tuple[float, bool]]]" = None
@@ -404,21 +414,21 @@ class ChunkSearcher:
         bound over the not-yet-scanned suffix (the completion-proof
         threshold).
         """
-        orders, suffix_min, _ = self._rank_full(queries, None)
+        orders, suffix_min, _ = self._rank_full(
+            pairwise_squared_distances(
+                queries, self._centroids, self._centroid_sq_norms
+            )
+        )
         return orders, suffix_min
 
     def _rank_full(
-        self, queries: np.ndarray, query_sq_norms: Optional[np.ndarray]
+        self, centroid_d2: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(orders, suffix_min, ranked_lower_bounds)`` — the public
-        ranking plus the per-rank lower bounds the pruner compares
-        against the k-th distance; ``query_sq_norms`` as the kernel takes
-        it."""
-        centroid_d = np.sqrt(
-            pairwise_squared_distances(
-                queries, self._centroids, self._centroid_sq_norms, query_sq_norms
-            )
-        )
+        """``(orders, suffix_min, ranked_lower_bounds)`` from the kernel's
+        squared query-centroid distances — the public ranking plus the
+        per-rank lower bounds the pruner compares against the k-th
+        distance."""
+        centroid_d = np.sqrt(centroid_d2)
         lower_bounds = np.maximum(0.0, centroid_d - self._radii[np.newaxis, :])
         key = centroid_d if self.rank_by == RANK_BY_CENTROID else lower_bounds
         # Per row, ascending key; a stable sort breaks ties by chunk id.
@@ -649,13 +659,12 @@ class ChunkSearcher:
         query_sq_norms = squared_norms(queries)
         router = self.router
         if router is None:
-            orders, suffix_mins, ranked_lbs = self._rank_full(queries, query_sq_norms)
+            orders, suffix_mins, ranked_lbs = self._rank_full(
+                expanded_squared_distances(
+                    queries, self._centroids, query_sq_norms, self._centroid_sq_norms
+                )
+            )
         rect_bounds = self.rectangle_bounds(queries) if self.prune else None
-        # The start-of-query charge (index read + ranking) is
-        # query-independent: start_query's arithmetic, once per batch.
-        start_s = self.cost_model.disk.sequential_read_time_s(
-            self.index.index_bytes
-        ) + self.cost_model.cpu.ranking_time_s(self.index.n_chunks)
         states = []
         for i in range(n_queries):
             truth_i = None
@@ -682,7 +691,7 @@ class ChunkSearcher:
 
         return BatchSearchResult(
             results=self._run(
-                states, queries, query_sq_norms, k, start_s, stop_rule, faults
+                states, queries, query_sq_norms, k, stop_rule, faults
             )
         )
 
@@ -720,7 +729,6 @@ class ChunkSearcher:
         queries: np.ndarray,
         query_sq_norms: np.ndarray,
         k: int,
-        start_s: float,
         stop_rule: StopRule,
         faults: Optional[FaultInjector],
     ) -> List[SearchResult]:
@@ -786,7 +794,7 @@ class ChunkSearcher:
         failed: Set[int] = set()
         store_norms = self._store_norms
         chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
-        cached_io = self._cached_io
+        cached_io, start_s = self._cached_io, self._start_s
         # ExactCompletion never stops early: no progress snapshot for it.
         check = None if type(stop_rule) is ExactCompletion else stop_rule.check
         outcome, ok, chunk = OK_OUTCOME, True, None
@@ -884,13 +892,13 @@ class ChunkSearcher:
                             np.asarray(ids, dtype=np.int64),
                             np.ascontiguousarray(vectors, dtype=np.float64),
                         )
-                        d2 = pairwise_squared_distances(
+                        d2 = expanded_squared_distances(
                             queries,
                             payload[1],
+                            query_sq_norms,
                             None
                             if store_norms is None
                             else store_norms.member_sq_norms(chunk_id, payload[1]),
-                            query_sq_norms,
                         )
                         # Row minima batched too: the per-query admission
                         # gate then costs a list index, not a reduction.
@@ -946,14 +954,10 @@ class ChunkSearcher:
                     completed = not degraded
                     break
                 if check is not None:
+                    # The fields in order: a positional build costs a
+                    # third of a keyword one, once per visit.
                     ruled = check(
-                        SearchProgress(
-                            chunks_read=rank,
-                            elapsed_s=elapsed,
-                            neighbors_found=n_found,
-                            kth_distance=kth,
-                            remaining_lower_bound=remaining_lb,
-                        )
+                        SearchProgress(rank, elapsed, n_found, kth, remaining_lb)
                     )
                     if ruled is not None:
                         reason, completed = ruled, False

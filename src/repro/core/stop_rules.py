@@ -20,9 +20,8 @@ benchmark.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "SearchProgress",
@@ -35,9 +34,9 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchProgress:
-    """Snapshot handed to stop rules after each processed chunk.
+class SearchProgress(NamedTuple):
+    """Snapshot handed to stop rules after each processed chunk: a named
+    tuple, built once per visit of a search under an early-stop rule.
 
     Attributes
     ----------

@@ -2,12 +2,13 @@
 
 Every fault decision in this package is a pure function of an integer
 key: ``numpy.random.SeedSequence(entropy=key).generate_state(n,
-numpy.uint64) * 2**-64``.  Building one ``SeedSequence`` per key costs
-≈ 11 µs of Python, and a query visits a hundred chunks.
-:func:`keyed_uniforms` evaluates the same entropy mix and state
-generation for a whole *range* of keys that share a prefix and differ in
-their last integer (one query's chunk ids): one row per key, one numpy
-``uint32`` operation per step of the mix.
+numpy.uint64) * 2**-64``, which :func:`key_uniforms` evaluates for one
+key.  Building one ``SeedSequence`` per key costs ≈ 11 µs of Python, and a
+query visits a hundred chunks.  :func:`keyed_uniforms` evaluates the same
+entropy mix and state generation for a whole *range* of keys that share a
+prefix and differ in their last integer (one query's chunk ids): one row
+per key, one numpy ``uint32`` operation per step of the mix.  For a
+single key it costs twice what numpy does, so one-key draws call numpy.
 
 The algorithm is numpy's (``numpy/random/bit_generator.pyx``): the key's
 integers become little-endian 32-bit words (``0`` is one zero word); the
@@ -27,7 +28,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["keyed_uniforms"]
+__all__ = ["key_uniforms", "keyed_uniforms"]
 
 #: One 32-bit word for every row: a shared Python int or a ``uint32`` column.
 _Word = Union[int, np.ndarray]
@@ -121,6 +122,13 @@ def _last_words(start: int, stop: int, width: int) -> List[_Word]:
         ((ids >> np.uint64(32 * j)) & np.uint64(_MASK32)).astype(np.uint32)
         for j in range(width)
     ]
+
+
+def key_uniforms(key: Sequence[int], n: int) -> np.ndarray:
+    """``(n,)`` float64 uniforms in [0, 1) of one key: numpy's
+    ``SeedSequence`` itself (a negative integer is numpy's ``ValueError``)."""
+    state = np.random.SeedSequence(entropy=key).generate_state(n, np.uint64)
+    return state * 2.0**-64
 
 
 def keyed_uniforms(prefix: Sequence[int], start: int, stop: int, n: int) -> np.ndarray:

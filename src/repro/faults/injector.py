@@ -14,21 +14,33 @@ through :meth:`FaultInjector.outcome` as ``readable=False``.
 Draws are the plan's, made one query at a time: the injector holds the
 current query's ``(n_chunks, MAX_RETRIES + 1)`` table of
 :meth:`~repro.faults.plan.FaultPlan.chunk_draws` (one vectorised call),
-and each access classifies its row.  The searchers run a cohort one
-query after another, so a query's table is drawn once.
+and marks, once per table, the rows whose first draw is clean (at or
+above :attr:`~repro.faults.plan.FaultPlan.clean_edge`).  A clean row's
+access is a list lookup that returns one shared outcome, equal to the one
+:meth:`~repro.faults.plan.FaultPlan.classify` builds for it; any other row
+is classified.  The searchers run a cohort one query after another, so a
+query's table is drawn once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..simio.disk_model import DiskModel
 from ..simio.pipeline import CostModel
-from .plan import ChunkFaultOutcome, FaultPlan
+from .plan import FAULT_NONE, ChunkFaultOutcome, FaultPlan
 
 __all__ = ["FaultInjector"]
+
+#: What :meth:`~repro.faults.plan.FaultPlan.classify` returns for a clean
+#: first draw, built once.  Like every classified outcome it is not
+#: :data:`~repro.faults.plan.OK_OUTCOME`, so the searcher logs it in
+#: ``trace.faults`` exactly as a fresh one.
+_CLEAN_OUTCOME = ChunkFaultOutcome(
+    ok=True, kind=FAULT_NONE, attempts=1, extra_io_s=0.0, spiked=False
+)
 
 
 class FaultInjector:
@@ -47,11 +59,12 @@ class FaultInjector:
         self.plan = plan
         self.disk = disk
         self._attempt_io_memo: Dict[int, float] = {}
-        # The current query's draws, one row per chunk id, and the number
-        # of rows a new query's table starts with (the largest chunk id
-        # seen so far, plus one).
+        # The current query's draws, one row per chunk id, whether each
+        # row's first draw is clean, and the number of rows a new query's
+        # table starts with (the largest chunk id seen so far, plus one).
         self._query: Optional[int] = None
         self._draws = np.empty((0, 0), dtype=np.float64)
+        self._clean: List[bool] = []
         self._span = 0
 
     @classmethod
@@ -88,22 +101,25 @@ class FaultInjector:
             return self.plan.chunk_outcome(
                 query_id, chunk_id, attempt_io_s, readable=readable
             )
-        return self.plan.classify(self._row(query_id, chunk_id), attempt_io_s)
+        if self._first_draw_clean(query_id, chunk_id):
+            return _CLEAN_OUTCOME
+        return self.plan.classify(self._draws[chunk_id], attempt_io_s)
 
-    def _row(self, query_id: int, chunk_id: int) -> np.ndarray:
-        """The draws of one access, from the current query's table (drawn
-        anew for another query, grown for a larger chunk id)."""
+    def _first_draw_clean(self, query_id: int, chunk_id: int) -> bool:
+        """Whether the access's first draw is clean, from the current
+        query's table (drawn anew for another query, grown for a larger
+        chunk id); ``self._draws[chunk_id]`` is then the access's row."""
         if chunk_id < 0:
             raise ValueError("expected non-negative integer")
         self._span = max(self._span, chunk_id + 1)
-        draws = self._draws
         if query_id != self._query:
             draws = self.plan.chunk_draws(query_id, 0, self._span)
-            self._query = query_id
-        elif chunk_id >= len(draws):
+            self._query, self._draws = query_id, draws
+            self._clean = (draws[:, 0] >= self.plan.clean_edge).tolist()
+        elif chunk_id >= len(self._clean):
             grown = self.plan.chunk_draws(
-                query_id, len(draws), max(self._span, 2 * len(draws))
+                query_id, len(self._clean), max(self._span, 2 * len(self._clean))
             )
-            draws = np.concatenate([draws, grown])
-        self._draws = draws
-        return draws[chunk_id]
+            self._draws = np.concatenate([self._draws, grown])
+            self._clean += (grown[:, 0] >= self.plan.clean_edge).tolist()
+        return self._clean[chunk_id]

@@ -2,12 +2,11 @@
 
 A :class:`FaultPlan` is a *pure function* from ``(query_id, chunk_id,
 attempt)`` to a fault decision, derived from an explicit seed by
-:func:`~repro.faults.draws.keyed_uniforms` (bit-identical to
-:class:`numpy.random.SeedSequence` over the same key).  Nothing here
-depends on call order, wall-clock time, or process state, which is what
-makes fault-injection runs reproducible to the bit: a single query, the
-same query inside a cohort, and a re-run tomorrow all see exactly the
-same faults for the same ``(seed, query, chunk)`` triple.
+:class:`numpy.random.SeedSequence` over a key (:mod:`~repro.faults.draws`).
+Nothing here depends on call order, wall-clock time, or process state,
+which is what makes fault-injection runs reproducible to the bit: a
+single query, the same query inside a cohort, and a re-run tomorrow all
+see exactly the same faults for the same ``(seed, query, chunk)`` triple.
 
 Fault taxonomy (mirroring what real chunk storage exhibits):
 
@@ -32,7 +31,7 @@ import dataclasses
 
 import numpy as np
 
-from .draws import keyed_uniforms
+from .draws import key_uniforms, keyed_uniforms
 
 __all__ = [
     "FAULT_NONE",
@@ -209,7 +208,7 @@ class FaultPlan:
         call order and of every other key — the property that lets a
         cohort of queries reproduce each single query's faults exactly.
         """
-        return keyed_uniforms((self.seed, stream, a), b, b + 1, n)[0]
+        return key_uniforms((self.seed, stream, a, b), n)
 
     def chunk_draws(self, query_id: int, start: int, stop: int) -> np.ndarray:
         """``(stop - start, MAX_RETRIES + 1)`` float64: row ``i`` is what
@@ -218,6 +217,14 @@ class FaultPlan:
         return keyed_uniforms(
             (self.seed, _STREAM_CHUNK, query_id), start, stop, MAX_RETRIES + 1
         )
+
+    @property
+    def clean_edge(self) -> float:
+        """The smallest clean draw: a draw at or above it is neither a
+        failure nor a spike — :meth:`_kind`'s last edge, summed in its
+        order, so it is the very float :meth:`_kind` compares with."""
+        edge = self.read_error_rate + self.corrupt_rate + self.truncate_rate
+        return edge + self.spike_rate
 
     def _kind(self, u: float) -> str:
         edge = self.read_error_rate

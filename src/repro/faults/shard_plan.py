@@ -23,8 +23,8 @@ Fault taxonomy:
   horizon; every sub-request dispatched to it during the window fails
   fast.  Windows are drawn once per shard from the seed.
 
-Draws come from :func:`~repro.faults.draws.keyed_uniforms`, bit-identical
-to :class:`numpy.random.SeedSequence` over the key ``(seed, stream,
+Draws come from :func:`~repro.faults.draws.key_uniforms`:
+:class:`numpy.random.SeedSequence` over the key ``(seed, stream,
 *coordinates)``.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-from .draws import keyed_uniforms
+from .draws import key_uniforms
 
 __all__ = [
     "ShardSubFault",
@@ -171,9 +171,7 @@ class ShardFaultPlan:
         """``n`` uniforms in [0, 1) for one keyed decision site; the key
         is ``(seed, stream, *key)`` so draws are independent of call
         order and of every other site."""
-        last = key[-1]
-        draws = keyed_uniforms((self.seed, stream) + key[:-1], last, last + 1, n)
-        return tuple(draws[0].tolist())
+        return tuple(key_uniforms((self.seed, stream) + key, n).tolist())
 
     def sub_request(
         self, query_index: int, partition_id: int, shard_id: int, attempt: int

@@ -247,9 +247,10 @@ class BreakerGuardedInjector:
     no retry ladder, no backoff, no I/O charge; all other chunks pass
     through unchanged (or cleanly, when no injector is configured).
 
-    One instance is built per request at its start time, freezing the
-    breaker decision for that request — the searcher then needs no
-    knowledge of breakers at all.
+    One instance is built for each request that starts while a region is
+    blocked, freezing the breaker decision for that request — the
+    searcher then needs no knowledge of breakers at all (a request with
+    no region blocked gets the inner injector itself).
     """
 
     def __init__(
@@ -261,11 +262,6 @@ class BreakerGuardedInjector:
         self._inner = inner
         self._board = board
         self._blocked = blocked_regions
-
-    @property
-    def is_null(self) -> bool:
-        """Null only when nothing can be injected *and* nothing is blocked."""
-        return not self._blocked and (self._inner is None or self._inner.is_null)
 
     def outcome(
         self,

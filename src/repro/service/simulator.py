@@ -146,8 +146,10 @@ class QueryService:
     config:
         All service tunables; see :class:`~repro.service.request.ServiceConfig`.
     faults:
-        Optional fault injector (PR 3); breaker decisions wrap it per
-        request via :class:`~repro.service.breaker.BreakerGuardedInjector`.
+        Optional fault injector.  A request that starts while a
+        breaker region is blocked searches through a
+        :class:`~repro.service.breaker.BreakerGuardedInjector` around it;
+        any other request gets the injector itself.
     true_neighbor_ids:
         Optional per-query ground-truth id lists; when given, a served
         request's ``recall`` is true precision-at-k, otherwise the
@@ -207,9 +209,14 @@ class QueryService:
         rule = propagated_stop_rule(
             request.remaining_s(start_s), chunk_budget, self.n_chunks
         )
-        guarded = BreakerGuardedInjector(
-            self.faults, board, board.blocked_regions(start_s)
-        )
+        # The facade only matters where a region is blocked; elsewhere it
+        # would hand back the inner injector's outcomes (or clean ones).
+        blocked = board.blocked_regions(start_s)
+        faults: Optional[Union[FaultInjector, BreakerGuardedInjector]] = None
+        if blocked:
+            faults = BreakerGuardedInjector(self.faults, board, blocked)
+        elif self.faults is not None and not self.faults.is_null:
+            faults = self.faults
         truth_entry = None
         if self.truth is not None:
             truth_entry = self.truth[request.index]
@@ -218,7 +225,7 @@ class QueryService:
             k=self.config.k,
             stop_rule=rule,
             true_neighbor_ids=None if truth_entry is None else [truth_entry],
-            faults=None if guarded.is_null else guarded,  # type: ignore[arg-type]
+            faults=faults,  # type: ignore[arg-type]
             query_indices=[request.index],
         )
         return batch[0]

@@ -8,7 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import distance
 from repro.core.distance import (
+    BLOCK_ROWS,
     cell_squared_gaps,
+    expanded_squared_distances,
     pairwise_squared_distances,
     squared_distances,
     squared_norms,
@@ -141,6 +143,43 @@ class TestPairwise:
             pairwise_squared_distances(
                 np.zeros((2, 3)), np.zeros((4, 3)), queries_sq_norms=np.zeros(shape)
             )
+
+    @pytest.mark.parametrize("n_queries", [1, 64])
+    @pytest.mark.parametrize("n_points", [0, 1, 400, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("layout", ["C", "F", "float32"])
+    def test_checked_entry_is_the_body(self, n_queries, n_points, layout):
+        """The public kernel adds checks and promotion only: its matrix is
+        the body's, bit for bit, for the rows it hands the body and their
+        :func:`squared_norms` — a Fortran-order or float32 input included,
+        and past one block of points."""
+        rng = np.random.default_rng(n_queries + n_points)
+        queries = rng.standard_normal((n_queries, 24)) * 40.0
+        points = rng.standard_normal((n_points, 24)) * 40.0
+        if layout == "F":
+            queries, points = np.asfortranarray(queries), np.asfortranarray(points)
+        elif layout == "float32":
+            points = points.astype(np.float32)
+        got = pairwise_squared_distances(queries, points)
+        want = expanded_squared_distances(
+            queries, points, squared_norms(queries), squared_norms(points)
+        )
+        assert got.shape == want.shape == (n_queries, n_points)
+        assert got.dtype == want.dtype == np.float64
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "queries, points, norms",
+        [
+            (np.zeros((2, 3)), np.zeros((4, 5)), {}),
+            (np.zeros((2, 3, 1)), np.zeros((4, 3)), {}),
+            (np.zeros((2, 3)), np.zeros((4, 3, 1)), {}),
+            (np.zeros((2, 3)), np.zeros((4, 3)), {"points_sq_norms": np.zeros(3)}),
+            (np.zeros((2, 3)), np.zeros((4, 3)), {"queries_sq_norms": np.zeros(4)}),
+        ],
+    )
+    def test_every_shape_check_still_raises(self, queries, points, norms):
+        with pytest.raises(ValueError):
+            pairwise_squared_distances(queries, points, **norms)
 
     def test_expanded_form_agrees_with_direct_form(self):
         """The |q|^2 - 2 q.p + |p|^2 kernel must agree with the direct

@@ -19,7 +19,7 @@ from repro.core.search import (
     RANK_BY_LOWER_BOUND,
     ChunkSearcher,
 )
-from repro.core.stop_rules import DeadlineBudget, MaxChunks, TimeBudget
+from repro.core.stop_rules import DeadlineBudget, MaxChunks, StopRule, TimeBudget
 from descriptors import from_vectors, sphere_lower_bound
 
 
@@ -121,6 +121,41 @@ class TestStopRules:
         limited = searcher.search(query, k=30, stop_rule=TimeBudget(tiny_budget))
         assert limited.chunks_read <= full.chunks_read
         assert limited.chunks_read == 1  # the first chunk crosses the budget
+
+    def test_each_snapshot_is_its_visit(self, sr_index, tiny_collection):
+        """The snapshot a rule sees after visit ``r`` carries that visit's
+        trace columns and the completion proof's threshold, field by
+        field (the loop builds it positionally)."""
+
+        class Recorder(StopRule):
+            def __init__(self):
+                self.seen = []
+
+            def check(self, progress):
+                self.seen.append(progress)
+                return None
+
+        searcher = ChunkSearcher(sr_index, prune=False)
+        query = tiny_collection.vectors[3].astype(float)
+        rule = Recorder()
+        result = searcher.search(query, k=5, stop_rule=rule)
+        _, suffix_min = searcher.rank_chunks(query)
+        trace = result.trace
+        # The proof's break comes before the rule: its visit has no snapshot.
+        n_checked = len(rule.seen)
+        assert n_checked == trace.chunks_read - (result.stop_reason == "completed")
+        assert n_checked >= 2 and np.isfinite(rule.seen[-1].kth_distance)
+        for rank, progress in enumerate(rule.seen):
+            remaining = suffix_min[rank + 1] if rank + 1 < len(suffix_min) else np.inf
+            assert progress == (
+                rank + 1,
+                trace.elapsed[rank],
+                trace.neighbors_found[rank],
+                trace.kth_distance[rank],
+                remaining,
+            )
+            assert progress.remaining_lower_bound == remaining
+            assert progress.kth_distance == trace.kth_distance[rank]
 
     def test_completion_beats_stop_rule(self, sr_index, tiny_collection):
         """If the proof fires before the rule, the result is exact."""

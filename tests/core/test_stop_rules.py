@@ -24,6 +24,28 @@ def progress(**kwargs):
     return SearchProgress(**defaults)
 
 
+class TestSearchProgress:
+    def test_fields_in_order(self):
+        assert SearchProgress._fields == (
+            "chunks_read",
+            "elapsed_s",
+            "neighbors_found",
+            "kth_distance",
+            "remaining_lower_bound",
+        )
+
+    def test_keyword_build_equals_positional(self):
+        snapshot = progress(chunks_read=4, kth_distance=2.5)
+        assert snapshot == SearchProgress(4, 0.1, 10, 2.5, 0.5)
+        assert snapshot.chunks_read == 4 and snapshot.kth_distance == 2.5
+
+    def test_refuses_assignment(self):
+        snapshot = progress()
+        with pytest.raises(AttributeError):
+            snapshot.chunks_read = 2  # type: ignore[misc]
+        assert snapshot.chunks_read == 1
+
+
 class TestExactCompletion:
     def test_never_stops(self):
         rule = ExactCompletion()

@@ -122,9 +122,9 @@ class TestPlanDraws:
     def test_outage_windows_are_drawn_once(self, monkeypatch):
         plan = ShardFaultPlan.balanced(0.5, seed=3, horizon_s=10.0)
         calls = []
-        draw = shard_plan_module.keyed_uniforms
+        draw = shard_plan_module.key_uniforms
         monkeypatch.setattr(
-            shard_plan_module, "keyed_uniforms",
+            shard_plan_module, "key_uniforms",
             lambda *args: calls.append(args) or draw(*args),
         )
         first = [plan.outage_window(shard) for shard in range(4)]

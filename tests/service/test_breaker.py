@@ -203,19 +203,6 @@ class TestBreakerGuardedInjector:
         assert guarded.outcome(0, 0, page_count=1) is OK_OUTCOME
         assert guarded.outcome(0, 5, page_count=1) is BREAKER_SKIP_OUTCOME
 
-    def test_is_null(self):
-        board = BreakerBoard(n_chunks=8, region_size=4)
-        null_inner = FaultInjector.from_cost_model(
-            FaultPlan(seed=1), PAPER_2005_COST_MODEL
-        )
-        assert BreakerGuardedInjector(None, board, frozenset()).is_null
-        assert BreakerGuardedInjector(null_inner, board, frozenset()).is_null
-        assert not BreakerGuardedInjector(None, board, frozenset({0})).is_null
-        live_inner = FaultInjector.from_cost_model(
-            FaultPlan(seed=1, read_error_rate=0.5), PAPER_2005_COST_MODEL
-        )
-        assert not BreakerGuardedInjector(live_inner, board, frozenset()).is_null
-
 
 class TestTransitionCounts:
     def test_full_cycle_is_counted(self, monkeypatch):

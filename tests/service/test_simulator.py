@@ -19,6 +19,7 @@ from repro.core.search import ChunkSearcher
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.service import QueryService, ServiceConfig
+from repro.service.breaker import BreakerGuardedInjector
 
 N_REQUESTS = 96
 N_WORKERS = 4
@@ -179,6 +180,28 @@ class TestFaultsAndBreakers:
         )
         assert result.stats.degraded_fraction > 0.0
         assert result.stats.mean_recall < 1.0
+
+    def test_the_breaker_facade_only_where_a_region_is_blocked(
+        self, harness, monkeypatch
+    ):
+        """A request starting with every region closed searches through the
+        injector itself; one starting with a region blocked, through a
+        facade blocking exactly those regions."""
+        plan = FaultPlan.balanced(0.3, seed=SEED)
+        injector = FaultInjector.from_cost_model(plan, harness.searcher.cost_model)
+        handed = []
+        search_batch = harness.searcher.search_batch
+
+        def spy(*args, **kwargs):
+            handed.append(kwargs["faults"])
+            return search_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness.searcher, "search_batch", spy)
+        harness.service(2.0, faults=injector).run(harness.queries)
+        bare = [f for f in handed if f is injector]
+        guarded = [f for f in handed if isinstance(f, BreakerGuardedInjector)]
+        assert bare and guarded and len(bare) + len(guarded) == len(handed)
+        assert all(f._blocked and f._inner is injector for f in guarded)
 
 
 class TestGroundTruth:
