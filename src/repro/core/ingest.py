@@ -168,6 +168,11 @@ class CheckpointReport(NamedTuple):
     segment_bytes: int
 
 
+def _extent(meta: ChunkMeta) -> ChunkExtent:
+    """Where ``meta``'s chunk lies in its chunk file."""
+    return ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CorruptFileError(message)
@@ -501,9 +506,8 @@ class StreamingChunkIndex:
                     int(base_part.max()) < base_rows,
                     f"chunk origin row beyond base chunk {base_ref}",
                 )
-            mask = np.zeros(base_rows, dtype=bool)
-            mask[base_part] = True
-            live = mask
+            live = np.zeros(base_rows, dtype=bool)
+            live[base_part] = True
             n_base = int(base_part.size)
         return DeltaSection(
             base_ref,
@@ -706,7 +710,7 @@ def open_generation(directory: str, name: str) -> Tuple[ChunkIndex, str]:
     )
     store = OnDiskChunkStore(
         os.path.join(directory, manifest["base_chunk_file"]),
-        [ChunkExtent(m.page_offset, m.page_count, m.n_descriptors) for m in metas],
+        [_extent(meta) for meta in metas],
         dimensions,
         PageGeometry(page_bytes=manifest["page_bytes"]),
     )
@@ -1001,9 +1005,7 @@ def _reconstruct_chunk(
             f"manifest entry {where} has no delta and no valid base chunk",
         )
         meta = base_metas[base_ref]
-        ids, vectors = base_reader.read_chunk(
-            ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
-        )
+        ids, vectors = base_reader.read_chunk(_extent(meta))
         return ids, vectors, list(range(len(ids)))
     _require(
         section.base_ref == base_ref,
@@ -1025,14 +1027,11 @@ def _reconstruct_chunk(
         f"delta section {where} mask covers {live.size} rows, "
         f"base chunk holds {meta.n_descriptors}",
     )
-    base_ids, base_vectors = base_reader.read_chunk(
-        ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
-    )
+    base_ids, base_vectors = base_reader.read_chunk(_extent(meta))
     live_rows = np.flatnonzero(live)
     ids = np.concatenate([base_ids[live_rows], section.ids])
-    vectors = np.concatenate(
-        [base_vectors[live_rows], section.vectors], axis=0
-    ).astype(np.float32, copy=False)
+    parts = [base_vectors[live_rows], section.vectors]
+    vectors = np.concatenate(parts, dtype=np.float32)
     _require(ids.size > 0, f"delta section {where} leaves the chunk empty")
     origins = live_rows.tolist() + [-1] * int(section.ids.size)
     return ids, vectors, origins
@@ -1056,15 +1055,17 @@ def _validate_batch(
 
     Validation happens *before* the WAL append: once a batch commits it
     must apply without error during recovery, so duplicate inserts,
-    deletes of absent ids and malformed vectors are caught here.
+    deletes of absent ids, malformed and non-finite vectors are caught here.
     """
     if not ops:
         raise ValueError("a batch needs at least one operation")
     pending: Dict[int, bool] = {}
-    int32 = np.iinfo(np.int32)
-    for op in ops:
+    # One row per op, a delete's left zero: one finiteness check at the end.
+    rows = np.zeros((len(ops), dimensions), dtype=np.float32)
+    lowest, highest = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+    for position, op in enumerate(ops):
         descriptor_id = int(op.descriptor_id)
-        if not int32.min <= descriptor_id <= int32.max:
+        if not lowest <= descriptor_id <= highest:
             raise ValueError(
                 f"descriptor id {descriptor_id} does not fit the on-disk "
                 "int32 field"
@@ -1077,16 +1078,19 @@ def _validate_batch(
             if vector.shape[0] != dimensions:
                 raise ValueError("insert vector dimensionality mismatch")
             if present:
-                raise ValueError(
-                    f"descriptor id {descriptor_id} already present"
-                )
+                raise ValueError(f"descriptor id {descriptor_id} already present")
             pending[descriptor_id] = True
+            rows[position] = vector
         elif op.kind == OP_DELETE:
             if not present:
                 raise KeyError(f"descriptor id {descriptor_id} not in index")
             pending[descriptor_id] = False
         else:
             raise ValueError(f"unknown wal op kind {op.kind!r}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = ops[int(finite.argmin())].descriptor_id
+        raise ValueError(f"insert vector of descriptor id {bad} is non-finite")
 
 
 def _collect_garbage(directory: str, manifest: Dict[str, Any]) -> int:
@@ -1237,9 +1241,7 @@ def _base_rectangle_problems(directory: str, loaded: _Loaded) -> List[str]:
             loaded.maintainer.geometry,
         ) as base_reader:
             for meta in loaded.base_metas:
-                _, vectors = base_reader.read_chunk(
-                    ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
-                )
+                _, vectors = base_reader.read_chunk(_extent(meta))
                 lower, upper = bounding_rectangle(vectors)
                 if not (
                     np.array_equal(lower, meta.lower)
@@ -1278,9 +1280,7 @@ def _code_file_problems(directory: str, loaded: _Loaded) -> Tuple[List[str], str
             _file_crc32(os.path.join(directory, manifest["base_index_file"])),
         ) as codes:
             for meta in metas:
-                _, vectors = base_reader.read_chunk(
-                    ChunkExtent(meta.page_offset, meta.page_count, meta.n_descriptors)
-                )
+                _, vectors = base_reader.read_chunk(_extent(meta))
                 expected = encode_cells(vectors, meta.lower, meta.upper)
                 if not np.array_equal(codes.read_block(meta.chunk_id), expected):
                     problems.append(

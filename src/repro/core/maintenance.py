@@ -36,19 +36,23 @@ process.
 In memory each chunk's members are the leading rows of one growable
 C-contiguous float32 matrix edited in place (:class:`_MutableChunk`),
 beside the float64 column sum of those rows, kept current by the three
-methods that edit the matrix.  An insert costs one row write and one
-d-vector addition (the exact mean is that sum over the member count); a
-delete or a split costs one gap-closing move or subset copy plus a
-re-sum of the chunk, a merge one block copy plus one addition per merged
-row — never a re-stack.  Internal readers
-take a prefix view; :meth:`ChunkIndexMaintainer.snapshot` and
-:meth:`ChunkIndexMaintainer.to_index` are the only places state leaves
-the maintainer, and both copy.
+methods that edit the matrix.  An insert costs one distance-kernel call
+over the centroid matrix (whose nearest distance is finite exactly when
+the vector is, so a non-finite vector is refused there), one row write
+and two in-place d-vector updates: the row added to the sum, and the
+exact mean — that sum over the member count — divided straight into the
+chunk's centroid row.  A delete or a split costs one gap-closing move or
+subset copy plus a re-sum of the chunk, a merge one block copy plus one
+addition per merged row — never a re-stack.
+Internal readers take a prefix view; :meth:`ChunkIndexMaintainer.snapshot`
+and :meth:`ChunkIndexMaintainer.to_index` are the only places state
+leaves the maintainer, and both copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -211,10 +215,10 @@ class _MutableChunk:
         """Members as a fresh ``(n, d)`` float32 matrix the caller owns."""
         return self.rows().copy()
 
-    def centroid(self) -> np.ndarray:
-        """Exact float64 mean of the members, in member order (a new
-        array)."""
-        return self._sum / len(self.ids)
+    def centroid(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Exact float64 mean of the members, in member order: a new array,
+        or written into ``out``."""
+        return np.divide(self._sum, len(self.ids), out=out)
 
     def _resum(self) -> None:
         """Sum the members afresh: numpy's axis-0 reduction itself."""
@@ -233,8 +237,9 @@ class _MutableChunk:
             # numpy sums an (n, 1) matrix pairwise, not row after row.
             self._resum()
             return
-        for row in self._buffer[start:end]:
-            self._sum += row
+        # By index: iterating a slice costs more than the addition itself.
+        for row in range(start, end):
+            self._sum += self._buffer[row]
 
     def _grow(self, needed: int) -> None:
         """Reallocate to at least ``needed`` rows; doubling keeps ``N``
@@ -373,13 +378,14 @@ class ChunkIndexMaintainer:
         return iter(self._chunk_of_id)
 
     def _refresh_centroid(self, position: int) -> None:
-        self._centroids[position] = self._chunks[position].centroid()
+        self._chunks[position].centroid(out=self._centroids[position])
 
     # -- operations ----------------------------------------------------------------
 
     def insert(self, descriptor_id: int, vector: np.ndarray) -> int:
         """Insert one descriptor into the chunk with the nearest centroid;
-        returns the chunk position it landed in (pre-split)."""
+        returns the chunk position it landed in (pre-split).  A vector
+        with a non-finite component is refused, the state untouched."""
         descriptor_id = int(descriptor_id)
         if descriptor_id in self._chunk_of_id:
             raise ValueError(f"descriptor id {descriptor_id} already present")
@@ -387,8 +393,16 @@ class ChunkIndexMaintainer:
         if vector.shape[0] != self.dimensions:
             raise ValueError("vector dimensionality mismatch")
 
-        d2 = squared_distances(vector.astype(np.float64), self._centroids)
-        position = int(np.argmin(d2))
+        # squared_distances' direct form, bit for bit.  The centroids are
+        # finite, so the nearest distance is finite exactly when the
+        # vector is.
+        diff = self._centroids - vector
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        position = int(d2.argmin())
+        if not math.isfinite(d2[position]):
+            raise ValueError(
+                f"descriptor id {descriptor_id} has a non-finite component"
+            )
         chunk = self._chunks[position]
         chunk.append([descriptor_id], vector)
         chunk.dirty = True

@@ -311,6 +311,10 @@ class ImageRetrievalSystem:
         descriptors = np.atleast_2d(np.asarray(descriptors, dtype=np.float32))
         if descriptors.shape[0] == 0:
             raise ValueError("an image needs at least one descriptor")
+        # Before any insert: a refused descriptor must not leave the
+        # image's earlier ones inserted but unmapped.
+        if not np.isfinite(descriptors).all():
+            raise ValueError(f"image {image_id} has a non-finite descriptor")
         maintainer = self._begin_update()
         mapping = self._image_of_id
         # Ids grow monotonically, so appending keeps the mapping sorted.

@@ -44,7 +44,7 @@ from repro.storage.errors import CorruptFileError
 from repro.storage.index_file import read_index_file, write_index_file
 from repro.storage.pages import PageGeometry
 from repro.storage.records import RecordCodec
-from repro.storage.wal import delete_op, insert_op
+from repro.storage.wal import OP_INSERT, WalOp, delete_op, insert_op
 
 from descriptors import from_vectors
 
@@ -117,6 +117,29 @@ def populated(tiny_collection, tmp_path):
         _run_actions(index, _scenario_actions(rest_ids, rest_vectors))
         n_final = index.n_descriptors
     return directory, n_final
+
+
+def _float64_insert_op(descriptor_id, vector):
+    """An insert op whose vector was never cast to float32."""
+    return WalOp(OP_INSERT, descriptor_id, np.asarray(vector, dtype=np.float64))
+
+
+def _directory_bytes(directory):
+    """Every file of ``directory``, name -> bytes."""
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
+
+
+def _rows_by_id(index):
+    """Descriptor id -> its stored float32 row."""
+    rows = {}
+    for chunk_id in range(index.n_chunks):
+        ids, vectors = index.read_chunk(chunk_id)
+        rows.update(zip(ids.tolist(), vectors))
+    return rows
 
 
 def _manifest(directory):
@@ -300,6 +323,122 @@ class TestValidation:
             # in-memory state:
             seq = index.apply([insert_op(int(rest_ids[0]), rest_vectors[0])])
             assert seq == index.last_batch_seq
+
+    def test_each_single_fault_keeps_its_exception(
+        self, tiny_collection, tmp_path
+    ):
+        base, rest_ids, rest_vectors = _halves(tiny_collection)
+        live, new, other = int(base.ids[0]), int(rest_ids[0]), int(rest_ids[1])
+        vector, bad = rest_vectors[0], np.full(rest_vectors.shape[1], np.nan)
+        cases = [
+            ([], ValueError, "a batch needs at least one operation"),
+            (
+                [insert_op(2**31, vector)],
+                ValueError,
+                f"descriptor id {2**31} does not fit the on-disk int32 field",
+            ),
+            ([WalOp(OP_INSERT, new, None)], ValueError, "insert op requires a vector"),
+            (
+                [insert_op(new, vector), insert_op(other, vector[:-1])],
+                ValueError,
+                "insert vector dimensionality mismatch",
+            ),
+            (
+                [insert_op(live, vector)],
+                ValueError,
+                f"descriptor id {live} already present",
+            ),
+            (
+                [insert_op(new, vector), insert_op(new, vector)],
+                ValueError,
+                f"descriptor id {new} already present",
+            ),
+            ([delete_op(987654)], KeyError, "descriptor id 987654 not in index"),
+            (
+                [delete_op(live), delete_op(live)],
+                KeyError,
+                f"descriptor id {live} not in index",
+            ),
+            (
+                [WalOp("upsert", new, vector)],
+                ValueError,
+                "unknown wal op kind 'upsert'",
+            ),
+            (
+                [insert_op(new, vector), insert_op(other, bad)],
+                ValueError,
+                f"insert vector of descriptor id {other} is non-finite",
+            ),
+        ]
+        directory = str(tmp_path / "stream")
+        with StreamingChunkIndex.create(directory, _base_index(base)) as index:
+            for ops, error, message in cases:
+                with pytest.raises(error, match=re.escape(message)):
+                    index.apply(ops)
+            assert index.last_batch_seq == -1
+            # An insert of a deleted id and a delete of an inserted one in
+            # the same batch are no faults.
+            index.apply([delete_op(live), insert_op(live, vector)])
+            index.apply([insert_op(new, vector), delete_op(new)])
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "1e39"]
+    )
+    @pytest.mark.parametrize("make_op", [insert_op, _float64_insert_op])
+    def test_non_finite_insert_refused_before_it_is_logged(
+        self, tiny_collection, tmp_path, value, make_op
+    ):
+        """A float64 1e39 is past float32's maximum: cast, it is inf.
+        Acknowledged, such a row would break every later summary, and
+        replay would bring it back after every reopen."""
+        base, rest_ids, rest_vectors = _halves(tiny_collection)
+        directory = str(tmp_path / "stream")
+        good, bad = int(rest_ids[0]), int(rest_ids[1])
+        vector = rest_vectors[1].astype(np.float64)
+        vector[-1] = value
+        with StreamingChunkIndex.create(directory, _base_index(base)) as index:
+            files = _directory_bytes(directory)
+            with np.errstate(over="ignore"):
+                op = make_op(bad, vector)
+                with pytest.raises(ValueError, match="non-finite"):
+                    index.apply([insert_op(good, rest_vectors[0]), op])
+            assert _directory_bytes(directory) == files
+            assert index.last_batch_seq == -1
+            assert good not in index.maintainer and bad not in index.maintainer
+            assert index.apply([insert_op(good, rest_vectors[0])]) == 0
+            index.to_index()
+            index.checkpoint()
+        with StreamingChunkIndex.open(directory) as reopened:
+            assert reopened.to_index().n_descriptors == len(base) + 1
+
+    def test_vectors_that_flatten_to_a_row_are_accepted(
+        self, tiny_collection, tmp_path
+    ):
+        """Each insert vector is flattened, as it always was: a column, a
+        one-row matrix, a list or float64 stores the same float32 row."""
+        base, rest_ids, rest_vectors = _halves(tiny_collection)
+        ids = [int(i) for i in rest_ids[:8]]
+        rows = rest_vectors[:8]
+        directory = str(tmp_path / "stream")
+        with StreamingChunkIndex.create(directory, _base_index(base)) as index:
+            # All of one other shape, then one of each.
+            index.apply(
+                [insert_op(i, row[np.newaxis]) for i, row in zip(ids[:4], rows)]
+            )
+            index.apply(
+                [
+                    insert_op(ids[4], rows[4][:, np.newaxis]),
+                    WalOp(OP_INSERT, ids[5], rows[5].tolist()),
+                    WalOp(OP_INSERT, ids[6], rows[6].astype(np.float64)),
+                    insert_op(ids[7], rows[7]),
+                ]
+            )
+            stored = _rows_by_id(index.to_index())
+        with StreamingChunkIndex.open(directory) as reopened:
+            replayed = _rows_by_id(reopened.to_index())
+        for descriptor_id, row in zip(ids, rows):
+            assert stored[descriptor_id].tobytes() == row.tobytes()
+            assert replayed[descriptor_id].tobytes() == row.tobytes()
 
     def test_crash_poisons_until_reopen(self, tiny_collection, tmp_path):
         base, rest_ids, rest_vectors = _halves(tiny_collection)

@@ -1,5 +1,7 @@
 """Tests for incremental chunk-index maintenance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,27 @@ class TestInsert:
         m, _ = maintainer
         with pytest.raises(ValueError):
             m.insert(1000, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "1e39"]
+    )
+    def test_non_finite_vector_refused_with_state_untouched(self, maintainer, value):
+        """A float64 1e39 is past float32's maximum: cast, it is inf."""
+        m, collection = maintainer
+        before = [m.snapshot(p) for p in range(m.n_chunks)]
+        centroids, stats = m._centroids.tobytes(), dataclasses.replace(m.stats)
+        vector = collection.vectors[0].astype(np.float64)
+        vector[2] = value
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            m.insert(1000, vector)
+        assert 1000 not in m and len(m) == len(collection)
+        assert m._centroids.tobytes() == centroids and m.stats == stats
+        for position, snap in enumerate(before):
+            after = m.snapshot(position)
+            assert after.ids == snap.ids and after.dirty == snap.dirty
+            assert after.vectors.tobytes() == snap.vectors.tobytes()
+        m.insert(1000, collection.vectors[0])
+        m.to_index()
 
     def test_oversized_chunk_splits(self, maintainer):
         m, collection = maintainer

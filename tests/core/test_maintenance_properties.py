@@ -72,7 +72,7 @@ def workloads(draw):
 
 class TestPruningBoundSoundness:
     @given(workloads())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples // 10, deadline=None)
     def test_bound_never_exceeds_true_distance(self, workload):
         seed, n_base, dims, leaf, n_ops, spread = workload
         rng = np.random.default_rng(seed)
@@ -117,7 +117,7 @@ class TestPruningBoundSoundness:
         assert maintainer.stats.merges >= merges_before
 
     @given(st.integers(0, 2**16))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 10, deadline=None)
     def test_bound_sound_after_forced_splits_and_merges(self, seed):
         """Deterministically drive both split and merge paths."""
         rng = np.random.default_rng(seed)
@@ -312,7 +312,7 @@ class TestRowBufferEqualsRowList:
         st.sampled_from([1, 2, 5, 24]),
         st.sampled_from([0, 40]),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None)
     def test_matrix_and_centroid_bit_identical_after_every_op(
         self, seed, split_factor, merge_fraction, n_ops, dims, binades
     ):

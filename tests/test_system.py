@@ -120,6 +120,25 @@ class TestLiveUpdates:
         with pytest.raises(KeyError):
             system.remove_image(12345)
 
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "1e39"]
+    )
+    def test_non_finite_descriptor_refuses_the_whole_image(self, system, value):
+        """The bad descriptor is the third: none of the image is inserted,
+        and every later search still runs.  A float64 1e39 is past
+        float32's maximum: cast, it is inf."""
+        rng = np.random.default_rng(4)
+        image = 100.0 + 0.1 * rng.standard_normal((5, 6))
+        image[2, 3] = value
+        n_descriptors, n_images = system.n_descriptors, system.n_images
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            system.add_image(99, image)
+        assert (system.n_descriptors, system.n_images) == (n_descriptors, n_images)
+        system.find_similar_descriptors(image[0], k=3)
+        assert system.add_image(99, image[[0, 1, 3, 4]]) == 4
+        assert system.n_descriptors == n_descriptors + 4
+        system.find_similar_descriptors(image[0], k=3)
+
     def test_add_empty_image_rejected(self, system):
         with pytest.raises(ValueError):
             system.add_image(50, np.empty((0, 6)))
