@@ -14,7 +14,6 @@ Usage::
     repro ingestsim [--crashes 3]            # streaming ingest under crashes
     repro ingestsim --crash-matrix 0         # kill/recover at every boundary
     repro verify-index DIR                   # deep-check a saved or streaming index
-    repro lint [PATH]                        # AST-based invariant checker
 
 The experiment subcommand regenerates the paper artefacts (Tables 1-2,
 Figures 1-7) and the ablations, printing each as fixed-width text.
@@ -29,7 +28,6 @@ import sys
 from typing import Callable, Dict
 
 from . import __version__
-from .analysis.cli import add_lint_arguments, run_lint
 from .experiments import (
     ablations,
     chunk_size_sweep,
@@ -358,12 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the check report as JSON to PATH",
     )
-
-    lint = sub.add_parser(
-        "lint",
-        help="check the package against the repo's reproduction invariants",
-    )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -823,16 +815,14 @@ _COMMANDS = {
     "shardsim": _cmd_shardsim,
     "ingestsim": _cmd_ingestsim,
     "verify-index": _cmd_verify_index,
-    "lint": run_lint,
 }
 
 
 def main(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes.
 
-    0 on success; 1 when ``lint`` finds violations; 2 on any command
-    failure (bad arguments, missing/corrupt files, unknown scale) — never
-    a traceback, never a silent zero.
+    0 on success; 2 on any command failure (bad arguments, missing/corrupt
+    files, unknown scale) — never a traceback, never a silent zero.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -312,7 +312,14 @@ class ImageRetrievalSystem:
         if descriptors.shape[0] == 0:
             raise ValueError("an image needs at least one descriptor")
         # Before any insert: a refused descriptor must not leave the
-        # image's earlier ones inserted but unmapped.
+        # image's earlier ones inserted but unmapped, nor retire the
+        # generation that answers queries.
+        held = self._maintainer if self._maintainer is not None else self._index
+        if descriptors[0].size != held.dimensions:
+            raise ValueError(
+                f"image {image_id} has {descriptors[0].size}-d descriptors, "
+                f"the system {held.dimensions}-d"
+            )
         if not np.isfinite(descriptors).all():
             raise ValueError(f"image {image_id} has a non-finite descriptor")
         maintainer = self._begin_update()

@@ -1,19 +1,15 @@
 """Unit tests for the linter's shared machinery (not the rules)."""
 
+import ast
 import json
+import pathlib
 
-import pytest
-
-from repro.analysis import (
-    Diagnostic,
-    lint_sources,
-    render_json,
-    render_text,
-    select_rules,
-)
-from repro.analysis.config import layer_of
-from repro.analysis.rules import RULE_IDS, ImportTable
-from repro.analysis.suppressions import parse_suppressions
+import lint
+from lint.config import layer_of
+from lint.diagnostics import Diagnostic, render_json, render_text
+from lint.imports import ImportTable
+from lint.runner import lint_sources
+from lint.suppressions import parse_suppressions
 
 
 class TestSuppressions:
@@ -76,15 +72,6 @@ class TestConfig:
         assert layer_of("system.py") == "system"
         assert layer_of("analysis/rules/base.py") == "analysis"
 
-    def test_select_rules(self):
-        assert [r.id for r in select_rules(["CLK001", "LAY001"])] == [
-            "CLK001",
-            "LAY001",
-        ]
-        assert sorted(r.id for r in select_rules()) == sorted(RULE_IDS)
-        with pytest.raises(ValueError, match="unknown rule"):
-            select_rules(["NOPE01"])
-
 
 class TestReporting:
     DIAGNOSTICS = [
@@ -115,3 +102,23 @@ class TestParseFailures:
         result = lint_sources({"core/x.py": "def broken(:\n"})
         assert [d.rule for d in result] == ["PARSE"]
         assert "syntax error" in result.diagnostics[0].message
+
+
+def test_the_tool_imports_nothing_from_repro():
+    """The tool must run with only ``tools/`` on the path, so that a tree
+    whose layers do not import can still be linted."""
+    offenders = []
+    for path in sorted(pathlib.Path(lint.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if module.split(".")[0] == "repro"
+            ]
+    assert not offenders, offenders

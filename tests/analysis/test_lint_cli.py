@@ -1,5 +1,5 @@
 """End-to-end tests: the shipped tree is clean, seeded violations are
-caught, and both entry points report correctly."""
+caught, and ``python -m lint`` reports correctly."""
 
 import json
 import os
@@ -7,9 +7,7 @@ import shutil
 
 import pytest
 
-from repro.analysis.cli import main as analysis_main
-from repro.analysis.runner import package_root
-from repro.cli import main as repro_main
+from lint import cli as lint_cli
 
 _CLOCK_SEEDED = (
     "import time as _time_r\n"
@@ -104,7 +102,7 @@ def seeded_tree(tmp_path_factory):
     """A private copy of the real package tree with every snippet of
     :data:`SEEDS` appended (the shipped tree itself is never touched)."""
     target = str(tmp_path_factory.mktemp("seeded") / "repro")
-    shutil.copytree(package_root(), target)
+    shutil.copytree(lint_cli.PACKAGE_ROOT, target)
     for relpath, plants in SEEDS.items():
         with open(os.path.join(target, relpath), "a", encoding="utf-8") as handle:
             handle.write("\n\n" + "".join(snippet for _, snippet in plants.values()))
@@ -121,12 +119,9 @@ class TestShippedTreeIsClean:
         assert shipped_lint.ok, "\n".join(d.format() for d in shipped_lint)
         assert shipped_lint.checked_files > 50
 
-    def test_smoke_repro_lint_exit_zero(self, cli_lints_once, capsys):
-        assert repro_main(["lint"]) == 0
-        assert "no violations" in capsys.readouterr().err
-
     def test_smoke_module_entry_point(self, cli_lints_once, capsys):
-        assert analysis_main([]) == 0
+        assert lint_cli.main([]) == 0
+        assert "no violations" in capsys.readouterr().err
 
 
 class TestSeededViolationsAreCaught:
@@ -155,9 +150,10 @@ class TestSeededViolationsAreCaught:
         assert {d.path for d in seeded_lint if d.rule == rule} == seeded_paths(rule)
 
     def test_seeding_all_violations_fails_cli_with_locations(
-        self, seeded_tree, cli_lints_once, capsys
+        self, seeded_tree, cli_lints_once, monkeypatch, capsys
     ):
-        assert repro_main(["lint", seeded_tree]) == 1
+        monkeypatch.setattr(lint_cli, "PACKAGE_ROOT", seeded_tree)
+        assert lint_cli.main([]) == 1
         out = capsys.readouterr().out
         # file:line diagnostics, one per seeded family.
         for rule, _ in SEEDED_VIOLATIONS.values():
@@ -174,7 +170,7 @@ class TestNewModulesAreCovered:
         assert shipped_lint.ok
         walked = {
             os.path.join(root, name)
-            for root, _, names in os.walk(package_root())
+            for root, _, names in os.walk(lint_cli.PACKAGE_ROOT)
             for name in names
         }
         assert any(p.endswith("simio/chunk_cache.py") for p in walked)
@@ -199,26 +195,9 @@ class TestNewModulesAreCovered:
 
 
 class TestCliOptions:
-    def test_json_report(self, cli_lints_once, tmp_path, capsys):
-        report_path = str(tmp_path / "lint.json")
-        assert repro_main(["lint", "--format", "json", "--output", report_path]) == 0
-        with open(report_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+    def test_json_report(self, cli_lints_once, capsys):
+        assert lint_cli.main(["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == 0
         assert payload["checked_files"] > 50
         assert sorted(payload["rules"]) == payload["rules"]
-
-    def test_rule_selection(self, capsys):
-        assert repro_main(["lint", "--rules", "CLK001,LAY001"]) == 0
-        assert repro_main(["lint", "--rules", "BOGUS9"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_list_rules(self, capsys):
-        assert repro_main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("CLK001", "RNG001", "RNG002", "RNG003", "DTY001", "DTY002", "LAY001"):
-            assert rule in out
-
-    def test_missing_directory(self, capsys):
-        assert repro_main(["lint", "/nonexistent/pkg"]) == 2
-        assert "not a directory" in capsys.readouterr().err

@@ -5,7 +5,7 @@ assert silence — a rule that over-fires breaks these just as loudly as
 one that misses.
 """
 
-from repro.analysis import lint_sources
+from lint.runner import lint_sources
 
 
 def rules_at(diags, rule):

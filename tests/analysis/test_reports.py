@@ -1,12 +1,12 @@
-"""Exit status, ``--explain``, and the determinism/performance acceptance
-checks on the shipped tree."""
+"""Exit status and the determinism/performance acceptance checks on the
+shipped tree."""
 
 import os
 import time
 
-from repro.analysis import lint_tree, render_json
-from repro.analysis.cli import main as analysis_main
-from repro.analysis.runner import package_root
+from lint import cli as lint_cli
+from lint.diagnostics import render_json
+from lint.runner import lint_tree
 
 
 def make_tree(tmp_path, files):
@@ -19,7 +19,7 @@ def make_tree(tmp_path, files):
 
 
 #: An accepted-findings file in the ``path::rule::message`` fingerprint
-#: format of the ratchet ``repro lint`` once had: lying in the cwd, it turned
+#: format of the ratchet the linter once had: lying in the cwd, it turned
 #: the finding of the test below into exit 0.
 STRAY_BASELINE = """{
   "schema_version": 1, "findings": 1, "fingerprints": {
@@ -32,7 +32,7 @@ STRAY_BASELINE = """{
 def test_stray_baseline_file_cannot_silence_a_finding(tmp_path, monkeypatch, capsys):
     """Exit 0 means no finding, whatever files lie around the tree."""
     victim = os.path.join("simio", "disk_model.py")
-    with open(os.path.join(package_root(), victim), encoding="utf-8") as handle:
+    with open(os.path.join(lint_cli.PACKAGE_ROOT, victim), encoding="utf-8") as handle:
         dirty = handle.read() + "\nimport random as _rand_v\n_C = _rand_v.random()\n"
     root = make_tree(
         tmp_path, {"__init__.py": "", "simio/__init__.py": "", victim: dirty}
@@ -40,22 +40,11 @@ def test_stray_baseline_file_cannot_silence_a_finding(tmp_path, monkeypatch, cap
     stray = tmp_path / ".repro-lint-baseline.json"
     stray.write_text(STRAY_BASELINE, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert analysis_main([root]) == 1
+    monkeypatch.setattr(lint_cli, "PACKAGE_ROOT", root)
+    assert lint_cli.main([]) == 1
     captured = capsys.readouterr()
     assert "simio/disk_model.py:" in captured.out and "RNG002" in captured.out
     assert "suppressed" not in captured.err
-
-
-class TestExplain:
-    def test_known_rule(self, capsys):
-        assert analysis_main(["--explain", "CLK001"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("CLK001")
-        assert "simulated" in out.lower()
-
-    def test_unknown_rule(self, capsys):
-        assert analysis_main(["--explain", "ZZZ999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
 
 
 class TestShippedTreeAcceptance:
@@ -66,7 +55,7 @@ class TestShippedTreeAcceptance:
         assert first.ok, "\n".join(d.format() for d in first)
         # A second, fresh run of the same tree: timed, and compared.
         started = time.perf_counter()
-        second = lint_tree(package_root())
+        second = lint_tree(lint_cli.PACKAGE_ROOT)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"full-tree analysis took {elapsed:.1f}s"
         render = lambda r: render_json(

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.analysis import lint_sources
+from lint.runner import lint_sources
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -2,8 +2,8 @@
 ``__init__`` re-export map, its canonicalization, and LAY001 seeing
 through it."""
 
-from repro.analysis import lint_sources
-from repro.analysis.imports import canonicalize
+from lint.runner import lint_sources
+from lint.imports import canonicalize
 
 
 class TestCanonicalize:

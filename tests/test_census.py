@@ -1,8 +1,10 @@
-"""Census: every definition, option and public method in ``src/repro`` has a
-caller outside ``tests/``.
+"""Census: every definition, option and public method in ``src/repro`` and
+``tools/lint`` has a caller outside ``tests/``, and ``src/`` keeps to its
+line budget.
 
 Three questions, all answered by name over the code of ``src/``,
-``benchmarks/`` and ``examples/`` (:data:`CODE_DIRS`); tests never count.
+``benchmarks/``, ``examples/`` and ``tools/`` (:data:`CODE_DIRS`); tests
+never count.
 
 * **Definitions.**  A module-level ``def`` or ``class`` is *live* when some
   code names it — an ``ast.Name`` id or an ``ast.Attribute`` attr equal to
@@ -32,6 +34,10 @@ The check is by name, not by resolved binding: any same-named variable,
 attribute or keyword anywhere keeps a definition, method or option alive,
 so it can miss one; and one reached only through a string (``getattr``, a
 name registry) is flagged until code names it or an allowlist lists it.
+
+The **line budget**: ``src/**/*.py`` holds at most :data:`SRC_LINE_BUDGET`
+lines.  A change that deletes code lowers the budget to the new count; a
+change that grows ``src/`` raises it and says why in CHANGES.md.
 """
 
 import ast
@@ -56,7 +62,13 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: The directories whose code counts as a caller.
-CODE_DIRS = ("src", "benchmarks", "examples")
+CODE_DIRS = ("src", "benchmarks", "examples", "tools")
+
+#: ``(directory, package)`` of each audited tree: the system and the linter.
+AUDITED = (("src", "repro"), ("tools", "lint"))
+
+#: Most lines ``src/**/*.py`` may hold.
+SRC_LINE_BUDGET = 17_923
 
 #: Dotted name -> why a definition no shipped code references stays.
 ALLOWED: Dict[str, str] = {
@@ -88,7 +100,7 @@ OPTIONS_ALLOWED: Dict[str, str] = {
         "the unpruned scan is the tests' reference path (README, "
         "'Pruned scan path')"
     ),
-    "repro.analysis.cli.main.argv": "a CLI entry point's argument vector",
+    "lint.cli.main.argv": "a CLI entry point's argument vector",
     "repro.cli.main.argv": "a CLI entry point's argument vector",
     "repro.storage.pages.PageGeometry.__init__.page_bytes": _PAGE_SIZE,
     "repro.simio.disk_model.DiskModel.page_bytes": _PAGE_SIZE,
@@ -122,14 +134,14 @@ def _parsed(
 
 
 def _modules(root: pathlib.Path) -> Iterator[Tuple[str, str, ast.Module]]:
-    """``(module, relative path, tree)`` of every file of ``src/repro``."""
-    src = root / "src"
-    for path, tree in _parsed(root, "src"):
-        parts = path.relative_to(src).with_suffix("").parts
-        if parts[0] != "repro":
-            continue
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        yield module, path.relative_to(root).as_posix(), tree
+    """``(module, relative path, tree)`` of every file of :data:`AUDITED`."""
+    for directory, package in AUDITED:
+        for path, tree in _parsed(root, directory):
+            parts = path.relative_to(root / directory).with_suffix("").parts
+            if parts[0] != package:
+                continue
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            yield module, path.relative_to(root).as_posix(), tree
 
 
 def _code(root: pathlib.Path) -> Iterator[ast.AST]:
@@ -169,8 +181,8 @@ def _callee(func: ast.expr) -> Optional[str]:
 
 
 def definitions(root: pathlib.Path) -> Dict[str, str]:
-    """Dotted name -> ``path:line`` of every module-level def/class under
-    ``root/src/repro``, in file and line order."""
+    """Dotted name -> ``path:line`` of every module-level def/class of
+    :data:`AUDITED`, in file and line order."""
     found: Dict[str, str] = {}
     for module, where, tree in _modules(root):
         for node in tree.body:
@@ -430,7 +442,7 @@ def option_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
 
 def methods(root: pathlib.Path) -> Dict[str, str]:
     """Dotted name -> ``path:line`` of every public method or property of a
-    public module-level class under ``root/src/repro``."""
+    public module-level class of :data:`AUDITED`."""
     found: Dict[str, str] = {}
     for module, where, tree in _modules(root):
         for cls in _public_classes(tree):
@@ -467,6 +479,29 @@ def test_every_option_is_set_outside_tests():
 def test_every_public_method_has_a_caller_outside_tests():
     problems = method_census(ROOT, METHODS_ALLOWED)
     assert not problems, "\n".join(problems)
+
+
+# -- line budget ------------------------------------------------------------
+
+
+def over_budget(root: pathlib.Path) -> Optional[int]:
+    """The line count of ``root/src/**/*.py`` (as ``wc -l`` counts) if it
+    exceeds :data:`SRC_LINE_BUDGET`."""
+    lines = sum(
+        path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py")
+    )
+    return lines if lines > SRC_LINE_BUDGET else None
+
+
+def test_src_fits_its_line_budget():
+    assert over_budget(ROOT) is None
+
+
+def test_one_line_over_the_budget_is_caught(tmp_path):
+    _plant(tmp_path, {"src/repro/pad.py": "#\n" * SRC_LINE_BUDGET})
+    assert over_budget(tmp_path) is None
+    _plant(tmp_path, {"src/repro/more.py": "#\n"})
+    assert over_budget(tmp_path) == SRC_LINE_BUDGET + 1
 
 
 def _plant(root: pathlib.Path, files: Mapping[str, str]) -> pathlib.Path:

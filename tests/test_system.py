@@ -159,6 +159,27 @@ class TestPersistence:
         assert [m.image_id for m in before] == [m.image_id for m in after]
         assert [m.votes for m in before] == [m.votes for m in after]
 
+    def test_wrong_width_image_leaves_the_loaded_generation_serving(
+        self, system, image_collection, tmp_path
+    ):
+        """A 5-d image on a 6-d loaded system is refused before the update
+        starts: no maintainer is made, and the saved generation stays open
+        and answers the next query as it did before."""
+        directory = str(tmp_path / "retrieval3")
+        system.save(directory)
+        query = image_collection.vectors[3].astype(float)
+        with ImageRetrievalSystem.load(directory) as loaded:
+            generation = loaded._index
+            before = loaded.find_similar_descriptors(query, k=5, exact=True)
+            with pytest.raises(ValueError) as refused:
+                loaded.add_image(99, np.zeros((3, 5)))
+            assert loaded._maintainer is None
+            assert loaded._index is generation
+            assert "5-d descriptors" in str(refused.value)
+            after = loaded.find_similar_descriptors(query, k=5, exact=True)
+        assert after.neighbors == before.neighbors
+        assert after.elapsed_s == before.elapsed_s
+
     def test_load_then_update(self, system, tmp_path):
         directory = str(tmp_path / "retrieval2")
         system.save(directory)

@@ -1,4 +1,4 @@
-"""Repo-specific static analysis: the ``repro lint`` invariant checker.
+"""Repo-specific static analysis: the invariant checker for ``src/repro``.
 
 Each file of the ``repro`` tree is parsed once and checked by per-file
 rules that enforce invariants no off-the-shelf linter knows about:
@@ -18,30 +18,8 @@ rules that enforce invariants no off-the-shelf linter knows about:
   algorithmic layers never import the application shell, seen through
   the tree's ``__init__`` re-exports.
 
-Run it as ``repro lint`` or ``python -m repro.analysis``.  This package
-intentionally imports nothing from the rest of ``repro`` (enforced by
-LAY001 on itself), so it can lint a tree whose simulated layers are
-broken.
+Run it from the repository root as ``PYTHONPATH=tools python -m lint
+[--format text|json]``.  The tool imports nothing from ``repro`` (it runs
+with only ``tools/`` on the path), so it can lint a tree whose simulated
+layers are broken.
 """
-
-from .diagnostics import Diagnostic, render_json, render_text
-from .rules import RULE_IDS, all_rules, select_rules
-from .runner import (
-    LintResult,
-    lint_sources,
-    lint_tree,
-    package_root,
-)
-
-__all__ = [
-    "Diagnostic",
-    "LintResult",
-    "RULE_IDS",
-    "all_rules",
-    "lint_sources",
-    "lint_tree",
-    "package_root",
-    "render_json",
-    "render_text",
-    "select_rules",
-]

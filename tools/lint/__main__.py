@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — run the invariant linter."""
+"""``python -m lint`` — run the invariant linter."""
 
 import sys
 

@@ -46,11 +46,10 @@ FORBIDDEN_IMPORTS: Mapping[str, FrozenSet[str]] = {
     # search, simio queueing, faults and workload arrivals; only the app
     # shell (cli / experiments) may sit above it, and no substrate layer
     # may reach up into it.
-    "service": _APP_SHELL | frozenset({"chunking", "srtree", "storage", "analysis"}),
+    "service": _APP_SHELL | frozenset({"chunking", "srtree", "storage"}),
     "workloads": frozenset({"service"}),
     "extensions": frozenset({"service"}),
     "system": frozenset({"service"}),
-    "analysis": _APP_SHELL | SIMULATED_LAYERS | frozenset({"workloads"}),
 }
 
 #: Distance kernels with a float64 promotion contract: passing a literal

@@ -1,4 +1,4 @@
-"""Diagnostic records and reporting for ``repro lint``.
+"""Diagnostic records and reporting for the invariant linter.
 
 A :class:`Diagnostic` pins one rule violation to a ``file:line:col``
 location.  Reporting is deliberately minimal: a stable one-line text form

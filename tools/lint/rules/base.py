@@ -72,13 +72,12 @@ class FileContext:
 class Rule:
     """Base class: subclasses set ``id``/``summary`` and implement ``check``.
 
-    ``rationale`` is the long-form explanation printed by ``repro lint
-    --explain RULE`` — why the invariant exists, not just what it bans.
+    A subclass's docstring is its long-form rationale — why the invariant
+    exists, not just what it bans.
     """
 
     id: str = ""
     summary: str = ""
-    rationale: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         raise NotImplementedError

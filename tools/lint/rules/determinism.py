@@ -60,15 +60,14 @@ def _seed_arguments(node: ast.Call, target: Optional[str]) -> List[ast.expr]:
 
 
 class LegacyNumpyRandomRule(Rule):
+    """np.random.rand/seed/shuffle share one process-global stream: any
+    library call anywhere can perturb it, so runs stop being
+    bit-identical the moment an import order changes.  Every draw
+    must flow from an explicitly seeded np.random.default_rng(seed)
+    instance owned by the caller."""
+
     id = "RNG001"
     summary = "legacy numpy.random global-state call; use default_rng(seed)"
-    rationale = (
-        "np.random.rand/seed/shuffle share one process-global stream: any\n"
-        "library call anywhere can perturb it, so runs stop being\n"
-        "bit-identical the moment an import order changes.  Every draw\n"
-        "must flow from an explicitly seeded np.random.default_rng(seed)\n"
-        "instance owned by the caller."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node, target in ctx.calls:
@@ -88,14 +87,13 @@ class LegacyNumpyRandomRule(Rule):
 
 
 class StdlibRandomRule(Rule):
+    """random.random()/random.shuffle() draw from the stdlib's shared
+    global generator — the same cross-talk problem as legacy numpy
+    global state.  An explicitly seeded random.Random(seed) instance
+    is fine; the module-level API is not."""
+
     id = "RNG002"
     summary = "stdlib random module-level call; use a seeded random.Random"
-    rationale = (
-        "random.random()/random.shuffle() draw from the stdlib's shared\n"
-        "global generator — the same cross-talk problem as legacy numpy\n"
-        "global state.  An explicitly seeded random.Random(seed) instance\n"
-        "is fine; the module-level API is not."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node, target in ctx.calls:
@@ -113,14 +111,13 @@ class StdlibRandomRule(Rule):
 
 
 class UnseededRngRule(Rule):
+    """default_rng() with no seed (or seed=None) initializes from OS
+    entropy: two runs diverge by construction, and the divergence
+    surfaces far from the call site as flaky quality numbers.  Pass
+    an explicit seed derived from the run's root."""
+
     id = "RNG003"
     summary = "default_rng() without a seed argument is nondeterministic"
-    rationale = (
-        "default_rng() with no seed (or seed=None) initializes from OS\n"
-        "entropy: two runs diverge by construction, and the divergence\n"
-        "surfaces far from the call site as flaky quality numbers.  Pass\n"
-        "an explicit seed derived from the run's root."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node, target in ctx.calls:
@@ -145,17 +142,16 @@ class UnseededRngRule(Rule):
 
 
 class SeedNonRootRule(Rule):
+    """Every random stream must be derivable from the run's root seed:
+    that is what makes servesim/faultsim reruns byte-identical.  A
+    seed computed from time.time() or os.urandom(), or a
+    SeedSequence() built without entropy, differs on every run by
+    construction — and outside the simulated layers CLK001 does not
+    look.  Derive child seeds with SeedSequence(seed).spawn() or
+    keyed entropy tuples instead."""
+
     id = "RNG101"
     summary = "generator seeded from the wall clock or OS entropy"
-    rationale = (
-        "Every random stream must be derivable from the run's root seed:\n"
-        "that is what makes servesim/faultsim reruns byte-identical.  A\n"
-        "seed computed from time.time() or os.urandom(), or a\n"
-        "SeedSequence() built without entropy, differs on every run by\n"
-        "construction — and outside the simulated layers CLK001 does not\n"
-        "look.  Derive child seeds with SeedSequence(seed).spawn() or\n"
-        "keyed entropy tuples instead."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node, target in ctx.calls:
@@ -187,19 +183,18 @@ class SeedNonRootRule(Rule):
 
 
 class SeedFanoutRule(Rule):
+    """Passing the same seed value to two constructors creates two
+    *identical* streams, not two independent ones: faults correlate
+    with arrivals, two shards draw the same 'random' chunk order, and
+    quality numbers quietly stop meaning what they claim.  A bare name
+    passed as the seed of two of default_rng / SeedSequence /
+    random.Random in one function (or at module level) is flagged.
+    Fork child seeds with SeedSequence(seed).spawn(n), or derive keyed
+    entropy tuples ((seed, stream_id) as faults.plan does) so each
+    consumer gets its own stream."""
+
     id = "RNG102"
     summary = "one seed name seeds two entropy constructors in one function"
-    rationale = (
-        "Passing the same seed value to two constructors creates two\n"
-        "*identical* streams, not two independent ones: faults correlate\n"
-        "with arrivals, two shards draw the same 'random' chunk order, and\n"
-        "quality numbers quietly stop meaning what they claim.  A bare name\n"
-        "passed as the seed of two of default_rng / SeedSequence /\n"
-        "random.Random in one function (or at module level) is flagged.\n"
-        "Fork child seeds with SeedSequence(seed).spawn(n), or derive keyed\n"
-        "entropy tuples ((seed, stream_id) as faults.plan does) so each\n"
-        "consumer gets its own stream."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         named_seeds = sum(

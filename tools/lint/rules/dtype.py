@@ -45,16 +45,15 @@ def _mentions_float32(node: ast.AST) -> Optional[ast.AST]:
 
 
 class Float32IntoKernelRule(Rule):
+    """Descriptors are float32 on disk; the distance kernels promote to
+    float64 internally and are tested for bit-identical results on
+    that contract.  Pre-casting an argument to float32 at the call
+    site throws away precision *before* the kernel sees the data and
+    perturbs distances at the ulp level — enough to reorder ties and
+    break the bit-equality tests."""
+
     id = "DTY001"
     summary = "literal float32 construction passed to a distance kernel"
-    rationale = (
-        "Descriptors are float32 on disk; the distance kernels promote to\n"
-        "float64 internally and are tested for bit-identical results on\n"
-        "that contract.  Pre-casting an argument to float32 at the call\n"
-        "site throws away precision *before* the kernel sees the data and\n"
-        "perturbs distances at the ulp level — enough to reorder ties and\n"
-        "break the bit-equality tests."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node, target in ctx.calls:
@@ -95,15 +94,14 @@ def _kernel_name(node: ast.Call, target: Optional[str]) -> Optional[str]:
 
 
 class ArrayDtypeDeclarationRule(Rule):
+    """The float32 (storage) / float64 (compute) boundary is only
+    manageable while it is legible: every public ndarray-returning
+    function must state its result dtype in its annotation or
+    docstring so callers never have to guess which side of the
+    boundary they are on."""
+
     id = "DTY002"
     summary = "public ndarray-returning function must declare its dtype"
-    rationale = (
-        "The float32 (storage) / float64 (compute) boundary is only\n"
-        "manageable while it is legible: every public ndarray-returning\n"
-        "function must state its result dtype in its annotation or\n"
-        "docstring so callers never have to guess which side of the\n"
-        "boundary they are on."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ctx.nodes:

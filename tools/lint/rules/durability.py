@@ -54,28 +54,27 @@ def _open_write_mode(node: ast.Call) -> Optional[str]:
 
 
 class DurabilityRule(Rule):
+    """Crash safety in this repo is a property of exactly two write
+    sites: storage/atomic.py (write-temp, fsync, atomic rename) and
+    storage/wal.py (framed, checksummed group commit); every file
+    format, the chunk file included, publishes through them.  Recovery
+    reasons about what those sites guarantee — a file under its
+    final name is complete, a WAL batch past its commit marker is
+    whole.  A bare open(path, 'w') or os.replace against an index,
+    chunk, collection, pack, manifest or WAL path anywhere else
+    can publish a torn file and silently break every one of those
+    recovery invariants; an unlink, truncate or fsync there is a
+    durable operation the crash-state recorder never sees.  Inside
+    the storage layer any direct one is flagged; elsewhere, those
+    whose path expressions mention a durable artifact are.  Report/plot
+    outputs (JSON exports, figures) are not durable state and stay
+    unflagged."""
+
     id = "DUR001"
     summary = (
         "direct write/rename/unlink/truncate/fsync of a collection/index/"
         "chunk/WAL path outside storage.atomic or the WAL writer; use the "
         "crash-safe write sites"
-    )
-    rationale = (
-        "Crash safety in this repo is a property of exactly two write\n"
-        "sites: storage/atomic.py (write-temp, fsync, atomic rename) and\n"
-        "storage/wal.py (framed, checksummed group commit); every file\n"
-        "format, the chunk file included, publishes through them.  Recovery\n"
-        "reasons about what those sites guarantee — a file under its\n"
-        "final name is complete, a WAL batch past its commit marker is\n"
-        "whole.  A bare open(path, 'w') or os.replace against an index,\n"
-        "chunk, collection, pack, manifest or WAL path anywhere else\n"
-        "can publish a torn file and silently break every one of those\n"
-        "recovery invariants; an unlink, truncate or fsync there is a\n"
-        "durable operation the crash-state recorder never sees.  Inside\n"
-        "the storage layer any direct one is flagged; elsewhere, those\n"
-        "whose path expressions mention a durable artifact are.  Report/plot\n"
-        "outputs (JSON exports, figures) are not durable state and stay\n"
-        "unflagged."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:

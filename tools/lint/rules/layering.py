@@ -21,19 +21,18 @@ __all__ = ["LayerBoundaryRule"]
 
 
 class LayerBoundaryRule(Rule):
+    """The algorithmic layers (core, simio, storage, chunking, srtree)
+    must stay importable without dragging in the application shell
+    (experiments, extensions, system, cli), and simio must not know
+    about core so the cost models stay reusable.  One convenience
+    import turns the DAG into a ball of mud that blocks the scaling
+    refactors the ROADMAP plans.  When a whole tree is linted the
+    check resolves names re-exported through package __init__ files
+    to their defining module, so a shell symbol re-exported at top
+    level does not slip through."""
+
     id = "LAY001"
     summary = "import crosses a forbidden layer boundary"
-    rationale = (
-        "The algorithmic layers (core, simio, storage, chunking, srtree)\n"
-        "must stay importable without dragging in the application shell\n"
-        "(experiments, extensions, system, cli), and simio must not know\n"
-        "about core so the cost models stay reusable.  One convenience\n"
-        "import turns the DAG into a ball of mud that blocks the scaling\n"
-        "refactors the ROADMAP plans.  When a whole tree is linted the\n"
-        "check resolves names re-exported through package __init__ files\n"
-        "to their defining module, so a shell symbol re-exported at top\n"
-        "level does not slip through."
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         forbidden = FORBIDDEN_IMPORTS.get(ctx.layer)

@@ -45,22 +45,21 @@ WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
 
 
 class WallClockRule(Rule):
+    """Query-time cost in core/simio/storage/chunking/srtree/faults/
+    service is *simulated*: the disk and CPU cost model charges every
+    chunk, which is what makes the paper's time-to-quality curves
+    deterministic and hardware-independent.  One stray
+    time.perf_counter() in those layers mixes real hardware noise
+    into the curves without failing any test, and host seconds can
+    only be mixed with simulated seconds (or a simulated duration
+    slept out with time.sleep()) where such a call exists.  No file is
+    exempt; build-time measurement sites carry inline disable comments
+    so new calls are still caught."""
+
     id = "CLK001"
     summary = (
         "wall-clock call (time.time/perf_counter/datetime.now/sleep/...) in "
         "a simulated-cost layer; charge the cost model, or waive a build timer"
-    )
-    rationale = (
-        "Query-time cost in core/simio/storage/chunking/srtree/faults/\n"
-        "service is *simulated*: the disk and CPU cost model charges every\n"
-        "chunk, which is what makes the paper's time-to-quality curves\n"
-        "deterministic and hardware-independent.  One stray\n"
-        "time.perf_counter() in those layers mixes real hardware noise\n"
-        "into the curves without failing any test, and host seconds can\n"
-        "only be mixed with simulated seconds (or a simulated duration\n"
-        "slept out with time.sleep()) where such a call exists.  No file is\n"
-        "exempt; build-time measurement sites carry inline disable comments\n"
-        "so new calls are still caught."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:

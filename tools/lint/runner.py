@@ -1,8 +1,8 @@
 """The lint runner: parse each file, run every rule on it.
 
-Two entry points: :func:`lint_sources` lints in-memory modules (test
-fixtures), and :func:`lint_tree` reads a whole package directory and
-hands it to :func:`lint_sources` (what the CLI runs).
+:func:`lint_sources` lints in-memory modules (test fixtures), and
+:func:`lint_tree` reads a whole package directory and hands it to
+:func:`lint_sources` (what the CLI runs).  Every run runs every rule.
 
 Each file is linted in one pass: parse, build its import table, run the
 rules, drop findings its inline suppressions silence.  The only fact that
@@ -10,28 +10,21 @@ crosses files is the ``__init__`` re-export map, read off the import
 tables of the package ``__init__`` files so LAY001 can see through
 re-exported names.
 
-The runner is deliberately independent of the rest of ``repro`` — it
-imports nothing from the simulated layers, so it can lint a broken tree.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from .config import PACKAGE_NAME, layer_of
 from .diagnostics import Diagnostic
 from .imports import ImportTable
-from .rules import FileContext, Rule, all_rules
+from .rules import FileContext, all_rules
 from .suppressions import parse_suppressions
 
-__all__ = [
-    "LintResult",
-    "lint_sources",
-    "lint_tree",
-    "package_root",
-]
+__all__ = ["LintResult", "lint_sources", "lint_tree"]
 
 
 class LintResult:
@@ -72,8 +65,8 @@ def _module_package(relpath: str) -> str:
 def _reexports(imports: Mapping[str, ImportTable]) -> Dict[str, str]:
     """``package.name -> defining.module.name`` for every name a package
     ``__init__`` binds from inside the package (``repro.ChunkSearcher`` ->
-    ``repro.core.ChunkSearcher``; :func:`~repro.analysis.imports
-    .canonicalize` chases the chain)."""
+    ``repro.core.ChunkSearcher``; :func:`~lint.imports.canonicalize`
+    chases the chain)."""
     reexports: Dict[str, str] = {}
     for relpath, table in imports.items():
         if not relpath.endswith("__init__.py"):
@@ -86,11 +79,7 @@ def _reexports(imports: Mapping[str, ImportTable]) -> Dict[str, str]:
     return reexports
 
 
-def lint_sources(
-    sources: Mapping[str, str],
-    *,
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintResult:
+def lint_sources(sources: Mapping[str, str]) -> LintResult:
     """Lint in-memory modules, one pass per file.
 
     ``sources`` maps package-relative paths (which fix each module's
@@ -98,7 +87,7 @@ def lint_sources(
     diagnostic (rule ``PARSE``) rather than raised — a tree that does not
     parse must fail the lint gate, not crash it.
     """
-    rules = list(rules) if rules is not None else all_rules()
+    rules = all_rules()
     diagnostics: List[Diagnostic] = []
     trees: Dict[str, ast.Module] = {}
     for relpath in sorted(sources):
@@ -145,7 +134,7 @@ def _python_files(root: str) -> Iterable[str]:
                 yield os.path.join(dirpath, filename)
 
 
-def lint_tree(root: str, *, rules: Optional[Sequence[Rule]] = None) -> LintResult:
+def lint_tree(root: str) -> LintResult:
     """Lint every ``.py`` file under ``root`` (a package directory).
 
     ``root`` is the directory of the package itself (e.g. ``src/repro``);
@@ -156,12 +145,5 @@ def lint_tree(root: str, *, rules: Optional[Sequence[Rule]] = None) -> LintResul
         relpath = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as handle:
             sources[relpath] = handle.read()
-    return lint_sources(sources, rules=rules)
+    return lint_sources(sources)
 
-
-def package_root() -> str:
-    """Directory of the installed ``repro`` package (the default lint
-    target, so ``repro lint`` works from any CWD)."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
