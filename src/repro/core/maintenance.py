@@ -254,8 +254,11 @@ class _MutableChunk:
 
     def remove(self, row: int) -> None:
         """Remove one member in place; the rest keep their order."""
-        n = len(self.ids)
-        self._buffer[row : n - 1] = self._buffer[row + 1 : n]
+        n, d = len(self.ids), self._buffer.shape[1]
+        # A view (the buffer is C-contiguous): numpy moves an overlapping
+        # 1-D copy in place, a 2-D one through a temporary.
+        flat = self._buffer.reshape(-1)
+        flat[row * d : (n - 1) * d] = flat[(row + 1) * d : n * d]
         del self.ids[row]
         del self.origins[row]
         self._resum()

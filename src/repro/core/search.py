@@ -102,7 +102,7 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 #: gives, ``max(sphere, rectangle)``, reach this fraction of the k-th
 #: distance, and only while the latest scan admitted nothing (the k-th
 #: distance is not falling).  Measured (DESIGN §5, "The code bound"): a
-#: consult costs ~0.45 of the read + scan it can save and excuses 51% of
+#: consult costs ~0.6 of the read + scan it can save and excuses 51% of
 #: chunks at a ratio of 0.3-0.4, 76% at 0.4-0.5, 90%+ above.
 _CODE_GATE = 0.4
 
@@ -343,10 +343,16 @@ class ChunkSearcher:
             np.square(self._rect_lower), np.square(self._rect_upper)
         ).sum(axis=1)
         self._rect_slack = 4.0 * (index.dimensions + 4) * _UNIT_ROUNDOFF
-        # Where byte b's 256-entry table starts among code_bound's tables.
-        self._code_table_starts = (
-            np.arange((index.dimensions + 1) // 2) * CELLS * CELLS
+        # Where byte b's 256-entry table starts among code_bound's tables, in
+        # the narrowest unsigned type that numbers them all (no intp widening).
+        n_bytes = (index.dimensions + 1) // 2
+        self._code_table_starts = (np.arange(n_bytes) * CELLS * CELLS).astype(
+            np.min_scalar_type(n_bytes * CELLS * CELLS - 1)
         )[:, np.newaxis]
+        # Every chunk's cell edges, once: only the gaps to them depend on a query.
+        self._code_edges: Optional[np.ndarray] = None
+        if index.codes is not None:
+            self._code_edges = cell_edges(self._rect_lower, self._rect_upper)
         # Per-chunk scalars as plain Python values: the execution loop
         # touches these once per (query, chunk) event, where repeated
         # numpy indexing and cost-model calls would dominate.
@@ -508,7 +514,7 @@ class ChunkSearcher:
         member of chunk ``chunk_id``, from its cell codes (``index.codes``).
 
         A member's cell is a rectangle that contains it (the code file's
-        invariant, under the very edges computed here), so the minimum over
+        invariant, under the very edges the searcher holds), so the minimum over
         the members of the squared rectangle distance to each one's cell
         bounds ``|q - p|^2`` and :meth:`rectangle_bounds`' derivation
         carries over term by term — same ``N``, ``d`` subtract-and-square
@@ -519,18 +525,17 @@ class ChunkSearcher:
         the gap to cell ``lo`` of dimension ``2b`` plus that to cell ``hi``
         of dimension ``2b + 1``.
         """
-        codes = self.index.codes
-        assert codes is not None, "the index carries no code file"
+        codes, edges = self.index.codes, self._code_edges
+        assert codes is not None and edges is not None, "the index carries no code file"
         query = np.asarray(query, dtype=np.float64)
         block = codes.read_block(chunk_id)
-        gaps = cell_squared_gaps(
-            query, cell_edges(self._rect_lower[chunk_id], self._rect_upper[chunk_id])
-        ).T
+        gaps = cell_squared_gaps(query, edges[chunk_id]).T
         if gaps.shape[0] % 2:  # the nibble an odd d pads: a gap of zero
             gaps = np.concatenate([gaps, np.zeros_like(gaps[:1])])
         tables = gaps[0::2, np.newaxis, :] + gaps[1::2, :, np.newaxis]
         # One gather for all the bytes: row b looks up table b.
-        entries = block + self._code_table_starts
+        starts = self._code_table_starts
+        entries = np.add(block, starts, dtype=starts.dtype)
         nearest = float(tables.ravel().take(entries).sum(axis=0).min())
         nearest -= self._kernel_slack(
             float(np.dot(query, query)), float(self._rect_sq_norms[chunk_id])

@@ -65,20 +65,22 @@ _STEPS = np.arange(CELLS + 1, dtype=np.float64)[:, np.newaxis] / CELLS
 
 
 def cell_edges(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``(CELLS + 1, d)`` float64 cell boundaries of one chunk: row ``c``
-    is where cell ``c`` begins and cell ``c - 1`` ends, per dimension.
+    """``(..., CELLS + 1, d)`` float64 cell boundaries of one chunk's
+    ``(d,)`` rectangle, or of every rectangle of a ``(..., d)`` stack: row
+    ``c`` is where cell ``c`` begins and cell ``c - 1`` ends, per dimension.
 
     Rows 0 and ``CELLS`` are ``lower`` and ``upper`` themselves (``0 * width
     + lower`` is exact, the last row is assigned); the rows between are
     non-decreasing (rounding is monotone) and clamped at ``upper``, so the
-    cells tile ``[lower, upper]`` whatever the arithmetic rounds to.
+    cells tile ``[lower, upper]`` whatever the arithmetic rounds to.  Every
+    step is elementwise, so a stack's slice is bit for bit one chunk's edges.
     """
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)[..., np.newaxis, :]
+    upper = np.asarray(upper, dtype=np.float64)[..., np.newaxis, :]
     edges: np.ndarray = _STEPS * (upper - lower)
     edges += lower
     np.minimum(edges, upper, out=edges)
-    edges[CELLS] = upper
+    edges[..., CELLS, :] = upper[..., 0, :]
     return edges
 
 

@@ -5,7 +5,7 @@ import os
 import time
 
 from lint import cli as lint_cli
-from lint.diagnostics import render_json
+from lint.diagnostics import Diagnostic, render_json, summarize
 from lint.runner import lint_tree
 
 
@@ -45,6 +45,20 @@ def test_stray_baseline_file_cannot_silence_a_finding(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert "simio/disk_model.py:" in captured.out and "RNG002" in captured.out
     assert "suppressed" not in captured.err
+
+
+def test_summary_lines_name_the_tool():
+    """Both summary lines, pinned: the prefix is the tool's own name (the
+    package's CLI has no lint subcommand)."""
+    assert summarize([], 84) == "lint: 84 files checked, no violations"
+    found = [
+        Diagnostic("b.py", 3, 0, "RNG001", "legacy rng"),
+        Diagnostic("a.py", 9, 4, "CLK001", "wall clock"),
+        Diagnostic("a.py", 1, 0, "RNG001", "legacy rng"),
+    ]
+    assert summarize(found, 2) == (
+        "lint: 2 files checked, 3 violation(s) [CLK001, RNG001]"
+    )
 
 
 class TestShippedTreeAcceptance:

@@ -69,9 +69,9 @@ def render_json(
 def summarize(diagnostics: Sequence[Diagnostic], checked_files: int) -> str:
     """One-line human summary printed after the text report."""
     if not diagnostics:
-        return f"repro lint: {checked_files} files checked, no violations"
+        return f"lint: {checked_files} files checked, no violations"
     rules: List[str] = sorted({d.rule for d in diagnostics})
     return (
-        f"repro lint: {checked_files} files checked, "
+        f"lint: {checked_files} files checked, "
         f"{len(diagnostics)} violation(s) [{', '.join(rules)}]"
     )
