@@ -47,16 +47,14 @@ one a loop of single-query calls would produce.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..faults.injector import FaultInjector
 from ..faults.plan import OK_OUTCOME
 from ..simio.calibration import PAPER_2005_COST_MODEL
-from ..simio.chunk_cache import chunk_read_time_s
 from ..simio.pipeline import CostModel
 from ..storage.code_file import CELLS, cell_edges
 from ..storage.errors import CorruptFileError
@@ -357,7 +355,6 @@ class ChunkSearcher:
         # touches these once per (query, chunk) event, where repeated
         # numpy indexing and cost-model calls would dominate.
         self._pages: List[int] = index.page_counts().tolist()
-        self._page_offsets = [meta.page_offset for meta in index.metas]
         counts: List[int] = index.descriptor_counts().tolist()
         # Searchers are built per snapshot and per shard partition, so the
         # cost model is asked once per distinct size, not once per chunk.
@@ -374,13 +371,16 @@ class ChunkSearcher:
         self._start_s = cost_model.disk.sequential_read_time_s(
             index.index_bytes
         ) + cost_model.cpu.ranking_time_s(index.n_chunks)
-        # A chunk cache makes a chunk's I/O charge a function of the
-        # global touch order; ``None`` charges the precomputed cold read.
-        self._cached_io: "Optional[Callable[[int, int], Tuple[float, bool]]]" = None
-        if cost_model.chunk_cache is not None:
-            self._cached_io = functools.partial(
-                chunk_read_time_s, cost_model.disk, cost_model.chunk_cache
-            )
+        # A chunk cache makes a chunk's I/O charge a function of the global
+        # touch order: ``(page offset, bytes, warm charge)`` per chunk.
+        self._cache = cost_model.chunk_cache
+        if self._cache is not None:
+            page_bytes = cost_model.disk.page_bytes
+            memcpy = self._cache.memcpy_bytes_per_s
+            self._cache_cost = [
+                (meta.page_offset, p * page_bytes, p * page_bytes / memcpy)
+                for meta, p in zip(index.metas, self._pages)
+            ]
 
     # -- ownership -----------------------------------------------------------
 
@@ -746,15 +746,17 @@ class ChunkSearcher:
            it, the members' cells) strictly exceeds the k-th distance
            cannot admit a candidate;
         2. *fault outcome* (``faults`` only) — the chunk's readability is
-           probed and the injector resolves the access.  A failed outcome
-           is a *skip*: the attempts occupy the disk, no CPU work happens
-           and the neighbor set is untouched;
+           probed and the query's outcome table answers (the injector, for
+           a ``None`` entry or an unreadable chunk).  A failed outcome is a
+           *skip*: the attempts occupy the disk, no CPU work happens and
+           the neighbor set is untouched;
         3. *charge* — the chunk's I/O (cold, from the chunk cache, plus the
            outcome's ``extra_io_s``) and CPU time on the query's timeline;
         4. *scan* — unless skipped or pruned, the chunk's distance row is
            folded into the neighbor set.  A pruned chunk is charged and
            logged exactly like a scanned one: only the host work is saved;
-        5. *log* — one entry in each column of the query's trace;
+        5. *log* — one entry in each column of the query's trace, and a
+           fault mark unless the outcome is ``OK_OUTCOME``;
         6. *stop* — the completion proof, then the stop rule, then
            exhaustion.
 
@@ -799,13 +801,17 @@ class ChunkSearcher:
         failed: Set[int] = set()
         store_norms = self._store_norms
         chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
-        cached_io, start_s = self._cached_io, self._start_s
+        cache, start_s, n_chunks = self._cache, self._start_s, self.index.n_chunks
+        if cache is not None:
+            touch, cache_cost = cache.touch, self._cache_cost
         # ExactCompletion never stops early: no progress snapshot for it.
         check = None if type(stop_rule) is ExactCompletion else stop_rule.check
         outcome, ok, chunk = OK_OUTCOME, True, None
         results = []
         for row, state in enumerate(states):
             query, truth, stream = state.query, state.truth, state.stream
+            if faults is not None:
+                table = faults.outcome_table(state.fault_key, n_chunks)
             order, lbs, suffix = state.order, state.lb_list, state.suffix_list
             rects, n_ranks = state.rect_list, len(state.order)
             neighbors = NeighborSet(k)
@@ -851,12 +857,12 @@ class ChunkSearcher:
                 io, cpu, count = chunk_cost[chunk_id]
                 if faults is not None:
                     chunk = self._probe_chunk(chunk_id, reads, failed)
-                    outcome = faults.outcome(
-                        state.fault_key,
-                        chunk_id,
-                        pages[chunk_id],
-                        readable=chunk is not None,
-                    )
+                    outcome = table[chunk_id]
+                    if outcome is None or chunk is None:
+                        outcome = faults.outcome(
+                            state.fault_key, chunk_id, pages[chunk_id],
+                            readable=chunk is not None,
+                        )
                     ok = outcome.ok
                 # The pipeline recurrence (a skip has cpu = 0) on three
                 # floats — same operations in the same order (a conditional
@@ -864,10 +870,12 @@ class ChunkSearcher:
                 # max(R[i-1], C[i-2]) + io; C[i] = max(R[i], C[i-1]) + cpu;
                 # serial without overlap.  Adding a 0.0 charge is exact.
                 if ok:
-                    if cached_io is not None:
+                    if cache is not None:
                         # One touch per readable visit, in visit order; a
                         # skipped chunk touches nothing.
-                        io = cached_io(self._page_offsets[chunk_id], pages[chunk_id])[0]
+                        offset, nbytes, warm = cache_cost[chunk_id]
+                        if touch(offset, nbytes):
+                            io = warm
                     io += outcome.extra_io_s
                 else:
                     io, cpu = outcome.extra_io_s, 0.0

@@ -76,8 +76,9 @@ class SearchTrace:
 
     Visit ``i`` (rank ``i + 1``) is entry ``i`` of every column;
     ``faults[i]`` holds its ``(skipped, fault, retries)`` when they are not
-    those of a clean read.  Two traces are equal when their start costs
-    and their :attr:`events` are.
+    those of a clean read; neither :meth:`append` nor the engine, which
+    marks no ``OK_OUTCOME`` visit, stores a clean one.  Two traces are
+    equal when their start costs and their :attr:`events` are.
     """
 
     __slots__ = (

@@ -13,13 +13,13 @@ through :meth:`FaultInjector.outcome` as ``readable=False``.
 
 Draws are the plan's, made one query at a time: the injector holds the
 current query's ``(n_chunks, MAX_RETRIES + 1)`` table of
-:meth:`~repro.faults.plan.FaultPlan.chunk_draws` (one vectorised call),
-and marks, once per table, the rows whose first draw is clean (at or
-above :attr:`~repro.faults.plan.FaultPlan.clean_edge`).  A clean row's
-access is a list lookup that returns one shared outcome, equal to the one
-:meth:`~repro.faults.plan.FaultPlan.classify` builds for it; any other row
-is classified.  The searchers run a cohort one query after another, so a
-query's table is drawn once.
+:meth:`~repro.faults.plan.FaultPlan.chunk_draws` (one vectorised call) and
+its outcome table (:meth:`FaultInjector.outcome_table`): ``OK_OUTCOME``
+where the row's first draw is clean (at or above
+:attr:`~repro.faults.plan.FaultPlan.clean_edge`), ``None`` where
+:meth:`FaultInjector.outcome` classifies it.  The searchers fetch the
+table once per query, run a cohort one query after another and log no
+fault mark for an ``OK_OUTCOME`` visit.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ import numpy as np
 
 from ..simio.disk_model import DiskModel
 from ..simio.pipeline import CostModel
-from .plan import FAULT_NONE, ChunkFaultOutcome, FaultPlan
+from .plan import OK_OUTCOME, ChunkFaultOutcome, FaultPlan
 
 __all__ = ["FaultInjector"]
 
-#: What :meth:`~repro.faults.plan.FaultPlan.classify` returns for a clean
-#: first draw, built once.  Like every classified outcome it is not
-#: :data:`~repro.faults.plan.OK_OUTCOME`, so the searcher logs it in
-#: ``trace.faults`` exactly as a fresh one.
-_CLEAN_OUTCOME = ChunkFaultOutcome(
-    ok=True, kind=FAULT_NONE, attempts=1, extra_io_s=0.0, spiked=False
-)
+#: Per chunk id, a decided outcome or ``None`` (:meth:`FaultInjector.outcome`).
+OutcomeTable = List[Optional[ChunkFaultOutcome]]
 
 
 class FaultInjector:
@@ -59,13 +54,11 @@ class FaultInjector:
         self.plan = plan
         self.disk = disk
         self._attempt_io_memo: Dict[int, float] = {}
-        # The current query's draws, one row per chunk id, whether each
-        # row's first draw is clean, and the number of rows a new query's
-        # table starts with (the largest chunk id seen so far, plus one).
+        # The current query's draws, one row per chunk id, and its outcome
+        # table (OK_OUTCOME where the row's first draw is clean, else None).
         self._query: Optional[int] = None
         self._draws = np.empty((0, 0), dtype=np.float64)
-        self._clean: List[bool] = []
-        self._span = 0
+        self._table: OutcomeTable = []
 
     @classmethod
     def from_cost_model(cls, plan: FaultPlan, cost_model: CostModel) -> "FaultInjector":
@@ -87,6 +80,15 @@ class FaultInjector:
             self._attempt_io_memo[page_count] = cached
         return cached
 
+    def outcome_table(self, query_id: int, n_chunks: int) -> OutcomeTable:
+        """A new list over chunks ``[0, n_chunks)``: ``OK_OUTCOME`` where a
+        readable access is clean (every one under a null plan), ``None``
+        where :meth:`outcome` has to classify it."""
+        if self.plan.is_null:
+            return [OK_OUTCOME] * n_chunks
+        self._cover(query_id, n_chunks)
+        return self._table[:n_chunks]
+
     def outcome(
         self,
         query_id: int,
@@ -95,31 +97,29 @@ class FaultInjector:
         readable: bool = True,
     ) -> ChunkFaultOutcome:
         """Resolve one ``(query, chunk)`` access: equal to
-        :meth:`~repro.faults.plan.FaultPlan.chunk_outcome`."""
+        :meth:`~repro.faults.plan.FaultPlan.chunk_outcome`, and
+        :data:`~repro.faults.plan.OK_OUTCOME` itself for a clean one."""
         attempt_io_s = self.attempt_io_s(page_count)
         if not readable or self.plan.is_null:
             return self.plan.chunk_outcome(
                 query_id, chunk_id, attempt_io_s, readable=readable
             )
-        if self._first_draw_clean(query_id, chunk_id):
-            return _CLEAN_OUTCOME
-        return self.plan.classify(self._draws[chunk_id], attempt_io_s)
-
-    def _first_draw_clean(self, query_id: int, chunk_id: int) -> bool:
-        """Whether the access's first draw is clean, from the current
-        query's table (drawn anew for another query, grown for a larger
-        chunk id); ``self._draws[chunk_id]`` is then the access's row."""
         if chunk_id < 0:
             raise ValueError("expected non-negative integer")
-        self._span = max(self._span, chunk_id + 1)
+        self._cover(query_id, chunk_id + 1)
+        decided = self._table[chunk_id]
+        return decided or self.plan.classify(self._draws[chunk_id], attempt_io_s)
+
+    def _cover(self, query_id: int, n_rows: int) -> None:
+        """Make the held draws and table the query's and ``n_rows`` long at
+        least (doubled for a larger chunk id; draws are keyed per row)."""
         if query_id != self._query:
-            draws = self.plan.chunk_draws(query_id, 0, self._span)
-            self._query, self._draws = query_id, draws
-            self._clean = (draws[:, 0] >= self.plan.clean_edge).tolist()
-        elif chunk_id >= len(self._clean):
-            grown = self.plan.chunk_draws(
-                query_id, len(self._clean), max(self._span, 2 * len(self._clean))
-            )
-            self._draws = np.concatenate([self._draws, grown])
-            self._clean += (grown[:, 0] >= self.plan.clean_edge).tolist()
-        return self._clean[chunk_id]
+            self._query, self._table = query_id, []
+        have = len(self._table)
+        if n_rows > have:
+            draws = self.plan.chunk_draws(query_id, have, max(n_rows, 2 * have))
+            self._draws = np.concatenate([self._draws, draws]) if have else draws
+            edge = self.plan.clean_edge
+            self._table += [
+                OK_OUTCOME if u >= edge else None for u in draws[:, 0].tolist()
+            ]

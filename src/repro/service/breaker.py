@@ -40,7 +40,7 @@ from collections import deque
 from typing import Deque, Dict, FrozenSet, List, Optional
 
 from ..core.trace import SearchTrace
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, OutcomeTable
 from ..faults.plan import FAILURE_KINDS, OK_OUTCOME, ChunkFaultOutcome
 
 __all__ = [
@@ -203,7 +203,7 @@ class BreakerBoard:
             else:
                 skipped, fault, _ = mark
                 ok = not (skipped and fault in FAILURE_KINDS)
-            self.breakers[self.region_of(chunk_id)].record(ok, now)
+            self.breakers[chunk_id // self.region_size].record(ok, now)
 
     # -- reporting -----------------------------------------------------------
 
@@ -242,7 +242,7 @@ class BreakerGuardedInjector:
     """Fault-injector facade that short-circuits blocked regions.
 
     Wraps the searcher-facing :class:`~repro.faults.injector.FaultInjector`
-    surface (the ``outcome`` method): chunks in ``blocked_regions`` get
+    surface (its two methods): chunks in ``blocked_regions`` get
     :data:`BREAKER_SKIP_OUTCOME` without consulting the inner injector —
     no retry ladder, no backoff, no I/O charge; all other chunks pass
     through unchanged (or cleanly, when no injector is configured).
@@ -262,6 +262,20 @@ class BreakerGuardedInjector:
         self._inner = inner
         self._board = board
         self._blocked = blocked_regions
+
+    def outcome_table(self, query_id: int, n_chunks: int) -> OutcomeTable:
+        """The inner injector's table (all clean without one) with every
+        chunk of a blocked region overwritten by the skip."""
+        if self._inner is None:
+            table = [OK_OUTCOME] * n_chunks
+        else:
+            table = self._inner.outcome_table(query_id, n_chunks)
+        size = self._board.region_size
+        for region in self._blocked:  # the last region may be short
+            start = region * size
+            stop = min(start + size, n_chunks)
+            table[start:stop] = [BREAKER_SKIP_OUTCOME] * (stop - start)
+        return table
 
     def outcome(
         self,

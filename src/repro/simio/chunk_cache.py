@@ -97,14 +97,14 @@ class LruChunkCache:
         A miss inserts the chunk (size ``nbytes``) and evicts least
         recently used entries until the capacity holds again.
         """
+        if nbytes < 0:
+            raise ValueError("chunk size cannot be negative")
         key = int(key)
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
             return True
         self.misses += 1
-        if nbytes < 0:
-            raise ValueError("chunk size cannot be negative")
         nbytes = int(nbytes)
         self._entries[key] = nbytes
         self.used_bytes += nbytes

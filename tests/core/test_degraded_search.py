@@ -16,10 +16,15 @@ Contracts under test (the ISSUE's acceptance gates):
   skipped-and-continued when an injector is present, and propagates
   when not;
 * under an injector every visited chunk is read and CRC-verified once,
-  pruned or not, but only a scanned chunk is promoted to float64.
+  pruned or not, but only a scanned chunk is promoted to float64;
+* the per-query outcome table changes nothing: an injector whose table
+  leaves every visit to ``outcome()`` gives the same results, trace
+  columns, fault marks and chunk-cache stats, through a breaker guard and
+  a chunk cache, for a cohort and for cohorts of one.
 """
 
 import collections
+import dataclasses
 import types
 
 import numpy as np
@@ -34,7 +39,9 @@ from repro.core.stop_rules import MaxChunks
 from repro.storage import chunk_file
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_NONE, FaultPlan
+from repro.service.breaker import BreakerBoard, BreakerGuardedInjector
 from repro.simio.calibration import PAPER_2005_COST_MODEL
+from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import ChecksumError
 from repro.storage.pages import PageGeometry
 from replay_oracle import ReplayOracle
@@ -248,6 +255,81 @@ class TestBatchEquivalenceUnderFaults:
         replay = ReplayOracle(index, k=7, faults=faults)
         for i, (got, want) in enumerate(zip(batch, wanted)):
             assert_results_equivalent(got, want, replay, queries[i], i, truth[i])
+
+
+class PerVisit:
+    """An injector whose outcome table decides nothing: every visit asks
+    ``outcome()``, as each did before the table existed."""
+
+    def __init__(self, inner):
+        self.outcome = inner.outcome
+
+    def outcome_table(self, query_id, n_chunks):
+        return [None] * n_chunks
+
+
+class TestOutcomeTableEquivalence:
+    def run(self, index, queries, truth, cohort, per_visit):
+        """Search ``queries`` through a guard with regions 1 and the short
+        last one blocked and a three-chunk cache, replaying every result in
+        order; returns the results and the cache's stats."""
+        page_bytes = PAPER_2005_COST_MODEL.disk.page_bytes
+
+        def model():
+            return dataclasses.replace(
+                PAPER_2005_COST_MODEL,
+                chunk_cache=LruChunkCache(capacity_bytes=3 * page_bytes),
+            )
+
+        def guarded():
+            board = BreakerBoard(n_chunks=index.n_chunks, region_size=2)
+            last = board.n_regions - 1
+            assert index.n_chunks % 2 and last > 1
+            return BreakerGuardedInjector(injector(0.35), board, frozenset({1, last}))
+
+        cost_model = model()
+        searcher = ChunkSearcher(index, cost_model=cost_model)
+        faults = PerVisit(guarded()) if per_visit else guarded()
+        if cohort:
+            results = list(searcher.search_batch(
+                queries, k=7, true_neighbor_ids=truth, faults=faults
+            ))
+        else:
+            results = [
+                searcher.search(q, k=7, true_neighbor_ids=truth[i], faults=faults,
+                                query_index=i)
+                for i, q in enumerate(queries)
+            ]
+        replay = ReplayOracle(index, k=7, cost_model=model(), faults=guarded())
+        for i, result in enumerate(results):
+            replay.check(queries[i], result, query_index=i, truth=truth[i])
+        return results, cost_model.chunk_cache.stats()
+
+    @pytest.mark.parametrize("cohort", [True, False], ids=["cohort", "one-by-one"])
+    def test_table_equals_per_visit_outcomes(self, tiny_collection, cohort):
+        index = make_index(tiny_collection, "srtree")
+        queries = make_queries(12, tiny_collection.dimensions, seed=11)
+        truth = [exact_knn(tiny_collection, q, 7) for q in queries]
+        got, got_cache = self.run(index, queries, truth, cohort, per_visit=False)
+        want, want_cache = self.run(index, queries, truth, cohort, per_visit=True)
+        assert got_cache == want_cache and got_cache["evictions"] > 0
+        columns = ("chunk_ids", "elapsed", "n_descriptors", "neighbors_found",
+                   "kth_distance", "true_matches", "faults")
+        kinds = set()
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g.neighbor_ids(), w.neighbor_ids())
+            assert [n.distance for n in g.neighbors] == [n.distance for n in w.neighbors]
+            assert (g.stop_reason, g.completed, g.degraded) == (
+                w.stop_reason, w.completed, w.degraded
+            )
+            assert g.trace.start_elapsed_s == w.trace.start_elapsed_s
+            for column in columns:
+                assert getattr(g.trace, column) == getattr(w.trace, column), column
+            # No clean visit leaves a mark.
+            assert (False, FAULT_NONE, 0) not in g.trace.faults.values()
+            kinds.update(fault for _, fault, _ in g.trace.faults.values())
+        # Breaker skips, injected failures and spikes all took part.
+        assert {"breaker-open", "latency-spike"} <= kinds and len(kinds) >= 4
 
 
 class TestRealCorruption:

@@ -1,23 +1,38 @@
-"""The injector's clean rows against the plan, access by access.
+"""The injector's outcome table against the plan, access by access.
 
-``FaultInjector`` marks, once per query table, the rows whose first draw
-is clean and answers them with one shared outcome instead of classifying
-them.  The property: over plans from null to "nothing is clean" and over
-access sequences that revisit queries, start new ones, grow a query's
-table and report unreadable chunks, every answer equals
-``FaultPlan.chunk_outcome``; a clean first draw is answered by the one
-shared outcome, which is never ``OK_OUTCOME`` (the searcher logs every
-outcome that is not ``OK_OUTCOME`` in ``trace.faults``).  A planted twin
-whose clean test forgets the spike rate must fail the property.
+``FaultInjector.outcome_table(query, n_chunks)`` holds, per chunk,
+``OK_OUTCOME`` where the query's first draw is clean and ``None`` where
+``outcome()`` has to classify the access; the searcher reads it once per
+query and logs no fault mark for an ``OK_OUTCOME`` visit.  The properties:
+
+* over plans from null to "nothing is clean" and over access sequences
+  that revisit queries, start new ones, grow a query's table and report
+  unreadable chunks, every ``outcome()`` answer equals
+  ``FaultPlan.chunk_outcome``, and a clean access is answered by
+  ``OK_OUTCOME`` itself;
+* a table entry is ``OK_OUTCOME`` exactly when the plan's answer is clean,
+  else ``None``, and the table is a new list each time;
+* ``BreakerGuardedInjector.outcome_table`` is the inner table (all
+  ``OK_OUTCOME`` without one) with every chunk of a blocked region, the
+  short last one included, overwritten by ``BREAKER_SKIP_OUTCOME``.
+
+Planted twins — a clean test that forgets the spike rate, an overlay that
+stops one chunk short, one that writes a whole region over the short last
+one — must fail them.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import injector as injector_module
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_NONE, OK_OUTCOME, FaultPlan
+from repro.service.breaker import (
+    BREAKER_SKIP_OUTCOME,
+    BreakerBoard,
+    BreakerGuardedInjector,
+)
+from repro.service.simulator import REGION_SIZE
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
@@ -61,25 +76,41 @@ def is_clean(outcome):
     )
 
 
+def make_injector(plan):
+    return FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
+
+
 def check_accesses(plan, accesses, page_count):
-    """Every answer of one injector is the plan's; clean first draws get
-    the shared clean outcome, and nothing but a null plan's gets
-    ``OK_OUTCOME``."""
-    injector = FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
+    """Every answer of one injector is the plan's; a clean readable access
+    is answered by ``OK_OUTCOME`` and no other access is."""
+    injector = make_injector(plan)
     io_s = injector.attempt_io_s(page_count)
-    shared = injector_module._CLEAN_OUTCOME
-    assert shared is not OK_OUTCOME and is_clean(shared)
     for query, visits in accesses:
         for chunk, readable in visits:
             got = injector.outcome(query, chunk, page_count, readable=readable)
             want = plan.chunk_outcome(query, chunk, io_s, readable=readable)
             assert got == want, (query, chunk, readable)
-            if plan.is_null and readable:
-                assert got is OK_OUTCOME
-            elif readable and is_clean(want):
-                assert got is shared, (query, chunk)
+            assert (got is OK_OUTCOME) == (readable and is_clean(want)), (query, chunk)
+
+
+def check_tables(plan, requests, page_count):
+    """Each ``(query, n_chunks)`` table against the plan, entry by entry;
+    a ``None`` entry's ``outcome()`` is the plan's answer."""
+    injector = make_injector(plan)
+    io_s = injector.attempt_io_s(page_count)
+    for query, n_chunks in requests:
+        table = injector.outcome_table(query, n_chunks)
+        assert len(table) == n_chunks
+        for chunk, decided in enumerate(table):
+            want = plan.chunk_outcome(query, chunk, io_s)
+            if is_clean(want):
+                assert decided is OK_OUTCOME, (query, chunk)
             else:
-                assert got is not shared and got is not OK_OUTCOME
+                assert decided is None, (query, chunk)
+                assert injector.outcome(query, chunk, page_count) == want
+        # A new list: the guard writes over it.
+        table[:] = [BREAKER_SKIP_OUTCOME] * n_chunks
+        assert BREAKER_SKIP_OUTCOME not in injector.outcome_table(query, n_chunks)
 
 
 class TestCleanTable:
@@ -99,15 +130,33 @@ class TestCleanTable:
     def test_every_access_is_the_plans(self, plan, accesses, page_count):
         check_accesses(plan, accesses, page_count)
 
+    @given(
+        plan=st.sampled_from(PLANS),
+        requests=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 300)), min_size=1, max_size=5
+        ),
+        page_count=st.integers(1, 8),
+    )
+    @example(plan=PLANS[3], requests=[(0, 40), (0, 300), (1, 7), (0, 13)], page_count=2)
+    @settings(max_examples=20 * EXAMPLES, deadline=None)
+    def test_every_table_entry_is_the_plans(self, plan, requests, page_count):
+        check_tables(plan, requests, page_count)
+
     def test_clean_rows_are_shared(self):
         plan = FaultPlan.balanced(0.1, seed=3)
-        injector = FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
+        injector = make_injector(plan)
         clean = [
             got for got in (injector.outcome(0, chunk, 2) for chunk in range(200))
             if is_clean(got)
         ]
         assert len(clean) > 100
-        assert all(got is clean[0] for got in clean)
+        assert all(got is OK_OUTCOME for got in clean)
+        table = injector.outcome_table(0, 200)
+        assert sum(entry is OK_OUTCOME for entry in table) == len(clean)
+
+    def test_a_null_plans_table_is_all_ok(self):
+        table = make_injector(FaultPlan(seed=3)).outcome_table(5, 17)
+        assert len(table) == 17 and all(entry is OK_OUTCOME for entry in table)
 
     def test_a_twin_that_forgets_spikes_fails(self, monkeypatch):
         # Clean iff u >= failure_rate: a spiked first draw would pass as
@@ -116,7 +165,75 @@ class TestCleanTable:
             FaultPlan, "clean_edge", property(lambda plan: plan.failure_rate)
         )
         accesses = [(query, [(chunk, True) for chunk in range(60)]) for query in range(3)]
-        with pytest.raises(AssertionError):
-            check_accesses(FaultPlan.balanced(1 / 3, seed=2005), accesses, 2)
-        with pytest.raises(AssertionError):
-            check_accesses(FaultPlan(seed=11, spike_rate=0.4), accesses, 2)
+        for plan in (FaultPlan.balanced(1 / 3, seed=2005), FaultPlan(seed=11, spike_rate=0.4)):
+            with pytest.raises(AssertionError):
+                check_accesses(plan, accesses, 2)
+            with pytest.raises(AssertionError):
+                check_tables(plan, [(0, 60)], 2)
+
+
+def check_overlay(inner, n_chunks, blocked, query=1):
+    """The guarded table: the skip over every chunk of a blocked region,
+    the inner table's entry (``OK_OUTCOME`` without one) elsewhere, and
+    ``outcome()`` agreeing with every decided entry."""
+    board = BreakerBoard(n_chunks=n_chunks, region_size=REGION_SIZE)
+    guarded = BreakerGuardedInjector(inner, board, frozenset(blocked))
+    table = guarded.outcome_table(query, n_chunks)
+    plain = (
+        [OK_OUTCOME] * n_chunks
+        if inner is None
+        else inner.outcome_table(query, n_chunks)
+    )
+    assert len(table) == n_chunks
+    for chunk, decided in enumerate(table):
+        if chunk // REGION_SIZE in blocked:
+            assert decided is BREAKER_SKIP_OUTCOME, chunk
+        else:
+            assert decided is plain[chunk], chunk
+        if decided is not None:
+            assert guarded.outcome(query, chunk, 2) is decided
+
+
+def blocked_sets(n_chunks):
+    n_regions = -(-n_chunks // REGION_SIZE)
+    return st.sets(st.integers(0, n_regions - 1))
+
+
+class TestGuardOverlay:
+    @pytest.mark.parametrize("n_chunks", [13, 61])
+    @pytest.mark.parametrize("plan", [None, PLANS[0], PLANS[3], PLANS[5]])
+    @given(data=st.data())
+    @settings(max_examples=10 * EXAMPLES, deadline=None)
+    def test_blocked_regions_are_skips_and_the_rest_is_inner(self, n_chunks, plan, data):
+        blocked = data.draw(blocked_sets(n_chunks))
+        inner = None if plan is None else make_injector(plan)
+        check_overlay(inner, n_chunks, blocked)
+
+    @pytest.mark.parametrize("n_chunks", [13, 61])
+    def test_every_region_blocked_including_the_short_last(self, n_chunks):
+        regions = range(-(-n_chunks // REGION_SIZE))
+        check_overlay(make_injector(PLANS[3]), n_chunks, set(regions))
+        check_overlay(None, n_chunks, {regions[-1]})
+
+    def test_twins_that_miscount_a_region_fail(self, monkeypatch):
+        def twin(stop_of):
+            """The overlay with region ``[start, stop_of(start, n_chunks))``."""
+
+            def outcome_table(self, query_id, n_chunks):
+                table = self._inner.outcome_table(query_id, n_chunks)
+                for region in self._blocked:
+                    start = region * REGION_SIZE
+                    stop = stop_of(start, n_chunks)
+                    table[start:stop] = [BREAKER_SKIP_OUTCOME] * (stop - start)
+                return table
+
+            return outcome_table
+
+        one_short = twin(lambda start, n: min(start + REGION_SIZE, n) - 1)
+        full_last = twin(lambda start, n: start + REGION_SIZE)
+        for planted in (one_short, full_last):
+            monkeypatch.setattr(BreakerGuardedInjector, "outcome_table", planted)
+            for n_chunks in (13, 61):
+                last = (n_chunks - 1) // REGION_SIZE
+                with pytest.raises(AssertionError):
+                    check_overlay(make_injector(PLANS[3]), n_chunks, {last})

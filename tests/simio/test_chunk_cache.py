@@ -92,6 +92,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             cache.touch(0, -1)
 
+    def test_refused_touch_changes_no_state(self):
+        # The searcher calls touch directly: a refused call must leave the
+        # stats (and the residency) as they were, for a new key and a
+        # resident one alike.
+        cache = LruChunkCache(capacity_bytes=2 * PAGE)
+        for key in (0, 1, 0, 2, 3):
+            cache.touch(key, PAGE)
+
+        def state():
+            return (cache.hits, cache.misses, cache.evictions,
+                    cache.used_bytes, len(cache), list(cache._entries))
+
+        before = state()
+        assert before[:3] == (1, 4, 2)
+        for key in (9, 3):
+            with pytest.raises(ValueError, match="negative"):
+                cache.touch(key, -1)
+            assert state() == before
+
     def test_cost_model_rejects_both_caches(self):
         """There is one simulated cache: a second one has no field to go in."""
         with pytest.raises(TypeError, match="cache"):
