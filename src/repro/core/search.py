@@ -702,32 +702,6 @@ class ChunkSearcher:
 
     # -- execution internals -------------------------------------------------
 
-    def _probe_chunk(
-        self,
-        chunk_id: int,
-        reads: Optional[Dict[int, _Read]],
-        failed: Set[int],
-    ) -> Optional[_Read]:
-        """Degraded-mode readability probe: the chunk read and verified,
-        not promoted — a visit that prunes it only needs to know the read
-        succeeds.  ``reads`` keeps the cohort's reads (``None`` for a
-        cohort of one), so each chunk is read once however many queries
-        visit it; a *real* storage failure (e.g. a CRC mismatch) marks the
-        chunk failed for the whole cohort and returns None, which the
-        caller folds into the skip policy."""
-        if chunk_id in failed:
-            return None
-        chunk = reads.get(chunk_id) if reads is not None else None
-        if chunk is None:
-            try:
-                chunk = self.index.read_chunk(chunk_id)
-            except CorruptFileError:
-                failed.add(chunk_id)
-                return None
-            if reads is not None:
-                reads[chunk_id] = chunk
-        return chunk
-
     def _run(
         self,
         states: List[_QueryState],
@@ -786,9 +760,9 @@ class ChunkSearcher:
         order; a chunk whose *real* read fails is marked failed once for
         the cohort.  It needs the chunk's *readability* even when pruning
         would skip the scan: the fault outcome (and therefore the timing
-        and trace) depends on it.  So every visit is probed — read and
-        CRC-verified once per cohort (:meth:`_probe_chunk`) — but only a
-        scan promotes: the promotion is the scan's, as without faults.
+        and trace) depends on it.  So every visit is probed — read from the
+        store and CRC-verified once per cohort — but only a scan promotes:
+        the promotion is the scan's, as without faults.
 
         Pruning composes with the sharing: a query arriving at a prunable
         chunk never demands its distance row, so a chunk every remaining
@@ -796,10 +770,12 @@ class ChunkSearcher:
         prune = self.prune
         coded = self.index.codes is not None
         shared = len(states) > 1
-        reads: Optional[Dict[int, _Read]] = {} if shared else None
+        reads: Dict[int, _Read] = {}  # a cohort of one keeps none
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
         failed: Set[int] = set()
         store_norms = self._store_norms
+        # Ranked ids are in range: the store, not the index's checked read.
+        read = self.index.store.read_chunk
         chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
         cache, start_s, n_chunks = self._cache, self._start_s, self.index.n_chunks
         if cache is not None:
@@ -856,7 +832,17 @@ class ChunkSearcher:
                 )
                 io, cpu, count = chunk_cost[chunk_id]
                 if faults is not None:
-                    chunk = self._probe_chunk(chunk_id, reads, failed)
+                    # The probe: read and verified once per cohort; a real
+                    # failure (a CRC mismatch) marks it failed for the cohort.
+                    chunk = reads.get(chunk_id)
+                    if chunk is None and chunk_id not in failed:
+                        try:
+                            chunk = read(chunk_id)
+                        except CorruptFileError:
+                            failed.add(chunk_id)
+                        else:
+                            if shared:
+                                reads[chunk_id] = chunk
                     outcome = table[chunk_id]
                     if outcome is None or chunk is None:
                         outcome = faults.outcome(
@@ -894,10 +880,7 @@ class ChunkSearcher:
                 else:
                     entry = rows.get(chunk_id)
                     if entry is None:
-                        ids, vectors = (
-                            chunk if chunk is not None
-                            else self.index.read_chunk(chunk_id)
-                        )
+                        ids, vectors = chunk if chunk is not None else read(chunk_id)
                         # The float64 promotion: the only copy an on-disk
                         # chunk's vectors get (the store hands out views of
                         # the verified read).

@@ -3,12 +3,13 @@
 Every fault decision in this package is a pure function of an integer
 key: ``numpy.random.SeedSequence(entropy=key).generate_state(n,
 numpy.uint64) * 2**-64``, which :func:`key_uniforms` evaluates for one
-key.  Building one ``SeedSequence`` per key costs ≈ 11 µs of Python, and a
-query visits a hundred chunks.  :func:`keyed_uniforms` evaluates the same
-entropy mix and state generation for a whole *range* of keys that share a
-prefix and differ in their last integer (one query's chunk ids): one row
-per key, one numpy ``uint32`` operation per step of the mix.  For a
-single key it costs twice what numpy does, so one-key draws call numpy.
+key.  :func:`keyed_uniforms` evaluates the same entropy mix and state
+generation for a whole *grid* of keys that share a prefix and differ in
+their last two integers (a window of queries x the chunk ids): one numpy
+``uint32`` operation per step of the mix for every key at once, so the
+fixed cost of the ≈ 160 operations is paid once per grid, not per query.
+For a single key that costs more than numpy does, so one-key draws call
+numpy.
 
 The algorithm is numpy's (``numpy/random/bit_generator.pyx``): the key's
 integers become little-endian 32-bit words (``0`` is one zero word); the
@@ -16,9 +17,9 @@ first four words are hashed into a four-word pool, every pool word is
 mixed with every other, words past the fourth are mixed into each pool
 word, and the output words are hashes of the pool read cyclically, two
 per ``uint64``.  The hash multipliers advance by a fixed sequence that
-does not depend on the data, so all rows share them.  A word every row
-shares (the prefix's, or the last integer of a one-row range) stays a
-Python int, masked to 32 bits, until it meets a per-row column.
+does not depend on the data, so all keys share them.  A word every key
+shares (the prefix's, an axis' high words) stays a Python int, masked to
+32 bits, until it meets an axis' column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 __all__ = ["key_uniforms", "keyed_uniforms"]
 
-#: One 32-bit word for every row: a shared Python int or a ``uint32`` column.
+#: One 32-bit word for every key: a shared Python int or a ``uint32`` array.
 _Word = Union[int, np.ndarray]
 
 _MASK32 = 0xFFFFFFFF
@@ -100,28 +101,26 @@ def _pool(entropy: List[_Word]) -> List[_Word]:
 
 
 def _uniforms(pool: List[_Word], n: int) -> np.ndarray:
-    """``generate_state(n, uint64) * 2**-64`` of every row: ``(rows, n)``
-    float64.  Every pool word has met every entropy word, so the pool is
-    all ints or all columns."""
+    """``generate_state(n, uint64) * 2**-64`` of every key of the grid:
+    ``(rows, columns, n)`` float64.  Every pool word has met both axes'
+    columns, so each is a full ``(rows, columns)`` array."""
     constants = _hash_constants(_INIT_B, _MULT_B)
     words = [_hashmix(pool[i % _POOL_SIZE], constants) for i in range(2 * n)]
-    if isinstance(words[0], int):
-        state = np.array([words], dtype="<u4")
-    else:
-        state = np.stack(words, axis=1).astype("<u4", copy=False)
+    state = np.stack(words, axis=-1).astype("<u4", copy=False)
     return state.view("<u8").astype(np.float64) * 2.0**-64
 
 
-def _last_words(start: int, stop: int, width: int) -> List[_Word]:
-    """The ``width``-word encodings of ``start .. stop - 1``, as columns
-    (as ints when the range is one key)."""
-    if stop - start == 1:
-        return list(_words(start))
-    ids = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
-    return [
-        ((ids >> np.uint64(32 * j)) & np.uint64(_MASK32)).astype(np.uint32)
-        for j in range(width)
-    ]
+def _pieces(keys: range, shape: Tuple[int, int]) -> Iterator[Tuple[slice, List[_Word]]]:
+    """``keys`` cut at every multiple of ``2**32``: each piece's place in
+    ``keys`` and its words, the lowest (the only one that varies in a
+    piece) a ``uint32`` array of ``shape``, the others shared ints."""
+    low = keys.start
+    while low < keys.stop:
+        high = min(keys.stop, (low | _MASK32) + 1)
+        first = low & _MASK32
+        column = np.arange(first, first + high - low, dtype=np.uint32).reshape(shape)
+        yield slice(low - keys.start, high - keys.start), [column] + _words(low)[1:]
+        low = high
 
 
 def key_uniforms(key: Sequence[int], n: int) -> np.ndarray:
@@ -131,24 +130,24 @@ def key_uniforms(key: Sequence[int], n: int) -> np.ndarray:
     return state * 2.0**-64
 
 
-def keyed_uniforms(prefix: Sequence[int], start: int, stop: int, n: int) -> np.ndarray:
-    """``(stop - start, n)`` float64 uniforms in [0, 1), ``n >= 1``.
+def keyed_uniforms(prefix: Sequence[int], rows: range, columns: range, n: int) -> np.ndarray:
+    """``(len(rows), len(columns), n)`` float64 uniforms in [0, 1).
 
-    Row ``i`` is bit-identical to ``numpy.random.SeedSequence(entropy=(
-    *prefix, start + i)).generate_state(n, numpy.uint64) * 2**-64``: a
-    pure function of its key, independent of the range it was drawn in.
-    Every key integer must be non-negative (``ValueError``, as numpy); a
-    range of more than one key must end at or below ``2**64``.
+    Entry ``[i, j]`` is bit-identical to ``numpy.random.SeedSequence(
+    entropy=(*prefix, rows[i], columns[j])).generate_state(n,
+    numpy.uint64) * 2**-64``: a pure function of its key, independent of
+    the grid it was drawn in.  ``rows`` and ``columns`` are ranges of
+    consecutive integers; every key integer must be non-negative
+    (``ValueError``, as numpy).  ``n = 0`` gives numpy's empty state.
     """
     head: List[_Word] = [w for value in prefix for w in _words(value)]
-    if start < 0:
+    if rows.start < 0 or columns.start < 0:
         raise ValueError("expected non-negative integer")
-    out = np.empty((max(0, stop - start), n), dtype=np.float64)
-    low = start
-    while low < stop:
-        width = len(_words(low))
-        high = min(stop, 1 << (32 * width))
-        pool = _pool(head + _last_words(low, high, width))
-        out[low - start : high - start] = _uniforms(pool, n)
-        low = high
+    out = np.empty((len(rows), len(columns), n), dtype=np.float64)
+    if n == 0:
+        return out
+    for rows_at, row_words in _pieces(rows, (-1, 1)):
+        for columns_at, column_words in _pieces(columns, (1, -1)):
+            pool = _pool(head + row_words + column_words)
+            out[rows_at, columns_at] = _uniforms(pool, n)
     return out

@@ -11,31 +11,38 @@ the chunk readers' checksums turn it into
 :class:`~repro.storage.errors.CorruptFileError`, which the searchers report
 through :meth:`FaultInjector.outcome` as ``readable=False``.
 
-Draws are the plan's, made one query at a time: the injector holds the
-current query's ``(n_chunks, MAX_RETRIES + 1)`` table of
-:meth:`~repro.faults.plan.FaultPlan.chunk_draws` (one vectorised call) and
-its outcome table (:meth:`FaultInjector.outcome_table`): ``OK_OUTCOME``
-where the row's first draw is clean (at or above
-:attr:`~repro.faults.plan.FaultPlan.clean_edge`), ``None`` where
-:meth:`FaultInjector.outcome` classifies it.  The searchers fetch the
-table once per query, run a cohort one query after another and log no
-fault mark for an ``OK_OUTCOME`` visit.
+Draws are the plan's, a *window* of query keys at a time: a key outside
+the held window draws the aligned window that holds it over chunks
+``[0, n_chunks)`` in one ``FaultPlan.chunk_draws`` call, then every
+attempt's kind code (``FaultPlan.kind_codes``) and every key's code
+sequence as one integer.  The window holds those integers and the
+outcome tables (:meth:`FaultInjector.outcome_table`): ``OK_OUTCOME``
+where the first code is "none", else ``None``.
+:meth:`FaultInjector.outcome` answers a ``None`` entry from a memo keyed
+by (code sequence, attempt cost), classifying once per pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..simio.disk_model import DiskModel
 from ..simio.pipeline import CostModel
-from .plan import OK_OUTCOME, ChunkFaultOutcome, FaultPlan
+from .plan import ATTEMPT_KINDS, FAULT_NONE, OK_OUTCOME, ChunkFaultOutcome, FaultPlan
 
 __all__ = ["FaultInjector"]
 
 #: Per chunk id, a decided outcome or ``None`` (:meth:`FaultInjector.outcome`).
 OutcomeTable = List[Optional[ChunkFaultOutcome]]
+
+#: Keys (queries x chunks) per window, 16 queries over 500 chunks: two
+#: list slots a key, 128 KiB held; larger windows drew no faster per key.
+_WINDOW_ROWS = 1 << 13
+_N_KINDS = len(ATTEMPT_KINDS)  # the base of a code sequence's integer
+#: A first attempt whose kind code is at or above this one is clean.
+_CLEAN_CODE = ATTEMPT_KINDS.index(FAULT_NONE)
 
 
 class FaultInjector:
@@ -54,11 +61,12 @@ class FaultInjector:
         self.plan = plan
         self.disk = disk
         self._attempt_io_memo: Dict[int, float] = {}
-        # The current query's draws, one row per chunk id, and its outcome
-        # table (OK_OUTCOME where the row's first draw is clean, else None).
-        self._query: Optional[int] = None
-        self._draws = np.empty((0, 0), dtype=np.float64)
-        self._table: OutcomeTable = []
+        # Queries [_first, _first + len(_tables)) x chunks [0, _width).
+        self._first = self._width = self._budget = 0
+        self._sequences: List[List[int]] = []
+        self._tables: List[OutcomeTable] = []
+        # (code sequence integer, attempt cost) -> the classified outcome.
+        self._memo: Dict[Tuple[int, float], ChunkFaultOutcome] = {}
 
     @classmethod
     def from_cost_model(cls, plan: FaultPlan, cost_model: CostModel) -> "FaultInjector":
@@ -84,10 +92,12 @@ class FaultInjector:
         """A new list over chunks ``[0, n_chunks)``: ``OK_OUTCOME`` where a
         readable access is clean (every one under a null plan), ``None``
         where :meth:`outcome` has to classify it."""
-        if self.plan.is_null:
+        if query_id < 0:
+            raise ValueError("expected non-negative integer")
+        if self.plan.is_null or not n_chunks:
             return [OK_OUTCOME] * n_chunks
-        self._cover(query_id, n_chunks)
-        return self._table[:n_chunks]
+        row = self._row(query_id, n_chunks)  # may draw a new window
+        return self._tables[row][:n_chunks]
 
     def outcome(
         self,
@@ -99,27 +109,42 @@ class FaultInjector:
         """Resolve one ``(query, chunk)`` access: equal to
         :meth:`~repro.faults.plan.FaultPlan.chunk_outcome`, and
         :data:`~repro.faults.plan.OK_OUTCOME` itself for a clean one."""
+        if query_id < 0 or chunk_id < 0:
+            raise ValueError("expected non-negative integer")
         attempt_io_s = self.attempt_io_s(page_count)
         if not readable or self.plan.is_null:
             return self.plan.chunk_outcome(
                 query_id, chunk_id, attempt_io_s, readable=readable
             )
-        if chunk_id < 0:
-            raise ValueError("expected non-negative integer")
-        self._cover(query_id, chunk_id + 1)
-        decided = self._table[chunk_id]
-        return decided or self.plan.classify(self._draws[chunk_id], attempt_io_s)
+        row = self._row(query_id, chunk_id + 1)
+        decided = self._tables[row][chunk_id]
+        if decided is not None:
+            return decided
+        sequence = self._sequences[row][chunk_id]
+        decided = self._memo.get((sequence, attempt_io_s))
+        if decided is None:
+            codes = [sequence // _N_KINDS**a % _N_KINDS for a in range(self._budget)]
+            decided = self.plan.classify(codes, attempt_io_s)
+            self._memo[sequence, attempt_io_s] = decided
+        return decided
 
-    def _cover(self, query_id: int, n_rows: int) -> None:
-        """Make the held draws and table the query's and ``n_rows`` long at
-        least (doubled for a larger chunk id; draws are keyed per row)."""
-        if query_id != self._query:
-            self._query, self._table = query_id, []
-        have = len(self._table)
-        if n_rows > have:
-            draws = self.plan.chunk_draws(query_id, have, max(n_rows, 2 * have))
-            self._draws = np.concatenate([self._draws, draws]) if have else draws
-            edge = self.plan.clean_edge
-            self._table += [
-                OK_OUTCOME if u >= edge else None for u in draws[:, 0].tolist()
-            ]
+    def _row(self, query_id: int, width: int) -> int:
+        """``query_id``'s row of the held window, which covers chunks
+        ``[0, width)`` at least; draws the window that holds the key when
+        the held one does not (never narrower than the held one)."""
+        row = query_id - self._first
+        if 0 <= row < len(self._tables) and width <= self._width:
+            return row
+        width = max(width, self._width)
+        n_queries = max(1, _WINDOW_ROWS // width)
+        first = query_id - query_id % n_queries
+        kinds = self.plan.kind_codes(
+            self.plan.chunk_draws(range(first, first + n_queries), range(width))
+        )
+        self._budget = kinds.shape[-1]
+        sequences = kinds @ _N_KINDS ** np.arange(self._budget)
+        tables = np.full(sequences.shape, None, dtype=object)
+        tables[kinds[..., 0] >= _CLEAN_CODE] = OK_OUTCOME
+        self._first, self._width = first, width
+        self._sequences, self._tables = sequences.tolist(), tables.tolist()
+        return query_id - first

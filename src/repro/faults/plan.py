@@ -28,6 +28,7 @@ skipped chunk pays all ``MAX_RETRIES + 1`` failed reads.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "FAULT_CORRUPT",
     "FAULT_TRUNCATE",
     "FAILURE_KINDS",
+    "ATTEMPT_KINDS",
     "SPIKE_S",
     "MAX_RETRIES",
     "BACKOFF_S",
@@ -65,6 +67,12 @@ FAILURE_KINDS = (FAULT_READ_ERROR, FAULT_CORRUPT, FAULT_TRUNCATE)
 
 #: Persistent kinds: drawn once, they fail every subsequent attempt.
 _PERSISTENT_KINDS = (FAULT_CORRUPT, FAULT_TRUNCATE)
+
+#: What one attempt can draw, in the order of the draw intervals: an
+#: attempt's *kind code* is its kind's index here.
+ATTEMPT_KINDS = (
+    FAULT_READ_ERROR, FAULT_CORRUPT, FAULT_TRUNCATE, FAULT_SPIKE, FAULT_NONE
+)
 
 #: Extra simulated seconds charged by one latency spike.
 SPIKE_S = 0.050
@@ -210,36 +218,22 @@ class FaultPlan:
         """
         return key_uniforms((self.seed, stream, a, b), n)
 
-    def chunk_draws(self, query_id: int, start: int, stop: int) -> np.ndarray:
-        """``(stop - start, MAX_RETRIES + 1)`` float64: row ``i`` is what
-        :meth:`chunk_outcome` draws for ``(query_id, start + i)``, all
-        rows in one vectorised call."""
+    def chunk_draws(self, queries: range, chunks: range) -> np.ndarray:
+        """``(len(queries), len(chunks), MAX_RETRIES + 1)`` float64: entry
+        ``[i, j]`` is what :meth:`chunk_outcome` draws for ``(queries[i],
+        chunks[j])``, the whole grid in one vectorised call."""
         return keyed_uniforms(
-            (self.seed, _STREAM_CHUNK, query_id), start, stop, MAX_RETRIES + 1
+            (self.seed, _STREAM_CHUNK), queries, chunks, MAX_RETRIES + 1
         )
 
-    @property
-    def clean_edge(self) -> float:
-        """The smallest clean draw: a draw at or above it is neither a
-        failure nor a spike — :meth:`_kind`'s last edge, summed in its
-        order, so it is the very float :meth:`_kind` compares with."""
-        edge = self.read_error_rate + self.corrupt_rate + self.truncate_rate
-        return edge + self.spike_rate
-
-    def _kind(self, u: float) -> str:
-        edge = self.read_error_rate
-        if u < edge:
-            return FAULT_READ_ERROR
-        edge += self.corrupt_rate
-        if u < edge:
-            return FAULT_CORRUPT
-        edge += self.truncate_rate
-        if u < edge:
-            return FAULT_TRUNCATE
-        edge += self.spike_rate
-        if u < edge:
-            return FAULT_SPIKE
-        return FAULT_NONE
+    def kind_codes(self, draws: np.ndarray) -> np.ndarray:
+        """The ``intp`` kind code (:data:`ATTEMPT_KINDS`) of every draw, any
+        shape: the first interval whose upper edge exceeds it, the edges being
+        the rates summed in that order — ``u < edge``, hence ``side="right"``."""
+        edges = [self.read_error_rate]
+        for rate in (self.corrupt_rate, self.truncate_rate, self.spike_rate):
+            edges.append(edges[-1] + rate)
+        return np.searchsorted(edges, draws, side="right")
 
     def backoff_delay_s(self, retry_index: int) -> float:
         """Backoff charged before 0-based retry ``retry_index``."""
@@ -271,6 +265,8 @@ class FaultPlan:
             real damage is treated as persistent, so every attempt fails
             and the chunk is skipped with all retries charged.
         """
+        if query_id < 0 or chunk_id < 0:
+            raise ValueError("expected non-negative integer")
         if attempt_io_s < 0.0:
             raise ValueError("attempt cost cannot be negative")
         budget = MAX_RETRIES + 1
@@ -287,21 +283,18 @@ class FaultPlan:
             )
         if self.is_null:
             return OK_OUTCOME
-        return self.classify(
-            self.uniforms(_STREAM_CHUNK, int(query_id), int(chunk_id), budget),
-            attempt_io_s,
-        )
+        draws = self.uniforms(_STREAM_CHUNK, int(query_id), int(chunk_id), budget)
+        return self.classify(self.kind_codes(draws).tolist(), attempt_io_s)
 
-    def classify(self, draws: np.ndarray, attempt_io_s: float) -> ChunkFaultOutcome:
-        """The outcome of one readable access from its row of draws (one
-        uniform per attempt; see :meth:`chunk_draws`)."""
-        us = draws.tolist()
-        budget = len(us)
+    def classify(self, codes: Sequence[int], attempt_io_s: float) -> ChunkFaultOutcome:
+        """The outcome of one readable access from its row of kind codes
+        (one per attempt; see :meth:`kind_codes`)."""
+        budget = len(codes)
         extra = 0.0
         kind = FAULT_NONE
         persistent = False
         for attempt in range(budget):
-            drawn = kind if persistent else self._kind(us[attempt])
+            drawn = kind if persistent else ATTEMPT_KINDS[codes[attempt]]
             if drawn in _PERSISTENT_KINDS:
                 persistent = True
             if kind == FAULT_NONE and drawn in FAILURE_KINDS:

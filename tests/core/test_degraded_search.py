@@ -17,6 +17,10 @@ Contracts under test (the ISSUE's acceptance gates):
   when not;
 * under an injector every visited chunk is read and CRC-verified once,
   pruned or not, but only a scanned chunk is promoted to float64;
+* the probe reads the store itself: a proxy store sees every visit of a
+  cohort of one read, and each chunk of a cohort of N read on its first
+  visit, in visit order; a chunk whose CRC fails is read (and marked
+  failed) once per cohort;
 * the per-query outcome table changes nothing: an injector whose table
   leaves every visit to ``outcome()`` gives the same results, trace
   columns, fault marks and chunk-cache stats, through a breaker guard and
@@ -330,6 +334,72 @@ class TestOutcomeTableEquivalence:
             kinds.update(fault for _, fault, _ in g.trace.faults.values())
         # Breaker skips, injected failures and spikes all took part.
         assert {"breaker-open", "latency-spike"} <= kinds and len(kinds) >= 4
+
+
+class CountingStore:
+    """Proxy for ``ChunkIndex.store``, shaped like the benchmark's
+    ``RecordingStore``: logs the chunk id of every ``read_chunk`` call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.reads = []
+
+    def __len__(self):
+        return len(self._inner)
+
+    def read_chunk(self, chunk_id):
+        self.reads.append(chunk_id)
+        return self._inner.read_chunk(chunk_id)
+
+    def close(self):
+        """The real store is closed through the index that owns it."""
+
+
+def probe_reads(results, shared):
+    """The reads the probe makes: every visit, in visit order; a cohort
+    of N only each chunk's first (a chunk that failed stays failed)."""
+    seen, reads = set(), []
+    for result in results:
+        for chunk_id in result.trace.chunk_ids:
+            if not (shared and chunk_id in seen):
+                reads.append(chunk_id)
+            seen.add(chunk_id)
+    return reads
+
+
+class TestProbeReads:
+    @pytest.mark.parametrize("cohort", [True, False], ids=["cohort", "one-by-one"])
+    def test_store_sees_the_probe_reads(self, tiny_collection, cohort):
+        built = make_index(tiny_collection, "srtree")
+        store = CountingStore(built.store)
+        index = dataclasses.replace(built, store=store)
+        queries = make_queries(9, tiny_collection.dimensions, seed=23)
+        searcher = ChunkSearcher(index)
+        faults = injector(0.35)
+        if cohort:
+            results = list(searcher.search_batch(queries, k=5, faults=faults))
+        else:
+            results = [
+                searcher.search(q, k=5, faults=faults, query_index=i)
+                for i, q in enumerate(queries)
+            ]
+        assert any(r.chunks_skipped for r in results)
+        assert store.reads == probe_reads(results, shared=cohort)
+        if cohort:
+            assert len(set(store.reads)) == len(store.reads)
+
+    def test_a_crc_failure_is_read_once_per_cohort(self, tmp_path, tiny_collection):
+        loaded = TestRealCorruption().make_damaged_index(tmp_path, tiny_collection)
+        with loaded:
+            store = CountingStore(loaded.store)
+            index = dataclasses.replace(loaded, store=store)
+            queries = make_queries(6, tiny_collection.dimensions, seed=17)
+            batch = list(ChunkSearcher(index).search_batch(queries, k=5, faults=injector(0.0)))
+            visits = [e for r in batch for e in r.trace.events if e.chunk_id == 0]
+            assert len(visits) > 1
+            assert all(e.skipped and e.fault == "corrupt" for e in visits)
+            assert store.reads.count(0) == 1
+            assert store.reads == probe_reads(batch, shared=True)
 
 
 class TestRealCorruption:

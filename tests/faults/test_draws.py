@@ -2,12 +2,15 @@
 bit for bit.
 
 ``repro.faults.draws.keyed_uniforms`` re-implements ``SeedSequence``'s
-entropy mix and ``generate_state`` for a whole range of keys at once; the
-reference here is numpy itself, one ``SeedSequence`` per key.  The lattice
-covers one- to three-word seeds, both streams, query ids at the 32-bit
-edges, ranges that cross the one-to-two-word boundary of the last integer,
-1 to 4 draws, and the shard plan's six-word keys (more words than the
-four-word pool, so the mix's extra-entropy loop runs).
+entropy mix and ``generate_state`` for a whole (query range x chunk range)
+grid of keys at once; the references here are numpy itself, one
+``SeedSequence`` per key, and the per-query draw it replaced
+(``reference_draws.keyed_uniforms``).  The lattice covers one- to
+three-word seeds, both streams, query ids at the 32-bit edges, grids
+whose query or chunk range crosses the one-to-two-word boundary (or a
+window edge of the injector), 0 to 4 draws, and the shard plan's six-word
+keys (more words than the four-word pool, so the mix's extra-entropy loop
+runs).
 """
 
 import numpy as np
@@ -18,8 +21,10 @@ from hypothesis import strategies as st
 from repro.faults import plan as plan_module
 from repro.faults import shard_plan as shard_plan_module
 from repro.faults.draws import keyed_uniforms
+from repro.faults.injector import _WINDOW_ROWS
 from repro.faults.plan import FaultPlan
 from repro.faults.shard_plan import ShardFaultPlan
+import reference_draws
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
 #: (``tests/conftest.py``).
@@ -41,65 +46,105 @@ def assert_bit_equal(got, want):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+def assert_grid(prefix, rows, columns, n):
+    """The grid against numpy, one ``SeedSequence`` per key."""
+    got = keyed_uniforms(prefix, rows, columns, n)
+    assert got.shape == (len(rows), len(columns), n)
+    for i, row in enumerate(rows):
+        for j, column in enumerate(columns):
+            assert_bit_equal(got[i, j], reference(tuple(prefix) + (row, column), n))
+    return got
+
+
+#: A window of the injector over 500 chunks, and query ranges across it.
+WINDOW = _WINDOW_ROWS // 500
+
+
 class TestSeedSequenceEquality:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("stream", STREAMS)
     @pytest.mark.parametrize("query", QUERIES)
     def test_chunk_ranges(self, seed, stream, query):
-        # Two ranges that meet where an injector's table grows, drawn apart
-        # and as one: every row is its key's, whatever range it came in.
+        # One query's chunk ranges drawn apart, as one, and as the per-query
+        # draw did: every row is its key's, whatever grid it came in.
         for n in (1, 2, 3, 4):
-            first = keyed_uniforms((seed, stream, query), 0, 5, n)
-            grown = keyed_uniforms((seed, stream, query), 5, 12, n)
-            whole = keyed_uniforms((seed, stream, query), 0, 12, n)
-            assert first.shape == (5, n) and grown.shape == (7, n)
-            assert_bit_equal(np.concatenate([first, grown]), whole)
-            for chunk in range(12):
-                assert_bit_equal(whole[chunk], reference((seed, stream, query, chunk), n))
+            queries = range(query, query + 1)
+            first = keyed_uniforms((seed, stream), queries, range(0, 5), n)
+            grown = keyed_uniforms((seed, stream), queries, range(5, 12), n)
+            whole = assert_grid((seed, stream), queries, range(0, 12), n)
+            assert_bit_equal(np.concatenate([first, grown], axis=1), whole)
+            before = reference_draws.keyed_uniforms((seed, stream, query), 0, 12, n)
+            assert_bit_equal(whole[0], before)
 
     @pytest.mark.parametrize("start", [2**32 - 3, 2**64 - 5])
     def test_ranges_across_a_word_boundary(self, start):
-        # The last integer gains a word mid-range, or fills two words.
-        got = keyed_uniforms((2005, 0, 7), start, start + 5, 3)
-        for i in range(5):
-            assert_bit_equal(got[i], reference((2005, 0, 7, start + i), 3))
+        # The last integer gains a word mid-range, or fills two words; so
+        # does the query integer, on the other axis.
+        for rows, columns in [
+            (range(7, 8), range(start, start + 5)),
+            (range(start, start + 5), range(3)),
+            (range(start, start + 5), range(start + 2, start + 4)),
+        ]:
+            assert_grid((2005, 0), rows, columns, 3)
+
+    def test_query_ranges_across_window_edges(self):
+        # The injector's windows are aligned to their size: the last query
+        # of one window and the first of the next, up to query 2**32 - 1.
+        for low in (WINDOW - 2, 2 * WINDOW - 1, 2**32 - WINDOW - 1, 2**32 - 2):
+            got = assert_grid((2**32, 0), range(low, low + 3), range(40), 3)
+            for i in range(3):
+                before = reference_draws.keyed_uniforms((2**32, 0, low + i), 0, 40, 3)
+                assert_bit_equal(got[i], before)
 
     def test_one_key_past_two_words(self):
         key = (2005, 0, 7)
         for last in (2**64, 2**96 + 5):
-            got = keyed_uniforms(key, last, last + 1, 2)
-            assert_bit_equal(got[0], reference(key + (last,), 2))
+            got = keyed_uniforms(key[:2], range(7, 8), range(last, last + 1), 2)
+            assert_bit_equal(got[0, 0], reference(key + (last,), 2))
+            got = keyed_uniforms(key[:2], range(last, last + 1), range(7, 8), 2)
+            assert_bit_equal(got[0, 0], reference(key[:2] + (last, 7), 2))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_six_word_shard_keys(self, seed):
         for query, partition, shard, attempt in [
             (0, 0, 0, 0), (3, 1, 2, 1), (2**32 - 1, 7, 5, 3), (2**31, 2, 0, 2**32),
         ]:
-            key = (seed, 0, query, partition, shard)
-            got = keyed_uniforms(key, attempt, attempt + 1, 1)
-            assert_bit_equal(got[0], reference(key + (attempt,), 1))
+            key = (seed, 0, query, partition)
+            got = keyed_uniforms(key, range(shard, shard + 1), range(attempt, attempt + 1), 1)
+            assert_bit_equal(got[0, 0], reference(key + (shard, attempt), 1))
+
+    def test_zero_draws_are_numpys_empty_state(self):
+        # numpy's generate_state(0) is an empty array, not an error.
+        assert reference((1, 2, 3), 0).shape == (0,)
+        for rows, columns in [(range(3, 4), range(0, 5)), (range(0, 4), range(2, 3))]:
+            got = keyed_uniforms((1,), rows, columns, 0)
+            assert got.shape == (len(rows), len(columns), 0) and got.dtype == np.float64
 
     @given(
         prefix=st.lists(st.integers(0, 2**70), max_size=7),
-        start=st.integers(0, 2**40),
-        rows=st.integers(1, 6),
-        n=st.integers(1, 4),
+        row=st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32),
+        n_rows=st.integers(0, 4),
+        column=st.integers(0, 2**40) | st.integers(2**32 - 4, 2**32),
+        n_columns=st.integers(0, 5),
+        n=st.integers(0, 4),
     )
     @settings(max_examples=60 * EXAMPLES, deadline=None)
-    def test_any_key(self, prefix, start, rows, n):
-        got = keyed_uniforms(tuple(prefix), start, start + rows, n)
-        for i in range(rows):
-            assert_bit_equal(got[i], reference(tuple(prefix) + (start + i,), n))
+    def test_any_key(self, prefix, row, n_rows, column, n_columns, n):
+        assert_grid(
+            tuple(prefix), range(row, row + n_rows), range(column, column + n_columns), n
+        )
 
 
 class TestPlanDraws:
     def test_plans_draw_what_seed_sequence_draws(self):
         plan = FaultPlan.balanced(0.3, seed=2**32)
-        table = plan.chunk_draws(9, 0, 6)
-        for chunk in range(6):
-            want = reference((2**32, 0, 9, chunk), plan_module.MAX_RETRIES + 1)
-            assert_bit_equal(plan.uniforms(0, 9, chunk, plan_module.MAX_RETRIES + 1), want)
-            assert_bit_equal(table[chunk], want)
+        table = plan.chunk_draws(range(8, 10), range(6))
+        for query in (8, 9):
+            for chunk in range(6):
+                want = reference((2**32, 0, query, chunk), plan_module.MAX_RETRIES + 1)
+                got = plan.uniforms(0, query, chunk, plan_module.MAX_RETRIES + 1)
+                assert_bit_equal(got, want)
+                assert_bit_equal(table[query - 8, chunk], want)
 
     def test_shard_plan_draws_what_seed_sequence_draws(self):
         plan = ShardFaultPlan(
@@ -143,14 +188,18 @@ class TestPlanDraws:
         with pytest.raises(ValueError):
             plan.uniforms(0, 0, -3, 2)
         with pytest.raises(ValueError):
-            keyed_uniforms((1, -2), 0, 3, 1)
+            keyed_uniforms((1, -2), range(0, 1), range(0, 3), 1)
         with pytest.raises(ValueError):
-            keyed_uniforms((1, 2), -1, 3, 1)
+            keyed_uniforms((1, 2), range(0, 1), range(-1, 3), 1)
+        with pytest.raises(ValueError):
+            keyed_uniforms((1, 2), range(-1, 1), range(0, 3), 1)
+        with pytest.raises(ValueError):
+            plan.chunk_draws(range(-1, 2), range(3))
 
     def test_draw_width_follows_max_retries(self, monkeypatch):
         monkeypatch.setattr(plan_module, "MAX_RETRIES", 3)
         plan = FaultPlan(seed=11, read_error_rate=0.4)
         assert plan.uniforms(0, 0, 5, plan_module.MAX_RETRIES + 1).shape == (4,)
-        table = plan.chunk_draws(0, 0, 8)
-        assert table.shape == (8, 4)
-        assert_bit_equal(table[5], reference((11, 0, 0, 5), 4))
+        table = plan.chunk_draws(range(0, 2), range(8))
+        assert table.shape == (2, 8, 4)
+        assert_bit_equal(table[1, 5], reference((11, 0, 1, 5), 4))
