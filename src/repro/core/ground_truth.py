@@ -5,20 +5,17 @@ the collection, and stored the identifiers of the returned descriptors in a
 file.  We then read this file for each measurement and used the descriptor
 list to calculate the precision of the intermediate result."
 
-:func:`exact_knn` is the sequential scan; :class:`GroundTruthStore` is the
-stored-identifiers file (an ``.npz`` of per-query id lists) so expensive
-scans run once per workload.
+:func:`exact_knn` is the sequential scan; :class:`GroundTruthStore` holds
+the per-query id lists in memory — the experiments compute them once per
+workload in process, so no file is written or read.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Sequence
 
 import numpy as np
 
-from ..storage.atomic import atomic_output
-from ..storage.errors import CorruptFileError
 from .dataset import DescriptorCollection
 from .distance import (
     BLOCK_ROWS,
@@ -121,7 +118,7 @@ def exact_knn_batch(
 
 
 class GroundTruthStore:
-    """Per-query true-neighbor id lists, persistable to one ``.npz`` file."""
+    """Per-query true-neighbor id lists."""
 
     def __init__(self, k: int):
         if k <= 0:
@@ -160,57 +157,4 @@ class GroundTruthStore:
         ids = exact_knn_batch(collection, queries, k)
         for i in range(ids.shape[0]):
             store.put(i, ids[i])
-        return store
-
-    # -- persistence ("stored the identifiers ... in a file") ---------------
-
-    def save(self, path: str) -> None:
-        if not path.endswith(".npz"):
-            path = path + ".npz"
-        indices = np.asarray(sorted(self._lists), dtype=np.int64)
-        matrix = np.stack([self._lists[int(i)] for i in indices]) if len(indices) else (
-            np.empty((0, self.k), dtype=np.int64)
-        )
-        with atomic_output(path) as stream:
-            np.savez(stream, k=np.int64(self.k), indices=indices, ids=matrix)
-
-    @classmethod
-    def load(cls, path: str) -> "GroundTruthStore":
-        if not os.path.exists(path) and os.path.exists(path + ".npz"):
-            path = path + ".npz"
-        # The container is a zip of .npy members: damaged bytes surface from
-        # zipfile, zlib or numpy's header parser under half a dozen exception
-        # types, none of them ours, so this parse boundary converts them all.
-        with open(path, "rb") as stream:
-            try:
-                with np.load(stream) as data:
-                    missing = {"k", "indices", "ids"} - set(data.files)
-                    if missing:
-                        raise CorruptFileError(
-                            f"ground truth file {path!r} is missing arrays: "
-                            f"{sorted(missing)}"
-                        )
-                    k, indices, matrix = data["k"], data["indices"], data["ids"]
-            except CorruptFileError:
-                raise
-            except Exception as exc:
-                raise CorruptFileError(
-                    f"ground truth file {path!r} is unreadable "
-                    f"({type(exc).__name__}: {exc})"
-                ) from exc
-        if (
-            any(a.dtype.kind not in "iu" for a in (k, indices, matrix))
-            or k.shape != ()
-            or int(k) < 1
-            or indices.ndim != 1
-            or matrix.shape != (indices.shape[0], int(k))
-        ):
-            raise CorruptFileError(
-                f"ground truth file {path!r} has inconsistent shapes: "
-                f"k {k.dtype}{k.shape}, indices {indices.dtype}{indices.shape}, "
-                f"ids {matrix.dtype}{matrix.shape}"
-            )
-        store = cls(int(k))
-        for row, query_index in enumerate(indices):
-            store.put(int(query_index), matrix[row])
         return store

@@ -307,10 +307,6 @@ class StreamingChunkIndex:
         return len(self.maintainer)
 
     @property
-    def n_chunks(self) -> int:
-        return self.maintainer.n_chunks
-
-    @property
     def last_batch_seq(self) -> int:
         """Sequence number of the last durable batch (``-1`` when none).
 

@@ -112,10 +112,6 @@ class NeighborSet:
             return math.inf
         return float(self._distances[-1])
 
-    def ids(self) -> np.ndarray:
-        """Descriptor ids (int64) of the current neighbors, best first."""
-        return self._ids.copy()
-
     def sorted(self) -> List[Neighbor]:
         """Current neighbors ordered by (distance, id), best first."""
         return _as_neighbors(self._distances, self._ids)

@@ -52,6 +52,9 @@ __all__ = ["CentroidRouter", "RouterStream"]
 
 _RANK_KEYS = ("centroid", "lower_bound")
 
+#: Lloyd iterations of the router's k-means over the chunk centroids.
+KMEANS_ITERATIONS = 8
+
 
 class CentroidRouter:
     """Chunk centroids clustered into coarse groups for routed ranking.
@@ -98,15 +101,15 @@ class CentroidRouter:
         centroids: np.ndarray,
         radii: np.ndarray,
         seed: int = 0,
-        iterations: int = 8,
     ) -> "CentroidRouter":
         """Cluster chunk centroids with a small deterministic k-means.
 
         There are ``ceil(sqrt(C))`` groups — the probe count that balances
         the group scan against expected expansions.  The whole build is a
-        pure function of ``(centroids, radii, seed, iterations)``: seeded
-        center initialization, argmin assignment (ties to the lowest group
-        id), and empty clusters keeping their previous center.
+        pure function of ``(centroids, radii, seed)``: seeded center
+        initialization, :data:`KMEANS_ITERATIONS` rounds of argmin
+        assignment (ties to the lowest group id), and empty clusters keeping
+        their previous center.
         """
         centroids = np.ascontiguousarray(centroids, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64).reshape(-1)
@@ -116,8 +119,6 @@ class CentroidRouter:
             raise ValueError(
                 f"got {radii.shape[0]} radii for {centroids.shape[0]} centroids"
             )
-        if iterations < 1:
-            raise ValueError("k-means needs at least one iteration")
         n_chunks = centroids.shape[0]
         n_groups = int(math.ceil(math.sqrt(n_chunks)))
 
@@ -125,7 +126,7 @@ class CentroidRouter:
         picks = np.sort(rng.choice(n_chunks, size=n_groups, replace=False))
         centers = centroids[picks].copy()
         assign = np.zeros(n_chunks, dtype=np.intp)
-        for _ in range(iterations):
+        for _ in range(KMEANS_ITERATIONS):
             d2 = pairwise_squared_distances(centroids, centers)
             assign = np.argmin(d2, axis=1)
             for g in range(n_groups):
@@ -162,14 +163,12 @@ class CentroidRouter:
         cls,
         index: "object",
         seed: int = 0,
-        iterations: int = 8,
     ) -> "CentroidRouter":
         """Build from a :class:`~repro.core.chunk_index.ChunkIndex`."""
         return cls.build(
             index.centroid_matrix(),  # type: ignore[attr-defined]
             index.radius_vector(),  # type: ignore[attr-defined]
             seed=seed,
-            iterations=iterations,
         )
 
     def stream(self, query: np.ndarray, rank_by: str = "centroid") -> "RouterStream":

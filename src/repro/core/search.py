@@ -154,11 +154,6 @@ class SearchResult:
         return self.trace.chunks_skipped
 
     @property
-    def coverage_fraction(self) -> float:
-        """Fraction of visited descriptors actually scanned (1.0 clean)."""
-        return self.trace.coverage_fraction
-
-    @property
     def elapsed_s(self) -> float:
         return self.trace.final_elapsed_s
 
@@ -167,8 +162,8 @@ class SearchResult:
         return np.asarray([n.descriptor_id for n in self.neighbors], dtype=np.int64)
 
     def holds_under_deadline(self, budget_s: float) -> bool:
-        """True when repeating this search — same searcher, query, ``k``,
-        faults and query index — under ``DeadlineBudget(budget_s)`` would
+        """True when repeating this search — same searcher, query and ``k``
+        — under ``DeadlineBudget(budget_s)`` would
         return this very result, so it need not be run again.
 
         Nothing but the stop rule decides *when* a scan stops: which chunk
@@ -550,8 +545,6 @@ class ChunkSearcher:
         k: int = 30,
         stop_rule: Optional[StopRule] = None,
         true_neighbor_ids: Optional[Sequence[int]] = None,
-        faults: Optional[FaultInjector] = None,
-        query_index: int = 0,
     ) -> SearchResult:
         """Run one query: :meth:`search_batch` on a cohort of one.
 
@@ -569,17 +562,9 @@ class ChunkSearcher:
             Optional ground-truth ids for this query.  When given, every
             trace event records how many true neighbors the intermediate
             result already holds — the paper's quality measurement.
-        faults:
-            Optional fault injector enabling *degraded execution*: chunk
-            reads may fail (injected or real), are retried with backoff
-            charged to the simulated clock, and are skipped once retries
-            run out — the query finishes regardless.  With a zero-rate
-            plan the search is bit-identical to ``faults=None``.  Without
-            an injector, real storage errors propagate as before.
-        query_index:
-            Stable identifier of this query within its workload — the
-            fault plan's decision key, so runs reproduce independently
-            of execution order or cohort.
+
+        Degraded execution takes :meth:`search_batch`'s ``faults`` and
+        ``query_indices``.
         """
         return self.search_batch(
             np.asarray(query, dtype=np.float64).reshape(1, -1),
@@ -588,8 +573,6 @@ class ChunkSearcher:
             true_neighbor_ids=(
                 None if true_neighbor_ids is None else [true_neighbor_ids]
             ),
-            faults=faults,
-            query_indices=[query_index],
         ).results[0]
 
     def search_batch(
@@ -601,8 +584,8 @@ class ChunkSearcher:
         faults: Optional[FaultInjector] = None,
         query_indices: Optional[Sequence[int]] = None,
     ) -> BatchSearchResult:
-        """Run every query of a cohort; ``results[i]`` is what
-        ``search(queries[i], ..., query_index=i)`` returns.
+        """Run every query of a cohort; without ``faults``, ``results[i]`` is
+        what ``search(queries[i], ...)`` returns.
 
         Parameters
         ----------
@@ -619,16 +602,20 @@ class ChunkSearcher:
             match counting for that query), enabling the paper's
             intermediate-quality trace columns.
         faults:
-            Optional fault injector enabling degraded execution, exactly
-            as in :meth:`search`.  The fault plan is keyed by a query's
-            *position in this batch* unless ``query_indices`` says
-            otherwise, so faulted outcomes do not depend on cohort shape.
+            Optional fault injector enabling *degraded execution*: chunk
+            reads may fail (injected or real), are retried with backoff
+            charged to the simulated clock, and are skipped once retries
+            run out — the query finishes regardless.  With a zero-rate
+            plan the search is bit-identical to ``faults=None``.  Without
+            an injector, real storage errors propagate.  The fault plan is
+            keyed by a query's *position in this batch* unless
+            ``query_indices`` says otherwise, so faulted outcomes do not
+            depend on cohort shape.
         query_indices:
             Optional per-query fault-plan keys overriding the default
-            batch positions — the ``query_index`` argument of
-            :meth:`search`, batched.  A service running one query per
-            call passes the query's stable workload index here so its
-            fault draws match a whole-workload batch run.
+            batch positions.  A service running one query per call passes
+            the query's stable workload index here so its fault draws
+            match a whole-workload batch run.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:

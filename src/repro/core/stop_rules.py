@@ -68,9 +68,6 @@ class StopRule:
         """Return a stop reason, or ``None`` to keep scanning."""
         raise NotImplementedError
 
-    def __and__(self, other: "StopRule") -> "FirstOf":
-        return FirstOf([self, other])
-
 
 class ExactCompletion(StopRule):
     """Never stop early; run until the completion proof fires.

@@ -76,9 +76,9 @@ class SearchTrace:
 
     Visit ``i`` (rank ``i + 1``) is entry ``i`` of every column;
     ``faults[i]`` holds its ``(skipped, fault, retries)`` when they are not
-    those of a clean read; neither :meth:`append` nor the engine, which
-    marks no ``OK_OUTCOME`` visit, stores a clean one.  Two traces are
-    equal when their start costs and their :attr:`events` are.
+    those of a clean read; the engine, which marks no ``OK_OUTCOME``
+    visit, stores no clean one.  Two traces are equal when their start
+    costs and their :attr:`events` are.
     """
 
     __slots__ = (
@@ -103,24 +103,6 @@ class SearchTrace:
         self.true_matches: List[int] = []
         self.faults: Dict[int, Tuple[bool, str, int]] = {}
         self._events: Optional[List[TraceEvent]] = None
-
-    def append(self, event: TraceEvent) -> None:
-        if event.rank != len(self.chunk_ids) + 1:
-            raise ValueError(
-                "first trace event must have rank 1"
-                if not self.chunk_ids
-                else "trace events must arrive in rank order"
-            )
-        mark = (event.skipped, event.fault, event.retries)
-        if mark != _CLEAN:
-            self.faults[len(self.chunk_ids)] = mark
-        self.chunk_ids.append(event.chunk_id)
-        self.elapsed.append(event.elapsed_s)
-        self.n_descriptors.append(event.n_descriptors)
-        self.neighbors_found.append(event.neighbors_found)
-        self.kth_distance.append(event.kth_distance)
-        self.true_matches.append(event.true_matches)
-        self._events = None
 
     @property
     def events(self) -> List[TraceEvent]:

@@ -42,6 +42,7 @@ from ..core.search import RANK_BY_LOWER_BOUND, BatchSearchResult, ChunkSearcher
 from ..core.stop_rules import MaxChunks, StopRule, TimeBudget
 from ..simio.chunk_cache import LruChunkCache
 from ..simio.pipeline import CostModel
+from .config import K
 from .data import ExperimentData
 from .results import TableResult
 
@@ -62,7 +63,7 @@ def _run_batch(
         [truth.get(i) for i in range(queries.shape[0])] if truth is not None else None
     )
     return searcher.search_batch(
-        queries, k=data.scale.k, stop_rule=stop_rule, true_neighbor_ids=truth_lists
+        queries, k=K, stop_rule=stop_rule, true_neighbor_ids=truth_lists
     )
 
 __all__ = [
@@ -92,7 +93,7 @@ def _completion_traces_with(
     )
     batch = searcher.search_batch(
         data.workloads[workload_name].queries,
-        k=data.scale.k,
+        k=K,
         true_neighbor_ids=data.truth_lists(size_class, workload_name),
     )
     return batch.traces()
@@ -108,9 +109,9 @@ def run_overlap_ablation(data: ExperimentData) -> TableResult:
         serial_traces = _completion_traces_with(
             data, family, "MEDIUM", "DQ", serial_model
         )
-        overlap_curves = curves_from_traces(overlap_traces, data.scale.k)
-        serial_curves = curves_from_traces(serial_traces, data.scale.k)
-        target = min(25, data.scale.k)
+        overlap_curves = curves_from_traces(overlap_traces, K)
+        serial_curves = curves_from_traces(serial_traces, K)
+        target = min(25, K)
         rows.append(
             [
                 family,
@@ -144,9 +145,9 @@ def run_ranking_ablation(data: ExperimentData) -> TableResult:
             data, family, "MEDIUM", "DQ", data.scale.cost_model,
             rank_by=RANK_BY_LOWER_BOUND,
         )
-        target = min(25, data.scale.k)
-        centroid_chunks = curves_from_traces(centroid_traces, data.scale.k)
-        bound_chunks = curves_from_traces(bound_traces, data.scale.k)
+        target = min(25, K)
+        centroid_chunks = curves_from_traces(centroid_traces, K)
+        bound_chunks = curves_from_traces(bound_traces, K)
         rows.append(
             [
                 family,
@@ -240,7 +241,7 @@ def run_outlier_ablation(data: ExperimentData) -> TableResult:
     bag_small = data.built("BAG", "SMALL").chunking
     leaf = max(2, int(round(bag_small.mean_chunk_size)))
     workload = data.workloads["DQ"]
-    target = min(25, data.scale.k)
+    target = min(25, K)
 
     rows = []
     variants = {
@@ -255,9 +256,9 @@ def run_outlier_ablation(data: ExperimentData) -> TableResult:
         index = build_chunk_index(
             chunking.retained, chunking.chunk_set, name=f"SR/{name}"
         )
-        truth = GroundTruthStore.compute(retained, workload.queries, data.scale.k)
+        truth = GroundTruthStore.compute(retained, workload.queries, K)
         traces = _run_batch(index, data, workload.queries, truth=truth).traces()
-        curves = curves_from_traces(traces, data.scale.k)
+        curves = curves_from_traces(traces, K)
         rows.append(
             [
                 name,
@@ -312,8 +313,8 @@ def run_cache_ablation(data: ExperimentData) -> TableResult:
             if clear_between and cache is not None:
                 cache.clear()
             if repeat:
-                searcher.search(query, k=data.scale.k)  # warm the cache
-            times.append(searcher.search(query, k=data.scale.k).elapsed_s)
+                searcher.search(query, k=K)  # warm the cache
+            times.append(searcher.search(query, k=K).elapsed_s)
         return float(np.mean(times))
 
     cold = mean_completion(data.scale.cost_model)
@@ -365,8 +366,7 @@ def run_size_cap_ablation(data: ExperimentData) -> TableResult:
     from ..chunking.round_robin import RoundRobinChunker
     from .config import SIZE_CLASSES
 
-    k = data.scale.k
-    target = min(25, k)
+    target = min(25, K)
     rows = []
     for size_class in SIZE_CLASSES:
         bag = data.built("BAG", size_class).chunking
@@ -390,7 +390,7 @@ def run_size_cap_ablation(data: ExperimentData) -> TableResult:
                 else:
                     sizes = data.built(name, size_class).chunking.chunk_set.sizes()
                     traces = data.completion_traces(name, size_class, workload_name)
-                curves = curves_from_traces(traces, k)
+                curves = curves_from_traces(traces, K)
                 completions = [trace.final_elapsed_s for trace in traces]
                 spread = percentiles(completions, (0.5, 0.95, 0.99, 1.0))
                 rows.append(
@@ -434,12 +434,11 @@ def run_approx_rules_ablation(data: ExperimentData) -> TableResult:
     built = data.built("BAG", "MEDIUM")
     truth = data.ground_truth("MEDIUM", "DQ")
     workload = data.workloads["DQ"]
-    k = data.scale.k
 
     rules = {
         "exact": ExactCompletion(),
-        "epsilon=0.1": EpsilonApproximation(0.1, k),
-        "epsilon=0.5": EpsilonApproximation(0.5, k),
+        "epsilon=0.1": EpsilonApproximation(0.1, K),
+        "epsilon=0.5": EpsilonApproximation(0.5, K),
         "max-chunks(10)": MaxChunks(10),
     }
     rows = []
@@ -481,14 +480,13 @@ def run_lessons_summary(data: ExperimentData) -> TableResult:
     from .config import SIZE_CLASSES
     from .data import FAMILIES
 
-    k = data.scale.k
-    near_target = max(1, int(round(0.9 * k)))
+    near_target = max(1, int(round(0.9 * K)))
     rows = []
     for family in FAMILIES:
         for size_class in SIZE_CLASSES:
             for workload_name in ("DQ", "SQ"):
                 traces = data.completion_traces(family, size_class, workload_name)
-                curves = curves_from_traces(traces, k)
+                curves = curves_from_traces(traces, K)
                 t_near = float(curves.elapsed_s[near_target])
                 t_done = float(completion_stats(traces).mean_elapsed_s)
                 rows.append(
@@ -503,7 +501,7 @@ def run_lessons_summary(data: ExperimentData) -> TableResult:
     return TableResult(
         experiment_id="lessons_summary",
         title=(
-            f"Lesson 1 quantified: time to {near_target}/{k} true neighbors "
+            f"Lesson 1 quantified: time to {near_target}/{K} true neighbors "
             "vs time to the exactness guarantee"
         ),
         headers=["Index", "Workload", "t(90% quality) s", "t(guarantee) s", "ratio"],

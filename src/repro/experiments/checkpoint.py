@@ -58,7 +58,6 @@ class SweepCheckpoint:
         # serialized domain (tuples become lists, ints stay ints).
         self.meta: Dict[str, object] = json.loads(json.dumps(meta, sort_keys=True))
         self._points: Dict[str, object] = {}
-        self.resumed_points = 0
         if self.path is not None and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as stream:
                 stored = json.load(stream)
@@ -68,17 +67,6 @@ class SweepCheckpoint:
                 and stored.get("meta") == self.meta
             ):
                 self._points = dict(stored["points"])
-                self.resumed_points = len(self._points)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def get(self, key: str) -> Optional[object]:
-        """The stored value for ``key`` (None when not yet computed)."""
-        return self._points.get(key)
 
     def put(self, key: str, value: object) -> None:
         """Store one completed point and publish the file atomically.

@@ -15,15 +15,13 @@ irrelevant descriptors.  The "30 neighbors" series sits far above the
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from ..chunking.srtree_chunker import SRTreeChunker
 from ..core.chunk_index import build_chunk_index
 from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
-from .checkpoint import SweepCheckpoint
-from .config import ExperimentScale
+from .config import K, ExperimentScale
 from .data import ExperimentData
 from .results import FigureResult
 
@@ -58,7 +56,7 @@ def sweep_traces(
         n_sweep = data.scale.n_queries_sweep
         batch = searcher.search_batch(
             workload.queries[:n_sweep],
-            k=data.scale.k,
+            k=K,
             true_neighbor_ids=data.truth_lists("SMALL", workload_name)[:n_sweep],
         )
         cache[key] = batch.traces()
@@ -66,47 +64,23 @@ def sweep_traces(
 
 
 def _sweep_figure(
-    data: ExperimentData,
-    workload_name: str,
-    experiment_id: str,
-    checkpoint_path: Optional[Union[str, os.PathLike]] = None,
+    data: ExperimentData, workload_name: str, experiment_id: str
 ) -> FigureResult:
     ladder = [
         leaf for leaf in data.scale.chunk_size_ladder
         if leaf <= len(data.retained("SMALL"))
     ]
-    targets = [t for t in NEIGHBOR_TARGETS if t <= data.scale.k]
+    targets = [t for t in NEIGHBOR_TARGETS if t <= K]
 
     def label(t: int) -> str:
         return "1 neighbor" if t == 1 else f"{t} neighbors"
 
-    checkpoint = SweepCheckpoint(
-        checkpoint_path,
-        meta={
-            "experiment": experiment_id,
-            "scale": data.scale.name,
-            "workload": workload_name,
-            "k": int(data.scale.k),
-            "n_queries_sweep": int(data.scale.n_queries_sweep),
-            "ladder": [int(leaf) for leaf in ladder],
-        },
-    )
-
-    def mean_times(leaf: int) -> Dict[str, float]:
-        # Build-index + run-workload: the expensive, resumable granule.
-        traces = sweep_traces(data, leaf, workload_name)
-        return {
-            label(target): sum(
-                trace.time_to_find(target) for trace in traces
-            ) / len(traces)
-            for target in targets
-        }
-
     series: Dict[str, List[float]] = {label(t): [] for t in targets}
     for leaf in ladder:
-        point = checkpoint.point(f"leaf={int(leaf)}", lambda: mean_times(leaf))
+        traces = sweep_traces(data, leaf, workload_name)
         for target in targets:
-            series[label(target)].append(float(point[label(target)]))  # type: ignore[index]
+            total = sum(trace.time_to_find(target) for trace in traces)
+            series[label(target)].append(float(total / len(traces)))
     return FigureResult(
         experiment_id=experiment_id,
         title=(
@@ -120,15 +94,9 @@ def _sweep_figure(
     )
 
 
-def run_fig6(
-    data: ExperimentData,
-    checkpoint_path: Optional[Union[str, os.PathLike]] = None,
-) -> FigureResult:
-    return _sweep_figure(data, "DQ", "fig6", checkpoint_path)
+def run_fig6(data: ExperimentData) -> FigureResult:
+    return _sweep_figure(data, "DQ", "fig6")
 
 
-def run_fig7(
-    data: ExperimentData,
-    checkpoint_path: Optional[Union[str, os.PathLike]] = None,
-) -> FigureResult:
-    return _sweep_figure(data, "SQ", "fig7", checkpoint_path)
+def run_fig7(data: ExperimentData) -> FigureResult:
+    return _sweep_figure(data, "SQ", "fig7")

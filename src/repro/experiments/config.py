@@ -30,6 +30,7 @@ from ..simio.pipeline import CostModel
 from ..workloads.synthetic import SyntheticImageConfig
 
 __all__ = [
+    "K",
     "ExperimentScale",
     "DEFAULT_SCALE",
     "TEST_SCALE",
@@ -38,6 +39,9 @@ __all__ = [
     "scaled_cost_model",
     "get_scale",
 ]
+
+#: Neighbors searched and evaluated: the paper's k, at every scale.
+K = 30
 
 #: The paper's three chunk-size classes, smallest chunks first.
 SIZE_CLASSES = ("SMALL", "MEDIUM", "LARGE")
@@ -94,8 +98,6 @@ class ExperimentScale:
     n_queries_sweep:
         Queries per workload for the 16-index chunk-size sweep of
         figures 6-7 (a prefix of the main workloads).
-    k:
-        Neighbors searched/evaluated (30 in the paper).
     cost_model:
         Simulated-hardware cost model for all timing.
     chunk_size_ladder:
@@ -108,15 +110,12 @@ class ExperimentScale:
     bag_threshold_fractions: Tuple[float, float, float] = (0.11, 0.085, 0.065)
     n_queries: int = 150
     n_queries_sweep: int = 60
-    k: int = 30
     cost_model: CostModel = PAPER_2005_COST_MODEL
     chunk_size_ladder: Tuple[int, ...] = (
         16, 24, 36, 54, 81, 122, 182, 273, 410, 615, 922, 1383, 2074, 3112, 4668, 7002,
     )
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
         if self.n_queries < 1:
             raise ValueError("need at least one query")
         if not 1 <= self.n_queries_sweep <= self.n_queries:

@@ -32,7 +32,7 @@ from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
 from ..workloads.queries import Workload, dataset_queries, space_queries
 from ..workloads.synthetic import generate_collection
-from .config import SIZE_CLASSES, ExperimentScale
+from .config import K, SIZE_CLASSES, ExperimentScale
 
 __all__ = ["BuiltIndex", "ExperimentData", "prepare"]
 
@@ -117,7 +117,7 @@ class ExperimentData:
             )
             batch = searcher.search_batch(
                 self.workloads[workload_name].queries,
-                k=self.scale.k,
+                k=K,
                 true_neighbor_ids=self.truth_lists(size_class, workload_name),
             )
             self._trace_cache[key] = batch.traces()
@@ -184,7 +184,7 @@ def prepare(scale: ExperimentScale) -> ExperimentData:
         retained = indexes[("BAG", size_class)].chunking.retained
         for workload_name, workload in workloads.items():
             ground_truths[(size_class, workload_name)] = GroundTruthStore.compute(
-                retained, workload.queries, scale.k
+                retained, workload.queries, K
             )
 
     data = ExperimentData(

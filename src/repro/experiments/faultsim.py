@@ -31,6 +31,7 @@ from ..core.search import ChunkSearcher
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from .checkpoint import SweepCheckpoint
+from .config import K
 from .data import ExperimentData
 from .results import FigureResult
 
@@ -80,7 +81,7 @@ def sweep(
         "size_class": size_class,
         "workload": workload_name,
         "seed": int(seed),
-        "k": int(data.scale.k),
+        "k": K,
         "n_queries": len(data.workloads[workload_name]),
     }
     checkpoint = SweepCheckpoint(
@@ -96,7 +97,7 @@ def sweep(
         faults = FaultInjector.from_cost_model(plan, data.scale.cost_model)
         batch = searcher.search_batch(
             workload.queries,
-            k=data.scale.k,
+            k=K,
             true_neighbor_ids=truth_lists,
             faults=faults,
         )

@@ -61,7 +61,7 @@ from ..simio.disk_model import DiskModel
 from ..storage.errors import CorruptFileError
 from ..storage.wal import OP_INSERT, WalOp, delete_op, insert_op
 from ..workloads.synthetic import generate_collection
-from .config import ExperimentScale
+from .config import K, ExperimentScale
 
 __all__ = [
     "DEFAULT_SEED",
@@ -88,28 +88,29 @@ BATCH_OPS = 24
 DELETE_FRACTION = 0.15
 #: Checkpoint (compaction) period, in steps.
 COMPACT_EVERY = 3
+#: Interleaved queries per step.
+QUERIES_PER_STEP = 12
+#: SR-tree leaf capacity of the watch-mode run's base build.
+LEAF_CAPACITY = 48
+#: SR-tree leaf capacity of the crash matrix's base build.
+MATRIX_LEAF_CAPACITY = 24
 
 
 @dataclasses.dataclass(frozen=True)
 class IngestSimConfig:
     """Knobs of one watch-mode run; the report's ``config`` lists them
-    beside :data:`BATCH_OPS`, :data:`DELETE_FRACTION` and
-    :data:`COMPACT_EVERY`."""
+    beside :data:`BATCH_OPS`, :data:`DELETE_FRACTION`,
+    :data:`QUERIES_PER_STEP`, :data:`COMPACT_EVERY` and
+    :data:`LEAF_CAPACITY`."""
 
     steps: int = 9  #: growth steps from the 10% base to 100%
-    n_queries: int = 12  #: interleaved queries per step
     n_crashes: int = 0  #: seeded kills injected across the whole run
-    leaf_capacity: int = 48  #: SR-tree leaf capacity of the base build
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("need at least one growth step")
-        if self.n_queries < 1:
-            raise ValueError("need at least one query per step")
         if self.n_crashes < 0:
             raise ValueError("crash count cannot be negative")
-        if self.leaf_capacity < 2:
-            raise ValueError("leaf capacity must be at least 2")
 
 
 def _subcollection(
@@ -318,7 +319,7 @@ def simulate(
         np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), _STREAM_ORDER)))
     )
     arrival = order_rng.permutation(n_total)
-    base_size = max(cfg.leaf_capacity, n_total // (cfg.steps + 1))
+    base_size = max(LEAF_CAPACITY, n_total // (cfg.steps + 1))
     base_rows = np.sort(arrival[:base_size])
     stream_rows = arrival[base_size:]
 
@@ -342,7 +343,7 @@ def simulate(
     )
 
     os.makedirs(directory, exist_ok=True)
-    index = _build_base(collection, base_rows, cfg.leaf_capacity)
+    index = _build_base(collection, base_rows, LEAF_CAPACITY)
     streaming = StreamingChunkIndex.create(
         directory, index, disk=scale.cost_model.disk, name="ingestsim"
     )
@@ -394,16 +395,18 @@ def simulate(
             assert driver.streaming is not None
             searchable = driver.streaming.to_index()
             live = _live_collection(searchable)
-            query_rows = query_rng.choice(len(live), size=cfg.n_queries, replace=False)
+            query_rows = query_rng.choice(
+                len(live), size=QUERIES_PER_STEP, replace=False
+            )
             queries = live.vectors[np.sort(query_rows)].astype(np.float64)
-            truth = exact_knn_batch(live, queries, scale.k)
+            truth = exact_knn_batch(live, queries, K)
             budget = max(1, int(round(BUDGET_FRACTION * searchable.n_chunks)))
             cost_model = dataclasses.replace(
                 scale.cost_model, chunk_cache=LruChunkCache(capacity_bytes=1 << 20)
             )
             searcher = ChunkSearcher(searchable, cost_model=cost_model)
             batch = searcher.search_batch(
-                queries, k=scale.k, stop_rule=MaxChunks(budget)
+                queries, k=K, stop_rule=MaxChunks(budget)
             )
             recalls = [
                 precision_at_k(result.neighbor_ids(), truth[i])
@@ -439,18 +442,18 @@ def simulate(
         "experiment": "ingestsim",
         "scale": scale.name,
         "seed": int(seed),
-        "k": int(scale.k),
+        "k": K,
         "dimensions": dimensions,
         "config": {
             "steps": cfg.steps,
             "batch_ops": BATCH_OPS,
             "delete_fraction": DELETE_FRACTION,
-            "n_queries": cfg.n_queries,
+            "n_queries": QUERIES_PER_STEP,
             "budget_fraction": BUDGET_FRACTION,
             "compact_every": COMPACT_EVERY,
             "rebuild_step": rebuild_step,
             "n_crashes": cfg.n_crashes,
-            "leaf_capacity": cfg.leaf_capacity,
+            "leaf_capacity": LEAF_CAPACITY,
         },
         "n_total": n_total,
         "base_size": int(base_size),
@@ -472,7 +475,7 @@ class _Batch(NamedTuple):
 
 
 def _matrix_scenario(
-    collection: DescriptorCollection, directory: str, leaf_capacity: int, seed: int
+    collection: DescriptorCollection, directory: str, seed: int
 ) -> Tuple[Recording, Set[int], List[_Batch]]:
     """The crash matrix's recorded run, with the live ids it starts from.
 
@@ -482,7 +485,7 @@ def _matrix_scenario(
     under the recording.
     """
     n = len(collection)
-    index = _build_base(collection, np.arange(n // 2), leaf_capacity)
+    index = _build_base(collection, np.arange(n // 2), MATRIX_LEAF_CAPACITY)
     StreamingChunkIndex.create(directory, index, name="crash-matrix").close()
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=(int(seed), _STREAM_ORDER)))
@@ -513,7 +516,6 @@ def crash_matrix(
     directory: str,
     seed: int = DEFAULT_SEED,
     n_points: Optional[int] = None,
-    leaf_capacity: int = 24,
 ) -> Dict[str, Any]:
     """Check the crash states of one recorded run (``n_points`` seeded
     ones, or all that :data:`STATES_PER_INTERVAL` lets through).
@@ -528,7 +530,7 @@ def crash_matrix(
     os.makedirs(directory, exist_ok=True)
     recording_dir = os.path.join(directory, "recording")
     recording, start_live, batches = _matrix_scenario(
-        collection, recording_dir, leaf_capacity, seed
+        collection, recording_dir, seed
     )
     reference = verify_streaming_index(recording_dir)
     shutil.rmtree(recording_dir)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.metrics import curves_from_traces
-from .config import SIZE_CLASSES
+from .config import K, SIZE_CLASSES
 from .data import FAMILIES, ExperimentData
 from .results import FigureResult
 
@@ -43,7 +43,7 @@ def quality_curves(data: ExperimentData, workload_name: str):
         for size_class in SIZE_CLASSES:
             traces = data.completion_traces(family, size_class, workload_name)
             curves[f"{family}/{size_class}"] = curves_from_traces(
-                traces, data.scale.k
+                traces, K
             )
     return curves
 
@@ -56,7 +56,7 @@ def _figure(
     title: str,
 ) -> FigureResult:
     curves = quality_curves(data, workload_name)
-    x_values = list(range(data.scale.k + 1))
+    x_values = list(range(K + 1))
     series: Dict[str, List[float]] = {}
     for label, quality in curves.items():
         values = quality.chunks_read if metric == "chunks" else quality.elapsed_s

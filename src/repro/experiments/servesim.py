@@ -31,6 +31,7 @@ from ..faults.plan import FaultPlan
 from ..service import QueryService, ServiceConfig
 from ..simio.chunk_cache import LruChunkCache
 from .checkpoint import SweepCheckpoint
+from .config import K
 from .data import ExperimentData
 from .results import GridResult
 
@@ -85,7 +86,7 @@ def mean_exact_completion_s(
     """Mean exact (fault-free) completion seconds over the workload: the
     calibration ``T`` this sweep and the sharded one scale everything by."""
     batch = searcher.search_batch(
-        data.workloads[workload_name].queries, k=data.scale.k
+        data.workloads[workload_name].queries, k=K
     )
     return batch.mean_elapsed_s
 
@@ -127,7 +128,7 @@ def sweep(
         "size_class": size_class,
         "workload": workload_name,
         "seed": int(seed),
-        "k": int(data.scale.k),
+        "k": K,
         "n_workers": int(n_workers),
         "n_queries": len(data.workloads[workload_name]),
         "cache_mb": float(cache_mb) if cache_mb is not None else None,
@@ -174,7 +175,7 @@ def sweep(
             target_p99_s=target_p99_s,
             arrival_rate_qps=load * capacity_qps,
             seed=seed,
-            k=data.scale.k,
+            k=K,
             initial_service_estimate_s=mean_service_s,
             # Admit only what is predicted to finish within the
             # *target*, not the deadline — aligning the admission

@@ -38,6 +38,7 @@ from ..service.sharding import (
     plan_placement,
 )
 from .checkpoint import SweepCheckpoint
+from .config import K
 from .data import ExperimentData
 from .results import GridResult
 from .servesim import DEADLINE_FACTOR, DEFAULT_SEED, mean_exact_completion_s
@@ -139,7 +140,7 @@ def sweep(
         "size_class": size_class,
         "workload": workload_name,
         "seed": int(seed),
-        "k": int(data.scale.k),
+        "k": K,
         "n_replicas": int(n_replicas),
         "workers_per_shard": int(workers_per_shard),
         "load_factor": float(load_factor),
@@ -182,7 +183,7 @@ def sweep(
             deadline_s=deadline_s,
             arrival_rate_qps=arrival_rate_qps,
             seed=seed,
-            k=data.scale.k,
+            k=K,
             hedge_delay_s=(
                 hedge_factor * mean_service_s / float(n_shards)
                 if hedge_factor > 0.0

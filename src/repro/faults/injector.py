@@ -106,16 +106,18 @@ class FaultInjector:
         page_count: int,
         readable: bool = True,
     ) -> ChunkFaultOutcome:
-        """Resolve one ``(query, chunk)`` access: equal to
-        :meth:`~repro.faults.plan.FaultPlan.chunk_outcome`, and
-        :data:`~repro.faults.plan.OK_OUTCOME` itself for a clean one."""
+        """Resolve one ``(query, chunk)`` access: the plan's
+        :meth:`~repro.faults.plan.FaultPlan.classify` of its draws,
+        :data:`~repro.faults.plan.OK_OUTCOME` itself for a clean one, and
+        :meth:`~repro.faults.plan.FaultPlan.unreadable_outcome` when
+        ``readable`` is False."""
         if query_id < 0 or chunk_id < 0:
             raise ValueError("expected non-negative integer")
         attempt_io_s = self.attempt_io_s(page_count)
-        if not readable or self.plan.is_null:
-            return self.plan.chunk_outcome(
-                query_id, chunk_id, attempt_io_s, readable=readable
-            )
+        if not readable:
+            return self.plan.unreadable_outcome(attempt_io_s)
+        if self.plan.is_null:
+            return OK_OUTCOME
         row = self._row(query_id, chunk_id + 1)
         decided = self._tables[row][chunk_id]
         if decided is not None:

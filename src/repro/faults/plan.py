@@ -19,7 +19,8 @@ Fault taxonomy (mirroring what real chunk storage exhibits):
   chunk, like a broken one, must cost bounded time).
 
 Timing semantics (what degraded execution charges to the simulated
-clock) are encoded in :meth:`FaultPlan.chunk_outcome`: every failed
+clock) are encoded in :meth:`FaultPlan.classify` and
+:meth:`FaultPlan.unreadable_outcome`: every failed
 attempt pays the chunk's read cost plus an exponential backoff delay;
 a successful retry pays the preceding failures plus the normal read; a
 skipped chunk pays all ``MAX_RETRIES + 1`` failed reads.
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .draws import key_uniforms, keyed_uniforms
+from .draws import keyed_uniforms
 
 __all__ = [
     "FAULT_NONE",
@@ -209,19 +210,11 @@ class FaultPlan:
 
     # -- deterministic draws -------------------------------------------------
 
-    def uniforms(self, stream: int, a: int, b: int, n: int) -> np.ndarray:
-        """``n`` uniforms in [0, 1) (float64) for one keyed decision site.
-
-        The key is ``(seed, stream, a, b)``; results are independent of
-        call order and of every other key — the property that lets a
-        cohort of queries reproduce each single query's faults exactly.
-        """
-        return key_uniforms((self.seed, stream, a, b), n)
-
     def chunk_draws(self, queries: range, chunks: range) -> np.ndarray:
         """``(len(queries), len(chunks), MAX_RETRIES + 1)`` float64: entry
-        ``[i, j]`` is what :meth:`chunk_outcome` draws for ``(queries[i],
-        chunks[j])``, the whole grid in one vectorised call."""
+        ``[i, j]`` holds one draw per attempt of the ``(queries[i],
+        chunks[j])`` access, keyed ``(seed, stream, query, chunk)`` — the
+        whole grid in one vectorised call."""
         return keyed_uniforms(
             (self.seed, _STREAM_CHUNK), queries, chunks, MAX_RETRIES + 1
         )
@@ -243,48 +236,25 @@ class FaultPlan:
 
     # -- the degraded-execution contract -------------------------------------
 
-    def chunk_outcome(
-        self,
-        query_id: int,
-        chunk_id: int,
-        attempt_io_s: float,
-        readable: bool = True,
-    ) -> ChunkFaultOutcome:
-        """Resolve the fault behaviour of one ``(query, chunk)`` access.
-
-        Parameters
-        ----------
-        query_id, chunk_id:
-            The decision key (must be non-negative).
-        attempt_io_s:
-            Simulated cost of one (uncached) read attempt of this chunk
-            — failed attempts are charged at this rate.
-        readable:
-            Pass False when a *real* read of the chunk already failed
-            (e.g. an actual :class:`~repro.storage.errors.CorruptFileError`):
-            real damage is treated as persistent, so every attempt fails
-            and the chunk is skipped with all retries charged.
-        """
-        if query_id < 0 or chunk_id < 0:
-            raise ValueError("expected non-negative integer")
+    def unreadable_outcome(self, attempt_io_s: float) -> ChunkFaultOutcome:
+        """The outcome of an access whose *real* read already failed (e.g.
+        an actual :class:`~repro.storage.errors.CorruptFileError`): real
+        damage is treated as persistent, so every attempt fails and the
+        chunk is skipped with all retries charged, each attempt at
+        ``attempt_io_s``."""
         if attempt_io_s < 0.0:
             raise ValueError("attempt cost cannot be negative")
         budget = MAX_RETRIES + 1
-        if not readable:
-            extra = budget * attempt_io_s
-            for retry in range(budget - 1):
-                extra += self.backoff_delay_s(retry)
-            return ChunkFaultOutcome(
-                ok=False,
-                kind=FAULT_CORRUPT,
-                attempts=budget,
-                extra_io_s=extra,
-                spiked=False,
-            )
-        if self.is_null:
-            return OK_OUTCOME
-        draws = self.uniforms(_STREAM_CHUNK, int(query_id), int(chunk_id), budget)
-        return self.classify(self.kind_codes(draws).tolist(), attempt_io_s)
+        extra = budget * attempt_io_s
+        for retry in range(budget - 1):
+            extra += self.backoff_delay_s(retry)
+        return ChunkFaultOutcome(
+            ok=False,
+            kind=FAULT_CORRUPT,
+            attempts=budget,
+            extra_io_s=extra,
+            spiked=False,
+        )
 
     def classify(self, codes: Sequence[int], attempt_io_s: float) -> ChunkFaultOutcome:
         """The outcome of one readable access from its row of kind codes

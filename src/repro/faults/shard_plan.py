@@ -129,17 +129,6 @@ class ShardFaultPlan:
                 "and horizon"
             )
 
-    # -- derived properties --------------------------------------------------
-
-    @property
-    def is_null(self) -> bool:
-        """True when the plan can never inject anything."""
-        return (
-            self.error_rate == 0.0
-            and self.straggler_rate == 0.0
-            and self.outage_rate == 0.0
-        )
-
     @classmethod
     def balanced(cls, rate: float, seed: int, horizon_s: float) -> "ShardFaultPlan":
         """A plan exercising all three modes from one knob: errors and

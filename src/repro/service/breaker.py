@@ -284,8 +284,12 @@ class BreakerGuardedInjector:
         page_count: int,
         readable: bool = True,
     ) -> ChunkFaultOutcome:
-        """Per-(query, chunk) decision; breaker skip wins over injection."""
-        if self._board.region_of(chunk_id) in self._blocked:
+        """Per-(query, chunk) decision for what :meth:`outcome_table` left
+        open: a ``None`` entry, or a chunk whose real read failed.  The table
+        decides every chunk of a blocked region, so the region is tested
+        only for an unreadable chunk, where the breaker skip wins over the
+        failed read."""
+        if not readable and self._board.region_of(chunk_id) in self._blocked:
             return BREAKER_SKIP_OUTCOME
         if self._inner is None:
             return OK_OUTCOME

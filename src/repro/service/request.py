@@ -135,11 +135,6 @@ class RequestRecord:
     recall: float = math.nan
     worker: int = -1
 
-    @property
-    def served(self) -> bool:
-        """True when a search ran (every outcome except ``shed``)."""
-        return not math.isnan(self.start_s)
-
 
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 from ...core.neighbors import Neighbor
 from ..request import validate_traffic
@@ -116,7 +116,3 @@ class ShardRequestRecord:
     def served(self) -> bool:
         """True when a scatter ran (every outcome except ``shed``)."""
         return not math.isnan(self.finish_s)
-
-    def neighbor_ids(self) -> List[int]:
-        """Descriptor ids of the merged result, best first."""
-        return [neighbor.descriptor_id for neighbor in self.neighbors]

@@ -230,34 +230,6 @@ class ShardRunResult:
     makespan_s: float
     mean_utilization: float
 
-    def to_report(self) -> Dict[str, object]:
-        """Deterministic, JSON-ready summary (no per-request records)."""
-        return {
-            "config": dataclasses.asdict(self.config),
-            "placement": dict(self.placement),
-            "slo": dataclasses.asdict(self.stats),
-            "coverage": {"mean": self.mean_coverage},
-            "robustness": {
-                "n_failovers": self.n_failovers,
-                "n_hedges": self.n_hedges,
-                "n_hedge_wins": self.n_hedge_wins,
-                "n_breaker_skips": self.n_breaker_skips,
-                "n_lost_partitions": self.n_lost_partitions,
-                "reclaimed_s": self.reclaimed_s,
-            },
-            "breakers": {
-                "opens": self.breaker_opens,
-                "state_counts": dict(sorted(self.breaker_state_counts.items())),
-                "transitions": dict(sorted(self.breaker_transitions.items())),
-            },
-            "shards": {
-                "served": list(self.shard_served),
-                "failed": list(self.shard_failed),
-            },
-            "makespan_s": self.makespan_s,
-            "mean_utilization": self.mean_utilization,
-        }
-
 
 class ShardedQueryService:
     """Deterministic scatter-gather simulation over a placed index.
@@ -416,10 +388,7 @@ class ShardedQueryService:
                         result = kept
                     else:
                         result = searcher.search(
-                            request.query,
-                            k=config.k,
-                            stop_rule=rule,
-                            query_index=request.index,
+                            request.query, k=config.k, stop_rule=rule
                         )
                         if kept is None:
                             subtask.searched = result

@@ -104,30 +104,21 @@ class PipelineSimulator:
         page_count: int,
         n_descriptors: int,
         page_offset: Optional[int] = None,
-        extra_io_s: float = 0.0,
     ) -> float:
         """Schedule the next ranked chunk; returns its processing-completion
         timestamp (when its neighbors become visible).
 
         ``page_offset`` only matters when the cost model carries a chunk
         cache: it is the key the read is charged through.
-
-        ``extra_io_s`` is added to the chunk's I/O charge — degraded
-        execution uses it for failed read attempts, backoff delays and
-        latency spikes that preceded the successful read.
         """
         if not self._started:
             raise RuntimeError("start_query must run before chunks are processed")
-        if extra_io_s < 0.0:
-            raise ValueError("extra I/O charge cannot be negative")
         if self._model.chunk_cache is not None and page_offset is not None:
             io, _ = chunk_read_time_s(
                 self._model.disk, self._model.chunk_cache, page_offset, page_count
             )
         else:
             io = self._model.disk.random_read_time_s(page_count)
-        if extra_io_s:
-            io += extra_io_s
         cpu = self._model.cpu.chunk_processing_time_s(n_descriptors)
         i = len(self._proc_done)
         if self._model.overlap_io_cpu:

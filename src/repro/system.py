@@ -47,6 +47,9 @@ __all__ = ["ImageRetrievalSystem", "verify_system_file"]
 
 _INDEX_NAME = "retrieval-system"
 
+#: Neighbors each query descriptor votes with in an image query.
+K_PER_DESCRIPTOR = 10
+
 
 class _ImageOfId(Mapping[int, int]):
     """``descriptor id -> image id`` as two parallel int64 arrays sorted by
@@ -133,26 +136,24 @@ class ImageRetrievalSystem:
     chunker:
         Chunk-forming strategy for the offline build; defaults to uniform
         SR-tree chunks (the paper's recommendation).
-    cost_model:
-        Simulated-hardware model used for search timing.
     default_stop_chunks:
         Default approximation budget (chunks per descriptor search) for
         image queries; ``None`` searches to exact completion.
 
     A loaded system owns open files: :meth:`close` it, or use it as a
-    context manager.
+    context manager.  Searches are timed with ``cost_model`` (the paper's
+    machine), read when a generation's searcher is first built.
     """
 
     def __init__(
         self,
         chunker: Optional[Chunker] = None,
-        cost_model: CostModel = PAPER_2005_COST_MODEL,
         default_stop_chunks: Optional[int] = 4,
     ):
         if default_stop_chunks is not None and default_stop_chunks < 1:
             raise ValueError("stop budget must be positive (or None for exact)")
         self._configured_chunker = chunker
-        self.cost_model = cost_model
+        self.cost_model: CostModel = PAPER_2005_COST_MODEL
         self.default_stop_chunks = default_stop_chunks
         # The current index generation; ``None`` before the first build and
         # between a live update and the next query (see _image_searcher).
@@ -188,11 +189,11 @@ class ImageRetrievalSystem:
         return self._index
 
     def _image_searcher(self) -> MultiDescriptorSearcher:
-        """The searcher over the current index generation: built once per
-        generation, and again only when ``cost_model`` was reassigned."""
+        """The searcher over the current index generation, built once per
+        generation."""
         index = self._current_index()
         cached = self._cached_searcher
-        if cached is None or cached.searcher.cost_model is not self.cost_model:
+        if cached is None:
             cached = self._cached_searcher = MultiDescriptorSearcher(
                 ChunkSearcher(index, cost_model=self.cost_model), self._image_of_id
             )
@@ -285,11 +286,11 @@ class ImageRetrievalSystem:
         self,
         query_descriptors: np.ndarray,
         top_images: int = 10,
-        k_per_descriptor: int = 10,
-        exact: bool = False,
         max_match_distance: Optional[float] = None,
     ) -> List[ImageMatch]:
-        """Image-level retrieval: descriptor voting over the whole set.
+        """Image-level retrieval: descriptor voting over the whole set, each
+        query descriptor searched under ``default_stop_chunks`` for its
+        :data:`K_PER_DESCRIPTOR` neighbors.
 
         ``max_match_distance`` switches to verified voting (see
         :meth:`MultiDescriptorSearcher.search_image`) — required for
@@ -297,9 +298,9 @@ class ImageRetrievalSystem:
         """
         return self._image_searcher().search_image(
             query_descriptors,
-            k_per_descriptor=k_per_descriptor,
+            k_per_descriptor=K_PER_DESCRIPTOR,
             top_images=top_images,
-            stop_rule=self._stop_rule(exact),
+            stop_rule=self._stop_rule(False),
             max_match_distance=max_match_distance,
         )
 

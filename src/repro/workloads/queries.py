@@ -61,10 +61,6 @@ class Workload:
     def __len__(self) -> int:
         return self.queries.shape[0]
 
-    @property
-    def dimensions(self) -> int:
-        return self.queries.shape[1]
-
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.queries)
 
@@ -73,7 +69,6 @@ def dataset_queries(
     collection: DescriptorCollection,
     n_queries: int,
     seed: int = 0,
-    name: str = "DQ",
 ) -> Workload:
     """The DQ workload: descriptors sampled from the collection itself."""
     if n_queries < 1:
@@ -84,7 +79,7 @@ def dataset_queries(
     replace = n_queries > len(collection)
     rows = rng.choice(len(collection), size=n_queries, replace=replace)
     return Workload(
-        name=name,
+        name="DQ",
         queries=collection.vectors[rows].astype(np.float64),
         source_rows=rows.astype(np.int64),
     )
@@ -94,7 +89,6 @@ def space_queries(
     collection: DescriptorCollection,
     n_queries: int,
     seed: int = 0,
-    name: str = "SQ",
 ) -> Workload:
     """The SQ workload: uniform draws from per-dimension ranges trimmed by
     :data:`TRIM_FRACTION`."""
@@ -106,7 +100,7 @@ def space_queries(
         ranges[:, 0], ranges[:, 1], size=(n_queries, collection.dimensions)
     )
     return Workload(
-        name=name,
+        name="SQ",
         queries=queries,
         source_rows=np.full(n_queries, -1, dtype=np.int64),
     )

@@ -69,8 +69,6 @@ class SyntheticImageConfig:
         agglomerative chunkers absorb them progressively rather than all
         at once — mirroring the long tail of noisy-but-not-random
         descriptors in real image collections.
-    dimensions:
-        Descriptor dimensionality (24 in the paper).
     seed:
         Master seed.
     """
@@ -83,7 +81,6 @@ class SyntheticImageConfig:
     pattern_std: float = 0.02
     pattern_scale_range: Tuple[float, float] = (-0.8, 0.0)
     halo_fraction: float = 0.08
-    dimensions: int = DEFAULT_DIMENSIONS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,8 +99,6 @@ class SyntheticImageConfig:
             self.pattern_scale_range[0] > self.pattern_scale_range[1]
         ):
             raise ValueError("pattern_scale_range must be an ascending (lo, hi)")
-        if self.dimensions < 1:
-            raise ValueError("dimensions must be positive")
 
 
 def _pattern_popularities(config: SyntheticImageConfig, rng) -> np.ndarray:
@@ -130,7 +125,7 @@ def _pattern_centers(config: SyntheticImageConfig, rng) -> np.ndarray:
     pattern at a log-uniform scale — which gives agglomerative processes
     like BAG a continuum of merge scales instead of one cliff.
     """
-    d = config.dimensions
+    d = DEFAULT_DIMENSIONS
     centers = np.empty((config.n_patterns, d))
     centers[0] = rng.uniform(0.0, 1.0, size=d)
     for i in range(1, config.n_patterns):
@@ -149,7 +144,7 @@ def _pattern_centers(config: SyntheticImageConfig, rng) -> np.ndarray:
 def generate_collection(config: SyntheticImageConfig) -> DescriptorCollection:
     """Generate a synthetic descriptor collection per ``config``."""
     rng = np.random.default_rng(config.seed)
-    d = config.dimensions
+    d = DEFAULT_DIMENSIONS
 
     pattern_centers = _pattern_centers(config, rng)
     # Per-pattern spread varies a little so cluster densities differ.

@@ -43,7 +43,11 @@ from repro.core.stop_rules import MaxChunks
 from repro.storage import chunk_file
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_NONE, FaultPlan
-from repro.service.breaker import BreakerBoard, BreakerGuardedInjector
+from repro.service.breaker import (
+    BREAKER_SKIP_OUTCOME,
+    BreakerBoard,
+    BreakerGuardedInjector,
+)
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.chunk_cache import LruChunkCache
 from repro.storage.errors import ChecksumError
@@ -129,12 +133,12 @@ class TestZeroRateBitIdentity:
         replay = ReplayOracle(index, k=7, faults=injector(0.0))
         for i, q in enumerate(queries):
             baseline = searcher.search(q, k=7)
-            nulled = searcher.search(
-                q, k=7, faults=injector(0.0), query_index=i
-            )
+            nulled = searcher.search_batch(
+                [q], k=7, faults=injector(0.0), query_indices=[i]
+            )[0]
             assert_results_identical(nulled, baseline, replay, q, i)
             assert not nulled.degraded
-            assert nulled.coverage_fraction == 1.0
+            assert nulled.trace.coverage_fraction == 1.0
             assert nulled.chunks_skipped == 0
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
@@ -162,7 +166,9 @@ class TestFaultedExecution:
         faults = injector(0.35)
         saw_skip = saw_degraded = False
         for i, q in enumerate(queries):
-            result = searcher.search(q, k=7, faults=faults, query_index=i)
+            result = searcher.search_batch(
+                [q], k=7, faults=faults, query_indices=[i]
+            )[0]
             skips = [e for e in result.trace.events if e.skipped]
             # Empty results are legal only in the total-loss case.
             if not result.neighbors:
@@ -172,7 +178,7 @@ class TestFaultedExecution:
             if skips:
                 saw_skip = saw_degraded = True
                 assert not result.completed
-                assert result.coverage_fraction < 1.0
+                assert result.trace.coverage_fraction < 1.0
                 for event in skips:
                     assert event.fault != FAULT_NONE
                 # A skip scans nothing, so the running neighbor count
@@ -182,7 +188,7 @@ class TestFaultedExecution:
                     if event.skipped:
                         assert event.neighbors_found == prev.neighbors_found
             else:
-                assert result.coverage_fraction == 1.0
+                assert result.trace.coverage_fraction == 1.0
         assert saw_skip and saw_degraded  # rate 0.35 must actually bite
 
     def test_degraded_proof_is_not_an_exactness_claim(self, tiny_collection):
@@ -192,7 +198,9 @@ class TestFaultedExecution:
         faults = injector(0.4)
         reasons = set()
         for i, q in enumerate(queries):
-            result = searcher.search(q, k=5, faults=faults, query_index=i)
+            result = searcher.search_batch(
+                [q], k=5, faults=faults, query_indices=[i]
+            )[0]
             reasons.add(result.stop_reason)
             if result.degraded:
                 assert result.stop_reason in ("proof-degraded", "exhausted")
@@ -214,7 +222,7 @@ class TestFaultedExecution:
         slowed = 0
         for i, q in enumerate(queries):
             clean = searcher.search(q, k=5)
-            spiky = searcher.search(q, k=5, faults=faults, query_index=i)
+            spiky = searcher.search_batch([q], k=5, faults=faults, query_indices=[i])[0]
             np.testing.assert_array_equal(
                 spiky.neighbor_ids(), clean.neighbor_ids()
             )
@@ -229,9 +237,9 @@ class TestFaultedExecution:
         searcher = ChunkSearcher(index)
         faults = injector(0.3)
         for i, q in enumerate(queries):
-            result = searcher.search(
-                q, k=5, stop_rule=MaxChunks(2), faults=faults, query_index=i
-            )
+            result = searcher.search_batch(
+                [q], k=5, stop_rule=MaxChunks(2), faults=faults, query_indices=[i]
+            )[0]
             assert len(result.trace) <= 2
 
 
@@ -247,9 +255,10 @@ class TestBatchEquivalenceUnderFaults:
         faults = injector(rate)
         sequential = ChunkSearcher(index)
         wanted = [
-            sequential.search(
-                q, k=7, true_neighbor_ids=truth[i], faults=faults, query_index=i
-            )
+            sequential.search_batch(
+                [q], k=7, true_neighbor_ids=[truth[i]], faults=faults,
+                query_indices=[i],
+            )[0]
             for i, q in enumerate(queries)
         ]
         batch = ChunkSearcher(index).search_batch(
@@ -262,11 +271,18 @@ class TestBatchEquivalenceUnderFaults:
 
 
 class PerVisit:
-    """An injector whose outcome table decides nothing: every visit asks
-    ``outcome()``, as each did before the table existed."""
+    """A guard whose outcome table decides nothing: every visit asks
+    ``outcome()``, as each did before the table existed — the breaker's
+    region test first, then the guard's own answer."""
 
-    def __init__(self, inner):
-        self.outcome = inner.outcome
+    def __init__(self, guard):
+        self._guard = guard
+
+    def outcome(self, query_id, chunk_id, page_count, readable=True):
+        guard = self._guard
+        if guard._board.region_of(chunk_id) in guard._blocked:
+            return BREAKER_SKIP_OUTCOME
+        return guard.outcome(query_id, chunk_id, page_count, readable=readable)
 
     def outcome_table(self, query_id, n_chunks):
         return [None] * n_chunks
@@ -300,11 +316,15 @@ class TestOutcomeTableEquivalence:
             ))
         else:
             results = [
-                searcher.search(q, k=7, true_neighbor_ids=truth[i], faults=faults,
-                                query_index=i)
+                searcher.search_batch(
+                    [q], k=7, true_neighbor_ids=[truth[i]], faults=faults,
+                    query_indices=[i],
+                )[0]
                 for i, q in enumerate(queries)
             ]
-        replay = ReplayOracle(index, k=7, cost_model=model(), faults=guarded())
+        replay = ReplayOracle(
+            index, k=7, cost_model=model(), faults=PerVisit(guarded())
+        )
         for i, result in enumerate(results):
             replay.check(queries[i], result, query_index=i, truth=truth[i])
         return results, cost_model.chunk_cache.stats()
@@ -380,7 +400,7 @@ class TestProbeReads:
             results = list(searcher.search_batch(queries, k=5, faults=faults))
         else:
             results = [
-                searcher.search(q, k=5, faults=faults, query_index=i)
+                searcher.search_batch([q], k=5, faults=faults, query_indices=[i])[0]
                 for i, q in enumerate(queries)
             ]
         assert any(r.chunks_skipped for r in results)
@@ -426,9 +446,9 @@ class TestRealCorruption:
             queries = make_queries(5, tiny_collection.dimensions, seed=13)
             hit_damage = False
             for i, q in enumerate(queries):
-                result = searcher.search(
-                    q, k=5, faults=injector(0.0), query_index=i
-                )
+                result = searcher.search_batch(
+                    [q], k=5, faults=injector(0.0), query_indices=[i]
+                )[0]
                 damaged = [
                     e
                     for e in result.trace.events
@@ -537,7 +557,9 @@ class TestReadableButNotPromoted:
             saw_pruned = False
             for i, q in enumerate(queries):
                 seen = self.instrument(monkeypatch, loaded)
-                result = searcher.search(q, k=3, faults=injector(0.0), query_index=i)
+                result = searcher.search_batch(
+                    [q], k=3, faults=injector(0.0), query_indices=[i]
+                )[0]
                 monkeypatch.undo()
                 visited = len(result.trace)
                 scanned = visited - result.chunks_pruned - result.chunks_skipped
@@ -571,7 +593,9 @@ class TestReadableButNotPromoted:
         query = make_queries(1, clutter_collection.dimensions, seed=5)[0] / 4.0
         with ChunkIndex.load(directory, clutter_collection.dimensions) as loaded:
             seen = self.instrument(monkeypatch, loaded)
-            clean = ChunkSearcher(loaded).search(query, k=3, faults=injector(0.0))
+            clean = ChunkSearcher(loaded).search_batch(
+                [query], k=3, faults=injector(0.0)
+            )[0]
             monkeypatch.undo()
             victim = min(self.pruned([clean], seen))
             meta = loaded.metas[victim]
@@ -583,7 +607,9 @@ class TestReadableButNotPromoted:
             f.seek(offset)
             f.write(bytes([value ^ 0x10]))
         with ChunkIndex.load(directory, clutter_collection.dimensions) as damaged:
-            result = ChunkSearcher(damaged).search(query, k=3, faults=injector(0.0))
+            result = ChunkSearcher(damaged).search_batch(
+                [query], k=3, faults=injector(0.0)
+            )[0]
         [event] = [e for e in result.trace.events if e.chunk_id == victim]
         assert event.skipped and event.fault == "corrupt"
         assert result.degraded and not result.completed

@@ -88,52 +88,3 @@ class TestStore:
             np.testing.assert_array_equal(
                 store.get(i), exact_knn(tiny_collection, queries[i], 4)
             )
-
-    def test_save_load_roundtrip(self, tiny_collection, tmp_path):
-        queries = tiny_collection.vectors[:2].astype(float)
-        store = GroundTruthStore.compute(tiny_collection, queries, 3)
-        path = str(tmp_path / "gt.npz")
-        store.save(path)
-        loaded = GroundTruthStore.load(path)
-        assert loaded.k == 3
-        assert len(loaded) == 2
-        for i in range(2):
-            np.testing.assert_array_equal(loaded.get(i), store.get(i))
-
-    def test_load_without_extension(self, tiny_collection, tmp_path):
-        queries = tiny_collection.vectors[:1].astype(float)
-        store = GroundTruthStore.compute(tiny_collection, queries, 2)
-        base = str(tmp_path / "gt2")
-        store.save(base)
-        loaded = GroundTruthStore.load(base)
-        np.testing.assert_array_equal(loaded.get(0), store.get(0))
-
-    def test_save_leaves_no_tmp_file(self, tiny_collection, tmp_path):
-        queries = tiny_collection.vectors[:1].astype(float)
-        store = GroundTruthStore.compute(tiny_collection, queries, 2)
-        path = str(tmp_path / "gt.npz")
-        store.save(path)
-        import os
-
-        assert os.listdir(tmp_path) == ["gt.npz"]
-
-    def test_load_rejects_missing_arrays(self, tmp_path):
-        from repro.storage.errors import CorruptFileError
-
-        path = str(tmp_path / "bad.npz")
-        np.savez(path, k=np.int64(3), indices=np.arange(2))
-        with pytest.raises(CorruptFileError, match="missing"):
-            GroundTruthStore.load(path)
-
-    def test_load_rejects_inconsistent_shapes(self, tmp_path):
-        from repro.storage.errors import CorruptFileError
-
-        path = str(tmp_path / "bad2.npz")
-        np.savez(
-            path,
-            k=np.int64(3),
-            indices=np.arange(2),
-            ids=np.zeros((2, 5), dtype=np.int64),  # k says 3, rows say 5
-        )
-        with pytest.raises(CorruptFileError, match="shapes"):
-            GroundTruthStore.load(path)

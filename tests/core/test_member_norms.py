@@ -298,9 +298,9 @@ class TestMemoContract:
         faults = FaultInjector.from_cost_model(
             FaultPlan.balanced(0.5, seed=7), PAPER_2005_COST_MODEL
         )
-        result = ChunkSearcher(index, prune=False).search(
-            queries[0], k=K, faults=faults
-        )
+        result = ChunkSearcher(index, prune=False).search_batch(
+            [queries[0]], k=K, faults=faults
+        )[0]
         skipped = {
             result.trace.chunk_ids[rank]
             for rank, (was_skipped, _, _) in result.trace.faults.items()

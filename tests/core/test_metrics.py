@@ -12,13 +12,15 @@ from repro.core.metrics import (
     robustness_stats,
 )
 from repro.core.trace import SearchTrace, TraceEvent
+from traces import append_event
 
 
 def make_trace(start, steps):
     """steps: list of (elapsed, matches)."""
     t = SearchTrace(start_elapsed_s=start)
     for rank, (elapsed, matches) in enumerate(steps, start=1):
-        t.append(
+        append_event(
+            t,
             TraceEvent(
                 chunk_id=rank - 1,
                 rank=rank,
@@ -102,7 +104,8 @@ def make_degraded_trace(start, steps):
     """steps: list of (elapsed, skipped) over 4-descriptor chunks."""
     t = SearchTrace(start_elapsed_s=start)
     for rank, (elapsed, skipped) in enumerate(steps, start=1):
-        t.append(
+        append_event(
+            t,
             TraceEvent(
                 chunk_id=rank - 1,
                 rank=rank,

@@ -95,7 +95,7 @@ class TestNeighborSet:
     def test_ids_sorted_best_first(self):
         ns = NeighborSet(3)
         ns.update(np.array([3.0, 1.0, 2.0]), np.array([30, 10, 20]))
-        assert list(ns.ids()) == [10, 20, 30]
+        assert [n.descriptor_id for n in ns.sorted()] == [10, 20, 30]
 
     @given(
         st.lists(

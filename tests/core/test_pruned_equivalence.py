@@ -176,8 +176,12 @@ class TestPrunedEquivalence:
         pruned = ChunkSearcher(index, prune=True)
         replay = ReplayOracle(index, k=5, faults=injector(rate))
         for i, query in enumerate(queries):
-            want = plain.search(query, k=5, faults=injector(rate), query_index=i)
-            got = pruned.search(query, k=5, faults=injector(rate), query_index=i)
+            want = plain.search_batch(
+                [query], k=5, faults=injector(rate), query_indices=[i]
+            )[0]
+            got = pruned.search_batch(
+                [query], k=5, faults=injector(rate), query_indices=[i]
+            )[0]
             assert_results_identical(got, want, replay, query, i)
 
     @pytest.mark.parametrize("chunker_name", ["srtree", "bag"])
@@ -246,7 +250,9 @@ class TestRectangleBoundEquivalence:
             if cohort == "several":
                 return searcher.search_batch(queries, k=5, faults=faults()).results
             return [
-                searcher.search(query, k=5, faults=faults(), query_index=i)
+                searcher.search_batch(
+                    [query], k=5, faults=faults(), query_indices=[i]
+                )[0]
                 for i, query in enumerate(queries)
             ]
 
@@ -467,7 +473,9 @@ class TestChunkCacheEquivalence:
         queries = make_queries(8, tiny_collection.dimensions, seed=29)
         sequential = ChunkSearcher(index, cost_model=self._model())
         want = [
-            sequential.search(q, k=5, faults=injector(0.25), query_index=i)
+            sequential.search_batch(
+                [q], k=5, faults=injector(0.25), query_indices=[i]
+            )[0]
             for i, q in enumerate(queries)
         ]
         batch = ChunkSearcher(
@@ -556,7 +564,7 @@ class TestCachedCostModelsReplay:
         searcher = ChunkSearcher(index, cost_model=model)
         if cohort == "one":
             results = [
-                searcher.search(q, k=5, faults=faults, query_index=i)
+                searcher.search_batch([q], k=5, faults=faults, query_indices=[i])[0]
                 for i, q in enumerate(queries)
             ]
         else:

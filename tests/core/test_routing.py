@@ -105,10 +105,6 @@ class TestBuild:
         with pytest.raises(ValueError, match="radii"):
             CentroidRouter.build(np.zeros((3, 4)), np.zeros(2))
 
-    def test_rejects_zero_iterations(self):
-        with pytest.raises(ValueError, match="iteration"):
-            CentroidRouter.build(np.zeros((3, 4)), np.zeros(3), iterations=0)
-
     def test_rejects_unknown_rank_rule(self, tiny_collection):
         router = CentroidRouter.from_index(make_index(tiny_collection))
         with pytest.raises(ValueError, match="unknown ranking rule"):

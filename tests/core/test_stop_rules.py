@@ -127,11 +127,6 @@ class TestFirstOf:
         rule = FirstOf([MaxChunks(5), TimeBudget(10.0)])
         assert rule.check(progress(chunks_read=1, elapsed_s=0.1)) is None
 
-    def test_and_operator_composes(self):
-        rule = MaxChunks(2) & TimeBudget(5.0)
-        assert isinstance(rule, FirstOf)
-        assert rule.check(progress(chunks_read=2)) == "max-chunks(2)"
-
     def test_nested_flattening(self):
         rule = FirstOf([FirstOf([MaxChunks(1)]), TimeBudget(1.0)])
         assert len(rule.rules) == 2

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.trace import SearchTrace, TraceEvent
+from traces import append_event
 
 
 def event(rank, elapsed, matches, chunk_id=None, n_desc=10):
@@ -22,21 +23,24 @@ def event(rank, elapsed, matches, chunk_id=None, n_desc=10):
 @pytest.fixture()
 def trace():
     t = SearchTrace(start_elapsed_s=0.05)
-    t.append(event(1, 0.10, 2))
-    t.append(event(2, 0.20, 2))
-    t.append(event(3, 0.35, 5))
+    append_event(t, event(1, 0.10, 2))
+    append_event(t, event(2, 0.20, 2))
+    append_event(t, event(3, 0.35, 5))
     return t
 
 
 class TestAppend:
+    """The tests' trace builder (``tests/traces.py``) logs visits in rank
+    order only."""
+
     def test_rank_order_enforced(self, trace):
         with pytest.raises(ValueError):
-            trace.append(event(5, 0.5, 6))
+            append_event(trace, event(5, 0.5, 6))
 
     def test_first_event_rank_one(self):
         t = SearchTrace(start_elapsed_s=0.0)
         with pytest.raises(ValueError):
-            t.append(event(2, 0.1, 1))
+            append_event(t, event(2, 0.1, 1))
 
 
 class TestCurves:
@@ -56,7 +60,8 @@ class TestCurves:
 
     def test_no_ground_truth_raises(self):
         t = SearchTrace(start_elapsed_s=0.0)
-        t.append(
+        append_event(
+            t,
             TraceEvent(
                 chunk_id=0, rank=1, elapsed_s=0.1, n_descriptors=5,
                 neighbors_found=5, kth_distance=1.0,
@@ -105,11 +110,12 @@ class TestDegradedSummaries:
     @pytest.fixture()
     def degraded_trace(self):
         t = SearchTrace(start_elapsed_s=0.05)
-        t.append(event(1, 0.10, 2))
-        t.append(skipped_event(2, 0.25, n_desc=30))
-        t.append(event(3, 0.35, 5))
-        t.append(skipped_event(4, 0.50, n_desc=10, fault="read-error",
-                               retries=1))
+        append_event(t, event(1, 0.10, 2))
+        append_event(t, skipped_event(2, 0.25, n_desc=30))
+        append_event(t, event(3, 0.35, 5))
+        append_event(
+            t, skipped_event(4, 0.50, n_desc=10, fault="read-error", retries=1)
+        )
         return t
 
     def test_skip_counters(self, degraded_trace):

@@ -27,6 +27,7 @@ from repro.core.search import ChunkSearcher, SearchResult
 from repro.core.trace import SearchTrace, TraceEvent
 from repro.faults.plan import FAILURE_KINDS, FAULT_NONE, FAULT_SPIKE
 from repro.service.breaker import BREAKER_OPEN, BreakerBoard
+from traces import append_event
 
 N_CHUNKS = 16
 
@@ -54,7 +55,7 @@ class TestLazyEvents:
         truth = list(exact_knn_batch(small_synthetic, queries, 10))
         batch = searcher.search_batch(queries, k=10, true_neighbor_ids=truth)
         for one in batch:
-            one.chunks_read, one.coverage_fraction, one.holds_under_deadline(1.0)
+            one.chunks_read, one.trace.coverage_fraction, one.holds_under_deadline(1.0)
             one.trace.time_to_find(10), one.trace.total_retries
         assert built == []
 
@@ -217,7 +218,7 @@ class TestSummariesEqualTheirEventDefinitions:
     def test_appending_the_events_rebuilds_an_equal_trace(self, trace):
         again = SearchTrace(start_elapsed_s=trace.start_elapsed_s)
         for event in trace.events:
-            again.append(event)
+            append_event(again, event)
         assert again == trace
         assert again.events == trace.events
         assert summaries(0.0, again.events) == summaries(0.0, trace.events)
@@ -236,11 +237,11 @@ def test_the_empty_trace():
 def test_append_invalidates_the_built_events():
     trace = SearchTrace(start_elapsed_s=0.0)
     first = TraceEvent(0, 1, 0.1, 4, 1, 2.0, 0)
-    trace.append(first)
+    append_event(trace, first)
     assert trace.events == [first]
     second = TraceEvent(3, 2, 0.2, 4, 2, 1.0, 1, True, "corrupt", 2)
-    trace.append(second)
+    append_event(trace, second)
     assert trace.events == [first, second]
     assert trace.faults == {1: (True, "corrupt", 2)}
     with pytest.raises(ValueError, match="rank order"):
-        trace.append(first)
+        append_event(trace, first)

@@ -10,22 +10,23 @@ import json
 
 import pytest
 
-from repro.experiments import chunk_size_sweep, faultsim
+from repro.experiments import faultsim
 from repro.experiments.checkpoint import SweepCheckpoint
 
 META = {"experiment": "unit-test", "seed": 7, "grid": (1, 2)}
 
 
+def refuse():
+    raise AssertionError("a stored point must not be recomputed")
+
+
 class TestSweepCheckpoint:
     def test_round_trip_through_json(self, tmp_path):
         ckpt = SweepCheckpoint(tmp_path / "c.json", META)
-        assert len(ckpt) == 0 and ckpt.resumed_points == 0
-        assert ckpt.get("p") is None and "p" not in ckpt
         ckpt.put("p", {"x": 1.5, "grid": (3, 4)})
-        assert "p" in ckpt and len(ckpt) == 1
         # Values live in the serialized domain from the moment of put:
         # tuples become lists, floats stay bit-identical.
-        assert ckpt.get("p") == {"x": 1.5, "grid": [3, 4]}
+        assert ckpt.point("p", refuse) == {"x": 1.5, "grid": [3, 4]}
 
     def test_reopen_resumes_stored_points(self, tmp_path):
         path = tmp_path / "c.json"
@@ -33,25 +34,21 @@ class TestSweepCheckpoint:
         first.put("a", 1.0)
         first.put("b", [2.0, 3.0])
         reopened = SweepCheckpoint(path, META)
-        assert reopened.resumed_points == 2
-        assert reopened.get("a") == 1.0
-        assert reopened.get("b") == [2.0, 3.0]
+        assert reopened.point("a", refuse) == 1.0
+        assert reopened.point("b", refuse) == [2.0, 3.0]
 
     def test_meta_mismatch_starts_empty(self, tmp_path):
         path = tmp_path / "c.json"
         SweepCheckpoint(path, META).put("a", 1.0)
         other = SweepCheckpoint(path, {**META, "seed": 8})
-        assert len(other) == 0 and other.resumed_points == 0
-        # The first put replaces the stale file wholesale.
-        other.put("b", 2.0)
-        fresh = SweepCheckpoint(path, {**META, "seed": 8})
-        assert fresh.get("a") is None
-        assert fresh.get("b") == 2.0
+        assert other.point("a", lambda: 5.0) == 5.0
+        # The first put replaced the stale file wholesale.
+        assert json.loads(path.read_text())["points"] == {"a": 5.0}
 
     def test_unknown_format_is_ignored(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"format": "something-else", "points": {"a": 1}}))
-        assert len(SweepCheckpoint(path, META)) == 0
+        assert SweepCheckpoint(path, META).point("a", lambda: 2) == 2
 
     def test_file_is_plain_sorted_json(self, tmp_path):
         path = tmp_path / "c.json"
@@ -82,7 +79,7 @@ class TestPoint:
         assert ckpt.point("p", compute) == first
         assert len(calls) == 1
         ckpt.point("q", compute)
-        assert len(calls) == 2 and len(ckpt) == 2
+        assert len(calls) == 2
         if on_disk:
             assert SweepCheckpoint(path, META).point("p", compute) == first
             assert len(calls) == 2  # resumed, not recomputed
@@ -90,9 +87,9 @@ class TestPoint:
     def test_in_memory_checkpoint_touches_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         ckpt = SweepCheckpoint(None, META)
-        assert ckpt.path is None and ckpt.resumed_points == 0
+        assert ckpt.path is None
         ckpt.put("a", 1.0)
-        assert ckpt.get("a") == 1.0
+        assert ckpt.point("a", refuse) == 1.0
         assert list(tmp_path.iterdir()) == []
 
 
@@ -154,21 +151,3 @@ class TestFaultsimKillMidway:
         )
         assert CountingPlan.calls == 0  # complete checkpoint: no work at all
         assert again.series == fresh_sweep.series
-
-
-class TestChunkSizeSweepResume:
-    def test_resume_never_recomputes_traces(
-        self, experiment_data, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "fig6.ckpt.json"
-        fresh = chunk_size_sweep.run_fig6(experiment_data, checkpoint_path=path)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("sweep_traces must not run on resume")
-
-        # Poisoning the trace sweep proves the checkpoint — not the
-        # in-process trace cache — is what skips the recompute.
-        monkeypatch.setattr(chunk_size_sweep, "sweep_traces", refuse)
-        resumed = chunk_size_sweep.run_fig6(experiment_data, checkpoint_path=path)
-        assert resumed.x_values == fresh.x_values
-        assert resumed.series == fresh.series

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.config import (
     DEFAULT_SCALE,
+    K,
     PAPER_MEDIUM_CHUNK,
     SIZE_CLASSES,
     TEST_SCALE,
@@ -30,7 +31,7 @@ class TestRegistry:
 
 class TestScale:
     def test_paper_constants(self):
-        assert DEFAULT_SCALE.k == 30  # the paper's precision@30
+        assert K == 30  # the paper's precision@30
         assert PAPER_MEDIUM_CHUNK == 1719  # Table 1 MEDIUM
 
     def test_thresholds_descend(self):
@@ -47,8 +48,6 @@ class TestScale:
             DEFAULT_SCALE.bag_thresholds(20)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(TEST_SCALE, k=0)
         with pytest.raises(ValueError):
             dataclasses.replace(TEST_SCALE, n_queries=0)
         with pytest.raises(ValueError):

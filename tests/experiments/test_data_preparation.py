@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import data as data_module
-from repro.experiments.config import SIZE_CLASSES, TEST_SCALE
+from repro.experiments.config import K, SIZE_CLASSES, TEST_SCALE
 from repro.experiments.data import prepare
 
 
@@ -93,14 +93,14 @@ class TestCacheControl:
         """A ``dataclasses.replace`` variant keeps the name of the scale it
         came from; the cache must key on every field, not the name."""
         scale = dataclasses.replace(
-            TEST_SCALE, k=10, n_queries=40, n_queries_sweep=20
+            TEST_SCALE, n_queries=40, n_queries_sweep=20
         )
         try:
             derived = prepare(scale)
             assert derived is not experiment_data
             assert derived.scale == scale
             assert len(derived.workloads["DQ"]) == 40
-            assert len(derived.ground_truth("SMALL", "DQ").get(0)) == 10
+            assert len(derived.ground_truth("SMALL", "DQ").get(0)) == K
             assert prepare(TEST_SCALE) is experiment_data
         finally:
             data_module._CACHE.pop(scale, None)

@@ -17,6 +17,7 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.experiments.config import K
 from repro.experiments.data import FAMILIES
 
 
@@ -94,7 +95,7 @@ class TestFig1:
 class TestQualityFigures:
     def test_fig2_bag_needs_fewer_chunks(self, experiment_data):
         result = quality_figures.run_fig2(experiment_data)
-        k = experiment_data.scale.k
+        k = K
         for size_class in SIZE_CLASSES:
             bag = result.series[f"BAG/{size_class}"][k]
             sr = result.series[f"SR/{size_class}"][k]
@@ -117,7 +118,7 @@ class TestQualityFigures:
 
     def test_fig4_bag_catches_up(self, experiment_data):
         result = quality_figures.run_fig4(experiment_data)
-        k = experiment_data.scale.k
+        k = K
         assert result.series["BAG/SMALL"][k] < result.series["SR/SMALL"][k]
 
     def test_fig4_starts_at_index_read_cost(self, experiment_data):

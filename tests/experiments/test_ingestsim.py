@@ -11,18 +11,16 @@ from repro.experiments.config import get_scale
 from repro.storage import atomic
 
 
-SMALL = ingestsim.IngestSimConfig(
-    steps=3,
-    n_queries=4,
-    n_crashes=1,
-    leaf_capacity=32,
-)
+SMALL = ingestsim.IngestSimConfig(steps=3, n_crashes=1)
 
 
 @pytest.fixture(autouse=True)
 def small_batches(monkeypatch):
-    """Smaller WAL batches than the CLI's, so a short run has many."""
+    """Smaller WAL batches, fewer queries and smaller leaves than the
+    CLI's, so a short run has many batches and stays quick."""
     monkeypatch.setattr(ingestsim, "BATCH_OPS", 16)
+    monkeypatch.setattr(ingestsim, "QUERIES_PER_STEP", 4)
+    monkeypatch.setattr(ingestsim, "LEAF_CAPACITY", 32)
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +73,7 @@ class TestSimulate:
         assert str(tmp_path) not in text
 
     def test_crash_free_run_has_no_recoveries(self, scale, tmp_path):
-        quiet = ingestsim.IngestSimConfig(
-            steps=2, n_queries=2, n_crashes=0, leaf_capacity=32
-        )
+        quiet = ingestsim.IngestSimConfig(steps=2, n_crashes=0)
         report = ingestsim.simulate(
             scale, str(tmp_path / "run"), seed=5, config=quiet
         )

@@ -9,6 +9,11 @@ it took a row of draws and named each attempt's kind with ``_kind``'s
 ``u < edge`` chain.  The mix primitives they call (``_words``, ``_pool``,
 the hash constants) are the shipped ones, unchanged.
 ``test_draws.py`` and ``test_injector_table.py`` compare the two.
+
+:func:`uniforms` and :func:`chunk_outcome` are ``FaultPlan.uniforms`` and
+``FaultPlan.chunk_outcome`` as they stood when the plan drew one access's
+row per call: the per-key answer every injector outcome must equal
+(``test_plan.py``, ``test_injector.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.faults import plan as plan_module
 from repro.faults.draws import (
     _INIT_B,
     _MASK32,
@@ -27,6 +33,7 @@ from repro.faults.draws import (
     _hashmix,
     _pool,
     _words,
+    key_uniforms,
 )
 from repro.faults.plan import (
     FAILURE_KINDS,
@@ -35,6 +42,7 @@ from repro.faults.plan import (
     FAULT_READ_ERROR,
     FAULT_SPIKE,
     FAULT_TRUNCATE,
+    OK_OUTCOME,
     SPIKE_S,
     ChunkFaultOutcome,
     FaultPlan,
@@ -128,3 +136,59 @@ def classify(plan: FaultPlan, draws: np.ndarray, attempt_io_s: float) -> ChunkFa
     return ChunkFaultOutcome(
         ok=False, kind=kind, attempts=budget, extra_io_s=extra, spiked=False
     )
+
+
+def uniforms(plan: FaultPlan, stream: int, a: int, b: int, n: int) -> np.ndarray:
+    """``n`` uniforms in [0, 1) (float64) for one keyed decision site.
+
+    The key is ``(seed, stream, a, b)``; results are independent of
+    call order and of every other key — the property that lets a
+    cohort of queries reproduce each single query's faults exactly.
+    """
+    return key_uniforms((plan.seed, stream, a, b), n)
+
+
+def chunk_outcome(
+    plan: FaultPlan,
+    query_id: int,
+    chunk_id: int,
+    attempt_io_s: float,
+    readable: bool = True,
+) -> ChunkFaultOutcome:
+    """Resolve the fault behaviour of one ``(query, chunk)`` access.
+
+    Parameters
+    ----------
+    query_id, chunk_id:
+        The decision key (must be non-negative).
+    attempt_io_s:
+        Simulated cost of one (uncached) read attempt of this chunk
+        — failed attempts are charged at this rate.
+    readable:
+        Pass False when a *real* read of the chunk already failed
+        (e.g. an actual :class:`~repro.storage.errors.CorruptFileError`):
+        real damage is treated as persistent, so every attempt fails
+        and the chunk is skipped with all retries charged.
+    """
+    if query_id < 0 or chunk_id < 0:
+        raise ValueError("expected non-negative integer")
+    if attempt_io_s < 0.0:
+        raise ValueError("attempt cost cannot be negative")
+    budget = plan_module.MAX_RETRIES + 1
+    if not readable:
+        extra = budget * attempt_io_s
+        for retry in range(budget - 1):
+            extra += plan.backoff_delay_s(retry)
+        return ChunkFaultOutcome(
+            ok=False,
+            kind=FAULT_CORRUPT,
+            attempts=budget,
+            extra_io_s=extra,
+            spiked=False,
+        )
+    if plan.is_null:
+        return OK_OUTCOME
+    draws = uniforms(
+        plan, plan_module._STREAM_CHUNK, int(query_id), int(chunk_id), budget
+    )
+    return plan.classify(plan.kind_codes(draws).tolist(), attempt_io_s)

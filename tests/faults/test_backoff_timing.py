@@ -25,6 +25,7 @@ from repro.faults.plan import (
 )
 from repro.simio.calibration import PAPER_2005_COST_MODEL
 from repro.simio.pipeline import CostModel
+from reference_draws import chunk_outcome, uniforms
 
 IO_S = 0.010  # attempt cost used by the plan-level tests
 
@@ -69,7 +70,7 @@ class TestSkipCharges:
     ):
         monkeypatch.setattr(plan_module, "MAX_RETRIES", max_retries)
         plan = FaultPlan(seed=3, **rates)
-        outcome = plan.chunk_outcome(0, 0, IO_S)
+        outcome = chunk_outcome(plan, 0, 0, IO_S)
         assert not outcome.ok
         assert outcome.kind == kind
         assert outcome.attempts == max_retries + 1
@@ -83,7 +84,7 @@ class TestSkipCharges:
         # budget * io, then the backoffs, in the implementation's order.
         monkeypatch.setattr(plan_module, "MAX_RETRIES", max_retries)
         plan = FaultPlan(seed=3)
-        outcome = plan.chunk_outcome(0, 0, IO_S, readable=False)
+        outcome = plan.unreadable_outcome(IO_S)
         budget = max_retries + 1
         expected = budget * IO_S
         for retry in range(budget - 1):
@@ -98,7 +99,7 @@ class TestSuccessCharges:
     def test_spike_charges_exactly_spike_seconds(self, monkeypatch):
         monkeypatch.setattr(plan_module, "SPIKE_S", 0.123)
         plan = FaultPlan(seed=3, spike_rate=1.0)
-        outcome = plan.chunk_outcome(0, 0, IO_S)
+        outcome = chunk_outcome(plan, 0, 0, IO_S)
         assert outcome.ok and outcome.spiked
         assert outcome.kind == FAULT_SPIKE
         assert outcome.attempts == 1 and outcome.retries == 0
@@ -110,7 +111,7 @@ class TestSuccessCharges:
         budget = plan_module.MAX_RETRIES + 1
         assert n_failures < budget
         for chunk in range(10_000):
-            us = plan.uniforms(0, 0, chunk, budget)  # stream 0 = chunk stream
+            us = uniforms(plan, 0, 0, chunk, budget)  # stream 0 = chunk stream
             prefix_fails = all(us[i] < rate for i in range(n_failures))
             then_clean = us[n_failures] >= rate
             if prefix_fails and then_clean:
@@ -125,7 +126,7 @@ class TestSuccessCharges:
         monkeypatch.setattr(plan_module, "MAX_RETRIES", 3)
         plan = FaultPlan(seed=11, read_error_rate=rate)
         chunk = self.find_key_with_failure_prefix(plan, rate, n_failures)
-        outcome = plan.chunk_outcome(0, chunk, IO_S)
+        outcome = chunk_outcome(plan, 0, chunk, IO_S)
         expected = 0.0
         for attempt in range(n_failures):
             expected += IO_S
@@ -157,9 +158,9 @@ class TestEndToEndTiming:
         plan = FaultPlan(seed=5, read_error_rate=1.0)
         injector = FaultInjector.from_cost_model(plan, model)
         searcher = ChunkSearcher(index, cost_model=model)
-        result = searcher.search(
-            np.zeros(index.dimensions), k=3, faults=injector, query_index=0
-        )
+        result = searcher.search_batch(
+            [np.zeros(index.dimensions)], k=3, faults=injector, query_indices=[0]
+        )[0]
         assert result.chunks_skipped == index.n_chunks
         expected = result.trace.start_elapsed_s
         for event in result.trace.events:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.faults import plan as plan_module
 from repro.faults import shard_plan as shard_plan_module
-from repro.faults.draws import keyed_uniforms
+from repro.faults.draws import key_uniforms, keyed_uniforms
 from repro.faults.injector import _WINDOW_ROWS
 from repro.faults.plan import FaultPlan
 from repro.faults.shard_plan import ShardFaultPlan
@@ -142,7 +142,9 @@ class TestPlanDraws:
         for query in (8, 9):
             for chunk in range(6):
                 want = reference((2**32, 0, query, chunk), plan_module.MAX_RETRIES + 1)
-                got = plan.uniforms(0, query, chunk, plan_module.MAX_RETRIES + 1)
+                got = reference_draws.uniforms(
+                    plan, 0, query, chunk, plan_module.MAX_RETRIES + 1
+                )
                 assert_bit_equal(got, want)
                 assert_bit_equal(table[query - 8, chunk], want)
 
@@ -182,11 +184,7 @@ class TestPlanDraws:
     def test_negative_keys_raise_value_error(self):
         plan = FaultPlan.balanced(0.3, seed=1)
         with pytest.raises(ValueError):
-            plan.chunk_outcome(-1, 0, 0.01)
-        with pytest.raises(ValueError):
-            plan.chunk_outcome(0, -1, 0.01)
-        with pytest.raises(ValueError):
-            plan.uniforms(0, 0, -3, 2)
+            key_uniforms((1, 0, 0, -3), 2)
         with pytest.raises(ValueError):
             keyed_uniforms((1, -2), range(0, 1), range(0, 3), 1)
         with pytest.raises(ValueError):
@@ -199,7 +197,6 @@ class TestPlanDraws:
     def test_draw_width_follows_max_retries(self, monkeypatch):
         monkeypatch.setattr(plan_module, "MAX_RETRIES", 3)
         plan = FaultPlan(seed=11, read_error_rate=0.4)
-        assert plan.uniforms(0, 0, 5, plan_module.MAX_RETRIES + 1).shape == (4,)
         table = plan.chunk_draws(range(0, 2), range(8))
         assert table.shape == (2, 8, 4)
         assert_bit_equal(table[1, 5], reference((11, 0, 1, 5), 4))

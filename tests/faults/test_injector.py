@@ -5,6 +5,7 @@ import pytest
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import MAX_RETRIES, FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
+from reference_draws import chunk_outcome
 
 
 class TestFaultInjector:
@@ -33,8 +34,8 @@ class TestFaultInjector:
         io_s = injector.attempt_io_s(2)
         for q in range(10):
             for c in range(10):
-                assert injector.outcome(q, c, 2) == plan.chunk_outcome(
-                    q, c, io_s
+                assert injector.outcome(q, c, 2) == chunk_outcome(
+                    plan, q, c, io_s
                 )
 
     def test_unreadable_outcome_always_skips(self):
@@ -54,12 +55,12 @@ class TestFaultInjector:
         io_s = injector.attempt_io_s(3)
         keys = [(0, 5), (1, 5), (0, 7), (0, 900), (0, 3), (1, 901), (2, 0), (0, 5)]
         for query, chunk in keys:
-            assert injector.outcome(query, chunk, 3) == plan.chunk_outcome(
-                query, chunk, io_s
+            assert injector.outcome(query, chunk, 3) == chunk_outcome(
+                plan, query, chunk, io_s
             )
         # A table that grew is the table drawn whole.
         for chunk in range(0, 1200, 37):
-            assert injector.outcome(0, chunk, 3) == plan.chunk_outcome(0, chunk, io_s)
+            assert injector.outcome(0, chunk, 3) == chunk_outcome(plan, 0, chunk, io_s)
 
     def test_negative_keys_raise_value_error(self):
         injector = FaultInjector.from_cost_model(
@@ -69,6 +70,6 @@ class TestFaultInjector:
             injector.outcome(-1, 0, 1)
         with pytest.raises(ValueError):
             injector.outcome(0, -1, 1)
-        assert injector.outcome(0, 0, 1) == injector.plan.chunk_outcome(
-            0, 0, injector.attempt_io_s(1)
+        assert injector.outcome(0, 0, 1) == chunk_outcome(
+            injector.plan, 0, 0, injector.attempt_io_s(1)
         )

@@ -21,7 +21,8 @@ from a memo keyed by (code sequence, attempt cost).  The properties:
 * a negative query or chunk id is refused under every plan;
 * ``BreakerGuardedInjector.outcome_table`` is the inner table (all
   ``OK_OUTCOME`` without one) with every chunk of a blocked region, the
-  short last one included, overwritten by ``BREAKER_SKIP_OUTCOME``.
+  short last one included, overwritten by ``BREAKER_SKIP_OUTCOME``, which
+  is also the guard's ``outcome()`` for a blocked chunk whose read failed.
 
 Planted twins — a clean decision that forgets spikes, codes taken with
 ``side="left"``, a memo keyed without the attempt cost, an overlay that
@@ -103,8 +104,10 @@ def make_injector(plan):
 
 def oracle(plan, query, chunk, io_s, readable=True):
     """The per-query draw classified by ``_kind``'s chain, as before; equal
-    to the plan's answer."""
-    want = plan.chunk_outcome(query, chunk, io_s, readable=readable)
+    to the per-key answer."""
+    want = reference_draws.chunk_outcome(
+        plan, query, chunk, io_s, readable=readable
+    )
     if readable:
         budget = plan_module.MAX_RETRIES + 1
         draws = reference_draws.keyed_uniforms((plan.seed, 0, query), chunk, chunk + 1, budget)
@@ -174,7 +177,7 @@ def rig(monkeypatch, rows):
         return np.array(rows[chunk % len(rows)], dtype=np.float64)
 
     monkeypatch.setattr(FaultPlan, "chunk_draws", chunk_draws)
-    monkeypatch.setattr(FaultPlan, "uniforms", uniforms)
+    monkeypatch.setattr(reference_draws, "uniforms", uniforms)
 
 
 def check_sequences(plan, rows, page_counts):
@@ -190,7 +193,7 @@ def check_sequences(plan, rows, page_counts):
             codes = [ATTEMPT_KINDS.index(reference_draws._kind(plan, u)) for u in row]
             assert plan.kind_codes(np.array(row)).tolist() == codes, row
             assert plan.classify(codes, io_s) == want, row
-            assert plan.chunk_outcome(7, chunk, io_s) == want, row
+            assert reference_draws.chunk_outcome(plan, 7, chunk, io_s) == want, row
             got = injector.outcome(7, chunk, page_count)
             assert got == want, (row, page_count)
             assert (table[chunk] is OK_OUTCOME) == is_clean(want), row
@@ -265,8 +268,6 @@ class TestCleanTable:
             lambda: injector.outcome(-1, 0, 2),
             lambda: injector.outcome(0, -1, 2),
             lambda: injector.outcome(-1, 0, 2, readable=False),
-            lambda: plan.chunk_outcome(-1, 0, 0.01),
-            lambda: plan.chunk_outcome(0, -1, 0.01, readable=False),
         ):
             with pytest.raises(ValueError, match="expected non-negative integer"):
                 call()
@@ -337,7 +338,8 @@ class TestCodeSequences:
 def check_overlay(inner, n_chunks, blocked, query=1):
     """The guarded table: the skip over every chunk of a blocked region,
     the inner table's entry (``OK_OUTCOME`` without one) elsewhere, and
-    ``outcome()`` agreeing with every decided entry."""
+    ``outcome()`` agreeing with every decided entry of an unblocked region
+    and giving the skip for a blocked chunk whose read failed."""
     board = BreakerBoard(n_chunks=n_chunks, region_size=REGION_SIZE)
     guarded = BreakerGuardedInjector(inner, board, frozenset(blocked))
     table = guarded.outcome_table(query, n_chunks)
@@ -350,8 +352,9 @@ def check_overlay(inner, n_chunks, blocked, query=1):
     for chunk, decided in enumerate(table):
         if chunk // REGION_SIZE in blocked:
             assert decided is BREAKER_SKIP_OUTCOME, chunk
-        else:
-            assert decided is plain[chunk], chunk
+            assert guarded.outcome(query, chunk, 2, readable=False) is decided
+            continue
+        assert decided is plain[chunk], chunk
         if decided is not None:
             assert guarded.outcome(query, chunk, 2) is decided
 

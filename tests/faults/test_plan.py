@@ -15,6 +15,9 @@ from repro.faults.plan import (
     OK_OUTCOME,
     FaultPlan,
 )
+from repro.faults.injector import FaultInjector
+from repro.simio.calibration import PAPER_2005_COST_MODEL
+from reference_draws import chunk_outcome
 
 
 class TestValidation:
@@ -54,7 +57,8 @@ class TestNullPlan:
 
     def test_null_plan_returns_shared_ok_outcome(self):
         plan = FaultPlan(seed=9)
-        outcome = plan.chunk_outcome(4, 17, attempt_io_s=0.01)
+        injector = FaultInjector.from_cost_model(plan, PAPER_2005_COST_MODEL)
+        outcome = injector.outcome(4, 17, 2)
         assert outcome is OK_OUTCOME
         assert outcome.ok and outcome.kind == FAULT_NONE
         assert outcome.attempts == 1 and outcome.extra_io_s == 0.0
@@ -64,9 +68,9 @@ class TestDeterminism:
     def test_outcomes_independent_of_call_order(self):
         plan = FaultPlan.balanced(0.3, seed=42)
         keys = [(q, c) for q in range(20) for c in range(20)]
-        forward = {k: plan.chunk_outcome(*k, attempt_io_s=0.02) for k in keys}
+        forward = {k: chunk_outcome(plan, *k, attempt_io_s=0.02) for k in keys}
         backward = {
-            k: plan.chunk_outcome(*k, attempt_io_s=0.02)
+            k: chunk_outcome(plan, *k, attempt_io_s=0.02)
             for k in reversed(keys)
         }
         assert forward == backward
@@ -75,14 +79,14 @@ class TestDeterminism:
         keys = [(q, c) for q in range(15) for c in range(15)]
         a = FaultPlan.balanced(0.3, seed=1)
         b = FaultPlan.balanced(0.3, seed=2)
-        assert [a.chunk_outcome(*k, attempt_io_s=0.02) for k in keys] != [
-            b.chunk_outcome(*k, attempt_io_s=0.02) for k in keys
+        assert [chunk_outcome(a, *k, attempt_io_s=0.02) for k in keys] != [
+            chunk_outcome(b, *k, attempt_io_s=0.02) for k in keys
         ]
 
     def test_all_kinds_occur_at_plausible_frequency(self):
         plan = FaultPlan.balanced(0.3, seed=5)
         kinds = [
-            plan.chunk_outcome(q, c, attempt_io_s=0.02).kind
+            chunk_outcome(plan, q, c, attempt_io_s=0.02).kind
             for q in range(40)
             for c in range(25)
         ]
@@ -103,7 +107,7 @@ class TestOutcomeAccounting:
 
     def test_unreadable_chunk_charges_all_attempts(self):
         plan = FaultPlan(seed=1)
-        outcome = plan.chunk_outcome(0, 0, attempt_io_s=0.1, readable=False)
+        outcome = plan.unreadable_outcome(0.1)
         assert not outcome.ok
         assert outcome.kind == FAULT_CORRUPT
         assert outcome.attempts == 3
@@ -115,7 +119,7 @@ class TestOutcomeAccounting:
         # With corrupt_rate=1 every attempt fails and the first drawn
         # kind persists.
         plan = FaultPlan(seed=2, corrupt_rate=1.0)
-        outcome = plan.chunk_outcome(3, 4, attempt_io_s=0.1)
+        outcome = chunk_outcome(plan, 3, 4, attempt_io_s=0.1)
         assert not outcome.ok
         assert outcome.kind == FAULT_CORRUPT
         assert outcome.attempts == 3
@@ -124,14 +128,14 @@ class TestOutcomeAccounting:
     def test_truncate_is_persistent_too(self, monkeypatch):
         monkeypatch.setattr(plan_module, "MAX_RETRIES", 1)
         plan = FaultPlan(seed=2, truncate_rate=1.0)
-        outcome = plan.chunk_outcome(0, 0, attempt_io_s=0.05)
+        outcome = chunk_outcome(plan, 0, 0, attempt_io_s=0.05)
         assert not outcome.ok and outcome.kind == FAULT_TRUNCATE
         assert outcome.attempts == 2
 
     def test_spike_charges_spike_latency_only(self, monkeypatch):
         monkeypatch.setattr(plan_module, "SPIKE_S", 0.07)
         plan = FaultPlan(seed=4, spike_rate=1.0)
-        outcome = plan.chunk_outcome(1, 2, attempt_io_s=0.1)
+        outcome = chunk_outcome(plan, 1, 2, attempt_io_s=0.1)
         assert outcome.ok and outcome.spiked
         assert outcome.kind == FAULT_SPIKE
         assert outcome.attempts == 1
@@ -146,7 +150,7 @@ class TestOutcomeAccounting:
             o
             for q in range(30)
             for c in range(30)
-            if (o := plan.chunk_outcome(q, c, attempt_io_s=0.1)).ok
+            if (o := chunk_outcome(plan, q, c, attempt_io_s=0.1)).ok
             and o.attempts > 1
         ]
         assert retried
@@ -161,7 +165,7 @@ class TestOutcomeAccounting:
 
     def test_negative_attempt_cost_rejected(self):
         with pytest.raises(ValueError, match="attempt cost"):
-            FaultPlan(seed=1).chunk_outcome(0, 0, attempt_io_s=-0.1)
+            FaultPlan(seed=1).unreadable_outcome(-0.1)
 
     def test_plan_is_frozen(self):
         plan = FaultPlan(seed=1)

@@ -21,8 +21,12 @@ class TestValidation:
             ShardFaultPlan(outage_rate=0.2)
 
     def test_null_plan(self):
-        assert ShardFaultPlan().is_null
-        assert not ShardFaultPlan(error_rate=0.1).is_null
+        """The default plan injects nothing; one positive rate does."""
+        null = ShardFaultPlan()
+        assert {null.sub_request(q, 0, 0, 0) for q in range(50)} == {SHARD_OK}
+        assert null.outage_window(0) is None
+        faulty = ShardFaultPlan(error_rate=0.1)
+        assert {faulty.sub_request(q, 0, 0, 0) for q in range(50)} != {SHARD_OK}
 
     def test_balanced_splits_rate(self):
         plan = ShardFaultPlan.balanced(0.2, seed=3, horizon_s=10.0)

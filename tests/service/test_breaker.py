@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trace import SearchTrace, TraceEvent
+from repro.core.trace import TraceEvent
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     FAULT_CORRUPT,
@@ -22,6 +22,7 @@ from repro.service.breaker import (
     RegionBreaker,
 )
 from repro.simio.calibration import PAPER_2005_COST_MODEL
+from traces import trace_of as build_trace
 
 
 @pytest.fixture(autouse=True)
@@ -47,10 +48,7 @@ def event(chunk_id, *, skipped=False, fault="none", rank=1):
 
 
 def trace_of(*events):
-    trace = SearchTrace(start_elapsed_s=0.0)
-    for e in events:
-        trace.append(e)
-    return trace
+    return build_trace(events)
 
 
 class TestRegionBreaker:
@@ -180,12 +178,24 @@ class TestBreakerGuardedInjector:
             FaultPlan(seed=1, read_error_rate=1.0), PAPER_2005_COST_MODEL
         )
         guarded = BreakerGuardedInjector(inner, board, frozenset({0}))
-        outcome = guarded.outcome(0, 2, page_count=3)
+        outcome = guarded.outcome_table(0, 8)[2]
         assert outcome is BREAKER_SKIP_OUTCOME
         assert not outcome.ok
         assert outcome.kind == BREAKER_OPEN
         assert outcome.attempts == 0 and outcome.retries == 0
         assert outcome.extra_io_s == 0.0  # the whole point: no retry ladder
+
+    def test_blocked_unreadable_chunk_is_skipped(self):
+        """A chunk whose real read failed in a blocked region gets the
+        breaker skip, not the inner injector's retry ladder."""
+        board = BreakerBoard(n_chunks=8, region_size=4)
+        inner = FaultInjector.from_cost_model(FaultPlan(seed=1), PAPER_2005_COST_MODEL)
+        guarded = BreakerGuardedInjector(inner, board, frozenset({0}))
+        for chunk in range(4):
+            assert guarded.outcome(0, chunk, 3, readable=False) is BREAKER_SKIP_OUTCOME
+        assert guarded.outcome(0, 5, 3, readable=False) == inner.outcome(
+            0, 5, 3, readable=False
+        )
 
     def test_unblocked_chunks_delegate(self):
         board = BreakerBoard(n_chunks=8, region_size=4)
@@ -201,7 +211,8 @@ class TestBreakerGuardedInjector:
         board = BreakerBoard(n_chunks=8, region_size=4)
         guarded = BreakerGuardedInjector(None, board, frozenset({1}))
         assert guarded.outcome(0, 0, page_count=1) is OK_OUTCOME
-        assert guarded.outcome(0, 5, page_count=1) is BREAKER_SKIP_OUTCOME
+        assert guarded.outcome_table(0, 8)[5] is BREAKER_SKIP_OUTCOME
+        assert guarded.outcome(0, 5, 1, readable=False) is BREAKER_SKIP_OUTCOME
 
 
 class TestTransitionCounts:

@@ -24,6 +24,7 @@ from repro.core.metrics import (
     OUTCOME_SHED,
 )
 from repro.core.search import ChunkSearcher, SearchResult
+from repro.experiments.config import K
 from repro.faults import ShardFaultPlan
 from repro.service import breaker
 from repro.service.sharding import (
@@ -54,12 +55,12 @@ class ShardHarness:
         built = data.built(family, "SMALL")
         self.index = built.index
         self.cost_model = data.scale.cost_model
-        self.k = data.scale.k
+        self.k = K
         self.queries = data.workloads["DQ"].queries
         self.costs = estimate_chunk_costs(self.index, self.cost_model)
         searcher = ChunkSearcher(self.index, cost_model=self.cost_model)
         self.reference = [
-            searcher.search(query, k=self.k, query_index=i)
+            searcher.search(query, k=self.k)
             for i, query in enumerate(self.queries)
         ]
 
@@ -333,11 +334,8 @@ class TestOneSearchPerSubTask:
         scenario = self.SCENARIOS[name]
         shipped, searched, verdicts = self.run(harness, scenario, reuse=True)
         always, searched_always, _ = self.run(harness, scenario, reuse=False)
-        assert json.dumps(shipped.to_report(), sort_keys=True) == json.dumps(
-            always.to_report(), sort_keys=True
-        )
         # repr, not ==: a NaN field never equals itself.
-        assert repr(shipped.records) == repr(always.records)
+        assert repr(shipped) == repr(always)
         if name == "hedge-storm":
             assert shipped.n_hedges > 0
             # Searching every attempt is one search per attempt with a result.
@@ -384,13 +382,10 @@ class TestBreakers:
         assert sum(outage_run.shard_failed) > 0
 
     def test_transitions_surface_in_report(self, outage_run):
-        report = outage_run.to_report()
-        assert report["breakers"]["transitions"] == {
-            "closed": outage_run.breaker_transitions["closed"],
-            "half_opened": outage_run.breaker_transitions["half_opened"],
-            "opened": outage_run.breaker_transitions["opened"],
-        }
-        json.dumps(report)
+        """Every transition a ``shardsim`` cell reads is counted, JSON-ready."""
+        transitions = outage_run.breaker_transitions
+        assert sorted(transitions) == ["closed", "half_opened", "opened"]
+        json.dumps(transitions)
 
 
 class TestDeterminismAndAccounting:
@@ -402,9 +397,8 @@ class TestDeterminismAndAccounting:
         )
         first = harness.run(plan, config=config, faults=faults)
         second = harness.run(plan, config=config, faults=faults)
-        assert json.dumps(first.to_report(), sort_keys=True) == json.dumps(
-            second.to_report(), sort_keys=True
-        )
+        # Every field, records included; repr, as a NaN never equals itself.
+        assert repr(first) == repr(second)
 
     def test_every_query_recorded_once_in_order(self, harness):
         plan = harness.plan(n_shards=3, n_replicas=1)

@@ -106,14 +106,14 @@ class TestDegradedTimeline:
         clean.start_query(1, 0)
         t_clean = clean.process_chunk(1, 10)
 
-        faulted = model.simulator()
+        faulted = PipelineSimulator(model)
         faulted.start_query(1, 0)
         t_faulted = faulted.process_chunk(1, 10, extra_io_s=0.25)
         assert t_faulted == pytest.approx(t_clean + 0.25)
 
     def test_zero_extra_io_is_bit_identical(self):
         model = make_model()
-        a, b = model.simulator(), model.simulator()
+        a, b = model.simulator(), PipelineSimulator(model)
         for sim in (a, b):
             sim.start_query(3, 500)
         for pages, descs in [(1, 10), (2, 4), (1, 7)]:

@@ -234,17 +234,6 @@ def _wal_artefact(directory, rng):
     return [path], lambda: scan_wal(str(path))
 
 
-def _ground_truth_artefact(directory, rng):
-    from repro.core.ground_truth import GroundTruthStore
-
-    path = directory / "truth.npz"
-    store = GroundTruthStore(k=4)
-    for query in range(6):
-        store.put(query, rng.integers(0, 1000, size=4))
-    store.save(str(path))
-    return [path], lambda: GroundTruthStore.load(str(path))
-
-
 def _saved_system(directory, rng):
     """A retrieval system saved into ``directory`` and a query for it."""
     from repro.system import ImageRetrievalSystem
@@ -340,7 +329,6 @@ def _manifest_artefact(directory, rng):
         _code_file_artefact,
         _delta_artefact,
         _wal_artefact,
-        _ground_truth_artefact,
         _system_artefact,
         _saved_manifest_artefact,
         _manifest_artefact,
@@ -352,7 +340,6 @@ def _manifest_artefact(directory, rng):
         "code-file",
         "delta-pack",
         "wal",
-        "ground-truth",
         "system",
         "saved-manifest",
         "manifest",

@@ -2,9 +2,8 @@
 ``tools/lint`` has a caller outside ``tests/``, and ``src/`` keeps to its
 line budget.
 
-Three questions, all answered by name over the code of ``src/``,
-``benchmarks/``, ``examples/`` and ``tools/`` (:data:`CODE_DIRS`); tests
-never count.
+Three questions, answered from the code of ``src/``, ``benchmarks/``,
+``examples/`` and ``tools/`` (:data:`CODE_DIRS`); tests never count.
 
 * **Definitions.**  A module-level ``def`` or ``class`` is *live* when some
   code names it — an ``ast.Name`` id or an ``ast.Attribute`` attr equal to
@@ -14,15 +13,20 @@ never count.
   function, public method or public-class ``__init__``, or a defaulted field
   of a public ``@dataclass`` (a field whose ``default_factory`` is an empty
   ``list``/``dict``/``set`` is per-instance state, not an option).  It is
-  *set* when code passes it a value that is neither the default's source
-  text nor a same-named forward (``cfg.<name>``, ``m["<name>"]`` or, inside
-  a function with a parameter ``<name>``, that parameter — ``f(x=x)``;
-  optionally wrapped in one call such as ``int(...)``; ``self.<name>`` and
-  ``args.<name>`` count as setting).  The value may arrive as a keyword of
-  that name in any call, as that positional argument of a same-named
-  callee, or through a store into ``x["<name>"]`` (how the CLI fills its
-  override dicts).  An option no code sets is a constant in disguise: make
-  it one.
+  *set* only at a call of its *owner* — the function, the method, or the
+  class for ``__init__`` and fields, named by the called ``Name`` id or
+  ``Attribute`` attr, through a module-level alias (``Alias = Owner``), as
+  ``cls(...)`` inside the class, or as ``dataclasses.replace(...)`` for a
+  field — by that keyword or that position, or by a store into
+  ``x["<name>"]`` (how the CLI fills its override dicts), with a value that
+  is not the default's source text.  A bare forward ``f(x=x)`` of the
+  enclosing function's parameter ``x`` (optionally wrapped in one call such
+  as ``int(...)``) sets it when that parameter has no default, or is itself
+  a set option (private functions' included), resolved to a fixed point.
+  An attribute forward (``cfg.<name>``, ``m["<name>"]``) sets it when some
+  keyword of that name at any call passes a value that is neither the
+  default's text nor a forward (``self.<name>`` and ``args.<name>`` count as
+  setting).  An option no code sets is a constant in disguise: make it one.
 * **Methods.**  A public method or property of a public module-level class
   is *live* when some code names it as an ``ast.Attribute`` attr.
 
@@ -30,10 +34,11 @@ Each question has its allowlist (:data:`ALLOWED`, :data:`OPTIONS_ALLOWED`,
 :data:`METHODS_ALLOWED`), dotted name -> the reason the entry stays; an
 entry that names nothing, or names something code reaches after all, fails.
 
-The check is by name, not by resolved binding: any same-named variable,
-attribute or keyword anywhere keeps a definition, method or option alive,
-so it can miss one; and one reached only through a string (``getattr``, a
-name registry) is flagged until code names it or an allowlist lists it.
+Definitions and methods are checked by name, not by resolved binding: any
+same-named variable or attribute anywhere keeps one alive, so it can miss
+one; options are resolved to their owner's calls, by the callee's name.
+One reached only through a string (``getattr``, a name registry) is
+flagged until code names it or an allowlist lists it.
 
 The **line budget**: ``src/**/*.py`` holds at most :data:`SRC_LINE_BUDGET`
 lines.  A change that deletes code lowers the budget to the new count; a
@@ -68,7 +73,7 @@ CODE_DIRS = ("src", "benchmarks", "examples", "tools")
 AUDITED = (("src", "repro"), ("tools", "lint"))
 
 #: Most lines ``src/**/*.py`` may hold.
-SRC_LINE_BUDGET = 17_956
+SRC_LINE_BUDGET = 17_721
 
 #: Dotted name -> why a definition no shipped code references stays.
 ALLOWED: Dict[str, str] = {
@@ -153,12 +158,6 @@ def _code(root: pathlib.Path) -> Iterator[ast.AST]:
 
 def _public(name: str) -> bool:
     return not name.startswith("_")
-
-
-def _public_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _public(node.name):
-            yield node
 
 
 def _decorated(node: ast.AST, name: str) -> bool:
@@ -259,6 +258,8 @@ class Option(NamedTuple):
     #: Index among the positional arguments a call passes (``self`` and
     #: ``cls`` excluded); None for a keyword-only option.
     position: Optional[int]
+    #: A dataclass field, which ``dataclasses.replace`` sets too.
+    field: bool
 
 
 def _signature(
@@ -301,48 +302,200 @@ def _fields(cls: ast.ClassDef) -> Iterator[Tuple[ast.AnnAssign, ast.expr, int]]:
         position += 1
 
 
-def options(root: pathlib.Path) -> Dict[str, Option]:
-    """Dotted option -> :class:`Option`, in file and line order."""
+def _classes(tree: ast.Module, every: bool) -> Iterator[ast.ClassDef]:
+    """The module-level classes: the public ones, or all if ``every``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (every or _public(node.name)):
+            yield node
+
+
+def _functions(tree: ast.Module, every: bool) -> Iterator[ast.FunctionDef]:
+    """The module-level functions: the public ones, or all if ``every``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and (every or _public(node.name)):
+            yield node
+
+
+def _methods(
+    cls: ast.ClassDef, every: bool
+) -> Iterator[Tuple[ast.FunctionDef, str, bool]]:
+    """``(method, callee, skip_first)`` of the public methods and
+    ``__init__`` of ``cls``, or of all its methods if ``every``."""
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and (
+            every or _public(fn.name) or fn.name == "__init__"
+        ):
+            callee = cls.name if fn.name == "__init__" else fn.name
+            yield fn, callee, not _decorated(fn, "staticmethod")
+
+
+def options(root: pathlib.Path, every: bool = False) -> Dict[str, Option]:
+    """Dotted option -> :class:`Option`, in file and line order; with
+    ``every``, the defaulted parameters and fields of private functions,
+    methods and classes too, which forwards pass through."""
     found: Dict[str, Option] = {}
 
-    def add(dotted, where, node, default, callee, position):
+    def add(dotted, where, node, default, callee, position, field=False):
         found[dotted] = Option(
             f"{where}:{node.lineno}", dotted.rsplit(".", 1)[1],
-            ast.unparse(default), callee, position,
+            ast.unparse(default), callee, position, field,
         )
 
     for module, where, tree in _modules(root):
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and _public(node.name):
-                for arg, default, position in _signature(node, False):
-                    add(f"{module}.{node.name}.{arg.arg}", where, arg, default,
-                        node.name, position)
-        for cls in _public_classes(tree):
+        for fn in _functions(tree, every):
+            for arg, default, position in _signature(fn, False):
+                add(f"{module}.{fn.name}.{arg.arg}", where, arg, default,
+                    fn.name, position)
+        for cls in _classes(tree, every):
             prefix = f"{module}.{cls.name}"
             if _decorated(cls, "dataclass"):
                 for stmt, default, position in _fields(cls):
                     add(f"{prefix}.{stmt.target.id}", where, stmt, default,
-                        cls.name, position)
-            for fn in cls.body:
-                if not isinstance(fn, ast.FunctionDef):
-                    continue
-                if not (_public(fn.name) or fn.name == "__init__"):
-                    continue
-                callee = cls.name if fn.name == "__init__" else fn.name
-                skip_first = not _decorated(fn, "staticmethod")
+                        cls.name, position, True)
+            for fn, callee, skip_first in _methods(cls, every):
                 for arg, default, position in _signature(fn, skip_first):
                     add(f"{prefix}.{fn.name}.{arg.arg}", where, arg, default,
                         callee, position)
     return found
 
 
-def _forward(value: ast.expr, name: str, params: FrozenSet[str]) -> bool:
-    """``cfg.<name>``, ``m["<name>"]`` or the enclosing function's own
-    parameter ``<name>`` (``params``), optionally wrapped in one call."""
+def _owners(root: pathlib.Path) -> Dict[int, str]:
+    """``id`` of every module-level function and method of :data:`AUDITED`
+    -> its dotted name, the prefix of its options."""
+    owners: Dict[int, str] = {}
+    for module, _, tree in _modules(root):
+        for fn in _functions(tree, True):
+            owners[id(fn)] = f"{module}.{fn.name}"
+        for cls in _classes(tree, True):
+            for fn, _, _ in _methods(cls, True):
+                owners[id(fn)] = f"{module}.{cls.name}.{fn.name}"
+    return owners
+
+
+def _aliases(root: pathlib.Path) -> Dict[str, str]:
+    """Module-level ``Alias = Name`` bindings of :data:`AUDITED`: alias ->
+    the name it stands for."""
+    return {
+        stmt.targets[0].id: stmt.value.id
+        for _, _, tree in _modules(root)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Name)
+    }
+
+
+def _parameters(arguments: ast.arguments) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """Every parameter name, and those without a default."""
+    positional = [*arguments.posonlyargs, *arguments.args]
+    required = positional[: len(positional) - len(arguments.defaults)] + [
+        arg for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is None
+    ]
+    every = (*positional, *arguments.kwonlyargs, arguments.vararg, arguments.kwarg)
+    return (
+        frozenset(arg.arg for arg in every if arg is not None),
+        frozenset(arg.arg for arg in required),
+    )
+
+
+class _Scope(NamedTuple):
+    """Where a passed value sits: its innermost enclosing function's
+    parameter names, those of them without a default and its dotted owner
+    if it is one (see :func:`_owners`), and its innermost enclosing class's
+    name, which ``cls(...)`` calls."""
+
+    params: FrozenSet[str]
+    required: FrozenSet[str]
+    owner: Optional[str]
+    cls: Optional[str]
+
+
+class Passed(NamedTuple):
+    """One value the code passes towards an option, and where."""
+
+    value: ast.expr
+    scope: _Scope
+
+
+def _scoped_code(root: pathlib.Path) -> Iterator[Tuple[ast.AST, _Scope]]:
+    """Every node of the code of :data:`CODE_DIRS` with its innermost
+    enclosing function's parameters and owner, and its enclosing class."""
+    owners = _owners(root)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    for directory in CODE_DIRS:
+        for _, tree in _parsed(root, directory):
+            stack: List[Tuple[ast.AST, _Scope]] = [
+                (tree, _Scope(frozenset(), frozenset(), None, None))
+            ]
+            while stack:
+                node, scope = stack.pop()
+                yield node, scope
+                if isinstance(node, functions):
+                    scope = _Scope(
+                        *_parameters(node.args), owners.get(id(node)), scope.cls
+                    )
+                elif isinstance(node, ast.ClassDef):
+                    scope = scope._replace(cls=node.name)
+                stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+#: ``(callee, keyword)`` -> values, ``(callee, index)`` -> values and
+#: ``x["<name>"]`` store name -> values.
+PassedValues = Tuple[
+    Dict[Tuple[str, str], List[Passed]],
+    Dict[Tuple[str, int], List[Passed]],
+    Dict[str, List[Passed]],
+]
+
+#: The callee whose keywords set dataclass fields of any class.
+_REPLACE = "replace"
+
+
+def passed_values(root: pathlib.Path) -> PassedValues:
+    """Every value the code of :data:`CODE_DIRS` passes: by keyword or
+    position of a named callee, and by ``x["<name>"]`` store.  A callee is
+    named by the called ``Name`` id or ``Attribute`` attr, through a
+    module-level alias, with ``cls`` read as the enclosing class."""
+    aliases = _aliases(root)
+    by_keyword: Dict[Tuple[str, str], List[Passed]] = defaultdict(list)
+    by_position: Dict[Tuple[str, int], List[Passed]] = defaultdict(list)
+    by_store: Dict[str, List[Passed]] = defaultdict(list)
+    for node, scope in _scoped_code(root):
+        if isinstance(node, ast.Call):
+            callee = _callee(node.func)
+            if callee == "cls" and isinstance(node.func, ast.Name):
+                callee = scope.cls
+            callee = aliases.get(callee, callee)
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    passed = Passed(keyword.value, scope)
+                    by_keyword[(callee, keyword.arg)].append(passed)
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                by_position[(callee, index)].append(Passed(arg, scope))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    key = target.slice
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        by_store[key.value].append(Passed(node.value, scope))
+    return by_keyword, by_position, by_store
+
+
+def _unwrapped(value: ast.expr) -> ast.expr:
+    """``value`` with one single-argument call such as ``int(...)`` peeled."""
     if isinstance(value, ast.Call) and len(value.args) == 1 and not value.keywords:
-        value = value.args[0]
-    if isinstance(value, ast.Name):
-        return value.id == name and name in params
+        return value.args[0]
+    return value
+
+
+def _attribute_forward(value: ast.expr, name: str) -> bool:
+    """``cfg.<name>`` or ``m["<name>"]``; ``self.<name>`` and ``args.<name>``
+    set."""
     if isinstance(value, ast.Attribute):
         owner = value.value
         return value.attr == name and not (
@@ -354,81 +507,84 @@ def _forward(value: ast.expr, name: str, params: FrozenSet[str]) -> bool:
     return False
 
 
-#: A passed value and the parameter names of the function passing it.
-Passed = Tuple[ast.expr, FrozenSet[str]]
+def _bare_forward(value: ast.expr, name: str, scope: _Scope) -> bool:
+    """The enclosing function's own parameter ``<name>``."""
+    return isinstance(value, ast.Name) and value.id == name and name in scope.params
 
 
-def _parameters(arguments: ast.arguments) -> FrozenSet[str]:
-    every = (
-        *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
-        arguments.vararg, arguments.kwarg,
+def _by_name(option: Option, values: PassedValues) -> bool:
+    """The rule before owners: a keyword of the option's name at any call,
+    or a store, passes something other than the default's text or a
+    same-named forward."""
+    by_keyword, _, by_store = values
+    passed = [
+        value
+        for (_, name), found in by_keyword.items()
+        if name == option.name
+        for value in found
+    ] + by_store.get(option.name, [])
+    return any(
+        ast.unparse(value) != option.default
+        and not _attribute_forward(_unwrapped(value), option.name)
+        and not _bare_forward(_unwrapped(value), option.name, scope)
+        for value, scope in passed
     )
-    return frozenset(arg.arg for arg in every if arg is not None)
 
 
-def _scoped_code(root: pathlib.Path) -> Iterator[Tuple[ast.AST, FrozenSet[str]]]:
-    """Every node of the code of :data:`CODE_DIRS` with the parameter names
-    of its innermost enclosing function (empty at module level)."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    for directory in CODE_DIRS:
-        for _, tree in _parsed(root, directory):
-            stack: List[Tuple[ast.AST, FrozenSet[str]]] = [(tree, frozenset())]
-            while stack:
-                node, params = stack.pop()
-                yield node, params
-                if isinstance(node, functions):
-                    params = _parameters(node.args)
-                stack.extend((child, params) for child in ast.iter_child_nodes(node))
+def live_options(root: pathlib.Path) -> Set[str]:
+    """The dotted options the code of :data:`CODE_DIRS` sets.
 
-
-def passed_values(
-    root: pathlib.Path,
-) -> Tuple[Dict[str, List[Passed]], Dict[Tuple[str, int], List[Passed]]]:
-    """Every value the code of :data:`CODE_DIRS` passes: by keyword or
-    ``x["<name>"]`` store (name -> values), and by position of a named
-    callee (``(callee, index)`` -> values); each value comes with the
-    parameters of the function that passes it."""
-    by_name: Dict[str, List[Passed]] = defaultdict(list)
-    by_position: Dict[Tuple[str, int], List[Passed]] = defaultdict(list)
-    for node, params in _scoped_code(root):
-        if isinstance(node, ast.Call):
-            for keyword in node.keywords:
-                if keyword.arg is not None:
-                    by_name[keyword.arg].append((keyword.value, params))
-            callee = _callee(node.func)
-            for index, arg in enumerate(node.args):
-                if isinstance(arg, ast.Starred):
-                    break
-                by_position[(callee, index)].append((arg, params))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    key = target.slice
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        by_name[key.value].append((node.value, params))
-    return by_name, by_position
+    A value passed at a call of the owner, or stored into ``x["<name>"]``,
+    sets the option unless it is the default's source text.  A bare forward
+    ``f(x=x)`` of the enclosing function's parameter ``x`` sets it when
+    that parameter has no default, or is an option that is itself set
+    (resolved to a fixed point).  An attribute forward (``cfg.<name>``,
+    ``m["<name>"]``) sets it when the option is set by name (see
+    :func:`_by_name`)."""
+    found = options(root, every=True)
+    values = passed_values(root)
+    by_keyword, by_position, by_store = values
+    live: Set[str] = set()
+    forwarded_from: Dict[str, Set[str]] = defaultdict(set)
+    for dotted, option in found.items():
+        passed = list(by_keyword.get((option.callee, option.name), ()))
+        if option.field:
+            passed += by_keyword.get((_REPLACE, option.name), ())
+        if option.position is not None:
+            passed += by_position.get((option.callee, option.position), ())
+        passed += by_store.get(option.name, ())
+        for value, scope in passed:
+            if ast.unparse(value) == option.default:
+                continue
+            value = _unwrapped(value)
+            if _attribute_forward(value, option.name):
+                if _by_name(option, values):
+                    live.add(dotted)
+                continue
+            if _bare_forward(value, option.name, scope) and (
+                option.name not in scope.required
+            ):
+                enclosing = f"{scope.owner}.{option.name}"
+                if enclosing in found:
+                    forwarded_from[enclosing].add(dotted)
+                continue
+            live.add(dotted)
+    frontier = list(live)
+    while frontier:
+        for dotted in forwarded_from.pop(frontier.pop(), ()):
+            if dotted not in live:
+                live.add(dotted)
+                frontier.append(dotted)
+    return live
 
 
 def option_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
     """The option census's problems (see :func:`_audit`)."""
     found = options(root)
-    by_name, by_position = passed_values(root)
-
-    def live(dotted: str) -> bool:
-        option = found[dotted]
-        values = list(by_name.get(option.name, ()))
-        if option.position is not None:
-            values += by_position.get((option.callee, option.position), ())
-        return any(
-            ast.unparse(value) != option.default
-            and not _forward(value, option.name, params)
-            for value, params in values
-        )
-
+    live = live_options(root)
     return _audit(
         {dotted: option.where for dotted, option in found.items()},
-        live,
+        live.__contains__,
         allowed,
         "OPTIONS_ALLOWED",
         "option",
@@ -445,7 +601,7 @@ def methods(root: pathlib.Path) -> Dict[str, str]:
     public module-level class of :data:`AUDITED`."""
     found: Dict[str, str] = {}
     for module, where, tree in _modules(root):
-        for cls in _public_classes(tree):
+        for cls in _classes(tree, False):
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and _public(fn.name):
                     found[f"{module}.{cls.name}.{fn.name}"] = f"{where}:{fn.lineno}"
@@ -644,6 +800,54 @@ class TestTheOptionCensusBites:
             "src/repro/knobs.py:6: OPTIONS_ALLOWED entry repro.knobs.Config.size "
             "is set; drop the entry",
         ]
+
+
+class TestTheOwnerRuleBites:
+    """Twins the by-name rule let through: a value counts only at a call of
+    the option's own owner, and a forward only from an option that is set."""
+
+    @staticmethod
+    def flagged(tmp_path, source, caller):
+        root = _plant(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/twins.py": source,
+            "benchmarks/bench.py": caller,
+        })
+        return [line.split(": ")[1].split(" is set by")[0]
+                for line in option_census(root, {})]
+
+    def test_a_keyword_at_an_unrelated_callee_sets_nothing(self, tmp_path):
+        source = (
+            "def scan(limit=10):\n    return limit\n\n\n"
+            "def unrelated(limit=10):\n    return limit\n"
+        )
+        caller = (
+            "from repro.twins import scan, unrelated\n\nscan()\nunrelated(limit=3)\n"
+        )
+        assert self.flagged(tmp_path, source, caller) == ["repro.twins.scan.limit"]
+
+    def test_a_forward_from_an_unset_option_sets_nothing(self, tmp_path):
+        source = (
+            "def outer(depth=2):\n    return inner(depth=depth)\n\n\n"
+            "def inner(depth=2):\n    return depth\n"
+        )
+        caller = "from repro.twins import outer\n\nouter()\nconfigure(depth=5)\n"
+        assert self.flagged(tmp_path, source, caller) == [
+            "repro.twins.outer.depth",
+            "repro.twins.inner.depth",
+        ]
+        setting = caller.replace("outer()", "outer(depth=4)")
+        assert self.flagged(tmp_path / "set", source, setting) == []
+
+    def test_a_call_through_a_module_level_alias_sets_the_option(self, tmp_path):
+        source = (
+            "class Engine:\n"
+            "    def __init__(self, width=8):\n"
+            "        self.width = width\n\n\n"
+            "Alias = Engine\n"
+        )
+        caller = "from repro.twins import Alias\n\nAlias(width=16)\n"
+        assert self.flagged(tmp_path, source, caller) == []
 
 
 class TestTheMethodCensusBites:

@@ -103,7 +103,7 @@ class TestLiveUpdates:
         new_image = 100.0 + 0.1 * rng.standard_normal((12, 6))
         assert system.add_image(99, new_image) == 12
         assert system.n_images == 9
-        matches = system.find_similar_images(new_image[:5], exact=True)
+        matches = exact_images(system, new_image[:5])
         assert matches[0].image_id == 99
 
     def test_remove_image(self, system, image_collection):
@@ -111,9 +111,7 @@ class TestLiveUpdates:
         assert system.n_images == 7
         assert system.n_descriptors == len(image_collection) - 25
         rows = np.flatnonzero(image_collection.image_ids == 2)[:5]
-        matches = system.find_similar_images(
-            image_collection.vectors[rows].astype(float), exact=True
-        )
+        matches = exact_images(system, image_collection.vectors[rows].astype(float))
         assert all(match.image_id != 2 for match in matches)
 
     def test_remove_missing_image(self, system):
@@ -149,13 +147,13 @@ class TestPersistence:
         directory = str(tmp_path / "retrieval")
         query_rows = np.flatnonzero(image_collection.image_ids == 4)[:8]
         query = image_collection.vectors[query_rows].astype(float)
-        before = system.find_similar_images(query, exact=True)
+        before = exact_images(system, query)
 
         system.save(directory)
         with ImageRetrievalSystem.load(directory) as loaded:
             assert loaded.n_descriptors == system.n_descriptors
             assert loaded.n_images == system.n_images
-            after = loaded.find_similar_images(query, exact=True)
+            after = exact_images(loaded, query)
         assert [m.image_id for m in before] == [m.image_id for m in after]
         assert [m.votes for m in before] == [m.votes for m in after]
 
@@ -227,12 +225,21 @@ def assert_same_answers(got, want, queries):
             assert one.neighbors == other.neighbors
             assert one.elapsed_s == other.elapsed_s
             assert one.trace.events == other.trace.events
+        images = exact_images if exact else ImageRetrievalSystem.find_similar_images
         for cutoff in (None, 0.5):
-            assert got.find_similar_images(
-                queries, exact=exact, max_match_distance=cutoff
-            ) == want.find_similar_images(
-                queries, exact=exact, max_match_distance=cutoff
+            assert images(got, queries, max_match_distance=cutoff) == images(
+                want, queries, max_match_distance=cutoff
             )
+
+
+def exact_images(system, queries, **kwargs):
+    """``find_similar_images`` with every descriptor search run to exact
+    completion: the system's chunk budget lifted for the call."""
+    budget, system.default_stop_chunks = system.default_stop_chunks, None
+    try:
+        return system.find_similar_images(queries, **kwargs)
+    finally:
+        system.default_stop_chunks = budget
 
 
 def paged_system_after_a_page_round_trip():

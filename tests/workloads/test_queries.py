@@ -20,7 +20,7 @@ class TestWorkloadContainer:
     def test_iteration_and_len(self):
         w = Workload("X", np.ones((4, 2)), np.full(4, -1))
         assert len(w) == 4
-        assert w.dimensions == 2
+        assert w.queries.shape[1] == 2
         assert len(list(w)) == 4
 
 

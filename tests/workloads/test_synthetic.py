@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.workloads import synthetic
 from repro.workloads.synthetic import SyntheticImageConfig, generate_collection
 
 
@@ -94,10 +95,9 @@ class TestGeneration:
         assert counts.std() > 0.4 * counts.mean()
         assert counts.min() < 0.1 * counts.max()
 
-    def test_dimensions_configurable(self):
-        col = generate_collection(
-            SyntheticImageConfig(n_images=5, dimensions=8, seed=0)
-        )
+    def test_dimensions_configurable(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "DEFAULT_DIMENSIONS", 8)
+        col = generate_collection(SyntheticImageConfig(n_images=5, seed=0))
         assert col.dimensions == 8
 
     def test_values_mostly_in_unit_box(self, collection):
