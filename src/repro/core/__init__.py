@@ -14,6 +14,8 @@ This package implements the paper's primary machinery:
   :mod:`~repro.core.trace`).
 """
 
+from typing import Any, Optional
+
 from .approx_rules import EpsilonApproximation
 from .chunk import Chunk, ChunkMeta, ChunkSet
 from .chunk_index import ChunkIndex, build_chunk_index
@@ -40,6 +42,7 @@ from .metrics import (
     precision_at_k,
 )
 from .neighbors import Neighbor, NeighborSet
+from .routing import CentroidRouter
 from .search import (
     RANK_BY_CENTROID,
     RANK_BY_LOWER_BOUND,
@@ -57,9 +60,26 @@ from .stop_rules import (
 )
 from .trace import SearchTrace, TraceEvent
 
-#: The pre-merge name of the batch engine, kept for callers of the package
-#: exports: there is one engine, and this is it.
-BatchChunkSearcher = ChunkSearcher
+
+class BatchChunkSearcher(ChunkSearcher):
+    """The engine under its pre-merge name, for the one caller that still
+    passes ``router=`` (the benchmark harness).  The router must cover the
+    index and is otherwise unused: every query ranks all chunks flat."""
+
+    def __init__(
+        self,
+        index: ChunkIndex,
+        *args: Any,
+        router: Optional[CentroidRouter] = None,
+        **kwargs: Any,
+    ) -> None:
+        if router is not None and router.n_chunks != index.n_chunks:
+            raise ValueError(
+                f"router covers {router.n_chunks} chunks, "
+                f"index has {index.n_chunks}"
+            )
+        super().__init__(index, *args, **kwargs)
+
 
 __all__ = [
     "BatchChunkSearcher",

@@ -120,10 +120,6 @@ class Chunk:
     def __len__(self) -> int:
         return int(self.member_rows.size)
 
-    def member_ids(self, collection: DescriptorCollection) -> np.ndarray:
-        """Descriptor ids (int64) of this chunk's members."""
-        return collection.ids[self.member_rows]
-
     def contains_all_members(self, collection: DescriptorCollection) -> bool:
         """Invariant check: every member lies within ``radius`` of ``centroid``.
 

@@ -14,7 +14,7 @@ library: a ``(n, d)`` float32 matrix plus parallel id arrays.  The on-disk
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -67,17 +67,6 @@ class DescriptorCollection:
                 f"image_ids shape {self.image_ids.shape} does not match {n} vectors"
             )
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def empty(cls, dimensions: int = DEFAULT_DIMENSIONS) -> "DescriptorCollection":
-        """An empty collection of the given dimensionality."""
-        return cls(
-            vectors=np.empty((0, dimensions), dtype=np.float32),
-            ids=np.empty(0, dtype=np.int64),
-            image_ids=np.empty(0, dtype=np.int64),
-        )
-
     # -- basic protocol ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -107,15 +96,6 @@ class DescriptorCollection:
 
     # -- selection --------------------------------------------------------
 
-    def take(self, row_indices: Sequence[int]) -> "DescriptorCollection":
-        """New collection containing the given rows, in the given order."""
-        idx = np.asarray(row_indices, dtype=np.intp)
-        return DescriptorCollection(
-            vectors=self.vectors[idx],
-            ids=self.ids[idx],
-            image_ids=self.image_ids[idx],
-        )
-
     def mask(self, keep: np.ndarray) -> "DescriptorCollection":
         """New collection keeping rows where ``keep`` is True."""
         keep = np.asarray(keep, dtype=bool)
@@ -130,12 +110,6 @@ class DescriptorCollection:
         )
 
     # -- statistics -------------------------------------------------------
-
-    def centroid(self) -> np.ndarray:
-        """Mean vector of the collection (float64)."""
-        if len(self) == 0:
-            raise ValueError("centroid of an empty collection is undefined")
-        return self.vectors.astype(np.float64).mean(axis=0)
 
     def norms(self) -> np.ndarray:
         """Euclidean norm (float64) of every descriptor (used by the

@@ -41,8 +41,7 @@ WAL's torn tail, remove orphans, resume the log.  Because member order
 round-trips exactly (live base rows in base order, then appends in
 insertion order), recovered centroids, radii, rectangles and extents are
 bit-identical to the uncrashed process — which keeps the pruning bounds
-(sphere and rectangle) and the centroid router exactness-preserving
-across crashes.
+(sphere and rectangle) exactness-preserving across crashes.
 The manifest stores centroid and radius for verification only;
 rectangles, like every summary a search uses, are recomputed from the
 members.

@@ -66,7 +66,6 @@ from .distance import (
     squared_norms,
 )
 from .neighbors import Neighbor, NeighborSet
-from .routing import CentroidRouter, RouterStream
 from .stop_rules import ExactCompletion, SearchProgress, StopRule
 from .trace import SearchTrace
 
@@ -244,7 +243,6 @@ class _QueryState:
         "suffix_list",
         "lb_list",
         "rect_list",
-        "stream",
     )
 
     def __init__(
@@ -252,32 +250,24 @@ class _QueryState:
         fault_key: int,
         query: np.ndarray,
         truth: Optional[frozenset],
-        ranking: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]",
-        stream: Optional[RouterStream],
+        order: np.ndarray,
+        suffix_min: np.ndarray,
+        ranked_lb: np.ndarray,
         rect_bounds: Optional[np.ndarray],
     ):
         self.fault_key = fault_key
         self.query = query
         self.truth = truth
-        # Rectangle bound per chunk *id* (flat and routed ranking alike);
-        # never read when the searcher does not prune.
+        # Rectangle bound per chunk *id*; never read when the searcher does
+        # not prune.
         self.rect_list: List[float] = (
             rect_bounds.tolist() if rect_bounds is not None else []
         )
-        if ranking is not None:
-            order, suffix_min, ranked_lb = ranking
-            # Plain Python lists: the execution loop touches one element
-            # per event, where numpy scalar extraction would dominate.
-            self.order = order.tolist()
-            self.suffix_list = suffix_min.tolist()
-            self.lb_list = ranked_lb.tolist()
-        else:
-            # Routed ranking: chunks arrive lazily from the stream; the
-            # per-rank arrays are never materialized.
-            self.order = []
-            self.suffix_list = []
-            self.lb_list = []
-        self.stream = stream
+        # Plain Python lists: the execution loop touches one element per
+        # event, where numpy scalar extraction would dominate.
+        self.order = order.tolist()
+        self.suffix_list = suffix_min.tolist()
+        self.lb_list = ranked_lb.tolist()
 
 
 class ChunkSearcher:
@@ -290,7 +280,6 @@ class ChunkSearcher:
         cost_model: CostModel = PAPER_2005_COST_MODEL,
         rank_by: str = RANK_BY_CENTROID,
         prune: bool = True,
-        router: Optional[CentroidRouter] = None,
     ):
         """``prune=True`` (default) activates the chunk pruner: a visited
         chunk whose lower bound — the larger of the sphere's
@@ -299,25 +288,13 @@ class ChunkSearcher:
         distance is charged and logged exactly as if scanned (results,
         traces, and simulated timestamps are bit-identical) but its store
         read and distance kernel are skipped on the host.
-
-        ``router`` optionally supplies a prebuilt
-        :class:`~repro.core.routing.CentroidRouter`; chunk ranking then
-        probes its ``O(sqrt(C))`` centroid groups lazily instead of
-        scanning all ``C`` centroids per query, preserving the exact scan
-        order and completion-proof values.
         """
         if rank_by not in (RANK_BY_CENTROID, RANK_BY_LOWER_BOUND):
             raise ValueError(f"unknown ranking rule {rank_by!r}")
-        if router is not None and router.n_chunks != index.n_chunks:
-            raise ValueError(
-                f"router covers {router.n_chunks} chunks, "
-                f"index has {index.n_chunks}"
-            )
         self.index = index
         self.cost_model = cost_model
         self.rank_by = rank_by
         self.prune = bool(prune)
-        self.router = router
         self._centroids = index.centroid_matrix()
         self._radii = index.radius_vector()
         # The expanded-form kernel's point-norm terms, in its own
@@ -649,13 +626,11 @@ class ChunkSearcher:
         # (einsum's summation order depends on it).
         queries = np.ascontiguousarray(queries)
         query_sq_norms = squared_norms(queries)
-        router = self.router
-        if router is None:
-            orders, suffix_mins, ranked_lbs = self._rank_full(
-                expanded_squared_distances(
-                    queries, self._centroids, query_sq_norms, self._centroid_sq_norms
-                )
+        orders, suffix_mins, ranked_lbs = self._rank_full(
+            expanded_squared_distances(
+                queries, self._centroids, query_sq_norms, self._centroid_sq_norms
             )
+        )
         rect_bounds = self.rectangle_bounds(queries) if self.prune else None
         states = []
         for i in range(n_queries):
@@ -667,16 +642,9 @@ class ChunkSearcher:
                     fault_key=int(query_indices[i]) if query_indices is not None else i,
                     query=queries[i],
                     truth=truth_i,
-                    ranking=(
-                        (orders[i], suffix_mins[i], ranked_lbs[i])
-                        if router is None
-                        else None
-                    ),
-                    stream=(
-                        router.stream(queries[i], self.rank_by)
-                        if router is not None
-                        else None
-                    ),
+                    order=orders[i],
+                    suffix_min=suffix_mins[i],
+                    ranked_lb=ranked_lbs[i],
                     rect_bounds=rect_bounds[i] if rect_bounds is not None else None,
                 )
             )
@@ -772,11 +740,11 @@ class ChunkSearcher:
         outcome, ok, chunk = OK_OUTCOME, True, None
         results = []
         for row, state in enumerate(states):
-            query, truth, stream = state.query, state.truth, state.stream
+            query, truth = state.query, state.truth
             if faults is not None:
                 table = faults.outcome_table(state.fault_key, n_chunks)
             order, lbs, suffix = state.order, state.lb_list, state.suffix_list
-            rects, n_ranks = state.rect_list, len(state.order)
+            rects = state.rect_list
             neighbors = NeighborSet(k)
             trace = SearchTrace(start_s)
             log_chunk, log_elapsed = trace.chunk_ids.append, trace.elapsed.append
@@ -797,13 +765,7 @@ class ChunkSearcher:
             rank = pruned = 0
             degraded = False
             while True:
-                if stream is None:
-                    chunk_id, lb = order[rank], lbs[rank]
-                else:
-                    # The router stream's emission *is* the visit.
-                    emitted = stream.next()
-                    assert emitted is not None, "stream exhausted before the stop"
-                    chunk_id, lb = emitted
+                chunk_id, lb = order[rank], lbs[rank]
                 # Ties must still be scanned — an equal-distance, smaller-id
                 # descriptor would enter the neighbor set.  kth is +inf
                 # until k neighbors are known: never fires early.
@@ -921,12 +883,8 @@ class ChunkSearcher:
                 log_kth(kth)
                 log_matches(matches)
                 rank += 1
-                if stream is None:
-                    at_end = rank >= n_ranks
-                    remaining_lb = math.inf if at_end else suffix[rank]
-                else:
-                    remaining_lb = stream.exact_remaining_lb()
-                    at_end = stream.exhausted
+                at_end = rank >= n_chunks
+                remaining_lb = math.inf if at_end else suffix[rank]
                 if n_found >= k and remaining_lb > kth:
                     # The completion proof: k found and no remaining chunk
                     # can help.  It still bounds the remaining chunks when

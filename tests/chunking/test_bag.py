@@ -9,7 +9,6 @@ import pytest
 from repro.chunking import bag as bag_module
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.srtree_chunker import cap_chunk_sizes
-from repro.core.dataset import DescriptorCollection
 from descriptors import from_vectors
 
 
@@ -94,7 +93,7 @@ class TestClustering:
     def test_empty_collection_rejected(self):
         bag = BagClusterer(mpi=1.0, target_clusters=1)
         with pytest.raises(ValueError):
-            bag.form_chunks(DescriptorCollection.empty(2))
+            bag.form_chunks(from_vectors(np.empty((0, 2))))
 
     def test_deterministic(self, three_blob_collection):
         bag = BagClusterer(mpi=0.05, target_clusters=5, max_passes=400)

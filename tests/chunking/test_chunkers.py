@@ -12,7 +12,6 @@ from repro.chunking.base import ChunkingResult
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker, cap_chunk_sizes
 from repro.core.chunk import Chunk, ChunkSet
-from repro.core.dataset import DescriptorCollection
 from descriptors import from_vectors, radii
 from repro.srtree.bulk_load import ordered_partition
 
@@ -48,7 +47,7 @@ class TestSRTreeChunker:
     def test_empty_collection(self):
         with pytest.raises(ValueError):
             SRTreeChunker(leaf_capacity=4).form_chunks(
-                DescriptorCollection.empty(3)
+                from_vectors(np.empty((0, 3)))
             )
 
     def test_build_info_recorded(self, tiny_collection):

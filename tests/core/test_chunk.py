@@ -96,7 +96,7 @@ class TestChunk:
 
     def test_member_ids(self, tiny_collection):
         chunk = Chunk.from_rows(tiny_collection, [5, 7])
-        assert list(chunk.member_ids(tiny_collection)) == [5, 7]
+        assert list(tiny_collection.ids[chunk.member_rows]) == [5, 7]
 
 
 class TestChunkMeta:

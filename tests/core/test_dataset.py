@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.chunk import summarize_members
 from repro.core.dataset import (
     DESCRIPTOR_RECORD_BYTES,
     DescriptorCollection,
@@ -24,7 +25,7 @@ class TestConstruction:
         assert col.dimensions == 5
 
     def test_empty(self):
-        col = DescriptorCollection.empty(24)
+        col = from_vectors(np.empty((0, 24)))
         assert len(col) == 0
         assert col.dimensions == 24
 
@@ -66,11 +67,6 @@ class TestRecordLayout:
 
 
 class TestSelection:
-    def test_take_preserves_order(self, tiny_collection):
-        sub = tiny_collection.take([5, 1, 3])
-        assert list(sub.ids) == [5, 1, 3]
-        np.testing.assert_array_equal(sub.vectors[0], tiny_collection.vectors[5])
-
     def test_mask(self, tiny_collection):
         keep = np.zeros(len(tiny_collection), dtype=bool)
         keep[:10] = True
@@ -83,10 +79,14 @@ class TestSelection:
             tiny_collection.mask(np.ones(3, dtype=bool))
 
     def test_equality(self, tiny_collection):
-        assert tiny_collection == tiny_collection.take(
-            np.arange(len(tiny_collection))
+        assert tiny_collection == from_vectors(
+            tiny_collection.vectors.copy(),
+            tiny_collection.ids.copy(),
+            tiny_collection.image_ids.copy(),
         )
-        assert tiny_collection != tiny_collection.take([0, 1])
+        keep = np.zeros(len(tiny_collection), dtype=bool)
+        keep[:2] = True
+        assert tiny_collection != tiny_collection.mask(keep)
 
 
 class TestStatistics:
@@ -94,11 +94,12 @@ class TestStatistics:
         col = from_vectors(
             np.array([[0.0, 0.0], [2.0, 4.0]])
         )
-        np.testing.assert_allclose(col.centroid(), [1.0, 2.0])
+        centroid, _ = summarize_members(col.vectors)
+        np.testing.assert_allclose(centroid, [1.0, 2.0])
 
     def test_centroid_empty_raises(self):
         with pytest.raises(ValueError):
-            DescriptorCollection.empty(3).centroid()
+            summarize_members(from_vectors(np.empty((0, 3))).vectors)
 
     def test_norms(self):
         col = from_vectors(np.array([[3.0, 4.0]]))
@@ -124,4 +125,4 @@ class TestStatistics:
 
     def test_ranges_empty_raise(self):
         with pytest.raises(ValueError):
-            DescriptorCollection.empty(2).dimension_ranges()
+            from_vectors(np.empty((0, 2))).dimension_ranges()

@@ -6,6 +6,7 @@ import pytest
 from repro.core import ground_truth
 from repro.core.dataset import DescriptorCollection
 from repro.core.ground_truth import GroundTruthStore, exact_knn, exact_knn_batch
+from descriptors import from_vectors
 
 
 class TestExactKnn:
@@ -35,7 +36,7 @@ class TestExactKnn:
 
     def test_empty_collection_raises(self):
         with pytest.raises(ValueError):
-            exact_knn(DescriptorCollection.empty(3), np.zeros(3), 1)
+            exact_knn(from_vectors(np.empty((0, 3))), np.zeros(3), 1)
 
     def test_ordering_by_distance(self, tiny_collection):
         query = np.zeros(4)

@@ -34,7 +34,6 @@ from repro.core.ingest import (
     verify_streaming_index,
 )
 from repro.core.maintenance import SPLIT_FACTOR
-from repro.core.routing import CentroidRouter
 from repro.core.search import ChunkSearcher
 from repro.experiments.ingestsim import _fold, open_crash_state
 from repro.faults.crash_states import STATES_PER_INTERVAL, InjectedCrash, record
@@ -148,17 +147,12 @@ def _manifest(directory):
 
 
 def _search_all(index, queries, k=5):
-    """Batch search with pruning, routing and the chunk cache enabled."""
+    """Batch search with pruning and the chunk cache enabled."""
     model = dataclasses.replace(
         PAPER_2005_COST_MODEL,
         chunk_cache=LruChunkCache(capacity_bytes=1 << 20),
     )
-    searcher = ChunkSearcher(
-        index,
-        cost_model=model,
-        prune=True,
-        router=CentroidRouter.from_index(index),
-    )
+    searcher = ChunkSearcher(index, cost_model=model, prune=True)
     return searcher.search_batch(queries, k=k)
 
 

@@ -9,10 +9,10 @@ for a cohort of one and a cohort of N, with and without fault
 injection.  The only thing pruning may change is ``chunks_pruned`` (and
 how fast the host finishes).
 
-The router must likewise reproduce the flat ranking's scan order and
-completion-proof values exactly, and the simulated chunk cache must
-change timing only through its documented warm-hit charge — identically
-for every cohort shape.  Every compared result also replays against the
+A searcher handed a router (``BatchChunkSearcher``, the benchmark
+harness's name for the engine) must answer exactly as one without, and
+the simulated chunk cache must change timing only through its documented
+warm-hit charge — identically for every cohort shape.  Every compared result also replays against the
 independent references (``replay_oracle.ReplayOracle``).
 """
 
@@ -26,6 +26,7 @@ import pytest
 from repro.chunking.bag import BagClusterer, estimate_mpi
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
+from repro.core import BatchChunkSearcher
 from repro.core.chunk_index import ChunkIndex, build_chunk_index
 from repro.core.routing import CentroidRouter
 from repro.core.search import RANK_BY_LOWER_BOUND, ChunkSearcher
@@ -244,7 +245,7 @@ class TestRectangleBoundEquivalence:
             return injector(0.25) if faulted else None
 
         def run(prune):
-            searcher = ChunkSearcher(
+            searcher = BatchChunkSearcher(
                 index, cost_model=model(), prune=prune, router=router
             )
             if cohort == "several":
@@ -371,7 +372,9 @@ class TestCodeBoundEquivalence:
 
 
 class TestRouterEquivalence:
-    """Routed ranking == flat ranking, to the bit, for any cohort shape."""
+    """A router changes nothing observable: ``BatchChunkSearcher`` checks
+    that it covers the index and ranks flat, to the bit, for any cohort
+    shape."""
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     @pytest.mark.parametrize("rank_by", ["centroid", RANK_BY_LOWER_BOUND])
@@ -380,7 +383,7 @@ class TestRouterEquivalence:
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
         flat = ChunkSearcher(index, rank_by=rank_by)
-        routed = ChunkSearcher(index, rank_by=rank_by, router=router)
+        routed = BatchChunkSearcher(index, rank_by=rank_by, router=router)
         replay = ReplayOracle(index, k=6, rank_by=rank_by)
         for query in queries:
             assert_results_identical(
@@ -389,26 +392,24 @@ class TestRouterEquivalence:
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_batch_engine(self, tiny_collection, chunker_name):
-        """Cohort + router must equal cohort flat bit for bit: routing
-        changes nothing observable."""
         index = make_index(tiny_collection, chunker_name)
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
         want = ChunkSearcher(index).search_batch(queries, k=6)
-        got = ChunkSearcher(index, router=router).search_batch(
+        got = BatchChunkSearcher(index, router=router).search_batch(
             queries, k=6
         )
         assert_batches_identical(got, want, ReplayOracle(index, k=6), queries)
 
     def test_batch_engine_matches_sequential(self, tiny_collection):
-        """Cross-cohort: a routed cohort of N vs N routed single queries
-        agree on every observable (distances to within one ulp)."""
+        """Cross-cohort: a cohort of N vs N single queries, both handed a
+        router, agree on every observable (distances to within one ulp)."""
         index = make_index(tiny_collection, "srtree")
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
-        sequential = ChunkSearcher(index, router=router)
+        sequential = BatchChunkSearcher(index, router=router)
         want = [sequential.search(q, k=6) for q in queries]
-        got = ChunkSearcher(index, router=router).search_batch(
+        got = BatchChunkSearcher(index, router=router).search_batch(
             queries, k=6
         )
         assert len(got) == len(want)
@@ -423,7 +424,7 @@ class TestRouterEquivalence:
         want = ChunkSearcher(index).search_batch(
             queries, k=5, faults=injector(0.25)
         )
-        got = ChunkSearcher(index, router=router).search_batch(
+        got = BatchChunkSearcher(index, router=router).search_batch(
             queries, k=5, faults=injector(0.25)
         )
         replay = ReplayOracle(index, k=5, faults=injector(0.25))
@@ -436,10 +437,43 @@ class TestRouterEquivalence:
         want = ChunkSearcher(index).search_batch(
             queries, k=5, stop_rule=MaxChunks(2)
         )
-        got = ChunkSearcher(index, router=router).search_batch(
+        got = BatchChunkSearcher(index, router=router).search_batch(
             queries, k=5, stop_rule=MaxChunks(2)
         )
         assert_batches_identical(got, want, ReplayOracle(index, k=5), queries)
+
+    def test_router_is_never_consulted(self, tiny_collection):
+        """Every query ranks flat: a router whose stream raises changes
+        nothing, with faults, pruning and an evicting chunk cache on."""
+
+        class Unrouted(CentroidRouter):
+            def stream(self, *args, **kwargs):
+                raise AssertionError("a search opened a router stream")
+
+        index = make_index(tiny_collection, "srtree")
+        router = Unrouted.from_index(index)
+        queries = make_queries(8, tiny_collection.dimensions, seed=29)
+        want = ChunkSearcher(
+            index, cost_model=_small_cache_model(), prune=True
+        ).search_batch(queries, k=5, faults=injector(0.25))
+        got = BatchChunkSearcher(
+            index, cost_model=_small_cache_model(), prune=True, router=router
+        ).search_batch(queries, k=5, faults=injector(0.25))
+        replay = ReplayOracle(
+            index, k=5, cost_model=_small_cache_model(), faults=injector(0.25)
+        )
+        # Ids, distances, elapsed and every trace column (as its events).
+        assert_batches_identical(got, want, replay, queries)
+        assert any(result.degraded for result in got)
+        assert sum(result.chunks_pruned for result in got) > 0
+
+    def test_router_for_another_index_refused(self, tiny_collection):
+        index = make_index(tiny_collection, "srtree")
+        chunking = RoundRobinChunker(n_chunks=4).form_chunks(tiny_collection)
+        other = build_chunk_index(chunking.retained, chunking.chunk_set)
+        assert other.n_chunks != index.n_chunks
+        with pytest.raises(ValueError, match="router covers"):
+            BatchChunkSearcher(index, router=CentroidRouter.from_index(other))
 
 
 class TestChunkCacheEquivalence:
@@ -522,7 +556,7 @@ class TestChunkCacheEquivalence:
         want = ChunkSearcher(
             index, cost_model=self._model(), prune=False
         ).search_batch(queries, k=5)
-        got = ChunkSearcher(
+        got = BatchChunkSearcher(
             index, cost_model=self._model(), prune=True, router=router
         ).search_batch(queries, k=5)
         replay = ReplayOracle(index, k=5, cost_model=self._model())

@@ -11,6 +11,7 @@ from repro.core.search import ChunkSearcher
 from repro.storage.pages import PageGeometry
 from repro.storage.records import RecordCodec
 from repro.system import ImageRetrievalSystem
+from descriptors import from_vectors
 
 
 @pytest.fixture()
@@ -34,7 +35,7 @@ class TestBuild:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ImageRetrievalSystem().index_images(DescriptorCollection.empty(6))
+            ImageRetrievalSystem().index_images(from_vectors(np.empty((0, 6))))
 
     def test_custom_chunker(self, image_collection):
         s = ImageRetrievalSystem(chunker=RoundRobinChunker(n_chunks=7))

@@ -8,6 +8,7 @@ from repro.workloads.queries import (
     dataset_queries,
     space_queries,
 )
+from descriptors import from_vectors
 
 
 class TestWorkloadContainer:
@@ -43,10 +44,8 @@ class TestDatasetQueries:
         assert len(w) == len(tiny_collection) + 10
 
     def test_empty_collection_rejected(self):
-        from repro.core.dataset import DescriptorCollection
-
         with pytest.raises(ValueError):
-            dataset_queries(DescriptorCollection.empty(2), 1)
+            dataset_queries(from_vectors(np.empty((0, 2))), 1)
 
     def test_nonpositive_count_rejected(self, tiny_collection):
         with pytest.raises(ValueError):
