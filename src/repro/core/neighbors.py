@@ -46,7 +46,10 @@ class Neighbor(Tuple[float, int]):
 
 
 def _as_neighbors(distances: np.ndarray, ids: np.ndarray) -> List[Neighbor]:
-    return [Neighbor(d, i) for d, i in zip(distances.tolist(), ids.tolist())]
+    # float64 and int64 ``tolist()`` entries are already Python floats and
+    # ints: skip ``Neighbor.__new__``'s conversions.
+    new = tuple.__new__
+    return [new(Neighbor, pair) for pair in zip(distances.tolist(), ids.tolist())]
 
 
 def merge_neighbor_lists(

@@ -196,8 +196,10 @@ class SearchResult:
 class BatchSearchResult:
     """Per-query :class:`SearchResult` list plus batch-level conveniences.
 
-    ``results[i]`` is what ``ChunkSearcher.search(queries[i], ...)`` returns;
-    this wrapper only adds aggregate views, it never merges query outcomes.
+    ``results[i]`` is what ``ChunkSearcher.search(queries[i], ...)``
+    returns up to the last bits of its distances (exact in ids, stop
+    reason and timestamps; see :meth:`ChunkSearcher.search_batch`); this
+    wrapper only adds aggregate views, it never merges query outcomes.
     """
 
     results: List[SearchResult]
@@ -411,7 +413,7 @@ class ChunkSearcher:
         key = centroid_d if self.rank_by == RANK_BY_CENTROID else lower_bounds
         # Per row, ascending key; a stable sort breaks ties by chunk id.
         orders = np.argsort(key, axis=-1, kind="stable")
-        ranked_bounds = np.take_along_axis(lower_bounds, orders, axis=1)
+        ranked_bounds = lower_bounds[np.arange(len(orders))[:, np.newaxis], orders]
         # suffix_min[:, r] = min lower bound over ranks >= r.
         suffix_min = np.minimum.accumulate(ranked_bounds[:, ::-1], axis=1)[:, ::-1]
         return orders, suffix_min, ranked_bounds
@@ -561,8 +563,14 @@ class ChunkSearcher:
         faults: Optional[FaultInjector] = None,
         query_indices: Optional[Sequence[int]] = None,
     ) -> BatchSearchResult:
-        """Run every query of a cohort; without ``faults``, ``results[i]`` is
-        what ``search(queries[i], ...)`` returns.
+        """Run every query of a cohort; without ``faults``, ``results[i]``
+        agrees with ``search(queries[i], ...)`` bit for bit in neighbour
+        ids, chunk ids, stop reason, elapsed times and the count columns,
+        and in neighbour distances and the ``kth_distance`` column to
+        ``rel=1e-12``: a one-row and an N-row BLAS product may round the
+        last bits differently (``assert_equivalent`` in
+        ``tests/core/test_batch_search.py``; ROADMAP item 3's row-stable
+        kernel would make them bit-equal).
 
         Parameters
         ----------
@@ -686,8 +694,8 @@ class ChunkSearcher:
            logged exactly like a scanned one: only the host work is saved;
         5. *log* — one entry in each column of the query's trace, and a
            fault mark unless the outcome is ``OK_OUTCOME``;
-        6. *stop* — the completion proof, then the stop rule, then
-           exhaustion.
+        6. *stop* — the completion proof, then the stop rule (asked only
+           at a visit reaching its ``caps``), then exhaustion.
 
         The per-visit state is locals: the neighbor-set mirrors ``n_found``
         / ``kth`` / ``matches``, ``settled``, the three floats carrying the
@@ -735,8 +743,8 @@ class ChunkSearcher:
         cache, start_s, n_chunks = self._cache, self._start_s, self.index.n_chunks
         if cache is not None:
             touch, cache_cost = cache.touch, self._cache_cost
-        # ExactCompletion never stops early: no progress snapshot for it.
-        check = None if type(stop_rule) is ExactCompletion else stop_rule.check
+        # The rule is asked only at a visit reaching one of its caps.
+        check, (chunk_cap, time_cap) = stop_rule.check, stop_rule.caps
         outcome, ok, chunk = OK_OUTCOME, True, None
         results = []
         for row, state in enumerate(states):
@@ -894,9 +902,9 @@ class ChunkSearcher:
                     reason = "proof-degraded" if degraded else "completed"
                     completed = not degraded
                     break
-                if check is not None:
+                if rank >= chunk_cap or elapsed >= time_cap:
                     # The fields in order: a positional build costs a
-                    # third of a keyword one, once per visit.
+                    # third of a keyword one.
                     ruled = check(
                         SearchProgress(rank, elapsed, n_found, kth, remaining_lb)
                     )

@@ -8,9 +8,12 @@ distance to the k-th neighbor."
 
 Each rule inspects a :class:`SearchProgress` snapshot after a chunk has
 been processed and returns a reason string when the search should stop, or
-``None`` to continue.  The completion proof is not a rule here — it is a
-correctness guarantee applied by the searcher itself — but
-:class:`ExactCompletion` exists as an explicit "no early stop" marker.
+``None`` to continue.  Each also declares its :attr:`StopRule.caps`, the
+chunk count and elapsed time below which it cannot fire, so the searcher
+builds a snapshot and asks only at a visit that reaches one of them.  The
+completion proof is not a rule here — it is a correctness guarantee
+applied by the searcher itself — but :class:`ExactCompletion` (caps at
+infinity: never asked) exists as an explicit "no early stop" marker.
 
 The paper's "second lesson" (section 5.7) — elapsed time is a more natural
 stop rule than a chunk count, because variably sized chunks make the chunk
@@ -21,7 +24,7 @@ benchmark.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "SearchProgress",
@@ -35,8 +38,8 @@ __all__ = [
 
 
 class SearchProgress(NamedTuple):
-    """Snapshot handed to stop rules after each processed chunk: a named
-    tuple, built once per visit of a search under an early-stop rule.
+    """Snapshot handed to stop rules after a processed chunk: a named
+    tuple, built only at a visit that reaches the rule's caps.
 
     Attributes
     ----------
@@ -62,7 +65,17 @@ class SearchProgress(NamedTuple):
 
 
 class StopRule:
-    """Base class; subclasses override :meth:`check`."""
+    """Base class; subclasses override :meth:`check` and, to be asked
+    less often, :attr:`caps`."""
+
+    @property
+    def caps(self) -> Tuple[float, float]:
+        """``(chunks, seconds)``: :meth:`check` returns ``None`` for every
+        snapshot with ``chunks_read`` below the first and ``elapsed_s``
+        below the second, so the searcher asks only at a visit reaching
+        one.  Here ``(0, 0)``, asked at every visit; a subclass that
+        overrides :meth:`check` declares its own or keeps these."""
+        return (0, 0.0)
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         """Return a stop reason, or ``None`` to keep scanning."""
@@ -76,6 +89,10 @@ class ExactCompletion(StopRule):
     declines to stop.  It exists so that "run to completion" is an explicit
     choice at call sites.
     """
+
+    @property
+    def caps(self) -> Tuple[float, float]:
+        return (math.inf, math.inf)
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         return None
@@ -92,6 +109,10 @@ class MaxChunks(StopRule):
         if n_chunks <= 0:
             raise ValueError(f"n_chunks must be positive, got {n_chunks}")
         self.n_chunks = int(n_chunks)
+
+    @property
+    def caps(self) -> Tuple[float, float]:
+        return (self.n_chunks, math.inf)
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.chunks_read >= self.n_chunks:
@@ -114,6 +135,10 @@ class TimeBudget(StopRule):
         if budget_s <= 0 or math.isnan(budget_s):
             raise ValueError(f"budget must be positive, got {budget_s}")
         self.budget_s = float(budget_s)
+
+    @property
+    def caps(self) -> Tuple[float, float]:
+        return (math.inf, self.budget_s)
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.elapsed_s >= self.budget_s:
@@ -152,6 +177,10 @@ class DeadlineBudget(StopRule):
             )
         self.remaining_s = float(remaining_s)
 
+    @property
+    def caps(self) -> Tuple[float, float]:
+        return (math.inf, self.remaining_s)
+
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.elapsed_s >= self.remaining_s:
             return f"deadline({self.remaining_s:g}s)"
@@ -174,6 +203,12 @@ class FirstOf(StopRule):
         if not flattened:
             raise ValueError("FirstOf needs at least one rule")
         self.rules = list(flattened)
+
+    @property
+    def caps(self) -> Tuple[float, float]:
+        """The members' minima: no member fires below them."""
+        caps = [rule.caps for rule in self.rules]
+        return (min(c for c, _ in caps), min(t for _, t in caps))
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         for rule in self.rules:

@@ -8,8 +8,9 @@ generation for a whole *grid* of keys that share a prefix and differ in
 their last two integers (a window of queries x the chunk ids): one numpy
 ``uint32`` operation per step of the mix for every key at once, so the
 fixed cost of the ≈ 160 operations is paid once per grid, not per query.
-For a single key that costs more than numpy does, so one-key draws call
-numpy.
+:func:`listed_uniforms` does the same for a *list* of keys that share a
+prefix (a sharded run's sub-request attempts).  For a single key that
+costs more than numpy does, so one-key draws call numpy.
 
 The algorithm is numpy's (``numpy/random/bit_generator.pyx``): the key's
 integers become little-endian 32-bit words (``0`` is one zero word); the
@@ -29,7 +30,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["key_uniforms", "keyed_uniforms"]
+__all__ = ["key_uniforms", "keyed_uniforms", "listed_uniforms"]
 
 #: One 32-bit word for every key: a shared Python int or a ``uint32`` array.
 _Word = Union[int, np.ndarray]
@@ -101,9 +102,9 @@ def _pool(entropy: List[_Word]) -> List[_Word]:
 
 
 def _uniforms(pool: List[_Word], n: int) -> np.ndarray:
-    """``generate_state(n, uint64) * 2**-64`` of every key of the grid:
-    ``(rows, columns, n)`` float64.  Every pool word has met both axes'
-    columns, so each is a full ``(rows, columns)`` array."""
+    """``generate_state(n, uint64) * 2**-64`` of every key: ``(*shape, n)``
+    float64 for the keys' shape.  Every pool word has met every varying
+    word, so each is a full array of that shape."""
     constants = _hash_constants(_INIT_B, _MULT_B)
     words = [_hashmix(pool[i % _POOL_SIZE], constants) for i in range(2 * n)]
     state = np.stack(words, axis=-1).astype("<u4", copy=False)
@@ -150,4 +151,39 @@ def keyed_uniforms(prefix: Sequence[int], rows: range, columns: range, n: int) -
         for columns_at, column_words in _pieces(columns, (1, -1)):
             pool = _pool(head + row_words + column_words)
             out[rows_at, columns_at] = _uniforms(pool, n)
+    return out
+
+
+def listed_uniforms(prefix: Sequence[int], keys: np.ndarray, n: int) -> np.ndarray:
+    """``(len(keys), n)`` float64 uniforms in [0, 1).
+
+    Row ``i`` is bit-identical to ``numpy.random.SeedSequence(entropy=(
+    *prefix, *keys[i])).generate_state(n, numpy.uint64) * 2**-64``.
+    ``keys`` is a ``(m, c)`` integer array, ``c >= 1``, of non-negative
+    integers below ``2**63`` (``ValueError`` otherwise).  An integer of
+    ``2**32`` or more is two words, so the keys are hashed in one group per
+    pattern of word counts.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 2 or keys.shape[1] < 1 or keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be an (m, c >= 1) integer array, got {keys.shape}")
+    if keys.size and keys.min() < 0:
+        raise ValueError("expected non-negative integer")
+    keys = keys.astype(np.uint64)
+    head: List[_Word] = [w for value in prefix for w in _words(value)]
+    out = np.empty((keys.shape[0], n), dtype=np.float64)
+    if n == 0 or not keys.shape[0]:
+        return out
+    low = (keys & _MASK32).astype(np.uint32)
+    high = (keys >> 32).astype(np.uint32)
+    # Bit j of a key's pattern is set when its integer j takes two words.
+    patterns = (high != 0) @ (1 << np.arange(keys.shape[1], dtype=np.int64))
+    for pattern in np.unique(patterns).tolist():
+        rows = np.flatnonzero(patterns == pattern)
+        words = list(head)
+        for column in range(keys.shape[1]):
+            words.append(low[rows, column])
+            if pattern >> column & 1:
+                words.append(high[rows, column])
+        out[rows] = _uniforms(_pool(words), n)
     return out

@@ -23,17 +23,20 @@ Fault taxonomy:
   horizon; every sub-request dispatched to it during the window fails
   fast.  Windows are drawn once per shard from the seed.
 
-Draws come from :func:`~repro.faults.draws.key_uniforms`:
-:class:`numpy.random.SeedSequence` over the key ``(seed, stream,
-*coordinates)``.
+Draws are :class:`numpy.random.SeedSequence` over the key ``(seed,
+stream, *coordinates)``: :func:`~repro.faults.draws.listed_uniforms` for
+a list of sub-request keys, :func:`~repro.faults.draws.key_uniforms` for
+one shard's outage window.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .draws import key_uniforms
+import numpy as np
+
+from .draws import key_uniforms, listed_uniforms
 
 __all__ = [
     "ShardSubFault",
@@ -74,6 +77,16 @@ class ShardSubFault:
 
 #: Shared clean outcome (also the fast path for null plans).
 SHARD_OK = ShardSubFault(failed=False, straggler=False, detect_s=0.0)
+
+#: The three outcomes by kind code: failed fast, straggling, clean.
+_SUB_FAULTS = np.array(
+    [
+        ShardSubFault(failed=True, straggler=False, detect_s=ERROR_DETECT_S),
+        ShardSubFault(failed=False, straggler=True, detect_s=0.0),
+        SHARD_OK,
+    ],
+    dtype=object,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,38 +169,28 @@ class ShardFaultPlan:
 
     # -- deterministic draws -------------------------------------------------
 
-    def _uniforms(self, stream: int, key: Tuple[int, ...], n: int) -> Tuple[float, ...]:
-        """``n`` uniforms in [0, 1) for one keyed decision site; the key
-        is ``(seed, stream, *key)`` so draws are independent of call
-        order and of every other site."""
-        return tuple(key_uniforms((self.seed, stream) + key, n).tolist())
-
-    def sub_request(
-        self, query_index: int, partition_id: int, shard_id: int, attempt: int
-    ) -> ShardSubFault:
-        """Fault decision for one sub-request attempt.
+    def sub_requests(self, keys: np.ndarray) -> List[ShardSubFault]:
+        """Fault decisions of sub-request attempts, one per row of the
+        ``(m, 4)`` integer array ``keys``: ``(query, partition, shard,
+        attempt)``.
 
         ``attempt`` numbers every dispatch of the (query, partition)
         pair — failovers and hedges draw independently, so a retry on a
         healthy replica usually succeeds and a hedged duplicate is not
-        doomed to repeat the primary's fate.
+        doomed to repeat the primary's fate.  Each decision is a pure
+        function of its key, whatever list it is drawn in; a sharded run
+        draws every key it may dispatch in one call.
         """
-        if min(query_index, partition_id, shard_id, attempt) < 0:
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 4)
+        if keys.size and keys.min() < 0:
             raise ValueError("decision coordinates must be non-negative")
         if self.error_rate == 0.0 and self.straggler_rate == 0.0:
-            return SHARD_OK
-        (u,) = self._uniforms(
-            _STREAM_SUB,
-            (int(query_index), int(partition_id), int(shard_id), int(attempt)),
-            1,
-        )
-        if u < self.error_rate:
-            return ShardSubFault(
-                failed=True, straggler=False, detect_s=ERROR_DETECT_S
-            )
-        if u < self.error_rate + self.straggler_rate:
-            return ShardSubFault(failed=False, straggler=True, detect_s=0.0)
-        return SHARD_OK
+            return [SHARD_OK] * keys.shape[0]
+        u = listed_uniforms((self.seed, _STREAM_SUB), keys, 1)[:, 0]
+        # 0: u < error_rate, 1: below the straggler edge too, 2: clean.
+        kinds = (u >= self.error_rate).astype(np.intp)
+        kinds += u >= self.error_rate + self.straggler_rate
+        return _SUB_FAULTS[kinds].tolist()
 
     def outage_window(self, shard_id: int) -> Optional[Tuple[float, float]]:
         """The shard's outage window ``(start_s, end_s)``, or ``None``.
@@ -201,7 +204,9 @@ class ShardFaultPlan:
         if self.outage_rate == 0.0:
             return None
         if shard_id not in self._windows:
-            hit, where = self._uniforms(_STREAM_OUTAGE, (int(shard_id),), 2)
+            hit, where = key_uniforms(
+                (self.seed, _STREAM_OUTAGE, int(shard_id)), 2
+            ).tolist()
             window = None
             if hit < self.outage_rate:
                 span = max(0.0, self.horizon_s - self.outage_duration_s)

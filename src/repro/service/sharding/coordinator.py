@@ -70,6 +70,7 @@ Everything runs on the simulated clock; a run is a pure function of
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -92,6 +93,7 @@ from ...faults.shard_plan import (
     SHARD_OK,
     STRAGGLER_FACTOR,
     ShardFaultPlan,
+    ShardSubFault,
 )
 from ...simio.calibration import PAPER_2005_COST_MODEL
 from ...simio.pipeline import CostModel
@@ -156,6 +158,9 @@ class _SubTask:
 
     partition: Partition
     targets: Tuple[int, ...]
+    #: Fault draws of every (holder position, attempt) pair, row-major;
+    #: empty without a fault plan.
+    draws: Sequence[ShardSubFault] = ()
     next_target: int = 0
     attempt_no: int = 0
     in_flight: Dict[int, _Attempt] = dataclasses.field(default_factory=dict)
@@ -320,6 +325,30 @@ class ShardedQueryService:
             return 1.0
         return coverage
 
+    def _sub_faults(
+        self, targets: List[List[Tuple[int, ...]]]
+    ) -> Optional[List[List[List[ShardSubFault]]]]:
+        """The fault draws of every sub-request attempt a run may dispatch,
+        in one call of the plan: per query (``targets``' rows) and
+        partition, one draw per (holder position, attempt) pair, row-major.
+        A (query, partition) pair tries each holder at most once, so its
+        attempts number below its holder count.  ``None`` without a plan."""
+        if self.faults is None:
+            return None
+        partition_ids = [partition.partition_id for partition in self.plan.partitions]
+        keys = [
+            (query, partition_id, shard_id, attempt)
+            for query, row in enumerate(targets)
+            for partition_id, holders in zip(partition_ids, row)
+            for shard_id in holders
+            for attempt in range(len(holders))
+        ]
+        flat = iter(self.faults.sub_requests(np.array(keys, dtype=np.int64)))
+        return [
+            [list(itertools.islice(flat, len(holders) ** 2)) for holders in row]
+            for row in targets
+        ]
+
     # -- the event loop ------------------------------------------------------
 
     def run(self, queries: np.ndarray) -> ShardRunResult:
@@ -330,6 +359,12 @@ class ShardedQueryService:
             queries, self.truth, config.arrival_rate_qps, config.seed,
             config.deadline_s,
         )
+        partitions = self.plan.partitions
+        targets = [
+            [partition.targets(request.index) for partition in partitions]
+            for request in requests
+        ]
+        draws = self._sub_faults(targets)
         n_shards = self.plan.n_shards
         board = BreakerBoard(n_chunks=n_shards, region_size=1)
         pools = [WorkerPool(config.workers_per_shard) for _ in range(n_shards)]
@@ -361,9 +396,10 @@ class ShardedQueryService:
                 pool = pools[shard_id]
                 start_est = pool.earliest_start(now)
                 sub_fault = (
-                    faults.sub_request(
-                        request.index, partition_id, shard_id, attempt_no
-                    )
+                    subtask.draws[
+                        (subtask.next_target - 1) * len(subtask.targets)
+                        + attempt_no
+                    ]
                     if faults is not None
                     else SHARD_OK
                 )
@@ -528,9 +564,12 @@ class ShardedQueryService:
                     subtasks={
                         partition.partition_id: _SubTask(
                             partition=partition,
-                            targets=partition.targets(request.index),
+                            targets=holders,
+                            draws=() if draws is None else draws[request.index][at],
                         )
-                        for partition in self.plan.partitions
+                        for at, (partition, holders) in enumerate(
+                            zip(partitions, targets[request.index])
+                        )
                     },
                 )
                 states[request.index] = state

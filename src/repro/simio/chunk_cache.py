@@ -73,7 +73,7 @@ class LruChunkCache:
     ):
         if capacity_bytes < 1:
             raise ValueError("chunk cache needs a positive byte capacity")
-        if memcpy_bytes_per_s <= 0.0:
+        if not memcpy_bytes_per_s > 0.0:
             raise ValueError("memory-copy bandwidth must be positive")
         self.capacity_bytes = int(capacity_bytes)
         self.memcpy_bytes_per_s = float(memcpy_bytes_per_s)

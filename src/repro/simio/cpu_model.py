@@ -41,8 +41,10 @@ class CpuModel:
     ranking_time_per_chunk_s: float = 2.5e-6
 
     def __post_init__(self) -> None:
-        if min(self.distance_time_s, self.chunk_overhead_s, self.ranking_time_per_chunk_s) < 0:
-            raise ValueError("CPU costs cannot be negative")
+        costs = (self.distance_time_s, self.chunk_overhead_s, self.ranking_time_per_chunk_s)
+        # ``not x >= 0``, not ``x < 0``: a NaN fails the test too.
+        if not all(cost >= 0 for cost in costs):
+            raise ValueError("CPU costs cannot be negative or NaN")
 
     def chunk_processing_time_s(self, n_descriptors: int) -> float:
         """CPU time to scan one chunk of ``n_descriptors``."""

@@ -45,11 +45,12 @@ class DiskModel:
     page_bytes: int = DEFAULT_PAGE_BYTES
 
     def __post_init__(self) -> None:
-        if self.seek_time_s < 0 or self.rotational_latency_s < 0:
-            raise ValueError("latencies cannot be negative")
-        if self.transfer_rate_bytes_per_s <= 0:
+        # ``not x >= 0``, not ``x < 0``: a NaN fails the test too.
+        if not (self.seek_time_s >= 0 and self.rotational_latency_s >= 0):
+            raise ValueError("latencies cannot be negative or NaN")
+        if not self.transfer_rate_bytes_per_s > 0:
             raise ValueError("transfer rate must be positive")
-        if self.page_bytes <= 0:
+        if not self.page_bytes > 0:
             raise ValueError("page size must be positive")
 
     @property

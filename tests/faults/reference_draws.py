@@ -14,6 +14,11 @@ the hash constants) are the shipped ones, unchanged.
 ``FaultPlan.chunk_outcome`` as they stood when the plan drew one access's
 row per call: the per-key answer every injector outcome must equal
 (``test_plan.py``, ``test_injector.py``).
+
+:func:`sub_request` is ``ShardFaultPlan.sub_request`` as it stood when a
+sharded run drew one sub-request attempt per call, before the run drew
+all of its attempts in one ``ShardFaultPlan.sub_requests`` call
+(``test_draws.py``, ``test_shard_plan.py``).
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ from repro.faults.draws import (
     _pool,
     _words,
     key_uniforms,
+)
+from repro.faults.shard_plan import (
+    ERROR_DETECT_S,
+    SHARD_OK,
+    ShardFaultPlan,
+    ShardSubFault,
 )
 from repro.faults.plan import (
     FAILURE_KINDS,
@@ -192,3 +203,26 @@ def chunk_outcome(
         plan, plan_module._STREAM_CHUNK, int(query_id), int(chunk_id), budget
     )
     return plan.classify(plan.kind_codes(draws).tolist(), attempt_io_s)
+
+
+def sub_request(
+    plan: ShardFaultPlan, query_index: int, partition_id: int, shard_id: int,
+    attempt: int,
+) -> ShardSubFault:
+    """Fault decision for one sub-request attempt."""
+    if min(query_index, partition_id, shard_id, attempt) < 0:
+        raise ValueError("decision coordinates must be non-negative")
+    if plan.error_rate == 0.0 and plan.straggler_rate == 0.0:
+        return SHARD_OK
+    (u,) = tuple(
+        key_uniforms(
+            (plan.seed, 0, int(query_index), int(partition_id), int(shard_id),
+             int(attempt)),
+            1,
+        ).tolist()
+    )
+    if u < plan.error_rate:
+        return ShardSubFault(failed=True, straggler=False, detect_s=ERROR_DETECT_S)
+    if u < plan.error_rate + plan.straggler_rate:
+        return ShardSubFault(failed=False, straggler=True, detect_s=0.0)
+    return SHARD_OK

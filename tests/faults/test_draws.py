@@ -15,15 +15,21 @@ runs).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import plan as plan_module
 from repro.faults import shard_plan as shard_plan_module
-from repro.faults.draws import key_uniforms, keyed_uniforms
+from repro.faults.draws import key_uniforms, keyed_uniforms, listed_uniforms
 from repro.faults.injector import _WINDOW_ROWS
 from repro.faults.plan import FaultPlan
 from repro.faults.shard_plan import ShardFaultPlan
+from repro.service.sharding import (
+    ShardServiceConfig,
+    ShardedQueryService,
+    estimate_chunk_costs,
+    plan_placement,
+)
 import reference_draws
 
 #: 1 under tier-1's profile, 25 under ``--hypothesis-profile=explore``
@@ -135,6 +141,26 @@ class TestSeedSequenceEquality:
         )
 
 
+@pytest.fixture(scope="module")
+def shard_service(experiment_data):
+    """A sharded service over the test-scale SR index (2 replicas, one
+    worker a shard, hedging) and the queries it runs; tests set its
+    ``faults``."""
+    index = experiment_data.built("SR", "SMALL").index
+    cost_model = experiment_data.scale.cost_model
+    plan = plan_placement(
+        estimate_chunk_costs(index, cost_model), n_shards=4, n_replicas=2,
+        strategy="greedy", seed=2005,
+    )
+    config = ShardServiceConfig(
+        workers_per_shard=1, deadline_s=0.5, arrival_rate_qps=20.0, seed=2005,
+        k=10, hedge_delay_s=0.05,
+    )
+    service = ShardedQueryService(index, plan, config, cost_model=cost_model)
+    yield service, experiment_data.workloads["DQ"].queries
+    service.close()
+
+
 class TestPlanDraws:
     def test_plans_draw_what_seed_sequence_draws(self):
         plan = FaultPlan.balanced(0.3, seed=2**32)
@@ -148,23 +174,75 @@ class TestPlanDraws:
                 assert_bit_equal(got, want)
                 assert_bit_equal(table[query - 8, chunk], want)
 
-    def test_shard_plan_draws_what_seed_sequence_draws(self):
+    @given(
+        seed=st.sampled_from(SEEDS) | st.integers(0, 2**70),
+        keys=st.lists(
+            st.tuples(*[st.integers(0, 9) | st.integers(0, 2**40)] * 4),
+            min_size=1, max_size=12,
+        ),
+        rates=st.sampled_from([(0.3, 0.3), (0.1, 0.0), (0.0, 0.5), (0.0, 0.0)]),
+    )
+    @example(seed=11, keys=[(0, 0, 0, 0), (4, 3, 1, 2)], rates=(0.3, 0.3))
+    @example(seed=2**32, keys=[(2**32, 1, 0, 2**32 - 1), (3, 2**33, 1, 0)], rates=(0.3, 0.3))
+    @settings(max_examples=30 * EXAMPLES, deadline=None)
+    def test_shard_plan_draws_what_seed_sequence_draws(self, seed, keys, rates):
+        # A list of sub-request keys, hashed in one call (keys of one and
+        # of two words mixed), against one SeedSequence per key and the
+        # per-key decision the plan made before.
+        error, straggler = rates
         plan = ShardFaultPlan(
-            seed=11, error_rate=0.3, straggler_rate=0.3, outage_rate=0.5,
+            seed=seed, error_rate=error, straggler_rate=straggler, outage_rate=0.5,
             outage_duration_s=1.0, horizon_s=10.0,
         )
-        for key in [(0, 0, 0, 0), (4, 3, 1, 2)]:
-            (u,) = reference((11, 0) + key, 1).tolist()
-            fault = plan.sub_request(*key)
-            assert fault.failed == (u < 0.3)
-            assert fault.straggler == (0.3 <= u < 0.6)
+        table = listed_uniforms((seed, 0), np.array(keys, dtype=np.int64), 1)
+        assert table.shape == (len(keys), 1)
+        faults = plan.sub_requests(keys)
+        for key, row, fault in zip(keys, table, faults):
+            want = reference((seed, 0) + key, 1)
+            assert_bit_equal(row, want)
+            assert_bit_equal(key_uniforms((seed, 0) + key, 1), want)
+            assert fault == reference_draws.sub_request(plan, *key)
+            (u,) = want.tolist()
+            if error or straggler:
+                assert fault.failed == (u < error)
+                assert fault.straggler == (error <= u < error + straggler)
         for shard in range(6):
-            hit, where = reference((11, 1, shard), 2).tolist()
+            hit, where = reference((seed, 1, shard), 2).tolist()
             window = plan.outage_window(shard)
             if hit >= 0.5:
                 assert window is None
             else:
                 assert window == (where * 9.0, where * 9.0 + 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sharded_run_draws_what_the_per_key_plan_drew(self, shard_service, seed):
+        # A faulted, hedged run draws every attempt it may dispatch in one
+        # call; with the per-key draw it replaced the run is the same, every
+        # record and count.
+        service, queries = shard_service
+        service.faults = ShardFaultPlan(
+            seed=seed, error_rate=0.2, straggler_rate=0.2, outage_rate=0.5,
+            outage_duration_s=0.5, horizon_s=5.0,
+        )
+        calls = []
+        shipped = ShardFaultPlan.sub_requests
+
+        def counted(plan, keys):
+            calls.append(len(keys))
+            return shipped(plan, keys)
+
+        def per_key(plan, keys):
+            return [reference_draws.sub_request(plan, *key) for key in keys.tolist()]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardFaultPlan, "sub_requests", counted)
+            got = service.run(queries)
+            patch.setattr(ShardFaultPlan, "sub_requests", per_key)
+            want = service.run(queries)
+        assert len(calls) == 1
+        assert sum(got.shard_failed) > 0 and got.n_hedges > 0
+        # repr, not ==: a NaN field never equals itself.
+        assert repr(got) == repr(want)
 
     def test_outage_windows_are_drawn_once(self, monkeypatch):
         plan = ShardFaultPlan.balanced(0.5, seed=3, horizon_s=10.0)

@@ -87,6 +87,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="bandwidth"):
             LruChunkCache(capacity_bytes=PAGE, memcpy_bytes_per_s=0.0)
 
+    def test_rejects_nan_bandwidth(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            LruChunkCache(capacity_bytes=PAGE, memcpy_bytes_per_s=float("nan"))
+
     def test_rejects_negative_chunk_size(self):
         cache = LruChunkCache(capacity_bytes=PAGE)
         with pytest.raises(ValueError, match="negative"):

@@ -1,5 +1,7 @@
 """Tests for the disk and CPU cost models."""
 
+import dataclasses
+
 import pytest
 
 from repro.simio.cpu_model import CpuModel
@@ -42,6 +44,13 @@ class TestDiskModel:
         with pytest.raises(ValueError):
             DiskModel().transfer_time_s(-5)
 
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DiskModel)])
+    def test_refuses_nan(self, field):
+        # A NaN passes ``x < 0``; every later timestamp would be NaN and no
+        # time budget would ever fire.
+        with pytest.raises(ValueError):
+            DiskModel(**{field: float("nan")})
+
     def test_larger_reads_cost_more(self):
         disk = DiskModel()
         assert disk.random_read_time_s(10) > disk.random_read_time_s(1)
@@ -65,4 +74,9 @@ class TestCpuModel:
             CpuModel().chunk_processing_time_s(-1)
         with pytest.raises(ValueError):
             CpuModel().ranking_time_s(-1)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CpuModel)])
+    def test_refuses_nan(self, field):
+        with pytest.raises(ValueError, match="NaN"):
+            CpuModel(**{field: float("nan")})
 
