@@ -49,7 +49,7 @@ def main() -> None:
     print(f"collection: {len(collection)} descriptors\n")
 
     mpi = estimate_mpi(collection)
-    bag = BagClusterer(mpi=mpi, target_clusters=400, max_passes=400)
+    bag = BagClusterer(mpi=mpi, target_clusters=400)
     results = {"BAG": bag.form_chunks(collection)}
     results["BAG s=2"] = cap_chunk_sizes(results["BAG"], 2.0)
     results["SR"] = SRTreeChunker(leaf_capacity=64).form_chunks(collection)

@@ -58,6 +58,7 @@ __all__ = [
     "CANDIDATE_CHECKS",
     "DESTROY_FRACTION",
     "FINAL_OUTLIER_FRACTION",
+    "MAX_PASSES",
     "MPI_SAMPLE_SIZE",
     "estimate_mpi",
 ]
@@ -72,6 +73,8 @@ DESTROY_FRACTION = 0.2
 CANDIDATE_CHECKS = 4
 #: Descriptors :func:`estimate_mpi` samples (capped at the collection size).
 MPI_SAMPLE_SIZE = 2000
+#: Safety bound on the clustering pass loop.
+MAX_PASSES = 400
 
 
 def estimate_mpi(
@@ -133,27 +136,19 @@ class BagClusterer(Chunker):
         :func:`estimate_mpi`).
     target_clusters:
         Terminate once the cluster count falls to or below this.
-    max_passes:
-        Safety bound on the pass loop.
+
+    The pass loop stops at :data:`MAX_PASSES`.
     """
 
     name = "BAG"
 
-    def __init__(
-        self,
-        mpi: float,
-        target_clusters: int,
-        max_passes: int = 200,
-    ):
+    def __init__(self, mpi: float, target_clusters: int):
         if mpi <= 0:
             raise ValueError(f"MPI must be positive, got {mpi}")
         if target_clusters < 1:
             raise ValueError("target cluster count must be at least 1")
-        if max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
         self.mpi = float(mpi)
         self.target_clusters = int(target_clusters)
-        self.max_passes = int(max_passes)
 
     # -- public API -----------------------------------------------------------
 
@@ -212,7 +207,7 @@ class BagClusterer(Chunker):
                 )
 
         capture(len(clusters), lambda: clusters)
-        while pending and passes < self.max_passes:
+        while pending and passes < MAX_PASSES:
             clusters = self._run_pass(clusters, vectors, on_change=capture)
             passes += 1
             if not pending:
@@ -225,8 +220,8 @@ class BagClusterer(Chunker):
         if pending:
             raise RuntimeError(
                 f"BAG did not reach cluster count {pending[0]} within "
-                f"{self.max_passes} passes ({len(clusters)} clusters remain); "
-                "increase mpi or max_passes"
+                f"{MAX_PASSES} passes ({len(clusters)} clusters remain); "
+                "increase mpi"
             )
         return snapshots
 

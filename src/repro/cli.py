@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Union
 
 from . import __version__
 from .experiments import (
@@ -43,6 +43,7 @@ from .experiments import (
 from .experiments.config import get_scale
 from .experiments.data import ExperimentData, prepare
 from .experiments.report import format_table
+from .experiments.results import FigureResult, GridResult
 from .storage.errors import CorruptFileError
 
 __all__ = ["main", "CliError", "EXPERIMENT_RUNNERS"]
@@ -75,9 +76,9 @@ EXPERIMENT_RUNNERS: Dict[str, Callable[[ExperimentData], object]] = {
     "ablation_size_cap": ablations.run_size_cap_ablation,
     "ablation_approx_rules": ablations.run_approx_rules_ablation,
     "lessons_summary": ablations.run_lessons_summary,
-    "faultsim": faultsim.run,
-    "servesim": servesim.run,
-    "shardsim": shardsim.run,
+    "faultsim": faultsim.sweep,
+    "servesim": servesim.sweep,
+    "shardsim": shardsim.sweep,
 }
 
 
@@ -114,6 +115,16 @@ def _write_json(payload: object, path: str) -> None:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
     print(f"wrote JSON report to {path}")
+
+
+def _print_sweep(
+    result: Union[FigureResult, GridResult], json_path: Optional[str]
+) -> int:
+    """Every sweep command's tail: the table, then any ``--json`` report."""
+    print(result.render())
+    if json_path:
+        _write_json(result.to_report(), json_path)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -461,9 +472,7 @@ def _make_chunker(name: str, chunk_size: int, collection):
         return SRTreeChunker(leaf_capacity=chunk_size)
     mpi = estimate_mpi(collection)
     return BagClusterer(
-        mpi=mpi,
-        target_clusters=max(1, len(collection) // chunk_size),
-        max_passes=400,
+        mpi=mpi, target_clusters=max(1, len(collection) // chunk_size)
     )
 
 
@@ -526,9 +535,11 @@ def _cmd_batch_search(args: argparse.Namespace) -> int:
             print(f"  cache hit rate:     {chunk_cache.hit_rate:.2%}")
         print(f"  mean simulated:     {batch.mean_elapsed_s * 1000:.1f} ms/query")
         print(f"  exact completions:  {completed}/{len(batch)}")
+        # Host timing goes to stderr, so stdout is the same every run.
         print(
             f"  wall clock:         {batch_wall_s:.3f} s "
-            f"({len(batch) / batch_wall_s:.1f} queries/s)"
+            f"({len(batch) / batch_wall_s:.1f} queries/s)",
+            file=sys.stderr,
         )
     return 0
 
@@ -579,11 +590,9 @@ def _cmd_image_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_faultsim(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
     rates = _parse_grid(args.rates, "--rates", faultsim.DEFAULT_RATES, upper=0.5)
-    data = prepare(scale)
     result = faultsim.sweep(
-        data,
+        prepare(get_scale(args.scale)),
         family=args.family,
         size_class=args.size_class,
         workload_name=args.workload,
@@ -591,10 +600,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_path=args.checkpoint,
     )
-    print(result.render())
-    if args.json:
-        _write_json(result.to_report(), args.json)
-    return 0
+    return _print_sweep(result, args.json)
 
 
 def _parse_grid(text, name, default, upper=None, integral=False):
@@ -619,7 +625,6 @@ def _parse_grid(text, name, default, upper=None, integral=False):
 
 
 def _cmd_servesim(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
     loads = _parse_grid(args.loads, "--loads", servesim.DEFAULT_LOAD_FACTORS)
     if any(not load > 0.0 for load in loads):
         raise CliError("--loads values must be positive")
@@ -630,9 +635,8 @@ def _cmd_servesim(args: argparse.Namespace) -> int:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
     if args.cache_mb is not None and not args.cache_mb > 0.0:
         raise CliError(f"--cache-mb must be positive, got {args.cache_mb}")
-    data = prepare(scale)
     result = servesim.sweep(
-        data,
+        prepare(get_scale(args.scale)),
         family=args.family,
         size_class=args.size_class,
         workload_name=args.workload,
@@ -643,14 +647,10 @@ def _cmd_servesim(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
         cache_mb=args.cache_mb,
     )
-    print(result.render())
-    if args.json:
-        _write_json(result.to_report(), args.json)
-    return 0
+    return _print_sweep(result, args.json)
 
 
 def _cmd_shardsim(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
     if args.placements is None:
         placements = list(shardsim.DEFAULT_PLACEMENTS)
     else:
@@ -682,9 +682,8 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
             f"--hedge-factor must be finite and non-negative, "
             f"got {args.hedge_factor}"
         )
-    data = prepare(scale)
     result = shardsim.sweep(
-        data,
+        prepare(get_scale(args.scale)),
         family=args.family,
         size_class=args.size_class,
         workload_name=args.workload,
@@ -698,10 +697,7 @@ def _cmd_shardsim(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_path=args.checkpoint,
     )
-    print(result.render())
-    if args.json:
-        _write_json(result.to_report(), args.json)
-    return 0
+    return _print_sweep(result, args.json)
 
 
 def _cmd_ingestsim(args: argparse.Namespace) -> int:

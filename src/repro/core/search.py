@@ -75,12 +75,18 @@ __all__ = [
     "BatchSearchResult",
     "RANK_BY_CENTROID",
     "RANK_BY_LOWER_BOUND",
+    "STOP_COMPLETED",
+    "STOP_EXHAUSTED",
 ]
 
 #: Rank chunks by distance to the centroid (what the paper does).
 RANK_BY_CENTROID = "centroid"
 #: Rank chunks by the lower bound ``d(centroid) - radius`` (ablation).
 RANK_BY_LOWER_BOUND = "lower_bound"
+
+#: Stop reasons of an exact answer: the proof fired, or every chunk was read.
+STOP_COMPLETED = "completed"
+STOP_EXHAUSTED = "exhausted"
 
 #: A chunk as the store hands it out: ``(ids, vectors)``, views of the
 #: verified read for an on-disk chunk.
@@ -185,9 +191,9 @@ class SearchResult:
           search again.
         """
         elapsed = self.trace.elapsed
-        if self.stop_reason == "completed":
+        if self.stop_reason == STOP_COMPLETED:
             return len(elapsed) < 2 or elapsed[-2] < budget_s
-        if self.stop_reason == "exhausted":
+        if self.stop_reason == STOP_EXHAUSTED:
             return self.trace.final_elapsed_s < budget_s
         return False
 
@@ -899,7 +905,7 @@ class ChunkSearcher:
                     # some were skipped, so the scan stops either way — but
                     # a degraded run can never claim exactness (a skipped
                     # chunk may have held a true neighbor).
-                    reason = "proof-degraded" if degraded else "completed"
+                    reason = "proof-degraded" if degraded else STOP_COMPLETED
                     completed = not degraded
                     break
                 if rank >= chunk_cap or elapsed >= time_cap:
@@ -915,7 +921,7 @@ class ChunkSearcher:
                     # Every chunk read without the proof firing early: the
                     # result is nevertheless exact (nothing is left to
                     # read) — unless skipped chunks left holes in the scan.
-                    reason, completed = "exhausted", not degraded
+                    reason, completed = STOP_EXHAUSTED, not degraded
                     break
             results.append(
                 SearchResult(

@@ -128,8 +128,12 @@ class TimeBudget(StopRule):
 
     Because a chunk is the granule of the search, the rule fires *after*
     the chunk whose completion crossed the budget — the same semantics as
-    the paper's "when a time threshold has been passed".
+    the paper's "when a time threshold has been passed" — so at least one
+    chunk is always scanned and the top-k is valid, never empty.  The
+    stop reason reads ``<label>(<budget>s)``.
     """
+
+    label = "time-budget"
 
     def __init__(self, budget_s: float):
         if budget_s <= 0 or math.isnan(budget_s):
@@ -142,52 +146,22 @@ class TimeBudget(StopRule):
 
     def check(self, progress: SearchProgress) -> Optional[str]:
         if progress.elapsed_s >= self.budget_s:
-            return f"time-budget({self.budget_s:g}s)"
+            return f"{self.label}({self.budget_s:g}s)"
         return None
 
     def __repr__(self) -> str:
-        return f"TimeBudget({self.budget_s!r})"
+        return f"{type(self).__name__}({self.budget_s!r})"
 
 
-class DeadlineBudget(StopRule):
-    """Stop once the clock passes the *remaining* budget of a deadline.
-
-    The remaining-budget variant of :class:`TimeBudget`: a request that
-    arrived carrying an absolute deadline has, by the time its search
-    starts, only ``remaining_s`` seconds left, and the search must stop
-    as soon as the per-query clock crosses that remainder.  The rule is
-    mechanically identical to :class:`TimeBudget` but reports a distinct
-    ``deadline(...)`` stop reason, so a result trimmed to meet an SLO is
-    distinguishable from one trimmed by a configured time budget.
-
-    Like every stop rule it fires *after* the chunk whose completion
-    crossed the budget — a chunk is the granule of the search — so at
-    least one chunk is always scanned and the returned top-k is valid
-    (possibly degraded), never empty.
-
-    Composes with other rules via :class:`FirstOf`, e.g.
-    ``FirstOf([DeadlineBudget(remaining), MaxChunks(budget)])`` is the
-    per-request rule the query service installs.
+class DeadlineBudget(TimeBudget):
+    """:class:`TimeBudget` under the ``deadline`` label, on the seconds a
+    request has left of its deadline when its search starts
+    (:func:`~repro.service.deadline.propagated_stop_rule`): its reason
+    tells a result trimmed to meet an SLO from one trimmed by a
+    configured time budget.
     """
 
-    def __init__(self, remaining_s: float):
-        if remaining_s <= 0 or math.isnan(remaining_s):
-            raise ValueError(
-                f"remaining deadline budget must be positive, got {remaining_s}"
-            )
-        self.remaining_s = float(remaining_s)
-
-    @property
-    def caps(self) -> Tuple[float, float]:
-        return (math.inf, self.remaining_s)
-
-    def check(self, progress: SearchProgress) -> Optional[str]:
-        if progress.elapsed_s >= self.remaining_s:
-            return f"deadline({self.remaining_s:g}s)"
-        return None
-
-    def __repr__(self) -> str:
-        return f"DeadlineBudget({self.remaining_s!r})"
+    label = "deadline"
 
 
 class FirstOf(StopRule):

@@ -20,7 +20,8 @@ derives every metric from the per-chunk logs).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chunking.bag import BagClusterer, estimate_mpi
 from ..chunking.base import ChunkingResult
@@ -32,6 +33,7 @@ from ..core.search import ChunkSearcher
 from ..core.trace import SearchTrace
 from ..workloads.queries import Workload, dataset_queries, space_queries
 from ..workloads.synthetic import generate_collection
+from .checkpoint import SweepCheckpoint
 from .config import K, SIZE_CLASSES, ExperimentScale
 
 __all__ = ["BuiltIndex", "ExperimentData", "prepare"]
@@ -97,6 +99,32 @@ class ExperimentData:
         truth = self.ground_truth(size_class, workload_name)
         return [truth.get(i) for i in range(len(self.workloads[workload_name]))]
 
+    def sweep_inputs(
+        self, experiment: str, family: str, size_class: str, workload_name: str,
+        seed: int, checkpoint_path: Optional[Union[str, os.PathLike]],
+        **settings: object,
+    ) -> Tuple[
+        Dict[str, object], SweepCheckpoint, ChunkIndex, Workload,
+        List[Optional[Sequence[int]]],
+    ]:
+        """The start every sweep driver shares: its identity — scale, index,
+        workload, seed, ``k``, query count and the driver's ``settings``,
+        all that determines its output — the checkpoint that identity
+        keys, and the index, workload and ground truth it runs on."""
+        workload = self.workloads[workload_name]
+        identity: Dict[str, object] = {
+            "scale": self.scale.name, "family": family, "size_class": size_class,
+            "workload": workload_name, "seed": int(seed), "k": K,
+            "n_queries": len(workload), **settings,
+        }
+        checkpoint = SweepCheckpoint(
+            checkpoint_path, meta={"experiment": experiment, **identity}
+        )
+        return (
+            identity, checkpoint, self.built(family, size_class).index,
+            workload, self.truth_lists(size_class, workload_name),
+        )
+
     # -- traces ----------------------------------------------------------------
 
     def completion_traces(
@@ -130,11 +158,7 @@ def _build_six_indexes(
     mpi: float,
 ) -> Dict[Tuple[str, str], BuiltIndex]:
     thresholds = scale.bag_thresholds(len(collection))
-    clusterer = BagClusterer(
-        mpi=mpi,
-        target_clusters=thresholds[-1],
-        max_passes=400,
-    )
+    clusterer = BagClusterer(mpi=mpi, target_clusters=thresholds[-1])
     snapshots = clusterer.run_with_snapshots(collection, thresholds)
     by_threshold = {snap.threshold: snap for snap in snapshots}
 

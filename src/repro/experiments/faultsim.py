@@ -30,12 +30,11 @@ from ..core.metrics import precision_at_k, robustness_stats
 from ..core.search import ChunkSearcher
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from .checkpoint import SweepCheckpoint
 from .config import K
 from .data import ExperimentData
 from .results import FigureResult
 
-__all__ = ["run", "sweep", "DEFAULT_RATES", "DEFAULT_SEED"]
+__all__ = ["sweep", "DEFAULT_RATES", "DEFAULT_SEED"]
 
 #: Fault rates swept by default (per-(query, chunk) failure probability;
 #: spikes occur at the same rate — see ``FaultPlan.balanced``).
@@ -73,24 +72,10 @@ def sweep(
     """
     if not rates:
         raise ValueError("need at least one fault rate")
-    # What determines the curves: the checkpoint's validity key and the
-    # start of the report's self-description.
-    identity: Dict[str, object] = {
-        "scale": data.scale.name,
-        "family": family,
-        "size_class": size_class,
-        "workload": workload_name,
-        "seed": int(seed),
-        "k": K,
-        "n_queries": len(data.workloads[workload_name]),
-    }
-    checkpoint = SweepCheckpoint(
-        checkpoint_path, meta={"experiment": "faultsim", **identity}
+    identity, checkpoint, index, workload, truth_lists = data.sweep_inputs(
+        "faultsim", family, size_class, workload_name, seed, checkpoint_path
     )
-    built = data.built(family, size_class)
-    workload = data.workloads[workload_name]
-    truth_lists = data.truth_lists(size_class, workload_name)
-    searcher = ChunkSearcher(built.index, cost_model=data.scale.cost_model)
+    searcher = ChunkSearcher(index, cost_model=data.scale.cost_model)
 
     def run_rate(rate: float) -> Dict[str, float]:
         plan = FaultPlan.balanced(rate, seed=seed)
@@ -135,9 +120,3 @@ def sweep(
         precision=4,
         meta={**identity, "fault_rates": x_values},
     )
-
-
-def run(data: ExperimentData) -> FigureResult:
-    """Default sweep (``repro experiment faultsim``)."""
-    return sweep(data)
-

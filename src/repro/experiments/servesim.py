@@ -28,15 +28,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.search import ChunkSearcher
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..service import QueryService, ServiceConfig
+from ..service import QueryService, ServiceConfig, ServiceRunResult, ShardRunResult
 from ..simio.chunk_cache import LruChunkCache
+from ..workloads.queries import Workload
 from .checkpoint import SweepCheckpoint
 from .config import K
 from .data import ExperimentData
 from .results import GridResult
 
 __all__ = [
-    "run",
     "sweep",
     "mean_exact_completion_s",
     "DEFAULT_LOAD_FACTORS",
@@ -44,6 +44,9 @@ __all__ = [
     "DEFAULT_SEED",
     "DEADLINE_FACTOR",
     "TARGET_FACTOR",
+    "SLO_COLUMNS",
+    "BREAKER_COLUMNS",
+    "slo_cell",
 ]
 
 #: Offered load as multiples of the pool's calibrated exact-search
@@ -62,8 +65,9 @@ DEADLINE_FACTOR = 4.0
 #: Controller p99 target as a multiple of the mean exact completion time.
 TARGET_FACTOR = 3.0
 
-#: The per-cell metrics, in report order.
-_COLUMNS = (
+#: The cell metrics both service sweeps report (:func:`slo_cell`), in
+#: table order: these, then the sweep's own, then :data:`BREAKER_COLUMNS`.
+SLO_COLUMNS = (
     "p50_ms",
     "p95_ms",
     "p99_ms",
@@ -72,23 +76,52 @@ _COLUMNS = (
     "degraded_fraction",
     "ok_fraction",
     "mean_recall",
-    "final_budget",
+)
+BREAKER_COLUMNS = (
     "breaker_opens",
     "breaker_half_opens",
     "breaker_closes",
     "utilization",
 )
 
+#: The per-cell metrics, in report order.
+_COLUMNS = (*SLO_COLUMNS, "final_budget", *BREAKER_COLUMNS)
+
+
+def slo_cell(
+    result: Union[ServiceRunResult, ShardRunResult], utilization: float
+) -> Dict[str, object]:
+    """The :data:`SLO_COLUMNS` and :data:`BREAKER_COLUMNS` of one service
+    run's cell."""
+    stats = result.stats
+    return {
+        "p50_ms": stats.p50_s * 1000.0,
+        "p95_ms": stats.p95_s * 1000.0,
+        "p99_ms": stats.p99_s * 1000.0,
+        "shed_fraction": stats.shed_fraction,
+        "deadline_fraction": stats.deadline_fraction,
+        "degraded_fraction": stats.degraded_fraction,
+        "ok_fraction": stats.ok_fraction,
+        "mean_recall": stats.mean_recall,
+        "breaker_opens": result.breaker_opens,
+        "breaker_half_opens": result.breaker_transitions["half_opened"],
+        "breaker_closes": result.breaker_transitions["closed"],
+        "utilization": utilization,
+    }
+
 
 def mean_exact_completion_s(
-    searcher: ChunkSearcher, data: ExperimentData, workload_name: str
+    searcher: ChunkSearcher, workload: Workload, checkpoint: SweepCheckpoint
 ) -> float:
-    """Mean exact (fault-free) completion seconds over the workload: the
-    calibration ``T`` this sweep and the sharded one scale everything by."""
-    batch = searcher.search_batch(
-        data.workloads[workload_name].queries, k=K
+    """Mean exact (fault-free) completion seconds over the workload, kept
+    as the checkpoint's ``baseline`` point: the calibration ``T`` this
+    sweep and the sharded one scale everything by."""
+    return float(
+        checkpoint.point(  # type: ignore[arg-type]
+            "baseline",
+            lambda: searcher.search_batch(workload.queries, k=K).mean_elapsed_s,
+        )
     )
-    return batch.mean_elapsed_s
 
 
 def sweep(
@@ -122,31 +155,18 @@ def sweep(
         raise ValueError("load factors must be positive")
     if cache_mb is not None and not cache_mb > 0.0:
         raise ValueError("cache size must be positive megabytes (or None)")
-    identity: Dict[str, object] = {
-        "scale": data.scale.name,
-        "family": family,
-        "size_class": size_class,
-        "workload": workload_name,
-        "seed": int(seed),
-        "k": K,
-        "n_workers": int(n_workers),
-        "n_queries": len(data.workloads[workload_name]),
-        "cache_mb": float(cache_mb) if cache_mb is not None else None,
-    }
-    checkpoint = SweepCheckpoint(
-        checkpoint_path, meta={"experiment": "servesim", **identity}
+    identity, checkpoint, index, workload, truth_lists = data.sweep_inputs(
+        "servesim", family, size_class, workload_name, seed, checkpoint_path,
+        n_workers=int(n_workers),
+        cache_mb=float(cache_mb) if cache_mb is not None else None,
     )
-    built = data.built(family, size_class)
-    workload = data.workloads[workload_name]
-    truth_lists = data.truth_lists(size_class, workload_name)
 
     def fresh_searcher() -> "Tuple[ChunkSearcher, Optional[LruChunkCache]]":
         """A searcher over the built index; with ``cache_mb`` set it gets
         its own chunk cache so each run's warm-up is self-contained."""
         if cache_mb is None:
             return (
-                ChunkSearcher(built.index, cost_model=data.scale.cost_model),
-                None,
+                ChunkSearcher(index, cost_model=data.scale.cost_model), None
             )
         cache = LruChunkCache(
             capacity_bytes=int(float(cache_mb) * (1 << 20)), seed=int(seed)
@@ -154,16 +174,11 @@ def sweep(
         cost_model = dataclasses.replace(
             data.scale.cost_model, chunk_cache=cache
         )
-        return ChunkSearcher(built.index, cost_model=cost_model), cache
+        return ChunkSearcher(index, cost_model=cost_model), cache
 
     searcher, _ = fresh_searcher()
 
-    mean_service_s = float(
-        checkpoint.point(  # type: ignore[arg-type]
-            "baseline",
-            lambda: mean_exact_completion_s(searcher, data, workload_name),
-        )
-    )
+    mean_service_s = mean_exact_completion_s(searcher, workload, checkpoint)
     capacity_qps = n_workers / mean_service_s
     deadline_s = DEADLINE_FACTOR * mean_service_s
     target_p99_s = TARGET_FACTOR * mean_service_s
@@ -198,23 +213,11 @@ def sweep(
             true_neighbor_ids=truth_lists,
         )
         result = service.run(workload.queries)
-        stats = result.stats
         cell: Dict[str, object] = {
             "fault_rate": fault_rate,
             "load_factor": load,
-            "p50_ms": stats.p50_s * 1000.0,
-            "p95_ms": stats.p95_s * 1000.0,
-            "p99_ms": stats.p99_s * 1000.0,
-            "shed_fraction": stats.shed_fraction,
-            "deadline_fraction": stats.deadline_fraction,
-            "degraded_fraction": stats.degraded_fraction,
-            "ok_fraction": stats.ok_fraction,
-            "mean_recall": stats.mean_recall,
             "final_budget": result.final_budget,
-            "breaker_opens": result.breaker_opens,
-            "breaker_half_opens": result.breaker_transitions["half_opened"],
-            "breaker_closes": result.breaker_transitions["closed"],
-            "utilization": result.utilization,
+            **slo_cell(result, result.utilization),
         }
         if cell_cache is not None:
             cell["cache_hit_rate"] = cell_cache.hit_rate
@@ -258,8 +261,3 @@ def sweep(
             f"p99 target {target_p99_s * 1000.0:.2f} ms"
         ),
     )
-
-
-def run(data: ExperimentData) -> GridResult:
-    """Default grid (``repro experiment servesim``)."""
-    return sweep(data)

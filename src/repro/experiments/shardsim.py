@@ -37,14 +37,19 @@ from ..service.sharding import (
     estimate_chunk_costs,
     plan_placement,
 )
-from .checkpoint import SweepCheckpoint
 from .config import K
 from .data import ExperimentData
 from .results import GridResult
-from .servesim import DEADLINE_FACTOR, DEFAULT_SEED, mean_exact_completion_s
+from .servesim import (
+    BREAKER_COLUMNS,
+    DEADLINE_FACTOR,
+    DEFAULT_SEED,
+    SLO_COLUMNS,
+    mean_exact_completion_s,
+    slo_cell,
+)
 
 __all__ = [
-    "run",
     "sweep",
     "DEFAULT_PLACEMENTS",
     "DEFAULT_SHARD_COUNTS",
@@ -75,23 +80,13 @@ HEDGE_FACTOR = 3.0
 #: The per-cell metrics, in report order.
 _COLUMNS = (
     "imbalance",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "shed_fraction",
-    "deadline_fraction",
-    "degraded_fraction",
-    "ok_fraction",
-    "mean_recall",
+    *SLO_COLUMNS,
     "mean_coverage",
     "failovers",
     "hedges",
     "hedge_wins",
     "lost_partitions",
-    "breaker_opens",
-    "breaker_half_opens",
-    "breaker_closes",
-    "utilization",
+    *BREAKER_COLUMNS,
 )
 
 
@@ -134,39 +129,20 @@ def sweep(
         raise ValueError("load factor must be positive")
     if n_replicas < 1:
         raise ValueError("replication factor must be positive")
-    identity: Dict[str, object] = {
-        "scale": data.scale.name,
-        "family": family,
-        "size_class": size_class,
-        "workload": workload_name,
-        "seed": int(seed),
-        "k": K,
-        "n_replicas": int(n_replicas),
-        "workers_per_shard": int(workers_per_shard),
-        "load_factor": float(load_factor),
-        "hedge_factor": float(hedge_factor),
-        "n_queries": len(data.workloads[workload_name]),
-    }
-    checkpoint = SweepCheckpoint(
-        checkpoint_path, meta={"experiment": "shardsim", **identity}
+    identity, checkpoint, index, workload, truth_lists = data.sweep_inputs(
+        "shardsim", family, size_class, workload_name, seed, checkpoint_path,
+        n_replicas=int(n_replicas),
+        workers_per_shard=int(workers_per_shard),
+        load_factor=float(load_factor),
+        hedge_factor=float(hedge_factor),
     )
-    built = data.built(family, size_class)
-    workload = data.workloads[workload_name]
-    truth_lists = data.truth_lists(size_class, workload_name)
 
-    mean_service_s = float(
-        checkpoint.point(  # type: ignore[arg-type]
-            "baseline",
-            lambda: mean_exact_completion_s(
-                ChunkSearcher(built.index, cost_model=data.scale.cost_model),
-                data,
-                workload_name,
-            ),
-        )
+    mean_service_s = mean_exact_completion_s(
+        ChunkSearcher(index, cost_model=data.scale.cost_model), workload, checkpoint
     )
     arrival_rate_qps = float(load_factor) / mean_service_s
     deadline_s = DEADLINE_FACTOR * mean_service_s
-    costs = estimate_chunk_costs(built.index, data.scale.cost_model)
+    costs = estimate_chunk_costs(index, data.scale.cost_model)
 
     def run_cell(
         placement: str, n_shards: int, fault_rate: float
@@ -200,7 +176,7 @@ def sweep(
                 horizon_s=len(workload) / arrival_rate_qps + deadline_s,
             )
         service = ShardedQueryService(
-            built.index,
+            index,
             plan,
             config,
             cost_model=data.scale.cost_model,
@@ -208,29 +184,17 @@ def sweep(
             true_neighbor_ids=truth_lists,
         )
         result = service.run(workload.queries)
-        stats = result.stats
         return {
             "placement": placement,
             "n_shards": n_shards,
             "fault_rate": fault_rate,
             "imbalance": plan.imbalance,
-            "p50_ms": stats.p50_s * 1000.0,
-            "p95_ms": stats.p95_s * 1000.0,
-            "p99_ms": stats.p99_s * 1000.0,
-            "shed_fraction": stats.shed_fraction,
-            "deadline_fraction": stats.deadline_fraction,
-            "degraded_fraction": stats.degraded_fraction,
-            "ok_fraction": stats.ok_fraction,
-            "mean_recall": stats.mean_recall,
             "mean_coverage": result.mean_coverage,
             "failovers": result.n_failovers,
             "hedges": result.n_hedges,
             "hedge_wins": result.n_hedge_wins,
             "lost_partitions": result.n_lost_partitions,
-            "breaker_opens": result.breaker_opens,
-            "breaker_half_opens": result.breaker_transitions["half_opened"],
-            "breaker_closes": result.breaker_transitions["closed"],
-            "utilization": result.mean_utilization,
+            **slo_cell(result, result.mean_utilization),
         }
 
     rows: List[Dict[str, object]] = []
@@ -277,8 +241,3 @@ def sweep(
             f"deadline {deadline_s * 1000.0:.2f} ms"
         ),
     )
-
-
-def run(data: ExperimentData) -> GridResult:
-    """Default grid (``repro experiment shardsim``)."""
-    return sweep(data)

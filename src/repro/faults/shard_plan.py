@@ -63,8 +63,8 @@ STRAGGLER_FACTOR = 4.0
 class ShardSubFault:
     """Resolved fault behaviour of one sub-request attempt.
 
-    ``failed`` means the attempt errors out after ``detect_s`` of
-    simulated occupancy (fail fast; the coordinator fails over);
+    ``failed`` means the attempt errors out after :data:`ERROR_DETECT_S`
+    of simulated occupancy (fail fast; the coordinator fails over);
     ``straggler`` means the attempt succeeds but its service time is
     stretched by :data:`STRAGGLER_FACTOR`.  The two are mutually
     exclusive — a draw classifies into error, straggler, or clean.
@@ -72,17 +72,16 @@ class ShardSubFault:
 
     failed: bool
     straggler: bool
-    detect_s: float
 
 
 #: Shared clean outcome (also the fast path for null plans).
-SHARD_OK = ShardSubFault(failed=False, straggler=False, detect_s=0.0)
+SHARD_OK = ShardSubFault(failed=False, straggler=False)
 
 #: The three outcomes by kind code: failed fast, straggling, clean.
 _SUB_FAULTS = np.array(
     [
-        ShardSubFault(failed=True, straggler=False, detect_s=ERROR_DETECT_S),
-        ShardSubFault(failed=False, straggler=True, detect_s=0.0),
+        ShardSubFault(failed=True, straggler=False),
+        ShardSubFault(failed=False, straggler=True),
         SHARD_OK,
     ],
     dtype=object,

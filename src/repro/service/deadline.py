@@ -52,8 +52,7 @@ def propagated_stop_rule(
         raise ValueError(f"index must hold at least one chunk, got {n_chunks}")
     if chunk_budget < 0:
         raise ValueError(f"chunk budget cannot be negative, got {chunk_budget}")
-    budget_s = remaining_s if remaining_s > 0.0 else EXPIRED_BUDGET_S
-    deadline_rule = DeadlineBudget(budget_s)
+    deadline_rule = DeadlineBudget(remaining_s if remaining_s > 0.0 else EXPIRED_BUDGET_S)
     if 0 < chunk_budget < n_chunks:
         return FirstOf([deadline_rule, MaxChunks(chunk_budget)])
     return deadline_rule

@@ -17,19 +17,36 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from ..core.metrics import (
+    OUTCOME_DEADLINE,
+    OUTCOME_DEGRADED,
+    OUTCOME_OK,
+    SloStats,
+    precision_at_k,
+    slo_stats,
+)
+from ..core.neighbors import Neighbor
 from ..workloads.arrivals import poisson_arrival_times
+
+if TYPE_CHECKING:
+    from .sharding.config import ShardRequestRecord
 
 __all__ = [
     "QueryRequest",
     "RequestRecord",
     "ServiceConfig",
     "open_loop_requests",
+    "request_outcome",
+    "request_quality",
+    "run_summary",
     "validate_traffic",
 ]
+
+_Record = TypeVar("_Record", "RequestRecord", "ShardRequestRecord")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,12 +65,15 @@ class QueryRequest:
         Simulated arrival time.
     deadline_s:
         Absolute simulated deadline (``arrival_s + relative deadline``).
+    truth_ids:
+        The query's true neighbor ids, when ground truth was supplied.
     """
 
     index: int
     query: np.ndarray
     arrival_s: float
     deadline_s: float
+    truth_ids: Optional[Sequence[int]] = None
 
     def remaining_s(self, now: float) -> float:
         """Deadline budget left at ``now`` (negative once expired)."""
@@ -72,7 +92,7 @@ def open_loop_requests(
     ``queries`` is the ``(n, d)`` workload matrix; request ``i`` carries
     query ``i``, arrives at the seeded Poisson schedule's ``times_s[i]``
     and must be answered ``deadline_s`` later.  ``truth``, when given,
-    must hold one ground-truth entry per query.
+    must hold one ground-truth entry per query (its ``truth_ids``).
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] == 0:
@@ -91,9 +111,49 @@ def open_loop_requests(
             query=queries[i],
             arrival_s=arrival,
             deadline_s=arrival + deadline_s,
+            truth_ids=None if truth is None else truth[i],
         )
         for i, arrival in enumerate(schedule.times_s.tolist())
     ]
+
+
+def request_outcome(deadline_hit: bool, exact: bool) -> str:
+    """A served request's outcome in both services: the deadline firing
+    dominates (it is the SLO event), then provable exactness, then
+    everything quality-reduced (budget trims, skipped chunks, lost or
+    trimmed partitions)."""
+    if deadline_hit:
+        return OUTCOME_DEADLINE
+    return OUTCOME_OK if exact else OUTCOME_DEGRADED
+
+
+def request_quality(
+    neighbors: Sequence[Neighbor], truth_ids: Optional[Sequence[int]],
+    exact: bool, scanned: float, total: int,
+) -> float:
+    """One served request's quality in both services: precision@k when
+    ground truth is known, else 1.0 for a provably exact answer, else the
+    fraction of the index's ``total`` descriptors ``scanned`` (NaN for an
+    index that holds none)."""
+    if truth_ids is not None:
+        return precision_at_k([n.descriptor_id for n in neighbors], truth_ids)
+    if exact:
+        return 1.0
+    if total == 0:
+        return math.nan
+    return min(1.0, scanned / total)
+
+
+def run_summary(records: Sequence[Optional[_Record]]) -> Tuple[List[_Record], SloStats]:
+    """A run's records, one per request in request order, and their
+    :class:`~repro.core.metrics.SloStats`."""
+    done = [record for record in records if record is not None]
+    assert len(done) == len(records), "every request must be recorded"
+    return done, slo_stats(
+        [record.outcome for record in done],
+        [record.latency_s for record in done],
+        [record.recall for record in done],
+    )
 
 
 def validate_traffic(deadline_s: float, arrival_rate_qps: float, k: int) -> None:

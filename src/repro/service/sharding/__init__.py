@@ -20,8 +20,6 @@ honest per-query coverage fraction.
 
 from .config import (
     SHED_IN_FLIGHT,
-    STOP_COMPLETED,
-    STOP_EXHAUSTED,
     ShardRequestRecord,
     ShardServiceConfig,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "ShardServiceConfig",
     "ShardRequestRecord",
     "SHED_IN_FLIGHT",
-    "STOP_COMPLETED",
-    "STOP_EXHAUSTED",
     "ShardedQueryService",
     "ShardRunResult",
 ]

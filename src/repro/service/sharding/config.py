@@ -21,19 +21,11 @@ __all__ = [
     "ShardServiceConfig",
     "ShardRequestRecord",
     "SHED_IN_FLIGHT",
-    "STOP_COMPLETED",
-    "STOP_EXHAUSTED",
 ]
 
 #: Shed reason of the coordinator's admission bound: too many queries
 #: already in flight across the cluster.
 SHED_IN_FLIGHT = "in-flight-limit"
-
-#: Stop reasons a fully answered, untrimmed query reconstructs — the
-#: single-node vocabulary, reproduced exactly (see the coordinator's
-#: exact-merge notes).
-STOP_COMPLETED = "completed"
-STOP_EXHAUSTED = "exhausted"
 
 
 @dataclasses.dataclass(frozen=True)

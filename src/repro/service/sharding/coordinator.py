@@ -76,17 +76,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...core.metrics import (
-    OUTCOME_DEADLINE,
-    OUTCOME_DEGRADED,
-    OUTCOME_OK,
-    OUTCOME_SHED,
-    SloStats,
-    precision_at_k,
-    slo_stats,
-)
+from ...core.metrics import OUTCOME_SHED, SloStats
 from ...core.neighbors import Neighbor, merge_neighbor_lists
-from ...core.search import ChunkSearcher, SearchResult
+from ...core.search import (
+    STOP_COMPLETED,
+    STOP_EXHAUSTED,
+    ChunkSearcher,
+    SearchResult,
+)
 from ...core.stop_rules import DeadlineBudget
 from ...faults.shard_plan import (
     ERROR_DETECT_S,
@@ -106,12 +103,16 @@ from ...simio.queueing import (
 )
 from ..breaker import BreakerBoard
 from ..deadline import propagated_stop_rule
-from ..request import QueryRequest, open_loop_requests
+from ..request import (
+    QueryRequest,
+    open_loop_requests,
+    request_outcome,
+    request_quality,
+    run_summary,
+)
 from ...core.chunk_index import ChunkIndex
 from .config import (
     SHED_IN_FLIGHT,
-    STOP_COMPLETED,
-    STOP_EXHAUSTED,
     ShardRequestRecord,
     ShardServiceConfig,
 )
@@ -312,19 +313,6 @@ class ShardedQueryService:
             for partition in plan.partitions
         }
 
-    # -- per-request quality -------------------------------------------------
-
-    def _recall_of(
-        self, request: QueryRequest, merged_ids: List[int], coverage: float,
-        exact: bool,
-    ) -> float:
-        truth_ids = None if self.truth is None else self.truth[request.index]
-        if truth_ids is not None:
-            return precision_at_k(merged_ids, truth_ids)
-        if exact:
-            return 1.0
-        return coverage
-
     def _sub_faults(
         self, targets: List[List[Tuple[int, ...]]]
     ) -> Optional[List[List[List[ShardSubFault]]]]:
@@ -419,7 +407,7 @@ class ShardedQueryService:
                     if (
                         kept is not None
                         and isinstance(rule, DeadlineBudget)
-                        and kept.holds_under_deadline(rule.remaining_s)
+                        and kept.holds_under_deadline(rule.budget_s)
                     ):
                         result = kept
                     else:
@@ -501,27 +489,22 @@ class ShardedQueryService:
             )
             exact = lost == 0 and not trimmed
             if at_deadline:
-                outcome = OUTCOME_DEADLINE
-                stop_reason = f"deadline({config.deadline_s:g}s)"
+                stop_reason = f"{DeadlineBudget.label}({config.deadline_s:g}s)"
             elif exact:
-                outcome = OUTCOME_OK
                 stop_reason = (
                     STOP_COMPLETED if len(merged) >= config.k else STOP_EXHAUSTED
                 )
+            elif coverage < QUORUM_COVERAGE:
+                stop_reason = f"below-quorum(coverage={coverage:.6g})"
+            elif lost:
+                stop_reason = f"shard-lost(coverage={coverage:.6g})"
             else:
-                outcome = OUTCOME_DEGRADED
-                if coverage < QUORUM_COVERAGE:
-                    stop_reason = f"below-quorum(coverage={coverage:.6g})"
-                elif lost:
-                    stop_reason = f"shard-lost(coverage={coverage:.6g})"
-                else:
-                    stop_reason = f"trimmed(coverage={coverage:.6g})"
-            merged_ids = [neighbor.descriptor_id for neighbor in merged]
+                stop_reason = f"trimmed(coverage={coverage:.6g})"
             latency = now - request.arrival_s
             makespan = max(makespan, now)
             records[request.index] = ShardRequestRecord(
                 index=request.index,
-                outcome=outcome,
+                outcome=request_outcome(at_deadline, exact),
                 stop_reason=stop_reason,
                 arrival_s=request.arrival_s,
                 finish_s=now,
@@ -534,7 +517,9 @@ class ShardedQueryService:
                 n_hedges=state.n_hedges,
                 n_hedge_wins=state.n_hedge_wins,
                 n_breaker_skips=state.n_breaker_skips,
-                recall=self._recall_of(request, merged_ids, coverage, exact),
+                recall=request_quality(
+                    merged, request.truth_ids, exact, covered, self._total_descriptors
+                ),
             )
 
         def maybe_finalize(state: _QueryState, now: float) -> None:
@@ -627,13 +612,7 @@ class ShardedQueryService:
                             cancel(other, now)
                     maybe_finalize(state, now)
 
-        done = [record for record in records if record is not None]
-        assert len(done) == len(requests), "every request must be recorded"
-        stats = slo_stats(
-            [record.outcome for record in done],
-            [record.latency_s for record in done],
-            [record.recall for record in done],
-        )
+        done, stats = run_summary(records)
         served_coverage = [
             record.coverage_fraction for record in done if record.served
         ]

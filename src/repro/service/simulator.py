@@ -39,21 +39,13 @@ and the controller's current budget.  (The sharded coordinator binds
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.metrics import (
-    OUTCOME_DEADLINE,
-    OUTCOME_DEGRADED,
-    OUTCOME_OK,
-    OUTCOME_SHED,
-    SloStats,
-    precision_at_k,
-    slo_stats,
-)
+from ..core.metrics import OUTCOME_SHED, SloStats
 from ..core.search import ChunkSearcher, SearchResult
+from ..core.stop_rules import DeadlineBudget
 from ..faults.injector import FaultInjector
 from ..simio.queueing import EVT_ARRIVAL, EVT_COMPLETION, EventQueue, WorkerPool
 from .admission import AdmissionController
@@ -65,6 +57,9 @@ from .request import (
     RequestRecord,
     ServiceConfig,
     open_loop_requests,
+    request_outcome,
+    request_quality,
+    run_summary,
 )
 
 __all__ = ["QueryService", "ServiceRunResult", "REGION_SIZE"]
@@ -83,7 +78,7 @@ class ServiceRunResult:
 
     ``records`` is ordered by request index (= workload order), not by
     completion time.  ``stats`` aggregates outcomes/latencies/recall via
-    :func:`~repro.core.metrics.slo_stats`.  ``budget_history`` is the
+    :func:`~repro.service.request.run_summary`.  ``budget_history`` is the
     controller's ``(completion_count, budget)`` timeline (0 = unbounded);
     ``breaker_state_counts`` is the final closed/open/half-open census.
     """
@@ -174,33 +169,6 @@ class QueryService:
 
     # -- per-request execution ----------------------------------------------
 
-    def _recall_of(self, request: QueryRequest, result: SearchResult) -> float:
-        """Per-request quality: true recall when ground truth is known,
-        else the fraction of the index's descriptors actually scanned
-        (1.0 for provably-exact answers: exactness needs no scanning
-        beyond the proof)."""
-        truth_ids = None if self.truth is None else self.truth[request.index]
-        if truth_ids is not None:
-            return precision_at_k(result.neighbor_ids().tolist(), truth_ids)
-        if result.completed:
-            return 1.0
-        if self._total_descriptors == 0:
-            return math.nan
-        return min(1.0, result.trace.descriptors_scanned / self._total_descriptors)
-
-    def _classify(self, result: SearchResult) -> str:
-        """Map a finished search onto the request-outcome vocabulary.
-
-        The deadline firing dominates (it is the SLO event), then
-        provable exactness, then everything quality-reduced (budget
-        trims, fault skips, breaker skips).
-        """
-        if result.stop_reason.startswith("deadline("):
-            return OUTCOME_DEADLINE
-        if result.completed:
-            return OUTCOME_OK
-        return OUTCOME_DEGRADED
-
     def _run_request(
         self, request: QueryRequest, start_s: float, board: BreakerBoard,
         chunk_budget: int,
@@ -217,14 +185,11 @@ class QueryService:
             faults = BreakerGuardedInjector(self.faults, board, blocked)
         elif self.faults is not None and not self.faults.is_null:
             faults = self.faults
-        truth_entry = None
-        if self.truth is not None:
-            truth_entry = self.truth[request.index]
         batch = self.searcher.search_batch(
             request.query,
             k=self.config.k,
             stop_rule=rule,
-            true_neighbor_ids=None if truth_entry is None else [truth_entry],
+            true_neighbor_ids=None if request.truth_ids is None else [request.truth_ids],
             faults=faults,  # type: ignore[arg-type]
             query_indices=[request.index],
         )
@@ -311,7 +276,10 @@ class QueryService:
                 breaker_skipped_chunks += breaker_skips
                 records[request.index] = RequestRecord(
                     index=request.index,
-                    outcome=self._classify(result),
+                    outcome=request_outcome(
+                        result.stop_reason.startswith(f"{DeadlineBudget.label}("),
+                        result.completed,
+                    ),
                     stop_reason=result.stop_reason,
                     arrival_s=request.arrival_s,
                     start_s=start,
@@ -322,18 +290,15 @@ class QueryService:
                     chunks_read=result.chunks_read,
                     chunks_skipped=result.chunks_skipped,
                     breaker_skips=breaker_skips,
-                    recall=self._recall_of(request, result),
+                    recall=request_quality(
+                        result.neighbors, request.truth_ids, result.completed,
+                        result.trace.descriptors_scanned, self._total_descriptors,
+                    ),
                     worker=worker,
                 )
                 dispatch(now)
 
-        done = [record for record in records if record is not None]
-        assert len(done) == len(requests), "every request must be recorded"
-        stats = slo_stats(
-            [record.outcome for record in done],
-            [record.latency_s for record in done],
-            [record.recall for record in done],
-        )
+        done, stats = run_summary(records)
         horizon = makespan if makespan > 0.0 else requests[-1].arrival_s
         return ServiceRunResult(
             config=config,

@@ -53,7 +53,7 @@ class TestParameters:
 class TestClustering:
     def test_finds_natural_blobs(self, three_blob_collection):
         mpi = 0.05
-        bag = BagClusterer(mpi=mpi, target_clusters=5, max_passes=400)
+        bag = BagClusterer(mpi=mpi, target_clusters=5)
         result = bag.form_chunks(three_blob_collection)
         result.validate()
         # The three 30-point blobs survive as chunks; the two far points
@@ -64,14 +64,14 @@ class TestClustering:
         assert sizes == [30, 30, 30]
 
     def test_chunks_have_minimal_radii(self, three_blob_collection):
-        bag = BagClusterer(mpi=0.05, target_clusters=5, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=5)
         result = bag.form_chunks(three_blob_collection)
         # Finalize recomputes exact bounding radii: small for tight blobs.
         for chunk in result.chunk_set:
             assert chunk.radius < 1.0
 
     def test_snapshots_in_succession(self, three_blob_collection):
-        bag = BagClusterer(mpi=0.05, target_clusters=3, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=3)
         snaps = bag.run_with_snapshots(three_blob_collection, [20, 10, 5])
         assert [s.threshold for s in snaps] == [20, 10, 5]
         counts = [len(s.rows_per_cluster) for s in snaps]
@@ -80,13 +80,14 @@ class TestClustering:
         assert counts == sorted(counts, reverse=True)
 
     def test_snapshots_partition_collection(self, three_blob_collection):
-        bag = BagClusterer(mpi=0.05, target_clusters=5, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=5)
         snaps = bag.run_with_snapshots(three_blob_collection, [10])
         rows = np.concatenate(snaps[0].rows_per_cluster)
         assert sorted(rows.tolist()) == list(range(len(three_blob_collection)))
 
-    def test_max_passes_guard(self, three_blob_collection):
-        bag = BagClusterer(mpi=1e-6, target_clusters=2, max_passes=2)
+    def test_max_passes_guard(self, three_blob_collection, monkeypatch):
+        monkeypatch.setattr(bag_module, "MAX_PASSES", 2)
+        bag = BagClusterer(mpi=1e-6, target_clusters=2)
         with pytest.raises(RuntimeError, match="did not reach"):
             bag.form_chunks(three_blob_collection)
 
@@ -96,7 +97,7 @@ class TestClustering:
             bag.form_chunks(from_vectors(np.empty((0, 2))))
 
     def test_deterministic(self, three_blob_collection):
-        bag = BagClusterer(mpi=0.05, target_clusters=5, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=5)
         a = bag.form_chunks(three_blob_collection)
         b = bag.form_chunks(three_blob_collection)
         assert a.n_chunks == b.n_chunks
@@ -109,7 +110,7 @@ class TestClustering:
         is inside the radius (ChunkSet.validate checks this)."""
         monkeypatch.setattr(bag_module, "MPI_SAMPLE_SIZE", 300)
         mpi = estimate_mpi(small_synthetic)
-        bag = BagClusterer(mpi=mpi, target_clusters=200, max_passes=400)
+        bag = BagClusterer(mpi=mpi, target_clusters=200)
         result = bag.form_chunks(small_synthetic)
         result.validate()
         assert result.n_chunks > 1
@@ -125,7 +126,7 @@ class TestOutlierRule:
         col = from_vectors(
             np.vstack([blob, isolated]).astype(np.float32)
         )
-        bag = BagClusterer(mpi=0.05, target_clusters=6, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=6)
         result = bag.form_chunks(col)
         assert result.n_outliers == 3
         assert set(result.outlier_rows.tolist()) == {60, 61, 62}
@@ -134,7 +135,7 @@ class TestOutlierRule:
         rng = np.random.default_rng(5)
         blob = 0.01 * rng.standard_normal((40, 2))
         col = from_vectors(blob.astype(np.float32))
-        bag = BagClusterer(mpi=0.05, target_clusters=2, max_passes=400)
+        bag = BagClusterer(mpi=0.05, target_clusters=2)
         result = bag.form_chunks(col)
         assert result.n_outliers == 0
         assert result.n_retained == 40

@@ -140,6 +140,73 @@ class TestDeadlineBudget:
         assert "0.25" in repr(DeadlineBudget(0.25))
 
 
+def assert_one_budget_rule(time_rule, deadline_rule, snapshot):
+    """Both budget rules over one budget: equal caps, both fire exactly
+    once ``elapsed_s`` reaches the budget, reasons equal but the label."""
+    budget = time_rule.budget_s
+    assert time_rule.caps == deadline_rule.caps == (math.inf, budget)
+    fired = time_rule.check(snapshot), deadline_rule.check(snapshot)
+    expected = snapshot.elapsed_s >= budget
+    assert [reason is not None for reason in fired] == [expected, expected]
+    if expected:
+        assert fired == (f"time-budget({budget:g}s)", f"deadline({budget:g}s)")
+
+
+@st.composite
+def budget_and_snapshot(draw):
+    """A budget and a snapshot whose clock is at it, one ulp either side
+    of it, or anywhere."""
+    budget = draw(st.floats(1e-9, 1e3))
+    elapsed = draw(
+        st.sampled_from(
+            [budget, math.nextafter(budget, 0.0), math.nextafter(budget, math.inf)]
+        )
+        | st.floats(0.0, 2e3)
+    )
+    return budget, progress(chunks_read=draw(st.integers(1, 50)), elapsed_s=elapsed)
+
+
+class StrictTimeBudget(TimeBudget):
+    """Planted: the shared check with ``>`` for ``>=``."""
+
+    def check(self, progress):
+        if progress.elapsed_s > self.budget_s:
+            return f"{self.label}({self.budget_s:g}s)"
+        return None
+
+
+class StrictDeadlineBudget(StrictTimeBudget):
+    label = "deadline"
+
+
+class TestOneBudgetRule:
+    """``DeadlineBudget`` is ``TimeBudget`` under the ``deadline`` label."""
+
+    def test_deadline_budget_defines_no_rule_of_its_own(self):
+        for name in ("__init__", "caps", "check", "__repr__"):
+            assert name not in vars(DeadlineBudget), name
+
+    @given(case=budget_and_snapshot())
+    @settings(max_examples=200 * EXAMPLES, deadline=None)
+    def test_same_caps_same_firing_point(self, case):
+        budget, snapshot = case
+        assert_one_budget_rule(TimeBudget(budget), DeadlineBudget(budget), snapshot)
+
+    def test_a_strict_comparison_fails_the_property(self):
+        @given(case=budget_and_snapshot())
+        @settings(
+            max_examples=50, deadline=None, database=None, phases=[Phase.generate]
+        )
+        def strict(case):
+            budget, snapshot = case
+            assert_one_budget_rule(
+                StrictTimeBudget(budget), StrictDeadlineBudget(budget), snapshot
+            )
+
+        with pytest.raises(AssertionError):
+            strict()
+
+
 class TestFirstOf:
     def test_first_firing_rule_wins(self):
         rule = FirstOf([MaxChunks(5), TimeBudget(0.05)])

@@ -61,7 +61,7 @@ class TestSweep:
     def test_registered_as_experiment(self):
         from repro.cli import EXPERIMENT_RUNNERS
 
-        assert EXPERIMENT_RUNNERS["faultsim"] is faultsim.run
+        assert EXPERIMENT_RUNNERS["faultsim"] is faultsim.sweep
 
 
 class TestCli:

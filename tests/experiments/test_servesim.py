@@ -103,7 +103,7 @@ class TestSweep:
     def test_registered_as_experiment(self):
         from repro.cli import EXPERIMENT_RUNNERS
 
-        assert EXPERIMENT_RUNNERS["servesim"] is servesim.run
+        assert EXPERIMENT_RUNNERS["servesim"] is servesim.sweep
 
 
 class TestCli:

@@ -131,7 +131,7 @@ class TestSweep:
     def test_registered_as_experiment(self):
         from repro.cli import EXPERIMENT_RUNNERS
 
-        assert EXPERIMENT_RUNNERS["shardsim"] is shardsim.run
+        assert EXPERIMENT_RUNNERS["shardsim"] is shardsim.sweep
 
 
 class TestPlacementBeatsRoundRobin:

@@ -40,12 +40,7 @@ from repro.faults.draws import (
     _words,
     key_uniforms,
 )
-from repro.faults.shard_plan import (
-    ERROR_DETECT_S,
-    SHARD_OK,
-    ShardFaultPlan,
-    ShardSubFault,
-)
+from repro.faults.shard_plan import SHARD_OK, ShardFaultPlan, ShardSubFault
 from repro.faults.plan import (
     FAILURE_KINDS,
     FAULT_CORRUPT,
@@ -222,7 +217,7 @@ def sub_request(
         ).tolist()
     )
     if u < plan.error_rate:
-        return ShardSubFault(failed=True, straggler=False, detect_s=ERROR_DETECT_S)
+        return ShardSubFault(failed=True, straggler=False)
     if u < plan.error_rate + plan.straggler_rate:
-        return ShardSubFault(failed=False, straggler=True, detect_s=0.0)
+        return ShardSubFault(failed=False, straggler=True)
     return SHARD_OK

@@ -18,20 +18,20 @@ class TestPropagatedStopRule:
         assert kinds == {DeadlineBudget, MaxChunks}
         deadline = next(r for r in rule.rules if isinstance(r, DeadlineBudget))
         chunks = next(r for r in rule.rules if isinstance(r, MaxChunks))
-        assert deadline.remaining_s == 0.25
+        assert deadline.budget_s == 0.25
         assert chunks.n_chunks == 3
 
     @pytest.mark.parametrize("budget", [0, 10, 99])
     def test_vacuous_chunk_budget_leaves_bare_deadline(self, budget):
         rule = propagated_stop_rule(0.25, chunk_budget=budget, n_chunks=10)
         assert isinstance(rule, DeadlineBudget)
-        assert rule.remaining_s == 0.25
+        assert rule.budget_s == 0.25
 
     @pytest.mark.parametrize("remaining", [0.0, -1.0, -1e-12])
     def test_expired_budget_becomes_epsilon(self, remaining):
         rule = propagated_stop_rule(remaining, chunk_budget=0, n_chunks=4)
         assert isinstance(rule, DeadlineBudget)
-        assert rule.remaining_s == EXPIRED_BUDGET_S
+        assert rule.budget_s == EXPIRED_BUDGET_S
 
     def test_validation(self):
         with pytest.raises(ValueError, match="chunk"):

@@ -7,9 +7,22 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.metrics import (
+    OUTCOME_DEADLINE,
+    OUTCOME_DEGRADED,
+    OUTCOME_OK,
+    OUTCOME_SHED,
+)
+from repro.core.neighbors import Neighbor
 from repro.faults import ShardFaultPlan
 from repro.service import ServiceConfig, ShardServiceConfig
-from repro.service.request import open_loop_requests
+from repro.service.request import (
+    RequestRecord,
+    open_loop_requests,
+    request_outcome,
+    request_quality,
+    run_summary,
+)
 from repro.workloads.arrivals import poisson_arrival_times
 
 QUERIES = np.arange(12, dtype=np.float32).reshape(4, 3)
@@ -88,3 +101,52 @@ def test_nan_is_rejected_by_every_float_field(build):
     outage window at NaN."""
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "deadline_hit, exact, outcome",
+    [
+        (True, True, OUTCOME_DEADLINE),
+        (True, False, OUTCOME_DEADLINE),
+        (False, True, OUTCOME_OK),
+        (False, False, OUTCOME_DEGRADED),
+    ],
+)
+def test_request_outcome_puts_the_deadline_first(deadline_hit, exact, outcome):
+    assert request_outcome(deadline_hit, exact) == outcome
+
+
+class TestRequestQuality:
+    """The one per-request quality rule both services record (an empty
+    index: ``test_simulator.py::TestRecallProxyGuards``)."""
+
+    NEIGHBORS = [Neighbor(0.5, 7), Neighbor(0.9, 3), Neighbor(1.2, 11)]
+
+    def test_truth_gives_precision_at_k(self):
+        # Ground truth wins over exactness and coverage alike.
+        assert request_quality(self.NEIGHBORS, [7, 11, 4, 5], False, 1, 10) == 0.5
+        assert request_quality(self.NEIGHBORS, [4, 5], True, 10, 10) == 0.0
+
+    def test_exact_answer_is_whole(self):
+        assert request_quality(self.NEIGHBORS, None, True, 3, 10) == 1.0
+
+    def test_partial_answer_is_its_coverage(self):
+        assert request_quality(self.NEIGHBORS, None, False, 3, 12) == 0.25
+        # Never above 1, whatever was rescanned.
+        assert request_quality(self.NEIGHBORS, None, False, 30, 12) == 1.0
+
+
+class TestRunSummary:
+    def test_records_and_stats_in_request_order(self):
+        records = [
+            RequestRecord(0, OUTCOME_OK, "completed", 0.0, latency_s=0.2, recall=1.0),
+            RequestRecord(1, OUTCOME_SHED, "queue-full", 0.1),
+        ]
+        done, stats = run_summary(records)
+        assert done == records
+        assert (stats.n_requests, stats.n_served) == (2, 1)
+        assert (stats.shed_fraction, stats.mean_recall) == (0.5, 1.0)
+
+    def test_every_request_must_be_recorded(self):
+        with pytest.raises(AssertionError, match="every request"):
+            run_summary([RequestRecord(0, OUTCOME_SHED, "queue-full", 0.0), None])

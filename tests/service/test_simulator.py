@@ -21,6 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.service import QueryService, ServiceConfig
 from repro.service.breaker import BreakerGuardedInjector
+from repro.service.request import request_quality
 
 N_REQUESTS = 96
 N_WORKERS = 4
@@ -224,14 +225,6 @@ class TestRecallProxyGuards:
         "no quality signal" marker shed requests carry — instead of
         raising ZeroDivisionError.
         """
-        import types
-
-        service = object.__new__(QueryService)
-        service.truth = None
-        service._total_descriptors = 0
-        request = types.SimpleNamespace(index=0)
-        incomplete = types.SimpleNamespace(completed=False)
-        assert math.isnan(service._recall_of(request, incomplete))
+        assert math.isnan(request_quality([], None, False, 0, 0))
         # Provable exactness needs no scanning, even over zero descriptors.
-        complete = types.SimpleNamespace(completed=True)
-        assert service._recall_of(request, complete) == 1.0
+        assert request_quality([], None, True, 0, 0) == 1.0

@@ -204,6 +204,20 @@ def built(tmp_path_factory):
     return sysdir
 
 
+class TestBatchSearchOutput:
+    def test_stdout_repeats_and_the_timing_goes_to_stderr(self, built, capsys):
+        collection = os.path.join(os.path.dirname(built), "c.dat")
+        runs = []
+        for _ in range(2):
+            assert main(["batch-search", built, collection, "--batch", "8"]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out
+        assert "exact completions:" in runs[0].out
+        assert "wall clock" not in runs[0].out
+        for run in runs:
+            assert "wall clock:" in run.err and "queries/s" in run.err
+
+
 class TestVerifyIndexReadsTheCodeFile:
     """``verify-index`` opens the code file as a search would (header bound
     to the base files, every block CRC-checked) and re-encodes every block

@@ -28,7 +28,7 @@ def chunkers(small_synthetic):
         mpi = estimate_mpi(small_synthetic)
     return {
         "SR": SRTreeChunker(leaf_capacity=48),
-        "BAG": BagClusterer(mpi=mpi, target_clusters=120, max_passes=400),
+        "BAG": BagClusterer(mpi=mpi, target_clusters=120),
         "RR": RoundRobinChunker(n_chunks=32),
     }
 
