@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch-search",
-        help="run a batch of descriptor queries through the batch engine",
+        help="run a batch of exact descriptor queries through the batch engine",
     )
     batch.add_argument("system", help="directory of a built system")
     batch.add_argument("collection", help="collection file to take queries from")
@@ -195,10 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=64, help="queries per batch (first N rows)"
     )
     batch.add_argument("--k", type=int, default=10)
-    batch.add_argument(
-        "--chunks", type=int, default=0,
-        help="approximation budget in chunks (0 = exact)",
-    )
     batch.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
         help=(
@@ -281,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--placements", default=None,
         help=(
             "comma-separated placement strategies "
-            "(greedy, split, round_robin, random; default: built-in grid)"
+            "(greedy, round_robin, random; default: built-in grid)"
         ),
     )
     shardsim_p.add_argument(
@@ -519,12 +515,8 @@ def _cmd_batch_search(args: argparse.Namespace) -> int:
             )
         n = min(args.batch, len(collection))
         queries = collection.vectors[:n].astype(float)
-        exact = args.chunks <= 0
-        if not exact:
-            system.default_stop_chunks = args.chunks
-
         start = time.perf_counter()
-        batch = system.find_similar_descriptors_batch(queries, k=args.k, exact=exact)
+        batch = system.find_similar_descriptors_batch(queries, k=args.k, exact=True)
         batch_wall_s = time.perf_counter() - start
 
         completed = sum(1 for r in batch if r.completed)

@@ -175,15 +175,15 @@ def sweep(
                 seed=seed,
                 horizon_s=len(workload) / arrival_rate_qps + deadline_s,
             )
-        service = ShardedQueryService(
+        with ShardedQueryService(
             index,
             plan,
             config,
             cost_model=data.scale.cost_model,
             faults=faults,
             true_neighbor_ids=truth_lists,
-        )
-        result = service.run(workload.queries)
+        ) as service:
+            result = service.run(workload.queries)
         return {
             "placement": placement,
             "n_shards": n_shards,

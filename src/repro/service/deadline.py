@@ -8,9 +8,9 @@ worker it has already spent part of its deadline queueing, and only the
 performs that translation, composing (via
 :class:`~repro.core.stop_rules.FirstOf`):
 
-* a :class:`~repro.core.stop_rules.DeadlineBudget` on the remaining
-  seconds — the SLO envelope, reporting the distinct ``deadline(...)``
-  stop reason; and
+* :func:`deadline_rule`, a :class:`~repro.core.stop_rules.DeadlineBudget`
+  on the remaining seconds — the SLO envelope, reporting the distinct
+  ``deadline(...)`` stop reason, and all a sharded sub-request gets; and
 * a :class:`~repro.core.stop_rules.MaxChunks` at the adaptive
   controller's current chunk budget — the service-wide quality knob.
 
@@ -24,12 +24,18 @@ from __future__ import annotations
 
 from ..core.stop_rules import DeadlineBudget, FirstOf, MaxChunks, StopRule
 
-__all__ = ["EXPIRED_BUDGET_S", "propagated_stop_rule"]
+__all__ = ["EXPIRED_BUDGET_S", "deadline_rule", "propagated_stop_rule"]
 
 #: Budget handed to a request that is already past its deadline when it
 #: reaches a worker: small enough that the DeadlineBudget rule fires
 #: right after the first chunk, large enough to be a valid rule.
 EXPIRED_BUDGET_S = 1e-9
+
+
+def deadline_rule(remaining_s: float) -> DeadlineBudget:
+    """The time budget of a search that starts ``remaining_s`` seconds
+    before its request's deadline (zero or negative: expired in queue)."""
+    return DeadlineBudget(remaining_s if remaining_s > 0.0 else EXPIRED_BUDGET_S)
 
 
 def propagated_stop_rule(
@@ -52,7 +58,7 @@ def propagated_stop_rule(
         raise ValueError(f"index must hold at least one chunk, got {n_chunks}")
     if chunk_budget < 0:
         raise ValueError(f"chunk budget cannot be negative, got {chunk_budget}")
-    deadline_rule = DeadlineBudget(remaining_s if remaining_s > 0.0 else EXPIRED_BUDGET_S)
+    budget = deadline_rule(remaining_s)
     if 0 < chunk_budget < n_chunks:
-        return FirstOf([deadline_rule, MaxChunks(chunk_budget)])
-    return deadline_rule
+        return FirstOf([budget, MaxChunks(chunk_budget)])
+    return budget

@@ -11,7 +11,7 @@ single-node searcher's; under faults it degrades monotonically with an
 honest per-query coverage fraction.
 
 * :mod:`~repro.service.sharding.placement` — chunk cost estimation,
-  greedy/split/round-robin/random placement, replica rings, partition
+  greedy/round-robin/random placement, replica rings, partition
   sub-index construction;
 * :mod:`~repro.service.sharding.coordinator` — the deterministic
   scatter-gather event loop over per-shard worker pools, with breakers,
@@ -28,7 +28,6 @@ from .placement import (
     PLACEMENT_GREEDY,
     PLACEMENT_RANDOM,
     PLACEMENT_ROUND_ROBIN,
-    PLACEMENT_SPLIT,
     PLACEMENT_STRATEGIES,
     Partition,
     PlacementPlan,
@@ -39,7 +38,6 @@ from .placement import (
 
 __all__ = [
     "PLACEMENT_GREEDY",
-    "PLACEMENT_SPLIT",
     "PLACEMENT_ROUND_ROBIN",
     "PLACEMENT_RANDOM",
     "PLACEMENT_STRATEGIES",

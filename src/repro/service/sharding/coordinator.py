@@ -72,7 +72,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,7 +102,7 @@ from ...simio.queueing import (
     WorkerPool,
 )
 from ..breaker import BreakerBoard
-from ..deadline import propagated_stop_rule
+from ..deadline import deadline_rule
 from ..request import (
     QueryRequest,
     open_loop_requests,
@@ -153,12 +153,11 @@ class _Attempt:
 
 @dataclasses.dataclass
 class _SubTask:
-    """One query's work on one partition.  ``searched`` is the first
-    search any attempt ran, reused by later attempts it holds for;
-    ``result`` is the answer that won."""
+    """One query's work on one partition, tried on its replicas in order.
+    ``searched`` is the first search any attempt ran, reused by later
+    attempts it holds for; ``result`` is the answer that won."""
 
     partition: Partition
-    targets: Tuple[int, ...]
     #: Fault draws of every (holder position, attempt) pair, row-major;
     #: empty without a fault plan.
     draws: Sequence[ShardSubFault] = ()
@@ -314,27 +313,30 @@ class ShardedQueryService:
         }
 
     def _sub_faults(
-        self, targets: List[List[Tuple[int, ...]]]
+        self, n_queries: int
     ) -> Optional[List[List[List[ShardSubFault]]]]:
         """The fault draws of every sub-request attempt a run may dispatch,
-        in one call of the plan: per query (``targets``' rows) and
-        partition, one draw per (holder position, attempt) pair, row-major.
-        A (query, partition) pair tries each holder at most once, so its
-        attempts number below its holder count.  ``None`` without a plan."""
+        in one call of the plan: per query and partition, one draw per
+        (holder position, attempt) pair, row-major.  A (query, partition)
+        pair tries each holder at most once, so its attempts number below
+        its holder count.  ``None`` without a plan."""
         if self.faults is None:
             return None
-        partition_ids = [partition.partition_id for partition in self.plan.partitions]
+        partitions = self.plan.partitions
         keys = [
-            (query, partition_id, shard_id, attempt)
-            for query, row in enumerate(targets)
-            for partition_id, holders in zip(partition_ids, row)
-            for shard_id in holders
-            for attempt in range(len(holders))
+            (query, partition.partition_id, shard_id, attempt)
+            for query in range(n_queries)
+            for partition in partitions
+            for shard_id in partition.replicas
+            for attempt in range(len(partition.replicas))
         ]
         flat = iter(self.faults.sub_requests(np.array(keys, dtype=np.int64)))
         return [
-            [list(itertools.islice(flat, len(holders) ** 2)) for holders in row]
-            for row in targets
+            [
+                list(itertools.islice(flat, len(partition.replicas) ** 2))
+                for partition in partitions
+            ]
+            for _ in range(n_queries)
         ]
 
     # -- the event loop ------------------------------------------------------
@@ -348,11 +350,7 @@ class ShardedQueryService:
             config.deadline_s,
         )
         partitions = self.plan.partitions
-        targets = [
-            [partition.targets(request.index) for partition in partitions]
-            for request in requests
-        ]
-        draws = self._sub_faults(targets)
+        draws = self._sub_faults(len(requests))
         n_shards = self.plan.n_shards
         board = BreakerBoard(n_chunks=n_shards, region_size=1)
         pools = [WorkerPool(config.workers_per_shard) for _ in range(n_shards)]
@@ -372,8 +370,9 @@ class ShardedQueryService:
             """Send the sub-request to the next viable replica; returns
             False when every holder has been tried or is breaker-blocked."""
             request = state.request
-            while subtask.next_target < len(subtask.targets):
-                shard_id = subtask.targets[subtask.next_target]
+            holders = subtask.partition.replicas
+            while subtask.next_target < len(holders):
+                shard_id = holders[subtask.next_target]
                 subtask.next_target += 1
                 if not board.breakers[shard_id].allow(now):
                     state.n_breaker_skips += 1
@@ -385,7 +384,7 @@ class ShardedQueryService:
                 start_est = pool.earliest_start(now)
                 sub_fault = (
                     subtask.draws[
-                        (subtask.next_target - 1) * len(subtask.targets)
+                        (subtask.next_target - 1) * len(holders)
                         + attempt_no
                     ]
                     if faults is not None
@@ -398,17 +397,9 @@ class ShardedQueryService:
                     duration = ERROR_DETECT_S
                 else:
                     searcher = self._searchers[partition_id]
-                    rule = propagated_stop_rule(
-                        request.remaining_s(start_est),
-                        0,
-                        searcher.index.n_chunks,
-                    )
+                    rule = deadline_rule(request.remaining_s(start_est))
                     kept = subtask.searched
-                    if (
-                        kept is not None
-                        and isinstance(rule, DeadlineBudget)
-                        and kept.holds_under_deadline(rule.budget_s)
-                    ):
+                    if kept is not None and kept.holds_under_deadline(rule.budget_s):
                         result = kept
                     else:
                         result = searcher.search(
@@ -434,7 +425,7 @@ class ShardedQueryService:
                     config.hedge_delay_s > 0.0
                     and not is_hedge
                     and not subtask.hedged
-                    and subtask.next_target < len(subtask.targets)
+                    and subtask.next_target < len(holders)
                 ):
                     events.push(now + config.hedge_delay_s, EVT_TIMER, event)
                 return True
@@ -482,11 +473,7 @@ class ShardedQueryService:
                 else:
                     lost += 1
             merged = merge_neighbor_lists(parts, config.k)
-            coverage = (
-                covered / self._total_descriptors
-                if self._total_descriptors
-                else 0.0
-            )
+            coverage = covered / self._total_descriptors
             exact = lost == 0 and not trimmed
             if at_deadline:
                 stop_reason = f"{DeadlineBudget.label}({config.deadline_s:g}s)"
@@ -549,12 +536,9 @@ class ShardedQueryService:
                     subtasks={
                         partition.partition_id: _SubTask(
                             partition=partition,
-                            targets=holders,
                             draws=() if draws is None else draws[request.index][at],
                         )
-                        for at, (partition, holders) in enumerate(
-                            zip(partitions, targets[request.index])
-                        )
+                        for at, partition in enumerate(partitions)
                     },
                 )
                 states[request.index] = state

@@ -5,20 +5,13 @@ variability") observed that skewed cluster sizes — exactly the BAG-vs-SR
 chunk-size skew this repository measures — translate into response-time
 variability once clusters are spread over nodes: a scatter-gather query
 is as slow as its slowest shard, so the *maximum* shard load, not the
-mean, drives the tail.  The placement optimizer here implements their
-remedy at chunk granularity:
+mean, drives the tail.  Their remedy balances the clusters (here, the
+chunker's job); the placement balances shard loads chunk by chunk:
 
 * ``greedy`` — longest-processing-time bin packing: chunks are sorted
   by estimated cost (descending, ids break ties) and each is assigned
   to the currently lightest shard.  The classic 4/3-approximation of
   minimum makespan, and deterministic.
-* ``split`` — greedy packing plus *cluster splitting*: chunks whose
-  estimated cost exceeds :data:`SPLIT_FACTOR` times the ideal shard load
-  become singleton partitions replicated on extra shards, and queries
-  rotate across the holders.  An oversized cluster cannot be balanced
-  by placement alone (it exceeds a whole shard's fair share), so the
-  load is spread over replicas instead — results are unchanged because
-  every replica holds the identical chunk.
 * ``round_robin`` — chunk ``i`` goes to shard ``i mod N`` (the naive
   baseline the sweep compares against).
 * ``random`` — a seeded uniform shard per chunk.
@@ -43,11 +36,9 @@ from ...simio.pipeline import CostModel
 
 __all__ = [
     "PLACEMENT_GREEDY",
-    "PLACEMENT_SPLIT",
     "PLACEMENT_ROUND_ROBIN",
     "PLACEMENT_RANDOM",
     "PLACEMENT_STRATEGIES",
-    "SPLIT_FACTOR",
     "Partition",
     "PlacementPlan",
     "estimate_chunk_costs",
@@ -56,21 +47,15 @@ __all__ = [
 ]
 
 PLACEMENT_GREEDY = "greedy"
-PLACEMENT_SPLIT = "split"
 PLACEMENT_ROUND_ROBIN = "round_robin"
 PLACEMENT_RANDOM = "random"
 
 #: Every placement strategy, in report order.
 PLACEMENT_STRATEGIES = (
     PLACEMENT_GREEDY,
-    PLACEMENT_SPLIT,
     PLACEMENT_ROUND_ROBIN,
     PLACEMENT_RANDOM,
 )
-
-#: ``split`` isolates a chunk costing more than this many times the ideal
-#: shard load (total cost / shards).
-SPLIT_FACTOR = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,17 +63,13 @@ class Partition:
     """One placement granule: chunks stored in full on each holder.
 
     ``replicas`` lists the holding shards, primary first; failover and
-    hedging walk it in order (rotated per query for split singletons,
-    so the extra holders actually share the load).
+    hedging walk it in order.
     """
 
     partition_id: int
     chunk_ids: Tuple[int, ...]
     cost: float
     replicas: Tuple[int, ...]
-    #: True for an oversized chunk isolated by cluster splitting; the
-    #: coordinator rotates its primary per query to spread the load.
-    rotate: bool = False
 
     def __post_init__(self) -> None:
         if not self.chunk_ids:
@@ -98,25 +79,13 @@ class Partition:
         if len(set(self.replicas)) != len(self.replicas):
             raise ValueError(f"duplicate replica shards: {self.replicas}")
 
-    def targets(self, query_index: int) -> Tuple[int, ...]:
-        """Holder shards in the order a query should try them.
-
-        Non-rotating partitions always lead with their primary; split
-        singletons rotate the holder list by the query index so
-        successive queries land on different replicas.
-        """
-        if not self.rotate or len(self.replicas) == 1:
-            return self.replicas
-        shift = int(query_index) % len(self.replicas)
-        return self.replicas[shift:] + self.replicas[:shift]
-
 
 @dataclasses.dataclass(frozen=True)
 class PlacementPlan:
     """The full placement: partitions, their holders, and the skew report.
 
-    ``n_partitions <= n_shards + n_split``: each non-empty shard bin is
-    one partition, plus one singleton partition per split chunk.
+    ``n_partitions <= n_shards``: each non-empty shard bin is one
+    partition.
     """
 
     n_shards: int
@@ -139,23 +108,11 @@ class PlacementPlan:
     def n_partitions(self) -> int:
         return len(self.partitions)
 
-    @property
-    def n_split(self) -> int:
-        """Oversized chunks isolated into rotating singleton partitions."""
-        return sum(1 for partition in self.partitions if partition.rotate)
-
     def primary_costs(self) -> List[float]:
-        """Estimated primary load per shard (rotating partitions spread
-        their cost evenly over their holders, which is what rotation
-        achieves in expectation)."""
+        """Estimated primary load per shard."""
         loads = [0.0] * self.n_shards
         for partition in self.partitions:
-            if partition.rotate:
-                share = partition.cost / len(partition.replicas)
-                for shard in partition.replicas:
-                    loads[shard] += share
-            else:
-                loads[partition.replicas[0]] += partition.cost
+            loads[partition.replicas[0]] += partition.cost
         return loads
 
     def stored_costs(self) -> List[float]:
@@ -187,7 +144,6 @@ class PlacementPlan:
             "n_shards": self.n_shards,
             "n_replicas": self.n_replicas,
             "n_partitions": self.n_partitions,
-            "n_split": self.n_split,
             "imbalance": self.imbalance,
             "primary_costs": self.primary_costs(),
             "stored_costs": self.stored_costs(),
@@ -246,10 +202,7 @@ def plan_placement(
         replicas of one partition live on *distinct* shards, so more
         copies than shards is a configuration error, not a silent clamp.
     strategy:
-        One of :data:`PLACEMENT_STRATEGIES`.  ``split`` isolates a chunk
-        costing more than :data:`SPLIT_FACTOR` times the ideal shard load
-        into a rotating singleton partition held by ``min(2 * n_replicas,
-        n_shards)`` shards.
+        One of :data:`PLACEMENT_STRATEGIES`.
     seed:
         Root seed of the ``random`` strategy (ignored otherwise).
     """
@@ -274,79 +227,40 @@ def plan_placement(
         raise ValueError("chunk costs must be finite and non-negative")
     n_chunks = int(cost_arr.shape[0])
 
-    partitions: List[Partition] = []
     bins: List[List[int]] = [[] for _ in range(n_shards)]
     bin_costs = [0.0] * n_shards
 
-    def assign_greedy(chunk_ids: Sequence[int]) -> None:
-        # Longest processing time first; ties by chunk id, then shard id.
-        order = sorted(chunk_ids, key=lambda c: (-float(cost_arr[c]), c))
-        for chunk_id in order:
-            shard = min(range(n_shards), key=lambda s: (bin_costs[s], s))
-            bins[shard].append(chunk_id)
-            bin_costs[shard] += float(cost_arr[chunk_id])
+    def place(chunk_id: int, shard: int) -> None:
+        bins[shard].append(chunk_id)
+        bin_costs[shard] += float(cost_arr[chunk_id])
 
     if strategy == PLACEMENT_ROUND_ROBIN:
         for chunk_id in range(n_chunks):
-            shard = chunk_id % n_shards
-            bins[shard].append(chunk_id)
-            bin_costs[shard] += float(cost_arr[chunk_id])
+            place(chunk_id, chunk_id % n_shards)
     elif strategy == PLACEMENT_RANDOM:
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, n_shards, size=n_chunks)
+        draws = np.random.default_rng(seed).integers(0, n_shards, size=n_chunks)
         for chunk_id in range(n_chunks):
-            shard = int(draws[chunk_id])
-            bins[shard].append(chunk_id)
-            bin_costs[shard] += float(cost_arr[chunk_id])
-    elif strategy == PLACEMENT_GREEDY:
-        assign_greedy(range(n_chunks))
-    else:  # PLACEMENT_SPLIT
-        ideal = float(cost_arr.sum()) / n_shards
-        threshold = SPLIT_FACTOR * ideal
-        oversized = [
-            c for c in range(n_chunks) if float(cost_arr[c]) > threshold
-        ]
-        assign_greedy([c for c in range(n_chunks) if float(cost_arr[c]) <= threshold])
-        spread = min(2 * n_replicas, n_shards)
-        for rank, chunk_id in enumerate(oversized):
-            # Home each split singleton on the currently lightest shard
-            # and charge the rotated share to every holder.
-            primary = min(range(n_shards), key=lambda s: (bin_costs[s], s))
-            replicas = _replicas_for(primary, n_shards, spread)
-            share = float(cost_arr[chunk_id]) / spread
-            for shard in replicas:
-                bin_costs[shard] += share
-            partitions.append(
-                Partition(
-                    partition_id=-1,  # renumbered below
-                    chunk_ids=(chunk_id,),
-                    cost=float(cost_arr[chunk_id]),
-                    replicas=replicas,
-                    rotate=True,
-                )
-            )
+            place(chunk_id, int(draws[chunk_id]))
+    else:  # PLACEMENT_GREEDY
+        # Longest processing time first; ties by chunk id, then shard id.
+        for chunk_id in sorted(range(n_chunks), key=lambda c: (-float(cost_arr[c]), c)):
+            place(chunk_id, min(range(n_shards), key=lambda s: (bin_costs[s], s)))
 
-    shard_partitions = [
+    # Shard bins in shard order: a deterministic numbering.
+    partitions = [
         Partition(
-            partition_id=-1,
+            partition_id=pid,
             chunk_ids=tuple(sorted(bins[shard])),
             cost=float(sum(float(cost_arr[c]) for c in bins[shard])),
             replicas=_replicas_for(shard, n_shards, n_replicas),
         )
-        for shard in range(n_shards)
-        if bins[shard]
-    ]
-    # Shard bins first (in shard order), then split singletons (in chunk
-    # order) — a deterministic numbering either way.
-    renumbered = [
-        dataclasses.replace(partition, partition_id=pid)
-        for pid, partition in enumerate(shard_partitions + partitions)
+        for pid, shard in enumerate(s for s in range(n_shards) if bins[s])
     ]
     return PlacementPlan(
         n_shards=n_shards,
         n_replicas=n_replicas,
         strategy=strategy,
-        partitions=tuple(renumbered),
+        partitions=tuple(partitions),
     )
 
 

@@ -41,28 +41,22 @@ _MAX_PAYLOAD_BYTES = 1 << 40
 PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 
-def write_collection_file(target: PathOrFile, collection: DescriptorCollection) -> None:
-    """Serialize a collection to the sequential single-file format."""
+def write_collection_file(
+    target: Union[str, os.PathLike], collection: DescriptorCollection
+) -> None:
+    """Serialize a collection to the sequential single-file format,
+    published atomically (write-temp, fsync, rename) so a crash mid-write
+    never leaves a truncated collection behind."""
     codec = RecordCodec(collection.dimensions)
     header = _HEADER.pack(
         COLLECTION_MAGIC, _VERSION, collection.dimensions, len(collection)
     )
-    if isinstance(target, (str, os.PathLike)):
-        # Path target: publish atomically (write-temp, fsync, rename) so
-        # a crash mid-write never leaves a truncated collection behind.
-        with atomic_output(target) as stream:
-            stream.write(header)
-            stream.write(codec.encode(collection.ids, collection.vectors))
-            stream.write(
-                np.ascontiguousarray(collection.image_ids, dtype="<i8").tobytes()
-            )
-    else:
-        target.write(header)
-        target.write(codec.encode(collection.ids, collection.vectors))
-        target.write(
+    with atomic_output(target) as stream:
+        stream.write(header)
+        stream.write(codec.encode(collection.ids, collection.vectors))
+        stream.write(
             np.ascontiguousarray(collection.image_ids, dtype="<i8").tobytes()
         )
-        target.flush()
 
 
 def read_collection_file(source: PathOrFile) -> DescriptorCollection:

@@ -124,8 +124,12 @@ def round_outward(
     return lower32, upper32
 
 
-def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
-    """Serialize chunk metadata, preserving chunk order."""
+def write_index_file(
+    target: Union[str, os.PathLike], metas: Sequence[ChunkMeta]
+) -> None:
+    """Serialize chunk metadata, preserving chunk order, published
+    atomically (write-temp, fsync, rename) so a crash mid-write never
+    leaves a truncated index behind."""
     if not metas:
         raise ValueError("cannot write an empty index file")
     dimensions = metas[0].centroid.shape[0]
@@ -164,14 +168,8 @@ def write_index_file(target: PathOrFile, metas: Sequence[ChunkMeta]) -> None:
             _CRC.pack(zlib.crc32(block)),
         )
     )
-    if isinstance(target, (str, os.PathLike)):
-        # Path target: publish atomically (write-temp, fsync, rename) so
-        # a crash mid-write never leaves a truncated index behind.
-        with atomic_output(target) as stream:
-            stream.write(payload)
-    else:
-        target.write(payload)
-        target.flush()
+    with atomic_output(target) as stream:
+        stream.write(payload)
 
 
 def _rectangles_consistent(entries: np.ndarray, rectangles: np.ndarray) -> np.ndarray:

@@ -7,7 +7,11 @@ from repro.chunking.round_robin import RoundRobinChunker
 from repro.core.chunk_index import build_chunk_index
 from repro.core.search import ChunkSearcher
 from repro.core.stop_rules import DeadlineBudget, FirstOf, MaxChunks
-from repro.service.deadline import EXPIRED_BUDGET_S, propagated_stop_rule
+from repro.service.deadline import (
+    EXPIRED_BUDGET_S,
+    deadline_rule,
+    propagated_stop_rule,
+)
 
 
 class TestPropagatedStopRule:
@@ -32,6 +36,13 @@ class TestPropagatedStopRule:
         rule = propagated_stop_rule(remaining, chunk_budget=0, n_chunks=4)
         assert isinstance(rule, DeadlineBudget)
         assert rule.budget_s == EXPIRED_BUDGET_S
+
+    @pytest.mark.parametrize("remaining", [0.25, 0.0, -1.0])
+    def test_an_unbounded_chunk_budget_is_the_deadline_rule(self, remaining):
+        """A sharded sub-request calls :func:`deadline_rule` directly."""
+        rule = deadline_rule(remaining)
+        assert type(rule) is DeadlineBudget
+        assert rule.budget_s == propagated_stop_rule(remaining, 0, 4).budget_s
 
     def test_validation(self):
         with pytest.raises(ValueError, match="chunk"):

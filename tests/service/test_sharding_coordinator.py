@@ -128,7 +128,7 @@ class TestExactEquivalence:
         assert_bit_identical(result.records, harness.reference)
 
     def test_bag_family_matches_single_node(self, bag_harness):
-        plan = bag_harness.plan(n_shards=3, n_replicas=1, strategy="split")
+        plan = bag_harness.plan(n_shards=3, n_replicas=1, strategy="greedy")
         result = bag_harness.run(plan)
         assert_bit_identical(result.records, bag_harness.reference)
 

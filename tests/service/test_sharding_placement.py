@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.chunk import Chunk, ChunkSet
 from repro.core.chunk_index import build_chunk_index
-from repro.service.sharding import placement
 from repro.service.sharding import (
     PLACEMENT_STRATEGIES,
     Partition,
@@ -111,31 +110,6 @@ class TestStrategies:
         other = plan_placement(self.COSTS, n_shards=3, strategy="random", seed=6)
         assert one == two
         assert one != other
-
-    def test_split_isolates_oversized_chunks(self):
-        costs = [40.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        plan = plan_placement(costs, n_shards=4, n_replicas=1, strategy="split")
-        assert plan.n_split == 1
-        split = [p for p in plan.partitions if p.rotate]
-        (giant,) = split
-        assert giant.chunk_ids == (0,)
-        # Spread over min(2 * R, N) holders.
-        assert len(giant.replicas) == 2
-        # Rotation walks the holders per query so they share the load.
-        assert giant.targets(0) != giant.targets(1)
-        assert sorted(giant.targets(0)) == sorted(giant.targets(1))
-        # Without splitting, the giant chunk pegs one shard.
-        greedy = plan_placement(costs, n_shards=4, strategy="greedy")
-        assert plan.imbalance < greedy.imbalance
-
-    def test_split_without_oversized_chunks_matches_greedy_bins(self, monkeypatch):
-        monkeypatch.setattr(placement, "SPLIT_FACTOR", 1000.0)
-        plan = plan_placement(self.COSTS, n_shards=3, strategy="split")
-        greedy = plan_placement(self.COSTS, n_shards=3, strategy="greedy")
-        assert plan.n_split == 0
-        assert [p.chunk_ids for p in plan.partitions] == [
-            p.chunk_ids for p in greedy.partitions
-        ]
 
     def test_replica_rings_wrap(self):
         plan = plan_placement(self.COSTS, n_shards=3, n_replicas=2)

@@ -1,6 +1,8 @@
 """Tests for the raw collection file format."""
 
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from repro.storage.collection_file import (
 )
 
 
+def written(collection):
+    """The bytes :func:`write_collection_file` publishes for ``collection``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "descriptors.dat")
+        write_collection_file(path, collection)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
 class TestRoundtrip:
     def test_file_roundtrip(self, tiny_collection, tmp_path):
         path = str(tmp_path / "descriptors.dat")
@@ -19,17 +30,8 @@ class TestRoundtrip:
         loaded = read_collection_file(path)
         assert loaded == tiny_collection
 
-    def test_stream_roundtrip(self, small_synthetic):
-        stream = io.BytesIO()
-        write_collection_file(stream, small_synthetic)
-        stream.seek(0)
-        loaded = read_collection_file(stream)
-        assert loaded == small_synthetic
-
     def test_100_byte_records(self, small_synthetic, tmp_path):
         """The paper's arithmetic: 24-d records consume 100 bytes each."""
-        import os
-
         path = str(tmp_path / "c.dat")
         write_collection_file(path, small_synthetic)
         size = os.path.getsize(path)
@@ -47,16 +49,12 @@ class TestValidation:
             read_collection_file(io.BytesIO(b"\x00" * 3))
 
     def test_truncated_records(self, tiny_collection):
-        stream = io.BytesIO()
-        write_collection_file(stream, tiny_collection)
-        data = stream.getvalue()
+        data = written(tiny_collection)
         with pytest.raises(IOError, match="truncated"):
             read_collection_file(io.BytesIO(data[: len(data) // 2]))
 
     def test_truncated_image_ids(self, tiny_collection):
-        stream = io.BytesIO()
-        write_collection_file(stream, tiny_collection)
-        data = stream.getvalue()
+        data = written(tiny_collection)
         with pytest.raises(IOError, match="image ids"):
             read_collection_file(io.BytesIO(data[:-4]))
 
@@ -68,9 +66,7 @@ class TestHeaderGuards:
     def _with_dims(collection, dims):
         import struct
 
-        stream = io.BytesIO()
-        write_collection_file(stream, collection)
-        data = bytearray(stream.getvalue())
+        data = bytearray(written(collection))
         # Header: <8sIIQ -> dims is the uint32 at offset 12.
         struct.pack_into("<I", data, 12, dims)
         return io.BytesIO(bytes(data))

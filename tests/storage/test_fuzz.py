@@ -50,19 +50,19 @@ def _corrupt(data: bytes, position: int, new_byte: int) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def collection_bytes():
+def collection_bytes(tmp_path_factory):
     rng = np.random.default_rng(0)
     collection = from_vectors(rng.standard_normal((30, 5)).astype(np.float32))
-    stream = io.BytesIO()
-    write_collection_file(stream, collection)
-    return stream.getvalue()
+    path = tmp_path_factory.mktemp("fuzz") / "descriptors.dat"
+    write_collection_file(str(path), collection)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
-def index_bytes():
-    stream = io.BytesIO()
-    write_index_file(stream, _index_metas(np.random.default_rng(1)))
-    return stream.getvalue()
+def index_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "chunks.idx"
+    write_index_file(str(path), _index_metas(np.random.default_rng(1)))
+    return path.read_bytes()
 
 
 class TestCollectionFileFuzz:

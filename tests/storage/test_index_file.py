@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
@@ -44,6 +46,15 @@ def make_metas(n, dims=4):
     return metas
 
 
+def written(metas):
+    """The bytes :func:`write_index_file` publishes for ``metas``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "chunks.idx")
+        write_index_file(path, metas)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
 class TestRoundtrip:
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "chunks.idx")
@@ -63,10 +74,7 @@ class TestRoundtrip:
         the stored rectangle contains the in-memory one, by under one
         float32 ulp per bound, and what comes back is float32-exact."""
         metas = make_metas(7)
-        stream = io.BytesIO()
-        write_index_file(stream, metas)
-        stream.seek(0)
-        for a, b in zip(metas, read_index_file(stream)):
+        for a, b in zip(metas, read_index_file(io.BytesIO(written(metas)))):
             assert not np.array_equal(a.lower, a.lower.astype(np.float32))
             assert np.all(b.lower <= a.lower) and np.all(a.upper <= b.upper)
             lower32, upper32 = b.lower.astype(np.float32), b.upper.astype(np.float32)
@@ -89,24 +97,11 @@ class TestRoundtrip:
             page_offset=0,
             page_count=1,
         )
-        stream = io.BytesIO()
-        write_index_file(stream, [meta])
-        stream.seek(0)
-        (loaded,) = read_index_file(stream)
+        (loaded,) = read_index_file(io.BytesIO(written([meta])))
         assert np.array_equal(loaded.lower, meta.lower)
         assert np.array_equal(loaded.upper, meta.upper)
 
-    def test_stream_roundtrip(self):
-        stream = io.BytesIO()
-        metas = make_metas(3, dims=24)
-        write_index_file(stream, metas)
-        stream.seek(0)
-        loaded = read_index_file(stream)
-        assert len(loaded) == 3
-
     def test_size_matches_prediction(self, tmp_path):
-        import os
-
         path = str(tmp_path / "chunks.idx")
         metas = make_metas(11, dims=24)
         write_index_file(path, metas)
@@ -153,7 +148,7 @@ class TestValidation:
         meta = make_metas(1)[0]
         outside = dataclasses.replace(meta, upper=meta.upper + 1.0)
         with pytest.raises(ValueError, match="chunk 0: rectangle contradicts"):
-            write_index_file(io.BytesIO(), [outside])
+            written([outside])
 
 
 class TestNormsBlock:
@@ -161,9 +156,7 @@ class TestNormsBlock:
     retired: neither file is read."""
 
     def test_unsupported_read_version_rejected(self):
-        stream = io.BytesIO()
-        write_index_file(stream, make_metas(2))
-        data = bytearray(stream.getvalue())
+        data = bytearray(written(make_metas(2)))
         # 1: pre-checksum layout; 2: entries + centroid-norms tail;
         # 3: entries only, no rectangle block; 7: future.
         for version in (1, 2, 3, 7):
@@ -188,9 +181,7 @@ class TestEntryValidation:
         """The file has no checksum, so the reader validates every stored
         value itself instead of leaving it to ``ChunkMeta`` (ValueError)
         or to nobody (a NaN centroid poisons the completion proof)."""
-        stream = io.BytesIO()
-        write_index_file(stream, make_metas(3, dims=4))
-        data = bytearray(stream.getvalue())
+        data = bytearray(written(make_metas(3, dims=4)))
         entry_bytes = (index_file_bytes(3, 4) - index_file_bytes(0, 4)) // 3
         at = index_file_bytes(0, 4) + entry_bytes + field_offset  # entry 1
         data[at : at + len(value)] = value
@@ -204,9 +195,7 @@ class TestEntryValidation:
     PAIR_BYTES = 2 * DIMS * 4
 
     def _bytes(self):
-        stream = io.BytesIO()
-        write_index_file(stream, make_metas(self.N, dims=self.DIMS))
-        return bytearray(stream.getvalue())
+        return bytearray(written(make_metas(self.N, dims=self.DIMS)))
 
     def _patched(self, offset_in_pair, value, reseal=True):
         """Entry 1's rectangle with ``value`` (float32) written at
@@ -299,18 +288,13 @@ class TestHeaderGuards:
 
     @staticmethod
     def _packed(metas, dims=None, n_chunks=None):
-        import io as _io
-        import struct
-
-        stream = _io.BytesIO()
-        write_index_file(stream, metas)
-        data = bytearray(stream.getvalue())
+        data = bytearray(written(metas))
         # Header: <8sIIQ8s -> dims at offset 12, n_chunks at offset 16.
         if dims is not None:
             struct.pack_into("<I", data, 12, dims)
         if n_chunks is not None:
             struct.pack_into("<Q", data, 16, n_chunks)
-        return _io.BytesIO(bytes(data))
+        return io.BytesIO(bytes(data))
 
     def test_zero_dimensions_rejected(self):
         from repro.storage.errors import CorruptFileError

@@ -1,8 +1,8 @@
-"""Census: every definition, option and public method in ``src/repro`` and
-``tools/lint`` has a caller outside ``tests/``, and ``src/`` keeps to its
-line budget.
+"""Census: every definition and option in ``src/repro`` and ``tools/lint``
+has a caller outside ``tests/``, every function of ``src/repro`` is
+entered by a shipped command, and ``src/`` keeps to its line budget.
 
-Three questions, answered from the code of ``src/``, ``benchmarks/``,
+Two static questions, answered from the code of ``src/``, ``benchmarks/``,
 ``examples/`` and ``tools/`` (:data:`CODE_DIRS`); tests never count.
 
 * **Definitions.**  A module-level ``def`` or ``class`` is *live* when some
@@ -27,18 +27,22 @@ Three questions, answered from the code of ``src/``, ``benchmarks/``,
   keyword of that name at any call passes a value that is neither the
   default's text nor a forward (``self.<name>`` and ``args.<name>`` count as
   setting).  An option no code sets is a constant in disguise: make it one.
-* **Methods.**  A public method or property of a public module-level class
-  is *live* when some code names it as an ``ast.Attribute`` attr.
 
-Each question has its allowlist (:data:`ALLOWED`, :data:`OPTIONS_ALLOWED`,
-:data:`METHODS_ALLOWED`), dotted name -> the reason the entry stays; an
-entry that names nothing, or names something code reaches after all, fails.
+Each question has its allowlist (:data:`ALLOWED`, :data:`OPTIONS_ALLOWED`),
+dotted name -> the reason the entry stays; an entry that names nothing, or
+names something code reaches after all, fails.
 
-Definitions and methods are checked by name, not by resolved binding: any
-same-named variable or attribute anywhere keeps one alive, so it can miss
-one; options are resolved to their owner's calls, by the callee's name.
-One reached only through a string (``getattr``, a name registry) is
-flagged until code names it or an allowlist lists it.
+Definitions are checked by name, not by resolved binding: any same-named
+variable or attribute anywhere keeps one alive, so it can miss one;
+options are resolved to their owner's calls, by the callee's name.  One
+reached only through a string (``getattr``, a name registry) is flagged
+until code names it or an allowlist lists it.
+
+The **functions** question is the dynamic census, ``tools/census``: it
+runs a committed command list under a function-entry hook and names every
+``def`` of ``src/repro`` no command entered, so a same-named twin keeps
+nothing alive.  A real-tree run takes about a minute and is the CI job
+``census``; :class:`TestTheDynamicCensusBites` runs it over planted trees.
 
 The **line budget**: ``src/**/*.py`` holds at most :data:`SRC_LINE_BUDGET`
 lines.  A change that deletes code lowers the budget to the new count; a
@@ -48,6 +52,7 @@ change that grows ``src/`` raises it and says why in CHANGES.md.
 import ast
 import functools
 import pathlib
+import sys
 from collections import defaultdict
 from typing import (
     Callable,
@@ -66,6 +71,15 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# The dynamic census is a tool outside the package, as the linter is.
+sys.path.insert(0, str(ROOT / "tools"))
+
+from census.allowed import ALLOWED as ENTRY_ALLOWED  # noqa: E402
+from census.allowed import CATEGORIES  # noqa: E402
+from census.commands import Command  # noqa: E402
+from census.functions import audit, never_entered  # noqa: E402
+from census.runner import CommandFailed, entered  # noqa: E402
+
 #: The directories whose code counts as a caller.
 CODE_DIRS = ("src", "benchmarks", "examples", "tools")
 
@@ -73,7 +87,7 @@ CODE_DIRS = ("src", "benchmarks", "examples", "tools")
 AUDITED = (("src", "repro"), ("tools", "lint"))
 
 #: Most lines ``src/**/*.py`` may hold.
-SRC_LINE_BUDGET = 17_559
+SRC_LINE_BUDGET = 17_445
 
 #: Dotted name -> why a definition no shipped code references stays.
 ALLOWED: Dict[str, str] = {
@@ -117,13 +131,6 @@ OPTIONS_ALLOWED: Dict[str, str] = {
     "repro.simio.disk_model.DiskModel.transfer_rate_bytes_per_s": _PAPER_MACHINE,
     "repro.simio.cpu_model.CpuModel.chunk_overhead_s": _PAPER_MACHINE,
     "repro.simio.cpu_model.CpuModel.ranking_time_per_chunk_s": _PAPER_MACHINE,
-}
-
-#: Dotted method -> why a method no shipped code names stays.
-METHODS_ALLOWED: Dict[str, str] = {
-    "repro.system.ImageRetrievalSystem.remove_image": (
-        "user API documented by README and DESIGN §6, the inverse of add_image"
-    ),
 }
 
 
@@ -593,35 +600,6 @@ def option_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
     )
 
 
-# -- methods ----------------------------------------------------------------
-
-
-def methods(root: pathlib.Path) -> Dict[str, str]:
-    """Dotted name -> ``path:line`` of every public method or property of a
-    public module-level class of :data:`AUDITED`."""
-    found: Dict[str, str] = {}
-    for module, where, tree in _modules(root):
-        for cls in _classes(tree, False):
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and _public(fn.name):
-                    found[f"{module}.{cls.name}.{fn.name}"] = f"{where}:{fn.lineno}"
-    return found
-
-
-def method_census(root: pathlib.Path, allowed: Mapping[str, str]) -> List[str]:
-    """The method census's problems (see :func:`_audit`)."""
-    attrs = {node.attr for node in _code(root) if isinstance(node, ast.Attribute)}
-    return _audit(
-        methods(root),
-        lambda dotted: dotted.rsplit(".", 1)[1] in attrs,
-        allowed,
-        "METHODS_ALLOWED",
-        "method",
-        "called",
-        "delete it",
-    )
-
-
 def test_every_definition_has_a_caller_outside_tests():
     problems = census(ROOT, ALLOWED)
     assert not problems, "\n".join(problems)
@@ -629,11 +607,6 @@ def test_every_definition_has_a_caller_outside_tests():
 
 def test_every_option_is_set_outside_tests():
     problems = option_census(ROOT, OPTIONS_ALLOWED)
-    assert not problems, "\n".join(problems)
-
-
-def test_every_public_method_has_a_caller_outside_tests():
-    problems = method_census(ROOT, METHODS_ALLOWED)
     assert not problems, "\n".join(problems)
 
 
@@ -850,63 +823,152 @@ class TestTheOwnerRuleBites:
         assert self.flagged(tmp_path, source, caller) == []
 
 
-class TestTheMethodCensusBites:
-    """The method census on a planted tree: only an attribute of that name
-    in shipped code keeps a public method alive."""
 
-    @pytest.fixture()
-    def tree(self, tmp_path):
-        return _plant(tmp_path, {
-            "src/repro/__init__.py": "",
-            "src/repro/shapes.py": (
-                "class Shape:\n"
-                "    def area(self):\n"
-                "        return 1\n"
-                "\n"
-                "    def scale(self, factor):\n"
-                "        return factor\n"
-                "\n"
-                "    @property\n"
-                "    def name(self):\n"
-                "        return 'shape'\n"
-                "\n"
-                "    def _private(self):\n"
-                "        return 0\n"
-                "\n"
-                "\n"
-                "class _Hidden:\n"
-                "    def method(self):\n"
-                "        return 0\n"
-            ),
-            # A bare name ``scale`` is not a call of the method.
-            "benchmarks/bench.py": (
-                "from repro.shapes import Shape\n"
-                "\n"
-                "scale = 3\n"
-                "print(Shape().area(), Shape().name)\n"
-            ),
-            "tests/test_shapes.py": (
-                "from repro.shapes import Shape\n\nShape().scale(2)\n"
-            ),
-        })
 
-    def test_a_method_only_tests_call_is_named_with_its_file_and_line(self, tree):
-        problems = method_census(tree, {})
-        assert [line.split(" is called by")[0] for line in problems] == [
-            "src/repro/shapes.py:5: repro.shapes.Shape.scale",
+# -- functions: the dynamic census -----------------------------------------
+
+
+def _run(source: str) -> Command:
+    return Command(("{python}", "-c", source))
+
+
+class TestTheDynamicCensusBites:
+    """The dynamic census on a planted tree: a function counts as entered
+    only when a listed command's run enters it — in the process, a thread
+    it starts or a child process — and tests never run."""
+
+    TREE = {
+        "src/repro/__init__.py": "",
+        "src/repro/shapes.py": (
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return 1\n"
+            "\n"
+            "    def scale(self, factor):\n"
+            "        return factor\n"
+            "\n"
+            "    @property\n"
+            "    def name(self):\n"
+            "        return 'shape'\n"
+            "\n"
+            "    @staticmethod\n"
+            "    def make():\n"
+            "        return Shape()\n"
+            "\n"
+            "\n"
+            "class Label:\n"
+            "    def scale(self, factor):\n"
+            "        def grow(n):\n"
+            "            return n * factor\n"
+            "\n"
+            "        return grow\n"
+            "\n"
+            "\n"
+            "def island():\n"
+            "    def inner():\n"
+            "        return 2\n"
+            "\n"
+            "    return inner()\n"
+            "\n"
+            "\n"
+            "def threaded():\n"
+            "    return 3\n"
+            "\n"
+            "\n"
+            "def child():\n"
+            "    return 4\n"
+        ),
+        # ``scale`` is named as an attribute by shipped code, so a census by
+        # name passes Shape.scale; only its twin Label.scale is ever run.
+        "benchmarks/bench.py": (
+            "from repro.shapes import Label, Shape\n"
+            "\n"
+            "print(Shape().area(), Shape().name, Label().scale(2))\n"
+        ),
+        "tests/test_shapes.py": (
+            "from repro.shapes import Shape, island\n\nShape().scale(2)\nisland()\n"
+        ),
+    }
+
+    COMMANDS = (
+        Command(("{python}", "{root}/benchmarks/bench.py")),
+        _run(
+            "import threading\n"
+            "from repro import shapes\n"
+            "worker = threading.Thread(target=shapes.threaded)\n"
+            "worker.start()\n"
+            "worker.join()\n"
+        ),
+        _run(
+            "import subprocess, sys\n"
+            "subprocess.run([sys.executable, '-c', "
+            "'from repro import shapes; shapes.child()'], check=True)\n"
+        ),
+    )
+
+    MISSED = [
+        "src/repro/shapes.py:5: repro.shapes.Shape.scale",
+        "src/repro/shapes.py:12: repro.shapes.Shape.make",
+        "src/repro/shapes.py:19: repro.shapes.Label.scale.grow",
+        "src/repro/shapes.py:25: repro.shapes.island",
+    ]
+
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        return _plant(tmp_path_factory.mktemp("census"), self.TREE)
+
+    @pytest.fixture(scope="class")
+    def census(self, tree):
+        return never_entered(tree, entered(tree, self.COMMANDS))
+
+    @staticmethod
+    def lines(missed):
+        return [f"{function.where}: {function.dotted}" for function in missed]
+
+    def test_never_entered_functions_are_named_with_file_and_line(self, census):
+        """Shape.scale is kept alive by name only by its twin, island only
+        by a test; a never-entered ``def`` in an entered one is named, one
+        in a never-entered one is not; a decorated one is named at its
+        first decorator.  The thread and the child process count."""
+        missed, _ = census
+        assert self.lines(missed) == self.MISSED
+
+    def test_the_list_is_the_same_over_runs(self, tree, census):
+        again = never_entered(tree, entered(tree, self.COMMANDS))
+        assert self.lines(again[0]) == self.lines(census[0])
+        assert again[1] == census[1]
+
+    def test_allowed_functions_pass(self, census):
+        missed, names = census
+        allowed = {line.split(": ")[1]: (CATEGORIES[0], "why") for line in self.MISSED}
+        assert audit(missed, names, allowed, CATEGORIES) == []
+
+    def test_a_stale_allowed_entry_fails(self, census):
+        missed, names = census
+        allowed = {line.split(": ")[1]: (CATEGORIES[0], "why") for line in self.MISSED}
+        allowed["repro.shapes.Shape.area"] = (CATEGORIES[0], "entered after all")
+        allowed["repro.shapes.gone"] = (CATEGORIES[0], "deleted since")
+        allowed["repro.shapes.island"] = ("CLI choice", "not a category")
+        assert audit(missed, names, allowed, CATEGORIES) == [
+            "ALLOWED entry repro.shapes.Shape.area is entered; drop the entry",
+            "ALLOWED entry repro.shapes.gone names no reported function",
+            "ALLOWED entry repro.shapes.island has category 'CLI choice', not one "
+            f"of {', '.join(CATEGORIES)}",
         ]
+        assert audit(missed, names, {}, CATEGORIES)[0] == (
+            "src/repro/shapes.py:5: repro.shapes.Shape.scale is entered by no "
+            "census command (delete it, give it a shipped caller, or add it to "
+            "ALLOWED with a category and a reason)"
+        )
 
-    def test_an_allowed_method_passes(self, tree):
-        assert method_census(tree, {"repro.shapes.Shape.scale": "why"}) == []
+    def test_a_command_that_ends_otherwise_stops_the_census(self, tree):
+        with pytest.raises(CommandFailed, match="exited 3, not 0"):
+            entered(tree, [_run("import sys; sys.exit(3)")])
+        assert entered(tree, [Command(_run("raise SystemExit(3)").argv, 3)]) == set()
 
-    def test_a_stale_allowed_method_fails(self, tree):
-        allowed = {
-            "repro.shapes.Shape.scale": "why",
-            "repro.shapes.Shape.area": "called after all",
-            "repro.shapes.Shape.gone": "deleted since",
-        }
-        assert method_census(tree, allowed) == [
-            "src/repro/shapes.py:2: METHODS_ALLOWED entry repro.shapes.Shape.area "
-            "is called; drop the entry",
-            "METHODS_ALLOWED entry repro.shapes.Shape.gone names no method",
-        ]
+
+def test_the_census_allowlist_is_small_and_categorised():
+    assert len(ENTRY_ALLOWED) < 52
+    for dotted, (category, reason) in ENTRY_ALLOWED.items():
+        assert category in CATEGORIES, dotted
+        assert reason, dotted

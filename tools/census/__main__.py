@@ -1,0 +1,8 @@
+"""``python -m census`` — run the dynamic census."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
