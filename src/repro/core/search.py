@@ -24,10 +24,13 @@ shares host work, never a simulated timestamp:
   one :func:`~repro.core.distance.expanded_squared_distances` call plus a
   batched stable argsort;
 * **coalesced chunk reads** — within a cohort each chunk is fetched from
-  the store at most once (and its float32 descriptor matrix promoted to
-  float64 exactly once), then scanned against every query of the cohort
+  the store at most once and its float32 descriptor matrix promoted to
+  float64 at most once, then scanned against every query of the cohort
   with one ``(q, n_chunk)`` kernel call.  A cohort of one retains nothing:
-  there is no other query to share with;
+  there is no other query to share with.  Over a store that keeps member
+  norms it settles what it can in float32 instead: while the k-th distance
+  stands still, a chunk whose float32 member bound exceeds it is neither
+  promoted nor scanned;
 * **shared norms** — the queries' ``|q|^2`` terms are computed once per
   cohort for the ranking and every scan, and an in-memory store keeps each
   chunk's ``|p|^2`` terms across cohorts and searchers
@@ -93,6 +96,8 @@ STOP_EXHAUSTED = "exhausted"
 _Read = Tuple[np.ndarray, np.ndarray]
 #: A chunk's promoted contents: ``(int64 ids, contiguous float64 vectors)``.
 _Payload = Tuple[np.ndarray, np.ndarray]
+#: A query's inputs of the member bound (:meth:`ChunkSearcher._member_query`).
+_MemberQuery = Tuple[np.ndarray, float, float, float]
 
 #: Unit roundoff of float64 (``2**-53``), the ``u`` of the rectangle
 #: bound's slack (:meth:`ChunkSearcher.rectangle_bounds`).
@@ -101,6 +106,22 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 #: the (at most a few hundred times ``2**-1075``) error of products that
 #: underflow, where the relative-error model does not hold.
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+#: Unit roundoff of float32 (``2**-24``), the ``u`` of the member bound's
+#: float32 terms (:meth:`ChunkSearcher._member_bound`).
+_UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2.0
+#: Smallest subnormal float32: twice the absolute error of a float32
+#: rounding that underflows, the member bound's floor under its slack.
+_SUBNORMAL32 = 2.0**-149
+#: The member bound runs only for a query and members of norm under this:
+#: every float32 product and partial sum of ``p . fl32(-2 q)`` then stays
+#: under ``2**122``, far from float32's overflow.
+_FLOAT32_NORM_CAP = 2.0**60
+#: The cache entry of a chunk the member bound settled: a row minimum of
+#: +inf, so the admission gate passes it by as it would the scanned chunk's
+#: (only a cohort of one, row 0, ever holds one).
+_ADMITS_NOTHING = (
+    (np.empty(0, np.int64), np.empty((0, 0))), np.empty((1, 0)), [math.inf]
+)
 #: A chunk's codes are consulted only once the bounds the index already
 #: gives, ``max(sphere, rectangle)``, reach this fraction of the k-th
 #: distance, and only while the latest scan admitted nothing (the k-th
@@ -310,7 +331,8 @@ class ChunkSearcher:
         self._centroid_sq_norms = squared_norms(self._centroids)
         # Member norms kept across scans: only a store that holds its chunks
         # in memory keeps them (DESIGN §5); any other store, or a proxy of
-        # one, has its members' norms recomputed by every scan.
+        # one, has its members' norms recomputed by every scan and no member
+        # bound.
         self._store_norms: Optional[InMemoryChunkStore] = (
             index.store if isinstance(index.store, InMemoryChunkStore) else None
         )
@@ -321,6 +343,23 @@ class ChunkSearcher:
             np.square(self._rect_lower), np.square(self._rect_upper)
         ).sum(axis=1)
         self._rect_slack = 4.0 * (index.dimensions + 4) * _UNIT_ROUNDOFF
+        # The member bound's float32 slack per unit |q| sqrt(N): the product
+        # fl32(p . w)'s rounding, 2 gamma_d (1 + u), plus the query's
+        # (w = fl32(-2 q)), 2 u (:meth:`_member_bound`).
+        dims, u32 = index.dimensions, _UNIT_ROUNDOFF32
+        gamma = dims * u32 / (1.0 - dims * u32)
+        self._member_slack = 2.0 * gamma * (1.0 + u32) + 2.0 * u32
+        # ``(sqrt(N), the slack's per-chunk part)`` per chunk, where the bound
+        # can run: a store keeping member norms, every N under the cap.
+        self._member_terms: Optional[List[Tuple[float, float]]] = None
+        root_n = np.sqrt(self._rect_sq_norms)
+        if self._store_norms is not None and root_n.max() < _FLOAT32_NORM_CAP:
+            chunk_terms = (
+                self._rect_slack * self._rect_sq_norms
+                + _SMALLEST_NORMAL
+                + _SUBNORMAL32 * (dims + math.sqrt(dims) * root_n)
+            )
+            self._member_terms = list(zip(root_n.tolist(), chunk_terms.tolist()))
         # Where byte b's 256-entry table starts among code_bound's tables, in
         # the narrowest unsigned type that numbers them all (no intp widening).
         n_bytes = (index.dimensions + 1) // 2
@@ -522,6 +561,44 @@ class ChunkSearcher:
         )
         return math.sqrt(max(0.0, nearest))
 
+    def _member_query(
+        self, query: np.ndarray, query_sq_norm: float
+    ) -> Optional[_MemberQuery]:
+        """A query's part of :meth:`_member_bound`: ``(w = fl32(-2 q),
+        |q|^2, the float32 slack per unit sqrt(N), the kernel slack's query
+        part)``, or ``None`` for a query too long for float32."""
+        norm = math.sqrt(query_sq_norm)
+        if not norm < _FLOAT32_NORM_CAP:
+            return None
+        return (
+            (-2.0 * query).astype(np.float32),
+            query_sq_norm,
+            self._member_slack * norm,
+            self._rect_slack * query_sq_norm,
+        )
+
+    def _member_bound(
+        self, member_query: _MemberQuery, chunk_id: int, vectors: np.ndarray
+    ) -> float:
+        """Lower bound on the *kernel* distance from the query to any
+        member of chunk ``chunk_id`` (DESIGN §5, "The member bound"): ``F =
+        min_i(|p_i|^2 + fl32(p_i . w)) + |q|^2`` from the stored float32
+        rows, their kept norms and ``w = fl32(-2 q)``, less what ``F`` can
+        exceed a member's kernel value by — the float32 product's rounding,
+        ``2 gamma_d (1 + u) |q| sqrt(N)``, the query's, ``2 u |q| sqrt(N)``,
+        underflow, ``eta (d + sqrt(d N))``, and the float64 rest, within
+        :meth:`_kernel_slack`.  One float32 matrix-vector product, where a
+        scan costs a float64 promotion and kernel."""
+        store, terms = self._store_norms, self._member_terms
+        assert store is not None and terms is not None, "no member bound here"
+        w, query_sq_norm, per_root_n, query_term = member_query
+        root_n, chunk_term = terms[chunk_id]
+        norms = store.member_sq_norms(chunk_id, vectors)
+        nearest = float(np.add(norms, np.dot(vectors, w)).min(initial=math.inf))
+        nearest += query_sq_norm
+        nearest -= per_root_n * root_n + query_term + chunk_term
+        return math.sqrt(max(0.0, nearest))
+
     # -- search ----------------------------------------------------------------
 
     def search(
@@ -696,8 +773,12 @@ class ChunkSearcher:
         3. *charge* — the chunk's I/O (cold, from the chunk cache, plus the
            outcome's ``extra_io_s``) and CPU time on the query's timeline;
         4. *scan* — unless skipped or pruned, the chunk's distance row is
-           folded into the neighbor set.  A pruned chunk is charged and
-           logged exactly like a scanned one: only the host work is saved;
+           folded into the neighbor set.  A cohort of one over a store
+           keeping member norms first asks the member bound (only while
+           ``settled`` with ``k`` held); a chunk it settles could admit
+           nothing and is neither promoted nor scanned.  A pruned or settled
+           chunk is charged and logged exactly like a scanned one: only the
+           host work is saved;
         5. *log* — one entry in each column of the query's trace, and a
            fault mark unless the outcome is ``OK_OUTCOME``;
         6. *stop* — the completion proof, then the stop rule (asked only
@@ -743,6 +824,10 @@ class ChunkSearcher:
         rows: Dict[int, "Tuple[_Payload, np.ndarray, List[float]]"] = {}
         failed: Set[int] = set()
         store_norms = self._store_norms
+        # The member bound serves a cohort of one: a cohort's chunk rows are
+        # computed for every query, once, whatever one query's bound says.
+        member_terms = None if shared else self._member_terms
+        member_query: Optional[_MemberQuery] = None
         # Ranked ids are in range: the store, not the index's checked read.
         read = self.index.store.read_chunk
         chunk_cost, pages, overlap = self._chunk_cost, self._pages, self._overlap
@@ -759,6 +844,8 @@ class ChunkSearcher:
                 table = faults.outcome_table(state.fault_key, n_chunks)
             order, lbs, suffix = state.order, state.lb_list, state.suffix_list
             rects = state.rect_list
+            if member_terms is not None:
+                member_query = self._member_query(query, float(query_sq_norms[row]))
             neighbors = NeighborSet(k)
             trace = SearchTrace(start_s)
             log_chunk, log_elapsed = trace.chunk_ids.append, trace.elapsed.append
@@ -844,35 +931,42 @@ class ChunkSearcher:
                     entry = rows.get(chunk_id)
                     if entry is None:
                         ids, vectors = chunk if chunk is not None else read(chunk_id)
-                        # The float64 promotion: the only copy an on-disk
-                        # chunk's vectors get (the store hands out views of
-                        # the verified read).
-                        payload = (
-                            np.asarray(ids, dtype=np.int64),
-                            np.ascontiguousarray(vectors, dtype=np.float64),
-                        )
-                        d2 = expanded_squared_distances(
-                            queries,
-                            payload[1],
-                            query_sq_norms,
-                            None
-                            if store_norms is None
-                            else store_norms.member_sq_norms(chunk_id, payload[1]),
-                        )
-                        # Row minima batched too: the per-query admission
-                        # gate then costs a list index, not a reduction.
-                        mins2 = (
-                            d2.min(axis=1).tolist()
-                            if d2.shape[1]
-                            else [math.inf] * len(states)
-                        )
-                        # The kept entry holds the payload although only
-                        # its ids are read again: dropping each promoted
-                        # copy right after its kernel call measured slower
-                        # on a large exact batch (allocator churn).
-                        entry = (payload, d2, mins2)
-                        if shared:
-                            rows[chunk_id] = entry
+                        if member_query is not None and settled and n_found >= k and (
+                            self._member_bound(member_query, chunk_id, vectors) > kth
+                        ):
+                            # Settled in float32: the k-th distance stands
+                            # still and no member can reach it.
+                            entry = _ADMITS_NOTHING
+                        else:
+                            # The float64 promotion: the only copy an
+                            # on-disk chunk's vectors get (the store hands
+                            # out views of the verified read).
+                            payload = (
+                                np.asarray(ids, dtype=np.int64),
+                                np.ascontiguousarray(vectors, dtype=np.float64),
+                            )
+                            d2 = expanded_squared_distances(
+                                queries,
+                                payload[1],
+                                query_sq_norms,
+                                None
+                                if store_norms is None
+                                else store_norms.member_sq_norms(chunk_id, payload[1]),
+                            )
+                            # Row minima batched too: the admission gate
+                            # then costs a list index, not a reduction.
+                            mins2 = (
+                                d2.min(axis=1).tolist()
+                                if d2.shape[1]
+                                else [math.inf] * len(states)
+                            )
+                            # The kept entry holds the payload although only
+                            # its ids are read again: dropping each promoted
+                            # copy right after its kernel call measured
+                            # slower on a large exact batch (allocator churn).
+                            entry = (payload, d2, mins2)
+                            if shared:
+                                rows[chunk_id] = entry
                     # The row stays in *squared* space: sqrt is monotone and
                     # correctly rounded (IEEE 754; math.sqrt and np.sqrt
                     # agree), so sqrt(min(sq)) is bit-equal to min(sqrt(sq))

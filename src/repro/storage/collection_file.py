@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, Union
+from typing import Union
 
 import numpy as np
 
@@ -37,8 +37,6 @@ _HEADER = struct.Struct("<8sIIQ")
 #: Reject headers whose implied payload exceeds this (1 TiB) — guards
 #: against corrupted ``count`` fields triggering huge reads/allocations.
 _MAX_PAYLOAD_BYTES = 1 << 40
-
-PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 
 def write_collection_file(
@@ -59,11 +57,9 @@ def write_collection_file(
         )
 
 
-def read_collection_file(source: PathOrFile) -> DescriptorCollection:
+def read_collection_file(source: Union[str, os.PathLike]) -> DescriptorCollection:
     """Load a collection previously written by :func:`write_collection_file`."""
-    owns = isinstance(source, (str, os.PathLike))
-    stream: BinaryIO = open(source, "rb") if owns else source  # type: ignore[arg-type]
-    try:
+    with open(source, "rb") as stream:
         raw_header = stream.read(_HEADER.size)
         if len(raw_header) != _HEADER.size:
             raise CorruptFileError("collection file too short for header")
@@ -97,6 +93,3 @@ def read_collection_file(source: PathOrFile) -> DescriptorCollection:
         raw_images = read_exact(stream, count * 8, "collection file image ids")
         image_ids = np.frombuffer(raw_images, dtype="<i8").astype(np.int64)
         return DescriptorCollection(vectors=vectors, ids=ids, image_ids=image_ids)
-    finally:
-        if owns:
-            stream.close()

@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import BinaryIO, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,8 +78,6 @@ _CRC = struct.Struct("<I")
 #: Reject headers whose implied payload exceeds this (1 TiB) — guards
 #: against corrupted ``n_chunks``/``dims`` fields triggering huge reads.
 _MAX_PAYLOAD_BYTES = 1 << 40
-
-PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 
 def _entry_dtype(dimensions: int) -> np.dtype:
@@ -201,7 +199,7 @@ def _rectangles_consistent(entries: np.ndarray, rectangles: np.ndarray) -> np.nd
     return valid
 
 
-def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
+def read_index_file(source: Union[str, os.PathLike]) -> List[ChunkMeta]:
     """Load chunk metadata back, in chunk order.
 
     Every entry is validated here — finite centroid and radius, ``radius
@@ -212,9 +210,7 @@ def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
     CRC-checked (:class:`ChecksumError`) and then cross-validated against
     the entries (:func:`_rectangles_consistent`).
     """
-    owns = isinstance(source, (str, os.PathLike))
-    stream: BinaryIO = open(source, "rb") if owns else source  # type: ignore[arg-type]
-    try:
+    with open(source, "rb") as stream:
         raw_header = stream.read(_HEADER.size)
         if len(raw_header) != _HEADER.size:
             raise CorruptFileError("index file too short for header")
@@ -300,6 +296,3 @@ def read_index_file(source: PathOrFile) -> List[ChunkMeta]:
                 scalars
             )
         ]
-    finally:
-        if owns:
-            stream.close()

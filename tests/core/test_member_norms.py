@@ -2,15 +2,18 @@
 
 ``InMemoryChunkStore.member_sq_norms`` memoizes each scanned chunk's
 ``|p|^2`` terms, and ``ChunkSearcher`` hands them to the expanded-form
-kernel instead of recomputing them per scan.  A store without the memo — an
-on-disk store, or a proxy exposing only ``read_chunk`` / ``__len__`` /
-``close`` — recomputes them on every scan, which is the reference: the two
-paths must agree in every bit of every observable.  The memo's contract:
-each chunk's norms are computed at most once per store, only for a chunk
-some search scans, and never for an index searched from disk.
+kernel instead of recomputing them per scan, and to the member bound, which
+settles a chunk of a cohort of one in float32 without its scan.  A store
+without the memo — an on-disk store, or a proxy exposing only
+``read_chunk`` / ``__len__`` / ``close`` — recomputes them on every scan
+and has no member bound, which is the reference: the two paths must agree
+in every bit of every observable.  The memo's contract: each chunk's norms
+are computed at most once per store, only for a chunk some search scans
+or bounds, and never for an index searched from disk.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -20,10 +23,10 @@ from hypothesis import strategies as st
 from descriptors import from_vectors
 from repro.chunking.round_robin import RoundRobinChunker
 from repro.chunking.srtree_chunker import SRTreeChunker
-from repro.core import chunk_index
+from repro.core import chunk_index, search
 from repro.core.chunk_index import ChunkIndex, InMemoryChunkStore, build_chunk_index
 from repro.core.search import ChunkSearcher
-from repro.core.stop_rules import MaxChunks
+from repro.core.stop_rules import ExactCompletion, MaxChunks, TimeBudget
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.simio.calibration import PAPER_2005_COST_MODEL
@@ -99,19 +102,21 @@ def make_searcher(case, index):
     return ChunkSearcher(index, cost_model=model, prune=case.prune)
 
 
+def injector(case):
+    if not case.fault_rate:
+        return None
+    return FaultInjector.from_cost_model(
+        FaultPlan.balanced(case.fault_rate, seed=case.seed), PAPER_2005_COST_MODEL
+    )
+
+
 def run(case, searcher, queries, truth):
-    faults = None
-    if case.fault_rate:
-        faults = FaultInjector.from_cost_model(
-            FaultPlan.balanced(case.fault_rate, seed=case.seed),
-            PAPER_2005_COST_MODEL,
-        )
     return searcher.search_batch(
         queries,
         k=K,
         stop_rule=MaxChunks(3) if case.approximate else None,
         true_neighbor_ids=truth,
-        faults=faults,
+        faults=injector(case),
     )
 
 
@@ -151,6 +156,21 @@ def chunk_of(index, descriptor_id):
         if hits.size:
             return chunk_id, int(hits[0])
     raise KeyError(descriptor_id)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the distance kernel's calls: one ranking per search, one per
+    chunk scan."""
+    calls = []
+    real = search.expanded_squared_distances
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(search, "expanded_squared_distances", counting)
+    return calls
 
 
 def check_paths_agree(case, plant=False):
@@ -275,23 +295,29 @@ class TestMemoContract:
                 np.einsum("pd,pd->p", vectors, vectors)
             )
 
-    def test_pruned_and_unvisited_chunks_fill_nothing(self, resident, monkeypatch):
+    def test_pruned_and_unvisited_chunks_fill_nothing(
+        self, resident, monkeypatch, kernel_calls
+    ):
+        """One fill per chunk read, where a read is a scan's or, for a
+        chunk the member bound settles, the bound's: both need the norms."""
         index, queries = resident
         store = index.store
-        scanned = []
+        read = []
         read_chunk = store.read_chunk
 
-        def recording(chunk_id):  # without faults, only a scan reads
-            scanned.append(chunk_id)
+        def recording(chunk_id):  # without faults, only a scan or a bound reads
+            read.append(chunk_id)
             return read_chunk(chunk_id)
 
         monkeypatch.setattr(store, "read_chunk", recording)
         result = ChunkSearcher(index).search(queries[0], k=K)
         visited = set(result.trace.chunk_ids)
-        pruned = visited - set(scanned)
+        pruned = visited - set(read)
         assert result.completed and len(pruned) == result.chunks_pruned > 0
         assert visited != set(range(index.n_chunks))
-        assert filled(store) == set(scanned)
+        assert filled(store) == set(read)
+        scans = len(kernel_calls) - 1  # the ranking's call
+        assert len(read) == len(set(read)) > scans  # some chunk was settled
 
     def test_skipped_chunks_fill_nothing(self, resident):
         index, queries = resident
@@ -350,3 +376,53 @@ class TestResidentChunksAreReadOnly:
         store = InMemoryChunkStore([(ids, vectors)])
         assert ids.flags.writeable and vectors.flags.writeable
         assert not any(part.flags.writeable for part in store.read_chunk(0))
+
+
+def searched_alone(case, searcher, queries, rule):
+    """Each query a cohort of one, through one injector keyed by the
+    query's position."""
+    faults = injector(case)
+    return [
+        searcher.search_batch(
+            query[np.newaxis], k=K, stop_rule=rule, faults=faults, query_indices=[i]
+        )[0]
+        for i, query in enumerate(queries)
+    ]
+
+
+class TestTheMemberBoundChangesNoSearch:
+    """Searches of one query over a store keeping norms — where the member
+    bound settles chunks — equal the same searches through
+    :class:`ReadOnlyProxy`, where the bound is off by construction: ids,
+    distance bits, stop reasons, ``chunks_pruned`` and every trace column,
+    under each stop rule, faults, an evicting chunk cache and pruning on or
+    off.  Each case checks that the bound settled chunks, so it is not
+    vacuous."""
+
+    RULES = {
+        "exact": ExactCompletion(),
+        "max-chunks": MaxChunks(16),
+        "time-budget": TimeBudget(0.15),
+    }
+
+    @pytest.mark.parametrize(
+        "rule,faulted,cache,prune",
+        list(itertools.product(RULES, [False, True], [False, True], [False, True])),
+    )
+    def test_equal_to_the_normless_store(
+        self, rule, faulted, cache, prune, kernel_calls
+    ):
+        case = Case(3, 300, 24, "sr", 16, prune, 0.3 if faulted else 0.0, cache, False)
+        index = make_index(case)
+        queries = make_queries(case, index)
+        proxied = dataclasses.replace(index, store=ReadOnlyProxy(index.store))
+        want = searched_alone(
+            case, make_searcher(case, proxied), queries, self.RULES[rule]
+        )
+        calls_without = len(kernel_calls)
+        searcher = make_searcher(case, index)
+        got = searched_alone(case, searcher, queries, self.RULES[rule])
+        assert_bit_identical(got, want)
+        # One ranking call per search either way: fewer calls are fewer scans.
+        assert len(kernel_calls) - calls_without < calls_without
+        assert (searcher._cache.evictions > 0) if cache else searcher._cache is None

@@ -5,7 +5,6 @@ ValueError exceptions (or a successful parse of coincidentally valid
 bytes) — never as unhandled crashes or silent wrong shapes.
 """
 
-import io
 import json
 import shutil
 
@@ -65,13 +64,29 @@ def index_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def damaged(tmp_path_factory):
+    """A function writing bytes to one scratch file and returning its path:
+    the readers take a path, and a hypothesis example may not take the
+    function-scoped ``tmp_path``."""
+    path = tmp_path_factory.mktemp("fuzz") / "damaged"
+
+    def write(data: bytes) -> str:
+        path.write_bytes(data)
+        return str(path)
+
+    return write
+
+
 class TestCollectionFileFuzz:
     @given(st.integers(0, 10**6), st.integers(0, 255))
     @settings(max_examples=80, deadline=None)
-    def test_byte_flip_never_crashes(self, collection_bytes, position, new_byte):
+    def test_byte_flip_never_crashes(
+        self, collection_bytes, damaged, position, new_byte
+    ):
         corrupted = _corrupt(collection_bytes, position, new_byte)
         try:
-            loaded = read_collection_file(io.BytesIO(corrupted))
+            loaded = read_collection_file(damaged(corrupted))
             # Parse succeeded: structure must still be coherent.
             assert loaded.vectors.shape[0] == loaded.ids.shape[0]
         except (IOError, ValueError):
@@ -79,10 +94,10 @@ class TestCollectionFileFuzz:
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
-    def test_truncation_never_crashes(self, collection_bytes, cut):
+    def test_truncation_never_crashes(self, collection_bytes, damaged, cut):
         truncated = collection_bytes[: max(0, len(collection_bytes) - cut)]
         try:
-            read_collection_file(io.BytesIO(truncated))
+            read_collection_file(damaged(truncated))
         except (IOError, ValueError):
             pass
 
@@ -90,10 +105,10 @@ class TestCollectionFileFuzz:
 class TestIndexFileFuzz:
     @given(st.integers(0, 10**6), st.integers(0, 255))
     @settings(max_examples=80, deadline=None)
-    def test_byte_flip_never_crashes(self, index_bytes, position, new_byte):
+    def test_byte_flip_never_crashes(self, index_bytes, damaged, position, new_byte):
         corrupted = _corrupt(index_bytes, position, new_byte)
         try:
-            metas = read_index_file(io.BytesIO(corrupted))
+            metas = read_index_file(damaged(corrupted))
             assert all(m.chunk_id == i for i, m in enumerate(metas))
         except (IOError, ValueError, OverflowError):
             pass

@@ -1,7 +1,6 @@
 """Tests for the index-file codec."""
 
 import dataclasses
-import io
 import os
 import struct
 import tempfile
@@ -55,6 +54,13 @@ def written(metas):
             return handle.read()
 
 
+def saved(tmp_path, data):
+    """``data`` as a file under ``tmp_path``: the reader takes a path."""
+    path = tmp_path / "chunks.idx"
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
 class TestRoundtrip:
     def test_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "chunks.idx")
@@ -69,12 +75,12 @@ class TestRoundtrip:
             assert a.n_descriptors == b.n_descriptors
             assert (a.page_offset, a.page_count) == (b.page_offset, b.page_count)
 
-    def test_rectangle_is_rounded_outward(self):
+    def test_rectangle_is_rounded_outward(self, tmp_path):
         """``make_metas`` rectangles are float64 values no float32 holds:
         the stored rectangle contains the in-memory one, by under one
         float32 ulp per bound, and what comes back is float32-exact."""
         metas = make_metas(7)
-        for a, b in zip(metas, read_index_file(io.BytesIO(written(metas)))):
+        for a, b in zip(metas, read_index_file(saved(tmp_path, written(metas)))):
             assert not np.array_equal(a.lower, a.lower.astype(np.float32))
             assert np.all(b.lower <= a.lower) and np.all(a.upper <= b.upper)
             lower32, upper32 = b.lower.astype(np.float32), b.upper.astype(np.float32)
@@ -82,7 +88,7 @@ class TestRoundtrip:
             assert np.all(np.nextafter(lower32, np.float32(np.inf)) > a.lower)
             assert np.all(np.nextafter(upper32, np.float32(-np.inf)) < a.upper)
 
-    def test_member_rectangle_round_trips_exactly(self):
+    def test_member_rectangle_round_trips_exactly(self, tmp_path):
         """A rectangle of float32 members is stored without widening."""
         rng = np.random.default_rng(5)
         members = rng.standard_normal((9, 4)).astype(np.float32).astype(np.float64)
@@ -97,7 +103,7 @@ class TestRoundtrip:
             page_offset=0,
             page_count=1,
         )
-        (loaded,) = read_index_file(io.BytesIO(written([meta])))
+        (loaded,) = read_index_file(saved(tmp_path, written([meta])))
         assert np.array_equal(loaded.lower, meta.lower)
         assert np.array_equal(loaded.upper, meta.upper)
 
@@ -121,14 +127,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="chunk order"):
             write_index_file(str(tmp_path / "o.idx"), metas)
 
-    def test_bad_magic(self):
-        stream = io.BytesIO(b"NOTMAGIC" + b"\x00" * 100)
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(IOError, match="magic"):
-            read_index_file(stream)
+            read_index_file(saved(tmp_path, b"NOTMAGIC" + b"\x00" * 100))
 
-    def test_truncated_header(self):
+    def test_truncated_header(self, tmp_path):
         with pytest.raises(IOError, match="too short"):
-            read_index_file(io.BytesIO(b"\x00" * 4))
+            read_index_file(saved(tmp_path, b"\x00" * 4))
 
     def test_truncated_entries(self, tmp_path):
         path = str(tmp_path / "t.idx")
@@ -155,14 +160,14 @@ class TestNormsBlock:
     """The v2 centroid-norms tail and the rectangle-less v3 layout are
     retired: neither file is read."""
 
-    def test_unsupported_read_version_rejected(self):
+    def test_unsupported_read_version_rejected(self, tmp_path):
         data = bytearray(written(make_metas(2)))
         # 1: pre-checksum layout; 2: entries + centroid-norms tail;
         # 3: entries only, no rectangle block; 7: future.
         for version in (1, 2, 3, 7):
             struct.pack_into("<I", data, 8, version)  # <8sIIQ8s: version at 8
             with pytest.raises(CorruptFileError, match="version"):
-                read_index_file(io.BytesIO(bytes(data)))
+                read_index_file(saved(tmp_path, data))
 
 
 class TestEntryValidation:
@@ -177,7 +182,7 @@ class TestEntryValidation:
         ],
         ids=["nan-centroid", "negative-radius", "inf-radius", "no-pages", "no-rows"],
     )
-    def test_corrupt_entry_rejected(self, field_offset, value):
+    def test_corrupt_entry_rejected(self, field_offset, value, tmp_path):
         """The file has no checksum, so the reader validates every stored
         value itself instead of leaving it to ``ChunkMeta`` (ValueError)
         or to nobody (a NaN centroid poisons the completion proof)."""
@@ -186,7 +191,7 @@ class TestEntryValidation:
         at = index_file_bytes(0, 4) + entry_bytes + field_offset  # entry 1
         data[at : at + len(value)] = value
         with pytest.raises(CorruptFileError, match="entry 1 is corrupt"):
-            read_index_file(io.BytesIO(bytes(data)))
+            read_index_file(saved(tmp_path, data))
 
     # -- the rectangle block ------------------------------------------------
 
@@ -197,7 +202,7 @@ class TestEntryValidation:
     def _bytes(self):
         return bytearray(written(make_metas(self.N, dims=self.DIMS)))
 
-    def _patched(self, offset_in_pair, value, reseal=True):
+    def _patched(self, tmp_path, offset_in_pair, value, reseal=True):
         """Entry 1's rectangle with ``value`` (float32) written at
         ``offset_in_pair``; ``reseal`` recomputes the block CRC so only the
         cross-validation can object."""
@@ -207,62 +212,62 @@ class TestEntryValidation:
         if reseal:
             block = bytes(data[self.BLOCK_AT : -4])
             data[-4:] = struct.pack("<I", zlib.crc32(block))
-        return io.BytesIO(bytes(data))
+        return saved(tmp_path, data)
 
-    def test_flipped_rectangle_bit_is_a_checksum_error(self):
+    def test_flipped_rectangle_bit_is_a_checksum_error(self, tmp_path):
         data = self._bytes()
         data[self.BLOCK_AT + self.PAIR_BYTES + 2] ^= 0x10
         with pytest.raises(ChecksumError, match="rectangle block failed its CRC32"):
-            read_index_file(io.BytesIO(bytes(data)))
+            read_index_file(saved(tmp_path, data))
 
     @pytest.mark.parametrize(
         "case",
         ["nan", "inf", "lower-above-upper", "centroid-outside", "outside-sphere-box"],
     )
-    def test_crc_consistent_but_contradictory_rectangle_rejected(self, case):
+    def test_crc_consistent_but_contradictory_rectangle_rejected(self, case, tmp_path):
         """A block whose checksum holds can still contradict the validated
         entries — a writer bug, or damage before the CRC was taken."""
         meta = make_metas(self.N, dims=self.DIMS)[1]
         upper0_at = self.DIMS * 4  # upper[0] follows the d lower bounds
-        stream = {
-            "nan": lambda: self._patched(0, np.nan),
-            "inf": lambda: self._patched(upper0_at, np.inf),
+        path = {
+            "nan": lambda: self._patched(tmp_path, 0, np.nan),
+            "inf": lambda: self._patched(tmp_path, upper0_at, np.inf),
             # lower[0] above upper[0], both still inside the sphere's box
             "lower-above-upper": lambda: self._patched(
-                0, meta.centroid[0] + 0.75 * meta.radius
+                tmp_path, 0, meta.centroid[0] + 0.75 * meta.radius
             ),
             # upper[0] below the centroid: no mean of members lies there
             "centroid-outside": lambda: self._patched(
-                upper0_at, meta.centroid[0] - 0.5 * meta.radius
+                tmp_path, upper0_at, meta.centroid[0] - 0.5 * meta.radius
             ),
             # lower[0] further from the centroid than any member can be
             "outside-sphere-box": lambda: self._patched(
-                0, meta.centroid[0] - 1.001 * meta.radius - 1e-6
+                tmp_path, 0, meta.centroid[0] - 1.001 * meta.radius - 1e-6
             ),
         }[case]()
         with pytest.raises(
             CorruptFileError, match="entry 1 has a corrupt rectangle"
         ) as info:
-            read_index_file(stream)
+            read_index_file(path)
         assert not isinstance(info.value, ChecksumError)
 
-    def test_rectangle_inside_tolerance_still_reads(self):
+    def test_rectangle_inside_tolerance_still_reads(self, tmp_path):
         """The cross-validation is not a hair trigger: moving a bound
         *inward* keeps every relation and reads back."""
         meta = make_metas(self.N, dims=self.DIMS)[1]
         inward = np.float32(meta.centroid[0] - 0.5 * meta.radius)
-        assert read_index_file(self._patched(0, inward))[1].lower[0] == inward
+        assert read_index_file(self._patched(tmp_path, 0, inward))[1].lower[0] == inward
 
     @pytest.mark.parametrize("cut", [1, 4, 5, 4 + 2 * 4 * 4, 4 + 3 * 2 * 4 * 4])
-    def test_truncated_block_rejected(self, cut):
+    def test_truncated_block_rejected(self, cut, tmp_path):
         data = self._bytes()
         with pytest.raises(
             CorruptFileError, match="rectangle (block|checksum) truncated"
         ):
-            read_index_file(io.BytesIO(bytes(data[:-cut])))
+            read_index_file(saved(tmp_path, data[:-cut]))
 
     @pytest.mark.parametrize("block_chunks", [2, 4])
-    def test_block_for_the_wrong_chunk_count_rejected(self, block_chunks):
+    def test_block_for_the_wrong_chunk_count_rejected(self, block_chunks, tmp_path):
         """Entries for three chunks, a correctly sealed block for two (short:
         truncation) or four (long: the CRC is read from inside it)."""
         data = self._bytes()
@@ -272,44 +277,44 @@ class TestEntryValidation:
             bytes(data[: self.BLOCK_AT]) + block + struct.pack("<I", zlib.crc32(block))
         )
         with pytest.raises(CorruptFileError, match="rectangle"):
-            read_index_file(io.BytesIO(sealed))
+            read_index_file(saved(tmp_path, sealed))
 
-    def test_huge_chunk_count_is_truncation_not_allocation(self):
+    def test_huge_chunk_count_is_truncation_not_allocation(self, tmp_path):
         """The block length comes from the header: it is checked against
         the stream before anything is allocated for it."""
         data = self._bytes()
         struct.pack_into("<Q", data, 16, 2**31)  # n_chunks
         with pytest.raises(CorruptFileError, match="truncated"):
-            read_index_file(io.BytesIO(bytes(data)))
+            read_index_file(saved(tmp_path, data))
 
 
 class TestHeaderGuards:
     """Corrupted dims/n_chunks fields must fail fast and typed."""
 
     @staticmethod
-    def _packed(metas, dims=None, n_chunks=None):
+    def _packed(tmp_path, metas, dims=None, n_chunks=None):
         data = bytearray(written(metas))
         # Header: <8sIIQ8s -> dims at offset 12, n_chunks at offset 16.
         if dims is not None:
             struct.pack_into("<I", data, 12, dims)
         if n_chunks is not None:
             struct.pack_into("<Q", data, 16, n_chunks)
-        return io.BytesIO(bytes(data))
+        return saved(tmp_path, data)
 
-    def test_zero_dimensions_rejected(self):
+    def test_zero_dimensions_rejected(self, tmp_path):
         from repro.storage.errors import CorruptFileError
 
         with pytest.raises(CorruptFileError, match="implausible dimensions"):
-            read_index_file(self._packed(make_metas(3), dims=0))
+            read_index_file(self._packed(tmp_path, make_metas(3), dims=0))
 
-    def test_overflowing_dimensions_rejected(self):
+    def test_overflowing_dimensions_rejected(self, tmp_path):
         from repro.storage.errors import CorruptFileError
 
         with pytest.raises(CorruptFileError, match="implausible dimensions"):
-            read_index_file(self._packed(make_metas(3), dims=2**32 - 1))
+            read_index_file(self._packed(tmp_path, make_metas(3), dims=2**32 - 1))
 
-    def test_overflowing_chunk_count_rejected(self):
+    def test_overflowing_chunk_count_rejected(self, tmp_path):
         from repro.storage.errors import CorruptFileError
 
         with pytest.raises(CorruptFileError, match="implausible size"):
-            read_index_file(self._packed(make_metas(3), n_chunks=2**63))
+            read_index_file(self._packed(tmp_path, make_metas(3), n_chunks=2**63))

@@ -87,7 +87,7 @@ CODE_DIRS = ("src", "benchmarks", "examples", "tools")
 AUDITED = (("src", "repro"), ("tools", "lint"))
 
 #: Most lines ``src/**/*.py`` may hold.
-SRC_LINE_BUDGET = 17_445
+SRC_LINE_BUDGET = 17_525
 
 #: Dotted name -> why a definition no shipped code references stays.
 ALLOWED: Dict[str, str] = {
